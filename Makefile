@@ -10,6 +10,9 @@
 #   make bench        - the full paper-figure benchmark suite
 #   make bench-report - write machine-readable BENCH_*.json reports
 #   make bench-check  - bench-report + fail on >30% gated-metric regression
+#   make bench-e2e    - the front-door benchmark BENCHMARK.json declares: six
+#                       GraphService workloads, untraced then traced (~4 min;
+#                       E2E_ARGS="--seed 11 --out A1.json" passes flags through)
 #   make docs-check   - run README code blocks + lint documentation links
 #   make ci           - every gate .github/workflows/ci.yml enforces (the
 #                       workflow runs coverage as a parallel job; locally it
@@ -24,7 +27,7 @@ export PYTHONPATH := src
 
 CI_GATES := lint test docs-check coverage bench-smoke bench-check
 
-.PHONY: test test-soak lint coverage bench-smoke bench bench-report bench-check docs-check ci nightly
+.PHONY: test test-soak lint coverage bench-smoke bench bench-report bench-check bench-e2e docs-check ci nightly
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -49,6 +52,9 @@ bench-report:
 
 bench-check:
 	$(PYTHON) tools/bench_report.py --check
+
+bench-e2e:
+	python3 benchmarks/e2e/run.py $(E2E_ARGS)
 
 docs-check:
 	$(PYTHON) tools/docs_check.py

@@ -177,9 +177,6 @@ class DynamicReducer:
             self._budget.charge_visit()
             if (query_node, neighbor) in queued:
                 continue
-            if neighbor in in_gq and builder.has_edge(node, neighbor):
-                # Already harvested for this region; skip to avoid re-work.
-                pass
             if self._use_guard and not self._guard.check(neighbor, query_node):
                 continue
             if not self._use_guard:

@@ -92,26 +92,40 @@ class SimulationGuard(_BaseGuard):
     summaries, so the test never re-scans the graph.
     """
 
+    def __init__(
+        self,
+        pattern: GraphPattern,
+        graph: GraphLike,
+        personalized_match: NodeId,
+        index: NeighborhoodIndex,
+    ) -> None:
+        super().__init__(pattern, graph, personalized_match, index)
+        # Per query node: the labels its non-personalized parents/children
+        # require, compiled once, and whether vp itself must be a parent/child.
+        personalized = pattern.personalized
+        self._needs = {}
+        for query_node in pattern.nodes():
+            parents = pattern.parents(query_node)
+            children = pattern.children(query_node)
+            self._needs[query_node] = (
+                index.requirement(pattern.label_of(u) for u in parents if u != personalized),
+                index.requirement(pattern.label_of(u) for u in children if u != personalized),
+                personalized in parents,
+                personalized in children,
+            )
+
     def _evaluate(self, node: NodeId, query_node: QueryNodeId) -> bool:
         """Evaluate ``C(node, query_node)``."""
         if not self._label_matches(node, query_node):
             return False
-        summary = self._index.summary(node)
-        for parent_query in self._pattern.parents(query_node):
-            label = self._query_label(parent_query)
-            if parent_query == self._pattern.personalized:
-                if self._vp not in self._graph.predecessors(node):
-                    return False
-            elif summary.parent_count(label) == 0:
-                return False
-        for child_query in self._pattern.children(query_node):
-            label = self._query_label(child_query)
-            if child_query == self._pattern.personalized:
-                if self._vp not in self._graph.successors(node):
-                    return False
-            elif summary.child_count(label) == 0:
-                return False
-        return True
+        parent_labels, child_labels, vp_parent, vp_child = self._needs[query_node]
+        if vp_parent and self._vp not in self._graph.predecessors(node):
+            return False
+        if vp_child and self._vp not in self._graph.successors(node):
+            return False
+        return self._index.has_parent_labels(node, parent_labels) and self._index.has_child_labels(
+            node, child_labels
+        )
 
 
 class IsomorphismGuard(_BaseGuard):

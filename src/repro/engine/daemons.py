@@ -319,9 +319,16 @@ class DaemonPool:
             self._attach_worker(worker)
         return worker
 
-    def _attach_worker(self, worker: _Daemon) -> None:
-        """Ship the current state handle to one worker and await its ack."""
-        worker.conn.send(("state", self._state_seq, self._handle))
+    def _send_state(self, worker: _Daemon) -> float:
+        """Ship the current state handle to one worker; returns the send time."""
+        try:
+            worker.conn.send(("state", self._state_seq, self._handle))
+        except (BrokenPipeError, OSError):
+            raise DaemonError("daemon worker died while attaching shared state") from None
+        return time.perf_counter()
+
+    def _await_ready(self, worker: _Daemon, sent_at: float) -> None:
+        """Wait for one worker's ack of the state sent at ``sent_at``."""
         while True:
             ready = connection.wait([worker.conn, worker.process.sentinel])
             if worker.conn in ready:
@@ -331,12 +338,17 @@ class DaemonPool:
                     raise DaemonError("daemon worker died while attaching shared state")
                 if message[0] == "ready":
                     worker.state_seq = message[1]
+                    obs.histogram("daemon.attach.seconds").observe(time.perf_counter() - sent_at)
                     return
                 if message[0] == "attach-error":
                     raise DaemonError(f"daemon worker failed to attach shared state: {message[2]}")
                 # Drop fenced replies from an earlier batch and keep waiting.
                 continue
             raise DaemonError("daemon worker died while attaching shared state")
+
+    def _attach_worker(self, worker: _Daemon) -> None:
+        """Ship the current state handle to one worker and await its ack."""
+        self._await_ready(worker, self._send_state(worker))
 
     def _ensure_started(self) -> None:
         if self._closed:
@@ -393,9 +405,10 @@ class DaemonPool:
         """Export ``state`` and attach every worker to it.
 
         Called implicitly by :meth:`run`; idempotent while ``version`` (or
-        the state's identity) is unchanged.  The previous publication's
-        segments are unlinked only after every worker acknowledged the new
-        one, so attach windows never race cleanup.
+        the state's identity) is unchanged.  Workers attach concurrently;
+        the previous publication's segments are unlinked only after every
+        worker acknowledged the new one, so attach windows never race
+        cleanup.
         """
         with self._lock:
             self._ensure_started()
@@ -405,18 +418,26 @@ class DaemonPool:
         key = ("id", id(state)) if version is None else ("v", version)
         if self._handle is not None and self._published_version == key:
             return
+        publish_started = time.perf_counter()
         handle = publish_state(state)
         obs.counter("daemon.publishes").inc()
+        obs.histogram("daemon.publish.seconds").observe(time.perf_counter() - publish_started)
+        obs.gauge("daemon.payload.bytes").set(handle.payload_bytes)
         old_handle = self._handle
         self._handle = handle
         self._state_seq += 1
         self._published_version = key
         try:
+            # Every live worker gets the handle before any ack is awaited, so
+            # the workers unpickle and map the new state side by side.
+            sent: List[Tuple[_Daemon, float]] = []
             for index, worker in enumerate(self._workers):
-                if not worker.alive:
-                    self._workers[index] = worker = self._spawn_worker()  # attaches
-                    continue
-                self._attach_worker(worker)
+                if worker.alive:
+                    sent.append((worker, self._send_state(worker)))
+                else:
+                    self._workers[index] = self._spawn_worker()  # attaches
+            for worker, sent_at in sent:
+                self._await_ready(worker, sent_at)
         except DaemonError:
             # A worker died mid-attach: restart it against the new handle;
             # give up (leaving the pool consistent) only if that fails too.

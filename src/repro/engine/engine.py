@@ -374,11 +374,9 @@ class QueryEngine:
         # One-time preparation happens *outside* the timed window — wall
         # measures answering (probe + dispatch), so figure timings do not
         # depend on whether this batch happened to be the one that built an
-        # index or ran the offline summary pass for a process pool — and only
-        # for kinds that actually dispatch: a fully-warm batch spawns no pool
-        # and must not pay an eager precompute either.
+        # index — and only for kinds that actually dispatch.
         for kind in sorted({query.kind for _, query, _ in pending}):
-            self._prepared.prepare(kind, alpha, eager=runner.name in ("process", "daemon"))
+            self._prepared.prepare(kind, alpha)
 
         # The daemon executor routes to the engine's warm pool.  Binding
         # happens *after* the prepare loop so the version token reflects the

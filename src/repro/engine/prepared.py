@@ -5,11 +5,16 @@ expensive work — freezing the graph into CSR, condensing SCCs, building the
 hierarchical landmark index, summarising labels and degrees — happens *once*.
 :class:`PreparedGraph` is that one-time product: an immutable-after-prepare
 bundle the engine consults per query and ships to worker processes once per
-worker (via the pool initializer), never per query.
+worker, never per query.
 
-Everything stored here is plain data (dicts, dataclasses, numpy arrays), so
-the whole bundle pickles; under the ``fork`` start method it is inherited
-copy-on-write and never serialised at all.
+How it reaches a worker depends on the executor.  The per-batch ``process``
+pool under the ``fork`` start method inherits it copy-on-write and never
+serialises it.  The daemon pool (and ``process`` under ``spawn``) always
+publishes it through :class:`SharedPreparedGraph`: the array-shaped parts —
+CSR adjacency and the neighbour-label presence bits behind the ``Sl``
+summaries — are copied into shared-memory segments that workers map
+zero-copy, and only the rest (indexes, matchers: plain dicts and
+dataclasses) is pickled.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ class UpdateSummary:
     reach_alphas_preserved: Dict[float, bool] = field(default_factory=dict)
     #: Original nodes whose condensed component changed (merges/splits).
     membership_dirty: Set[NodeId] = field(default_factory=set)
-    #: Nodes whose neighbourhood summary was evicted.
+    #: Nodes whose neighbourhood summary was invalidated.
     summaries_evicted: int = 0
     #: Degrees of the delta's touched nodes before/after the update — the
     #: only degrees that can move, so the engine's pattern-cache guard can
@@ -151,7 +156,6 @@ class PreparedGraph:
         self._index_build_seconds: Dict[float, float] = {}
         self._rbreach: Dict[float, RBReach] = {}
         self._neighborhood: Optional[NeighborhoodIndex] = None
-        self._neighborhood_precomputed = False
         self._rbsim: Dict[float, RBSim] = {}
         self._rbsub: Dict[float, RBSub] = {}
         self._maintainer = None  # CondensationMaintainer, built on first patch
@@ -240,7 +244,12 @@ class PreparedGraph:
     # Pattern state
     # ------------------------------------------------------------------ #
     def neighborhood_index(self) -> NeighborhoodIndex:
-        """The shared ``Sl`` summary cache consulted by the dynamic reduction."""
+        """The shared ``Sl`` summaries consulted by the dynamic reduction.
+
+        On a CSR substrate building it *is* the paper's offline pass: one
+        vectorised sweep (about a millisecond per 10^5 edges) that leaves
+        every node summarised.
+        """
         if self._neighborhood is None:
             self._neighborhood = NeighborhoodIndex(self.graph)
         return self._neighborhood
@@ -314,19 +323,14 @@ class PreparedGraph:
     # ------------------------------------------------------------------ #
     # Eager preparation
     # ------------------------------------------------------------------ #
-    def prepare(self, kind: str, alpha: float, eager: bool = False) -> None:
+    def prepare(self, kind: str, alpha: float) -> None:
         """Eagerly build the state one query kind needs at one α.
 
         The engine calls this *before* dispatching to a worker pool so every
         worker receives finished state instead of rebuilding it: the build
-        happens once in the parent, not once per worker.
-
-        ``eager=True`` (used before forking a process pool) additionally runs
-        the paper's once-for-all offline pass for pattern kinds —
-        ``NeighborhoodIndex.precompute()`` — because a lazily-filled summary
-        cache shipped at fork time would make every worker re-summarise the
-        nodes its chunks touch.  Serial and thread executors share the cache
-        in-process, so they keep the cheaper lazy fill.
+        happens once in the parent, not once per worker.  For pattern kinds
+        that includes the neighbourhood summaries, which on a CSR substrate
+        are complete as soon as the matcher exists.
         """
         from repro.engine.queries import KINDS, REACH, SIMULATION
 
@@ -334,14 +338,10 @@ class PreparedGraph:
             raise EngineError(f"unknown query kind {kind!r}; known kinds: {', '.join(KINDS)}")
         if kind == REACH:
             self.rbreach(alpha)
-            return
-        if kind == SIMULATION:
+        elif kind == SIMULATION:
             self.rbsim(alpha)
         else:
             self.rbsub(alpha)
-        if eager and not self._neighborhood_precomputed:
-            self.neighborhood_index().precompute()
-            self._neighborhood_precomputed = True
 
     def state_signature(self) -> tuple:
         """Hashable token of which derived structures currently exist.
@@ -354,7 +354,6 @@ class PreparedGraph:
             tuple(sorted(self._indexes)),
             tuple(sorted(self._rbsim)),
             tuple(sorted(self._rbsub)),
-            self._neighborhood_precomputed,
             self._compressed is not None,
         )
 
@@ -411,6 +410,9 @@ class PreparedGraph:
             overlay.apply(delta, applied=record)
         except Exception:
             self._invalidate_derived()
+            # The applied prefix touched summaries too; a fresh index reads
+            # what the overlay has accumulated (touched_neighborhoods()).
+            self._neighborhood = None
             raise
 
         summary = UpdateSummary(
@@ -454,15 +456,13 @@ class PreparedGraph:
                 self._patch_reachability(patch, summary)
 
         # Pattern-side state: matchers cache α·|G| budgets and max-degree
-        # coefficients, so they are always rebuilt lazily; the expensive
-        # shared summaries survive minus the touched neighbourhoods.
+        # coefficients, so they are always rebuilt lazily; the shared
+        # summaries survive minus the touched neighbourhoods.
         self._rbsim = {}
         self._rbsub = {}
         self._statistics = None
         if self._neighborhood is not None:
             summary.summaries_evicted = self._neighborhood.invalidate(record.summary_dirty)
-            if summary.summaries_evicted:
-                self._neighborhood_precomputed = False
 
         if overlay.fraction() > compact_threshold:
             self._rebind_substrate(overlay.compact())
@@ -584,12 +584,15 @@ class SharedPreparedGraph:
 
     :meth:`publish` exports every CSR substrate (and condensation DAG
     mirror) found in the state into shared-memory segments
-    (:meth:`CSRGraph.to_shared`) and pickles the *rest* — indexes, matchers,
-    summaries — once, with the big graphs replaced by attach-by-name
-    tokens.  Workers call :meth:`attach` to rebuild the state: the derived
-    structures unpickle, the graphs resolve to zero-copy views of the
-    shared pages.  ``state`` may be a :class:`PreparedGraph` or the sharded
-    engine's ``{shard_id: ShardState}`` table; states with no CSR substrate
+    (:meth:`CSRGraph.to_shared`) — adjacency arrays plus, for a substrate
+    whose neighbourhood index exists, the label-presence bits that index
+    reads — and pickles the *rest* (indexes, matchers, the handful of
+    per-node summaries an overlay has patched) once, with the big graphs
+    replaced by attach-by-name tokens.  Workers call :meth:`attach` to
+    rebuild the state: the derived structures unpickle, the graphs and the
+    summaries over them resolve to zero-copy views of the shared pages.
+    ``state`` may be a :class:`PreparedGraph` or the sharded engine's
+    ``{shard_id: ShardState}`` table; states with no CSR substrate
     (``mirror="never"``) degrade gracefully to a plain pickled payload.
 
     The publishing process owns the segments: :meth:`close` unlinks them.

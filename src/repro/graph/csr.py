@@ -139,6 +139,7 @@ class CSRGraph:
         "_pred_indptr",
         "_pred_indices",
         "_degrees",
+        "_label_bits",
     )
 
     def __init__(
@@ -151,6 +152,7 @@ class CSRGraph:
         pred_indptr: np.ndarray,
         pred_indices: np.ndarray,
         degrees: np.ndarray,
+        label_bits: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self._ids = ids
         self._index: Dict[NodeId, int] = {node: i for i, node in enumerate(ids)}
@@ -162,6 +164,7 @@ class CSRGraph:
         self._pred_indptr = pred_indptr
         self._pred_indices = pred_indices
         self._degrees = degrees
+        self._label_bits = label_bits
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -575,6 +578,41 @@ class CSRGraph:
         if self._degrees.shape[0] == 0:
             return 0
         return int(self._degrees.max())
+
+    def label_presence(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Packed neighbour-label presence bits ``(child_bits, parent_bits)``.
+
+        Both arrays are ``(n, ⌈L/64⌉)`` ``uint64``: bit ``l % 64`` of word
+        ``l // 64`` in row ``i`` of ``child_bits`` (resp. ``parent_bits``) is
+        set iff node ``i`` has a child (resp. parent) whose label id is
+        ``l``.  This is the part of the paper's ``Sl`` summaries the guarded
+        condition ``C(v, u)`` reads, for every node at once: one
+        ``bitwise_or.reduceat`` sweep per adjacency side, computed on first
+        use and kept (the graph is immutable).  A graph attached from shared
+        memory receives the publisher's arrays as read-only views instead.
+        """
+        if self._label_bits is None:
+            words = max(1, -(-len(self._label_table) // 64))
+            self._label_bits = (
+                self._presence_sweep(self._succ_indptr, self._succ_indices, words),
+                self._presence_sweep(self._pred_indptr, self._pred_indices, words),
+            )
+        return self._label_bits
+
+    def _presence_sweep(self, indptr: np.ndarray, indices: np.ndarray, words: int) -> np.ndarray:
+        bits = np.zeros((len(self._ids), words), dtype=np.uint64)
+        if indices.shape[0] == 0:
+            return bits
+        label_ids = self._label_ids[indices]
+        edge_bits = np.left_shift(np.uint64(1), (label_ids & 63).astype(np.uint64))
+        # reduceat folds [start_k, start_{k+1}); skipping the empty rows keeps
+        # every segment exactly one node's slice (indptr is monotone).
+        rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+        starts = indptr[rows]
+        for word in range(words):
+            in_word = np.where((label_ids >> 6) == word, edge_bits, np.uint64(0))
+            bits[rows, word] = np.bitwise_or.reduceat(in_word, starts)
+        return bits
 
     def successor_adjacency(self) -> Dict[NodeId, List[NodeId]]:
         """Bulk node → successor-list export (stored order).

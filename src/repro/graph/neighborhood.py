@@ -16,7 +16,7 @@ without touching the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Set
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.graph.digraph import DiGraph, Label, NodeId
 from repro.graph.protocol import GraphLike
@@ -98,52 +98,122 @@ def summarize_node(graph: GraphLike, node: NodeId) -> NeighborhoodSummary:
     )
 
 
-class NeighborhoodIndex:
-    """Lazily computed cache of :class:`NeighborhoodSummary` objects.
+class LabelRequirement(NamedTuple):
+    """A set of neighbour labels compiled once for repeated guard tests.
 
-    The paper builds these summaries in a single offline pass over ``G``
-    ("once-for-all offline preprocessing").  The online algorithms only
-    consult summaries for nodes they actually touch, so a lazy cache gives
-    identical answers while keeping experiments on large graphs fast; call
-    :meth:`precompute` to reproduce the offline pass exactly.
+    Built by :meth:`NeighborhoodIndex.requirement`.  ``words`` holds the
+    ``(word, mask)`` pairs to test against a row of the presence arrays, or
+    ``None`` when no row can satisfy it: the index has no arrays, or some
+    label is absent from their label table.
+    """
+
+    labels: Tuple[Label, ...]
+    words: Optional[Tuple[Tuple[int, int], ...]]
+
+
+class NeighborhoodIndex:
+    """The ``Sl`` summaries the dynamic reduction consults (Section 4.1).
+
+    The paper builds them in a single offline pass over ``G`` ("once-for-all
+    offline preprocessing").  On a :class:`~repro.graph.csr.CSRGraph` that
+    pass is :meth:`CSRGraph.label_presence`: two packed bit arrays answering
+    "does ``v`` have a parent/child labelled ``l``?" for every node, built by
+    one vectorised sweep and shared zero-copy with worker processes as part
+    of the graph's shared-memory segment.  On a
+    :class:`~repro.updates.overlay.MutableOverlay` over a CSR base the
+    arrays keep serving every node whose neighbourhood no delta touched;
+    the :meth:`invalidate`-d nodes, like every node of a ``DiGraph``, go
+    through :func:`summarize_node` on first use and are cached.  That
+    per-node path is the reference the arrays are tested against.
     """
 
     def __init__(self, graph: GraphLike):
-        self._graph = graph
-        self._summaries: Dict[NodeId, NeighborhoodSummary] = {}
+        self._source: Optional[GraphLike] = None
+        self.rebind(graph)
 
     @property
     def graph(self) -> GraphLike:
         """The indexed graph."""
         return self._graph
 
-    def precompute(self) -> None:
-        """Eagerly summarise every node (the paper's offline pass)."""
-        for node in self._graph.nodes():
-            self.summary(node)
-
-    def invalidate(self, nodes) -> int:
-        """Evict the summaries of ``nodes``; returns how many were cached.
-
-        Incremental updates call this for every node whose 1-hop
-        neighbourhood changed — the evicted summaries rebuild lazily, every
-        other summary stays valid because it only describes untouched
-        adjacency.
-        """
-        evicted = 0
-        for node in nodes:
-            if self._summaries.pop(node, None) is not None:
-                evicted += 1
-        return evicted
-
     def rebind(self, graph: GraphLike) -> None:
         """Point the index at a new substrate carrying the same content.
 
-        Used when an overlay compacts into a fresh CSR snapshot: the graph
-        object changes, the graph *content* (hence every cached summary)
-        does not.
+        Wrapping the substrate in an overlay keeps everything (the base
+        underneath is the same object).  An overlay compacting into a fresh
+        CSR snapshot renumbers nodes and labels, so the arrays are taken
+        from the new snapshot and every node is array-backed again.
         """
         self._graph = graph
+        source = getattr(graph, "base", graph)  # the graph under an overlay
+        if source is self._source:
+            return
+        self._source = source
+        self._summaries: Dict[NodeId, NeighborhoodSummary] = {}
+        self._bind_arrays()
+        # Nodes the arrays describe wrongly: an overlay met with churn
+        # already on it names them itself, later ones arrive via invalidate().
+        self._stale: Set[NodeId] = set()
+        if self._label_bit is not None and graph is not source:
+            self._stale.update(graph.touched_neighborhoods())
+
+    def _bind_arrays(self) -> None:
+        """Resolve the source graph's presence arrays to flat word views."""
+        source = self._source
+        if not hasattr(source, "label_presence"):
+            self._rows: Mapping[NodeId, int] = {}
+            self._label_bit: Optional[Dict[Label, Tuple[int, int]]] = None
+            return
+        child_bits, parent_bits = source.label_presence()
+        self._rows = source._index
+        self._words = child_bits.shape[1]
+        self._child_words = memoryview(child_bits.reshape(-1))
+        self._parent_words = memoryview(parent_bits.reshape(-1))
+        self._label_bit = {
+            label: (lid >> 6, 1 << (lid & 63)) for lid, label in enumerate(source._label_table)
+        }
+
+    def __getstate__(self):
+        # The word views are memoryviews over (possibly shared) arrays of the
+        # source graph: rebuilt from the graph on load, never serialised.
+        return (self._graph, self._source, self._stale, self._summaries)
+
+    def __setstate__(self, state) -> None:
+        self._graph, self._source, self._stale, self._summaries = state
+        self._bind_arrays()
+
+    def _row(self, node: NodeId) -> Optional[int]:
+        """Array row of ``node``, or ``None`` when the per-node path serves it."""
+        if node in self._stale:
+            return None
+        return self._rows.get(node)
+
+    def precompute(self) -> None:
+        """Eagerly summarise every node (the paper's offline pass).
+
+        Array-backed nodes are complete from construction; only the others
+        are summarised here.
+        """
+        for node in self._graph.nodes():
+            if self._row(node) is None:
+                self.summary(node)
+
+    def invalidate(self, nodes) -> int:
+        """Drop what is known about ``nodes``; returns how many were known.
+
+        Incremental updates call this for every node whose 1-hop
+        neighbourhood changed.  Those nodes rebuild lazily through
+        :func:`summarize_node`; every other node stays valid because its
+        summary only describes untouched adjacency.
+        """
+        evicted = 0
+        for node in nodes:
+            known = self._summaries.pop(node, None) is not None
+            if self._row(node) is not None:
+                self._stale.add(node)
+                known = True
+            evicted += known
+        return evicted
 
     def __len__(self) -> int:
         return len(self._summaries)
@@ -162,11 +232,47 @@ class NeighborhoodIndex:
 
     def has_child_label(self, node: NodeId, label: Label) -> bool:
         """Whether ``node`` has at least one child labelled ``label``."""
-        return self.summary(node).child_count(label) > 0
+        return self._has_labels(node, self.requirement((label,)), children=True)
 
     def has_parent_label(self, node: NodeId, label: Label) -> bool:
         """Whether ``node`` has at least one parent labelled ``label``."""
-        return self.summary(node).parent_count(label) > 0
+        return self._has_labels(node, self.requirement((label,)), children=False)
+
+    def requirement(self, labels: Iterable[Label]) -> LabelRequirement:
+        """Compile ``labels`` for :meth:`has_child_labels`/:meth:`has_parent_labels`."""
+        labels = tuple(dict.fromkeys(labels))
+        if self._label_bit is None:
+            return LabelRequirement(labels, None)
+        masks: Dict[int, int] = {}
+        for label in labels:
+            bit = self._label_bit.get(label)
+            if bit is None:
+                return LabelRequirement(labels, None)
+            masks[bit[0]] = masks.get(bit[0], 0) | bit[1]
+        return LabelRequirement(labels, tuple(masks.items()))
+
+    def has_child_labels(self, node: NodeId, need: LabelRequirement) -> bool:
+        """Whether ``node`` has a child of every label in ``need``."""
+        return self._has_labels(node, need, children=True)
+
+    def has_parent_labels(self, node: NodeId, need: LabelRequirement) -> bool:
+        """Whether ``node`` has a parent of every label in ``need``."""
+        return self._has_labels(node, need, children=False)
+
+    def _has_labels(self, node: NodeId, need: LabelRequirement, children: bool) -> bool:
+        row = None if node in self._stale else self._rows.get(node)  # _row(), inlined
+        if row is None:
+            summary = self.summary(node)
+            counts = summary.child_label_counts if children else summary.parent_label_counts
+            return all(label in counts for label in need.labels)
+        if need.words is None:
+            return False
+        words = self._child_words if children else self._parent_words
+        base = row * self._words
+        for word, mask in need.words:
+            if words[base + word] & mask != mask:
+                return False
+        return True
 
 
 def max_label_fanout(graph: GraphLike, center: NodeId, radius: int) -> int:

@@ -4,17 +4,20 @@ The parallel executors ship multi-hundred-megabyte prepared state to worker
 processes; pickling it per worker (or re-materialising it per batch) is the
 reason the committed baselines showed process pools *losing* to serial.
 This module puts the flat CSR arrays — ``succ_indptr``/``succ_indices``,
-``pred_indptr``/``pred_indices``, ``label_ids``, ``degrees`` — into one
-``multiprocessing.shared_memory`` segment so any number of worker processes
-can attach the same physical pages zero-copy, by name.
+``pred_indptr``/``pred_indices``, ``label_ids``, ``degrees`` — and, when the
+graph has computed them, the two neighbour-label presence arrays of
+:meth:`CSRGraph.label_presence` (the ``Sl`` summaries the pattern guard
+reads) into one ``multiprocessing.shared_memory`` segment so any number of
+worker processes can attach the same physical pages zero-copy, by name.
 
-Segment layout (one segment per graph)::
+Segment layout (one segment per graph, header ``format`` 2)::
 
     [8-byte little-endian header length][pickled header][64-aligned arrays]
 
 The header carries everything needed to rebuild the graph on attach: node
-ids (or just ``n`` when ids are ``0..n-1``), the label table, and the dtype
-and length of each array; array offsets are derived deterministically from
+ids (or just ``n`` when ids are ``0..n-1``), the label table, and the name,
+dtype and shape of each array present (format 1 stored a flat length and
+had no presence arrays); array offsets are derived deterministically from
 that, so :meth:`SharedCSRGraph.attach` needs only the segment *name*.
 
 **Naming and cleanup contract** (tested in ``tests/test_shared_memory.py``):
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import atexit
 import io
+import math
 import os
 import pickle
 import secrets
@@ -62,7 +66,10 @@ _ARRAY_FIELDS = (
     "pred_indices",
     "degrees",
 )
-"""The CSR arrays stored in the segment, in layout order."""
+"""The CSR arrays stored in every segment, in layout order."""
+
+_LABEL_BITS_FIELDS = ("child_label_bits", "parent_label_bits")
+"""``CSRGraph.label_presence()``, appended when the graph has computed it."""
 
 #: Owner handles still open in this process, for the atexit sweep.
 _OWNED: Dict[str, "SharedCSRGraph"] = {}
@@ -160,14 +167,16 @@ class SharedCSRGraph:
     def create(cls, graph: "CSRGraph", name: Optional[str] = None) -> "SharedCSRGraph":
         """Export ``graph``'s arrays into a fresh owned segment."""
         arrays = {field: np.ascontiguousarray(getattr(graph, "_" + field)) for field in _ARRAY_FIELDS}
+        if graph._label_bits is not None:
+            arrays.update(zip(_LABEL_BITS_FIELDS, map(np.ascontiguousarray, graph._label_bits)))
         ids = graph._ids
         header = {
-            "format": 1,
+            "format": 2,
             # Identity ids (0..n-1) compress to a count; anything else ships
             # as the literal list (hashables, pickled with the header).
             "ids": len(ids) if graph._identity else list(ids),
             "label_table": list(graph._label_table),
-            "arrays": [(field, arrays[field].dtype.str, int(arrays[field].size)) for field in _ARRAY_FIELDS],
+            "arrays": [(field, array.dtype.str, array.shape) for field, array in arrays.items()],
         }
         header_bytes = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
         offsets, total = cls._layout(header["arrays"], len(header_bytes))
@@ -181,7 +190,7 @@ class SharedCSRGraph:
                 if source.size == 0:
                     continue
                 view = np.frombuffer(segment.buf, dtype=source.dtype, count=source.size, offset=offset)
-                view[:] = source
+                view[:] = source.reshape(-1)
         except BaseException:  # pragma: no cover - defensive: never strand a segment
             segment.close()
             segment.unlink()
@@ -196,13 +205,15 @@ class SharedCSRGraph:
         return cls(name, owner=False, segment=_attach_segment(name))
 
     @staticmethod
-    def _layout(array_specs: List[Tuple[str, str, int]], header_len: int) -> Tuple[Dict[str, int], int]:
+    def _layout(
+        array_specs: List[Tuple[str, str, Tuple[int, ...]]], header_len: int
+    ) -> Tuple[Dict[str, int], int]:
         """Deterministic array offsets from the header alone."""
         offsets: Dict[str, int] = {}
         offset = _align(8 + header_len)
-        for field, dtype_str, size in array_specs:
+        for field, dtype_str, shape in array_specs:
             offsets[field] = offset
-            offset = _align(offset + np.dtype(dtype_str).itemsize * size)
+            offset = _align(offset + np.dtype(dtype_str).itemsize * math.prod(shape))
         return offsets, offset
 
     # ------------------------------------------------------------------ #
@@ -235,8 +246,10 @@ class SharedCSRGraph:
         header = pickle.loads(bytes(buf[8 : 8 + header_len]))
         offsets, _ = self._layout(header["arrays"], header_len)
         arrays: Dict[str, np.ndarray] = {}
-        for field, dtype_str, size in header["arrays"]:
-            view = np.frombuffer(buf, dtype=np.dtype(dtype_str), count=size, offset=offsets[field])
+        for field, dtype_str, shape in header["arrays"]:
+            view = np.frombuffer(
+                buf, dtype=np.dtype(dtype_str), count=math.prod(shape), offset=offsets[field]
+            ).reshape(shape)
             view.flags.writeable = False
             arrays[field] = view
         ids = header["ids"]
@@ -251,6 +264,11 @@ class SharedCSRGraph:
             arrays["pred_indptr"],
             arrays["pred_indices"],
             arrays["degrees"],
+            label_bits=(
+                tuple(arrays[field] for field in _LABEL_BITS_FIELDS)
+                if _LABEL_BITS_FIELDS[0] in arrays
+                else None
+            ),
         )
 
     # ------------------------------------------------------------------ #

@@ -78,6 +78,9 @@ CATALOG = {
     "daemon.retries": ("counter", "chunks", "repro.engine.daemons"),
     "daemon.publishes": ("counter", "states", "repro.engine.daemons"),
     "daemon.ping.seconds": ("histogram", "seconds", "repro.engine.daemons"),
+    "daemon.publish.seconds": ("histogram", "seconds", "repro.engine.daemons"),
+    "daemon.attach.seconds": ("histogram", "seconds", "repro.engine.daemons"),
+    "daemon.payload.bytes": ("gauge", "bytes", "repro.engine.daemons"),
     # daemon workers (merged into the parent registry via drained snapshots)
     "daemon.worker.chunks": ("counter", "chunks", "repro.engine.daemons"),
     "daemon.worker.chunk.seconds": ("histogram", "seconds", "repro.engine.daemons"),

@@ -450,11 +450,10 @@ class ShardedEngine:
         multi = self.num_shards > 1
         if multi and (reach_items or probe_items):
             self.boundary  # built before states are assembled and shipped
-        eager = runner.name in ("process", "daemon")
         for shard_id in set(reach_items) | set(probe_items):
             self.shards[shard_id].prepared.prepare(REACH, alpha)
         for shard_id, kind in pattern_items:
-            self.shards[shard_id].prepared.prepare(kind, alpha, eager=eager)
+            self.shards[shard_id].prepared.prepare(kind, alpha)
 
         states = {}
         for shard_id, shard in self.shards.items():

@@ -120,6 +120,23 @@ class MutableOverlay:
         """Overlay churn relative to ``|base|`` — the compaction trigger."""
         return self.overlay_size() / max(1, self._base.size())
 
+    def touched_neighborhoods(self) -> Set[NodeId]:
+        """Nodes whose 1-hop neighbourhood differs from the base's.
+
+        Endpoints of every added or removed edge, added and removed nodes,
+        and the neighbours of relabelled nodes — the accumulated counterpart
+        of :attr:`AppliedDelta.summary_dirty`, read off the overlay's own
+        state in O(churn) for consumers that meet the overlay after deltas
+        were applied.
+        """
+        touched: Set[NodeId] = set(self._removed_nodes)
+        touched.update(self._added_nodes)
+        for endpoints in (self._removed_out, self._removed_in, self._added_succ, self._added_pred):
+            touched.update(node for node, others in endpoints.items() if others)
+        for node in self._label_overrides:  # only ever holds present nodes
+            touched.update(self.neighbors(node))
+        return touched
+
     def compact(self):
         """Fold the overlay into a fresh :class:`~repro.graph.csr.CSRGraph`.
 

@@ -65,6 +65,27 @@ def _error_chunk(state, task):
     raise ValueError("chunk exploded")
 
 
+def _probe_summaries_chunk(state, task):
+    """Per ``(node, label)``: what the worker's attached summaries answer, and how."""
+    index = state.neighborhood_index()
+    child_bits, parent_bits = index._source.label_presence()
+    zero_copy = not (
+        child_bits.flags.owndata
+        or parent_bits.flags.owndata
+        or child_bits.flags.writeable
+        or parent_bits.flags.writeable
+    )
+    return [
+        (
+            index.has_child_label(node, label),
+            index.has_parent_label(node, label),
+            index._row(node) is not None,
+            zero_copy and index._child_words.readonly and index._parent_words.readonly,
+        )
+        for node, label in task
+    ]
+
+
 @pytest.fixture
 def graph():
     return random_graph(num_nodes=250, num_edges=1000, seed=11)
@@ -165,6 +186,85 @@ class TestDaemonPool:
             assert pool._state_seq == seq  # warm: same version, no republish
             pool.run({"factor": 5}, [[1]], chunk_fn=_echo_chunk, version=2)
             assert pool._state_seq == seq + 1
+
+
+class TestSharedSummaries:
+    """Workers read the neighbourhood summaries out of the shared segment."""
+
+    def test_workers_map_masks_and_republish_serves_patched_ones(self, graph):
+        from repro import obs
+        from repro.engine.prepared import PreparedGraph
+        from repro.engine.queries import SIMULATION
+        from repro.graph.neighborhood import summarize_node
+
+        prepared = PreparedGraph(graph)
+        prepared.prepare(SIMULATION, ALPHA)
+        nodes = list(graph.nodes())
+        hub, other = nodes[0], nodes[-1]
+        labels = sorted(graph.distinct_labels())
+        probes = [(node, label) for node in nodes[:30] + [other] for label in labels]
+
+        def expected():
+            rows = []
+            for node, label in probes:
+                summary = summarize_node(prepared.graph, node)
+                rows.append((summary.child_count(label) > 0, summary.parent_count(label) > 0))
+            return rows
+
+        before = obs.snapshot()
+        with DaemonPool(workers=2) as pool:
+            first = pool.run(prepared, [probes, probes], chunk_fn=_probe_summaries_chunk, version=0)
+            segments = pool.segment_names()
+            for rows in first:
+                assert [row[:2] for row in rows] == expected()
+                assert all(array_backed and zero_copy for _, _, array_backed, zero_copy in rows)
+
+            delta = GraphDelta().add_node("fresh", label="never-seen").add_edge(hub, "fresh")
+            delta.add_edge("fresh", other)
+            summary = prepared.apply_delta(delta)
+            assert summary.summaries_evicted == 2  # hub and other; "fresh" was never known
+            prepared.prepare(SIMULATION, ALPHA)
+            probes += [(hub, "never-seen"), (other, "never-seen"), ("fresh", labels[0])]
+            second = pool.run(prepared, [probes, probes], chunk_fn=_probe_summaries_chunk, version=1)
+            assert pool.restarts == 0
+            for rows in second:
+                assert [row[:2] for row in rows] == expected()
+                backed = {probe[0]: row[2] for probe, row in zip(probes, rows)}
+                assert not backed[hub] and not backed[other] and not backed["fresh"]
+                assert all(backed[node] for node in nodes[1:30])  # untouched: still the arrays
+                assert all(row[3] for row in rows)
+            assert rows[-3][0] and rows[-2][1]  # the patched masks see the new label
+            segments += pool.segment_names()
+        assert not any(os.path.exists(os.path.join("/dev/shm", name)) for name in segments)
+        after = obs.snapshot()
+        for name in ("daemon.publish.seconds", "daemon.attach.seconds"):
+            grown = after["histograms"][name]["count"] - before["histograms"].get(name, {}).get("count", 0)
+            assert grown == (2 if name == "daemon.publish.seconds" else 4)
+        assert after["gauges"]["daemon.payload.bytes"] > 0
+
+    def test_pattern_parity_across_update(self, graph):
+        """Serial and daemon pattern answers agree before and after ``update``."""
+        from repro.engine.queries import PatternQuery
+        from repro.workloads.queries import generate_pattern_workload
+
+        workload = generate_pattern_workload(graph, shape=(4, 6), count=6, seed=4)
+        queries = [PatternQuery(query.pattern, query.personalized_match) for query in workload]
+        nodes = list(graph.nodes())
+        delta = GraphDelta()
+        for query in queries:
+            delta.add_edge(query.personalized_match, nodes[7])
+            delta.add_node(nodes[9], label=graph.label(nodes[3]))
+
+        def signatures(answers):
+            return [(frozenset(a.answer), a.subgraph_size) for a in answers]
+
+        with QueryEngine(graph, cache_size=0) as engine:
+            for _ in range(2):
+                serial = engine.answer_batch(queries, ALPHA)
+                daemon = engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
+                assert signatures(daemon) == signatures(serial)
+                engine.update(delta)
+            assert engine.daemon_pool().restarts == 0
 
 
 class TestDaemonExecutor:

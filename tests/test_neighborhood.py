@@ -1,7 +1,14 @@
 """Tests for r-hop neighbourhoods, balls and the Sl summaries."""
 
-import pytest
+import pickle
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import star_graph
 from repro.graph.neighborhood import (
@@ -13,6 +20,8 @@ from repro.graph.neighborhood import (
     summarize_node,
     theoretical_alpha_bound,
 )
+from repro.updates.delta import AppliedDelta, GraphDelta
+from repro.updates.overlay import MutableOverlay
 
 
 class TestNodesWithinHops:
@@ -77,6 +86,94 @@ class TestSummaries:
         assert not index.has_parent_label("Michael", "HG")
         assert index.has_parent_label("cl3", "CC")
         assert index.degree("cc2") == 1
+
+
+def assert_agrees_with_reference(index, graph, labels, rng):
+    """Every predicate of ``index`` equals the answer read off ``summarize_node``."""
+    for node in graph.nodes():
+        reference = summarize_node(graph, node)
+        for label in labels:
+            assert index.has_child_label(node, label) == (reference.child_count(label) > 0)
+            assert index.has_parent_label(node, label) == (reference.parent_count(label) > 0)
+        for wanted in ([], rng.sample(labels, min(2, len(labels))), list(reference.child_label_counts)):
+            need = index.requirement(wanted)
+            assert index.has_child_labels(node, need) == all(
+                reference.child_count(label) for label in wanted
+            )
+        for wanted in ([], rng.sample(labels, min(2, len(labels))), list(reference.parent_label_counts)):
+            need = index.requirement(wanted)
+            assert index.has_parent_labels(node, need) == all(
+                reference.parent_count(label) for label in wanted
+            )
+
+
+class TestArrayBackedIndex:
+    """The presence arrays of a CSR graph against the per-node reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_labels=st.sampled_from([1, 3, 64, 65, 130]),
+    )
+    def test_agrees_with_summarize_node_through_deltas_and_compaction(self, seed, num_labels):
+        rng = random.Random(seed)
+        labels = [f"L{i}" for i in range(num_labels)]
+        graph = DiGraph()
+        for node in range(rng.randint(0, 24)):
+            graph.add_node(node, rng.choice(labels))
+        nodes = list(graph.nodes())
+        # Sparse on purpose: isolated nodes stay likely; self-loops allowed.
+        for _ in range(len(nodes)):
+            graph.add_edge(rng.choice(nodes), rng.choice(nodes))
+        csr = CSRGraph.from_digraph(graph)
+        index = NeighborhoodIndex(csr)
+        assert all(index._row(node) is not None for node in nodes)
+        assert_agrees_with_reference(index, csr, labels, rng)
+
+        overlay = MutableOverlay(csr)
+        index.rebind(overlay)
+        pool = nodes + ["x0", "x1", "x2"]
+        delta_labels = labels + ["fresh"]  # a label the base table never saw
+        for _ in range(3):
+            record = AppliedDelta()
+            for _ in range(6):
+                roll = rng.random()
+                if roll < 0.35:
+                    op = GraphDelta().add_edge(rng.choice(pool), rng.choice(pool))
+                elif roll < 0.6:
+                    op = GraphDelta().remove_edge(rng.choice(pool), rng.choice(pool))
+                elif roll < 0.85:
+                    op = GraphDelta().add_node(rng.choice(pool), label=rng.choice(delta_labels))
+                else:
+                    op = GraphDelta().remove_node(rng.choice(pool))
+                try:
+                    overlay.apply(op, applied=record)
+                except (NodeNotFoundError, EdgeNotFoundError):
+                    pass
+            index.invalidate(record.summary_dirty)
+            assert_agrees_with_reference(index, overlay, delta_labels, rng)
+        # An index that first meets the overlay with the churn already on it.
+        assert_agrees_with_reference(NeighborhoodIndex(overlay), overlay, delta_labels, rng)
+        assert_agrees_with_reference(
+            pickle.loads(pickle.dumps(index)), overlay, delta_labels, rng
+        )
+
+        compacted = overlay.compact()
+        index.rebind(compacted)
+        assert all(index._row(node) is not None for node in compacted.nodes())
+        assert_agrees_with_reference(index, compacted, delta_labels, rng)
+
+    def test_untouched_nodes_stay_array_backed_on_an_overlay(self):
+        graph = DiGraph.from_edges([(i, i + 1) for i in range(10)])
+        csr = CSRGraph.from_digraph(graph)
+        index = NeighborhoodIndex(csr)
+        overlay = MutableOverlay(csr)
+        index.rebind(overlay)
+        record = overlay.apply(GraphDelta().remove_edge(3, 4))
+        assert index.invalidate(record.summary_dirty) == 2
+        assert {node for node in overlay.nodes() if index._row(node) is None} == {3, 4}
+        assert not index.has_child_label(3, "") and index.has_child_label(2, "")
+        assert len(index) == 1  # only node 3 went through summarize_node
 
 
 class TestFanoutAndBound:

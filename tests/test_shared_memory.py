@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.prepared import PreparedGraph, SharedPreparedGraph, publish_state
-from repro.engine.queries import REACH
+from repro.engine.queries import REACH, SIMULATION
 from repro.exceptions import EngineError
 from repro.graph import shm
 from repro.graph.csr import CSRGraph
@@ -208,7 +208,7 @@ class TestSharedPreparedGraph:
     def test_publish_attach_parity(self):
         graph = random_graph(num_nodes=150, num_edges=600, seed=11)
         prepared = PreparedGraph(graph)
-        prepared.prepare(REACH, 0.2, eager=True)
+        prepared.prepare(REACH, 0.2)
         nodes = list(graph.nodes())
         pairs = list(zip(nodes[:20], nodes[5:25]))
         with publish_state(prepared) as handle:
@@ -234,6 +234,40 @@ class TestSharedPreparedGraph:
         with publish_state(prepared) as handle:
             assert handle.payload_bytes < whole
             assert len(handle.segment_names()) >= 1
+
+    def test_summaries_attach_as_views_of_the_segment(self):
+        """The ``Sl`` presence bits ride in the CSR segment, not in the payload."""
+        import numpy as np
+
+        graph = random_graph(num_nodes=300, num_edges=1200, seed=5)
+        prepared = PreparedGraph(graph)
+        prepared.prepare(SIMULATION, 0.2)
+        assert prepared.graph._label_bits is not None  # complete at prepare time
+        with publish_state(prepared) as handle:
+            assert b"NeighborhoodSummary" not in handle._payload
+            segment = next(iter(handle._segments.values()))._segment
+            pages = np.frombuffer(segment.buf, dtype=np.uint8)
+            attached = handle.attach()
+            index = attached.neighborhood_index()
+            assert len(index) == 0  # no per-node summary objects travelled
+            for mine, theirs in zip(attached.graph.label_presence(), prepared.graph.label_presence()):
+                assert not mine.flags.writeable and not mine.flags.owndata
+                assert np.shares_memory(mine, pages)  # a view of the segment, no private copy
+                assert np.array_equal(mine, theirs)
+            assert index._child_words.readonly and index._parent_words.readonly
+            assert np.shares_memory(np.asarray(index._child_words), pages)
+            reference = prepared.neighborhood_index()
+            for node in list(graph.nodes())[:40]:
+                for label in graph.distinct_labels():
+                    assert index.has_child_label(node, label) == reference.has_child_label(node, label)
+                    assert index.has_parent_label(node, label) == reference.has_parent_label(node, label)
+
+    def test_reach_only_state_publishes_no_summaries(self):
+        graph = random_graph(num_nodes=100, num_edges=300, seed=5)
+        prepared = PreparedGraph(graph)
+        prepared.prepare(REACH, 0.2)
+        with publish_state(prepared) as handle:
+            assert handle.attach().graph._label_bits is None
 
     def test_mapping_of_states_publishes_every_substrate(self):
         """The sharded engine's ``{shard_id: ShardState}`` table publishes too."""

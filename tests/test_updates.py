@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import PatternQuery, QueryEngine, ReachQuery
+from repro.engine.prepared import PreparedGraph
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, WorkloadError
 from repro.graph.components import condensation
 from repro.graph.csr import CSRGraph
@@ -403,6 +404,18 @@ class TestRebuildEquivalence:
             engine.update(bad)
         after = engine.answer_batch([ReachQuery("b", "d")], ALPHA)[0]
         assert after.reachable  # the applied b->d insert is served, not cached-over
+
+    def test_failed_delta_does_not_leave_stale_summaries(self):
+        """The applied prefix of a failing delta reaches the ``Sl`` summaries too."""
+        graph = DiGraph.from_edges([(0, 1)], labels={0: "A", 1: "B", 2: "C"})
+        prepared = PreparedGraph(graph)
+        prepared.prepare("simulation", 0.5)
+        assert not prepared.neighborhood_index().has_child_label(0, "C")
+        with pytest.raises(EdgeNotFoundError):
+            prepared.apply_delta(GraphDelta().add_edge(0, 2).remove_edge(2, 1))
+        assert prepared.graph.has_edge(0, 2)
+        assert prepared.neighborhood_index().has_child_label(0, "C")
+        assert prepared.neighborhood_index().has_parent_label(2, "A")
 
 
 def _chain_scc_graph() -> DiGraph:
