@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
+from repro import obs
 from repro.core.budget import BudgetReport, ResourceBudget
 from repro.core.reduction import DynamicReducer, ReductionResult
 from repro.core.weights import SimulationGuard
@@ -165,7 +166,6 @@ class RBSim:
             personalized_match=personalized_match,
             guard=self._guard(pattern, personalized_match),
             budget=budget,
-            neighborhood_index=self._index,
             initial_bound=self._config.initial_bound,
             max_passes=self._config.max_passes,
             use_weights=self._config.use_weights,
@@ -179,8 +179,11 @@ class RBSim:
         resolved = self._resolve_personalized(pattern, personalized_match)
         if resolved is None:
             return PatternAnswer(answer=set(), subgraph=DiGraph())
-        reduction = self.reduce(pattern, resolved)
-        answer = match_in_subgraph(pattern, reduction.subgraph, resolved)
+        # Leaf spans under the caller's ``executor.chunk``; one branch each when untraced.
+        with obs.span("reduction.search"):
+            reduction = self.reduce(pattern, resolved)
+        with obs.span("match.exact"):
+            answer = match_in_subgraph(pattern, reduction.subgraph, resolved)
         return PatternAnswer(
             answer=answer,
             subgraph=reduction.subgraph,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import obs
 from repro.core.budget import ResourceBudget
 from repro.core.rbsim import PatternAnswer, RBSimConfig
 from repro.core.reduction import DynamicReducer, ReductionResult
@@ -93,7 +94,6 @@ class RBSub:
             personalized_match=personalized_match,
             guard=guard,
             budget=budget,
-            neighborhood_index=self._index,
             initial_bound=self._config.initial_bound,
             max_passes=self._config.max_passes,
             use_weights=self._config.use_weights,
@@ -106,13 +106,16 @@ class RBSub:
         """Algorithm ``RBSub``: reduce to ``G_Q`` and return the isomorphism answer."""
         if personalized_match not in self._graph:
             return PatternAnswer(answer=set(), subgraph=DiGraph())
-        reduction = self.reduce(pattern, personalized_match)
-        answer = isomorphic_answer_in_subgraph(
-            pattern,
-            reduction.subgraph,
-            personalized_match,
-            max_embeddings=self._config.max_embeddings,
-        )
+        # Leaf spans under the caller's ``executor.chunk``; one branch each when untraced.
+        with obs.span("reduction.search"):
+            reduction = self.reduce(pattern, personalized_match)
+        with obs.span("match.exact"):
+            answer = isomorphic_answer_in_subgraph(
+                pattern,
+                reduction.subgraph,
+                personalized_match,
+                max_embeddings=self._config.max_embeddings,
+            )
         return PatternAnswer(
             answer=answer,
             subgraph=reduction.subgraph,

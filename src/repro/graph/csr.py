@@ -461,7 +461,8 @@ class CSRGraph:
         """Original identifier of the node stored at array ``index``."""
         return self._ids[index]
 
-    def _ids_of(self, indices: np.ndarray) -> List[NodeId]:
+    def ids_of(self, indices: np.ndarray) -> List[NodeId]:
+        """Original identifiers of an index array, in order (one C pass)."""
         values = indices.tolist()
         if self._identity:
             return values
@@ -522,11 +523,10 @@ class CSRGraph:
 
     def nodes_with_label(self, label: Label) -> Set[NodeId]:
         """All nodes carrying ``label`` (vectorised scan of the label column)."""
-        try:
-            lid = self._label_table.index(label)
-        except ValueError:
+        lid = self.label_id(label)
+        if lid is None:
             return set()
-        return set(self._ids_of(np.nonzero(self._label_ids == lid)[0]))
+        return set(self.ids_of(np.nonzero(self._label_ids == lid)[0]))
 
     # ------------------------------------------------------------------ #
     # GraphLike: adjacency and degrees
@@ -536,6 +536,36 @@ class CSRGraph:
 
     def _pred_slice(self, index: int) -> np.ndarray:
         return self._pred_indices[int(self._pred_indptr[index]) : int(self._pred_indptr[index + 1])]
+
+    def neighbor_indices(self, index: int, limit: Optional[int] = None) -> np.ndarray:
+        """Child then parent indices of the node at ``index``, as one array.
+
+        The index-space form of iterating ``successors`` then
+        ``predecessors``: stored order, a node on both sides appears twice.
+        ``limit`` keeps the first ``limit`` entries and copies no more.
+        """
+        children = self._succ_slice(index)
+        if limit is not None and limit <= children.shape[0]:
+            return children[:limit]
+        parents = self._pred_slice(index)
+        if limit is not None:
+            parents = parents[: limit - children.shape[0]]
+        return np.concatenate((children, parents))
+
+    def num_labels(self) -> int:
+        """Rows of the label table (every label id is below this)."""
+        return len(self._label_table)
+
+    def label_id(self, label: Label) -> Optional[int]:
+        """Row of ``label`` in the label table (``None`` when no node carries it)."""
+        try:
+            return self._label_table.index(label)
+        except ValueError:
+            return None
+
+    def label_ids_of(self, indices: np.ndarray) -> np.ndarray:
+        """Label ids of an index array (compare against :meth:`label_id`)."""
+        return self._label_ids[indices]
 
     def successors(self, node: NodeId) -> _NeighborView:
         """Children of ``node`` as a flat-array view (sized, iterable, ``in``)."""
@@ -549,7 +579,7 @@ class CSRGraph:
         """The 1-hop neighbourhood ``N(v)`` as a set of node identifiers."""
         index = self.index_of(node)
         both = np.concatenate((self._succ_slice(index), self._pred_slice(index)))
-        return set(self._ids_of(np.unique(both)))
+        return set(self.ids_of(np.unique(both)))
 
     def has_edge(self, source: NodeId, target: NodeId) -> bool:
         """Whether the directed edge ``(source, target)`` exists."""
@@ -891,7 +921,7 @@ class CSRGraph:
     def fast_connected_component(self, source: NodeId) -> Set[NodeId]:
         """Weakly connected component containing ``source`` (itself included)."""
         mask = self.reach_mask_both(self.index_of(source))
-        return set(self._ids_of(np.nonzero(mask)[0]))
+        return set(self.ids_of(np.nonzero(mask)[0]))
 
     def reach_mask_both(self, start_index: int) -> np.ndarray:
         """Mask of the weakly connected region around ``start_index``."""

@@ -637,7 +637,7 @@ if np is not None and _CSRGraph is not None:
         start = graph.index_of(source)
         mask = csr_reach_mask(graph, start, forward=forward)
         mask[start] = False
-        return set(graph._ids_of(np.nonzero(mask)[0]))
+        return set(graph.ids_of(np.nonzero(mask)[0]))
 
     # -- the bitset sweep ----------------------------------------------- #
     def _bitset_sweep(

@@ -121,6 +121,9 @@ SPANS = {
     "executor.chunk": "repro.engine.engine",
     "daemon.worker": "repro.engine.daemons",
     "shard.batch": "repro.shard.engine",
+    # leaves of a pattern query, one pair per query under executor.chunk
+    "reduction.search": "repro.core.rbsim",
+    "match.exact": "repro.core.rbsim",
     # derived segments: synthesised from cross-process timestamps, not spans
     "worker.queue.wait": "repro.engine.daemons",
     "worker.pipe.transit": "repro.engine.daemons",

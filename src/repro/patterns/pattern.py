@@ -44,6 +44,11 @@ class GraphPattern:
     _pred: Mapping[QueryNodeId, Tuple[QueryNodeId, ...]] = field(
         default=None, repr=False, compare=False
     )
+    # Derived once per frozen pattern: N(u) eagerly, d_Q on first use.
+    _neighbors: Mapping[QueryNodeId, Tuple[QueryNodeId, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _diameter: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = dict(self.labels)
@@ -69,6 +74,11 @@ class GraphPattern:
             pred[target].append(source)
         object.__setattr__(self, "_succ", {node: tuple(values) for node, values in succ.items()})
         object.__setattr__(self, "_pred", {node: tuple(values) for node, values in pred.items()})
+        object.__setattr__(
+            self,
+            "_neighbors",
+            {node: tuple(dict.fromkeys(succ[node] + pred[node])) for node in labels},
+        )
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -116,7 +126,10 @@ class GraphPattern:
 
     def neighbors(self, node: QueryNodeId) -> Tuple[QueryNodeId, ...]:
         """Parents and children of ``node`` (the pattern's ``N(u)``)."""
-        return tuple(dict.fromkeys(self.children(node) + self.parents(node)))
+        try:
+            return self._neighbors[node]
+        except KeyError:
+            raise PatternError(f"{node!r} is not a query node") from None
 
     def degree(self, node: QueryNodeId) -> int:
         """Number of distinct neighbours of ``node`` in the pattern."""
@@ -155,11 +168,24 @@ class GraphPattern:
         diameter 0.  Returns at least 1 when there is any edge, so the ball
         never degenerates to just ``vp``.
         """
-        from repro.graph.traversal import diameter as graph_diameter
+        if self._diameter is None:
+            longest = max(max(self._hops_from(node).values()) for node in self.labels)
+            object.__setattr__(self, "_diameter", max(1, longest) if self.edges else 0)
+        return self._diameter
 
-        if self.num_edges() == 0:
-            return 0
-        return max(1, graph_diameter(self.to_digraph(), directed=False))
+    def _hops_from(self, source: QueryNodeId) -> Dict[QueryNodeId, int]:
+        """Undirected hop distance from ``source`` to every query node it reaches."""
+        hops = {source: 0}
+        frontier = [source]
+        while frontier:
+            reached = []
+            for node in frontier:
+                for neighbor in self._neighbors[node]:
+                    if neighbor not in hops:
+                        hops[neighbor] = hops[node] + 1
+                        reached.append(neighbor)
+            frontier = reached
+        return hops
 
     def undirected_diameter(self) -> int:
         """Alias for :meth:`diameter` (the paper's parameter ``d``)."""
@@ -167,12 +193,7 @@ class GraphPattern:
 
     def is_connected(self) -> bool:
         """Whether the pattern is weakly connected."""
-        from repro.graph.traversal import connected_component
-
-        if self.num_nodes() <= 1:
-            return True
-        component = connected_component(self.to_digraph(), self.personalized)
-        return len(component) == self.num_nodes()
+        return len(self._hops_from(self.personalized)) == self.num_nodes()
 
     def validate(self) -> None:
         """Raise :class:`PatternError` when the pattern is not usable.

@@ -1,61 +1,98 @@
-"""Dynamic reduction: the ``Search`` / ``Pick`` procedures of Figure 3 of
-Fan, Wang & Wu, *"Querying Big Graphs within Bounded Resources"* (SIGMOD 2014).
+"""The per-neighbour ``Search``/``Pick``/``weight`` of PR 16, frozen as an oracle.
 
-Given a pattern ``Q``, a graph ``G``, the personalized match ``vp`` and a
-resource budget, ``Search`` performs a controlled traversal of ``G`` starting
-from ``vp`` and populates a subgraph ``G_Q`` with candidate matches:
-
-* only nodes satisfying the guarded condition ``C(v, u)`` are considered;
-* among eligible neighbours the top-``b`` by weight ``p/(c+1)`` are pushed
-  (procedure ``Pick``), with the best candidate on top of the stack;
-* when the stack drains but new nodes were added in the current pass
-  (``changed``), the per-query-node bound ``b`` is increased and the search
-  restarts from ``(up, vp)`` so that every query node keeps a fair chance of
-  acquiring candidates;
-* the traversal stops when ``|G_Q|`` reaches ``alpha * |G|`` or no further
-  candidate exists.
-
-The procedure is shared by ``RBSim`` and ``RBSub``; they differ only in the
-guarded condition (and therefore in the weights derived from it).
+``OracleReducer`` and ``OracleWeightEstimator`` are ``DynamicReducer`` and
+``WeightEstimator`` exactly as they stood before the candidate table
+(commit c271cfb): every ``Pick`` re-scans the adjacency of its node, every
+``weight`` re-scans the adjacency of its candidate.  They exist only so
+``tests/test_reduction_differential.py`` can demand bit-identical results
+from the table-backed implementation; nothing in ``src/`` imports them.
+The one addition is the ``max_scan`` constructor argument, passed through
+to the estimator so the sweep can make the scan cap bite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.budget import BudgetReport, ResourceBudget, snapshot
-from repro.core.weights import GuardedCondition, WeightEstimator
-from repro.graph.digraph import DiGraph, NodeId
-from repro.graph.protocol import GraphLike
+from repro.core.budget import ResourceBudget, snapshot
+from repro.core.reduction import ReductionResult
+from repro.core.weights import GuardedCondition
+from repro.graph.digraph import NodeId
 from repro.graph.neighborhood import NeighborhoodIndex
+from repro.graph.protocol import GraphLike
 from repro.graph.subgraph import SubgraphBuilder
 from repro.patterns.pattern import GraphPattern, QueryNodeId
 
 
-@dataclass
-class ReductionResult:
-    """Outcome of the dynamic reduction step.
+class OracleWeightEstimator:
+    """Dynamic cost / potential / weight bookkeeping for candidate selection.
 
-    ``subgraph`` is the extracted ``G_Q``; ``budget`` records how much of the
-    allowance was used; ``final_bound`` is the last value of the selection
-    bound ``b``; ``passes`` counts how many times the search restarted from
-    ``(up, vp)`` with an enlarged bound.
+    The estimator is deliberately stateless with respect to ``G_Q``: it takes
+    the *current* set of nodes already added to ``G_Q`` at every call, so costs
+    shrink as the reduction makes progress (the paper updates ``c(v, u)`` and
+    ``p(v, u)`` dynamically for the same reason).
     """
 
-    subgraph: DiGraph
-    budget: BudgetReport
-    final_bound: int = 2
-    passes: int = 1
-    candidate_counts: Dict[QueryNodeId, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        pattern: GraphPattern,
+        graph: GraphLike,
+        guard: GuardedCondition,
+        max_scan: int = 64,
+    ) -> None:
+        self._pattern = pattern
+        self._graph = graph
+        self._guard = guard
+        # Cap on how many neighbours are inspected per estimate.  The paper
+        # notes the potential "can be extended by making use of sampling";
+        # bounding the scan keeps the per-candidate work O(max_scan) even at
+        # hub nodes with thousands of neighbours, without changing which
+        # nodes are eligible (the guarded condition is still exact).
+        self._max_scan = max(1, max_scan)
+
+    def _iter_neighbors(self, node: NodeId):
+        """Children then parents of ``node`` without materialising the union set."""
+        yield from self._graph.successors(node)
+        yield from self._graph.predecessors(node)
+
+    def cost(self, node: NodeId, query_node: QueryNodeId, in_gq: Set[NodeId]) -> int:
+        """``c(v, u)``: query neighbours of ``u`` with no candidate of ``v`` in ``G_Q``."""
+        missing = 0
+        # Only neighbours already inside G_Q can lower the cost, and G_Q is
+        # small by construction, so restrict the scan to those.
+        inside = [n for n in self._iter_neighbors(node) if n in in_gq][: self._max_scan]
+        for neighbor_query in self._pattern.neighbors(query_node):
+            found = False
+            for neighbor in inside:
+                if self._guard.check(neighbor, neighbor_query):
+                    found = True
+                    break
+            if not found:
+                missing += 1
+        return missing
+
+    def potential(self, node: NodeId, query_node: QueryNodeId, in_gq: Set[NodeId]) -> int:
+        """``p(v, u)``: neighbours of ``v`` outside ``G_Q`` usable for some query neighbour."""
+        count = 0
+        scanned = 0
+        query_neighbors = self._pattern.neighbors(query_node)
+        for neighbor in self._iter_neighbors(node):
+            if scanned >= self._max_scan:
+                break
+            scanned += 1
+            if neighbor in in_gq:
+                continue
+            if any(self._guard.check(neighbor, nq) for nq in query_neighbors):
+                count += 1
+        return count
+
+    def weight(self, node: NodeId, query_node: QueryNodeId, in_gq: Set[NodeId]) -> float:
+        """The selection weight ``p / (c + 1)``."""
+        return self.potential(node, query_node, in_gq) / (self.cost(node, query_node, in_gq) + 1)
 
 
-class DynamicReducer:
-    """Implements procedures ``Search`` and ``Pick`` of the paper (Fig. 3).
-
-    ``neighborhood_index`` is accepted for callers that still pass it and is
-    not used: the summaries reach the reduction through ``guard``.
-    """
+class OracleReducer:
+    """Implements procedures ``Search`` and ``Pick`` of the paper (Fig. 3)."""
 
     def __init__(
         self,
@@ -70,11 +107,14 @@ class DynamicReducer:
         use_weights: bool = True,
         use_guard: bool = True,
         max_depth: Optional[int] = None,
+        max_scan: int = 64,
     ) -> None:
         self._pattern = pattern
         self._graph = graph
         self._vp = personalized_match
+        self._guard = guard
         self._budget = budget
+        self._index = neighborhood_index or NeighborhoodIndex(graph)
         self._initial_bound = max(1, initial_bound)
         self._max_passes = max(1, max_passes)
         self._use_weights = use_weights
@@ -83,15 +123,7 @@ class DynamicReducer:
         # subgraph of G_dQ(vp), so candidates farther than max_depth hops
         # (measured along the traversal) are never added.
         self._max_depth = max_depth if max_depth is not None else pattern.diameter()
-        # Owns the search's candidate table (``estimator.table``): a reducer
-        # runs one search, so the table lives exactly as long as its rows hold.
-        self._estimator = WeightEstimator(pattern, graph, guard)
-        # Query neighbours of each query node, tagged with the edge direction.
-        self._incident = {
-            node: [(child, True) for child in pattern.children(node)]
-            + [(parent, False) for parent in pattern.parents(node)]
-            for node in pattern.nodes()
-        }
+        self._estimator = OracleWeightEstimator(pattern, graph, guard, max_scan)
 
     # ------------------------------------------------------------------ #
     # Procedure Search
@@ -128,7 +160,7 @@ class DynamicReducer:
                     break
                 if depth >= self._max_depth:
                     continue
-                for neighbor_query, forward in self._incident[query_node]:
+                for neighbor_query, forward in self._incident_query_edges(query_node):
                     edge_key = (query_node, neighbor_query, node) if forward else (
                         neighbor_query,
                         query_node,
@@ -174,38 +206,51 @@ class DynamicReducer:
         """Top-``bound`` new candidates for ``query_node`` among ``N(node)``.
 
         Candidates must pass the guarded condition and not already be queued
-        for the same query node; they are ranked by ``p/(c+1)``.  Every
-        neighbour of ``node`` is charged as visited on every call; which of
-        them pass is read from the search's candidate table, so only the
-        ``queued`` filter and the weights (which move with ``G_Q``) are
-        recomputed when a later pass picks here again.
+        for the same query node; they are ranked by ``p/(c+1)``.
         """
-        table = self._estimator.table
-        neighbors = table.adjacency(node).distinct
-        self._budget.charge_visit(len(neighbors))
-        if self._use_guard:
-            eligible = table.eligible(node, query_node)
-        elif query_node == self._pattern.personalized:
-            # Ablation mode: only the label must match (up is matched by identity).
-            eligible = [n for n in neighbors if n == self._vp]
-        else:
-            label = self._pattern.label_of(query_node)
-            eligible = [n for n in neighbors if self._graph.label(n) == label]
-        candidates = [n for n in eligible if (query_node, n) not in queued]
-        if self._use_weights:
-            weights = self._estimator.weights(candidates, query_node, builder.nodes())
-            scored = [
-                (weight, -order, candidate)
-                for order, (weight, candidate) in enumerate(zip(weights, candidates))
-            ]
-            scored.sort(reverse=True)
-            candidates = [entry[2] for entry in scored]
-        # Without weights (FIFO ablation) discovery order is the ranking.
-        return candidates[: max(1, bound)]
+        in_gq = builder.nodes()
+        scored: List[Tuple[float, int, NodeId]] = []
+        order = 0
+        seen_neighbors: Set[NodeId] = set()
+        for neighbor in list(self._graph.successors(node)) + list(self._graph.predecessors(node)):
+            if neighbor in seen_neighbors:
+                continue
+            seen_neighbors.add(neighbor)
+            self._budget.charge_visit()
+            if (query_node, neighbor) in queued:
+                continue
+            if self._use_guard and not self._guard.check(neighbor, query_node):
+                continue
+            if not self._use_guard:
+                # Ablation mode: only the label must match.
+                if query_node != self._pattern.personalized and self._graph.label(
+                    neighbor
+                ) != self._pattern.label_of(query_node):
+                    continue
+                if query_node == self._pattern.personalized and neighbor != self._vp:
+                    continue
+            if self._use_weights:
+                weight = self._estimator.weight(neighbor, query_node, in_gq)
+            else:
+                weight = 0.0  # FIFO ablation: keep discovery order.
+            scored.append((weight, -order, neighbor))
+            order += 1
+        scored.sort(reverse=True)
+        limit = max(1, bound)
+        return [entry[2] for entry in scored[:limit]]
 
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
+    def _incident_query_edges(self, query_node: QueryNodeId) -> List[Tuple[QueryNodeId, bool]]:
+        """Query neighbours of ``query_node`` tagged with the edge direction."""
+        incident: List[Tuple[QueryNodeId, bool]] = []
+        for child in self._pattern.children(query_node):
+            incident.append((child, True))
+        for parent in self._pattern.parents(query_node):
+            incident.append((parent, False))
+        return incident
+
     def _add_to_subgraph(
         self,
         builder: SubgraphBuilder,
@@ -230,10 +275,6 @@ class DynamicReducer:
             predecessors = self._graph.predecessors(node)
             gq_nodes = builder.nodes()
             if len(successors) + len(predecessors) > 2 * len(gq_nodes):
-                # The table row answers "adjacent at all?" with a set probe, so
-                # the per-side tests (array scans on CSR) run for neighbours only.
-                adjacent = self._estimator.table.adjacency(node).members
-                gq_nodes = [n for n in gq_nodes if n in adjacent]
                 out_targets = [n for n in gq_nodes if n in successors]
                 in_sources = [n for n in gq_nodes if n in predecessors]
             else:

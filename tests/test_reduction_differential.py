@@ -1,0 +1,260 @@
+"""Differential and work-count tests for the table-backed ``Search``/``Pick``.
+
+``tests/reduction_oracle.py`` freezes the per-neighbour implementation that
+``DynamicReducer`` replaced.  Both must produce the same ``ReductionResult``
+— ``G_Q`` node order, edge order, labels, every budget charge, the final
+bound, the pass count and the per-query-node candidate counts — on every
+substrate the reduction runs on, for both guarded conditions, with the
+ablation flags on and off, and with the scan cap small enough to bite.
+
+The count gate at the bottom is the deterministic stand-in for a timing
+floor: what the table promises is that no ``(node, query node)`` guard
+evaluation and no adjacency materialisation is repeated within one search,
+however many passes it takes.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reduction_oracle import OracleReducer
+from repro.core.budget import ResourceBudget
+from repro.core.reduction import DynamicReducer
+from repro.core.weights import CandidateTable, IsomorphismGuard, SimulationGuard, WeightEstimator
+from repro.exceptions import WorkloadError
+from repro.graph.csr import CSRGraph
+from repro.graph.digraph import DiGraph
+from repro.graph.neighborhood import NeighborhoodIndex
+from repro.patterns.generator import embedded_pattern, random_pattern
+from repro.updates.overlay import MutableOverlay
+from repro.workloads.datasets import load_dataset
+
+GUARDS = {"simulation": SimulationGuard, "isomorphism": IsomorphismGuard}
+LABELS = ["A", "B", "C"]
+
+
+# --------------------------------------------------------------------------- #
+# Inputs
+# --------------------------------------------------------------------------- #
+@st.composite
+def labeled_graphs(draw):
+    """Weakly connected random digraphs, dense enough for reciprocal edges
+    (a neighbour on both sides of a node is what the de-duplication and the
+    scan cap treat differently)."""
+    num_nodes = draw(st.integers(min_value=5, max_value=18))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    graph = DiGraph()
+    for node in range(num_nodes):
+        graph.add_node(node, rng.choice(LABELS))
+    for node in range(1, num_nodes):
+        anchor = rng.randrange(node)
+        graph.add_edge(*((anchor, node) if rng.random() < 0.5 else (node, anchor)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * num_nodes))):
+        source, target = rng.randrange(num_nodes), rng.randrange(num_nodes)
+        if source != target:
+            graph.add_edge(source, target)
+            if rng.random() < 0.3:
+                graph.add_edge(target, source)
+    return graph
+
+
+def churned_overlay(graph: DiGraph, seed: int):
+    """``graph`` as a CSR base under an overlay that has absorbed a few edits;
+    returns the overlay and the ``DiGraph`` with the same content."""
+    overlay = MutableOverlay(CSRGraph.from_digraph(graph))
+    mirror = graph.copy()
+    rng = random.Random(seed)
+    nodes = list(graph.nodes())
+    for source, target in rng.sample(list(graph.edges()), min(3, graph.num_edges())):
+        overlay.remove_edge(source, target)
+        mirror.remove_edge(source, target)
+    newcomer = len(nodes)
+    overlay.add_node(newcomer, rng.choice(LABELS))
+    mirror.add_node(newcomer, overlay.label(newcomer))
+    for _ in range(4):
+        source, target = rng.choice(nodes + [newcomer]), rng.choice(nodes + [newcomer])
+        if source != target and not mirror.has_edge(source, target):
+            overlay.add_edge(source, target)
+            mirror.add_edge(source, target)
+    return overlay, mirror
+
+
+def substrate_of(kind: str, graph: DiGraph, seed: int):
+    """The substrate under test and a ``DiGraph`` with the same content."""
+    if kind == "digraph":
+        return graph, graph
+    if kind == "csr":
+        return CSRGraph.from_digraph(graph), graph
+    return churned_overlay(graph, seed)
+
+
+def draw_query(content: DiGraph, seed: int, embedded: bool):
+    """A pattern and its personalized match: embedded in the graph, or drawn
+    from the alphabet (plus a label no node carries) around an arbitrary node."""
+    rng = random.Random(seed)
+    shape = rng.choice([(2, 1), (3, 3), (4, 4), (4, 6)])
+    if embedded:
+        try:
+            return embedded_pattern(content, *shape, seed=seed)
+        except WorkloadError:
+            pass  # too sparse around every seed: fall through to a random pattern
+    num_nodes, num_edges = shape
+    num_edges = max(num_nodes - 1, min(num_edges, num_nodes * (num_nodes - 1)))
+    return random_pattern(num_nodes, num_edges, LABELS + ["Z"], seed=seed), rng.choice(list(content.nodes()))
+
+
+MAX_PASSES = 6
+
+
+def visit_coefficient(graph, pattern, paper: bool) -> float:
+    """The ``c`` of the visit cap ``c * alpha * |G|``.
+
+    ``paper`` is ``RBSim``'s default, ``d_G``.  ``Search`` does not stop at
+    the visit cap, and on graphs of a dozen nodes it overruns ``d_G``: each
+    pass re-charges ``N(v)`` once per query edge for every node of ``G_Q``.
+    That gives the coefficient ``Search`` can promise on *any* input, which
+    is what the random sweep holds it to.
+    """
+    max_degree = max(1, graph.max_degree())
+    return max_degree if paper else MAX_PASSES * pattern.num_edges() * max_degree + 1
+
+
+def build(
+    reducer_class, graph, pattern, vp, guard_class, alpha, max_scan, paper_visit_cap=False, **flags
+):
+    """One reducer over its own index, guard and budget (nothing memoised is shared)."""
+    guard = guard_class(pattern, graph, vp, NeighborhoodIndex(graph))
+    budget = ResourceBudget(
+        alpha=alpha,
+        graph_size=graph.size(),
+        visit_coefficient=visit_coefficient(graph, pattern, paper_visit_cap),
+    )
+    arguments = dict(
+        pattern=pattern, graph=graph, personalized_match=vp, guard=guard, budget=budget,
+        max_passes=MAX_PASSES, **flags
+    )
+    if reducer_class is OracleReducer:
+        return OracleReducer(max_scan=max_scan, **arguments)
+    reducer = DynamicReducer(**arguments)
+    reducer._estimator = WeightEstimator(pattern, graph, guard, max_scan=max_scan)
+    return reducer
+
+
+def reduce_both(graph, pattern, vp, guard_kind, alpha, max_scan, **flags):
+    """Results of the table-backed reducer and of the frozen oracle on one input."""
+    return tuple(
+        build(reducer_class, graph, pattern, vp, GUARDS[guard_kind], alpha, max_scan, **flags).search()
+        for reducer_class in (DynamicReducer, OracleReducer)
+    )
+
+
+def fingerprint(result):
+    """Everything a ``ReductionResult`` says, order included."""
+    subgraph = result.subgraph
+    return (
+        [(node, subgraph.label(node)) for node in subgraph.nodes()],
+        list(subgraph.edges()),
+        result.budget,
+        result.final_bound,
+        result.passes,
+        result.candidate_counts,
+    )
+
+
+# --------------------------------------------------------------------------- #
+# The sweep
+# --------------------------------------------------------------------------- #
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=labeled_graphs(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    embedded=st.booleans(),
+    substrate=st.sampled_from(["digraph", "csr", "overlay"]),
+    guard_kind=st.sampled_from(sorted(GUARDS)),
+    use_weights=st.booleans(),
+    use_guard=st.booleans(),
+    max_scan=st.sampled_from([1, 3, 64]),
+    alpha=st.sampled_from([0.15, 0.4, 1.0]),
+)
+def test_table_backed_search_equals_the_frozen_oracle(
+    graph, seed, embedded, substrate, guard_kind, use_weights, use_guard, max_scan, alpha
+):
+    host, content = substrate_of(substrate, graph, seed)
+    pattern, vp = draw_query(content, seed, embedded)
+    result, expected = reduce_both(
+        host, pattern, vp, guard_kind, alpha, max_scan, use_weights=use_weights, use_guard=use_guard
+    )
+    assert fingerprint(result) == fingerprint(expected)
+    assert result.budget.within_size_bound
+    assert result.budget.within_visit_bound
+
+
+@pytest.mark.parametrize("backend", ["digraph", "csr"])
+@pytest.mark.parametrize("guard_kind", sorted(GUARDS))
+def test_hub_personalized_match_on_youtube(backend, guard_kind):
+    """A hub ``vp``: reciprocal edges put neighbours on both of its sides, and
+    its adjacency is far past the first-64 cap of ``p(v, u)``."""
+    content = load_dataset("youtube")
+    hub = max(content.nodes(), key=content.degree)
+    assert set(content.successors(hub)) & set(content.predecessors(hub))
+    assert content.out_degree(hub) + content.in_degree(hub) > 64
+    graph = content if backend == "digraph" else CSRGraph.from_digraph(content)
+    pattern, vp = embedded_pattern(content, 4, 8, seed=7, personalized_node=hub)
+    result, expected = reduce_both(graph, pattern, vp, guard_kind, 0.02, 64, paper_visit_cap=True)
+    assert fingerprint(result) == fingerprint(expected)
+    assert result.subgraph.num_nodes() > 1
+    assert result.budget.within_size_bound
+    assert result.budget.within_visit_bound
+
+
+# --------------------------------------------------------------------------- #
+# The work gate (counts, not seconds)
+# --------------------------------------------------------------------------- #
+def counting(guard_class, evaluations: Counter):
+    """``guard_class`` with every ``_evaluate`` call tallied per ``(node, query node)``."""
+
+    class Counting(guard_class):
+        def _evaluate(self, node, query_node):
+            evaluations[(node, query_node)] += 1
+            return super()._evaluate(node, query_node)
+
+    return Counting
+
+
+@pytest.mark.parametrize("backend", ["digraph", "csr"])
+@pytest.mark.parametrize("guard_kind", sorted(GUARDS))
+def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(
+    backend, guard_kind, monkeypatch
+):
+    content = load_dataset("youtube-small")
+    graph = content if backend == "digraph" else CSRGraph.from_digraph(content)
+    hub = max(content.nodes(), key=content.degree)
+    pattern, vp = embedded_pattern(content, 4, 8, seed=3, personalized_node=hub)
+
+    evaluations: Counter = Counter()
+    scans: Counter = Counter()
+    full_scan = CandidateTable._scan
+
+    def tallied_scan(table, node, limit=None):
+        if limit is None:
+            scans[node] += 1
+        return full_scan(table, node, limit)
+
+    monkeypatch.setattr(CandidateTable, "_scan", tallied_scan)
+    guard_class = counting(GUARDS[guard_kind], evaluations)
+    reducer = build(DynamicReducer, graph, pattern, vp, guard_class, 0.05, 64)
+    result = reducer.search()
+    table = reducer._estimator.table
+    assert result.passes >= 3, "the case must restart, or it shows nothing about passes"
+
+    # Guard: no (node, query node) pair is evaluated twice, whatever the pass count.
+    assert set(evaluations.values()) == {1}
+
+    # Adjacency: one materialisation per node at most, and only of nodes the
+    # search put in G_Q (candidates are read through their first-64 slice).
+    assert set(scans.values()) == {1}
+    assert set(scans) == set(table._adjacency)
+    assert set(scans) <= set(result.subgraph.nodes())
