@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import pickle
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional, Set
 
@@ -86,6 +87,18 @@ class UpdateSummary:
     dirty_landmarks: int = 0
 
 
+def _child_only(span):
+    """``span`` inside an open trace, a no-op outside one.
+
+    A trace is one query batch or update.  A prepare stage belongs to one
+    when it rebuilds after an update or builds lazily under a query; at
+    set-up nothing is in flight, and a root span there would file a one-span
+    "query" timeline with the flight recorder.  Either way the stage lands on
+    its ``prepare.*.seconds`` histogram.
+    """
+    return span if obs.context.current() is not None else nullcontext()
+
+
 def _freeze(graph: GraphLike, mirror: str) -> GraphLike:
     """Resolve the serving substrate according to the ``mirror`` policy."""
     if mirror not in ("auto", "always", "never"):
@@ -98,7 +111,10 @@ def _freeze(graph: GraphLike, mirror: str) -> GraphLike:
         if mirror == "always":
             raise EngineError("mirror='always' requires numpy for the CSR backend")
         return graph
-    return CSRGraph.from_digraph(graph)
+    started = time.perf_counter()
+    frozen = CSRGraph.from_digraph(graph)
+    obs.histogram("prepare.freeze.seconds").observe(time.perf_counter() - started)
+    return frozen
 
 
 class PreparedGraph:
@@ -151,7 +167,6 @@ class PreparedGraph:
             )
         self._statistics: Optional[Mapping[str, object]] = None
         self._compressed: Optional[CompressedGraph] = compressed
-        self._compress_seconds: float = 0.0
         self._indexes: Dict[float, HierarchicalLandmarkIndex] = {}
         self._index_build_seconds: Dict[float, float] = {}
         self._rbreach: Dict[float, RBReach] = {}
@@ -195,20 +210,9 @@ class PreparedGraph:
         """The SCC condensation, built on first use (paper Section 5)."""
         if self._compressed is None:
             started = time.perf_counter()
-            self._compressed = compress(self.graph)
-            if self._compressed.dag_csr is None and isinstance(self.graph, MutableOverlay):
-                # Serving on an overlay (post-update): give the DAG the same
-                # vectorised mirror a CSR substrate would have.  The mirror
-                # only feeds order-insensitive kernels, so answers are
-                # unchanged; the paper-figure paths (mirror="never" on a
-                # DiGraph) are left alone so their timings stay comparable.
-                try:
-                    from repro.graph.csr import CSRGraph
-
-                    self._compressed.dag_csr = CSRGraph.from_graph_unordered(self._compressed.dag)
-                except ImportError:  # pragma: no cover - numpy normally present
-                    pass
-            self._compress_seconds = time.perf_counter() - started
+            with _child_only(obs.span("prepare.compress")):
+                self._compressed = compress(self.graph)
+            obs.histogram("prepare.compress.seconds").observe(time.perf_counter() - started)
         return self._compressed
 
     def _reach_reference(self) -> int:
@@ -223,8 +227,10 @@ class PreparedGraph:
         if index is None:
             compressed = self.compressed()
             started = time.perf_counter()
-            index = build_index(compressed, alpha, reference_size=self._reach_reference())
+            with _child_only(obs.span("prepare.index", alpha=alpha)):
+                index = build_index(compressed, alpha, reference_size=self._reach_reference())
             self._index_build_seconds[alpha] = time.perf_counter() - started
+            obs.histogram("prepare.index.seconds").observe(self._index_build_seconds[alpha])
             self._indexes[alpha] = index
         return index
 
@@ -520,7 +526,6 @@ class PreparedGraph:
     def _invalidate_derived(self) -> None:
         """Drop every derived structure; all of it rebuilds lazily."""
         self._compressed = None
-        self._compress_seconds = 0.0
         self._indexes = {}
         self._index_build_seconds = {}
         self._rbreach = {}

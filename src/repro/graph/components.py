@@ -8,21 +8,30 @@ with their component representatives, so every reachability query on ``G``
 has the same answer on the condensation — exactly the property ``RBReach``
 needs (see DESIGN.md, substitutions table).
 
-Tarjan's algorithm is implemented iteratively to cope with deep graphs.
+Tarjan's algorithm is implemented iteratively to cope with deep graphs.  It
+exists twice: the generic body walks any :class:`GraphLike` through node-keyed
+dicts (``DiGraph``, overlays, ``restrict``-ed re-runs) and is the differential
+oracle; on a :class:`~repro.graph.csr.CSRGraph` the same traversal runs in
+index space over flat lists, and the condensation around it is assembled from
+whole-array passes (``tests/test_prepare_differential.py`` pins the two to the
+same objects).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 
 try:  # CSRGraph needs numpy; condensation must keep working without it.
+    import numpy as np
+
     from repro.graph.csr import CSRGraph as _CSRGraph
 except ImportError:  # pragma: no cover - numpy is normally available
+    np = None
     _CSRGraph = None
 
 
@@ -38,7 +47,13 @@ def strongly_connected_components(
     With ``restrict`` the traversal runs on the subgraph induced by that
     node set — the incremental condensation maintenance uses this to re-run
     Tarjan over just one affected component's members.
+
+    A :class:`CSRGraph` is walked in index space (same roots, same neighbour
+    order, hence the same emission order as the generic body below).
     """
+    if restrict is None and _CSRGraph is not None and isinstance(graph, _CSRGraph):
+        return _group_nodes(graph, *_csr_components(graph))
+
     index_counter = 0
     indices: Dict[NodeId, int] = {}
     lowlinks: Dict[NodeId, int] = {}
@@ -50,15 +65,6 @@ def strongly_connected_components(
 
         def successors_of(node: NodeId) -> List[NodeId]:
             return [child for child in graph.successors(node) if child in restrict]
-
-    elif _CSRGraph is not None and isinstance(graph, _CSRGraph):
-        # CSR backend: one bulk adjacency export instead of a per-node view.
-        # The export preserves neighbour order, so the traversal (and hence
-        # the component emission order) is identical to the generic path.
-        adjacency = graph.successor_adjacency()
-
-        def successors_of(node: NodeId) -> List[NodeId]:
-            return adjacency[node]
 
     else:
 
@@ -108,6 +114,83 @@ def strongly_connected_components(
     return components
 
 
+def _csr_components(graph) -> Tuple["np.ndarray", int]:
+    """Index-space Tarjan: per-node emission number and the component count.
+
+    The traversal of :func:`strongly_connected_components` over
+    ``indptr.tolist()``/``indices.tolist()`` with list state instead of
+    node-keyed dicts.  A discovered node with no component yet is exactly a
+    node on Tarjan's stack, so ``emitted`` doubles as the on-stack test.
+    """
+    indptr = graph._succ_indptr.tolist()
+    indices = graph._succ_indices.tolist()
+    n = len(indptr) - 1
+    discovered = [-1] * n
+    lowlink = [0] * n
+    emitted = [-1] * n
+    stack: List[int] = []
+    counter = 0
+    count = 0
+    for root in range(n):
+        if discovered[root] >= 0:
+            continue
+        discovered[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        work_nodes = [root]
+        work_cursor = [indptr[root]]
+        while work_nodes:
+            node = work_nodes[-1]
+            cursor = work_cursor[-1]
+            end = indptr[node + 1]
+            low = lowlink[node]
+            descended = False
+            while cursor < end:
+                child = indices[cursor]
+                cursor += 1
+                seen_at = discovered[child]
+                if seen_at < 0:
+                    lowlink[node] = low
+                    work_cursor[-1] = cursor
+                    discovered[child] = lowlink[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    work_nodes.append(child)
+                    work_cursor.append(indptr[child])
+                    descended = True
+                    break
+                if emitted[child] < 0 and seen_at < low:
+                    low = seen_at
+            if descended:
+                continue
+            lowlink[node] = low
+            work_nodes.pop()
+            work_cursor.pop()
+            if low == discovered[node]:
+                while True:
+                    member = stack.pop()
+                    emitted[member] = count
+                    if member == node:
+                        break
+                count += 1
+            if work_nodes:
+                parent = work_nodes[-1]
+                if low < lowlink[parent]:
+                    lowlink[parent] = low
+    return np.asarray(emitted, dtype=np.int64), count
+
+
+def _group_nodes(graph, group_of: "np.ndarray", count: int) -> List[Set[NodeId]]:
+    """The nodes of a :class:`CSRGraph` by group number: group ``k`` at position ``k``.
+
+    Sets hold the graph's own id objects (``tolist()`` would mint a fresh
+    int per node — retained duplicates on an identity-numbered graph).
+    """
+    grouped = list(map(graph._ids.__getitem__, np.argsort(group_of, kind="stable").tolist()))
+    bounds = np.cumsum(np.bincount(group_of, minlength=count)).tolist()
+    return [set(grouped[low:high]) for low, high in zip([0] + bounds, bounds)]
+
+
 def is_dag(graph: GraphLike) -> bool:
     """Whether ``graph`` contains no directed cycle (self-loops count as cycles)."""
     for source, target in graph.edges():
@@ -138,6 +221,11 @@ class Condensation:
     discovered the partition — which is what lets the incremental maintenance
     in ``repro.updates`` patch a condensation and land on exactly the ids a
     fresh :func:`condensation` call would assign.
+
+    Iteration order of ``membership``/``members`` is not part of the
+    contract: the generic path fills them in Tarjan emission order, the CSR
+    path in node order and component-id order.  Readers look entries up or
+    sort the keys.
     """
 
     dag: DiGraph
@@ -166,6 +254,8 @@ def condensation(graph: GraphLike) -> Condensation:
     if and only if ``component_of(u)`` reaches ``component_of(v)`` in the
     returned DAG (with equality counting as reachable).
     """
+    if _CSRGraph is not None and isinstance(graph, _CSRGraph):
+        return condensation_with_mirror(graph)[0]
     components = strongly_connected_components(graph)
     position = {node: index for index, node in enumerate(graph.nodes())}
     membership: Dict[NodeId, int] = {}
@@ -192,3 +282,61 @@ def condensation(graph: GraphLike) -> Condensation:
     for source_id, target_id in sorted(dag_edges):
         dag.add_edge(source_id, target_id)
     return Condensation(dag=dag, membership=membership, members=members)
+
+
+def condensation_with_mirror(graph) -> Tuple[Condensation, "_CSRGraph"]:
+    """:func:`condensation` of a :class:`CSRGraph`, plus a CSR mirror of its DAG.
+
+    Whole-array passes end to end: index-space Tarjan, canonical ids as the
+    minimum member index, the DAG edge list from one ``np.unique`` over
+    ``comp[src]·k + comp[dst]``, the ``DiGraph`` DAG through
+    :meth:`DiGraph.from_adjacency` (sorted on both sides — what sorted
+    ``add_edge`` gives) and the mirror from the same edge arrays.  The mirror
+    is order-insensitive (:meth:`CSRGraph.from_index_arrays`) and labelled
+    like the DAG.
+    """
+    n = graph.num_nodes()
+    emitted, count = _csr_components(graph)
+    # Canonical id = smallest member index; ``compact`` renumbers the ids
+    # 0..k-1 in ascending id order, which is the DAG's node order.
+    _, first_member = np.unique(emitted, return_index=True)
+    component_ids = np.sort(first_member)
+    compact = np.searchsorted(component_ids, first_member)[emitted]
+
+    # Every structure below holds the *same* int object per component id
+    # (``tolist()`` per use would mint a fresh one per occurrence — megabytes
+    # of retained duplicates on a big graph).
+    id_list = component_ids.tolist()
+    own_id = id_list.__getitem__
+    membership = dict(zip(graph._ids, map(own_id, compact.tolist())))
+    members = dict(zip(id_list, _group_nodes(graph, compact, count)))
+
+    sources = compact[np.repeat(np.arange(n, dtype=np.int64), np.diff(graph._succ_indptr))]
+    targets = compact[graph._succ_indices]
+    crossing = sources != targets
+    width = np.int64(max(count, 1))
+    sources, targets = np.divmod(np.unique(sources[crossing] * width + targets[crossing]), width)
+
+    # The DAG carries each representative's label; the mirror re-interns
+    # them in DAG node order, like a freeze of the DAG would.
+    table = graph._label_table
+    kept, first_seen = np.unique(graph._label_ids[component_ids], return_index=True)
+    kept = kept[np.argsort(first_seen)]
+    renumber = np.zeros(len(table), dtype=np.int64)
+    renumber[kept] = np.arange(kept.shape[0], dtype=np.int64)
+    label_table = [table[row] for row in kept.tolist()]
+    label_ids = renumber[graph._label_ids[component_ids]]
+    mirror = _CSRGraph.from_index_arrays(id_list, label_table, label_ids, sources, targets)
+
+    def adjacency(indptr: "np.ndarray", indices: "np.ndarray") -> Iterator[List[int]]:
+        offsets = indptr.tolist()
+        neighbours = list(map(own_id, indices.tolist()))
+        return (neighbours[low:high] for low, high in zip(offsets, offsets[1:]))
+
+    dag = DiGraph.from_adjacency(
+        id_list,
+        (label_table[row] for row in label_ids.tolist()),
+        adjacency(mirror._succ_indptr, mirror._succ_indices),
+        adjacency(mirror._pred_indptr, mirror._pred_indices),
+    )
+    return Condensation(dag=dag, membership=membership, members=members), mirror

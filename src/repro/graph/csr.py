@@ -38,6 +38,7 @@ or, for a *serving* graph that must keep absorbing mutations, on a
 from __future__ import annotations
 
 import warnings
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -63,6 +64,32 @@ def _union_degrees(n: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarr
     reciprocal = np.isin(codes, targets * np.int64(n) + sources)
     duplicates = np.bincount(sources[reciprocal], minlength=n)
     return (out_deg + in_deg - duplicates).astype(np.int64)
+
+
+def _intern_labels(labels: Iterable[Label], count: int) -> Tuple[List[Label], np.ndarray]:
+    """Label table (first-appearance order) and per-node label ids."""
+    label_index: Dict[Label, int] = {}
+    # ``len(label_index)`` is read before ``setdefault`` inserts, so a new
+    # label gets the next free row and a known one keeps its own.
+    label_ids = np.fromiter(
+        (label_index.setdefault(label, len(label_index)) for label in labels),
+        dtype=np.int64,
+        count=count,
+    )
+    return list(label_index), label_ids
+
+
+def _flat_indices(index: Dict[NodeId, int], groups: Iterable[Iterable[NodeId]], count: int) -> np.ndarray:
+    """The index of every node in the chained ``groups``, order preserved."""
+    return np.fromiter(
+        map(index.__getitem__, chain.from_iterable(groups)), dtype=np.int64, count=count
+    )
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
 
 
 class _NeighborView:
@@ -153,10 +180,15 @@ class CSRGraph:
         pred_indices: np.ndarray,
         degrees: np.ndarray,
         label_bits: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        _index: Optional[Dict[NodeId, int]] = None,
     ) -> None:
         self._ids = ids
-        self._index: Dict[NodeId, int] = {node: i for i, node in enumerate(ids)}
-        self._identity = all(type(node) is int and node == i for i, node in enumerate(ids))
+        # Constructors that already built ``{node: i}`` hand it over.
+        self._index: Dict[NodeId, int] = (
+            {node: i for i, node in enumerate(ids)} if _index is None else _index
+        )
+        # ``True == 1`` and ``1.0 == 1``: the type test keeps those out.
+        self._identity = ids == list(range(len(ids))) and set(map(type, ids)) <= {int}
         self._label_table = label_table
         self._label_ids = label_ids
         self._succ_indptr = succ_indptr
@@ -170,66 +202,26 @@ class CSRGraph:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_digraph(cls, graph: DiGraph, preserve_order: bool = True) -> "CSRGraph":
-        """Freeze a :class:`DiGraph` into CSR form.
+    def from_digraph(cls, graph: DiGraph) -> "CSRGraph":
+        """Freeze a :class:`DiGraph` (or an overlay speaking its API) into CSR form.
 
         Node indices follow the graph's node iteration order and each
-        successor slice preserves the source's neighbour iteration order, so
-        algorithms that iterate neighbours behave identically on both
-        backends.  With ``preserve_order=True`` (the default) the predecessor
-        slices do too, at the cost of a second Python pass over the edges;
-        ``preserve_order=False`` derives them from the successor arrays with
-        a vectorised stable sort instead (predecessors come out grouped by
-        source) — use it for internal mirrors that only feed the
-        order-insensitive kernels.
+        successor and predecessor slice preserves the source's neighbour
+        iteration order, so algorithms that iterate neighbours behave
+        identically on both backends.  Each side is filled by one
+        ``np.fromiter`` over the chained adjacency and sliced by a
+        ``bincount`` of the other; nothing is stored element by element.
         """
         ids = list(graph.nodes())
         index = {node: i for i, node in enumerate(ids)}
-        n = len(ids)
-
-        label_table: List[Label] = []
-        label_index: Dict[Label, int] = {}
-        label_ids = np.empty(n, dtype=np.int64)
-        for i, node in enumerate(ids):
-            label = graph.label(node)
-            lid = label_index.get(label)
-            if lid is None:
-                lid = len(label_table)
-                label_index[label] = lid
-                label_table.append(label)
-            label_ids[i] = lid
-
-        succ_indptr = np.zeros(n + 1, dtype=np.int64)
-        for i, node in enumerate(ids):
-            succ_indptr[i + 1] = succ_indptr[i] + graph.out_degree(node)
-        m = int(succ_indptr[-1])
-        succ_indices = np.empty(m, dtype=np.int64)
-        edge_sources = np.empty(m, dtype=np.int64)
-        pos = 0
-        for i, node in enumerate(ids):
-            for target in graph.successors(node):
-                succ_indices[pos] = index[target]
-                edge_sources[pos] = i
-                pos += 1
-
-        if preserve_order:
-            pred_indptr = np.zeros(n + 1, dtype=np.int64)
-            for i, node in enumerate(ids):
-                pred_indptr[i + 1] = pred_indptr[i] + graph.in_degree(node)
-            pred_indices = np.empty(m, dtype=np.int64)
-            fill = pred_indptr[:-1].copy()
-            for i, node in enumerate(ids):
-                for source in graph.predecessors(node):
-                    j = index[source]
-                    pred_indices[int(fill[i])] = j
-                    fill[i] += 1
-        else:
-            order = np.argsort(succ_indices, kind="stable")
-            pred_indices = edge_sources[order]
-            pred_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(succ_indices, minlength=n), out=pred_indptr[1:])
-
-        degrees = _union_degrees(n, edge_sources, succ_indices)
+        n, m = len(ids), graph.num_edges()
+        label_table, label_ids = _intern_labels(map(graph.label, ids), n)
+        succ_indices = _flat_indices(index, map(graph.successors, ids), m)
+        pred_indices = _flat_indices(index, map(graph.predecessors, ids), m)
+        # Each side's slice lengths are the other side's occurrence counts.
+        succ_indptr = _indptr(np.bincount(pred_indices, minlength=n))
+        pred_indptr = _indptr(np.bincount(succ_indices, minlength=n))
+        edge_sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(succ_indptr))
         return cls(
             ids,
             label_table,
@@ -238,7 +230,8 @@ class CSRGraph:
             succ_indices,
             pred_indptr,
             pred_indices,
-            degrees,
+            _union_degrees(n, edge_sources, succ_indices),
+            _index=index,
         )
 
     @classmethod
@@ -254,29 +247,11 @@ class CSRGraph:
         """
         ids = list(graph.nodes())
         index = {node: i for i, node in enumerate(ids)}
-        n = len(ids)
-
-        label_table: List[Label] = []
-        label_index: Dict[Label, int] = {}
-        label_ids = np.empty(n, dtype=np.int64)
-        for i, node in enumerate(ids):
-            label = graph.label(node)
-            lid = label_index.get(label)
-            if lid is None:
-                lid = len(label_table)
-                label_index[label] = lid
-                label_table.append(label)
-            label_ids[i] = lid
-
-        sources_list: List[int] = []
-        targets_list: List[int] = []
-        for source, target in graph.edges():
-            sources_list.append(index[source])
-            targets_list.append(index[target])
-        m = len(sources_list)
-        sources = np.asarray(sources_list, dtype=np.int64) if m else _EMPTY.copy()
-        targets = np.asarray(targets_list, dtype=np.int64) if m else _EMPTY.copy()
-        return cls.from_index_arrays(ids, label_table, label_ids, sources, targets)
+        label_table, label_ids = _intern_labels(map(graph.label, ids), len(ids))
+        endpoints = _flat_indices(index, graph.edges(), 2 * graph.num_edges())
+        return cls.from_index_arrays(
+            ids, label_table, label_ids, endpoints[0::2], endpoints[1::2], _index=index
+        )
 
     @classmethod
     def from_index_arrays(
@@ -286,6 +261,7 @@ class CSRGraph:
         label_ids: np.ndarray,
         sources: np.ndarray,
         targets: np.ndarray,
+        _index: Optional[Dict[NodeId, int]] = None,
     ) -> "CSRGraph":
         """Assemble a CSR graph from edge arrays in internal index space.
 
@@ -296,25 +272,16 @@ class CSRGraph:
         incremental DAG mirror.
         """
         n = len(ids)
-        succ_order = np.argsort(sources, kind="stable")
-        succ_indices = targets[succ_order]
-        succ_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sources, minlength=n), out=succ_indptr[1:])
-        pred_order = np.argsort(targets, kind="stable")
-        pred_indices = sources[pred_order]
-        pred_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(targets, minlength=n), out=pred_indptr[1:])
-
-        degrees = _union_degrees(n, sources, targets)
         return cls(
             ids,
             label_table,
             label_ids,
-            succ_indptr,
-            succ_indices,
-            pred_indptr,
-            pred_indices,
-            degrees,
+            _indptr(np.bincount(sources, minlength=n)),
+            targets[np.argsort(sources, kind="stable")],
+            _indptr(np.bincount(targets, minlength=n)),
+            sources[np.argsort(targets, kind="stable")],
+            _union_degrees(n, sources, targets),
+            _index=_index,
         )
 
     @classmethod
@@ -362,17 +329,9 @@ class CSRGraph:
             intern(node)
 
         n = len(ids)
-        label_table: List[Label] = []
-        label_index: Dict[Label, int] = {}
-        label_ids = np.empty(n, dtype=np.int64)
-        for i, node in enumerate(ids):
-            label = labels.get(node, default_label)
-            lid = label_index.get(label)
-            if lid is None:
-                lid = len(label_table)
-                label_index[label] = lid
-                label_table.append(label)
-            label_ids[i] = lid
+        label_table, label_ids = _intern_labels(
+            (labels.get(node, default_label) for node in ids), n
+        )
 
         succ_indptr = np.zeros(n + 1, dtype=np.int64)
         pred_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -404,6 +363,7 @@ class CSRGraph:
             pred_indptr,
             pred_indices,
             degrees,
+            _index=index,
         )
 
     def to_digraph(self) -> DiGraph:
@@ -603,6 +563,10 @@ class CSRGraph:
         """The paper's ``d(v)``: ``|N(v)|`` (union of parents and children)."""
         return int(self._degrees[self.index_of(node)])
 
+    def degrees(self) -> np.ndarray:
+        """``d(v)`` of every node in index order (the stored column: read only)."""
+        return self._degrees
+
     def max_degree(self) -> int:
         """Maximum ``d(v)`` over the whole graph (0 for empty graphs)."""
         if self._degrees.shape[0] == 0:
@@ -643,25 +607,6 @@ class CSRGraph:
             in_word = np.where((label_ids >> 6) == word, edge_bits, np.uint64(0))
             bits[rows, word] = np.bitwise_or.reduceat(in_word, starts)
         return bits
-
-    def successor_adjacency(self) -> Dict[NodeId, List[NodeId]]:
-        """Bulk node → successor-list export (stored order).
-
-        One C-speed pass over the flat arrays; callers that walk the whole
-        graph node-by-node (e.g. Tarjan's SCC) use this instead of paying a
-        view construction per visited node.
-        """
-        indptr = self._succ_indptr.tolist()
-        values = self._succ_indices.tolist()
-        if self._identity:
-            return {
-                node: values[indptr[i] : indptr[i + 1]] for i, node in enumerate(self._ids)
-            }
-        ids = self._ids
-        return {
-            node: [ids[j] for j in values[indptr[i] : indptr[i + 1]]]
-            for i, node in enumerate(self._ids)
-        }
 
     def validate(self) -> None:
         """Check internal array consistency; raises :class:`GraphError`."""

@@ -24,7 +24,18 @@ makes identical decisions on either substrate.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, KeysView, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    KeysView,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
 
@@ -78,6 +89,33 @@ class DiGraph:
         for node, label in labels.items():
             if node not in graph:
                 graph.add_node(node, label)
+        return graph
+
+    @classmethod
+    def from_adjacency(
+        cls,
+        nodes: Sequence[NodeId],
+        labels: Iterable[Label],
+        successors: Iterable[Iterable[NodeId]],
+        predecessors: Iterable[Iterable[NodeId]],
+    ) -> "DiGraph":
+        """Bulk constructor: adopt whole adjacency lists, order as given.
+
+        The ``k``-th items of ``successors`` and ``predecessors`` are the
+        children and parents of ``nodes[k]`` in the iteration order the
+        graph should have; each iterable is consumed once, so generators
+        keep only one list alive at a time.  The caller vouches that both
+        sides describe one edge set over ``nodes`` without duplicates
+        (:meth:`validate` checks); in return nothing is checked or inserted
+        edge by edge.  Lists sorted on both sides give exactly the graph
+        that ``add_edge`` over the sorted edge list builds — how the
+        condensation DAG is made.
+        """
+        graph = cls()
+        graph._labels = dict(zip(nodes, labels))
+        graph._succ = dict(zip(nodes, map(dict.fromkeys, successors)))
+        graph._pred = dict(zip(nodes, map(dict.fromkeys, predecessors)))
+        graph._edge_count = sum(map(len, graph._succ.values()))
         return graph
 
     def copy(self) -> "DiGraph":

@@ -282,7 +282,12 @@ class ReachBatch:
         return len(self._sets[j])
 
     def counts(self) -> List[int]:
-        """Per-source reach sizes (source included), one unpack per word."""
+        """Per-source reach sizes (source included).
+
+        One unpack per word column, of that column's non-zero words only:
+        never more memory than the dense matrix, and on the sparse matrices
+        the landmark sweeps leave, time that follows the set bits.
+        """
         if self._bits is None:
             return [len(s) for s in self._sets]
         total = self.num_sources
@@ -292,7 +297,8 @@ class ReachBatch:
             high = min(low + 64, total)
             if low >= high:
                 break
-            column = np.ascontiguousarray(self._bits[:, word])
+            column = self._bits[:, word]
+            column = np.ascontiguousarray(column[column != 0])
             if _BIG_ENDIAN:  # pragma: no cover - little-endian everywhere we run
                 column = column.byteswap()
             unpacked = np.unpackbits(column.view(np.uint8), bitorder="little")
@@ -337,6 +343,36 @@ class ReachBatch:
         return {ids[row] for row in rows}
 
     # -- whole-batch accessors ------------------------------------------ #
+    def pairs(self, rows: "Optional[np.ndarray]" = None) -> "Tuple[np.ndarray, np.ndarray]":
+        """Every set bit as parallel ``(row, source)`` arrays, in one pass.
+
+        With ``rows`` only those node rows are read (the batched form of
+        :meth:`probe_rows`); without, the whole matrix (the batched form of
+        :meth:`row_lists`).  Pairs come ordered by position in ``rows``
+        (ascending row when omitted), then by source.  Extraction goes
+        through the *words*: ``np.nonzero`` finds the non-zero words and
+        only those are unpacked, so the cost follows the set bits, not
+        ``rows × sources`` — absorbing sweeps leave most words empty.
+        """
+        if self._bits is None:
+            reached_by: Dict[int, List[int]] = {}
+            for j, reached in enumerate(self._sets):
+                for row in reached:
+                    reached_by.setdefault(row, []).append(j)
+            wanted = sorted(reached_by) if rows is None else [int(row) for row in rows]
+            hits = [(row, j) for row in wanted for j in reached_by.get(row, ())]
+            flat = np.array(hits, dtype=np.int64).reshape(-1, 2)
+            return flat[:, 0], flat[:, 1]
+        bits = self._bits if rows is None else self._bits[rows]
+        position, word = np.nonzero(bits)
+        words = np.ascontiguousarray(bits[position, word])
+        if _BIG_ENDIAN:  # pragma: no cover - little-endian everywhere we run
+            words = words.byteswap()
+        unpacked = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        which, bit = np.nonzero(unpacked)
+        position = position[which]
+        return (position if rows is None else np.asarray(rows)[position]), word[which] * 64 + bit
+
     def any_rows(self) -> List[int]:
         """Sorted rows reached by at least one source."""
         if self._bits is not None:

@@ -54,6 +54,37 @@ def topological_ranks(graph: DiGraph) -> Dict[NodeId, int]:
     return ranks
 
 
+def csr_topological_ranks(graph) -> "np.ndarray":
+    """:func:`topological_ranks` of a :class:`CSRGraph` DAG, as an index-space array.
+
+    A level peel from the sinks: level ``r`` is every node whose last child
+    left at level ``r - 1``, which is the defining recurrence read bottom-up.
+    One gather and one ``bincount`` per level (the longest path is short on
+    real graphs) instead of a Kahn pass node by node.
+    """
+    import numpy as np
+
+    n = graph.num_nodes()
+    ranks = np.zeros(n, dtype=np.int64)
+    pending = np.diff(graph._succ_indptr)
+    frontier = np.flatnonzero(pending == 0)
+    ranked = int(frontier.shape[0])
+    level = 0
+    while frontier.shape[0]:
+        parents = graph._expand(frontier, graph._pred_indptr, graph._pred_indices)
+        if parents.shape[0] == 0:
+            break
+        level += 1
+        pending = pending - np.bincount(parents, minlength=n)
+        parents = np.unique(parents)
+        frontier = parents[pending[parents] == 0]
+        ranks[frontier] = level
+        ranked += int(frontier.shape[0])
+    if ranked != n:
+        raise GraphError("graph contains a cycle; topological ranks are undefined")
+    return ranks
+
+
 def longest_path_length(graph: DiGraph) -> int:
     """Length (in edges) of the longest path in a DAG."""
     ranks = topological_ranks(graph)
@@ -109,6 +140,22 @@ class TopologicalRankIndex:
         index._max_rank = max_rank
         index._max_degree = max_degree
         return index
+
+    @classmethod
+    def from_mirror(cls, graph: DiGraph, mirror) -> "TopologicalRankIndex":
+        """The index of ``graph`` read off its CSR ``mirror`` in array passes.
+
+        ``mirror`` holds the same nodes (same order) and edges as ``graph``;
+        ranks come from :func:`csr_topological_ranks` and ``D`` from the
+        mirror's degree column, so ``graph`` itself is never walked.
+        """
+        ranks = csr_topological_ranks(mirror)
+        return cls.from_parts(
+            graph,
+            dict(zip(mirror.nodes(), ranks.tolist())),
+            int(ranks.max()) if ranks.shape[0] else 0,
+            mirror.max_degree(),
+        )
 
     @property
     def graph(self) -> DiGraph:

@@ -91,6 +91,10 @@ CATALOG = {
     "shard.reach.cross": ("counter", "queries", "repro.shard.engine"),
     "shard.spillover": ("counter", "queries", "repro.shard.engine"),
     "shard.boundary.probes": ("counter", "probes", "repro.shard.engine"),
+    # once-per-graph prepare stages (repro/engine/prepared.py)
+    "prepare.freeze.seconds": ("histogram", "seconds", "repro.engine.prepared"),
+    "prepare.compress.seconds": ("histogram", "seconds", "repro.engine.prepared"),
+    "prepare.index.seconds": ("histogram", "seconds", "repro.engine.prepared"),
     # incremental updates (repro/engine/prepared.py)
     "update.noop": ("counter", "updates", "repro.engine.prepared"),
     "update.fresh": ("counter", "updates", "repro.engine.prepared"),
@@ -121,6 +125,10 @@ SPANS = {
     "executor.chunk": "repro.engine.engine",
     "daemon.worker": "repro.engine.daemons",
     "shard.batch": "repro.shard.engine",
+    # RBIndex stages, as children only: a rebuild under service.update, a
+    # lazy build under service.query (set-up is on the prepare.* histograms)
+    "prepare.compress": "repro.engine.prepared",
+    "prepare.index": "repro.engine.prepared",
     # leaves of a pattern query, one pair per query under executor.chunk
     "reduction.search": "repro.core.rbsim",
     "match.exact": "repro.core.rbsim",

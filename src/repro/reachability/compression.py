@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.graph.components import Condensation, condensation
+from repro.graph.components import Condensation, condensation, condensation_with_mirror
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.topology import TopologicalRankIndex
@@ -26,8 +26,8 @@ class CompressedGraph:
     """A data graph together with its reachability-preserving DAG view.
 
     ``dag_csr`` is an optional compressed-sparse-row mirror of the condensed
-    DAG, populated when the original graph is itself a
-    :class:`~repro.graph.csr.CSRGraph`.  The index builder and the exact
+    DAG, populated by :func:`compress` for every substrate but a plain
+    ``DiGraph``.  The index builder and the exact
     oracle route their BFS sweeps through it; the mutable ``dag`` remains the
     canonical structure (and the one all order-sensitive heuristics read), so
     answers are identical with and without the mirror.
@@ -72,23 +72,32 @@ class CompressedGraph:
 def compress(graph: GraphLike) -> CompressedGraph:
     """Condense ``graph`` and precompute topological ranks on the DAG.
 
-    When ``graph`` is a :class:`~repro.graph.csr.CSRGraph` the condensed DAG
-    is additionally frozen into CSR form so the downstream index build can
-    use vectorised BFS.
+    This is the one place that decides whether the DAG gets a CSR mirror:
+    every substrate but a plain :class:`DiGraph` does (numpy permitting).  A
+    :class:`~repro.graph.csr.CSRGraph` is condensed and mirrored from the
+    same arrays; any other substrate (a ``MutableOverlay`` after updates) is
+    condensed generically and its DAG frozen unordered.  With a mirror the
+    ranks are a level peel over it.  A ``DiGraph`` keeps the all-dict path —
+    the paper-figure timings, and the oracle the array passes are tested
+    against.
     """
-    condensed = condensation(graph)
-    ranks = TopologicalRankIndex(condensed.dag)
-    dag_csr = None
     try:
         from repro.graph.csr import CSRGraph
-
-        if isinstance(graph, CSRGraph):
-            # The mirror only feeds order-insensitive kernels (reachability
-            # masks, cover statistics, label sweeps), so skip the
-            # order-preserving predecessor pass.
-            dag_csr = CSRGraph.from_digraph(condensed.dag, preserve_order=False)
     except ImportError:  # pragma: no cover - numpy is normally available
-        pass
+        CSRGraph = None
+    dag_csr = None
+    if CSRGraph is not None and isinstance(graph, CSRGraph):
+        condensed, dag_csr = condensation_with_mirror(graph)
+    else:
+        condensed = condensation(graph)
+        if CSRGraph is not None and not isinstance(graph, DiGraph):
+            # The mirror only feeds order-insensitive kernels (reachability
+            # masks, cover statistics, label sweeps).
+            dag_csr = CSRGraph.from_graph_unordered(condensed.dag)
+    if dag_csr is None:
+        ranks = TopologicalRankIndex(condensed.dag)
+    else:
+        ranks = TopologicalRankIndex.from_mirror(condensed.dag, dag_csr)
     return CompressedGraph(original=graph, condensation=condensed, ranks=ranks, dag_csr=dag_csr)
 
 

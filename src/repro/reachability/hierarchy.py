@@ -33,7 +33,11 @@ from repro.exceptions import IndexBuildError
 from repro.graph.digraph import NodeId
 from repro.graph.protocol import GraphLike
 from repro.reachability.compression import CompressedGraph, compress
-from repro.reachability.landmarks import greedy_landmarks, out_of_index_labels
+from repro.reachability.landmarks import (
+    greedy_landmarks,
+    out_of_index_labels,
+    selection_sort_key,
+)
 
 
 @dataclass
@@ -112,6 +116,13 @@ class HierarchicalLandmarkIndex:
         return self.landmarks[landmark]
 
 
+def _mirror_of(dag: GraphLike, csr_dag: Optional[GraphLike]) -> Optional[GraphLike]:
+    """``csr_dag`` when it mirrors ``dag`` as it stands now, else ``None``."""
+    if csr_dag is not None and csr_dag.num_nodes() == dag.num_nodes():
+        return csr_dag
+    return None
+
+
 def sweep_landmark(
     dag: GraphLike,
     landmark: NodeId,
@@ -129,7 +140,8 @@ def sweep_landmark(
     boolean landmark mask over ``csr_dag`` indices) to avoid rebuilding it
     per sweep.
     """
-    if csr_dag is not None and csr_dag.num_nodes() == dag.num_nodes():
+    csr_dag = _mirror_of(dag, csr_dag)
+    if csr_dag is not None:
         import numpy as np
 
         if probe_mask is None:
@@ -157,6 +169,55 @@ def sweep_landmark(
     return count, reached
 
 
+def sweep_landmarks(
+    dag: GraphLike,
+    landmarks: List[NodeId],
+    forward: bool,
+    csr_dag: Optional[GraphLike] = None,
+) -> Tuple[Dict[NodeId, int], Dict[NodeId, Set[NodeId]]]:
+    """:func:`sweep_landmark` for every landmark at once, in one direction.
+
+    Returns ``(counts, reached)``: per landmark the number of nodes it
+    reaches and the *other* landmarks among them.  With a CSR mirror all
+    landmarks ride one multi-source bitset sweep and the landmark-to-landmark
+    hits are read out of the landmark rows in a single
+    :meth:`~repro.graph.kernels.ReachBatch.pairs` call; the generic body
+    loops the single-landmark sweep and is the oracle for it.
+    """
+    mirror = _mirror_of(dag, csr_dag)
+    if mirror is None:
+        landmark_set = set(landmarks)
+        swept = [sweep_landmark(dag, landmark, landmark_set, forward) for landmark in landmarks]
+        return (
+            {landmark: count for landmark, (count, _) in zip(landmarks, swept)},
+            {landmark: reached for landmark, (_, reached) in zip(landmarks, swept)},
+        )
+    import numpy as np
+
+    from repro.graph.kernels import reach_batch
+
+    batch = reach_batch(mirror, landmarks, forward=forward)
+    landmark_rows = np.fromiter(
+        map(mirror.index_of, landmarks), dtype=np.int64, count=len(landmarks)
+    )
+    rows, sources = batch.pairs(landmark_rows)
+    # A sweep reaches its own source; ``sweep_landmark`` reports neither it
+    # nor its count.  The stable sort keeps each landmark's hits in
+    # ``landmarks`` order, as the per-landmark probe listed them.
+    others = rows != landmark_rows[sources]
+    rows, sources = rows[others], sources[others]
+    by_source = np.argsort(sources, kind="stable")
+    hits = mirror.ids_of(rows[by_source])
+    bounds = np.cumsum(np.bincount(sources, minlength=len(landmarks))).tolist()
+    return (
+        {landmark: count - 1 for landmark, count in zip(landmarks, batch.counts())},
+        {
+            landmark: set(hits[low:high])
+            for landmark, low, high in zip(landmarks, [0] + bounds, bounds)
+        },
+    )
+
+
 def _cover_statistics(
     dag: GraphLike,
     landmarks: List[NodeId],
@@ -164,59 +225,14 @@ def _cover_statistics(
 ) -> Tuple[Dict[NodeId, Tuple[int, int]], Dict[NodeId, Set[NodeId]], Dict[NodeId, Set[NodeId]]]:
     """Descendant/ancestor counts and landmark-to-landmark reachability.
 
-    One forward and one backward BFS per landmark over the DAG.  Returns
+    One forward and one backward :func:`sweep_landmarks` pass.  Returns
     (per-landmark ``(descendants, ancestors)`` counts, forward landmark
-    reach sets, backward landmark reach sets).  With a CSR mirror of the DAG
-    the per-landmark sweeps run on the vectorised reachability kernel; the
-    resulting sets are exact, so the outcome is identical to the generic
-    traversal.
+    reach sets, backward landmark reach sets); the sets are exact, so the
+    outcome is the same with and without a CSR mirror of the DAG.
     """
-    if csr_dag is not None and csr_dag.num_nodes() == dag.num_nodes():
-        return _cover_statistics_csr(csr_dag, landmarks)
-    landmark_set = set(landmarks)
-    parts: Dict[NodeId, Tuple[int, int]] = {}
-    forward_reach: Dict[NodeId, Set[NodeId]] = {}
-    backward_reach: Dict[NodeId, Set[NodeId]] = {}
-    for landmark in landmarks:
-        descendants, reached = sweep_landmark(dag, landmark, landmark_set, forward=True)
-        ancestors, reaching = sweep_landmark(dag, landmark, landmark_set, forward=False)
-        parts[landmark] = (descendants, ancestors)
-        forward_reach[landmark] = reached
-        backward_reach[landmark] = reaching
-    return parts, forward_reach, backward_reach
-
-
-def _cover_statistics_csr(
-    csr_dag: GraphLike, landmarks: List[NodeId]
-) -> Tuple[Dict[NodeId, Tuple[int, int]], Dict[NodeId, Set[NodeId]], Dict[NodeId, Set[NodeId]]]:
-    """Vectorised cover statistics over a CSR mirror of the DAG.
-
-    One multi-source bitset sweep per direction answers every landmark at
-    once; per-landmark counts and landmark-to-landmark hits are then bit
-    extractions.  ``reach_stats`` semantics are preserved exactly: counts
-    and probe hits both exclude the landmark itself.
-    """
-    import numpy as np
-
-    from repro.graph.kernels import reach_batch
-
-    landmark_indices = np.array(
-        [csr_dag.index_of(landmark) for landmark in landmarks], dtype=np.int64
-    )
-    parts: Dict[NodeId, Tuple[int, int]] = {}
-    forward_reach: Dict[NodeId, Set[NodeId]] = {}
-    backward_reach: Dict[NodeId, Set[NodeId]] = {}
-    forward_batch = reach_batch(csr_dag, landmarks, forward=True)
-    backward_batch = reach_batch(csr_dag, landmarks, forward=False)
-    descendant_counts = forward_batch.counts()
-    ancestor_counts = backward_batch.counts()
-    for j, landmark in enumerate(landmarks):
-        own_row = int(landmark_indices[j])
-        for batch, table in ((forward_batch, forward_reach), (backward_batch, backward_reach)):
-            hits = batch.probe_rows(j, landmark_indices)
-            table[landmark] = {csr_dag.node_at(i) for i in hits if i != own_row}
-        # ReachBatch counts include the source; reach_stats excluded it.
-        parts[landmark] = (int(descendant_counts[j]) - 1, int(ancestor_counts[j]) - 1)
+    descendants, forward_reach = sweep_landmarks(dag, landmarks, True, csr_dag)
+    ancestors, backward_reach = sweep_landmarks(dag, landmarks, False, csr_dag)
+    parts = {landmark: (descendants[landmark], ancestors[landmark]) for landmark in landmarks}
     return parts, forward_reach, backward_reach
 
 
@@ -305,22 +321,28 @@ def select_leaves(
     dag = compressed.dag
     exclusion_radius = max(1, math.floor(2 / alpha)) if alpha < 1 else 1
     num_leaves = max(1, min(size_budget // 2, dag.num_nodes()))
-    if ordered is not None:
-        return greedy_landmarks(
-            dag, compressed.ranks, num_leaves, exclusion_radius, ordered=ordered
-        )
-    # Weight the greedy score by SCC size: a component node stands for all of
-    # its original members, so it covers proportionally more node pairs.
-    component_sizes = {
-        component: float(len(members)) for component, members in compressed.condensation.members.items()
-    }
-    return greedy_landmarks(
-        dag,
-        compressed.ranks,
-        num_leaves,
-        exclusion_radius,
-        weights=component_sizes,
-    )
+    if ordered is None:
+        # Weight the greedy score by SCC size: a component node stands for
+        # all of its original members, so it covers proportionally more pairs.
+        members = compressed.condensation.members
+        mirror = _mirror_of(dag, compressed.dag_csr)
+        if mirror is None:
+            return greedy_landmarks(
+                dag,
+                compressed.ranks,
+                num_leaves,
+                exclusion_radius,
+                weights={component: float(len(nodes)) for component, nodes in members.items()},
+            )
+        # Same keys as the sort inside ``greedy_landmarks``, with every
+        # degree read off the mirror's column instead of ``dag.degree``.
+        rank_of = compressed.ranks.rank
+        keys = {
+            node: selection_sort_key(node, degree, rank_of(node), float(len(members[node])))
+            for node, degree in zip(mirror.nodes(), mirror.degrees().tolist())
+        }
+        ordered = sorted(keys, key=keys.__getitem__)
+    return greedy_landmarks(dag, compressed.ranks, num_leaves, exclusion_radius, ordered=ordered)
 
 
 def assemble_index(

@@ -194,35 +194,32 @@ def _out_of_index_labels_by_sweep(
     landmark_indices = [csr_dag.index_of(landmark) for landmark in landmark_list]
     stop_mask[landmark_indices] = True
 
-    full_forward: Dict[int, Set[NodeId]] = {}
-    full_backward: Dict[int, Set[NodeId]] = {}
     # v has `landmark` as a forward label iff v reaches it landmark-free:
     # sweep the *predecessor* side, absorbing at other landmarks (and
     # symmetrically the successor side for backward labels).  All landmarks
-    # of one direction ride in a single multi-source bitset sweep.
-    for follow_forward, table in ((False, full_forward), (True, full_backward)):
-        batch = reach_batch(csr_dag, landmark_list, forward=follow_forward, stop=stop_mask)
-        # One matrix pass (active rows only — frontiers absorb at landmarks,
-        # so most rows are empty) instead of a full column scan per landmark.
-        for landmark, rows in zip(landmark_list, batch.row_lists()):
-            rows = rows[~stop_mask[rows]]  # landmarks themselves carry no labels
-            for index in rows.tolist():
-                table.setdefault(index, set()).add(landmark)
-
+    # of one direction ride in a single multi-source bitset sweep, and one
+    # ``pairs()`` call reads every (node, landmark) hit out of it — frontiers
+    # absorb at landmarks, so most words of the matrix are empty.
     forward: Dict[NodeId, Set[NodeId]] = {}
     backward: Dict[NodeId, Set[NodeId]] = {}
-    for table, result, is_forward in (
-        (full_forward, forward, True),
-        (full_backward, backward, False),
-    ):
-        for index, found in table.items():
-            node = csr_dag.node_at(index)
-            if max_labels is not None and len(found) > max_labels:
-                found = first_landmarks_hit(
+    for is_forward, result in ((True, forward), (False, backward)):
+        batch = reach_batch(csr_dag, landmark_list, forward=not is_forward, stop=stop_mask)
+        rows, sources = batch.pairs()
+        unlabelled = ~stop_mask[rows]  # landmarks themselves carry no labels
+        rows, sources = rows[unlabelled], sources[unlabelled]
+        # Pairs arrive grouped by row with sources ascending, so each label
+        # set fills in ``landmark_list`` order.
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        nodes = csr_dag.ids_of(rows[starts])
+        starts = starts.tolist()
+        hits = [landmark_list[j] for j in sources.tolist()]
+        for node, low, high in zip(nodes, starts, starts[1:] + [len(hits)]):
+            if max_labels is not None and high - low > max_labels:
+                result[node] = first_landmarks_hit(
                     dag, node, landmarks, forward=is_forward, max_labels=max_labels
                 )
-            if found:
-                result[node] = found
+            else:
+                result[node] = set(hits[low:high])
     return forward, backward
 
 

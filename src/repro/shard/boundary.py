@@ -9,9 +9,9 @@ structure into one small quotient:
   shard-local SCC membership (reaching a component means reaching every
   member, so node-level resolution adds nothing);
 * **intra-shard edges** ``(s, a) → (s, b)`` whenever component ``a`` reaches
-  ``b`` inside shard ``s``'s serving graph — one budgetless sweep per
-  boundary component over the shard's condensation DAG, computed at
-  preparation time;
+  ``b`` inside shard ``s``'s serving graph — one budgetless batched sweep
+  from every boundary component over the shard's condensation DAG, computed
+  at preparation time;
 * **direction-tagged cross-shard edges** — every cut edge ``u → v`` mapped
   to its component pair and tagged ``(shard(u), shard(v))`` for the
   per-route statistics the CLI reports.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.graph.digraph import DiGraph, NodeId
-from repro.reachability.hierarchy import sweep_landmark
+from repro.reachability.hierarchy import sweep_landmarks
 from repro.reachability.landmarks import out_of_index_labels
 from repro.reachability.rbreach import RBReach
 from repro.shard.partition import Partition
@@ -99,24 +99,11 @@ def build_contribution(
     contribution.boundary_comps = frozenset(boundary_comps)
 
     dag = compressed.dag
-    probe_mask = None
-    if compressed.dag_csr is not None and compressed.dag_csr.num_nodes() == dag.num_nodes():
-        import numpy as np
-
-        probe_mask = np.zeros(compressed.dag_csr.num_nodes(), dtype=bool)
-        probe_mask[[compressed.dag_csr.index_of(comp) for comp in boundary_comps]] = True
-    for comp in sorted(boundary_comps, key=repr):
-        _, reached = sweep_landmark(
-            dag,
-            comp,
-            boundary_comps,
-            forward=True,
-            csr_dag=compressed.dag_csr,
-            probe_mask=probe_mask,
-        )
-        for other in sorted(reached, key=repr):
-            if other != comp:
-                contribution.intra_edges.append((comp, other))
+    ordered_comps = sorted(boundary_comps, key=repr)
+    _, reached = sweep_landmarks(dag, ordered_comps, forward=True, csr_dag=compressed.dag_csr)
+    for comp in ordered_comps:
+        for other in sorted(reached[comp], key=repr):
+            contribution.intra_edges.append((comp, other))
 
     contribution.forward_labels, contribution.backward_labels = out_of_index_labels(
         dag, boundary_comps, max_labels=label_cap, csr_dag=compressed.dag_csr

@@ -119,6 +119,7 @@ def _induced_csr(source: GraphLike, ordered_nodes: Sequence[NodeId]) -> GraphLik
         pred_indptr,
         pred_indices,
         degrees,
+        _index=index,
     )
 
 

@@ -146,7 +146,7 @@ class MutableOverlay:
         """
         from repro.graph.csr import CSRGraph
 
-        return CSRGraph.from_digraph(self, preserve_order=True)  # type: ignore[arg-type]
+        return CSRGraph.from_digraph(self)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------ #
     # Mutation (DiGraph semantics)

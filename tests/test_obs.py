@@ -370,6 +370,36 @@ class TestTraceSinks:
 
 
 # --------------------------------------------------------------------------- #
+# Prepare stages: histograms always, spans only as children of a trace
+# --------------------------------------------------------------------------- #
+class TestPrepareStages:
+    def test_stage_histograms_and_child_only_spans(self, clean_trace):
+        from repro.engine.prepared import PreparedGraph
+
+        records = []
+        clean_trace.add_collector(records.append)
+        try:
+            graph = random_graph(num_nodes=120, num_edges=400, seed=4)
+            prepared = PreparedGraph(graph)  # freezes: DiGraph -> CSR
+            prepared.prepare("reach", ALPHA)  # set-up: no trace open
+            assert records == [], "a prepare stage must never root a trace of its own"
+            for name in ("prepare.freeze.seconds", "prepare.compress.seconds", "prepare.index.seconds"):
+                assert obs.histogram(name).count == 1, name
+            prepared._invalidate_derived()
+            with obs.span("service.update"):  # a rebuild under an update joins its trace
+                prepared.prepare("reach", ALPHA)
+        finally:
+            clean_trace.remove_collector(records.append)
+        by_name = {record["span"]: record for record in records}
+        assert set(by_name) == {"service.update", "prepare.compress", "prepare.index"}
+        for stage in ("prepare.compress", "prepare.index"):
+            assert by_name[stage]["parent_id"] == by_name["service.update"]["id"]
+        assert by_name["prepare.index"]["attrs"] == {"alpha": ALPHA}
+        assert obs.histogram("prepare.compress.seconds").count == 2
+        assert obs.histogram("prepare.freeze.seconds").count == 1  # nothing re-froze
+
+
+# --------------------------------------------------------------------------- #
 # Span-name lint: every span used in src/repro is registered in SPANS
 # --------------------------------------------------------------------------- #
 _SPAN_CALL = re.compile(

@@ -1,0 +1,437 @@
+"""Differential and work-count tests for the array-pass ``RBIndex`` prepare.
+
+``tests/prepare_oracle.py`` freezes the element-by-element prepare the array
+passes replaced.  Both must produce the same objects: every CSR array of the
+frozen graph, the condensation's ``membership``/``members``, the DAG's labels
+and both neighbour *orders*, the DAG mirror's arrays, ranks with ``L`` and
+``D``, the selected leaves in order, every field of the landmark index — and
+therefore the same ``RBReach`` answers, visit counts included.
+
+The count gate at the bottom is the deterministic stand-in for a timing floor
+(timing is not bounded on this host): preparing REACH on a ``CSRGraph`` may
+not insert a DAG edge one at a time, ask a ``DiGraph`` for a degree, freeze
+anything twice or extract a landmark's bits with a per-landmark call.
+"""
+
+import random
+from collections import Counter
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prepare_oracle import (
+    oracle_build_index,
+    oracle_compress,
+    oracle_condensation,
+    oracle_from_digraph,
+    oracle_out_of_index_labels_by_sweep,
+    oracle_select_leaves,
+    oracle_strongly_connected_components,
+    oracle_topological_ranks,
+)
+from repro.engine.prepared import PreparedGraph
+from repro.graph import kernels
+from repro.graph.components import condensation, strongly_connected_components
+from repro.graph.csr import CSRGraph
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import community_graph
+from repro.graph.kernels import ReachBatch, reach_batch
+from repro.graph.topology import csr_topological_ranks
+from repro.reachability.compression import compress
+from repro.reachability.hierarchy import (
+    HierarchicalLandmarkIndex,
+    _cover_statistics,
+    build_index,
+    select_leaves,
+)
+from repro.reachability.landmarks import out_of_index_labels
+from repro.reachability.rbreach import RBReach
+from repro.shard.partition import partition_graph
+from repro.shard.shards import build_shards
+from repro.workloads.datasets import load_dataset
+
+ALPHAS = (0.02, 0.2, 1.0)
+LABELS = ["A", "B", "C", 7]
+CSR_ARRAYS = (
+    "_label_ids",
+    "_succ_indptr",
+    "_succ_indices",
+    "_pred_indptr",
+    "_pred_indices",
+    "_degrees",
+)
+SHAPES = ("random", "dag", "giant_scc", "sparse")
+NAMINGS = ("identity", "shuffled", "strings", "floats", "mixed")
+
+
+# --------------------------------------------------------------------------- #
+# Inputs
+# --------------------------------------------------------------------------- #
+def _node_names(num_nodes: int, naming: str, rng: random.Random):
+    if naming == "identity":
+        return list(range(num_nodes))
+    if naming == "shuffled":  # ints, but position != id
+        names = list(range(num_nodes))
+        rng.shuffle(names)
+        return names
+    if naming == "strings":
+        return [f"n{node}" for node in range(num_nodes)]
+    if naming == "floats":  # ``2.0 == 2``: equal to its position, but not an int
+        return [float(node) for node in range(num_nodes)]
+    return [(node, "t") if node % 3 == 0 else f"n{node}" for node in range(num_nodes)]
+
+
+def make_graph(num_nodes: int, shape: str, naming: str, seed: int) -> DiGraph:
+    """A labelled digraph with self-loops, isolated nodes and reciprocal edges."""
+    rng = random.Random(seed)
+    names = _node_names(num_nodes, naming, rng)
+    graph = DiGraph()
+    for name in names:
+        graph.add_node(name, rng.choice(LABELS))
+    if num_nodes == 0:
+        return graph
+    edges = {"random": 2 * num_nodes, "dag": 2 * num_nodes, "giant_scc": num_nodes, "sparse": num_nodes // 3}[shape]
+    if shape == "giant_scc":  # one cycle through most nodes, the rest hang off it
+        ring = names[: max(1, (3 * num_nodes) // 4)]
+        for position, name in enumerate(ring):
+            graph.add_edge(name, ring[(position + 1) % len(ring)])
+    for _ in range(edges):
+        source, target = rng.randrange(num_nodes), rng.randrange(num_nodes)
+        if shape == "dag":
+            if source == target:
+                continue
+            source, target = min(source, target), max(source, target)
+        graph.add_edge(names[source], names[target])  # source == target: a self-loop
+        if shape != "dag" and rng.random() < 0.25:
+            graph.add_edge(names[target], names[source])
+    return graph
+
+
+@st.composite
+def graphs(draw):
+    return make_graph(
+        draw(st.integers(min_value=0, max_value=40)),
+        draw(st.sampled_from(SHAPES)),
+        draw(st.sampled_from(NAMINGS)),
+        draw(st.integers(min_value=0, max_value=10_000)),
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Equality of the prepared objects
+# --------------------------------------------------------------------------- #
+def assert_same_csr(actual: CSRGraph, expected: CSRGraph) -> None:
+    assert actual._ids == expected._ids
+    assert list(map(type, actual._ids)) == list(map(type, expected._ids))
+    assert actual._index == expected._index
+    assert actual._identity == expected._identity
+    assert actual._label_table == expected._label_table
+    for name in CSR_ARRAYS:
+        left, right = getattr(actual, name), getattr(expected, name)
+        assert left.dtype == right.dtype, name
+        assert np.array_equal(left, right), name
+
+
+def assert_same_dag(actual: DiGraph, expected: DiGraph) -> None:
+    assert list(actual.nodes()) == list(expected.nodes())
+    assert actual.labels() == expected.labels()
+    assert actual.num_edges() == expected.num_edges()
+    for node in expected.nodes():
+        assert list(actual.successors(node)) == list(expected.successors(node))
+        assert list(actual.predecessors(node)) == list(expected.predecessors(node))
+    actual.validate()
+
+
+def assert_same_compression(actual, expected) -> None:
+    assert actual.condensation.membership == expected.condensation.membership
+    assert actual.condensation.members == expected.condensation.members
+    assert_same_dag(actual.dag, expected.dag)
+    assert_same_csr(actual.dag_csr, expected.dag_csr)
+    assert actual.ranks.ranks() == expected.ranks.ranks()
+    assert actual.ranks.max_rank == expected.ranks.max_rank
+    assert actual.ranks.max_degree == expected.ranks.max_degree
+    assert actual.ranks.graph is actual.dag
+
+
+def assert_same_index(actual: HierarchicalLandmarkIndex, expected: HierarchicalLandmarkIndex) -> None:
+    for field in fields(HierarchicalLandmarkIndex):
+        if field.name != "compressed":
+            assert getattr(actual, field.name) == getattr(expected, field.name), field.name
+    assert list(actual.landmarks) == list(expected.landmarks)  # leaf order, not just the set
+
+
+def assert_same_answers(actual: RBReach, expected: RBReach, pairs) -> None:
+    for source, target in pairs:
+        left, right = actual.query(source, target), expected.query(source, target)
+        assert (left.reachable, left.visited, left.met_at, left.exhausted) == (
+            right.reachable,
+            right.visited,
+            right.met_at,
+            right.exhausted,
+        ), (source, target)
+
+
+def check_prepare(graph: DiGraph, alphas, reference_size=None, pair_count=40, seed=0) -> None:
+    """The whole prepare, stage by stage, array passes against the oracle."""
+    frozen, frozen_oracle = CSRGraph.from_digraph(graph), oracle_from_digraph(graph)
+    assert_same_csr(frozen, frozen_oracle)
+    check_prepared_csr(frozen, frozen_oracle, alphas, reference_size, pair_count, seed)
+
+
+def check_prepared_csr(frozen, frozen_oracle, alphas, reference_size=None, pair_count=40, seed=0):
+    assert strongly_connected_components(frozen) == oracle_strongly_connected_components(
+        frozen_oracle
+    )
+    condensed = condensation(frozen)
+    condensed_oracle = oracle_condensation(frozen_oracle)
+    assert condensed.membership == condensed_oracle.membership
+    assert condensed.members == condensed_oracle.members
+    assert_same_dag(condensed.dag, condensed_oracle.dag)
+
+    compressed, compressed_oracle = compress(frozen), oracle_compress(frozen_oracle)
+    assert_same_compression(compressed, compressed_oracle)
+    ranks = csr_topological_ranks(compressed.dag_csr)
+    assert dict(zip(compressed.dag.nodes(), ranks.tolist())) == oracle_topological_ranks(
+        compressed_oracle.dag
+    )
+
+    rng = random.Random(seed)
+    nodes = list(frozen.nodes())
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(pair_count if nodes else 0)]
+    for alpha in alphas:
+        size = frozen.size() if reference_size is None else reference_size
+        budget = max(2, int(alpha * size))
+        leaves = select_leaves(compressed, alpha, budget)
+        assert leaves == oracle_select_leaves(compressed_oracle, alpha, budget)
+        index = build_index(compressed, alpha, reference_size=reference_size)
+        index_oracle = oracle_build_index(frozen_oracle, alpha, reference_size=reference_size)
+        assert_same_index(index, index_oracle)
+        assert_same_answers(RBReach(index), RBReach(index_oracle), pairs)
+        # A cap small enough that the ``first_landmarks_hit`` fallback runs.
+        for cap in (1, 2):
+            assert out_of_index_labels(
+                compressed.dag, set(leaves), max_labels=cap, csr_dag=compressed.dag_csr
+            ) == oracle_out_of_index_labels_by_sweep(
+                compressed_oracle.dag, compressed_oracle.dag_csr, set(leaves), cap
+            )
+
+
+# --------------------------------------------------------------------------- #
+# The sweep
+# --------------------------------------------------------------------------- #
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_array_prepare_matches_the_oracle(graph):
+    check_prepare(graph, ALPHAS, pair_count=12)
+
+
+@pytest.mark.parametrize("num_nodes", [0, 1])
+@pytest.mark.parametrize("naming", NAMINGS)
+def test_empty_and_one_node_graphs(num_nodes, naming):
+    check_prepare(make_graph(num_nodes, "random", naming, seed=1), ALPHAS)
+
+
+def test_one_node_with_a_self_loop():
+    graph = DiGraph()
+    graph.add_node("only", "A")
+    graph.add_edge("only", "only")
+    check_prepare(graph, ALPHAS)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("naming", NAMINGS)
+def test_every_shape_and_naming_at_a_size_the_cap_bites(shape, naming):
+    # Big enough that α = 0.2 selects several landmarks and label sets pass 2.
+    check_prepare(make_graph(150, shape, naming, seed=11), ALPHAS)
+
+
+def test_boolean_ids_are_not_the_identity():
+    graph = DiGraph.from_edges([(False, True)], labels={False: "A", True: "B"})
+    assert not CSRGraph.from_digraph(graph)._identity
+    check_prepare(graph, ALPHAS)
+
+
+def test_overlay_substrate_gets_the_mirror_ranks_and_order():
+    """``compress`` mirrors every substrate but a plain ``DiGraph``."""
+    from repro.updates.overlay import MutableOverlay
+
+    graph = make_graph(90, "random", "identity", seed=3)
+    overlay = MutableOverlay(CSRGraph.from_digraph(graph))
+    overlay.remove_node(5)
+    graph.remove_node(5)
+    on_overlay, on_digraph = compress(overlay), compress(graph)
+    assert on_digraph.dag_csr is None and on_overlay.dag_csr is not None
+    assert on_overlay.condensation.membership == on_digraph.condensation.membership
+    assert_same_dag(on_overlay.dag, on_digraph.dag)
+    assert on_overlay.ranks.ranks() == on_digraph.ranks.ranks()
+    assert on_overlay.ranks.max_degree == on_digraph.ranks.max_degree
+    for alpha in ALPHAS:
+        assert_same_index(
+            build_index(on_overlay, alpha, reference_size=graph.size()),
+            build_index(on_digraph, alpha, reference_size=graph.size()),
+        )
+
+
+# --------------------------------------------------------------------------- #
+# Fixed cases: the benchmark's graphs
+# --------------------------------------------------------------------------- #
+def test_youtube_at_the_benchmark_alpha():
+    graph = load_dataset("youtube", seed=7)
+    frozen, frozen_oracle = CSRGraph.from_digraph(graph), oracle_from_digraph(graph)
+    assert_same_csr(frozen, frozen_oracle)
+    compressed, compressed_oracle = compress(frozen), oracle_compress(frozen_oracle)
+    assert_same_compression(compressed, compressed_oracle)
+    index = build_index(compressed, 0.02)
+    assert index.num_landmarks() == 624
+    index_oracle = oracle_build_index(frozen_oracle, 0.02)
+    assert_same_index(index, index_oracle)
+    rng = random.Random(7)
+    nodes = list(frozen.nodes())
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(300)]
+    assert_same_answers(RBReach(index), RBReach(index_oracle), pairs)
+
+
+def benchmark_community_graph() -> DiGraph:
+    return community_graph([120] + [60] * 79, intra_probability=0.1, inter_edges=0, seed=7)
+
+
+def test_community_at_the_benchmark_alpha():
+    graph = benchmark_community_graph()
+    frozen, frozen_oracle = CSRGraph.from_digraph(graph), oracle_from_digraph(graph)
+    assert_same_csr(frozen, frozen_oracle)
+    index = build_index(compress(frozen), 0.01)
+    assert index.num_landmarks() == 44
+    assert_same_index(index, oracle_build_index(frozen_oracle, 0.01))
+
+
+def test_one_shard_of_the_community_graph():
+    graph = benchmark_community_graph()
+    shards = build_shards(graph, partition_graph(graph, 2, seed=7))
+    shard = shards[1]
+    assert isinstance(shard.graph, CSRGraph)
+    # The shard's CSR was induced, not frozen: rebuild the oracle's copy from its arrays.
+    twin = CSRGraph(
+        list(shard.graph._ids),
+        list(shard.graph._label_table),
+        *(getattr(shard.graph, name).copy() for name in CSR_ARRAYS),
+    )
+    check_prepared_csr(shard.graph, twin, (0.01,), reference_size=shard.core_size, pair_count=100)
+
+
+# --------------------------------------------------------------------------- #
+# ``ReachBatch.pairs()`` against the per-source accessors
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def sweep_graph():
+    graph = make_graph(300, "random", "strings", seed=21)
+    return graph, CSRGraph.from_digraph(graph)
+
+
+def _pairs_by_source(batch: ReachBatch, rows=None):
+    hit_rows, hit_sources = batch.pairs(rows)
+    assert hit_rows.shape == hit_sources.shape
+    grouped = {j: [] for j in range(batch.num_sources)}
+    for row, j in zip(hit_rows.tolist(), hit_sources.tolist()):
+        grouped[j].append(row)
+    return grouped, list(zip(hit_rows.tolist(), hit_sources.tolist()))
+
+
+@pytest.mark.parametrize("with_stop", [False, True], ids=["free", "absorbing"])
+@pytest.mark.parametrize("num_sources", [1, 63, 64, 65, 256, 257])
+def test_pairs_matches_rows_probe_rows_and_row_lists(sweep_graph, num_sources, with_stop):
+    graph, frozen = sweep_graph
+    names = list(graph.nodes())
+    sources = names[:num_sources]
+    stop = set(names[::3]) if with_stop else None
+    candidates = np.array([frozen.index_of(name) for name in names[5:300:7]][::-1])
+    bitset = reach_batch(frozen, sources, forward=True, stop=stop)
+    oracle = reach_batch(graph, sources, forward=True, stop=stop)
+    assert bitset._bits is not None and oracle._sets is not None
+    for batch in (bitset, oracle):
+        grouped, flat = _pairs_by_source(batch)
+        assert flat == sorted(flat)  # ascending row, then source
+        lists = batch.row_lists()
+        for j in range(num_sources):
+            assert grouped[j] == batch.rows(j) == lists[j].tolist()
+        assert len(flat) == batch.total_bits() == sum(batch.counts())
+        probed, flat = _pairs_by_source(batch, candidates)
+        for j in range(num_sources):
+            assert probed[j] == batch.probe_rows(j, candidates)
+        position = {int(row): at for at, row in enumerate(candidates.tolist())}
+        keys = [(position[row], j) for row, j in flat]
+        assert keys == sorted(keys)  # position in ``rows``, then source
+    assert _pairs_by_source(bitset)[1] == _pairs_by_source(oracle)[1]
+    assert _pairs_by_source(bitset, candidates)[1] == _pairs_by_source(oracle, candidates)[1]
+
+
+def test_pairs_of_an_empty_batch():
+    frozen = CSRGraph.from_digraph(make_graph(10, "random", "identity", seed=2))
+    rows, sources = reach_batch(frozen, []).pairs()
+    assert rows.shape == sources.shape == (0,)
+
+
+# --------------------------------------------------------------------------- #
+# Deterministic work gate
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counts the calls the array prepare must not (or must exactly) make."""
+    counts = Counter()
+
+    def counted(owner, name, wrap=lambda function: function):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(wrapper))
+
+    for name in ("add_edge", "degree"):
+        counted(DiGraph, name)
+    for name in ("probe_rows", "row_lists", "rows", "mask"):
+        counted(ReachBatch, name)
+    counted(CSRGraph, "reach_stats")
+    counted(kernels, "reach_batch")
+    # ``getattr`` already bound the classmethod to ``CSRGraph``.
+    counted(CSRGraph, "from_digraph", wrap=staticmethod)
+    return counts
+
+
+GATED_TO_ZERO = ("add_edge", "degree", "reach_stats", "probe_rows", "row_lists", "rows", "mask")
+
+
+def test_work_gate_preparing_reach_from_a_digraph(work_counts):
+    graph = make_graph(400, "random", "strings", seed=9)
+    work_counts.clear()  # building the input inserted its edges one by one
+    prepared = PreparedGraph(graph)
+    prepared.prepare("reach", 0.05)
+    assert prepared.reachability_index(0.05).num_landmarks() > 1
+    assert work_counts["from_digraph"] == 1
+    assert work_counts["reach_batch"] == 4  # two per statistics pass, two per label pass
+    assert {name: work_counts[name] for name in GATED_TO_ZERO} == dict.fromkeys(GATED_TO_ZERO, 0)
+
+
+def test_work_gate_preparing_reach_from_csr(work_counts):
+    frozen = CSRGraph.from_digraph(make_graph(400, "giant_scc", "identity", seed=9))
+    work_counts.clear()
+    prepared = PreparedGraph(frozen)
+    prepared.prepare("reach", 0.05)
+    prepared.prepare("reach", 0.2)  # a second α reuses the compression
+    assert work_counts["from_digraph"] == 0
+    assert work_counts["reach_batch"] == 8
+    assert {name: work_counts[name] for name in GATED_TO_ZERO} == dict.fromkeys(GATED_TO_ZERO, 0)
+
+
+def test_work_gate_per_pass(work_counts):
+    compressed = compress(CSRGraph.from_digraph(make_graph(400, "random", "shuffled", seed=4)))
+    leaves = select_leaves(compressed, 0.05, 60)
+    work_counts.clear()
+    _cover_statistics(compressed.dag, leaves, csr_dag=compressed.dag_csr)
+    assert work_counts["reach_batch"] == 2
+    out_of_index_labels(compressed.dag, set(leaves), max_labels=30, csr_dag=compressed.dag_csr)
+    assert work_counts["reach_batch"] == 4
+    assert {name: work_counts[name] for name in GATED_TO_ZERO} == dict.fromkeys(GATED_TO_ZERO, 0)
