@@ -11,10 +11,11 @@ How it reaches a worker depends on the executor.  The per-batch ``process``
 pool under the ``fork`` start method inherits it copy-on-write and never
 serialises it.  The daemon pool (and ``process`` under ``spawn``) always
 publishes it through :class:`SharedPreparedGraph`: the array-shaped parts —
-CSR adjacency and the neighbour-label presence bits behind the ``Sl``
-summaries — are copied into shared-memory segments that workers map
-zero-copy, and only the rest (indexes, matchers: plain dicts and
-dataclasses) is pickled.
+CSR adjacency, the neighbour-label presence bits behind the ``Sl``
+summaries, and the condensation and rank columns of a fresh CSR prepare —
+are copied into shared-memory segments that workers map zero-copy, and only
+the rest (landmark indexes, matchers: plain dicts and dataclasses) is
+pickled.
 """
 
 from __future__ import annotations
@@ -402,8 +403,16 @@ class PreparedGraph:
         if may_patch and self._maintainer is None:
             from repro.updates.scc import CondensationMaintainer
 
+            compressed = self._compressed
+            condensation = compressed.condensation
+            if condensation.array_backed:
+                # The first patch of a fresh CSR prepare: materialise the
+                # containers the maintainer mutates, once and in bulk.
+                thaw_started = time.perf_counter()
+                condensation = condensation.thaw()
+                obs.histogram("prepare.thaw.seconds").observe(time.perf_counter() - thaw_started)
             self._maintainer = CondensationMaintainer.from_fresh(
-                overlay, self._compressed.condensation
+                overlay, condensation, compressed.ranks, compressed.dag_csr
             )
 
         delta_touched = delta.touched_nodes()
@@ -591,11 +600,15 @@ class SharedPreparedGraph:
     mirror) found in the state into shared-memory segments
     (:meth:`CSRGraph.to_shared`) — adjacency arrays plus, for a substrate
     whose neighbourhood index exists, the label-presence bits that index
-    reads — and pickles the *rest* (indexes, matchers, the handful of
+    reads, and, beside the DAG mirror of a fresh CSR prepare, the columns
+    behind the condensation and the ranks (``CompressedGraph.columns()``) —
+    and pickles the *rest* (the landmark indexes, matchers, the handful of
     per-node summaries an overlay has patched) once, with the big graphs
-    replaced by attach-by-name tokens.  Workers call :meth:`attach` to
-    rebuild the state: the derived structures unpickle, the graphs and the
-    summaries over them resolve to zero-copy views of the shared pages.
+    and columns replaced by attach-by-name tokens.  Workers call
+    :meth:`attach` to rebuild the state: the derived structures unpickle,
+    the graphs, the compression and the summaries over them resolve to
+    zero-copy views of the shared pages.  A compression an update has
+    patched is container-backed and pickles whole, as before.
     ``state`` may be a :class:`PreparedGraph` or the sharded engine's
     ``{shard_id: ShardState}`` table; states with no CSR substrate
     (``mirror="never"``) degrade gracefully to a plain pickled payload.
@@ -619,14 +632,16 @@ class SharedPreparedGraph:
         segments: Dict[str, Any] = {}
         substitutes: Dict[int, str] = {}
 
-        def share(graph: Any) -> Optional[str]:
+        def share(graph: Any, columns: Optional[Mapping[str, Any]] = None) -> Optional[str]:
             if CSRGraph is None or not isinstance(graph, CSRGraph):
                 return None
             token = substitutes.get(id(graph))
             if token is None:
                 token = f"csr{len(segments)}"
-                segments[token] = graph.to_shared()
+                segments[token] = graph.to_shared(columns=columns)
                 substitutes[id(graph)] = token
+                for name, column in (columns or {}).items():
+                    substitutes[id(column)] = f"{token}/{name}"
             return token
 
         for prepared in _prepared_components(state):
@@ -644,7 +659,9 @@ class SharedPreparedGraph:
                 substitutes.setdefault(id(prepared.original), token)
             compressed = prepared._compressed
             if compressed is not None:
-                share(getattr(compressed, "dag_csr", None))
+                # The compression's backing columns ride in its DAG mirror's
+                # segment; the pickle then carries a token per column.
+                share(compressed.dag_csr, compressed.columns())
 
         buffer = io.BytesIO()
         _SubstitutingPickler(buffer, substitutes).dump(state)
@@ -654,7 +671,11 @@ class SharedPreparedGraph:
         """Rebuild the state in this process (zero-copy graph arrays)."""
         if self._closed:
             raise EngineError("shared prepared state is closed")
-        resolved = {token: handle.graph for token, handle in self._segments.items()}
+        resolved: Dict[str, Any] = {}
+        for token, handle in self._segments.items():
+            resolved[token] = handle.graph
+            for name, column in handle.columns.items():
+                resolved[f"{token}/{name}"] = column
         return _ResolvingUnpickler(io.BytesIO(self._payload), resolved).load()
 
     def segment_names(self) -> "list[str]":

@@ -19,7 +19,6 @@ same objects).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
@@ -52,7 +51,7 @@ def strongly_connected_components(
     order, hence the same emission order as the generic body below).
     """
     if restrict is None and _CSRGraph is not None and isinstance(graph, _CSRGraph):
-        return _group_nodes(graph, *_csr_components(graph))
+        return _group_nodes(graph, *_group_order(*_csr_components(graph)))
 
     index_counter = 0
     indices: Dict[NodeId, int] = {}
@@ -180,15 +179,22 @@ def _csr_components(graph) -> Tuple["np.ndarray", int]:
     return np.asarray(emitted, dtype=np.int64), count
 
 
-def _group_nodes(graph, group_of: "np.ndarray", count: int) -> List[Set[NodeId]]:
-    """The nodes of a :class:`CSRGraph` by group number: group ``k`` at position ``k``.
+def _group_order(group_of: "np.ndarray", count: int) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Node indices grouped by group number, and each group's offsets into them."""
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group_of, minlength=count), out=offsets[1:])
+    return np.argsort(group_of, kind="stable"), offsets
+
+
+def _group_nodes(graph, order: "np.ndarray", offsets: "np.ndarray") -> List[Set[NodeId]]:
+    """The nodes of a :class:`CSRGraph` by group: group ``k`` at position ``k``.
 
     Sets hold the graph's own id objects (``tolist()`` would mint a fresh
     int per node — retained duplicates on an identity-numbered graph).
     """
-    grouped = list(map(graph._ids.__getitem__, np.argsort(group_of, kind="stable").tolist()))
-    bounds = np.cumsum(np.bincount(group_of, minlength=count)).tolist()
-    return [set(grouped[low:high]) for low, high in zip([0] + bounds, bounds)]
+    grouped = list(map(graph._ids.__getitem__, order.tolist()))
+    bounds = offsets.tolist()
+    return [set(grouped[low:high]) for low, high in zip(bounds, bounds[1:])]
 
 
 def is_dag(graph: GraphLike) -> bool:
@@ -199,7 +205,6 @@ def is_dag(graph: GraphLike) -> bool:
     return all(len(component) == 1 for component in strongly_connected_components(graph))
 
 
-@dataclass
 class Condensation:
     """The reachability-preserving DAG condensation of a graph.
 
@@ -222,29 +227,172 @@ class Condensation:
     in ``repro.updates`` patch a condensation and land on exactly the ids a
     fresh :func:`condensation` call would assign.
 
+    The generic path (:func:`condensation` of a ``DiGraph`` or an overlay)
+    builds the three containers and hands them to the constructor.  The
+    :class:`CSRGraph` path (:meth:`from_arrays`) is *array-backed*: it keeps
+    the columns :func:`condensation_with_mirror` computed — ``compact`` (node
+    index → component row), the member order grouped by component with its
+    offsets, and the CSR mirror of the DAG, whose ids are the component ids
+    in row order — and answers :meth:`component_of` and :meth:`size_of` from
+    them through flat ``memoryview``s.  A component id is the node index of
+    its representative, so ``compact[id]`` is its row and no id → row dict
+    exists.  ``dag``, ``membership`` and ``members`` are then views
+    materialised on first access (the DAG through
+    :meth:`DiGraph.from_adjacency` off the mirror, whose adjacency order is
+    the DAG's); a read-only service never asks for them, and they are neither
+    pickled nor published.  :meth:`thaw` hands the containers to a reader that
+    will mutate them.
+
     Iteration order of ``membership``/``members`` is not part of the
     contract: the generic path fills them in Tarjan emission order, the CSR
     path in node order and component-id order.  Readers look entries up or
     sort the keys.
     """
 
-    dag: DiGraph
-    membership: Mapping[NodeId, int]
-    members: Mapping[int, Set[NodeId]]
+    def __init__(
+        self,
+        dag: DiGraph,
+        membership: Mapping[NodeId, int],
+        members: Mapping[int, Set[NodeId]],
+    ) -> None:
+        self._dag: Optional[DiGraph] = dag
+        self._membership: Optional[Mapping[NodeId, int]] = membership
+        self._members: Optional[Mapping[int, Set[NodeId]]] = members
+        self._graph = self._mirror = None
+        self._compact = self._member_order = self._member_offsets = None
+
+    @classmethod
+    def from_arrays(
+        cls,
+        graph,
+        mirror,
+        compact: "np.ndarray",
+        member_order: "np.ndarray",
+        member_offsets: "np.ndarray",
+    ) -> "Condensation":
+        """The array-backed condensation of the :class:`CSRGraph` ``graph``.
+
+        ``mirror`` is the DAG as a ``CSRGraph`` (ids: the component ids,
+        ascending); ``compact[i]`` is the mirror row of node ``i``'s
+        component; ``member_order[member_offsets[k]:member_offsets[k + 1]]``
+        are the node indices of row ``k``'s members.
+        """
+        self = cls(None, None, None)
+        self._bind(graph, mirror, compact, member_order, member_offsets)
+        return self
+
+    def _bind(self, graph, mirror, compact, member_order, member_offsets) -> None:
+        self._graph, self._mirror = graph, mirror
+        self._compact, self._member_order, self._member_offsets = compact, member_order, member_offsets
+        self._rows: Mapping[NodeId, int] = graph._index
+        self._component_ids: List[int] = mirror._ids
+        self._compact_view = memoryview(compact)
+        self._offsets_view = memoryview(member_offsets)
+
+    def __getstate__(self):
+        # An array-backed condensation travels as its columns: the word views
+        # are rebuilt on load and the containers re-materialise on demand.
+        if self._compact is None:
+            return (self._dag, self._membership, self._members)
+        columns = (self._compact, self._member_order, self._member_offsets)
+        return (None, None, None, self._graph, self._mirror, *columns)
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state[:3])
+        if state[3:]:
+            self._bind(*state[3:])
+
+    @property
+    def array_backed(self) -> bool:
+        """Whether the columns (not the containers) are this condensation's state."""
+        return self._compact is not None
+
+    def columns(self) -> Dict[str, "np.ndarray"]:
+        """The backing columns by name (empty unless array-backed).
+
+        What publication copies into the DAG mirror's shared segment.
+        """
+        if self._compact is None:
+            return {}
+        return {
+            "compact": self._compact,
+            "member_order": self._member_order,
+            "member_offsets": self._member_offsets,
+        }
+
+    @property
+    def dag(self) -> DiGraph:
+        if self._dag is None:
+            mirror = self._mirror
+            own_id = self._component_ids.__getitem__
+
+            def adjacency(indptr: "np.ndarray", indices: "np.ndarray") -> Iterator[List[int]]:
+                offsets = indptr.tolist()
+                neighbours = list(map(own_id, indices.tolist()))
+                return (neighbours[low:high] for low, high in zip(offsets, offsets[1:]))
+
+            self._dag = DiGraph.from_adjacency(
+                self._component_ids,
+                map(mirror._label_table.__getitem__, mirror._label_ids.tolist()),
+                adjacency(mirror._succ_indptr, mirror._succ_indices),
+                adjacency(mirror._pred_indptr, mirror._pred_indices),
+            )
+        return self._dag
+
+    # Every container holds the *same* int object per component id
+    # (``tolist()`` per use would mint a fresh one per occurrence — megabytes
+    # of retained duplicates on a big graph).
+    @property
+    def membership(self) -> Mapping[NodeId, int]:
+        if self._membership is None:
+            own_id = self._component_ids.__getitem__
+            self._membership = dict(zip(self._graph._ids, map(own_id, self._compact.tolist())))
+        return self._membership
+
+    @property
+    def members(self) -> Mapping[int, Set[NodeId]]:
+        if self._members is None:
+            groups = _group_nodes(self._graph, self._member_order, self._member_offsets)
+            self._members = dict(zip(self._component_ids, groups))
+        return self._members
+
+    def thaw(self) -> "Condensation":
+        """A container-backed condensation a maintainer may mutate in place.
+
+        Array-backed, this materialises whichever containers no reader asked
+        for yet and moves all three into a new object; the columns keep
+        describing the snapshot, so this object re-materialises fresh
+        containers if asked again.  Container-backed, it is ``self``.
+        """
+        if self._compact is None:
+            return self
+        thawed = Condensation(self.dag, self.membership, self.members)
+        self._dag = self._membership = self._members = None
+        return thawed
 
     def component_of(self, node: NodeId) -> int:
         """Component id of an original node."""
         try:
-            return self.membership[node]
+            if self._compact is None:
+                return self._membership[node]
+            return self._component_ids[self._compact_view[self._rows[node]]]
         except KeyError:
             raise NodeNotFoundError(node) from None
+
+    def size_of(self, component: int) -> int:
+        """How many original nodes ``component`` contains."""
+        if self._compact is None:
+            return len(self._members[component])
+        row = self._compact_view[component]
+        return self._offsets_view[row + 1] - self._offsets_view[row]
 
     def compression_ratio(self, original: GraphLike) -> float:
         """|condensation| / |G| — how much the compression shrank the graph."""
         original_size = original.size()
         if original_size == 0:
             return 1.0
-        return self.dag.size() / original_size
+        dag = self._mirror if self._compact is not None else self._dag
+        return dag.size() / original_size
 
 
 def condensation(graph: GraphLike) -> Condensation:
@@ -289,11 +437,12 @@ def condensation_with_mirror(graph) -> Tuple[Condensation, "_CSRGraph"]:
 
     Whole-array passes end to end: index-space Tarjan, canonical ids as the
     minimum member index, the DAG edge list from one ``np.unique`` over
-    ``comp[src]·k + comp[dst]``, the ``DiGraph`` DAG through
-    :meth:`DiGraph.from_adjacency` (sorted on both sides — what sorted
-    ``add_edge`` gives) and the mirror from the same edge arrays.  The mirror
-    is order-insensitive (:meth:`CSRGraph.from_index_arrays`) and labelled
-    like the DAG.
+    ``comp[src]·k + comp[dst]`` and the mirror from those edge arrays
+    (:meth:`CSRGraph.from_index_arrays`: each slice sorted, which on a DAG is
+    what sorted ``add_edge`` gives, so the mirror's adjacency order *is* the
+    DAG's), labelled like the DAG.  The condensation is array-backed
+    (:meth:`Condensation.from_arrays`): no ``DiGraph``, membership dict or
+    member set is built here.
     """
     n = graph.num_nodes()
     emitted, count = _csr_components(graph)
@@ -302,14 +451,6 @@ def condensation_with_mirror(graph) -> Tuple[Condensation, "_CSRGraph"]:
     _, first_member = np.unique(emitted, return_index=True)
     component_ids = np.sort(first_member)
     compact = np.searchsorted(component_ids, first_member)[emitted]
-
-    # Every structure below holds the *same* int object per component id
-    # (``tolist()`` per use would mint a fresh one per occurrence — megabytes
-    # of retained duplicates on a big graph).
-    id_list = component_ids.tolist()
-    own_id = id_list.__getitem__
-    membership = dict(zip(graph._ids, map(own_id, compact.tolist())))
-    members = dict(zip(id_list, _group_nodes(graph, compact, count)))
 
     sources = compact[np.repeat(np.arange(n, dtype=np.int64), np.diff(graph._succ_indptr))]
     targets = compact[graph._succ_indices]
@@ -326,17 +467,9 @@ def condensation_with_mirror(graph) -> Tuple[Condensation, "_CSRGraph"]:
     renumber[kept] = np.arange(kept.shape[0], dtype=np.int64)
     label_table = [table[row] for row in kept.tolist()]
     label_ids = renumber[graph._label_ids[component_ids]]
-    mirror = _CSRGraph.from_index_arrays(id_list, label_table, label_ids, sources, targets)
-
-    def adjacency(indptr: "np.ndarray", indices: "np.ndarray") -> Iterator[List[int]]:
-        offsets = indptr.tolist()
-        neighbours = list(map(own_id, indices.tolist()))
-        return (neighbours[low:high] for low, high in zip(offsets, offsets[1:]))
-
-    dag = DiGraph.from_adjacency(
-        id_list,
-        (label_table[row] for row in label_ids.tolist()),
-        adjacency(mirror._succ_indptr, mirror._succ_indices),
-        adjacency(mirror._pred_indptr, mirror._pred_indices),
+    mirror = _CSRGraph.from_index_arrays(
+        component_ids.tolist(), label_table, label_ids, sources, targets
     )
-    return Condensation(dag=dag, membership=membership, members=members), mirror
+
+    condensed = Condensation.from_arrays(graph, mirror, compact, *_group_order(compact, count))
+    return condensed, mirror

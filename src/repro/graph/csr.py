@@ -37,7 +37,6 @@ or, for a *serving* graph that must keep absorbing mutations, on a
 
 from __future__ import annotations
 
-import warnings
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
@@ -381,18 +380,21 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     # Shared memory
     # ------------------------------------------------------------------ #
-    def to_shared(self, name: Optional[str] = None):
+    def to_shared(
+        self, name: Optional[str] = None, columns: Optional[Mapping[str, np.ndarray]] = None
+    ):
         """Export this graph into a ``multiprocessing.shared_memory`` segment.
 
         Returns an *owning* :class:`~repro.graph.shm.SharedCSRGraph` handle:
         worker processes attach the same physical pages by name
         (:meth:`from_shared`) instead of receiving a pickled copy, and the
-        handle's ``close()`` unlinks the segment.  See
-        :mod:`repro.graph.shm` for the naming/cleanup contract.
+        handle's ``close()`` unlinks the segment.  ``columns`` are named
+        arrays published beside the graph's own (the handle's ``.columns``).
+        See :mod:`repro.graph.shm` for the naming/cleanup contract.
         """
         from repro.graph.shm import SharedCSRGraph
 
-        return SharedCSRGraph.create(self, name=name)
+        return SharedCSRGraph.create(self, name=name, columns=columns)
 
     @classmethod
     def from_shared(cls, name: str):
@@ -651,59 +653,6 @@ class CSRGraph:
                 self._expand(frontier, self._pred_indptr, self._pred_indices),
             )
         )
-
-    def _deprecated_entry(self, name: str, replacement: str) -> None:
-        warnings.warn(
-            f"CSRGraph.{name} is deprecated; use {replacement} "
-            "(see docs/MIGRATION.md, 'Traversal kernel dispatch')",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def bfs_distances(
-        self, source: NodeId, max_hops: Optional[int] = None, direction: str = "both"
-    ) -> Dict[NodeId, int]:
-        """Deprecated: use ``traverse(graph, "bfs_levels", ...)``.
-
-        Thin wrapper over :func:`repro.graph.kernels.csr_bfs_distances`,
-        kept one release for callers of the old per-method surface.
-        """
-        self._deprecated_entry("bfs_distances", "repro.graph.kernels.traverse(graph, 'bfs_levels', ...)")
-        from repro.graph.kernels import csr_bfs_distances
-
-        return csr_bfs_distances(self, source, max_hops=max_hops, direction=direction)
-
-    def reach_mask(
-        self, start_index: int, forward: bool = True, stop_mask: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Deprecated: use ``traverse(graph, "reach_mask", ...)`` or ``reach_batch``.
-
-        Thin wrapper over :func:`repro.graph.kernels.csr_reach_mask`; batch
-        callers should hand all their sources to
-        :func:`repro.graph.kernels.reach_batch` instead.
-        """
-        self._deprecated_entry("reach_mask", "repro.graph.kernels.csr_reach_mask or reach_batch")
-        from repro.graph.kernels import csr_reach_mask
-
-        return csr_reach_mask(self, start_index, forward=forward, stop_mask=stop_mask)
-
-    def fast_reachable_set(self, source: NodeId, forward: bool = True) -> Set[NodeId]:
-        """Deprecated: use ``traverse(graph, "reachable_set", ...)``."""
-        self._deprecated_entry(
-            "fast_reachable_set", "repro.graph.kernels.traverse(graph, 'reachable_set', ...)"
-        )
-        from repro.graph.kernels import csr_reachable_set
-
-        return csr_reachable_set(self, source, forward=forward)
-
-    def fast_is_reachable(self, source: NodeId, target: NodeId) -> bool:
-        """Deprecated: use ``traverse(graph, "is_reachable", ...)``."""
-        self._deprecated_entry(
-            "fast_is_reachable", "repro.graph.kernels.traverse(graph, 'is_reachable', ...)"
-        )
-        from repro.graph.kernels import csr_is_reachable
-
-        return csr_is_reachable(self, source, target)
 
     def fast_bidirectional_reachable(self, source: NodeId, target: NodeId) -> bool:
         """Bidirectional BFS reachability, expanding the smaller frontier."""

@@ -9,6 +9,11 @@ graph has computed them, the two neighbour-label presence arrays of
 :meth:`CSRGraph.label_presence` (the ``Sl`` summaries the pattern guard
 reads) into one ``multiprocessing.shared_memory`` segment so any number of
 worker processes can attach the same physical pages zero-copy, by name.
+A segment can also carry *columns*: named arrays that describe the graph but
+are not part of it.  The condensation DAG's mirror takes the condensation's
+``compact``/``member_order``/``member_offsets`` and the rank index's
+``ranks`` along this way (``CompressedGraph.columns()``), so the whole
+compression reaches a worker as views and none of it is pickled.
 
 Segment layout (one segment per graph, header ``format`` 2)::
 
@@ -16,9 +21,10 @@ Segment layout (one segment per graph, header ``format`` 2)::
 
 The header carries everything needed to rebuild the graph on attach: node
 ids (or just ``n`` when ids are ``0..n-1``), the label table, and the name,
-dtype and shape of each array present (format 1 stored a flat length and
-had no presence arrays); array offsets are derived deterministically from
-that, so :meth:`SharedCSRGraph.attach` needs only the segment *name*.
+dtype and shape of each array present, graph arrays first, then columns
+under ``column:<name>`` (format 1 stored a flat length and had no presence
+arrays); array offsets are derived deterministically from that, so
+:meth:`SharedCSRGraph.attach` needs only the segment *name*.
 
 **Naming and cleanup contract** (tested in ``tests/test_shared_memory.py``):
 
@@ -45,7 +51,7 @@ import pickle
 import secrets
 import threading
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +76,9 @@ _ARRAY_FIELDS = (
 
 _LABEL_BITS_FIELDS = ("child_label_bits", "parent_label_bits")
 """``CSRGraph.label_presence()``, appended when the graph has computed it."""
+
+_COLUMN_PREFIX = "column:"
+"""Header name prefix of a caller-supplied column (never a graph array)."""
 
 #: Owner handles still open in this process, for the atexit sweep.
 _OWNED: Dict[str, "SharedCSRGraph"] = {}
@@ -141,7 +150,8 @@ class SharedCSRGraph:
     Obtain one from :meth:`CSRGraph.to_shared` (creates and owns the
     segment) or :meth:`CSRGraph.from_shared` / :meth:`SharedCSRGraph.attach`
     (attaches by name).  ``.graph`` materialises a :class:`CSRGraph` whose
-    numpy arrays are read-only views of the shared pages — no copy.
+    numpy arrays are read-only views of the shared pages — no copy — and
+    ``.columns`` the named columns published beside it, the same way.
 
     Handles pickle as ``(name,)``: the unpickled copy is a non-owning
     attachment, which is exactly what worker processes need.
@@ -156,6 +166,7 @@ class SharedCSRGraph:
         self._owner_pid = os.getpid() if owner else -1
         self._segment = segment
         self._graph: Optional["CSRGraph"] = None
+        self._columns: Dict[str, np.ndarray] = {}
         self._closed = False
         if segment is not None:
             _ATTACHED[name] = _ATTACHED.get(name, 0) + 1
@@ -164,11 +175,18 @@ class SharedCSRGraph:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def create(cls, graph: "CSRGraph", name: Optional[str] = None) -> "SharedCSRGraph":
-        """Export ``graph``'s arrays into a fresh owned segment."""
+    def create(
+        cls,
+        graph: "CSRGraph",
+        name: Optional[str] = None,
+        columns: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> "SharedCSRGraph":
+        """Export ``graph``'s arrays, and ``columns`` beside them, into a fresh owned segment."""
         arrays = {field: np.ascontiguousarray(getattr(graph, "_" + field)) for field in _ARRAY_FIELDS}
         if graph._label_bits is not None:
             arrays.update(zip(_LABEL_BITS_FIELDS, map(np.ascontiguousarray, graph._label_bits)))
+        for column, array in (columns or {}).items():
+            arrays[_COLUMN_PREFIX + column] = np.ascontiguousarray(array)
         ids = graph._ids
         header = {
             "format": 2,
@@ -231,10 +249,19 @@ class SharedCSRGraph:
     @property
     def graph(self) -> "CSRGraph":
         """The shared graph; arrays are read-only views of the segment."""
+        self._ensure_materialized()
+        return self._graph
+
+    @property
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The columns published beside the graph, as read-only views by name."""
+        self._ensure_materialized()
+        return self._columns
+
+    def _ensure_materialized(self) -> None:
         if self._graph is None:
             self._ensure_attached()
             self._graph = self._materialize()
-        return self._graph
 
     def _materialize(self) -> "CSRGraph":
         from repro.graph.csr import CSRGraph
@@ -252,6 +279,11 @@ class SharedCSRGraph:
             ).reshape(shape)
             view.flags.writeable = False
             arrays[field] = view
+        self._columns = {
+            field[len(_COLUMN_PREFIX) :]: view
+            for field, view in arrays.items()
+            if field.startswith(_COLUMN_PREFIX)
+        }
         ids = header["ids"]
         if isinstance(ids, int):
             ids = list(range(ids))
@@ -287,6 +319,7 @@ class SharedCSRGraph:
             return
         self._closed = True
         self._graph = None
+        self._columns = {}
         segment, self._segment = self._segment, None
         if segment is None:
             return
@@ -341,6 +374,7 @@ class SharedCSRGraph:
         self._owner_pid = -1
         self._segment = None
         self._graph = None
+        self._columns = {}
         self._closed = False
 
     def _ensure_attached(self) -> None:

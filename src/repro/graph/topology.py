@@ -11,10 +11,13 @@ endpoints is pruned, Lemma 5(2)).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import DiGraph, NodeId
+
+if TYPE_CHECKING:  # pragma: no cover - numpy is optional at import time
+    import numpy as np
 
 
 def topological_sort(graph: DiGraph) -> List[NodeId]:
@@ -111,11 +114,18 @@ class TopologicalRankIndex:
     ``(v.d * v.r) / (L * D)`` where ``L`` is the maximum rank and ``D`` the
     maximum degree in the graph.  This index bundles the three quantities so
     callers cannot accidentally mix ranks computed on different graphs.
+
+    Built on a ``DiGraph`` (or :meth:`from_parts`) the ranks are a node-keyed
+    dict.  Built :meth:`from_mirror` they are one column aligned with the
+    rows of a CSR mirror of the DAG, read through a flat ``memoryview``; the
+    dict behind :meth:`ranks` is then made per call, and the column is what
+    pickles and what publication places in shared memory.
     """
 
     def __init__(self, graph: DiGraph):
         self._graph = graph
-        self._ranks = topological_ranks(graph)
+        self._ranks: Optional[Dict[NodeId, int]] = topological_ranks(graph)
+        self._column = None
         self._max_rank = max(self._ranks.values()) if self._ranks else 0
         self._max_degree = graph.max_degree()
 
@@ -137,29 +147,46 @@ class TopologicalRankIndex:
         index = cls.__new__(cls)
         index._graph = graph
         index._ranks = ranks
+        index._column = None
         index._max_rank = max_rank
         index._max_degree = max_degree
         return index
 
     @classmethod
-    def from_mirror(cls, graph: DiGraph, mirror) -> "TopologicalRankIndex":
-        """The index of ``graph`` read off its CSR ``mirror`` in array passes.
+    def from_mirror(cls, mirror) -> "TopologicalRankIndex":
+        """The index of the DAG that the :class:`CSRGraph` ``mirror`` holds.
 
-        ``mirror`` holds the same nodes (same order) and edges as ``graph``;
-        ranks come from :func:`csr_topological_ranks` and ``D`` from the
-        mirror's degree column, so ``graph`` itself is never walked.
+        Ranks come from :func:`csr_topological_ranks` and ``D`` from the
+        mirror's degree column; nothing is walked node by node.
         """
-        ranks = csr_topological_ranks(mirror)
-        return cls.from_parts(
-            graph,
-            dict(zip(mirror.nodes(), ranks.tolist())),
-            int(ranks.max()) if ranks.shape[0] else 0,
-            mirror.max_degree(),
-        )
+        column = csr_topological_ranks(mirror)
+        max_rank = int(column.max()) if column.shape[0] else 0
+        index = cls.from_parts(mirror, None, max_rank, mirror.max_degree())
+        index._bind(column)
+        return index
+
+    def _bind(self, column) -> None:
+        """Serve ranks from ``column``, aligned with the rows of the mirror ``_graph``."""
+        self._column = column
+        self._rows: Dict[NodeId, int] = self._graph._index
+        self._column_view = memoryview(column)
+
+    def __getstate__(self):
+        return (self._graph, self._ranks, self._max_rank, self._max_degree, self._column)
+
+    def __setstate__(self, state) -> None:
+        self._graph, self._ranks, self._max_rank, self._max_degree, column = state
+        self._column = None
+        if column is not None:
+            self._bind(column)
+
+    def columns(self) -> Dict[str, "np.ndarray"]:
+        """The rank column by name (empty unless built :meth:`from_mirror`)."""
+        return {} if self._column is None else {"ranks": self._column}
 
     @property
-    def graph(self) -> DiGraph:
-        """The DAG this index was built for."""
+    def graph(self):
+        """The DAG this index was built for (its CSR mirror, :meth:`from_mirror`)."""
         return self._graph
 
     @property
@@ -174,11 +201,15 @@ class TopologicalRankIndex:
 
     def rank(self, node: NodeId) -> int:
         """``v.r`` of a node."""
-        return self._ranks[node]
+        if self._column is None:
+            return self._ranks[node]
+        return self._column_view[self._rows[node]]
 
     def ranks(self) -> Dict[NodeId, int]:
         """A copy of the full node → rank map."""
-        return dict(self._ranks)
+        if self._column is None:
+            return dict(self._ranks)
+        return dict(zip(self._graph.nodes(), self._column.tolist()))
 
     def selection_score(self, node: NodeId) -> float:
         """The greedy landmark score ``(v.d * v.r) / (L * D)``.
@@ -188,7 +219,7 @@ class TopologicalRankIndex:
         normalisation would divide by zero.
         """
         degree = self._graph.degree(node)
-        rank = self._ranks[node]
+        rank = self.rank(node)
         denominator = self._max_rank * self._max_degree
         if denominator == 0:
             return float(degree * rank)

@@ -95,6 +95,7 @@ CATALOG = {
     "prepare.freeze.seconds": ("histogram", "seconds", "repro.engine.prepared"),
     "prepare.compress.seconds": ("histogram", "seconds", "repro.engine.prepared"),
     "prepare.index.seconds": ("histogram", "seconds", "repro.engine.prepared"),
+    "prepare.thaw.seconds": ("histogram", "seconds", "repro.engine.prepared"),
     # incremental updates (repro/engine/prepared.py)
     "update.noop": ("counter", "updates", "repro.engine.prepared"),
     "update.fresh": ("counter", "updates", "repro.engine.prepared"),

@@ -12,13 +12,16 @@ as "the DAG ``G``" of Section 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.graph.components import Condensation, condensation, condensation_with_mirror
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.topology import TopologicalRankIndex
 from repro.graph.traversal import bidirectional_reachable
+
+if TYPE_CHECKING:  # pragma: no cover - numpy is optional at import time
+    import numpy as np
 
 
 @dataclass
@@ -27,10 +30,14 @@ class CompressedGraph:
 
     ``dag_csr`` is an optional compressed-sparse-row mirror of the condensed
     DAG, populated by :func:`compress` for every substrate but a plain
-    ``DiGraph``.  The index builder and the exact
-    oracle route their BFS sweeps through it; the mutable ``dag`` remains the
-    canonical structure (and the one all order-sensitive heuristics read), so
-    answers are identical with and without the mirror.
+    ``DiGraph``.  The index builder and the exact oracle route their BFS
+    sweeps through it.  On a ``CSRGraph`` substrate the mirror and the
+    columns beside it are all there is (an array-backed
+    :class:`~repro.graph.components.Condensation`): ``dag`` is then a
+    ``DiGraph`` materialised on first access, which prepare and query
+    answering never ask for — they read :attr:`dag_view`.  Otherwise the
+    mutable ``dag`` is the canonical structure and the one every
+    order-sensitive heuristic reads.  Answers are identical either way.
     """
 
     original: GraphLike
@@ -40,8 +47,21 @@ class CompressedGraph:
 
     @property
     def dag(self) -> DiGraph:
-        """The condensed DAG."""
+        """The condensed DAG as a mutable ``DiGraph`` (a thaw when array-backed)."""
         return self.condensation.dag
+
+    @property
+    def dag_view(self) -> GraphLike:
+        """The condensed DAG, read-only, neighbour order exact.
+
+        The mirror of an array-backed condensation (built from the same
+        sorted edge arrays the ``DiGraph`` would be), else ``dag``.
+        """
+        return self.dag_csr if self.condensation.array_backed else self.condensation.dag
+
+    def columns(self) -> Dict[str, "np.ndarray"]:
+        """Every backing column by name, for publication beside ``dag_csr``."""
+        return {**self.condensation.columns(), **self.ranks.columns()}
 
     def component_of(self, node: NodeId) -> int:
         """Component id hosting an original node."""
@@ -75,9 +95,9 @@ def compress(graph: GraphLike) -> CompressedGraph:
     This is the one place that decides whether the DAG gets a CSR mirror:
     every substrate but a plain :class:`DiGraph` does (numpy permitting).  A
     :class:`~repro.graph.csr.CSRGraph` is condensed and mirrored from the
-    same arrays; any other substrate (a ``MutableOverlay`` after updates) is
+    same arrays and stays array-backed; any other substrate (a ``MutableOverlay`` after updates) is
     condensed generically and its DAG frozen unordered.  With a mirror the
-    ranks are a level peel over it.  A ``DiGraph`` keeps the all-dict path —
+    ranks are a level peel over it, kept as one column.  A ``DiGraph`` keeps the all-dict path —
     the paper-figure timings, and the oracle the array passes are tested
     against.
     """
@@ -97,7 +117,7 @@ def compress(graph: GraphLike) -> CompressedGraph:
     if dag_csr is None:
         ranks = TopologicalRankIndex(condensed.dag)
     else:
-        ranks = TopologicalRankIndex.from_mirror(condensed.dag, dag_csr)
+        ranks = TopologicalRankIndex.from_mirror(dag_csr)
     return CompressedGraph(original=graph, condensation=condensed, ranks=ranks, dag_csr=dag_csr)
 
 

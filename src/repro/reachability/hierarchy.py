@@ -267,7 +267,7 @@ def build_index(
     if not 0 < alpha <= 1:
         raise IndexBuildError(f"alpha must be in (0, 1], got {alpha}")
     compressed = graph_or_compressed if isinstance(graph_or_compressed, CompressedGraph) else compress(graph_or_compressed)
-    dag = compressed.dag
+    dag = compressed.dag_view
     if reference_size is None:
         reference_size = compressed.original.size()
     size_budget = max(2, math.floor(alpha * reference_size))
@@ -318,13 +318,13 @@ def select_leaves(
     ``CondensationMaintainer``), skipping the key computation and sort —
     same numbers, same selection either way.
     """
-    dag = compressed.dag
+    dag = compressed.dag_view
     exclusion_radius = max(1, math.floor(2 / alpha)) if alpha < 1 else 1
     num_leaves = max(1, min(size_budget // 2, dag.num_nodes()))
     if ordered is None:
         # Weight the greedy score by SCC size: a component node stands for
         # all of its original members, so it covers proportionally more pairs.
-        members = compressed.condensation.members
+        size_of = compressed.condensation.size_of
         mirror = _mirror_of(dag, compressed.dag_csr)
         if mirror is None:
             return greedy_landmarks(
@@ -332,13 +332,13 @@ def select_leaves(
                 compressed.ranks,
                 num_leaves,
                 exclusion_radius,
-                weights={component: float(len(nodes)) for component, nodes in members.items()},
+                weights={component: float(size_of(component)) for component in dag.nodes()},
             )
         # Same keys as the sort inside ``greedy_landmarks``, with every
         # degree read off the mirror's column instead of ``dag.degree``.
         rank_of = compressed.ranks.rank
         keys = {
-            node: selection_sort_key(node, degree, rank_of(node), float(len(members[node])))
+            node: selection_sort_key(node, degree, rank_of(node), float(size_of(node)))
             for node, degree in zip(mirror.nodes(), mirror.degrees().tolist())
         }
         ordered = sorted(keys, key=keys.__getitem__)
@@ -361,7 +361,6 @@ def assemble_index(
     equal inputs guarantee an identical index.
     """
     compressed = index.compressed
-    dag = compressed.dag
     alpha = index.alpha
     size_budget = index.size_budget
     index.cover_parts = cover_parts
@@ -374,7 +373,7 @@ def assemble_index(
 
     # --- arrange landmarks into levels (subsets moved up) ---------------- #
     shrink = max(2, exclusion_radius)
-    depth_cap = max_levels if max_levels is not None else max(1, math.floor(math.log(max(dag.num_nodes(), 2), shrink)) + 1)
+    depth_cap = max_levels if max_levels is not None else max(1, math.floor(math.log(max(compressed.dag_view.num_nodes(), 2), shrink)) + 1)
     levels: List[List[NodeId]] = [list(leaves)]
     current = list(leaves)
     while len(current) > 2 and len(levels) < depth_cap:

@@ -63,6 +63,10 @@ def greedy_landmarks(
     ``ordered`` optionally supplies the full candidate list already sorted
     by :func:`selection_sort_key` (descending), skipping the sort entirely.
 
+    ``dag`` may be the CSR mirror of an array-backed condensation: the
+    exclusion walk then runs over its rows, children then parents in stored
+    order — on a DAG exactly what ``DiGraph.neighbors`` iterates.
+
     The returned list is ordered by decreasing greedy score.
     """
     if count <= 0:
@@ -82,6 +86,8 @@ def greedy_landmarks(
             )
 
         ordered = sorted(pool, key=sort_key)
+    if hasattr(dag, "neighbor_indices"):
+        return _greedy_walk_csr(dag, ordered, count, exclusion_radius)
     excluded: Set[NodeId] = set()
     selected: List[NodeId] = []
     for node in ordered:
@@ -97,6 +103,27 @@ def greedy_landmarks(
                 break
             if neighbor not in excluded:
                 excluded.add(neighbor)
+                removed += 1
+    return selected
+
+
+def _greedy_walk_csr(mirror, ordered: Sequence[NodeId], count: int, exclusion_radius: int) -> List[NodeId]:
+    """The selection loop of :func:`greedy_landmarks` in the row space of a CSR DAG."""
+    excluded = bytearray(mirror.num_nodes())
+    selected: List[NodeId] = []
+    for node, row in zip(ordered, map(mirror.index_of, ordered)):
+        if len(selected) >= count:
+            break
+        if excluded[row]:
+            continue
+        selected.append(node)
+        excluded[row] = 1
+        removed = 0
+        for neighbor in mirror.neighbor_indices(row).tolist():
+            if removed >= exclusion_radius:
+                break
+            if not excluded[neighbor]:
+                excluded[neighbor] = 1
                 removed += 1
     return selected
 

@@ -164,8 +164,22 @@ class CondensationMaintainer:
         self._selection_dirty: Set[int] = set()
 
     @classmethod
-    def from_fresh(cls, graph: GraphLike, condensation: Condensation) -> "CondensationMaintainer":
-        """Bootstrap the maintainer from a just-computed condensation."""
+    def from_fresh(
+        cls,
+        graph: GraphLike,
+        condensation: Condensation,
+        rank_index: Optional[TopologicalRankIndex] = None,
+        dag_csr=None,
+    ) -> "CondensationMaintainer":
+        """Bootstrap the maintainer from a just-computed condensation.
+
+        An array-backed condensation is thawed first: the maintainer owns
+        (and mutates) containers, never the columns.  ``rank_index`` and
+        ``dag_csr`` hand over the fresh compression's ranks and DAG mirror;
+        the rank and degree maps are then read off their columns instead of
+        a Kahn pass and one ``dag.degree`` per component.
+        """
+        condensation = condensation.thaw()
         membership = condensation.membership
         multiplicity: Dict[DagEdge, int] = {}
         for source, target in graph.edges():
@@ -173,8 +187,12 @@ class CondensationMaintainer:
             if edge[0] != edge[1]:
                 multiplicity[edge] = multiplicity.get(edge, 0) + 1
         dag = condensation.dag
-        rank_index = TopologicalRankIndex(dag)
-        degrees = {node: dag.degree(node) for node in dag.nodes()}
+        if rank_index is None:
+            rank_index = TopologicalRankIndex(dag)
+        if dag_csr is None:
+            degrees = {node: dag.degree(node) for node in dag.nodes()}
+        else:
+            degrees = dict(zip(dag_csr.nodes(), dag_csr.degrees().tolist()))
         return cls(condensation, rank_index, multiplicity, degrees)
 
     def dag_mirror(self):

@@ -267,6 +267,63 @@ class TestSharedSummaries:
             assert engine.daemon_pool().restarts == 0
 
 
+class TestSharedCompression:
+    """Workers read the condensation and the ranks out of the DAG mirror's segment."""
+
+    def test_reach_and_pattern_parity_across_the_thaw(self, graph, queries):
+        """Columns before the first ``update``; thaw → patched containers → republish after."""
+        from repro import obs
+        from repro.engine.queries import PatternQuery
+        from repro.workloads.queries import generate_pattern_workload
+
+        workload = generate_pattern_workload(graph, shape=(4, 6), count=6, seed=4)
+        patterns = [PatternQuery(query.pattern, query.personalized_match) for query in workload]
+        nodes = list(graph.nodes())
+
+        def signatures(answers):
+            return [
+                (a.reachable, a.visited, a.met_at, a.exhausted)
+                if hasattr(a, "reachable")
+                else (frozenset(a.answer), a.subgraph_size)
+                for a in answers
+            ]
+
+        def assert_parity(engine):
+            batch = queries + patterns
+            serial = engine.answer_batch(batch, ALPHA)
+            daemon = engine.answer_batch(batch, ALPHA, executor="daemon", workers=2)
+            assert signatures(daemon) == signatures(serial)
+
+        def thaws():
+            return obs.snapshot()["histograms"].get("prepare.thaw.seconds", {}).get("count", 0)
+
+        thaws_before = thaws()
+        with QueryEngine(graph, cache_size=0) as engine:
+            assert_parity(engine)
+            assert engine.prepared.compressed().condensation.array_backed
+            pool = engine.daemon_pool()
+            segments = pool.segment_names()
+            column_payload = obs.snapshot()["gauges"]["daemon.payload.bytes"]
+            assert thaws() == thaws_before  # serving reads never thaw
+
+            delta = GraphDelta()
+            for source, target in zip(nodes[:6], nodes[1:7]):
+                delta.add_edge(source, target)
+            assert engine.update(delta).mode == "patched"
+            assert thaws() == thaws_before + 1
+            assert not engine.prepared.compressed().condensation.array_backed
+            assert_parity(engine)  # republished: the patched containers travel pickled
+            assert obs.snapshot()["gauges"]["daemon.payload.bytes"] > column_payload
+            segments += pool.segment_names()
+
+            assert engine.update(GraphDelta().add_edge(nodes[8], nodes[2])).mode == "patched"
+            assert thaws() == thaws_before + 1  # the maintainer owns the containers now
+            assert_parity(engine)
+            segments += pool.segment_names()
+            assert pool.restarts == 0
+        assert not any(os.path.exists(os.path.join("/dev/shm", name)) for name in segments)
+
+
 class TestDaemonExecutor:
     def test_registered_in_executor_registry(self):
         runner = make_executor("daemon", workers=2)

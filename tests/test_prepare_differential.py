@@ -2,15 +2,21 @@
 
 ``tests/prepare_oracle.py`` freezes the element-by-element prepare the array
 passes replaced.  Both must produce the same objects: every CSR array of the
-frozen graph, the condensation's ``membership``/``members``, the DAG's labels
-and both neighbour *orders*, the DAG mirror's arrays, ranks with ``L`` and
-``D``, the selected leaves in order, every field of the landmark index — and
-therefore the same ``RBReach`` answers, visit counts included.
+frozen graph, the DAG mirror's arrays, ranks with ``L`` and ``D``, the
+selected leaves in order, every field of the landmark index — and therefore
+the same ``RBReach`` answers, visit counts included.  The condensation and
+the ranks of a ``CSRGraph`` are array-backed: ``component_of``, ``size_of``
+and ``rank`` must agree with the oracle's containers for every node while no
+container exists, and the containers thawed afterwards (``membership``,
+``members``, the DAG's labels and both neighbour *orders*, ``ranks()``) must
+equal the oracle's.
 
 The count gate at the bottom is the deterministic stand-in for a timing floor
 (timing is not bounded on this host): preparing REACH on a ``CSRGraph`` may
 not insert a DAG edge one at a time, ask a ``DiGraph`` for a degree, freeze
-anything twice or extract a landmark's bits with a per-landmark call.
+anything twice or extract a landmark's bits with a per-landmark call — and,
+with a read-only reach batch on top, may not build a ``DiGraph`` or touch
+``membership``/``members`` at all.
 """
 
 import random
@@ -32,9 +38,11 @@ from prepare_oracle import (
     oracle_strongly_connected_components,
     oracle_topological_ranks,
 )
+from repro.engine import QueryEngine, ReachQuery
 from repro.engine.prepared import PreparedGraph
+from repro.exceptions import NodeNotFoundError
 from repro.graph import kernels
-from repro.graph.components import condensation, strongly_connected_components
+from repro.graph.components import Condensation, condensation, strongly_connected_components
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import community_graph
@@ -51,6 +59,7 @@ from repro.reachability.landmarks import out_of_index_labels
 from repro.reachability.rbreach import RBReach
 from repro.shard.partition import partition_graph
 from repro.shard.shards import build_shards
+from repro.updates.delta import GraphDelta
 from repro.workloads.datasets import load_dataset
 
 ALPHAS = (0.02, 0.2, 1.0)
@@ -145,15 +154,52 @@ def assert_same_dag(actual: DiGraph, expected: DiGraph) -> None:
     actual.validate()
 
 
-def assert_same_compression(actual, expected) -> None:
-    assert actual.condensation.membership == expected.condensation.membership
-    assert actual.condensation.members == expected.condensation.members
+def assert_same_condensation(actual: Condensation, expected: Condensation) -> None:
+    """Array-backed accessors first, then the containers they thaw into."""
+    assert actual.array_backed and not expected.array_backed
+    assert (actual._dag, actual._membership, actual._members) == (None, None, None)
+    for node, component in expected.membership.items():
+        assert actual.component_of(node) == component
+        assert type(actual.component_of(node)) is int
+    for component, nodes in expected.members.items():
+        assert actual.size_of(component) == len(nodes)
+        assert type(actual.size_of(component)) is int
+    with pytest.raises(NodeNotFoundError):
+        actual.component_of("no such node")
+    assert (actual._dag, actual._membership, actual._members) == (None, None, None)
+
+    assert actual.membership == expected.membership
+    assert actual.members == expected.members
     assert_same_dag(actual.dag, expected.dag)
-    assert_same_csr(actual.dag_csr, expected.dag_csr)
-    assert actual.ranks.ranks() == expected.ranks.ranks()
+    assert actual.membership is actual.membership and actual.dag is actual.dag  # made once
+
+    # A thaw moves the containers out; the columns still describe the snapshot.
+    thawed = actual.thaw()
+    assert not thawed.array_backed and thawed.thaw() is thawed and actual.array_backed
+    assert thawed.membership == expected.membership and thawed.members == expected.members
+    assert_same_dag(thawed.dag, expected.dag)
+    assert actual.members == expected.members and actual.members is not thawed.members
+    for node, component in expected.membership.items():
+        assert actual.component_of(node) == thawed.component_of(node) == component
+        assert thawed.size_of(component) == actual.size_of(component)
+
+
+def assert_same_compression(actual, expected) -> None:
+    assert actual.dag_view is actual.dag_csr and actual.ranks.graph is actual.dag_csr
+    expected_ranks = expected.ranks.ranks()
+    for component, rank in expected_ranks.items():
+        assert actual.ranks.rank(component) == rank
+        assert type(actual.ranks.rank(component)) is int
+    for node in expected.original.nodes():
+        assert actual.rank_of(node) == expected.rank_of(node)
+    assert actual.ranks.ranks() == expected_ranks
     assert actual.ranks.max_rank == expected.ranks.max_rank
     assert actual.ranks.max_degree == expected.ranks.max_degree
-    assert actual.ranks.graph is actual.dag
+    for component in expected_ranks:
+        assert actual.ranks.selection_score(component) == expected.ranks.selection_score(component)
+    assert actual.compression_ratio() == expected.compression_ratio()
+    assert_same_csr(actual.dag_csr, expected.dag_csr)
+    assert_same_condensation(actual.condensation, expected.condensation)
 
 
 def assert_same_index(actual: HierarchicalLandmarkIndex, expected: HierarchicalLandmarkIndex) -> None:
@@ -185,16 +231,13 @@ def check_prepared_csr(frozen, frozen_oracle, alphas, reference_size=None, pair_
     assert strongly_connected_components(frozen) == oracle_strongly_connected_components(
         frozen_oracle
     )
-    condensed = condensation(frozen)
-    condensed_oracle = oracle_condensation(frozen_oracle)
-    assert condensed.membership == condensed_oracle.membership
-    assert condensed.members == condensed_oracle.members
-    assert_same_dag(condensed.dag, condensed_oracle.dag)
+    assert_same_condensation(condensation(frozen), oracle_condensation(frozen_oracle))
 
     compressed, compressed_oracle = compress(frozen), oracle_compress(frozen_oracle)
     assert_same_compression(compressed, compressed_oracle)
+    compressed = compress(frozen)  # the stages below run on columns nobody thawed
     ranks = csr_topological_ranks(compressed.dag_csr)
-    assert dict(zip(compressed.dag.nodes(), ranks.tolist())) == oracle_topological_ranks(
+    assert dict(zip(compressed.dag_csr.nodes(), ranks.tolist())) == oracle_topological_ranks(
         compressed_oracle.dag
     )
 
@@ -213,10 +256,12 @@ def check_prepared_csr(frozen, frozen_oracle, alphas, reference_size=None, pair_
         # A cap small enough that the ``first_landmarks_hit`` fallback runs.
         for cap in (1, 2):
             assert out_of_index_labels(
-                compressed.dag, set(leaves), max_labels=cap, csr_dag=compressed.dag_csr
+                compressed.dag_view, set(leaves), max_labels=cap, csr_dag=compressed.dag_csr
             ) == oracle_out_of_index_labels_by_sweep(
                 compressed_oracle.dag, compressed_oracle.dag_csr, set(leaves), cap
             )
+    condensed = compressed.condensation
+    assert (condensed._dag, condensed._membership, condensed._members) == (None, None, None)
 
 
 # --------------------------------------------------------------------------- #
@@ -264,6 +309,8 @@ def test_overlay_substrate_gets_the_mirror_ranks_and_order():
     graph.remove_node(5)
     on_overlay, on_digraph = compress(overlay), compress(graph)
     assert on_digraph.dag_csr is None and on_overlay.dag_csr is not None
+    assert not on_overlay.condensation.array_backed and on_overlay.dag_view is on_overlay.dag
+    assert on_overlay.ranks.graph is on_overlay.dag_csr  # a rank column all the same
     assert on_overlay.condensation.membership == on_digraph.condensation.membership
     assert_same_dag(on_overlay.dag, on_digraph.dag)
     assert on_overlay.ranks.ranks() == on_digraph.ranks.ranks()
@@ -283,9 +330,9 @@ def test_youtube_at_the_benchmark_alpha():
     frozen, frozen_oracle = CSRGraph.from_digraph(graph), oracle_from_digraph(graph)
     assert_same_csr(frozen, frozen_oracle)
     compressed, compressed_oracle = compress(frozen), oracle_compress(frozen_oracle)
-    assert_same_compression(compressed, compressed_oracle)
     index = build_index(compressed, 0.02)
     assert index.num_landmarks() == 624
+    assert_same_compression(compressed, compressed_oracle)
     index_oracle = oracle_build_index(frozen_oracle, 0.02)
     assert_same_index(index, index_oracle)
     rng = random.Random(7)
@@ -383,6 +430,7 @@ def work_counts(monkeypatch):
 
     def counted(owner, name, wrap=lambda function: function):
         original = getattr(owner, name)
+        original = getattr(original, "fget", original)  # a property: count its reads
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -398,6 +446,9 @@ def work_counts(monkeypatch):
     counted(kernels, "reach_batch")
     # ``getattr`` already bound the classmethod to ``CSRGraph``.
     counted(CSRGraph, "from_digraph", wrap=staticmethod)
+    counted(DiGraph, "__init__")
+    for name in ("dag", "membership", "members"):
+        counted(Condensation, name, wrap=property)
     return counts
 
 
@@ -430,8 +481,33 @@ def test_work_gate_per_pass(work_counts):
     compressed = compress(CSRGraph.from_digraph(make_graph(400, "random", "shuffled", seed=4)))
     leaves = select_leaves(compressed, 0.05, 60)
     work_counts.clear()
-    _cover_statistics(compressed.dag, leaves, csr_dag=compressed.dag_csr)
+    _cover_statistics(compressed.dag_view, leaves, csr_dag=compressed.dag_csr)
     assert work_counts["reach_batch"] == 2
-    out_of_index_labels(compressed.dag, set(leaves), max_labels=30, csr_dag=compressed.dag_csr)
+    out_of_index_labels(compressed.dag_view, set(leaves), max_labels=30, csr_dag=compressed.dag_csr)
     assert work_counts["reach_batch"] == 4
     assert {name: work_counts[name] for name in GATED_TO_ZERO} == dict.fromkeys(GATED_TO_ZERO, 0)
+
+
+NO_CONTAINERS = ("__init__", "dag", "membership", "members")
+
+
+def test_work_gate_fresh_csr_prepare_and_reach_batch_build_no_container(work_counts):
+    """A read-only service never asks for what only an update needs."""
+    graph = make_graph(400, "giant_scc", "strings", seed=9)
+    frozen = CSRGraph.from_digraph(graph)
+    rng = random.Random(9)
+    nodes = list(graph.nodes())
+    queries = [ReachQuery(rng.choice(nodes), rng.choice(nodes)) for _ in range(200)]
+    work_counts.clear()
+    with QueryEngine(frozen, cache_size=0) as engine:
+        engine.prepare(reach_alphas=[0.05])
+        report = engine.run_batch(queries, 0.05)
+    assert any(answer.reachable for answer in report.answers)
+    assert {name: work_counts[name] for name in NO_CONTAINERS} == dict.fromkeys(NO_CONTAINERS, 0)
+    # ... and the first patchable update is what thaws, once.
+    with QueryEngine(frozen, cache_size=0) as engine:
+        engine.prepare(reach_alphas=[0.05])
+        work_counts.clear()
+        engine.update(GraphDelta().add_edge(nodes[0], nodes[-1]))
+        assert (work_counts["dag"], work_counts["membership"], work_counts["members"]) != (0, 0, 0)
+        assert work_counts["__init__"] == 1  # the DAG; the overlay wraps the CSR, not a DiGraph

@@ -10,8 +10,9 @@ Three contracts under test:
   handles only detach, close is idempotent, attachments are refcounted,
   and a process that exits without closing is swept by ``atexit``;
 * **prepared-state publication** — ``SharedPreparedGraph.publish`` exports
-  every CSR substrate once, workers attach by name and answer
-  bit-identically to the parent's state.
+  every CSR substrate once — and, beside the DAG mirror, the columns behind
+  an array-backed condensation and its ranks — workers attach by name and
+  answer bit-identically to the parent's state.
 
 The session-scoped ``shm_leak_check`` fixture in ``conftest.py`` backs all
 of this up by failing the whole run if any test leaks a segment.
@@ -116,6 +117,32 @@ class TestRoundTrip:
                 with pytest.raises((ValueError, RuntimeError)):
                     arr[0] = 99
                 assert isinstance(arr, np.ndarray)
+
+
+    def test_columns_ride_beside_the_graph(self):
+        """Named columns publish in the graph's segment and attach as views of it."""
+        import numpy as np
+
+        graph = CSRGraph.from_digraph(random_graph(num_nodes=50, num_edges=100, seed=2))
+        columns = {
+            "wide": np.arange(50, dtype=np.int64) * 3,
+            "narrow": np.arange(7, dtype=np.uint8),
+            "empty": np.empty(0, dtype=np.int64),
+        }
+        with graph.to_shared(columns=columns) as handle:
+            assert handle.columns.keys() == columns.keys()  # the owner reads them back too
+            with SharedCSRGraph.attach(handle.name) as attached:
+                assert_same_graph(graph, attached.graph)
+                pages = np.frombuffer(attached._segment.buf, dtype=np.uint8)
+                assert list(attached.columns) == list(columns)
+                for name, column in columns.items():
+                    view = attached.columns[name]
+                    assert view.dtype == column.dtype and np.array_equal(view, column)
+                    assert not view.flags.writeable and not view.flags.owndata
+                    assert column.size == 0 or np.shares_memory(view, pages)
+                del pages, view
+        with graph.to_shared() as handle:
+            assert handle.columns == {}
 
 
 class TestNamingAndCleanup:
@@ -261,6 +288,71 @@ class TestSharedPreparedGraph:
                 for label in graph.distinct_labels():
                     assert index.has_child_label(node, label) == reference.has_child_label(node, label)
                     assert index.has_parent_label(node, label) == reference.has_parent_label(node, label)
+
+    def test_compression_attaches_as_views_of_the_mirror_segment(self):
+        """A fresh CSR prepare publishes columns: no DAG, membership or members travels."""
+        import numpy as np
+
+        graph = random_graph(num_nodes=300, num_edges=700, seed=5)
+        prepared = PreparedGraph(graph)
+        prepared.prepare(REACH, 0.2)
+        compressed = prepared.compressed()
+        assert compressed.condensation.array_backed
+        with publish_state(prepared) as handle:
+            for container in (b"DiGraph", b"digraph", b"membership", b"members"):
+                assert container not in handle._payload
+            mirror_segment = handle._segments["csr1"]._segment  # csr0 is the substrate
+            pages = np.frombuffer(mirror_segment.buf, dtype=np.uint8)
+            attached = handle.attach().compressed()
+            condensed = attached.condensation
+            assert condensed.array_backed and attached.dag_view is attached.dag_csr
+            assert (condensed._dag, condensed._membership, condensed._members) == (None, None, None)
+            columns = attached.columns()
+            assert sorted(columns) == ["compact", "member_offsets", "member_order", "ranks"]
+            for name, column in columns.items():
+                assert not column.flags.writeable and not column.flags.owndata, name
+                assert np.shares_memory(column, pages), name  # a view of the segment
+                assert np.array_equal(column, compressed.columns()[name]), name
+            assert condensed._compact_view.readonly and attached.ranks._column_view.readonly
+            assert np.shares_memory(np.asarray(condensed._compact_view), pages)
+            assert np.shares_memory(np.asarray(attached.ranks._column_view), pages)
+            for node in graph.nodes():
+                assert attached.component_of(node) == compressed.component_of(node)
+                assert attached.rank_of(node) == compressed.rank_of(node)
+            for component in compressed.dag_csr.nodes():
+                assert condensed.size_of(component) == compressed.condensation.size_of(component)
+            # A worker that does ask gets the same containers, thawed locally.
+            assert condensed.membership == compressed.condensation.membership
+            assert condensed.members == compressed.condensation.members
+            assert attached.ranks.ranks() == compressed.ranks.ranks()
+            del pages, columns, column, attached, condensed
+
+    def test_plain_pickle_keeps_the_columns_not_the_containers(self):
+        graph = CSRGraph.from_digraph(random_graph(num_nodes=120, num_edges=300, seed=6))
+        prepared = PreparedGraph(graph)
+        prepared.prepare(REACH, 0.2)
+        compressed = prepared.compressed()
+        assert compressed.dag.num_nodes() and compressed.condensation.membership  # thawed here: must not travel
+        payload = pickle.dumps(compressed)
+        assert b"DiGraph" not in payload
+        clone = pickle.loads(payload)
+        assert clone.condensation.array_backed and clone.condensation._dag is None
+        for node in graph.nodes():
+            assert clone.component_of(node) == compressed.component_of(node)
+            assert clone.rank_of(node) == compressed.rank_of(node)
+        assert clone.condensation.members == compressed.condensation.members
+
+    def test_youtube_payload_is_the_landmark_index_alone(self):
+        """The benchmark graph at its α: what is pickled fits 300 kB (it was 1.07 MB)."""
+        from repro.engine.queries import SUBGRAPH
+        from repro.workloads.datasets import load_dataset
+
+        prepared = PreparedGraph(load_dataset("youtube", seed=7))
+        for kind in (REACH, SIMULATION, SUBGRAPH):
+            prepared.prepare(kind, 0.02)
+        with publish_state(prepared) as handle:
+            assert handle.payload_bytes <= 300_000
+            assert b"DiGraph" not in handle._payload
 
     def test_reach_only_state_publishes_no_summaries(self):
         graph = random_graph(num_nodes=100, num_edges=300, seed=5)
