@@ -29,8 +29,10 @@ CI_GATES := lint test docs-check coverage bench-smoke bench-check
 
 .PHONY: test test-soak lint coverage bench-smoke bench bench-report bench-check bench-e2e docs-check ci nightly
 
+# --durations: the ten slowest tests in every log, so the tier-1 budget
+# (<=2 min, ROADMAP.md) is visible before it is broken.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 test-soak:
 	$(PYTHON) -m pytest tests -m slow_shm -q

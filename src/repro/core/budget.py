@@ -31,11 +31,18 @@ class ResourceBudget:
         ``|G|`` = nodes + edges of the queried graph.
     visit_coefficient:
         The coefficient ``c``: visits are capped at ``c * alpha * |G|``.
+
+    Nothing assigns the three after construction, so the two limits derived
+    from them are computed once: ``size_limit``, the maximum allowed
+    ``|G_Q|`` (at least 1 so a non-empty answer is possible), and
+    ``visit_limit``, the maximum number of data items that may be visited.
     """
 
     alpha: float
     graph_size: int
     visit_coefficient: float = 1.0
+    size_limit: int = field(init=False)
+    visit_limit: int = field(init=False)
     _visited: int = field(default=0, init=False)
     _stored: int = field(default=0, init=False)
 
@@ -46,19 +53,10 @@ class ResourceBudget:
             raise BudgetError("graph_size must be non-negative")
         if self.visit_coefficient <= 0:
             raise BudgetError("visit_coefficient must be positive")
-
-    # ------------------------------------------------------------------ #
-    # Limits
-    # ------------------------------------------------------------------ #
-    @property
-    def size_limit(self) -> int:
-        """Maximum allowed ``|G_Q|`` (at least 1 so a non-empty answer is possible)."""
-        return max(1, math.floor(self.alpha * self.graph_size))
-
-    @property
-    def visit_limit(self) -> int:
-        """Maximum number of data items that may be visited."""
-        return max(1, math.floor(self.visit_coefficient * self.alpha * self.graph_size))
+        self.size_limit = max(1, math.floor(self.alpha * self.graph_size))
+        self.visit_limit = max(
+            1, math.floor(self.visit_coefficient * self.alpha * self.graph_size)
+        )
 
     # ------------------------------------------------------------------ #
     # Charging

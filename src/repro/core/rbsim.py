@@ -179,9 +179,12 @@ class RBSim:
         resolved = self._resolve_personalized(pattern, personalized_match)
         if resolved is None:
             return PatternAnswer(answer=set(), subgraph=DiGraph())
-        # Leaf spans under the caller's ``executor.chunk``; one branch each when untraced.
-        with obs.span("reduction.search"):
+        # Leaf spans under the caller's ``executor.chunk``; one branch each when
+        # untraced, and one more to say what the search spent of its budget.
+        with obs.span("reduction.search") as span:
             reduction = self.reduce(pattern, resolved)
+            if span.attrs is not None:
+                span.attrs.update(reduction.spend())
         with obs.span("match.exact"):
             answer = match_in_subgraph(pattern, reduction.subgraph, resolved)
         return PatternAnswer(

@@ -106,9 +106,12 @@ class RBSub:
         """Algorithm ``RBSub``: reduce to ``G_Q`` and return the isomorphism answer."""
         if personalized_match not in self._graph:
             return PatternAnswer(answer=set(), subgraph=DiGraph())
-        # Leaf spans under the caller's ``executor.chunk``; one branch each when untraced.
-        with obs.span("reduction.search"):
+        # Leaf spans under the caller's ``executor.chunk``; one branch each when
+        # untraced, and one more to say what the search spent of its budget.
+        with obs.span("reduction.search") as span:
             reduction = self.reduce(pattern, personalized_match)
+            if span.attrs is not None:
+                span.attrs.update(reduction.spend())
         with obs.span("match.exact"):
             answer = isomorphic_answer_in_subgraph(
                 pattern,

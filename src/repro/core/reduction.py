@@ -28,7 +28,6 @@ from repro.core.budget import BudgetReport, ResourceBudget, snapshot
 from repro.core.weights import GuardedCondition, WeightEstimator
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
-from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.subgraph import SubgraphBuilder
 from repro.patterns.pattern import GraphPattern, QueryNodeId
 
@@ -49,13 +48,19 @@ class ReductionResult:
     passes: int = 1
     candidate_counts: Dict[QueryNodeId, int] = field(default_factory=dict)
 
+    def spend(self) -> Dict[str, int]:
+        """Budget spent versus budget allowed, as the ``reduction.search`` span carries it."""
+        budget = self.budget
+        return {
+            "passes": self.passes,
+            "stored": budget.stored,
+            "visited": budget.visited,
+            "size_limit": budget.size_limit,
+        }
+
 
 class DynamicReducer:
-    """Implements procedures ``Search`` and ``Pick`` of the paper (Fig. 3).
-
-    ``neighborhood_index`` is accepted for callers that still pass it and is
-    not used: the summaries reach the reduction through ``guard``.
-    """
+    """Implements procedures ``Search`` and ``Pick`` of the paper (Fig. 3)."""
 
     def __init__(
         self,
@@ -64,7 +69,6 @@ class DynamicReducer:
         personalized_match: NodeId,
         guard: GuardedCondition,
         budget: ResourceBudget,
-        neighborhood_index: Optional[NeighborhoodIndex] = None,
         initial_bound: int = 2,
         max_passes: int = 6,
         use_weights: bool = True,
@@ -83,9 +87,9 @@ class DynamicReducer:
         # subgraph of G_dQ(vp), so candidates farther than max_depth hops
         # (measured along the traversal) are never added.
         self._max_depth = max_depth if max_depth is not None else pattern.diameter()
-        # Owns the search's candidate table (``estimator.table``): a reducer
-        # runs one search, so the table lives exactly as long as its rows hold.
-        self._estimator = WeightEstimator(pattern, graph, guard)
+        # The flat state of the search (rows, ``in_gq``, costs): a reducer runs
+        # one search, so the state lives exactly as long as its rows hold.
+        self._estimator = WeightEstimator(pattern, graph, personalized_match, guard)
         # Query neighbours of each query node, tagged with the edge direction.
         self._incident = {
             node: [(child, True) for child in pattern.children(node)]
@@ -108,6 +112,7 @@ class DynamicReducer:
                 subgraph=builder.build(), budget=snapshot(self._budget), final_bound=bound, passes=0
             )
 
+        in_gq, budget, max_depth = self._estimator.in_gq, self._budget, self._max_depth
         terminate = False
         while not terminate and passes < self._max_passes:
             passes += 1
@@ -120,13 +125,14 @@ class DynamicReducer:
             while stack:
                 query_node, node, depth = stack.pop()
                 queued.discard((query_node, node))
-                added = self._add_to_subgraph(builder, node, query_node, candidate_counts)
-                if added:
+                if node not in in_gq and self._add_to_subgraph(
+                    builder, node, query_node, candidate_counts
+                ):
                     changed = True
-                if self._budget.storage_exhausted():
+                if budget.storage_exhausted():
                     terminate = True
                     break
-                if depth >= self._max_depth:
+                if depth >= max_depth:
                     continue
                 for neighbor_query, forward in self._incident[query_node]:
                     edge_key = (query_node, neighbor_query, node) if forward else (
@@ -137,13 +143,11 @@ class DynamicReducer:
                     if edge_key in expanded:
                         continue
                     expanded.add(edge_key)
-                    picked = self._pick(neighbor_query, node, builder, bound, queued)
-                    # Best candidate goes on top of the stack (pushed last).
-                    for candidate in reversed(picked):
-                        pair = (neighbor_query, candidate)
-                        if pair not in queued:
-                            stack.append((neighbor_query, candidate, depth + 1))
-                            queued.add(pair)
+                    # Best candidate goes on top of the stack (pushed last);
+                    # none of the picked is queued for this query node yet.
+                    for candidate in reversed(self._pick(neighbor_query, node, bound, queued)):
+                        stack.append((neighbor_query, candidate, depth + 1))
+                        queued.add((neighbor_query, candidate))
 
             if terminate:
                 break
@@ -167,7 +171,6 @@ class DynamicReducer:
         self,
         query_node: QueryNodeId,
         node: NodeId,
-        builder: SubgraphBuilder,
         bound: int,
         queued: Set[Tuple[QueryNodeId, NodeId]],
     ) -> List[NodeId]:
@@ -176,15 +179,15 @@ class DynamicReducer:
         Candidates must pass the guarded condition and not already be queued
         for the same query node; they are ranked by ``p/(c+1)``.  Every
         neighbour of ``node`` is charged as visited on every call; which of
-        them pass is read from the search's candidate table, so only the
-        ``queued`` filter and the weights (which move with ``G_Q``) are
-        recomputed when a later pass picks here again.
+        them pass is read from the search's state, so only the ``queued``
+        filter and the weights (which move with ``G_Q``) are recomputed when
+        a later pass picks here again.
         """
-        table = self._estimator.table
-        neighbors = table.adjacency(node).distinct
+        state = self._estimator
+        neighbors = state.distinct(node)
         self._budget.charge_visit(len(neighbors))
         if self._use_guard:
-            eligible = table.eligible(node, query_node)
+            eligible = state.eligible(node, query_node)
         elif query_node == self._pattern.personalized:
             # Ablation mode: only the label must match (up is matched by identity).
             eligible = [n for n in neighbors if n == self._vp]
@@ -192,14 +195,11 @@ class DynamicReducer:
             label = self._pattern.label_of(query_node)
             eligible = [n for n in neighbors if self._graph.label(n) == label]
         candidates = [n for n in eligible if (query_node, n) not in queued]
-        if self._use_weights:
-            weights = self._estimator.weights(candidates, query_node, builder.nodes())
-            scored = [
-                (weight, -order, candidate)
-                for order, (weight, candidate) in enumerate(zip(weights, candidates))
-            ]
-            scored.sort(reverse=True)
-            candidates = [entry[2] for entry in scored]
+        if self._use_weights and len(candidates) > 1:
+            # Best weight first; the sort is stable, so ties keep discovery order.
+            weights = [state.weight(candidate, query_node) for candidate in candidates]
+            ranked = sorted(range(len(candidates)), key=weights.__getitem__, reverse=True)
+            candidates = [candidates[position] for position in ranked]
         # Without weights (FIFO ablation) discovery order is the ranking.
         return candidates[: max(1, bound)]
 
@@ -213,45 +213,44 @@ class DynamicReducer:
         query_node: QueryNodeId,
         candidate_counts: Dict[QueryNodeId, int],
     ) -> bool:
-        """Add ``node`` (and its edges to existing ``G_Q`` nodes) within budget."""
-        is_new = node not in builder
-        if is_new:
-            if not self._budget.can_store(1):
-                return False
-            builder.add_node(node)
-            self._budget.charge_storage(1)
-            self._budget.charge_visit()
-            candidate_counts[query_node] = candidate_counts.get(query_node, 0) + 1
-            added_edges = 0
-            # Connect the new node to G_Q.  Iterate over whichever side is
-            # smaller (the node's adjacency or the current G_Q) so hub nodes
-            # with thousands of neighbours do not dominate the cost.
-            successors = self._graph.successors(node)
-            predecessors = self._graph.predecessors(node)
+        """Add a new ``node`` (and its edges to existing ``G_Q`` nodes) within budget."""
+        in_gq, budget = self._estimator.in_gq, self._budget
+        if not budget.can_store(1):
+            return False
+        builder.add_node(node)
+        budget.charge_storage(1)
+        budget.charge_visit()
+        candidate_counts[query_node] = candidate_counts.get(query_node, 0) + 1
+        scan = self._estimator.admit(node)
+        split = self._graph.out_degree(node)
+        children, parents = scan[:split], scan[split:]
+        # Connect the new node to G_Q.  Iterate over whichever side is
+        # smaller (the node's adjacency or the current G_Q) so hub nodes
+        # with thousands of neighbours do not dominate the cost.
+        if len(scan) > 2 * len(in_gq):
+            # The edges go in in the iteration order of this set, built the
+            # way the frozen oracle builds it.
             gq_nodes = builder.nodes()
-            if len(successors) + len(predecessors) > 2 * len(gq_nodes):
-                # The table row answers "adjacent at all?" with a set probe, so
-                # the per-side tests (array scans on CSR) run for neighbours only.
-                adjacent = self._estimator.table.adjacency(node).members
-                gq_nodes = [n for n in gq_nodes if n in adjacent]
-                out_targets = [n for n in gq_nodes if n in successors]
-                in_sources = [n for n in gq_nodes if n in predecessors]
-            else:
-                out_targets = [n for n in successors if n in builder]
-                in_sources = [n for n in predecessors if n in builder]
-            for target in out_targets:
-                if not builder.has_edge(node, target):
-                    if not self._budget.can_store(1):
-                        break
-                    builder.add_edge(node, target)
-                    self._budget.charge_storage(1)
-                    added_edges += 1
-            for source in in_sources:
-                if not builder.has_edge(source, node):
-                    if not self._budget.can_store(1):
-                        break
-                    builder.add_edge(source, node)
-                    self._budget.charge_storage(1)
-                    added_edges += 1
-            self._budget.charge_visit(added_edges)
-        return is_new
+            children, parents = set(children), set(parents)
+            out_targets = [n for n in gq_nodes if n in children]
+            in_sources = [n for n in gq_nodes if n in parents]
+        else:
+            out_targets = [n for n in children if n in in_gq]
+            in_sources = [n for n in parents if n in in_gq]
+        added_edges = 0
+        for target in out_targets:
+            if not builder.has_edge(node, target):
+                if not budget.can_store(1):
+                    break
+                builder.add_edge(node, target)
+                budget.charge_storage(1)
+                added_edges += 1
+        for source in in_sources:
+            if not builder.has_edge(source, node):
+                if not budget.can_store(1):
+                    break
+                builder.add_edge(source, node)
+                budget.charge_storage(1)
+                added_edges += 1
+        budget.charge_visit(added_edges)
+        return True

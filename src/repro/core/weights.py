@@ -22,24 +22,35 @@ with sufficient degree for every query neighbour.
 ``C(v, u)`` and the adjacency of ``v`` depend on ``G`` and ``Q`` alone, never
 on the evolving ``G_Q``, while ``Search`` restarts with a larger bound up to
 ``max_passes`` times and re-ranks the same neighbourhoods each time.
-:class:`CandidateTable` therefore derives them once per search;
-:class:`WeightEstimator` recomputes only the part that moves with ``G_Q``.
+:class:`WeightEstimator`, the flat state of one search, therefore loads each
+data node's row once, and updates ``c(v, u)`` the way the paper says,
+"dynamically": a node joining ``G_Q`` pushes what it can play to its
+neighbours, and nothing is recomputed from scratch per candidate.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Protocol, Sequence, Set, Tuple
+from collections import Counter
+from functools import reduce
+from itertools import chain, islice, repeat
+from operator import or_
+from typing import Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
 
 from repro.graph.digraph import NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.patterns.pattern import GraphPattern, QueryNodeId
 
-try:  # only the index-space row fill needs numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    np = None
+
+def _csr_of(graph: GraphLike):
+    """``graph`` when its columns can be read a slice at a time (a ``CSRGraph``), else ``None``."""
+    return graph if hasattr(graph, "neighbor_indices") else None
+
+
+def _label_key(csr, label):
+    """What a row of label keys holds for ``label``: its label-table row on a
+    ``CSRGraph`` (``None`` when no node carries it), else the label itself."""
+    return label if csr is None else csr.label_id(label)
 
 
 class GuardedCondition(Protocol):
@@ -72,12 +83,12 @@ class _BaseGuard:
         self._vp = personalized_match
         self._index = index
         self._cache: Dict[tuple, bool] = {}
-        # The graph whose array indices :meth:`passing` accepts: ``graph`` when
-        # it is a ``CSRGraph``, else ``None`` (a ``DiGraph`` or an overlay is
-        # asked node by node through ``check``).
-        self.index_graph = graph if hasattr(graph, "neighbor_indices") else None
-        self._label_lookups: Dict[Tuple[QueryNodeId, ...], tuple] = {}
+        # On a ``CSRGraph`` labels and degrees of a neighbour slice are read
+        # from its columns; a ``DiGraph`` or an overlay is asked node by node.
+        self._csr = _csr_of(graph)
         self._vp_sides: Dict[bool, FrozenSet[NodeId]] = {}
+        # What each query node asks of its neighbourhood, compiled once per guard.
+        self._needs: Dict[object, tuple] = {}
 
     def check(self, node: NodeId, query_node: QueryNodeId) -> bool:
         """Memoised evaluation of the guarded condition."""
@@ -90,55 +101,6 @@ class _BaseGuard:
 
     def _evaluate(self, node: NodeId, query_node: QueryNodeId) -> bool:
         raise NotImplementedError
-
-    def passing(self, indices, query_nodes: Tuple[QueryNodeId, ...]):
-        """Positions in ``indices`` (an array of ``index_graph`` node indices)
-        of the nodes satisfying ``C(·, u)`` for at least one ``u`` of ``query_nodes``.
-
-        One gather through a label lookup discards, for all of
-        ``query_nodes`` at once, every entry whose label none of them asks
-        for: most of a slice, and usually all of it.  Only the survivors
-        reach the exact, memoised :meth:`check`, each against the query
-        nodes that ask for its label.
-        """
-        graph = self.index_graph
-        wanted, askers = self._label_lookup(query_nodes)
-        labels = graph.label_ids_of(indices)
-        positions = wanted[labels].nonzero()[0]
-        if not positions.size:
-            return positions
-        check = self.check
-        passed = []
-        for position, node, row in zip(
-            positions.tolist(), graph.ids_of(indices[positions]), labels[positions].tolist()
-        ):
-            for query_node in askers[row]:
-                if check(node, query_node):
-                    passed.append(position)
-                    break
-        return np.array(passed, dtype=np.intp)
-
-    def _label_lookup(self, query_nodes: Tuple[QueryNodeId, ...]):
-        """``(wanted, askers)`` of one tuple of query nodes, by label-table row:
-        whether any of them asks for that label, and which of them do
-        (``up`` is matched by identity, so it asks for the label ``vp`` has)."""
-        lookup = self._label_lookups.get(query_nodes)
-        if lookup is None:
-            graph = self.index_graph
-            askers: Dict[int, List[QueryNodeId]] = {}
-            for query_node in query_nodes:
-                if query_node != self._pattern.personalized:
-                    row = graph.label_id(self._pattern.label_of(query_node))
-                elif self._vp in graph:
-                    row = graph.label_id(graph.label(self._vp))
-                else:
-                    row = None
-                if row is not None:
-                    askers.setdefault(row, []).append(query_node)
-            wanted = np.zeros(graph.num_labels(), dtype=bool)
-            wanted[list(askers)] = True
-            lookup = self._label_lookups[query_nodes] = (wanted, askers)
-        return lookup
 
     def _vp_side(self, children: bool) -> FrozenSet[NodeId]:
         """The children (resp. parents) of ``vp``, as a set built on first use."""
@@ -157,9 +119,6 @@ class _BaseGuard:
         if query_node == self._pattern.personalized:
             return node == self._vp
         return self._graph.label(node) == self._pattern.label_of(query_node)
-
-    def _query_label(self, query_node: QueryNodeId):
-        return self._pattern.label_of(query_node)
 
 
 class SimulationGuard(_BaseGuard):
@@ -182,7 +141,6 @@ class SimulationGuard(_BaseGuard):
         # Per query node: the labels its non-personalized parents/children
         # require, compiled once, and whether vp itself must be a parent/child.
         personalized = pattern.personalized
-        self._needs = {}
         for query_node in pattern.nodes():
             parents = pattern.parents(query_node)
             children = pattern.children(query_node)
@@ -223,48 +181,53 @@ class IsomorphismGuard(_BaseGuard):
         """Evaluate the degree-aware guarded condition."""
         if not self._label_matches(node, query_node):
             return False
-        if not self._degree_dominates(node, query_node):
+        children, parents = self._needs.get(query_node) or self._compile(query_node)
+        graph = self._graph
+        # Degree dominance first: it reads no neighbour.
+        if graph.out_degree(node) < children[0] or graph.in_degree(node) < parents[0]:
             return False
-        return self._side_satisfiable(node, query_node, children=True) and self._side_satisfiable(
-            node, query_node, children=False
-        )
+        for on_children, (_, vp_needed, requirements) in ((True, children), (False, parents)):
+            # The personalized neighbour must literally be vp.
+            if vp_needed and node not in self._vp_side(children=not on_children):
+                return False
+            if requirements and not self._satisfiable(
+                graph.successors(node) if on_children else graph.predecessors(node), requirements
+            ):
+                return False
+        return True
 
-    def _degree_dominates(self, node: NodeId, query_node: QueryNodeId) -> bool:
-        out_needed = len(self._pattern.children(query_node))
-        in_needed = len(self._pattern.parents(query_node))
-        return (
-            self._graph.out_degree(node) >= out_needed
-            and self._graph.in_degree(node) >= in_needed
-        )
+    def _compile(self, query_node: QueryNodeId):
+        """What ``query_node`` asks of the children and of the parents of a data
+        node, compiled once: how many there must be, whether ``vp`` must be one,
+        and per label key the degrees its query neighbours need, largest first."""
+        pattern = self._pattern
+        sides = []
+        for query_neighbors in (pattern.children(query_node), pattern.parents(query_node)):
+            requirements: Dict[object, List[int]] = {}
+            for neighbor_query in query_neighbors:
+                if neighbor_query != pattern.personalized:
+                    label = _label_key(self._csr, pattern.label_of(neighbor_query))
+                    requirements.setdefault(label, []).append(pattern.degree(neighbor_query))
+            for degrees_needed in requirements.values():
+                degrees_needed.sort(reverse=True)
+            sides.append((len(query_neighbors), pattern.personalized in query_neighbors, requirements))
+        needs = self._needs[query_node] = tuple(sides)
+        return needs
 
-    def _side_satisfiable(self, node: NodeId, query_node: QueryNodeId, children: bool) -> bool:
-        """Greedy distinct-assignment check for one direction."""
-        query_neighbors = (
-            self._pattern.children(query_node) if children else self._pattern.parents(query_node)
-        )
-        if not query_neighbors:
-            return True
-        requirements: Dict[object, List[int]] = {}
-        for neighbor_query in query_neighbors:
-            if neighbor_query == self._pattern.personalized:
-                # The personalized neighbour must literally be vp.
-                if node not in self._vp_side(children=not children):
-                    return False
-                continue
-            label = self._query_label(neighbor_query)
-            requirements.setdefault(label, []).append(self._pattern.degree(neighbor_query))
-        data_neighbors = (
-            self._graph.successors(node) if children else self._graph.predecessors(node)
-        )
+    def _satisfiable(self, side, requirements: Dict[object, List[int]]) -> bool:
+        """Greedy distinct-assignment check for one direction: the label keys
+        and ``d(·)`` of ``side`` are two column gathers on a ``CSRGraph``,
+        else one pass over the neighbours."""
+        csr, graph = self._csr, self._graph
+        if csr is not None:
+            labels = csr.label_ids_of(side.indices).tolist()
+            degrees = csr.degrees()[side.indices].tolist()
+        else:
+            side = list(side)
+            labels, degrees = list(map(graph.label, side)), list(map(graph.degree, side))
         for label, degrees_needed in requirements.items():
-            degrees_needed.sort(reverse=True)
             available = sorted(
-                (
-                    self._graph.degree(neighbor)
-                    for neighbor in data_neighbors
-                    if self._graph.label(neighbor) == label
-                ),
-                reverse=True,
+                (have for have, found in zip(degrees, labels) if found == label), reverse=True
             )
             if len(available) < len(degrees_needed):
                 return False
@@ -273,202 +236,215 @@ class IsomorphismGuard(_BaseGuard):
         return True
 
 
-class _Adjacency(NamedTuple):
-    """One data node's adjacency, materialised once per search."""
+class WeightEstimator:
+    """The flat state of one ``Search``: rows, role bits, ``c(v, u)`` and ``p(v, u)``.
 
-    scan: Tuple[NodeId, ...]  # children then parents; a node on both sides twice
-    distinct: Tuple[NodeId, ...]  # the same order, first occurrences only
-    members: FrozenSet[NodeId]
-    roles: FrozenSet[QueryNodeId]  # the query nodes u with C(node, u)
-
-
-class CandidateTable:
-    """What ``Search``/``Pick`` derive from ``G`` and ``Q`` alone, once per search.
-
-    Rows are filled on first use and kept until the search ends:
-
-    * per data node ``v``: :meth:`adjacency`, with the query nodes ``v``
-      satisfies ``C`` for;
-    * per ``(v, u)``: :meth:`eligible`, the neighbours of ``v`` that satisfy
-      ``C(·, u)`` (what ``Pick`` ranks), and :meth:`usable`, the entries
-      among the first ``max_scan`` neighbours of ``v`` that satisfy ``C`` for
-      some query neighbour of ``u`` (what ``p(v, u)`` counts).
-
-    None of it depends on ``G_Q``, so a restart with a larger bound reads the
-    rows the earlier passes filled.  When the guard answers whole CSR slices
-    (:attr:`_BaseGuard.index_graph` is this graph) the ``(v, u)`` rows are
-    filled in index space; on any other graph, or with a guard that only
-    has ``check``, the same rows are filled node by node.
+    * **Role bits.**  Query nodes are bit positions: the query neighbours of
+      ``u``, the query nodes asking for a label, and the *roles* of a data
+      node (the query nodes it satisfies ``C`` for) are ints.
+    * **Rows.**  What ``G`` says about a data node is loaded once: its scan
+      list (children then parents, a node on both sides twice) and, beside
+      it, which query nodes ask for the label of each entry.  A candidate
+      that is only *ranked* loads its first ``max_scan`` entries, all that
+      ``p(v, u)`` reads; the whole row is loaded when the node is expanded or
+      joins ``G_Q``.  Who can play what is decided on the row in list space,
+      and only an entry whose label is asked for reaches the exact, memoised
+      ``guard.check`` (which, being a necessary condition for a match,
+      implies the label test), once per search and query node.
+    * **Incremental cost.**  :meth:`admit` pushes the roles of the node
+      joining ``G_Q`` to the entries of its row, so ``c(v, u)`` is a popcount:
+      one node joining changes the cost of its neighbours and of nobody
+      else.  A member with more than ``max_scan`` entries is not pushed but
+      probed from its side, and the order-dependent capped scan is left for
+      a ``v`` with more than ``max_scan`` members around it.
     """
 
     def __init__(
         self,
         pattern: GraphPattern,
         graph: GraphLike,
+        personalized_match: NodeId,
         guard: GuardedCondition,
         max_scan: int = 64,
     ) -> None:
-        self._pattern = pattern
         self._graph = graph
-        self._guard = guard
+        self._csr = _csr_of(graph)
+        self._check = guard.check
         # Cap on how many neighbours are inspected per estimate.  The paper
         # notes the potential "can be extended by making use of sampling";
         # the cap bounds what one estimate reads without changing which
         # nodes are eligible (the guarded condition is still exact).
         self.max_scan = max(1, max_scan)
-        csr = getattr(guard, "index_graph", None)
-        self._csr = csr if csr is graph else None
-        self._adjacency: Dict[NodeId, _Adjacency] = {}
-        self._eligible: Dict[Tuple[NodeId, QueryNodeId], Tuple[NodeId, ...]] = {}
+        self.in_gq: Set[NodeId] = set()
+        self._query_nodes = tuple(pattern.nodes())
+        self._bit = {u: 1 << position for position, u in enumerate(self._query_nodes)}
+        self._needed = {
+            u: reduce(or_, (self._bit[neighbor] for neighbor in pattern.neighbors(u)), 0)
+            for u in self._query_nodes
+        }
+        # Label key -> the query nodes asking for it (``up`` is matched by
+        # identity, so it asks for the label ``vp`` has).
+        self._askers: Dict[object, int] = {}
+        for u, bit in self._bit.items():
+            if u != pattern.personalized:
+                key = _label_key(self._csr, pattern.label_of(u))
+            elif personalized_match in graph:
+                key = _label_key(self._csr, graph.label(personalized_match))
+            else:
+                continue
+            self._askers[key] = self._askers.get(key, 0) | bit
+        # Per data node: (scan, askers of each entry, whether that is the whole row).
+        self._rows: Dict[NodeId, Tuple[List[NodeId], List[int], bool]] = {}
+        self._distinct: Dict[NodeId, Dict[NodeId, int]] = {}
+        # Per data node: its roles as far as known, and the query nodes tried.
+        self._roles: Dict[NodeId, int] = {}
+        self._tried: Dict[NodeId, int] = {}
+        self._eligible: Dict[Tuple[NodeId, QueryNodeId], List[NodeId]] = {}
         self._usable: Dict[Tuple[NodeId, QueryNodeId], List[NodeId]] = {}
+        # What moves with G_Q, per data node: the roles of the members among
+        # the entries of its row, and how many entries those are.  Members too
+        # wide to push are kept aside: (roles, how often each entry occurs).
+        self._covered: Dict[NodeId, int] = {}
+        self._hits: Dict[NodeId, int] = {}
+        self._wide: List[Tuple[int, Counter]] = []
 
-    def adjacency(self, node: NodeId) -> _Adjacency:
-        """The full adjacency of ``node`` (scan order, de-duplicated, as a set) and its roles."""
-        row = self._adjacency.get(node)
-        if row is None:
-            row = self._adjacency[node] = self._materialise(node)
-        return row
-
-    def adjacencies(self, nodes) -> List[_Adjacency]:
-        """:meth:`adjacency` of every node of ``nodes``."""
-        rows = self._adjacency
-        return [rows.get(node) or self.adjacency(node) for node in nodes]
-
-    def _materialise(self, node: NodeId) -> _Adjacency:
-        scan = tuple(self._scan(node))
-        distinct = tuple(dict.fromkeys(scan))
-        check = self._guard.check
-        roles = frozenset(u for u in self._pattern.nodes() if check(node, u))
-        return _Adjacency(scan, distinct, frozenset(distinct), roles)
-
-    def eligible(self, node: NodeId, query_node: QueryNodeId) -> Tuple[NodeId, ...]:
-        """Distinct neighbours of ``node`` satisfying ``C(·, query_node)``, in scan order."""
-        key = (node, query_node)
-        row = self._eligible.get(key)
-        if row is None:
-            row = self._eligible[key] = tuple(dict.fromkeys(self._passing(node, (query_node,))))
-        return row
-
-    def usable(self, node: NodeId, query_node: QueryNodeId) -> List[NodeId]:
-        """Entries among the first ``max_scan`` neighbours of ``node`` (duplicates
-        kept) that could serve some query neighbour of ``query_node``."""
-        key = (node, query_node)
-        row = self._usable.get(key)
-        if row is None:
-            row = self._usable[key] = self._passing(
-                node, self._pattern.neighbors(query_node), self.max_scan
-            )
-        return row
-
-    def _scan(self, node: NodeId, limit: Optional[int] = None) -> Sequence[NodeId]:
-        """Children then parents of ``node``, at most ``limit`` of them."""
-        csr = self._csr
-        if csr is not None:
-            return csr.ids_of(csr.neighbor_indices(csr.index_of(node), limit))
-        both = chain(self._graph.successors(node), self._graph.predecessors(node))
-        return list(islice(both, limit))
-
-    def _passing(
-        self, node: NodeId, query_nodes: Tuple[QueryNodeId, ...], limit: Optional[int] = None
-    ) -> List[NodeId]:
-        """:meth:`_scan` filtered to the entries satisfying ``C(·, u)`` for some
-        ``u`` of ``query_nodes``: a whole slice at once in index space, else
-        node by node (over the materialised row when the scan is the full one)."""
+    # ------------------------------------------------------------------ #
+    # What depends on G and Q alone
+    # ------------------------------------------------------------------ #
+    def _load(self, node: NodeId, limit: Optional[int]) -> Tuple[List[NodeId], List[int], bool]:
+        """The first ``limit`` entries of the row of ``node`` (all when ``None``):
+        an index slice and a label gather on a ``CSRGraph``, else one pass
+        over each side."""
         csr = self._csr
         if csr is not None:
             indices = csr.neighbor_indices(csr.index_of(node), limit)
-            positions = self._guard.passing(indices, query_nodes)
-            return csr.ids_of(indices[positions]) if positions.size else []
-        check = self._guard.check
-        scan = self.adjacency(node).scan if limit is None else self._scan(node, limit)
-        return [n for n in scan if any(check(n, u) for u in query_nodes)]
+            scan, keys = csr.ids_of(indices), csr.label_ids_of(indices).tolist()
+        else:
+            graph = self._graph
+            scan = list(islice(chain(graph.successors(node), graph.predecessors(node)), limit))
+            keys = map(graph.label, scan)
+        askers = list(map(self._askers.get, keys, repeat(0)))
+        row = self._rows[node] = (scan, askers, limit is None or len(scan) < limit)
+        return row
 
+    def row(self, node: NodeId) -> List[NodeId]:
+        """The whole scan list of ``node``."""
+        row = self._rows.get(node)
+        if row is None or not row[2]:
+            row = self._load(node, None)
+        return row[0]
 
-class WeightEstimator:
-    """Dynamic cost / potential / weight bookkeeping for candidate selection.
+    def distinct(self, node: NodeId) -> Dict[NodeId, int]:
+        """The neighbours of ``node`` in scan order, first occurrences only (what
+        ``Pick`` charges and walks), each with the query nodes asking for its label."""
+        distinct = self._distinct.get(node)
+        if distinct is None:
+            scan = self.row(node)
+            distinct = self._distinct[node] = dict(zip(scan, self._rows[node][1]))
+        return distinct
 
-    The estimator is deliberately stateless with respect to ``G_Q``: it takes
-    the *current* set of nodes already added to ``G_Q`` at every call, so costs
-    shrink as the reduction makes progress (the paper updates ``c(v, u)`` and
-    ``p(v, u)`` dynamically for the same reason).  Everything that does not
-    move with ``G_Q`` is read from :attr:`table`.
-    """
+    def _plays(self, node: NodeId, mask: int, every: bool = False) -> int:
+        """The roles of ``node`` among the query nodes of ``mask`` (all asking
+        for its label): all of them, or just the first one found.  No
+        ``(node, query node)`` reaches the guard twice in one search."""
+        roles, tried = self._roles.get(node, 0), self._tried.get(node, 0)
+        untried = mask & ~tried
+        if untried and (every or not roles & mask):
+            check, query_nodes = self._check, self._query_nodes
+            while untried:
+                low = untried & -untried
+                untried ^= low
+                tried |= low
+                if check(node, query_nodes[low.bit_length() - 1]):
+                    roles |= low
+                    if not every:
+                        break
+            self._roles[node], self._tried[node] = roles, tried
+        return roles & mask
 
-    def __init__(
-        self,
-        pattern: GraphPattern,
-        graph: GraphLike,
-        guard: GuardedCondition,
-        max_scan: int = 64,
-    ) -> None:
-        self.table = CandidateTable(pattern, graph, guard, max_scan)
-        self._needed = {node: frozenset(pattern.neighbors(node)) for node in pattern.nodes()}
+    def eligible(self, node: NodeId, query_node: QueryNodeId) -> List[NodeId]:
+        """Distinct neighbours of ``node`` satisfying ``C(·, query_node)``, in scan order."""
+        key = (node, query_node)
+        eligible = self._eligible.get(key)
+        if eligible is None:
+            bit, plays = self._bit[query_node], self._plays
+            eligible = self._eligible[key] = [
+                neighbor
+                for neighbor, askers in self.distinct(node).items()
+                if askers & bit and plays(neighbor, bit)
+            ]
+        return eligible
 
-    def _offers(self, in_gq: Set[NodeId]) -> Optional[List[_Adjacency]]:
-        """The rows of the members of ``G_Q``: who their neighbours are and which
-        query nodes they can play.
+    def _usable_entries(self, node: NodeId, query_node: QueryNodeId) -> List[NodeId]:
+        """Entries among the first ``max_scan`` of the row of ``node`` (duplicates
+        kept) that could serve some query neighbour of ``query_node``."""
+        key = (node, query_node)
+        usable = self._usable.get(key)
+        if usable is None:
+            scan, asking, _ = self._rows.get(node) or self._load(node, self.max_scan)
+            needed, known, plays = self._needed[query_node], self._roles.get, self._plays
+            usable = self._usable[key] = [
+                neighbor
+                for neighbor, askers in islice(zip(scan, asking), self.max_scan)
+                if askers & needed and (known(neighbor, 0) & needed or plays(neighbor, askers & needed))
+            ]
+        return usable
 
-        ``None`` when ``G_Q`` has outgrown ``max_scan``: intersecting from its
-        side would then cost more than the capped scan it replaces.
+    # ------------------------------------------------------------------ #
+    # What moves with G_Q
+    # ------------------------------------------------------------------ #
+    def admit(self, node: NodeId) -> List[NodeId]:
+        """``node`` joins ``G_Q``: tell its neighbours what it can play.
+
+        Returns its scan list.  Each entry of the row of ``node`` is an entry
+        for ``node`` in that neighbour's row (a child here is a parent
+        there), so after the push ``hits[v]`` is how many entries of the row
+        of ``v`` are members of ``G_Q`` and ``covered[v]`` what they can play.
         """
-        if len(in_gq) > self.table.max_scan:
-            return None
-        return self.table.adjacencies(in_gq)
+        self.in_gq.add(node)
+        scan = self.row(node)
+        label = _label_key(self._csr, self._graph.label(node))
+        roles = self._plays(node, self._askers.get(label, 0), every=True)
+        if len(scan) > self.max_scan:
+            self._wide.append((roles, Counter(scan)))  # no O(deg) loop per hub
+        else:
+            covered, hits = self._covered, self._hits
+            for neighbor in scan:
+                covered[neighbor] = covered.get(neighbor, 0) | roles
+                hits[neighbor] = hits.get(neighbor, 0) + 1
+        return scan
 
-    def _missing(self, node: NodeId, needed, in_gq: Set[NodeId], offers) -> int:
-        """How many query nodes of ``needed`` no ``G_Q`` neighbour of ``node`` can play.
+    def cost(self, node: NodeId, query_node: QueryNodeId) -> int:
+        """``c(v, u)``: query neighbours of ``u`` with no candidate of ``v`` in ``G_Q``.
 
-        ``c(v, u)`` looks at the first ``max_scan`` neighbours of ``node`` that
-        are in ``G_Q``, in scan order, a neighbour on both sides counting
-        twice.  With ``offers`` that is O(|G_Q|) set probes, whatever the
-        degree of ``node``; the scan of its adjacency, O(deg) until
-        ``max_scan`` members are found, is left for when the cap may bite
-        (which members it keeps then depends on the order) or ``G_Q`` is large.
+        It looks at the first ``max_scan`` entries of the row of ``node`` that
+        are in ``G_Q``.  With no more than ``max_scan`` such entries it looks
+        at them all, so their pushed union is the answer; which ones the cap
+        keeps otherwise depends on the scan order.
         """
-        table = self.table
-        covered: Set[QueryNodeId] = set()
-        if offers is not None:
-            found = 0
-            for _, _, members, roles in offers:
-                if node in members:
+        covered, hits = self._covered.get(node, 0), self._hits.get(node, 0)
+        for roles, entries in self._wide:
+            times = entries.get(node)
+            if times:
+                covered |= roles
+                hits += times
+        if hits > self.max_scan:
+            covered, found, in_gq, roles_of = 0, 0, self.in_gq, self._roles
+            for neighbor in self.row(node):
+                if neighbor in in_gq:
+                    covered |= roles_of.get(neighbor, 0)
                     found += 1
-                    covered |= roles
-            if 2 * found <= table.max_scan:
-                return len(needed - covered)
-            covered.clear()
-        found = 0
-        for neighbor in table.adjacency(node).scan:
-            if neighbor in in_gq:
-                covered |= table.adjacency(neighbor).roles
-                found += 1
-                if found == table.max_scan:
-                    break
-        return len(needed - covered)
+                    if found == self.max_scan:
+                        break
+        return (self._needed[query_node] & ~covered).bit_count()
 
-    def cost(self, node: NodeId, query_node: QueryNodeId, in_gq: Set[NodeId]) -> int:
-        """``c(v, u)``: query neighbours of ``u`` with no candidate of ``v`` in ``G_Q``."""
-        return self._missing(node, self._needed[query_node], in_gq, self._offers(in_gq))
-
-    def potential(self, node: NodeId, query_node: QueryNodeId, in_gq: Set[NodeId]) -> int:
+    def potential(self, node: NodeId, query_node: QueryNodeId) -> int:
         """``p(v, u)``: neighbours of ``v`` outside ``G_Q`` usable for some query neighbour."""
-        usable = self.table.usable(node, query_node)
-        return len(usable) - sum(map(in_gq.__contains__, usable))
+        usable = self._usable_entries(node, query_node)
+        return len(usable) - sum(map(self.in_gq.__contains__, usable))
 
-    def weight(self, node: NodeId, query_node: QueryNodeId, in_gq: Set[NodeId]) -> float:
-        """The selection weight ``p / (c + 1)``."""
-        return self.weights((node,), query_node, in_gq)[0]
-
-    def weights(
-        self, nodes: Sequence[NodeId], query_node: QueryNodeId, in_gq: Set[NodeId]
-    ) -> List[float]:
-        """:meth:`weight` of every node of ``nodes`` against one state of ``G_Q``."""
-        needed = self._needed[query_node]
-        offers = self._offers(in_gq)
-        weights = []
-        for node in nodes:
-            potential = self.potential(node, query_node, in_gq)
-            if potential:
-                weights.append(potential / (self._missing(node, needed, in_gq, offers) + 1))
-            else:
-                weights.append(0.0)  # whatever the cost
-        return weights
+    def weight(self, node: NodeId, query_node: QueryNodeId) -> float:
+        """The selection weight ``p / (c + 1)`` against the current ``G_Q``."""
+        potential = self.potential(node, query_node)
+        # No potential: the weight is 0 whatever the cost.
+        return potential / (self.cost(node, query_node) + 1) if potential else 0.0

@@ -106,6 +106,11 @@ class _NeighborView:
         self._graph = graph
         self._arr = arr
 
+    @property
+    def indices(self) -> np.ndarray:
+        """The slice itself: node indices in stored order (read only)."""
+        return self._arr
+
     def __len__(self) -> int:
         return int(self._arr.shape[0])
 
@@ -159,6 +164,7 @@ class CSRGraph:
         "_index",
         "_identity",
         "_label_table",
+        "_label_rows",
         "_label_ids",
         "_succ_indptr",
         "_succ_indices",
@@ -189,6 +195,8 @@ class CSRGraph:
         # ``True == 1`` and ``1.0 == 1``: the type test keeps those out.
         self._identity = ids == list(range(len(ids))) and set(map(type, ids)) <= {int}
         self._label_table = label_table
+        # Label -> row, for ``label_id``; pickling carries it like every slot.
+        self._label_rows: Dict[Label, int] = {label: row for row, label in enumerate(label_table)}
         self._label_ids = label_ids
         self._succ_indptr = succ_indptr
         self._succ_indices = succ_indices
@@ -472,7 +480,7 @@ class CSRGraph:
 
     def label(self, node: NodeId) -> Label:
         """The label ``L(node)``."""
-        return self._label_table[int(self._label_ids[self.index_of(node)])]
+        return self._label_table[self._label_ids.item(self.index_of(node))]
 
     def labels(self) -> Mapping[NodeId, Label]:
         """Node → label mapping (a fresh dict, like :meth:`DiGraph.labels`)."""
@@ -494,10 +502,12 @@ class CSRGraph:
     # GraphLike: adjacency and degrees
     # ------------------------------------------------------------------ #
     def _succ_slice(self, index: int) -> np.ndarray:
-        return self._succ_indices[int(self._succ_indptr[index]) : int(self._succ_indptr[index + 1])]
+        indptr = self._succ_indptr  # ``item`` reads a Python int: half the cost of ``int(a[i])``
+        return self._succ_indices[indptr.item(index) : indptr.item(index + 1)]
 
     def _pred_slice(self, index: int) -> np.ndarray:
-        return self._pred_indices[int(self._pred_indptr[index]) : int(self._pred_indptr[index + 1])]
+        indptr = self._pred_indptr
+        return self._pred_indices[indptr.item(index) : indptr.item(index + 1)]
 
     def neighbor_indices(self, index: int, limit: Optional[int] = None) -> np.ndarray:
         """Child then parent indices of the node at ``index``, as one array.
@@ -520,10 +530,7 @@ class CSRGraph:
 
     def label_id(self, label: Label) -> Optional[int]:
         """Row of ``label`` in the label table (``None`` when no node carries it)."""
-        try:
-            return self._label_table.index(label)
-        except ValueError:
-            return None
+        return self._label_rows.get(label)
 
     def label_ids_of(self, indices: np.ndarray) -> np.ndarray:
         """Label ids of an index array (compare against :meth:`label_id`)."""
@@ -554,16 +561,16 @@ class CSRGraph:
     def out_degree(self, node: NodeId) -> int:
         """Number of out-edges of ``node``."""
         index = self.index_of(node)
-        return int(self._succ_indptr[index + 1] - self._succ_indptr[index])
+        return self._succ_indptr.item(index + 1) - self._succ_indptr.item(index)
 
     def in_degree(self, node: NodeId) -> int:
         """Number of in-edges of ``node``."""
         index = self.index_of(node)
-        return int(self._pred_indptr[index + 1] - self._pred_indptr[index])
+        return self._pred_indptr.item(index + 1) - self._pred_indptr.item(index)
 
     def degree(self, node: NodeId) -> int:
         """The paper's ``d(v)``: ``|N(v)|`` (union of parents and children)."""
-        return int(self._degrees[self.index_of(node)])
+        return self._degrees.item(self.index_of(node))
 
     def degrees(self) -> np.ndarray:
         """``d(v)`` of every node in index order (the stored column: read only)."""

@@ -58,6 +58,9 @@ _collectors: List[Callable[[Dict[str, Any]], None]] = []
 
 class _NoopSpan:
     __slots__ = ()
+    # ``None`` only here: ``if span.attrs is not None`` is the one branch a
+    # stage pays, untraced, to attach what it learned while it ran.
+    attrs = None
 
     def __enter__(self) -> "_NoopSpan":
         return self

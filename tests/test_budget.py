@@ -12,6 +12,14 @@ class TestResourceBudget:
         assert budget.size_limit == 100
         assert budget.visit_limit == 200
 
+    def test_limits_are_computed_once_at_construction(self):
+        budget = ResourceBudget(alpha=0.25, graph_size=1000, visit_coefficient=3.0)
+        assert vars(budget)["size_limit"] == 250  # stored, not derived per call
+        assert vars(budget)["visit_limit"] == 750
+        budget.charge_storage(249)
+        assert budget.can_store(1) and not budget.can_store(2)
+        assert snapshot(budget).size_limit == 250
+
     def test_limits_are_at_least_one(self):
         budget = ResourceBudget(alpha=0.0001, graph_size=100)
         assert budget.size_limit == 1

@@ -14,6 +14,7 @@ backend agrees with the dict-of-sets backend on
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -115,6 +116,21 @@ class TestStructuralParity:
         for node in graph.nodes():
             assert set(csr.successors(node)) == graph.successors(node)
             assert csr.label(node) == graph.label(node)
+
+    def test_label_id_is_the_label_table_row_on_every_way_to_a_graph(self):
+        graph = _string_id_graph()
+        csr = CSRGraph.from_digraph(graph)
+        with csr.to_shared() as handle:
+            attached = CSRGraph.from_shared(handle.name)
+            candidates = [csr, pickle.loads(pickle.dumps(csr)), attached.graph]
+            candidates.append(CSRGraph.from_graph_unordered(graph))
+            for candidate in candidates:
+                for label in graph.distinct_labels():
+                    row = candidate.label_id(label)
+                    assert candidate._label_table[row] == label
+                    assert set(candidate.nodes_with_label(label)) == graph.nodes_with_label(label)
+                assert candidate.label_id("a label no node carries") is None
+            attached.close()
 
     def test_from_edges_matches_digraph_semantics(self):
         graph = random_graph(num_nodes=120, num_edges=300, seed=9)

@@ -400,6 +400,38 @@ class TestPrepareStages:
 
 
 # --------------------------------------------------------------------------- #
+# ``reduction.search``: budget spent versus budget allowed, only when traced
+# --------------------------------------------------------------------------- #
+class TestReductionSpanAttrs:
+    @pytest.mark.parametrize("matcher_name", ["RBSim", "RBSub"])
+    def test_span_carries_the_spend_of_the_result_in_hand(self, clean_trace, matcher_name):
+        import repro
+        from repro.patterns.generator import embedded_pattern
+
+        graph = random_graph(num_nodes=120, num_edges=400, seed=4)
+        pattern, vp = embedded_pattern(graph, 3, 3, seed=5)
+        matcher = getattr(repro, matcher_name)(graph, 0.2)
+        untraced = matcher.answer(pattern, vp)  # the no-op span has nothing to update
+        assert obs.span("reduction.search").attrs is None
+
+        records = []
+        clean_trace.add_collector(records.append)
+        try:
+            answer = matcher.answer(pattern, vp)
+        finally:
+            clean_trace.remove_collector(records.append)
+        assert answer.answer == untraced.answer
+        by_name = {record["span"]: record for record in records}
+        assert by_name["reduction.search"]["attrs"] == {
+            "passes": answer.reduction.passes,
+            "stored": answer.budget.stored,
+            "visited": answer.budget.visited,
+            "size_limit": answer.budget.size_limit,
+        }
+        assert "attrs" not in by_name["match.exact"]
+
+
+# --------------------------------------------------------------------------- #
 # Span-name lint: every span used in src/repro is registered in SPANS
 # --------------------------------------------------------------------------- #
 _SPAN_CALL = re.compile(

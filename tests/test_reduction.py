@@ -20,7 +20,6 @@ def make_reducer(graph, pattern, vp, alpha, **kwargs):
         personalized_match=vp,
         guard=guard,
         budget=budget,
-        neighborhood_index=index,
         **kwargs,
     ), budget
 

@@ -1,4 +1,4 @@
-"""Differential and work-count tests for the table-backed ``Search``/``Pick``.
+"""Differential and work-count tests for the flat ``Search``/``Pick``.
 
 ``tests/reduction_oracle.py`` freezes the per-neighbour implementation that
 ``DynamicReducer`` replaced.  Both must produce the same ``ReductionResult``
@@ -6,29 +6,34 @@
 bound, the pass count and the per-query-node candidate counts — on every
 substrate the reduction runs on, for both guarded conditions, with the
 ablation flags on and off, and with the scan cap small enough to bite.
+The step test holds the incrementally maintained ``c(v, u)`` and ``p(v, u)``
+to the oracle's from-scratch values after every single ``G_Q`` insertion.
 
-The count gate at the bottom is the deterministic stand-in for a timing
-floor: what the table promises is that no ``(node, query node)`` guard
-evaluation and no adjacency materialisation is repeated within one search,
-however many passes it takes.
+The count gates at the bottom are the deterministic stand-in for a timing
+floor: what the search state promises is that no ``(node, query node)`` guard
+evaluation and no row load is repeated within one search, however many
+passes it takes, and that ``Pick`` never snapshots ``G_Q``.
 """
 
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reduction_oracle import OracleReducer
+from reduction_oracle import OracleReducer, OracleWeightEstimator
 from repro.core.budget import ResourceBudget
 from repro.core.reduction import DynamicReducer
-from repro.core.weights import CandidateTable, IsomorphismGuard, SimulationGuard, WeightEstimator
+from repro.core.weights import IsomorphismGuard, SimulationGuard, WeightEstimator
 from repro.exceptions import WorkloadError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.neighborhood import NeighborhoodIndex
+from repro.graph.subgraph import SubgraphBuilder
 from repro.patterns.generator import embedded_pattern, random_pattern
+from repro.patterns.pattern import make_pattern
 from repro.updates.overlay import MutableOverlay
 from repro.workloads.datasets import load_dataset
 
@@ -40,10 +45,10 @@ LABELS = ["A", "B", "C"]
 # Inputs
 # --------------------------------------------------------------------------- #
 @st.composite
-def labeled_graphs(draw):
+def labeled_graphs(draw, self_loops=False):
     """Weakly connected random digraphs, dense enough for reciprocal edges
     (a neighbour on both sides of a node is what the de-duplication and the
-    scan cap treat differently)."""
+    scan cap treat differently); with ``self_loops`` a node may be its own."""
     num_nodes = draw(st.integers(min_value=5, max_value=18))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
     graph = DiGraph()
@@ -54,7 +59,7 @@ def labeled_graphs(draw):
         graph.add_edge(*((anchor, node) if rng.random() < 0.5 else (node, anchor)))
     for _ in range(draw(st.integers(min_value=0, max_value=3 * num_nodes))):
         source, target = rng.randrange(num_nodes), rng.randrange(num_nodes)
-        if source != target:
+        if source != target or self_loops:
             graph.add_edge(source, target)
             if rng.random() < 0.3:
                 graph.add_edge(target, source)
@@ -139,12 +144,12 @@ def build(
     if reducer_class is OracleReducer:
         return OracleReducer(max_scan=max_scan, **arguments)
     reducer = DynamicReducer(**arguments)
-    reducer._estimator = WeightEstimator(pattern, graph, guard, max_scan=max_scan)
+    reducer._estimator = WeightEstimator(pattern, graph, vp, guard, max_scan=max_scan)
     return reducer
 
 
 def reduce_both(graph, pattern, vp, guard_kind, alpha, max_scan, **flags):
-    """Results of the table-backed reducer and of the frozen oracle on one input."""
+    """Results of the flat reducer and of the frozen oracle on one input."""
     return tuple(
         build(reducer_class, graph, pattern, vp, GUARDS[guard_kind], alpha, max_scan, **flags).search()
         for reducer_class in (DynamicReducer, OracleReducer)
@@ -211,6 +216,150 @@ def test_hub_personalized_match_on_youtube(backend, guard_kind):
 
 
 # --------------------------------------------------------------------------- #
+# Hubs: the capped scan, the wide member, the set-ordered edge insertion
+# --------------------------------------------------------------------------- #
+SPOKES = 80
+
+
+def hub_graph() -> DiGraph:
+    """``vp`` (with a self-loop) fans out to 80 spokes; every spoke is tied to
+    two far hubs by reciprocal edges, and every fourth one back to ``vp``.
+
+    With the bound past 80 the spokes all join ``G_Q`` in one pass, so each far
+    hub is re-ranked while ever more of its row (each spoke in it twice) is in
+    ``G_Q``: past ``max_scan`` members the capped scan decides ``c(v, u)``.
+    ``vp`` and the far hubs are too wide to push.  Node ids are strings, so
+    the iteration order of the ``G_Q`` set that the hub branch inserts edges
+    in is the set's own, not the insertion order.
+    """
+    graph = DiGraph()
+    graph.add_node("vp", "P")
+    graph.add_edge("vp", "vp")
+    for far in ("far-0", "far-1"):
+        graph.add_node(far, "B")
+    for position in range(SPOKES):
+        spoke = f"spoke-{position}"
+        graph.add_node(spoke, "A")
+        graph.add_edge("vp", spoke)
+        if position % 4 == 0:
+            graph.add_edge(spoke, "vp")
+        for far in ("far-0", "far-1"):
+            graph.add_edge(spoke, far)
+            graph.add_edge(far, spoke)
+    graph.add_edge("spoke-5", "spoke-5")
+    return graph
+
+
+def members_around(graph, node, in_gq) -> int:
+    """How many entries of the row of ``node`` are members of ``G_Q``."""
+    return sum(n in in_gq for n in chain(graph.successors(node), graph.predecessors(node)))
+
+
+@pytest.mark.parametrize("substrate", ["digraph", "csr", "overlay"])
+@pytest.mark.parametrize("guard_kind", sorted(GUARDS))
+@pytest.mark.parametrize("max_scan", [1, 3, 64])
+@pytest.mark.parametrize("alpha", [0.25, 1.0])
+def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(
+    substrate, guard_kind, max_scan, alpha
+):
+    host, content = substrate_of(substrate, hub_graph(), seed=11)
+    pattern = make_pattern(
+        {"p": "P", "a": "A", "b": "B"}, [("p", "a"), ("a", "b"), ("b", "a")],
+        personalized="p", output="b",
+    )
+    reducers = [
+        build(cls, host, pattern, "vp", GUARDS[guard_kind], alpha, max_scan, initial_bound=SPOKES + 20)
+        for cls in (DynamicReducer, OracleReducer)
+    ]
+    result, expected = (reducer.search() for reducer in reducers)
+    assert fingerprint(result) == fingerprint(expected)
+    assert result.budget.within_size_bound
+
+    # The paths the case exists for did run: a wide member was kept aside, a
+    # ranked candidate had more members around it than the cap (the tight
+    # budget is there to stop mid-way through an edge insertion instead), and
+    # what the search state says of every ranked pair is what the oracle recomputes.
+    state = reducers[0]._estimator
+    assert state._wide
+    ranked = set(state._usable)
+    crowded = [node for node, _ in ranked if members_around(content, node, state.in_gq) > max_scan]
+    assert crowded or alpha < 1.0
+    guard = GUARDS[guard_kind](pattern, host, "vp", NeighborhoodIndex(host))
+    oracle = OracleWeightEstimator(pattern, host, guard, max_scan)
+    for node, query_node in ranked:
+        assert state.cost(node, query_node) == oracle.cost(node, query_node, state.in_gq)
+        assert state.potential(node, query_node) == oracle.potential(node, query_node, state.in_gq)
+
+
+# --------------------------------------------------------------------------- #
+# The incremental c(v, u) and p(v, u), one insertion at a time
+# --------------------------------------------------------------------------- #
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=labeled_graphs(self_loops=True),
+    seed=st.integers(min_value=0, max_value=10_000),
+    substrate=st.sampled_from(["digraph", "csr", "overlay"]),
+    guard_kind=st.sampled_from(sorted(GUARDS)),
+    max_scan=st.sampled_from([1, 2, 3, 64]),
+)
+def test_costs_and_potentials_track_the_oracle_after_every_insertion(
+    graph, seed, substrate, guard_kind, max_scan
+):
+    host, content = substrate_of(substrate, graph, seed)
+    pattern, vp = draw_query(content, seed, embedded=False)
+    index = NeighborhoodIndex(host)
+    state = WeightEstimator(pattern, host, vp, GUARDS[guard_kind](pattern, host, vp, index), max_scan)
+    oracle = OracleWeightEstimator(pattern, host, GUARDS[guard_kind](pattern, host, vp, index), max_scan)
+    nodes = list(content.nodes())
+    rng = random.Random(seed)
+    rng.shuffle(nodes)
+    in_gq = set()
+    for member in [None] + nodes:  # the empty G_Q first, then one node at a time
+        if member is not None:
+            state.admit(member)
+            in_gq.add(member)
+        # Pairs ranked before the insertion are read again after it, as a
+        # later ``Pick`` does: only some have been touched when it lands.
+        for node in rng.sample(nodes, max(1, len(nodes) // 2)):
+            for query_node in pattern.nodes():
+                assert state.cost(node, query_node) == oracle.cost(node, query_node, in_gq)
+                assert state.potential(node, query_node) == oracle.potential(node, query_node, in_gq)
+    assert state.in_gq == in_gq
+
+
+@pytest.mark.parametrize("substrate", ["digraph", "csr", "overlay"])
+def test_a_member_on_both_sides_counts_twice_towards_the_cap(substrate):
+    """The row of ``v`` reads ``x | x, y, vp``; with ``x`` and ``y`` in ``G_Q``
+    and ``max_scan = 2`` the cap keeps ``x, x`` and never sees what ``y`` plays."""
+    graph = DiGraph()
+    for node, label in {"vp": "P", "v": "B", "x": "A", "y": "C"}.items():
+        graph.add_node(node, label)
+    for edge in [("v", "x"), ("x", "v"), ("y", "v"), ("vp", "v")]:
+        graph.add_edge(*edge)
+    host = {
+        "digraph": graph,
+        "csr": CSRGraph.from_digraph(graph),
+        "overlay": MutableOverlay(CSRGraph.from_digraph(graph)),
+    }[substrate]
+    pattern = make_pattern(
+        {"p": "P", "b": "B", "a": "A", "c": "C"},
+        [("p", "b"), ("b", "a"), ("a", "b"), ("c", "b")],
+        personalized="p", output="a",
+    )
+    guard = SimulationGuard(pattern, host, "vp", NeighborhoodIndex(host))
+    oracle = OracleWeightEstimator(pattern, host, guard, max_scan=2)
+    state = WeightEstimator(pattern, host, "vp", guard, max_scan=2)
+    assert state.cost("v", "b") == oracle.cost("v", "b", set()) == 3
+    state.admit("x")
+    state.admit("y")
+    assert state.cost("v", "b") == oracle.cost("v", "b", {"x", "y"}) == 2  # p and c
+    uncapped = WeightEstimator(pattern, host, "vp", guard, max_scan=3)
+    uncapped.admit("x")
+    uncapped.admit("y")
+    assert uncapped.cost("v", "b") == 1  # only p is missing once y is seen
+
+
+# --------------------------------------------------------------------------- #
 # The work gate (counts, not seconds)
 # --------------------------------------------------------------------------- #
 def counting(guard_class, evaluations: Counter):
@@ -235,26 +384,44 @@ def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(
     pattern, vp = embedded_pattern(content, 4, 8, seed=3, personalized_node=hub)
 
     evaluations: Counter = Counter()
-    scans: Counter = Counter()
-    full_scan = CandidateTable._scan
+    loads: Counter = Counter()
+    load = WeightEstimator._load
 
-    def tallied_scan(table, node, limit=None):
-        if limit is None:
-            scans[node] += 1
-        return full_scan(table, node, limit)
+    def tallied_load(state, node, limit):
+        loads[(node, limit is None)] += 1
+        return load(state, node, limit)
 
-    monkeypatch.setattr(CandidateTable, "_scan", tallied_scan)
+    monkeypatch.setattr(WeightEstimator, "_load", tallied_load)
+
+    # ``SubgraphBuilder.nodes()`` calls made while a ``_pick`` is on the stack.
+    picking, snapshots = [], []
+    pick, snapshot_nodes = DynamicReducer._pick, SubgraphBuilder.nodes
+
+    def flagged_pick(reducer, *arguments):
+        picking.append(True)
+        try:
+            return pick(reducer, *arguments)
+        finally:
+            picking.pop()
+
+    def tallied_nodes(builder):
+        snapshots.extend(picking)
+        return snapshot_nodes(builder)
+
+    monkeypatch.setattr(DynamicReducer, "_pick", flagged_pick)
+    monkeypatch.setattr(SubgraphBuilder, "nodes", tallied_nodes)
     guard_class = counting(GUARDS[guard_kind], evaluations)
     reducer = build(DynamicReducer, graph, pattern, vp, guard_class, 0.05, 64)
     result = reducer.search()
-    table = reducer._estimator.table
     assert result.passes >= 3, "the case must restart, or it shows nothing about passes"
 
     # Guard: no (node, query node) pair is evaluated twice, whatever the pass count.
     assert set(evaluations.values()) == {1}
 
-    # Adjacency: one materialisation per node at most, and only of nodes the
-    # search put in G_Q (candidates are read through their first-64 slice).
-    assert set(scans.values()) == {1}
-    assert set(scans) == set(table._adjacency)
-    assert set(scans) <= set(result.subgraph.nodes())
+    # Rows: at most one whole and one head load per node, and whole rows only
+    # of nodes the search put in G_Q (candidates are read through their head).
+    assert set(loads.values()) == {1}
+    assert {node for node, whole in loads if whole} <= set(result.subgraph.nodes())
+
+    # G_Q: ``Pick`` reads the search state's own set, never a snapshot.
+    assert not snapshots

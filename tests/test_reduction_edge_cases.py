@@ -71,7 +71,7 @@ class TestReducerConfiguration:
         budget = ResourceBudget(alpha=0.9, graph_size=example1_graph.size(), visit_coefficient=10)
         reducer = DynamicReducer(
             example1_query, example1_graph, "Michael", guard, budget,
-            neighborhood_index=index, max_passes=1,
+            max_passes=1,
         )
         result = reducer.search()
         assert result.passes == 1
@@ -83,7 +83,7 @@ class TestReducerConfiguration:
         budget = ResourceBudget(alpha=0.9, graph_size=example1_graph.size(), visit_coefficient=10)
         reducer = DynamicReducer(
             example1_query, example1_graph, "Michael", guard, budget,
-            neighborhood_index=index, max_depth=0,
+            max_depth=0,
         )
         result = reducer.search()
         assert set(result.subgraph.nodes()) == {"Michael"}

@@ -102,33 +102,42 @@ class TestIsomorphismGuard:
         assert not guard.check("a", 0)
 
 
+def estimator_with(graph, query, guard, members=(), **options):
+    """A search state whose ``G_Q`` holds ``members``, admitted in order."""
+    estimator = WeightEstimator(query, graph, "Michael", guard, **options)
+    for member in members:
+        estimator.admit(member)
+    return estimator
+
+
 class TestWeightEstimator:
     def test_cost_drops_as_gq_grows(self, example1_graph, example1_query, sim_guard):
-        estimator = WeightEstimator(example1_query, example1_graph, sim_guard)
-        empty_cost = estimator.cost("cc1", "CC", in_gq=set())
-        partial_cost = estimator.cost("cc1", "CC", in_gq={"Michael", "cl3"})
-        assert empty_cost >= partial_cost
-        assert partial_cost == 0
+        # cc1 needs a Michael parent and a CL child; nothing in G_Q plays either yet.
+        empty = estimator_with(example1_graph, example1_query, sim_guard)
+        assert empty.cost("cc1", "CC") == 2
+        partial = estimator_with(example1_graph, example1_query, sim_guard, ["Michael"])
+        assert partial.cost("cc1", "CC") == 1
+        partial.admit("cl3")  # one more node joining updates the cost in place
+        assert partial.cost("cc1", "CC") == 0
 
     def test_potential_counts_useful_neighbors(self, example1_graph, example1_query, sim_guard):
-        estimator = WeightEstimator(example1_query, example1_graph, sim_guard)
+        estimator = estimator_with(example1_graph, example1_query, sim_guard)
         # cc3's neighbours outside G_Q: Michael (candidate for Michael query
         # node? no — pinned), cl3, cl4 (candidates for CL).
-        potential = estimator.potential("cc3", "CC", in_gq=set())
+        potential = estimator.potential("cc3", "CC")
         assert potential >= 2
 
     def test_potential_excludes_gq_members(self, example1_graph, example1_query, sim_guard):
-        estimator = WeightEstimator(example1_query, example1_graph, sim_guard)
-        full = estimator.potential("cc3", "CC", in_gq=set())
-        reduced = estimator.potential("cc3", "CC", in_gq={"cl3", "cl4"})
-        assert reduced < full
+        estimator = estimator_with(example1_graph, example1_query, sim_guard)
+        full = estimator.potential("cc3", "CC")
+        estimator.admit("cl3")
+        estimator.admit("cl4")
+        assert estimator.potential("cc3", "CC") < full
 
     def test_weight_prefers_high_potential_low_cost(self, example1_graph, example1_query, sim_guard):
-        estimator = WeightEstimator(example1_query, example1_graph, sim_guard)
-        weight_cc3 = estimator.weight("cc3", "CC", in_gq={"Michael"})
-        weight_cc2 = estimator.weight("cc2", "CC", in_gq={"Michael"})
-        assert weight_cc3 > weight_cc2
+        estimator = estimator_with(example1_graph, example1_query, sim_guard, ["Michael"])
+        assert estimator.weight("cc3", "CC") > estimator.weight("cc2", "CC")
 
     def test_scan_cap_bounds_potential(self, example1_graph, example1_query, sim_guard):
-        estimator = WeightEstimator(example1_query, example1_graph, sim_guard, max_scan=1)
-        assert estimator.potential("cc3", "CC", in_gq=set()) <= 1
+        estimator = estimator_with(example1_graph, example1_query, sim_guard, max_scan=1)
+        assert estimator.potential("cc3", "CC") <= 1
