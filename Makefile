@@ -1,6 +1,7 @@
 # Development entry points for the FanWW14 reproduction.
 #
-#   make test         - tier-1 test suite (the gate every PR must keep green)
+#   make test         - tier-1 test suite (the gate every PR must keep green),
+#                       then the async tests again in asyncio debug mode
 #   make lint         - ruff + mypy when installed, compileall always
 #   make coverage     - tier-1 suite under pytest-cov + committed-floor gate
 #                       (skips with a warning when pytest-cov is missing)
@@ -31,8 +32,13 @@ CI_GATES := lint test docs-check coverage bench-smoke bench-check
 
 # --durations: the ten slowest tests in every log, so the tier-1 budget
 # (<=2 min, ROADMAP.md) is visible before it is broken.
+# Second pass, asyncio debug mode with RuntimeWarning as an error: a coroutine
+# the front-end's drain (or a subscription stream) created and never awaited
+# fails the gate instead of printing a warning nobody reads (~2 s; the
+# front-end's tests, subscription streams included, are this one file).
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
+	PYTHONASYNCIODEBUG=1 $(PYTHON) -W error::RuntimeWarning -m pytest -x -q tests/test_service_async.py
 
 test-soak:
 	$(PYTHON) -m pytest tests -m slow_shm -q

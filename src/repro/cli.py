@@ -374,6 +374,7 @@ def _command_batch(args) -> int:
             f"run {run_number}: wall={report.wall_seconds:.3f}s "
             f"throughput={report.throughput:.1f} q/s "
             f"cache hits={report.cache_hits} misses={report.cache_misses} "
+            f"deduplicated={report.deduplicated} "
             f"chunks={report.chunks}"
         )
     print(f"plan: backend={plan.backend} executor={plan.executor} ({plan.reason})")
@@ -395,6 +396,7 @@ def _command_batch(args) -> int:
                 "throughput_qps": report.throughput,
                 "cache_hits": report.cache_hits,
                 "cache_misses": report.cache_misses,
+                "deduplicated": report.deduplicated,
             }
             for report in runs
         ],

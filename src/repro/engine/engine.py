@@ -9,12 +9,15 @@ pushes every batch through a pluggable executor:
   neighbourhood summaries — happens once, in the parent process;
 * answering fans the batch out as ``(kind, alpha, chunk)`` tasks over the
   chosen executor (serial / thread pool / process pool);
-* an LRU cache keyed on ``(query fingerprint, α)`` short-circuits repeats.
+* an LRU cache keyed on ``(query fingerprint, α)`` short-circuits repeats,
+  and a repeat *inside* one batch — which the LRU cannot serve, nothing is
+  stored before the batch ran — shares the first copy's evaluation.
 
 **Parity contract**: for any executor and worker count, the answers are
 bit-identical to the serial path.  All executors run the same pure chunk
 function over the same chunking; caching only ever returns an answer that
-the same engine previously computed for the same ``(fingerprint, α)`` key.
+the same engine computed, earlier or in this very batch, for the same
+``(fingerprint, α)`` key.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ class BatchReport:
     cache_misses: int
     chunks: int = 0
     kinds: Dict[str, int] = field(default_factory=dict)
+    #: cache misses that repeated an earlier miss of the same batch and took
+    #: its answer instead of an evaluation of their own (counted in
+    #: ``cache_misses`` too; always 0 without a cache).
+    deduplicated: int = 0
 
     @property
     def throughput(self) -> float:
@@ -339,10 +346,11 @@ class QueryEngine:
         seam once per query, and the sub-batch sizes land on the
         ``kernel.batch_size`` histogram.
 
-        Treat returned answers as **read-only**: cache hits hand back the
-        stored object itself (copying every answer would tax the hot path),
-        so mutating one would corrupt future hits for the same
-        ``(fingerprint, α)`` key and void the parity contract.
+        Treat returned answers as **read-only**: cache hits, and repeats of
+        a query within the batch, hand back the stored object itself
+        (copying every answer would tax the hot path), so mutating one would
+        corrupt future hits for the same ``(fingerprint, α)`` key and void
+        the parity contract.
         """
         if not 0 < alpha <= 1:
             raise EngineError(f"alpha must be in (0, 1], got {alpha}")
@@ -357,6 +365,12 @@ class QueryEngine:
         # mixes the sha1 is a measurable share of per-query cost, and the
         # experiment drivers run cache-free so figure timings stay raw.
         pending: List[Tuple[int, EngineQuery, Optional[str]]] = []
+        # Single flight: the first miss of a fingerprint leads, a repeat later
+        # in the same batch follows it — (follower, leader) positions — and
+        # takes the leader's answer object once its chunk is back.  The LRU
+        # cannot serve such a repeat: nothing is put before the batch ran.
+        leaders: Dict[str, int] = {}
+        followers: List[Tuple[int, int]] = []
         hits = 0
         if caching:
             for position, query in enumerate(queries):
@@ -365,7 +379,10 @@ class QueryEngine:
                 if hit:
                     answers[position] = answer
                     hits += 1
+                elif fingerprint in leaders:
+                    followers.append((position, leaders[fingerprint]))
                 else:
+                    leaders[fingerprint] = position
                     pending.append((position, query, fingerprint))
         else:
             pending = [(position, query, None) for position, query in enumerate(queries)]
@@ -435,6 +452,8 @@ class QueryEngine:
                         # coefficient (max degree) the answer was computed
                         # under; snapshot it with the first cached pattern.
                         self._pattern_guard_max_degree = self._prepared.max_degree()
+        for position, leader in followers:
+            answers[position] = answers[leader]
 
         wall = probe_seconds + (time.perf_counter() - started)
         # Batch-granular telemetry (one counter bump per batch, never per
@@ -442,7 +461,9 @@ class QueryEngine:
         obs.counter("engine.batches").inc()
         obs.counter("engine.executor." + runner.name).inc()
         obs.counter("engine.cache.hits").inc(hits)
-        obs.counter("engine.cache.misses").inc(len(pending))
+        obs.counter("engine.cache.misses").inc(len(pending) + len(followers))
+        if followers:
+            obs.counter("engine.batch.deduplicated").inc(len(followers))
         if evictions:
             obs.counter("engine.cache.evictions").inc(evictions)
         obs.histogram("engine.batch.size", scheme="count").observe(float(len(queries)))
@@ -454,9 +475,10 @@ class QueryEngine:
             workers=runner.workers if runner.name != "serial" else 1,
             wall_seconds=wall,
             cache_hits=hits,
-            cache_misses=len(pending),
+            cache_misses=len(pending) + len(followers),
             chunks=len(tasks),
             kinds=kinds,
+            deduplicated=len(followers),
         )
 
     def answer_batch(

@@ -261,6 +261,17 @@ class PreparedGraph:
             self._neighborhood = NeighborhoodIndex(self.graph)
         return self._neighborhood
 
+    def _visit_coefficient(self) -> float:
+        """The pinned ``c``, else ``d_G`` as :meth:`max_degree` maintains it.
+
+        Handed to every matcher so a rebuilt one (each update drops them)
+        does not rescan the degrees of the whole substrate for a value the
+        delta's touched nodes already settled.
+        """
+        if self._pattern_visit_coefficient is not None:
+            return self._pattern_visit_coefficient
+        return float(max(1, self.max_degree()))
+
     def rbsim(self, alpha: float) -> RBSim:
         """The strong-simulation matcher for ``alpha`` (shared index)."""
         matcher = self._rbsim.get(alpha)
@@ -268,7 +279,7 @@ class PreparedGraph:
             matcher = RBSim(
                 self.graph,
                 alpha,
-                config=RBSimConfig(visit_coefficient=self._pattern_visit_coefficient),
+                config=RBSimConfig(visit_coefficient=self._visit_coefficient()),
                 neighborhood_index=self.neighborhood_index(),
                 reference_size=self._pattern_reference_size,
             )
@@ -282,7 +293,7 @@ class PreparedGraph:
             matcher = RBSub(
                 self.graph,
                 alpha,
-                config=RBSubConfig(visit_coefficient=self._pattern_visit_coefficient),
+                config=RBSubConfig(visit_coefficient=self._visit_coefficient()),
                 neighborhood_index=self.neighborhood_index(),
                 reference_size=self._pattern_reference_size,
             )
@@ -447,12 +458,14 @@ class PreparedGraph:
         if self._max_degree_cache is not None:
             cached = self._max_degree_cache
             grown = max(summary.touched_degrees_after.values(), default=0)
-            if any(
+            if record.nodes_removed or any(
                 degree == cached and summary.touched_degrees_after.get(node, 0) < cached
                 for node, degree in degrees_before.items()
             ):
-                # A node at the cached maximum shrank; it may have been the
-                # unique holder, so the cache must be re-derived lazily.
+                # A node at the cached maximum shrank (a removed node's
+                # neighbours shrink without being named by the delta); it may
+                # have been the unique holder, so the cache must be re-derived
+                # lazily.
                 self._max_degree_cache = None
             elif grown > cached:
                 self._max_degree_cache = grown

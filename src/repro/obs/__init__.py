@@ -59,6 +59,7 @@ CATALOG = {
     "service.admission.waits": ("counter", "waits", "repro.service.aio"),
     "service.admission.wait.seconds": ("histogram", "seconds", "repro.service.aio"),
     "service.inflight": ("gauge", "requests", "repro.service.aio"),
+    "service.flush.size": ("histogram", "requests", "repro.service.aio"),
     # query engine (repro/engine/engine.py)
     "engine.batches": ("counter", "batches", "repro.engine.engine"),
     "engine.batch.size": ("histogram", "queries", "repro.engine.engine"),
@@ -66,6 +67,7 @@ CATALOG = {
     "engine.cache.hits": ("counter", "queries", "repro.engine.engine"),
     "engine.cache.misses": ("counter", "queries", "repro.engine.engine"),
     "engine.cache.evictions": ("counter", "entries", "repro.engine.engine"),
+    "engine.batch.deduplicated": ("counter", "queries", "repro.engine.engine"),
     # shared invalidation oracle (repro/engine/cache.py + engine.py)
     "cache.invalidated": ("counter", "entries", "repro.engine.cache"),
     "cache.retained": ("counter", "entries", "repro.engine.engine"),
@@ -118,6 +120,9 @@ CATALOG = {
 
 #: Trace spans (name -> emitting module); see repro.obs.trace.
 SPANS = {
+    # one hand-over of queued submit/stream chunks to the worker thread;
+    # roots the trace of the service.query it wraps
+    "aio.flush": "repro.service.aio",
     "service.query": "repro.service.service",
     "service.update": "repro.service.service",
     "planner": "repro.service.service",

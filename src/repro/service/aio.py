@@ -6,6 +6,12 @@ discipline:
 
 * all engine work funnels through **one worker thread** (so async traffic
   and the sync API share the service lock without contention storms);
+* admitted chunks queue on the event loop and a short-lived *drain* task
+  hands the worker everything that queued while it was busy as **one**
+  ``service.run_batch`` — natural batching: a flush is planned once, crosses
+  the thread boundary once and, through the engine's single-flight batch,
+  evaluates each distinct request in it once.  An idle service flushes one
+  chunk at a time, exactly as if there were no queue;
 * an :class:`AdmissionController` bounds what is *admitted*: at most
   ``max_inflight`` queries in flight at once, and per client the α-weighted
   cost of its in-flight queries stays within ``client_alpha_budget``.
@@ -25,9 +31,11 @@ can serve several consecutive loops — the common test and script pattern.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.exceptions import ServiceError
@@ -125,6 +133,17 @@ def _charges(
     return charges
 
 
+class _Entry(NamedTuple):
+    """One admitted chunk waiting for the worker thread."""
+
+    start: int
+    requests: List[ServiceRequest]
+    #: the caller's ``alpha`` *argument* (``None``: the config default), which
+    #: entries must share to be answered as one ``service.run_batch``.
+    alpha: Optional[float]
+    future: "asyncio.Future[List[ServiceAnswer]]"
+
+
 class AsyncFrontEnd:
     """The async face of one :class:`~repro.service.GraphService`."""
 
@@ -136,9 +155,20 @@ class AsyncFrontEnd:
             max_workers=1, thread_name_prefix="repro-service"
         )
         self._closed = False
+        # Admitted chunks not yet handed to the worker thread, and the task
+        # that hands them over.  Both belong to the event loop the callers run
+        # on — only its coroutines touch them — and are rebound when the loop
+        # changes, like the admission state.
+        self._pending: List[_Entry] = []
+        self._drain_task: Optional["asyncio.Task[None]"] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     def close(self) -> None:
-        """Stop the worker thread (pending chunks finish, nothing new starts)."""
+        """Stop the worker thread.
+
+        A flush already handed to it still runs; chunks still queued behind
+        it fail with :class:`ServiceError` (see :meth:`_drain`).
+        """
         if not self._closed:
             self._closed = True
             self._pool.shutdown(wait=False)
@@ -177,31 +207,107 @@ class AsyncFrontEnd:
         requests: List[ServiceRequest],
         alpha: Optional[float],
     ) -> List[ServiceAnswer]:
-        """Admit one chunk, answer it on the worker thread, wrap the answers."""
+        """Admit one chunk, queue it for the next flush, await its answers."""
         alphas = [self._effective_alpha(request, alpha) for request in requests]
         charges = _charges(requests, alphas)
         await self.admission.acquire(charges)
         try:
             loop = asyncio.get_running_loop()
-            report = await loop.run_in_executor(
-                self._pool, lambda: self._service.run_batch(requests, alpha=alpha)
-            )
-            return [
-                ServiceAnswer(
-                    index=start + offset,
-                    request=request,
-                    value=value,
-                    alpha=value_alpha,
-                    backend=report.plan.backend,
-                )
-                for offset, (request, value, value_alpha) in enumerate(
-                    zip(requests, report.answers, report.effective_alphas())
-                )
-            ]
+            if self._loop is not loop:
+                # Whatever the previous loop left queued died with it.
+                self._loop, self._pending, self._drain_task = loop, [], None
+            future: "asyncio.Future[List[ServiceAnswer]]" = loop.create_future()
+            self._pending.append(_Entry(start, requests, alpha, future))
+            if self._drain_task is None or self._drain_task.done():
+                self._drain_task = loop.create_task(self._drain(self._pending))
+            # A cancelled caller cancels ``future``; the drain skips it.
+            return await future
         finally:
             # Shielded: a cancellation mid-release must not strand the
             # admission charge, or the service would leak capacity.
             await asyncio.shield(self.admission.release(charges))
+
+    async def _drain(self, pending: List[_Entry]) -> None:
+        """Hand everything queued to the worker thread, flush after flush.
+
+        Each round takes the whole list — every chunk admitted while the
+        previous flush ran — drops the chunks whose caller has gone, and
+        answers each run of consecutive chunks with the same ``alpha``
+        argument as one ``service.run_batch``: one plan, one thread hop, and
+        each distinct request in it evaluated once.  The task ends when the
+        list is empty; the next ``_run_chunk`` starts another.
+        """
+        loop = asyncio.get_running_loop()
+        taken: List[_Entry] = []
+        try:
+            while pending:
+                taken = [entry for entry in pending if not entry.future.done()]
+                del pending[:]
+                for alpha, run in itertools.groupby(taken, key=attrgetter("alpha")):
+                    entries = list(run)
+                    try:
+                        outcomes = await loop.run_in_executor(
+                            self._pool, self._flush, entries, alpha
+                        )
+                    except RuntimeError:
+                        if not self._closed:
+                            raise
+                        # ``close()`` shut the pool down before this flush
+                        # reached it.
+                        outcomes = [ServiceError("the async front-end is closed")] * len(entries)
+                    for entry, outcome in zip(entries, outcomes):
+                        if entry.future.done():
+                            continue  # its caller was cancelled meanwhile
+                        if isinstance(outcome, Exception):
+                            entry.future.set_exception(outcome)
+                        else:
+                            entry.future.set_result(outcome)
+        finally:
+            # Only a drain that is itself cancelled (its loop is shutting
+            # down) or failed gets here with callers left: never leave one
+            # awaiting a future nobody will resolve (on a resolved future
+            # ``cancel`` does nothing).
+            for entry in taken + pending:
+                entry.future.cancel()
+
+    def _flush(self, entries: List[_Entry], alpha: Optional[float]) -> List[Any]:
+        """On the worker thread: answer ``entries`` as one batch.
+
+        Returns one outcome per entry — its :class:`ServiceAnswer` list, or
+        the exception its requests raise.  When the merged batch raises, the
+        entries are re-run one by one, so only the caller whose request is at
+        fault sees the exception.
+        """
+        try:
+            return self._answer(entries, alpha)
+        except Exception as error:  # handed to its caller, not swallowed
+            if len(entries) == 1:
+                return [error]
+        return [self._flush([entry], alpha)[0] for entry in entries]
+
+    def _answer(self, entries: List[_Entry], alpha: Optional[float]) -> List[List[ServiceAnswer]]:
+        requests = [request for entry in entries for request in entry.requests]
+        obs.histogram("service.flush.size", scheme="count").observe(float(len(requests)))
+        with obs.span("aio.flush", requests=len(requests), entries=len(entries)):
+            report = self._service.run_batch(requests, alpha=alpha)
+        answers, alphas, backend = report.answers, report.effective_alphas(), report.plan.backend
+        outcomes: List[List[ServiceAnswer]] = []
+        base = 0
+        for entry in entries:
+            outcomes.append(
+                [
+                    ServiceAnswer(
+                        index=entry.start + offset,
+                        request=request,
+                        value=answers[base + offset],
+                        alpha=alphas[base + offset],
+                        backend=backend,
+                    )
+                    for offset, request in enumerate(entry.requests)
+                ]
+            )
+            base += len(entry.requests)
+        return outcomes
 
     async def submit(self, request: Any, alpha: Optional[float] = None) -> ServiceAnswer:
         """Answer one request under admission control."""

@@ -133,6 +133,8 @@ class ServiceStats:
     shard_spilled: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: misses that took the answer of an identical miss in the same batch.
+    deduplicated: int = 0
     updates: int = 0
     #: update modes seen (patched / rebuilt / fresh / noop / local).
     update_modes: Dict[str, int] = field(default_factory=dict)

@@ -72,6 +72,9 @@ class ServiceBatchReport:
     alphas: Optional[List[float]] = None
     cache_hits: int = 0
     cache_misses: int = 0
+    #: misses answered by an earlier identical miss of the same engine batch
+    #: (``BatchReport.deduplicated``, summed over the α groups).
+    deduplicated: int = 0
     chunks: int = 0
     kinds: Dict[str, int] = field(default_factory=dict)
     #: queries routed to the shard engines vs the single-graph engine
@@ -488,6 +491,7 @@ class GraphService:
                 wall_seconds=time.perf_counter() - started,
                 cache_hits=engine_report.cache_hits,
                 cache_misses=engine_report.cache_misses,
+                deduplicated=engine_report.deduplicated,
                 chunks=engine_report.chunks,
                 kinds=engine_report.kinds,
             )
@@ -499,6 +503,7 @@ class GraphService:
             self._stats.kinds[kind] = self._stats.kinds.get(kind, 0) + count
         self._stats.cache_hits += report.cache_hits
         self._stats.cache_misses += report.cache_misses
+        self._stats.deduplicated += report.deduplicated
         self._stats.shard_contained += report.shard_routed
         self._stats.shard_spilled += report.shard_single
         obs.counter("service.batches").inc()
@@ -557,6 +562,7 @@ class GraphService:
     def _absorb_engine_report(engine_report: BatchReport, report: ServiceBatchReport) -> None:
         report.cache_hits += engine_report.cache_hits
         report.cache_misses += engine_report.cache_misses
+        report.deduplicated += engine_report.deduplicated
         report.chunks += engine_report.chunks
 
     def _route_sharded(
@@ -806,8 +812,10 @@ class GraphService:
 
         Awaits until the request is admitted (total in-flight queries below
         ``max_inflight`` and the client's α-weighted in-flight cost within
-        ``client_alpha_budget``), answers on the service's worker thread,
-        and returns the :class:`ServiceAnswer`.
+        ``client_alpha_budget``), answers on the service's worker thread —
+        as one batch with every other ``submit``/``stream`` chunk that was
+        admitted while the thread was busy — and returns the
+        :class:`ServiceAnswer`.
         """
         return await self._ensure_frontend().submit(request, alpha=alpha)
 

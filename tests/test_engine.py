@@ -274,6 +274,135 @@ class TestCache:
         assert stats.hit_rate == 0.5
 
 
+class TestSingleFlight:
+    """``run_batch`` evaluates each distinct ``(fingerprint, α)`` miss once.
+
+    Differential against a cache-free serial engine, through ``GraphService``
+    so one batch can mix per-request α values (the façade groups by α and
+    each group is one engine batch).
+    """
+
+    ALPHAS = (None, 0.02, 0.2)  # None: the service default, ALPHA
+
+    @pytest.fixture(scope="class")
+    def pool(self, served_graph, reach_queries, pattern_queries):
+        patterns = [
+            PatternQuery(query.pattern, query.personalized_match, semantics=semantics)
+            for query in pattern_queries
+            for semantics in ("simulation", "subgraph")
+        ]
+        return list(reach_queries[:10]) + patterns
+
+    @pytest.fixture(scope="class")
+    def reference(self, served_graph, pool):
+        engine = QueryEngine(served_graph, cache_size=0)
+        return {
+            alpha: engine.answer_batch(pool, alpha if alpha is not None else ALPHA)
+            for alpha in self.ALPHAS
+        }
+
+    @pytest.fixture(scope="class")
+    def services(self, served_graph):
+        from repro.service import GraphService, ServiceConfig
+
+        opened = {
+            (cache_size, executor): GraphService(
+                served_graph,
+                ServiceConfig(alpha=ALPHA, cache_size=cache_size, executor=executor, workers=2),
+            )
+            for cache_size in (0, 2, 4096)
+            for executor in ("serial", "thread")
+        }
+        yield opened
+        for service in opened.values():
+            service.close()
+
+    @pytest.fixture()
+    def evaluations(self, monkeypatch):
+        """One entry (the matcher's class name) per leaf evaluation the engine runs."""
+        from repro.core.rbsim import RBSim
+        from repro.core.rbsub import RBSub
+        from repro.reachability.rbreach import RBReach
+
+        calls = []
+        for matcher, method in ((RBSim, "answer"), (RBSub, "answer"), (RBReach, "query")):
+            original = getattr(matcher, method)
+
+            def counted(self, *args, _original=original, _name=matcher.__name__, **kwargs):
+                calls.append(_name)  # list.append: safe from the thread executor
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(matcher, method, counted)
+        return calls
+
+    @staticmethod
+    def _signature(query, answer):
+        if isinstance(query, ReachQuery):
+            return _reach_signature(answer)
+        return _pattern_signature(answer)
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        picks=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=15), st.sampled_from(ALPHAS)),
+            min_size=1,
+            max_size=40,
+        ),
+        cache_size=st.sampled_from([0, 2, 4096]),
+        executor=st.sampled_from(["serial", "thread"]),
+    )
+    def test_batches_with_repeats_match_cache_free_serial(
+        self, pool, reference, services, evaluations, picks, cache_size, executor
+    ):
+        from dataclasses import replace
+
+        from repro.service import as_request
+
+        service = services[cache_size, executor]
+        service.engine.clear_cache()
+        batch = [replace(as_request(pool[index]), alpha=alpha) for index, alpha in picks]
+        distinct = len(set(picks))
+        del evaluations[:]
+
+        report = service.run_batch(batch)
+
+        for (index, alpha), answer in zip(picks, report.answers):
+            assert self._signature(pool[index], answer) == self._signature(
+                pool[index], reference[alpha][index]
+            )
+        assert report.cache_hits + report.cache_misses == len(batch)
+        if cache_size == 0:
+            assert report.deduplicated == 0
+            assert len(evaluations) == len(batch)
+            return
+        assert report.cache_hits == 0
+        assert report.deduplicated == len(batch) - distinct
+        assert len(evaluations) == distinct
+        # Repeats hold the leader's answer object itself, like a cache hit.
+        first = {}
+        for pick, answer in zip(picks, report.answers):
+            assert first.setdefault(pick, answer) is answer
+        if cache_size >= distinct:
+            again = service.run_batch(batch)
+            assert again.cache_hits == len(batch) and again.cache_misses == 0
+            assert again.deduplicated == 0
+            assert len(evaluations) == distinct
+
+    def test_deduplicated_is_counted_and_reported(self, served_graph, reach_queries):
+        from repro import obs
+
+        engine = QueryEngine(served_graph)
+        before = obs.snapshot()["counters"].get("engine.batch.deduplicated", 0)
+        report = engine.run_batch(list(reach_queries[:5]) * 3, ALPHA)
+        assert (report.cache_hits, report.cache_misses, report.deduplicated) == (0, 15, 10)
+        assert obs.snapshot()["counters"]["engine.batch.deduplicated"] - before == 10
+        assert engine.cache_stats().entries == 5
+
+
 class TestFingerprints:
     def test_reach_fingerprint_stable_and_distinct(self):
         assert reachability_fingerprint(1, 2) == reachability_fingerprint(1, 2)

@@ -8,16 +8,24 @@ Covers the contract of ``GraphService.submit`` / ``GraphService.stream``:
 * cancelling a stream mid-flight releases its admission and leaves the
   service fully reusable;
 * admission control actually bounds in-flight work (global ``max_inflight``
-  and the per-client α budget), applying backpressure instead of rejecting.
+  and the per-client α budget), applying backpressure instead of rejecting;
+* chunks admitted while the worker thread is busy reach it as **one**
+  ``service.run_batch`` per flush; a request that raises fails only its own
+  caller; a caller cancelled while queued, a loop that ends with a flush
+  half-built and ``close()`` with work queued all leave nothing hanging and
+  no admission charge behind.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
+from repro import obs
 from repro.engine import QueryEngine
+from repro.exceptions import ServiceError
 from repro.service import GraphService, ReachRequest, ServiceConfig
 from repro.service.aio import AdmissionController
 from repro.service.reporting import answers_identical
@@ -42,6 +50,20 @@ def requests(graph):
 def reference(graph, requests):
     engine = QueryEngine(graph, cache_size=0)
     return engine.run_batch([r.to_query() for r in requests], ALPHA).answers
+
+
+def hold_worker(service) -> threading.Event:
+    """Park the front-end's one worker thread until the returned gate is set."""
+    gate = threading.Event()
+    service._ensure_frontend()._pool.submit(gate.wait, 10.0)
+    return gate
+
+
+async def queued(service, batch):
+    """Start one ``submit`` per request and let each get as far as the queue."""
+    tasks = [asyncio.ensure_future(service.submit(request, alpha=ALPHA)) for request in batch]
+    await asyncio.sleep(0.01)
+    return tasks
 
 
 class TestSubmit:
@@ -76,6 +98,113 @@ class TestSubmit:
         for _ in range(2):  # each asyncio.run is a fresh loop
             answer = asyncio.run(service.submit(requests[0], alpha=ALPHA))
             assert answer.value is not None
+
+
+    def test_submits_queued_behind_a_busy_worker_share_one_batch_per_flush(
+        self, graph, requests, reference
+    ):
+        service = GraphService(graph, ServiceConfig(cache_size=0, max_inflight=8))
+
+        async def main():
+            gate = hold_worker(service)
+            first = await queued(service, requests[:3])  # flush 1: handed over, parked
+            second = await queued(service, requests[3:8])  # queued behind it: flush 2
+            before = obs.snapshot()
+            gate.set()
+            answers = await asyncio.wait_for(asyncio.gather(*first, *second), timeout=10)
+            return before, answers
+
+        before, answers = asyncio.run(main())
+        after = obs.snapshot()
+        assert [a.index for a in answers] == [0] * 8
+        assert answers_identical("reach", [a.value for a in answers], reference[:8])
+        assert after["counters"]["service.batches"] - before["counters"].get("service.batches", 0) == 2
+        assert service.stats().batches == 2
+        assert service.stats().submitted == 8
+        sizes = after["histograms"]["service.flush.size"]
+        assert sizes["count"] - before["histograms"].get("service.flush.size", {"count": 0})["count"] == 2
+        assert service._frontend.admission.inflight == 0
+
+    def test_poisoned_request_in_a_flush_fails_only_its_own_caller(
+        self, graph, requests, reference
+    ):
+        service = GraphService(graph, ServiceConfig(cache_size=0))
+        poisoned = ReachRequest(["unhashable"], requests[0].target)
+
+        async def main():
+            gate = hold_worker(service)
+            parked = await queued(service, requests[:1])
+            tasks = await queued(service, [requests[1], poisoned, requests[2]])
+            gate.set()
+            return await asyncio.wait_for(
+                asyncio.gather(*parked, *tasks, return_exceptions=True), timeout=10
+            )
+
+        first, good, bad, also_good = asyncio.run(main())
+        assert isinstance(bad, TypeError)
+        assert answers_identical(
+            "reach", [first.value, good.value, also_good.value], reference[:3]
+        )
+        assert service._frontend.admission.inflight == 0
+        # The parked flush and the two good one-by-one retries; the merged
+        # attempt and the poisoned retry raised before they were counted.
+        assert service.stats().batches == 3
+
+    def test_loop_ending_with_a_flush_half_built_leaves_service_usable(
+        self, graph, requests, reference
+    ):
+        service = GraphService(graph, ServiceConfig(cache_size=0, max_inflight=4))
+        gate = hold_worker(service)
+
+        async def abandoned():
+            tasks = await queued(service, requests[:2])  # handed over, parked
+            tasks += await queued(service, requests[2:4])  # still in the pending list
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            assert service._frontend.admission.inflight == 0
+
+        asyncio.run(abandoned())  # the drain dies with this loop, mid-flush
+        gate.set()
+        for position in (4, 5):  # a fresh loop each
+            answer = asyncio.run(
+                asyncio.wait_for(service.submit(requests[position], alpha=ALPHA), timeout=10)
+            )
+            assert answers_identical("reach", [answer.value], [reference[position]])
+        assert service._frontend.admission.inflight == 0
+
+
+class TestClose:
+    @pytest.mark.parametrize("close", ["service", "frontend"])
+    def test_close_with_work_queued_fails_it_with_service_error(self, graph, requests, close):
+        service = GraphService(graph, ServiceConfig(cache_size=0, max_inflight=8))
+
+        async def main():
+            gate = hold_worker(service)
+            frontend = service._frontend
+            tasks = await queued(service, requests[:2])  # on the pool, behind the gate
+            tasks += await queued(service, requests[2:4])  # in the pending list
+            stream = asyncio.ensure_future(_drain_stream(service, requests[4:6]))
+            await asyncio.sleep(0.01)
+            (service if close == "service" else frontend).close()
+            gate.set()
+            results = await asyncio.wait_for(
+                asyncio.gather(*tasks, stream, return_exceptions=True), timeout=10
+            )
+            return frontend, results
+
+        frontend, results = asyncio.run(main())
+        handed_over, pending = results[:2], results[2:]
+        if close == "service":
+            assert all(isinstance(r, ServiceError) for r in handed_over)
+        else:  # the flush the worker already held still runs
+            assert all(r.value is not None for r in handed_over)
+        assert all(isinstance(r, ServiceError) for r in pending), pending
+        assert frontend.admission.inflight == 0
+
+
+async def _drain_stream(service, batch):
+    return [answer async for answer in service.stream(batch, alpha=ALPHA)]
 
 
 class TestStream:
@@ -176,6 +305,34 @@ class TestAdmissionControl:
         stats = service.stats()
         assert 0 < stats.max_inflight <= 4
         assert stats.admission_waits > 0  # later chunks actually waited
+
+    def test_caller_cancelled_while_queued_releases_admission(self, graph, requests, reference):
+        service = GraphService(graph, ServiceConfig(cache_size=0, max_inflight=3))
+
+        async def main():
+            gate = hold_worker(service)
+            parked = await queued(service, requests[:1])
+            waiting = await queued(service, requests[1:5])  # 2 admitted and queued, 2 waiting
+            admission = service._frontend.admission
+            assert admission.inflight == 3
+            waiting[0].cancel()  # a queued caller: its charge must come back ...
+            await asyncio.sleep(0.01)
+            assert admission.inflight == 3  # ... and admit one that was waiting
+            assert not waiting[3].done()
+            gate.set()
+            return await asyncio.wait_for(
+                asyncio.gather(*parked, *waiting, return_exceptions=True), timeout=10
+            )
+
+        results = asyncio.run(main())
+        assert isinstance(results[1], asyncio.CancelledError)
+        kept = [results[0]] + results[2:]
+        assert answers_identical(
+            "reach", [a.value for a in kept], [reference[0]] + reference[2:5]
+        )
+        # The cancelled request never reached the engine.
+        assert service.stats().queries == 4
+        assert service._frontend.admission.inflight == 0
 
     def test_controller_blocks_past_max_inflight(self):
         async def main():

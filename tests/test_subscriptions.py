@@ -341,6 +341,44 @@ class TestSubscribeAPI:
             assert stats.sub_skipped == maintenance.skipped
 
 
+    def test_patched_update_reads_the_maintained_max_degree(self, monkeypatch):
+        """Rebuilt matchers take ``d_G`` from ``PreparedGraph.max_degree``, which
+        ``apply_delta`` keeps current, instead of rescanning the overlay."""
+        from repro.updates.delta import GraphDelta
+        from repro.updates.overlay import MutableOverlay
+
+        scans = []
+        original = MutableOverlay.max_degree
+
+        def counted(overlay):
+            scans.append(overlay)
+            return original(overlay)
+
+        monkeypatch.setattr(MutableOverlay, "max_degree", counted)
+        with self._service() as service:
+            service.prepare()  # a condensation to patch
+            query = next(
+                iter(generate_pattern_workload(service.graph, shape=(3, 3), count=1, seed=4))
+            )
+            sub = service.subscribe(PatternRequest(query.pattern, query.personalized_match))
+            anchor = query.personalized_match
+            strangers = [
+                node
+                for node in service.graph.nodes()
+                if node != anchor and node not in service.graph.neighbors(anchor)
+            ]
+            warm = service.update(GraphDelta().add_edge(anchor, strangers[0]))
+            assert warm.mode == "patched"
+            del scans[:]
+            report = service.update(GraphDelta().add_edge(strangers[1], anchor))
+            assert report.mode == "patched"
+            assert report.maintenance.affected == 1
+            assert scans == []
+            with GraphService(service.graph, ServiceConfig(alpha=ALPHA)) as fresh:
+                again = fresh.run_batch([sub.request], sub.alpha).answers[0]
+            assert sub.signature() == answer_signature(sub.kind, again)
+
+
 class GraphDeltaFactory:
     @staticmethod
     def single_edge(service):

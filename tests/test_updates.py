@@ -316,6 +316,27 @@ class TestRebuildEquivalence:
         threaded = engine.answer_batch(reach_queries, ALPHA, executor="thread", workers=3)
         assert updated == _reach_signature(threaded)
 
+    @pytest.mark.parametrize("with_condensation", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_maintained_max_degree_equals_a_scan(self, served_graph, seed, with_condensation):
+        """The pattern matchers' visit coefficient is read off this value."""
+        rng = random.Random(seed)
+        prepared = PreparedGraph(served_graph.copy())
+        if with_condensation:
+            prepared.compressed()  # "patched"/"rebuilt" modes; "fresh" otherwise
+        hub = max(served_graph.nodes(), key=served_graph.degree)
+        deltas = [GraphDelta().remove_node(next(iter(served_graph.neighbors(hub))))]
+        mutable = served_graph.copy()
+        deltas[0].apply_to(mutable)
+        for _ in range(6):
+            delta = _random_delta(rng, mutable, ops=8, allow_removals=True)
+            delta.apply_to(mutable)
+            deltas.append(delta)
+        assert prepared.max_degree() == served_graph.max_degree()
+        for delta in deltas:
+            prepared.apply_delta(delta)
+            assert prepared.max_degree() == prepared.graph.max_degree()
+
     def test_node_removals_take_rebuild_path_and_stay_equivalent(self, served_graph, reach_queries):
         engine = QueryEngine(served_graph, cache_size=0)
         engine.answer_batch(reach_queries, ALPHA)
