@@ -81,6 +81,7 @@ def _daemon_main(conn: Any, metrics_enabled: bool = True) -> None:  # pragma: no
     because under ``spawn`` the child does not inherit the parent's
     module-level enabled flag.
     """
+    import resource
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates shutdown
@@ -122,7 +123,8 @@ def _daemon_main(conn: Any, metrics_enabled: bool = True) -> None:  # pragma: no
             if handle is not None:
                 handle.close()  # detach old segments (owner unlinks)
             handle = new_handle
-            conn.send(("ready", seq))
+            rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+            conn.send(("ready", seq, rss_kib * 1024))
         elif kind == "task":
             _, seq, batch, index, chunk_fn, task, ctx, _send_ts = message
             recv_ts = time.perf_counter()
@@ -225,12 +227,13 @@ def _emit_worker_trace(
 class _Daemon:
     """Parent-side record of one worker process."""
 
-    __slots__ = ("process", "conn", "state_seq")
+    __slots__ = ("process", "conn", "state_seq", "rss_bytes")
 
     def __init__(self, process: Any, conn: Any):
         self.process = process
         self.conn = conn
         self.state_seq = -1
+        self.rss_bytes = 0  # the worker's ru_maxrss at its latest attach
 
     @property
     def alive(self) -> bool:
@@ -337,8 +340,9 @@ class DaemonPool:
                 except (EOFError, OSError):
                     raise DaemonError("daemon worker died while attaching shared state")
                 if message[0] == "ready":
-                    worker.state_seq = message[1]
+                    worker.state_seq, worker.rss_bytes = message[1], message[2]
                     obs.histogram("daemon.attach.seconds").observe(time.perf_counter() - sent_at)
+                    obs.histogram("daemon.worker.rss.bytes").observe(worker.rss_bytes)
                     return
                 if message[0] == "attach-error":
                     raise DaemonError(f"daemon worker failed to attach shared state: {message[2]}")

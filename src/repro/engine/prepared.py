@@ -100,6 +100,15 @@ def _child_only(span):
     return span if obs.context.current() is not None else nullcontext()
 
 
+def _timed_thaw(structure: str, thaw):
+    """Run one array → container thaw on the ``prepare.thaw.*`` instruments."""
+    started = time.perf_counter()
+    thawed = thaw()
+    obs.histogram("prepare.thaw.seconds").observe(time.perf_counter() - started)
+    obs.counter("prepare.thaw." + structure).inc()
+    return thawed
+
+
 def _freeze(graph: GraphLike, mirror: str) -> GraphLike:
     """Resolve the serving substrate according to the ``mirror`` policy."""
     if mirror not in ("auto", "always", "never"):
@@ -419,9 +428,7 @@ class PreparedGraph:
             if condensation.array_backed:
                 # The first patch of a fresh CSR prepare: materialise the
                 # containers the maintainer mutates, once and in bulk.
-                thaw_started = time.perf_counter()
-                condensation = condensation.thaw()
-                obs.histogram("prepare.thaw.seconds").observe(time.perf_counter() - thaw_started)
+                condensation = _timed_thaw("condensation", condensation.thaw)
             self._maintainer = CondensationMaintainer.from_fresh(
                 overlay, condensation, compressed.ranks, compressed.dag_csr
             )
@@ -527,6 +534,8 @@ class PreparedGraph:
             summary.dirty_landmarks += sum(
                 1 for landmark in old_index.landmarks if landmark in dirty
             )
+            if type(old_index.forward_labels) is not dict:
+                _timed_thaw("labels", old_index.thaw_labels)  # the repair patches dicts
             repaired = repair_index(old_index, new_compressed, patch, reference_size)
             self._indexes[alpha] = repaired
             summary.reach_alphas_preserved[alpha] = not patch.ranks_changed and index_equivalent(
@@ -672,9 +681,16 @@ class SharedPreparedGraph:
                 substitutes.setdefault(id(prepared.original), token)
             compressed = prepared._compressed
             if compressed is not None:
-                # The compression's backing columns ride in its DAG mirror's
-                # segment; the pickle then carries a token per column.
-                share(compressed.dag_csr, compressed.columns())
+                # The compression's backing columns and the label columns of
+                # every index over it ride in its DAG mirror's segment; the
+                # pickle then carries a token per column.
+                columns = compressed.columns()
+                for alpha, index in prepared._indexes.items():
+                    if index.compressed is compressed:
+                        columns.update(
+                            (f"{alpha}:{name}", column) for name, column in index.columns().items()
+                        )
+                share(compressed.dag_csr, columns)
 
         buffer = io.BytesIO()
         _SubstitutingPickler(buffer, substitutes).dump(state)

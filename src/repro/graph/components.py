@@ -19,7 +19,7 @@ same objects).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.digraph import DiGraph, NodeId
@@ -187,12 +187,8 @@ def _group_order(group_of: "np.ndarray", count: int) -> Tuple["np.ndarray", "np.
 
 
 def _group_nodes(graph, order: "np.ndarray", offsets: "np.ndarray") -> List[Set[NodeId]]:
-    """The nodes of a :class:`CSRGraph` by group: group ``k`` at position ``k``.
-
-    Sets hold the graph's own id objects (``tolist()`` would mint a fresh
-    int per node — retained duplicates on an identity-numbered graph).
-    """
-    grouped = list(map(graph._ids.__getitem__, order.tolist()))
+    """The nodes of a :class:`CSRGraph` by group: group ``k`` at position ``k``."""
+    grouped = graph.ids_of(order)
     bounds = offsets.tolist()
     return [set(grouped[low:high]) for low, high in zip(bounds, bounds[1:])]
 
@@ -235,8 +231,9 @@ class Condensation:
     offsets, and the CSR mirror of the DAG, whose ids are the component ids
     in row order — and answers :meth:`component_of` and :meth:`size_of` from
     them through flat ``memoryview``s.  A component id is the node index of
-    its representative, so ``compact[id]`` is its row and no id → row dict
-    exists.  ``dag``, ``membership`` and ``members`` are then views
+    its representative, so ``compact[id]`` is its row: the mirror resolves
+    its ids through ``compact`` and keeps them as a column, and no id → row
+    dict or id list exists.  ``dag``, ``membership`` and ``members`` are then views
     materialised on first access (the DAG through
     :meth:`DiGraph.from_adjacency` off the mirror, whose adjacency order is
     the DAG's); a read-only service never asks for them, and they are neither
@@ -285,9 +282,16 @@ class Condensation:
         self._graph, self._mirror = graph, mirror
         self._compact, self._member_order, self._member_offsets = compact, member_order, member_offsets
         self._rows: Mapping[NodeId, int] = graph._index
-        self._component_ids: List[int] = mirror._ids
+        self._component_ids: Sequence[int] = mirror._ids  # a column or a range
+        self._id_objects: Optional[List[int]] = None
         self._compact_view = memoryview(compact)
         self._offsets_view = memoryview(member_offsets)
+
+    def _own_ids(self) -> List[int]:
+        """The component ids by row, one int object each, shared by every container."""
+        if self._id_objects is None:
+            self._id_objects = list(self._component_ids)
+        return self._id_objects
 
     def __getstate__(self):
         # An array-backed condensation travels as its columns: the word views
@@ -324,7 +328,7 @@ class Condensation:
     def dag(self) -> DiGraph:
         if self._dag is None:
             mirror = self._mirror
-            own_id = self._component_ids.__getitem__
+            own_id = self._own_ids().__getitem__
 
             def adjacency(indptr: "np.ndarray", indices: "np.ndarray") -> Iterator[List[int]]:
                 offsets = indptr.tolist()
@@ -332,7 +336,7 @@ class Condensation:
                 return (neighbours[low:high] for low, high in zip(offsets, offsets[1:]))
 
             self._dag = DiGraph.from_adjacency(
-                self._component_ids,
+                self._own_ids(),
                 map(mirror._label_table.__getitem__, mirror._label_ids.tolist()),
                 adjacency(mirror._succ_indptr, mirror._succ_indices),
                 adjacency(mirror._pred_indptr, mirror._pred_indices),
@@ -340,12 +344,12 @@ class Condensation:
         return self._dag
 
     # Every container holds the *same* int object per component id
-    # (``tolist()`` per use would mint a fresh one per occurrence — megabytes
-    # of retained duplicates on a big graph).
+    # (``_own_ids``; minting one per occurrence would retain megabytes of
+    # duplicates on a big graph).
     @property
     def membership(self) -> Mapping[NodeId, int]:
         if self._membership is None:
-            own_id = self._component_ids.__getitem__
+            own_id = self._own_ids().__getitem__
             self._membership = dict(zip(self._graph._ids, map(own_id, self._compact.tolist())))
         return self._membership
 
@@ -353,7 +357,7 @@ class Condensation:
     def members(self) -> Mapping[int, Set[NodeId]]:
         if self._members is None:
             groups = _group_nodes(self._graph, self._member_order, self._member_offsets)
-            self._members = dict(zip(self._component_ids, groups))
+            self._members = dict(zip(self._own_ids(), groups))
         return self._members
 
     def thaw(self) -> "Condensation":
@@ -378,6 +382,11 @@ class Condensation:
             return self._component_ids[self._compact_view[self._rows[node]]]
         except KeyError:
             raise NodeNotFoundError(node) from None
+
+    def row_of(self, node: NodeId) -> Optional[int]:
+        """Mirror row of ``node``'s component, ``None`` if ``G`` lacks it (array-backed only)."""
+        row = self._rows.get(node)
+        return None if row is None else self._compact_view[row]
 
     def size_of(self, component: int) -> int:
         """How many original nodes ``component`` contains."""
@@ -467,8 +476,9 @@ def condensation_with_mirror(graph) -> Tuple[Condensation, "_CSRGraph"]:
     renumber[kept] = np.arange(kept.shape[0], dtype=np.int64)
     label_table = [table[row] for row in kept.tolist()]
     label_ids = renumber[graph._label_ids[component_ids]]
+    # Ids as a column, rows through ``compact``: the mirror keeps no per-node object.
     mirror = _CSRGraph.from_index_arrays(
-        component_ids.tolist(), label_table, label_ids, sources, targets
+        component_ids, label_table, label_ids, sources, targets, _index=compact
     )
 
     condensed = Condensation.from_arrays(graph, mirror, compact, *_group_order(compact, count))

@@ -37,6 +37,7 @@ or, for a *serving* graph that must keep absorbing mutations, on a
 
 from __future__ import annotations
 
+import collections.abc
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
@@ -91,6 +92,71 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return indptr
 
 
+class _ColumnIndex(collections.abc.Mapping):
+    """An int id → row map with ``dict`` semantics and no per-node entry.
+
+    A key equal to the int ``i`` hashes to ``i`` (an unhashable raises
+    ``TypeError``), so ``hash(node)`` is the one candidate id: ``True``,
+    ``1.0`` or ``numpy.int64(1)`` find what ``1`` finds, as in a ``dict``.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, node: object) -> int:
+        row = self.get(node)
+        if row is None:
+            raise KeyError(node)
+        return row
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+
+class _IdentityIndex(_ColumnIndex):
+    """``{i: i for i in range(n)}``: the map of a graph whose ids are ``0..n-1``."""
+
+    __slots__ = ("_ids", "_n")
+
+    def __init__(self, n: int) -> None:
+        self._ids, self._n = range(n), n
+
+    def get(self, node: object, default=None):
+        row = hash(node)
+        return row if 0 <= row < self._n and row == node else default
+
+
+class _SortedIndex(_ColumnIndex):
+    """The map of a graph whose ids are ascending ints, kept as two columns.
+
+    The ids of a condensation DAG's mirror: ``rows[id]`` is the one
+    candidate row (the condensation's ``compact``, or a dense inverse),
+    confirmed by ``ids[row] == id``.
+    """
+
+    __slots__ = ("ids", "rows", "_ids", "_rows")
+
+    def __init__(self, ids: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
+        if rows is None:
+            rows = np.zeros(int(ids[-1]) + 1, dtype=np.int64)
+            rows[ids] = np.arange(ids.shape[0], dtype=np.int64)
+        self.ids, self.rows = ids, rows
+        self._ids, self._rows = memoryview(ids), memoryview(rows)
+
+    def __reduce__(self):
+        return (_SortedIndex, (self.ids, self.rows))
+
+    def get(self, node: object, default=None):
+        key = hash(node)
+        if 0 <= key < len(self._rows):
+            row = self._rows[key]
+            if self._ids[row] == key and key == node:
+                return row
+        return default
+
+
 class _NeighborView:
     """Sized, iterable, membership-testable view over one CSR adjacency slice.
 
@@ -115,11 +181,7 @@ class _NeighborView:
         return int(self._arr.shape[0])
 
     def __iter__(self) -> Iterator[NodeId]:
-        indices = self._arr.tolist()
-        if self._graph._identity:
-            return iter(indices)
-        ids = self._graph._ids
-        return iter([ids[i] for i in indices])
+        return iter(self._graph.ids_of(self._arr))
 
     def __contains__(self, node: object) -> bool:
         idx = self._graph._index.get(node)
@@ -163,6 +225,7 @@ class CSRGraph:
         "_ids",
         "_index",
         "_identity",
+        "_span",
         "_label_table",
         "_label_rows",
         "_label_ids",
@@ -176,7 +239,7 @@ class CSRGraph:
 
     def __init__(
         self,
-        ids: List[NodeId],
+        ids,
         label_table: List[Label],
         label_ids: np.ndarray,
         succ_indptr: np.ndarray,
@@ -185,17 +248,28 @@ class CSRGraph:
         pred_indices: np.ndarray,
         degrees: np.ndarray,
         label_bits: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        _index: Optional[Dict[NodeId, int]] = None,
+        _index=None,
     ) -> None:
-        self._ids = ids
-        # Constructors that already built ``{node: i}`` hand it over.
-        self._index: Dict[NodeId, int] = (
-            {node: i for i, node in enumerate(ids)} if _index is None else _index
-        )
-        # ``True == 1`` and ``1.0 == 1``: the type test keeps those out.
-        self._identity = ids == list(range(len(ids))) and set(map(type, ids)) <= {int}
+        """``ids``: a list of hashables, a ``range`` or an ascending int column.
+
+        Ids ``0..n-1`` and an id column keep no per-node object; ``_index`` is
+        then the column's candidate rows (optional), else a prebuilt ``{node: i}``.
+        """
+        if isinstance(ids, np.ndarray) and ids.shape[0] and ids[-1] != ids.shape[0] - 1:
+            self._index = _SortedIndex(ids, _index)
+            self._ids = self._index._ids
+        elif isinstance(ids, (range, np.ndarray)) or (
+            # ``True == 1`` and ``1.0 == 1``: the type test keeps those out.
+            ids == list(range(len(ids))) and set(map(type, ids)) <= {int}
+        ):
+            self._index, self._ids = _IdentityIndex(len(ids)), range(len(ids))
+        else:
+            self._ids = ids
+            self._index = {node: i for i, node in enumerate(ids)} if _index is None else _index
+        self._identity = type(self._ids) is range
+        self._span = len(self._ids) if self._identity else 0  # ints below it are their own rows
         self._label_table = label_table
-        # Label -> row, for ``label_id``; pickling carries it like every slot.
+        # Label -> row, for ``label_id``.
         self._label_rows: Dict[Label, int] = {label: row for row, label in enumerate(label_table)}
         self._label_ids = label_ids
         self._succ_indptr = succ_indptr
@@ -204,6 +278,14 @@ class CSRGraph:
         self._pred_indices = pred_indices
         self._degrees = degrees
         self._label_bits = label_bits
+
+    def __reduce__(self):
+        # Through the constructor: ids travel as a range, a list or a column, never as a map.
+        index = self._index
+        ids, rows = (index.ids, index.rows) if type(index) is _SortedIndex else (self._ids, None)
+        arrays = (self._label_ids, self._succ_indptr, self._succ_indices, self._pred_indptr)
+        tail = (self._pred_indices, self._degrees, self._label_bits, rows)
+        return (CSRGraph, (ids, self._label_table, *arrays, *tail))
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -263,20 +345,20 @@ class CSRGraph:
     @classmethod
     def from_index_arrays(
         cls,
-        ids: List[NodeId],
+        ids,
         label_table: List[Label],
         label_ids: np.ndarray,
         sources: np.ndarray,
         targets: np.ndarray,
-        _index: Optional[Dict[NodeId, int]] = None,
+        _index=None,
     ) -> "CSRGraph":
         """Assemble a CSR graph from edge arrays in internal index space.
 
         ``sources[k] → targets[k]`` are the edges as node *indices* into
-        ``ids``.  Adjacency comes out grouped/sorted per node (vectorised
-        stable sorts), so the result is only suitable for order-insensitive
-        kernels — the shared backend of :meth:`from_graph_unordered` and the
-        incremental DAG mirror.
+        ``ids`` (as the constructor takes them).  Adjacency comes out
+        grouped/sorted per node (vectorised stable sorts), so the result is
+        only suitable for order-insensitive kernels — the shared backend of
+        :meth:`from_graph_unordered` and the incremental DAG mirror.
         """
         n = len(ids)
         return cls(
@@ -422,10 +504,12 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     def index_of(self, node: NodeId) -> int:
         """Internal array index of ``node``; raises :class:`NodeNotFoundError`."""
-        try:
-            return self._index[node]
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        if type(node) is int and 0 <= node < self._span:  # the int fast path
+            return node
+        row = self._index.get(node)
+        if row is None:
+            raise NodeNotFoundError(node)
+        return row
 
     def node_at(self, index: int) -> NodeId:
         """Original identifier of the node stored at array ``index``."""
@@ -433,17 +517,18 @@ class CSRGraph:
 
     def ids_of(self, indices: np.ndarray) -> List[NodeId]:
         """Original identifiers of an index array, in order (one C pass)."""
-        values = indices.tolist()
         if self._identity:
-            return values
+            return indices.tolist()
+        if type(self._index) is _SortedIndex:
+            return self._index.ids[indices].tolist()
         ids = self._ids
-        return [ids[i] for i in values]
+        return [ids[i] for i in indices.tolist()]
 
     # ------------------------------------------------------------------ #
     # GraphLike: nodes, edges, labels
     # ------------------------------------------------------------------ #
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._index
+        return (type(node) is int and 0 <= node < self._span) or self._index.get(node) is not None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -766,11 +851,7 @@ class CSRGraph:
                 frontier = np.unique(candidates)
                 seen[frontier] = True
                 members.extend(frontier.tolist())
-            if self._identity:
-                components.append(set(members))
-            else:
-                ids = self._ids
-                components.append({ids[i] for i in members})
+            components.append(set(self.ids_of(np.array(members, dtype=np.int64))))
         return components
 
     def reach_stats(

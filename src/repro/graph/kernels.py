@@ -630,11 +630,7 @@ if np is not None and _CSRGraph is not None:
             depth += 1
             dist[frontier] = depth
         reached = np.nonzero(dist >= 0)[0]
-        values = dist[reached].tolist()
-        if graph._identity:
-            return dict(zip(reached.tolist(), values))
-        ids = graph._ids
-        return {ids[i]: d for i, d in zip(reached.tolist(), values)}
+        return dict(zip(graph.ids_of(reached), dist[reached].tolist()))
 
     def csr_is_reachable(graph: "_CSRGraph", source: NodeId, target: NodeId) -> bool:
         """Forward BFS reachability with early exit, in index space."""
@@ -772,7 +768,7 @@ if np is not None and _CSRGraph is not None:
             for low in range(0, max(1, source_rows.shape[0]), TILE_SOURCES)
         ]
         bits = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-        ids = None if graph._identity else list(graph._ids)
+        ids = None if graph._identity else graph._ids
         return ReachBatch.from_bits(sources, source_rows, bits, ids, num_nodes)
 
     @KERNELS.register("reach_mask", _CSRGraph)

@@ -11,19 +11,23 @@ reads) into one ``multiprocessing.shared_memory`` segment so any number of
 worker processes can attach the same physical pages zero-copy, by name.
 A segment can also carry *columns*: named arrays that describe the graph but
 are not part of it.  The condensation DAG's mirror takes the condensation's
-``compact``/``member_order``/``member_offsets`` and the rank index's
-``ranks`` along this way (``CompressedGraph.columns()``), so the whole
-compression reaches a worker as views and none of it is pickled.
+``compact``/``member_order``/``member_offsets``, the rank index's ``ranks``
+and each landmark index's label columns (``<alpha>:forward_offsets`` ...)
+along this way, so the compression and the labels reach a worker as views
+and none of it is pickled.
 
-Segment layout (one segment per graph, header ``format`` 2)::
+Segment layout (one segment per graph, header ``format`` 3)::
 
     [8-byte little-endian header length][pickled header][64-aligned arrays]
 
 The header carries everything needed to rebuild the graph on attach: node
-ids (or just ``n`` when ids are ``0..n-1``), the label table, and the name,
-dtype and shape of each array present, graph arrays first, then columns
-under ``column:<name>`` (format 1 stored a flat length and had no presence
-arrays); array offsets are derived deterministically from that, so
+ids (just ``n`` when ids are ``0..n-1``; ``None`` for a DAG mirror's
+ascending id column, stored as the ``node_ids`` array beside the candidate
+rows the header's ``node_rows`` names, ``column:compact`` for a fresh
+mirror), the label table, and the name, dtype and shape of each array
+present, graph arrays first, then columns under ``column:<name>`` (format 2
+pickled a mirror's ids as a list; format 1 stored a flat length and had no
+presence arrays); array offsets are derived deterministically from that, so
 :meth:`SharedCSRGraph.attach` needs only the segment *name*.
 
 **Naming and cleanup contract** (tested in ``tests/test_shared_memory.py``):
@@ -185,14 +189,25 @@ class SharedCSRGraph:
         arrays = {field: np.ascontiguousarray(getattr(graph, "_" + field)) for field in _ARRAY_FIELDS}
         if graph._label_bits is not None:
             arrays.update(zip(_LABEL_BITS_FIELDS, map(np.ascontiguousarray, graph._label_bits)))
+        from repro.graph.csr import _SortedIndex
+
+        # Identity ids (0..n-1) compress to a count; an id column travels as
+        # arrays, its candidate rows by reference when they are a published
+        # column (``compact``); other ids ship as the literal list.
+        index, rows_field = graph._index, None
+        if isinstance(index, _SortedIndex):
+            arrays["node_ids"] = index.ids
+            rows_field = next(
+                (_COLUMN_PREFIX + name for name, array in (columns or {}).items() if array is index.rows),
+                "node_rows",
+            )
+            arrays.setdefault(rows_field, index.rows)
         for column, array in (columns or {}).items():
             arrays[_COLUMN_PREFIX + column] = np.ascontiguousarray(array)
-        ids = graph._ids
         header = {
-            "format": 2,
-            # Identity ids (0..n-1) compress to a count; anything else ships
-            # as the literal list (hashables, pickled with the header).
-            "ids": len(ids) if graph._identity else list(ids),
+            "format": 3,
+            "ids": len(graph._ids) if graph._identity else None if rows_field else list(graph._ids),
+            "node_rows": rows_field,
             "label_table": list(graph._label_table),
             "arrays": [(field, array.dtype.str, array.shape) for field, array in arrays.items()],
         }
@@ -284,9 +299,11 @@ class SharedCSRGraph:
             for field, view in arrays.items()
             if field.startswith(_COLUMN_PREFIX)
         }
-        ids = header["ids"]
+        ids, rows = header["ids"], None
         if isinstance(ids, int):
-            ids = list(range(ids))
+            ids = range(ids)
+        elif ids is None:
+            ids, rows = arrays["node_ids"], arrays[header["node_rows"]]
         return CSRGraph(
             ids,
             header["label_table"],
@@ -301,6 +318,7 @@ class SharedCSRGraph:
                 if _LABEL_BITS_FIELDS[0] in arrays
                 else None
             ),
+            _index=rows,
         )
 
     # ------------------------------------------------------------------ #

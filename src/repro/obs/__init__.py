@@ -83,6 +83,7 @@ CATALOG = {
     "daemon.publish.seconds": ("histogram", "seconds", "repro.engine.daemons"),
     "daemon.attach.seconds": ("histogram", "seconds", "repro.engine.daemons"),
     "daemon.payload.bytes": ("gauge", "bytes", "repro.engine.daemons"),
+    "daemon.worker.rss.bytes": ("histogram", "bytes", "repro.engine.daemons"),
     # daemon workers (merged into the parent registry via drained snapshots)
     "daemon.worker.chunks": ("counter", "chunks", "repro.engine.daemons"),
     "daemon.worker.chunk.seconds": ("histogram", "seconds", "repro.engine.daemons"),
@@ -98,6 +99,9 @@ CATALOG = {
     "prepare.compress.seconds": ("histogram", "seconds", "repro.engine.prepared"),
     "prepare.index.seconds": ("histogram", "seconds", "repro.engine.prepared"),
     "prepare.thaw.seconds": ("histogram", "seconds", "repro.engine.prepared"),
+    # one per structure an update materialised from its columns (first patch)
+    "prepare.thaw.condensation": ("counter", "structures", "repro.engine.prepared"),
+    "prepare.thaw.labels": ("counter", "structures", "repro.engine.prepared"),
     # incremental updates (repro/engine/prepared.py)
     "update.noop": ("counter", "updates", "repro.engine.prepared"),
     "update.fresh": ("counter", "updates", "repro.engine.prepared"),

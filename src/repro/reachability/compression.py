@@ -12,7 +12,7 @@ as "the DAG ``G``" of Section 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.graph.components import Condensation, condensation, condensation_with_mirror
 from repro.graph.digraph import DiGraph, NodeId
@@ -66,6 +66,23 @@ class CompressedGraph:
     def component_of(self, node: NodeId) -> int:
         """Component id hosting an original node."""
         return self.condensation.component_of(node)
+
+    def locate(self, node: NodeId) -> Optional[Tuple[int, int]]:
+        """``(component, rank)`` of an original node, ``None`` when ``G`` lacks it.
+
+        RBReach's one lookup per endpoint: array-backed, both sit at the
+        node's mirror row (the rank column is built on the mirror's rows).
+        """
+        condensed = self.condensation
+        if condensed.array_backed:
+            row = condensed.row_of(node)
+            if row is None:
+                return None
+            return condensed._component_ids[row], self.ranks._column_view[row]
+        if node not in self.original:
+            return None
+        component = condensed.component_of(node)
+        return component, self.ranks.rank(component)
 
     def rank_of(self, node: NodeId) -> int:
         """Topological rank of the component hosting ``node``."""

@@ -15,7 +15,9 @@ DAG.  It consists of:
   estimated as ancestors x descendants) and *topological ranges*, which drive
   the drill-down / roll-up decisions and the Lemma 5(2) pruning;
 * per-node *out-of-index labels* ``v.E``: the first landmarks hit by a
-  forward (resp. backward) traversal from the node that stops at landmarks.
+  forward (resp. backward) traversal from the node that stops at landmarks
+  (int columns, :class:`~repro.reachability.landmarks.LabelTable`, until a
+  repair thaws them).
 
 The total number of landmarks plus index edges never exceeds
 ``alpha * |G|``, which is the resource bound RBReach operates under.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
 
 from collections import deque
 
@@ -34,10 +36,14 @@ from repro.graph.digraph import NodeId
 from repro.graph.protocol import GraphLike
 from repro.reachability.compression import CompressedGraph, compress
 from repro.reachability.landmarks import (
+    LabelTable,
     greedy_landmarks,
     out_of_index_labels,
     selection_sort_key,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - numpy is optional at import time
+    import numpy as np
 
 
 @dataclass
@@ -71,8 +77,8 @@ class HierarchicalLandmarkIndex:
     levels: List[List[NodeId]] = field(default_factory=list)
     forward_edges: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
     backward_edges: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
-    forward_labels: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
-    backward_labels: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
+    forward_labels: Mapping[NodeId, Set[NodeId]] = field(default_factory=dict)
+    backward_labels: Mapping[NodeId, Set[NodeId]] = field(default_factory=dict)
     edge_count: int = 0
     cover_parts: Dict[NodeId, Tuple[int, int]] = field(default_factory=dict)
     forward_reach: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
@@ -107,9 +113,25 @@ class HierarchicalLandmarkIndex:
         return self.backward_edges.get(landmark, set())
 
     def labels_of(self, dag_node: NodeId, forward: bool) -> Set[NodeId]:
-        """Out-of-index labels ``v.E`` of a DAG node for one direction."""
+        """Out-of-index labels ``v.E`` of a DAG node for one direction (a set the caller owns)."""
         table = self.forward_labels if forward else self.backward_labels
-        return table.get(dag_node, set())
+        labels = table.get(dag_node)
+        if labels is None:
+            return set()
+        return labels if type(table) is LabelTable else set(labels)
+
+    def columns(self) -> Dict[str, "np.ndarray"]:
+        """The label columns by name (none once thawed), for publication beside their mirror."""
+        return {
+            f"{direction}_{name}": column
+            for direction, table in (("forward", self.forward_labels), ("backward", self.backward_labels))
+            if type(table) is LabelTable
+            for name, column in (("offsets", table.offsets), ("values", table.values))
+        }
+
+    def thaw_labels(self) -> None:
+        """Replace the label tables by the plain dicts an index repair patches."""
+        self.forward_labels, self.backward_labels = dict(self.forward_labels), dict(self.backward_labels)
 
     def info(self, landmark: NodeId) -> LandmarkInfo:
         """Metadata of a landmark."""

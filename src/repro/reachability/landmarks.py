@@ -15,11 +15,17 @@ NP-hard, so the paper selects landmarks greedily:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.topology import TopologicalRankIndex
+
+try:  # the label columns need numpy; the generic tables are dicts without it
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy is normally available
+    np = None
 
 
 def selection_scores(dag: GraphLike, ranks: TopologicalRankIndex) -> Dict[NodeId, float]:
@@ -144,9 +150,16 @@ def first_landmarks_hit(
     follows in-edges (landmarks that can reach ``start``).  ``max_labels``
     truncates the label set, matching the ``|v.E| <= alpha|G|/2`` bound.
     """
+    return set(_first_hits(graph, start, landmarks, forward, max_labels))
+
+
+def _first_hits(
+    graph: GraphLike, start: NodeId, landmarks: Set[NodeId], forward: bool, max_labels: Optional[int]
+) -> List[NodeId]:
+    """:func:`first_landmarks_hit` in discovery order (its set's insertion order)."""
     from collections import deque
 
-    found: Set[NodeId] = set()
+    found: List[NodeId] = []
     if start in landmarks:
         return found
     seen: Set[NodeId] = {start}
@@ -159,7 +172,7 @@ def first_landmarks_hit(
                 continue
             seen.add(neighbor)
             if neighbor in landmarks:
-                found.add(neighbor)
+                found.append(neighbor)
                 if max_labels is not None and len(found) >= max_labels:
                     return found
                 continue
@@ -167,15 +180,63 @@ def first_landmarks_hit(
     return found
 
 
+class LabelTable(Mapping):
+    """One direction of ``v.E`` as two int columns over a CSR DAG mirror's rows.
+
+    Row ``r`` holds the landmark ids ``values[offsets[r]:offsets[r + 1]]`` in
+    sweep order; a row ``max_labels`` truncated is empty there and keeps its
+    :func:`first_landmarks_hit` ids, in discovery order, in ``spill``.  Those
+    are the insertion orders of the replaced dict's sets, so a lookup (a
+    fresh set the caller owns) iterates as they did.  Read-only.
+    """
+
+    __slots__ = ("mirror", "offsets", "values", "spill", "_offsets", "_values")
+
+    def __init__(self, mirror, offsets, values, spill: Dict[int, Tuple[NodeId, ...]]) -> None:
+        self.mirror, self.offsets, self.values, self.spill = mirror, offsets, values, spill
+        self._offsets, self._values = memoryview(offsets), memoryview(values)
+
+    def __reduce__(self):
+        return (LabelTable, (self.mirror, self.offsets, self.values, self.spill))
+
+    def get(self, node: NodeId, default=None):
+        row = self.mirror._index.get(node)
+        if row is None:
+            return default
+        low, high = self._offsets[row], self._offsets[row + 1]
+        if high - low == 1:
+            return {self._values[low]}
+        if high > low:
+            return set(self._values[low:high])
+        spilled = self.spill.get(row)
+        return default if spilled is None else set(spilled)
+
+    def __getitem__(self, node: NodeId) -> Set[NodeId]:
+        labels = self.get(node)
+        if labels is None:
+            raise KeyError(node)
+        return labels
+
+    def _rows(self):
+        spilled = np.fromiter(self.spill, dtype=np.int64, count=len(self.spill))
+        return np.union1d(np.flatnonzero(np.diff(self.offsets)), spilled)
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self.mirror.ids_of(self._rows()))
+
+    def __len__(self) -> int:
+        return int(self._rows().shape[0])
+
+
 def out_of_index_labels(
     dag: GraphLike,
     landmarks: Set[NodeId],
     max_labels: Optional[int] = None,
     csr_dag: Optional[GraphLike] = None,
-) -> Tuple[Dict[NodeId, Set[NodeId]], Dict[NodeId, Set[NodeId]]]:
+) -> Tuple[Mapping, Mapping]:
     """The out-of-index labels ``v.E`` of every non-landmark node.
 
-    Returns ``(forward, backward)`` dictionaries mapping each node with a
+    Returns ``(forward, backward)`` mappings from each node with a
     non-empty label set to its labels: ``forward[v]`` holds the landmarks
     reachable from ``v`` by a landmark-free path, ``backward[v]`` the
     landmarks that reach ``v`` by one.
@@ -186,7 +247,8 @@ def out_of_index_labels(
     work instead of ``O(n · region)``, and each sweep is vectorised.  The
     sweep computes the exact full label sets; nodes whose set exceeds
     ``max_labels`` fall back to the per-node traversal so the truncated
-    result is identical to the generic path.
+    result is identical to the generic path.  The mappings are then
+    :class:`LabelTable` columns, not dicts of sets.
     """
     if csr_dag is not None and csr_dag.num_nodes() == dag.num_nodes():
         return _out_of_index_labels_by_sweep(dag, csr_dag, landmarks, max_labels)
@@ -209,45 +271,41 @@ def _out_of_index_labels_by_sweep(
     csr_dag: GraphLike,
     landmarks: Set[NodeId],
     max_labels: Optional[int],
-) -> Tuple[Dict[NodeId, Set[NodeId]], Dict[NodeId, Set[NodeId]]]:
-    """Landmark-major computation of ``v.E`` over a CSR DAG (see above)."""
-    import numpy as np
-
+) -> Tuple[LabelTable, LabelTable]:
+    """Landmark-major ``v.E`` over a CSR DAG (see above); its ids are ints."""
     from repro.graph.kernels import reach_batch
 
     n = csr_dag.num_nodes()
     stop_mask = np.zeros(n, dtype=bool)
     landmark_list = list(landmarks)
-    landmark_indices = [csr_dag.index_of(landmark) for landmark in landmark_list]
-    stop_mask[landmark_indices] = True
+    landmark_ids = np.array(landmark_list, dtype=np.int64)
+    stop_mask[[csr_dag.index_of(landmark) for landmark in landmark_list]] = True
 
     # v has `landmark` as a forward label iff v reaches it landmark-free:
     # sweep the *predecessor* side, absorbing at other landmarks (and
     # symmetrically the successor side for backward labels).  All landmarks
     # of one direction ride in a single multi-source bitset sweep, and one
     # ``pairs()`` call reads every (node, landmark) hit out of it — frontiers
-    # absorb at landmarks, so most words of the matrix are empty.
-    forward: Dict[NodeId, Set[NodeId]] = {}
-    backward: Dict[NodeId, Set[NodeId]] = {}
-    for is_forward, result in ((True, forward), (False, backward)):
+    # absorb at landmarks, so most words of the matrix are empty.  Pairs
+    # arrive grouped by row with sources ascending, so each row's values
+    # fill in ``landmark_list`` order.
+    tables = []
+    for is_forward in (True, False):
         batch = reach_batch(csr_dag, landmark_list, forward=not is_forward, stop=stop_mask)
         rows, sources = batch.pairs()
-        unlabelled = ~stop_mask[rows]  # landmarks themselves carry no labels
-        rows, sources = rows[unlabelled], sources[unlabelled]
-        # Pairs arrive grouped by row with sources ascending, so each label
-        # set fills in ``landmark_list`` order.
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        nodes = csr_dag.ids_of(rows[starts])
-        starts = starts.tolist()
-        hits = [landmark_list[j] for j in sources.tolist()]
-        for node, low, high in zip(nodes, starts, starts[1:] + [len(hits)]):
-            if max_labels is not None and high - low > max_labels:
-                result[node] = first_landmarks_hit(
-                    dag, node, landmarks, forward=is_forward, max_labels=max_labels
-                )
-            else:
-                result[node] = set(hits[low:high])
-    return forward, backward
+        kept = ~stop_mask[rows]  # landmarks themselves carry no labels
+        counts = np.bincount(rows[kept], minlength=n)
+        spill: Dict[int, Tuple[NodeId, ...]] = {}
+        if max_labels is not None and n and counts.max() > max_labels:
+            truncated = np.flatnonzero(counts > max_labels)
+            for row, node in zip(truncated.tolist(), csr_dag.ids_of(truncated)):
+                spill[row] = tuple(_first_hits(dag, node, landmarks, is_forward, max_labels))
+            kept &= counts[rows] <= max_labels
+            counts[truncated] = 0
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        tables.append(LabelTable(csr_dag, offsets, landmark_ids[sources[kept]], spill))
+    return tables[0], tables[1]
 
 
 def landmark_reachability(

@@ -69,15 +69,14 @@ class RBReach:
     # ------------------------------------------------------------------ #
     def query(self, source: NodeId, target: NodeId) -> ReachabilityAnswer:
         """Answer "does ``source`` reach ``target``?" within bounded resources."""
-        if source not in self._compressed.original or target not in self._compressed.original:
+        source_at = self._compressed.locate(source)
+        target_at = self._compressed.locate(target)
+        if source_at is None or target_at is None:
             return ReachabilityAnswer(reachable=False)
-        source_component = self._compressed.component_of(source)
-        target_component = self._compressed.component_of(target)
+        (source_component, source_rank), (target_component, target_rank) = source_at, target_at
         if source_component == target_component:
             return ReachabilityAnswer(reachable=True, visited=1)
 
-        source_rank = self._compressed.ranks.rank(source_component)
-        target_rank = self._compressed.ranks.rank(target_component)
         # On a DAG every edge strictly decreases rank, so a path from the
         # source to the target requires source_rank > target_rank.
         if source_rank <= target_rank:
@@ -86,8 +85,8 @@ class RBReach:
         visited = 0
         limit = self.visit_limit
 
-        forward_active: Set[NodeId] = set(self._seed(source_component, forward=True))
-        backward_active: Set[NodeId] = set(self._seed(target_component, forward=False))
+        forward_active = self._seed(source_component, forward=True)
+        backward_active = self._seed(target_component, forward=False)
         visited += len(forward_active) + len(backward_active) + 1
 
         meeting = self._meeting_point(forward_active, backward_active)
@@ -151,7 +150,7 @@ class RBReach:
     # ------------------------------------------------------------------ #
     def _seed(self, component: NodeId, forward: bool) -> Set[NodeId]:
         """Initial active set: the node's out-of-index labels (plus itself if a landmark)."""
-        seeds = set(self._index.labels_of(component, forward=forward))
+        seeds = self._index.labels_of(component, forward=forward)
         if self._index.is_landmark(component):
             seeds.add(component)
         return seeds

@@ -27,7 +27,7 @@ Two kinds of *boundary landmark labels* make composition cheap:
   boundary components it reaches (forward) or is reached from (backward) by
   a boundary-free local path, the exact analogue of the paper's
   out-of-index labels ``v.E`` with the boundary as the landmark set.  A
-  query's exit/entry sets are then O(1) dictionary lookups at serve time,
+  query's exit/entry sets are then O(1) label-column lookups at serve time,
   and the quotient's intra-shard edges recover everything beyond the first
   hit (any locally reachable boundary component lies behind a first-hit
   one);
@@ -39,7 +39,7 @@ Two kinds of *boundary landmark labels* make composition cheap:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.graph.digraph import DiGraph, NodeId
 from repro.reachability.hierarchy import sweep_landmarks
@@ -75,8 +75,8 @@ class ShardContribution:
     cross_edges: List[Tuple[NodeId, NodeId]] = field(default_factory=list)
     #: first-hit boundary labels per local component (see module docstring):
     #: ``forward_labels[c]`` = boundary comps reached boundary-free from c.
-    forward_labels: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
-    backward_labels: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
+    forward_labels: Mapping[NodeId, Set[NodeId]] = field(default_factory=dict)
+    backward_labels: Mapping[NodeId, Set[NodeId]] = field(default_factory=dict)
 
 
 def build_contribution(
@@ -98,7 +98,9 @@ def build_contribution(
     boundary_comps = set(contribution.comp_of.values())
     contribution.boundary_comps = frozenset(boundary_comps)
 
-    dag = compressed.dag
+    # The read-only view (a fresh prepare's mirror): nothing thaws, and the
+    # label tables come back as columns over the mirror's rows.
+    dag = compressed.dag_view
     ordered_comps = sorted(boundary_comps, key=repr)
     _, reached = sweep_landmarks(dag, ordered_comps, forward=True, csr_dag=compressed.dag_csr)
     for comp in ordered_comps:

@@ -44,22 +44,8 @@ REBUILD_DIRTY_FRACTION = 0.5
 """Above this dirty fraction of the selection, rebuilding is cheaper."""
 
 
-def _reach_mask_set(
-    dag: GraphLike,
-    csr_dag: Optional[GraphLike],
-    node: NodeId,
-    forward: bool,
-) -> Set[NodeId]:
-    """Full ancestor/descendant set of one DAG node (node excluded)."""
-    if csr_dag is not None and csr_dag.num_nodes() == dag.num_nodes():
-        from repro.graph.kernels import csr_reach_mask
-
-        import numpy as np
-
-        index = csr_dag.index_of(node)
-        mask = csr_reach_mask(csr_dag, index, forward=forward)
-        mask[index] = False
-        return {csr_dag.node_at(i) for i in np.nonzero(mask)[0].tolist()}
+def _reach_mask_set(dag: GraphLike, node: NodeId, forward: bool) -> Set[NodeId]:
+    """Full ancestor/descendant set of one DAG node (node excluded), generically."""
     from collections import deque
 
     seen: Set[NodeId] = {node}
@@ -99,37 +85,18 @@ def _reach_mask_sets(
             reached.discard(node)
             result[node] = reached
         return result
-    return {node: _reach_mask_set(dag, None, node, forward) for node in nodes}
+    return {node: _reach_mask_set(dag, node, forward) for node in nodes}
 
 
 def _absorbing_region(
-    dag: GraphLike,
-    csr_dag: Optional[GraphLike],
-    landmark: NodeId,
-    landmark_set: Set[NodeId],
-    forward_labels: bool,
-    stop_mask=None,
+    dag: GraphLike, landmark: NodeId, landmark_set: Set[NodeId], forward_labels: bool
 ) -> Set[NodeId]:
-    """Nodes whose *label* search reaches ``landmark`` landmark-free.
+    """Nodes whose *label* search reaches ``landmark`` landmark-free, generically.
 
     For forward labels that is a backward sweep from the landmark absorbing
     at other landmarks (and vice versa) — the same region the landmark-major
-    label sweep covers.  ``stop_mask`` optionally carries the precomputed
-    landmark mask over ``csr_dag`` indices.
+    label sweep covers.
     """
-    if csr_dag is not None and csr_dag.num_nodes() == dag.num_nodes():
-        from repro.graph.kernels import csr_reach_mask
-
-        import numpy as np
-
-        if stop_mask is None:
-            stop_mask = np.zeros(csr_dag.num_nodes(), dtype=bool)
-            stop_mask[[csr_dag.index_of(mark) for mark in landmark_set]] = True
-        index = csr_dag.index_of(landmark)
-        mask = csr_reach_mask(csr_dag, index, forward=not forward_labels, stop_mask=stop_mask)
-        mask[index] = False
-        mask &= ~stop_mask
-        return {csr_dag.node_at(i) for i in np.nonzero(mask)[0].tolist()}
     from collections import deque
 
     region: Set[NodeId] = set()
@@ -184,7 +151,7 @@ def _absorbing_regions(
         return {csr_dag.node_at(i) for i in rows.tolist()}
     region: Set[NodeId] = set()
     for landmark in landmarks_added:
-        region |= _absorbing_region(dag, None, landmark, landmark_set, forward_labels)
+        region |= _absorbing_region(dag, landmark, landmark_set, forward_labels)
     return region
 
 

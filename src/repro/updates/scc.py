@@ -220,9 +220,10 @@ class CondensationMaintainer:
             sources = np.empty(0, dtype=np.int64)
             targets = np.empty(0, dtype=np.int64)
         # The mirror only feeds the reachability kernels; its labels are
-        # never consulted, so skip the per-node label interning pass.
+        # never consulted, so skip the per-node label interning pass.  Its
+        # ids stay a column (with a dense inverse), not a list and a dict.
         return CSRGraph.from_index_arrays(
-            ids, [""], np.zeros(len(ids), dtype=np.int64), sources, targets
+            id_array, [""], np.zeros(len(ids), dtype=np.int64), sources, targets
         )
 
     # ------------------------------------------------------------------ #

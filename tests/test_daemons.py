@@ -294,23 +294,25 @@ class TestSharedCompression:
             daemon = engine.answer_batch(batch, ALPHA, executor="daemon", workers=2)
             assert signatures(daemon) == signatures(serial)
 
-        def thaws():
-            return obs.snapshot()["histograms"].get("prepare.thaw.seconds", {}).get("count", 0)
+        def thaws(structure="condensation"):
+            return obs.snapshot()["counters"].get("prepare.thaw." + structure, 0)
 
-        thaws_before = thaws()
+        thaws_before, label_thaws_before = thaws(), thaws("labels")
         with QueryEngine(graph, cache_size=0) as engine:
             assert_parity(engine)
             assert engine.prepared.compressed().condensation.array_backed
             pool = engine.daemon_pool()
             segments = pool.segment_names()
             column_payload = obs.snapshot()["gauges"]["daemon.payload.bytes"]
-            assert thaws() == thaws_before  # serving reads never thaw
+            assert all(worker.rss_bytes > 2**20 for worker in pool._workers)  # sent with "ready"
+            assert obs.snapshot()["histograms"]["daemon.worker.rss.bytes"]["count"] >= 2
+            assert (thaws(), thaws("labels")) == (thaws_before, label_thaws_before)  # reads never thaw
 
             delta = GraphDelta()
             for source, target in zip(nodes[:6], nodes[1:7]):
                 delta.add_edge(source, target)
             assert engine.update(delta).mode == "patched"
-            assert thaws() == thaws_before + 1
+            assert (thaws(), thaws("labels")) == (thaws_before + 1, label_thaws_before + 1)
             assert not engine.prepared.compressed().condensation.array_backed
             assert_parity(engine)  # republished: the patched containers travel pickled
             assert obs.snapshot()["gauges"]["daemon.payload.bytes"] > column_payload
@@ -408,7 +410,13 @@ class TestSpawnShipping:
 @pytest.mark.slow_shm
 class TestSoak:
     def test_daemon_soak_200_batches_no_leaks(self, graph):
-        """Nightly: 200 daemon batches with periodic updates, zero leaks."""
+        """Nightly: 200 daemon batches with periodic updates, zero leaks.
+
+        Each update republishes (container-backed after the first thaw), so
+        a worker that kept the state it detached from would grow by one
+        state per republish: its ``ru_maxrss`` after the last attach must
+        stay within 8 MB of the one after its first.
+        """
         from repro.graph.shm import active_segments
 
         nodes = list(graph.nodes())
@@ -426,6 +434,7 @@ class TestSoak:
                 assert [a.reachable for a in daemon] == [a.reachable for a in serial]
                 if pool is None:
                     pool = engine.daemon_pool()
+                    first_rss = [worker.rss_bytes for worker in pool._workers]
                 if batch % 50 == 49:
                     delta = GraphDelta()
                     delta.add_edge(nodes[batch % len(nodes)], nodes[(batch * 7) % len(nodes)])
@@ -434,4 +443,7 @@ class TestSoak:
             # segments at a time; crashes aside, the original workers served
             # every batch.
             assert pool is not None and pool.restarts == 0
+            last_rss = [worker.rss_bytes for worker in pool._workers]
+            assert all(0 < first for first in first_rss)
+            assert all(last - first <= 8 * 2**20 for first, last in zip(first_rss, last_rss))
         assert set(active_segments()) == before

@@ -9,7 +9,12 @@ the ranks of a ``CSRGraph`` are array-backed: ``component_of``, ``size_of``
 and ``rank`` must agree with the oracle's containers for every node while no
 container exists, and the containers thawed afterwards (``membership``,
 ``members``, the DAG's labels and both neighbour *orders*, ``ranks()``) must
-equal the oracle's.
+equal the oracle's.  The out-of-index labels are int columns
+(``LabelTable``): every DAG node's ``labels_of`` must iterate exactly as the
+oracle's set — also for rows the caps 1–2 truncate, after a pickle
+round-trip and after a shared-memory attach — and the first update thaws
+them into the oracle's dicts.  Ids ``0..n-1`` and a DAG mirror's ids keep no
+per-node map, yet answer every lookup as ``{id: row}`` would.
 
 The count gate at the bottom is the deterministic stand-in for a timing floor
 (timing is not bounded on this host): preparing REACH on a ``CSRGraph`` may
@@ -19,6 +24,7 @@ with a read-only reach batch on top, may not build a ``DiGraph`` or touch
 ``membership``/``members`` at all.
 """
 
+import pickle
 import random
 from collections import Counter
 from dataclasses import fields
@@ -39,7 +45,7 @@ from prepare_oracle import (
     oracle_topological_ranks,
 )
 from repro.engine import QueryEngine, ReachQuery
-from repro.engine.prepared import PreparedGraph
+from repro.engine.prepared import PreparedGraph, publish_state
 from repro.exceptions import NodeNotFoundError
 from repro.graph import kernels
 from repro.graph.components import Condensation, condensation, strongly_connected_components
@@ -55,11 +61,12 @@ from repro.reachability.hierarchy import (
     build_index,
     select_leaves,
 )
-from repro.reachability.landmarks import out_of_index_labels
+from repro.reachability.landmarks import LabelTable, out_of_index_labels
 from repro.reachability.rbreach import RBReach
 from repro.shard.partition import partition_graph
 from repro.shard.shards import build_shards
 from repro.updates.delta import GraphDelta
+from repro.updates.index_repair import index_equivalent
 from repro.workloads.datasets import load_dataset
 
 ALPHAS = (0.02, 0.2, 1.0)
@@ -133,10 +140,12 @@ def graphs(draw):
 # Equality of the prepared objects
 # --------------------------------------------------------------------------- #
 def assert_same_csr(actual: CSRGraph, expected: CSRGraph) -> None:
-    assert actual._ids == expected._ids
+    assert list(actual._ids) == list(expected._ids)
     assert list(map(type, actual._ids)) == list(map(type, expected._ids))
-    assert actual._index == expected._index
+    assert actual._index == expected._index  # a map with ``dict`` semantics, if not a dict
     assert actual._identity == expected._identity
+    if actual._identity:  # ids 0..n-1 keep no per-node object
+        assert type(actual._ids) is range and not isinstance(actual._index, dict)
     assert actual._label_table == expected._label_table
     for name in CSR_ARRAYS:
         left, right = getattr(actual, name), getattr(expected, name)
@@ -209,6 +218,19 @@ def assert_same_index(actual: HierarchicalLandmarkIndex, expected: HierarchicalL
     assert list(actual.landmarks) == list(expected.landmarks)  # leaf order, not just the set
 
 
+def assert_same_label_order(actual: HierarchicalLandmarkIndex, expected: HierarchicalLandmarkIndex) -> None:
+    """Every DAG node's ``v.E`` iterates as the oracle's set does, both directions."""
+    for table in (actual.forward_labels, actual.backward_labels):
+        if actual.landmarks:  # an empty graph's index has no label sweep
+            assert type(table) is LabelTable
+    for node in expected.compressed.dag.nodes():
+        for forward, table in ((True, expected.forward_labels), (False, expected.backward_labels)):
+            labels = actual.labels_of(node, forward)
+            assert list(labels) == list(table.get(node, ())), (node, forward)
+            labels.add("scribble")  # the caller owns it
+            assert "scribble" not in actual.labels_of(node, forward)
+
+
 def assert_same_answers(actual: RBReach, expected: RBReach, pairs) -> None:
     for source, target in pairs:
         left, right = actual.query(source, target), expected.query(source, target)
@@ -253,13 +275,20 @@ def check_prepared_csr(frozen, frozen_oracle, alphas, reference_size=None, pair_
         index_oracle = oracle_build_index(frozen_oracle, alpha, reference_size=reference_size)
         assert_same_index(index, index_oracle)
         assert_same_answers(RBReach(index), RBReach(index_oracle), pairs)
+        assert_same_label_order(index, index_oracle)
         # A cap small enough that the ``first_landmarks_hit`` fallback runs.
         for cap in (1, 2):
-            assert out_of_index_labels(
+            tables = out_of_index_labels(
                 compressed.dag_view, set(leaves), max_labels=cap, csr_dag=compressed.dag_csr
-            ) == oracle_out_of_index_labels_by_sweep(
+            )
+            oracle_tables = oracle_out_of_index_labels_by_sweep(
                 compressed_oracle.dag, compressed_oracle.dag_csr, set(leaves), cap
             )
+            assert tables == oracle_tables
+            for copy in (tables, pickle.loads(pickle.dumps(tables))):
+                index.forward_labels, index.backward_labels = copy
+                index_oracle.forward_labels, index_oracle.backward_labels = oracle_tables
+                assert_same_label_order(index, index_oracle)
     condensed = compressed.condensation
     assert (condensed._dag, condensed._membership, condensed._members) == (None, None, None)
 
@@ -320,6 +349,84 @@ def test_overlay_substrate_gets_the_mirror_ranks_and_order():
             build_index(on_overlay, alpha, reference_size=graph.size()),
             build_index(on_digraph, alpha, reference_size=graph.size()),
         )
+
+
+# --------------------------------------------------------------------------- #
+# Label columns and id maps: published, thawed, looked up as the dicts were
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("shape", SHAPES)
+def test_label_columns_attach_as_views_of_the_mirror_segment(shape):
+    graph = make_graph(150, shape, "shuffled", seed=11)
+    prepared = PreparedGraph(graph)
+    prepared.prepare("reach", 0.2)
+    oracle = oracle_build_index(oracle_from_digraph(graph), 0.2)
+    with publish_state(prepared) as handle:
+        pages = np.frombuffer(handle._segments["csr1"]._segment.buf, dtype=np.uint8)  # the mirror's
+        attached = handle.attach().reachability_index(0.2)
+        columns = attached.columns()
+        assert sorted(columns) == ["backward_offsets", "backward_values", "forward_offsets", "forward_values"]
+        for name, column in columns.items():
+            assert not column.flags.writeable and np.shares_memory(column, pages), name
+        assert_same_index(attached, oracle)
+        assert_same_label_order(attached, oracle)
+        del pages, columns, column, attached
+
+
+def test_first_update_thaws_the_labels_into_the_oracles_dicts():
+    graph = make_graph(300, "random", "identity", seed=5)
+    prepared = PreparedGraph(graph)
+    prepared.prepare("reach", 0.05)
+    index = prepared.reachability_index(0.05)
+    oracle = oracle_build_index(oracle_from_digraph(graph), 0.05)
+    assert type(index.forward_labels) is LabelTable
+    assert prepared.apply_delta(GraphDelta().add_edge(3, 200)).mode == "patched"
+    assert type(index.forward_labels) is dict and type(index.backward_labels) is dict
+    assert index.forward_labels == oracle.forward_labels
+    assert index.backward_labels == oracle.backward_labels
+    repaired = prepared.reachability_index(0.05)
+    assert index_equivalent(index, repaired) == index_equivalent(oracle, repaired)
+
+
+ID_KEYS = [0, 1, 3, -1, -2, True, False, 1.0, 2.5, np.int64(3), np.float64(2.0), "1", None, (1,), 2**64 + 1]
+
+
+def assert_same_id_map(graph: CSRGraph, reference: dict, keys) -> None:
+    """``index_of``/``in``/``get`` of ``graph`` against the dict its ids would make."""
+    for key in keys:
+        expected = reference.get(key)
+        assert graph._index.get(key) == expected and (key in graph) == (key in reference), key
+        if expected is None:
+            with pytest.raises(NodeNotFoundError):
+                graph.index_of(key)
+        else:
+            assert graph.index_of(key) == expected and type(graph.index_of(key)) is int
+    for unhashable in ([1], {1}, {1: 1}):
+        for probe in (reference.get, graph._index.get, graph.__contains__):
+            with pytest.raises(TypeError):
+                probe(unhashable)
+
+
+@pytest.mark.parametrize("num_nodes", [0, 1, 5])
+def test_identity_id_map_has_dict_semantics(num_nodes):
+    graph = CSRGraph.from_digraph(make_graph(num_nodes, "sparse", "identity", seed=1))
+    assert type(graph._ids) is range and not isinstance(graph._index, dict)
+    reference = {i: i for i in range(num_nodes)}
+    assert_same_id_map(graph, reference, ID_KEYS + [num_nodes - 1, num_nodes, num_nodes + 7])
+    assert graph.ids_of(np.arange(num_nodes)) == list(graph.nodes()) == list(reference)
+    assert [graph.node_at(i) for i in range(num_nodes)] == list(reference)
+    assert pickle.loads(pickle.dumps(graph))._index == reference
+
+
+def test_the_dag_mirror_resolves_its_ids_through_columns():
+    mirror = compress(CSRGraph.from_digraph(make_graph(200, "giant_scc", "identity", seed=4))).dag_csr
+    ids = list(mirror.nodes())
+    assert ids != list(range(len(ids)))  # the ring merged, so ids skip
+    assert type(mirror._ids) is memoryview and not isinstance(mirror._index, dict)
+    reference = {node: row for row, node in enumerate(ids)}
+    assert_same_id_map(mirror, reference, ID_KEYS + list(range(-2, 205)))
+    assert mirror.ids_of(np.arange(len(ids))) == ids
+    assert [mirror.node_at(row) for row in range(len(ids))] == ids
+    assert pickle.loads(pickle.dumps(mirror))._index == reference
 
 
 # --------------------------------------------------------------------------- #

@@ -401,6 +401,56 @@ class TestReports:
             sharded_engines[2].run_batch(reach_queries, 0.0)
 
 
+class TestBoundaryPrepare:
+    def test_two_shard_prepare_thaws_nothing_and_matches_the_oracle(
+        self, graph, reach_queries, monkeypatch
+    ):
+        """The boundary reads each shard's DAG mirror: no ``DiGraph`` DAG,
+        membership or members is built, and the intra edges and first-hit
+        labels (as columns) are what the thawed DAG gave."""
+        from prepare_oracle import oracle_out_of_index_labels_by_sweep
+        from repro.graph.components import Condensation
+        from repro.reachability.compression import compress
+        from repro.reachability.hierarchy import sweep_landmarks
+        from repro.reachability.landmarks import LabelTable
+        from repro.shard.boundary import DEFAULT_LABEL_CAP
+
+        asked = []  # containers read off a shard's columns (the quotient's own are plain)
+
+        def counted(getter, name):
+            return property(lambda self: (self.array_backed and asked.append(name)) or getter(self))
+
+        for name in ("dag", "membership", "members"):
+            monkeypatch.setattr(Condensation, name, counted(getattr(Condensation, name).fget, name))
+        with ShardedEngine(graph, num_shards=2, seed=7) as engine:
+            engine.prepare(reach_alphas=[ALPHA])
+            engine.run_batch(reach_queries, ALPHA)
+            assert asked == []
+            monkeypatch.undo()
+            for shard_id, shard in engine.shards.items():
+                contribution = engine.boundary.contribution(shard_id)
+                assert contribution.boundary_comps
+                reference = compress(shard.graph)  # a twin to thaw
+                ordered = sorted(contribution.boundary_comps, key=repr)
+                _, reached = sweep_landmarks(
+                    reference.dag, ordered, forward=True, csr_dag=reference.dag_csr
+                )
+                assert contribution.intra_edges == [
+                    (comp, other) for comp in ordered for other in sorted(reached[comp], key=repr)
+                ]
+                expected = oracle_out_of_index_labels_by_sweep(
+                    reference.dag,
+                    reference.dag_csr,
+                    set(contribution.comp_of.values()),  # the set, in build order
+                    DEFAULT_LABEL_CAP,
+                )
+                actual = (contribution.forward_labels, contribution.backward_labels)
+                for table, oracle in zip(actual, expected):
+                    assert type(table) is LabelTable and table == oracle
+                    for node in reference.dag.nodes():
+                        assert list(table.get(node, ())) == list(oracle.get(node, ()))
+
+
 # --------------------------------------------------------------------------- #
 # Updates
 # --------------------------------------------------------------------------- #

@@ -11,8 +11,9 @@ Three contracts under test:
   and a process that exits without closing is swept by ``atexit``;
 * **prepared-state publication** — ``SharedPreparedGraph.publish`` exports
   every CSR substrate once — and, beside the DAG mirror, the columns behind
-  an array-backed condensation and its ranks — workers attach by name and
-  answer bit-identically to the parent's state.
+  an array-backed condensation, its ranks and the landmark labels — workers
+  attach by name and answer bit-identically to the parent's state, within
+  a pickled-payload and an attach-allocation budget on the benchmark graph.
 
 The session-scoped ``shm_leak_check`` fixture in ``conftest.py`` backs all
 of this up by failing the whole run if any test leaks a segment.
@@ -343,7 +344,14 @@ class TestSharedPreparedGraph:
         assert clone.condensation.members == compressed.condensation.members
 
     def test_youtube_payload_is_the_landmark_index_alone(self):
-        """The benchmark graph at its α: what is pickled fits 300 kB (it was 1.07 MB)."""
+        """The benchmark graph at its α: what is pickled fits 70 kB, what attach builds 1.5 MB.
+
+        The payload was 1.07 MB with the condensation pickled, then 217 kB
+        with the label tables pickled as dicts of sets; attaching that
+        allocated about 9 MB (label sets, id lists and id → row dicts).
+        """
+        import tracemalloc
+
         from repro.engine.queries import SUBGRAPH
         from repro.workloads.datasets import load_dataset
 
@@ -351,8 +359,47 @@ class TestSharedPreparedGraph:
         for kind in (REACH, SIMULATION, SUBGRAPH):
             prepared.prepare(kind, 0.02)
         with publish_state(prepared) as handle:
-            assert handle.payload_bytes <= 300_000
+            assert handle.payload_bytes <= 70_000
             assert b"DiGraph" not in handle._payload
+            tracemalloc.start()
+            try:
+                attached = handle.attach()
+                allocated = tracemalloc.get_traced_memory()[1]  # the peak
+            finally:
+                tracemalloc.stop()
+            assert allocated < 1_500_000
+            del attached
+
+    def test_fresh_csr_prepare_and_reach_batch_build_no_per_node_set(self):
+        """Label tables are columns: prepare plus a reach batch leaves no set per DAG node.
+
+        Counted over the garbage collector's live objects (a ``set`` cannot be
+        instrumented like ``DiGraph.__init__``): what remains is the index's
+        per-landmark edge and reach sets.
+        """
+        import gc
+        import random
+
+        from repro.engine import QueryEngine
+        from repro.engine.queries import ReachQuery
+
+        graph = CSRGraph.from_digraph(random_graph(num_nodes=3000, num_edges=6000, seed=3))
+        rng = random.Random(5)
+        nodes = list(graph.nodes())
+        queries = [ReachQuery(rng.choice(nodes), rng.choice(nodes)) for _ in range(200)]
+
+        def live_sets() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is set)
+
+        before = live_sets()
+        with QueryEngine(graph, cache_size=0) as engine:
+            engine.prepare(reach_alphas=[0.02])
+            assert any(answer.reachable for answer in engine.run_batch(queries, 0.02).answers)
+            index = engine.prepared.reachability_index(0.02)
+            grown = live_sets() - before
+        budget = 4 * index.num_landmarks()
+        assert grown <= budget < len(index.forward_labels) + len(index.backward_labels)
 
     def test_reach_only_state_publishes_no_summaries(self):
         graph = random_graph(num_nodes=100, num_edges=300, seed=5)
