@@ -489,10 +489,7 @@ def _command_update(args) -> int:
             f"cache evicted={report.cache_evicted} retained={report.cache_retained}"
         )
         if args.verify:
-            fresh = GraphService(
-                service.graph,
-                ServiceConfig(executor="serial", cache_size=0, mirror="never"),
-            )
+            fresh = GraphService(service.graph, ServiceConfig(executor="serial", cache_size=0))
             fresh_answers = fresh.run_batch(requests, alpha=alpha).answers
             identical = answers_identical("reach", query_report.answers, fresh_answers)
             line += f" verify={'ok' if identical else 'MISMATCH'}"
@@ -608,10 +605,7 @@ def _command_subscribe(args) -> int:
             f"maintain={pass_report.wall_seconds * 1000:.1f}ms"
         )
         if args.verify:
-            fresh = GraphService(
-                service.graph,
-                ServiceConfig(executor="serial", cache_size=0, mirror="never"),
-            )
+            fresh = GraphService(service.graph, ServiceConfig(executor="serial", cache_size=0))
             fresh_answers = fresh.run_batch(requests, alpha=alpha).answers
             identical = all(
                 subscription.signature()

@@ -109,18 +109,13 @@ class QueryEngine:
     Parameters
     ----------
     graph:
-        The data graph (``DiGraph`` or ``CSRGraph``); mutable graphs are
-        frozen into a CSR mirror when numpy is available.
+        The data graph (``DiGraph`` or ``CSRGraph``); anything but a
+        ``CSRGraph`` is frozen into one, order preserved.
     cache_size:
         Capacity of the LRU answer cache (0 disables caching).
-    mirror:
-        CSR mirroring policy, see :class:`PreparedGraph`.
-    compressed:
-        Optional precomputed SCC condensation (requires ``mirror="never"``),
-        see :class:`PreparedGraph`.
     prepared:
-        Optional pre-built :class:`PreparedGraph` to serve on (``graph``,
-        ``mirror`` and ``compressed`` are then ignored).  The sharded
+        Optional pre-built :class:`PreparedGraph` to serve on (``graph`` is
+        then ignored).  The sharded
         serving layer builds per-shard prepared state with non-default
         budget references and injects it here.
     """
@@ -129,14 +124,12 @@ class QueryEngine:
         self,
         graph: Optional[GraphLike] = None,
         cache_size: int = 4096,
-        mirror: str = "auto",
-        compressed=None,
         prepared: Optional[PreparedGraph] = None,
     ):
         if prepared is None:
             if graph is None:
                 raise EngineError("QueryEngine needs a graph (or a prepared state)")
-            prepared = PreparedGraph(graph, mirror=mirror, compressed=compressed)
+            prepared = PreparedGraph(graph)
         self._prepared = prepared
         self._cache = AnswerCache(cache_size)
         # Invalidation anchors: cache key → what part of the graph the query

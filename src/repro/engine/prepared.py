@@ -31,7 +31,8 @@ from repro import obs
 from repro.core.rbsim import RBSim, RBSimConfig
 from repro.core.rbsub import RBSub, RBSubConfig
 from repro.exceptions import EngineError
-from repro.graph.digraph import DiGraph, NodeId
+from repro.graph.csr import CSRGraph, freeze
+from repro.graph.digraph import NodeId
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.protocol import GraphLike
 from repro.graph.statistics import summarize_for_report
@@ -109,21 +110,12 @@ def _timed_thaw(structure: str, thaw):
     return thawed
 
 
-def _freeze(graph: GraphLike, mirror: str) -> GraphLike:
-    """Resolve the serving substrate according to the ``mirror`` policy."""
-    if mirror not in ("auto", "always", "never"):
-        raise EngineError(f"unknown mirror policy {mirror!r}; use auto, always or never")
-    if mirror == "never" or not isinstance(graph, DiGraph):
-        return graph
-    try:
-        from repro.graph.csr import CSRGraph
-    except ImportError:
-        if mirror == "always":
-            raise EngineError("mirror='always' requires numpy for the CSR backend")
-        return graph
+def _freeze(graph: GraphLike) -> CSRGraph:
+    """The serving substrate: ``graph`` itself when CSR, else its order-exact freeze."""
     started = time.perf_counter()
-    frozen = CSRGraph.from_digraph(graph)
-    obs.histogram("prepare.freeze.seconds").observe(time.perf_counter() - started)
+    frozen = freeze(graph)
+    if frozen is not graph:
+        obs.histogram("prepare.freeze.seconds").observe(time.perf_counter() - started)
     return frozen
 
 
@@ -133,19 +125,10 @@ class PreparedGraph:
     Parameters
     ----------
     graph:
-        The data graph.  A mutable :class:`DiGraph` is frozen into a
-        :class:`CSRGraph` mirror when numpy is available (``mirror="auto"``,
-        the default) — ``CSRGraph.from_digraph`` preserves neighbour
-        iteration order, so answers are identical on either substrate.
-    mirror:
-        ``"auto"`` (freeze when possible), ``"always"`` (error without
-        numpy) or ``"never"`` (serve on the graph as given).
-    compressed:
-        Optional precomputed SCC condensation of ``graph`` — pass it when
-        the caller already compressed the graph (as the experiment drivers
-        do for their baselines) to avoid a second O(V+E) compress pass.
-        Only accepted with ``mirror="never"``: the condensation must
-        describe the exact substrate the engine serves on.
+        The data graph.  Anything but a :class:`CSRGraph` (a ``DiGraph``, a
+        ``MutableOverlay``) is frozen on entry with
+        ``CSRGraph.from_digraph``, which preserves node and neighbour
+        iteration order, so answers are those of the graph as given.
     reach_reference_size:
         Optional ``|G|`` used for the ``RBReach`` index budget instead of
         the serving graph's own size.  The sharded serving layer pins each
@@ -162,21 +145,14 @@ class PreparedGraph:
     def __init__(
         self,
         graph: GraphLike,
-        mirror: str = "auto",
-        compressed: Optional[CompressedGraph] = None,
         reach_reference_size: Optional[int] = None,
         pattern_reference_size: Optional[int] = None,
         pattern_visit_coefficient: Optional[float] = None,
     ):
         self.original = graph
-        self.graph = _freeze(graph, mirror)
-        if compressed is not None and compressed.original is not self.graph:
-            raise EngineError(
-                "precomputed compression must condense the graph the engine serves on "
-                "(pass mirror='never' when injecting a compression of the input graph)"
-            )
+        self.graph: GraphLike = _freeze(graph)
         self._statistics: Optional[Mapping[str, object]] = None
-        self._compressed: Optional[CompressedGraph] = compressed
+        self._compressed: Optional[CompressedGraph] = None
         self._indexes: Dict[float, HierarchicalLandmarkIndex] = {}
         self._index_build_seconds: Dict[float, float] = {}
         self._rbreach: Dict[float, RBReach] = {}
@@ -191,7 +167,7 @@ class PreparedGraph:
 
     @property
     def backend(self) -> str:
-        """Class name of the serving substrate (``CSRGraph`` or ``DiGraph``)."""
+        """Class name of the serving substrate (``CSRGraph``; ``MutableOverlay`` after an update)."""
         return type(self.graph).__name__
 
     @property
@@ -217,8 +193,15 @@ class PreparedGraph:
     # Reachability state
     # ------------------------------------------------------------------ #
     def compressed(self) -> CompressedGraph:
-        """The SCC condensation, built on first use (paper Section 5)."""
+        """The SCC condensation, built on first use (paper Section 5).
+
+        Always condensed on a ``CSRGraph``: an overlay left by updates (a
+        rebuild drops the condensation) is folded first, so the array passes
+        are the only prepare.
+        """
         if self._compressed is None:
+            if isinstance(self.graph, MutableOverlay):
+                self._rebind_substrate(self.graph.compact())
             started = time.perf_counter()
             with _child_only(obs.span("prepare.compress")):
                 self._compressed = compress(self.graph)
@@ -513,12 +496,11 @@ class PreparedGraph:
         """Swap in the patched condensation and repair every built α index."""
         from repro.updates.index_repair import index_equivalent, repair_index
 
-        dag_csr = self._maintainer.dag_mirror() if self._maintainer is not None else None
         new_compressed = CompressedGraph(
             original=self.graph,
             condensation=patch.condensation,
             ranks=patch.rank_index,
-            dag_csr=dag_csr,
+            dag_csr=self._maintainer.dag_mirror(),
         )
         self._compressed = new_compressed
         members = patch.condensation.members
@@ -632,8 +614,7 @@ class SharedPreparedGraph:
     zero-copy views of the shared pages.  A compression an update has
     patched is container-backed and pickles whole, as before.
     ``state`` may be a :class:`PreparedGraph` or the sharded engine's
-    ``{shard_id: ShardState}`` table; states with no CSR substrate
-    (``mirror="never"``) degrade gracefully to a plain pickled payload.
+    ``{shard_id: ShardState}`` table.
 
     The publishing process owns the segments: :meth:`close` unlinks them.
     Unpickled copies (in workers) only ever detach.
@@ -647,15 +628,11 @@ class SharedPreparedGraph:
     @classmethod
     def publish(cls, state: Any) -> "SharedPreparedGraph":
         """Export ``state`` for cross-process attachment."""
-        try:
-            from repro.graph.csr import CSRGraph
-        except ImportError:  # pragma: no cover - numpy normally present
-            CSRGraph = None  # type: ignore[assignment]
         segments: Dict[str, Any] = {}
         substitutes: Dict[int, str] = {}
 
         def share(graph: Any, columns: Optional[Mapping[str, Any]] = None) -> Optional[str]:
-            if CSRGraph is None or not isinstance(graph, CSRGraph):
+            if not isinstance(graph, CSRGraph):
                 return None
             token = substitutes.get(id(graph))
             if token is None:

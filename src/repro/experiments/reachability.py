@@ -25,7 +25,6 @@ from repro.reachability.baselines import (
     BFSReachability,
     LandmarkVectorReachability,
 )
-from repro.reachability.compression import CompressedGraph, compress
 from repro.service.config import ServiceConfig
 from repro.service.requests import ReachRequest
 from repro.service.service import GraphService
@@ -34,23 +33,17 @@ from repro.workloads.queries import ReachabilityWorkload, generate_reachability_
 
 
 def _sweep_service(
-    graph: DiGraph,
-    compressed: CompressedGraph,
-    executor: str = "serial",
-    workers: Optional[int] = None,
+    graph: DiGraph, executor: str = "serial", workers: Optional[int] = None
 ) -> GraphService:
     """One service per sweep — the only place experiment engines are built.
 
-    One condensation serves both the baselines and the service's index
-    builds (``mirror="never"``: the injected compression describes
-    ``graph``).  ``cache_size=0``: every workload pair is unique and the
-    figure timings must stay raw — no fingerprinting or cache bookkeeping
-    in the measured batch time.
+    The service's condensation also serves the ``BFSOpt`` baseline.
+    ``cache_size=0``: every workload pair is unique and the figure timings
+    must stay raw — no fingerprinting or cache bookkeeping in the measured
+    batch time.
     """
     return GraphService(
-        graph,
-        ServiceConfig(executor=executor, workers=workers, cache_size=0, mirror="never"),
-        compressed=compressed,
+        graph, ServiceConfig(executor=executor, workers=workers, cache_size=0)
     )
 
 
@@ -108,7 +101,7 @@ def _evaluate_alpha(
 
 def _baseline_times(
     graph: DiGraph,
-    compressed: CompressedGraph,
+    service: GraphService,
     workload: ReachabilityWorkload,
     lm_seed: int = 0,
 ):
@@ -118,7 +111,7 @@ def _baseline_times(
     bfs_answers = bfs.query_many(workload.pairs)
     bfs_time = (time.perf_counter() - started) / max(1, len(workload))
 
-    bfsopt = BFSOptReachability(graph, compressed=compressed)
+    bfsopt = BFSOptReachability(graph, compressed=service.engine.prepared.compressed())
     started = time.perf_counter()
     bfsopt.query_many(workload.pairs)
     bfsopt_time = (time.perf_counter() - started) / max(1, len(workload))
@@ -150,9 +143,8 @@ def alpha_sweep(
     workload = generate_reachability_workload(
         graph, count=num_queries, seed=seed, max_walk_length=max_walk_length
     )
-    compressed = compress(graph)
-    bfs_time, bfsopt_time, lm_time, lm_accuracy = _baseline_times(graph, compressed, workload, lm_seed=seed)
-    service = _sweep_service(graph, compressed, executor, workers)
+    service = _sweep_service(graph, executor, workers)
+    bfs_time, bfsopt_time, lm_time, lm_accuracy = _baseline_times(graph, service, workload, lm_seed=seed)
     rows = [
         _evaluate_alpha(
             service,
@@ -189,11 +181,10 @@ def graph_size_sweep(
         workload = generate_reachability_workload(
             graph, count=num_queries, seed=seed, max_walk_length=max_walk_length
         )
-        compressed = compress(graph)
+        service = _sweep_service(graph, executor, workers)
         bfs_time, bfsopt_time, lm_time, lm_accuracy = _baseline_times(
-            graph, compressed, workload, lm_seed=seed
+            graph, service, workload, lm_seed=seed
         )
-        service = _sweep_service(graph, compressed, executor, workers)
         for alpha in alphas:
             row = _evaluate_alpha(
                 service,

@@ -18,43 +18,10 @@ from repro.graph.components import (
     is_dag,
     strongly_connected_components,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph, Edge, Label, NodeId
 from repro.graph.protocol import GraphLike
-
-try:  # The CSR backend needs numpy; the rest of the package does not.
-    from repro.graph.csr import CSRGraph
-except ImportError:  # pragma: no cover - numpy is normally available
-
-    class CSRGraph:  # type: ignore[no-redef]
-        """Placeholder that fails loudly when numpy is unavailable."""
-
-        def __init__(self, *args, **kwargs):
-            raise ImportError("the CSR graph backend requires numpy; install numpy to use CSRGraph")
-
-        def __init_subclass__(cls, **kwargs):
-            raise ImportError("the CSR graph backend requires numpy; install numpy to use CSRGraph")
-
-        @classmethod
-        def from_digraph(cls, *args, **kwargs):
-            raise ImportError("the CSR graph backend requires numpy; install numpy to use CSRGraph")
-
-        @classmethod
-        def from_edges(cls, *args, **kwargs):
-            raise ImportError("the CSR graph backend requires numpy; install numpy to use CSRGraph")
-
-
-try:  # Shared-memory tier rides on the CSR backend (numpy).
-    from repro.graph.shm import SEGMENT_PREFIX, SharedCSRGraph
-except ImportError:  # pragma: no cover - numpy is normally available
-    SEGMENT_PREFIX = "repro_shm_"  # type: ignore[assignment]
-
-    class SharedCSRGraph:  # type: ignore[no-redef]
-        """Placeholder that fails loudly when numpy is unavailable."""
-
-        def __init__(self, *args, **kwargs):
-            raise ImportError("shared-memory graphs require numpy; install numpy to use SharedCSRGraph")
-
-
+from repro.graph.shm import SEGMENT_PREFIX, SharedCSRGraph
 from repro.graph.generators import (
     DEFAULT_ALPHABET,
     community_graph,
@@ -113,10 +80,7 @@ from repro.graph.subgraph import (
 )
 from repro.graph.topology import (
     TopologicalRankIndex,
-    longest_path_length,
-    topological_levels,
-    topological_ranks,
-    topological_sort,
+    csr_topological_ranks,
     verify_rank_invariant,
 )
 from repro.graph.traversal import (
@@ -196,10 +160,7 @@ __all__ = [
     "induced_subgraph",
     "is_subgraph",
     "TopologicalRankIndex",
-    "longest_path_length",
-    "topological_levels",
-    "topological_ranks",
-    "topological_sort",
+    "csr_topological_ranks",
     "verify_rank_invariant",
     "ancestors",
     "bfs_levels",

@@ -8,30 +8,25 @@ with their component representatives, so every reachability query on ``G``
 has the same answer on the condensation — exactly the property ``RBReach``
 needs (see DESIGN.md, substitutions table).
 
-Tarjan's algorithm is implemented iteratively to cope with deep graphs.  It
-exists twice: the generic body walks any :class:`GraphLike` through node-keyed
-dicts (``DiGraph``, overlays, ``restrict``-ed re-runs) and is the differential
-oracle; on a :class:`~repro.graph.csr.CSRGraph` the same traversal runs in
-index space over flat lists, and the condensation around it is assembled from
-whole-array passes (``tests/test_prepare_differential.py`` pins the two to the
-same objects).
+Tarjan's algorithm is implemented iteratively to cope with deep graphs.  The
+condensation runs it in index space over a :class:`~repro.graph.csr.CSRGraph`
+(any other graph is frozen first) and assembles the rest from whole-array
+passes; ``tests/test_prepare_differential.py`` pins that to the frozen
+element-by-element prepare.  :func:`strongly_connected_components` keeps the
+node-keyed body for the incremental maintenance, which re-runs it over one
+component's members (``restrict``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.exceptions import NodeNotFoundError
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
-
-try:  # CSRGraph needs numpy; condensation must keep working without it.
-    import numpy as np
-
-    from repro.graph.csr import CSRGraph as _CSRGraph
-except ImportError:  # pragma: no cover - numpy is normally available
-    np = None
-    _CSRGraph = None
 
 
 def strongly_connected_components(
@@ -46,13 +41,7 @@ def strongly_connected_components(
     With ``restrict`` the traversal runs on the subgraph induced by that
     node set — the incremental condensation maintenance uses this to re-run
     Tarjan over just one affected component's members.
-
-    A :class:`CSRGraph` is walked in index space (same roots, same neighbour
-    order, hence the same emission order as the generic body below).
     """
-    if restrict is None and _CSRGraph is not None and isinstance(graph, _CSRGraph):
-        return _group_nodes(graph, *_group_order(*_csr_components(graph)))
-
     index_counter = 0
     indices: Dict[NodeId, int] = {}
     lowlinks: Dict[NodeId, int] = {}
@@ -113,16 +102,18 @@ def strongly_connected_components(
     return components
 
 
-def _csr_components(graph) -> Tuple["np.ndarray", int]:
+def _csr_components(graph: CSRGraph) -> Tuple[np.ndarray, int]:
     """Index-space Tarjan: per-node emission number and the component count.
 
     The traversal of :func:`strongly_connected_components` over
-    ``indptr.tolist()``/``indices.tolist()`` with list state instead of
-    node-keyed dicts.  A discovered node with no component yet is exactly a
-    node on Tarjan's stack, so ``emitted`` doubles as the on-stack test.
+    ``indptr.tolist()`` and a ``memoryview`` of the indices, with list state
+    instead of node-keyed dicts.  A discovered node with no component yet is
+    exactly a node on Tarjan's stack, so ``emitted`` doubles as the on-stack
+    test.  (The indices are not copied into a list: as fast to read, and a
+    rebuild under load would pay an edge-length list of ints at its peak.)
     """
     indptr = graph._succ_indptr.tolist()
-    indices = graph._succ_indices.tolist()
+    indices = memoryview(graph._succ_indices)
     n = len(indptr) - 1
     discovered = [-1] * n
     lowlink = [0] * n
@@ -179,14 +170,14 @@ def _csr_components(graph) -> Tuple["np.ndarray", int]:
     return np.asarray(emitted, dtype=np.int64), count
 
 
-def _group_order(group_of: "np.ndarray", count: int) -> Tuple["np.ndarray", "np.ndarray"]:
+def _group_order(group_of: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
     """Node indices grouped by group number, and each group's offsets into them."""
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(np.bincount(group_of, minlength=count), out=offsets[1:])
     return np.argsort(group_of, kind="stable"), offsets
 
 
-def _group_nodes(graph, order: "np.ndarray", offsets: "np.ndarray") -> List[Set[NodeId]]:
+def _group_nodes(graph: CSRGraph, order: np.ndarray, offsets: np.ndarray) -> List[Set[NodeId]]:
     """The nodes of a :class:`CSRGraph` by group: group ``k`` at position ``k``."""
     grouped = graph.ids_of(order)
     bounds = offsets.tolist()
@@ -223,10 +214,8 @@ class Condensation:
     in ``repro.updates`` patch a condensation and land on exactly the ids a
     fresh :func:`condensation` call would assign.
 
-    The generic path (:func:`condensation` of a ``DiGraph`` or an overlay)
-    builds the three containers and hands them to the constructor.  The
-    :class:`CSRGraph` path (:meth:`from_arrays`) is *array-backed*: it keeps
-    the columns :func:`condensation_with_mirror` computed — ``compact`` (node
+    :func:`condensation` builds it *array-backed* (:meth:`from_arrays`): it
+    keeps the columns :func:`condensation_with_mirror` computed — ``compact`` (node
     index → component row), the member order grouped by component with its
     offsets, and the CSR mirror of the DAG, whose ids are the component ids
     in row order — and answers :meth:`component_of` and :meth:`size_of` from
@@ -238,12 +227,12 @@ class Condensation:
     :meth:`DiGraph.from_adjacency` off the mirror, whose adjacency order is
     the DAG's); a read-only service never asks for them, and they are neither
     pickled nor published.  :meth:`thaw` hands the containers to a reader that
-    will mutate them.
+    will mutate them (the incremental maintenance); the constructor takes
+    such containers directly.
 
     Iteration order of ``membership``/``members`` is not part of the
-    contract: the generic path fills them in Tarjan emission order, the CSR
-    path in node order and component-id order.  Readers look entries up or
-    sort the keys.
+    contract: they fill in node order and component-id order, a maintainer
+    patches them in place.  Readers look entries up or sort the keys.
     """
 
     def __init__(
@@ -263,9 +252,9 @@ class Condensation:
         cls,
         graph,
         mirror,
-        compact: "np.ndarray",
-        member_order: "np.ndarray",
-        member_offsets: "np.ndarray",
+        compact: np.ndarray,
+        member_order: np.ndarray,
+        member_offsets: np.ndarray,
     ) -> "Condensation":
         """The array-backed condensation of the :class:`CSRGraph` ``graph``.
 
@@ -311,7 +300,7 @@ class Condensation:
         """Whether the columns (not the containers) are this condensation's state."""
         return self._compact is not None
 
-    def columns(self) -> Dict[str, "np.ndarray"]:
+    def columns(self) -> Dict[str, np.ndarray]:
         """The backing columns by name (empty unless array-backed).
 
         What publication copies into the DAG mirror's shared segment.
@@ -330,7 +319,7 @@ class Condensation:
             mirror = self._mirror
             own_id = self._own_ids().__getitem__
 
-            def adjacency(indptr: "np.ndarray", indices: "np.ndarray") -> Iterator[List[int]]:
+            def adjacency(indptr: np.ndarray, indices: np.ndarray) -> Iterator[List[int]]:
                 offsets = indptr.tolist()
                 neighbours = list(map(own_id, indices.tolist()))
                 return (neighbours[low:high] for low, high in zip(offsets, offsets[1:]))
@@ -409,39 +398,14 @@ def condensation(graph: GraphLike) -> Condensation:
 
     For any two original nodes ``u`` and ``v``, ``u`` reaches ``v`` in ``G``
     if and only if ``component_of(u)`` reaches ``component_of(v)`` in the
-    returned DAG (with equality counting as reachable).
+    returned DAG (with equality counting as reachable).  A graph that is
+    not a :class:`CSRGraph` is frozen first (order-exact, so the canonical
+    ids are those of the graph as given).
     """
-    if _CSRGraph is not None and isinstance(graph, _CSRGraph):
-        return condensation_with_mirror(graph)[0]
-    components = strongly_connected_components(graph)
-    position = {node: index for index, node in enumerate(graph.nodes())}
-    membership: Dict[NodeId, int] = {}
-    members: Dict[int, Set[NodeId]] = {}
-    representatives: Dict[int, NodeId] = {}
-    for component in components:
-        representative = min(component, key=position.__getitem__)
-        component_id = position[representative]
-        members[component_id] = component
-        representatives[component_id] = representative
-        for node in component:
-            membership[node] = component_id
-    dag = DiGraph()
-    for component_id in sorted(members):
-        dag.add_node(component_id, graph.label(representatives[component_id]))
-    dag_edges: Set[Tuple[int, int]] = set()
-    for source, target in graph.edges():
-        source_id = membership[source]
-        target_id = membership[target]
-        if source_id != target_id:
-            dag_edges.add((source_id, target_id))
-    # Sorted insertion gives every DAG node a sorted (hence canonical)
-    # neighbour iteration order on the insertion-ordered DiGraph.
-    for source_id, target_id in sorted(dag_edges):
-        dag.add_edge(source_id, target_id)
-    return Condensation(dag=dag, membership=membership, members=members)
+    return condensation_with_mirror(freeze(graph))[0]
 
 
-def condensation_with_mirror(graph) -> Tuple[Condensation, "_CSRGraph"]:
+def condensation_with_mirror(graph: CSRGraph) -> Tuple[Condensation, CSRGraph]:
     """:func:`condensation` of a :class:`CSRGraph`, plus a CSR mirror of its DAG.
 
     Whole-array passes end to end: index-space Tarjan, canonical ids as the
@@ -477,7 +441,7 @@ def condensation_with_mirror(graph) -> Tuple[Condensation, "_CSRGraph"]:
     label_table = [table[row] for row in kept.tolist()]
     label_ids = renumber[graph._label_ids[component_ids]]
     # Ids as a column, rows through ``compact``: the mirror keeps no per-node object.
-    mirror = _CSRGraph.from_index_arrays(
+    mirror = CSRGraph.from_index_arrays(
         component_ids, label_table, label_ids, sources, targets, _index=compact
     )
 

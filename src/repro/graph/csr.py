@@ -47,21 +47,34 @@ from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph.digraph import DiGraph, Edge, Label, NodeId
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_DEGREE_CHUNK = 1 << 12
 
 
 def _union_degrees(n: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-node ``|N(v)|`` (successors ∪ predecessors) from an edge list.
 
     ``d(v) = out(v) + in(v) - #reciprocal edges at v``; the reciprocal count
-    is found by set-matching each edge code against the reversed codes, all
-    in C.
+    is found by binary-searching each edge code among the sorted reversed
+    codes, all in C.  The forward codes go ``_DEGREE_CHUNK`` edges at a
+    time: a rebuild after a node removal pays this pass on every
+    compaction, under load, so its temporaries are what set the process's
+    memory high-water mark (``np.isin`` would allocate several edge-length
+    arrays more).
     """
     out_deg = np.bincount(sources, minlength=n)
     in_deg = np.bincount(targets, minlength=n)
-    if sources.shape[0] == 0:
+    m = sources.shape[0]
+    if m == 0:
         return (out_deg + in_deg).astype(np.int64)
-    codes = sources * np.int64(n) + targets
-    reciprocal = np.isin(codes, targets * np.int64(n) + sources)
+    reversed_codes = targets * np.int64(n) + sources
+    reversed_codes.sort()
+    reciprocal = np.empty(m, dtype=bool)
+    for low in range(0, m, _DEGREE_CHUNK):
+        chunk = slice(low, low + _DEGREE_CHUNK)
+        codes = sources[chunk] * np.int64(n) + targets[chunk]
+        found = np.searchsorted(reversed_codes, codes)
+        np.minimum(found, m - 1, out=found)
+        reciprocal[chunk] = reversed_codes[found] == codes
     duplicates = np.bincount(sources[reciprocal], minlength=n)
     return (out_deg + in_deg - duplicates).astype(np.int64)
 
@@ -324,25 +337,6 @@ class CSRGraph:
         )
 
     @classmethod
-    def from_graph_unordered(cls, graph) -> "CSRGraph":
-        """Freeze any :class:`GraphLike` into CSR form, ignoring neighbour order.
-
-        The per-node adjacency comes out sorted by internal index rather
-        than in the source's iteration order, with the heavy lifting done by
-        vectorised sorts — roughly an order of magnitude faster than
-        :meth:`from_digraph`.  Use it only for mirrors that feed the
-        order-insensitive kernels (reachability masks, cover statistics,
-        label sweeps); anything order-sensitive needs :meth:`from_digraph`.
-        """
-        ids = list(graph.nodes())
-        index = {node: i for i, node in enumerate(ids)}
-        label_table, label_ids = _intern_labels(map(graph.label, ids), len(ids))
-        endpoints = _flat_indices(index, graph.edges(), 2 * graph.num_edges())
-        return cls.from_index_arrays(
-            ids, label_table, label_ids, endpoints[0::2], endpoints[1::2], _index=index
-        )
-
-    @classmethod
     def from_index_arrays(
         cls,
         ids,
@@ -356,9 +350,9 @@ class CSRGraph:
 
         ``sources[k] → targets[k]`` are the edges as node *indices* into
         ``ids`` (as the constructor takes them).  Adjacency comes out
-        grouped/sorted per node (vectorised stable sorts), so the result is
-        only suitable for order-insensitive kernels — the shared backend of
-        :meth:`from_graph_unordered` and the incremental DAG mirror.
+        grouped by node in edge-array order (vectorised stable sorts): the
+        condensation's DAG mirror (edges sorted, so each slice is sorted) and
+        the incremental DAG mirror.
         """
         n = len(ids)
         return cls(
@@ -918,3 +912,8 @@ class CSRGraph:
             frontier = np.unique(candidates)
             seen[frontier] = True
         return seen
+
+
+def freeze(graph) -> CSRGraph:
+    """``graph`` itself when it is a :class:`CSRGraph`, else its :meth:`~CSRGraph.from_digraph` freeze."""
+    return graph if isinstance(graph, CSRGraph) else CSRGraph.from_digraph(graph)

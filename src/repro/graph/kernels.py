@@ -55,15 +55,9 @@ from repro import obs
 from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph.protocol import GraphLike, NodeId
 
-try:  # The bitset kernels need numpy; dispatch and the oracle do not.
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is normally available
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-try:
-    from repro.graph.csr import CSRGraph as _CSRGraph
-except ImportError:  # pragma: no cover - numpy is normally available
-    _CSRGraph = None  # type: ignore[assignment]
+from repro.graph.csr import CSRGraph as _CSRGraph
 
 Direction = str
 
@@ -206,7 +200,7 @@ def _popcount_words(words: "np.ndarray") -> int:
     return int(table[np.ascontiguousarray(words).view(np.uint8)].sum())
 
 
-if np is not None and not hasattr(np, "bitwise_count"):  # pragma: no cover
+if not hasattr(np, "bitwise_count"):  # pragma: no cover
     _POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -260,8 +254,6 @@ class ReachBatch:
         if self._bits is not None:
             word, bit = divmod(j, 64)
             return ((self._bits[:, word] >> np.uint64(bit)) & np.uint64(1)).astype(bool)
-        if np is None:  # pragma: no cover - numpy is normally available
-            raise GraphError("mask() needs numpy; use rows() on the oracle result")
         out = np.zeros(self._num_nodes, dtype=bool)
         out[list(self._sets[j])] = True
         return out
@@ -404,7 +396,7 @@ def _normalize_stop(stop: Any, ids: Sequence[NodeId]) -> Optional[Set[NodeId]]:
     """Coerce ``stop`` (node-id iterable or row-space mask) to a node-id set."""
     if stop is None:
         return None
-    if np is not None and isinstance(stop, np.ndarray):
+    if isinstance(stop, np.ndarray):
         return {ids[row] for row in np.nonzero(stop)[0].tolist()}
     return set(stop)
 
@@ -557,247 +549,259 @@ def _generic_weak_components(graph: GraphLike) -> List[Set[NodeId]]:
 # --------------------------------------------------------------------------- #
 # CSR kernels — vectorised, index-space
 # --------------------------------------------------------------------------- #
-if np is not None and _CSRGraph is not None:
+_EMPTY = np.empty(0, dtype=np.int64)
 
-    _EMPTY = np.empty(0, dtype=np.int64)
 
-    def _csr_arrays(graph: "_CSRGraph", forward: bool):
-        if forward:
-            return graph._succ_indptr, graph._succ_indices
-        return graph._pred_indptr, graph._pred_indices
+def _csr_arrays(graph: "_CSRGraph", forward: bool):
+    if forward:
+        return graph._succ_indptr, graph._succ_indices
+    return graph._pred_indptr, graph._pred_indices
 
-    def csr_reach_mask(
-        graph: "_CSRGraph",
-        start_index: int,
-        forward: bool = True,
-        stop_mask: Optional["np.ndarray"] = None,
-        *,
-        scalar_threshold: int = 32,
-    ) -> "np.ndarray":
-        """Boolean mask of nodes reachable from ``start_index`` (included).
 
-        With ``stop_mask`` the traversal records masked nodes when reached
-        but never expands *through* them (they absorb the search) — the
-        primitive behind the out-of-index labels ``v.E`` of the RBReach
-        index.  ``scalar_threshold`` bounds the hybrid scalar phase (gather
-        setup costs more than it saves on tiny frontiers); it exists so the
-        property suite can pin scalar-phase and vectorised-phase semantics
-        against each other (0 forces pure-vector, a huge value pure-scalar).
-        """
-        indptr, indices = _csr_arrays(graph, forward)
-        seen = np.zeros(graph.num_nodes(), dtype=bool)
-        seen[start_index] = True
-        frontier_list: List[int] = [start_index]
-        while frontier_list and len(frontier_list) < scalar_threshold:
-            next_list: List[int] = []
-            for i in frontier_list:
-                for j in indices[int(indptr[i]) : int(indptr[i + 1])].tolist():
-                    if not seen[j]:
-                        seen[j] = True
-                        if stop_mask is None or not stop_mask[j]:
-                            next_list.append(j)
-            frontier_list = next_list
-        frontier = np.array(frontier_list, dtype=np.int64)
-        while frontier.size:
-            candidates = graph._expand(frontier, indptr, indices)
-            candidates = candidates[~seen[candidates]]
-            if candidates.size == 0:
-                break
-            frontier = np.unique(candidates)
-            seen[frontier] = True
-            if stop_mask is not None:
-                frontier = frontier[~stop_mask[frontier]]
-        return seen
+def csr_reach_mask(
+    graph: "_CSRGraph",
+    start_index: int,
+    forward: bool = True,
+    stop_mask: Optional["np.ndarray"] = None,
+    *,
+    scalar_threshold: int = 32,
+) -> "np.ndarray":
+    """Boolean mask of nodes reachable from ``start_index`` (included).
 
-    def csr_bfs_distances(
-        graph: "_CSRGraph",
-        source: NodeId,
-        max_hops: Optional[int] = None,
-        direction: Direction = _BOTH,
-    ) -> Dict[NodeId, int]:
-        """Level-synchronous BFS distances via vectorised frontier gathers."""
-        start = graph.index_of(source)
-        dist = np.full(graph.num_nodes(), -1, dtype=np.int64)
-        dist[start] = 0
-        frontier = np.array([start], dtype=np.int64)
-        depth = 0
-        while frontier.size and (max_hops is None or depth < max_hops):
-            candidates = graph._frontier_neighbors(frontier, direction)
-            candidates = candidates[dist[candidates] < 0]
-            if candidates.size == 0:
-                break
-            frontier = np.unique(candidates)
-            depth += 1
-            dist[frontier] = depth
-        reached = np.nonzero(dist >= 0)[0]
-        return dict(zip(graph.ids_of(reached), dist[reached].tolist()))
-
-    def csr_is_reachable(graph: "_CSRGraph", source: NodeId, target: NodeId) -> bool:
-        """Forward BFS reachability with early exit, in index space."""
-        start = graph.index_of(source)
-        goal = graph.index_of(target)
-        if start == goal:
-            return True
-        indptr, indices = graph._succ_indptr, graph._succ_indices
-        seen = np.zeros(graph.num_nodes(), dtype=bool)
-        seen[start] = True
-        frontier_list: List[int] = [start]
-        while frontier_list and len(frontier_list) < 32:
-            next_list: List[int] = []
-            for i in frontier_list:
-                for j in indices[int(indptr[i]) : int(indptr[i + 1])].tolist():
-                    if j == goal:
-                        return True
-                    if not seen[j]:
-                        seen[j] = True
+    With ``stop_mask`` the traversal records masked nodes when reached
+    but never expands *through* them (they absorb the search) — the
+    primitive behind the out-of-index labels ``v.E`` of the RBReach
+    index.  ``scalar_threshold`` bounds the hybrid scalar phase (gather
+    setup costs more than it saves on tiny frontiers); it exists so the
+    property suite can pin scalar-phase and vectorised-phase semantics
+    against each other (0 forces pure-vector, a huge value pure-scalar).
+    """
+    indptr, indices = _csr_arrays(graph, forward)
+    seen = np.zeros(graph.num_nodes(), dtype=bool)
+    seen[start_index] = True
+    frontier_list: List[int] = [start_index]
+    while frontier_list and len(frontier_list) < scalar_threshold:
+        next_list: List[int] = []
+        for i in frontier_list:
+            for j in indices[int(indptr[i]) : int(indptr[i + 1])].tolist():
+                if not seen[j]:
+                    seen[j] = True
+                    if stop_mask is None or not stop_mask[j]:
                         next_list.append(j)
-            frontier_list = next_list
-        frontier = np.array(frontier_list, dtype=np.int64)
-        while frontier.size:
-            candidates = graph._expand(frontier, indptr, indices)
-            candidates = candidates[~seen[candidates]]
-            if candidates.size == 0:
-                return False
-            frontier = np.unique(candidates)
-            seen[frontier] = True
-            if seen[goal]:
-                return True
-        return False
+        frontier_list = next_list
+    frontier = np.array(frontier_list, dtype=np.int64)
+    while frontier.size:
+        candidates = graph._expand(frontier, indptr, indices)
+        candidates = candidates[~seen[candidates]]
+        if candidates.size == 0:
+            break
+        frontier = np.unique(candidates)
+        seen[frontier] = True
+        if stop_mask is not None:
+            frontier = frontier[~stop_mask[frontier]]
+    return seen
 
-    def csr_reachable_set(graph: "_CSRGraph", source: NodeId, forward: bool = True) -> Set[NodeId]:
-        """Descendants (or ancestors) of ``source``, excluding itself."""
-        start = graph.index_of(source)
-        mask = csr_reach_mask(graph, start, forward=forward)
-        mask[start] = False
-        return set(graph.ids_of(np.nonzero(mask)[0]))
 
-    # -- the bitset sweep ----------------------------------------------- #
-    def _bitset_sweep(
-        indptr: "np.ndarray",
-        indices: "np.ndarray",
-        num_nodes: int,
-        source_rows: "np.ndarray",
-        stop_mask: Optional["np.ndarray"],
-    ) -> "np.ndarray":
-        """One level-synchronous sweep for up to ``TILE_SOURCES`` sources.
+def csr_bfs_distances(
+    graph: "_CSRGraph",
+    source: NodeId,
+    max_hops: Optional[int] = None,
+    direction: Direction = _BOTH,
+) -> Dict[NodeId, int]:
+    """Level-synchronous BFS distances via vectorised frontier gathers."""
+    start = graph.index_of(source)
+    dist = np.full(graph.num_nodes(), -1, dtype=np.int64)
+    dist[start] = 0
+    frontier = np.array([start], dtype=np.int64)
+    depth = 0
+    while frontier.size and (max_hops is None or depth < max_hops):
+        candidates = graph._frontier_neighbors(frontier, direction)
+        candidates = candidates[dist[candidates] < 0]
+        if candidates.size == 0:
+            break
+        frontier = np.unique(candidates)
+        depth += 1
+        dist[frontier] = depth
+    reached = np.nonzero(dist >= 0)[0]
+    return dict(zip(graph.ids_of(reached), dist[reached].tolist()))
 
-        Returns a dense ``(num_nodes, ceil(len(source_rows)/64)) uint64``
-        reach matrix: bit ``j`` of the returned row words mirrors what a
-        per-source ``reach_mask(source_rows[j])`` would mark ``seen``.  The
-        frontier stays *sparse* (active rows + their pending bits); per
-        level, contributions are scattered to unique targets with a stable
-        argsort + ``bitwise_or.reduceat``, which benches far faster than
-        ``bitwise_or.at``.
-        """
-        count = source_rows.shape[0]
-        words = (count + 63) // 64
-        columns = np.arange(count)
-        one_hot = np.zeros((count, words), dtype=np.uint64)
-        one_hot[columns, columns // 64] = np.uint64(1) << (columns % 64).astype(np.uint64)
-        # Duplicate sources share a row: OR their columns into one frontier row.
-        unique_rows, inverse = np.unique(source_rows, return_inverse=True)
-        frontier_bits = np.zeros((unique_rows.shape[0], words), dtype=np.uint64)
-        np.bitwise_or.at(frontier_bits, inverse, one_hot)
-        reach = np.zeros((num_nodes, words), dtype=np.uint64)
-        reach[unique_rows] = frontier_bits
-        # Level 0 expands every source row, absorbing or not (reach_mask
-        # semantics: the start of a sweep is never absorbed by its own mask).
-        frontier_rows = unique_rows
-        while frontier_rows.size:
-            starts = indptr[frontier_rows]
-            counts = indptr[frontier_rows + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            cum = np.cumsum(counts)
-            positions = np.repeat(starts + counts - cum, counts) + np.arange(
-                total, dtype=np.int64
-            )
-            targets = indices[positions]
-            contrib = np.repeat(frontier_bits, counts, axis=0)
-            order = np.argsort(targets, kind="stable")
-            targets = targets[order]
-            contrib = contrib[order]
-            segment_starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.nonzero(np.diff(targets))[0] + 1)
-            )
-            unique_targets = targets[segment_starts]
-            merged = np.bitwise_or.reduceat(contrib, segment_starts, axis=0)
-            fresh = merged & ~reach[unique_targets]
-            live = fresh.any(axis=1)
-            if not live.any():
-                break
-            rows = unique_targets[live]
-            fresh = fresh[live]
-            reach[rows] |= fresh
-            if stop_mask is not None:
-                # Absorption: the bit is recorded (above) but the row only
-                # keeps expanding the columns it gained if it is not masked.
-                expanding = ~stop_mask[rows]
-                rows = rows[expanding]
-                fresh = fresh[expanding]
-            frontier_rows = rows
-            frontier_bits = fresh
-        return reach
 
-    def _stop_mask_of(graph: "_CSRGraph", stop: Any, num_nodes: int) -> Optional["np.ndarray"]:
-        if stop is None:
-            return None
-        if isinstance(stop, np.ndarray):
-            if stop.dtype != np.bool_ or stop.shape != (num_nodes,):
-                raise GraphError("stop mask must be a boolean array over all node rows")
-            return stop
-        mask = np.zeros(num_nodes, dtype=bool)
-        for node in stop:
-            mask[graph.index_of(node)] = True
-        return mask
+def csr_is_reachable(graph: "_CSRGraph", source: NodeId, target: NodeId) -> bool:
+    """Forward BFS reachability with early exit, in index space."""
+    start = graph.index_of(source)
+    goal = graph.index_of(target)
+    if start == goal:
+        return True
+    indptr, indices = graph._succ_indptr, graph._succ_indices
+    seen = np.zeros(graph.num_nodes(), dtype=bool)
+    seen[start] = True
+    frontier_list: List[int] = [start]
+    while frontier_list and len(frontier_list) < 32:
+        next_list: List[int] = []
+        for i in frontier_list:
+            for j in indices[int(indptr[i]) : int(indptr[i + 1])].tolist():
+                if j == goal:
+                    return True
+                if not seen[j]:
+                    seen[j] = True
+                    next_list.append(j)
+        frontier_list = next_list
+    frontier = np.array(frontier_list, dtype=np.int64)
+    while frontier.size:
+        candidates = graph._expand(frontier, indptr, indices)
+        candidates = candidates[~seen[candidates]]
+        if candidates.size == 0:
+            return False
+        frontier = np.unique(candidates)
+        seen[frontier] = True
+        if seen[goal]:
+            return True
+    return False
 
-    @KERNELS.register("reach_batch", _CSRGraph)
-    def _csr_reach_batch(
-        graph: "_CSRGraph",
-        sources: Sequence[NodeId],
-        forward: bool = True,
-        stop: Any = None,
-    ) -> ReachBatch:
-        num_nodes = graph.num_nodes()
-        source_rows = np.array([graph.index_of(s) for s in sources], dtype=np.int64)
-        stop_mask = _stop_mask_of(graph, stop, num_nodes)
-        indptr, indices = _csr_arrays(graph, forward)
-        blocks = [
-            _bitset_sweep(indptr, indices, num_nodes, source_rows[low : low + TILE_SOURCES], stop_mask)
-            for low in range(0, max(1, source_rows.shape[0]), TILE_SOURCES)
-        ]
-        bits = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-        ids = None if graph._identity else graph._ids
-        return ReachBatch.from_bits(sources, source_rows, bits, ids, num_nodes)
 
-    @KERNELS.register("reach_mask", _CSRGraph)
-    def _kernel_reach_mask(graph, start_index, forward=True, stop_mask=None, **kwargs):
-        return csr_reach_mask(graph, start_index, forward=forward, stop_mask=stop_mask, **kwargs)
+def csr_reachable_set(graph: "_CSRGraph", source: NodeId, forward: bool = True) -> Set[NodeId]:
+    """Descendants (or ancestors) of ``source``, excluding itself."""
+    start = graph.index_of(source)
+    mask = csr_reach_mask(graph, start, forward=forward)
+    mask[start] = False
+    return set(graph.ids_of(np.nonzero(mask)[0]))
 
-    @KERNELS.register("bfs_levels", _CSRGraph)
-    def _kernel_bfs_levels(graph, source, max_hops=None, direction=_BOTH):
-        return csr_bfs_distances(graph, source, max_hops=max_hops, direction=direction)
+# -- the bitset sweep ----------------------------------------------- #
+def _bitset_sweep(
+    indptr: "np.ndarray",
+    indices: "np.ndarray",
+    num_nodes: int,
+    source_rows: "np.ndarray",
+    stop_mask: Optional["np.ndarray"],
+) -> "np.ndarray":
+    """One level-synchronous sweep for up to ``TILE_SOURCES`` sources.
 
-    @KERNELS.register("is_reachable", _CSRGraph)
-    def _kernel_is_reachable(graph, source, target):
-        return csr_is_reachable(graph, source, target)
+    Returns a dense ``(num_nodes, ceil(len(source_rows)/64)) uint64``
+    reach matrix: bit ``j`` of the returned row words mirrors what a
+    per-source ``reach_mask(source_rows[j])`` would mark ``seen``.  The
+    frontier stays *sparse* (active rows + their pending bits); per
+    level, contributions are scattered to unique targets with a stable
+    argsort + ``bitwise_or.reduceat``, which benches far faster than
+    ``bitwise_or.at``.
+    """
+    count = source_rows.shape[0]
+    words = (count + 63) // 64
+    columns = np.arange(count)
+    one_hot = np.zeros((count, words), dtype=np.uint64)
+    one_hot[columns, columns // 64] = np.uint64(1) << (columns % 64).astype(np.uint64)
+    # Duplicate sources share a row: OR their columns into one frontier row.
+    unique_rows, inverse = np.unique(source_rows, return_inverse=True)
+    frontier_bits = np.zeros((unique_rows.shape[0], words), dtype=np.uint64)
+    np.bitwise_or.at(frontier_bits, inverse, one_hot)
+    reach = np.zeros((num_nodes, words), dtype=np.uint64)
+    reach[unique_rows] = frontier_bits
+    # Level 0 expands every source row, absorbing or not (reach_mask
+    # semantics: the start of a sweep is never absorbed by its own mask).
+    frontier_rows = unique_rows
+    while frontier_rows.size:
+        starts = indptr[frontier_rows]
+        counts = indptr[frontier_rows + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        cum = np.cumsum(counts)
+        positions = np.repeat(starts + counts - cum, counts) + np.arange(
+            total, dtype=np.int64
+        )
+        targets = indices[positions]
+        contrib = np.repeat(frontier_bits, counts, axis=0)
+        order = np.argsort(targets, kind="stable")
+        targets = targets[order]
+        contrib = contrib[order]
+        segment_starts = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.nonzero(np.diff(targets))[0] + 1)
+        )
+        unique_targets = targets[segment_starts]
+        merged = np.bitwise_or.reduceat(contrib, segment_starts, axis=0)
+        fresh = merged & ~reach[unique_targets]
+        live = fresh.any(axis=1)
+        if not live.any():
+            break
+        rows = unique_targets[live]
+        fresh = fresh[live]
+        reach[rows] |= fresh
+        if stop_mask is not None:
+            # Absorption: the bit is recorded (above) but the row only
+            # keeps expanding the columns it gained if it is not masked.
+            expanding = ~stop_mask[rows]
+            rows = rows[expanding]
+            fresh = fresh[expanding]
+        frontier_rows = rows
+        frontier_bits = fresh
+    return reach
 
-    @KERNELS.register("bidirectional_reachable", _CSRGraph)
-    def _kernel_bidirectional_reachable(graph, source, target):
-        return graph.fast_bidirectional_reachable(source, target)
 
-    @KERNELS.register("reachable_set", _CSRGraph)
-    def _kernel_reachable_set(graph, source, forward=True):
-        return csr_reachable_set(graph, source, forward=forward)
+def _stop_mask_of(graph: "_CSRGraph", stop: Any, num_nodes: int) -> Optional["np.ndarray"]:
+    if stop is None:
+        return None
+    if isinstance(stop, np.ndarray):
+        if stop.dtype != np.bool_ or stop.shape != (num_nodes,):
+            raise GraphError("stop mask must be a boolean array over all node rows")
+        return stop
+    mask = np.zeros(num_nodes, dtype=bool)
+    for node in stop:
+        mask[graph.index_of(node)] = True
+    return mask
 
-    @KERNELS.register("connected_component", _CSRGraph)
-    def _kernel_connected_component(graph, source):
-        return graph.fast_connected_component(source)
 
-    @KERNELS.register("weak_components", _CSRGraph)
-    def _kernel_weak_components(graph):
-        return graph.fast_weak_components()
+@KERNELS.register("reach_batch", _CSRGraph)
+def _csr_reach_batch(
+    graph: "_CSRGraph",
+    sources: Sequence[NodeId],
+    forward: bool = True,
+    stop: Any = None,
+) -> ReachBatch:
+    num_nodes = graph.num_nodes()
+    source_rows = np.array([graph.index_of(s) for s in sources], dtype=np.int64)
+    stop_mask = _stop_mask_of(graph, stop, num_nodes)
+    indptr, indices = _csr_arrays(graph, forward)
+    blocks = [
+        _bitset_sweep(indptr, indices, num_nodes, source_rows[low : low + TILE_SOURCES], stop_mask)
+        for low in range(0, max(1, source_rows.shape[0]), TILE_SOURCES)
+    ]
+    bits = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    ids = None if graph._identity else graph._ids
+    return ReachBatch.from_bits(sources, source_rows, bits, ids, num_nodes)
+
+
+@KERNELS.register("reach_mask", _CSRGraph)
+def _kernel_reach_mask(graph, start_index, forward=True, stop_mask=None, **kwargs):
+    return csr_reach_mask(graph, start_index, forward=forward, stop_mask=stop_mask, **kwargs)
+
+
+@KERNELS.register("bfs_levels", _CSRGraph)
+def _kernel_bfs_levels(graph, source, max_hops=None, direction=_BOTH):
+    return csr_bfs_distances(graph, source, max_hops=max_hops, direction=direction)
+
+
+@KERNELS.register("is_reachable", _CSRGraph)
+def _kernel_is_reachable(graph, source, target):
+    return csr_is_reachable(graph, source, target)
+
+
+@KERNELS.register("bidirectional_reachable", _CSRGraph)
+def _kernel_bidirectional_reachable(graph, source, target):
+    return graph.fast_bidirectional_reachable(source, target)
+
+
+@KERNELS.register("reachable_set", _CSRGraph)
+def _kernel_reachable_set(graph, source, forward=True):
+    return csr_reachable_set(graph, source, forward=forward)
+
+
+@KERNELS.register("connected_component", _CSRGraph)
+def _kernel_connected_component(graph, source):
+    return graph.fast_connected_component(source)
+
+
+@KERNELS.register("weak_components", _CSRGraph)
+def _kernel_weak_components(graph):
+    return graph.fast_weak_components()
 
 
 __all__ = [

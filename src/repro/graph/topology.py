@@ -1,4 +1,4 @@
-"""Topological orderings and topological ranks on DAGs.
+"""Topological ranks on DAGs.
 
 Section 5.1 of the paper defines, for a DAG, the *topological rank* ``v.r``
 of a node: 0 for sinks (no children), otherwise one more than the largest
@@ -10,63 +10,26 @@ endpoints is pruned, Lemma 5(2)).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import DiGraph, NodeId
 
-if TYPE_CHECKING:  # pragma: no cover - numpy is optional at import time
-    import numpy as np
 
+def csr_topological_ranks(graph) -> np.ndarray:
+    """The paper's ``v.r`` of every node of a :class:`CSRGraph` DAG, by row.
 
-def topological_sort(graph: DiGraph) -> List[NodeId]:
-    """Kahn's algorithm; raises :class:`GraphError` if the graph has a cycle.
-
-    The returned order lists every node before all of its successors.
-    """
-    in_degree: Dict[NodeId, int] = {node: graph.in_degree(node) for node in graph.nodes()}
-    queue: deque = deque(node for node, degree in in_degree.items() if degree == 0)
-    order: List[NodeId] = []
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        for child in graph.successors(node):
-            in_degree[child] -= 1
-            if in_degree[child] == 0:
-                queue.append(child)
-    if len(order) != graph.num_nodes():
-        raise GraphError("graph contains a cycle; topological sort is undefined")
-    return order
-
-
-def topological_ranks(graph: DiGraph) -> Dict[NodeId, int]:
-    """The paper's ``v.r``: 0 for sinks, else 1 + max rank of children.
-
-    Equivalently, the length of the longest path from ``v`` to any sink.
-    Requires a DAG.
-    """
-    order = topological_sort(graph)
-    ranks: Dict[NodeId, int] = {}
-    for node in reversed(order):
-        children = graph.successors(node)
-        if not children:
-            ranks[node] = 0
-        else:
-            ranks[node] = 1 + max(ranks[child] for child in children)
-    return ranks
-
-
-def csr_topological_ranks(graph) -> "np.ndarray":
-    """:func:`topological_ranks` of a :class:`CSRGraph` DAG, as an index-space array.
+    ``v.r`` is 0 for sinks, else 1 + the largest rank among the children:
+    the length of the longest path from ``v`` to a sink.
 
     A level peel from the sinks: level ``r`` is every node whose last child
     left at level ``r - 1``, which is the defining recurrence read bottom-up.
     One gather and one ``bincount`` per level (the longest path is short on
-    real graphs) instead of a Kahn pass node by node.
+    real graphs) instead of a Kahn pass node by node.  Raises
+    :class:`GraphError` on a cycle.
     """
-    import numpy as np
-
     n = graph.num_nodes()
     ranks = np.zeros(n, dtype=np.int64)
     pending = np.diff(graph._succ_indptr)
@@ -88,25 +51,6 @@ def csr_topological_ranks(graph) -> "np.ndarray":
     return ranks
 
 
-def longest_path_length(graph: DiGraph) -> int:
-    """Length (in edges) of the longest path in a DAG."""
-    ranks = topological_ranks(graph)
-    return max(ranks.values()) if ranks else 0
-
-
-def topological_levels(graph: DiGraph) -> Dict[NodeId, int]:
-    """Longest distance from any source (node with no parents) to each node."""
-    order = topological_sort(graph)
-    levels: Dict[NodeId, int] = {}
-    for node in order:
-        parents = graph.predecessors(node)
-        if not parents:
-            levels[node] = 0
-        else:
-            levels[node] = 1 + max(levels[parent] for parent in parents)
-    return levels
-
-
 class TopologicalRankIndex:
     """Precomputed topological ranks plus the normalisation constants.
 
@@ -115,32 +59,26 @@ class TopologicalRankIndex:
     maximum degree in the graph.  This index bundles the three quantities so
     callers cannot accidentally mix ranks computed on different graphs.
 
-    Built on a ``DiGraph`` (or :meth:`from_parts`) the ranks are a node-keyed
-    dict.  Built :meth:`from_mirror` they are one column aligned with the
-    rows of a CSR mirror of the DAG, read through a flat ``memoryview``; the
-    dict behind :meth:`ranks` is then made per call, and the column is what
-    pickles and what publication places in shared memory.
+    Built :meth:`from_mirror` (every fresh prepare) the ranks are one
+    column aligned with the rows of a CSR mirror of the DAG, read through a
+    flat ``memoryview``; the dict behind :meth:`ranks` is then made per
+    call, and the column is what pickles and what publication places in
+    shared memory.  Built :meth:`from_parts` (the incremental maintenance)
+    they are a node-keyed dict.
     """
-
-    def __init__(self, graph: DiGraph):
-        self._graph = graph
-        self._ranks: Optional[Dict[NodeId, int]] = topological_ranks(graph)
-        self._column = None
-        self._max_rank = max(self._ranks.values()) if self._ranks else 0
-        self._max_degree = graph.max_degree()
 
     @classmethod
     def from_parts(
         cls,
         graph: DiGraph,
-        ranks: Dict[NodeId, int],
+        ranks: Optional[Dict[NodeId, int]],
         max_rank: int,
         max_degree: int,
     ) -> "TopologicalRankIndex":
         """Assemble an index from already-known ranks (incremental updates).
 
         ``repro.updates`` maintains ranks with a worklist instead of a full
-        Kahn pass; this constructor wraps the result without recomputing.
+        level peel; this constructor wraps the result without recomputing.
         The caller vouches that ``ranks`` satisfies the defining recurrence
         on ``graph`` (checked by :func:`verify_rank_invariant` in tests).
         """
@@ -180,7 +118,7 @@ class TopologicalRankIndex:
         if column is not None:
             self._bind(column)
 
-    def columns(self) -> Dict[str, "np.ndarray"]:
+    def columns(self) -> Dict[str, np.ndarray]:
         """The rank column by name (empty unless built :meth:`from_mirror`)."""
         return {} if self._column is None else {"ranks": self._column}
 
@@ -249,9 +187,8 @@ class TopologicalRankIndex:
         return True
 
 
-def verify_rank_invariant(graph: DiGraph, ranks: Optional[Dict[NodeId, int]] = None) -> bool:
+def verify_rank_invariant(graph: DiGraph, ranks: Dict[NodeId, int]) -> bool:
     """Check that ranks satisfy the defining recurrence (used by tests)."""
-    ranks = topological_ranks(graph) if ranks is None else ranks
     for node in graph.nodes():
         children = graph.successors(node)
         expected = 0 if not children else 1 + max(ranks[child] for child in children)

@@ -18,10 +18,8 @@ from repro.reachability.hierarchy import (
     build_index,
 )
 from repro.reachability.landmarks import (
-    build_landmark_graph,
     first_landmarks_hit,
     greedy_landmarks,
-    landmark_reachability,
     selection_scores,
 )
 from repro.reachability.rbreach import RBReach, ReachabilityAnswer, rbreach
@@ -38,10 +36,8 @@ __all__ = [
     "HierarchicalLandmarkIndex",
     "LandmarkInfo",
     "build_index",
-    "build_landmark_graph",
     "first_landmarks_hit",
     "greedy_landmarks",
-    "landmark_reachability",
     "selection_scores",
     "RBReach",
     "ReachabilityAnswer",

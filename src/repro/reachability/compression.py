@@ -12,38 +12,37 @@ as "the DAG ``G``" of Section 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.graph.components import Condensation, condensation, condensation_with_mirror
+import numpy as np
+
+from repro.graph.components import Condensation, condensation_with_mirror
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.topology import TopologicalRankIndex
 from repro.graph.traversal import bidirectional_reachable
-
-if TYPE_CHECKING:  # pragma: no cover - numpy is optional at import time
-    import numpy as np
 
 
 @dataclass
 class CompressedGraph:
     """A data graph together with its reachability-preserving DAG view.
 
-    ``dag_csr`` is an optional compressed-sparse-row mirror of the condensed
-    DAG, populated by :func:`compress` for every substrate but a plain
-    ``DiGraph``.  The index builder and the exact oracle route their BFS
-    sweeps through it.  On a ``CSRGraph`` substrate the mirror and the
-    columns beside it are all there is (an array-backed
-    :class:`~repro.graph.components.Condensation`): ``dag`` is then a
-    ``DiGraph`` materialised on first access, which prepare and query
-    answering never ask for — they read :attr:`dag_view`.  Otherwise the
-    mutable ``dag`` is the canonical structure and the one every
-    order-sensitive heuristic reads.  Answers are identical either way.
+    ``dag_csr`` is a compressed-sparse-row mirror of the condensed DAG; the
+    index builder, the repair and the exact oracle run their sweeps on it.
+    Fresh from :func:`compress` the mirror and the columns beside it are all
+    there is (an array-backed :class:`~repro.graph.components.Condensation`):
+    ``dag`` is then a ``DiGraph`` materialised on first access, which
+    prepare and query answering never ask for — they read :attr:`dag_view`.
+    After an incremental patch the condensation is container-backed, its
+    mutable ``dag`` is canonical and the mirror is rebuilt from the
+    maintained edges.  Answers are identical either way.
     """
 
     original: GraphLike
     condensation: Condensation
     ranks: TopologicalRankIndex
-    dag_csr: Optional[GraphLike] = None
+    dag_csr: CSRGraph
 
     @property
     def dag(self) -> DiGraph:
@@ -59,7 +58,7 @@ class CompressedGraph:
         """
         return self.dag_csr if self.condensation.array_backed else self.condensation.dag
 
-    def columns(self) -> Dict[str, "np.ndarray"]:
+    def columns(self) -> Dict[str, np.ndarray]:
         """Every backing column by name, for publication beside ``dag_csr``."""
         return {**self.condensation.columns(), **self.ranks.columns()}
 
@@ -102,39 +101,23 @@ class CompressedGraph:
         target_component = self.component_of(target)
         if source_component == target_component:
             return True
-        dag = self.dag_csr if self.dag_csr is not None else self.dag
-        return bidirectional_reachable(dag, source_component, target_component)
+        return bidirectional_reachable(self.dag_csr, source_component, target_component)
 
 
 def compress(graph: GraphLike) -> CompressedGraph:
     """Condense ``graph`` and precompute topological ranks on the DAG.
 
-    This is the one place that decides whether the DAG gets a CSR mirror:
-    every substrate but a plain :class:`DiGraph` does (numpy permitting).  A
-    :class:`~repro.graph.csr.CSRGraph` is condensed and mirrored from the
-    same arrays and stays array-backed; any other substrate (a ``MutableOverlay`` after updates) is
-    condensed generically and its DAG frozen unordered.  With a mirror the
-    ranks are a level peel over it, kept as one column.  A ``DiGraph`` keeps the all-dict path —
-    the paper-figure timings, and the oracle the array passes are tested
-    against.
+    One path for every input: a graph that is not a :class:`CSRGraph` (a
+    ``DiGraph``, an overlay) is frozen first — order-exact, so the canonical
+    component ids are those of the graph as given — then condensed and
+    mirrored by whole-array passes.  The condensation is array-backed and
+    the ranks are a level peel over the mirror, kept as one column.  The
+    paper-figure drivers, the serving engine and the rebuild after a
+    node-removal update all take this path; ``tests/prepare_oracle.py``
+    holds it to the element-by-element definition.
     """
-    try:
-        from repro.graph.csr import CSRGraph
-    except ImportError:  # pragma: no cover - numpy is normally available
-        CSRGraph = None
-    dag_csr = None
-    if CSRGraph is not None and isinstance(graph, CSRGraph):
-        condensed, dag_csr = condensation_with_mirror(graph)
-    else:
-        condensed = condensation(graph)
-        if CSRGraph is not None and not isinstance(graph, DiGraph):
-            # The mirror only feeds order-insensitive kernels (reachability
-            # masks, cover statistics, label sweeps).
-            dag_csr = CSRGraph.from_graph_unordered(condensed.dag)
-    if dag_csr is None:
-        ranks = TopologicalRankIndex(condensed.dag)
-    else:
-        ranks = TopologicalRankIndex.from_mirror(dag_csr)
+    condensed, dag_csr = condensation_with_mirror(freeze(graph))
+    ranks = TopologicalRankIndex.from_mirror(dag_csr)
     return CompressedGraph(original=graph, condensation=condensed, ranks=ranks, dag_csr=dag_csr)
 
 

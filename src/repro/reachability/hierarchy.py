@@ -27,23 +27,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from collections import deque
+import numpy as np
 
 from repro.exceptions import IndexBuildError
 from repro.graph.digraph import NodeId
+from repro.graph import kernels
 from repro.graph.protocol import GraphLike
 from repro.reachability.compression import CompressedGraph, compress
 from repro.reachability.landmarks import (
     LabelTable,
     greedy_landmarks,
     out_of_index_labels,
-    selection_sort_key,
+    selection_order,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - numpy is optional at import time
-    import numpy as np
 
 
 @dataclass
@@ -120,13 +118,13 @@ class HierarchicalLandmarkIndex:
             return set()
         return labels if type(table) is LabelTable else set(labels)
 
-    def columns(self) -> Dict[str, "np.ndarray"]:
+    def columns(self) -> Dict[str, np.ndarray]:
         """The label columns by name (none once thawed), for publication beside their mirror."""
         return {
             f"{direction}_{name}": column
             for direction, table in (("forward", self.forward_labels), ("backward", self.backward_labels))
             if type(table) is LabelTable
-            for name, column in (("offsets", table.offsets), ("values", table.values))
+            for name, column in (("offsets", table.offsets), ("values", table.ids))
         }
 
     def thaw_labels(self) -> None:
@@ -138,87 +136,41 @@ class HierarchicalLandmarkIndex:
         return self.landmarks[landmark]
 
 
-def _mirror_of(dag: GraphLike, csr_dag: Optional[GraphLike]) -> Optional[GraphLike]:
-    """``csr_dag`` when it mirrors ``dag`` as it stands now, else ``None``."""
-    if csr_dag is not None and csr_dag.num_nodes() == dag.num_nodes():
-        return csr_dag
-    return None
-
-
 def sweep_landmark(
-    dag: GraphLike,
+    mirror: GraphLike,
     landmark: NodeId,
     landmark_set: Set[NodeId],
     forward: bool,
-    csr_dag: Optional[GraphLike] = None,
     probe_mask=None,
 ) -> Tuple[int, Set[NodeId]]:
-    """One directional sweep: reachable-node count plus reached landmarks.
+    """One directional sweep over the CSR DAG ``mirror``: reachable-node count plus reached landmarks.
 
     The unit of work behind the cover statistics, exposed so the incremental
-    repair can recompute exactly the sweeps a delta dirtied.  With a CSR
-    mirror the sweep runs on the vectorised kernel; the result is exact
-    either way.  Callers issuing many sweeps can pass ``probe_mask`` (the
-    boolean landmark mask over ``csr_dag`` indices) to avoid rebuilding it
-    per sweep.
+    repair can recompute exactly the sweeps a delta dirtied.  Callers
+    issuing many sweeps can pass ``probe_mask`` (the boolean landmark mask
+    over ``mirror`` rows) to avoid rebuilding it per sweep.
     """
-    csr_dag = _mirror_of(dag, csr_dag)
-    if csr_dag is not None:
-        import numpy as np
-
-        if probe_mask is None:
-            probe_mask = np.zeros(csr_dag.num_nodes(), dtype=bool)
-            probe_mask[[csr_dag.index_of(mark) for mark in landmark_set]] = True
-        count, hits = csr_dag.reach_stats(
-            csr_dag.index_of(landmark), forward=forward, probe_mask=probe_mask
-        )
-        return count, {csr_dag.node_at(i) for i in hits}
-    count = 0
-    reached: Set[NodeId] = set()
-    seen: Set[NodeId] = {landmark}
-    queue: deque = deque([landmark])
-    step = dag.successors if forward else dag.predecessors
-    while queue:
-        node = queue.popleft()
-        for neighbor in step(node):
-            if neighbor in seen:
-                continue
-            seen.add(neighbor)
-            count += 1
-            if neighbor in landmark_set:
-                reached.add(neighbor)
-            queue.append(neighbor)
-    return count, reached
+    if probe_mask is None:
+        probe_mask = np.zeros(mirror.num_nodes(), dtype=bool)
+        probe_mask[[mirror.index_of(mark) for mark in landmark_set]] = True
+    count, hits = mirror.reach_stats(mirror.index_of(landmark), forward=forward, probe_mask=probe_mask)
+    return count, {mirror.node_at(i) for i in hits}
 
 
 def sweep_landmarks(
-    dag: GraphLike,
+    mirror: GraphLike,
     landmarks: List[NodeId],
     forward: bool,
-    csr_dag: Optional[GraphLike] = None,
 ) -> Tuple[Dict[NodeId, int], Dict[NodeId, Set[NodeId]]]:
     """:func:`sweep_landmark` for every landmark at once, in one direction.
 
     Returns ``(counts, reached)``: per landmark the number of nodes it
-    reaches and the *other* landmarks among them.  With a CSR mirror all
-    landmarks ride one multi-source bitset sweep and the landmark-to-landmark
-    hits are read out of the landmark rows in a single
-    :meth:`~repro.graph.kernels.ReachBatch.pairs` call; the generic body
-    loops the single-landmark sweep and is the oracle for it.
+    reaches and the *other* landmarks among them.  All landmarks ride one
+    multi-source bitset sweep over the CSR DAG ``mirror`` and the
+    landmark-to-landmark hits are read out of the landmark rows in a single
+    :meth:`~repro.graph.kernels.ReachBatch.pairs` call.
     """
-    mirror = _mirror_of(dag, csr_dag)
-    if mirror is None:
-        landmark_set = set(landmarks)
-        swept = [sweep_landmark(dag, landmark, landmark_set, forward) for landmark in landmarks]
-        return (
-            {landmark: count for landmark, (count, _) in zip(landmarks, swept)},
-            {landmark: reached for landmark, (_, reached) in zip(landmarks, swept)},
-        )
-    import numpy as np
-
-    from repro.graph.kernels import reach_batch
-
-    batch = reach_batch(mirror, landmarks, forward=forward)
+    batch = kernels.reach_batch(mirror, landmarks, forward=forward)
     landmark_rows = np.fromiter(
         map(mirror.index_of, landmarks), dtype=np.int64, count=len(landmarks)
     )
@@ -241,19 +193,16 @@ def sweep_landmarks(
 
 
 def _cover_statistics(
-    dag: GraphLike,
-    landmarks: List[NodeId],
-    csr_dag: Optional[GraphLike] = None,
+    mirror: GraphLike, landmarks: List[NodeId]
 ) -> Tuple[Dict[NodeId, Tuple[int, int]], Dict[NodeId, Set[NodeId]], Dict[NodeId, Set[NodeId]]]:
     """Descendant/ancestor counts and landmark-to-landmark reachability.
 
-    One forward and one backward :func:`sweep_landmarks` pass.  Returns
-    (per-landmark ``(descendants, ancestors)`` counts, forward landmark
-    reach sets, backward landmark reach sets); the sets are exact, so the
-    outcome is the same with and without a CSR mirror of the DAG.
+    One forward and one backward :func:`sweep_landmarks` pass over the CSR
+    DAG ``mirror``.  Returns (per-landmark ``(descendants, ancestors)``
+    counts, forward landmark reach sets, backward landmark reach sets).
     """
-    descendants, forward_reach = sweep_landmarks(dag, landmarks, True, csr_dag)
-    ancestors, backward_reach = sweep_landmarks(dag, landmarks, False, csr_dag)
+    descendants, forward_reach = sweep_landmarks(mirror, landmarks, True)
+    ancestors, backward_reach = sweep_landmarks(mirror, landmarks, False)
     parts = {landmark: (descendants[landmark], ancestors[landmark]) for landmark in landmarks}
     return parts, forward_reach, backward_reach
 
@@ -302,9 +251,7 @@ def build_index(
     if not leaves:
         return index
 
-    cover_parts, forward_reach, backward_reach = _cover_statistics(
-        dag, leaves, csr_dag=compressed.dag_csr
-    )
+    cover_parts, forward_reach, backward_reach = _cover_statistics(compressed.dag_csr, leaves)
     assemble_index(
         index,
         leaves,
@@ -340,31 +287,15 @@ def select_leaves(
     ``CondensationMaintainer``), skipping the key computation and sort —
     same numbers, same selection either way.
     """
-    dag = compressed.dag_view
+    mirror = compressed.dag_csr
     exclusion_radius = max(1, math.floor(2 / alpha)) if alpha < 1 else 1
-    num_leaves = max(1, min(size_budget // 2, dag.num_nodes()))
+    num_leaves = max(1, min(size_budget // 2, mirror.num_nodes()))
     if ordered is None:
         # Weight the greedy score by SCC size: a component node stands for
         # all of its original members, so it covers proportionally more pairs.
         size_of = compressed.condensation.size_of
-        mirror = _mirror_of(dag, compressed.dag_csr)
-        if mirror is None:
-            return greedy_landmarks(
-                dag,
-                compressed.ranks,
-                num_leaves,
-                exclusion_radius,
-                weights={component: float(size_of(component)) for component in dag.nodes()},
-            )
-        # Same keys as the sort inside ``greedy_landmarks``, with every
-        # degree read off the mirror's column instead of ``dag.degree``.
-        rank_of = compressed.ranks.rank
-        keys = {
-            node: selection_sort_key(node, degree, rank_of(node), float(size_of(node)))
-            for node, degree in zip(mirror.nodes(), mirror.degrees().tolist())
-        }
-        ordered = sorted(keys, key=keys.__getitem__)
-    return greedy_landmarks(dag, compressed.ranks, num_leaves, exclusion_radius, ordered=ordered)
+        ordered = selection_order(mirror, compressed.ranks, lambda node: float(size_of(node)))
+    return greedy_landmarks(mirror, compressed.ranks, num_leaves, exclusion_radius, ordered=ordered)
 
 
 def assemble_index(

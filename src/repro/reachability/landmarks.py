@@ -15,17 +15,16 @@ NP-hard, so the paper selects landmarks greedily:
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.graph.digraph import DiGraph, NodeId
+import numpy as np
+
+from repro.graph.digraph import NodeId
+from repro.graph import kernels
 from repro.graph.protocol import GraphLike
 from repro.graph.topology import TopologicalRankIndex
-
-try:  # the label columns need numpy; the generic tables are dicts without it
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is normally available
-    np = None
 
 
 def selection_scores(dag: GraphLike, ranks: TopologicalRankIndex) -> Dict[NodeId, float]:
@@ -43,78 +42,55 @@ def selection_sort_key(node: NodeId, degree: int, rank: int, weight: float = 1.0
     return (-((degree * (rank + 1)) * weight), -degree, repr(node))
 
 
+def selection_order(
+    mirror, ranks: TopologicalRankIndex, weight: Optional[Callable[[NodeId], float]] = None
+) -> List[NodeId]:
+    """Every node of the CSR DAG ``mirror``, sorted by :func:`selection_sort_key`.
+
+    Degrees are read off the mirror's column; ``weight`` (default 1.0)
+    multiplies the paper's score per node.
+    """
+    rank_of = ranks.rank
+    keys = {
+        node: selection_sort_key(node, degree, rank_of(node), weight(node) if weight else 1.0)
+        for node, degree in zip(mirror.nodes(), mirror.degrees().tolist())
+    }
+    return sorted(keys, key=keys.__getitem__)
+
+
 def greedy_landmarks(
-    dag: GraphLike,
+    mirror,
     ranks: TopologicalRankIndex,
     count: int,
     exclusion_radius: int,
-    candidates: Optional[Sequence[NodeId]] = None,
-    weights: Optional[Dict[NodeId, float]] = None,
+    weights: Optional[Mapping] = None,
     ordered: Optional[Sequence[NodeId]] = None,
 ) -> List[NodeId]:
-    """Select up to ``count`` landmarks greedily.
+    """Select up to ``count`` landmarks greedily from the CSR DAG ``mirror``.
 
     ``exclusion_radius`` is the paper's ``a = floor(2 / alpha)``: after a
     landmark is chosen, up to ``a`` of its not-yet-excluded neighbours are
     removed from the candidate pool, which spreads landmarks across the graph
-    instead of clustering them inside one dense region.
+    instead of clustering them inside one dense region.  The walk runs over
+    the mirror's rows, children then parents in stored order.
 
     ``weights`` optionally multiplies the paper's ``(deg * rank)/(L * D)``
-    score per node.  The index builder passes the SCC sizes here: on a
-    condensed DAG a giant strongly connected component becomes a single
-    rank-0 sink, and without the weight the paper's score would never select
-    it even though it covers by far the most original node pairs (see
-    DESIGN.md, "Key design decisions").
+    score per node.  The index builder weights by SCC size: on a condensed
+    DAG a giant strongly connected component becomes a single rank-0 sink,
+    and without the weight the paper's score would never select it even
+    though it covers by far the most original node pairs (see DESIGN.md,
+    "Key design decisions").
 
     ``ordered`` optionally supplies the full candidate list already sorted
     by :func:`selection_sort_key` (descending), skipping the sort entirely.
-
-    ``dag`` may be the CSR mirror of an array-backed condensation: the
-    exclusion walk then runs over its rows, children then parents in stored
-    order — on a DAG exactly what ``DiGraph.neighbors`` iterates.
 
     The returned list is ordered by decreasing greedy score.
     """
     if count <= 0:
         return []
     if ordered is None:
-        pool = list(candidates) if candidates is not None else list(dag.nodes())
-
-        # One descending sort on (score, degree, stable tiebreak) visits
-        # candidates in exactly the order the former heap popped them (keys
-        # are unique thanks to the repr tiebreak), at C-sort speed.
-        def sort_key(node: NodeId):
-            return selection_sort_key(
-                node,
-                dag.degree(node),
-                ranks.rank(node),
-                weights.get(node, 1.0) if weights else 1.0,
-            )
-
-        ordered = sorted(pool, key=sort_key)
-    if hasattr(dag, "neighbor_indices"):
-        return _greedy_walk_csr(dag, ordered, count, exclusion_radius)
-    excluded: Set[NodeId] = set()
-    selected: List[NodeId] = []
-    for node in ordered:
-        if len(selected) >= count:
-            break
-        if node in excluded:
-            continue
-        selected.append(node)
-        excluded.add(node)
-        removed = 0
-        for neighbor in dag.neighbors(node):
-            if removed >= exclusion_radius:
-                break
-            if neighbor not in excluded:
-                excluded.add(neighbor)
-                removed += 1
-    return selected
-
-
-def _greedy_walk_csr(mirror, ordered: Sequence[NodeId], count: int, exclusion_radius: int) -> List[NodeId]:
-    """The selection loop of :func:`greedy_landmarks` in the row space of a CSR DAG."""
+        weight = (lambda node: weights.get(node, 1.0)) if weights else None
+        ordered = selection_order(mirror, ranks, weight)
     excluded = bytearray(mirror.num_nodes())
     selected: List[NodeId] = []
     for node, row in zip(ordered, map(mirror.index_of, ordered)):
@@ -157,8 +133,6 @@ def _first_hits(
     graph: GraphLike, start: NodeId, landmarks: Set[NodeId], forward: bool, max_labels: Optional[int]
 ) -> List[NodeId]:
     """:func:`first_landmarks_hit` in discovery order (its set's insertion order)."""
-    from collections import deque
-
     found: List[NodeId] = []
     if start in landmarks:
         return found
@@ -183,21 +157,21 @@ def _first_hits(
 class LabelTable(Mapping):
     """One direction of ``v.E`` as two int columns over a CSR DAG mirror's rows.
 
-    Row ``r`` holds the landmark ids ``values[offsets[r]:offsets[r + 1]]`` in
+    Row ``r`` holds the landmark ids ``ids[offsets[r]:offsets[r + 1]]`` in
     sweep order; a row ``max_labels`` truncated is empty there and keeps its
     :func:`first_landmarks_hit` ids, in discovery order, in ``spill``.  Those
     are the insertion orders of the replaced dict's sets, so a lookup (a
     fresh set the caller owns) iterates as they did.  Read-only.
     """
 
-    __slots__ = ("mirror", "offsets", "values", "spill", "_offsets", "_values")
+    __slots__ = ("mirror", "offsets", "ids", "spill", "_offsets", "_ids")
 
-    def __init__(self, mirror, offsets, values, spill: Dict[int, Tuple[NodeId, ...]]) -> None:
-        self.mirror, self.offsets, self.values, self.spill = mirror, offsets, values, spill
-        self._offsets, self._values = memoryview(offsets), memoryview(values)
+    def __init__(self, mirror, offsets, ids, spill: Dict[int, Tuple[NodeId, ...]]) -> None:
+        self.mirror, self.offsets, self.ids, self.spill = mirror, offsets, ids, spill
+        self._offsets, self._ids = memoryview(offsets), memoryview(ids)
 
     def __reduce__(self):
-        return (LabelTable, (self.mirror, self.offsets, self.values, self.spill))
+        return (LabelTable, (self.mirror, self.offsets, self.ids, self.spill))
 
     def get(self, node: NodeId, default=None):
         row = self.mirror._index.get(node)
@@ -205,9 +179,9 @@ class LabelTable(Mapping):
             return default
         low, high = self._offsets[row], self._offsets[row + 1]
         if high - low == 1:
-            return {self._values[low]}
+            return {self._ids[low]}
         if high > low:
-            return set(self._values[low:high])
+            return set(self._ids[low:high])
         spilled = self.spill.get(row)
         return default if spilled is None else set(spilled)
 
@@ -231,9 +205,9 @@ class LabelTable(Mapping):
 def out_of_index_labels(
     dag: GraphLike,
     landmarks: Set[NodeId],
-    max_labels: Optional[int] = None,
-    csr_dag: Optional[GraphLike] = None,
-) -> Tuple[Mapping, Mapping]:
+    max_labels: Optional[int],
+    csr_dag: GraphLike,
+) -> Tuple[LabelTable, LabelTable]:
     """The out-of-index labels ``v.E`` of every non-landmark node.
 
     Returns ``(forward, backward)`` mappings from each node with a
@@ -241,40 +215,14 @@ def out_of_index_labels(
     reachable from ``v`` by a landmark-free path, ``backward[v]`` the
     landmarks that reach ``v`` by one.
 
-    When ``csr_dag`` (a CSR mirror of ``dag``) is given, the computation is
-    inverted: instead of one BFS per *node*, one absorbing BFS per *landmark*
-    sweeps the region the landmark is the first hit for — ``O(k · region)``
-    work instead of ``O(n · region)``, and each sweep is vectorised.  The
-    sweep computes the exact full label sets; nodes whose set exceeds
-    ``max_labels`` fall back to the per-node traversal so the truncated
-    result is identical to the generic path.  The mappings are then
-    :class:`LabelTable` columns, not dicts of sets.
+    Landmark-major over ``csr_dag`` (a CSR mirror of ``dag``): instead of one
+    BFS per *node*, one absorbing BFS per *landmark* sweeps the region the
+    landmark is the first hit for — ``O(k · region)`` work instead of
+    ``O(n · region)``, and each sweep is vectorised.  The sweep computes the
+    exact full label sets; nodes whose set exceeds ``max_labels`` take
+    :func:`first_landmarks_hit` over ``dag`` instead, which is what the
+    truncation is defined by.  The ids are ints (component ids).
     """
-    if csr_dag is not None and csr_dag.num_nodes() == dag.num_nodes():
-        return _out_of_index_labels_by_sweep(dag, csr_dag, landmarks, max_labels)
-    forward: Dict[NodeId, Set[NodeId]] = {}
-    backward: Dict[NodeId, Set[NodeId]] = {}
-    for node in dag.nodes():
-        if node in landmarks:
-            continue
-        found = first_landmarks_hit(dag, node, landmarks, forward=True, max_labels=max_labels)
-        if found:
-            forward[node] = found
-        found = first_landmarks_hit(dag, node, landmarks, forward=False, max_labels=max_labels)
-        if found:
-            backward[node] = found
-    return forward, backward
-
-
-def _out_of_index_labels_by_sweep(
-    dag: GraphLike,
-    csr_dag: GraphLike,
-    landmarks: Set[NodeId],
-    max_labels: Optional[int],
-) -> Tuple[LabelTable, LabelTable]:
-    """Landmark-major ``v.E`` over a CSR DAG (see above); its ids are ints."""
-    from repro.graph.kernels import reach_batch
-
     n = csr_dag.num_nodes()
     stop_mask = np.zeros(n, dtype=bool)
     landmark_list = list(landmarks)
@@ -291,7 +239,7 @@ def _out_of_index_labels_by_sweep(
     # fill in ``landmark_list`` order.
     tables = []
     for is_forward in (True, False):
-        batch = reach_batch(csr_dag, landmark_list, forward=not is_forward, stop=stop_mask)
+        batch = kernels.reach_batch(csr_dag, landmark_list, forward=not is_forward, stop=stop_mask)
         rows, sources = batch.pairs()
         kept = ~stop_mask[rows]  # landmarks themselves carry no labels
         counts = np.bincount(rows[kept], minlength=n)
@@ -306,47 +254,3 @@ def _out_of_index_labels_by_sweep(
         np.cumsum(counts, out=offsets[1:])
         tables.append(LabelTable(csr_dag, offsets, landmark_ids[sources[kept]], spill))
     return tables[0], tables[1]
-
-
-def landmark_reachability(
-    dag: GraphLike,
-    landmarks: Sequence[NodeId],
-) -> Dict[NodeId, Set[NodeId]]:
-    """For each landmark, the set of *other* landmarks it can reach in ``dag``.
-
-    This materialises the paper's landmark graph ``G_l`` (node set: the
-    landmarks; edge ``(v1, v2)`` iff ``v1`` reaches ``v2``).  Computed with
-    one forward BFS per landmark; the preprocessing cost is the paper's
-    ``O((alpha |G|)^2)`` term.
-    """
-    from collections import deque
-
-    landmark_set = set(landmarks)
-    reaches: Dict[NodeId, Set[NodeId]] = {}
-    for landmark in landmarks:
-        reached: Set[NodeId] = set()
-        seen: Set[NodeId] = {landmark}
-        queue: deque = deque([landmark])
-        while queue:
-            node = queue.popleft()
-            for child in dag.successors(node):
-                if child in seen:
-                    continue
-                seen.add(child)
-                if child in landmark_set:
-                    reached.add(child)
-                queue.append(child)
-        reaches[landmark] = reached
-    return reaches
-
-
-def build_landmark_graph(dag: GraphLike, landmarks: Sequence[NodeId]) -> DiGraph:
-    """The landmark graph ``G_l``: landmarks as nodes, edges for reachability."""
-    reaches = landmark_reachability(dag, landmarks)
-    graph = DiGraph()
-    for landmark in landmarks:
-        graph.add_node(landmark, dag.label(landmark))
-    for landmark, reached in reaches.items():
-        for other in reached:
-            graph.add_edge(landmark, other)
-    return graph

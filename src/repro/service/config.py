@@ -68,9 +68,9 @@ class ServiceConfig:
         :class:`~repro.shard.ShardedEngine` under ``shard_policy``
         (:data:`CONTAIN` keeps bit-parity, :data:`SCATTER` is the full
         scatter–gather routing of PR 4).
-    cache_size / mirror / seed:
+    cache_size / seed:
         Forwarded to the underlying engines (LRU answer-cache capacity,
-        CSR mirroring policy, partitioner seed).
+        partitioner seed).
     small_graph_size / parallel_threshold:
         Planner thresholds: graphs below ``small_graph_size`` nodes and
         batches below ``parallel_threshold`` queries always answer on the
@@ -104,7 +104,6 @@ class ServiceConfig:
     halo_depth: int = DEFAULT_HALO_DEPTH
     shard_policy: str = CONTAIN
     cache_size: int = 4096
-    mirror: str = "auto"
     seed: int = 0
     small_graph_size: int = 512
     parallel_threshold: int = 256

@@ -200,17 +200,12 @@ class GraphService:
         A :class:`ServiceConfig`; keyword ``overrides`` are applied on top
         (``GraphService(graph, workers=4)`` works without building a config
         by hand).
-    compressed:
-        Optional precomputed SCC condensation forwarded to the engine
-        (requires ``mirror="never"`` in the config, exactly like
-        :class:`~repro.engine.QueryEngine`).
     """
 
     def __init__(
         self,
         graph: GraphLike,
         config: Optional[ServiceConfig] = None,
-        compressed=None,
         **overrides,
     ):
         if graph is None:
@@ -220,7 +215,6 @@ class GraphService:
             config = config.with_overrides(**overrides)
         self._config = config
         self._source = graph
-        self._compressed = compressed
         self._planner = Planner(config)
         self._engine: Optional[QueryEngine] = None
         self._sharded: Optional[ShardedEngine] = None
@@ -419,12 +413,7 @@ class GraphService:
     # ------------------------------------------------------------------ #
     def _ensure_engine(self) -> QueryEngine:
         if self._engine is None:
-            self._engine = QueryEngine(
-                self._source,
-                cache_size=self._config.cache_size,
-                mirror=self._config.mirror,
-                compressed=self._compressed,
-            )
+            self._engine = QueryEngine(self._source, cache_size=self._config.cache_size)
         return self._engine
 
     def _ensure_sharded(self) -> ShardedEngine:

@@ -102,7 +102,7 @@ def build_contribution(
     # label tables come back as columns over the mirror's rows.
     dag = compressed.dag_view
     ordered_comps = sorted(boundary_comps, key=repr)
-    _, reached = sweep_landmarks(dag, ordered_comps, forward=True, csr_dag=compressed.dag_csr)
+    _, reached = sweep_landmarks(compressed.dag_csr, ordered_comps, forward=True)
     for comp in ordered_comps:
         for other in sorted(reached[comp], key=repr):
             contribution.intra_edges.append((comp, other))

@@ -34,10 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.engine.engine import QueryEngine
 from repro.engine.prepared import PreparedGraph
 from repro.exceptions import ShardError
-from repro.graph.digraph import DiGraph, NodeId
+from repro.graph.csr import CSRGraph
+from repro.graph.digraph import NodeId
 from repro.graph.protocol import GraphLike
 from repro.shard.partition import Partition
 
@@ -47,28 +50,14 @@ DEFAULT_HALO_DEPTH = 3
 core-contained balls."""
 
 
-def induced_order_preserving(source: GraphLike, ordered_nodes: Sequence[NodeId]) -> GraphLike:
+def induced_order_preserving(source: GraphLike, ordered_nodes: Sequence[NodeId]) -> CSRGraph:
     """The subgraph induced by ``ordered_nodes``, both adjacency orders kept.
 
     Built as a :class:`CSRGraph` whose successor *and* predecessor slices are
     the source's slices filtered to included nodes — something a ``DiGraph``
     edge replay cannot reproduce (one insertion sequence cannot realise two
-    independent orders).  Falls back to a ``DiGraph`` replay in source-major
-    order when numpy is unavailable (successor order still exact; predecessor
-    order then source-major, which weakens the bit-parity guarantee to
-    order-insensitive results).
+    independent orders).
     """
-    try:
-        return _induced_csr(source, ordered_nodes)
-    except ImportError:  # pragma: no cover - numpy is normally available
-        return _induced_digraph(source, ordered_nodes)
-
-
-def _induced_csr(source: GraphLike, ordered_nodes: Sequence[NodeId]) -> GraphLike:
-    import numpy as np
-
-    from repro.graph.csr import CSRGraph
-
     ids: List[NodeId] = list(ordered_nodes)
     index = {node: i for i, node in enumerate(ids)}
     n = len(ids)
@@ -121,18 +110,6 @@ def _induced_csr(source: GraphLike, ordered_nodes: Sequence[NodeId]) -> GraphLik
         degrees,
         _index=index,
     )
-
-
-def _induced_digraph(source: GraphLike, ordered_nodes: Sequence[NodeId]) -> DiGraph:
-    included = set(ordered_nodes)
-    result = DiGraph()
-    for node in ordered_nodes:
-        result.add_node(node, source.label(node))
-    for node in ordered_nodes:
-        for target in source.successors(node):
-            if target in included:
-                result.add_edge(node, target)
-    return result
 
 
 def collect_halo(
@@ -257,7 +234,6 @@ def build_shard(
     single = partition.num_shards == 1
     prepared = PreparedGraph(
         shard_graph,
-        mirror="never",
         reach_reference_size=None if single else core_size,
         pattern_reference_size=None if single else global_size,
         pattern_visit_coefficient=None if single else visit_coefficient,

@@ -13,7 +13,7 @@ assembly verbatim and recomputes sweeps only for
 * label entries in the regions of changed/added/removed landmarks or whose
   truncation cap moved.
 
-Every recomputation goes through the same primitives the fresh build uses
+Every recomputation goes through the primitives that define the fresh build
 (:func:`sweep_landmark`, :func:`first_landmarks_hit`), so the repaired index
 is equal — field for field — to the index a fresh ``build_index`` on the
 patched condensation would produce.  That equality is the rebuild-
@@ -27,7 +27,10 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.graph.digraph import NodeId
+from repro.graph import kernels
 from repro.graph.protocol import GraphLike
 from repro.reachability.compression import CompressedGraph
 from repro.reachability.hierarchy import (
@@ -44,115 +47,38 @@ REBUILD_DIRTY_FRACTION = 0.5
 """Above this dirty fraction of the selection, rebuilding is cheaper."""
 
 
-def _reach_mask_set(dag: GraphLike, node: NodeId, forward: bool) -> Set[NodeId]:
-    """Full ancestor/descendant set of one DAG node (node excluded), generically."""
-    from collections import deque
-
-    seen: Set[NodeId] = {node}
-    queue: deque = deque([node])
-    step = dag.successors if forward else dag.predecessors
-    while queue:
-        current = queue.popleft()
-        for neighbor in step(current):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                queue.append(neighbor)
-    seen.discard(node)
-    return seen
-
-
-def _reach_mask_sets(
-    dag: GraphLike,
-    csr_dag: Optional[GraphLike],
-    nodes,
-    forward: bool,
-) -> Dict[NodeId, Set[NodeId]]:
-    """Batched :func:`_reach_mask_set`: node -> reach set (node excluded).
-
-    With a CSR mirror all nodes ride one multi-source bitset sweep; the
-    generic path loops the single-node primitive.
-    """
+def _reach_mask_sets(mirror: GraphLike, nodes, forward: bool) -> Dict[NodeId, Set[NodeId]]:
+    """Node -> full descendant/ancestor set (node excluded), one bitset sweep over the CSR DAG ``mirror``."""
     nodes = list(nodes)
     if not nodes:
         return {}
-    if csr_dag is not None and csr_dag.num_nodes() == dag.num_nodes():
-        from repro.graph.kernels import reach_batch
-
-        batch = reach_batch(csr_dag, nodes, forward=forward)
-        result: Dict[NodeId, Set[NodeId]] = {}
-        for j, node in enumerate(nodes):
-            reached = batch.reached(j)
-            reached.discard(node)
-            result[node] = reached
-        return result
-    return {node: _reach_mask_set(dag, node, forward) for node in nodes}
-
-
-def _absorbing_region(
-    dag: GraphLike, landmark: NodeId, landmark_set: Set[NodeId], forward_labels: bool
-) -> Set[NodeId]:
-    """Nodes whose *label* search reaches ``landmark`` landmark-free, generically.
-
-    For forward labels that is a backward sweep from the landmark absorbing
-    at other landmarks (and vice versa) — the same region the landmark-major
-    label sweep covers.
-    """
-    from collections import deque
-
-    region: Set[NodeId] = set()
-    seen: Set[NodeId] = {landmark}
-    queue: deque = deque([landmark])
-    step = dag.predecessors if forward_labels else dag.successors
-    while queue:
-        current = queue.popleft()
-        for neighbor in step(current):
-            if neighbor in seen:
-                continue
-            seen.add(neighbor)
-            if neighbor in landmark_set:
-                continue
-            region.add(neighbor)
-            queue.append(neighbor)
-    return region
+    batch = kernels.reach_batch(mirror, nodes, forward=forward)
+    result: Dict[NodeId, Set[NodeId]] = {}
+    for j, node in enumerate(nodes):
+        reached = batch.reached(j)
+        reached.discard(node)
+        result[node] = reached
+    return result
 
 
 def _absorbing_regions(
-    dag: GraphLike,
-    csr_dag: Optional[GraphLike],
-    landmarks_added,
-    landmark_set: Set[NodeId],
-    forward_labels: bool,
-    stop_mask=None,
+    mirror: GraphLike, landmarks_added, stop_mask: np.ndarray, forward_labels: bool
 ) -> Set[NodeId]:
-    """Union of :func:`_absorbing_region` over ``landmarks_added``.
+    """Nodes whose *label* search reaches one of ``landmarks_added`` landmark-free.
 
-    Only the union is consumed (the affected-node set), so with a CSR
-    mirror every newcomer rides one absorbing multi-source sweep and the
-    union is the rows any column reached, minus the landmarks themselves
-    (the newcomers are landmarks, so their own rows are stop-masked away
-    exactly as the per-landmark code excluded them).
+    For forward labels that is a backward sweep from each newcomer absorbing
+    at the landmarks ``stop_mask`` marks (and vice versa) — the regions the
+    landmark-major label sweep covers.  Only the union is consumed, so every
+    newcomer rides one absorbing multi-source sweep and the union is the rows
+    any column reached, minus the landmarks themselves.
     """
     landmarks_added = list(landmarks_added)
     if not landmarks_added:
         return set()
-    if csr_dag is not None and csr_dag.num_nodes() == dag.num_nodes():
-        import numpy as np
-
-        from repro.graph.kernels import reach_batch
-
-        if stop_mask is None:
-            stop_mask = np.zeros(csr_dag.num_nodes(), dtype=bool)
-            stop_mask[[csr_dag.index_of(mark) for mark in landmark_set]] = True
-        batch = reach_batch(
-            csr_dag, landmarks_added, forward=not forward_labels, stop=stop_mask
-        )
-        rows = np.asarray(batch.any_rows(), dtype=np.int64)
-        rows = rows[~stop_mask[rows]]
-        return {csr_dag.node_at(i) for i in rows.tolist()}
-    region: Set[NodeId] = set()
-    for landmark in landmarks_added:
-        region |= _absorbing_region(dag, landmark, landmark_set, forward_labels)
-    return region
+    batch = kernels.reach_batch(mirror, landmarks_added, forward=not forward_labels, stop=stop_mask)
+    rows = np.asarray(batch.any_rows(), dtype=np.int64)
+    rows = rows[~stop_mask[rows]]
+    return {mirror.node_at(i) for i in rows.tolist()}
 
 
 def repair_index(
@@ -202,15 +128,9 @@ def repair_index(
             max_levels=max_levels,
         )
 
-    csr_dag = compressed.dag_csr
-    if csr_dag is not None and csr_dag.num_nodes() != dag.num_nodes():
-        csr_dag = None
-    probe_mask = None
-    if csr_dag is not None:
-        import numpy as np
-
-        probe_mask = np.zeros(csr_dag.num_nodes(), dtype=bool)
-        probe_mask[[csr_dag.index_of(leaf) for leaf in leaves]] = True
+    mirror = compressed.dag_csr
+    probe_mask = np.zeros(mirror.num_nodes(), dtype=bool)
+    probe_mask[[mirror.index_of(leaf) for leaf in leaves]] = True
 
     # --- per-landmark cover statistics -------------------------------- #
     # Clean directions reuse the stored counts/sets; dirty directions and
@@ -222,8 +142,8 @@ def repair_index(
     # O(|reach sets|) instead of O(leaves × newcomers).
     gained_forward: Dict[NodeId, Set[NodeId]] = {}
     gained_backward: Dict[NodeId, Set[NodeId]] = {}
-    newcomer_up = _reach_mask_sets(dag, csr_dag, added_leaves, forward=False)
-    newcomer_down = _reach_mask_sets(dag, csr_dag, added_leaves, forward=True)
+    newcomer_up = _reach_mask_sets(mirror, added_leaves, forward=False)
+    newcomer_down = _reach_mask_sets(mirror, added_leaves, forward=True)
     for newcomer in added_leaves:
         for leaf in newcomer_up[newcomer] & new_leaves:
             gained_forward.setdefault(leaf, set()).add(newcomer)
@@ -250,7 +170,7 @@ def repair_index(
             forward_reach[leaf] = reached
         else:
             descendants, reached = sweep_landmark(
-                dag, leaf, new_leaves, forward=True, csr_dag=csr_dag, probe_mask=probe_mask
+                mirror, leaf, new_leaves, forward=True, probe_mask=probe_mask
             )
             forward_reach[leaf] = reached
         if backward_clean:
@@ -262,7 +182,7 @@ def repair_index(
             backward_reach[leaf] = reaching
         else:
             ancestors, reaching = sweep_landmark(
-                dag, leaf, new_leaves, forward=False, csr_dag=csr_dag, probe_mask=probe_mask
+                mirror, leaf, new_leaves, forward=False, probe_mask=probe_mask
             )
             backward_reach[leaf] = reaching
         cover_parts[leaf] = (descendants, ancestors)
@@ -281,7 +201,7 @@ def repair_index(
     label_cap = max(1, size_budget // 2)
     index.label_cap = label_cap
     index.forward_labels, index.backward_labels = _repair_labels(
-        old_index, dag, csr_dag, new_leaves, added_leaves, removed_leaves,
+        old_index, dag, mirror, probe_mask, new_leaves, added_leaves, removed_leaves,
         dirty_forward, dirty_backward, label_cap,
     )
     return index
@@ -290,7 +210,8 @@ def repair_index(
 def _repair_labels(
     old_index: HierarchicalLandmarkIndex,
     dag: GraphLike,
-    csr_dag: Optional[GraphLike],
+    mirror: GraphLike,
+    stop_mask: np.ndarray,
     new_leaves: Set[NodeId],
     added_leaves,
     removed_leaves: Set[NodeId],
@@ -305,27 +226,18 @@ def _repair_labels(
     appeared inside that region (the newcomer's absorbing region), (c) a
     landmark it was absorbed by disappeared (it carried that landmark), or
     (d) the truncation cap moved across its stored size.  Those nodes are
-    recomputed one by one with the same ``first_landmarks_hit`` primitive
-    the generic build uses; everyone else keeps their entry verbatim.
+    recomputed one by one with ``first_landmarks_hit``, which defines the
+    labels; everyone else keeps their entry verbatim.  ``stop_mask`` marks
+    ``new_leaves`` over the rows of the CSR DAG ``mirror``.
     """
     old_cap = old_index.label_cap or label_cap
-    stop_mask = None
-    if csr_dag is not None:
-        import numpy as np
-
-        stop_mask = np.zeros(csr_dag.num_nodes(), dtype=bool)
-        stop_mask[[csr_dag.index_of(leaf) for leaf in new_leaves]] = True
     results = []
     for forward_labels, old_table, dirty in (
         (True, old_index.forward_labels, dirty_forward),
         (False, old_index.backward_labels, dirty_backward),
     ):
         affected: Set[NodeId] = set(node for node in dirty if node in dag and node not in new_leaves)
-        affected.update(
-            _absorbing_regions(
-                dag, csr_dag, added_leaves, new_leaves, forward_labels, stop_mask=stop_mask
-            )
-        )
+        affected.update(_absorbing_regions(mirror, added_leaves, stop_mask, forward_labels))
         for node, labels in old_table.items():
             if labels & removed_leaves:
                 affected.add(node)

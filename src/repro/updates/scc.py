@@ -14,7 +14,7 @@ recomputing **only the affected condensed components**:
 * everything else (inter-component deletions, intra-component insertions,
   appended nodes) is pure bookkeeping on the edge multiplicities.
 
-Correctness leans on the *canonical* component ids introduced in
+Correctness leans on the *canonical* component ids of
 :func:`repro.graph.components.condensation`: an id is the node-iteration
 position of the component's earliest member, a function of the partition and
 node order alone.  Patching therefore lands on exactly the ids (and, because
@@ -32,7 +32,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.graph.components import Condensation, strongly_connected_components
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.topology import TopologicalRankIndex
@@ -168,16 +171,15 @@ class CondensationMaintainer:
         cls,
         graph: GraphLike,
         condensation: Condensation,
-        rank_index: Optional[TopologicalRankIndex] = None,
-        dag_csr=None,
+        rank_index: TopologicalRankIndex,
+        dag_csr: CSRGraph,
     ) -> "CondensationMaintainer":
-        """Bootstrap the maintainer from a just-computed condensation.
+        """Bootstrap the maintainer from a just-computed compression.
 
         An array-backed condensation is thawed first: the maintainer owns
         (and mutates) containers, never the columns.  ``rank_index`` and
         ``dag_csr`` hand over the fresh compression's ranks and DAG mirror;
-        the rank and degree maps are then read off their columns instead of
-        a Kahn pass and one ``dag.degree`` per component.
+        the rank and degree maps are read off their columns.
         """
         condensation = condensation.thaw()
         membership = condensation.membership
@@ -186,34 +188,24 @@ class CondensationMaintainer:
             edge = (membership[source], membership[target])
             if edge[0] != edge[1]:
                 multiplicity[edge] = multiplicity.get(edge, 0) + 1
-        dag = condensation.dag
-        if rank_index is None:
-            rank_index = TopologicalRankIndex(dag)
-        if dag_csr is None:
-            degrees = {node: dag.degree(node) for node in dag.nodes()}
-        else:
-            degrees = dict(zip(dag_csr.nodes(), dag_csr.degrees().tolist()))
+        degrees = dict(zip(dag_csr.nodes(), dag_csr.degrees().tolist()))
         return cls(condensation, rank_index, multiplicity, degrees)
 
-    def dag_mirror(self):
-        """An order-insensitive CSR mirror of the current DAG, or ``None``.
+    def dag_mirror(self) -> CSRGraph:
+        """A CSR mirror of the current DAG, adjacency in the DAG's order.
 
         Built straight from the maintained edge multiset: component ids are
         ints, so the index mapping vectorises with ``searchsorted`` instead
         of a Python dict pass — the mirror costs a few milliseconds even on
-        five-figure DAGs.  Only ever fed to the order-insensitive kernels.
+        five-figure DAGs.  The edges are sorted first, so every slice is
+        sorted like the canonical DAG's adjacency: the greedy selection's
+        exclusion walk over the mirror visits neighbours as over ``dag``.
         """
-        try:
-            import numpy as np
-
-            from repro.graph.csr import CSRGraph
-        except ImportError:  # pragma: no cover - numpy normally present
-            return None
-
         ids = sorted(self._condensation.members)
         id_array = np.asarray(ids, dtype=np.int64)
         if self._multiplicity:
             pairs = np.asarray(list(self._multiplicity), dtype=np.int64)
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
             sources = np.searchsorted(id_array, pairs[:, 0])
             targets = np.searchsorted(id_array, pairs[:, 1])
         else:

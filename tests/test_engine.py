@@ -23,6 +23,7 @@ from repro.exceptions import EngineError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.updates.delta import GraphDelta
+from repro.updates.overlay import MutableOverlay
 from repro.workloads.queries import (
     generate_pattern_workload,
     generate_reachability_workload,
@@ -69,9 +70,11 @@ class TestConstruction:
         assert engine.backend == "CSRGraph"
         assert engine.prepared.original is served_graph
 
-    def test_mirror_never_serves_the_digraph(self, served_graph):
-        engine = QueryEngine(served_graph, mirror="never")
-        assert engine.backend == "DiGraph"
+    def test_overlay_input_is_frozen_on_entry(self, served_graph):
+        overlay = MutableOverlay(CSRGraph.from_digraph(served_graph))
+        engine = QueryEngine(overlay)
+        assert engine.backend == "CSRGraph"
+        assert engine.prepared.original is overlay
 
     def test_csr_input_is_served_directly(self, served_graph):
         frozen = CSRGraph.from_digraph(served_graph)
@@ -79,27 +82,20 @@ class TestConstruction:
         assert engine.backend == "CSRGraph"
         assert engine.prepared.graph is frozen
 
-    def test_unknown_mirror_policy_rejected(self, served_graph):
-        with pytest.raises(EngineError):
-            QueryEngine(served_graph, mirror="sometimes")
+    def test_freeze_preserves_iteration_order(self, served_graph):
+        served = QueryEngine(served_graph).prepared.graph
+        assert list(served.nodes()) == list(served_graph.nodes())
+        for node in served_graph.nodes():
+            assert list(served.successors(node)) == list(served_graph.successors(node))
+            assert list(served.predecessors(node)) == list(served_graph.predecessors(node))
 
-    def test_precomputed_compression_is_reused(self, served_graph):
-        from repro.reachability.compression import compress
-
-        compressed = compress(served_graph)
-        engine = QueryEngine(served_graph, mirror="never", compressed=compressed)
+    def test_compression_condenses_the_served_substrate_once(self, served_graph):
+        engine = QueryEngine(served_graph)
+        compressed = engine.prepared.compressed()
+        assert compressed.original is engine.prepared.graph
+        assert compressed.condensation.array_backed
         assert engine.prepared.compressed() is compressed
-        index = engine.prepared.reachability_index(ALPHA)
-        assert index.compressed is compressed
-
-    def test_precomputed_compression_requires_matching_substrate(self, served_graph):
-        from repro.reachability.compression import compress
-
-        compressed = compress(served_graph)
-        # mirror="auto" freezes to CSR, which the DiGraph condensation does
-        # not describe — the engine must refuse rather than serve wrong state.
-        with pytest.raises(EngineError):
-            QueryEngine(served_graph, compressed=compressed)
+        assert engine.prepared.reachability_index(ALPHA).compressed is compressed
 
     def test_statistics_built_once(self, served_graph):
         engine = QueryEngine(served_graph)
@@ -108,7 +104,7 @@ class TestConstruction:
         assert engine.statistics["max_degree"] == served_graph.max_degree()
 
     def test_both_backends_answer_identically(self, served_graph, reach_queries):
-        mutable = QueryEngine(served_graph, mirror="never")
+        mutable = QueryEngine(served_graph)
         frozen = QueryEngine(CSRGraph.from_digraph(served_graph))
         left = mutable.answer_batch(reach_queries, ALPHA)
         right = frozen.answer_batch(reach_queries, ALPHA)
@@ -443,7 +439,7 @@ class TestReportAndConvenience:
 
     def test_answer_reachability_matches_query_many(self, served_graph):
         workload = generate_reachability_workload(served_graph, count=25, seed=11)
-        engine = QueryEngine(served_graph, mirror="never")
+        engine = QueryEngine(served_graph)
         mapping = engine.answer_reachability(workload.pairs, ALPHA)
         direct = engine.prepared.rbreach(ALPHA).query_many(workload.pairs)
         assert mapping == direct

@@ -1,38 +1,38 @@
-"""Tests for greedy landmark selection and landmark graphs."""
+"""Tests for greedy landmark selection, first-hit labels and landmark sweeps."""
 
 import pytest
 
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import layered_dag, path_graph
 from repro.graph.topology import TopologicalRankIndex
-from repro.graph.traversal import is_reachable
-from repro.reachability.landmarks import (
-    build_landmark_graph,
-    first_landmarks_hit,
-    greedy_landmarks,
-    landmark_reachability,
-    selection_scores,
-)
+from repro.graph.traversal import descendants, is_reachable
+from repro.reachability.hierarchy import sweep_landmarks
+from repro.reachability.landmarks import first_landmarks_hit, greedy_landmarks, selection_scores
 
 
 @pytest.fixture
 def dag():
-    return layered_dag(layers=5, width=4, seed=2)
+    return CSRGraph.from_digraph(layered_dag(layers=5, width=4, seed=2))
+
+
+def ranks_of(mirror):
+    return TopologicalRankIndex.from_mirror(mirror)
 
 
 class TestGreedySelection:
     def test_requested_count(self, dag):
-        ranks = TopologicalRankIndex(dag)
+        ranks = ranks_of(dag)
         landmarks = greedy_landmarks(dag, ranks, count=6, exclusion_radius=2)
         assert len(landmarks) == 6
         assert len(set(landmarks)) == 6
 
     def test_zero_count(self, dag):
-        ranks = TopologicalRankIndex(dag)
+        ranks = ranks_of(dag)
         assert greedy_landmarks(dag, ranks, count=0, exclusion_radius=2) == []
 
     def test_count_larger_than_graph(self, dag):
-        ranks = TopologicalRankIndex(dag)
+        ranks = ranks_of(dag)
         landmarks = greedy_landmarks(dag, ranks, count=10_000, exclusion_radius=1)
         assert len(landmarks) <= dag.num_nodes()
 
@@ -44,12 +44,12 @@ class TestGreedySelection:
         for leaf in range(10):
             graph.add_node(leaf, "L")
             graph.add_edge("hub", leaf)
-        ranks = TopologicalRankIndex(graph)
-        spread = greedy_landmarks(graph, ranks, count=11, exclusion_radius=10)
+        mirror = CSRGraph.from_digraph(graph)
+        spread = greedy_landmarks(mirror, ranks_of(mirror), count=11, exclusion_radius=10)
         assert len(spread) < 11
 
     def test_weights_bias_selection(self, dag):
-        ranks = TopologicalRankIndex(dag)
+        ranks = ranks_of(dag)
         target = sorted(dag.nodes())[0]
         weights = {node: 1.0 for node in dag.nodes()}
         weights[target] = 10_000.0
@@ -57,7 +57,7 @@ class TestGreedySelection:
         assert target in landmarks
 
     def test_selection_scores_nonnegative(self, dag):
-        ranks = TopologicalRankIndex(dag)
+        ranks = ranks_of(dag)
         scores = selection_scores(dag, ranks)
         assert all(score >= 0 for score in scores.values())
 
@@ -92,16 +92,14 @@ class TestLandmarkLabels:
 class TestLandmarkGraph:
     def test_landmark_reachability_matches_bfs(self, dag):
         landmarks = sorted(dag.nodes())[:8]
-        reach = landmark_reachability(dag, landmarks)
+        _, reach = sweep_landmarks(dag, landmarks, forward=True)
         for source in landmarks:
             for target in landmarks:
                 if source == target:
                     continue
                 assert (target in reach[source]) == is_reachable(dag, source, target)
 
-    def test_build_landmark_graph_edges(self, dag):
+    def test_sweep_counts_are_descendant_counts(self, dag):
         landmarks = sorted(dag.nodes())[:6]
-        landmark_graph = build_landmark_graph(dag, landmarks)
-        assert set(landmark_graph.nodes()) == set(landmarks)
-        for source, target in landmark_graph.edges():
-            assert is_reachable(dag, source, target)
+        counts, _ = sweep_landmarks(dag, landmarks, forward=True)
+        assert counts == {landmark: len(descendants(dag, landmark)) for landmark in landmarks}

@@ -329,7 +329,7 @@ def test_boolean_ids_are_not_the_identity():
 
 
 def test_overlay_substrate_gets_the_mirror_ranks_and_order():
-    """``compress`` mirrors every substrate but a plain ``DiGraph``."""
+    """``compress`` freezes every substrate that is not a ``CSRGraph``, overlays included."""
     from repro.updates.overlay import MutableOverlay
 
     graph = make_graph(90, "random", "identity", seed=3)
@@ -337,9 +337,10 @@ def test_overlay_substrate_gets_the_mirror_ranks_and_order():
     overlay.remove_node(5)
     graph.remove_node(5)
     on_overlay, on_digraph = compress(overlay), compress(graph)
-    assert on_digraph.dag_csr is None and on_overlay.dag_csr is not None
-    assert not on_overlay.condensation.array_backed and on_overlay.dag_view is on_overlay.dag
-    assert on_overlay.ranks.graph is on_overlay.dag_csr  # a rank column all the same
+    for compressed in (on_overlay, on_digraph):
+        assert compressed.condensation.array_backed and compressed.dag_view is compressed.dag_csr
+        assert compressed.ranks.graph is compressed.dag_csr  # a rank column
+    assert_same_compression(on_digraph, oracle_compress(oracle_from_digraph(graph)))
     assert on_overlay.condensation.membership == on_digraph.condensation.membership
     assert_same_dag(on_overlay.dag, on_digraph.dag)
     assert on_overlay.ranks.ranks() == on_digraph.ranks.ranks()
@@ -588,7 +589,7 @@ def test_work_gate_per_pass(work_counts):
     compressed = compress(CSRGraph.from_digraph(make_graph(400, "random", "shuffled", seed=4)))
     leaves = select_leaves(compressed, 0.05, 60)
     work_counts.clear()
-    _cover_statistics(compressed.dag_view, leaves, csr_dag=compressed.dag_csr)
+    _cover_statistics(compressed.dag_csr, leaves)
     assert work_counts["reach_batch"] == 2
     out_of_index_labels(compressed.dag_view, set(leaves), max_labels=30, csr_dag=compressed.dag_csr)
     assert work_counts["reach_batch"] == 4

@@ -7,8 +7,9 @@ from repro.graph.components import condensation, is_dag, strongly_connected_comp
 from repro.graph.digraph import DiGraph
 from repro.graph.neighborhood import nodes_within_hops
 from repro.graph.subgraph import induced_subgraph, is_subgraph
-from repro.graph.topology import topological_ranks, verify_rank_invariant
+from repro.graph.topology import verify_rank_invariant
 from repro.graph.traversal import bidirectional_reachable, bfs_levels, is_reachable
+from repro.reachability.compression import compress
 
 
 @st.composite
@@ -88,8 +89,8 @@ def test_condensation_preserves_reachability(graph, source_index, target_index):
 @given(random_digraphs())
 def test_topological_ranks_on_condensation(graph):
     """Ranks satisfy their defining recurrence and decrease along edges."""
-    dag = condensation(graph).dag
-    ranks = topological_ranks(dag)
+    compressed = compress(graph)
+    dag, ranks = compressed.dag, compressed.ranks.ranks()
     assert verify_rank_invariant(dag, ranks)
     for source, target in dag.edges():
         assert ranks[source] > ranks[target]

@@ -345,7 +345,7 @@ class TestPlannerParityContract:
             report = service.update(delta)
             assert report.plan.action in (PATCH, REBUILD)
             got = service.run_batch(requests, alpha=ALPHA).answers
-            fresh = QueryEngine(service.graph, mirror="never", cache_size=0)
+            fresh = QueryEngine(service.graph, cache_size=0)
             expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
             assert answers_identical("reach", got, expected)
 
@@ -359,7 +359,7 @@ class TestPlannerParityContract:
         assert report.plan.action == REBUILD
         assert report.mode in ("rebuilt", "fresh")
         got = service.run_batch(requests, alpha=ALPHA).answers
-        fresh = QueryEngine(service.graph, mirror="never", cache_size=0)
+        fresh = QueryEngine(service.graph, cache_size=0)
         expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
         assert answers_identical("reach", got, expected)
 
@@ -375,7 +375,7 @@ class TestPlannerParityContract:
         report = service.update(delta)
         assert report.shard_report is None  # nothing to route to yet
         got = service.run_batch(requests, alpha=ALPHA)  # builds shards now
-        fresh = QueryEngine(service.graph, mirror="never", cache_size=0)
+        fresh = QueryEngine(service.graph, cache_size=0)
         expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
         assert [signature(a) for a in got.answers] == [signature(a) for a in expected]
         assert got.shard_routed > 0
@@ -391,7 +391,7 @@ class TestPlannerParityContract:
         report = service.update(delta)
         assert report.shard_report is not None
         got = service.run_batch(requests, alpha=ALPHA).answers
-        fresh = QueryEngine(service.graph, mirror="never", cache_size=0)
+        fresh = QueryEngine(service.graph, cache_size=0)
         expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
         assert [signature(a) for a in got] == [signature(a) for a in expected]
 
@@ -506,7 +506,7 @@ class TestServiceLifecycle:
     def test_engine_property_is_the_single_construction_site(self, graph):
         service = GraphService(graph)
         assert service.engine is service.engine
-        assert service.backend in ("CSRGraph", "DiGraph")
+        assert service.backend == "CSRGraph"
 
     def test_graph_tracks_updates(self):
         base = clustered_graph(clusters=2, size=30, seed=2)

@@ -432,9 +432,7 @@ class TestBoundaryPrepare:
                 assert contribution.boundary_comps
                 reference = compress(shard.graph)  # a twin to thaw
                 ordered = sorted(contribution.boundary_comps, key=repr)
-                _, reached = sweep_landmarks(
-                    reference.dag, ordered, forward=True, csr_dag=reference.dag_csr
-                )
+                _, reached = sweep_landmarks(reference.dag_csr, ordered, forward=True)
                 assert contribution.intra_edges == [
                     (comp, other) for comp in ordered for other in sorted(reached[comp], key=repr)
                 ]

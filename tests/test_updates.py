@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from repro.engine import PatternQuery, QueryEngine, ReachQuery
 from repro.engine.prepared import PreparedGraph
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, WorkloadError
-from repro.graph.components import condensation
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import preferential_attachment_graph
 from repro.graph.protocol import GraphLike
-from repro.graph.topology import TopologicalRankIndex, verify_rank_invariant
+from repro.graph.topology import verify_rank_invariant
+from repro.reachability.compression import compress
 from repro.updates import (
     CondensationMaintainer,
     GraphDelta,
@@ -193,6 +193,13 @@ class TestMutableOverlay:
         assert overlay.fraction() == pytest.approx(3 / graph.size())
 
 
+def _maintainer_of(graph) -> CondensationMaintainer:
+    compressed = compress(graph)
+    return CondensationMaintainer.from_fresh(
+        graph, compressed.condensation, compressed.ranks, compressed.dag_csr
+    )
+
+
 class TestIncrementalCondensation:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -203,7 +210,7 @@ class TestIncrementalCondensation:
             num_nodes=60, edges_per_node=2, seed=seed % 5, back_edge_probability=0.2
         )
         overlay = MutableOverlay(CSRGraph.from_digraph(graph))
-        maintainer = CondensationMaintainer.from_fresh(overlay, condensation(overlay))
+        maintainer = _maintainer_of(overlay)
         pool = list(overlay.nodes())
         for round_number in range(3):
             record = AppliedDelta()
@@ -229,7 +236,8 @@ class TestIncrementalCondensation:
                     pass
             result = maintainer.apply(overlay, record)
             assert result is not None
-            fresh = condensation(overlay)
+            fresh_compressed = compress(overlay)
+            fresh, fresh_ranks = fresh_compressed.condensation, fresh_compressed.ranks
             patched = result.condensation
             assert dict(patched.membership) == dict(fresh.membership)
             assert set(patched.dag.nodes()) == set(fresh.dag.nodes())
@@ -242,11 +250,15 @@ class TestIncrementalCondensation:
                 assert list(patched.dag.predecessors(component)) == list(
                     fresh.dag.predecessors(component)
                 )
-            fresh_ranks = TopologicalRankIndex(fresh.dag)
             assert result.rank_index.ranks() == fresh_ranks.ranks()
             assert result.rank_index.max_rank == fresh_ranks.max_rank
             assert result.rank_index.max_degree == fresh_ranks.max_degree
             assert verify_rank_invariant(patched.dag, result.rank_index.ranks())
+            # The greedy exclusion walk runs on the mirror: neighbours in DAG order.
+            mirror = maintainer.dag_mirror()
+            for component in fresh.dag.nodes():
+                row = mirror.index_of(component)
+                assert mirror.ids_of(mirror.neighbor_indices(row)) == list(fresh.dag.neighbors(component))
             # Maintained degrees feed the selection rerun; they must match.
             assert result.dag_degrees == {
                 component: fresh.dag.degree(component) for component in fresh.dag.nodes()
@@ -268,7 +280,7 @@ class TestIncrementalCondensation:
     def test_node_removal_refuses_to_patch(self):
         graph = preferential_attachment_graph(num_nodes=30, edges_per_node=2, seed=0)
         overlay = MutableOverlay(CSRGraph.from_digraph(graph))
-        maintainer = CondensationMaintainer.from_fresh(overlay, condensation(overlay))
+        maintainer = _maintainer_of(overlay)
         record = overlay.apply(GraphDelta().remove_node(next(iter(graph.nodes()))))
         assert maintainer.apply(overlay, record) is None
 
@@ -309,7 +321,7 @@ class TestRebuildEquivalence:
             report = engine.update(delta)
             assert report.mode in ("patched", "rebuilt")
         updated = _reach_signature(engine.answer_batch(reach_queries, ALPHA))
-        fresh_substrate = QueryEngine(engine.prepared.graph, cache_size=0, mirror="never")
+        fresh_substrate = QueryEngine(engine.prepared.graph, cache_size=0)
         assert updated == _reach_signature(fresh_substrate.answer_batch(reach_queries, ALPHA))
         fresh_digraph = QueryEngine(mutable, cache_size=0)
         assert updated == _reach_signature(fresh_digraph.answer_batch(reach_queries, ALPHA))
@@ -337,18 +349,38 @@ class TestRebuildEquivalence:
             prepared.apply_delta(delta)
             assert prepared.max_degree() == prepared.graph.max_degree()
 
-    def test_node_removals_take_rebuild_path_and_stay_equivalent(self, served_graph, reach_queries):
+    @staticmethod
+    def _remove_a_node(served_graph, reach_queries, alphas):
         engine = QueryEngine(served_graph, cache_size=0)
-        engine.answer_batch(reach_queries, ALPHA)
+        for alpha in alphas:
+            engine.answer_batch(reach_queries, alpha)
         mutable = served_graph.copy()
-        victim = next(iter(served_graph.nodes()))
-        delta = GraphDelta().remove_node(victim)
+        delta = GraphDelta().remove_node(next(iter(served_graph.nodes())))
         delta.apply_to(mutable)
-        report = engine.update(delta)
-        assert report.mode == "rebuilt"
-        updated = _reach_signature(engine.answer_batch(reach_queries, ALPHA))
+        assert engine.update(delta).mode == "rebuilt"
+        return engine, mutable
+
+    def test_node_removals_take_rebuild_path_and_stay_equivalent(self, served_graph, reach_queries):
+        engine, mutable = self._remove_a_node(served_graph, reach_queries, (ALPHA, 0.2))
         fresh = QueryEngine(mutable, cache_size=0)
-        assert updated == _reach_signature(fresh.answer_batch(reach_queries, ALPHA))
+        for alpha in (ALPHA, 0.2):  # the lazy re-prepare answers as a fresh one does
+            updated = _reach_signature(engine.answer_batch(reach_queries, alpha))
+            assert updated == _reach_signature(fresh.answer_batch(reach_queries, alpha))
+
+    def test_node_removal_rebuild_lands_on_the_array_tier(self, served_graph, reach_queries):
+        from prepare_oracle import oracle_build_index, oracle_compress, oracle_from_digraph
+        from test_prepare_differential import assert_same_compression, assert_same_index
+
+        engine, mutable = self._remove_a_node(served_graph, reach_queries, (ALPHA,))
+        engine.answer_batch(reach_queries, ALPHA)
+        prepared = engine.prepared
+        assert isinstance(prepared.graph, CSRGraph)
+        compressed = prepared.compressed()
+        assert compressed.condensation.array_backed
+        frozen_oracle = oracle_from_digraph(mutable)
+        for alpha in (ALPHA, 0.2):
+            assert_same_index(prepared.reachability_index(alpha), oracle_build_index(frozen_oracle, alpha))
+        assert_same_compression(compressed, oracle_compress(frozen_oracle))
 
     def test_oversized_delta_falls_back_to_rebuild(self, served_graph, reach_queries):
         engine = QueryEngine(served_graph, cache_size=0)
@@ -621,34 +653,37 @@ class TestDeltaStream:
 
 
 class TestCliUpdate:
-    def test_update_smoke_with_verify(self, capsys, tmp_path):
+    @staticmethod
+    def _update_with_verify(capsys, tmp_path, *extra):
+        """Run ``repro-bench update --verify``; return its batch lines."""
+        import json
+
         from repro.cli import main
 
         output = tmp_path / "update.json"
-        assert (
-            main(
-                [
-                    "update",
-                    "--dataset",
-                    "youtube-small",
-                    "--batches",
-                    "2",
-                    "--ops",
-                    "15",
-                    "--queries",
-                    "20",
-                    "--verify",
-                    "--output",
-                    str(output),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "mode=patched" in out
-        assert "verify=ok" in out
-        import json
-
+        argv = ["update", "--ops", "15", "--queries", "20", "--verify", "--output", str(output)]
+        assert main(argv + list(extra)) == 0
         payload = json.loads(output.read_text(encoding="utf-8"))
-        assert payload["verify_failures"] == 0
-        assert payload["total_ops"] > 0
+        assert payload["verify_failures"] == 0 and payload["total_ops"] > 0
+        return [line for line in capsys.readouterr().out.splitlines() if line.startswith("batch ")]
+
+    def test_update_smoke_with_verify(self, capsys, tmp_path):
+        batches = self._update_with_verify(capsys, tmp_path, "--dataset", "youtube-small", "--batches", "2")
+        assert any("mode=patched" in line for line in batches)
+        assert all(line.endswith("verify=ok") for line in batches)
+
+    def test_update_verify_is_ok_for_every_batch_with_node_removals(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import functools
+
+        import repro.workloads.deltas
+
+        monkeypatch.setattr(
+            repro.workloads.deltas,
+            "generate_delta_stream",
+            functools.partial(generate_delta_stream, node_removal_rate=0.3),
+        )
+        batches = self._update_with_verify(capsys, tmp_path, "--batches", "3")
+        assert len(batches) == 3 and any("mode=rebuilt" in line for line in batches)
+        assert all(line.endswith("verify=ok") for line in batches)

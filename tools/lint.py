@@ -6,7 +6,10 @@ Runs, in order:
 1. ``python -m compileall`` over the whole tree — the floor that always
    runs, even on machines without the dev tools installed;
 2. ``ruff check`` with the configuration in ``pyproject.toml``;
-3. ``mypy`` over the packages scoped in ``pyproject.toml``.
+3. ``mypy`` over the packages scoped in ``pyproject.toml``;
+4. the no-fallback check: numpy is a hard dependency, so ``src/repro``
+   may hold no ``except ImportError`` and no ``np is None`` /
+   ``CSRGraph is None`` branch (offending lines are printed).
 
 ruff and mypy are exercised when importable and *skipped with a notice*
 otherwise: the target container bakes in only the core Python toolchain and
@@ -17,6 +20,7 @@ tool is not a failure, a failing one always is.
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -24,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TARGETS = ["src", "tools", "tests", "benchmarks", "examples"]
+FALLBACK = re.compile(r"except\s+\(?\s*ImportError|\b(?:np|numpy|_?CSRGraph)\s+is\s+(?:not\s+)?None\b")
 
 
 def _run(label: str, command: list) -> bool:
@@ -33,6 +38,16 @@ def _run(label: str, command: list) -> bool:
         print(f"[lint] {label} FAILED (exit {result.returncode})")
         return False
     return True
+
+
+def fallback_lines(root: Path = ROOT / "src" / "repro") -> list:
+    """``path:line: text`` of every no-numpy fallback left under ``root``."""
+    return [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if FALLBACK.search(line)
+    ]
 
 
 def main() -> int:
@@ -53,6 +68,14 @@ def main() -> int:
         ok &= _run("mypy", [sys.executable, "-m", "mypy"])
     else:
         print("[lint] mypy not installed — skipped (CI installs it via the 'dev' extra)")
+
+    offending = fallback_lines()
+    print("[lint] no-fallback: src/repro must not guard against a missing numpy", flush=True)
+    for line in offending:
+        print(f"[lint]   {line}")
+    if offending:
+        print(f"[lint] no-fallback FAILED ({len(offending)} line(s))")
+        ok = False
 
     print("[lint] OK" if ok else "[lint] failures above")
     return 0 if ok else 1
