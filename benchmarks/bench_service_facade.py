@@ -22,7 +22,7 @@ Two claims, both gated in CI through the ``service`` suite of
 * **the planner never loses to naive serial** — on the bench workload the
   auto-planner's chosen backend must not be slower than forcing the serial
   default (within measurement tolerance).  On a multi-core runner the
-  planner picks the process pool and wins outright; on a 1–2 core runner it
+  planner picks the daemon pool and wins outright; on a 1–2 core runner it
   must have the sense to pick serial and tie.
 
 Both measurements also witness the parity contract: every façade answer is

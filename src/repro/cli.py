@@ -436,6 +436,7 @@ def _command_batch(args) -> int:
             )
             if not identical:
                 exit_code = 1  # still write the report: it documents the mismatch
+    service.close()  # stops the daemon pool, if this run started one
 
     write_json_report(args.output, payload)
     return exit_code

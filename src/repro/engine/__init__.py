@@ -9,20 +9,20 @@ Section 1).  It separates the two phases the paper keeps distinct:
   and label/degree statistics, all built once per graph;
 * **answer** (:mod:`repro.engine.engine`) — batches of
   :class:`~repro.engine.queries.ReachQuery` /
-  :class:`~repro.engine.queries.PatternQuery` objects flow through a
-  pluggable executor (:mod:`repro.engine.executors`: serial, thread pool,
-  process pool, warm daemon pool) behind an LRU answer cache
-  (:mod:`repro.engine.cache`) keyed on ``(query fingerprint, α)``.
+  :class:`~repro.engine.queries.PatternQuery` objects are answered in chunks
+  (:mod:`repro.engine.executors`), inline (``serial``) or on a warm daemon
+  pool (``daemon``), behind an LRU answer cache (:mod:`repro.engine.cache`)
+  keyed on ``(query fingerprint, α)``.
 
 Parallel state ships through a zero-copy shared-memory tier
 (:mod:`repro.graph.shm` + :class:`~repro.engine.prepared.SharedPreparedGraph`):
-the CSR arrays are published once per state version and worker processes —
-including the persistent daemons of :mod:`repro.engine.daemons` — attach
-the same physical pages by segment name.
+the CSR arrays are published once per state version and the persistent
+daemons of :mod:`repro.engine.daemons` attach the same physical pages by
+segment name.
 
-The parity contract — identical answers for every executor and worker
-count — is property-tested in ``tests/test_engine.py`` and the ≥2×
-batch-throughput claim is asserted by
+The parity contract — identical answers for either executor and any worker
+count — is property-tested in ``tests/test_engine.py`` and the ≥1.5×
+warm-pool batch-throughput claim is asserted by
 ``benchmarks/bench_engine_parallel.py``.
 
 Graphs mutate under traffic: ``QueryEngine.update`` absorbs a
@@ -41,14 +41,7 @@ from repro.engine.invalidation import (
     partition_entries,
     pattern_budget_changed,
 )
-from repro.engine.executors import (
-    EXECUTORS,
-    DaemonExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.engine.executors import EXECUTOR_NAMES
 from repro.engine.prepared import PreparedGraph, SharedPreparedGraph, UpdateSummary, publish_state
 from repro.engine.queries import PatternQuery, ReachQuery
 
@@ -56,23 +49,18 @@ __all__ = [
     "AnswerCache",
     "BatchReport",
     "CacheStats",
-    "DaemonExecutor",
     "DaemonPool",
-    "EXECUTORS",
+    "EXECUTOR_NAMES",
     "InvalidationDecision",
     "PatternQuery",
     "PreparedGraph",
-    "ProcessExecutor",
     "QueryEngine",
     "ReachQuery",
-    "SerialExecutor",
     "SharedPreparedGraph",
-    "ThreadExecutor",
     "UpdateReport",
     "UpdateSummary",
     "anchor_of",
     "default_workers",
-    "make_executor",
     "partition_entries",
     "pattern_budget_changed",
     "publish_state",

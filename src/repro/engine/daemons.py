@@ -1,9 +1,8 @@
 """Persistent worker daemons: a warm process pool that owns attached state.
 
-The per-batch :class:`~repro.engine.executors.ProcessExecutor` pays pool
-startup plus state shipping on *every* batch, which is why the committed
-baselines showed process parallelism losing to serial.  A
-:class:`DaemonPool` starts its workers once and keeps them warm: each
+A pool that forked per batch would pay worker startup plus state shipping
+on *every* batch and lose to serial.  A :class:`DaemonPool` starts its
+workers once and keeps them warm: each
 daemon attaches the engine's published
 :class:`~repro.engine.prepared.SharedPreparedGraph` — CSR arrays as
 zero-copy shared-memory views, derived indexes unpickled once per publish —
@@ -30,7 +29,7 @@ Lifecycle guarantees (crash-tested in ``tests/test_daemons.py``):
   outlive the interpreter.
 
 Answers are bit-identical to serial: daemons run the same pure chunk
-functions over the same chunking as every other executor, against state
+functions over the same chunking as the serial executor, against state
 that attaches to the same arrays the parent serves from.
 """
 
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import multiprocessing
 import os
 import threading
 import time
@@ -48,9 +48,27 @@ from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.executors import _process_context, answer_chunk, default_workers
+from repro.engine.executors import answer_chunk, default_workers
 from repro.engine.prepared import SharedPreparedGraph, publish_state
 from repro.exceptions import DaemonError
+
+
+def _process_context():
+    """Prefer ``fork`` (cheap worker start, inherited hash seed).
+
+    ``REPRO_MP_START_METHOD`` overrides the choice (``fork``/``spawn``/
+    ``forkserver``) — used by tests to exercise the non-fork attach path
+    on Linux, and available as an escape hatch on platforms where forking a
+    threaded parent misbehaves.
+    """
+    override = os.environ.get("REPRO_MP_START_METHOD")
+    if override:
+        return multiprocessing.get_context(override)
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
+
 
 DEFAULT_JOIN_TIMEOUT = 5.0
 """Seconds a graceful shutdown waits per worker before terminating it."""
@@ -255,8 +273,7 @@ class DaemonPool:
 
     Workers start lazily on the first :meth:`run` and persist across
     batches (and across :meth:`publish` cycles) until :meth:`close`.  The
-    pool is executor-compatible: the ``daemon`` entry of the executor
-    registry binds one and forwards ``run(state, tasks, chunk_fn)`` here.
+    engines' ``daemon`` executor calls :meth:`run` on the pool they own.
 
     ``version`` is the owner's state token (the engine's update epoch plus
     its prepared-state signature); the pool republishes exactly when it
@@ -467,7 +484,7 @@ class DaemonPool:
     ) -> List[List[Any]]:
         """Chunk results in task order, computed by the warm workers.
 
-        The executor-protocol entry point.  Worker deaths are absorbed up
+        The ``daemon`` executor's entry point.  Worker deaths are absorbed up
         to :data:`MAX_TASK_RETRIES` per chunk; anything beyond raises
         :class:`DaemonError` with the pool left healthy.
         """

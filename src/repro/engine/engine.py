@@ -3,18 +3,18 @@
 The paper's serving story ("queries arrive by the thousands", Section 1)
 separates one-time preparation from cheap per-query answering.  The engine
 owns the prepared state (:class:`~repro.engine.prepared.PreparedGraph`) and
-pushes every batch through a pluggable executor:
+answers every batch in chunks:
 
 * preparation — CSR mirror, SCC condensation, per-α landmark index,
   neighbourhood summaries — happens once, in the parent process;
-* answering fans the batch out as ``(kind, alpha, chunk)`` tasks over the
-  chosen executor (serial / thread pool / process pool);
+* answering cuts the batch into ``(kind, alpha, chunk)`` tasks and runs
+  them inline (``serial``) or on the engine's warm daemon pool (``daemon``);
 * an LRU cache keyed on ``(query fingerprint, α)`` short-circuits repeats,
   and a repeat *inside* one batch — which the LRU cannot serve, nothing is
   stored before the batch ran — shares the first copy's evaluation.
 
-**Parity contract**: for any executor and worker count, the answers are
-bit-identical to the serial path.  All executors run the same pure chunk
+**Parity contract**: for either executor and any worker count, the answers
+are bit-identical to the serial path.  Both executors run the same pure chunk
 function over the same chunking; caching only ever returns an answer that
 the same engine computed, earlier or in this very batch, for the same
 ``(fingerprint, α)`` key.
@@ -29,7 +29,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.engine.cache import AnswerCache, CacheKey, CacheStats
 from repro.engine.daemons import DaemonPool
-from repro.engine.executors import Task, default_workers, make_executor
+from repro.engine.executors import (
+    Task,
+    answer_chunk,
+    check_executor,
+    chunked,
+    default_workers,
+)
 from repro.engine.invalidation import anchor_of, partition_entries
 from repro.engine.prepared import (
     DEFAULT_COMPACT_THRESHOLD,
@@ -45,9 +51,6 @@ from repro.patterns.pattern import GraphPattern
 from repro.updates.delta import GraphDelta
 
 EngineQuery = Union[ReachQuery, PatternQuery]
-
-DEFAULT_CHUNKS_PER_WORKER = 4
-"""Chunks handed to each worker on average; >1 smooths uneven chunk costs."""
 
 
 @dataclass
@@ -74,11 +77,6 @@ class BatchReport:
         if self.wall_seconds <= 0:
             return 0.0
         return len(self.answers) / self.wall_seconds
-
-
-def _chunk(items: Sequence[Any], size: int) -> List[Sequence[Any]]:
-    """Split ``items`` into order-preserving chunks of at most ``size``."""
-    return [items[start : start + size] for start in range(0, len(items), size)]
 
 
 @dataclass
@@ -253,12 +251,10 @@ class QueryEngine:
         the delta is too large to patch profitably — above
         ``patch_threshold·|G|`` ops — or removes nodes); either way,
         subsequent answers are bit-identical to a fresh engine prepared on
-        the updated graph, for every executor and worker count.  Executors
-        need no special handling: worker pools live for a single batch and
-        receive the prepared state at dispatch, so a batch issued after
-        ``update`` returns always sees the updated state.  The warm daemon
-        pool is versioned instead: every effective update bumps the engine's
-        state epoch, so the next daemon batch republishes before dispatch.
+        the updated graph, for either executor and any worker count.  The
+        warm daemon pool is versioned: every effective update bumps the
+        engine's state epoch, so the next daemon batch republishes before
+        dispatch.
 
         The answer cache is invalidated surgically: entries whose query
         touches the mutated region (delta endpoints, changed components,
@@ -347,7 +343,12 @@ class QueryEngine:
         """
         if not 0 < alpha <= 1:
             raise EngineError(f"alpha must be in (0, 1], got {alpha}")
-        runner = make_executor(executor, workers)
+        check_executor(executor)
+        # The pool this batch would run on fixes the worker count that sizes
+        # its chunks (a live pool ignores a later ``workers``); its processes
+        # only start when a batch actually dispatches.
+        pool = self.daemon_pool(workers) if executor == "daemon" else None
+        run_workers = pool.workers if pool is not None else 1
         caching = self._cache.capacity > 0
 
         started = time.perf_counter()
@@ -388,17 +389,6 @@ class QueryEngine:
         for kind in sorted({query.kind for _, query, _ in pending}):
             self._prepared.prepare(kind, alpha)
 
-        # The daemon executor routes to the engine's warm pool.  Binding
-        # happens *after* the prepare loop so the version token reflects the
-        # state this batch needs: a new α index (or an absorbed update, via
-        # the epoch) changes the token and triggers a republish to the
-        # daemons, which otherwise keep serving their attached state.
-        if runner.name == "daemon" and pending:
-            runner.bind(
-                self.daemon_pool(workers),
-                version=(self._state_epoch, self._prepared.state_signature()),
-            )
-
         # Batch composition over *all* queries (cache hits included), so the
         # telemetry describes the batch even when it was fully warm.
         kinds: Dict[str, int] = {}
@@ -409,22 +399,31 @@ class QueryEngine:
         tasks: List[Task] = []
         task_positions: List[Sequence[int]] = []
         task_fingerprints: List[Sequence[Optional[str]]] = []
-        if pending:
-            chunk_size = max(
-                1, -(-len(pending) // (max(1, runner.workers) * DEFAULT_CHUNKS_PER_WORKER))
-            )
-            by_kind: Dict[str, List[Tuple[int, EngineQuery, Optional[str]]]] = {}
-            for item in pending:
-                by_kind.setdefault(item[1].kind, []).append(item)
-            for kind in sorted(by_kind):
-                for chunk in _chunk(by_kind[kind], chunk_size):
-                    tasks.append((kind, alpha, [query for _, query, _ in chunk]))
-                    task_positions.append([position for position, _, _ in chunk])
-                    task_fingerprints.append([fingerprint for _, _, fingerprint in chunk])
+        by_kind: Dict[str, List[Tuple[int, EngineQuery, Optional[str]]]] = {}
+        for item in pending:
+            by_kind.setdefault(item[1].kind, []).append(item)
+        kind_order = sorted(by_kind)
+        groups = chunked([by_kind[kind] for kind in kind_order], run_workers)
+        for kind, chunks in zip(kind_order, groups):
+            for chunk in chunks:
+                tasks.append((kind, alpha, [query for _, query, _ in chunk]))
+                task_positions.append([position for position, _, _ in chunk])
+                task_fingerprints.append([fingerprint for _, _, fingerprint in chunk])
 
-        with obs.span("engine.batch", executor=runner.name, chunks=len(tasks)):
+        with obs.span("engine.batch", executor=executor, chunks=len(tasks)):
             batch_trace = obs.context.trace_id()
-            chunk_results = runner.run(self._prepared, tasks)
+            if pool is None:
+                chunk_results = [answer_chunk(self._prepared, task) for task in tasks]
+            else:
+                # The version is taken *after* the prepare loop, so a new α
+                # index (or an absorbed update, via the epoch) triggers a
+                # republish to the daemons, which otherwise keep serving
+                # their attached state.
+                chunk_results = pool.run(
+                    self._prepared,
+                    tasks,
+                    version=(self._state_epoch, self._prepared.state_signature()),
+                )
 
         evictions = 0
         for positions, fingerprints, results in zip(
@@ -452,7 +451,7 @@ class QueryEngine:
         # Batch-granular telemetry (one counter bump per batch, never per
         # query) — cheap enough to stay inside the façade's 2% overhead gate.
         obs.counter("engine.batches").inc()
-        obs.counter("engine.executor." + runner.name).inc()
+        obs.counter("engine.executor." + executor).inc()
         obs.counter("engine.cache.hits").inc(hits)
         obs.counter("engine.cache.misses").inc(len(pending) + len(followers))
         if followers:
@@ -464,8 +463,8 @@ class QueryEngine:
         return BatchReport(
             answers=answers,
             alpha=alpha,
-            executor=runner.name,
-            workers=runner.workers if runner.name != "serial" else 1,
+            executor=executor,
+            workers=run_workers,
             wall_seconds=wall,
             cache_hits=hits,
             cache_misses=len(pending) + len(followers),

@@ -1,49 +1,35 @@
-"""Pluggable batch executors: serial, thread pool, process pool, daemon pool.
+"""Batch execution: one pure chunk function, run inline or on warm daemons.
 
-All of them run the *same* pure chunk function (:func:`answer_chunk`) over
-order-preserving chunks of the batch.  The parity contract rests on that
-purity: every query is answered independently by a deterministic matcher
+Both engines cut a batch into order-preserving chunks (:func:`chunked`) and
+answer each chunk with a pure chunk function (:func:`answer_chunk` here,
+``answer_shard_chunk`` for the sharded engine).  The parity contract rests on
+that purity: every query is answered independently by a deterministic matcher
 against shared read-only prepared state, so neither the executor nor the
 chunk boundaries (which *do* vary with the worker count) can influence an
 answer.  Keep chunk handling stateless — any per-chunk state (memos,
 budgets) would silently break the bit-identical guarantee the engine
-promises and tests.  The executors only choose where chunks run:
+promises and tests.  The executor only chooses where chunks run:
 
-* :class:`SerialExecutor` — in the calling thread (the reference path);
-* :class:`ThreadExecutor` — a ``ThreadPoolExecutor``; useful when the work
-  releases the GIL (numpy kernels) or is I/O-bound, and as a cheap parity
-  witness;
-* :class:`ProcessExecutor` — a ``ProcessPoolExecutor`` whose workers receive
-  the prepared engine state **once via the pool initializer**, then stream
-  lightweight ``(kind, alpha, queries)`` chunks.  Under the default ``fork``
-  start method on Linux the state is inherited copy-on-write and never
-  pickled at all; under ``spawn``/``forkserver`` the CSR arrays are published
-  to shared memory and attached zero-copy, so only the derived indexes are
-  pickled — once per publish, never per worker or per query;
-* :class:`DaemonExecutor` — routes chunks to a persistent, warm
-  :class:`~repro.engine.daemons.DaemonPool` owned by the engine; workers keep
-  the shared-memory state attached across batches.
-
-Cross-process determinism note: ``fork`` children inherit the parent's hash
-seed, so any iteration order the algorithms derive from Python hashing is
-identical in the workers.  The process executor therefore prefers ``fork``
-and only falls back to the platform default elsewhere.
+* ``serial`` — inline, in order, in the calling thread (the reference path);
+* ``daemon`` — on the engine's warm :class:`~repro.engine.daemons.DaemonPool`,
+  whose workers keep the shared-memory state attached across batches.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import threading
-import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.exceptions import EngineError
-from repro.engine.prepared import PreparedGraph, publish_state
+from repro.engine.prepared import PreparedGraph
 from repro.engine.queries import REACH, SIMULATION, SUBGRAPH
-from repro.obs import context as trace_context
 from repro.obs import trace
+
+EXECUTOR_NAMES = ("serial", "daemon")
+"""The executors ``run_batch`` accepts."""
+
+DEFAULT_CHUNKS_PER_WORKER = 4
+"""Chunks handed to each worker on average; >1 smooths uneven chunk costs."""
 
 Task = Tuple[str, float, Sequence[Any]]
 """One unit of work: ``(kind, alpha, queries)``."""
@@ -61,10 +47,31 @@ def default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+def check_executor(name: str) -> None:
+    """Raise :class:`EngineError` unless ``name`` is one of :data:`EXECUTOR_NAMES`."""
+    if name not in EXECUTOR_NAMES:
+        raise EngineError(
+            f"unknown executor {name!r}; use one of {', '.join(EXECUTOR_NAMES)}"
+        )
+
+
+def chunked(groups: Sequence[Sequence[Any]], workers: int) -> List[List[Sequence[Any]]]:
+    """Split each group into order-preserving chunks of one shared size.
+
+    The size gives the whole batch about :data:`DEFAULT_CHUNKS_PER_WORKER`
+    chunks per worker; a chunk never mixes groups.
+    """
+    pending = sum(len(group) for group in groups)
+    size = max(1, -(-pending // (max(1, workers) * DEFAULT_CHUNKS_PER_WORKER)))
+    return [
+        [group[start : start + size] for start in range(0, len(group), size)] for group in groups
+    ]
+
+
 def answer_chunk(prepared: PreparedGraph, task: Task) -> List[Any]:
     """Answer one chunk of same-kind queries against the prepared state.
 
-    This is the single function every executor runs; it is deliberately free
+    This is the single function both executors run; it is deliberately free
     of executor-specific state so that the serial path *is* the parallel
     path run inline.
     """
@@ -86,285 +93,3 @@ def answer_chunk(prepared: PreparedGraph, task: Task) -> List[Any]:
                 matcher.answer(query.pattern, query.personalized_match) for query in queries
             ]
     raise EngineError(f"unknown query kind {kind!r}")
-
-
-# ----------------------------------------------------------------------- #
-# Worker-process plumbing
-# ----------------------------------------------------------------------- #
-_WORKER_STATE: Optional[Any] = None
-
-# Under ``fork`` the parent parks the state here (keyed by a per-pool token)
-# and the initializer reads it from inherited memory: ``initargs`` are
-# pickled per worker even when forking, and for multi-hundred-megabyte
-# prepared state that serialisation would dwarf the pool startup the
-# docstring promises is milliseconds.  The token keyring (rather than one
-# global slot) keeps concurrent pools from different engines from adopting
-# each other's state; the GIL is held across ``os.fork``, so a child always
-# snapshots the dict in a consistent state containing its own token.
-_PARENT_STATES: dict = {}
-_PARENT_TOKEN = 0
-_PARENT_LOCK = threading.Lock()
-
-
-def _initialize_worker(state: Any) -> None:
-    """Pool initializer: receive the shared read-only state once per worker."""
-    global _WORKER_STATE
-    trace.reset_for_child()
-    _WORKER_STATE = state
-
-
-def _initialize_worker_from_parent(token: int) -> None:
-    """Fork-only pool initializer: adopt the state inherited copy-on-write.
-
-    The tracing reset matters most here: a forked worker inherits the
-    parent's open span stack and sink, and would otherwise emit records
-    claiming the parent's span IDs on the parent's file descriptor.
-    """
-    global _WORKER_STATE
-    trace.reset_for_child()
-    _WORKER_STATE = _PARENT_STATES[token]
-
-
-# The worker's attached handle is parked globally so the shared segments stay
-# mapped for the life of the pool, not just the initializer call.
-_WORKER_HANDLE: Optional[Any] = None
-
-
-def _initialize_worker_shared(handle: Any) -> None:
-    """Non-fork pool initializer: attach published shared-memory state.
-
-    ``handle`` is a :class:`~repro.engine.prepared.SharedPreparedGraph` that
-    pickles as segment *names* (a few hundred bytes); the worker attaches the
-    CSR arrays zero-copy and unpickles only the derived indexes.  This is the
-    ``spawn``/``forkserver`` analogue of the fork-side copy-on-write path —
-    without it, ``initargs`` would pickle the full prepared state per worker.
-    """
-    global _WORKER_STATE, _WORKER_HANDLE
-    trace.reset_for_child()
-    _WORKER_HANDLE = handle
-    _WORKER_STATE = handle.attach()
-
-
-def _run_task_in_worker(payload: Tuple[Any, Any, Any]) -> Any:
-    """Entry point executed inside a worker process.
-
-    ``payload`` is ``(chunk_fn, task, ctx)``; the chunk function is a
-    module-level callable (pickled by reference) applied to the worker's
-    shared state.  With a :class:`~repro.obs.context.TraceContext` the
-    worker buffers its spans and returns
-    ``(result, spans, recv_ts, done_ts)`` so the parent can fold them into
-    the batch timeline; with ``ctx=None`` it returns the bare result.
-    """
-    if _WORKER_STATE is None:  # pragma: no cover - initializer always ran
-        raise EngineError("worker process was not initialized with shared state")
-    chunk_fn, task, ctx = payload
-    if ctx is None:
-        return chunk_fn(_WORKER_STATE, task)
-    recv_ts = time.perf_counter()
-    with trace.buffered_spans() as spans:
-        with trace_context.activate(ctx):
-            result = chunk_fn(_WORKER_STATE, task)
-    return result, spans, recv_ts, time.perf_counter()
-
-
-def _process_context():
-    """Prefer ``fork`` (cheap state shipping, inherited hash seed).
-
-    ``REPRO_MP_START_METHOD`` overrides the choice (``fork``/``spawn``/
-    ``forkserver``) — used by tests to exercise the non-fork shipping path
-    on Linux, and available as an escape hatch on platforms where forking a
-    threaded parent misbehaves.
-    """
-    override = os.environ.get("REPRO_MP_START_METHOD")
-    if override:
-        return multiprocessing.get_context(override)
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-# ----------------------------------------------------------------------- #
-# Executors
-# ----------------------------------------------------------------------- #
-class SerialExecutor:
-    """Reference executor: every chunk runs inline, in order."""
-
-    name = "serial"
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = 1
-
-    def run(self, state: Any, tasks: Sequence[Any], chunk_fn=answer_chunk) -> List[List[Any]]:
-        """Chunk results, in task order."""
-        return [chunk_fn(state, task) for task in tasks]
-
-
-class ThreadExecutor:
-    """Thread-pool executor sharing the state in-process."""
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = max(1, workers or default_workers())
-
-    def run(self, state: Any, tasks: Sequence[Any], chunk_fn=answer_chunk) -> List[List[Any]]:
-        """Chunk results, in task order."""
-        # Trace context is thread-local; hand the dispatching thread's span
-        # to the pool threads so their chunk spans join the batch timeline.
-        ctx = trace_context.current() if trace.tracing() else None
-
-        def call(task: Any) -> List[Any]:
-            if ctx is None:
-                return chunk_fn(state, task)
-            with trace_context.activate(ctx):
-                return chunk_fn(state, task)
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(call, tasks))
-
-
-class ProcessExecutor:
-    """Process-pool executor; the shared state ships once per worker.
-
-    The pool lives for one :meth:`run` call (one batch): a fresh pool per
-    batch keeps correctness trivial — workers can never hold stale prepared
-    state after the engine lazily builds an index for a new α.  Under
-    ``fork`` the startup cost is milliseconds and fully-cached batches skip
-    pool creation entirely (no tasks, no pool); revisit with a long-lived,
-    version-stamped pool only if profiles show pool startup dominating.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = max(1, workers or default_workers())
-
-    def run(self, state: Any, tasks: Sequence[Any], chunk_fn=answer_chunk) -> List[List[Any]]:
-        """Chunk results, in task order.
-
-        ``chunk_fn`` must be a module-level function (it is shipped to the
-        workers by reference); ``state`` must pickle — both hold for the
-        engine's :class:`PreparedGraph` and for the sharded engine's
-        shard-state table.
-        """
-        if not tasks:
-            return []
-        context = _process_context()
-        forking = context.get_start_method() == "fork"
-        token = None
-        handle = None
-        if forking:
-            global _PARENT_TOKEN
-            with _PARENT_LOCK:
-                _PARENT_TOKEN += 1
-                token = _PARENT_TOKEN
-            _PARENT_STATES[token] = state
-            initializer, initargs = _initialize_worker_from_parent, (token,)
-        else:
-            # Non-fork start methods pickle ``initargs`` per worker; for
-            # multi-hundred-megabyte prepared state that would dwarf the
-            # batch.  Publish the state to shared memory instead and ship
-            # only the segment names — the worker attaches zero-copy.
-            handle = publish_state(state)
-            initializer, initargs = _initialize_worker_shared, (handle,)
-        ctx = trace_context.current() if trace.tracing() else None
-        try:
-            with ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                if ctx is None:
-                    return list(
-                        pool.map(_run_task_in_worker, [(chunk_fn, task, None) for task in tasks])
-                    )
-                dispatch_start = time.perf_counter()
-                wrapped = list(
-                    pool.map(_run_task_in_worker, [(chunk_fn, task, ctx) for task in tasks])
-                )
-                parent_recv = time.perf_counter()
-                results: List[List[Any]] = []
-                for index, (result, spans, recv_ts, done_ts) in enumerate(wrapped):
-                    for record in spans:
-                        trace.emit(record)
-                    trace.emit_segment(
-                        "worker.queue.wait",
-                        ts=dispatch_start,
-                        wall_ms=(recv_ts - dispatch_start) * 1e3,
-                        ctx=ctx,
-                        chunk=index,
-                    )
-                    trace.emit_segment(
-                        "worker.pipe.transit",
-                        ts=done_ts,
-                        wall_ms=(parent_recv - done_ts) * 1e3,
-                        ctx=ctx,
-                        chunk=index,
-                        direction="inbound",
-                    )
-                    results.append(result)
-                return results
-        finally:
-            if token is not None:
-                _PARENT_STATES.pop(token, None)
-            if handle is not None:
-                handle.close()
-
-
-class DaemonExecutor:
-    """Warm-pool executor backed by persistent worker daemons.
-
-    Unlike the other executors this one does not own its workers: the engine
-    that constructed it calls :meth:`bind` with its long-lived
-    :class:`~repro.engine.daemons.DaemonPool` and a state-version token
-    before dispatching.  The pool keeps the shared-memory state attached in
-    the workers across batches, so steady-state batches ship only
-    ``(kind, alpha, queries)`` chunks — no pool startup, no state pickling.
-    """
-
-    name = "daemon"
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = max(1, workers or default_workers())
-        self._pool: Optional[Any] = None
-        self._version: Any = None
-
-    def bind(self, pool: Any, version: Any = None) -> "DaemonExecutor":
-        """Attach the engine's pool (and its current state version)."""
-        self._pool = pool
-        self.workers = pool.workers
-        self._version = version
-        return self
-
-    def run(self, state: Any, tasks: Sequence[Any], chunk_fn=answer_chunk) -> List[List[Any]]:
-        """Chunk results, in task order, computed by the bound pool."""
-        if not tasks:  # fully-warm batches never touch (or require) the pool
-            return []
-        if self._pool is None:
-            raise EngineError(
-                "the daemon executor needs a bound DaemonPool; run it through "
-                "QueryEngine/ShardedEngine (which own the pool) instead of make_executor()"
-            )
-        return self._pool.run(state, tasks, chunk_fn=chunk_fn, version=self._version)
-
-
-EXECUTORS = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
-    ProcessExecutor.name: ProcessExecutor,
-    DaemonExecutor.name: DaemonExecutor,
-}
-"""Executor registry keyed by CLI/engine name."""
-
-
-def make_executor(name: str, workers: Optional[int] = None):
-    """Build an executor by name (``serial``, ``thread``, ``process``, ``daemon``)."""
-    try:
-        factory = EXECUTORS[name]
-    except KeyError:
-        raise EngineError(
-            f"unknown executor {name!r}; available: {', '.join(sorted(EXECUTORS))}"
-        ) from None
-    return factory(workers)

@@ -5,17 +5,14 @@ expensive work — freezing the graph into CSR, condensing SCCs, building the
 hierarchical landmark index, summarising labels and degrees — happens *once*.
 :class:`PreparedGraph` is that one-time product: an immutable-after-prepare
 bundle the engine consults per query and ships to worker processes once per
-worker, never per query.
+state version, never per query.
 
-How it reaches a worker depends on the executor.  The per-batch ``process``
-pool under the ``fork`` start method inherits it copy-on-write and never
-serialises it.  The daemon pool (and ``process`` under ``spawn``) always
-publishes it through :class:`SharedPreparedGraph`: the array-shaped parts —
-CSR adjacency, the neighbour-label presence bits behind the ``Sl``
-summaries, and the condensation and rank columns of a fresh CSR prepare —
-are copied into shared-memory segments that workers map zero-copy, and only
-the rest (landmark indexes, matchers: plain dicts and dataclasses) is
-pickled.
+The daemon pool reaches its workers through :class:`SharedPreparedGraph`,
+under every start method: the array-shaped parts — CSR adjacency, the
+neighbour-label presence bits behind the ``Sl`` summaries, and the
+condensation and rank columns of a fresh CSR prepare — are copied into
+shared-memory segments that workers map zero-copy, and only the rest
+(landmark indexes, matchers: plain dicts and dataclasses) is pickled.
 """
 
 from __future__ import annotations
@@ -550,7 +547,7 @@ class PreparedGraph:
 
 
 # ----------------------------------------------------------------------- #
-# Shared-memory publication (daemon pools, spawn-start process pools)
+# Shared-memory publication (daemon pools)
 # ----------------------------------------------------------------------- #
 class _SubstitutingPickler(pickle.Pickler):
     """Pickler that swaps registered objects for persistent-id tokens.

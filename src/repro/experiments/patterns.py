@@ -52,13 +52,10 @@ def _evaluate_workload(
     dataset: str,
     x_label: str,
     x_value: float,
-    service: Optional[GraphService] = None,
+    service: GraphService,
     run_subgraph: bool = True,
-    executor: str = "serial",
-    workers: Optional[int] = None,
 ) -> PatternRow:
     """Run all four algorithms over one workload and aggregate a row."""
-    service = service or _sweep_service(graph, executor, workers)
     queries = list(workload)
 
     matchopt_times: List[float] = []
@@ -148,21 +145,19 @@ def alpha_sweep(
 ) -> ExperimentResult:
     """Figures 8(a)–8(d) and Table 2: sweep the resource ratio α."""
     workload = generate_pattern_workload(graph, shape=shape, count=num_queries, seed=seed)
-    service = _sweep_service(graph, executor, workers)
-    rows = [
-        _evaluate_workload(
-            graph,
-            workload,
-            alpha=alpha,
-            dataset=dataset,
-            x_label="alpha",
-            x_value=alpha,
-            service=service,
-            executor=executor,
-            workers=workers,
-        )
-        for alpha in alphas
-    ]
+    with _sweep_service(graph, executor, workers) as service:
+        rows = [
+            _evaluate_workload(
+                graph,
+                workload,
+                alpha=alpha,
+                dataset=dataset,
+                x_label="alpha",
+                x_value=alpha,
+                service=service,
+            )
+            for alpha in alphas
+        ]
     return ExperimentResult(experiment_id=experiment_id, title=title, rows=rows)
 
 
@@ -179,23 +174,21 @@ def query_size_sweep(
     workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Figures 8(e)–8(h): sweep the query shape ``(|Vp|, |Ep|)`` at fixed α."""
-    service = _sweep_service(graph, executor, workers)
     rows = []
-    for shape in shapes:
-        workload = generate_pattern_workload(graph, shape=shape, count=num_queries, seed=seed)
-        rows.append(
-            _evaluate_workload(
-                graph,
-                workload,
-                alpha=alpha,
-                dataset=dataset,
-                x_label="|Q|",
-                x_value=shape[0],
-                service=service,
-                executor=executor,
-                workers=workers,
+    with _sweep_service(graph, executor, workers) as service:
+        for shape in shapes:
+            workload = generate_pattern_workload(graph, shape=shape, count=num_queries, seed=seed)
+            rows.append(
+                _evaluate_workload(
+                    graph,
+                    workload,
+                    alpha=alpha,
+                    dataset=dataset,
+                    x_label="|Q|",
+                    x_value=shape[0],
+                    service=service,
+                )
             )
-        )
     return ExperimentResult(experiment_id=experiment_id, title=title, rows=rows)
 
 
@@ -215,18 +208,18 @@ def graph_size_sweep(
     for index_in_series, size in enumerate(sizes):
         graph = synthetic(size, seed=seed + index_in_series)
         workload = generate_pattern_workload(graph, shape=shape, count=num_queries, seed=seed)
-        rows.append(
-            _evaluate_workload(
-                graph,
-                workload,
-                alpha=alpha,
-                dataset=f"synthetic-{size}",
-                x_label="|V|",
-                x_value=size,
-                executor=executor,
-                workers=workers,
+        with _sweep_service(graph, executor, workers) as service:
+            rows.append(
+                _evaluate_workload(
+                    graph,
+                    workload,
+                    alpha=alpha,
+                    dataset=f"synthetic-{size}",
+                    x_label="|V|",
+                    x_value=size,
+                    service=service,
+                )
             )
-        )
     return ExperimentResult(experiment_id=experiment_id, title=title, rows=rows)
 
 

@@ -143,23 +143,25 @@ def alpha_sweep(
     workload = generate_reachability_workload(
         graph, count=num_queries, seed=seed, max_walk_length=max_walk_length
     )
-    service = _sweep_service(graph, executor, workers)
-    bfs_time, bfsopt_time, lm_time, lm_accuracy = _baseline_times(graph, service, workload, lm_seed=seed)
-    rows = [
-        _evaluate_alpha(
-            service,
-            workload,
-            alpha,
-            dataset,
-            x_label="alpha",
-            x_value=alpha,
-            bfs_time=bfs_time,
-            bfsopt_time=bfsopt_time,
-            lm_time=lm_time,
-            lm_accuracy=lm_accuracy,
+    with _sweep_service(graph, executor, workers) as service:
+        bfs_time, bfsopt_time, lm_time, lm_accuracy = _baseline_times(
+            graph, service, workload, lm_seed=seed
         )
-        for alpha in alphas
-    ]
+        rows = [
+            _evaluate_alpha(
+                service,
+                workload,
+                alpha,
+                dataset,
+                x_label="alpha",
+                x_value=alpha,
+                bfs_time=bfs_time,
+                bfsopt_time=bfsopt_time,
+                lm_time=lm_time,
+                lm_accuracy=lm_accuracy,
+            )
+            for alpha in alphas
+        ]
     return ExperimentResult(experiment_id=experiment_id, title=title, rows=rows)
 
 
@@ -181,22 +183,22 @@ def graph_size_sweep(
         workload = generate_reachability_workload(
             graph, count=num_queries, seed=seed, max_walk_length=max_walk_length
         )
-        service = _sweep_service(graph, executor, workers)
-        bfs_time, bfsopt_time, lm_time, lm_accuracy = _baseline_times(
-            graph, service, workload, lm_seed=seed
-        )
-        for alpha in alphas:
-            row = _evaluate_alpha(
-                service,
-                workload,
-                alpha,
-                dataset=f"synthetic-{size}",
-                x_label="|V|",
-                x_value=size,
-                bfs_time=bfs_time,
-                bfsopt_time=bfsopt_time,
-                lm_time=lm_time,
-                lm_accuracy=lm_accuracy,
+        with _sweep_service(graph, executor, workers) as service:
+            bfs_time, bfsopt_time, lm_time, lm_accuracy = _baseline_times(
+                graph, service, workload, lm_seed=seed
             )
-            rows.append(row)
+            for alpha in alphas:
+                row = _evaluate_alpha(
+                    service,
+                    workload,
+                    alpha,
+                    dataset=f"synthetic-{size}",
+                    x_label="|V|",
+                    x_value=size,
+                    bfs_time=bfs_time,
+                    bfsopt_time=bfsopt_time,
+                    lm_time=lm_time,
+                    lm_accuracy=lm_accuracy,
+                )
+                rows.append(row)
     return ExperimentResult(experiment_id=experiment_id, title=title, rows=rows)

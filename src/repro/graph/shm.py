@@ -1,8 +1,8 @@
 """Shared-memory segments for :class:`~repro.graph.csr.CSRGraph` arrays.
 
-The parallel executors ship multi-hundred-megabyte prepared state to worker
-processes; pickling it per worker (or re-materialising it per batch) is the
-reason the committed baselines showed process pools *losing* to serial.
+The daemon pool ships multi-hundred-megabyte prepared state to worker
+processes; pickling it per worker (or re-materialising it per batch) would
+make a process pool *lose* to serial.
 This module puts the flat CSR arrays — ``succ_indptr``/``succ_indices``,
 ``pred_indptr``/``pred_indices``, ``label_ids``, ``degrees`` — and, when the
 graph has computed them, the two neighbour-label presence arrays of

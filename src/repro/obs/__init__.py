@@ -72,8 +72,6 @@ CATALOG = {
     "cache.invalidated": ("counter", "entries", "repro.engine.cache"),
     "cache.retained": ("counter", "entries", "repro.engine.engine"),
     "engine.executor.serial": ("counter", "batches", "repro.engine.engine"),
-    "engine.executor.thread": ("counter", "batches", "repro.engine.engine"),
-    "engine.executor.process": ("counter", "batches", "repro.engine.engine"),
     "engine.executor.daemon": ("counter", "batches", "repro.engine.engine"),
     # daemon pool, parent side (repro/engine/daemons.py)
     "daemon.restarts": ("counter", "workers", "repro.engine.daemons"),

@@ -194,9 +194,9 @@ def remove_collector(collector: Callable[[Dict[str, Any]], None]) -> None:
 def buffered_spans() -> Iterator[List[Dict[str, Any]]]:
     """Capture every record emitted inside the block into the yielded list.
 
-    The worker-side half of cross-process tracing: a daemon or pool worker
-    buffers its chunk's spans here and ships the list back with the result,
-    where the parent re-emits them into its own sink/collectors.
+    The worker-side half of cross-process tracing: a daemon worker buffers
+    its chunk's spans here and ships the list back with the result, where
+    the parent re-emits them into its own sink/collectors.
     """
     buffer: List[Dict[str, Any]] = []
     add_collector(buffer.append)

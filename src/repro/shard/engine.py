@@ -23,12 +23,11 @@ Routing follows the locality of the paper's semantics:
 **Contract** (property-tested in ``tests/test_shard.py``): answers are never
 false positives, for any ``k``; and whenever a query is shard-contained —
 always at ``k = 1`` — answers are bit-identical to the single-graph
-:class:`~repro.engine.QueryEngine`, for every executor and worker count.
+:class:`~repro.engine.QueryEngine`, for either executor and any worker count.
 
-Shards evaluate in parallel through the same executor registry the engine
-uses (serial / thread / process); the per-shard prepared state ships to
-worker processes once per worker via the pool initializer, exactly like the
-single-graph path.
+Shard chunks run through the same two executors the engine offers: inline
+(``serial``) or on the engine's warm daemon pool (``daemon``), whose workers
+keep every shard's prepared state attached across batches.
 
 Updates route to the owning shards: a delta confined to one shard's core
 (and invisible to every other shard's halo) flows through that shard's
@@ -49,7 +48,7 @@ from repro.core.rbsim import PatternAnswer, RBSim, RBSimConfig
 from repro.core.rbsub import RBSub, RBSubConfig
 from repro.engine.daemons import DaemonPool
 from repro.engine.engine import EngineQuery, UpdateReport
-from repro.engine.executors import make_executor
+from repro.engine.executors import check_executor, chunked
 from repro.engine.prepared import PreparedGraph
 from repro.engine.queries import REACH, SIMULATION
 from repro.exceptions import EngineError
@@ -79,8 +78,6 @@ PROBE = "probe"
 PATTERN_FALLBACK_MARGIN = 3
 """Extra hops assembled past the ``d_Q``-ball for spilled pattern queries —
 the same read margin the halo depth guarantees (see ``repro.shard.shards``)."""
-
-DEFAULT_CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ def boundary_probe(
 
 
 def answer_shard_chunk(states: Dict[int, ShardState], task: Any) -> List[Tuple[int, Any]]:
-    """The one chunk function every executor runs for the sharded engine.
+    """The one chunk function both executors run for the sharded engine.
 
     ``task`` is ``(kind, shard_id, alpha, items, budgets)``; results come
     back as ``(batch position, payload)`` pairs.  Like the single-graph
@@ -156,10 +153,6 @@ def answer_shard_chunk(states: Dict[int, ShardState], task: Any) -> List[Tuple[i
         (index, matcher.answer(query.pattern, query.personalized_match))
         for index, query in items
     ]
-
-
-def _chunk(items: Sequence[Any], size: int) -> List[Sequence[Any]]:
-    return [items[start : start + size] for start in range(0, len(items), size)]
 
 
 @dataclass
@@ -291,7 +284,8 @@ class ShardedEngine:
 
         Daemons hold the full shard-state table attached (every shard's CSR
         arrays live in shared memory), so steady-state scatter batches ship
-        only query chunks.  Pair with :meth:`close` — or use the engine as a
+        only query chunks.  The first call fixes the worker count (later
+        ``workers`` arguments are ignored while the pool lives).  Pair with :meth:`close` — or use the engine as a
         context manager — to tear the daemons and their segments down.
         """
         if self._daemon_pool is None or self._daemon_pool.closed:
@@ -382,15 +376,18 @@ class ShardedEngine:
         """
         if not 0 < alpha <= 1:
             raise EngineError(f"alpha must be in (0, 1], got {alpha}")
-        runner = make_executor(executor, workers)
+        check_executor(executor)
+        # Chunk sizing and the report take the worker count of the pool the
+        # batch runs on: a live pool ignores a later ``workers``.
+        pool = self.daemon_pool(workers) if executor == "daemon" else None
         started = time.perf_counter()
 
         answers: List[Any] = [None] * len(queries)
         report = ShardBatchReport(
             answers=answers,
             alpha=alpha,
-            executor=runner.name,
-            workers=runner.workers if runner.name != "serial" else 1,
+            executor=executor,
+            workers=pool.workers if pool is not None else 1,
             wall_seconds=0.0,
         )
         # The α·|G| budget splits across the participants: each home shard's
@@ -472,43 +469,37 @@ class ShardedEngine:
                 backward_labels=contribution.backward_labels if contribution else {},
             )
 
-        pending = (
-            sum(len(items) for items in reach_items.values())
-            + sum(len(items) for items in probe_items.values())
-            + sum(len(items) for items in pattern_items.values())
-        )
-        chunk_size = max(
-            1, -(-pending // (max(1, runner.workers) * DEFAULT_CHUNKS_PER_WORKER))
-        )
+        # (kind, shard, items) groups in dispatch order: local reach, probes,
+        # then pattern queries per (shard, semantics).
+        groups: List[Tuple[str, int, Sequence[Any]]] = [
+            (REACH, shard_id, reach_items[shard_id]) for shard_id in sorted(reach_items)
+        ]
+        groups += [(PROBE, shard_id, probe_items[shard_id]) for shard_id in sorted(probe_items)]
+        groups += [
+            (kind, shard_id, pattern_items[(shard_id, kind)])
+            for shard_id, kind in sorted(pattern_items)
+        ]
         tasks: List[Any] = []
-        for shard_id in sorted(reach_items):
-            report.per_shard[shard_id] = report.per_shard.get(shard_id, 0) + len(
-                reach_items[shard_id]
-            )
-            for chunk in _chunk(reach_items[shard_id], chunk_size):
-                tasks.append((REACH, shard_id, alpha, chunk, None))
-        for shard_id in sorted(probe_items):
-            report.per_shard[shard_id] = report.per_shard.get(shard_id, 0) + len(
-                probe_items[shard_id]
-            )
-            for chunk in _chunk(probe_items[shard_id], chunk_size):
-                tasks.append((PROBE, shard_id, alpha, chunk, None))
-        for shard_id, kind in sorted(pattern_items):
-            items = pattern_items[(shard_id, kind)]
+        chunk_groups = chunked([items for _, _, items in groups], report.workers)
+        for (kind, shard_id, items), chunks in zip(groups, chunk_groups):
             report.per_shard[shard_id] = report.per_shard.get(shard_id, 0) + len(items)
-            for chunk in _chunk(items, chunk_size):
-                tasks.append((kind, shard_id, alpha, chunk, None))
+            tasks.extend((kind, shard_id, alpha, chunk, None) for chunk in chunks)
         report.chunks = len(tasks)
 
-        # Bind the daemon runner after shard preparation so the version token
-        # reflects what this batch needs; the fresh per-batch ``states`` dict
-        # is only republished when the token moves.
-        if runner.name == "daemon" and tasks:
-            runner.bind(self.daemon_pool(workers), version=self._states_version())
-
-        with obs.span("shard.batch", executor=runner.name, chunks=len(tasks)):
+        with obs.span("shard.batch", executor=executor, chunks=len(tasks)):
             batch_trace = obs.context.trace_id()
-            chunk_results = runner.run(states, tasks, chunk_fn=answer_shard_chunk)
+            if pool is None:
+                chunk_results = [answer_shard_chunk(states, task) for task in tasks]
+            else:
+                # Versioned after shard preparation, so the token reflects what
+                # this batch needs; the fresh per-batch ``states`` dict is only
+                # republished when the token moves.
+                chunk_results = pool.run(
+                    states,
+                    tasks,
+                    chunk_fn=answer_shard_chunk,
+                    version=self._states_version(),
+                )
 
         probe_results: Dict[int, Dict[bool, Tuple[FrozenSet[NodeId], int]]] = {}
         for task, results in zip(tasks, chunk_results):

@@ -12,9 +12,10 @@ Crash-injection contract:
 * the async service front-end releases admission on a daemon failure and
   remains reusable.
 
-Plus the non-fork shipping path: under ``spawn`` the process executor must
-publish state to shared memory instead of pickling it per worker
-(``REPRO_MP_START_METHOD`` forces the start method for the test).
+Plus the non-fork attach path: under ``spawn`` the daemons must attach the
+shared-memory publication, answer like serial, report their metrics and
+leave no segment behind (``REPRO_MP_START_METHOD`` forces the start method
+for the test).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import time
 import pytest
 
 from repro.engine import QueryEngine
-from repro.engine.daemons import MAX_TASK_RETRIES, DaemonPool
-from repro.engine.executors import DaemonExecutor, _process_context, make_executor
+from repro.engine.daemons import MAX_TASK_RETRIES, DaemonPool, _process_context
 from repro.engine.queries import ReachQuery
 from repro.exceptions import DaemonError, EngineError
 from repro.graph.generators import random_graph
@@ -326,20 +326,7 @@ class TestSharedCompression:
         assert not any(os.path.exists(os.path.join("/dev/shm", name)) for name in segments)
 
 
-class TestDaemonExecutor:
-    def test_registered_in_executor_registry(self):
-        runner = make_executor("daemon", workers=2)
-        assert isinstance(runner, DaemonExecutor)
-        assert runner.name == "daemon"
-
-    def test_unbound_executor_raises_engine_error(self):
-        runner = make_executor("daemon")
-        with pytest.raises(EngineError, match="bound DaemonPool"):
-            runner.run({"factor": 1}, [[1]], chunk_fn=_echo_chunk)
-
-    def test_unbound_executor_accepts_empty_batch(self):
-        assert make_executor("daemon").run({"factor": 1}, []) == []
-
+class TestEngineDaemonPool:
     def test_engine_kill_all_workers_mid_service(self, graph, queries):
         """Killing every daemon between batches never surfaces to callers."""
         with QueryEngine(graph, cache_size=0) as engine:
@@ -389,22 +376,35 @@ class TestSpawnShipping:
         monkeypatch.delenv("REPRO_MP_START_METHOD")
         assert _process_context().get_start_method() in ("fork", "spawn", "forkserver")
 
-    def test_process_executor_parity_under_spawn(self, graph, queries, monkeypatch):
-        """Non-fork start methods attach shared state instead of pickling it."""
-        monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
-        engine = QueryEngine(graph, cache_size=0)
-        serial = engine.answer_batch(queries, ALPHA)
-        spawned = engine.answer_batch(queries, ALPHA, executor="process", workers=2)
-        assert [a.reachable for a in spawned] == [a.reachable for a in serial]
+    def test_daemon_parity_under_spawn(self, graph, queries, monkeypatch):
+        """Spawned daemons attach the shared state and report their metrics."""
+        from repro import obs
 
-    def test_spawn_run_leaves_no_segments(self, graph, queries, monkeypatch):
+        monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
+        # A spawned child re-imports ``repro.obs`` and would read this default;
+        # the parent's registry stays enabled (the flag is read at import).
+        monkeypatch.setenv("REPRO_METRICS", "0")
+        before = obs.snapshot()["counters"].get("daemon.worker.chunks", 0)
+        with QueryEngine(graph, cache_size=0) as engine:
+            serial = engine.answer_batch(queries, ALPHA)
+            report = engine.run_batch(queries, ALPHA, executor="daemon", workers=2)
+            assert engine.daemon_pool()._context.get_start_method() == "spawn"
+        assert [a.reachable for a in report.answers] == [a.reachable for a in serial]
+        # Worker counters reach this registry only because the pool ships
+        # ``metrics_enabled`` to the child explicitly.
+        grown = obs.snapshot()["counters"].get("daemon.worker.chunks", 0) - before
+        assert grown == report.chunks > 0
+
+    def test_spawn_pool_leaves_no_segments(self, graph, queries, monkeypatch):
         from repro.graph.shm import active_segments
 
         monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
         before = set(active_segments())
-        engine = QueryEngine(graph, cache_size=0)
-        engine.answer_batch(queries, ALPHA, executor="process", workers=2)
-        assert set(active_segments()) == before
+        with QueryEngine(graph, cache_size=0) as engine:
+            engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
+            segments = engine.daemon_pool().segment_names()
+        assert segments and set(active_segments()) == before
+        assert not any(os.path.exists(os.path.join("/dev/shm", name)) for name in segments)
 
 
 @pytest.mark.slow_shm

@@ -17,8 +17,9 @@ from repro.engine import (
     PreparedGraph,
     QueryEngine,
     ReachQuery,
-    make_executor,
 )
+from repro.engine.executors import answer_chunk, chunked
+from repro.engine.queries import REACH
 from repro.exceptions import EngineError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
@@ -112,21 +113,19 @@ class TestConstruction:
 
 
 class TestExecutorParity:
-    @pytest.mark.parametrize("executor", ["thread", "process", "daemon"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_reach_parity(self, served_graph, reach_queries, executor, workers):
+    def test_reach_parity(self, served_graph, reach_queries, workers):
         with QueryEngine(served_graph, cache_size=0) as engine:
             serial = engine.answer_batch(reach_queries, ALPHA)
             parallel = engine.answer_batch(
-                reach_queries, ALPHA, executor=executor, workers=workers
+                reach_queries, ALPHA, executor="daemon", workers=workers
             )
         assert [_reach_signature(a) for a in serial] == [_reach_signature(a) for a in parallel]
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "daemon"])
-    def test_pattern_parity(self, served_graph, pattern_queries, executor):
+    def test_pattern_parity(self, served_graph, pattern_queries):
         with QueryEngine(served_graph, cache_size=0) as engine:
             serial = engine.answer_batch(pattern_queries, ALPHA)
-            parallel = engine.answer_batch(pattern_queries, ALPHA, executor=executor, workers=2)
+            parallel = engine.answer_batch(pattern_queries, ALPHA, executor="daemon", workers=2)
         assert [_pattern_signature(a) for a in serial] == [
             _pattern_signature(a) for a in parallel
         ]
@@ -153,12 +152,12 @@ class TestExecutorParity:
             ]
 
     def test_mixed_kind_batch_parity(self, served_graph, reach_queries, pattern_queries):
-        engine = QueryEngine(served_graph, cache_size=0)
         batch = list(reach_queries[:10]) + list(pattern_queries) + list(reach_queries[10:20])
-        serial = engine.answer_batch(batch, ALPHA)
-        threaded = engine.answer_batch(batch, ALPHA, executor="thread", workers=3)
+        with QueryEngine(served_graph, cache_size=0) as engine:
+            serial = engine.answer_batch(batch, ALPHA)
+            pooled = engine.answer_batch(batch, ALPHA, executor="daemon", workers=3)
         assert len(serial) == len(batch)
-        for query, left, right in zip(batch, serial, threaded):
+        for query, left, right in zip(batch, serial, pooled):
             if isinstance(query, ReachQuery):
                 assert _reach_signature(left) == _reach_signature(right)
             else:
@@ -166,12 +165,9 @@ class TestExecutorParity:
 
     def test_unknown_executor_rejected(self, served_graph, reach_queries):
         engine = QueryEngine(served_graph)
-        with pytest.raises(EngineError):
-            engine.answer_batch(reach_queries, ALPHA, executor="gpu")
-
-    def test_make_executor_rejects_unknown_name(self):
-        with pytest.raises(EngineError):
-            make_executor("fleet")
+        for name in ("gpu", "thread", "process"):
+            with pytest.raises(EngineError, match="use one of serial, daemon"):
+                engine.answer_batch(reach_queries, ALPHA, executor=name)
 
     @settings(
         max_examples=15,
@@ -184,13 +180,18 @@ class TestExecutorParity:
         alpha=st.sampled_from([0.01, 0.05, 0.2]),
     )
     def test_parity_property(self, served_graph, indices, workers, alpha):
-        """Serial and threaded answers agree for arbitrary batches/worker counts."""
+        """Any worker count's chunking answers arbitrary batches like serial."""
         pairs = list(zip(indices, indices[1:]))
         queries = [ReachQuery(source, target) for source, target in pairs]
         engine = QueryEngine(served_graph, cache_size=0)
         serial = engine.answer_batch(queries, alpha)
-        threaded = engine.answer_batch(queries, alpha, executor="thread", workers=workers)
-        assert [_reach_signature(a) for a in serial] == [_reach_signature(a) for a in threaded]
+        [chunks] = chunked([queries], workers)
+        pieced = [
+            answer
+            for chunk in chunks
+            for answer in answer_chunk(engine.prepared, (REACH, alpha, chunk))
+        ]
+        assert [_reach_signature(a) for a in serial] == [_reach_signature(a) for a in pieced]
 
 
 class TestCache:
@@ -307,7 +308,7 @@ class TestSingleFlight:
                 ServiceConfig(alpha=ALPHA, cache_size=cache_size, executor=executor, workers=2),
             )
             for cache_size in (0, 2, 4096)
-            for executor in ("serial", "thread")
+            for executor in ("serial", "daemon")
         }
         yield opened
         for service in opened.values():
@@ -325,7 +326,7 @@ class TestSingleFlight:
             original = getattr(matcher, method)
 
             def counted(self, *args, _original=original, _name=matcher.__name__, **kwargs):
-                calls.append(_name)  # list.append: safe from the thread executor
+                calls.append(_name)  # parent-side evaluations only
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(matcher, method, counted)
@@ -349,7 +350,7 @@ class TestSingleFlight:
             max_size=40,
         ),
         cache_size=st.sampled_from([0, 2, 4096]),
-        executor=st.sampled_from(["serial", "thread"]),
+        executor=st.sampled_from(["serial", "daemon"]),
     )
     def test_batches_with_repeats_match_cache_free_serial(
         self, pool, reference, services, evaluations, picks, cache_size, executor
@@ -363,6 +364,7 @@ class TestSingleFlight:
         batch = [replace(as_request(pool[index]), alpha=alpha) for index, alpha in picks]
         distinct = len(set(picks))
         del evaluations[:]
+        counted = executor == "serial"  # daemon evaluations happen in the workers
 
         report = service.run_batch(batch)
 
@@ -373,11 +375,11 @@ class TestSingleFlight:
         assert report.cache_hits + report.cache_misses == len(batch)
         if cache_size == 0:
             assert report.deduplicated == 0
-            assert len(evaluations) == len(batch)
+            assert not counted or len(evaluations) == len(batch)
             return
         assert report.cache_hits == 0
         assert report.deduplicated == len(batch) - distinct
-        assert len(evaluations) == distinct
+        assert not counted or len(evaluations) == distinct
         # Repeats hold the leader's answer object itself, like a cache hit.
         first = {}
         for pick, answer in zip(picks, report.answers):
@@ -386,7 +388,7 @@ class TestSingleFlight:
             again = service.run_batch(batch)
             assert again.cache_hits == len(batch) and again.cache_misses == 0
             assert again.deduplicated == 0
-            assert len(evaluations) == distinct
+            assert not counted or len(evaluations) == distinct
 
     def test_deduplicated_is_counted_and_reported(self, served_graph, reach_queries):
         from repro import obs
@@ -426,14 +428,14 @@ class TestFingerprints:
 
 class TestReportAndConvenience:
     def test_report_telemetry(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph)
-        report = engine.run_batch(reach_queries, ALPHA, executor="thread", workers=2)
-        assert report.executor == "thread" and report.workers == 2
-        assert report.wall_seconds > 0 and report.throughput > 0
-        assert report.kinds == {"reach": len(reach_queries)}
-        assert report.chunks >= 1
-        # The composition describes the batch even when fully cache-served.
-        warm = engine.run_batch(reach_queries, ALPHA)
+        with QueryEngine(served_graph) as engine:
+            report = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=2)
+            assert report.executor == "daemon" and report.workers == 2
+            assert report.wall_seconds > 0 and report.throughput > 0
+            assert report.kinds == {"reach": len(reach_queries)}
+            assert report.chunks >= 1
+            # The composition describes the batch even when fully cache-served.
+            warm = engine.run_batch(reach_queries, ALPHA)
         assert warm.kinds == {"reach": len(reach_queries)}
         assert warm.chunks == 0
 
@@ -502,7 +504,7 @@ class TestCliBatch:
         assert "throughput" in out
         assert "cache hits=20" in out  # second run served from the LRU cache
 
-    def test_batch_thread_executor_with_compare(self, capsys):
+    def test_batch_daemon_executor_with_compare(self, capsys):
         from repro.cli import main
 
         assert (
@@ -512,7 +514,7 @@ class TestCliBatch:
                     "--count",
                     "15",
                     "--executor",
-                    "thread",
+                    "daemon",
                     "--workers",
                     "2",
                     "--compare-serial",
@@ -563,4 +565,4 @@ class TestCliBatch:
     def test_run_accepts_executor_flag(self):
         from repro.cli import main
 
-        assert main(["run", "fig8m", "--executor", "thread", "--workers", "2"]) == 0
+        assert main(["run", "fig8m", "--executor", "daemon", "--workers", "2"]) == 0

@@ -319,7 +319,7 @@ class TestExecutorParity:
             baseline = engine.run_batch(queries, ALPHA)
         return digraph, queries, [answer.reachable for answer in baseline.answers]
 
-    @pytest.mark.parametrize("executor", ("serial", "thread", "process", "daemon"))
+    @pytest.mark.parametrize("executor", ("serial", "daemon"))
     def test_every_executor_matches_serial(self, workload, executor):
         from repro.engine import QueryEngine
 

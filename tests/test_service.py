@@ -47,7 +47,7 @@ from repro.workloads.deltas import generate_delta_stream
 from repro.workloads.queries import generate_pattern_workload, sample_mixed_pairs
 
 ALPHA = 0.1
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "daemon")
 
 
 def clustered_graph(clusters=3, size=50, chords=2, bridges=3, seed=1) -> DiGraph:
@@ -143,6 +143,11 @@ class TestServiceConfig:
         with pytest.raises(ServiceError):
             ServiceConfig(**overrides)
 
+    @pytest.mark.parametrize("executor", ("thread", "process"))
+    def test_removed_executors_name_the_choices(self, executor):
+        with pytest.raises(ServiceError, match="use one of auto, daemon, serial$"):
+            ServiceConfig(executor=executor)
+
     def test_with_overrides_revalidates(self):
         config = ServiceConfig()
         assert config.with_overrides(alpha=0.5).alpha == 0.5
@@ -166,7 +171,7 @@ class TestServiceConfig:
 
         parser = argparse.ArgumentParser(parents=[service_flag_parent()])
         for bad in (["--alpha", "0"], ["--alpha", "nope"], ["--workers", "0"],
-                    ["--executor", "gpu"]):
+                    ["--executor", "gpu"], ["--executor", "thread"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(bad)
         capsys.readouterr()
@@ -176,9 +181,9 @@ class TestServiceConfig:
 
         parser = argparse.ArgumentParser(parents=[service_flag_parent()])
         parser.add_argument("--seed", type=int, default=0)
-        args = parser.parse_args(["--alpha", "0.3", "--executor", "thread", "--workers", "2"])
+        args = parser.parse_args(["--alpha", "0.3", "--executor", "daemon", "--workers", "2"])
         config = config_from_args(args, num_shards=2)
-        assert (config.alpha, config.executor, config.workers) == (0.3, "thread", 2)
+        assert (config.alpha, config.executor, config.workers) == (0.3, "daemon", 2)
         assert config.num_shards == 2
 
 
@@ -219,11 +224,6 @@ class TestPlanner:
         assert (plan.backend, plan.executor) == (PARALLEL, "daemon")
         assert plan.workers == 8
         assert plan.parallel
-
-    def test_auto_without_daemons_uses_process_pool(self):
-        planner = Planner(ServiceConfig(use_daemons=False))
-        plan = planner.plan_batch(256, graph_size=10**6, cores=8)
-        assert (plan.backend, plan.executor) == (PARALLEL, "process")
 
     def test_auto_respects_configured_worker_cap(self):
         planner = Planner(ServiceConfig(workers=2))
@@ -277,10 +277,9 @@ class TestPlannerParityContract:
     def test_forced_executors_bit_identical(
         self, graph, mixed_requests, serial_reference, executor
     ):
-        service = GraphService(
-            graph, ServiceConfig(executor=executor, workers=2, cache_size=0)
-        )
-        report = service.run_batch(mixed_requests, alpha=ALPHA)
+        config = ServiceConfig(executor=executor, workers=2, cache_size=0)
+        with GraphService(graph, config) as service:
+            report = service.run_batch(mixed_requests, alpha=ALPHA)
         assert [signature(a) for a in report.answers] == serial_reference
 
     def test_auto_plan_bit_identical(self, graph, mixed_requests, serial_reference):
@@ -293,11 +292,9 @@ class TestPlannerParityContract:
     def test_sharded_contain_policy_bit_identical(
         self, graph, mixed_requests, serial_reference, k, executor
     ):
-        service = GraphService(
-            graph,
-            ServiceConfig(executor=executor, workers=2, cache_size=0, num_shards=k),
-        )
-        report = service.run_batch(mixed_requests, alpha=ALPHA)
+        config = ServiceConfig(executor=executor, workers=2, cache_size=0, num_shards=k)
+        with GraphService(graph, config) as service:
+            report = service.run_batch(mixed_requests, alpha=ALPHA)
         assert report.plan.backend == SHARDED
         assert [signature(a) for a in report.answers] == serial_reference
 
@@ -333,21 +330,20 @@ class TestPlannerParityContract:
             expected = engine.run_batch([request.to_query()], request.alpha).answers[0]
             assert signature(answer) == signature(expected)
 
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_parity_across_updates(self, executor):
         base = clustered_graph(clusters=2, size=40, seed=5)
         requests = [ReachRequest(s, t) for s, t in sample_mixed_pairs(base, 30, seed=7)]
-        service = GraphService(
-            base.copy(), ServiceConfig(executor=executor, workers=2, cache_size=64)
-        )
+        config = ServiceConfig(executor=executor, workers=2, cache_size=64)
         stream = generate_delta_stream(base, batches=3, ops_per_batch=12, seed=9)
-        for delta in stream:
-            report = service.update(delta)
-            assert report.plan.action in (PATCH, REBUILD)
-            got = service.run_batch(requests, alpha=ALPHA).answers
-            fresh = QueryEngine(service.graph, cache_size=0)
-            expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
-            assert answers_identical("reach", got, expected)
+        with GraphService(base.copy(), config) as service:
+            for delta in stream:
+                report = service.update(delta)
+                assert report.plan.action in (PATCH, REBUILD)
+                got = service.run_batch(requests, alpha=ALPHA).answers
+                fresh = QueryEngine(service.graph, cache_size=0)
+                expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
+                assert answers_identical("reach", got, expected)
 
     def test_forced_rebuild_plan_stays_bit_identical(self):
         base = clustered_graph(clusters=2, size=30, seed=6)

@@ -39,7 +39,7 @@ from repro.workloads.queries import generate_pattern_workload, sample_mixed_pair
 
 ALPHA = 0.1
 KS = (1, 2, 4)
-EXECUTORS = ("serial", "thread", "process", "daemon")
+EXECUTORS = ("serial", "daemon")
 
 
 def clustered_graph(clusters=4, size=60, chords=2, bridges=3, seed=1) -> DiGraph:
@@ -274,6 +274,17 @@ class TestReachParity:
             assert reach_signature(answers) == serial, (
                 f"{executor}[{workers}] diverged from serial at k={k}"
             )
+
+    def test_report_and_chunks_follow_the_live_pool(self, graph, reach_queries):
+        """A live pool ignores a later ``workers``; so do the report and the chunking."""
+        with ShardedEngine(graph, num_shards=2, seed=7) as sharded, QueryEngine(
+            graph, cache_size=0
+        ) as single:
+            for engine in (sharded, single):
+                first = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=2)
+                second = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=3)
+                assert len(engine.daemon_pool().worker_pids()) == 2
+                assert (second.workers, second.chunks) == (2, first.chunks)
 
     def test_unknown_endpoints_answer_unreachable(self, graph, sharded_engines):
         queries = [ReachQuery("ghost", 0), ReachQuery(0, "ghost")]

@@ -7,7 +7,7 @@ The contracts under test:
   timeline containing worker-side spans from other pids, every
   ``parent_id`` resolving within the timeline, and derived queue-wait and
   pipe-transit segments;
-* **fork hygiene** — daemon/process-pool children never extend the
+* **fork hygiene** — daemon children never extend the
   parent's open span stack or write to its sink: worker records travel
   back by value and are re-emitted by the parent (single writer), parented
   under the dispatching span;
@@ -167,43 +167,6 @@ class TestDaemonTimeline:
         assert path[0] is timeline.root
         for parent, child in zip(path, path[1:]):
             assert child["parent_id"] == parent["id"]
-
-
-class TestExecutorPropagation:
-    def test_thread_executor_chunks_join_the_batch_trace(self, recorder):
-        graph = random_graph(num_nodes=150, num_edges=600, seed=11)
-        nodes = list(graph.nodes())
-        queries = [ReachQuery(nodes[i], nodes[-1 - i]) for i in range(16)]
-        with QueryEngine(graph, cache_size=0) as engine:
-            engine.answer_batch(queries, ALPHA, executor="thread", workers=2)
-        timeline = recorder.recent()[0]
-        assert timeline.root["span"] == "engine.batch"
-        chunk_parents = {
-            record["parent_id"]
-            for record in timeline.records
-            if record["span"] == "executor.chunk"
-        }
-        # Pool threads adopted the dispatching thread's context.
-        assert chunk_parents == {timeline.root["id"]}
-        _assert_linked(timeline)
-
-    def test_process_executor_ships_worker_spans_back(self, recorder):
-        graph = random_graph(num_nodes=150, num_edges=600, seed=13)
-        nodes = list(graph.nodes())
-        queries = [ReachQuery(nodes[i], nodes[-1 - i]) for i in range(16)]
-        with QueryEngine(graph, cache_size=0) as engine:
-            engine.answer_batch(queries, ALPHA, executor="process", workers=2)
-        timeline = recorder.recent()[0]
-        names = set(timeline.span_names())
-        assert "executor.chunk" in names
-        assert "worker.queue.wait" in names and "worker.pipe.transit" in names
-        chunk_pids = {
-            record["pid"]
-            for record in timeline.records
-            if record["span"] == "executor.chunk"
-        }
-        assert chunk_pids and os.getpid() not in chunk_pids
-        _assert_linked(timeline)
 
 
 # --------------------------------------------------------------------------- #

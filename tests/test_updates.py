@@ -325,8 +325,9 @@ class TestRebuildEquivalence:
         assert updated == _reach_signature(fresh_substrate.answer_batch(reach_queries, ALPHA))
         fresh_digraph = QueryEngine(mutable, cache_size=0)
         assert updated == _reach_signature(fresh_digraph.answer_batch(reach_queries, ALPHA))
-        threaded = engine.answer_batch(reach_queries, ALPHA, executor="thread", workers=3)
-        assert updated == _reach_signature(threaded)
+        with engine:
+            pooled = engine.answer_batch(reach_queries, ALPHA, executor="daemon", workers=3)
+        assert updated == _reach_signature(pooled)
 
     @pytest.mark.parametrize("with_condensation", [False, True])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -395,16 +396,16 @@ class TestRebuildEquivalence:
             QueryEngine(mutable, cache_size=0).answer_batch(reach_queries, ALPHA)
         )
 
-    def test_process_executor_sees_updated_state(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph, cache_size=0)
-        engine.answer_batch(reach_queries, ALPHA)
+    def test_warm_daemons_see_updated_state(self, served_graph, reach_queries):
         mutable = served_graph.copy()
         delta = _random_delta(random.Random(11), mutable, ops=10)
         delta.apply_to(mutable)
-        engine.update(delta)
-        via_process = engine.answer_batch(reach_queries, ALPHA, executor="process", workers=2)
+        with QueryEngine(served_graph, cache_size=0) as engine:
+            engine.answer_batch(reach_queries, ALPHA, executor="daemon", workers=2)
+            engine.update(delta)
+            via_daemon = engine.answer_batch(reach_queries, ALPHA, executor="daemon", workers=2)
         fresh = QueryEngine(mutable, cache_size=0)
-        assert _reach_signature(via_process) == _reach_signature(
+        assert _reach_signature(via_daemon) == _reach_signature(
             fresh.answer_batch(reach_queries, ALPHA)
         )
 
