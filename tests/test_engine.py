@@ -18,7 +18,7 @@ from repro.engine import (
     QueryEngine,
     ReachQuery,
 )
-from repro.engine.executors import answer_chunk, chunked
+from repro.engine.executors import DEFAULT_CHUNKS_PER_WORKER, answer_chunk, chunked
 from repro.engine.queries import REACH
 from repro.exceptions import EngineError
 from repro.graph.csr import CSRGraph
@@ -192,6 +192,20 @@ class TestExecutorParity:
             for answer in answer_chunk(engine.prepared, (REACH, alpha, chunk))
         ]
         assert [_reach_signature(a) for a in serial] == [_reach_signature(a) for a in pieced]
+
+
+class TestChunking:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("sizes", [(), (0,), (1,), (7,), (65,), (3, 50), (0, 9, 0)], ids=str)
+    def test_chunks_keep_order_size_and_workers_busy(self, sizes, workers):
+        """Groups reassemble in order from non-empty chunks of one size (a group's last may run short)."""
+        groups = [list(range(size)) for size in sizes]
+        cut = chunked(groups, workers)
+        assert [[item for chunk in chunks for item in chunk] for chunks in cut] == groups
+        flat = [chunk for chunks in cut for chunk in chunks]
+        size = max(map(len, flat), default=1)
+        assert all(flat) and all(len(chunk) == size for chunks in cut for chunk in chunks[:-1])
+        assert min(sum(sizes), workers) <= len(flat) <= workers * DEFAULT_CHUNKS_PER_WORKER + len(sizes)
 
 
 class TestCache:

@@ -358,6 +358,18 @@ class TestPatternParity:
             # path, or the contract above is tested vacuously.
             assert contained > 0, "fixture produced no shard-contained balls"
 
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    @pytest.mark.parametrize("k", KS)
+    def test_pool_size_never_changes_an_answer(self, reach_queries, pattern_queries, sharded_engines, k, workers):
+        """The pool size moves the chunk boundaries, never an answer."""
+        serial = sharded_engines[k].run_batch(reach_queries + pattern_queries, ALPHA).answers
+        with ShardedEngine(clustered_graph(), num_shards=k, seed=7) as engine:
+            report = engine.run_batch(reach_queries + pattern_queries, ALPHA, executor="daemon", workers=workers)
+        split = len(reach_queries)
+        assert report.workers == workers
+        assert reach_signature(report.answers[:split]) == reach_signature(serial[:split])
+        assert list(map(pattern_signature, report.answers[split:])) == list(map(pattern_signature, serial[split:]))
+
     @pytest.mark.parametrize("k", (2, 4))
     def test_spilled_balls_still_match_reference(
         self, sharded_engines, pattern_queries, expected, k
