@@ -107,6 +107,27 @@ def _timed_thaw(structure: str, thaw):
     return thawed
 
 
+def maintained_max_degree(
+    cached: Optional[int],
+    before: Mapping[NodeId, int],
+    after: Mapping[NodeId, int],
+    nodes_removed: bool,
+) -> Optional[int]:
+    """``d_G`` after a delta, from the degrees of the nodes it named.
+
+    Only a named node's degree can grow, so the maximum of ``cached`` and
+    the ``after`` degrees is exact — unless a node at the cached maximum
+    shrank (it may have been the unique holder) or a node was removed (its
+    neighbours shrink without being named).  Then, or when nothing was
+    cached, the answer is ``None``: only a scan can tell.
+    """
+    if cached is None or nodes_removed:
+        return None
+    if any(degree == cached and after.get(node, 0) < cached for node, degree in before.items()):
+        return None
+    return max(cached, max(after.values(), default=0))
+
+
 def _freeze(graph: GraphLike) -> CSRGraph:
     """The serving substrate: ``graph`` itself when CSR, else its order-exact freeze."""
     started = time.perf_counter()
@@ -442,20 +463,13 @@ class PreparedGraph:
         summary.touched_degrees_after = {
             node: overlay.degree(node) for node in delta_touched if node in overlay
         }
-        if self._max_degree_cache is not None:
-            cached = self._max_degree_cache
-            grown = max(summary.touched_degrees_after.values(), default=0)
-            if record.nodes_removed or any(
-                degree == cached and summary.touched_degrees_after.get(node, 0) < cached
-                for node, degree in degrees_before.items()
-            ):
-                # A node at the cached maximum shrank (a removed node's
-                # neighbours shrink without being named by the delta); it may
-                # have been the unique holder, so the cache must be re-derived
-                # lazily.
-                self._max_degree_cache = None
-            elif grown > cached:
-                self._max_degree_cache = grown
+        # ``None`` re-derives it lazily.
+        self._max_degree_cache = maintained_max_degree(
+            self._max_degree_cache,
+            degrees_before,
+            summary.touched_degrees_after,
+            bool(record.nodes_removed),
+        )
 
         if self._compressed is None:
             summary.mode = "fresh"

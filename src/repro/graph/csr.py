@@ -59,14 +59,15 @@ def _union_degrees(n: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarr
     time: a rebuild after a node removal pays this pass on every
     compaction, under load, so its temporaries are what set the process's
     memory high-water mark (``np.isin`` would allocate several edge-length
-    arrays more).
+    arrays more; the reversed codes are built in place for the same reason).
     """
     out_deg = np.bincount(sources, minlength=n)
     in_deg = np.bincount(targets, minlength=n)
     m = sources.shape[0]
     if m == 0:
         return (out_deg + in_deg).astype(np.int64)
-    reversed_codes = targets * np.int64(n) + sources
+    reversed_codes = targets * np.int64(n)
+    reversed_codes += sources
     reversed_codes.sort()
     reciprocal = np.empty(m, dtype=bool)
     for low in range(0, m, _DEGREE_CHUNK):
@@ -103,6 +104,17 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr
+
+
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i], …, starts[i] + counts[i] - 1`` for every ``i``, concatenated."""
+    total = int(counts.sum())
+    if total == 0:
+        return _EMPTY
+    ends = np.cumsum(counts)
+    spans = np.repeat(starts + counts - ends, counts)
+    spans += np.arange(total, dtype=np.int64)  # in place: two edge-length arrays at the peak, not three
+    return spans
 
 
 class _ColumnIndex(collections.abc.Mapping):
@@ -334,6 +346,48 @@ class CSRGraph:
             pred_indices,
             _union_degrees(n, edge_sources, succ_indices),
             _index=index,
+        )
+
+    def induced(self, rows: np.ndarray) -> "CSRGraph":
+        """The subgraph induced by ``rows``, its nodes in the order given.
+
+        Each successor and predecessor slice is this graph's, filtered
+        through a row membership map, so *both* neighbour orders survive (a
+        ``DiGraph`` edge replay could keep only one).  Labels are re-interned
+        in first-appearance order, as a freeze of the same nodes would.
+        Every step is a whole-array pass over the gathered slices.
+        """
+        count = rows.shape[0]
+        local = np.full(self.num_nodes(), -1, dtype=np.int64)
+        local[rows] = np.arange(count, dtype=np.int64)
+        positions = np.arange(count, dtype=np.int64)
+        sides = []
+        for indptr, indices in (
+            (self._succ_indptr, self._succ_indices),
+            (self._pred_indptr, self._pred_indices),
+        ):
+            starts = indptr[rows]
+            counts = indptr[rows + 1] - starts
+            kept = local[indices[_spans(starts, counts)]]
+            inside = kept >= 0
+            sides.append(np.bincount(np.repeat(positions, counts)[inside], minlength=count))
+            sides.append(kept[inside])
+        succ_counts, succ_indices, pred_counts, pred_indices = sides
+        distinct, first, inverse = np.unique(
+            self._label_ids[rows], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)  # the distinct labels by first appearance
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        return CSRGraph(
+            self.ids_of(rows),
+            [self._label_table[label] for label in distinct[order].tolist()],
+            rank[inverse],
+            _indptr(succ_counts),
+            succ_indices,
+            _indptr(pred_counts),
+            pred_indices,
+            _union_degrees(count, np.repeat(positions, succ_counts), succ_indices),
         )
 
     @classmethod
@@ -603,6 +657,30 @@ class CSRGraph:
             parents = parents[: limit - children.shape[0]]
         return np.concatenate((children, parents))
 
+    def adjacent_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Child then parent indices of each of ``rows``, row after row.
+
+        :meth:`neighbor_indices` for a whole frontier at once: both sides
+        are gathered in one pass each and interleaved by output position.
+        """
+        succ_starts = self._succ_indptr[rows]
+        succ_counts = self._succ_indptr[rows + 1] - succ_starts
+        pred_starts = self._pred_indptr[rows]
+        pred_counts = self._pred_indptr[rows + 1] - pred_starts
+        lengths = succ_counts + pred_counts
+        at = np.cumsum(lengths) - lengths  # where each row's run begins
+        adjacent = np.empty(int(lengths.sum()), dtype=np.int64)
+        adjacent[_spans(at, succ_counts)] = self._succ_indices[_spans(succ_starts, succ_counts)]
+        adjacent[_spans(at + succ_counts, pred_counts)] = self._pred_indices[
+            _spans(pred_starts, pred_counts)
+        ]
+        return adjacent
+
+    def edge_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every edge as ``(source rows, target rows)``, in successor order."""
+        counts = np.diff(self._succ_indptr)
+        return np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts), self._succ_indices
+
     def num_labels(self) -> int:
         """Rows of the label table (every label id is below this)."""
         return len(self._label_table)
@@ -720,13 +798,8 @@ class CSRGraph:
     def _expand(self, frontier: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Gather the concatenated adjacency of every frontier node (with dups)."""
         starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return _EMPTY
-        cum = np.cumsum(counts)
-        positions = np.repeat(starts + counts - cum, counts) + np.arange(total, dtype=np.int64)
-        return indices[positions]
+        positions = _spans(starts, indptr[frontier + 1] - starts)
+        return indices[positions] if positions.shape[0] else _EMPTY
 
     def _frontier_neighbors(self, frontier: np.ndarray, direction: str) -> np.ndarray:
         if direction == "forward":

@@ -257,24 +257,28 @@ class GraphService:
         """Eagerly build prepared state (first-batch latency moves here).
 
         With no arguments, prepares the reachability index for the config's
-        default α.  Builds the sharded engine too when ``num_shards > 1``.
-        Optional — everything also prepares lazily on first use.
+        default α.  Prepares the engines the planner routes batches to: the
+        sharded engine when ``num_shards > 1`` or under the ``scatter``
+        policy (which sends every batch there, at any ``k``), the single
+        engine unless ``scatter`` — there it is built as the update
+        substrate only.  Optional — everything also prepares lazily on first
+        use.
         """
         with self._lock:
             self._check_open()
             if not (reach_alphas or pattern_alphas or subgraph_alphas):
                 reach_alphas = [self._config.alpha]
-            self._ensure_engine().prepare(
+            alphas = dict(
                 reach_alphas=reach_alphas,
                 pattern_alphas=pattern_alphas,
                 subgraph_alphas=subgraph_alphas,
             )
-            if self._config.num_shards > 1:
-                self._ensure_sharded().prepare(
-                    reach_alphas=reach_alphas,
-                    pattern_alphas=pattern_alphas,
-                    subgraph_alphas=subgraph_alphas,
-                )
+            scatter = self._config.shard_policy == SCATTER
+            engine = self._ensure_engine()
+            if not scatter:
+                engine.prepare(**alphas)
+            if scatter or self._config.num_shards > 1:
+                self._ensure_sharded().prepare(**alphas)
         return self
 
     def close(self) -> None:
@@ -420,9 +424,10 @@ class GraphService:
         if self._sharded is None:
             # Built from the *currently served* graph, so a service that
             # absorbed deltas before its first sharded batch partitions the
-            # updated graph, not the stale construction-time source.
+            # updated graph, not the stale construction-time source; and
+            # from the single engine's freeze, so the source is frozen once.
             self._sharded = ShardedEngine(
-                self.graph,
+                self._ensure_engine().prepared.graph,
                 num_shards=self._config.num_shards,
                 method=self._config.shard_method,
                 seed=self._config.seed,

@@ -49,9 +49,10 @@ from repro.core.rbsub import RBSub, RBSubConfig
 from repro.engine.daemons import DaemonPool
 from repro.engine.engine import EngineQuery, UpdateReport
 from repro.engine.executors import check_executor, chunked
-from repro.engine.prepared import PreparedGraph
+from repro.engine.prepared import PreparedGraph, maintained_max_degree
 from repro.engine.queries import REACH, SIMULATION
 from repro.exceptions import EngineError
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 from repro.reachability.rbreach import ReachabilityAnswer
@@ -242,17 +243,19 @@ class ShardedEngine:
         cache_size: int = 0,
         partition: Optional[Partition] = None,
     ):
+        frozen = freeze(graph)  # partition and shards read its rows; |G| and d_G its columns
         self.partition = partition if partition is not None else partition_graph(
-            graph, num_shards, method=method, seed=seed
+            frozen, num_shards, method=method, seed=seed
         )
         self._source = graph
         self._halo_depth = halo_depth
         self._boundary_alpha = boundary_alpha
         self._cache_size = cache_size
-        self._global_size = graph.size()
-        self._visit_coefficient = float(max(1, graph.max_degree()))
+        self._global_size = frozen.size()
+        self._max_degree: Optional[int] = frozen.max_degree()
+        self._visit_coefficient = float(max(1, self._max_degree))
         self.shards: Dict[int, GraphShard] = build_shards(
-            graph, self.partition, halo_depth=halo_depth, cache_size=cache_size
+            frozen, self.partition, halo_depth=halo_depth, cache_size=cache_size
         )
         self._boundary: Optional[BoundaryGraph] = None
         self._working: Optional[DiGraph] = None
@@ -645,9 +648,11 @@ class ShardedEngine:
         # Any update (even a failed one, whose op prefix landed) must move
         # the epoch so warm daemons republish instead of serving stale state.
         self._states_epoch += 1
+        touched = delta.touched_nodes()
+        degrees_before = {node: working.degree(node) for node in touched if node in working}
 
         try:
-            delta.apply_to(working)
+            record = delta.apply_to(working)
         except Exception:
             # The failing op's prefix is on the working graph; resync every
             # membership structure with it before propagating.
@@ -656,7 +661,10 @@ class ShardedEngine:
             raise
 
         self._global_size = working.size()
-        new_coefficient = float(max(1, working.max_degree()))
+        degrees_after = {node: working.degree(node) for node in touched if node in working}
+        self._max_degree = maintained_max_degree(
+            self._max_degree, degrees_before, degrees_after, bool(record.nodes_removed)
+        )
         # Confined churn cannot create or remove cut edges (every endpoint
         # lives in one shard), so only the total needs tracking on the fast
         # path; the rebuild path recomputes the full statistics anyway.
@@ -679,9 +687,11 @@ class ShardedEngine:
                     report.boundary_repaired = True
         else:
             report.mode = "rebuilt"
-            affected = self._resync_assignment(placements, delta.touched_nodes())
-            self._rebuild_from_working(affected, report, new_coefficient)
+            self._rebuild_from_working(self._resync_assignment(placements, touched), report)
 
+        if self._max_degree is None:  # a maximum shrank on the local path
+            self._max_degree = working.max_degree()
+        new_coefficient = float(max(1, self._max_degree))
         if self.num_shards > 1:
             retargeted = False
             for shard in self.shards.values():
@@ -811,29 +821,22 @@ class ShardedEngine:
                 affected.add(known)
         return affected
 
-    def _rebuild_from_working(
-        self,
-        shard_ids: set,
-        report: ShardUpdateReport,
-        visit_coefficient: Optional[float] = None,
-    ) -> None:
-        """Rebuild the named shards from the working graph + repair boundary."""
-        working = self._working
-        refresh_partition_statistics(working, self.partition)
-        coefficient = (
-            visit_coefficient
-            if visit_coefficient is not None
-            else float(max(1, working.max_degree()))
-        )
+    def _rebuild_from_working(self, shard_ids: set, report: ShardUpdateReport) -> None:
+        """Rebuild the named shards from one freeze of the working graph + repair boundary."""
+        frozen = CSRGraph.from_digraph(self._working)
+        refresh_partition_statistics(frozen, self.partition)
+        owner = self.partition.owners(frozen)
+        self._max_degree = frozen.max_degree()
         for shard_id in sorted(shard_ids):
             self.shards[shard_id] = build_shard(
-                working,
-                self.partition,
+                frozen,
+                owner,
                 shard_id,
+                self.num_shards,
                 halo_depth=self._halo_depth,
                 cache_size=self._cache_size,
                 global_size=self._global_size,
-                visit_coefficient=coefficient,
+                visit_coefficient=float(max(1, self._max_degree)),
             )
             report.rebuilt_shards.append(shard_id)
         if self.num_shards > 1 and self._boundary is not None and shard_ids:

@@ -24,6 +24,10 @@ Every iteration order is derived from the graph's stored orders and explicit
 ``random.Random(seed)`` draws, so the same ``(graph, k, seed)`` yields the
 identical :class:`Partition` on every machine and in every worker process —
 the property ``tests/test_determinism.py`` pins down.
+
+Both run on the rows of the graph's CSR freeze (a no-op on a ``CSRGraph``);
+``tests/test_prepare_differential.py`` holds them to the node-by-node
+bodies they replaced.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Set
+
+import numpy as np
 
 from repro.exceptions import ShardError
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import NodeId
 from repro.graph.protocol import GraphLike
 
@@ -102,9 +109,10 @@ class Partition:
         for members in self.boundary.values():
             members.discard(node)
 
-    def nodes_of(self, shard: int) -> List[NodeId]:
-        """Core nodes of ``shard``, in assignment (= graph) order."""
-        return [node for node, owner in self.assignment.items() if owner == shard]
+    def owners(self, graph: GraphLike) -> np.ndarray:
+        """The home shard of each of ``graph``'s nodes, in node order (-1: unassigned)."""
+        get = self.assignment.get
+        return np.fromiter((get(node, -1) for node in graph.nodes()), dtype=np.int64, count=graph.num_nodes())
 
     def shard_sizes(self) -> List[int]:
         """Core node count per shard."""
@@ -183,27 +191,22 @@ class Partition:
         return cls.from_payload(payload)
 
 
-def _finalize(
-    graph: GraphLike, assignment: Dict[NodeId, int], num_shards: int, method: str, seed: int
-) -> Partition:
-    """Derive boundary sets and cut statistics from a complete assignment."""
-    partition = Partition(
-        num_shards=num_shards, method=method, seed=seed, assignment=assignment
-    )
-    partition.boundary = {shard: set() for shard in range(num_shards)}
-    cut = 0
-    total = 0
-    for source in graph.nodes():
-        owner = assignment[source]
-        for target in graph.successors(source):
-            total += 1
-            other = assignment[target]
-            if other != owner:
-                cut += 1
-                partition.boundary[owner].add(source)
-                partition.boundary[other].add(target)
-    partition.cut_edges = cut
-    partition.total_edges = total
+def _finalize(graph: CSRGraph, owner: np.ndarray, num_shards: int, method: str, seed: int) -> Partition:
+    """The partition an owner column describes, in one pass over the edge arrays.
+
+    Both endpoints of a cut edge are boundary nodes of their own shards.
+    """
+    sources, targets = graph.edge_rows()
+    crossing = owner[sources] != owner[targets]
+    on_cut = np.zeros(owner.shape[0], dtype=bool)
+    on_cut[sources[crossing]] = True
+    on_cut[targets[crossing]] = True
+    partition = Partition(num_shards, method, seed, dict(zip(graph.nodes(), owner.tolist())))
+    partition.boundary = {
+        shard: set(graph.ids_of(np.flatnonzero(on_cut & (owner == shard)))) for shard in range(num_shards)
+    }
+    partition.cut_edges = int(np.count_nonzero(crossing))
+    partition.total_edges = int(sources.shape[0])
     return partition
 
 
@@ -211,37 +214,40 @@ def hash_partition(graph: GraphLike, num_shards: int, seed: int = 0) -> Partitio
     """The deterministic hash baseline (structure-oblivious placement)."""
     if num_shards < 1:
         raise ShardError(f"num_shards must be >= 1, got {num_shards}")
-    assignment = (
-        {node: 0 for node in graph.nodes()}
-        if num_shards == 1
-        else {node: hash_shard(node, num_shards) for node in graph.nodes()}
+    graph = freeze(graph)
+    owner = np.fromiter(
+        (hash_shard(node, num_shards) for node in graph.nodes()), dtype=np.int64, count=graph.num_nodes()
     )
-    return _finalize(graph, assignment, num_shards, HASH, seed)
+    return _finalize(graph, owner, num_shards, HASH, seed)
 
 
-def _pick_seeds(graph: GraphLike, nodes: Sequence[NodeId], k: int, rng: random.Random) -> List[NodeId]:
-    """``k`` growth seeds: the top-degree node plus spread random picks.
+def _pick_seeds(graph: CSRGraph, k: int, rng: random.Random) -> List[int]:
+    """``k`` growth seed rows: the top-degree node plus spread random picks.
 
-    The first seed anchors the densest region; the rest are uniform draws
-    (deduplicated deterministically) so regions start in distinct parts of
-    the graph without paying an all-pairs distance computation.
+    The first seed anchors the densest region (the degree column's maximum,
+    ties to the largest ``repr``); the rest are uniform draws (deduplicated
+    deterministically) so regions start in distinct parts of the graph
+    without paying an all-pairs distance computation.
     """
-    best = max(nodes, key=lambda node: (graph.degree(node), repr(node)))
-    seeds: List[NodeId] = [best]
+    degrees = graph.degrees()
+    top = np.flatnonzero(degrees == degrees.max()).tolist()
+    best = max(top, key=lambda row: repr(graph.node_at(row)))
+    seeds: List[int] = [best]
     chosen = {best}
+    rows = range(graph.num_nodes())
     attempts = 0
     while len(seeds) < k and attempts < 50 * k:
         attempts += 1
-        candidate = rng.choice(nodes)
+        candidate = rng.choice(rows)
         if candidate not in chosen:
             chosen.add(candidate)
             seeds.append(candidate)
-    for node in nodes:  # fallback when the graph is tiny relative to k
+    for row in rows:  # fallback when the graph is tiny relative to k
         if len(seeds) >= k:
             break
-        if node not in chosen:
-            chosen.add(node)
-            seeds.append(node)
+        if row not in chosen:
+            chosen.add(row)
+            seeds.append(row)
     return seeds
 
 
@@ -256,118 +262,123 @@ def greedy_partition(graph: GraphLike, num_shards: int, seed: int = 0) -> Partit
     components) fall to the smallest shard.  Phase 2 runs
     ``REFINEMENT_PASSES`` boundary sweeps moving a node to the neighbouring
     shard with the largest strict cut gain that keeps balance.
+
+    The state is flat int lists over rows, as in ``_csr_components``:
+    ``inside[row * k + s]`` counts the distinct neighbours of ``row`` shard
+    ``s`` owns, ``assigned[row]`` those any shard owns.  Claims (and moves)
+    update them, so a pull ``inside - (assigned - inside)`` is two reads.
     """
     if num_shards < 1:
         raise ShardError(f"num_shards must be >= 1, got {num_shards}")
-    nodes = list(graph.nodes())
-    if not nodes:
+    graph = freeze(graph)
+    n = graph.num_nodes()
+    if not n:
         raise ShardError("cannot partition an empty graph")
     if num_shards == 1:
-        return _finalize(graph, {node: 0 for node in nodes}, 1, GREEDY, seed)
-    if num_shards > len(nodes):
-        raise ShardError(
-            f"num_shards={num_shards} exceeds the graph's {len(nodes)} nodes"
-        )
+        return _finalize(graph, np.zeros(n, dtype=np.int64), 1, GREEDY, seed)
+    if num_shards > n:
+        raise ShardError(f"num_shards={num_shards} exceeds the graph's {n} nodes")
 
+    k = num_shards
     rng = random.Random(seed)
-    capacity = math.ceil(len(nodes) / num_shards * (1.0 + BALANCE_SLACK))
-    seeds = _pick_seeds(graph, nodes, num_shards, rng)
+    capacity = math.ceil(n / k * (1.0 + BALANCE_SLACK))
+    seeds = _pick_seeds(graph, k, rng)
+    succ_ptr, succ = memoryview(graph._succ_indptr), memoryview(graph._succ_indices)
+    pred_ptr, pred = memoryview(graph._pred_indptr), memoryview(graph._pred_indices)
 
-    assignment: Dict[NodeId, int] = {}
-    frontiers: List[deque] = [deque() for _ in range(num_shards)]
-    sizes = [0] * num_shards
+    def adjacent(row: int) -> List[int]:  # children then parents, in stored order
+        return succ[succ_ptr[row] : succ_ptr[row + 1]].tolist() + pred[pred_ptr[row] : pred_ptr[row + 1]].tolist()
 
-    def claim(node: NodeId, shard: int) -> None:
-        assignment[node] = shard
+    owner = [-1] * n
+    inside = [0] * (n * k)
+    assigned = [0] * n
+    frontiers: List[deque] = [deque() for _ in range(k)]
+    sizes = [0] * k
+
+    def claim(row: int, shard: int) -> None:
+        owner[row] = shard
         sizes[shard] += 1
-        for neighbor in list(graph.successors(node)) + list(graph.predecessors(node)):
-            if neighbor not in assignment:
-                frontiers[shard].append(neighbor)
+        rows = adjacent(row)
+        frontiers[shard].extend([other for other in rows if owner[other] < 0])
+        for other in dict.fromkeys(rows):
+            inside[other * k + shard] += 1
+            assigned[other] += 1
 
-    for shard, node in enumerate(seeds):
-        if node not in assignment:
-            claim(node, shard)
+    for shard, row in enumerate(seeds):
+        claim(row, shard)
 
     # Window of frontier candidates scored per turn: wide enough to find a
-    # well-connected claim, narrow enough to keep each turn O(window·deg).
+    # well-connected claim, narrow enough to keep each turn cheap.
     window = 8
     active = True
     while active:
         active = False
-        for shard in range(num_shards):
+        for shard in range(k):
             if sizes[shard] >= capacity:
                 continue
             frontier = frontiers[shard]
-            candidates: List[NodeId] = []
-            while frontier and len(candidates) < window:
-                node = frontier.popleft()
-                if node not in assignment and node not in candidates:
-                    candidates.append(node)
+            popleft = frontier.popleft
+            candidates: List[int] = []
+            while frontier:
+                row = popleft()
+                if owner[row] < 0 and row not in candidates:
+                    candidates.append(row)
+                    if len(candidates) == window:
+                        break
             if not candidates:
                 continue
             active = True
-
-            def pull(node: NodeId) -> int:
-                inside = outside = 0
-                for neighbor in graph.neighbors(node):
-                    owner = assignment.get(neighbor)
-                    if owner == shard:
-                        inside += 1
-                    elif owner is not None:
-                        outside += 1
-                return inside - outside
-
-            best = max(candidates, key=lambda node: (pull(node), -candidates.index(node)))
-            for node in candidates:
-                if node is not best:
-                    frontier.append(node)  # back of the queue, BFS-ish order kept
+            best, best_pull = -1, -n - 1  # every pull is above -|V|
+            for row in candidates:  # the strongest pull, the earliest on ties
+                pull = 2 * inside[row * k + shard] - assigned[row]
+                if pull > best_pull:
+                    best, best_pull = row, pull
+            for row in candidates:
+                if row != best:
+                    frontier.append(row)  # back of the queue, BFS-ish order kept
             claim(best, shard)
 
-    for node in nodes:  # disconnected leftovers: smallest shard first
-        if node not in assignment:
-            shard = min(range(num_shards), key=lambda s: (sizes[s], s))
-            claim(node, shard)
+    for row in range(n):  # disconnected leftovers: smallest shard first
+        if owner[row] < 0:
+            claim(row, sizes.index(min(sizes)))
 
-    _refine(graph, nodes, assignment, sizes, num_shards, capacity)
-
-    # Re-emit in graph node order so downstream shard builders see cores in
-    # the original iteration order (the k=1 parity contract relies on it).
-    ordered = {node: assignment[node] for node in nodes}
-    return _finalize(graph, ordered, num_shards, GREEDY, seed)
+    _refine(adjacent, owner, inside, sizes, capacity)
+    return _finalize(graph, np.array(owner, dtype=np.int64), k, GREEDY, seed)
 
 
 def _refine(
-    graph: GraphLike,
-    nodes: Sequence[NodeId],
-    assignment: Dict[NodeId, int],
-    sizes: List[int],
-    num_shards: int,
-    capacity: int,
+    adjacent: Callable[[int], List[int]], owner: List[int], inside: List[int], sizes: List[int], capacity: int
 ) -> None:
-    """Greedy boundary refinement: strict-gain moves under the balance cap."""
+    """Greedy boundary refinement: strict-gain moves under the balance cap.
+
+    A row's gains are read off its shard counts ``inside``, which each move
+    keeps current for the mover's neighbours.
+    """
+    k, n = len(sizes), len(owner)
+    shards = range(k)
     for _ in range(REFINEMENT_PASSES):
         moved = 0
-        for node in nodes:
-            owner = assignment[node]
-            if sizes[owner] <= 1:
+        for row in range(n):
+            home_shard = owner[row]
+            if sizes[home_shard] <= 1:
                 continue
-            counts: Dict[int, int] = {}
-            for neighbor in graph.neighbors(node):
-                shard = assignment[neighbor]
-                counts[shard] = counts.get(shard, 0) + 1
-            home = counts.get(owner, 0)
-            best_shard, best_gain = owner, 0
-            for shard in sorted(counts):
-                if shard == owner or sizes[shard] >= capacity:
+            base = row * k
+            home = inside[base + home_shard]
+            best, best_gain = home_shard, 0
+            for shard in shards:
+                if shard == home_shard or sizes[shard] >= capacity:
                     continue
-                gain = counts[shard] - home
+                gain = inside[base + shard] - home
                 if gain > best_gain:
-                    best_shard, best_gain = shard, gain
-            if best_shard != owner:
-                assignment[node] = best_shard
-                sizes[owner] -= 1
-                sizes[best_shard] += 1
+                    best, best_gain = shard, gain
+            if best != home_shard:
+                owner[row] = best
+                sizes[home_shard] -= 1
+                sizes[best] += 1
                 moved += 1
+                for other in dict.fromkeys(adjacent(row)):
+                    inside[other * k + home_shard] -= 1
+                    inside[other * k + best] += 1
         if not moved:
             break
 
@@ -379,16 +390,12 @@ def refresh_partition_statistics(graph: GraphLike, partition: Partition) -> Part
     be assigned); used after updates mutated the graph under an existing
     assignment.
     """
-    for node in graph.nodes():
-        if node not in partition.assignment:
-            raise ShardError(f"node {node!r} has no shard assignment")
-    refreshed = _finalize(
-        graph,
-        {node: partition.assignment[node] for node in graph.nodes()},
-        partition.num_shards,
-        partition.method,
-        partition.seed,
-    )
+    graph = freeze(graph)
+    owner = partition.owners(graph)
+    unassigned = np.flatnonzero(owner < 0)
+    if unassigned.shape[0]:
+        raise ShardError(f"node {graph.node_at(int(unassigned[0]))!r} has no shard assignment")
+    refreshed = _finalize(graph, owner, partition.num_shards, partition.method, partition.seed)
     partition.assignment = refreshed.assignment
     partition.boundary = refreshed.boundary
     partition.cut_edges = refreshed.cut_edges

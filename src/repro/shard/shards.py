@@ -20,18 +20,24 @@ it (neighbourhood summaries) — all within the guaranteed-exact region, which
 is what makes shard-contained answers bit-identical to single-graph
 evaluation (property-tested in ``tests/test_shard.py``).
 
-Shard graphs are built as :class:`~repro.graph.csr.CSRGraph` directly from
-slices of the source adjacency, preserving *both* successor and predecessor
-iteration order (a ``DiGraph`` replay could only preserve one), so every
-order-sensitive heuristic downstream makes the same decisions it would make
-on the full graph.  At ``k = 1`` the construction reproduces
-``CSRGraph.from_digraph(graph)`` exactly — the bit-identical baseline the
-parity tests compare against.
+The build runs on row arrays of the source's CSR freeze, never node by node:
+a shard's core is the rows its owner column gives it, the halo is a
+level-synchronous BFS over index arrays, and the shard graph is
+``CSRGraph.induced`` over core plus halo — the source's successor *and*
+predecessor slices filtered through a membership map (a ``DiGraph`` replay
+could only preserve one order), so every order-sensitive heuristic
+downstream makes the same decisions it would make on the full graph.  At
+``k = 1`` the slice is exactly ``CSRGraph.from_digraph(graph)`` — the
+bit-identical baseline the parity tests compare against.  Only
+:func:`assemble_region`, the spill path, still walks node by node: it
+stitches a region from owner-shard fragments with
+:func:`induced_order_preserving`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -39,7 +45,7 @@ import numpy as np
 from repro.engine.engine import QueryEngine
 from repro.engine.prepared import PreparedGraph
 from repro.exceptions import ShardError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _indptr, _intern_labels, _union_degrees, freeze
 from repro.graph.digraph import NodeId
 from repro.graph.protocol import GraphLike
 from repro.shard.partition import Partition
@@ -56,87 +62,54 @@ def induced_order_preserving(source: GraphLike, ordered_nodes: Sequence[NodeId])
     Built as a :class:`CSRGraph` whose successor *and* predecessor slices are
     the source's slices filtered to included nodes — something a ``DiGraph``
     edge replay cannot reproduce (one insertion sequence cannot realise two
-    independent orders).
+    independent orders).  Node by node, for sources with no rows to slice:
+    the views :func:`assemble_region` stitches together.
     """
     ids: List[NodeId] = list(ordered_nodes)
     index = {node: i for i, node in enumerate(ids)}
     n = len(ids)
-
-    label_table: List = []
-    label_index: Dict = {}
-    label_ids = np.empty(n, dtype=np.int64)
-    for i, node in enumerate(ids):
-        label = source.label(node)
-        lid = label_index.get(label)
-        if lid is None:
-            lid = len(label_table)
-            label_index[label] = lid
-            label_table.append(label)
-        label_ids[i] = lid
-
-    succ_lists: List[List[int]] = []
-    pred_lists: List[List[int]] = []
-    for node in ids:
-        succ_lists.append([index[t] for t in source.successors(node) if t in index])
-        pred_lists.append([index[s] for s in source.predecessors(node) if s in index])
-
-    edge_total = sum(len(values) for values in succ_lists)
-    succ_indptr = np.zeros(n + 1, dtype=np.int64)
-    pred_indptr = np.zeros(n + 1, dtype=np.int64)
-    degrees = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        succ_indptr[i + 1] = succ_indptr[i] + len(succ_lists[i])
-        pred_indptr[i + 1] = pred_indptr[i] + len(pred_lists[i])
-        degrees[i] = len(set(succ_lists[i]) | set(pred_lists[i]))
-    empty = np.empty(0, dtype=np.int64)
-    succ_indices = (
-        np.fromiter((t for targets in succ_lists for t in targets), dtype=np.int64, count=edge_total)
-        if edge_total
-        else empty
-    )
-    pred_indices = (
-        np.fromiter((s for sources in pred_lists for s in sources), dtype=np.int64, count=edge_total)
-        if edge_total
-        else empty.copy()
-    )
+    sides = []
+    for neighbors in (source.successors, source.predecessors):
+        kept = [[index[other] for other in neighbors(node) if other in index] for node in ids]
+        sides.append(_indptr(np.fromiter(map(len, kept), dtype=np.int64, count=n)))
+        sides.append(np.fromiter(chain.from_iterable(kept), dtype=np.int64, count=int(sides[-1][-1])))
+    succ_indptr, succ_indices, pred_indptr, pred_indices = sides
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(succ_indptr))
     return CSRGraph(
         ids,
-        label_table,
-        label_ids,
+        *_intern_labels(map(source.label, ids), n),
         succ_indptr,
         succ_indices,
         pred_indptr,
         pred_indices,
-        degrees,
+        _union_degrees(n, sources, succ_indices),
         _index=index,
     )
 
 
-def collect_halo(
-    graph: GraphLike, core_list: Sequence[NodeId], core: Set[NodeId], depth: int
-) -> List[NodeId]:
-    """Nodes within ``depth`` undirected hops of the core, in discovery order.
+def collect_halo(graph: CSRGraph, core_rows: np.ndarray, depth: int) -> np.ndarray:
+    """Rows within ``depth`` undirected hops of the core rows, in discovery order.
 
-    Level-synchronous BFS seeded from the core in its stored order, expanding
-    successors before predecessors — every tie is broken by a stored
-    iteration order, so the halo (and therefore the shard graph's node
-    order) is deterministic.
+    Level-synchronous BFS seeded from the core in its stored order, each
+    frontier row's successors before its predecessors — every tie is broken
+    by a stored iteration order, so the halo (and therefore the shard
+    graph's node order) is deterministic.  A level is one gather of the
+    frontier's adjacency, kept at each unseen row's first occurrence.
     """
-    seen = set(core)
-    halo: List[NodeId] = []
-    frontier: List[NodeId] = list(core_list)
+    seen = np.zeros(graph.num_nodes(), dtype=bool)
+    seen[core_rows] = True
+    levels = [core_rows[:0]]
+    frontier = core_rows
     for _ in range(depth):
-        next_frontier: List[NodeId] = []
-        for node in frontier:
-            for neighbor in list(graph.successors(node)) + list(graph.predecessors(node)):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    halo.append(neighbor)
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-        if not frontier:
+        reached = graph.adjacent_rows(frontier)
+        reached = reached[~seen[reached]]
+        if not reached.shape[0]:
             break
-    return halo
+        _, first = np.unique(reached, return_index=True)
+        frontier = reached[np.sort(first)]
+        seen[frontier] = True
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 @dataclass
@@ -201,52 +174,54 @@ class GraphShard:
         return self.core_size
 
 
-def shard_core_size(graph: GraphLike, core_list: Sequence[NodeId]) -> int:
-    """``|V_core|`` plus out-edges of core nodes (cut edges owned by source)."""
-    return len(core_list) + sum(graph.out_degree(node) for node in core_list)
-
-
 def build_shard(
-    graph: GraphLike,
-    partition: Partition,
+    graph: CSRGraph,
+    owner: np.ndarray,
     shard_id: int,
+    num_shards: int,
     halo_depth: int = DEFAULT_HALO_DEPTH,
     cache_size: int = 0,
     global_size: Optional[int] = None,
     visit_coefficient: Optional[float] = None,
 ) -> GraphShard:
-    """Build one shard's serving graph and engine from the source graph.
+    """Build one shard's serving graph and engine from the frozen source graph.
 
-    With ``k = 1`` the budget overrides stay unset so the shard engine is
-    *exactly* a single-graph :class:`QueryEngine` (live sizes, same CSR) —
-    the reference point of the parity contract.  With ``k > 1`` the RBReach
-    budget is pinned to the shard's share of ``α·|G|`` and the pattern
-    budget to the global graph's parameters.
+    ``owner`` is each row's home shard (:meth:`Partition.owners`).  The core
+    is the rows it gives ``shard_id``, in row order; the shard graph is the
+    row slice of core plus halo.  With ``k = 1`` the budget overrides stay
+    unset so the shard engine is *exactly* a single-graph
+    :class:`QueryEngine` (live sizes, same CSR) — the reference point of the
+    parity contract.  With ``k > 1`` the RBReach budget is pinned to the
+    shard's share of ``α·|G|`` and the pattern budget to the global graph's
+    parameters.
     """
     if halo_depth < 1:
         raise ShardError("halo_depth must be >= 1 (cut edges live in the halo)")
-    core_list = [node for node in graph.nodes() if partition.assignment.get(node) == shard_id]
-    core = set(core_list)
-    halo_list = collect_halo(graph, core_list, core, halo_depth) if partition.num_shards > 1 else []
-    ordered = core_list + halo_list
-    shard_graph = induced_order_preserving(graph, ordered)
-    core_size = shard_core_size(graph, core_list)
-    single = partition.num_shards == 1
+    single = num_shards == 1
+    core_rows = np.flatnonzero(owner == shard_id)
+    halo_rows = core_rows[:0] if single else collect_halo(graph, core_rows, halo_depth)
+    shard_graph = graph.induced(np.concatenate((core_rows, halo_rows)))
+    ordered = list(shard_graph.nodes())  # the shard graph's own id objects, core first
+    core_list = ordered[: core_rows.shape[0]]
+    halo = set(ordered[core_rows.shape[0] :])
+    # |V_core| plus the core's out-edges: cut edges are owned by their source.
+    core_size = core_rows.shape[0] + int(np.diff(graph._succ_indptr)[core_rows].sum())
     prepared = PreparedGraph(
         shard_graph,
         reach_reference_size=None if single else core_size,
         pattern_reference_size=None if single else global_size,
         pattern_visit_coefficient=None if single else visit_coefficient,
     )
+    core = set(core_list)
     return GraphShard(
         shard_id=shard_id,
         graph=shard_graph,
         core=core,
         core_list=core_list,
-        halo=set(halo_list),
+        halo=halo,
         engine=QueryEngine(prepared=prepared, cache_size=cache_size),
         core_size=core_size,
-        node_set=set(ordered),
+        node_set=core | halo,
     )
 
 
@@ -256,14 +231,20 @@ def build_shards(
     halo_depth: int = DEFAULT_HALO_DEPTH,
     cache_size: int = 0,
 ) -> Dict[int, GraphShard]:
-    """Build every shard of ``partition`` over ``graph``."""
+    """Build every shard of ``partition`` over ``graph``'s CSR freeze.
+
+    ``|G|`` and ``d_G`` are read once off the frozen graph's columns.
+    """
+    graph = freeze(graph)
+    owner = partition.owners(graph)
     global_size = graph.size()
     visit_coefficient = float(max(1, graph.max_degree()))
     return {
         shard_id: build_shard(
             graph,
-            partition,
+            owner,
             shard_id,
+            partition.num_shards,
             halo_depth=halo_depth,
             cache_size=cache_size,
             global_size=global_size,
@@ -348,5 +329,4 @@ __all__ = [
     "build_shards",
     "collect_halo",
     "induced_order_preserving",
-    "shard_core_size",
 ]

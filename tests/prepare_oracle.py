@@ -11,16 +11,24 @@ only so ``tests/test_prepare_differential.py`` can demand the same objects
 from the array passes; nothing in ``src/`` imports them.  The one addition
 is :func:`oracle_build_index`, which strings the frozen stages together the
 way ``compress`` + ``build_index`` did.
+
+The shard build is frozen the same way, from before it moved to row arrays:
+``greedy_partition`` rescanning every candidate's neighbours for its pull
+(with ``_pick_seeds``, ``_refine`` and the edge-by-edge ``_finalize``), the
+node-keyed ``collect_halo`` BFS, ``induced_order_preserving`` with its
+per-node slice lists, and ``build_shard``'s core selection.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.exceptions import ShardError
 from repro.graph.components import Condensation
 from repro.graph.csr import CSRGraph, _union_degrees
 from repro.graph.digraph import DiGraph, Label, NodeId
@@ -30,6 +38,7 @@ from repro.graph.topology import TopologicalRankIndex
 from repro.reachability.compression import CompressedGraph
 from repro.reachability.hierarchy import HierarchicalLandmarkIndex, assemble_index
 from repro.reachability.landmarks import first_landmarks_hit
+from repro.shard.partition import BALANCE_SLACK, GREEDY, REFINEMENT_PASSES, Partition
 
 
 # --------------------------------------------------------------------------- #
@@ -374,8 +383,247 @@ def oracle_build_index(
     return index
 
 
+# --------------------------------------------------------------------------- #
+# Shard build: the partitioner and the shard graphs as they walked the graph
+# --------------------------------------------------------------------------- #
+def oracle_finalize(
+    graph: GraphLike, assignment: Dict[NodeId, int], num_shards: int, method: str, seed: int
+) -> Partition:
+    partition = Partition(num_shards=num_shards, method=method, seed=seed, assignment=assignment)
+    partition.boundary = {shard: set() for shard in range(num_shards)}
+    cut = 0
+    total = 0
+    for source in graph.nodes():
+        owner = assignment[source]
+        for target in graph.successors(source):
+            total += 1
+            other = assignment[target]
+            if other != owner:
+                cut += 1
+                partition.boundary[owner].add(source)
+                partition.boundary[other].add(target)
+    partition.cut_edges = cut
+    partition.total_edges = total
+    return partition
+
+
+def oracle_pick_seeds(
+    graph: GraphLike, nodes: Sequence[NodeId], k: int, rng: random.Random
+) -> List[NodeId]:
+    best = max(nodes, key=lambda node: (graph.degree(node), repr(node)))
+    seeds: List[NodeId] = [best]
+    chosen = {best}
+    attempts = 0
+    while len(seeds) < k and attempts < 50 * k:
+        attempts += 1
+        candidate = rng.choice(nodes)
+        if candidate not in chosen:
+            chosen.add(candidate)
+            seeds.append(candidate)
+    for node in nodes:
+        if len(seeds) >= k:
+            break
+        if node not in chosen:
+            chosen.add(node)
+            seeds.append(node)
+    return seeds
+
+
+def oracle_refine(
+    graph: GraphLike,
+    nodes: Sequence[NodeId],
+    assignment: Dict[NodeId, int],
+    sizes: List[int],
+    num_shards: int,
+    capacity: int,
+) -> None:
+    for _ in range(REFINEMENT_PASSES):
+        moved = 0
+        for node in nodes:
+            owner = assignment[node]
+            if sizes[owner] <= 1:
+                continue
+            counts: Dict[int, int] = {}
+            for neighbor in graph.neighbors(node):
+                shard = assignment[neighbor]
+                counts[shard] = counts.get(shard, 0) + 1
+            home = counts.get(owner, 0)
+            best_shard, best_gain = owner, 0
+            for shard in sorted(counts):
+                if shard == owner or sizes[shard] >= capacity:
+                    continue
+                gain = counts[shard] - home
+                if gain > best_gain:
+                    best_shard, best_gain = shard, gain
+            if best_shard != owner:
+                assignment[node] = best_shard
+                sizes[owner] -= 1
+                sizes[best_shard] += 1
+                moved += 1
+        if not moved:
+            break
+
+
+def oracle_greedy_partition(graph: GraphLike, num_shards: int, seed: int = 0) -> Partition:
+    """``greedy_partition`` with a ``pull`` rescan of every candidate's neighbours."""
+    if num_shards < 1:
+        raise ShardError(f"num_shards must be >= 1, got {num_shards}")
+    nodes = list(graph.nodes())
+    if not nodes:
+        raise ShardError("cannot partition an empty graph")
+    if num_shards == 1:
+        return oracle_finalize(graph, {node: 0 for node in nodes}, 1, GREEDY, seed)
+    if num_shards > len(nodes):
+        raise ShardError(f"num_shards={num_shards} exceeds the graph's {len(nodes)} nodes")
+
+    rng = random.Random(seed)
+    capacity = math.ceil(len(nodes) / num_shards * (1.0 + BALANCE_SLACK))
+    seeds = oracle_pick_seeds(graph, nodes, num_shards, rng)
+
+    assignment: Dict[NodeId, int] = {}
+    frontiers: List[deque] = [deque() for _ in range(num_shards)]
+    sizes = [0] * num_shards
+
+    def claim(node: NodeId, shard: int) -> None:
+        assignment[node] = shard
+        sizes[shard] += 1
+        for neighbor in list(graph.successors(node)) + list(graph.predecessors(node)):
+            if neighbor not in assignment:
+                frontiers[shard].append(neighbor)
+
+    for shard, node in enumerate(seeds):
+        if node not in assignment:
+            claim(node, shard)
+
+    window = 8
+    active = True
+    while active:
+        active = False
+        for shard in range(num_shards):
+            if sizes[shard] >= capacity:
+                continue
+            frontier = frontiers[shard]
+            candidates: List[NodeId] = []
+            while frontier and len(candidates) < window:
+                node = frontier.popleft()
+                if node not in assignment and node not in candidates:
+                    candidates.append(node)
+            if not candidates:
+                continue
+            active = True
+
+            def pull(node: NodeId) -> int:
+                inside = outside = 0
+                for neighbor in graph.neighbors(node):
+                    owner = assignment.get(neighbor)
+                    if owner == shard:
+                        inside += 1
+                    elif owner is not None:
+                        outside += 1
+                return inside - outside
+
+            best = max(candidates, key=lambda node: (pull(node), -candidates.index(node)))
+            for node in candidates:
+                if node is not best:
+                    frontier.append(node)
+            claim(best, shard)
+
+    for node in nodes:
+        if node not in assignment:
+            shard = min(range(num_shards), key=lambda s: (sizes[s], s))
+            claim(node, shard)
+
+    oracle_refine(graph, nodes, assignment, sizes, num_shards, capacity)
+    ordered = {node: assignment[node] for node in nodes}
+    return oracle_finalize(graph, ordered, num_shards, GREEDY, seed)
+
+
+def oracle_core_list(graph: GraphLike, partition: Partition, shard_id: int) -> List[NodeId]:
+    """``build_shard``'s core selection."""
+    return [node for node in graph.nodes() if partition.assignment.get(node) == shard_id]
+
+
+def oracle_collect_halo(
+    graph: GraphLike, core_list: Sequence[NodeId], core: Set[NodeId], depth: int
+) -> List[NodeId]:
+    seen = set(core)
+    halo: List[NodeId] = []
+    frontier: List[NodeId] = list(core_list)
+    for _ in range(depth):
+        next_frontier: List[NodeId] = []
+        for node in frontier:
+            for neighbor in list(graph.successors(node)) + list(graph.predecessors(node)):
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    halo.append(neighbor)
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return halo
+
+
+def oracle_induced_order_preserving(source: GraphLike, ordered_nodes: Sequence[NodeId]) -> CSRGraph:
+    ids: List[NodeId] = list(ordered_nodes)
+    index = {node: i for i, node in enumerate(ids)}
+    n = len(ids)
+
+    label_table: List = []
+    label_index: Dict = {}
+    label_ids = np.empty(n, dtype=np.int64)
+    for i, node in enumerate(ids):
+        label = source.label(node)
+        lid = label_index.get(label)
+        if lid is None:
+            lid = len(label_table)
+            label_index[label] = lid
+            label_table.append(label)
+        label_ids[i] = lid
+
+    succ_lists: List[List[int]] = []
+    pred_lists: List[List[int]] = []
+    for node in ids:
+        succ_lists.append([index[t] for t in source.successors(node) if t in index])
+        pred_lists.append([index[s] for s in source.predecessors(node) if s in index])
+
+    edge_total = sum(len(values) for values in succ_lists)
+    succ_indptr = np.zeros(n + 1, dtype=np.int64)
+    pred_indptr = np.zeros(n + 1, dtype=np.int64)
+    degrees = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        succ_indptr[i + 1] = succ_indptr[i] + len(succ_lists[i])
+        pred_indptr[i + 1] = pred_indptr[i] + len(pred_lists[i])
+        degrees[i] = len(set(succ_lists[i]) | set(pred_lists[i]))
+    empty = np.empty(0, dtype=np.int64)
+    succ_indices = (
+        np.fromiter((t for targets in succ_lists for t in targets), dtype=np.int64, count=edge_total)
+        if edge_total
+        else empty
+    )
+    pred_indices = (
+        np.fromiter((s for sources in pred_lists for s in sources), dtype=np.int64, count=edge_total)
+        if edge_total
+        else empty.copy()
+    )
+    return CSRGraph(
+        ids,
+        label_table,
+        label_ids,
+        succ_indptr,
+        succ_indices,
+        pred_indptr,
+        pred_indices,
+        degrees,
+        _index=index,
+    )
+
+
 __all__ = [
     "oracle_build_index",
+    "oracle_collect_halo",
+    "oracle_core_list",
+    "oracle_greedy_partition",
+    "oracle_induced_order_preserving",
     "oracle_compress",
     "oracle_condensation",
     "oracle_cover_statistics_csr",

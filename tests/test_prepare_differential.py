@@ -16,6 +16,14 @@ round-trip and after a shared-memory attach — and the first update thaws
 them into the oracle's dicts.  Ids ``0..n-1`` and a DAG mirror's ids keep no
 per-node map, yet answer every lookup as ``{id: row}`` would.
 
+The shard build is held to the oracle the same way: ``greedy_partition``
+(on a ``DiGraph`` and on its freeze) must return the identical
+``Partition`` — assignment items in order, boundary sets, cut and total
+counts — and every shard's core list, halo and CSR arrays must be what the
+node-by-node ``collect_halo`` and ``induced_order_preserving`` built.  Its
+gates: a two-shard build of the benchmark's community graph asks no graph
+for a per-node degree or neighbour set, and stays under 3 MB traced.
+
 The count gate at the bottom is the deterministic stand-in for a timing floor
 (timing is not bounded on this host): preparing REACH on a ``CSRGraph`` may
 not insert a DAG edge one at a time, ask a ``DiGraph`` for a degree, freeze
@@ -26,6 +34,7 @@ with a read-only reach batch on top, may not build a ``DiGraph`` or touch
 
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
@@ -36,9 +45,13 @@ from hypothesis import strategies as st
 
 from prepare_oracle import (
     oracle_build_index,
+    oracle_collect_halo,
     oracle_compress,
     oracle_condensation,
+    oracle_core_list,
     oracle_from_digraph,
+    oracle_greedy_partition,
+    oracle_induced_order_preserving,
     oracle_out_of_index_labels_by_sweep,
     oracle_select_leaves,
     oracle_strongly_connected_components,
@@ -46,7 +59,7 @@ from prepare_oracle import (
 )
 from repro.engine import QueryEngine, ReachQuery
 from repro.engine.prepared import PreparedGraph, publish_state
-from repro.exceptions import NodeNotFoundError
+from repro.exceptions import NodeNotFoundError, ShardError
 from repro.graph import kernels
 from repro.graph.components import Condensation, condensation, strongly_connected_components
 from repro.graph.csr import CSRGraph
@@ -63,8 +76,9 @@ from repro.reachability.hierarchy import (
 )
 from repro.reachability.landmarks import LabelTable, out_of_index_labels
 from repro.reachability.rbreach import RBReach
-from repro.shard.partition import partition_graph
-from repro.shard.shards import build_shards
+from repro.shard import ShardedEngine
+from repro.shard.partition import Partition, greedy_partition, partition_graph
+from repro.shard.shards import build_shards, induced_order_preserving
 from repro.updates.delta import GraphDelta
 from repro.updates.index_repair import index_equivalent
 from repro.workloads.datasets import load_dataset
@@ -474,6 +488,118 @@ def test_one_shard_of_the_community_graph():
         *(getattr(shard.graph, name).copy() for name in CSR_ARRAYS),
     )
     check_prepared_csr(shard.graph, twin, (0.01,), reference_size=shard.core_size, pair_count=100)
+
+
+# --------------------------------------------------------------------------- #
+# The shard build: partitioner and row-sliced shard graphs against the oracle
+# --------------------------------------------------------------------------- #
+def assert_same_partition(actual: Partition, expected: Partition) -> None:
+    assert list(actual.assignment.items()) == list(expected.assignment.items())
+    assert list(map(type, actual.assignment)) == list(map(type, expected.assignment))
+    assert actual.boundary == expected.boundary
+    assert (actual.num_shards, actual.method, actual.seed) == (
+        expected.num_shards,
+        expected.method,
+        expected.seed,
+    )
+    assert (actual.cut_edges, actual.total_edges) == (expected.cut_edges, expected.total_edges)
+
+
+def check_shard_build(graph: DiGraph, num_shards: int, seed: int, halo_depth: int) -> None:
+    """Same ``Partition`` from a ``DiGraph`` and its freeze, and the same shard arrays."""
+    if num_shards > graph.num_nodes():
+        for partition in (greedy_partition, oracle_greedy_partition):
+            with pytest.raises(ShardError):
+                partition(graph, num_shards, seed=seed)
+        return
+    expected = oracle_greedy_partition(graph, num_shards, seed=seed)
+    assert_same_partition(greedy_partition(CSRGraph.from_digraph(graph), num_shards, seed=seed), expected)
+    partition = greedy_partition(graph, num_shards, seed=seed)
+    assert_same_partition(partition, expected)
+    for shard_id, shard in build_shards(graph, partition, halo_depth=halo_depth).items():
+        core_list = oracle_core_list(graph, partition, shard_id)
+        halo = oracle_collect_halo(graph, core_list, set(core_list), halo_depth) if num_shards > 1 else []
+        assert shard.core_list == core_list and shard.halo == set(halo)
+        assert shard.core == set(core_list) and shard.node_set == set(core_list + halo)
+        assert_same_csr(shard.graph, oracle_induced_order_preserving(graph, core_list + halo))
+        assert shard.core_size == len(core_list) + sum(map(graph.out_degree, core_list))
+
+
+@st.composite
+def shard_builds(draw):
+    graph = make_graph(
+        draw(st.integers(min_value=1, max_value=40)),
+        draw(st.sampled_from(SHAPES)),  # "sparse": isolated nodes, more components than k
+        draw(st.sampled_from(NAMINGS)),
+        draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    return graph, draw(st.integers(1, 5)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shard_builds())
+def test_shard_build_matches_the_oracle(build):
+    check_shard_build(*build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_node_by_node_induction_matches_the_oracle(graph, rng):
+    """The spill path's ``induced_order_preserving``, on any node subset in any order."""
+    nodes = rng.sample(list(graph.nodes()), rng.randint(0, graph.num_nodes()))
+    assert_same_csr(induced_order_preserving(graph, nodes), oracle_induced_order_preserving(graph, nodes))
+
+
+@pytest.mark.parametrize("num_nodes", [1, 2, 3, 5])
+@pytest.mark.parametrize("naming", ["identity", "strings"])
+def test_as_many_shards_as_nodes(num_nodes, naming):
+    check_shard_build(make_graph(num_nodes, "sparse", naming, seed=3), num_nodes, 1, 2)
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_shard_build_of_the_community_graph(num_shards):
+    check_shard_build(benchmark_community_graph(), num_shards, 0, 3)
+
+
+def test_shard_build_of_youtube_small():
+    graph = load_dataset("youtube-small", seed=7)
+    for num_shards in (2, 4):
+        check_shard_build(graph, num_shards, 7, 3)
+
+
+@pytest.fixture
+def adjacency_calls(monkeypatch):
+    """Counts the per-node degree and neighbour reads a shard build must not make."""
+    counts = Counter()
+    for owner, names in ((DiGraph, ("neighbors", "degree", "max_degree")), (CSRGraph, ("neighbors", "degree"))):
+        for name in names:
+            original = getattr(owner, name)
+
+            def wrapper(*args, _original=original, _key=f"{owner.__name__}.{name}", **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+    return counts
+
+
+def test_work_gate_sharded_build_reads_rows_not_nodes(adjacency_calls):
+    graph = benchmark_community_graph()
+    engine = ShardedEngine(graph, num_shards=2)
+    assert engine.partition.cut_edges and all(shard.halo for shard in engine.shards.values())
+    assert adjacency_calls == Counter()
+
+
+def test_memory_gate_sharded_build():
+    """No per-node lists: the per-node-list design peaked at 7.1 MB here."""
+    graph = benchmark_community_graph()
+    tracemalloc.start()
+    try:
+        ShardedEngine(graph, num_shards=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 # --------------------------------------------------------------------------- #

@@ -419,6 +419,39 @@ class TestScatterPolicy:
             if answer.reachable:
                 assert is_reachable(graph, source, target)
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_scatter_prepare_builds_what_scatter_batches_read(self, graph, num_shards):
+        """Every scatter batch runs on the shards, at any k: prepare builds
+        them, and the single engine is the update substrate only."""
+        config = ServiceConfig(num_shards=num_shards, shard_policy=SCATTER, cache_size=0)
+        with GraphService(graph, config) as service:
+            service.prepare(reach_alphas=[ALPHA], pattern_alphas=[ALPHA], subgraph_alphas=[ALPHA])
+            assert service._sharded is not None
+            for shard in service._sharded.shards.values():
+                assert shard.prepared.state_signature() == ((ALPHA,), (ALPHA,), (ALPHA,), True)
+            assert service.engine.prepared.state_signature() == ((), (), (), False)
+
+    def test_shard_profile_then_prepare_freezes_the_source_once(self, graph, monkeypatch):
+        from repro.graph.csr import CSRGraph
+
+        freezes = []
+        from_digraph = CSRGraph.from_digraph.__func__
+        monkeypatch.setattr(
+            CSRGraph, "from_digraph", classmethod(lambda cls, g: freezes.append(g) or from_digraph(cls, g))
+        )
+        with GraphService(graph, ServiceConfig(num_shards=2, shard_policy=SCATTER)) as service:
+            service.shard_profile()
+            service.prepare()
+            assert freezes == [graph]
+            assert service._sharded._source is service.graph
+
+    def test_contain_prepare_builds_both_engines(self, graph):
+        with GraphService(graph, ServiceConfig(num_shards=2, cache_size=0)) as service:
+            service.prepare(reach_alphas=[ALPHA])
+            assert service.engine.prepared.state_signature() == ((ALPHA,), (), (), True)
+            for shard in service._sharded.shards.values():
+                assert shard.prepared.state_signature() == ((ALPHA,), (), (), True)
+
     def test_scatter_k1_bit_identical(self, graph, mixed_requests, serial_reference):
         service = GraphService(
             graph, ServiceConfig(num_shards=1, shard_policy=SCATTER, cache_size=0)

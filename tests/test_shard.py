@@ -567,6 +567,37 @@ class TestShardedUpdates:
                 assert query.source in working and query.target in working
                 assert is_reachable(working, query.source, query.target)
 
+    def test_local_update_maintains_d_g_without_a_scan(self, graph, monkeypatch):
+        from repro.updates.delta import GraphDelta
+
+        engine = ShardedEngine(graph.copy(), num_shards=4, seed=7, halo_depth=1)
+        visible = set().union(*(shard.node_set for sid, shard in engine.shards.items() if sid))
+        pool = sorted(engine.shards[0].core - visible)
+        source, target = next(
+            (a, b) for a in pool for b in pool if a != b and not graph.has_edge(a, b)
+        )
+        scans = []
+        scan = DiGraph.max_degree
+        monkeypatch.setattr(DiGraph, "max_degree", lambda self: scans.append(1) or scan(self))
+        report = engine.update(GraphDelta().add_edge(source, target))
+        assert report.mode == "local" and scans == []
+        monkeypatch.undo()
+        assert engine._max_degree == engine._working.max_degree()
+
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_maintained_d_g_equals_a_scan_after_every_update(self, graph, k):
+        engine = ShardedEngine(graph.copy(), num_shards=k, seed=7)
+        stream = generate_delta_stream(
+            graph, batches=8, ops_per_batch=12, mix="uniform", seed=17, node_removal_rate=0.2
+        )
+        removals = 0
+        for delta in stream:
+            removals += delta.has_node_removals()
+            engine.update(delta)
+            assert engine._max_degree == engine._working.max_degree()
+            assert engine._visit_coefficient == float(max(1, engine._max_degree))
+        assert removals
+
     def test_failing_delta_keeps_engine_consistent(self, graph, reach_queries):
         from repro.exceptions import ReproError
         from repro.updates.delta import GraphDelta
