@@ -483,7 +483,6 @@ def _command_update(args) -> int:
         query_report = service.run_batch(requests)
         line = (
             f"batch {batch_number}: ops={delta.size()} mode={report.mode} "
-            f"plan={report.plan.action} "
             f"staleness={report.wall_seconds * 1000:.1f}ms "
             f"updates/s={report.ops_per_second:.0f} "
             f"queries/s={query_report.throughput:.0f} "

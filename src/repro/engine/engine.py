@@ -111,24 +111,10 @@ class QueryEngine:
         ``CSRGraph`` is frozen into one, order preserved.
     cache_size:
         Capacity of the LRU answer cache (0 disables caching).
-    prepared:
-        Optional pre-built :class:`PreparedGraph` to serve on (``graph`` is
-        then ignored).  The sharded
-        serving layer builds per-shard prepared state with non-default
-        budget references and injects it here.
     """
 
-    def __init__(
-        self,
-        graph: Optional[GraphLike] = None,
-        cache_size: int = 4096,
-        prepared: Optional[PreparedGraph] = None,
-    ):
-        if prepared is None:
-            if graph is None:
-                raise EngineError("QueryEngine needs a graph (or a prepared state)")
-            prepared = PreparedGraph(graph)
-        self._prepared = prepared
+    def __init__(self, graph: GraphLike, cache_size: int = 4096):
+        self._prepared = PreparedGraph(graph)
         self._cache = AnswerCache(cache_size)
         # Invalidation anchors: cache key → what part of the graph the query
         # touches, so updates can evict surgically (see :meth:`update`).

@@ -311,44 +311,6 @@ class PreparedGraph:
         return matcher
 
     # ------------------------------------------------------------------ #
-    # Budget retargeting (sharded serving)
-    # ------------------------------------------------------------------ #
-    def retarget_reach_budget(self, reference_size: int) -> bool:
-        """Re-pin the α reachability budget to a new reference ``|G|``.
-
-        The sharded engine calls this after an update changed a shard's
-        share of the global budget.  When the reference actually moved, the
-        built α indexes (sized for the old reference) are dropped for lazy
-        rebuild; returns whether anything changed.
-        """
-        if self._reach_reference_size == reference_size:
-            return False
-        self._reach_reference_size = reference_size
-        self._indexes = {}
-        self._index_build_seconds = {}
-        self._rbreach = {}
-        return True
-
-    def retarget_pattern_budget(self, reference_size: int, visit_coefficient: float) -> bool:
-        """Re-pin the pattern budget parameters (global ``|G|`` and ``d_G``).
-
-        Cached matchers hold the old budget, so they are dropped for lazy
-        rebuild when either parameter moved; returns whether anything
-        changed.  The shared neighbourhood summaries are content-derived and
-        survive untouched.
-        """
-        if (
-            self._pattern_reference_size == reference_size
-            and self._pattern_visit_coefficient == visit_coefficient
-        ):
-            return False
-        self._pattern_reference_size = reference_size
-        self._pattern_visit_coefficient = visit_coefficient
-        self._rbsim = {}
-        self._rbsub = {}
-        return True
-
-    # ------------------------------------------------------------------ #
     # Eager preparation
     # ------------------------------------------------------------------ #
     def prepare(self, kind: str, alpha: float) -> None:
@@ -375,8 +337,8 @@ class PreparedGraph:
         """Hashable token of which derived structures currently exist.
 
         The daemon pool republishes shared state when this changes between
-        batches (a new α index built, matchers dropped by an update or a
-        budget retarget), so long-lived workers never serve stale state.
+        batches (a new α index built, matchers dropped by an update), so
+        long-lived workers never serve stale state.
         """
         return (
             tuple(sorted(self._indexes)),

@@ -45,13 +45,10 @@ from repro.service.config import (
 from repro.service.planner import (
     BACKENDS,
     PARALLEL,
-    PATCH,
     Plan,
     Planner,
-    REBUILD,
     SERIAL,
     SHARDED,
-    UpdatePlan,
 )
 from repro.service.requests import (
     DEFAULT_CLIENT,
@@ -79,11 +76,9 @@ __all__ = [
     "GraphService",
     "MaintenanceReport",
     "PARALLEL",
-    "PATCH",
     "PatternRequest",
     "Plan",
     "Planner",
-    "REBUILD",
     "ReachRequest",
     "SCATTER",
     "SERIAL",
@@ -96,7 +91,6 @@ __all__ = [
     "ServiceStats",
     "ServiceUpdateReport",
     "Subscription",
-    "UpdatePlan",
     "as_request",
     "config_from_args",
     "replay",

@@ -1,4 +1,4 @@
-"""The auto-planner: route each batch (and each delta) to the right backend.
+"""The auto-planner: route each batch to the right backend.
 
 The façade serves three execution paths that previous PRs exposed as
 separate entry points:
@@ -48,13 +48,6 @@ benchmark measures the daemon pool *losing* to serial on 1–2 core runners),
 and the planner's contract is to never be slower than the naive serial
 default."""
 
-PATCH = "patch"
-"""Update decision: repair the prepared state incrementally (PR 3 path)."""
-
-REBUILD = "rebuild"
-"""Update decision: apply to the substrate, rebuild derived state lazily."""
-
-
 @dataclass(frozen=True)
 class Plan:
     """One routing decision for one batch."""
@@ -68,16 +61,6 @@ class Plan:
     def parallel(self) -> bool:
         """Whether a worker pool is involved at all."""
         return self.executor != SERIAL
-
-
-@dataclass(frozen=True)
-class UpdatePlan:
-    """One patch-vs-rebuild decision for one delta."""
-
-    action: str
-    patch_threshold: float
-    compact_threshold: float
-    reason: str
 
 
 class Planner:
@@ -161,53 +144,12 @@ class Planner:
         backend = SERIAL if executor == SERIAL else PARALLEL
         return Plan(backend=backend, executor=executor, workers=workers, reason=reason)
 
-    # ------------------------------------------------------------------ #
-    # Updates
-    # ------------------------------------------------------------------ #
-    def plan_update(
-        self, delta_ops: int, graph_size: int, has_node_removals: bool
-    ) -> UpdatePlan:
-        """Patch-vs-rebuild for one delta (PR 3 / PR 4 incremental paths).
-
-        Mirrors the prepared-state policy so the decision is visible *before*
-        the update runs: node removals and oversized deltas rebuild (the
-        incremental condensation/index repair cannot win there), everything
-        else patches under the configured thresholds.
-        """
-        config = self.config
-        if has_node_removals:
-            return UpdatePlan(
-                action=REBUILD,
-                patch_threshold=0.0,
-                compact_threshold=config.compact_threshold,
-                reason="delta removes nodes; incremental repair does not apply",
-            )
-        budget = config.patch_threshold * max(1, graph_size)
-        if delta_ops > budget:
-            return UpdatePlan(
-                action=REBUILD,
-                patch_threshold=0.0,
-                compact_threshold=config.compact_threshold,
-                reason=f"delta of {delta_ops} ops exceeds patch budget "
-                f"{config.patch_threshold:.0%} of |G|={graph_size}",
-            )
-        return UpdatePlan(
-            action=PATCH,
-            patch_threshold=config.patch_threshold,
-            compact_threshold=config.compact_threshold,
-            reason=f"delta of {delta_ops} ops within patch budget "
-            f"{config.patch_threshold:.0%} of |G|={graph_size}",
-        )
-
 
 __all__ = [
     "BACKENDS",
     "PARALLEL",
-    "PATCH",
     "Plan",
     "Planner",
-    "REBUILD",
     "SERIAL",
     "SHARDED",
-    "UpdatePlan",
 ]

@@ -8,7 +8,7 @@ behind one typed API::
 
     with GraphService.open("youtube-small", ServiceConfig(alpha=0.02)) as service:
         report = service.run_batch([ReachRequest(4, 17), ReachRequest(3, 99)])
-        service.update(delta)          # planner decides patch vs rebuild
+        service.update(delta)          # patch or rebuild; live shards re-prepare
         answer = await service.submit(ReachRequest(5, 23))   # async front-end
 
 Routing is the :class:`~repro.service.planner.Planner`'s job: each batch
@@ -37,7 +37,7 @@ from repro.engine.queries import REACH
 from repro.exceptions import ServiceError
 from repro.graph.protocol import GraphLike
 from repro.service.config import SCATTER, ServiceConfig
-from repro.service.planner import Plan, Planner, SHARDED, UpdatePlan
+from repro.service.planner import Plan, Planner, SHARDED
 from repro.service.requests import (
     PatternRequest,
     ReachRequest,
@@ -46,7 +46,7 @@ from repro.service.requests import (
     ServiceStats,
     as_request,
 )
-from repro.shard.engine import ShardBatchReport, ShardedEngine, ShardUpdateReport
+from repro.shard.engine import ShardBatchReport, ShardedEngine
 from repro.subscribe import DeltaSink, MaintenanceReport, Subscription, SubscriptionManager
 from repro.updates.delta import GraphDelta
 
@@ -160,9 +160,7 @@ class ServiceBatchReport:
 class ServiceUpdateReport:
     """Telemetry of one façade ``update`` call."""
 
-    plan: UpdatePlan
     engine_report: UpdateReport
-    shard_report: Optional[ShardUpdateReport]
     wall_seconds: float
     #: what the standing-query maintenance pass did (``None`` when the
     #: service holds no subscriptions).
@@ -623,35 +621,34 @@ class GraphService:
     # Updates
     # ------------------------------------------------------------------ #
     def update(self, delta: GraphDelta) -> ServiceUpdateReport:
-        """Absorb a :class:`GraphDelta`, planner deciding patch vs rebuild.
+        """Absorb a :class:`GraphDelta`; answers then equal a fresh service's.
 
-        Routes through the PR 3 incremental path on the single-graph engine
-        (condensation/index repair, surgical cache invalidation) and the
-        PR 4 shard-routed path when a sharded engine is live; subsequent
-        answers are bit-identical to a fresh service on the mutated graph.
+        The single-graph engine holds the one mutable graph: it patches its
+        prepared state (condensation/index repair, surgical cache
+        invalidation) or rebuilds it lazily, as ``PreparedGraph.apply_delta``
+        decides under ``config.patch_threshold`` and ``compact_threshold``.
+        A live sharded engine then re-prepares from the graph the single
+        engine serves (:meth:`ShardedEngine.reset`) — also when an invalid op
+        stops the delta after a prefix landed.  Subsequent answers are
+        bit-identical to ``GraphService(service.graph, config)``.
         """
         with self._lock:
             self._check_open()
             if not isinstance(delta, GraphDelta):
                 raise ServiceError(f"update needs a GraphDelta, got {type(delta).__name__}")
-            plan = self._planner.plan_update(
-                delta.size(), self.graph.size(), delta.has_node_removals()
-            )
             started = time.perf_counter()
             with obs.span("service.update", ops=delta.size()):
-                engine_report = self._ensure_engine().update(
-                    delta,
-                    patch_threshold=plan.patch_threshold,
-                    compact_threshold=plan.compact_threshold,
-                )
-                # A live sharded engine absorbs the same delta through its
-                # own routing (confined churn patches the owning shard, wider
-                # churn rebuilds affected shards); an unbuilt one needs
-                # nothing — it partitions the already-updated graph on first
-                # use.
-                shard_report = (
-                    self._sharded.update(delta) if self._sharded is not None else None
-                )
+                try:
+                    engine_report = self._ensure_engine().update(
+                        delta,
+                        patch_threshold=self._config.patch_threshold,
+                        compact_threshold=self._config.compact_threshold,
+                    )
+                finally:
+                    # An unbuilt sharded engine needs nothing: it partitions
+                    # the served graph on first use.
+                    if self._sharded is not None:
+                        self._sharded.reset(self.graph)
                 maintenance = self._maintain_subscriptions(engine_report)
             wall = time.perf_counter() - started
             self._stats.updates += 1
@@ -661,9 +658,7 @@ class GraphService:
                 self._stats.update_modes.get(engine_report.mode, 0) + 1
             )
             return ServiceUpdateReport(
-                plan=plan,
                 engine_report=engine_report,
-                shard_report=shard_report,
                 wall_seconds=wall,
                 maintenance=maintenance,
             )

@@ -8,14 +8,15 @@ per-graph index — so the workload partitions naturally:
   and a seeded BFS-grown greedy edge-cut minimiser) producing a
   :class:`Partition` with boundary sets and cut statistics;
 * :mod:`repro.shard.shards` — per-shard induced CSR subgraphs with halo
-  (ghost) regions, each wrapped in its own prepared
-  :class:`~repro.engine.QueryEngine`;
+  (ghost) regions, each with its own
+  :class:`~repro.engine.PreparedGraph`;
 * :mod:`repro.shard.boundary` — the condensed boundary quotient with
   direction-tagged cross-shard edges and landmark labels, composing
   shard-local reachability without the full graph in one place;
 * :mod:`repro.shard.engine` — :class:`ShardedEngine`: home-shard routing for
   pattern queries, scatter–gather for reachability batches, ``α·|G|``
-  budget splitting, executor-parallel shard evaluation and update routing.
+  budget splitting and executor-parallel shard evaluation; after an update
+  ``ShardedEngine.reset(graph)`` re-prepares it on the updated graph.
 
 Contract: never a false positive, and bit-identical answers to the
 single-graph engine whenever a query is shard-contained (always at
@@ -23,11 +24,7 @@ single-graph engine whenever a query is shard-contained (always at
 """
 
 from repro.shard.boundary import DEFAULT_BOUNDARY_ALPHA, BoundaryGraph
-from repro.shard.engine import (
-    ShardBatchReport,
-    ShardedEngine,
-    ShardUpdateReport,
-)
+from repro.shard.engine import ShardBatchReport, ShardedEngine
 from repro.shard.partition import (
     GREEDY,
     HASH,
@@ -50,7 +47,6 @@ __all__ = [
     "METHODS",
     "Partition",
     "ShardBatchReport",
-    "ShardUpdateReport",
     "ShardedEngine",
     "build_shards",
     "greedy_partition",

@@ -62,7 +62,7 @@ Supernode = Tuple[int, NodeId]
 
 @dataclass
 class ShardContribution:
-    """One shard's slice of the boundary graph (recomputable in isolation)."""
+    """One shard's slice of the boundary graph."""
 
     shard_id: int
     #: boundary core node → its shard-local component id.
@@ -140,7 +140,7 @@ class BoundaryGraph:
         self._compose_memo: Dict[Tuple, Tuple[bool, int, Optional[Supernode], bool]] = {}
 
     # ------------------------------------------------------------------ #
-    # Construction and repair
+    # Construction
     # ------------------------------------------------------------------ #
     @classmethod
     def build(
@@ -158,26 +158,9 @@ class BoundaryGraph:
         boundary._assemble(partition)
         return boundary
 
-    def repair(
-        self, shards: Dict[int, GraphShard], partition: Partition, shard_ids
-    ) -> None:
-        """Recompute the named shards' contributions and reassemble.
-
-        Any edge change inside a shard can alter its local boundary-to-
-        boundary reachability (and a structural change can move its
-        component ids), so the whole per-shard contribution is recomputed;
-        the other shards' cached contributions are reused untouched.
-        """
-        for shard_id in sorted(set(shard_ids)):
-            self._contributions[shard_id] = build_contribution(
-                shards[shard_id], partition, label_cap=self._label_cap
-            )
-        self._assemble(partition)
-
     def _assemble(self, partition: Partition) -> None:
-        """Rebuild the quotient DiGraph and drop the matcher for lazy rebuild."""
-        quotient = DiGraph()
-        self.cross_counts = {}
+        """Assemble the quotient ``DiGraph`` from the per-shard contributions."""
+        quotient = self.quotient
         for shard_id in sorted(self._contributions):
             contribution = self._contributions[shard_id]
             for comp in sorted(contribution.boundary_comps, key=repr):
@@ -200,9 +183,6 @@ class BoundaryGraph:
                     quotient.add_edge(source_node, target_node)
                 tag = (shard_id, owner)
                 self.cross_counts[tag] = self.cross_counts.get(tag, 0) + 1
-        self.quotient = quotient
-        self._matcher = None
-        self._compose_memo = {}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -229,7 +209,7 @@ class BoundaryGraph:
         return self.quotient.num_nodes() == 0
 
     def matcher(self) -> RBReach:
-        """The boundary landmark matcher, built lazily after (re)assembly."""
+        """The boundary landmark matcher, built on first use."""
         if self._matcher is None:
             self._matcher = RBReach.from_graph(self.quotient, self._alpha)
         return self._matcher

@@ -29,11 +29,11 @@ Shard chunks run through the same two executors the engine offers: inline
 (``serial``) or on the engine's warm daemon pool (``daemon``), whose workers
 keep every shard's prepared state attached across batches.
 
-Updates route to the owning shards: a delta confined to one shard's core
-(and invisible to every other shard's halo) flows through that shard's
-incremental ``QueryEngine.update``; anything wider rebuilds just the
-affected shards.  Either way the boundary graph is repaired from the
-changed shards' contributions only.
+The engine holds no mutable graph of its own.  :meth:`ShardedEngine.reset`
+re-prepares it on an updated graph — partition, shards and boundary built
+from scratch, exactly as the constructor builds them — so a reset engine
+answers like a fresh one; ``GraphService.update`` calls it with the graph
+its single engine serves.
 """
 
 from __future__ import annotations
@@ -47,31 +47,23 @@ from repro import obs
 from repro.core.rbsim import PatternAnswer, RBSim, RBSimConfig
 from repro.core.rbsub import RBSub, RBSubConfig
 from repro.engine.daemons import DaemonPool
-from repro.engine.engine import EngineQuery, UpdateReport
+from repro.engine.engine import EngineQuery
 from repro.engine.executors import check_executor, chunked
-from repro.engine.prepared import PreparedGraph, maintained_max_degree
-from repro.engine.queries import REACH, SIMULATION
+from repro.engine.prepared import PreparedGraph
+from repro.engine.queries import REACH, SIMULATION, SUBGRAPH
 from repro.exceptions import EngineError
 from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 from repro.reachability.rbreach import ReachabilityAnswer
 from repro.shard.boundary import DEFAULT_BOUNDARY_ALPHA, BoundaryGraph
-from repro.shard.partition import (
-    GREEDY,
-    Partition,
-    hash_shard,
-    partition_graph,
-    refresh_partition_statistics,
-)
+from repro.shard.partition import GREEDY, Partition, partition_graph
 from repro.shard.shards import (
     DEFAULT_HALO_DEPTH,
     GraphShard,
     assemble_region,
-    build_shard,
     build_shards,
 )
-from repro.updates.delta import ADD_EDGE, ADD_NODE, REMOVE_EDGE, GraphDelta
 
 PROBE = "probe"
 """Internal task kind: budgeted boundary-component probe on one shard."""
@@ -192,28 +184,8 @@ class ShardBatchReport:
         return (self.cross_reach + self.miss_composed + self.pattern_spilled) / total
 
 
-@dataclass
-class ShardUpdateReport:
-    """Telemetry of one ``ShardedEngine.update`` call."""
-
-    mode: str
-    delta_ops: int = 0
-    wall_seconds: float = 0.0
-    shard_reports: Dict[int, UpdateReport] = field(default_factory=dict)
-    rebuilt_shards: List[int] = field(default_factory=list)
-    boundary_repaired: bool = False
-    budgets_retargeted: bool = False
-
-    @property
-    def ops_per_second(self) -> float:
-        """Delta operations absorbed per second of wall time."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.delta_ops / self.wall_seconds
-
-
 class ShardedEngine:
-    """Partitioned serving: per-shard engines behind scatter–gather routing.
+    """Partitioned serving: per-shard prepared state behind scatter–gather routing.
 
     Parameters
     ----------
@@ -221,15 +193,14 @@ class ShardedEngine:
         The data graph to partition and serve.
     num_shards / method / seed:
         Partitioning configuration (see :mod:`repro.shard.partition`);
-        alternatively pass a prebuilt ``partition``.
+        alternatively pass a prebuilt ``partition`` (used for this first
+        build only: :meth:`reset` partitions with ``k``, ``method`` and
+        ``seed``).
     halo_depth:
         Ghost-region depth of each shard graph (≥ 1; the default of 3 is
         the pattern-parity margin, see :mod:`repro.shard.shards`).
     boundary_alpha:
         Resource ratio of the boundary landmark index.
-    cache_size:
-        Per-shard answer-cache capacity for the shard engines' own update
-        machinery (batch answering routes around the caches; 0 disables).
     """
 
     def __init__(
@@ -240,30 +211,52 @@ class ShardedEngine:
         seed: int = 0,
         halo_depth: int = DEFAULT_HALO_DEPTH,
         boundary_alpha: float = DEFAULT_BOUNDARY_ALPHA,
-        cache_size: int = 0,
         partition: Optional[Partition] = None,
     ):
-        frozen = freeze(graph)  # partition and shards read its rows; |G| and d_G its columns
-        self.partition = partition if partition is not None else partition_graph(
-            frozen, num_shards, method=method, seed=seed
-        )
-        self._source = graph
+        self._method = method
+        self._seed = seed
         self._halo_depth = halo_depth
         self._boundary_alpha = boundary_alpha
-        self._cache_size = cache_size
-        self._global_size = frozen.size()
-        self._max_degree: Optional[int] = frozen.max_degree()
-        self._visit_coefficient = float(max(1, self._max_degree))
-        self.shards: Dict[int, GraphShard] = build_shards(
-            frozen, self.partition, halo_depth=halo_depth, cache_size=cache_size
-        )
-        self._boundary: Optional[BoundaryGraph] = None
-        self._working: Optional[DiGraph] = None
         # Warm daemon pool (created on first ``executor="daemon"`` batch);
         # the epoch versions the shard states the daemons hold, alongside
         # each shard's prepared-state signature.
         self._daemon_pool: Optional[DaemonPool] = None
         self._states_epoch = 0
+        frozen = freeze(graph)
+        self._build(
+            frozen,
+            partition
+            if partition is not None
+            else partition_graph(frozen, num_shards, method=method, seed=seed),
+        )
+
+    def reset(self, graph: GraphLike) -> "ShardedEngine":
+        """Re-prepare on ``graph``: partition, shards and boundary from scratch.
+
+        Runs the construction path with the same ``k``, method, seed, halo
+        depth and boundary α, so the engine afterwards answers exactly like
+        ``ShardedEngine(graph, ...)``.  The daemon pool stays warm; the
+        bumped state epoch makes its workers republish before the next
+        batch.  Returns ``self``.
+        """
+        frozen = freeze(graph)
+        self._build(
+            frozen,
+            partition_graph(frozen, self.num_shards, method=self._method, seed=self._seed),
+        )
+        return self
+
+    def _build(self, frozen: CSRGraph, partition: Partition) -> None:
+        """Shards over ``partition`` of the freeze; the boundary waits for first use."""
+        self.partition = partition
+        # The freeze's columns give |G| and d_G, the global pattern budget.
+        self._global_size = frozen.size()
+        self._visit_coefficient = float(max(1, frozen.max_degree()))
+        self.shards: Dict[int, GraphShard] = build_shards(
+            frozen, partition, halo_depth=self._halo_depth
+        )
+        self._boundary: Optional[BoundaryGraph] = None
+        self._states_epoch += 1
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -310,8 +303,8 @@ class ShardedEngine:
     def _states_version(self) -> Tuple[Any, ...]:
         """Version token for the daemon-held shard states.
 
-        Changes exactly when the daemons' attached state must change: an
-        absorbed update (epoch), the boundary graph coming into existence,
+        Changes exactly when the daemons' attached state must change: a
+        :meth:`reset` (epoch), the boundary graph coming into existence,
         or any shard lazily building new prepared state (signatures).
         """
         return (
@@ -351,12 +344,11 @@ class ShardedEngine:
         subgraph_alphas: Sequence[float] = (),
     ) -> "ShardedEngine":
         """Eagerly build every shard's state (and the boundary graph)."""
+        kinds = ((REACH, reach_alphas), (SIMULATION, pattern_alphas), (SUBGRAPH, subgraph_alphas))
         for shard in self.shards.values():
-            shard.engine.prepare(
-                reach_alphas=reach_alphas,
-                pattern_alphas=pattern_alphas,
-                subgraph_alphas=subgraph_alphas,
-            )
+            for kind, alphas in kinds:
+                for alpha in alphas:
+                    shard.prepared.prepare(kind, alpha)
         if reach_alphas and self.num_shards > 1:
             self.boundary
         return self
@@ -625,230 +617,11 @@ class ShardedEngine:
             )
         return matcher.answer(query.pattern, query.personalized_match), touched
 
-    # ------------------------------------------------------------------ #
-    # Updates
-    # ------------------------------------------------------------------ #
-    def update(self, delta: GraphDelta) -> ShardUpdateReport:
-        """Absorb a delta, routing ops to the owning shards.
-
-        A delta confined to one shard's core — every named node owned by
-        that shard and invisible to every other shard's halo — takes the
-        incremental path: the shard's own ``QueryEngine.update`` patches its
-        prepared state in place.  Anything wider (cross-shard edges, node
-        removals, halo-visible nodes) rebuilds exactly the affected shards
-        from the authoritative working graph.  Both paths finish with a
-        boundary-graph repair restricted to the changed shards and a
-        re-pinning of the global pattern-budget parameters.
-        """
-        started = time.perf_counter()
-        report = ShardUpdateReport(mode="local", delta_ops=delta.size())
-        working = self._ensure_working()
-        placements = self._place_new_nodes(delta)
-        fast_shard = self._fast_path_shard(delta, placements)
-        # Any update (even a failed one, whose op prefix landed) must move
-        # the epoch so warm daemons republish instead of serving stale state.
-        self._states_epoch += 1
-        touched = delta.touched_nodes()
-        degrees_before = {node: working.degree(node) for node in touched if node in working}
-
-        try:
-            record = delta.apply_to(working)
-        except Exception:
-            # The failing op's prefix is on the working graph; resync every
-            # membership structure with it before propagating.
-            self._resync_assignment(placements)
-            self._rebuild_from_working(set(self.shards), report)
-            raise
-
-        self._global_size = working.size()
-        degrees_after = {node: working.degree(node) for node in touched if node in working}
-        self._max_degree = maintained_max_degree(
-            self._max_degree, degrees_before, degrees_after, bool(record.nodes_removed)
-        )
-        # Confined churn cannot create or remove cut edges (every endpoint
-        # lives in one shard), so only the total needs tracking on the fast
-        # path; the rebuild path recomputes the full statistics anyway.
-        self.partition.total_edges = working.num_edges()
-
-        if fast_shard is not None:
-            shard = self.shards[fast_shard]
-            for node, owner in placements.items():
-                self.partition.assign(node, owner)
-                shard.core.add(node)
-                shard.core_list.append(node)
-                shard.node_set.add(node)
-            report.shard_reports[fast_shard] = shard.engine.update(delta)
-            shard.graph = shard.prepared.graph  # substrate may now be an overlay
-            shard.refresh_core_size()
-            if self.num_shards > 1:
-                shard.prepared.retarget_reach_budget(shard.core_size)
-                if self._boundary is not None and self.partition.boundary.get(fast_shard):
-                    self._boundary.repair(self.shards, self.partition, [fast_shard])
-                    report.boundary_repaired = True
-        else:
-            report.mode = "rebuilt"
-            self._rebuild_from_working(self._resync_assignment(placements, touched), report)
-
-        if self._max_degree is None:  # a maximum shrank on the local path
-            self._max_degree = working.max_degree()
-        new_coefficient = float(max(1, self._max_degree))
-        if self.num_shards > 1:
-            retargeted = False
-            for shard in self.shards.values():
-                if shard.prepared.retarget_pattern_budget(self._global_size, new_coefficient):
-                    retargeted = True
-                    shard.engine.clear_cache()
-            report.budgets_retargeted = retargeted
-        self._visit_coefficient = new_coefficient
-        report.wall_seconds = time.perf_counter() - started
-        return report
-
-    def _ensure_working(self) -> DiGraph:
-        """The authoritative mutable graph, materialised on first update.
-
-        A ``DiGraph`` source is copied with both adjacency orders intact; an
-        immutable source is thawed edge-by-edge (successor order exact,
-        predecessor order source-major — rebuilt shards then agree with the
-        working graph, which *is* the post-update reference).
-        """
-        if self._working is None:
-            if isinstance(self._source, DiGraph):
-                self._working = self._source.copy()
-            else:
-                working = DiGraph()
-                for node in self._source.nodes():
-                    working.add_node(node, self._source.label(node))
-                for source, target in self._source.edges():
-                    working.add_edge(source, target)
-                self._working = working
-        return self._working
-
-    def _place_new_nodes(self, delta: GraphDelta) -> Dict[NodeId, int]:
-        """Home shards for the delta's new nodes (attachment rule, then hash).
-
-        A new node lands on the shard of the first existing (or
-        already-placed) node it is connected to by an edge op in the same
-        delta — churn that attaches inside one shard stays inside it — and
-        falls back to the hash rule when nothing anchors it.
-        """
-        placements: Dict[NodeId, int] = {}
-        new_nodes = [
-            op.node
-            for op in delta.ops
-            if op.kind == ADD_NODE and self.partition.shard_of(op.node) is None
-        ]
-        for node in new_nodes:
-            owner: Optional[int] = None
-            for op in delta.ops:
-                if op.kind not in (ADD_EDGE, REMOVE_EDGE):
-                    continue
-                if op.node == node:
-                    other = op.target
-                elif op.target == node:
-                    other = op.node
-                else:
-                    continue
-                owner = self.partition.shard_of(other)
-                if owner is None:
-                    owner = placements.get(other)
-                if owner is not None:
-                    break
-            if owner is None:
-                owner = hash_shard(node, self.partition.num_shards)
-            placements[node] = owner
-        return placements
-
-    def _fast_path_shard(
-        self, delta: GraphDelta, placements: Dict[NodeId, int]
-    ) -> Optional[int]:
-        """The single shard a delta is confined to, or ``None``.
-
-        Confinement requires every named node to resolve to one home shard
-        and to be invisible to every other shard (not even in a halo), and
-        the delta to be free of node removals (the per-shard engines
-        already route those to their rebuild path; here a removal also
-        changes other shards' halos).
-        """
-        if self.num_shards == 1:
-            return 0 if not delta.has_node_removals() else None
-        if delta.has_node_removals():
-            return None
-        target: Optional[int] = None
-        named: List[NodeId] = []
-        for op in delta.ops:
-            nodes = [op.node]
-            if op.kind in (ADD_EDGE, REMOVE_EDGE):
-                nodes.append(op.target)
-            for node in nodes:
-                owner = self.partition.shard_of(node)
-                if owner is None:
-                    owner = placements.get(node)
-                if owner is None:
-                    return None
-                if target is None:
-                    target = owner
-                elif owner != target:
-                    return None
-                named.append(node)
-        if target is None:
-            return None
-        for node in named:
-            for shard_id, shard in self.shards.items():
-                if shard_id != target and node in shard.node_set:
-                    return None
-        return target
-
-    def _resync_assignment(
-        self, placements: Dict[NodeId, int], touched: Optional[set] = None
-    ) -> set:
-        """Align the partition with the working graph; returns affected shards."""
-        working = self._working
-        affected = set()
-        touched = set(touched or ())
-        touched |= set(placements)
-        for node in touched:
-            for shard_id, shard in self.shards.items():
-                if node in shard.node_set:
-                    affected.add(shard_id)
-        for node in touched:
-            known = self.partition.shard_of(node)
-            if node in working and known is None:
-                owner = placements.get(node)
-                owner = self.partition.assign(node, owner)
-                affected.add(owner)
-            elif node not in working and known is not None:
-                self.partition.forget(node)
-                affected.add(known)
-        return affected
-
-    def _rebuild_from_working(self, shard_ids: set, report: ShardUpdateReport) -> None:
-        """Rebuild the named shards from one freeze of the working graph + repair boundary."""
-        frozen = CSRGraph.from_digraph(self._working)
-        refresh_partition_statistics(frozen, self.partition)
-        owner = self.partition.owners(frozen)
-        self._max_degree = frozen.max_degree()
-        for shard_id in sorted(shard_ids):
-            self.shards[shard_id] = build_shard(
-                frozen,
-                owner,
-                shard_id,
-                self.num_shards,
-                halo_depth=self._halo_depth,
-                cache_size=self._cache_size,
-                global_size=self._global_size,
-                visit_coefficient=float(max(1, self._max_degree)),
-            )
-            report.rebuilt_shards.append(shard_id)
-        if self.num_shards > 1 and self._boundary is not None and shard_ids:
-            self._boundary.repair(self.shards, self.partition, shard_ids)
-            report.boundary_repaired = True
-
 
 __all__ = [
     "PATTERN_FALLBACK_MARGIN",
     "ShardBatchReport",
     "ShardState",
-    "ShardUpdateReport",
     "ShardedEngine",
     "answer_shard_chunk",
     "boundary_probe",

@@ -95,20 +95,6 @@ class Partition:
         """Home shard of ``node`` (``None`` for unknown nodes)."""
         return self.assignment.get(node)
 
-    def assign(self, node: NodeId, shard: Optional[int] = None) -> int:
-        """Record a (new) node's home shard; defaults to the hash rule."""
-        resolved = hash_shard(node, self.num_shards) if shard is None else shard
-        if not 0 <= resolved < self.num_shards:
-            raise ShardError(f"shard {resolved} out of range for k={self.num_shards}")
-        self.assignment[node] = resolved
-        return resolved
-
-    def forget(self, node: NodeId) -> None:
-        """Drop a removed node from the assignment and boundary sets."""
-        self.assignment.pop(node, None)
-        for members in self.boundary.values():
-            members.discard(node)
-
     def owners(self, graph: GraphLike) -> np.ndarray:
         """The home shard of each of ``graph``'s nodes, in node order (-1: unassigned)."""
         get = self.assignment.get
@@ -383,26 +369,6 @@ def _refine(
             break
 
 
-def refresh_partition_statistics(graph: GraphLike, partition: Partition) -> Partition:
-    """Recompute boundary sets and cut statistics against ``graph``.
-
-    The assignment itself is left untouched (every graph node must already
-    be assigned); used after updates mutated the graph under an existing
-    assignment.
-    """
-    graph = freeze(graph)
-    owner = partition.owners(graph)
-    unassigned = np.flatnonzero(owner < 0)
-    if unassigned.shape[0]:
-        raise ShardError(f"node {graph.node_at(int(unassigned[0]))!r} has no shard assignment")
-    refreshed = _finalize(graph, owner, partition.num_shards, partition.method, partition.seed)
-    partition.assignment = refreshed.assignment
-    partition.boundary = refreshed.boundary
-    partition.cut_edges = refreshed.cut_edges
-    partition.total_edges = refreshed.total_edges
-    return partition
-
-
 def partition_graph(
     graph: GraphLike, num_shards: int, method: str = GREEDY, seed: int = 0
 ) -> Partition:
@@ -424,5 +390,4 @@ __all__ = [
     "hash_partition",
     "hash_shard",
     "partition_graph",
-    "refresh_partition_statistics",
 ]

@@ -36,13 +36,12 @@ stitches a region from owner-shard fragments with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.engine.engine import QueryEngine
 from repro.engine.prepared import PreparedGraph
 from repro.exceptions import ShardError
 from repro.graph.csr import CSRGraph, _indptr, _intern_labels, _union_degrees, freeze
@@ -114,24 +113,15 @@ def collect_halo(graph: CSRGraph, core_rows: np.ndarray, depth: int) -> np.ndarr
 
 @dataclass
 class GraphShard:
-    """One shard's serving state: graph, membership sets and query engine."""
+    """One shard's serving state: graph, membership sets and prepared state."""
 
     shard_id: int
-    graph: GraphLike
+    graph: CSRGraph
     core: Set[NodeId]
     core_list: List[NodeId]
     halo: Set[NodeId]
-    engine: QueryEngine
+    prepared: PreparedGraph
     core_size: int
-    node_set: Set[NodeId] = field(default_factory=set)
-
-    @property
-    def prepared(self) -> PreparedGraph:
-        """The shard's prepared state (read-only by convention)."""
-        return self.engine.prepared
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self.node_set
 
     def ball_in_core(self, node: NodeId, radius: int) -> bool:
         """Whether the undirected ``radius``-ball around ``node`` stays in core.
@@ -161,18 +151,6 @@ class GraphShard:
                 break
         return True
 
-    def refresh_core_size(self) -> int:
-        """Recompute ``|V_core| + out-edges(core)`` from the current substrate.
-
-        Every out-edge of a core node is present in the shard graph (its
-        target is halo at worst), so the scan is exact; cut edges are owned
-        by their *source* shard, which makes the per-shard sizes sum to
-        ``|G|`` across the fleet.
-        """
-        graph = self.prepared.graph
-        self.core_size = len(self.core) + sum(graph.out_degree(node) for node in self.core_list)
-        return self.core_size
-
 
 def build_shard(
     graph: CSRGraph,
@@ -180,18 +158,17 @@ def build_shard(
     shard_id: int,
     num_shards: int,
     halo_depth: int = DEFAULT_HALO_DEPTH,
-    cache_size: int = 0,
     global_size: Optional[int] = None,
     visit_coefficient: Optional[float] = None,
 ) -> GraphShard:
-    """Build one shard's serving graph and engine from the frozen source graph.
+    """Build one shard's serving graph and prepared state from the frozen source graph.
 
     ``owner`` is each row's home shard (:meth:`Partition.owners`).  The core
     is the rows it gives ``shard_id``, in row order; the shard graph is the
     row slice of core plus halo.  With ``k = 1`` the budget overrides stay
-    unset so the shard engine is *exactly* a single-graph
-    :class:`QueryEngine` (live sizes, same CSR) — the reference point of the
-    parity contract.  With ``k > 1`` the RBReach budget is pinned to the
+    unset so the shard's prepared state is *exactly* a single-graph
+    :class:`PreparedGraph` (live sizes, same CSR) — the reference point of
+    the parity contract.  With ``k > 1`` the RBReach budget is pinned to the
     shard's share of ``α·|G|`` and the pattern budget to the global graph's
     parameters.
     """
@@ -212,16 +189,14 @@ def build_shard(
         pattern_reference_size=None if single else global_size,
         pattern_visit_coefficient=None if single else visit_coefficient,
     )
-    core = set(core_list)
     return GraphShard(
         shard_id=shard_id,
         graph=shard_graph,
-        core=core,
+        core=set(core_list),
         core_list=core_list,
         halo=halo,
-        engine=QueryEngine(prepared=prepared, cache_size=cache_size),
+        prepared=prepared,
         core_size=core_size,
-        node_set=core | halo,
     )
 
 
@@ -229,7 +204,6 @@ def build_shards(
     graph: GraphLike,
     partition: Partition,
     halo_depth: int = DEFAULT_HALO_DEPTH,
-    cache_size: int = 0,
 ) -> Dict[int, GraphShard]:
     """Build every shard of ``partition`` over ``graph``'s CSR freeze.
 
@@ -246,7 +220,6 @@ def build_shards(
             shard_id,
             partition.num_shards,
             halo_depth=halo_depth,
-            cache_size=cache_size,
             global_size=global_size,
             visit_coefficient=visit_coefficient,
         )

@@ -21,10 +21,8 @@ machine — the property the update benchmark and CI gate rely on.
 
 ``confine_nodes`` restricts every sampled endpoint (attachment targets,
 rewired edges, removal victims) to the given node set — newcomers join it —
-which confines the churn to one region of the graph.  The sharded serving
-layer uses this for locality experiments: churn confined to one shard's
-core flows through that shard's incremental update path, while unconfined
-churn exercises cross-shard rebuild routing.
+which confines the churn to one region of the graph, for locality
+experiments.
 """
 
 from __future__ import annotations

@@ -520,7 +520,7 @@ def check_shard_build(graph: DiGraph, num_shards: int, seed: int, halo_depth: in
         core_list = oracle_core_list(graph, partition, shard_id)
         halo = oracle_collect_halo(graph, core_list, set(core_list), halo_depth) if num_shards > 1 else []
         assert shard.core_list == core_list and shard.halo == set(halo)
-        assert shard.core == set(core_list) and shard.node_set == set(core_list + halo)
+        assert shard.core == set(core_list)
         assert_same_csr(shard.graph, oracle_induced_order_preserving(graph, core_list + halo))
         assert shard.core_size == len(core_list) + sum(map(graph.out_degree, core_list))
 

@@ -111,6 +111,15 @@ class TestExportSurface:
                 getattr(repro, name)
             assert hasattr(importlib.import_module("repro.shard"), name)
 
+    def test_shard_update_router_is_gone(self):
+        # One mutable graph per service: shards re-prepare through reset.
+        shard = importlib.import_module("repro.shard")
+        service = importlib.import_module("repro.service")
+        assert "ShardUpdateReport" not in shard.__all__
+        assert not {"UpdatePlan", "PATCH", "REBUILD"} & set(service.__all__)
+        assert hasattr(shard.ShardedEngine, "reset")
+        assert not hasattr(shard.ShardedEngine, "update")
+
     def test_kernel_dispatch_surface_exported(self):
         graph_pkg = importlib.import_module("repro.graph")
         for name in ("KERNELS", "KernelRegistry", "ReachBatch", "reach_batch", "traverse"):

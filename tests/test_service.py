@@ -18,20 +18,20 @@ from __future__ import annotations
 
 import random
 import warnings
+from itertools import combinations
 
 import pytest
 
 from repro.engine import QueryEngine, ReachQuery
-from repro.exceptions import ServiceError
+from repro.exceptions import ReproError, ServiceError
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import community_graph
 from repro.service import (
     CONTAIN,
     GraphService,
     PARALLEL,
-    PATCH,
     PatternRequest,
     Planner,
-    REBUILD,
     ReachRequest,
     SCATTER,
     SERIAL,
@@ -252,22 +252,6 @@ class TestPlanner:
         second = [planner.plan_batch(*cell) for cell in matrix]
         assert first == second
 
-    def test_update_plan_patch_within_budget(self):
-        planner = Planner(ServiceConfig(patch_threshold=0.05))
-        plan = planner.plan_update(delta_ops=10, graph_size=1000, has_node_removals=False)
-        assert plan.action == PATCH
-        assert plan.patch_threshold == 0.05
-
-    def test_update_plan_rebuild_on_removals(self):
-        plan = Planner(ServiceConfig()).plan_update(1, 1000, has_node_removals=True)
-        assert plan.action == REBUILD
-        assert plan.patch_threshold == 0.0
-
-    def test_update_plan_rebuild_on_oversized_delta(self):
-        planner = Planner(ServiceConfig(patch_threshold=0.05))
-        plan = planner.plan_update(delta_ops=51, graph_size=1000, has_node_removals=False)
-        assert plan.action == REBUILD
-
 
 # --------------------------------------------------------------------------- #
 # The parity contract: every routing decision is bit-identical to serial
@@ -339,7 +323,7 @@ class TestPlannerParityContract:
         with GraphService(base.copy(), config) as service:
             for delta in stream:
                 report = service.update(delta)
-                assert report.plan.action in (PATCH, REBUILD)
+                assert report.mode in ("fresh", "patched", "rebuilt")
                 got = service.run_batch(requests, alpha=ALPHA).answers
                 fresh = QueryEngine(service.graph, cache_size=0)
                 expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
@@ -348,12 +332,11 @@ class TestPlannerParityContract:
     def test_forced_rebuild_plan_stays_bit_identical(self):
         base = clustered_graph(clusters=2, size=30, seed=6)
         requests = [ReachRequest(s, t) for s, t in sample_mixed_pairs(base, 20, seed=8)]
-        # patch_threshold=0 plans every delta as a rebuild.
-        service = GraphService(base.copy(), ServiceConfig(patch_threshold=0.0))
+        # patch_threshold=0 rebuilds every delta.
+        service = GraphService(base.copy(), ServiceConfig(patch_threshold=0.0)).prepare()
         delta = next(iter(generate_delta_stream(base, batches=1, ops_per_batch=10, seed=3)))
         report = service.update(delta)
-        assert report.plan.action == REBUILD
-        assert report.mode in ("rebuilt", "fresh")
+        assert report.mode == "rebuilt"
         got = service.run_batch(requests, alpha=ALPHA).answers
         fresh = QueryEngine(service.graph, cache_size=0)
         expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
@@ -368,8 +351,8 @@ class TestPlannerParityContract:
         requests += [PatternRequest(q.pattern, q.personalized_match) for q in workload]
         service = GraphService(base.copy(), ServiceConfig(num_shards=2, cache_size=0))
         delta = next(iter(generate_delta_stream(base, batches=1, ops_per_batch=10, seed=4)))
-        report = service.update(delta)
-        assert report.shard_report is None  # nothing to route to yet
+        service.update(delta)
+        assert service._sharded is None  # nothing to re-prepare yet
         got = service.run_batch(requests, alpha=ALPHA)  # builds shards now
         fresh = QueryEngine(service.graph, cache_size=0)
         expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
@@ -384,8 +367,7 @@ class TestPlannerParityContract:
         service = GraphService(base.copy(), ServiceConfig(num_shards=2, cache_size=0))
         service.run_batch(requests, alpha=ALPHA)  # builds the sharded engine
         delta = next(iter(generate_delta_stream(base, batches=1, ops_per_batch=10, seed=4)))
-        report = service.update(delta)
-        assert report.shard_report is not None
+        service.update(delta)
         got = service.run_batch(requests, alpha=ALPHA).answers
         fresh = QueryEngine(service.graph, cache_size=0)
         expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
@@ -443,7 +425,6 @@ class TestScatterPolicy:
             service.shard_profile()
             service.prepare()
             assert freezes == [graph]
-            assert service._sharded._source is service.graph
 
     def test_contain_prepare_builds_both_engines(self, graph):
         with GraphService(graph, ServiceConfig(num_shards=2, cache_size=0)) as service:
@@ -459,6 +440,66 @@ class TestScatterPolicy:
         report = service.run_batch(mixed_requests, alpha=ALPHA)
         assert report.plan.backend == SHARDED
         assert [signature(a) for a in report.answers] == serial_reference
+
+
+# --------------------------------------------------------------------------- #
+# Updates on a sharded service: the shards re-prepare from the served graph
+# --------------------------------------------------------------------------- #
+def chained_deltas(graph):
+    """Growth, uniform and node-removal deltas, each on the graph the last left."""
+    deltas = []
+    for mix, removals in (("growth", 0.0), ("uniform", 0.0), ("uniform", 0.3)):
+        stream = generate_delta_stream(
+            graph, batches=1, ops_per_batch=12, mix=mix, seed=9, node_removal_rate=removals
+        )
+        deltas += list(stream)
+        graph = stream.final_graph
+    return deltas
+
+
+class TestShardedUpdates:
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("policy, k", [(SCATTER, 1), (SCATTER, 2), (SCATTER, 4), (CONTAIN, 2)])
+    def test_equals_a_fresh_service_after_every_update(self, policy, k, executor):
+        base = clustered_graph(clusters=2, size=40, seed=5)
+        requests = [ReachRequest(s, t) for s, t in sample_mixed_pairs(base, 30, seed=7)]
+        for query in generate_pattern_workload(base, shape=(3, 4), count=4, seed=11):
+            requests += [
+                PatternRequest(query.pattern, query.personalized_match, semantics=semantics)
+                for semantics in ("simulation", "subgraph")
+            ]
+        config = ServiceConfig(
+            num_shards=k, shard_policy=policy, executor=executor, workers=2, cache_size=0
+        )
+        deltas = chained_deltas(base)
+        assert any(delta.has_node_removals() for delta in deltas)
+        with GraphService(base.copy(), config) as service:
+            service.run_batch(requests, alpha=ALPHA)  # builds the sharded engine
+            for delta in deltas:
+                service.update(delta)
+                got = service.run_batch(requests, alpha=ALPHA).answers
+                with GraphService(service.graph, config) as fresh:
+                    expected = fresh.run_batch(requests, alpha=ALPHA).answers
+                assert [signature(a) for a in got] == [signature(a) for a in expected]
+
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_a_failing_delta_reaches_the_shards(self, k):
+        """The ops before an invalid one stay applied, on the shards too."""
+        graph = community_graph([60] * 20, inter_edges=0, seed=7)
+        heads = [community * 60 for community in range(20)]  # chained head to head
+        delta = GraphDelta()
+        for earlier, later in zip(heads, heads[1:]):
+            delta.add_edge(later, earlier)
+        delta.remove_edge(heads[0], heads[-1])  # no such edge: raises after 19 ops
+        requests = [ReachRequest(later, earlier) for earlier, later in combinations(heads, 2)]
+        config = ServiceConfig(num_shards=k, shard_policy=SCATTER, alpha=0.02, cache_size=0)
+        with GraphService(graph, config) as service:
+            service.run_batch(requests)
+            with pytest.raises(ReproError):
+                service.update(delta)
+            got = service.run_batch(requests).answers
+            expected = GraphService(service.graph, config).run_batch(requests).answers
+        assert [signature(a) for a in got] == [signature(a) for a in expected]
 
 
 # --------------------------------------------------------------------------- #

@@ -9,9 +9,8 @@ The contract under test:
   inside its home shard's core (always at ``k = 1``), the sharded answer is
   field-for-field identical to the single-graph ``QueryEngine``'s, for every
   executor and worker count;
-* **updates route to the owning shards** — confined churn takes the
-  incremental per-shard path, wider churn rebuilds exactly the affected
-  shards, and both preserve the two properties above.
+* **reset is a fresh build** — after ``reset(mutated)`` the engine answers
+  exactly like ``ShardedEngine(mutated)``, on a daemon pool that stays warm.
 """
 
 from __future__ import annotations
@@ -76,6 +75,10 @@ def reach_signature(answers):
     return [(a.reachable, a.visited, a.met_at, a.exhausted) for a in answers]
 
 
+def signatures(answers):
+    return [reach_signature([a])[0] if hasattr(a, "reachable") else pattern_signature(a) for a in answers]
+
+
 def pattern_signature(answer):
     return (
         frozenset(answer.answer),
@@ -93,6 +96,17 @@ def graph():
 @pytest.fixture(scope="module")
 def reach_queries(graph):
     return [ReachQuery(s, t) for s, t in sample_mixed_pairs(graph, 80, seed=3)]
+
+
+@pytest.fixture(scope="module")
+def pattern_queries(graph):
+    workload = generate_pattern_workload(graph, shape=(3, 4), count=8, seed=11)
+    simulation = [PatternQuery(q.pattern, q.personalized_match) for q in workload]
+    subgraph = [
+        PatternQuery(q.pattern, q.personalized_match, semantics="subgraph")
+        for q in workload
+    ]
+    return simulation + subgraph
 
 
 @pytest.fixture(scope="module")
@@ -304,10 +318,15 @@ class TestReachParity:
             graph.add_edge(("b", i), ("b", i + 1))
         graph.add_edge(("a", 7), ("b", 0))
         assignment = {node: 0 if node[0] == "a" else 1 for node in graph.nodes()}
-        partition = Partition(num_shards=2, method="manual", seed=0, assignment=assignment)
-        from repro.shard.partition import refresh_partition_statistics
-
-        refresh_partition_statistics(graph, partition)
+        partition = Partition(
+            num_shards=2,
+            method="manual",
+            seed=0,
+            assignment=assignment,
+            boundary={0: {("a", 7)}, 1: {("b", 0)}},
+            cut_edges=1,
+            total_edges=graph.num_edges(),
+        )
         engine = ShardedEngine(graph, partition=partition)
         answers = engine.answer_batch(
             [ReachQuery(("a", 0), ("b", 7)), ReachQuery(("b", 0), ("a", 0))], 1.0
@@ -317,16 +336,6 @@ class TestReachParity:
 
 
 class TestPatternParity:
-    @pytest.fixture(scope="class")
-    def pattern_queries(self, graph):
-        workload = generate_pattern_workload(graph, shape=(3, 4), count=8, seed=11)
-        simulation = [PatternQuery(q.pattern, q.personalized_match) for q in workload]
-        subgraph = [
-            PatternQuery(q.pattern, q.personalized_match, semantics="subgraph")
-            for q in workload
-        ]
-        return simulation + subgraph
-
     @pytest.fixture(scope="class")
     def expected(self, baseline, pattern_queries):
         return [
@@ -473,151 +482,32 @@ class TestBoundaryPrepare:
 
 
 # --------------------------------------------------------------------------- #
-# Updates
+# Reset
 # --------------------------------------------------------------------------- #
-class TestShardedUpdates:
-    def test_k1_update_stays_bit_identical(self, graph, reach_queries):
-        for mix in ("growth", "uniform"):
-            single = QueryEngine(graph.copy(), cache_size=0)
-            sharded = ShardedEngine(graph, num_shards=1, seed=7)
-            stream = generate_delta_stream(
-                graph, batches=3, ops_per_batch=20, mix=mix, seed=13
-            )
-            for delta in stream:
-                single.update(delta)
-                sharded.update(delta)
-                assert reach_signature(
-                    sharded.answer_batch(reach_queries, ALPHA)
-                ) == reach_signature(single.answer_batch(reach_queries, ALPHA)), mix
-
-    def test_daemon_parity_across_update(self, graph, reach_queries):
-        """Warm daemons track sharded updates: scatter answers stay serial-identical."""
-        with ShardedEngine(graph.copy(), num_shards=2, seed=7) as engine:
-            stream = generate_delta_stream(graph, batches=2, ops_per_batch=15, mix="growth", seed=29)
-            for delta in stream:
-                serial = reach_signature(engine.answer_batch(reach_queries, ALPHA))
-                daemon = reach_signature(
-                    engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=2).answers
-                )
-                assert daemon == serial
-                engine.update(delta)
-            serial = reach_signature(engine.answer_batch(reach_queries, ALPHA))
-            daemon = reach_signature(
-                engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=2).answers
-            )
-            assert daemon == serial
-
-    def test_confined_churn_takes_the_local_path(self, graph, reach_queries):
-        engine = ShardedEngine(graph, num_shards=4, seed=7, halo_depth=1)
-        engine.answer_batch(reach_queries, ALPHA)
-        shard_id = 0
-        core = set(engine.shards[shard_id].core)
-        visible = set()
-        for other, shard in engine.shards.items():
-            if other != shard_id:
-                visible |= shard.node_set & core
-        pool = core - visible
-        assert len(pool) >= 2, "fixture is not locality-friendly enough"
+class TestReset:
+    @pytest.mark.parametrize("k", KS)
+    def test_reset_equals_a_fresh_engine(self, graph, reach_queries, pattern_queries, k):
+        """Over uniform churn with node removals: same partition, same answers,
+        serial and on the daemon pool, whose workers outlive every reset."""
+        queries = reach_queries + pattern_queries
+        mutated = graph.copy()
         stream = generate_delta_stream(
-            graph, batches=3, ops_per_batch=12, mix="growth", seed=21, confine_nodes=pool
+            graph, batches=3, ops_per_batch=12, mix="uniform", seed=17, node_removal_rate=0.2
         )
-        for delta in stream:
-            report = engine.update(delta)
-            assert report.mode == "local"
-            assert set(report.shard_reports) == {shard_id}
-            assert not report.rebuilt_shards
-        mutated = stream.final_graph
-        for query, answer in zip(
-            reach_queries, engine.answer_batch(reach_queries, ALPHA)
-        ):
-            if answer.reachable:
-                assert is_reachable(mutated, query.source, query.target)
-
-    def test_unconfined_churn_rebuilds_affected_shards(self, graph, reach_queries):
-        engine = ShardedEngine(graph, num_shards=4, seed=7)
-        engine.answer_batch(reach_queries, ALPHA)
-        stream = generate_delta_stream(graph, batches=2, ops_per_batch=25, mix="uniform", seed=5)
-        rebuilt = False
-        for delta in stream:
-            report = engine.update(delta)
-            if report.mode == "rebuilt":
-                rebuilt = True
-                assert report.rebuilt_shards
-        assert rebuilt
-        mutated = stream.final_graph
-        for query, answer in zip(
-            reach_queries, engine.answer_batch(reach_queries, ALPHA)
-        ):
-            if answer.reachable:
-                assert is_reachable(mutated, query.source, query.target)
-
-    def test_node_removal_routes_to_rebuild(self, graph, reach_queries):
-        from repro.updates.delta import GraphDelta
-
-        engine = ShardedEngine(graph, num_shards=2, seed=7)
-        engine.answer_batch(reach_queries, ALPHA)
-        victim = next(iter(engine.shards[0].core))
-        report = engine.update(GraphDelta().remove_node(victim))
-        assert report.mode == "rebuilt"
-        assert engine.partition.shard_of(victim) is None
-        answers = engine.answer_batch(reach_queries, ALPHA)
-        working = engine._working
-        for query, answer in zip(reach_queries, answers):
-            if answer.reachable:
-                assert query.source in working and query.target in working
-                assert is_reachable(working, query.source, query.target)
-
-    def test_local_update_maintains_d_g_without_a_scan(self, graph, monkeypatch):
-        from repro.updates.delta import GraphDelta
-
-        engine = ShardedEngine(graph.copy(), num_shards=4, seed=7, halo_depth=1)
-        visible = set().union(*(shard.node_set for sid, shard in engine.shards.items() if sid))
-        pool = sorted(engine.shards[0].core - visible)
-        source, target = next(
-            (a, b) for a in pool for b in pool if a != b and not graph.has_edge(a, b)
-        )
-        scans = []
-        scan = DiGraph.max_degree
-        monkeypatch.setattr(DiGraph, "max_degree", lambda self: scans.append(1) or scan(self))
-        report = engine.update(GraphDelta().add_edge(source, target))
-        assert report.mode == "local" and scans == []
-        monkeypatch.undo()
-        assert engine._max_degree == engine._working.max_degree()
-
-    @pytest.mark.parametrize("k", (1, 2))
-    def test_maintained_d_g_equals_a_scan_after_every_update(self, graph, k):
-        engine = ShardedEngine(graph.copy(), num_shards=k, seed=7)
-        stream = generate_delta_stream(
-            graph, batches=8, ops_per_batch=12, mix="uniform", seed=17, node_removal_rate=0.2
-        )
-        removals = 0
-        for delta in stream:
-            removals += delta.has_node_removals()
-            engine.update(delta)
-            assert engine._max_degree == engine._working.max_degree()
-            assert engine._visit_coefficient == float(max(1, engine._max_degree))
-        assert removals
-
-    def test_failing_delta_keeps_engine_consistent(self, graph, reach_queries):
-        from repro.exceptions import ReproError
-        from repro.updates.delta import GraphDelta
-
-        engine = ShardedEngine(graph, num_shards=2, seed=7)
-        engine.answer_batch(reach_queries, ALPHA)
-        nodes = list(graph.nodes())
-        delta = GraphDelta().add_node("fresh-node", label="A")
-        delta.add_edge("fresh-node", nodes[0])
-        delta.remove_edge("fresh-node", "missing-node")  # invalid: raises mid-delta
-        with pytest.raises(ReproError):
-            engine.update(delta)
-        # The applied prefix is live; answers must still be sound against it.
-        working = engine._working
-        assert "fresh-node" in working
-        for query, answer in zip(
-            reach_queries, engine.answer_batch(reach_queries, ALPHA)
-        ):
-            if answer.reachable:
-                assert is_reachable(working, query.source, query.target)
+        with ShardedEngine(graph, num_shards=k, seed=7) as engine:
+            engine.run_batch(queries, ALPHA, executor="daemon", workers=2)
+            pids = engine.daemon_pool().worker_pids()
+            for delta in stream:
+                delta.apply_to(mutated)
+                engine.reset(mutated)
+                fresh = ShardedEngine(mutated, num_shards=k, seed=7)
+                assert list(engine.partition.assignment.items()) == list(fresh.partition.assignment.items())
+                expected = signatures(fresh.answer_batch(queries, ALPHA))
+                assert signatures(engine.answer_batch(queries, ALPHA)) == expected
+                daemon = engine.run_batch(queries, ALPHA, executor="daemon", workers=2)
+                assert signatures(daemon.answers) == expected
+            assert engine.daemon_pool().worker_pids() == pids
+        assert any(delta.has_node_removals() for delta in stream)
 
 
 # --------------------------------------------------------------------------- #
