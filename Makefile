@@ -5,12 +5,11 @@
 #   make lint         - ruff + mypy when installed, compileall always
 #   make coverage     - tier-1 suite under pytest-cov + committed-floor gate
 #                       (skips with a warning when pytest-cov is missing)
-#   make bench-smoke  - fast end-to-end benchmarks (CSR backend + engine +
-#                       updates + sharded scatter-gather + service facade +
-#                       open-loop latency smoke + batched bitset kernels)
-#   make bench        - the full paper-figure benchmark suite
-#   make bench-report - write machine-readable BENCH_*.json reports
-#   make bench-check  - bench-report + fail on >30% gated-metric regression
+#   make bench-smoke  - the one perf gate: the CSR-backend and batched-kernel
+#                       floors, ratios measured in one process (no baseline)
+#   make bench        - every pytest benchmark: the paper figures
+#                       (bench_figures.py), preprocessing, ablations and the
+#                       bench-smoke floors
 #   make bench-e2e    - the front-door benchmark BENCHMARK.json declares: six
 #                       GraphService workloads, untraced then traced (~4 min;
 #                       E2E_ARGS="--seed 11 --out A1.json" passes flags through)
@@ -21,14 +20,15 @@
 #                       when installed), printing which gate failed
 #   make test-soak    - the slow_shm shared-memory/daemon soak tests
 #                       (deselected from tier-1; run nightly)
-#   make nightly      - the full benchmark suite + reports the nightly workflow runs
+#   make nightly      - the soak tests + every pytest benchmark (the nightly
+#                       workflow then runs bench-e2e)
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-CI_GATES := lint test docs-check coverage bench-smoke bench-check
+CI_GATES := lint test docs-check coverage bench-smoke
 
-.PHONY: test test-soak lint coverage bench-smoke bench bench-report bench-check bench-e2e docs-check ci nightly
+.PHONY: test test-soak lint coverage bench-smoke bench bench-e2e docs-check ci nightly
 
 # --durations: the ten slowest tests in every log, so the tier-1 budget
 # (<=2 min, ROADMAP.md) is visible before it is broken.
@@ -50,16 +50,10 @@ coverage:
 	$(PYTHON) tools/coverage_gate.py
 
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_backend_csr.py benchmarks/bench_engine_parallel.py benchmarks/bench_updates_incremental.py benchmarks/bench_shard_scatter.py benchmarks/bench_service_facade.py benchmarks/bench_service_latency.py benchmarks/bench_kernels_batched.py benchmarks/bench_subscriptions.py -q -p no:cacheprovider
+	$(PYTHON) -m pytest benchmarks/bench_backend_csr.py benchmarks/bench_kernels_batched.py -q -p no:cacheprovider
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q -p no:cacheprovider
-
-bench-report:
-	$(PYTHON) tools/bench_report.py
-
-bench-check:
-	$(PYTHON) tools/bench_report.py --check
 
 bench-e2e:
 	python3 benchmarks/e2e/run.py $(E2E_ARGS)
@@ -75,5 +69,4 @@ ci:
 		$(MAKE) --no-print-directory $$gate || { echo "CI GATE FAILED: $$gate"; exit 1; }; \
 	done; echo "all CI gates passed: $(CI_GATES)"
 
-nightly: test-soak bench bench-report
-	$(PYTHON) tools/bench_trajectory.py
+nightly: test-soak bench

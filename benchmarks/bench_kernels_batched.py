@@ -19,8 +19,10 @@ for CI):
 
 Both floors use the best of three attempts: a contention burst landing on
 the batched side deflates the measured speedup, and a real regression fails
-all three.  Results are appended to ``benchmarks/_reports/kernels_batched.txt``
-and the metrics feed the ``kernels`` suite of ``tools/bench_report.py``.
+all three.  Both are ratios measured in one process, so they need no
+committed baseline.  Results are appended to
+``benchmarks/_reports/kernels_batched.txt``; ``make bench-smoke`` runs this
+file beside ``bench_backend_csr.py``.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_kernels_batched.py -q
 """
@@ -57,7 +59,7 @@ def _report(lines):
 
 
 def measure_kernels_batched(seed: int = BENCH_SEED) -> dict:
-    """Batched-vs-loop metrics for the ``kernels`` suite of bench_report.
+    """Batched-vs-loop speedups and parity flags on the Yahoo surrogate.
 
     Parity is checked bit-for-bit *inside* the measurement (a wrong answer
     poisons the speedup, so it must gate here, not just in the test suite).

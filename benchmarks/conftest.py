@@ -1,9 +1,9 @@
 """Shared infrastructure for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures at the
-``quick`` scale (small surrogates, few queries) so that
+``bench_figures.py`` regenerates each of the paper's tables and figures at
+the ``quick`` scale (small surrogates, few queries) so that
 ``pytest benchmarks/ --benchmark-only`` completes in minutes.  The formatted
-rows of each experiment are appended to ``benchmarks/_reports/<exp>.txt`` so
+rows of each experiment are written to ``benchmarks/_reports/<exp>.txt`` so
 the series the paper plots can be inspected (and pasted into EXPERIMENTS.md)
 after the run.  The ``full`` scale used for the committed EXPERIMENTS.md
 numbers is available through the CLI: ``python -m repro run all --scale full``.

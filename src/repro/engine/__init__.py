@@ -21,9 +21,9 @@ daemons of :mod:`repro.engine.daemons` attach the same physical pages by
 segment name.
 
 The parity contract — identical answers for either executor and any worker
-count — is property-tested in ``tests/test_engine.py`` and the ≥1.5×
-warm-pool batch-throughput claim is asserted by
-``benchmarks/bench_engine_parallel.py``.
+count — is property-tested in ``tests/test_engine.py``; what the warm
+pool is worth is measured by the end-to-end benchmark
+(``benchmarks/e2e/``: ``pattern_daemon`` against ``pattern_serial``).
 
 Graphs mutate under traffic: ``QueryEngine.update`` absorbs a
 :class:`~repro.updates.GraphDelta` by patching the prepared state

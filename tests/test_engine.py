@@ -453,6 +453,18 @@ class TestReportAndConvenience:
         assert warm.kinds == {"reach": len(reach_queries)}
         assert warm.chunks == 0
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_daemon_report_names_its_workers_and_answers_like_serial(
+        self, served_graph, reach_queries, workers
+    ):
+        with QueryEngine(served_graph, cache_size=0) as engine:
+            serial = engine.run_batch(reach_queries, ALPHA)
+            pooled = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=workers)
+        assert pooled.workers == workers
+        assert [_reach_signature(a) for a in pooled.answers] == [
+            _reach_signature(a) for a in serial.answers
+        ]
+
     def test_answer_reachability_matches_query_many(self, served_graph):
         workload = generate_reachability_workload(served_graph, count=25, seed=11)
         engine = QueryEngine(served_graph)

@@ -85,12 +85,16 @@ class TestHistogramPercentiles:
         histogram = Histogram("t")
         for value in samples:
             histogram.observe(float(value))
+        estimates = []
         for q in (0.10, 0.50, 0.90, 0.99, 0.999):
             exact = float(np.quantile(samples, q))
             estimate = histogram.percentile(q)
             assert exact / self.TOLERANCE <= estimate <= exact * self.TOLERANCE, (
                 f"q={q}: histogram {estimate:.6f} vs numpy {exact:.6f}"
             )
+            estimates.append(estimate)
+        # A tail report reads p50 <= p99 <= p999 <= max.
+        assert estimates == sorted(estimates) and estimates[-1] <= histogram.max
 
     def test_extremes_clamp_to_observed_min_max(self):
         rng = np.random.default_rng(11)

@@ -93,6 +93,46 @@ class TestSubmit:
         assert stats.submitted == len(requests)
         assert stats.max_inflight <= 4
 
+    @pytest.mark.parametrize("schedule", ["poisson", "burst"])
+    def test_open_loop_schedule_answers_every_arrival(self, graph, requests, reference, schedule):
+        """Timed arrivals (Poisson gaps, or periodic fronts at the same mean
+        rate) are each answered exactly; their latency tail reads monotone."""
+        import random
+
+        from repro.obs.metrics import Histogram
+
+        rate, duration, front = 200.0, 0.3, 0.1
+        if schedule == "poisson":
+            rng, offsets, clock = random.Random(7), [], 0.0
+            while (clock := clock + rng.expovariate(rate)) < duration:
+                offsets.append(clock)
+        else:
+            per_front = round(rate * front)
+            offsets = [i * front for i in range(round(duration / front)) for _ in range(per_front)]
+        service = GraphService(graph, ServiceConfig(executor="serial", cache_size=0))
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            origin = loop.time()
+
+            async def one(index, offset):
+                await asyncio.sleep(max(0.0, origin + offset - loop.time()))
+                answer = await service.submit(requests[index % len(requests)], alpha=ALPHA)
+                return answer, max(0.0, loop.time() - origin - offset)
+
+            return await asyncio.gather(*(one(i, off) for i, off in enumerate(offsets)))
+
+        with service:
+            results = asyncio.run(main())
+        assert len(results) == len(offsets) > rate * duration / 2
+        expected = [reference[i % len(requests)] for i in range(len(offsets))]
+        assert answers_identical("reach", [answer.value for answer, _ in results], expected)
+        histogram = Histogram(schedule)
+        for _, latency in results:
+            histogram.observe(latency)
+        tail = [histogram.percentile(q) for q in (0.50, 0.99, 0.999)]
+        assert tail == sorted(tail) and tail[-1] <= histogram.max
+
     def test_service_usable_across_event_loops(self, graph, requests):
         service = GraphService(graph, ServiceConfig(cache_size=0))
         for _ in range(2):  # each asyncio.run is a fresh loop

@@ -378,6 +378,41 @@ class TestSubscribeAPI:
                 again = fresh.run_batch([sub.request], sub.alpha).answers[0]
             assert sub.signature() == answer_signature(sub.kind, again)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_confined_churn_affects_at_most_a_fifth(self, seed):
+        """Growth confined to two communities re-evaluates ≤20% of pattern
+        subscriptions spread over all of them, and none goes stale.
+
+        A double-size hub community owns the max degree, so churn never trips
+        the guard; the stream's size drift stays inside one α-budget quantum.
+        """
+        alpha, hub, community, communities = 0.008, 60, 30, 40
+        graph = community_graph(
+            [hub] + [community] * (communities - 1), intra_probability=0.2, inter_edges=0, seed=seed
+        )
+        total = hub + community * (communities - 1)
+        stream = generate_delta_stream(
+            graph,
+            batches=8,
+            ops_per_batch=6,
+            mix="growth",
+            seed=seed,
+            confine_nodes=range(total - 2 * community, total),
+        )
+        with GraphService(graph.copy(), ServiceConfig(alpha=alpha)) as service:
+            for query in generate_pattern_workload(graph, shape=(3, 3), count=48, seed=seed):
+                service.subscribe(PatternRequest(query.pattern, query.personalized_match))
+            affected = evaluations = 0
+            for delta in stream:
+                maintenance = service.update(delta).maintenance
+                affected += maintenance.affected
+                evaluations += maintenance.subscriptions
+            assert affected <= 0.20 * evaluations, f"{affected}/{evaluations} affected"
+            with GraphService(service.graph, ServiceConfig(alpha=alpha)) as fresh:
+                for sub in service.subscriptions():
+                    again = fresh.run_batch([sub.request], sub.alpha).answers[0]
+                    assert sub.signature() == answer_signature(sub.kind, again)
+
 
 class GraphDeltaFactory:
     @staticmethod

@@ -625,6 +625,19 @@ class TestDeltaStream:
         for delta in stream:
             assert engine.update(delta).mode == "patched"
 
+    @pytest.mark.parametrize("mix", ["growth", "uniform"])
+    def test_stream_answers_match_fresh_prepare(self, served_graph, reach_queries, mix):
+        """A whole generated stream, absorbed warm, answers like its final graph."""
+        stream = generate_delta_stream(served_graph, batches=4, ops_per_batch=15, mix=mix, seed=5)
+        engine = QueryEngine(served_graph, cache_size=0)
+        engine.prepare(reach_alphas=[ALPHA])
+        for delta in stream:
+            engine.update(delta)
+        fresh = QueryEngine(stream.final_graph, cache_size=0)
+        assert _reach_signature(engine.answer_batch(reach_queries, ALPHA)) == _reach_signature(
+            fresh.answer_batch(reach_queries, ALPHA)
+        )
+
     def test_node_removals_opt_in(self, served_graph):
         stream = generate_delta_stream(
             served_graph, batches=2, ops_per_batch=30, seed=3, node_removal_rate=0.2
