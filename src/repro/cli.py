@@ -1,8 +1,9 @@
 """Command-line interface: ``repro-bench`` / ``python -m repro``.
 
-Every serving command constructs its engines through the
-:class:`~repro.service.GraphService` façade — one configuration surface
-(:class:`~repro.service.ServiceConfig`), one planner, one set of flags.
+Every serving command answers through a
+:class:`~repro.service.GraphService` — one engine, one configuration
+surface (:class:`~repro.service.ServiceConfig`), one planner, one set of
+flags.
 ``--alpha``/``--executor``/``--workers`` are uniform across ``run``,
 ``batch``, ``update`` and ``shard``: same names, defaults and validation,
 sourced from the shared argparse parent
@@ -25,11 +26,13 @@ Subcommands
     read reachability pairs from a file), let the planner route it, and
     report throughput and cache behaviour, plus accuracy against the exact
     oracle for sampled *reachability* workloads (pattern workloads skip the
-    exact matchers — running them would dwarf the batch being measured).
+    exact matchers — running them would dwarf the batch being measured);
+    ``--compare-serial`` also answers the batch on a cache-free serial
+    service and reports parity plus speedup.
 ``update``
     Replay a generated delta stream through ``GraphService.update``,
     interleaving query batches, and report update throughput (ops/s),
-    per-delta staleness, the planner's patch/rebuild decisions and cache
+    per-delta staleness, the patch/rebuild decisions and cache
     retention; ``--verify`` additionally checks every batch against a
     freshly opened service (the rebuild-equivalence contract).
 ``subscribe``
@@ -149,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument(
         "--compare-serial",
         action="store_true",
-        help="also run the serial path and report parity plus speedup",
+        help="also answer the batch on a cache-free serial service and report "
+        "parity plus speedup",
     )
     batch_parser.add_argument("--output", type=Path, default=None, help="write a JSON report here")
 
@@ -416,11 +420,11 @@ def _command_batch(args) -> int:
                 file=sys.stderr,
             )
         else:
-            engine = service.engine
-            engine.clear_cache()
-            serial_report = engine.run_batch(
-                [request.to_query() for request in requests], alpha, executor="serial"
-            )
+            with GraphService(
+                graph, config.with_overrides(executor="serial", cache_size=0)
+            ) as serial:
+                serial.prepare(**_prepare_kwargs(args.kind, alpha))
+                serial_report = serial.run_batch(requests)
             identical = answers_identical(args.kind, answers, serial_report.answers)
             speedup = (
                 serial_report.wall_seconds / runs[0].wall_seconds

@@ -3,7 +3,7 @@
 Keys are ``(query fingerprint, alpha)`` pairs: the same query under a
 different resource ratio is a different entry, because the paper's
 algorithms trade accuracy for resources and the answer legitimately changes
-with α.  The cache never crosses engines — every :class:`QueryEngine` owns
+with α.  The cache never crosses services — every :class:`GraphService` owns
 one, so answers computed against one prepared graph can never leak into a
 session serving a different graph.
 """

@@ -1,8 +1,8 @@
 """Batch execution: one pure chunk function, run inline or on warm daemons.
 
-Both engines cut a batch into order-preserving chunks (:func:`chunked`) and
-answer each chunk with a pure chunk function (:func:`answer_chunk` here,
-``answer_shard_chunk`` for the sharded engine).  The parity contract rests on
+``GraphService`` and the sharded engine cut a batch into order-preserving
+chunks (:func:`chunked`) and answer each chunk with a pure chunk function
+(:func:`answer_chunk` here, ``answer_shard_chunk`` for the sharded engine).  The parity contract rests on
 that purity: every query is answered independently by a deterministic matcher
 against shared read-only prepared state, so neither the executor nor the
 chunk boundaries (which *do* vary with the worker count) can influence an
@@ -11,7 +11,7 @@ budgets) would silently break the bit-identical guarantee the engine
 promises and tests.  The executor only chooses where chunks run:
 
 * ``serial`` — inline, in order, in the calling thread (the reference path);
-* ``daemon`` — on the engine's warm :class:`~repro.engine.daemons.DaemonPool`,
+* ``daemon`` — on the owner's warm :class:`~repro.engine.daemons.DaemonPool`,
   whose workers keep the shared-memory state attached across batches.
 """
 

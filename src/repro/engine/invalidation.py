@@ -1,6 +1,6 @@
 """The answer-unchanged oracle shared by the LRU cache and standing queries.
 
-``QueryEngine.update`` keeps a cached answer across a delta only when the
+``GraphService.update`` keeps a cached answer across a delta only when the
 repaired state is provably answer-identical for it; the subscription layer
 (``repro.subscribe``) asks the *same* question about every standing query
 to decide which materialised answers need re-evaluation.  Both call

@@ -55,7 +55,7 @@ class UpdateSummary:
     (condensation and indexes repaired in place) or ``"rebuilt"`` (derived
     state dropped, lazily rebuilt from scratch).  The cache-invalidation
     fields say which cached answers provably survived: see
-    ``QueryEngine.update``.
+    ``GraphService.update``.
     """
 
     mode: str
@@ -405,7 +405,7 @@ class PreparedGraph:
         try:
             overlay.apply(delta, applied=record)
         except Exception:
-            self._invalidate_derived()
+            self.invalidate()
             # The applied prefix touched summaries too; a fresh index reads
             # what the overlay has accumulated (touched_neighborhoods()).
             self._neighborhood = None
@@ -440,7 +440,7 @@ class PreparedGraph:
             if may_patch and self._maintainer is not None:
                 patch = self._maintainer.apply(overlay, record)
             if patch is None:
-                self._invalidate_derived()
+                self.invalidate()
                 summary.mode = "rebuilt"
             else:
                 summary.mode = "patched"
@@ -509,8 +509,8 @@ class PreparedGraph:
         self._rbsub = {}
         self._rbreach = {}
 
-    def _invalidate_derived(self) -> None:
-        """Drop every derived structure; all of it rebuilds lazily."""
+    def invalidate(self) -> None:
+        """Drop every derived structure, keeping the substrate; all of it rebuilds lazily."""
         self._compressed = None
         self._indexes = {}
         self._index_build_seconds = {}

@@ -10,6 +10,7 @@ randomised ``hash``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 from repro.exceptions import EngineError
 from repro.graph.digraph import NodeId
@@ -84,3 +85,6 @@ class PatternQuery:
             + ":"
             + pattern_fingerprint(self.pattern, self.personalized_match),
         )
+
+
+EngineQuery = Union[ReachQuery, PatternQuery]

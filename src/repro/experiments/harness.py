@@ -289,9 +289,8 @@ def run_experiment(
     """Run a single experiment by id (e.g. ``"fig8c"`` or ``"table2"``).
 
     ``executor``/``workers`` select the service executor used for the
-    RBSim/RBSub/RBReach batches (``auto``, ``serial``, ``thread`` or
-    ``process``); answers are identical to the serial path for every
-    choice.  ``alpha`` collapses the profile's α sweeps onto one value.
+    RBSim/RBSub/RBReach batches (``auto``, ``serial`` or ``daemon``);
+    answers are identical to the serial path for every choice.  ``alpha`` collapses the profile's α sweeps onto one value.
     """
     registry = _registry(
         _apply_alpha(profile(scale), alpha), seed=seed, executor=executor, workers=workers

@@ -35,7 +35,7 @@ from repro.workloads.queries import ReachabilityWorkload, generate_reachability_
 def _sweep_service(
     graph: DiGraph, executor: str = "serial", workers: Optional[int] = None
 ) -> GraphService:
-    """One service per sweep — the only place experiment engines are built.
+    """One service per sweep — the only place experiment services are built.
 
     The service's condensation also serves the ``BFSOpt`` baseline.
     ``cache_size=0``: every workload pair is unique and the figure timings
@@ -60,9 +60,9 @@ def _evaluate_alpha(
     lm_accuracy: float,
 ) -> ReachabilityRow:
     """Build the index for one α, answer the workload as a batch, aggregate a row."""
-    engine = service.engine
-    index = engine.prepared.reachability_index(alpha)
-    build_time = engine.index_build_seconds(alpha)
+    prepared = service.prepared
+    index = prepared.reachability_index(alpha)
+    build_time = prepared.index_build_seconds(alpha)
 
     report = service.run_batch(
         [ReachRequest(source, target) for source, target in workload.pairs],
@@ -111,7 +111,7 @@ def _baseline_times(
     bfs_answers = bfs.query_many(workload.pairs)
     bfs_time = (time.perf_counter() - started) / max(1, len(workload))
 
-    bfsopt = BFSOptReachability(graph, compressed=service.engine.prepared.compressed())
+    bfsopt = BFSOptReachability(graph, compressed=service.prepared.compressed())
     started = time.perf_counter()
     bfsopt.query_many(workload.pairs)
     bfsopt_time = (time.perf_counter() - started) / max(1, len(workload))

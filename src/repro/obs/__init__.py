@@ -60,19 +60,19 @@ CATALOG = {
     "service.admission.wait.seconds": ("histogram", "seconds", "repro.service.aio"),
     "service.inflight": ("gauge", "requests", "repro.service.aio"),
     "service.flush.size": ("histogram", "requests", "repro.service.aio"),
-    # query engine (repro/engine/engine.py)
-    "engine.batches": ("counter", "batches", "repro.engine.engine"),
-    "engine.batch.size": ("histogram", "queries", "repro.engine.engine"),
-    "engine.batch.seconds": ("histogram", "seconds", "repro.engine.engine"),
-    "engine.cache.hits": ("counter", "queries", "repro.engine.engine"),
-    "engine.cache.misses": ("counter", "queries", "repro.engine.engine"),
-    "engine.cache.evictions": ("counter", "entries", "repro.engine.engine"),
-    "engine.batch.deduplicated": ("counter", "queries", "repro.engine.engine"),
-    # shared invalidation oracle (repro/engine/cache.py + engine.py)
+    # batch loop (repro/service/service.py)
+    "engine.batches": ("counter", "batches", "repro.service.service"),
+    "engine.batch.size": ("histogram", "queries", "repro.service.service"),
+    "engine.batch.seconds": ("histogram", "seconds", "repro.service.service"),
+    "engine.cache.hits": ("counter", "queries", "repro.service.service"),
+    "engine.cache.misses": ("counter", "queries", "repro.service.service"),
+    "engine.cache.evictions": ("counter", "entries", "repro.service.service"),
+    "engine.batch.deduplicated": ("counter", "queries", "repro.service.service"),
+    # shared invalidation oracle (repro/engine/cache.py + service/service.py)
     "cache.invalidated": ("counter", "entries", "repro.engine.cache"),
-    "cache.retained": ("counter", "entries", "repro.engine.engine"),
-    "engine.executor.serial": ("counter", "batches", "repro.engine.engine"),
-    "engine.executor.daemon": ("counter", "batches", "repro.engine.engine"),
+    "cache.retained": ("counter", "entries", "repro.service.service"),
+    "engine.executor.serial": ("counter", "batches", "repro.service.service"),
+    "engine.executor.daemon": ("counter", "batches", "repro.service.service"),
     # daemon pool, parent side (repro/engine/daemons.py)
     "daemon.restarts": ("counter", "workers", "repro.engine.daemons"),
     "daemon.retries": ("counter", "chunks", "repro.engine.daemons"),
@@ -129,8 +129,8 @@ SPANS = {
     "service.update": "repro.service.service",
     "planner": "repro.service.service",
     "subscription.maintain": "repro.service.service",
-    "engine.batch": "repro.engine.engine",
-    "executor.chunk": "repro.engine.engine",
+    "engine.batch": "repro.service.service",
+    "executor.chunk": "repro.engine.executors",
     "daemon.worker": "repro.engine.daemons",
     "shard.batch": "repro.shard.engine",
     # RBIndex stages, as children only: a rebuild under service.update, a

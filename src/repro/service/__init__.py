@@ -1,8 +1,8 @@
-"""The serving façade: one typed ``GraphService`` in front of every backend.
+"""The serving engine: one typed ``GraphService`` in front of every backend.
 
-This package is the single public entry point to the serving stack the
-previous PRs built (:mod:`repro.engine`, :mod:`repro.shard`,
-:mod:`repro.updates`):
+This package is the single public entry point to the serving stack, built
+from the parts in :mod:`repro.engine`, :mod:`repro.shard` and
+:mod:`repro.updates`:
 
 * :mod:`repro.service.config` — :class:`ServiceConfig`, every tunable in
   one frozen dataclass, plus the shared CLI flag parent;
@@ -10,11 +10,12 @@ previous PRs built (:mod:`repro.engine`, :mod:`repro.shard`,
   (:class:`ReachRequest`, :class:`PatternRequest`, :class:`ServiceAnswer`,
   :class:`ServiceStats`);
 * :mod:`repro.service.planner` — the pure auto-planner routing each batch
-  to the serial path, the parallel engine, or the lazily-built sharded
-  engine (and each delta to patch vs rebuild), every decision bit-identical
-  to serial evaluation under the default policy;
+  to the serial path, the daemon pool, or the lazily-built sharded
+  engine, every decision bit-identical to serial evaluation under the
+  default policy;
 * :mod:`repro.service.service` — :class:`GraphService` itself
-  (``open → prepare → query/stream → update → close``);
+  (``open → prepare → query/stream → update → close``): prepared state,
+  answer cache, daemon pool and the batch and update loops;
 * :mod:`repro.service.aio` — the asyncio front-end (``await submit``,
   ``async for`` streaming, ``subscription_stream`` delta push) with bounded
   in-flight admission control;
@@ -63,6 +64,7 @@ from repro.service.service import (
     GraphService,
     ServiceBatchReport,
     ServiceUpdateReport,
+    UpdateReport,
 )
 from repro.subscribe import AnswerDelta, MaintenanceReport, Subscription, replay
 
@@ -91,6 +93,7 @@ __all__ = [
     "ServiceStats",
     "ServiceUpdateReport",
     "Subscription",
+    "UpdateReport",
     "as_request",
     "config_from_args",
     "replay",

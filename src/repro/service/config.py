@@ -54,23 +54,19 @@ class ServiceConfig:
         their own override.
     executor / workers:
         ``auto`` lets the planner choose the executor per batch from the
-        batch size and the schedulable core count; naming an executor
-        (``serial`` / ``daemon``) forces it for every batch.
+        batch size, the graph size and the schedulable core count; naming
+        an executor (``serial`` / ``daemon``) forces it for every batch.
+        ``workers`` sizes the daemon pool (default: every schedulable core).
     num_shards / shard_method / halo_depth / shard_policy:
         ``num_shards > 1`` serves through a lazily-built
         :class:`~repro.shard.ShardedEngine` under ``shard_policy``
         (:data:`CONTAIN` keeps bit-parity, :data:`SCATTER` is the full
         scatter–gather routing of PR 4).
     cache_size / seed:
-        Forwarded to the underlying engines (LRU answer-cache capacity,
-        partitioner seed).
-    small_graph_size / parallel_threshold:
-        Planner thresholds: graphs below ``small_graph_size`` nodes and
-        batches below ``parallel_threshold`` queries always answer on the
-        serial path (pool startup would dominate).
+        LRU answer-cache capacity (0 disables caching) and partitioner seed.
     patch_threshold / compact_threshold:
         Update budget policy: deltas above ``patch_threshold·|G|`` ops (or
-        with node removals) are planned as rebuilds; ``compact_threshold``
+        with node removals) rebuild the prepared state lazily; ``compact_threshold``
         is the overlay-churn fraction that triggers CSR compaction.
     max_inflight / client_alpha_budget / stream_chunk_size:
         Async admission control: at most ``max_inflight`` queries admitted
@@ -79,13 +75,9 @@ class ServiceConfig:
         queries stays within ``client_alpha_budget``; ``stream`` dispatches
         in chunks of ``stream_chunk_size`` so answers flow back as chunks
         complete.
-    max_subscriptions / maintenance_batch_size:
+    max_subscriptions:
         Standing queries (:mod:`repro.subscribe`): ``subscribe`` rejects
-        registrations beyond ``max_subscriptions``; the per-update
-        maintenance pass re-evaluates affected subscriptions in engine
-        batches of at most ``maintenance_batch_size`` (the re-evaluation
-        budget — it bounds how long one update call monopolises the engine
-        per batch, not how many subscriptions get maintained).
+        registrations beyond ``max_subscriptions``.
     """
 
     alpha: float = 0.02
@@ -97,15 +89,12 @@ class ServiceConfig:
     shard_policy: str = CONTAIN
     cache_size: int = 4096
     seed: int = 0
-    small_graph_size: int = 512
-    parallel_threshold: int = 256
     patch_threshold: float = DEFAULT_PATCH_THRESHOLD
     compact_threshold: float = DEFAULT_COMPACT_THRESHOLD
     max_inflight: int = 32
     client_alpha_budget: float = 1.0
     stream_chunk_size: int = 16
     max_subscriptions: int = 1024
-    maintenance_batch_size: int = 512
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
@@ -145,10 +134,6 @@ class ServiceConfig:
         if self.max_subscriptions < 0:
             raise ServiceError(
                 f"max_subscriptions must be >= 0, got {self.max_subscriptions}"
-            )
-        if self.maintenance_batch_size < 1:
-            raise ServiceError(
-                f"maintenance_batch_size must be >= 1, got {self.maintenance_batch_size}"
             )
 
     def with_overrides(self, **overrides) -> "ServiceConfig":

@@ -1,11 +1,10 @@
 """The auto-planner: route each batch to the right backend.
 
-The façade serves three execution paths that previous PRs exposed as
-separate entry points:
+:class:`~repro.service.GraphService` serves three execution paths:
 
 * the **serial** single-graph path (the reference semantics);
-* the **parallel** :class:`~repro.engine.QueryEngine` route over the warm
-  daemon pool (bit-identical to serial by the PR 2 parity contract);
+* the **parallel** single-graph path over the service's warm daemon pool
+  (bit-identical to serial by the executor-parity contract);
 * the **sharded** :class:`~repro.shard.ShardedEngine` (PR 4), used under
   the containment rule that keeps bit-parity.
 
@@ -15,10 +14,10 @@ hidden state, so routing is deterministic, unit-testable without building
 engines, and every decision carries a human-readable ``reason``.
 
 **Contract** (property-tested in ``tests/test_service.py``): whatever the
-plan, answers are bit-identical to the serial engine.  Serial/parallel
-inherit the PR 2 executor-parity contract; the sharded route is only taken
-for shard-contained queries (the PR 4 parity rule) — spillover answers on
-the single-graph engine instead of scatter–gather, unless the config
+plan, answers are bit-identical to the serial path.  Serial/parallel
+inherit the executor-parity contract; the sharded route is only taken
+for shard-contained queries (the containment parity rule) — spillover answers on
+the single graph instead of scatter–gather, unless the config
 explicitly opts into :data:`~repro.service.config.SCATTER`.
 """
 
@@ -47,6 +46,14 @@ cores: below it, pipe transit and pickling eat the win (the engine
 benchmark measures the daemon pool *losing* to serial on 1–2 core runners),
 and the planner's contract is to never be slower than the naive serial
 default."""
+
+SMALL_GRAPH_SIZE = 512
+"""Auto mode answers graphs below this many nodes serially: per-query work
+is too cheap to ship to a worker."""
+
+PARALLEL_THRESHOLD = 256
+"""Auto mode answers batches below this many queries serially: pool
+startup would dominate."""
 
 @dataclass(frozen=True)
 class Plan:
@@ -79,9 +86,9 @@ class Planner:
 
         A configured executor always wins.  Under ``auto`` the pool is worth
         its startup only when the batch is big enough to amortise it and the
-        graph is big enough that per-query work dominates dispatch — both
-        thresholds live on the config — and only when more than one core is
-        schedulable.
+        graph is big enough that per-query work dominates dispatch
+        (:data:`PARALLEL_THRESHOLD`, :data:`SMALL_GRAPH_SIZE`), and only with
+        at least :data:`MIN_PARALLEL_CORES` schedulable cores.
         """
         config = self.config
         if config.executor != AUTO:
@@ -98,19 +105,19 @@ class Planner:
                 f"auto: {cores} schedulable core(s) < {MIN_PARALLEL_CORES}, "
                 "pool startup would not pay for itself",
             )
-        if graph_size < config.small_graph_size:
+        if graph_size < SMALL_GRAPH_SIZE:
             return (
                 SERIAL,
                 None,
                 f"auto: graph size {graph_size} < small_graph_size "
-                f"{config.small_graph_size}, per-query work too cheap to ship",
+                f"{SMALL_GRAPH_SIZE}, per-query work too cheap to ship",
             )
-        if num_queries < config.parallel_threshold:
+        if num_queries < PARALLEL_THRESHOLD:
             return (
                 SERIAL,
                 None,
                 f"auto: batch of {num_queries} < parallel_threshold "
-                f"{config.parallel_threshold}, pool startup would dominate",
+                f"{PARALLEL_THRESHOLD}, pool startup would dominate",
             )
         workers = config.workers or cores
         return (

@@ -29,7 +29,7 @@ class ReachRequest(ReachQuery):
     """"Does ``source`` reach ``target``?" under a resource bound.
 
     A :class:`~repro.engine.ReachQuery` plus service metadata, so the
-    façade hands batches straight to the engines with **zero per-query
+    service hands batches straight to its batch loop with **zero per-query
     copying** on the hot path.  ``alpha=None`` means "use the service
     default"; ``client`` is the async admission-accounting unit (per-client
     α budget).  Neither field enters the query fingerprint: two clients
@@ -127,7 +127,7 @@ class ServiceStats:
     plans: Dict[str, int] = field(default_factory=dict)
     #: per-kind query counts (reach / simulation / subgraph).
     kinds: Dict[str, int] = field(default_factory=dict)
-    #: queries answered shard-locally vs spilled to the single-graph engine
+    #: queries answered shard-locally vs spilled to the service's own graph
     #: (contain policy) or scatter–gathered (scatter policy).
     shard_contained: int = 0
     shard_spilled: int = 0

@@ -1,22 +1,31 @@
-"""``GraphService`` — the one façade over every serving path in the repo.
+"""``GraphService`` — the one serving engine of the repo.
 
-The paper's serving story grew over four PRs into four divergent entry
-points (raw matchers, the batched :class:`~repro.engine.QueryEngine`, the
-:class:`~repro.shard.ShardedEngine`, ``PreparedGraph.apply_delta``), each
-with its own construction ritual.  ``GraphService`` owns the full lifecycle
-behind one typed API::
+The paper's serving story ("queries arrive by the thousands", Section 1)
+separates one-time preparation from cheap per-query answering.
+``GraphService`` owns that whole lifecycle behind one typed API::
 
     with GraphService.open("youtube-small", ServiceConfig(alpha=0.02)) as service:
         report = service.run_batch([ReachRequest(4, 17), ReachRequest(3, 99)])
         service.update(delta)          # patch or rebuild; live shards re-prepare
         answer = await service.submit(ReachRequest(5, 23))   # async front-end
 
+The service freezes its graph once, on construction, into the shared
+prepared state (:class:`~repro.engine.prepared.PreparedGraph`: CSR
+substrate, SCC condensation, per-α landmark index, neighbourhood
+summaries).  A batch is cut into ``(kind, alpha, chunk)`` tasks answered
+inline (``serial``) or on the service's warm daemon pool (``daemon``); an
+LRU cache keyed on ``(query fingerprint, α)`` short-circuits repeats, and a
+repeat *inside* one batch — which the LRU cannot serve, nothing is stored
+before the batch ran — shares the first copy's evaluation.
+
 Routing is the :class:`~repro.service.planner.Planner`'s job: each batch
-goes to the serial path, the parallel engine, or the lazily-built sharded
+goes to the serial path, the daemon pool, or the lazily-built sharded
 engine, and every decision keeps the **parity contract** — answers
-bit-identical to the serial engine (under the default ``contain`` shard
-policy; the explicit ``scatter`` policy opts into PR 4's scatter–gather
-semantics instead: never a false positive, parity only when contained).
+bit-identical to the serial path with the cache off (under the default
+``contain`` shard policy; the explicit ``scatter`` policy opts into full
+scatter–gather semantics instead: never a false positive, parity only when
+contained).  Caching only ever returns an answer the same service computed,
+earlier or in this very batch, for the same ``(fingerprint, α)`` key.
 
 Thread-safety: one internal lock serialises all engine work, so the sync
 API and the async front-end (which funnels work through a single worker
@@ -32,8 +41,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.engine import BatchReport, QueryEngine, UpdateReport
-from repro.engine.queries import REACH
+from repro.engine.cache import AnswerCache, CacheKey
+from repro.engine.daemons import DaemonPool
+from repro.engine.executors import Task, answer_chunk, chunked
+from repro.engine.invalidation import anchor_of, partition_entries
+from repro.engine.prepared import PreparedGraph, UpdateSummary
+from repro.engine.queries import REACH, SIMULATION, SUBGRAPH
 from repro.exceptions import ServiceError
 from repro.graph.protocol import GraphLike
 from repro.service.config import SCATTER, ServiceConfig
@@ -50,15 +63,23 @@ from repro.shard.engine import ShardBatchReport, ShardedEngine
 from repro.subscribe import DeltaSink, MaintenanceReport, Subscription, SubscriptionManager
 from repro.updates.delta import GraphDelta
 
+MAINTENANCE_BATCH_SIZE = 512
+"""Standing queries re-evaluate in batches of at most this many per α: it
+bounds how long one ``update`` monopolises the service per batch, not how
+many subscriptions get maintained."""
+
 
 @dataclass
 class ServiceBatchReport:
-    """Answers plus routing telemetry of one façade batch.
+    """Answers plus routing telemetry of one batch.
 
-    ``answers`` are the raw engine-level answer objects in request order
-    (bit-identical to ``QueryEngine.run_batch(...).answers`` under the
+    ``answers`` are the raw answer objects in request order
+    (``ReachabilityAnswer`` for reachability, ``PatternAnswer`` for
+    patterns; bit-identical to a cache-free serial service's under the
     parity contract); :meth:`detailed` wraps them into
     :class:`ServiceAnswer` envelopes when the caller wants provenance.
+    Treat them as **read-only**: cache hits, and repeats of a query within
+    the batch, hand back the stored object itself.
     """
 
     answers: List[Any]
@@ -72,8 +93,9 @@ class ServiceBatchReport:
     alphas: Optional[List[float]] = None
     cache_hits: int = 0
     cache_misses: int = 0
-    #: misses answered by an earlier identical miss of the same engine batch
-    #: (``BatchReport.deduplicated``, summed over the α groups).
+    #: cache misses that repeated an earlier miss of the same α group and
+    #: took its answer instead of an evaluation of their own (counted in
+    #: ``cache_misses`` too; always 0 without a cache).
     deduplicated: int = 0
     chunks: int = 0
     kinds: Dict[str, int] = field(default_factory=dict)
@@ -157,8 +179,22 @@ class ServiceBatchReport:
 
 
 @dataclass
+class UpdateReport:
+    """What one delta did to the prepared state and the answer cache."""
+
+    summary: UpdateSummary
+    cache_evicted: int = 0
+    cache_retained: int = 0
+
+    @property
+    def mode(self) -> str:
+        """``noop`` / ``fresh`` / ``patched`` / ``rebuilt`` (see ``UpdateSummary``)."""
+        return self.summary.mode
+
+
+@dataclass
 class ServiceUpdateReport:
-    """Telemetry of one façade ``update`` call."""
+    """Telemetry of one ``update`` call."""
 
     engine_report: UpdateReport
     wall_seconds: float
@@ -168,12 +204,12 @@ class ServiceUpdateReport:
 
     @property
     def mode(self) -> str:
-        """What the single-graph engine did (``patched`` / ``rebuilt`` / ...)."""
+        """What the prepared state did (``patched`` / ``rebuilt`` / ...)."""
         return self.engine_report.mode
 
     @property
     def ops_per_second(self) -> float:
-        """Delta operations absorbed per second of façade wall time."""
+        """Delta operations absorbed per second of ``update`` wall time."""
         if self.wall_seconds <= 0:
             return 0.0
         return self.engine_report.summary.delta_ops / self.wall_seconds
@@ -193,7 +229,9 @@ class GraphService:
     Parameters
     ----------
     graph:
-        The data graph to serve (``DiGraph`` or ``CSRGraph``).
+        The data graph to serve (``DiGraph``, ``CSRGraph`` or
+        ``MutableOverlay``); anything but a ``CSRGraph`` is frozen into one
+        here, order preserved.
     config:
         A :class:`ServiceConfig`; keyword ``overrides`` are applied on top
         (``GraphService(graph, workers=4)`` works without building a config
@@ -212,9 +250,18 @@ class GraphService:
         if overrides:
             config = config.with_overrides(**overrides)
         self._config = config
-        self._source = graph
         self._planner = Planner(config)
-        self._engine: Optional[QueryEngine] = None
+        self._prepared = PreparedGraph(graph)
+        self._cache = AnswerCache(config.cache_size)
+        # Invalidation anchors: cache key → what part of the graph the query
+        # touches, so updates can evict surgically (see :meth:`_apply`).
+        self._anchors: Dict[CacheKey, Tuple[Any, ...]] = {}
+        self._pattern_guard_max_degree: Optional[int] = None
+        # Warm daemon pool (created by the first daemon batch) and the update
+        # epoch that, with the prepared-state signature, versions the state
+        # the daemons hold so republish happens exactly when needed.
+        self._daemon_pool: Optional[DaemonPool] = None
+        self._state_epoch = 0
         self._sharded: Optional[ShardedEngine] = None
         self._stats = ServiceStats()
         self._subscriptions = SubscriptionManager()
@@ -255,10 +302,10 @@ class GraphService:
         """Eagerly build prepared state (first-batch latency moves here).
 
         With no arguments, prepares the reachability index for the config's
-        default α.  Prepares the engines the planner routes batches to: the
+        default α.  Prepares what the planner routes batches to: the
         sharded engine when ``num_shards > 1`` or under the ``scatter``
-        policy (which sends every batch there, at any ``k``), the single
-        engine unless ``scatter`` — there it is built as the update
+        policy (which sends every batch there, at any ``k``), the service's
+        own prepared state unless ``scatter`` — there it is the update
         substrate only.  Optional — everything also prepares lazily on first
         use.
         """
@@ -266,21 +313,25 @@ class GraphService:
             self._check_open()
             if not (reach_alphas or pattern_alphas or subgraph_alphas):
                 reach_alphas = [self._config.alpha]
-            alphas = dict(
-                reach_alphas=reach_alphas,
-                pattern_alphas=pattern_alphas,
-                subgraph_alphas=subgraph_alphas,
-            )
             scatter = self._config.shard_policy == SCATTER
-            engine = self._ensure_engine()
             if not scatter:
-                engine.prepare(**alphas)
+                for kind, alphas in (
+                    (REACH, reach_alphas),
+                    (SIMULATION, pattern_alphas),
+                    (SUBGRAPH, subgraph_alphas),
+                ):
+                    for alpha in alphas:
+                        self._prepared.prepare(kind, alpha)
             if scatter or self._config.num_shards > 1:
-                self._ensure_sharded().prepare(**alphas)
+                self._ensure_sharded().prepare(
+                    reach_alphas=reach_alphas,
+                    pattern_alphas=pattern_alphas,
+                    subgraph_alphas=subgraph_alphas,
+                )
         return self
 
     def close(self) -> None:
-        """End the session: stop the async front-end, daemons, engine state.
+        """End the session: stop the async front-end, the daemons and the shards.
 
         Idempotent; any call after ``close`` raises :class:`ServiceError`.
         """
@@ -291,12 +342,15 @@ class GraphService:
             if self._frontend is not None:
                 self._frontend.close()
                 self._frontend = None
-            if self._engine is not None:
-                self._engine.close()  # warm daemons + their shared segments
+            if self._daemon_pool is not None:
+                self._daemon_pool.close()  # warm daemons + their shared segments
+                self._daemon_pool = None
             if self._sharded is not None:
                 self._sharded.close()
-            self._engine = None
-            self._sharded = None
+                self._sharded = None
+            # Keep only the served graph, which ``graph`` still returns.
+            self._flush_cache()
+            self._prepared.invalidate()
 
     def __enter__(self) -> "GraphService":
         return self
@@ -324,28 +378,19 @@ class GraphService:
         return self._planner
 
     @property
-    def graph(self) -> GraphLike:
-        """The graph currently served (post-update substrate once built)."""
-        if self._engine is not None:
-            return self._engine.prepared.graph
-        return self._source
+    def prepared(self) -> PreparedGraph:
+        """The prepared state batches answer on (read-only by convention)."""
+        return self._prepared
 
     @property
-    def engine(self) -> QueryEngine:
-        """The underlying single-graph engine (built on first access).
-
-        Exposed for call sites that need engine internals (index
-        introspection, raw batch reports); answering through the service
-        API keeps the planner and the stats in the loop.
-        """
-        with self._lock:
-            self._check_open()
-            return self._ensure_engine()
+    def graph(self) -> GraphLike:
+        """The graph the service serves (the post-update substrate), also after ``close``."""
+        return self._prepared.graph
 
     @property
     def backend(self) -> str:
-        """Serving substrate class name (``CSRGraph`` or ``DiGraph``)."""
-        return self.engine.backend
+        """Serving substrate class name (``CSRGraph``; ``MutableOverlay`` after an update)."""
+        return self._prepared.backend
 
     def stats(self) -> ServiceStats:
         """An immutable snapshot of the cumulative serving counters."""
@@ -411,21 +456,16 @@ class GraphService:
             return self._ensure_sharded().describe()
 
     # ------------------------------------------------------------------ #
-    # Engine construction (the only place engines are assembled)
+    # Sharded engine (the one place it is assembled)
     # ------------------------------------------------------------------ #
-    def _ensure_engine(self) -> QueryEngine:
-        if self._engine is None:
-            self._engine = QueryEngine(self._source, cache_size=self._config.cache_size)
-        return self._engine
-
     def _ensure_sharded(self) -> ShardedEngine:
         if self._sharded is None:
             # Built from the *currently served* graph, so a service that
             # absorbed deltas before its first sharded batch partitions the
             # updated graph, not the stale construction-time source; and
-            # from the single engine's freeze, so the source is frozen once.
+            # from the service's own freeze, so the source is frozen once.
             self._sharded = ShardedEngine(
-                self._ensure_engine().prepared.graph,
+                self.graph,
                 num_shards=self._config.num_shards,
                 method=self._config.shard_method,
                 seed=self._config.seed,
@@ -450,6 +490,8 @@ class GraphService:
         answered per α (order of the returned answers is request order
         regardless).  Accepts :class:`ReachRequest`/:class:`PatternRequest`
         objects, engine-level queries, or bare ``(source, target)`` pairs.
+        Mixed-kind batches are allowed; each kind is dispatched to its own
+        matcher.
         """
         with self._lock:
             self._check_open()
@@ -469,29 +511,25 @@ class GraphService:
             plan = self._planner.plan_batch(len(items), self.graph.size())
 
         started = time.perf_counter()
+        # Batch composition over *all* requests (cache hits included), so the
+        # telemetry describes the batch even when it was fully warm.
+        kinds: Dict[str, int] = {}
+        for item in items:
+            kinds[item.kind] = kinds.get(item.kind, 0) + 1
+        report = ServiceBatchReport(
+            answers=[], requests=items, alpha=batch_alpha, plan=plan, wall_seconds=0.0, kinds=kinds
+        )
         if plan.backend != SHARDED and not any(item.alpha is not None for item in items):
             # Fast path (the overwhelmingly common shape: one α, no shards):
             # requests *are* engine queries, so the batch goes straight
-            # through and the engine's report is adopted wholesale — the
-            # façade adds no per-query work on top of the engine's own.
-            engine_report = self._engine_batch(items, batch_alpha, plan)
-            report = ServiceBatchReport(
-                answers=engine_report.answers,
-                requests=items,
-                alpha=batch_alpha,
-                plan=plan,
-                wall_seconds=time.perf_counter() - started,
-                cache_hits=engine_report.cache_hits,
-                cache_misses=engine_report.cache_misses,
-                deduplicated=engine_report.deduplicated,
-                chunks=engine_report.chunks,
-                kinds=engine_report.kinds,
-            )
+            # through the batch loop with no per-request work on top.
+            report.answers = self._answer(items, batch_alpha, plan, report)
         else:
-            report = self._run_batch_grouped(items, batch_alpha, plan, started)
+            self._run_batch_grouped(items, batch_alpha, plan, report)
+        report.wall_seconds = time.perf_counter() - started
 
         self._stats.record_plan(plan.backend, len(items))
-        for kind, count in report.kinds.items():
+        for kind, count in kinds.items():
             self._stats.kinds[kind] = self._stats.kinds.get(kind, 0) + count
         self._stats.cache_hits += report.cache_hits
         self._stats.cache_misses += report.cache_misses
@@ -511,51 +549,26 @@ class GraphService:
         items: List[ServiceRequest],
         batch_alpha: float,
         plan: Plan,
-        started: float,
-    ) -> ServiceBatchReport:
+        report: ServiceBatchReport,
+    ) -> None:
         """The general path: per-request α overrides and/or shard routing."""
         effective = [
             item.alpha if item.alpha is not None else batch_alpha for item in items
         ]
-        answers: List[Any] = [None] * len(items)
-        report = ServiceBatchReport(
-            answers=answers,
-            requests=items,
-            alpha=batch_alpha,
-            alphas=effective,
-            plan=plan,
-            wall_seconds=0.0,
-        )
+        report.alphas = effective
+        report.answers = [None] * len(items)
         groups: Dict[float, List[int]] = {}
         for position, value in enumerate(effective):
             groups.setdefault(value, []).append(position)
         for group_alpha in sorted(groups):
             positions = groups[group_alpha]
             queries = [items[position] for position in positions]
-            for query in queries:
-                report.kinds[query.kind] = report.kinds.get(query.kind, 0) + 1
             if plan.backend == SHARDED:
                 self._route_sharded(queries, positions, group_alpha, plan, report)
             else:
-                engine_report = self._engine_batch(queries, group_alpha, plan)
-                for position, answer in zip(positions, engine_report.answers):
-                    answers[position] = answer
-                self._absorb_engine_report(engine_report, report)
-        report.wall_seconds = time.perf_counter() - started
-        return report
-
-    def _engine_batch(self, queries, alpha: float, plan: Plan) -> BatchReport:
-        # plan.executor is always concrete: the planner resolves AUTO.
-        return self._ensure_engine().run_batch(
-            queries, alpha, executor=plan.executor, workers=plan.workers
-        )
-
-    @staticmethod
-    def _absorb_engine_report(engine_report: BatchReport, report: ServiceBatchReport) -> None:
-        report.cache_hits += engine_report.cache_hits
-        report.cache_misses += engine_report.cache_misses
-        report.deduplicated += engine_report.deduplicated
-        report.chunks += engine_report.chunks
+                answers = self._answer(queries, group_alpha, plan, report)
+                for position, answer in zip(positions, answers):
+                    report.answers[position] = answer
 
     def _route_sharded(
         self,
@@ -565,12 +578,12 @@ class GraphService:
         plan: Plan,
         report: ServiceBatchReport,
     ) -> None:
-        """Split one α group between the shard engines and the single engine.
+        """Split one α group between the shard engines and the service's own graph.
 
-        Under the default ``contain`` policy only queries PR 4 answers
-        bit-identically go to the shards: pattern queries whose ``d_Q``-ball
+        Under the default ``contain`` policy only queries the sharded engine
+        answers bit-identically go to the shards: pattern queries whose ``d_Q``-ball
         is contained in the home shard's core.  Reachability always answers
-        on the single-graph engine there (per-shard budget shares change the
+        on the single graph there (per-shard budget shares change the
         answer telemetry, which would break bit-parity).  The ``scatter``
         policy routes everything through the sharded engine instead.
         """
@@ -609,13 +622,152 @@ class GraphService:
                 report.answers[positions[index]] = answer
             report.shard_routed += len(to_shard)
         if to_single:
-            engine_report = self._engine_batch(
-                [queries[index] for index in to_single], alpha, plan
-            )
-            for index, answer in zip(to_single, engine_report.answers):
+            answers = self._answer([queries[index] for index in to_single], alpha, plan, report)
+            for index, answer in zip(to_single, answers):
                 report.answers[positions[index]] = answer
-            self._absorb_engine_report(engine_report, report)
             report.shard_single += len(to_single)
+
+    def _answer(
+        self, queries: Sequence[Any], alpha: float, plan: Plan, report: ServiceBatchReport
+    ) -> List[Any]:
+        """The batch loop: answer one α group in input order.
+
+        Probes the cache, lets a repeated miss follow its first copy (single
+        flight), cuts the remaining misses into ``(kind, alpha, chunk)``
+        tasks, runs them inline or on the daemon pool, and caches each answer
+        with its invalidation anchor.  Adds its hits, misses, followers and
+        chunks to ``report``.
+        """
+        if not 0 < alpha <= 1:
+            raise ServiceError(f"alpha must be in (0, 1], got {alpha}")
+        # plan.executor is always concrete: the planner resolves AUTO.
+        executor = plan.executor
+        # The pool fixes the worker count that sizes the chunks (a live pool
+        # keeps the count of its first batch); its processes only start when
+        # a batch actually dispatches.
+        pool = None
+        if executor == "daemon":
+            if self._daemon_pool is None or self._daemon_pool.closed:
+                self._daemon_pool = DaemonPool(plan.workers)
+            pool = self._daemon_pool
+        run_workers = pool.workers if pool is not None else 1
+        caching = self._cache.capacity > 0
+
+        started = time.perf_counter()
+
+        answers: List[Any] = [None] * len(queries)
+        # (position, query, fingerprint) — the fingerprint is hashed at most
+        # once per query and not at all when caching is off: on cheap query
+        # mixes the sha1 is a measurable share of per-query cost, and the
+        # experiment drivers run cache-free so figure timings stay raw.
+        pending: List[Tuple[int, Any, Optional[str]]] = []
+        # Single flight: the first miss of a fingerprint leads, a repeat later
+        # in the same batch follows it — (follower, leader) positions — and
+        # takes the leader's answer object once its chunk is back.  The LRU
+        # cannot serve such a repeat: nothing is put before the batch ran.
+        leaders: Dict[str, int] = {}
+        followers: List[Tuple[int, int]] = []
+        hits = 0
+        if caching:
+            for position, query in enumerate(queries):
+                fingerprint = query.fingerprint()
+                hit, answer = self._cache.get(fingerprint, alpha)
+                if hit:
+                    answers[position] = answer
+                    hits += 1
+                elif fingerprint in leaders:
+                    followers.append((position, leaders[fingerprint]))
+                else:
+                    leaders[fingerprint] = position
+                    pending.append((position, query, fingerprint))
+        else:
+            pending = [(position, query, None) for position, query in enumerate(queries)]
+        probe_seconds = time.perf_counter() - started
+
+        # One-time preparation happens *outside* the timed window — the
+        # ``engine.batch.seconds`` wall measures answering (probe + dispatch),
+        # so it does not depend on whether this batch happened to be the one
+        # that built an index — and only for kinds that actually dispatch.
+        for kind in sorted({query.kind for _, query, _ in pending}):
+            self._prepared.prepare(kind, alpha)
+
+        started = time.perf_counter()
+        tasks: List[Task] = []
+        task_positions: List[Sequence[int]] = []
+        task_fingerprints: List[Sequence[Optional[str]]] = []
+        by_kind: Dict[str, List[Tuple[int, Any, Optional[str]]]] = {}
+        for item in pending:
+            by_kind.setdefault(item[1].kind, []).append(item)
+        kind_order = sorted(by_kind)
+        groups = chunked([by_kind[kind] for kind in kind_order], run_workers)
+        for kind, chunks in zip(kind_order, groups):
+            for chunk in chunks:
+                tasks.append((kind, alpha, [query for _, query, _ in chunk]))
+                task_positions.append([position for position, _, _ in chunk])
+                task_fingerprints.append([fingerprint for _, _, fingerprint in chunk])
+
+        with obs.span("engine.batch", executor=executor, chunks=len(tasks)):
+            batch_trace = obs.context.trace_id()
+            if pool is None:
+                chunk_results = [answer_chunk(self._prepared, task) for task in tasks]
+            else:
+                # The version is taken *after* the prepare loop, so a new α
+                # index (or an absorbed update, via the epoch) triggers a
+                # republish to the daemons, which otherwise keep serving
+                # their attached state.
+                chunk_results = pool.run(
+                    self._prepared,
+                    tasks,
+                    version=(self._state_epoch, self._prepared.state_signature()),
+                )
+
+        evictions = 0
+        for positions, fingerprints, results in zip(
+            task_positions, task_fingerprints, chunk_results
+        ):
+            if len(results) != len(positions):  # pragma: no cover - defensive
+                raise ServiceError("executor returned a malformed chunk result")
+            for position, fingerprint, answer in zip(positions, fingerprints, results):
+                answers[position] = answer
+                if caching:
+                    for stale in self._cache.put(fingerprint, alpha, answer):
+                        self._anchors.pop(stale, None)
+                        evictions += 1
+                    anchor = anchor_of(queries[position])
+                    self._anchors[(fingerprint, alpha)] = anchor
+                    if anchor[0] != REACH and self._pattern_guard_max_degree is None:
+                        # Pattern retention across updates needs the visit
+                        # coefficient (max degree) the answer was computed
+                        # under; snapshot it with the first cached pattern.
+                        self._pattern_guard_max_degree = self._prepared.max_degree()
+        for position, leader in followers:
+            answers[position] = answers[leader]
+
+        wall = probe_seconds + (time.perf_counter() - started)
+        misses = len(pending) + len(followers)
+        report.cache_hits += hits
+        report.cache_misses += misses
+        report.deduplicated += len(followers)
+        report.chunks += len(tasks)
+        # Batch-granular telemetry (one counter bump per batch, never per
+        # query) — cheap enough to stay inside the façade's overhead budget.
+        obs.counter("engine.batches").inc()
+        obs.counter("engine.executor." + executor).inc()
+        obs.counter("engine.cache.hits").inc(hits)
+        obs.counter("engine.cache.misses").inc(misses)
+        if followers:
+            obs.counter("engine.batch.deduplicated").inc(len(followers))
+        if evictions:
+            obs.counter("engine.cache.evictions").inc(evictions)
+        obs.histogram("engine.batch.size", scheme="count").observe(float(len(queries)))
+        obs.histogram("engine.batch.seconds").observe(wall, exemplar=batch_trace)
+        return answers
+
+    def _flush_cache(self) -> None:
+        """Drop every cached answer, its anchor and the pattern guard."""
+        self._cache.clear()
+        self._anchors.clear()
+        self._pattern_guard_max_degree = None
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -623,14 +775,15 @@ class GraphService:
     def update(self, delta: GraphDelta) -> ServiceUpdateReport:
         """Absorb a :class:`GraphDelta`; answers then equal a fresh service's.
 
-        The single-graph engine holds the one mutable graph: it patches its
-        prepared state (condensation/index repair, surgical cache
-        invalidation) or rebuilds it lazily, as ``PreparedGraph.apply_delta``
-        decides under ``config.patch_threshold`` and ``compact_threshold``.
-        A live sharded engine then re-prepares from the graph the single
-        engine serves (:meth:`ShardedEngine.reset`) — also when an invalid op
-        stops the delta after a prefix landed.  Subsequent answers are
-        bit-identical to ``GraphService(service.graph, config)``.
+        The service holds the one mutable graph: it patches its prepared
+        state (condensation/index repair, surgical cache invalidation) or
+        rebuilds it lazily, as ``PreparedGraph.apply_delta`` decides under
+        ``config.patch_threshold`` and ``compact_threshold``.  A live sharded
+        engine then re-prepares from the served graph
+        (:meth:`ShardedEngine.reset`) — also when an invalid op stops the
+        delta after a prefix landed.  Subsequent answers are bit-identical to
+        ``GraphService(service.graph, config)``, for either executor and any
+        worker count.
         """
         with self._lock:
             self._check_open()
@@ -639,11 +792,7 @@ class GraphService:
             started = time.perf_counter()
             with obs.span("service.update", ops=delta.size()):
                 try:
-                    engine_report = self._ensure_engine().update(
-                        delta,
-                        patch_threshold=self._config.patch_threshold,
-                        compact_threshold=self._config.compact_threshold,
-                    )
+                    engine_report = self._apply(delta)
                 finally:
                     # An unbuilt sharded engine needs nothing: it partitions
                     # the served graph on first use.
@@ -662,6 +811,58 @@ class GraphService:
                 wall_seconds=wall,
                 maintenance=maintenance,
             )
+
+    def _apply(self, delta: GraphDelta) -> UpdateReport:
+        """Patch (or drop for lazy rebuild) the prepared state, then the cache.
+
+        Every effective update bumps the state epoch, so the next daemon
+        batch republishes before dispatch.  Cached answers are invalidated
+        surgically: entries whose query touches the mutated region (delta
+        endpoints, changed components, pattern balls overlapping the delta)
+        are evicted; the rest are kept only when the repaired state is
+        provably answer-identical for them (identical α index and ranks for
+        reachability; unchanged size, max degree and ball for patterns).  A
+        rebuild flushes the cache.
+        """
+        try:
+            summary = self._prepared.apply_delta(
+                delta,
+                patch_threshold=self._config.patch_threshold,
+                compact_threshold=self._config.compact_threshold,
+            )
+        except Exception:
+            # The failing op's prefix is already on the substrate; the
+            # prepared state was dropped for lazy rebuild, and the cached
+            # answers must go with it or they would keep serving the
+            # pre-delta graph.  The epoch moves too: warm daemons must not
+            # keep serving the pre-delta state either.
+            self._state_epoch += 1
+            self._flush_cache()
+            raise
+        report = UpdateReport(summary=summary)
+        if summary.mode == "noop":
+            report.cache_retained = len(self._cache)
+        elif summary.mode == "rebuilt":
+            self._state_epoch += 1
+            report.cache_evicted = len(self._cache)
+            self._flush_cache()
+        else:
+            self._state_epoch += 1
+            decision = partition_entries(
+                [(key, key[1], self._anchors.get(key)) for key in self._cache.keys()],
+                summary,
+                pattern_guard=self._pattern_guard_max_degree,
+                graph=self._prepared.graph,
+                max_degree=self._prepared.max_degree,
+            )
+            self._pattern_guard_max_degree = decision.pattern_guard
+            report.cache_evicted = self._cache.invalidate(decision.stale)
+            for key in decision.stale:
+                self._anchors.pop(key, None)
+            report.cache_retained = len(self._cache)
+        if report.cache_retained:
+            obs.counter("cache.retained").inc(report.cache_retained)
+        return report
 
     # ------------------------------------------------------------------ #
     # Standing queries (repro.subscribe)
@@ -702,7 +903,7 @@ class GraphService:
                 value,
                 client=resolved.client,
                 sink=sink,
-                max_degree=self._ensure_engine().prepared.max_degree,
+                max_degree=self._prepared.max_degree,
             )
             self._stats.subscribed += 1
             self._stats.answer_deltas += 1  # the epoch-0 snapshot
@@ -734,11 +935,11 @@ class GraphService:
         """Re-evaluate exactly the standing queries the delta may have changed.
 
         Called under the service lock inside ``update``.  The partition comes
-        from the same oracle the engine's cache invalidation just used, so a
+        from the same oracle the cache invalidation just used, so a
         subscription skips work precisely when its cached answer would have
         survived; affected ones re-run through :meth:`_run_batch_locked` —
         planner, cache, daemons and shards included — in chunks of
-        ``maintenance_batch_size`` per α.
+        :data:`MAINTENANCE_BATCH_SIZE` per α.
         """
         manager = self._subscriptions
         total = len(manager)
@@ -746,9 +947,8 @@ class GraphService:
             return None
         started = time.perf_counter()
         with obs.span("subscription.maintain", subscriptions=total):
-            engine = self._ensure_engine()
             decision = manager.partition(
-                engine_report.summary, self.graph, engine.prepared.max_degree
+                engine_report.summary, self.graph, self._prepared.max_degree
             )
             changed = 0
             if decision.stale:
@@ -756,18 +956,17 @@ class GraphService:
                 for sub_id in decision.stale:
                     sub = manager.get(sub_id)
                     groups.setdefault(sub.alpha, []).append(sub)
-                chunk_size = self._config.maintenance_batch_size
                 for group_alpha in sorted(groups):
                     group = groups[group_alpha]
-                    for start in range(0, len(group), chunk_size):
-                        chunk = group[start : start + chunk_size]
+                    for start in range(0, len(group), MAINTENANCE_BATCH_SIZE):
+                        chunk = group[start : start + MAINTENANCE_BATCH_SIZE]
                         batch = self._run_batch_locked(
                             [sub.request for sub in chunk], group_alpha
                         )
                         for sub, value in zip(chunk, batch.answers):
                             if manager.commit(sub.id, value) is not None:
                                 changed += 1
-                manager.reseed_guard(engine.prepared.max_degree)
+                manager.reseed_guard(self._prepared.max_degree)
         wall = time.perf_counter() - started
         obs.counter("sub.affected").inc(len(decision.stale))
         obs.counter("sub.skipped").inc(len(decision.retained))
@@ -839,4 +1038,5 @@ __all__ = [
     "GraphService",
     "ServiceBatchReport",
     "ServiceUpdateReport",
+    "UpdateReport",
 ]

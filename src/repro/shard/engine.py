@@ -22,8 +22,8 @@ Routing follows the locality of the paper's semantics:
 
 **Contract** (property-tested in ``tests/test_shard.py``): answers are never
 false positives, for any ``k``; and whenever a query is shard-contained —
-always at ``k = 1`` — answers are bit-identical to the single-graph
-:class:`~repro.engine.QueryEngine`, for either executor and any worker count.
+always at ``k = 1`` — answers are bit-identical to an unsharded
+:class:`~repro.service.GraphService`, for either executor and any worker count.
 
 Shard chunks run through the same two executors the engine offers: inline
 (``serial``) or on the engine's warm daemon pool (``daemon``), whose workers
@@ -47,10 +47,9 @@ from repro import obs
 from repro.core.rbsim import PatternAnswer, RBSim, RBSimConfig
 from repro.core.rbsub import RBSub, RBSubConfig
 from repro.engine.daemons import DaemonPool
-from repro.engine.engine import EngineQuery
 from repro.engine.executors import check_executor, chunked
 from repro.engine.prepared import PreparedGraph
-from repro.engine.queries import REACH, SIMULATION, SUBGRAPH
+from repro.engine.queries import REACH, SIMULATION, SUBGRAPH, EngineQuery
 from repro.exceptions import EngineError
 from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import DiGraph, NodeId
@@ -366,8 +365,8 @@ class ShardedEngine:
         """Scatter the batch across shards, gather and compose the answers.
 
         Answers come back in input order and with the same value types as
-        :meth:`QueryEngine.run_batch`.  Never a false positive; bit-identical
-        to the single-graph engine for shard-contained queries.
+        :meth:`GraphService.run_batch`.  Never a false positive; bit-identical
+        to the unsharded service for shard-contained queries.
         """
         if not 0 < alpha <= 1:
             raise EngineError(f"alpha must be in (0, 1], got {alpha}")

@@ -7,7 +7,7 @@ FO+MOD-under-updates line of work in PAPERS.md): a
 immutable CSR base, and the maintenance modules patch the prepared state —
 SCC condensation (``scc``), hierarchical landmark indexes
 (``index_repair``) — instead of rebuilding it, with bit-identical answers
-as the contract.  ``QueryEngine.update`` is the public entry point.
+as the contract.  ``GraphService.update`` is the public entry point.
 """
 
 from repro.updates.delta import AppliedDelta, DeltaOp, GraphDelta

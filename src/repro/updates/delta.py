@@ -65,7 +65,7 @@ class GraphDelta:
         )
 
     Apply it to a mutable graph with :meth:`apply_to`, or hand it to
-    ``QueryEngine.update`` which routes it through the prepared state's
+    ``GraphService.update`` which routes it through the prepared state's
     incremental maintenance.
     """
 

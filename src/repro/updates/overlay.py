@@ -13,7 +13,7 @@ nodes and neighbours in exactly the order a mutable
 base order with deletions masked, insertions appended.  Together with the
 insertion-ordered ``DiGraph`` adjacency this makes answers computed over an
 overlay bit-identical to answers over a freshly mutated graph, which is the
-contract ``QueryEngine.update`` is tested against.
+contract ``GraphService.update`` is tested against.
 
 Once the accumulated delta exceeds a configurable fraction of the base
 (:meth:`fraction`), :meth:`compact` folds the overlay back into a fresh CSR

@@ -82,7 +82,7 @@ def generate_delta_stream(
     """Generate ``batches`` deltas of ``ops_per_batch`` ops each.
 
     Every op is valid at the point it appears (the generator maintains a
-    working copy), so replaying the stream through ``QueryEngine.update``
+    working copy), so replaying the stream through ``GraphService.update``
     or ``GraphDelta.apply_to`` never raises.  ``node_removal_rate`` mixes in
     node removals (which force the engine onto its full-rebuild path); the
     default stream is removal-free, matching edge-churn workloads.

@@ -27,7 +27,6 @@ import time
 
 import pytest
 
-from repro.engine import QueryEngine
 from repro.engine.daemons import MAX_TASK_RETRIES, DaemonPool, _process_context
 from repro.engine.queries import ReachQuery
 from repro.exceptions import DaemonError, EngineError
@@ -36,6 +35,15 @@ from repro.service import GraphService, ReachRequest, ServiceConfig
 from repro.updates.delta import GraphDelta
 
 ALPHA = 0.1
+
+
+def daemon_service(graph) -> GraphService:
+    return GraphService(graph, executor="daemon", workers=2, cache_size=0)
+
+
+def serial_answers(graph, batch):
+    """The reference: a fresh cache-free serial service on ``graph``."""
+    return GraphService(graph, executor="serial", cache_size=0).run_batch(batch, ALPHA).answers
 
 
 # --------------------------------------------------------------------------- #
@@ -258,13 +266,12 @@ class TestSharedSummaries:
         def signatures(answers):
             return [(frozenset(a.answer), a.subgraph_size) for a in answers]
 
-        with QueryEngine(graph, cache_size=0) as engine:
+        with daemon_service(graph) as service:
             for _ in range(2):
-                serial = engine.answer_batch(queries, ALPHA)
-                daemon = engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
-                assert signatures(daemon) == signatures(serial)
-                engine.update(delta)
-            assert engine.daemon_pool().restarts == 0
+                daemon = service.run_batch(queries, ALPHA).answers
+                assert signatures(daemon) == signatures(serial_answers(service.graph, queries))
+                service.update(delta)
+            assert service._daemon_pool.restarts == 0
 
 
 class TestSharedCompression:
@@ -288,20 +295,19 @@ class TestSharedCompression:
                 for a in answers
             ]
 
-        def assert_parity(engine):
+        def assert_parity(service):
             batch = queries + patterns
-            serial = engine.answer_batch(batch, ALPHA)
-            daemon = engine.answer_batch(batch, ALPHA, executor="daemon", workers=2)
-            assert signatures(daemon) == signatures(serial)
+            daemon = service.run_batch(batch, ALPHA).answers
+            assert signatures(daemon) == signatures(serial_answers(service.graph, batch))
 
         def thaws(structure="condensation"):
             return obs.snapshot()["counters"].get("prepare.thaw." + structure, 0)
 
         thaws_before, label_thaws_before = thaws(), thaws("labels")
-        with QueryEngine(graph, cache_size=0) as engine:
-            assert_parity(engine)
-            assert engine.prepared.compressed().condensation.array_backed
-            pool = engine.daemon_pool()
+        with daemon_service(graph) as service:
+            assert_parity(service)
+            assert service.prepared.compressed().condensation.array_backed
+            pool = service._daemon_pool
             segments = pool.segment_names()
             column_payload = obs.snapshot()["gauges"]["daemon.payload.bytes"]
             assert all(worker.rss_bytes > 2**20 for worker in pool._workers)  # sent with "ready"
@@ -311,16 +317,16 @@ class TestSharedCompression:
             delta = GraphDelta()
             for source, target in zip(nodes[:6], nodes[1:7]):
                 delta.add_edge(source, target)
-            assert engine.update(delta).mode == "patched"
+            assert service.update(delta).mode == "patched"
             assert (thaws(), thaws("labels")) == (thaws_before + 1, label_thaws_before + 1)
-            assert not engine.prepared.compressed().condensation.array_backed
-            assert_parity(engine)  # republished: the patched containers travel pickled
+            assert not service.prepared.compressed().condensation.array_backed
+            assert_parity(service)  # republished: the patched containers travel pickled
             assert obs.snapshot()["gauges"]["daemon.payload.bytes"] > column_payload
             segments += pool.segment_names()
 
-            assert engine.update(GraphDelta().add_edge(nodes[8], nodes[2])).mode == "patched"
+            assert service.update(GraphDelta().add_edge(nodes[8], nodes[2])).mode == "patched"
             assert thaws() == thaws_before + 1  # the maintainer owns the containers now
-            assert_parity(engine)
+            assert_parity(service)
             segments += pool.segment_names()
             assert pool.restarts == 0
         assert not any(os.path.exists(os.path.join("/dev/shm", name)) for name in segments)
@@ -329,15 +335,15 @@ class TestSharedCompression:
 class TestEngineDaemonPool:
     def test_engine_kill_all_workers_mid_service(self, graph, queries):
         """Killing every daemon between batches never surfaces to callers."""
-        with QueryEngine(graph, cache_size=0) as engine:
-            serial = engine.answer_batch(queries, ALPHA)
-            daemon = engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
+        serial = serial_answers(graph, queries)
+        with daemon_service(graph) as service:
+            daemon = service.run_batch(queries, ALPHA).answers
             assert [a.reachable for a in daemon] == [a.reachable for a in serial]
-            for pid in engine.daemon_pool().worker_pids():
+            for pid in service._daemon_pool.worker_pids():
                 os.kill(pid, signal.SIGKILL)
-            again = engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
+            again = service.run_batch(queries, ALPHA).answers
             assert [a.reachable for a in again] == [a.reachable for a in serial]
-            assert engine.daemon_pool().restarts >= 2
+            assert service._daemon_pool.restarts >= 2
 
 
 class TestServiceAdmission:
@@ -385,10 +391,10 @@ class TestSpawnShipping:
         # the parent's registry stays enabled (the flag is read at import).
         monkeypatch.setenv("REPRO_METRICS", "0")
         before = obs.snapshot()["counters"].get("daemon.worker.chunks", 0)
-        with QueryEngine(graph, cache_size=0) as engine:
-            serial = engine.answer_batch(queries, ALPHA)
-            report = engine.run_batch(queries, ALPHA, executor="daemon", workers=2)
-            assert engine.daemon_pool()._context.get_start_method() == "spawn"
+        serial = serial_answers(graph, queries)
+        with daemon_service(graph) as service:
+            report = service.run_batch(queries, ALPHA)
+            assert service._daemon_pool._context.get_start_method() == "spawn"
         assert [a.reachable for a in report.answers] == [a.reachable for a in serial]
         # Worker counters reach this registry only because the pool ships
         # ``metrics_enabled`` to the child explicitly.
@@ -400,9 +406,9 @@ class TestSpawnShipping:
 
         monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
         before = set(active_segments())
-        with QueryEngine(graph, cache_size=0) as engine:
-            engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
-            segments = engine.daemon_pool().segment_names()
+        with daemon_service(graph) as service:
+            service.run_batch(queries, ALPHA)
+            segments = service._daemon_pool.segment_names()
         assert segments and set(active_segments()) == before
         assert not any(os.path.exists(os.path.join("/dev/shm", name)) for name in segments)
 
@@ -421,7 +427,8 @@ class TestSoak:
 
         nodes = list(graph.nodes())
         before = set(active_segments())
-        with QueryEngine(graph, cache_size=0) as engine:
+        serial = GraphService(graph, executor="serial", cache_size=0)
+        with daemon_service(graph) as service:
             pool = None
             for batch in range(200):
                 offset = batch % 40
@@ -429,16 +436,17 @@ class TestSoak:
                     ReachQuery(nodes[(offset + i) % len(nodes)], nodes[-1 - i])
                     for i in range(12)
                 ]
-                serial = engine.answer_batch(queries, ALPHA)
-                daemon = engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
-                assert [a.reachable for a in daemon] == [a.reachable for a in serial]
+                expected = serial.run_batch(queries, ALPHA).answers
+                daemon = service.run_batch(queries, ALPHA).answers
+                assert [a.reachable for a in daemon] == [a.reachable for a in expected]
                 if pool is None:
-                    pool = engine.daemon_pool()
+                    pool = service._daemon_pool
                     first_rss = [worker.rss_bytes for worker in pool._workers]
                 if batch % 50 == 49:
                     delta = GraphDelta()
                     delta.add_edge(nodes[batch % len(nodes)], nodes[(batch * 7) % len(nodes)])
-                    engine.update(delta)
+                    service.update(delta)
+                    serial.update(delta)
             # Steady state: the warm pool held at most one publication's
             # segments at a time; crashes aside, the original workers served
             # every batch.

@@ -1,4 +1,4 @@
-"""Tests for the batched query engine (``repro.engine``).
+"""Tests for batch answering: ``GraphService``'s batch loop over ``repro.engine``.
 
 The load-bearing property is the parity contract: for any executor and
 worker count, batch answers are bit-identical to the serial path — asserted
@@ -11,18 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    AnswerCache,
-    PatternQuery,
-    PreparedGraph,
-    QueryEngine,
-    ReachQuery,
-)
+from repro.engine import AnswerCache, PatternQuery, PreparedGraph, ReachQuery
 from repro.engine.executors import DEFAULT_CHUNKS_PER_WORKER, answer_chunk, chunked
 from repro.engine.queries import REACH
 from repro.exceptions import EngineError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
+from repro.service import GraphService
 from repro.updates.delta import GraphDelta
 from repro.updates.overlay import MutableOverlay
 from repro.workloads.queries import (
@@ -67,68 +62,83 @@ def pattern_queries(served_graph):
 
 class TestConstruction:
     def test_digraph_is_mirrored_to_csr(self, served_graph):
-        engine = QueryEngine(served_graph)
-        assert engine.backend == "CSRGraph"
-        assert engine.prepared.original is served_graph
+        service = GraphService(served_graph)
+        assert service.backend == "CSRGraph"
+        assert service.prepared.original is served_graph
 
     def test_overlay_input_is_frozen_on_entry(self, served_graph):
         overlay = MutableOverlay(CSRGraph.from_digraph(served_graph))
-        engine = QueryEngine(overlay)
-        assert engine.backend == "CSRGraph"
-        assert engine.prepared.original is overlay
+        service = GraphService(overlay)
+        assert service.backend == "CSRGraph"
+        assert service.prepared.original is overlay
 
     def test_csr_input_is_served_directly(self, served_graph):
         frozen = CSRGraph.from_digraph(served_graph)
-        engine = QueryEngine(frozen)
-        assert engine.backend == "CSRGraph"
-        assert engine.prepared.graph is frozen
+        service = GraphService(frozen)
+        assert service.backend == "CSRGraph"
+        assert service.graph is frozen
 
     def test_freeze_preserves_iteration_order(self, served_graph):
-        served = QueryEngine(served_graph).prepared.graph
+        served = GraphService(served_graph).graph
         assert list(served.nodes()) == list(served_graph.nodes())
         for node in served_graph.nodes():
             assert list(served.successors(node)) == list(served_graph.successors(node))
             assert list(served.predecessors(node)) == list(served_graph.predecessors(node))
 
     def test_compression_condenses_the_served_substrate_once(self, served_graph):
-        engine = QueryEngine(served_graph)
-        compressed = engine.prepared.compressed()
-        assert compressed.original is engine.prepared.graph
+        prepared = GraphService(served_graph).prepared
+        compressed = prepared.compressed()
+        assert compressed.original is prepared.graph
         assert compressed.condensation.array_backed
-        assert engine.prepared.compressed() is compressed
-        assert engine.prepared.reachability_index(ALPHA).compressed is compressed
+        assert prepared.compressed() is compressed
+        assert prepared.reachability_index(ALPHA).compressed is compressed
 
     def test_statistics_built_once(self, served_graph):
-        engine = QueryEngine(served_graph)
-        assert engine.statistics["nodes"] == served_graph.num_nodes()
-        assert engine.statistics["edges"] == served_graph.num_edges()
-        assert engine.statistics["max_degree"] == served_graph.max_degree()
+        statistics = GraphService(served_graph).prepared.statistics
+        assert statistics["nodes"] == served_graph.num_nodes()
+        assert statistics["edges"] == served_graph.num_edges()
+        assert statistics["max_degree"] == served_graph.max_degree()
 
     def test_both_backends_answer_identically(self, served_graph, reach_queries):
-        mutable = QueryEngine(served_graph)
-        frozen = QueryEngine(CSRGraph.from_digraph(served_graph))
-        left = mutable.answer_batch(reach_queries, ALPHA)
-        right = frozen.answer_batch(reach_queries, ALPHA)
+        mutable = GraphService(served_graph, executor="serial")
+        frozen = GraphService(CSRGraph.from_digraph(served_graph), executor="serial")
+        left = mutable.run_batch(reach_queries, ALPHA).answers
+        right = frozen.run_batch(reach_queries, ALPHA).answers
         assert [_reach_signature(a) for a in left] == [_reach_signature(a) for a in right]
+
+
+def _daemon_matches_serial(graph, batch, workers):
+    """Answer ``batch`` on a daemon service and on a cache-free serial one."""
+    serial = GraphService(graph, executor="serial", cache_size=0)
+    with GraphService(graph, executor="daemon", workers=workers, cache_size=0) as service:
+        pooled = service.run_batch(batch, ALPHA)
+        assert service._daemon_pool.workers == workers
+    expected = serial.run_batch(batch, ALPHA).answers
+    assert len(pooled.answers) == len(batch)
+    for query, left, right in zip(batch, expected, pooled.answers):
+        if isinstance(query, ReachQuery):
+            assert _reach_signature(left) == _reach_signature(right)
+        else:
+            assert _pattern_signature(left) == _pattern_signature(right)
+    return pooled
 
 
 class TestExecutorParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_reach_parity(self, served_graph, reach_queries, workers):
-        with QueryEngine(served_graph, cache_size=0) as engine:
-            serial = engine.answer_batch(reach_queries, ALPHA)
-            parallel = engine.answer_batch(
-                reach_queries, ALPHA, executor="daemon", workers=workers
-            )
-        assert [_reach_signature(a) for a in serial] == [_reach_signature(a) for a in parallel]
+        _daemon_matches_serial(served_graph, reach_queries, workers)
 
     def test_pattern_parity(self, served_graph, pattern_queries):
-        with QueryEngine(served_graph, cache_size=0) as engine:
-            serial = engine.answer_batch(pattern_queries, ALPHA)
-            parallel = engine.answer_batch(pattern_queries, ALPHA, executor="daemon", workers=2)
-        assert [_pattern_signature(a) for a in serial] == [
-            _pattern_signature(a) for a in parallel
-        ]
+        _daemon_matches_serial(served_graph, pattern_queries, 2)
+
+    def test_mixed_kind_batch_parity(self, served_graph, reach_queries, pattern_queries):
+        batch = list(reach_queries[:10]) + list(pattern_queries) + list(reach_queries[10:20])
+        _daemon_matches_serial(served_graph, batch, 3)
+
+    def test_unknown_executor_rejected(self, served_graph):
+        for name in ("gpu", "thread", "process"):
+            with pytest.raises(EngineError, match="unknown executor"):
+                GraphService(served_graph, executor=name)
 
     def test_daemon_parity_across_update(self, served_graph, reach_queries):
         """Warm daemons republish after ``update``: answers stay bit-identical."""
@@ -136,38 +146,21 @@ class TestExecutorParity:
         nodes = list(served_graph.nodes())[:8]
         for source, target in zip(nodes, nodes[1:]):
             delta.add_edge(source, target)
-        with QueryEngine(served_graph, cache_size=0) as engine:
-            before = engine.answer_batch(reach_queries, ALPHA, executor="daemon", workers=2)
+        serial = GraphService(served_graph, executor="serial", cache_size=0)
+        with GraphService(served_graph, executor="daemon", workers=2, cache_size=0) as service:
+            before = service.run_batch(reach_queries, ALPHA).answers
             assert [_reach_signature(a) for a in before] == [
-                _reach_signature(a) for a in engine.answer_batch(reach_queries, ALPHA)
+                _reach_signature(a) for a in serial.run_batch(reach_queries, ALPHA).answers
             ]
-            pool = engine.daemon_pool()
-            pids = pool.worker_pids()
-            engine.update(delta)
-            after = engine.answer_batch(reach_queries, ALPHA, executor="daemon", workers=2)
+            pids = service._daemon_pool.worker_pids()
+            service.update(delta)
+            serial.update(delta)
+            after = service.run_batch(reach_queries, ALPHA).answers
             # Same warm workers, republished state, serial-identical answers.
-            assert pool.worker_pids() == pids
+            assert service._daemon_pool.worker_pids() == pids
             assert [_reach_signature(a) for a in after] == [
-                _reach_signature(a) for a in engine.answer_batch(reach_queries, ALPHA)
+                _reach_signature(a) for a in serial.run_batch(reach_queries, ALPHA).answers
             ]
-
-    def test_mixed_kind_batch_parity(self, served_graph, reach_queries, pattern_queries):
-        batch = list(reach_queries[:10]) + list(pattern_queries) + list(reach_queries[10:20])
-        with QueryEngine(served_graph, cache_size=0) as engine:
-            serial = engine.answer_batch(batch, ALPHA)
-            pooled = engine.answer_batch(batch, ALPHA, executor="daemon", workers=3)
-        assert len(serial) == len(batch)
-        for query, left, right in zip(batch, serial, pooled):
-            if isinstance(query, ReachQuery):
-                assert _reach_signature(left) == _reach_signature(right)
-            else:
-                assert _pattern_signature(left) == _pattern_signature(right)
-
-    def test_unknown_executor_rejected(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph)
-        for name in ("gpu", "thread", "process"):
-            with pytest.raises(EngineError, match="use one of serial, daemon"):
-                engine.answer_batch(reach_queries, ALPHA, executor=name)
 
     @settings(
         max_examples=15,
@@ -183,13 +176,13 @@ class TestExecutorParity:
         """Any worker count's chunking answers arbitrary batches like serial."""
         pairs = list(zip(indices, indices[1:]))
         queries = [ReachQuery(source, target) for source, target in pairs]
-        engine = QueryEngine(served_graph, cache_size=0)
-        serial = engine.answer_batch(queries, alpha)
+        service = GraphService(served_graph, executor="serial", cache_size=0)
+        serial = service.run_batch(queries, alpha).answers
         [chunks] = chunked([queries], workers)
         pieced = [
             answer
             for chunk in chunks
-            for answer in answer_chunk(engine.prepared, (REACH, alpha, chunk))
+            for answer in answer_chunk(service.prepared, (REACH, alpha, chunk))
         ]
         assert [_reach_signature(a) for a in serial] == [_reach_signature(a) for a in pieced]
 
@@ -210,9 +203,9 @@ class TestChunking:
 
 class TestCache:
     def test_second_batch_is_all_hits(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph)
-        cold = engine.run_batch(reach_queries, ALPHA)
-        warm = engine.run_batch(reach_queries, ALPHA)
+        service = GraphService(served_graph, executor="serial")
+        cold = service.run_batch(reach_queries, ALPHA)
+        warm = service.run_batch(reach_queries, ALPHA)
         assert cold.cache_hits == 0 and cold.cache_misses == len(reach_queries)
         assert warm.cache_hits == len(reach_queries) and warm.cache_misses == 0
         assert [_reach_signature(a) for a in cold.answers] == [
@@ -221,21 +214,21 @@ class TestCache:
 
     def test_alpha_change_misses_and_recomputes(self, served_graph, reach_queries):
         """A cached answer for one α must never serve a query at another α."""
-        engine = QueryEngine(served_graph)
-        engine.run_batch(reach_queries, 0.01)
-        other = engine.run_batch(reach_queries, 0.2)
+        service = GraphService(served_graph, executor="serial")
+        service.run_batch(reach_queries, 0.01)
+        other = service.run_batch(reach_queries, 0.2)
         assert other.cache_hits == 0 and other.cache_misses == len(reach_queries)
-        # And the recomputed answers match a fresh engine at that α exactly.
-        fresh = QueryEngine(served_graph).run_batch(reach_queries, 0.2)
+        # And the recomputed answers match a fresh service at that α exactly.
+        fresh = GraphService(served_graph, executor="serial").run_batch(reach_queries, 0.2)
         assert [_reach_signature(a) for a in other.answers] == [
             _reach_signature(a) for a in fresh.answers
         ]
 
-    def test_graph_change_means_new_engine_and_cold_cache(self, served_graph):
-        """Caches are engine-scoped: a changed graph gets a fresh engine/cache."""
-        engine = QueryEngine(served_graph)
+    def test_graph_change_means_new_service_and_cold_cache(self, served_graph):
+        """Caches are service-scoped: a changed graph gets a fresh service/cache."""
+        service = GraphService(served_graph, executor="serial")
         pair = next(iter(served_graph.edges()))
-        engine.answer_batch([ReachQuery(*pair)], ALPHA)
+        service.run_batch([ReachQuery(*pair)], ALPHA)
 
         mutated = served_graph.copy() if hasattr(served_graph, "copy") else None
         if mutated is None:
@@ -247,23 +240,15 @@ class TestCache:
         mutated.add_node("fresh-node", "Z")
         mutated.add_edge(pair[0], "fresh-node")
 
-        rebuilt = QueryEngine(mutated)
+        rebuilt = GraphService(mutated, executor="serial")
         report = rebuilt.run_batch([ReachQuery(*pair)], ALPHA)
-        assert report.cache_hits == 0  # nothing leaked across engines
+        assert report.cache_hits == 0  # nothing leaked across services
 
     def test_cache_disabled_by_zero_capacity(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph, cache_size=0)
-        engine.run_batch(reach_queries, ALPHA)
-        again = engine.run_batch(reach_queries, ALPHA)
+        service = GraphService(served_graph, executor="serial", cache_size=0)
+        service.run_batch(reach_queries, ALPHA)
+        again = service.run_batch(reach_queries, ALPHA)
         assert again.cache_hits == 0
-
-    def test_clear_cache_resets(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph)
-        engine.run_batch(reach_queries, ALPHA)
-        engine.clear_cache()
-        report = engine.run_batch(reach_queries, ALPHA)
-        assert report.cache_hits == 0
-        assert engine.cache_stats().entries == len(reach_queries)
 
     def test_lru_eviction_order(self):
         cache = AnswerCache(capacity=2)
@@ -288,9 +273,9 @@ class TestCache:
 class TestSingleFlight:
     """``run_batch`` evaluates each distinct ``(fingerprint, α)`` miss once.
 
-    Differential against a cache-free serial engine, through ``GraphService``
-    so one batch can mix per-request α values (the façade groups by α and
-    each group is one engine batch).
+    Differential against a cache-free serial service; one batch can mix
+    per-request α values (the service groups by α and single-flights each
+    group).
     """
 
     ALPHAS = (None, 0.02, 0.2)  # None: the service default, ALPHA
@@ -306,15 +291,15 @@ class TestSingleFlight:
 
     @pytest.fixture(scope="class")
     def reference(self, served_graph, pool):
-        engine = QueryEngine(served_graph, cache_size=0)
+        service = GraphService(served_graph, executor="serial", cache_size=0)
         return {
-            alpha: engine.answer_batch(pool, alpha if alpha is not None else ALPHA)
+            alpha: service.run_batch(pool, alpha if alpha is not None else ALPHA).answers
             for alpha in self.ALPHAS
         }
 
     @pytest.fixture(scope="class")
     def services(self, served_graph):
-        from repro.service import GraphService, ServiceConfig
+        from repro.service import ServiceConfig
 
         opened = {
             (cache_size, executor): GraphService(
@@ -330,7 +315,7 @@ class TestSingleFlight:
 
     @pytest.fixture()
     def evaluations(self, monkeypatch):
-        """One entry (the matcher's class name) per leaf evaluation the engine runs."""
+        """One entry (the matcher's class name) per leaf evaluation the service runs."""
         from repro.core.rbsim import RBSim
         from repro.core.rbsub import RBSub
         from repro.reachability.rbreach import RBReach
@@ -374,7 +359,7 @@ class TestSingleFlight:
         from repro.service import as_request
 
         service = services[cache_size, executor]
-        service.engine.clear_cache()
+        service._flush_cache()
         batch = [replace(as_request(pool[index]), alpha=alpha) for index, alpha in picks]
         distinct = len(set(picks))
         del evaluations[:]
@@ -407,12 +392,12 @@ class TestSingleFlight:
     def test_deduplicated_is_counted_and_reported(self, served_graph, reach_queries):
         from repro import obs
 
-        engine = QueryEngine(served_graph)
+        service = GraphService(served_graph, executor="serial")
         before = obs.snapshot()["counters"].get("engine.batch.deduplicated", 0)
-        report = engine.run_batch(list(reach_queries[:5]) * 3, ALPHA)
+        report = service.run_batch(list(reach_queries[:5]) * 3, ALPHA)
         assert (report.cache_hits, report.cache_misses, report.deduplicated) == (0, 15, 10)
         assert obs.snapshot()["counters"]["engine.batch.deduplicated"] - before == 10
-        assert engine.cache_stats().entries == 5
+        assert len(service._cache) == 5
 
 
 class TestFingerprints:
@@ -440,16 +425,16 @@ class TestFingerprints:
             PatternQuery(query.pattern, query.personalized_match, semantics="vf3")
 
 
-class TestReportAndConvenience:
+class TestReport:
     def test_report_telemetry(self, served_graph, reach_queries):
-        with QueryEngine(served_graph) as engine:
-            report = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=2)
-            assert report.executor == "daemon" and report.workers == 2
+        with GraphService(served_graph, executor="daemon", workers=2) as service:
+            report = service.run_batch(reach_queries, ALPHA)
+            assert report.plan.executor == "daemon" and report.plan.workers == 2
             assert report.wall_seconds > 0 and report.throughput > 0
             assert report.kinds == {"reach": len(reach_queries)}
             assert report.chunks >= 1
             # The composition describes the batch even when fully cache-served.
-            warm = engine.run_batch(reach_queries, ALPHA)
+            warm = service.run_batch(reach_queries, ALPHA)
         assert warm.kinds == {"reach": len(reach_queries)}
         assert warm.chunks == 0
 
@@ -457,48 +442,43 @@ class TestReportAndConvenience:
     def test_daemon_report_names_its_workers_and_answers_like_serial(
         self, served_graph, reach_queries, workers
     ):
-        with QueryEngine(served_graph, cache_size=0) as engine:
-            serial = engine.run_batch(reach_queries, ALPHA)
-            pooled = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=workers)
-        assert pooled.workers == workers
-        assert [_reach_signature(a) for a in pooled.answers] == [
-            _reach_signature(a) for a in serial.answers
-        ]
+        pooled = _daemon_matches_serial(served_graph, reach_queries, workers)
+        assert pooled.plan.executor == "daemon" and pooled.plan.workers == workers
 
-    def test_answer_reachability_matches_query_many(self, served_graph):
+    def test_reach_batch_matches_query_many(self, served_graph):
         workload = generate_reachability_workload(served_graph, count=25, seed=11)
-        engine = QueryEngine(served_graph)
-        mapping = engine.answer_reachability(workload.pairs, ALPHA)
-        direct = engine.prepared.rbreach(ALPHA).query_many(workload.pairs)
-        assert mapping == direct
+        service = GraphService(served_graph, executor="serial")
+        answers = service.run_batch(workload.pairs, ALPHA).answers
+        direct = service.prepared.rbreach(ALPHA).query_many(workload.pairs)
+        assert {pair: a.reachable for pair, a in zip(workload.pairs, answers)} == direct
 
-    def test_answer_patterns_matches_matcher(self, served_graph):
+    def test_pattern_batch_matches_matcher(self, served_graph):
         workload = generate_pattern_workload(served_graph, shape=(4, 5), count=2, seed=3)
-        engine = QueryEngine(served_graph)
-        answers = engine.answer_patterns(
-            [(query.pattern, query.personalized_match) for query in workload], ALPHA
-        )
-        matcher = engine.prepared.rbsim(ALPHA)
+        service = GraphService(served_graph, executor="serial")
+        answers = service.run_batch(
+            [PatternQuery(query.pattern, query.personalized_match) for query in workload],
+            ALPHA,
+        ).answers
+        matcher = service.prepared.rbsim(ALPHA)
         expected = [
             matcher.answer(query.pattern, query.personalized_match) for query in workload
         ]
         assert [a.answer for a in answers] == [e.answer for e in expected]
 
     def test_invalid_alpha_rejected(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph)
+        service = GraphService(served_graph, executor="serial")
         with pytest.raises(EngineError):
-            engine.answer_batch(reach_queries, 0.0)
+            service.run_batch(reach_queries, 0.0)
 
     def test_empty_batch(self, served_graph):
-        engine = QueryEngine(served_graph)
-        report = engine.run_batch([], ALPHA)
+        report = GraphService(served_graph, executor="serial").run_batch([], ALPHA)
         assert report.answers == [] and report.chunks == 0
 
     def test_prepare_returns_self_and_builds_index(self, served_graph):
-        engine = QueryEngine(served_graph)
-        assert engine.prepare(reach_alphas=[ALPHA]) is engine
-        assert engine.index_build_seconds(ALPHA) > 0
-        assert engine.prepared.reachability_index(ALPHA).size() > 0
+        service = GraphService(served_graph)
+        assert service.prepare(reach_alphas=[ALPHA]) is service
+        assert service.prepared.index_build_seconds(ALPHA) > 0
+        assert service.prepared.reachability_index(ALPHA).size() > 0
 
     def test_prepared_rejects_unknown_kind(self, served_graph):
         prepared = PreparedGraph(served_graph)

@@ -306,8 +306,8 @@ class TestExecutorParity:
 
     @pytest.fixture(scope="class")
     def workload(self):
-        from repro.engine import QueryEngine
         from repro.engine.queries import ReachQuery
+        from repro.service import GraphService
 
         digraph = random_graph(240, 1000, seed=21)
         rng = random.Random(23)
@@ -315,17 +315,17 @@ class TestExecutorParity:
         queries = [
             ReachQuery(rng.choice(nodes), rng.choice(nodes)) for _ in range(60)
         ]
-        with QueryEngine(digraph, cache_size=0) as engine:
-            baseline = engine.run_batch(queries, ALPHA)
+        with GraphService(digraph, executor="serial", cache_size=0) as service:
+            baseline = service.run_batch(queries, ALPHA)
         return digraph, queries, [answer.reachable for answer in baseline.answers]
 
     @pytest.mark.parametrize("executor", ("serial", "daemon"))
     def test_every_executor_matches_serial(self, workload, executor):
-        from repro.engine import QueryEngine
+        from repro.service import GraphService
 
         digraph, queries, expected = workload
-        with QueryEngine(digraph, cache_size=0) as engine:
-            report = engine.run_batch(queries, ALPHA, executor=executor, workers=2)
+        with GraphService(digraph, executor=executor, workers=2, cache_size=0) as service:
+            report = service.run_batch(queries, ALPHA)
         assert [answer.reachable for answer in report.answers] == expected
 
 
@@ -334,8 +334,8 @@ class TestShardedParity:
 
     @pytest.fixture(scope="class")
     def workload(self):
-        from repro.engine import QueryEngine
         from repro.engine.queries import ReachQuery
+        from repro.service import GraphService
 
         digraph = community_graph([70, 70, 60], seed=29)
         rng = random.Random(31)
@@ -343,8 +343,8 @@ class TestShardedParity:
         queries = [
             ReachQuery(rng.choice(nodes), rng.choice(nodes)) for _ in range(50)
         ]
-        with QueryEngine(digraph.copy(), cache_size=0) as engine:
-            baseline = engine.run_batch(queries, ALPHA)
+        with GraphService(digraph.copy(), executor="serial", cache_size=0) as service:
+            baseline = service.run_batch(queries, ALPHA)
         return digraph, queries, [answer.reachable for answer in baseline.answers]
 
     @pytest.mark.parametrize("num_shards", (1, 2, 4))

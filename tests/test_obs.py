@@ -41,11 +41,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.engine import QueryEngine
 from repro.engine.daemons import DaemonPool
 from repro.engine.queries import ReachQuery
 from repro.graph.generators import random_graph
 from repro.obs.metrics import SCHEMES, Histogram, MetricsRegistry, merge_snapshots
+from repro.service import GraphService
 
 ROOT = Path(__file__).resolve().parent.parent
 ALPHA = 0.1
@@ -212,17 +212,14 @@ class TestInstrumentationParity:
         graph = random_graph(num_nodes=220, num_edges=900, seed=13)
         nodes = list(graph.nodes())
         queries = [ReachQuery(nodes[i], nodes[-1 - i]) for i in range(18)]
-        with QueryEngine(graph, cache_size=0) as engine:
+        serial = GraphService(graph, executor="serial", cache_size=0)
+        with GraphService(graph, executor="daemon", workers=2, cache_size=0) as daemon:
             obs.set_enabled(True)
-            on_serial = _signatures(engine.answer_batch(queries, ALPHA))
-            on_daemon = _signatures(
-                engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
-            )
+            on_serial = _signatures(serial.run_batch(queries, ALPHA).answers)
+            on_daemon = _signatures(daemon.run_batch(queries, ALPHA).answers)
             obs.set_enabled(False)
-            off_serial = _signatures(engine.answer_batch(queries, ALPHA))
-            off_daemon = _signatures(
-                engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
-            )
+            off_serial = _signatures(serial.run_batch(queries, ALPHA).answers)
+            off_daemon = _signatures(daemon.run_batch(queries, ALPHA).answers)
         assert on_serial == off_serial == on_daemon == off_daemon
 
 
@@ -389,7 +386,7 @@ class TestPrepareStages:
             assert records == [], "a prepare stage must never root a trace of its own"
             for name in ("prepare.freeze.seconds", "prepare.compress.seconds", "prepare.index.seconds"):
                 assert obs.histogram(name).count == 1, name
-            prepared._invalidate_derived()
+            prepared.invalidate()
             with obs.span("service.update"):  # a rebuild under an update joins its trace
                 prepared.prepare("reach", ALPHA)
         finally:

@@ -57,7 +57,7 @@ from prepare_oracle import (
     oracle_strongly_connected_components,
     oracle_topological_ranks,
 )
-from repro.engine import QueryEngine, ReachQuery
+from repro.engine import ReachQuery
 from repro.engine.prepared import PreparedGraph, publish_state
 from repro.exceptions import NodeNotFoundError, ShardError
 from repro.graph import kernels
@@ -76,6 +76,7 @@ from repro.reachability.hierarchy import (
 )
 from repro.reachability.landmarks import LabelTable, out_of_index_labels
 from repro.reachability.rbreach import RBReach
+from repro.service import GraphService
 from repro.shard import ShardedEngine
 from repro.shard.partition import Partition, greedy_partition, partition_graph
 from repro.shard.shards import build_shards, induced_order_preserving
@@ -733,15 +734,15 @@ def test_work_gate_fresh_csr_prepare_and_reach_batch_build_no_container(work_cou
     nodes = list(graph.nodes())
     queries = [ReachQuery(rng.choice(nodes), rng.choice(nodes)) for _ in range(200)]
     work_counts.clear()
-    with QueryEngine(frozen, cache_size=0) as engine:
-        engine.prepare(reach_alphas=[0.05])
-        report = engine.run_batch(queries, 0.05)
+    with GraphService(frozen, executor="serial", cache_size=0) as service:
+        service.prepare(reach_alphas=[0.05])
+        report = service.run_batch(queries, 0.05)
     assert any(answer.reachable for answer in report.answers)
     assert {name: work_counts[name] for name in NO_CONTAINERS} == dict.fromkeys(NO_CONTAINERS, 0)
     # ... and the first patchable update is what thaws, once.
-    with QueryEngine(frozen, cache_size=0) as engine:
-        engine.prepare(reach_alphas=[0.05])
+    with GraphService(frozen, executor="serial", cache_size=0) as service:
+        service.prepare(reach_alphas=[0.05])
         work_counts.clear()
-        engine.update(GraphDelta().add_edge(nodes[0], nodes[-1]))
+        service.update(GraphDelta().add_edge(nodes[0], nodes[-1]))
         assert (work_counts["dag"], work_counts["membership"], work_counts["members"]) != (0, 0, 0)
         assert work_counts["__init__"] == 1  # the DAG; the overlay wraps the CSR, not a DiGraph

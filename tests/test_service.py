@@ -4,7 +4,7 @@ The contracts under test:
 
 * **planner parity** — for every routing decision (serial / parallel /
   sharded, every executor, forced or auto), ``GraphService`` answers are
-  bit-identical to the serial ``QueryEngine``, including across
+  bit-identical to a cache-free serial service's, including across
   ``update(delta)`` calls;
 * **pure planner** — routing decisions are a deterministic function of
   ``(batch size, graph size, cores, config)`` and carry a reason;
@@ -22,7 +22,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.engine import QueryEngine, ReachQuery
+from repro.engine import ReachQuery
 from repro.exceptions import ReproError, ServiceError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import community_graph
@@ -41,6 +41,7 @@ from repro.service import (
     config_from_args,
     service_flag_parent,
 )
+from repro.service.planner import PARALLEL_THRESHOLD, SMALL_GRAPH_SIZE
 from repro.service.reporting import answers_identical
 from repro.updates.delta import GraphDelta
 from repro.workloads.deltas import generate_delta_stream
@@ -104,11 +105,14 @@ def mixed_requests(graph):
     return reach + patterns + subgraphs
 
 
+def serial_answers(graph, requests, alpha=ALPHA):
+    """The reference: a fresh cache-free serial service on ``graph``."""
+    return GraphService(graph, executor="serial", cache_size=0).run_batch(requests, alpha).answers
+
+
 @pytest.fixture(scope="module")
 def serial_reference(graph, mixed_requests):
-    engine = QueryEngine(graph, cache_size=0)
-    answers = engine.run_batch([r.to_query() for r in mixed_requests], ALPHA).answers
-    return [signature(a) for a in answers]
+    return [signature(a) for a in serial_answers(graph, mixed_requests)]
 
 
 # --------------------------------------------------------------------------- #
@@ -207,14 +211,14 @@ class TestPlanner:
         assert (plan.backend, plan.executor) == (SERIAL, "serial")
 
     def test_auto_small_graph_stays_serial(self):
-        planner = Planner(ServiceConfig(small_graph_size=512))
-        plan = planner.plan_batch(10_000, graph_size=511, cores=8)
+        planner = Planner(ServiceConfig())
+        plan = planner.plan_batch(10_000, graph_size=SMALL_GRAPH_SIZE - 1, cores=8)
         assert plan.backend == SERIAL
         assert "small_graph_size" in plan.reason
 
     def test_auto_small_batch_stays_serial(self):
-        planner = Planner(ServiceConfig(parallel_threshold=256))
-        plan = planner.plan_batch(255, graph_size=10**6, cores=8)
+        planner = Planner(ServiceConfig())
+        plan = planner.plan_batch(PARALLEL_THRESHOLD - 1, graph_size=10**6, cores=8)
         assert plan.backend == SERIAL
         assert "parallel_threshold" in plan.reason
 
@@ -309,9 +313,8 @@ class TestPlannerParityContract:
         ]
         service = GraphService(graph, ServiceConfig(cache_size=0))
         answers = service.run_batch(requests).answers
-        engine = QueryEngine(graph, cache_size=0)
         for request, answer in zip(requests, answers):
-            expected = engine.run_batch([request.to_query()], request.alpha).answers[0]
+            [expected] = serial_answers(graph, [request], request.alpha)
             assert signature(answer) == signature(expected)
 
     @pytest.mark.parametrize("executor", EXECUTORS)
@@ -325,8 +328,7 @@ class TestPlannerParityContract:
                 report = service.update(delta)
                 assert report.mode in ("fresh", "patched", "rebuilt")
                 got = service.run_batch(requests, alpha=ALPHA).answers
-                fresh = QueryEngine(service.graph, cache_size=0)
-                expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
+                expected = serial_answers(service.graph, requests)
                 assert answers_identical("reach", got, expected)
 
     def test_forced_rebuild_plan_stays_bit_identical(self):
@@ -338,8 +340,7 @@ class TestPlannerParityContract:
         report = service.update(delta)
         assert report.mode == "rebuilt"
         got = service.run_batch(requests, alpha=ALPHA).answers
-        fresh = QueryEngine(service.graph, cache_size=0)
-        expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
+        expected = serial_answers(service.graph, requests)
         assert answers_identical("reach", got, expected)
 
     def test_update_before_lazy_shard_build_partitions_updated_graph(self):
@@ -354,8 +355,7 @@ class TestPlannerParityContract:
         service.update(delta)
         assert service._sharded is None  # nothing to re-prepare yet
         got = service.run_batch(requests, alpha=ALPHA)  # builds shards now
-        fresh = QueryEngine(service.graph, cache_size=0)
-        expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
+        expected = serial_answers(service.graph, requests)
         assert [signature(a) for a in got.answers] == [signature(a) for a in expected]
         assert got.shard_routed > 0
 
@@ -369,8 +369,7 @@ class TestPlannerParityContract:
         delta = next(iter(generate_delta_stream(base, batches=1, ops_per_batch=10, seed=4)))
         service.update(delta)
         got = service.run_batch(requests, alpha=ALPHA).answers
-        fresh = QueryEngine(service.graph, cache_size=0)
-        expected = fresh.run_batch([r.to_query() for r in requests], ALPHA).answers
+        expected = serial_answers(service.graph, requests)
         assert [signature(a) for a in got] == [signature(a) for a in expected]
 
 
@@ -411,7 +410,7 @@ class TestScatterPolicy:
             assert service._sharded is not None
             for shard in service._sharded.shards.values():
                 assert shard.prepared.state_signature() == ((ALPHA,), (ALPHA,), (ALPHA,), True)
-            assert service.engine.prepared.state_signature() == ((), (), (), False)
+            assert service.prepared.state_signature() == ((), (), (), False)
 
     def test_shard_profile_then_prepare_freezes_the_source_once(self, graph, monkeypatch):
         from repro.graph.csr import CSRGraph
@@ -429,7 +428,7 @@ class TestScatterPolicy:
     def test_contain_prepare_builds_both_engines(self, graph):
         with GraphService(graph, ServiceConfig(num_shards=2, cache_size=0)) as service:
             service.prepare(reach_alphas=[ALPHA])
-            assert service.engine.prepared.state_signature() == ((ALPHA,), (), (), True)
+            assert service.prepared.state_signature() == ((ALPHA,), (), (), True)
             for shard in service._sharded.shards.values():
                 assert shard.prepared.state_signature() == ((ALPHA,), (), (), True)
 
@@ -459,8 +458,15 @@ def chained_deltas(graph):
 
 class TestShardedUpdates:
     @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("policy, k", [(SCATTER, 1), (SCATTER, 2), (SCATTER, 4), (CONTAIN, 2)])
+    @pytest.mark.parametrize(
+        "policy, k", [(SCATTER, 1), (SCATTER, 2), (SCATTER, 4), (CONTAIN, 2), (CONTAIN, 1)]
+    )
     def test_equals_a_fresh_service_after_every_update(self, policy, k, executor):
+        """Unsharded (contain, k=1) runs with the default cache and its pattern
+        requests subscribed, so surgical invalidation, the pattern guard, the
+        flush on a rebuild and subscription maintenance all face re-evaluation."""
+        from repro.subscribe import answer_signature
+
         base = clustered_graph(clusters=2, size=40, seed=5)
         requests = [ReachRequest(s, t) for s, t in sample_mixed_pairs(base, 30, seed=7)]
         for query in generate_pattern_workload(base, shape=(3, 4), count=4, seed=11):
@@ -468,22 +474,43 @@ class TestShardedUpdates:
                 PatternRequest(query.pattern, query.personalized_match, semantics=semantics)
                 for semantics in ("simulation", "subgraph")
             ]
+        unsharded = (policy, k) == (CONTAIN, 1)
         config = ServiceConfig(
-            num_shards=k, shard_policy=policy, executor=executor, workers=2, cache_size=0
+            num_shards=k,
+            shard_policy=policy,
+            executor=executor,
+            workers=2,
+            cache_size=ServiceConfig.cache_size if unsharded else 0,
         )
         deltas = chained_deltas(base)
         assert any(delta.has_node_removals() for delta in deltas)
         with GraphService(base.copy(), config) as service:
             service.run_batch(requests, alpha=ALPHA)  # builds the sharded engine
+            if unsharded:
+                for request in requests:
+                    if isinstance(request, PatternRequest):
+                        service.subscribe(request, alpha=ALPHA)
             for delta in deltas:
                 service.update(delta)
                 got = service.run_batch(requests, alpha=ALPHA).answers
                 with GraphService(service.graph, config) as fresh:
                     expected = fresh.run_batch(requests, alpha=ALPHA).answers
+                    for sub in service.subscriptions():
+                        again = fresh.run_batch([sub.request], sub.alpha).answers[0]
+                        assert sub.signature() == answer_signature(sub.kind, again)
                 assert [signature(a) for a in got] == [signature(a) for a in expected]
 
-    @pytest.mark.parametrize("k", (1, 2))
-    def test_a_failing_delta_reaches_the_shards(self, k):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(num_shards=1, shard_policy=SCATTER, cache_size=0), id="1"),
+            pytest.param(dict(num_shards=2, shard_policy=SCATTER, cache_size=0), id="2"),
+            # Unsharded, cached, on warm daemons: the raise must flush the
+            # cache and bump the epoch so the workers republish.
+            pytest.param(dict(executor="daemon", workers=2), id="unsharded-cached-daemon"),
+        ],
+    )
+    def test_a_failing_delta_reaches_the_shards(self, overrides):
         """The ops before an invalid one stay applied, on the shards too."""
         graph = community_graph([60] * 20, inter_edges=0, seed=7)
         heads = [community * 60 for community in range(20)]  # chained head to head
@@ -492,13 +519,14 @@ class TestShardedUpdates:
             delta.add_edge(later, earlier)
         delta.remove_edge(heads[0], heads[-1])  # no such edge: raises after 19 ops
         requests = [ReachRequest(later, earlier) for earlier, later in combinations(heads, 2)]
-        config = ServiceConfig(num_shards=k, shard_policy=SCATTER, alpha=0.02, cache_size=0)
+        config = ServiceConfig(alpha=0.02, **overrides)
         with GraphService(graph, config) as service:
             service.run_batch(requests)
             with pytest.raises(ReproError):
                 service.update(delta)
             got = service.run_batch(requests).answers
-            expected = GraphService(service.graph, config).run_batch(requests).answers
+            with GraphService(service.graph, config) as fresh:
+                expected = fresh.run_batch(requests).answers
         assert [signature(a) for a in got] == [signature(a) for a in expected]
 
 
@@ -573,11 +601,6 @@ class TestServiceLifecycle:
         assert profile["num_shards"] == 2
         assert sum(profile["shard_nodes"]) == graph.num_nodes()
 
-    def test_engine_property_is_the_single_construction_site(self, graph):
-        service = GraphService(graph)
-        assert service.engine is service.engine
-        assert service.backend == "CSRGraph"
-
     def test_graph_tracks_updates(self):
         base = clustered_graph(clusters=2, size=30, seed=2)
         nodes_before = base.num_nodes()
@@ -588,6 +611,8 @@ class TestServiceLifecycle:
         delta.add_edge(0, "newcomer")
         service.update(delta)
         assert service.graph.num_nodes() == nodes_before + 1
+        service.close()
+        assert service.graph.num_nodes() == nodes_before + 1  # the served graph, not the source
 
 
 # --------------------------------------------------------------------------- #
@@ -603,7 +628,7 @@ class TestDeprecationShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.shard import ShardedEngine  # noqa: F401
-            from repro.engine import QueryEngine  # noqa: F401
+            from repro.engine import PreparedGraph  # noqa: F401
 
     def test_unknown_attribute_still_raises(self):
         import repro

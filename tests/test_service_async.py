@@ -24,7 +24,6 @@ import threading
 import pytest
 
 from repro import obs
-from repro.engine import QueryEngine
 from repro.exceptions import ServiceError
 from repro.service import GraphService, ReachRequest, ServiceConfig
 from repro.service.aio import AdmissionController
@@ -48,8 +47,7 @@ def requests(graph):
 
 @pytest.fixture(scope="module")
 def reference(graph, requests):
-    engine = QueryEngine(graph, cache_size=0)
-    return engine.run_batch([r.to_query() for r in requests], ALPHA).answers
+    return GraphService(graph, executor="serial", cache_size=0).run_batch(requests, ALPHA).answers
 
 
 def hold_worker(service) -> threading.Event:

@@ -7,7 +7,7 @@ The contract under test:
   partitioner and every executor;
 * **bit-identical when shard-contained** — whenever a query's ball stays
   inside its home shard's core (always at ``k = 1``), the sharded answer is
-  field-for-field identical to the single-graph ``QueryEngine``'s, for every
+  field-for-field identical to an unsharded ``GraphService``'s, for every
   executor and worker count;
 * **reset is a fresh build** — after ``reset(mutated)`` the engine answers
   exactly like ``ShardedEngine(mutated)``, on a daemon pool that stays warm.
@@ -19,11 +19,12 @@ import random
 
 import pytest
 
-from repro.engine import PatternQuery, QueryEngine, ReachQuery
+from repro.engine import PatternQuery, ReachQuery
 from repro.exceptions import ShardError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import preferential_attachment_graph
 from repro.graph.traversal import is_reachable
+from repro.service import GraphService
 from repro.shard import (
     Partition,
     ShardedEngine,
@@ -111,9 +112,7 @@ def pattern_queries(graph):
 
 @pytest.fixture(scope="module")
 def baseline(graph, reach_queries):
-    engine = QueryEngine(graph, cache_size=0)
-    engine.prepare(reach_alphas=[ALPHA])
-    return engine
+    return GraphService(graph, executor="serial", cache_size=0).prepare(reach_alphas=[ALPHA])
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +270,7 @@ class TestReachParity:
     def test_k1_bit_identical_to_unsharded(
         self, baseline, reach_queries, sharded_engines, executor
     ):
-        expected = reach_signature(baseline.answer_batch(reach_queries, ALPHA))
+        expected = reach_signature(baseline.run_batch(reach_queries, ALPHA).answers)
         answers = sharded_engines[1].answer_batch(
             reach_queries, ALPHA, executor=executor, workers=2
         )
@@ -291,14 +290,11 @@ class TestReachParity:
 
     def test_report_and_chunks_follow_the_live_pool(self, graph, reach_queries):
         """A live pool ignores a later ``workers``; so do the report and the chunking."""
-        with ShardedEngine(graph, num_shards=2, seed=7) as sharded, QueryEngine(
-            graph, cache_size=0
-        ) as single:
-            for engine in (sharded, single):
-                first = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=2)
-                second = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=3)
-                assert len(engine.daemon_pool().worker_pids()) == 2
-                assert (second.workers, second.chunks) == (2, first.chunks)
+        with ShardedEngine(graph, num_shards=2, seed=7) as engine:
+            first = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=2)
+            second = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=3)
+            assert len(engine.daemon_pool().worker_pids()) == 2
+            assert (second.workers, second.chunks) == (2, first.chunks)
 
     def test_unknown_endpoints_answer_unreachable(self, graph, sharded_engines):
         queries = [ReachQuery("ghost", 0), ReachQuery(0, "ghost")]
@@ -339,7 +335,7 @@ class TestPatternParity:
     @pytest.fixture(scope="class")
     def expected(self, baseline, pattern_queries):
         return [
-            pattern_signature(a) for a in baseline.answer_batch(pattern_queries, ALPHA)
+            pattern_signature(a) for a in baseline.run_batch(pattern_queries, ALPHA).answers
         ]
 
     @pytest.mark.parametrize("k", KS)

@@ -380,8 +380,8 @@ class TestSharedPreparedGraph:
         import gc
         import random
 
-        from repro.engine import QueryEngine
         from repro.engine.queries import ReachQuery
+        from repro.service import GraphService
 
         graph = CSRGraph.from_digraph(random_graph(num_nodes=3000, num_edges=6000, seed=3))
         rng = random.Random(5)
@@ -393,10 +393,10 @@ class TestSharedPreparedGraph:
             return sum(1 for obj in gc.get_objects() if type(obj) is set)
 
         before = live_sets()
-        with QueryEngine(graph, cache_size=0) as engine:
-            engine.prepare(reach_alphas=[0.02])
-            assert any(answer.reachable for answer in engine.run_batch(queries, 0.02).answers)
-            index = engine.prepared.reachability_index(0.02)
+        with GraphService(graph, executor="serial", cache_size=0) as service:
+            service.prepare(reach_alphas=[0.02])
+            assert any(answer.reachable for answer in service.run_batch(queries, 0.02).answers)
+            index = service.prepared.reachability_index(0.02)
             grown = live_sets() - before
         budget = 4 * index.num_landmarks()
         assert grown <= budget < len(index.forward_labels) + len(index.backward_labels)
@@ -428,15 +428,15 @@ class TestSharedPreparedGraph:
             daemon = engine.run_batch(queries, 0.2, executor="daemon", workers=2).answers
             assert [a.reachable for a in daemon] == [a.reachable for a in serial]
 
-    def test_leak_free_after_engine_lifecycle(self):
+    def test_leak_free_after_service_lifecycle(self):
         before = set(shm.active_segments())
         graph = random_graph(num_nodes=100, num_edges=400, seed=17)
-        from repro.engine import QueryEngine
         from repro.engine.queries import ReachQuery
+        from repro.service import GraphService
 
         nodes = list(graph.nodes())
         queries = [ReachQuery(nodes[i], nodes[-1 - i]) for i in range(8)]
-        with QueryEngine(graph, cache_size=0) as engine:
-            engine.answer_batch(queries, 0.2, executor="daemon", workers=2)
+        with GraphService(graph, executor="daemon", workers=2, cache_size=0) as service:
+            service.run_batch(queries, 0.2)
             assert set(shm.active_segments()) > before  # pool holds segments
         assert set(shm.active_segments()) == before

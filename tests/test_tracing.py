@@ -28,12 +28,12 @@ import random
 import pytest
 
 from repro import obs
-from repro.engine import QueryEngine
 from repro.engine.queries import ReachQuery
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_graph
 from repro.obs import flight
 from repro.obs.flight import FlightRecorder
+from repro.service import GraphService
 from repro.shard.engine import ShardedEngine
 
 ALPHA = 0.1
@@ -106,13 +106,13 @@ class TestDaemonTimeline:
         graph = random_graph(num_nodes=200, num_edges=800, seed=5)
         nodes = list(graph.nodes())
         queries = [ReachQuery(nodes[i], nodes[-1 - i]) for i in range(24)]
-        with QueryEngine(graph, cache_size=0) as engine:
-            engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
+        with GraphService(graph, executor="daemon", workers=2, cache_size=0) as service:
+            service.run_batch(queries, ALPHA)
 
         timelines = recorder.recent()
         assert len(timelines) == 1, "one batch must assemble exactly one timeline"
         timeline = timelines[0]
-        assert timeline.root["span"] == "engine.batch"
+        assert timeline.root["span"] == "service.query"
         names = set(timeline.span_names())
         # Worker-side spans made it back over the pipes...
         assert {"daemon.worker", "executor.chunk"} <= names
@@ -133,10 +133,10 @@ class TestDaemonTimeline:
         assert directions == {"outbound", "inbound"}
         _assert_linked(timeline)
         # Worker spans hang under the dispatching engine.batch span.
-        root_id = timeline.root["id"]
+        [dispatch] = [record for record in timeline.records if record["span"] == "engine.batch"]
         for record in timeline.records:
             if record["span"] == "daemon.worker":
-                assert record["parent_id"] == root_id
+                assert record["parent_id"] == dispatch["id"]
         assert all(record["wall_ms"] >= 0 for record in timeline.records)
 
     def test_sharded_engine_k2_assembles_one_timeline(self, recorder):
@@ -160,8 +160,8 @@ class TestDaemonTimeline:
         graph = random_graph(num_nodes=150, num_edges=600, seed=9)
         nodes = list(graph.nodes())
         queries = [ReachQuery(nodes[i], nodes[-1 - i]) for i in range(12)]
-        with QueryEngine(graph, cache_size=0) as engine:
-            engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
+        with GraphService(graph, executor="daemon", workers=2, cache_size=0) as service:
+            service.run_batch(queries, ALPHA)
         timeline = recorder.recent()[0]
         path = timeline.critical_path()
         assert path[0] is timeline.root
@@ -289,8 +289,8 @@ class TestExport:
         graph = random_graph(num_nodes=150, num_edges=600, seed=23)
         nodes = list(graph.nodes())
         queries = [ReachQuery(nodes[i], nodes[-1 - i]) for i in range(12)]
-        with QueryEngine(graph, cache_size=0) as engine:
-            engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
+        with GraphService(graph, executor="daemon", workers=2, cache_size=0) as service:
+            service.run_batch(queries, ALPHA)
         return recorder.recent()[0]
 
     def test_chrome_trace_export_is_valid(self, recorder, tmp_path):

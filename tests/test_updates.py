@@ -1,8 +1,8 @@
-"""Tests for the incremental-update layer (``repro.updates`` + engine wiring).
+"""Tests for the incremental-update layer (``repro.updates`` + service wiring).
 
 The load-bearing property is **rebuild equivalence**: after any delta
-sequence, the updated engine's answers are bit-identical — field by field,
-``visited`` counters included — to an engine freshly prepared on the mutated
+sequence, the updated service's answers are bit-identical — field by field,
+``visited`` counters included — to a service freshly prepared on the mutated
 graph, for every executor and worker count, whether the update was patched
 or rebuilt.  On top of that: the overlay must mirror ``DiGraph`` op
 semantics exactly (including iteration order), the maintained condensation
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import PatternQuery, QueryEngine, ReachQuery
+from repro.engine import PatternQuery, ReachQuery
 from repro.engine.prepared import PreparedGraph
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, WorkloadError
 from repro.graph.csr import CSRGraph
@@ -27,6 +27,7 @@ from repro.graph.generators import preferential_attachment_graph
 from repro.graph.protocol import GraphLike
 from repro.graph.topology import verify_rank_invariant
 from repro.reachability.compression import compress
+from repro.service import GraphService
 from repro.updates import (
     CondensationMaintainer,
     GraphDelta,
@@ -42,6 +43,15 @@ ALPHA = 0.05
 
 def _reach_signature(answers):
     return [(a.reachable, a.visited, a.met_at, a.exhausted) for a in answers]
+
+
+def _serial(graph, cache_size=0, **config) -> GraphService:
+    """A serial service (cache-free unless asked): the reference the tests diff against."""
+    return GraphService(graph, executor="serial", cache_size=cache_size, **config)
+
+
+def _answers(service, queries, alpha=ALPHA):
+    return _reach_signature(service.run_batch(queries, alpha).answers)
 
 
 def _random_delta(rng, graph: DiGraph, ops: int, allow_removals: bool = False) -> GraphDelta:
@@ -312,22 +322,20 @@ class TestRebuildEquivalence:
     )
     def test_patched_updates_match_fresh_prepare(self, served_graph, reach_queries, seed, rounds):
         rng = random.Random(seed)
-        engine = QueryEngine(served_graph, cache_size=0)
-        engine.answer_batch(reach_queries, ALPHA)  # build the prepared state
+        service = _serial(served_graph)
+        pooled = GraphService(served_graph, executor="daemon", workers=3, cache_size=0)
+        _answers(service, reach_queries)  # build the prepared state
         mutable = served_graph.copy()
-        for _ in range(rounds):
-            delta = _random_delta(rng, mutable, ops=8)
-            delta.apply_to(mutable)
-            report = engine.update(delta)
-            assert report.mode in ("patched", "rebuilt")
-        updated = _reach_signature(engine.answer_batch(reach_queries, ALPHA))
-        fresh_substrate = QueryEngine(engine.prepared.graph, cache_size=0)
-        assert updated == _reach_signature(fresh_substrate.answer_batch(reach_queries, ALPHA))
-        fresh_digraph = QueryEngine(mutable, cache_size=0)
-        assert updated == _reach_signature(fresh_digraph.answer_batch(reach_queries, ALPHA))
-        with engine:
-            pooled = engine.answer_batch(reach_queries, ALPHA, executor="daemon", workers=3)
-        assert updated == _reach_signature(pooled)
+        with pooled:
+            for _ in range(rounds):
+                delta = _random_delta(rng, mutable, ops=8)
+                delta.apply_to(mutable)
+                assert service.update(delta).mode in ("patched", "rebuilt")
+                pooled.update(delta)
+            updated = _answers(service, reach_queries)
+            assert updated == _answers(pooled, reach_queries)
+        assert updated == _answers(_serial(service.graph), reach_queries)
+        assert updated == _answers(_serial(mutable), reach_queries)
 
     @pytest.mark.parametrize("with_condensation", [False, True])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -352,29 +360,28 @@ class TestRebuildEquivalence:
 
     @staticmethod
     def _remove_a_node(served_graph, reach_queries, alphas):
-        engine = QueryEngine(served_graph, cache_size=0)
+        service = _serial(served_graph)
         for alpha in alphas:
-            engine.answer_batch(reach_queries, alpha)
+            service.run_batch(reach_queries, alpha)
         mutable = served_graph.copy()
         delta = GraphDelta().remove_node(next(iter(served_graph.nodes())))
         delta.apply_to(mutable)
-        assert engine.update(delta).mode == "rebuilt"
-        return engine, mutable
+        assert service.update(delta).mode == "rebuilt"
+        return service, mutable
 
     def test_node_removals_take_rebuild_path_and_stay_equivalent(self, served_graph, reach_queries):
-        engine, mutable = self._remove_a_node(served_graph, reach_queries, (ALPHA, 0.2))
-        fresh = QueryEngine(mutable, cache_size=0)
+        service, mutable = self._remove_a_node(served_graph, reach_queries, (ALPHA, 0.2))
+        fresh = _serial(mutable)
         for alpha in (ALPHA, 0.2):  # the lazy re-prepare answers as a fresh one does
-            updated = _reach_signature(engine.answer_batch(reach_queries, alpha))
-            assert updated == _reach_signature(fresh.answer_batch(reach_queries, alpha))
+            assert _answers(service, reach_queries, alpha) == _answers(fresh, reach_queries, alpha)
 
     def test_node_removal_rebuild_lands_on_the_array_tier(self, served_graph, reach_queries):
         from prepare_oracle import oracle_build_index, oracle_compress, oracle_from_digraph
         from test_prepare_differential import assert_same_compression, assert_same_index
 
-        engine, mutable = self._remove_a_node(served_graph, reach_queries, (ALPHA,))
-        engine.answer_batch(reach_queries, ALPHA)
-        prepared = engine.prepared
+        service, mutable = self._remove_a_node(served_graph, reach_queries, (ALPHA,))
+        service.run_batch(reach_queries, ALPHA)
+        prepared = service.prepared
         assert isinstance(prepared.graph, CSRGraph)
         compressed = prepared.compressed()
         assert compressed.condensation.array_backed
@@ -384,79 +391,64 @@ class TestRebuildEquivalence:
         assert_same_compression(compressed, oracle_compress(frozen_oracle))
 
     def test_oversized_delta_falls_back_to_rebuild(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph, cache_size=0)
-        engine.answer_batch(reach_queries, ALPHA)
+        service = _serial(served_graph, patch_threshold=0.0)
+        service.run_batch(reach_queries, ALPHA)
         mutable = served_graph.copy()
         delta = _random_delta(random.Random(5), mutable, ops=6)
         delta.apply_to(mutable)
-        report = engine.update(delta, patch_threshold=0.0)
-        assert report.mode == "rebuilt"
-        updated = _reach_signature(engine.answer_batch(reach_queries, ALPHA))
-        assert updated == _reach_signature(
-            QueryEngine(mutable, cache_size=0).answer_batch(reach_queries, ALPHA)
-        )
+        assert service.update(delta).mode == "rebuilt"
+        assert _answers(service, reach_queries) == _answers(_serial(mutable), reach_queries)
 
     def test_warm_daemons_see_updated_state(self, served_graph, reach_queries):
         mutable = served_graph.copy()
         delta = _random_delta(random.Random(11), mutable, ops=10)
         delta.apply_to(mutable)
-        with QueryEngine(served_graph, cache_size=0) as engine:
-            engine.answer_batch(reach_queries, ALPHA, executor="daemon", workers=2)
-            engine.update(delta)
-            via_daemon = engine.answer_batch(reach_queries, ALPHA, executor="daemon", workers=2)
-        fresh = QueryEngine(mutable, cache_size=0)
-        assert _reach_signature(via_daemon) == _reach_signature(
-            fresh.answer_batch(reach_queries, ALPHA)
-        )
+        with GraphService(served_graph, executor="daemon", workers=2, cache_size=0) as service:
+            service.run_batch(reach_queries, ALPHA)
+            service.update(delta)
+            via_daemon = _answers(service, reach_queries)
+        assert via_daemon == _answers(_serial(mutable), reach_queries)
 
     def test_compaction_preserves_answers(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph, cache_size=0)
-        engine.answer_batch(reach_queries, ALPHA)
+        service = _serial(served_graph, compact_threshold=0.02)
+        service.run_batch(reach_queries, ALPHA)
         mutable = served_graph.copy()
         rng = random.Random(21)
         compacted = False
         for _ in range(6):
             delta = _random_delta(rng, mutable, ops=12)
             delta.apply_to(mutable)
-            report = engine.update(delta, compact_threshold=0.02)
-            compacted = compacted or report.summary.compacted
+            report = service.update(delta)
+            compacted = compacted or report.engine_report.summary.compacted
         assert compacted, "compaction threshold never tripped"
-        updated = _reach_signature(engine.answer_batch(reach_queries, ALPHA))
-        assert updated == _reach_signature(
-            QueryEngine(mutable, cache_size=0).answer_batch(reach_queries, ALPHA)
-        )
+        assert _answers(service, reach_queries) == _answers(_serial(mutable), reach_queries)
 
     def test_empty_delta_is_noop(self, served_graph):
-        engine = QueryEngine(served_graph)
-        report = engine.update(GraphDelta())
-        assert report.mode == "noop"
+        assert GraphService(served_graph).update(GraphDelta()).mode == "noop"
 
-    def test_failed_delta_leaves_engine_consistent(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph, cache_size=0)
-        engine.answer_batch(reach_queries, ALPHA)
+    def test_failed_delta_leaves_service_consistent(self, served_graph, reach_queries):
+        service = _serial(served_graph)
+        service.run_batch(reach_queries, ALPHA)
         source = next(iter(served_graph.nodes()))
         bad = GraphDelta().add_node("orphan", "Z").remove_edge("orphan", source)
         with pytest.raises(EdgeNotFoundError):
-            engine.update(bad)
+            service.update(bad)
         # The applied prefix (the node insert) must be visible and served
-        # consistently — equivalently to a fresh engine on the same state.
+        # consistently — equivalently to a fresh service on the same state.
         mutable = served_graph.copy()
         mutable.add_node("orphan", "Z")
-        updated = _reach_signature(engine.answer_batch(reach_queries, ALPHA))
-        assert updated == _reach_signature(
-            QueryEngine(mutable, cache_size=0).answer_batch(reach_queries, ALPHA)
-        )
+        assert _answers(service, reach_queries) == _answers(_serial(mutable), reach_queries)
 
     def test_failed_delta_drops_stale_cached_answers(self):
         """A failing delta's applied prefix must not be masked by the cache."""
         graph = DiGraph.from_edges([("a", "b"), ("c", "d")])
-        engine = QueryEngine(graph, cache_size=16)
-        before = engine.answer_batch([ReachQuery("b", "d")], ALPHA)[0]
+        service = _serial(graph, cache_size=16)
+        before = service.run_batch([ReachQuery("b", "d")], ALPHA).answers[0]
         assert not before.reachable
         bad = GraphDelta().add_edge("b", "d").remove_edge("a", "d")
         with pytest.raises(EdgeNotFoundError):
-            engine.update(bad)
-        after = engine.answer_batch([ReachQuery("b", "d")], ALPHA)[0]
+            service.update(bad)
+        after = service.run_batch([ReachQuery("b", "d")], ALPHA).answers[0]
         assert after.reachable  # the applied b->d insert is served, not cached-over
 
     def test_failed_delta_does_not_leave_stale_summaries(self):
@@ -491,17 +483,17 @@ class TestCacheInvalidation:
     def test_intra_scc_insert_keeps_untouched_entries_hot(self):
         """The hit-rate contract: touched region evicted, the rest stay hot."""
         graph = _chain_scc_graph()
-        engine = QueryEngine(graph, cache_size=256)
+        service = _serial(graph, cache_size=256)
         queries = [ReachQuery(source, target) for source in (14, 20, 25) for target in (0, 5)]
-        engine.answer_batch(queries, ALPHA)
-        assert engine.cache_stats().entries == len(queries)
+        service.run_batch(queries, ALPHA)
+        assert len(service._cache) == len(queries)
 
         # An edge inside the 12-cycle SCC: the condensation, ranks and the
         # whole landmark index are provably unchanged, so only entries
         # anchored on the edge's endpoints may be dropped.
-        report = engine.update(GraphDelta().add_edge(0, 6))
+        report = service.update(GraphDelta().add_edge(0, 6))
         assert report.mode == "patched"
-        assert report.summary.reach_alphas_preserved.get(ALPHA) is True
+        assert report.engine_report.summary.reach_alphas_preserved.get(ALPHA) is True
         touched = {0, 6}
         expected_evicted = sum(
             1 for query in queries if query.source in touched or query.target in touched
@@ -509,16 +501,13 @@ class TestCacheInvalidation:
         assert report.cache_evicted == expected_evicted
         assert report.cache_retained == len(queries) - expected_evicted
 
-        warm = engine.run_batch(queries, ALPHA)
+        warm = service.run_batch(queries, ALPHA)
         assert warm.cache_hits == len(queries) - expected_evicted
         assert warm.cache_misses == expected_evicted
-        # And the refreshed answers equal a fresh engine's (bit-identical).
+        # And the refreshed answers equal a fresh service's (bit-identical).
         mutable = _chain_scc_graph()
         mutable.add_edge(0, 6)
-        fresh = QueryEngine(mutable, cache_size=0)
-        assert _reach_signature(warm.answers) == _reach_signature(
-            fresh.answer_batch(queries, ALPHA)
-        )
+        assert _reach_signature(warm.answers) == _answers(_serial(mutable), queries)
 
     @settings(
         max_examples=10,
@@ -527,15 +516,15 @@ class TestCacheInvalidation:
     @given(edge_index=st.integers(min_value=0, max_value=11))
     def test_eviction_property_over_intra_scc_edges(self, edge_index):
         graph = _chain_scc_graph()
-        engine = QueryEngine(graph, cache_size=256)
+        service = _serial(graph, cache_size=256)
         queries = [ReachQuery(source, 0) for source in range(12, 30)]
-        engine.answer_batch(queries, ALPHA)
+        service.run_batch(queries, ALPHA)
         target = (edge_index + 5) % 12
         if graph.has_edge(edge_index, target):
             target = (edge_index + 6) % 12
-        report = engine.update(GraphDelta().add_edge(edge_index, target))
+        report = service.update(GraphDelta().add_edge(edge_index, target))
         assert report.mode == "patched"
-        if report.summary.reach_alphas_preserved.get(ALPHA):
+        if report.engine_report.summary.reach_alphas_preserved.get(ALPHA):
             touched = {edge_index, target}
             untouched = [
                 query
@@ -543,39 +532,39 @@ class TestCacheInvalidation:
                 if query.source not in touched and query.target not in touched
             ]
             assert report.cache_retained == len(untouched)
-            warm = engine.run_batch(queries, ALPHA)
+            warm = service.run_batch(queries, ALPHA)
             assert warm.cache_hits == len(untouched)
 
     def test_structural_change_flushes_alpha_partition(self):
         graph = _chain_scc_graph()
-        engine = QueryEngine(graph, cache_size=256)
+        service = _serial(graph, cache_size=256)
         queries = [ReachQuery(source, 0) for source in range(12, 20)]
-        engine.answer_batch(queries, ALPHA)
+        service.run_batch(queries, ALPHA)
         # New node + edge changes |G|, hence the size budget and the index:
         # every reachability entry for that α must go.
-        report = engine.update(GraphDelta().add_node("w", "Z").add_edge("w", 3))
+        report = service.update(GraphDelta().add_node("w", "Z").add_edge("w", 3))
         assert report.cache_retained == 0
 
     def test_rebuild_clears_cache(self):
         graph = _chain_scc_graph()
-        engine = QueryEngine(graph, cache_size=256)
+        service = _serial(graph, cache_size=256)
         queries = [ReachQuery(source, 0) for source in range(12, 20)]
-        engine.answer_batch(queries, ALPHA)
-        report = engine.update(GraphDelta().remove_node(29))
+        service.run_batch(queries, ALPHA)
+        report = service.update(GraphDelta().remove_node(29))
         assert report.mode == "rebuilt"
         assert report.cache_retained == 0
-        assert engine.cache_stats().entries == 0
+        assert len(service._cache) == 0
 
     def test_pattern_entries_evicted_on_size_change(self, served_graph):
         from repro.workloads.queries import generate_pattern_workload
 
         workload = generate_pattern_workload(served_graph, shape=(4, 6), count=2, seed=4)
         queries = [PatternQuery(q.pattern, q.personalized_match) for q in workload]
-        engine = QueryEngine(served_graph, cache_size=64)
-        engine.answer_batch(queries, ALPHA)
-        assert engine.cache_stats().entries == len(queries)
+        service = _serial(served_graph, cache_size=64)
+        service.run_batch(queries, ALPHA)
+        assert len(service._cache) == len(queries)
         node = next(iter(served_graph.nodes()))
-        report = engine.update(GraphDelta().add_node("fresh-node", "Z").add_edge("fresh-node", node))
+        report = service.update(GraphDelta().add_node("fresh-node", "Z").add_edge("fresh-node", node))
         assert report.cache_retained == 0
 
     def test_pattern_entries_survive_distant_relabel(self):
@@ -588,8 +577,8 @@ class TestCacheInvalidation:
         )
         workload = generate_pattern_workload(graph, shape=(3, 3), count=2, seed=4, min_degree=1)
         queries = [PatternQuery(q.pattern, q.personalized_match) for q in workload]
-        engine = QueryEngine(graph, cache_size=64)
-        engine.answer_batch(queries, ALPHA)
+        service = _serial(graph, cache_size=64)
+        service.run_batch(queries, ALPHA)
         radius = max(q.pattern.shape()[0] for q in queries)
         near = set()
         for query in queries:
@@ -597,10 +586,10 @@ class TestCacheInvalidation:
                 bfs_levels(graph, query.personalized_match, max_hops=radius + 1, direction="both")
             )
         far = next(node for node in graph.nodes() if node not in near)
-        report = engine.update(GraphDelta().add_node(far, "relabelled"))
+        report = service.update(GraphDelta().add_node(far, "relabelled"))
         assert report.mode in ("patched", "fresh")
         assert report.cache_retained == len(queries)
-        warm = engine.run_batch(queries, ALPHA)
+        warm = service.run_batch(queries, ALPHA)
         assert warm.cache_hits == len(queries)
 
 
@@ -620,23 +609,19 @@ class TestDeltaStream:
 
     def test_growth_stream_stays_patched(self, served_graph):
         stream = generate_delta_stream(served_graph, batches=3, ops_per_batch=15, mix="growth", seed=2)
-        engine = QueryEngine(served_graph)
-        engine.prepare(reach_alphas=[ALPHA])
+        service = GraphService(served_graph).prepare(reach_alphas=[ALPHA])
         for delta in stream:
-            assert engine.update(delta).mode == "patched"
+            assert service.update(delta).mode == "patched"
 
     @pytest.mark.parametrize("mix", ["growth", "uniform"])
     def test_stream_answers_match_fresh_prepare(self, served_graph, reach_queries, mix):
         """A whole generated stream, absorbed warm, answers like its final graph."""
         stream = generate_delta_stream(served_graph, batches=4, ops_per_batch=15, mix=mix, seed=5)
-        engine = QueryEngine(served_graph, cache_size=0)
-        engine.prepare(reach_alphas=[ALPHA])
+        service = _serial(served_graph).prepare(reach_alphas=[ALPHA])
         for delta in stream:
-            engine.update(delta)
-        fresh = QueryEngine(stream.final_graph, cache_size=0)
-        assert _reach_signature(engine.answer_batch(reach_queries, ALPHA)) == _reach_signature(
-            fresh.answer_batch(reach_queries, ALPHA)
-        )
+            service.update(delta)
+        fresh = _serial(stream.final_graph)
+        assert _answers(service, reach_queries) == _answers(fresh, reach_queries)
 
     def test_node_removals_opt_in(self, served_graph):
         stream = generate_delta_stream(
