@@ -40,7 +40,7 @@ from repro.reachability.landmarks import (
     LabelTable,
     greedy_landmarks,
     out_of_index_labels,
-    selection_order,
+    selection_rows,
 )
 
 
@@ -213,6 +213,7 @@ def build_index(
     reference_size: Optional[int] = None,
     max_parents_per_landmark: int = 4,
     max_levels: Optional[int] = None,
+    ordered: Optional[List[NodeId]] = None,
 ) -> HierarchicalLandmarkIndex:
     """Procedure ``RBIndex``: build the hierarchical landmark index.
 
@@ -234,6 +235,9 @@ def build_index(
     max_levels:
         Optional cap on hierarchy depth (defaults to the paper's
         ``floor(log_a |G|) + 1``).
+    ordered:
+        Optional full candidate order for :func:`select_leaves` (the one an
+        incremental maintainer keeps), instead of sorting afresh.
     """
     if not 0 < alpha <= 1:
         raise IndexBuildError(f"alpha must be in (0, 1], got {alpha}")
@@ -247,7 +251,7 @@ def build_index(
     if dag.num_nodes() == 0:
         return index
 
-    leaves = select_leaves(compressed, alpha, size_budget)
+    leaves = select_leaves(compressed, alpha, size_budget, ordered=ordered)
     if not leaves:
         return index
 
@@ -284,18 +288,44 @@ def select_leaves(
     on the patched condensation — any divergence here would break the
     rebuild-equivalence contract.  ``ordered`` optionally supplies the full
     pre-sorted candidate order (the maintained one from
-    ``CondensationMaintainer``), skipping the key computation and sort —
-    same numbers, same selection either way.
+    ``CondensationMaintainer``), skipping the sort — same numbers, same
+    selection either way.
+
+    The score is the paper's ``(deg * rank) / (L * D)`` weighted by SCC
+    size: a component node stands for all of its original members, so it
+    covers proportionally more pairs.  On a condensed DAG a giant strongly
+    connected component becomes one rank-0 sink, which the unweighted score
+    would never select although it covers by far the most original pairs.
     """
     mirror = compressed.dag_csr
     exclusion_radius = max(1, math.floor(2 / alpha)) if alpha < 1 else 1
     num_leaves = max(1, min(size_budget // 2, mirror.num_nodes()))
     if ordered is None:
-        # Weight the greedy score by SCC size: a component node stands for
-        # all of its original members, so it covers proportionally more pairs.
-        size_of = compressed.condensation.size_of
-        ordered = selection_order(mirror, compressed.ranks, lambda node: float(size_of(node)))
-    return greedy_landmarks(mirror, compressed.ranks, num_leaves, exclusion_radius, ordered=ordered)
+        order = selection_rows(*_selection_columns(compressed))
+    else:
+        order = np.fromiter(map(mirror.index_of, ordered), dtype=np.int64, count=len(ordered))
+    return greedy_landmarks(mirror, order, num_leaves, exclusion_radius)
+
+
+def _selection_columns(compressed: CompressedGraph) -> Tuple[np.ndarray, ...]:
+    """Ids, degrees, ``v.r`` and SCC sizes (float64) over the rows of ``compressed.dag_csr``.
+
+    The ids are the mirror's int column (or its rows, when they are the
+    ids) and the degrees its degree column.  Fresh from ``compress`` ranks
+    and sizes are columns already: the rank column and the differences of
+    the member offsets.  A state an update patched keeps them in
+    containers, read with one ``np.fromiter`` each.
+    """
+    mirror, ranks, condensed = compressed.dag_csr, compressed.ranks, compressed.condensation
+    n = mirror.num_nodes()
+    ids = np.arange(n, dtype=np.int64) if mirror._identity else mirror._index.ids
+    if condensed.array_backed and ranks.graph is mirror:
+        rank_column = ranks.columns()["ranks"]
+        sizes = np.diff(condensed.columns()["member_offsets"]).astype(np.float64)
+    else:
+        rank_column = np.fromiter(map(ranks.rank, mirror.nodes()), dtype=np.int64, count=n)
+        sizes = np.fromiter(map(condensed.size_of, mirror.nodes()), dtype=np.float64, count=n)
+    return ids, mirror.degrees(), rank_column, sizes
 
 
 def assemble_index(

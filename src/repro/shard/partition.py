@@ -249,10 +249,11 @@ def greedy_partition(graph: GraphLike, num_shards: int, seed: int = 0) -> Partit
     ``REFINEMENT_PASSES`` boundary sweeps moving a node to the neighbouring
     shard with the largest strict cut gain that keeps balance.
 
-    The state is flat int lists over rows, as in ``_csr_components``:
-    ``inside[row * k + s]`` counts the distinct neighbours of ``row`` shard
-    ``s`` owns, ``assigned[row]`` those any shard owns.  Claims (and moves)
-    update them, so a pull ``inside - (assigned - inside)`` is two reads.
+    The state is flat int lists over rows, as in the Tarjan pass of
+    ``graph/components.py`` (``_tarjan``): ``inside[row * k + s]`` counts
+    the distinct neighbours of ``row`` shard ``s`` owns, ``assigned[row]``
+    those any shard owns.  Claims (and moves) update them, so a pull
+    ``inside - (assigned - inside)`` is two reads.
     """
     if num_shards < 1:
         raise ShardError(f"num_shards must be >= 1, got {num_shards}")

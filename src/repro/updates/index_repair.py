@@ -126,6 +126,7 @@ def repair_index(
             reference_size=reference_size,
             max_parents_per_landmark=max_parents_per_landmark,
             max_levels=max_levels,
+            ordered=patch.selection_order,
         )
 
     mirror = compressed.dag_csr

@@ -1,14 +1,24 @@
 """Tests for greedy landmark selection, first-hit labels and landmark sweeps."""
 
+import random
+
+import numpy as np
 import pytest
 
+from prepare_oracle import oracle_selection_order
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import layered_dag, path_graph
 from repro.graph.topology import TopologicalRankIndex
 from repro.graph.traversal import descendants, is_reachable
 from repro.reachability.hierarchy import sweep_landmarks
-from repro.reachability.landmarks import first_landmarks_hit, greedy_landmarks, selection_scores
+from repro.reachability.landmarks import (
+    first_landmarks_hit,
+    greedy_landmarks,
+    selection_rows,
+    selection_scores,
+    selection_sort_key,
+)
 
 
 @pytest.fixture
@@ -20,20 +30,23 @@ def ranks_of(mirror):
     return TopologicalRankIndex.from_mirror(mirror)
 
 
+def order_of(mirror, weights=None):
+    """The mirror's rows in the oracle's greedy order."""
+    ordered = oracle_selection_order(mirror, ranks_of(mirror), weights)
+    return np.fromiter(map(mirror.index_of, ordered), dtype=np.int64, count=len(ordered))
+
+
 class TestGreedySelection:
     def test_requested_count(self, dag):
-        ranks = ranks_of(dag)
-        landmarks = greedy_landmarks(dag, ranks, count=6, exclusion_radius=2)
+        landmarks = greedy_landmarks(dag, order_of(dag), count=6, exclusion_radius=2)
         assert len(landmarks) == 6
         assert len(set(landmarks)) == 6
 
     def test_zero_count(self, dag):
-        ranks = ranks_of(dag)
-        assert greedy_landmarks(dag, ranks, count=0, exclusion_radius=2) == []
+        assert greedy_landmarks(dag, order_of(dag), count=0, exclusion_radius=2) == []
 
     def test_count_larger_than_graph(self, dag):
-        ranks = ranks_of(dag)
-        landmarks = greedy_landmarks(dag, ranks, count=10_000, exclusion_radius=1)
+        landmarks = greedy_landmarks(dag, order_of(dag), count=10_000, exclusion_radius=1)
         assert len(landmarks) <= dag.num_nodes()
 
     def test_exclusion_radius_spreads_selection(self):
@@ -45,16 +58,30 @@ class TestGreedySelection:
             graph.add_node(leaf, "L")
             graph.add_edge("hub", leaf)
         mirror = CSRGraph.from_digraph(graph)
-        spread = greedy_landmarks(mirror, ranks_of(mirror), count=11, exclusion_radius=10)
+        spread = greedy_landmarks(mirror, order_of(mirror), count=11, exclusion_radius=10)
         assert len(spread) < 11
 
     def test_weights_bias_selection(self, dag):
-        ranks = ranks_of(dag)
         target = sorted(dag.nodes())[0]
         weights = {node: 1.0 for node in dag.nodes()}
         weights[target] = 10_000.0
-        landmarks = greedy_landmarks(dag, ranks, count=3, exclusion_radius=1, weights=weights)
+        landmarks = greedy_landmarks(dag, order_of(dag, weights), count=3, exclusion_radius=1)
         assert target in landmarks
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_selection_rows_sort_by_the_key(self, seed):
+        """The array sort agrees with ``selection_sort_key``, ``repr`` tie-break included."""
+        rng = random.Random(seed)
+        pool = [0, 1, 2, 9, 10, 11, 19, 99, 100, 101, 109, 990, 1000, 10**6, 10**12 + 7]
+        ids = sorted(set(pool + rng.sample(range(20_000), 300)))
+        degrees = [rng.randrange(4) for _ in ids]  # few values: many ties reach the id
+        ranks = [rng.randrange(3) for _ in ids]
+        weights = [float(rng.choice([1, 1, 2, 7])) for _ in ids]
+        rows = selection_rows(
+            np.array(ids), np.array(degrees), np.array(ranks), np.array(weights, dtype=np.float64)
+        )
+        keys = [selection_sort_key(*columns) for columns in zip(ids, degrees, ranks, weights)]
+        assert rows.tolist() == sorted(range(len(ids)), key=keys.__getitem__)
 
     def test_selection_scores_nonnegative(self, dag):
         ranks = ranks_of(dag)

@@ -61,12 +61,17 @@ from repro.engine import ReachQuery
 from repro.engine.prepared import PreparedGraph, publish_state
 from repro.exceptions import NodeNotFoundError, ShardError
 from repro.graph import kernels
-from repro.graph.components import Condensation, condensation, strongly_connected_components
+from repro.graph.components import (
+    Condensation,
+    _cyclic_core,
+    condensation,
+    strongly_connected_components,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import community_graph
+from repro.graph.generators import community_graph, path_graph
 from repro.graph.kernels import ReachBatch, reach_batch
-from repro.graph.topology import csr_topological_ranks
+from repro.graph.topology import TopologicalRankIndex, csr_topological_ranks
 from repro.reachability.compression import compress
 from repro.reachability.hierarchy import (
     HierarchicalLandmarkIndex,
@@ -74,6 +79,7 @@ from repro.reachability.hierarchy import (
     build_index,
     select_leaves,
 )
+from repro.reachability import landmarks
 from repro.reachability.landmarks import LabelTable, out_of_index_labels
 from repro.reachability.rbreach import RBReach
 from repro.service import GraphService
@@ -94,7 +100,7 @@ CSR_ARRAYS = (
     "_pred_indices",
     "_degrees",
 )
-SHAPES = ("random", "dag", "giant_scc", "sparse")
+SHAPES = ("random", "dag", "giant_scc", "sparse", "cycles")
 NAMINGS = ("identity", "shuffled", "strings", "floats", "mixed")
 
 
@@ -124,16 +130,29 @@ def make_graph(num_nodes: int, shape: str, naming: str, seed: int) -> DiGraph:
         graph.add_node(name, rng.choice(LABELS))
     if num_nodes == 0:
         return graph
-    edges = {"random": 2 * num_nodes, "dag": 2 * num_nodes, "giant_scc": num_nodes, "sparse": num_nodes // 3}[shape]
+    edges = {
+        "random": 2 * num_nodes,
+        "dag": 2 * num_nodes,
+        "giant_scc": num_nodes,
+        "sparse": num_nodes // 3,
+        "cycles": num_nodes // 2,
+    }[shape]
     if shape == "giant_scc":  # one cycle through most nodes, the rest hang off it
         ring = names[: max(1, (3 * num_nodes) // 4)]
         for position, name in enumerate(ring):
             graph.add_edge(name, ring[(position + 1) % len(ring)])
+    if shape == "cycles":  # every node on a ring of 1-5 (one node: a self-loop), so no row peels
+        start = 0
+        while start < num_nodes:
+            ring = names[start : start + rng.randint(1, 5)]
+            for position, name in enumerate(ring):
+                graph.add_edge(name, ring[(position + 1) % len(ring)])
+            start += len(ring)
     for _ in range(edges):
         source, target = rng.randrange(num_nodes), rng.randrange(num_nodes)
-        if shape == "dag":
-            if source == target:
-                continue
+        if shape == "dag" and source == target:
+            continue
+        if shape in ("dag", "cycles"):  # forward chords keep most rings apart
             source, target = min(source, target), max(source, target)
         graph.add_edge(names[source], names[target])  # source == target: a self-loop
         if shape != "dag" and rng.random() < 0.25:
@@ -337,6 +356,33 @@ def test_every_shape_and_naming_at_a_size_the_cap_bites(shape, naming):
     check_prepare(make_graph(150, shape, naming, seed=11), ALPHAS)
 
 
+@pytest.mark.parametrize("naming", ["identity", "strings"])
+def test_the_peel_leaves_rings_and_takes_a_dag(naming):
+    """``cycles`` keeps every row (its own arrays, uncopied), ``dag`` peels every row."""
+    frozen = CSRGraph.from_digraph(make_graph(150, "cycles", naming, seed=11))
+    assert any(source == target for source, target in frozen.edges())  # self-loops
+    core, indptr, indices = _cyclic_core(frozen)
+    assert core.all() and indptr is frozen._succ_indptr and indices is frozen._succ_indices
+    core, indptr, indices = _cyclic_core(CSRGraph.from_digraph(make_graph(150, "dag", naming, seed=11)))
+    assert not core.any() and indices.shape == (0,) and indptr.tolist() == [0]
+
+
+def test_the_peel_gives_up_on_a_chain(monkeypatch):
+    """A path peels two rows a round; peeling it to the end took 1.5 s at 20 000 rows."""
+    passes = Counter()
+    bincount = np.bincount
+
+    def counted(*args, **kwargs):
+        passes["bincount"] += 1
+        return bincount(*args, **kwargs)
+
+    frozen = CSRGraph.from_digraph(path_graph(2_000))
+    monkeypatch.setattr(np, "bincount", counted)
+    core, indptr, indices = _cyclic_core(frozen)
+    assert passes["bincount"] == 2  # one round, then Tarjan takes every row
+    assert core.all() and indptr is frozen._succ_indptr and indices is frozen._succ_indices
+
+
 def test_boolean_ids_are_not_the_identity():
     graph = DiGraph.from_edges([(False, True)], labels={False: "A", True: "B"})
     assert not CSRGraph.from_digraph(graph)._identity
@@ -401,6 +447,20 @@ def test_first_update_thaws_the_labels_into_the_oracles_dicts():
     assert index.backward_labels == oracle.backward_labels
     repaired = prepared.reachability_index(0.05)
     assert index_equivalent(index, repaired) == index_equivalent(oracle, repaired)
+
+
+def test_a_new_alpha_on_a_patched_state_selects_like_a_fresh_prepare():
+    """A patched state keeps ranks and sizes in containers; the sort reads them into columns."""
+    delta = GraphDelta().add_edge(3, 200).add_edge(200, 3).add_edge(40, 41)
+    prepared = PreparedGraph(make_graph(300, "random", "identity", seed=5))
+    prepared.prepare("reach", 0.05)
+    assert prepared.apply_delta(delta).mode == "patched"
+    assert not prepared.compressed().condensation.array_backed
+    mutated = make_graph(300, "random", "identity", seed=5)
+    for source, target in ((3, 200), (200, 3), (40, 41)):
+        mutated.add_edge(source, target)
+    for alpha in (0.2, 1.0):  # no index of these α exists: ``select_leaves`` sorts afresh
+        assert_same_index(prepared.reachability_index(alpha), oracle_build_index(oracle_from_digraph(mutated), alpha))
 
 
 ID_KEYS = [0, 1, 3, -1, -2, True, False, 1.0, 2.5, np.int64(3), np.float64(2.0), "1", None, (1,), 2**64 + 1]
@@ -684,10 +744,20 @@ def work_counts(monkeypatch):
     counted(DiGraph, "__init__")
     for name in ("dag", "membership", "members"):
         counted(Condensation, name, wrap=property)
+    # The landmark order is one array sort: no per-component key, rank or
+    # size (``rank`` is read once per landmark, for its ``LandmarkInfo``).
+    counted(TopologicalRankIndex, "rank")
+    counted(Condensation, "size_of")
+    counted(landmarks, "selection_sort_key")
     return counts
 
 
 GATED_TO_ZERO = ("add_edge", "degree", "reach_stats", "probe_rows", "row_lists", "rows", "mask")
+
+
+def assert_no_per_component_order(work_counts, landmarks_built: int) -> None:
+    assert (work_counts["size_of"], work_counts["selection_sort_key"]) == (0, 0)
+    assert work_counts["rank"] == landmarks_built
 
 
 def test_work_gate_preparing_reach_from_a_digraph(work_counts):
@@ -695,10 +765,12 @@ def test_work_gate_preparing_reach_from_a_digraph(work_counts):
     work_counts.clear()  # building the input inserted its edges one by one
     prepared = PreparedGraph(graph)
     prepared.prepare("reach", 0.05)
-    assert prepared.reachability_index(0.05).num_landmarks() > 1
+    built = prepared.reachability_index(0.05).num_landmarks()
+    assert built > 1
     assert work_counts["from_digraph"] == 1
     assert work_counts["reach_batch"] == 4  # two per statistics pass, two per label pass
     assert {name: work_counts[name] for name in GATED_TO_ZERO} == dict.fromkeys(GATED_TO_ZERO, 0)
+    assert_no_per_component_order(work_counts, built)
 
 
 def test_work_gate_preparing_reach_from_csr(work_counts):
@@ -710,6 +782,8 @@ def test_work_gate_preparing_reach_from_csr(work_counts):
     assert work_counts["from_digraph"] == 0
     assert work_counts["reach_batch"] == 8
     assert {name: work_counts[name] for name in GATED_TO_ZERO} == dict.fromkeys(GATED_TO_ZERO, 0)
+    built = sum(prepared.reachability_index(alpha).num_landmarks() for alpha in (0.05, 0.2))
+    assert_no_per_component_order(work_counts, built)
 
 
 def test_work_gate_per_pass(work_counts):

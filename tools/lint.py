@@ -9,7 +9,12 @@ Runs, in order:
 3. ``mypy`` over the packages scoped in ``pyproject.toml``;
 4. the no-fallback check: numpy is a hard dependency, so ``src/repro``
    may hold no ``except ImportError`` and no ``np is None`` /
-   ``CSRGraph is None`` branch (offending lines are printed).
+   ``CSRGraph is None`` branch; and numpy is the *only* dependency, so
+   ``src/repro`` may import nothing outside the standard library, numpy
+   and itself, not even inside a function (offending lines are printed).
+   The measured reason: importing ``scipy.sparse.csgraph`` for its SCC
+   routine adds 27.7 MB of RSS (35.7 → 63.4 MB), against a 5% bound on
+   the benchmark's ``peak_rss_mb``.
 
 ruff and mypy are exercised when importable and *skipped with a notice*
 otherwise: the target container bakes in only the core Python toolchain and
@@ -20,6 +25,7 @@ tool is not a failure, a failing one always is.
 
 from __future__ import annotations
 
+import ast
 import re
 import subprocess
 import sys
@@ -28,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TARGETS = ["src", "tools", "tests", "benchmarks", "examples"]
+RUNTIME_IMPORTS = {"numpy", "repro"}
 FALLBACK = re.compile(r"except\s+\(?\s*ImportError|\b(?:np|numpy|_?CSRGraph)\s+is\s+(?:not\s+)?None\b")
 
 
@@ -50,6 +57,24 @@ def fallback_lines(root: Path = ROOT / "src" / "repro") -> list:
     ]
 
 
+def foreign_imports(root: Path = ROOT / "src" / "repro") -> list:
+    """``path:line: import name`` of every import under ``root`` outside stdlib, numpy and ``repro``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names and top not in RUNTIME_IMPORTS:
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}: import {name}")
+    return found
+
+
 def main() -> int:
     ok = True
 
@@ -69,13 +94,20 @@ def main() -> int:
     else:
         print("[lint] mypy not installed — skipped (CI installs it via the 'dev' extra)")
 
-    offending = fallback_lines()
-    print("[lint] no-fallback: src/repro must not guard against a missing numpy", flush=True)
-    for line in offending:
-        print(f"[lint]   {line}")
-    if offending:
-        print(f"[lint] no-fallback FAILED ({len(offending)} line(s))")
-        ok = False
+    for label, rule, offending in (
+        ("no-fallback", "src/repro must not guard against a missing numpy", fallback_lines()),
+        (
+            "imports",
+            "src/repro imports only the standard library and numpy (scipy alone adds 27.7 MB RSS at import)",
+            foreign_imports(),
+        ),
+    ):
+        print(f"[lint] {label}: {rule}", flush=True)
+        for line in offending:
+            print(f"[lint]   {line}")
+        if offending:
+            print(f"[lint] {label} FAILED ({len(offending)} line(s))")
+            ok = False
 
     print("[lint] OK" if ok else "[lint] failures above")
     return 0 if ok else 1
