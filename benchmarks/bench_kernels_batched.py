@@ -2,8 +2,9 @@
 
 The tentpole claim of the kernel tier is that one word-parallel bitset sweep
 answers a whole batch of sources for roughly the cost of a few single-source
-sweeps: 64 sources ride in one ``uint64`` word column, so the level loop and
-the CSR gathers are paid once per *batch tile*, not once per source.
+sweeps: 64 sources ride in one ``uint64`` word column of one reach matrix,
+the frontier holds only its non-zero ``(row, word)`` entries, and the level
+loop and the CSR gathers are paid once per *batch*, not once per source.
 
 This benchmark pins that claim on the Yahoo surrogate with 256 sources
 (four word columns — wide enough to cross the word boundary, small enough
@@ -16,6 +17,10 @@ for CI):
   landmark-style stop node, frontiers absorb at the stop set — with parity
   asserted and a conservative >= 4x floor (absorbed frontiers die early, so
   there is less level-loop overhead for batching to amortise).
+
+A third, parity-only case (no timing floor) runs the shape the RBReach
+index actually sweeps: every landmark of a condensation DAG as one batch,
+full and absorbing at the landmarks, forward and backward.
 
 Both floors use the best of three attempts: a contention burst landing on
 the batched side deflates the measured speedup, and a real regression fails
@@ -146,3 +151,27 @@ def test_batched_bfs_speedup_and_parity():
         f"absorbing speedup {metrics['absorbing_speedup']:.2f}x below the "
         f"{MIN_SPEEDUP_ABSORBING}x target"
     )
+
+
+def test_landmark_sweep_shape_parity():
+    """The index's four sweeps over a condensation DAG, bit for bit per landmark."""
+    import numpy as np
+
+    from repro.graph.kernels import csr_reach_mask, reach_batch
+    from repro.reachability.compression import compress
+    from repro.reachability.hierarchy import select_leaves
+    from repro.workloads.datasets import load_dataset
+
+    compressed = compress(load_dataset("youtube-small", seed=BENCH_SEED, backend="csr"))
+    mirror = compressed.dag_csr
+    landmarks = select_leaves(compressed, 0.02, max(2, int(0.02 * compressed.original.size())))
+    rows = [mirror.index_of(landmark) for landmark in landmarks]
+    stop_mask = np.zeros(mirror.num_nodes(), dtype=bool)
+    stop_mask[rows] = True
+    assert len(landmarks) > 64  # several words
+    for forward in (True, False):
+        for stop in (None, stop_mask):
+            batch = reach_batch(mirror, landmarks, forward=forward, stop=stop)
+            for j, row in enumerate(rows):
+                mask = csr_reach_mask(mirror, row, forward=forward, stop_mask=stop)
+                assert np.array_equal(batch.mask(j), mask), (forward, stop is not None, j)

@@ -109,6 +109,7 @@ CATALOG = {
     # traversal kernel dispatch (repro/graph/kernels.py)
     "kernel.batch_size": ("histogram", "sources", "repro.graph.kernels"),
     "kernel.fallbacks": ("counter", "dispatches", "repro.graph.kernels"),
+    "kernel.sweep.words": ("counter", "frontier entries", "repro.graph.kernels"),
     # standing queries (repro/subscribe + repro/service)
     "sub.active": ("gauge", "subscriptions", "repro.service.service"),
     "sub.registered": ("counter", "subscriptions", "repro.service.service"),

@@ -39,6 +39,7 @@ from repro.reachability.compression import CompressedGraph, compress
 from repro.reachability.landmarks import (
     LabelTable,
     greedy_landmarks,
+    landmark_rows,
     out_of_index_labels,
     selection_rows,
 )
@@ -161,6 +162,7 @@ def sweep_landmarks(
     mirror: GraphLike,
     landmarks: List[NodeId],
     forward: bool,
+    row_of: Optional[Mapping[NodeId, int]] = None,
 ) -> Tuple[Dict[NodeId, int], Dict[NodeId, Set[NodeId]]]:
     """:func:`sweep_landmark` for every landmark at once, in one direction.
 
@@ -168,17 +170,16 @@ def sweep_landmarks(
     reaches and the *other* landmarks among them.  All landmarks ride one
     multi-source bitset sweep over the CSR DAG ``mirror`` and the
     landmark-to-landmark hits are read out of the landmark rows in a single
-    :meth:`~repro.graph.kernels.ReachBatch.pairs` call.
+    :meth:`~repro.graph.kernels.ReachBatch.pairs` call.  ``row_of`` maps the
+    landmarks to ``mirror`` rows when the caller did so already.
     """
-    batch = kernels.reach_batch(mirror, landmarks, forward=forward)
-    landmark_rows = np.fromiter(
-        map(mirror.index_of, landmarks), dtype=np.int64, count=len(landmarks)
-    )
-    rows, sources = batch.pairs(landmark_rows)
+    marks = landmark_rows(mirror, landmarks, row_of)
+    batch = kernels.reach_batch(mirror, landmarks, forward=forward, rows=marks)
+    rows, sources = batch.pairs(marks)
     # A sweep reaches its own source; ``sweep_landmark`` reports neither it
     # nor its count.  The stable sort keeps each landmark's hits in
     # ``landmarks`` order, as the per-landmark probe listed them.
-    others = rows != landmark_rows[sources]
+    others = rows != marks[sources]
     rows, sources = rows[others], sources[others]
     by_source = np.argsort(sources, kind="stable")
     hits = mirror.ids_of(rows[by_source])
@@ -193,7 +194,7 @@ def sweep_landmarks(
 
 
 def _cover_statistics(
-    mirror: GraphLike, landmarks: List[NodeId]
+    mirror: GraphLike, landmarks: List[NodeId], row_of: Optional[Mapping[NodeId, int]] = None
 ) -> Tuple[Dict[NodeId, Tuple[int, int]], Dict[NodeId, Set[NodeId]], Dict[NodeId, Set[NodeId]]]:
     """Descendant/ancestor counts and landmark-to-landmark reachability.
 
@@ -201,8 +202,8 @@ def _cover_statistics(
     DAG ``mirror``.  Returns (per-landmark ``(descendants, ancestors)``
     counts, forward landmark reach sets, backward landmark reach sets).
     """
-    descendants, forward_reach = sweep_landmarks(mirror, landmarks, True)
-    ancestors, backward_reach = sweep_landmarks(mirror, landmarks, False)
+    descendants, forward_reach = sweep_landmarks(mirror, landmarks, True, row_of)
+    ancestors, backward_reach = sweep_landmarks(mirror, landmarks, False, row_of)
     parts = {landmark: (descendants[landmark], ancestors[landmark]) for landmark in landmarks}
     return parts, forward_reach, backward_reach
 
@@ -255,7 +256,10 @@ def build_index(
     if not leaves:
         return index
 
-    cover_parts, forward_reach, backward_reach = _cover_statistics(compressed.dag_csr, leaves)
+    # The build's one id -> row map: every sweep below takes its rows from it.
+    mirror = compressed.dag_csr
+    row_of = dict(zip(leaves, map(mirror.index_of, leaves)))
+    cover_parts, forward_reach, backward_reach = _cover_statistics(mirror, leaves, row_of)
     assemble_index(
         index,
         leaves,
@@ -271,7 +275,7 @@ def build_index(
     label_cap = max(1, size_budget // 2)
     index.label_cap = label_cap
     index.forward_labels, index.backward_labels = out_of_index_labels(
-        dag, landmark_set, max_labels=label_cap, csr_dag=compressed.dag_csr
+        dag, landmark_set, max_labels=label_cap, csr_dag=mirror, row_of=row_of
     )
     return index
 

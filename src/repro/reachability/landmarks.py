@@ -97,6 +97,18 @@ def greedy_landmarks(mirror, order: np.ndarray, count: int, exclusion_radius: in
     return mirror.ids_of(np.asarray(selected, dtype=np.int64))
 
 
+def landmark_rows(
+    mirror, landmarks, row_of: Optional[Mapping[NodeId, int]] = None
+) -> np.ndarray:
+    """The rows of ``landmarks`` in ``mirror``, in iteration order.
+
+    ``row_of`` is a build's one id-to-row map, so its sweeps look each
+    landmark up once in all; without it, each landmark costs an ``index_of``.
+    """
+    lookup = mirror.index_of if row_of is None else row_of.__getitem__
+    return np.fromiter(map(lookup, landmarks), dtype=np.int64, count=len(landmarks))
+
+
 def first_landmarks_hit(
     graph: GraphLike,
     start: NodeId,
@@ -194,6 +206,7 @@ def out_of_index_labels(
     landmarks: Set[NodeId],
     max_labels: Optional[int],
     csr_dag: GraphLike,
+    row_of: Optional[Mapping[NodeId, int]] = None,
 ) -> Tuple[LabelTable, LabelTable]:
     """The out-of-index labels ``v.E`` of every non-landmark node.
 
@@ -208,13 +221,15 @@ def out_of_index_labels(
     ``O(n · region)``, and each sweep is vectorised.  The sweep computes the
     exact full label sets; nodes whose set exceeds ``max_labels`` take
     :func:`first_landmarks_hit` over ``dag`` instead, which is what the
-    truncation is defined by.  The ids are ints (component ids).
+    truncation is defined by.  The ids are ints (component ids); ``row_of``
+    maps them to ``csr_dag`` rows when the caller did so already.
     """
     n = csr_dag.num_nodes()
     stop_mask = np.zeros(n, dtype=bool)
     landmark_list = list(landmarks)
     landmark_ids = np.array(landmark_list, dtype=np.int64)
-    stop_mask[[csr_dag.index_of(landmark) for landmark in landmark_list]] = True
+    marks = landmark_rows(csr_dag, landmark_list, row_of)
+    stop_mask[marks] = True
 
     # v has `landmark` as a forward label iff v reaches it landmark-free:
     # sweep the *predecessor* side, absorbing at other landmarks (and
@@ -226,7 +241,9 @@ def out_of_index_labels(
     # fill in ``landmark_list`` order.
     tables = []
     for is_forward in (True, False):
-        batch = kernels.reach_batch(csr_dag, landmark_list, forward=not is_forward, stop=stop_mask)
+        batch = kernels.reach_batch(
+            csr_dag, landmark_list, forward=not is_forward, stop=stop_mask, rows=marks
+        )
         rows, sources = batch.pairs()
         kept = ~stop_mask[rows]  # landmarks themselves carry no labels
         counts = np.bincount(rows[kept], minlength=n)

@@ -6,8 +6,8 @@ oracle — the generic registry fallback running the same operation on a
 plain :class:`~repro.graph.digraph.DiGraph`.  That parity is pinned
 
 * across the graph families of ``repro.graph.generators``,
-* across batch sizes that cross the 64-source word boundary and the
-  tile boundary of the multi-source sweep,
+* across batch sizes that cross the 64-source word boundary, up to five
+  words of one multi-source sweep,
 * with and without absorbing (``stop``) frontiers, in both directions,
 * across every executor (serial/thread/process/daemon), and
 * across sharded engines with k ∈ {1, 2, 4}.
@@ -43,7 +43,7 @@ from repro.graph.generators import (
     random_graph,
     star_graph,
 )
-from repro.graph.kernels import KERNELS, TILE_SOURCES, ReachBatch, csr_reach_mask
+from repro.graph.kernels import KERNELS, ReachBatch, csr_reach_mask
 
 ALPHA = 0.05
 
@@ -106,20 +106,22 @@ class TestReachBatchParity:
         for j in range(count):
             assert vectorised.reached(j) == oracle.reached(j), (count, j)
 
-    def test_tile_boundary(self, monkeypatch):
-        # Shrink the tile so a modest batch must span several sweeps; the
-        # stitched word blocks must still agree with the oracle bit for bit.
-        import repro.graph.kernels as kernels
-
-        monkeypatch.setattr(kernels, "TILE_SOURCES", 64)
+    def test_many_words_with_stop_and_duplicates(self):
+        # One sweep carries every source: a 300-source batch spans five
+        # words, duplicate sources share frontier entries, and the stop set
+        # absorbs; the reach matrix must agree with the oracle bit for bit.
         digraph = FAMILIES["preferential"]()
         csr = CSRGraph.from_digraph(digraph)
-        sources = _sample_sources(digraph, 150)
+        sources = _sample_sources(digraph, 280)
+        sources += sources[:20]
         stop = _stop_set(digraph)
         vectorised = reach_batch(csr, sources, stop=stop)
         oracle = reach_batch(digraph, sources, stop=stop)
+        assert vectorised._bits.shape[1] == 5
         for j in range(len(sources)):
             assert vectorised.reached(j) == oracle.reached(j), j
+        assert vectorised.counts() == oracle.counts()
+        assert [a.tolist() for a in vectorised.pairs()] == [a.tolist() for a in oracle.pairs()]
 
     def test_duplicate_sources_share_a_row(self):
         digraph = FAMILIES["random"]()
@@ -162,6 +164,18 @@ class TestReachBatchParity:
         oracle = reach_batch(digraph, ["a", "c"], stop=stop)
         assert vectorised.reached(0) == oracle.reached(0) == {"a", "b", "c", "e"}
         assert vectorised.reached(1) == oracle.reached(1) == {"c", "d"}
+
+    def test_stop_ids_outside_the_graph_are_ignored(self):
+        digraph = DiGraph()
+        for node in "abc":
+            digraph.add_node(node)
+        for edge in (("a", "b"), ("b", "c")):
+            digraph.add_edge(*edge)
+        csr = CSRGraph.from_digraph(digraph)
+        stop = {"b", "zzz"}
+        vectorised = reach_batch(csr, ["a"], stop=stop)
+        oracle = reach_batch(digraph, ["a"], stop=stop)
+        assert vectorised.reached(0) == oracle.reached(0) == {"a", "b"}
 
     def test_empty_batch(self, family):
         _, digraph, csr = family

@@ -57,6 +57,7 @@ from prepare_oracle import (
     oracle_strongly_connected_components,
     oracle_topological_ranks,
 )
+from repro import obs
 from repro.engine import ReachQuery
 from repro.engine.prepared import PreparedGraph, publish_state
 from repro.exceptions import NodeNotFoundError, ShardError
@@ -715,6 +716,24 @@ def test_pairs_of_an_empty_batch():
     assert rows.shape == sources.shape == (0,)
 
 
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+@pytest.mark.parametrize("absorbing", [False, True], ids=["full", "absorbing"])
+def test_sweep_expands_no_more_words_than_it_sets_bits(forward, absorbing):
+    """``kernel.sweep.words``: every expanded frontier entry carries a fresh bit."""
+    compressed = compress(CSRGraph.from_digraph(make_graph(400, "random", "shuffled", seed=4)))
+    mirror = compressed.dag_csr
+    leaves = select_leaves(compressed, 0.05, 60)
+    stop = np.zeros(mirror.num_nodes(), dtype=bool)
+    stop[[mirror.index_of(leaf) for leaf in leaves]] = True
+    obs.set_enabled(True)
+    obs.REGISTRY.reset()
+    try:
+        batch = reach_batch(mirror, leaves, forward=forward, stop=stop if absorbing else None)
+        assert 0 < obs.counter("kernel.sweep.words").value <= batch.total_bits()
+    finally:
+        obs.REGISTRY.reset()
+
+
 # --------------------------------------------------------------------------- #
 # Deterministic work gate
 # --------------------------------------------------------------------------- #
@@ -738,6 +757,8 @@ def work_counts(monkeypatch):
     for name in ("probe_rows", "row_lists", "rows", "mask"):
         counted(ReachBatch, name)
     counted(CSRGraph, "reach_stats")
+    # A build maps its landmarks to mirror rows once, for every sweep.
+    counted(CSRGraph, "index_of")
     counted(kernels, "reach_batch")
     # ``getattr`` already bound the classmethod to ``CSRGraph``.
     counted(CSRGraph, "from_digraph", wrap=staticmethod)
@@ -758,6 +779,7 @@ GATED_TO_ZERO = ("add_edge", "degree", "reach_stats", "probe_rows", "row_lists",
 def assert_no_per_component_order(work_counts, landmarks_built: int) -> None:
     assert (work_counts["size_of"], work_counts["selection_sort_key"]) == (0, 0)
     assert work_counts["rank"] == landmarks_built
+    assert work_counts["index_of"] <= landmarks_built
 
 
 def test_work_gate_preparing_reach_from_a_digraph(work_counts):
