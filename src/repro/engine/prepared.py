@@ -28,7 +28,7 @@ from repro import obs
 from repro.core.rbsim import RBSim, RBSimConfig
 from repro.core.rbsub import RBSub, RBSubConfig
 from repro.exceptions import EngineError
-from repro.graph.csr import CSRGraph, freeze
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import NodeId
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.protocol import GraphLike
@@ -130,10 +130,12 @@ def maintained_max_degree(
 
 def _freeze(graph: GraphLike) -> CSRGraph:
     """The serving substrate: ``graph`` itself when CSR, else its order-exact freeze."""
+    if isinstance(graph, CSRGraph):
+        return graph
     started = time.perf_counter()
-    frozen = freeze(graph)
-    if frozen is not graph:
-        obs.histogram("prepare.freeze.seconds").observe(time.perf_counter() - started)
+    with _child_only(obs.span("prepare.freeze")):
+        frozen = CSRGraph.from_digraph(graph)
+    obs.histogram("prepare.freeze.seconds").observe(time.perf_counter() - started)
     return frozen
 
 
@@ -214,12 +216,12 @@ class PreparedGraph:
         """The SCC condensation, built on first use (paper Section 5).
 
         Always condensed on a ``CSRGraph``: an overlay left by updates (a
-        rebuild drops the condensation) is folded first, so the array passes
-        are the only prepare.
+        rebuild drops the condensation) is frozen first (``prepare.freeze``),
+        so the array passes are the only prepare.
         """
         if self._compressed is None:
             if isinstance(self.graph, MutableOverlay):
-                self._rebind_substrate(self.graph.compact())
+                self._rebind_substrate(_freeze(self.graph))
             started = time.perf_counter()
             with _child_only(obs.span("prepare.compress")):
                 self._compressed = compress(self.graph)

@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.exceptions import NodeNotFoundError
-from repro.graph.csr import CSRGraph, freeze
+from repro.graph.csr import CSRGraph, _unique, freeze
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 
@@ -474,8 +474,9 @@ def condensation_with_mirror(graph: CSRGraph) -> Tuple[Condensation, CSRGraph]:
     """:func:`condensation` of a :class:`CSRGraph`, plus a CSR mirror of its DAG.
 
     Whole-array passes end to end: index-space Tarjan, canonical ids as the
-    minimum member index, the DAG edge list from one ``np.unique`` over
-    ``comp[src]·k + comp[dst]`` and the mirror from those edge arrays
+    minimum member index, the DAG edge list from the sorted distinct codes
+    ``comp[src]·k + comp[dst]`` (one sort and a neighbour compare,
+    ``csr._unique``) and the mirror from those edge arrays
     (:meth:`CSRGraph.from_index_arrays`: each slice sorted, which on a DAG is
     what sorted ``add_edge`` gives, so the mirror's adjacency order *is* the
     DAG's), labelled like the DAG.  The condensation is array-backed
@@ -494,7 +495,7 @@ def condensation_with_mirror(graph: CSRGraph) -> Tuple[Condensation, CSRGraph]:
     targets = compact[graph._succ_indices]
     crossing = sources != targets
     width = np.int64(max(count, 1))
-    sources, targets = np.divmod(np.unique(sources[crossing] * width + targets[crossing]), width)
+    sources, targets = np.divmod(_unique(sources[crossing] * width + targets[crossing]), width)
 
     # The DAG carries each representative's label; the mirror re-interns
     # them in DAG node order, like a freeze of the DAG would.

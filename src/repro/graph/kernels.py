@@ -57,7 +57,7 @@ from repro.graph.protocol import GraphLike, NodeId
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph as _CSRGraph, _spans
+from repro.graph.csr import CSRGraph as _CSRGraph, _spans, _unique
 
 Direction = str
 
@@ -589,7 +589,7 @@ def csr_reach_mask(
         candidates = candidates[~seen[candidates]]
         if candidates.size == 0:
             break
-        frontier = np.unique(candidates)
+        frontier = _unique(candidates)
         seen[frontier] = True
         if stop_mask is not None:
             frontier = frontier[~stop_mask[frontier]]
@@ -613,7 +613,7 @@ def csr_bfs_distances(
         candidates = candidates[dist[candidates] < 0]
         if candidates.size == 0:
             break
-        frontier = np.unique(candidates)
+        frontier = _unique(candidates)
         depth += 1
         dist[frontier] = depth
     reached = np.nonzero(dist >= 0)[0]
@@ -646,7 +646,7 @@ def csr_is_reachable(graph: "_CSRGraph", source: NodeId, target: NodeId) -> bool
         candidates = candidates[~seen[candidates]]
         if candidates.size == 0:
             return False
-        frontier = np.unique(candidates)
+        frontier = _unique(candidates)
         seen[frontier] = True
         if seen[goal]:
             return True

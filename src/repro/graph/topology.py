@@ -15,6 +15,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import GraphError
+from repro.graph.csr import _unique
 from repro.graph.digraph import DiGraph, NodeId
 
 
@@ -26,8 +27,9 @@ def csr_topological_ranks(graph) -> np.ndarray:
 
     A level peel from the sinks: level ``r`` is every node whose last child
     left at level ``r - 1``, which is the defining recurrence read bottom-up.
-    One gather and one ``bincount`` per level (the longest path is short on
-    real graphs) instead of a Kahn pass node by node.  Raises
+    One gather, one ``bincount`` and one sort-based dedup of the parents
+    (``csr._unique``) per level, since the longest path is short on real
+    graphs, instead of a Kahn pass node by node.  Raises
     :class:`GraphError` on a cycle.
     """
     n = graph.num_nodes()
@@ -42,7 +44,7 @@ def csr_topological_ranks(graph) -> np.ndarray:
             break
         level += 1
         pending = pending - np.bincount(parents, minlength=n)
-        parents = np.unique(parents)
+        parents = _unique(parents)
         frontier = parents[pending[parents] == 0]
         ranks[frontier] = level
         ranked += int(frontier.shape[0])

@@ -136,6 +136,7 @@ SPANS = {
     "shard.batch": "repro.shard.engine",
     # RBIndex stages, as children only: a rebuild under service.update, a
     # lazy build under service.query (set-up is on the prepare.* histograms)
+    "prepare.freeze": "repro.engine.prepared",
     "prepare.compress": "repro.engine.prepared",
     "prepare.index": "repro.engine.prepared",
     # leaves of a pattern query, one pair per query under executor.chunk

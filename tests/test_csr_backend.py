@@ -19,13 +19,17 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from prepare_oracle import oracle_from_digraph
 
 from repro.core.rbsim import RBSim
 from repro.core.rbsub import RBSub
 from repro.exceptions import GraphError, NodeNotFoundError, WorkloadError
 from repro.graph import traversal as tr
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _unique
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     community_graph,
@@ -37,6 +41,7 @@ from repro.graph.generators import (
 from repro.graph.io import read_edge_list, read_json, write_edge_list, write_json
 from repro.graph.protocol import GraphLike
 from repro.reachability.rbreach import RBReach
+from repro.updates.overlay import MutableOverlay
 from repro.workloads.datasets import load_dataset
 from repro.workloads.queries import (
     generate_pattern_workload,
@@ -65,10 +70,79 @@ def _string_id_graph() -> DiGraph:
     return graph
 
 
+class _Subclassed(DiGraph):
+    """A ``DiGraph`` subclass: the freeze reads it node by node, through its views."""
+
+    __slots__ = ()
+
+
+def _rebuilt(graph, cls=DiGraph, node=lambda v: v, order=None, entry=None):
+    """``graph`` re-inserted: ids mapped by ``node``, nodes in ``order``, edge endpoints by ``entry``."""
+    copy = cls()
+    for v in graph.nodes() if order is None else order:
+        copy.add_node(node(v), graph.label(v))
+    entry = entry or node
+    for source, target in graph.edges():
+        copy.add_edge(entry(source), entry(target))
+    return copy
+
+
+def _id_kind_graphs():
+    """One graph under each id kind the freeze reads by its own path."""
+    base = random_graph(num_nodes=150, num_edges=400, seed=7)
+    shuffled = list(base.nodes())
+    random.Random(7).shuffle(shuffled)
+    yield "ints-out-of-order", _rebuilt(base, order=shuffled)
+    # Ids 0..n-1 in order, but the adjacency holds ``numpy.int64`` and ``bool`` keys.
+    yield "identity-numpy-entries", _rebuilt(
+        base, entry=lambda v: True if v == 1 else np.int64(v)
+    )
+    yield "numpy-int64-ids", _rebuilt(base, node=np.int64)
+    yield "subclass", _rebuilt(base, cls=_Subclassed)
+    overlay = MutableOverlay(CSRGraph.from_digraph(base))
+    overlay.remove_node(3)
+    overlay.add_node(1000, "z")
+    overlay.add_edge(1000, 0)
+    overlay.add_edge(5, 1000)
+    yield "overlay-after-removal", overlay
+
+
+def _assert_same_arrays(actual: CSRGraph, expected: CSRGraph) -> None:
+    assert list(actual._ids) == list(expected._ids)
+    assert list(map(type, actual._ids)) == list(map(type, expected._ids))
+    assert actual._identity == expected._identity
+    assert actual._label_table == expected._label_table
+    for name in ("_label_ids", "_succ_indptr", "_succ_indices", "_pred_indptr", "_pred_indices", "_degrees"):
+        left, right = getattr(actual, name), getattr(expected, name)
+        assert left.dtype == right.dtype and np.array_equal(left, right), name
+
+
+_INT64_EDGES = st.one_of(
+    st.integers(-64, 64),
+    st.integers(2**62 - 64, 2**62 + 64),  # edge codes are ``source * width + target``
+    st.integers(-(2**62) - 64, -(2**62) + 64),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@given(st.lists(_INT64_EDGES, max_size=300))
+@example([])
+@example([-(2**62)])
+def test_sort_based_unique_equals_numpy_unique(values):
+    array = np.array(values, dtype=np.int64)
+    before = array.copy()
+    got, expected = _unique(array), np.unique(array)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert np.array_equal(array, before)  # the input is not sorted in place
+
+
 class TestStructuralParity:
-    @pytest.mark.parametrize("name,graph", list(_sample_graphs()))
+    @pytest.mark.parametrize("name,graph", list(_sample_graphs()) + list(_id_kind_graphs()))
     def test_structure_matches(self, name, graph):
         csr = CSRGraph.from_digraph(graph)
+        # Whatever path the freeze takes, its arrays are the element-by-element ones.
+        _assert_same_arrays(csr, oracle_from_digraph(graph))
         csr.validate()
         assert isinstance(csr, GraphLike)
         assert isinstance(graph, GraphLike)

@@ -399,6 +399,30 @@ class TestPrepareStages:
         assert obs.histogram("prepare.compress.seconds").count == 2
         assert obs.histogram("prepare.freeze.seconds").count == 1  # nothing re-froze
 
+    def test_a_traced_rebuild_after_a_node_removal_shows_all_three_stages(self, clean_trace):
+        from repro.engine.prepared import PreparedGraph
+        from repro.updates.delta import GraphDelta
+
+        records = []
+        clean_trace.add_collector(records.append)
+        try:
+            prepared = PreparedGraph(random_graph(num_nodes=120, num_edges=400, seed=4))
+            prepared.prepare("reach", ALPHA)
+            assert prepared.apply_delta(GraphDelta().remove_node(0)).mode == "rebuilt"
+            assert prepared.backend == "MutableOverlay"
+            with obs.span("service.update"):  # the rebuild freezes the overlay first
+                prepared.prepare("reach", ALPHA)
+        finally:
+            clean_trace.remove_collector(records.append)
+        stages = [record for record in records if record["span"] != "service.update"]
+        assert [record["span"] for record in stages] == [
+            "prepare.freeze",
+            "prepare.compress",
+            "prepare.index",
+        ]
+        assert len({record["parent_id"] for record in stages}) == 1
+        assert obs.histogram("prepare.freeze.seconds").count == 2
+
 
 # --------------------------------------------------------------------------- #
 # ``reduction.search``: budget spent versus budget allowed, only when traced

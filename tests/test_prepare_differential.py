@@ -752,7 +752,8 @@ def work_counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrap(wrapper))
 
-    for name in ("add_edge", "degree"):
+    # A freeze reads an exact ``DiGraph`` as columns, never node by node.
+    for name in ("add_edge", "degree", "successors", "predecessors", "label"):
         counted(DiGraph, name)
     for name in ("probe_rows", "row_lists", "rows", "mask"):
         counted(ReachBatch, name)
@@ -782,14 +783,16 @@ def assert_no_per_component_order(work_counts, landmarks_built: int) -> None:
     assert work_counts["index_of"] <= landmarks_built
 
 
-def test_work_gate_preparing_reach_from_a_digraph(work_counts):
-    graph = make_graph(400, "random", "strings", seed=9)
+@pytest.mark.parametrize("naming", ["strings", "identity", "shuffled"])
+def test_work_gate_preparing_reach_from_a_digraph(work_counts, naming):
+    graph = make_graph(400, "random", naming, seed=9)
     work_counts.clear()  # building the input inserted its edges one by one
     prepared = PreparedGraph(graph)
     prepared.prepare("reach", 0.05)
     built = prepared.reachability_index(0.05).num_landmarks()
     assert built > 1
     assert work_counts["from_digraph"] == 1
+    assert (work_counts["successors"], work_counts["predecessors"], work_counts["label"]) == (0, 0, 0)
     assert work_counts["reach_batch"] == 4  # two per statistics pass, two per label pass
     assert {name: work_counts[name] for name in GATED_TO_ZERO} == dict.fromkeys(GATED_TO_ZERO, 0)
     assert_no_per_component_order(work_counts, built)
