@@ -2,12 +2,13 @@
 
 Every serving command answers through a
 :class:`~repro.service.GraphService` — one engine, one configuration
-surface (:class:`~repro.service.ServiceConfig`), one planner, one set of
-flags.
-``--alpha``/``--executor``/``--workers`` are uniform across ``run``,
-``batch``, ``update`` and ``shard``: same names, defaults and validation,
-sourced from the shared argparse parent
-(:func:`repro.service.service_flag_parent`).
+surface (:class:`~repro.service.ServiceConfig`), one planner.  The commands
+are one table (:data:`COMMANDS`): a name, a help line, the flag groups the
+command takes and the handler that receives the parsed ``args``.  Each flag
+is declared once: ``--alpha``/``--executor``/``--workers``/``--metrics-json``
+in :data:`SERVICE_FLAGS`, the workload group (``--dataset/--count/--seed/
+--shape/--output``) and the churn group (``--batches/--ops/--mix/--verify``)
+with per-command defaults.  Count flags reject anything below 1 at parse time.
 
 Subcommands
 -----------
@@ -49,6 +50,9 @@ Subcommands
     timeline, print it as a waterfall with the critical path marked, and
     optionally export Chrome trace-event JSON (``--export``) loadable in
     ``chrome://tracing`` or Perfetto.
+``stats``
+    Pretty-print a metrics snapshot written by ``--metrics-json``
+    (``--input``), or answer a sampled batch and print the live registry.
 ``shard``
     Partition a dataset into ``k`` shards and answer a sampled workload
     through the service's sharded backend (scatter policy: the full PR 4
@@ -61,25 +65,249 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.core.accuracy import boolean_accuracy
 from repro.experiments.harness import available_experiments, run_all, run_experiment
 from repro.experiments.reporting import format_many, summary_claims
+from repro.graph.protocol import GraphLike
 from repro.graph.statistics import summarize_for_report
-from repro.service.config import SCATTER, ServiceConfig, config_from_args, service_flag_parent
-from repro.service.reporting import (
-    accuracy_summary,
-    answers_identical,
-    load_reach_queries,
-    print_accuracy,
-    sample_requests,
-    warn_unknown_nodes,
-    write_json_report,
+from repro.service import (
+    EXECUTOR_CHOICES,
+    SCATTER,
+    GraphService,
+    PatternRequest,
+    ReachRequest,
+    ServiceConfig,
+    ServiceRequest,
+    replay,
 )
+from repro.subscribe import answer_signature, answers_identical
 from repro.workloads.datasets import available_datasets, load_dataset
+
+# --------------------------------------------------------------------------- #
+# Flag types and groups
+# --------------------------------------------------------------------------- #
+Flag = Tuple[Tuple[str, ...], Dict[str, Any]]
+"""One ``add_argument`` call: its option strings and keyword arguments."""
+
+
+def _flag(*names: str, **kwargs: Any) -> Flag:
+    return names, kwargs
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a float in (0, 1] (``--alpha``, ``--confine``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (``--workers`` and every count flag)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _shape(text: str) -> Tuple[int, int]:
+    """argparse type for ``--shape``: ``'|Vp|,|Ep|'``."""
+    try:
+        nodes, edges = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be '|Vp|,|Ep|', got {text!r}") from None
+    return nodes, edges
+
+
+_DEFAULTS = ServiceConfig()
+
+SERVICE_FLAGS: Tuple[Flag, ...] = (
+    _flag(
+        "--alpha",
+        type=_fraction,
+        default=None,
+        help=f"resource ratio α in (0, 1] (default {_DEFAULTS.alpha}; "
+        "'run' defaults to the scale profile's sweep values)",
+    ),
+    _flag(
+        "--executor",
+        choices=EXECUTOR_CHOICES,
+        default=_DEFAULTS.executor,
+        help="batch executor: 'auto' lets the planner pick per batch; "
+        "naming one forces it (answers are identical either way)",
+    ),
+    _flag(
+        "--workers",
+        type=_positive_int,
+        default=_DEFAULTS.workers,
+        help="worker count for parallel executors (default: all schedulable cores)",
+    ),
+    _flag(
+        "--metrics-json",
+        dest="metrics_json",
+        metavar="PATH",
+        default=None,
+        help="after the command finishes, dump the process metrics registry "
+        "(repro.obs snapshot) to PATH as JSON; inspect with 'repro-bench stats'",
+    ),
+)
+"""``--alpha``/``--executor``/``--workers``/``--metrics-json``: every command
+that answers resource-bounded queries takes them, with the same defaults and
+validation.  ``--alpha`` defaults to ``None`` so a command can tell "explicit
+α" from "the :class:`ServiceConfig` default" (``run`` keeps its scale
+profile's sweep values unless overridden)."""
+
+
+def _workload(count: int = 0, shape: str = "", output: bool = True) -> Tuple[Flag, ...]:
+    """The workload group: ``--dataset/--count/--seed/--shape/--output``.
+
+    ``--count`` and ``--shape`` are declared only when given a default, and
+    ``--output`` only with ``output``.  The seed selects the surrogate graph
+    too, mirroring ``run``, and feeds :attr:`ServiceConfig.seed`.
+    """
+    flags = [
+        _flag("--dataset", default="youtube-small", help="dataset the service serves"),
+        _flag("--seed", type=int, default=0),
+    ]
+    if count:
+        flags.append(_flag("--count", type=_positive_int, default=count, help="sampled workload size"))
+    if shape:
+        flags.append(_flag("--shape", type=_shape, default=shape, help=f"pattern shape '|Vp|,|Ep|' (default {shape})"))
+    if output:
+        flags.append(_flag("--output", type=Path, help="write a JSON report here"))
+    return tuple(flags)
+
+
+def _churn(batches: int, ops: int, verify: str) -> Tuple[Flag, ...]:
+    """The churn group: ``--batches/--ops/--mix/--verify``."""
+    return (
+        _flag("--batches", type=_positive_int, default=batches, help="number of delta batches"),
+        _flag("--ops", type=_positive_int, default=ops, help="mutations per delta batch"),
+        _flag("--mix", choices=["growth", "uniform"], default="growth", help="churn: growth or uniform rewiring"),
+        _flag("--verify", action="store_true", help=verify),
+    )
+
+
+def _kind(*extra: str, default: str = "reach", help: str) -> Flag:
+    return _flag("--kind", choices=["reach", "sim", "sub", *extra], default=default, help=help)
+
+
+_QUERY_CLASS = "query class: RBReach reachability, RBSim simulation or RBSub subgraph patterns"
+
+
+def config_from_args(args: argparse.Namespace, **overrides) -> ServiceConfig:
+    """Fold parsed CLI flags into a :class:`ServiceConfig`.
+
+    Picks up every attribute of ``args`` that names a config field (``--seed``,
+    ``--halo-depth``, ``--shards``' ``num_shards``, ...), then applies
+    ``overrides``.  A ``None`` value means "not given" and keeps the config
+    default.
+    """
+    values = {
+        spec.name: getattr(args, spec.name)
+        for spec in fields(ServiceConfig)
+        if getattr(args, spec.name, None) is not None
+    }
+    values.update(overrides)
+    return ServiceConfig(**values)
+
+
+# --------------------------------------------------------------------------- #
+# Workloads and reporting
+# --------------------------------------------------------------------------- #
+def _parse_node(token: str):
+    """Node ids in the bundled datasets are ints; keep other tokens as strings."""
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def _load_reach_queries(path: Path) -> List[tuple]:
+    """Parse a queries file: one ``source target`` pair per line, ``#`` comments."""
+    pairs = []
+    for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise SystemExit(f"{path}:{line_number}: expected 'source target', got {line!r}")
+        pairs.append((_parse_node(tokens[0]), _parse_node(tokens[1])))
+    if not pairs:
+        raise SystemExit(f"{path}: no queries found")
+    return pairs
+
+
+def _warn_unknown_nodes(graph: GraphLike, pairs: Sequence[tuple], dataset: str) -> None:
+    """Flag queried node ids absent from the dataset (they answer unreachable)."""
+    unknown = sorted({repr(node) for pair in pairs for node in pair if node not in graph})
+    if unknown:
+        shown = ", ".join(unknown[:5]) + (", ..." if len(unknown) > 5 else "")
+        print(
+            f"warning: {len(unknown)} queried node id(s) not in dataset "
+            f"{dataset!r} ({shown}); those queries answer unreachable",
+            file=sys.stderr,
+        )
+
+
+def _sample_requests(
+    graph: GraphLike,
+    kind: str,
+    count: int,
+    seed: int,
+    shape: Optional[Tuple[int, int]] = None,
+) -> Tuple[List[ServiceRequest], Optional[list], Optional[dict]]:
+    """Sample a workload as service requests: ``(requests, pairs, truth)``.
+
+    ``pairs``/``truth`` are only set for reachability workloads, where the
+    generator also computes the exact oracle (pattern workloads skip the
+    exact matchers — running them would dwarf the batch being measured).
+    """
+    from repro.workloads.queries import (
+        generate_pattern_workload,
+        generate_reachability_workload,
+    )
+
+    if kind == "reach":
+        workload = generate_reachability_workload(graph, count=count, seed=seed)
+        requests: List[ServiceRequest] = [
+            ReachRequest(source, target) for source, target in workload.pairs
+        ]
+        return requests, workload.pairs, workload.truth
+    semantics = "simulation" if kind == "sim" else "subgraph"
+    requests = [
+        PatternRequest(query.pattern, query.personalized_match, semantics=semantics)
+        for query in generate_pattern_workload(graph, shape=shape, count=count, seed=seed)
+    ]
+    return requests, None, None
+
+
+def _accuracy(pairs: Sequence[tuple], answers: Sequence[Any], truth: Dict[tuple, bool]) -> Tuple[float, int]:
+    """F-measure and false-positive count of a reachability batch."""
+    mapping = {pair: answer.reachable for pair, answer in zip(pairs, answers)}
+    false_positives = sum(1 for pair in pairs if mapping[pair] and not truth[pair])
+    return boolean_accuracy(truth, mapping).f_measure, false_positives
+
+
+def _write_report(path: Optional[Path], payload: Dict[str, Any]) -> None:
+    """Write the machine-readable report (no-op when no path was given)."""
+    if path is None:
+        return
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"(report written to {path})")
 
 
 def _prepare_kwargs(kind: str, alpha: float) -> dict:
@@ -91,226 +319,24 @@ def _prepare_kwargs(kind: str, alpha: float) -> dict:
     return {"subgraph_alphas": [alpha]}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Reproduce the tables and figures of 'Querying Big Graphs within Bounded Resources'",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    service_flags = service_flag_parent()
+def _serve(args: argparse.Namespace, kind: str = "reach", **overrides) -> Tuple[GraphLike, GraphService, float]:
+    """Load ``--dataset``, open a service on it from the flags, prepare ``kind`` at α.
 
-    subparsers.add_parser("list", help="list available experiments and datasets")
-
-    run_parser = subparsers.add_parser(
-        "run", help="run one or more experiments", parents=[service_flags]
-    )
-    run_parser.add_argument(
-        "experiments",
-        nargs="+",
-        help="experiment ids (e.g. fig8c table2), or 'all'",
-    )
-    run_parser.add_argument("--scale", choices=["quick", "full"], default="quick")
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--output", type=Path, default=None, help="also write the report to this file")
-
-    datasets_parser = subparsers.add_parser("datasets", help="print dataset surrogate profiles")
-    datasets_parser.add_argument(
-        "--backend",
-        choices=["digraph", "csr"],
-        default="digraph",
-        help="graph backend to build the surrogates on (csr = numpy compressed-sparse-row)",
-    )
-
-    batch_parser = subparsers.add_parser(
-        "batch",
-        help="answer a batch of queries through the service and report throughput",
-        parents=[service_flags],
-    )
-    batch_parser.add_argument("--dataset", default="youtube-small", help="dataset the service serves")
-    batch_parser.add_argument(
-        "--kind",
-        choices=["reach", "sim", "sub"],
-        default="reach",
-        help="query class: RBReach reachability, RBSim simulation or RBSub subgraph patterns",
-    )
-    batch_parser.add_argument("--count", type=int, default=200, help="sampled workload size")
-    batch_parser.add_argument(
-        "--queries",
-        type=Path,
-        default=None,
-        help="reach only: file of 'source target' lines to answer instead of sampling",
-    )
-    batch_parser.add_argument(
-        "--shape",
-        default="4,8",
-        help="pattern shape '|Vp|,|Ep|' for sampled pattern workloads (default 4,8)",
-    )
-    batch_parser.add_argument("--seed", type=int, default=0)
-    batch_parser.add_argument(
-        "--repeat", type=int, default=1, help="answer the same batch N times (shows the LRU cache)"
-    )
-    batch_parser.add_argument(
-        "--compare-serial",
-        action="store_true",
-        help="also answer the batch on a cache-free serial service and report "
-        "parity plus speedup",
-    )
-    batch_parser.add_argument("--output", type=Path, default=None, help="write a JSON report here")
-
-    update_parser = subparsers.add_parser(
-        "update",
-        help="replay a delta stream through the service and report update throughput",
-        parents=[service_flags],
-    )
-    update_parser.add_argument("--dataset", default="youtube-small", help="dataset the service serves")
-    update_parser.add_argument("--batches", type=int, default=10, help="number of delta batches")
-    update_parser.add_argument("--ops", type=int, default=50, help="mutations per delta batch")
-    update_parser.add_argument(
-        "--mix",
-        choices=["growth", "uniform"],
-        default="growth",
-        help="churn pattern: growth (attachment churn) or uniform (random rewiring)",
-    )
-    update_parser.add_argument(
-        "--queries", type=int, default=100, help="reachability queries answered between deltas"
-    )
-    update_parser.add_argument("--seed", type=int, default=0)
-    update_parser.add_argument(
-        "--verify",
-        action="store_true",
-        help="after every delta, compare answers against a freshly opened service",
-    )
-    update_parser.add_argument("--output", type=Path, default=None, help="write a JSON report here")
-
-    subscribe_parser = subparsers.add_parser(
-        "subscribe",
-        help="register standing queries, replay a churn stream and report maintenance",
-        parents=[service_flags],
-    )
-    subscribe_parser.add_argument("--dataset", default="youtube-small", help="dataset the service serves")
-    subscribe_parser.add_argument(
-        "--kind",
-        choices=["reach", "sim", "sub", "mixed"],
-        default="mixed",
-        help="standing-query class (mixed = half reachability, half simulation patterns)",
-    )
-    subscribe_parser.add_argument(
-        "--count", type=int, default=32, help="number of standing subscriptions"
-    )
-    subscribe_parser.add_argument(
-        "--shape",
-        default="3,3",
-        help="pattern shape '|Vp|,|Ep|' for sampled pattern subscriptions (default 3,3)",
-    )
-    subscribe_parser.add_argument("--batches", type=int, default=8, help="number of delta batches")
-    subscribe_parser.add_argument("--ops", type=int, default=20, help="mutations per delta batch")
-    subscribe_parser.add_argument(
-        "--mix",
-        choices=["growth", "uniform"],
-        default="growth",
-        help="churn pattern: growth (attachment churn) or uniform (random rewiring)",
-    )
-    subscribe_parser.add_argument(
-        "--confine",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="confine churn to the trailing FRACTION of node ids (0 < f <= 1); "
-        "localised churn is where maintenance beats re-answering",
-    )
-    subscribe_parser.add_argument("--seed", type=int, default=0)
-    subscribe_parser.add_argument(
-        "--verify",
-        action="store_true",
-        help="after every delta, check maintained answers against a freshly "
-        "opened service; at the end, replay every pushed delta log",
-    )
-    subscribe_parser.add_argument("--output", type=Path, default=None, help="write a JSON report here")
-
-    shard_parser = subparsers.add_parser(
-        "shard",
-        help="partition a dataset and answer a workload through the sharded backend",
-        parents=[service_flags],
-    )
-    shard_parser.add_argument("--dataset", default="youtube-small", help="dataset to partition and serve")
-    shard_parser.add_argument("--shards", "-k", type=int, default=4, help="number of shards k")
-    shard_parser.add_argument(
-        "--method",
-        choices=["greedy", "hash"],
-        default="greedy",
-        help="partitioner: seeded BFS-grown greedy edge-cut minimiser, or the hash baseline",
-    )
-    shard_parser.add_argument(
-        "--halo-depth",
-        type=int,
-        default=None,
-        help="ghost-region depth (default 3 = the pattern-parity margin; "
-        "1 gives thinner halos for reach-only serving and stronger update locality)",
-    )
-    shard_parser.add_argument(
-        "--kind",
-        choices=["reach", "sim", "sub"],
-        default="reach",
-        help="query class: RBReach reachability, RBSim simulation or RBSub subgraph patterns",
-    )
-    shard_parser.add_argument("--count", type=int, default=200, help="sampled workload size")
-    shard_parser.add_argument(
-        "--shape",
-        default="4,8",
-        help="pattern shape '|Vp|,|Ep|' for sampled pattern workloads (default 4,8)",
-    )
-    shard_parser.add_argument("--seed", type=int, default=0)
-    shard_parser.add_argument(
-        "--compare-unsharded",
-        action="store_true",
-        help="also answer the batch on a single-graph service and report agreement + speedup",
-    )
-    shard_parser.add_argument("--output", type=Path, default=None, help="write a JSON report here")
-
-    trace_parser = subparsers.add_parser(
-        "trace",
-        help="record a traced batch and print its cross-process waterfall timeline",
-        parents=[service_flags],
-    )
-    trace_parser.add_argument("--dataset", default="youtube-small", help="dataset the service serves")
-    trace_parser.add_argument("--count", type=int, default=200, help="sampled workload size")
-    trace_parser.add_argument(
-        "--batches", type=int, default=3, help="batches to record (later ones exercise the cache)"
-    )
-    trace_parser.add_argument("--seed", type=int, default=0)
-    trace_parser.add_argument(
-        "--slow-ms",
-        type=float,
-        default=None,
-        help="slow-query log threshold in milliseconds (default 100)",
-    )
-    trace_parser.add_argument(
-        "--export",
-        type=Path,
-        default=None,
-        help="write Chrome trace-event JSON of the selected timeline here "
-        "(load in chrome://tracing or Perfetto)",
-    )
-
-    stats_parser = subparsers.add_parser(
-        "stats",
-        help="pretty-print a metrics registry snapshot (from --metrics-json, or a fresh sample run)",
-        parents=[service_flags],
-    )
-    stats_parser.add_argument(
-        "--input",
-        type=Path,
-        default=None,
-        help="a JSON snapshot written by --metrics-json; omitted = answer a "
-        "sampled batch and print the live registry",
-    )
-    stats_parser.add_argument("--dataset", default="youtube-small", help="dataset for the sample run")
-    stats_parser.add_argument("--count", type=int, default=200, help="sampled workload size")
-    stats_parser.add_argument("--seed", type=int, default=0)
-    return parser
+    Returns the graph, the open service and the seconds the open and the
+    prepare took.
+    """
+    config = config_from_args(args, **overrides)
+    graph = load_dataset(args.dataset, seed=args.seed)
+    started = time.perf_counter()
+    service = GraphService(graph, config)
+    service.prepare(**_prepare_kwargs(kind, config.alpha))
+    return graph, service, time.perf_counter() - started
 
 
-def _command_list() -> int:
+# --------------------------------------------------------------------------- #
+# Handlers
+# --------------------------------------------------------------------------- #
+def _command_list(args: argparse.Namespace) -> int:
     print("experiments:")
     for experiment_id in available_experiments():
         print(f"  {experiment_id}")
@@ -320,9 +346,9 @@ def _command_list() -> int:
     return 0
 
 
-def _command_datasets(backend: str = "digraph") -> int:
+def _command_datasets(args: argparse.Namespace) -> int:
     for name in available_datasets():
-        graph = load_dataset(name, backend=backend)
+        graph = load_dataset(name, backend=args.backend)
         stats = summarize_for_report(graph, name)
         print(
             f"{name}: |V|={stats['nodes']} |E|={stats['edges']} |G|={stats['size']} "
@@ -332,104 +358,102 @@ def _command_datasets(backend: str = "digraph") -> int:
     return 0
 
 
-def _command_batch(args) -> int:
-    from repro.service import GraphService, ReachRequest
+def _command_run(args: argparse.Namespace) -> int:
+    options = dict(
+        scale=args.scale, seed=args.seed, executor=args.executor, workers=args.workers, alpha=args.alpha
+    )
+    if args.experiments == ["all"]:
+        results = run_all(**options)
+    else:
+        results = [run_experiment(experiment_id, **options) for experiment_id in args.experiments]
+    claims = summary_claims(results)
+    text = format_many(results) + "\n\nSummary:\n" + "\n".join(f"  {claim}" for claim in claims) + "\n"
+    print(text)
+    if args.output is not None:
+        args.output.write_text(text, encoding="utf-8")
+        print(f"(report written to {args.output})")
+    return 0
 
-    config = config_from_args(args)
-    alpha = config.alpha
-    # The seed selects the surrogate graph too, mirroring the `run` command,
-    # so batch numbers are comparable with experiment runs at the same seed.
-    graph = load_dataset(args.dataset, seed=args.seed)
-    truth = None
-    pairs = None
-    if args.kind == "reach" and args.queries is not None:
-        pairs = load_reach_queries(args.queries)
+
+def _command_batch(args: argparse.Namespace) -> int:
+    pairs = truth = None
+    if args.queries is not None:
+        if args.kind != "reach":
+            raise SystemExit("--queries files are only supported for --kind reach")
+        pairs = _load_reach_queries(args.queries)
+    graph, service, prepare_seconds = _serve(args, args.kind)
+    config = service.config
+    if pairs is not None:
         # RBReach answers False for nodes outside the graph, which would
         # read as a healthy all-unreachable report — flag it instead.
-        warn_unknown_nodes(graph, pairs, args.dataset)
-        requests = [ReachRequest(source, target) for source, target in pairs]
+        _warn_unknown_nodes(graph, pairs, args.dataset)
+        requests: List[ServiceRequest] = [ReachRequest(source, target) for source, target in pairs]
     else:
-        if args.queries is not None:
-            raise SystemExit("--queries files are only supported for --kind reach")
-        requests, pairs, truth = sample_requests(
-            graph, args.kind, args.count, args.shape, args.seed
-        )
-
-    service = GraphService(graph, config)
-    started = time.perf_counter()
-    service.prepare(**_prepare_kwargs(args.kind, alpha))
-    prepare_seconds = time.perf_counter() - started
+        requests, pairs, truth = _sample_requests(graph, args.kind, args.count, args.seed, args.shape)
 
     print(
-        f"batch: kind={args.kind} dataset={args.dataset} n={len(requests)} alpha={alpha} "
+        f"batch: kind={args.kind} dataset={args.dataset} n={len(requests)} alpha={config.alpha} "
         f"executor={config.executor} workers={config.workers or 'auto'}"
     )
     print(f"engine: backend={service.backend} prepare={prepare_seconds:.3f}s (once per graph)")
 
-    runs = []
-    answers = None
-    plan = None
-    for run_number in range(1, max(1, args.repeat) + 1):
-        report = service.run_batch(requests)
-        answers = report.answers
-        plan = report.plan
-        runs.append(report)
-        print(
-            f"run {run_number}: wall={report.wall_seconds:.3f}s "
-            f"throughput={report.throughput:.1f} q/s "
-            f"cache hits={report.cache_hits} misses={report.cache_misses} "
-            f"deduplicated={report.deduplicated} "
-            f"chunks={report.chunks}"
-        )
-    print(f"plan: backend={plan.backend} executor={plan.executor} ({plan.reason})")
+    with service:
+        runs = []
+        for run_number in range(1, args.repeat + 1):
+            report = service.run_batch(requests)
+            runs.append(report)
+            print(
+                f"run {run_number}: wall={report.wall_seconds:.3f}s "
+                f"throughput={report.throughput:.1f} q/s "
+                f"cache hits={report.cache_hits} misses={report.cache_misses} "
+                f"deduplicated={report.deduplicated} "
+                f"chunks={report.chunks}"
+            )
+        answers, plan = report.answers, report.plan
+        print(f"plan: backend={plan.backend} executor={plan.executor} ({plan.reason})")
 
-    payload = {
-        "dataset": args.dataset,
-        "kind": args.kind,
-        "alpha": alpha,
-        "executor": config.executor,
-        "workers": config.workers,
-        "backend": service.backend,
-        "plan_backend": plan.backend,
-        "plan_executor": plan.executor,
-        "num_queries": len(requests),
-        "prepare_seconds": prepare_seconds,
-        "runs": [
-            {
-                "wall_seconds": report.wall_seconds,
-                "throughput_qps": report.throughput,
-                "cache_hits": report.cache_hits,
-                "cache_misses": report.cache_misses,
-                "deduplicated": report.deduplicated,
-            }
-            for report in runs
-        ],
-    }
+        payload = {
+            "dataset": args.dataset,
+            "kind": args.kind,
+            "alpha": config.alpha,
+            "executor": config.executor,
+            "workers": config.workers,
+            "backend": service.backend,
+            "plan_backend": plan.backend,
+            "plan_executor": plan.executor,
+            "num_queries": len(requests),
+            "prepare_seconds": prepare_seconds,
+            "runs": [
+                {
+                    "wall_seconds": report.wall_seconds,
+                    "throughput_qps": report.throughput,
+                    "cache_hits": report.cache_hits,
+                    "cache_misses": report.cache_misses,
+                    "deduplicated": report.deduplicated,
+                }
+                for report in runs
+            ],
+        }
 
-    if truth is not None:
-        summary = accuracy_summary(pairs, answers, truth)
-        payload["accuracy_f_measure"] = summary["accuracy_f_measure"]
-        print_accuracy(summary)
+        if truth is not None:
+            f_measure, _ = _accuracy(pairs, answers, truth)
+            payload["accuracy_f_measure"] = f_measure
+            print(f"accuracy vs exact oracle: f-measure={f_measure:.3f}")
 
-    exit_code = 0
-    if args.compare_serial:
-        if plan.executor == "serial":
+        exit_code = 0
+        if args.compare_serial and plan.executor == "serial":
             print(
                 "note: --compare-serial skipped — the planned executor already "
                 "is the serial reference path",
                 file=sys.stderr,
             )
-        else:
-            with GraphService(
-                graph, config.with_overrides(executor="serial", cache_size=0)
-            ) as serial:
-                serial.prepare(**_prepare_kwargs(args.kind, alpha))
+        elif args.compare_serial:
+            with GraphService(graph, config.with_overrides(executor="serial", cache_size=0)) as serial:
+                serial.prepare(**_prepare_kwargs(args.kind, config.alpha))
                 serial_report = serial.run_batch(requests)
             identical = answers_identical(args.kind, answers, serial_report.answers)
             speedup = (
-                serial_report.wall_seconds / runs[0].wall_seconds
-                if runs[0].wall_seconds > 0
-                else 0.0
+                serial_report.wall_seconds / runs[0].wall_seconds if runs[0].wall_seconds > 0 else 0.0
             )
             payload["serial_wall_seconds"] = serial_report.wall_seconds
             payload["parallel_speedup"] = speedup
@@ -440,74 +464,66 @@ def _command_batch(args) -> int:
             )
             if not identical:
                 exit_code = 1  # still write the report: it documents the mismatch
-    service.close()  # stops the daemon pool, if this run started one
 
-    write_json_report(args.output, payload)
+    _write_report(args.output, payload)
     return exit_code
 
 
-def _command_update(args) -> int:
-    from repro.service import GraphService, ReachRequest, ServiceConfig
+def _command_update(args: argparse.Namespace) -> int:
     from repro.workloads.deltas import generate_delta_stream
     from repro.workloads.queries import sample_mixed_pairs
 
-    config = config_from_args(args)
-    alpha = config.alpha
-    graph = load_dataset(args.dataset, seed=args.seed)
+    graph, service, prepare_seconds = _serve(args)
+    alpha = service.config.alpha
     stream = generate_delta_stream(
         graph, batches=args.batches, ops_per_batch=args.ops, mix=args.mix, seed=args.seed
     )
     pairs = sample_mixed_pairs(graph, args.queries, seed=args.seed)
     requests = [ReachRequest(source, target) for source, target in pairs]
-
-    service = GraphService(graph, config)
-    started = time.perf_counter()
-    service.prepare(reach_alphas=[alpha])
-    prepare_seconds = time.perf_counter() - started
     print(
         f"update: dataset={args.dataset} |V|={graph.num_nodes()} |E|={graph.num_edges()} "
         f"alpha={alpha} mix={args.mix} batches={len(stream)} ops/batch={args.ops}"
     )
     print(f"engine: backend={service.backend} prepare={prepare_seconds:.3f}s (once, before the stream)")
 
-    service.run_batch(requests)
-
     modes: dict = {}
     staleness: List[float] = []
     compactions = 0
     evicted = retained = 0
     verify_failures = 0
-    for batch_number, delta in enumerate(stream, start=1):
-        report = service.update(delta)
-        staleness.append(report.wall_seconds)
-        modes[report.mode] = modes.get(report.mode, 0) + 1
-        compactions += int(report.engine_report.summary.compacted)
-        evicted += report.cache_evicted
-        retained = report.cache_retained
-        query_report = service.run_batch(requests)
-        line = (
-            f"batch {batch_number}: ops={delta.size()} mode={report.mode} "
-            f"staleness={report.wall_seconds * 1000:.1f}ms "
-            f"updates/s={report.ops_per_second:.0f} "
-            f"queries/s={query_report.throughput:.0f} "
-            f"cache evicted={report.cache_evicted} retained={report.cache_retained}"
-        )
-        if args.verify:
-            fresh = GraphService(service.graph, ServiceConfig(executor="serial", cache_size=0))
-            fresh_answers = fresh.run_batch(requests, alpha=alpha).answers
-            identical = answers_identical("reach", query_report.answers, fresh_answers)
-            line += f" verify={'ok' if identical else 'MISMATCH'}"
-            if not identical:
-                verify_failures += 1
-        print(line)
+    with service:
+        service.run_batch(requests)
+        for batch_number, delta in enumerate(stream, start=1):
+            report = service.update(delta)
+            staleness.append(report.wall_seconds)
+            modes[report.mode] = modes.get(report.mode, 0) + 1
+            compactions += int(report.engine_report.summary.compacted)
+            evicted += report.cache_evicted
+            retained = report.cache_retained
+            query_report = service.run_batch(requests)
+            line = (
+                f"batch {batch_number}: ops={delta.size()} mode={report.mode} "
+                f"staleness={report.wall_seconds * 1000:.1f}ms "
+                f"updates/s={report.ops_per_second:.0f} "
+                f"queries/s={query_report.throughput:.0f} "
+                f"cache evicted={report.cache_evicted} retained={report.cache_retained}"
+            )
+            if args.verify:
+                fresh = GraphService(service.graph, ServiceConfig(executor="serial", cache_size=0))
+                fresh_answers = fresh.run_batch(requests, alpha=alpha).answers
+                identical = answers_identical("reach", query_report.answers, fresh_answers)
+                line += f" verify={'ok' if identical else 'MISMATCH'}"
+                verify_failures += not identical
+            print(line)
 
     total_ops = stream.total_ops()
     total_update_seconds = sum(staleness)
+    mean_staleness_ms = 1000 * total_update_seconds / max(1, len(staleness))
     print(
         f"stream: {total_ops} ops in {total_update_seconds:.3f}s "
         f"({total_ops / total_update_seconds:.0f} ops/s) "
         f"modes={modes} compactions={compactions} "
-        f"mean staleness={1000 * total_update_seconds / max(1, len(staleness)):.1f}ms"
+        f"mean staleness={mean_staleness_ms:.1f}ms"
     )
     payload = {
         "dataset": args.dataset,
@@ -519,7 +535,7 @@ def _command_update(args) -> int:
         "prepare_seconds": prepare_seconds,
         "update_seconds": total_update_seconds,
         "updates_per_second": total_ops / total_update_seconds if total_update_seconds else 0.0,
-        "mean_staleness_ms": 1000 * total_update_seconds / max(1, len(staleness)),
+        "mean_staleness_ms": mean_staleness_ms,
         "modes": modes,
         "compactions": compactions,
         "cache_evicted_total": evicted,
@@ -527,32 +543,24 @@ def _command_update(args) -> int:
         "verified": bool(args.verify),
         "verify_failures": verify_failures,
     }
-    write_json_report(args.output, payload)
+    _write_report(args.output, payload)
     return 1 if verify_failures else 0
 
 
-def _command_subscribe(args) -> int:
-    from repro.service import GraphService, ServiceConfig, replay
-    from repro.subscribe import answer_signature
+def _command_subscribe(args: argparse.Namespace) -> int:
     from repro.workloads.deltas import generate_delta_stream
 
-    if args.count < 1:
-        raise SystemExit(f"--count must be >= 1, got {args.count}")
-    if args.confine is not None and not 0.0 < args.confine <= 1.0:
-        raise SystemExit(f"--confine must be in (0, 1], got {args.confine}")
     config = config_from_args(args)
     alpha = config.alpha
     graph = load_dataset(args.dataset, seed=args.seed)
 
     if args.kind == "mixed":
         reach_count = args.count - args.count // 2
-        requests = sample_requests(graph, "reach", reach_count, args.shape, args.seed)[0]
+        requests = _sample_requests(graph, "reach", reach_count, args.seed)[0]
         if args.count // 2:
-            requests += sample_requests(
-                graph, "sim", args.count // 2, args.shape, args.seed
-            )[0]
+            requests += _sample_requests(graph, "sim", args.count // 2, args.seed, args.shape)[0]
     else:
-        requests = sample_requests(graph, args.kind, args.count, args.shape, args.seed)[0]
+        requests = _sample_requests(graph, args.kind, args.count, args.seed, args.shape)[0]
 
     confined = None
     if args.confine is not None:
@@ -593,33 +601,32 @@ def _command_subscribe(args) -> int:
     maintenance_seconds = 0.0
     churn: dict = {}
     verify_failures = 0
-    for batch_number, delta in enumerate(stream, start=1):
-        report = service.update(delta)
-        pass_report = report.maintenance
-        affected += pass_report.affected
-        skipped += pass_report.skipped
-        changed += pass_report.changed
-        maintenance_seconds += pass_report.wall_seconds
-        for op_kind, count in delta.ops_by_kind().items():
-            churn[op_kind] = churn.get(op_kind, 0) + count
-        line = (
-            f"batch {batch_number}: ops={delta.size()} mode={report.mode} "
-            f"affected={pass_report.affected}/{pass_report.subscriptions} "
-            f"({pass_report.affected_fraction:.0%}) deltas={pass_report.changed} "
-            f"maintain={pass_report.wall_seconds * 1000:.1f}ms"
-        )
-        if args.verify:
-            fresh = GraphService(service.graph, ServiceConfig(executor="serial", cache_size=0))
-            fresh_answers = fresh.run_batch(requests, alpha=alpha).answers
-            identical = all(
-                subscription.signature()
-                == answer_signature(subscription.kind, answer)
-                for subscription, answer in zip(subscriptions, fresh_answers)
+    with service:
+        for batch_number, delta in enumerate(stream, start=1):
+            report = service.update(delta)
+            pass_report = report.maintenance
+            affected += pass_report.affected
+            skipped += pass_report.skipped
+            changed += pass_report.changed
+            maintenance_seconds += pass_report.wall_seconds
+            for op_kind, count in delta.ops_by_kind().items():
+                churn[op_kind] = churn.get(op_kind, 0) + count
+            line = (
+                f"batch {batch_number}: ops={delta.size()} mode={report.mode} "
+                f"affected={pass_report.affected}/{pass_report.subscriptions} "
+                f"({pass_report.affected_fraction:.0%}) deltas={pass_report.changed} "
+                f"maintain={pass_report.wall_seconds * 1000:.1f}ms"
             )
-            line += f" verify={'ok' if identical else 'MISMATCH'}"
-            if not identical:
-                verify_failures += 1
-        print(line)
+            if args.verify:
+                fresh = GraphService(service.graph, ServiceConfig(executor="serial", cache_size=0))
+                fresh_answers = fresh.run_batch(requests, alpha=alpha).answers
+                identical = all(
+                    subscription.signature() == answer_signature(subscription.kind, answer)
+                    for subscription, answer in zip(subscriptions, fresh_answers)
+                )
+                line += f" verify={'ok' if identical else 'MISMATCH'}"
+                verify_failures += not identical
+            print(line)
 
     evaluations = len(subscriptions) * max(1, len(stream))
     replay_ok = None
@@ -629,8 +636,7 @@ def _command_subscribe(args) -> int:
             == subscription.signature()
             for subscription in subscriptions
         )
-        if not replay_ok:
-            verify_failures += 1
+        verify_failures += not replay_ok
     pushed = sum(len(log) for log in logs.values())
     print(
         f"stream: churn={churn or '{}'} affected={affected}/{evaluations} "
@@ -662,51 +668,34 @@ def _command_subscribe(args) -> int:
         "verify_failures": verify_failures,
         "replay_parity": replay_ok,
     }
-    write_json_report(args.output, payload)
+    _write_report(args.output, payload)
     return 1 if verify_failures else 0
 
 
-def _command_shard(args) -> int:
-    from repro.service import GraphService, ServiceConfig
-
-    if args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    config = config_from_args(
-        args,
-        num_shards=args.shards,
-        shard_method=args.method,
-        shard_policy=SCATTER,
-        **({"halo_depth": args.halo_depth} if args.halo_depth is not None else {}),
-    )
+def _command_shard(args: argparse.Namespace) -> int:
+    graph, service, prepare_seconds = _serve(args, args.kind, shard_policy=SCATTER)
+    config = service.config
     alpha = config.alpha
-    graph = load_dataset(args.dataset, seed=args.seed)
-    requests, pairs, truth = sample_requests(
-        graph, args.kind, args.count, args.shape, args.seed
-    )
+    requests, pairs, truth = _sample_requests(graph, args.kind, args.count, args.seed, args.shape)
+    with service:
+        profile = service.shard_profile()
+        print(
+            f"shard: dataset={args.dataset} k={config.num_shards} method={config.shard_method} "
+            f"halo_depth={config.halo_depth} kind={args.kind} n={len(requests)} alpha={alpha} "
+            f"executor={config.executor} workers={config.workers or 'auto'}"
+        )
+        print(
+            f"partition: nodes/shard={profile['shard_nodes']} "
+            f"cut={profile['cut_edges']} ({profile['cut_fraction']:.1%} of edges) "
+            f"boundary={profile['boundary_fraction']:.1%} of nodes"
+        )
+        print(
+            f"boundary graph: {profile['boundary_supernodes']} supernodes, "
+            f"{profile['boundary_edges']} edges, routes={profile['cross_shard_routes'] or '{}'}"
+        )
+        print(f"prepare: {prepare_seconds:.3f}s (partition + per-shard indexes + boundary)")
 
-    started = time.perf_counter()
-    service = GraphService(graph, config)
-    service.prepare(**_prepare_kwargs(args.kind, alpha))
-    prepare_seconds = time.perf_counter() - started
-    profile = service.shard_profile()
-
-    print(
-        f"shard: dataset={args.dataset} k={args.shards} method={args.method} "
-        f"halo_depth={config.halo_depth} kind={args.kind} n={len(requests)} alpha={alpha} "
-        f"executor={config.executor} workers={config.workers or 'auto'}"
-    )
-    print(
-        f"partition: nodes/shard={profile['shard_nodes']} "
-        f"cut={profile['cut_edges']} ({profile['cut_fraction']:.1%} of edges) "
-        f"boundary={profile['boundary_fraction']:.1%} of nodes"
-    )
-    print(
-        f"boundary graph: {profile['boundary_supernodes']} supernodes, "
-        f"{profile['boundary_edges']} edges, routes={profile['cross_shard_routes'] or '{}'}"
-    )
-    print(f"prepare: {prepare_seconds:.3f}s (partition + per-shard indexes + boundary)")
-
-    report = service.run_batch(requests)
+        report = service.run_batch(requests)
     print(
         f"batch: wall={report.wall_seconds:.3f}s throughput={report.throughput:.1f} q/s "
         f"chunks={report.chunks}"
@@ -722,8 +711,8 @@ def _command_shard(args) -> int:
         "dataset": args.dataset,
         "kind": args.kind,
         "alpha": alpha,
-        "num_shards": args.shards,
-        "method": args.method,
+        "num_shards": config.num_shards,
+        "method": config.shard_method,
         "halo_depth": config.halo_depth,
         "executor": config.executor,
         "workers": config.workers,
@@ -740,80 +729,60 @@ def _command_shard(args) -> int:
         "spillover_fraction": report.spillover_fraction,
     }
 
-    if truth is not None:
-        summary = accuracy_summary(pairs, report.answers, truth)
-        payload["accuracy_f_measure"] = summary["accuracy_f_measure"]
-        payload["false_positives"] = summary["false_positives"]
-        print_accuracy(summary, contract_note=True)
-
     # A false positive breaks the hard contract: fail the command (the
     # report is still written so the violation is documented).
-    exit_code = 1 if payload.get("false_positives") else 0
+    exit_code = 0
+    if truth is not None:
+        f_measure, false_positives = _accuracy(pairs, report.answers, truth)
+        payload["accuracy_f_measure"] = f_measure
+        payload["false_positives"] = false_positives
+        print(
+            f"accuracy vs exact oracle: f-measure={f_measure:.3f} "
+            f"false-positives={false_positives} (contract: always 0)"
+        )
+        exit_code = int(false_positives > 0)
+
     if args.compare_unsharded:
-        single = GraphService(
-            graph, ServiceConfig(executor="serial", cache_size=0, alpha=alpha)
-        )
-        single.prepare(**_prepare_kwargs(args.kind, alpha))
-        single_report = single.run_batch(requests)
+        with GraphService(graph, ServiceConfig(executor="serial", cache_size=0, alpha=alpha)) as single:
+            single.prepare(**_prepare_kwargs(args.kind, alpha))
+            single_report = single.run_batch(requests)
+        both = list(zip(report.answers, single_report.answers))
         if args.kind == "reach":
-            agree = sum(
-                1
-                for mine, theirs in zip(report.answers, single_report.answers)
-                if mine.reachable == theirs.reachable
-            )
-            sharded_fp = sum(
-                1
-                for mine, theirs in zip(report.answers, single_report.answers)
-                if mine.reachable and not theirs.reachable
-            )
+            agree = sum(mine.reachable == theirs.reachable for mine, theirs in both)
+            sharded_fp = sum(mine.reachable and not theirs.reachable for mine, theirs in both)
         else:
-            agree = sum(
-                1
-                for mine, theirs in zip(report.answers, single_report.answers)
-                if mine.answer == theirs.answer
-            )
+            agree = sum(mine.answer == theirs.answer for mine, theirs in both)
             sharded_fp = 0
-        speedup = (
-            single_report.wall_seconds / report.wall_seconds
-            if report.wall_seconds > 0
-            else 0.0
-        )
+        speedup = single_report.wall_seconds / report.wall_seconds if report.wall_seconds > 0 else 0.0
         payload["unsharded_wall_seconds"] = single_report.wall_seconds
         payload["sharded_speedup"] = speedup
-        payload["agreement"] = agree / max(1, len(requests))
+        payload["agreement"] = agree / len(requests)
         print(
             f"vs unsharded: agreement={agree}/{len(requests)} "
             f"positives-not-in-unsharded={sharded_fp} speedup={speedup:.2f}x"
         )
 
-    write_json_report(args.output, payload)
+    _write_report(args.output, payload)
     return exit_code
 
 
-def _command_trace(args) -> int:
+def _command_trace(args: argparse.Namespace) -> int:
     from repro.obs import flight
-    from repro.service import GraphService
 
-    config = config_from_args(args)
-    graph = load_dataset(args.dataset, seed=args.seed)
-    requests, _, _ = sample_requests(graph, "reach", args.count, "4,8", args.seed)
-    with GraphService(graph, config) as service:
-        service.prepare(reach_alphas=[config.alpha])
-        slow_ms = args.slow_ms if args.slow_ms is not None else flight.DEFAULT_SLOW_MS
-        service.enable_tracing(
-            capacity=max(flight.DEFAULT_CAPACITY, args.batches), slow_ms=slow_ms
-        )
+    graph, service, _ = _serve(args)
+    config = service.config
+    requests, _, _ = _sample_requests(graph, "reach", args.count, args.seed)
+    slow_ms = args.slow_ms if args.slow_ms is not None else flight.DEFAULT_SLOW_MS
+    with service:
+        service.enable_tracing(capacity=max(flight.DEFAULT_CAPACITY, args.batches), slow_ms=slow_ms)
         try:
             print(
                 f"trace: dataset={args.dataset} n={len(requests)} batches={args.batches} "
                 f"executor={config.executor} workers={config.workers or 'auto'}"
             )
-            for number in range(1, max(1, args.batches) + 1):
+            for number in range(1, args.batches + 1):
                 report = service.run_batch(requests)
-                print(
-                    f"batch {number}: wall={report.wall_seconds * 1000:.1f}ms "
-                    f"trace={report.trace_id}"
-                )
+                print(f"batch {number}: wall={report.wall_seconds * 1000:.1f}ms trace={report.trace_id}")
             trace_id, timeline = service.trace_for_percentile("service.batch.seconds", 0.99)
             if timeline is None:
                 # Exemplar evicted or missing: fall back to the slowest
@@ -834,20 +803,14 @@ def _command_trace(args) -> int:
             print(flight.format_waterfall(timeline))
             if args.export is not None:
                 flight.write_chrome_trace(timeline, args.export)
-                print(
-                    f"(chrome trace written to {args.export} — load in "
-                    "chrome://tracing or Perfetto)"
-                )
+                print(f"(chrome trace written to {args.export} — load in chrome://tracing or Perfetto)")
         finally:
             service.disable_tracing()
     return 0
 
 
-def _command_stats(args) -> int:
-    import json
-
+def _command_stats(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.service import GraphService
 
     if args.input is not None:
         try:
@@ -859,81 +822,199 @@ def _command_stats(args) -> int:
 
     # No snapshot given: answer a small sampled batch so the registry has
     # something to show, then print the live registry.
-    config = config_from_args(args)
-    graph = load_dataset(args.dataset, seed=args.seed)
-    requests, _, _ = sample_requests(graph, "reach", args.count, "4,8", args.seed)
-    with GraphService(graph, config) as service:
-        service.prepare(reach_alphas=[config.alpha])
+    graph, service, _ = _serve(args)
+    requests, _, _ = _sample_requests(graph, "reach", args.count, args.seed)
+    with service:
         service.run_batch(requests)
         service.run_batch(requests)  # second pass shows the cache counters
     print(obs.format_snapshot(obs.snapshot()))
     return 0
 
 
-def _command_run(
-    experiments: List[str],
-    scale: str,
-    seed: int,
-    output: Optional[Path],
-    executor: str = "auto",
-    workers: Optional[int] = None,
-    alpha: Optional[float] = None,
-) -> int:
-    if len(experiments) == 1 and experiments[0] == "all":
-        results = run_all(scale=scale, seed=seed, executor=executor, workers=workers, alpha=alpha)
-    else:
-        results = [
-            run_experiment(
-                experiment_id, scale=scale, seed=seed, executor=executor, workers=workers, alpha=alpha
-            )
-            for experiment_id in experiments
-        ]
-    report = format_many(results)
-    claims = summary_claims(results)
-    text = report + "\n\nSummary:\n" + "\n".join(f"  {claim}" for claim in claims) + "\n"
-    print(text)
-    if output is not None:
-        output.write_text(text, encoding="utf-8")
-        print(f"(report written to {output})")
-    return 0
+# --------------------------------------------------------------------------- #
+# The command table
+# --------------------------------------------------------------------------- #
+class Command(NamedTuple):
+    name: str
+    help: str
+    flags: Tuple[Tuple[Flag, ...], ...]
+    handler: Callable[[argparse.Namespace], int]
 
 
-def _dispatch(parser: argparse.ArgumentParser, args) -> int:
-    if args.command == "list":
-        return _command_list()
-    if args.command == "datasets":
-        return _command_datasets(backend=args.backend)
-    if args.command == "run":
-        return _command_run(
-            args.experiments,
-            args.scale,
-            args.seed,
-            args.output,
-            args.executor,
-            args.workers,
-            args.alpha,
-        )
-    if args.command == "batch":
-        return _command_batch(args)
-    if args.command == "update":
-        return _command_update(args)
-    if args.command == "subscribe":
-        return _command_subscribe(args)
-    if args.command == "shard":
-        return _command_shard(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "stats":
-        return _command_stats(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+COMMANDS: Tuple[Command, ...] = (
+    Command("list", "list available experiments and datasets", (), _command_list),
+    Command(
+        "run",
+        "run one or more experiments",
+        (
+            SERVICE_FLAGS,
+            (
+                _flag("experiments", nargs="+", help="experiment ids (e.g. fig8c table2), or 'all'"),
+                _flag("--scale", choices=["quick", "full"], default="quick"),
+                _flag("--seed", type=int, default=0),
+                _flag("--output", type=Path, default=None, help="also write the report to this file"),
+            ),
+        ),
+        _command_run,
+    ),
+    Command(
+        "datasets",
+        "print dataset surrogate profiles",
+        (
+            (
+                _flag(
+                    "--backend",
+                    choices=["digraph", "csr"],
+                    default="digraph",
+                    help="graph backend to build the surrogates on (csr = numpy compressed-sparse-row)",
+                ),
+            ),
+        ),
+        _command_datasets,
+    ),
+    Command(
+        "batch",
+        "answer a batch of queries through the service and report throughput",
+        (
+            SERVICE_FLAGS,
+            _workload(count=200, shape="4,8"),
+            (
+                _kind(help=_QUERY_CLASS),
+                _flag("--queries", type=Path, help="reach only: file of 'source target' lines to answer, not sampled"),
+                _flag("--repeat", type=_positive_int, default=1, help="answer the batch N times (shows the LRU cache)"),
+                _flag(
+                    "--compare-serial",
+                    action="store_true",
+                    help="also answer the batch on a cache-free serial service and report parity plus speedup",
+                ),
+            ),
+        ),
+        _command_batch,
+    ),
+    Command(
+        "update",
+        "replay a delta stream through the service and report update throughput",
+        (
+            SERVICE_FLAGS,
+            _workload(),
+            _churn(10, 50, "after every delta, compare answers against a freshly opened service"),
+            (_flag("--queries", type=_positive_int, default=100, help="reachability queries answered between deltas"),),
+        ),
+        _command_update,
+    ),
+    Command(
+        "subscribe",
+        "register standing queries, replay a churn stream and report maintenance",
+        (
+            SERVICE_FLAGS,
+            _workload(count=32, shape="3,3"),
+            _churn(
+                8,
+                20,
+                "after every delta, check maintained answers against a freshly opened service; "
+                "at the end, replay every pushed delta log",
+            ),
+            (
+                _kind("mixed", default="mixed", help="standing-query class (mixed = half reach, half simulation)"),
+                _flag(
+                    "--confine",
+                    type=_fraction,
+                    metavar="FRACTION",
+                    help="confine churn to the trailing FRACTION of node ids (0 < f <= 1); "
+                    "localised churn is where maintenance beats re-answering",
+                ),
+            ),
+        ),
+        _command_subscribe,
+    ),
+    Command(
+        "shard",
+        "partition a dataset and answer a workload through the sharded backend",
+        (
+            SERVICE_FLAGS,
+            _workload(count=200, shape="4,8"),
+            (
+                _kind(help=_QUERY_CLASS),
+                _flag("--shards", "-k", dest="num_shards", type=_positive_int, default=4, help="number of shards k"),
+                _flag(
+                    "--method",
+                    dest="shard_method",
+                    choices=["greedy", "hash"],
+                    default="greedy",
+                    help="partitioner: seeded BFS-grown greedy edge-cut minimiser, or the hash baseline",
+                ),
+                _flag(
+                    "--halo-depth",
+                    type=_positive_int,
+                    help="ghost-region depth (default 3 = the pattern-parity margin; "
+                    "1 gives thinner halos for reach-only serving and stronger update locality)",
+                ),
+                _flag(
+                    "--compare-unsharded",
+                    action="store_true",
+                    help="also answer the batch on a single-graph service and report agreement + speedup",
+                ),
+            ),
+        ),
+        _command_shard,
+    ),
+    Command(
+        "trace",
+        "record a traced batch and print its cross-process waterfall timeline",
+        (
+            SERVICE_FLAGS,
+            _workload(count=200, output=False),
+            (
+                _flag("--batches", type=_positive_int, default=3, help="batches to record (later ones hit the cache)"),
+                _flag("--slow-ms", type=float, help="slow-query log threshold in milliseconds (default 100)"),
+                _flag(
+                    "--export",
+                    type=Path,
+                    help="write Chrome trace-event JSON of the selected timeline here "
+                    "(load in chrome://tracing or Perfetto)",
+                ),
+            ),
+        ),
+        _command_trace,
+    ),
+    Command(
+        "stats",
+        "pretty-print a metrics registry snapshot (from --metrics-json, or a fresh sample run)",
+        (
+            SERVICE_FLAGS,
+            _workload(count=200, output=False),
+            (
+                _flag(
+                    "--input",
+                    type=Path,
+                    help="a JSON snapshot written by --metrics-json; omitted = answer a "
+                    "sampled batch and print the live registry",
+                ),
+            ),
+        ),
+        _command_stats,
+    ),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-bench",
+        description="Reproduce the tables and figures of 'Querying Big Graphs within Bounded Resources'",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        subparser = subparsers.add_parser(command.name, help=command.help)
+        for names, kwargs in (flag for group in command.flags for flag in group):
+            subparser.add_argument(*names, **kwargs)
+        subparser.set_defaults(handler=command.handler)
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    exit_code = _dispatch(parser, args)
+    args = _build_parser().parse_args(argv)
+    exit_code = args.handler(args)
     # Every service-flag command accepts --metrics-json: dump the process
     # registry after the command ran (including daemon-worker snapshots that
     # merged back over the pipes), readable with `repro-bench stats --input`.

@@ -33,13 +33,7 @@ from repro.graph.generators import (
     random_graph,
     star_graph,
 )
-from repro.graph.kernels import (
-    KERNELS,
-    KernelRegistry,
-    ReachBatch,
-    reach_batch,
-    traverse,
-)
+from repro.graph.kernels import ReachBatch, reach_batch
 from repro.graph.io import (
     BACKENDS,
     from_json_dict,
@@ -125,11 +119,8 @@ __all__ = [
     "preferential_attachment_graph",
     "random_graph",
     "star_graph",
-    "KERNELS",
-    "KernelRegistry",
     "ReachBatch",
     "reach_batch",
-    "traverse",
     "from_json_dict",
     "read_edge_list",
     "read_json",

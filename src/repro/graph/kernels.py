@@ -1,14 +1,17 @@
-"""Traversal kernels: bitset frontiers behind a capability-dispatch registry.
+"""Traversal kernels: bitset frontiers, and one type test per operation.
 
-This module is the single dispatch surface for traversal work.  Callers name
-an *operation* (``"reach_batch"``, ``"bfs_levels"``, ``"is_reachable"``, ...)
-and hand :func:`traverse` any :class:`~repro.graph.protocol.GraphLike`; the
-:class:`KernelRegistry` picks the best registered kernel for that graph type
-— an exact vectorised kernel when one exists, otherwise the generic
-pure-python implementation.  The generic path is not a second-class citizen:
-it is the *differential-testing oracle* the vectorised kernels are pinned
-against (``tests/test_kernels.py``), so both tiers must return bit-identical
-answers forever.
+This module is the single surface for traversal work.  Each operation is
+one public function — :func:`reach_batch`, :func:`bfs_levels`,
+:func:`is_reachable`, :func:`bidirectional_reachable`,
+:func:`reachable_set`, :func:`connected_component` and
+:func:`weak_components` — that takes any
+:class:`~repro.graph.protocol.GraphLike` and branches once: a
+:class:`~repro.graph.csr.CSRGraph` (or a subclass) runs the vectorised
+index-space kernel, every other graph the generic pure-python
+implementation.  The generic path is not a second-class citizen: it is the
+*differential-testing oracle* the vectorised kernels are pinned against
+(``tests/test_kernels.py``), so both tiers must return bit-identical answers
+forever.
 
 The headline kernel is :func:`reach_batch`: **multi-source batched BFS** on
 word-parallel ``uint64`` bitset frontiers.  64 sources share one word column
@@ -22,16 +25,9 @@ the cover statistics need to run batched.
 
 Observability: every batched entry records its size in the
 ``kernel.batch_size`` histogram, every bitset sweep adds the frontier
-entries it expanded to ``kernel.sweep.words``, and every dispatch that lands
-on the generic fallback bumps the ``kernel.fallbacks`` counter (an exact
-kernel bumps nothing — fallbacks are the signal worth watching).
-
-Dispatch semantics:
-
-* ``register(op, GraphType)`` — exact kernel; chosen for instances of
-  ``GraphType`` (or a subclass, via MRO walk, nearest class wins);
-* ``register(op)`` — generic fallback; chosen when no class in the MRO has
-  an exact kernel.  Lookup results are cached per ``(op, type)``.
+entries it expanded to ``kernel.sweep.words``, and every call that lands on
+the generic implementation bumps the ``kernel.fallbacks`` counter (a
+vectorised kernel bumps nothing — fallbacks are the signal worth watching).
 """
 
 from __future__ import annotations
@@ -40,15 +36,14 @@ from collections import deque
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Type,
 )
 
 from repro import obs
@@ -57,7 +52,7 @@ from repro.graph.protocol import GraphLike, NodeId
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph as _CSRGraph, _spans, _unique
+from repro.graph.csr import CSRGraph, _spans, _unique
 
 Direction = str
 
@@ -77,83 +72,39 @@ def neighbors_fn(graph: GraphLike, direction: Direction) -> Callable[[NodeId], I
     raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
 
 
-# --------------------------------------------------------------------------- #
-# Capability dispatch
-# --------------------------------------------------------------------------- #
-class KernelRegistry:
-    """Maps ``(operation, graph type)`` to the best registered kernel.
-
-    Exact kernels are keyed by class and found by MRO walk (nearest class
-    wins); a ``graph_type`` of ``None`` registers the generic fallback for
-    the operation.  ``resolve`` memoises per concrete type, so the hot path
-    is one dict hit.
-    """
-
-    def __init__(self) -> None:
-        self._kernels: Dict[Tuple[str, Optional[type]], Callable[..., Any]] = {}
-        self._cache: Dict[Tuple[str, type], Tuple[Optional[Callable[..., Any]], bool]] = {}
-
-    def register(self, op: str, graph_type: Optional[type] = None):
-        """Decorator: register a kernel for ``op`` (exact if typed)."""
-
-        def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
-            self._kernels[(op, graph_type)] = fn
-            self._cache.clear()
-            return fn
-
-        return decorator
-
-    def resolve(self, op: str, graph_type: type) -> Tuple[Optional[Callable[..., Any]], bool]:
-        """Return ``(kernel, is_exact)`` for ``op`` on ``graph_type``."""
-        key = (op, graph_type)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        for klass in graph_type.__mro__:
-            kernel = self._kernels.get((op, klass))
-            if kernel is not None:
-                entry: Tuple[Optional[Callable[..., Any]], bool] = (kernel, True)
-                break
-        else:
-            kernel = self._kernels.get((op, None))
-            entry = (kernel, False)
-        self._cache[key] = entry
-        return entry
-
-    def has_exact(self, op: str, graph_type: type) -> bool:
-        """Whether an exact (non-fallback) kernel serves ``graph_type``."""
-        kernel, exact = self.resolve(op, graph_type)
-        return kernel is not None and exact
-
-    def operations(self) -> List[str]:
-        """Sorted names of every registered operation."""
-        return sorted({op for op, _ in self._kernels})
-
-
-#: The process-wide registry every ``traverse`` call dispatches through.
-KERNELS = KernelRegistry()
-
-
-def traverse(graph: GraphLike, op: str, *args: Any, **kwargs: Any):
-    """Dispatch operation ``op`` on ``graph`` through :data:`KERNELS`.
-
-    Raises :class:`~repro.exceptions.GraphError` when neither an exact
-    kernel nor a generic fallback is registered for ``op`` — e.g. the
-    index-space ``"reach_mask"`` on a non-CSR backend.
-    """
-    kernel, exact = KERNELS.resolve(op, type(graph))
-    if kernel is None:
-        raise GraphError(
-            f"no kernel registered for operation {op!r} on {type(graph).__name__}"
-        )
-    if not exact:
-        obs.counter("kernel.fallbacks").inc()
-    return kernel(graph, *args, **kwargs)
-
-
 def observe_batch(size: int) -> None:
     """Record one batched entry of ``size`` sources/queries."""
     obs.histogram("kernel.batch_size", scheme="count").observe(float(size))
+
+
+def _fallback() -> None:
+    """Count one call answered by the generic implementation."""
+    obs.counter("kernel.fallbacks").inc()
+
+
+# --------------------------------------------------------------------------- #
+# The operations: a CSRGraph takes the vectorised kernel, any other graph
+# the generic implementation — the pure-python differential-testing oracle
+# --------------------------------------------------------------------------- #
+def _closure(
+    neighbors: Callable[[NodeId], Iterable[NodeId]],
+    source: NodeId,
+    absorbing: Collection[NodeId] = (),
+) -> Set[NodeId]:
+    """Every node a BFS from ``source`` reaches over ``neighbors``, itself included.
+
+    Nodes in ``absorbing`` are recorded when reached but never expanded;
+    the source itself always expands.
+    """
+    seen: Set[NodeId] = {source}
+    queue: deque = deque([source])
+    while queue:
+        for child in neighbors(queue.popleft()):
+            if child not in seen:
+                seen.add(child)
+                if child not in absorbing:
+                    queue.append(child)
+    return seen
 
 
 def reach_batch(
@@ -173,14 +124,145 @@ def reach_batch(
     for CSR backends, an index-space boolean mask — marks absorbing nodes:
     they are recorded when reached but never expanded through, except that
     every source always expands its own frontier at level 0 (matching
-    ``reach_mask``'s semantics, which the landmark label sweep relies on).
+    ``csr_reach_mask``'s semantics, which the landmark label sweep relies on).
     Stop ids that are not in the graph are ignored.  ``rows`` optionally
     holds the sources' row indices, for a CSR caller that mapped them
     already; the pure-python oracle maps the ids itself.
     """
     sources = list(sources)
     observe_batch(len(sources))
-    return traverse(graph, "reach_batch", sources, forward=forward, stop=stop, rows=rows)
+    if isinstance(graph, CSRGraph):
+        return _csr_reach_batch(graph, sources, forward, stop, rows)
+    _fallback()
+    # The oracle: one absorbing BFS per source — clarity beats speed here.
+    ids = list(graph.nodes())
+    index = {node: row for row, node in enumerate(ids)}
+    if stop is None:
+        absorbing: Set[NodeId] = set()
+    elif isinstance(stop, np.ndarray):
+        absorbing = {ids[row] for row in np.nonzero(stop)[0].tolist()}
+    else:
+        absorbing = set(stop)
+    neighbors = graph.successors if forward else graph.predecessors
+    row_sets: List[Set[int]] = []
+    source_rows: List[int] = []
+    for source in sources:
+        if source not in index:
+            raise NodeNotFoundError(source)
+        source_rows.append(index[source])
+        row_sets.append({index[node] for node in _closure(neighbors, source, absorbing)})
+    return ReachBatch.from_sets(sources, source_rows, row_sets, ids, len(ids))
+
+
+def bfs_levels(
+    graph: GraphLike,
+    source: NodeId,
+    max_hops: Optional[int] = None,
+    direction: Direction = _BOTH,
+) -> Dict[NodeId, int]:
+    """Hop distance from ``source`` of every node within ``max_hops`` (itself at 0)."""
+    if isinstance(graph, CSRGraph):
+        return csr_bfs_distances(graph, source, max_hops=max_hops, direction=direction)
+    _fallback()
+    neighbors = neighbors_fn(graph, direction)
+    distances: Dict[NodeId, int] = {source: 0}
+    queue: deque = deque([source])
+    while queue:
+        node = queue.popleft()
+        depth = distances[node]
+        if max_hops is not None and depth >= max_hops:
+            continue
+        for neighbor in neighbors(node):
+            if neighbor not in distances:
+                distances[neighbor] = depth + 1
+                queue.append(neighbor)
+    return distances
+
+
+def is_reachable(graph: GraphLike, source: NodeId, target: NodeId) -> bool:
+    """Forward BFS reachability with early exit."""
+    if isinstance(graph, CSRGraph):
+        return csr_is_reachable(graph, source, target)
+    _fallback()
+    if source == target:
+        return True
+    seen: Set[NodeId] = {source}
+    queue: deque = deque([source])
+    while queue:
+        for child in graph.successors(queue.popleft()):
+            if child == target:
+                return True
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+    return False
+
+
+def bidirectional_reachable(graph: GraphLike, source: NodeId, target: NodeId) -> bool:
+    """Bidirectional BFS reachability, expanding the smaller frontier."""
+    if isinstance(graph, CSRGraph):
+        return graph.fast_bidirectional_reachable(source, target)
+    _fallback()
+    if source == target:
+        return True
+    forward_seen: Set[NodeId] = {source}
+    backward_seen: Set[NodeId] = {target}
+    forward_frontier: Set[NodeId] = {source}
+    backward_frontier: Set[NodeId] = {target}
+    while forward_frontier and backward_frontier:
+        if len(forward_frontier) <= len(backward_frontier):
+            next_frontier: Set[NodeId] = set()
+            for node in forward_frontier:
+                for child in graph.successors(node):
+                    if child in backward_seen:
+                        return True
+                    if child not in forward_seen:
+                        forward_seen.add(child)
+                        next_frontier.add(child)
+            forward_frontier = next_frontier
+        else:
+            next_frontier = set()
+            for node in backward_frontier:
+                for parent in graph.predecessors(node):
+                    if parent in forward_seen:
+                        return True
+                    if parent not in backward_seen:
+                        backward_seen.add(parent)
+                        next_frontier.add(parent)
+            backward_frontier = next_frontier
+    return False
+
+
+def reachable_set(graph: GraphLike, source: NodeId, forward: bool = True) -> Set[NodeId]:
+    """Descendants (or, with ``forward=False``, ancestors) of ``source``, excluding itself."""
+    if isinstance(graph, CSRGraph):
+        return csr_reachable_set(graph, source, forward=forward)
+    _fallback()
+    reached = _closure(graph.successors if forward else graph.predecessors, source)
+    reached.discard(source)
+    return reached
+
+
+def connected_component(graph: GraphLike, source: NodeId) -> Set[NodeId]:
+    """The weakly connected component containing ``source``."""
+    if isinstance(graph, CSRGraph):
+        return graph.fast_connected_component(source)
+    _fallback()
+    return _closure(graph.neighbors, source)
+
+
+def weak_components(graph: GraphLike) -> List[Set[NodeId]]:
+    """Every weakly connected component of ``graph``."""
+    if isinstance(graph, CSRGraph):
+        return graph.fast_weak_components()
+    _fallback()
+    remaining: Set[NodeId] = set(graph.nodes())
+    components: List[Set[NodeId]] = []
+    while remaining:
+        component = _closure(graph.neighbors, next(iter(remaining)))
+        components.append(component)
+        remaining -= component
+    return components
 
 
 # --------------------------------------------------------------------------- #
@@ -380,180 +462,19 @@ class ReachBatch:
 
 
 # --------------------------------------------------------------------------- #
-# Generic kernels — the pure-python differential-testing oracle
-# --------------------------------------------------------------------------- #
-def _normalize_stop(stop: Any, ids: Sequence[NodeId]) -> Optional[Set[NodeId]]:
-    """Coerce ``stop`` (node-id iterable or row-space mask) to a node-id set."""
-    if stop is None:
-        return None
-    if isinstance(stop, np.ndarray):
-        return {ids[row] for row in np.nonzero(stop)[0].tolist()}
-    return set(stop)
-
-
-@KERNELS.register("reach_batch")
-def _generic_reach_batch(
-    graph: GraphLike,
-    sources: Sequence[NodeId],
-    forward: bool = True,
-    stop: Any = None,
-    rows: Any = None,
-) -> ReachBatch:
-    """One absorbing BFS per source over the GraphLike protocol.
-
-    Deliberately naive — this is the oracle the bitset sweep is pinned
-    against, so clarity beats speed here.
-    """
-    ids = list(graph.nodes())
-    index = {node: row for row, node in enumerate(ids)}
-    absorbing = _normalize_stop(stop, ids)
-    neighbors = graph.successors if forward else graph.predecessors
-    row_sets: List[Set[int]] = []
-    source_rows: List[int] = []
-    for source in sources:
-        if source not in index:
-            raise NodeNotFoundError(source)
-        source_rows.append(index[source])
-        seen: Set[NodeId] = {source}
-        queue: deque = deque([source])
-        while queue:
-            node = queue.popleft()
-            for child in neighbors(node):
-                if child not in seen:
-                    seen.add(child)
-                    # Absorbing nodes are recorded but never expanded; the
-                    # source itself expanded above regardless (level 0).
-                    if absorbing is None or child not in absorbing:
-                        queue.append(child)
-        row_sets.append({index[node] for node in seen})
-    return ReachBatch.from_sets(sources, source_rows, row_sets, ids, len(ids))
-
-
-@KERNELS.register("bfs_levels")
-def _generic_bfs_levels(
-    graph: GraphLike,
-    source: NodeId,
-    max_hops: Optional[int] = None,
-    direction: Direction = _BOTH,
-) -> Dict[NodeId, int]:
-    neighbors = neighbors_fn(graph, direction)
-    distances: Dict[NodeId, int] = {source: 0}
-    queue: deque = deque([source])
-    while queue:
-        node = queue.popleft()
-        depth = distances[node]
-        if max_hops is not None and depth >= max_hops:
-            continue
-        for neighbor in neighbors(node):
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                queue.append(neighbor)
-    return distances
-
-
-@KERNELS.register("is_reachable")
-def _generic_is_reachable(graph: GraphLike, source: NodeId, target: NodeId) -> bool:
-    if source == target:
-        return True
-    seen: Set[NodeId] = {source}
-    queue: deque = deque([source])
-    while queue:
-        node = queue.popleft()
-        for child in graph.successors(node):
-            if child == target:
-                return True
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return False
-
-
-@KERNELS.register("bidirectional_reachable")
-def _generic_bidirectional_reachable(graph: GraphLike, source: NodeId, target: NodeId) -> bool:
-    if source == target:
-        return True
-    forward_seen: Set[NodeId] = {source}
-    backward_seen: Set[NodeId] = {target}
-    forward_frontier: Set[NodeId] = {source}
-    backward_frontier: Set[NodeId] = {target}
-    while forward_frontier and backward_frontier:
-        if len(forward_frontier) <= len(backward_frontier):
-            next_frontier: Set[NodeId] = set()
-            for node in forward_frontier:
-                for child in graph.successors(node):
-                    if child in backward_seen:
-                        return True
-                    if child not in forward_seen:
-                        forward_seen.add(child)
-                        next_frontier.add(child)
-            forward_frontier = next_frontier
-        else:
-            next_frontier = set()
-            for node in backward_frontier:
-                for parent in graph.predecessors(node):
-                    if parent in forward_seen:
-                        return True
-                    if parent not in backward_seen:
-                        backward_seen.add(parent)
-                        next_frontier.add(parent)
-            backward_frontier = next_frontier
-    return False
-
-
-@KERNELS.register("reachable_set")
-def _generic_reachable_set(graph: GraphLike, source: NodeId, forward: bool = True) -> Set[NodeId]:
-    neighbors = graph.successors if forward else graph.predecessors
-    seen: Set[NodeId] = {source}
-    queue: deque = deque([source])
-    while queue:
-        node = queue.popleft()
-        for child in neighbors(node):
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    seen.discard(source)
-    return seen
-
-
-@KERNELS.register("connected_component")
-def _generic_connected_component(graph: GraphLike, source: NodeId) -> Set[NodeId]:
-    seen: Set[NodeId] = {source}
-    queue: deque = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                queue.append(neighbor)
-    return seen
-
-
-@KERNELS.register("weak_components")
-def _generic_weak_components(graph: GraphLike) -> List[Set[NodeId]]:
-    remaining: Set[NodeId] = set(graph.nodes())
-    components: List[Set[NodeId]] = []
-    while remaining:
-        seed = next(iter(remaining))
-        component = _generic_connected_component(graph, seed)
-        components.append(component)
-        remaining -= component
-    return components
-
-
-# --------------------------------------------------------------------------- #
 # CSR kernels — vectorised, index-space
 # --------------------------------------------------------------------------- #
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _csr_arrays(graph: "_CSRGraph", forward: bool):
+def _csr_arrays(graph: CSRGraph, forward: bool):
     if forward:
         return graph._succ_indptr, graph._succ_indices
     return graph._pred_indptr, graph._pred_indices
 
 
 def csr_reach_mask(
-    graph: "_CSRGraph",
+    graph: CSRGraph,
     start_index: int,
     forward: bool = True,
     stop_mask: Optional["np.ndarray"] = None,
@@ -597,7 +518,7 @@ def csr_reach_mask(
 
 
 def csr_bfs_distances(
-    graph: "_CSRGraph",
+    graph: CSRGraph,
     source: NodeId,
     max_hops: Optional[int] = None,
     direction: Direction = _BOTH,
@@ -620,7 +541,7 @@ def csr_bfs_distances(
     return dict(zip(graph.ids_of(reached), dist[reached].tolist()))
 
 
-def csr_is_reachable(graph: "_CSRGraph", source: NodeId, target: NodeId) -> bool:
+def csr_is_reachable(graph: CSRGraph, source: NodeId, target: NodeId) -> bool:
     """Forward BFS reachability with early exit, in index space."""
     start = graph.index_of(source)
     goal = graph.index_of(target)
@@ -653,7 +574,7 @@ def csr_is_reachable(graph: "_CSRGraph", source: NodeId, target: NodeId) -> bool
     return False
 
 
-def csr_reachable_set(graph: "_CSRGraph", source: NodeId, forward: bool = True) -> Set[NodeId]:
+def csr_reachable_set(graph: CSRGraph, source: NodeId, forward: bool = True) -> Set[NodeId]:
     """Descendants (or ancestors) of ``source``, excluding itself."""
     start = graph.index_of(source)
     mask = csr_reach_mask(graph, start, forward=forward)
@@ -724,7 +645,7 @@ def _bitset_sweep(
     return reach, expanded
 
 
-def _stop_mask_of(graph: "_CSRGraph", stop: Any, num_nodes: int) -> Optional["np.ndarray"]:
+def _stop_mask_of(graph: CSRGraph, stop: Any, num_nodes: int) -> Optional["np.ndarray"]:
     if stop is None:
         return None
     if isinstance(stop, np.ndarray):
@@ -737,9 +658,8 @@ def _stop_mask_of(graph: "_CSRGraph", stop: Any, num_nodes: int) -> Optional["np
     return mask
 
 
-@KERNELS.register("reach_batch", _CSRGraph)
 def _csr_reach_batch(
-    graph: "_CSRGraph",
+    graph: CSRGraph,
     sources: Sequence[NodeId],
     forward: bool = True,
     stop: Any = None,
@@ -756,47 +676,15 @@ def _csr_reach_batch(
     return ReachBatch.from_bits(sources, rows, bits, ids, num_nodes)
 
 
-@KERNELS.register("reach_mask", _CSRGraph)
-def _kernel_reach_mask(graph, start_index, forward=True, stop_mask=None, **kwargs):
-    return csr_reach_mask(graph, start_index, forward=forward, stop_mask=stop_mask, **kwargs)
-
-
-@KERNELS.register("bfs_levels", _CSRGraph)
-def _kernel_bfs_levels(graph, source, max_hops=None, direction=_BOTH):
-    return csr_bfs_distances(graph, source, max_hops=max_hops, direction=direction)
-
-
-@KERNELS.register("is_reachable", _CSRGraph)
-def _kernel_is_reachable(graph, source, target):
-    return csr_is_reachable(graph, source, target)
-
-
-@KERNELS.register("bidirectional_reachable", _CSRGraph)
-def _kernel_bidirectional_reachable(graph, source, target):
-    return graph.fast_bidirectional_reachable(source, target)
-
-
-@KERNELS.register("reachable_set", _CSRGraph)
-def _kernel_reachable_set(graph, source, forward=True):
-    return csr_reachable_set(graph, source, forward=forward)
-
-
-@KERNELS.register("connected_component", _CSRGraph)
-def _kernel_connected_component(graph, source):
-    return graph.fast_connected_component(source)
-
-
-@KERNELS.register("weak_components", _CSRGraph)
-def _kernel_weak_components(graph):
-    return graph.fast_weak_components()
-
-
 __all__ = [
-    "KERNELS",
-    "KernelRegistry",
     "ReachBatch",
+    "bfs_levels",
+    "bidirectional_reachable",
+    "connected_component",
+    "is_reachable",
     "neighbors_fn",
     "observe_batch",
     "reach_batch",
-    "traverse",
+    "reachable_set",
+    "weak_components",
 ]

@@ -8,12 +8,11 @@ recursion limit.
 
 Every function accepts any :class:`~repro.graph.protocol.GraphLike` backend.
 Functions whose results are order-insensitive (distance maps, reachability
-booleans, node sets) dispatch through the
-:mod:`repro.graph.kernels` capability registry — one
-:func:`~repro.graph.kernels.traverse` call that lands on the vectorised
-kernel for :class:`~repro.graph.csr.CSRGraph` and on the generic
-pure-python implementation for everything else, with identical answers by
-contract.  Generators whose yield *order* is part of the contract
+booleans, node sets) call the matching :mod:`repro.graph.kernels`
+operation, which runs the vectorised kernel on a
+:class:`~repro.graph.csr.CSRGraph` and the generic pure-python
+implementation on everything else, with identical answers by contract.
+Generators whose yield *order* is part of the contract
 (:func:`bfs_order`, :func:`dfs_order`, :func:`shortest_path`) always run
 the generic implementation here.
 """
@@ -24,18 +23,9 @@ from collections import deque
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.exceptions import NodeNotFoundError
-from repro.graph.kernels import neighbors_fn, traverse
+from repro.graph import kernels
+from repro.graph.kernels import _BOTH, _DIRECTIONS, _FORWARD, Direction, neighbors_fn
 from repro.graph.protocol import GraphLike, NodeId
-
-Direction = str
-
-_FORWARD = "forward"
-_BACKWARD = "backward"
-_BOTH = "both"
-_DIRECTIONS = (_FORWARD, _BACKWARD, _BOTH)
-
-# Kept under its historical private name for in-package callers.
-_neighbors_fn = neighbors_fn
 
 
 def bfs_order(graph: GraphLike, source: NodeId, direction: Direction = _FORWARD) -> Iterator[NodeId]:
@@ -75,7 +65,7 @@ def bfs_levels(
         raise NodeNotFoundError(source)
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
-    return traverse(graph, "bfs_levels", source, max_hops=max_hops, direction=direction)
+    return kernels.bfs_levels(graph, source, max_hops=max_hops, direction=direction)
 
 
 def dfs_order(graph: GraphLike, source: NodeId, direction: Direction = _FORWARD) -> Iterator[NodeId]:
@@ -119,9 +109,9 @@ def is_reachable(
     if source == target:
         return True
     if visit_counter is None:
-        # The dispatched kernel gives the same Boolean; the counting loop is
+        # The kernel gives the same Boolean; the counting loop is
         # kept when the caller wants the paper's data-items-visited count.
-        return traverse(graph, "is_reachable", source, target)
+        return kernels.is_reachable(graph, source, target)
     seen: Set[NodeId] = {source}
     queue: deque = deque([source])
     visited = 1
@@ -151,21 +141,21 @@ def bidirectional_reachable(graph: GraphLike, source: NodeId, target: NodeId) ->
         raise NodeNotFoundError(source)
     if target not in graph:
         raise NodeNotFoundError(target)
-    return traverse(graph, "bidirectional_reachable", source, target)
+    return kernels.bidirectional_reachable(graph, source, target)
 
 
 def descendants(graph: GraphLike, source: NodeId) -> Set[NodeId]:
     """All nodes reachable from ``source`` (excluding ``source`` itself)."""
     if source not in graph:
         raise NodeNotFoundError(source)
-    return traverse(graph, "reachable_set", source, forward=True)
+    return kernels.reachable_set(graph, source, forward=True)
 
 
 def ancestors(graph: GraphLike, source: NodeId) -> Set[NodeId]:
     """All nodes that can reach ``source`` (excluding ``source`` itself)."""
     if source not in graph:
         raise NodeNotFoundError(source)
-    return traverse(graph, "reachable_set", source, forward=False)
+    return kernels.reachable_set(graph, source, forward=False)
 
 
 def shortest_path(
@@ -229,9 +219,9 @@ def connected_component(graph: GraphLike, source: NodeId) -> Set[NodeId]:
     """Weakly connected component containing ``source``."""
     if source not in graph:
         raise NodeNotFoundError(source)
-    return traverse(graph, "connected_component", source)
+    return kernels.connected_component(graph, source)
 
 
 def weakly_connected_components(graph: GraphLike) -> List[Set[NodeId]]:
     """All weakly connected components of the graph."""
-    return traverse(graph, "weak_components")
+    return kernels.weak_components(graph)

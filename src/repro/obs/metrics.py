@@ -189,8 +189,27 @@ class Histogram:
         hi = self.bounds[index] if index < len(self.bounds) else (self.max if self.count else 0.0)
         return lo, hi
 
+    def _order_statistic(self, k: int) -> float:
+        """The ``k``-th smallest observation (0-based), its bucket's members spread evenly."""
+        seen = 0
+        for index, bucket_count in enumerate(self.counts):
+            if k < seen + bucket_count:
+                lo, hi = self._bucket_edges(index)
+                lo, hi = max(lo, self.min), min(hi, self.max)
+                if bucket_count == 1 or hi <= lo:
+                    return lo
+                return lo + (hi - lo) * (k - seen) / (bucket_count - 1)
+            seen += bucket_count
+        return self.max  # pragma: no cover - k < count always lands in a bucket
+
     def percentile(self, q: float) -> float:
-        """The ``q``-quantile (``q`` in [0, 1]), interpolated within its bucket."""
+        """The ``q``-quantile (``q`` in [0, 1]), numpy's linear rule over bucket estimates.
+
+        The rank ``q·(count - 1)`` falls between two order statistics; each
+        is estimated inside its own bucket and the two are interpolated, so
+        a rank in the gap between populated buckets moves towards the next
+        one instead of sticking to the lower bucket's edge.
+        """
         if not 0 <= q <= 1:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
@@ -201,19 +220,11 @@ class Histogram:
         if q == 1:
             return self.max
         rank = q * (self.count - 1)
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            if bucket_count == 0:
-                continue
-            if rank < seen + bucket_count:
-                lo, hi = self._bucket_edges(index)
-                lo, hi = max(lo, self.min), min(hi, self.max)
-                if bucket_count == 1 or hi <= lo:
-                    return lo
-                fraction = (rank - seen) / (bucket_count - 1)
-                return lo + (hi - lo) * min(1.0, fraction)
-            seen += bucket_count
-        return self.max  # pragma: no cover - rank always lands in a bucket
+        below = int(rank)
+        low = self._order_statistic(below)
+        if rank == below:
+            return low
+        return low + (self._order_statistic(below + 1) - low) * (rank - below)
 
     def _bucket_index_for(self, q: float) -> int:
         """Index of the bucket holding the nearest-rank ``q``-quantile.

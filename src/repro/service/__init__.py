@@ -5,7 +5,7 @@ from the parts in :mod:`repro.engine`, :mod:`repro.shard` and
 :mod:`repro.updates`:
 
 * :mod:`repro.service.config` — :class:`ServiceConfig`, every tunable in
-  one frozen dataclass, plus the shared CLI flag parent;
+  one frozen dataclass;
 * :mod:`repro.service.requests` — the typed request/response surface
   (:class:`ReachRequest`, :class:`PatternRequest`, :class:`ServiceAnswer`,
   :class:`ServiceStats`);
@@ -18,9 +18,7 @@ from the parts in :mod:`repro.engine`, :mod:`repro.shard` and
   answer cache, daemon pool and the batch and update loops;
 * :mod:`repro.service.aio` — the asyncio front-end (``await submit``,
   ``async for`` streaming, ``subscription_stream`` delta push) with bounded
-  in-flight admission control;
-* :mod:`repro.service.reporting` — the CLI/benchmark glue every
-  ``repro-bench`` command shares.
+  in-flight admission control.
 
 Quickstart::
 
@@ -40,8 +38,6 @@ from repro.service.config import (
     SCATTER,
     SHARD_POLICIES,
     ServiceConfig,
-    config_from_args,
-    service_flag_parent,
 )
 from repro.service.planner import (
     BACKENDS,
@@ -95,7 +91,5 @@ __all__ = [
     "Subscription",
     "UpdateReport",
     "as_request",
-    "config_from_args",
     "replay",
-    "service_flag_parent",
 ]

@@ -5,17 +5,11 @@ and worker count, shard count ``k``, cache capacity, the α resource ratio,
 the update patch/compact thresholds, the async admission limits) lives in
 this single frozen dataclass.  :class:`~repro.service.GraphService` takes
 one of these at ``open`` time; the planner reads it when routing batches.
-
-The module also owns the **shared argparse parent** (:func:`service_flag_parent`)
-that gives every CLI command the same ``--alpha``/``--executor``/``--workers``
-flags with the same defaults and validation, and :func:`config_from_args`
-which folds parsed flags back into a :class:`ServiceConfig`.
 """
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.engine.executors import EXECUTOR_NAMES
@@ -141,90 +135,6 @@ class ServiceConfig:
         return replace(self, **overrides)
 
 
-def _alpha_flag(text: str) -> float:
-    """argparse type for ``--alpha``: a float in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"alpha must be a number, got {text!r}") from None
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1], got {value}")
-    return value
-
-
-def _workers_flag(text: str) -> int:
-    """argparse type for ``--workers``: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"workers must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {value}")
-    return value
-
-
-def service_flag_parent() -> argparse.ArgumentParser:
-    """The shared ``--alpha``/``--executor``/``--workers`` argparse parent.
-
-    Every CLI command that answers resource-bounded queries includes this
-    parent, so the three flags have the same names, defaults and validation
-    everywhere.  ``--alpha`` defaults to ``None`` so each command can
-    distinguish "explicit α" from "use the :class:`ServiceConfig` default"
-    (``run`` keeps its scale profile's sweep values unless overridden).
-    """
-    defaults = ServiceConfig()
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--alpha",
-        type=_alpha_flag,
-        default=None,
-        help=f"resource ratio α in (0, 1] (default {defaults.alpha}; "
-        "'run' defaults to the scale profile's sweep values)",
-    )
-    parent.add_argument(
-        "--executor",
-        choices=EXECUTOR_CHOICES,
-        default=defaults.executor,
-        help="batch executor: 'auto' lets the planner pick per batch; "
-        "naming one forces it (answers are identical either way)",
-    )
-    parent.add_argument(
-        "--workers",
-        type=_workers_flag,
-        default=defaults.workers,
-        help="worker count for parallel executors (default: all schedulable cores)",
-    )
-    parent.add_argument(
-        "--metrics-json",
-        dest="metrics_json",
-        metavar="PATH",
-        default=None,
-        help="after the command finishes, dump the process metrics registry "
-        "(repro.obs snapshot) to PATH as JSON; inspect with 'repro-bench stats'",
-    )
-    return parent
-
-
-def config_from_args(args: argparse.Namespace, **overrides) -> ServiceConfig:
-    """Fold parsed CLI flags into a :class:`ServiceConfig`.
-
-    Picks up every attribute of ``args`` that names a config field (so
-    commands adding e.g. ``--seed`` or ``--shards``-mapped fields get them
-    for free), then applies ``overrides``.  A ``None`` α on the namespace
-    means "not given" and keeps the config default.
-    """
-    values = {}
-    for spec in fields(ServiceConfig):
-        if not hasattr(args, spec.name):
-            continue
-        value = getattr(args, spec.name)
-        if value is None:
-            continue  # "not given": keep the config default
-        values[spec.name] = value
-    values.update(overrides)
-    return ServiceConfig(**values)
-
-
 __all__ = [
     "AUTO",
     "CONTAIN",
@@ -232,6 +142,4 @@ __all__ = [
     "SCATTER",
     "SHARD_POLICIES",
     "ServiceConfig",
-    "config_from_args",
-    "service_flag_parent",
 ]

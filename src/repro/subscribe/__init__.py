@@ -26,6 +26,7 @@ from repro.subscribe.subscription import (
     AnswerDelta,
     Subscription,
     answer_signature,
+    answers_identical,
     replay,
 )
 
@@ -38,5 +39,6 @@ __all__ = [
     "Subscription",
     "SubscriptionManager",
     "answer_signature",
+    "answers_identical",
     "replay",
 ]

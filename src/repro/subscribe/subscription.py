@@ -8,11 +8,11 @@ into the final answer and verifies the chain's integrity, which is exactly
 the correctness contract ``tests/test_subscriptions.py`` property-tests
 (replayed log ≡ maintained answer ≡ fresh re-evaluation).
 
-Answer identity is decided by :func:`answer_signature` — the same field
-tuples ``repro.service.reporting.answers_identical`` compares (reachability:
-the full answer envelope including the ``visited`` counter; patterns: match
-set plus extracted-subgraph size), so "unchanged" here means exactly what
-the repo's parity harnesses mean by it.
+Answer identity is decided by :func:`answer_signature` (reachability: the
+full answer envelope including the ``visited`` counter; patterns: match set
+plus extracted-subgraph size), and :func:`answers_identical` compares whole
+answer lists by it, so "unchanged" here means exactly what the repo's parity
+harnesses mean by it.
 """
 
 from __future__ import annotations
@@ -31,16 +31,19 @@ UPDATE = "update"
 
 
 def answer_signature(kind: str, value: Any) -> Tuple[Any, ...]:
-    """The identity of an answer — equal signatures ⇔ identical answers.
-
-    Mirrors the comparison fields of the repo's parity harnesses so the
-    subscription layer and the verification tooling agree about change.
-    """
+    """The identity of an answer — equal signatures ⇔ identical answers."""
     if value is None:
         return (kind, None)
     if kind == REACH:
         return (kind, value.reachable, value.visited, value.met_at, value.exhausted)
     return (kind, frozenset(value.answer), value.subgraph_size)
+
+
+def answers_identical(kind: str, left: Sequence[Any], right: Sequence[Any]) -> bool:
+    """Whether two answer lists match answer for answer (the parity contract)."""
+    return [answer_signature(kind, answer) for answer in left] == [
+        answer_signature(kind, answer) for answer in right
+    ]
 
 
 @dataclass(frozen=True)
@@ -138,5 +141,6 @@ __all__ = [
     "AnswerDelta",
     "Subscription",
     "answer_signature",
+    "answers_identical",
     "replay",
 ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, main
 
 
 class TestList:
@@ -120,3 +120,56 @@ class TestTrace:
         events = payload["traceEvents"]
         assert events and all(event["ph"] == "X" for event in events)
         assert events[0]["name"] == "service.query"
+
+
+class TestCommandTable:
+    """Every entry of the command table runs end to end at tiny sizes."""
+
+    @staticmethod
+    def _smoke(name, tmp_path):
+        """``(argv list, expected output)`` of one command's smoke run."""
+        snapshot = str(tmp_path / "metrics.json")
+        return {
+            "list": ([["list"]], "experiments:"),
+            "run": ([["run", "fig8m", "--scale", "quick"]], "Summary:"),
+            "datasets": ([["datasets"]], "|V|="),
+            "batch": ([["batch", "--count", "5", "--output", str(tmp_path / "batch.json")]], "plan: backend="),
+            "update": ([["update", "--batches", "1", "--ops", "5", "--queries", "5", "--verify"]], "verify=ok"),
+            "subscribe": ([["subscribe", "--count", "2", "--batches", "1", "--ops", "5"]], "registered: 2"),
+            "shard": ([["shard", "-k", "2", "--count", "5", "--compare-unsharded"]], "vs unsharded: agreement="),
+            "trace": ([["trace", "--count", "5", "--batches", "1", "--executor", "serial"]], "p99 exemplar"),
+            # stats --input reads the snapshot a batch wrote with --metrics-json.
+            "stats": (
+                [["batch", "--count", "5", "--metrics-json", snapshot], ["stats", "--input", snapshot]],
+                "service.batch.seconds",
+            ),
+        }[name]
+
+    @pytest.mark.parametrize("name", [command.name for command in COMMANDS])
+    def test_every_command_runs(self, name, tmp_path, capsys):
+        runs, expected = self._smoke(name, tmp_path)
+        for argv in runs:
+            assert main(argv) == 0, argv
+        assert expected in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("command", "flag"),
+        [
+            ("batch", "--count"),
+            ("batch", "--repeat"),
+            ("batch", "--workers"),
+            ("update", "--batches"),
+            ("update", "--ops"),
+            ("update", "--queries"),
+            ("subscribe", "--count"),
+            ("shard", "--shards"),
+            ("shard", "--halo-depth"),
+            ("trace", "--batches"),
+            ("stats", "--count"),
+        ],
+    )
+    def test_count_flags_reject_values_below_one(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, "0"])
+        assert excinfo.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err

@@ -2,8 +2,9 @@
 
 The contract under test: every answer the vectorised kernel tier
 (`repro.graph.kernels`) produces is **bit-identical** to the pure-python
-oracle — the generic registry fallback running the same operation on a
-plain :class:`~repro.graph.digraph.DiGraph`.  That parity is pinned
+oracle — the generic implementation every operation runs on a graph that
+is not a :class:`~repro.graph.csr.CSRGraph`, such as a plain
+:class:`~repro.graph.digraph.DiGraph`.  That parity is pinned
 
 * across the graph families of ``repro.graph.generators``,
 * across batch sizes that cross the 64-source word boundary, up to five
@@ -31,8 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.exceptions import GraphError
-from repro.graph import CSRGraph, DiGraph, reach_batch, traverse
+from repro.graph import CSRGraph, DiGraph, kernels, reach_batch
 from repro.graph.generators import (
     community_graph,
     complete_bipartite_graph,
@@ -43,7 +43,8 @@ from repro.graph.generators import (
     random_graph,
     star_graph,
 )
-from repro.graph.kernels import KERNELS, ReachBatch, csr_reach_mask
+from repro.graph.kernels import ReachBatch, csr_reach_mask
+from repro.updates.overlay import MutableOverlay
 
 ALPHA = 0.05
 
@@ -186,42 +187,27 @@ class TestReachBatchParity:
 
 
 class TestDispatch:
-    """The capability registry: exact-or-fallback semantics + telemetry."""
+    """One type test per operation: CSRGraph or the oracle, plus telemetry."""
 
     def test_traverse_ops_agree_across_backends(self, family):
         name, digraph, csr = family
         nodes = list(digraph.nodes())
         source, target = nodes[0], nodes[-1]
         for op, args, kwargs in (
-            ("bfs_levels", (source,), {"max_hops": 3, "direction": "both"}),
-            ("is_reachable", (source, target), {}),
-            ("bidirectional_reachable", (source, target), {}),
-            ("reachable_set", (source,), {"forward": True}),
-            ("reachable_set", (source,), {"forward": False}),
-            ("connected_component", (source,), {}),
-            ("weak_components", (), {}),
+            (kernels.bfs_levels, (source,), {"max_hops": 3, "direction": "both"}),
+            (kernels.is_reachable, (source, target), {}),
+            (kernels.bidirectional_reachable, (source, target), {}),
+            (kernels.reachable_set, (source,), {"forward": True}),
+            (kernels.reachable_set, (source,), {"forward": False}),
+            (kernels.connected_component, (source,), {}),
+            (kernels.weak_components, (), {}),
         ):
-            generic = traverse(digraph, op, *args, **kwargs)
-            exact = traverse(csr, op, *args, **kwargs)
-            if op == "weak_components":
+            generic = op(digraph, *args, **kwargs)
+            exact = op(csr, *args, **kwargs)
+            if op is kernels.weak_components:
                 generic = sorted(map(sorted, generic))
                 exact = sorted(map(sorted, exact))
-            assert generic == exact, (name, op)
-
-    def test_unknown_operation_raises(self):
-        with pytest.raises(GraphError, match="no kernel registered"):
-            traverse(DiGraph(), "no_such_op")
-
-    def test_index_space_op_has_no_generic_fallback(self):
-        digraph = DiGraph()
-        digraph.add_node("a")
-        with pytest.raises(GraphError, match="reach_mask"):
-            traverse(digraph, "reach_mask", 0)
-
-    def test_exact_kernel_registered_for_csr(self):
-        for op in ("reach_batch", "bfs_levels", "is_reachable", "reachable_set"):
-            assert KERNELS.has_exact(op, CSRGraph)
-            assert not KERNELS.has_exact(op, DiGraph)
+            assert generic == exact, (name, op.__name__)
 
     def test_fallback_counter_and_batch_histogram(self):
         obs.set_enabled(True)
@@ -230,31 +216,21 @@ class TestDispatch:
             digraph = FAMILIES["path"]()
             csr = CSRGraph.from_digraph(digraph)
             sources = _sample_sources(digraph, 9)
-            reach_batch(csr, sources)  # exact: no fallback
+            reference = reach_batch(csr, sources)  # exact: no fallback
             assert obs.counter("kernel.fallbacks").value == 0
             reach_batch(digraph, sources)  # generic: one fallback
             assert obs.counter("kernel.fallbacks").value == 1
+            # A MutableOverlay over the CSR graph is no CSRGraph: the oracle.
+            overlay = reach_batch(MutableOverlay(csr), sources)
+            assert obs.counter("kernel.fallbacks").value == 2
+            assert [overlay.reached(j) for j in range(9)] == [
+                reference.reached(j) for j in range(9)
+            ]
             histogram = obs.histogram("kernel.batch_size", scheme="count")
-            assert histogram.count == 2
-            assert histogram.sum == pytest.approx(18.0)
+            assert histogram.count == 3
+            assert histogram.sum == pytest.approx(27.0)
         finally:
             obs.REGISTRY.reset()
-
-    def test_registry_mro_walk_prefers_nearest_class(self):
-        class Specialised(DiGraph):
-            pass
-
-        registry_entry = KERNELS.resolve("reach_batch", Specialised)
-        assert registry_entry[0] is not None and not registry_entry[1]  # generic
-
-        marker = object()
-        try:
-            KERNELS.register("reach_batch", Specialised)(lambda graph: marker)
-            assert KERNELS.has_exact("reach_batch", Specialised)
-            assert traverse(Specialised(), "reach_batch") is marker
-        finally:
-            KERNELS._kernels.pop(("reach_batch", Specialised), None)
-            KERNELS._cache.clear()
 
 
 class TestHybridAbsorption:

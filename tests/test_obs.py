@@ -79,14 +79,21 @@ class TestHistogramPercentiles:
     # (1.25^2 ≈ 1.6 on the latency scheme) bounds the estimate both ways.
     TOLERANCE = 1.25**2
 
-    def test_tracks_numpy_quantiles_on_seeded_lognormal(self):
-        rng = np.random.default_rng(7)
-        samples = rng.lognormal(mean=-6.0, sigma=1.2, size=20_000)  # ~ms latencies
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.random.default_rng(7).lognormal(mean=-6.0, sigma=1.2, size=20_000),  # ~ms latencies
+            np.array([0.001, 0.010]),
+            np.array([0.001] * 9 + [0.100]),
+        ],
+        ids=["lognormal", "two-points", "one-tail-outlier"],
+    )
+    def test_tracks_numpy_quantiles_on_seeded_lognormal(self, samples):
         histogram = Histogram("t")
         for value in samples:
             histogram.observe(float(value))
         estimates = []
-        for q in (0.10, 0.50, 0.90, 0.99, 0.999):
+        for q in (0.10, 0.50, 0.90, 0.95, 0.99, 0.999):
             exact = float(np.quantile(samples, q))
             estimate = histogram.percentile(q)
             assert exact / self.TOLERANCE <= estimate <= exact * self.TOLERANCE, (

@@ -122,7 +122,7 @@ class TestExportSurface:
 
     def test_kernel_dispatch_surface_exported(self):
         graph_pkg = importlib.import_module("repro.graph")
-        for name in ("KERNELS", "KernelRegistry", "ReachBatch", "reach_batch", "traverse"):
+        for name in ("ReachBatch", "reach_batch"):
             assert name in graph_pkg.__all__, f"repro.graph.__all__ is missing {name}"
 
     def test_star_import_of_service_is_clean(self):

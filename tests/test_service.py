@@ -9,8 +9,8 @@ The contracts under test:
 * **pure planner** — routing decisions are a deterministic function of
   ``(batch size, graph size, cores, config)`` and carry a reason;
 * **one config surface** — ``ServiceConfig`` validates every knob, the
-  shared argparse parent produces uniform ``--alpha/--executor/--workers``
-  flags, and the curated exports plus deprecation shims behave as
+  CLI's shared ``--alpha/--executor/--workers`` flags parse and fold into
+  it, and the curated exports plus deprecation shims behave as
   documented.
 """
 
@@ -22,6 +22,7 @@ from itertools import combinations
 
 import pytest
 
+from repro.cli import _build_parser, config_from_args
 from repro.engine import ReachQuery
 from repro.exceptions import ReproError, ServiceError
 from repro.graph.digraph import DiGraph
@@ -38,11 +39,9 @@ from repro.service import (
     SHARDED,
     ServiceConfig,
     as_request,
-    config_from_args,
-    service_flag_parent,
 )
 from repro.service.planner import PARALLEL_THRESHOLD, SMALL_GRAPH_SIZE
-from repro.service.reporting import answers_identical
+from repro.subscribe import answers_identical
 from repro.updates.delta import GraphDelta
 from repro.workloads.deltas import generate_delta_stream
 from repro.workloads.queries import generate_pattern_workload, sample_mixed_pairs
@@ -159,10 +158,7 @@ class TestServiceConfig:
             config.with_overrides(alpha=-1)
 
     def test_flag_parent_uniform_defaults(self):
-        import argparse
-
-        parser = argparse.ArgumentParser(parents=[service_flag_parent()])
-        args = parser.parse_args([])
+        args = _build_parser().parse_args(["batch"])
         assert args.alpha is None  # "not given": ServiceConfig default applies
         assert args.executor == "auto"
         assert args.workers is None
@@ -171,24 +167,21 @@ class TestServiceConfig:
         assert config.executor == "auto"
 
     def test_flag_parent_validates(self, capsys):
-        import argparse
-
-        parser = argparse.ArgumentParser(parents=[service_flag_parent()])
+        parser = _build_parser()
         for bad in (["--alpha", "0"], ["--alpha", "nope"], ["--workers", "0"],
                     ["--executor", "gpu"], ["--executor", "thread"]):
             with pytest.raises(SystemExit):
-                parser.parse_args(bad)
+                parser.parse_args(["batch", *bad])
         capsys.readouterr()
 
     def test_config_from_args_folds_flags(self):
-        import argparse
-
-        parser = argparse.ArgumentParser(parents=[service_flag_parent()])
-        parser.add_argument("--seed", type=int, default=0)
-        args = parser.parse_args(["--alpha", "0.3", "--executor", "daemon", "--workers", "2"])
+        args = _build_parser().parse_args(
+            ["batch", "--alpha", "0.3", "--executor", "daemon", "--workers", "2", "--seed", "5"]
+        )
         config = config_from_args(args, num_shards=2)
         assert (config.alpha, config.executor, config.workers) == (0.3, "daemon", 2)
         assert config.num_shards == 2
+        assert config.seed == 5  # --seed feeds the partitioner seed too
 
 
 # --------------------------------------------------------------------------- #

@@ -27,7 +27,7 @@ from repro import obs
 from repro.exceptions import ServiceError
 from repro.service import GraphService, ReachRequest, ServiceConfig
 from repro.service.aio import AdmissionController
-from repro.service.reporting import answers_identical
+from repro.subscribe import answers_identical
 from repro.workloads.queries import sample_mixed_pairs
 
 from tests.test_service import clustered_graph

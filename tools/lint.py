@@ -20,7 +20,11 @@ Runs, in order:
    numpy ≥ 2.3 answers it with a hash table and then sorts the result;
    ``repro.graph.csr._unique`` sorts once and compares neighbours, 14×
    faster on the condensation's 33 129 int64 edge codes (5.5 → 0.4 ms on
-   a 2-core Xeon host).
+   a 2-core Xeon host);
+6. the cli-only check: under ``src/repro`` only ``cli.py`` may ``import
+   argparse`` or ``raise SystemExit``.  Flag parsing, exit codes and
+   printed reports belong to the command line; the library raises its own
+   exceptions, so a caller embedding it is never exited from under it.
 
 ruff and mypy are exercised when importable and *skipped with a notice*
 otherwise: the target container bakes in only the core Python toolchain and
@@ -63,21 +67,27 @@ def fallback_lines(root: Path = ROOT / "src" / "repro") -> list:
     ]
 
 
+def _nodes(root: Path):
+    """``(path, node)`` for every AST node of every module under ``root``."""
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path, node
+
+
 def foreign_imports(root: Path = ROOT / "src" / "repro") -> list:
     """``path:line: import name`` of every import under ``root`` outside stdlib, numpy and ``repro``."""
     found = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.partition(".")[0]
-                if top not in sys.stdlib_module_names and top not in RUNTIME_IMPORTS:
-                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}: import {name}")
+    for path, node in _nodes(root):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.partition(".")[0]
+            if top not in sys.stdlib_module_names and top not in RUNTIME_IMPORTS:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: import {name}")
     return found
 
 
@@ -86,18 +96,32 @@ SORTING_KEYWORDS = {"return_index", "return_inverse", "return_counts"}
 
 def hash_unique_calls(root: Path = ROOT / "src" / "repro") -> list:
     """``path:line: np.unique(...)`` of every plain ``np.unique``/``numpy.unique`` call under ``root``."""
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.func.value.id}.unique(...)"
+        for path, node in _nodes(root)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and not SORTING_KEYWORDS & {keyword.arg for keyword in node.keywords}
+    ]
+
+
+def cli_only_lines(root: Path = ROOT / "src" / "repro") -> list:
+    """``path:line: what`` of every ``argparse`` import or ``raise SystemExit`` under ``root`` outside ``cli.py``."""
     found = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "unique"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("np", "numpy")
-                and not SORTING_KEYWORDS & {keyword.arg for keyword in node.keywords}
-            ):
-                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.func.value.id}.unique(...)")
+    for path, node in _nodes(root):
+        if path == root / "cli.py":
+            continue
+        if isinstance(node, ast.Import) and any(alias.name == "argparse" for alias in node.names):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}: import argparse")
+        elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}: from argparse import ...")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(raised, ast.Name) and raised.id == "SystemExit":
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: raise SystemExit")
     return found
 
 
@@ -132,6 +156,11 @@ def main() -> int:
             "src/repro dedups int arrays with repro.graph.csr._unique, not a plain np.unique "
             "(its hash table is 14x slower on 33 129 int64 edge codes: 5.5 vs 0.4 ms, 2-core Xeon)",
             hash_unique_calls(),
+        ),
+        (
+            "cli-only",
+            "under src/repro only cli.py imports argparse or raises SystemExit",
+            cli_only_lines(),
         ),
     ):
         print(f"[lint] {label}: {rule}", flush=True)
