@@ -8,8 +8,8 @@
 #   make bench-smoke  - the one perf gate: the CSR-backend and batched-kernel
 #                       floors, ratios measured in one process (no baseline)
 #   make bench        - every pytest benchmark: the paper figures
-#                       (bench_figures.py), preprocessing, ablations and the
-#                       bench-smoke floors
+#                       (bench_figures.py), preprocessing, ablations, Search
+#                       alone (bench_search.py) and the bench-smoke floors
 #   make bench-e2e    - the front-door benchmark BENCHMARK.json declares: six
 #                       GraphService workloads, untraced then traced (~4 min;
 #                       E2E_ARGS="--seed 11 --out A1.json" passes flags through)
@@ -52,8 +52,10 @@ coverage:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_backend_csr.py benchmarks/bench_kernels_batched.py -q -p no:cacheprovider
 
+# The benchmark files are named bench_*.py, which pytest's default pattern
+# (test_*.py) does not collect from a directory.
 bench:
-	$(PYTHON) -m pytest benchmarks/ -q -p no:cacheprovider
+	$(PYTHON) -m pytest benchmarks/ -q -p no:cacheprovider -o python_files='bench_*.py test_*.py'
 
 bench-e2e:
 	python3 benchmarks/e2e/run.py $(E2E_ARGS)

@@ -12,8 +12,9 @@ from ``vp`` and populates a subgraph ``G_Q`` with candidate matches:
   (``changed``), the per-query-node bound ``b`` is increased and the search
   restarts from ``(up, vp)`` so that every query node keeps a fair chance of
   acquiring candidates;
-* the traversal stops when ``|G_Q|`` reaches ``alpha * |G|`` or no further
-  candidate exists.
+* the traversal stops when ``|G_Q|`` reaches ``alpha * |G|``, when a pass
+  adds nothing, or after ``max_passes`` passes (``ReductionResult.stop``
+  says which).
 
 The procedure is shared by ``RBSim`` and ``RBSub``; they differ only in the
 guarded condition (and therefore in the weights derived from it).
@@ -22,6 +23,7 @@ guarded condition (and therefore in the weights derived from it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.budget import BudgetReport, ResourceBudget, snapshot
@@ -39,7 +41,10 @@ class ReductionResult:
     ``subgraph`` is the extracted ``G_Q``; ``budget`` records how much of the
     allowance was used; ``final_bound`` is the last value of the selection
     bound ``b``; ``passes`` counts how many times the search restarted from
-    ``(up, vp)`` with an enlarged bound.
+    ``(up, vp)`` with an enlarged bound; ``stop`` says why it stopped:
+    ``storage`` (``|G_Q|`` reached ``alpha * |G|``), ``fixpoint`` (a pass
+    added nothing) or ``passes`` (``max_passes`` ran out while passes still
+    added nodes).
     """
 
     subgraph: DiGraph
@@ -47,15 +52,18 @@ class ReductionResult:
     final_bound: int = 2
     passes: int = 1
     candidate_counts: Dict[QueryNodeId, int] = field(default_factory=dict)
+    stop: str = "fixpoint"
 
-    def spend(self) -> Dict[str, int]:
+    def spend(self) -> Dict[str, object]:
         """Budget spent versus budget allowed, as the ``reduction.search`` span carries it."""
         budget = self.budget
         return {
             "passes": self.passes,
+            "stop": self.stop,
             "stored": budget.stored,
-            "visited": budget.visited,
             "size_limit": budget.size_limit,
+            "visited": budget.visited,
+            "visit_limit": budget.visit_limit,
         }
 
 
@@ -90,167 +98,109 @@ class DynamicReducer:
         # The flat state of the search (rows, ``in_gq``, costs): a reducer runs
         # one search, so the state lives exactly as long as its rows hold.
         self._estimator = WeightEstimator(pattern, graph, personalized_match, guard)
-        # Query neighbours of each query node, tagged with the edge direction.
+        # Query neighbours of each query node, each with the bit of the query
+        # edge between them (one bit per edge, whichever end it is seen from).
+        edge_bits = {
+            (node, child): 1 << position
+            for position, (node, child) in enumerate(
+                (node, child) for node in pattern.nodes() for child in pattern.children(node)
+            )
+        }
         self._incident = {
-            node: [(child, True) for child in pattern.children(node)]
-            + [(parent, False) for parent in pattern.parents(node)]
+            node: [(child, edge_bits[node, child]) for child in pattern.children(node)]
+            + [(parent, edge_bits[parent, node]) for parent in pattern.parents(node)]
             for node in pattern.nodes()
         }
 
     # ------------------------------------------------------------------ #
-    # Procedure Search
+    # Procedures Search and Pick
     # ------------------------------------------------------------------ #
     def search(self) -> ReductionResult:
-        """Extract ``G_Q`` (procedure ``Search`` of Fig. 3)."""
-        builder = SubgraphBuilder(self._graph)
-        bound = self._initial_bound
-        passes = 0
-        candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in self._pattern.nodes()}
+        """Extract ``G_Q`` (procedure ``Search`` of Fig. 3, ``Pick`` inline).
 
-        if self._vp not in self._graph:
+        A pop admits a new node into ``G_Q`` (its edges to members read from
+        its own row), then expands each query edge at that node once per pass:
+        ``Pick`` charges ``|N(v)|`` visits and pushes the top-``b`` eligible
+        neighbours not yet queued for that query node, best on top.  Charges
+        accumulate in locals and reach the budget when the search ends.
+        """
+        builder = SubgraphBuilder(self._graph)
+        bound, budget, vp = self._initial_bound, self._budget, self._vp
+        if vp not in self._graph:
             return ReductionResult(
-                subgraph=builder.build(), budget=snapshot(self._budget), final_bound=bound, passes=0
+                subgraph=builder.build(), budget=snapshot(budget), final_bound=bound, passes=0
             )
 
-        in_gq, budget, max_depth = self._estimator.in_gq, self._budget, self._max_depth
-        terminate = False
-        while not terminate and passes < self._max_passes:
+        state, pattern = self._estimator, self._pattern
+        in_gq, bits, incident, max_depth = state.in_gq, state.bits, self._incident, self._max_depth
+        use_guard, use_weights, personalized = self._use_guard, self._use_weights, pattern.personalized
+        candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in pattern.nodes()}
+        room = budget.size_limit - budget.stored  # storage left; G_Q is full at 0
+        stored = visited = passes = 0
+        stop = "passes"
+        while passes < self._max_passes:
             passes += 1
             changed = False
-            # (query edge endpoints, data node) pairs already expanded this pass.
-            expanded: Set[Tuple[QueryNodeId, QueryNodeId, NodeId]] = set()
-            stack: List[Tuple[QueryNodeId, NodeId, int]] = [(self._pattern.personalized, self._vp, 0)]
-            queued: Set[Tuple[QueryNodeId, NodeId]] = {(self._pattern.personalized, self._vp)}
-
+            # Per data node, the query edges expanded there this pass (as
+            # bits); per query node, the data nodes queued for it.
+            expanded: Dict[NodeId, int] = {}
+            queued: Dict[QueryNodeId, Set[NodeId]] = {u: set() for u in bits}
+            queued[personalized].add(vp)
+            stack: List[Tuple[QueryNodeId, NodeId, int]] = [(personalized, vp, 0)]
             while stack:
                 query_node, node, depth = stack.pop()
-                queued.discard((query_node, node))
-                if node not in in_gq and self._add_to_subgraph(
-                    builder, node, query_node, candidate_counts
-                ):
-                    changed = True
-                if budget.storage_exhausted():
-                    terminate = True
-                    break
+                queued[query_node].discard(node)
+                if node not in in_gq:
+                    if stored < room:
+                        label, children, parents = state.admit(node)
+                        builder.add_node(node, label)
+                        edges = builder.add_row_edges(node, children, parents, room - stored - 1)
+                        stored += 1 + edges
+                        visited += 1 + edges
+                        candidate_counts[query_node] += 1
+                        changed = True
+                    if stored >= room:
+                        stop = "storage"
+                        break
                 if depth >= max_depth:
                     continue
-                for neighbor_query, forward in self._incident[query_node]:
-                    edge_key = (query_node, neighbor_query, node) if forward else (
-                        neighbor_query,
-                        query_node,
-                        node,
-                    )
-                    if edge_key in expanded:
+                done = expanded.get(node, 0)
+                for neighbor_query, edge_bit in incident[query_node]:
+                    if done & edge_bit:
                         continue
-                    expanded.add(edge_key)
-                    # Best candidate goes on top of the stack (pushed last);
-                    # none of the picked is queued for this query node yet.
-                    for candidate in reversed(self._pick(neighbor_query, node, bound, queued)):
+                    done |= edge_bit
+                    # Pick: every distinct neighbour of ``node`` is charged.
+                    visited += state.width(node)
+                    if use_guard:
+                        eligible = state.eligible(node, neighbor_query)
+                    elif neighbor_query == personalized:
+                        # Ablation mode: only the label must match (up is matched by identity).
+                        eligible = [vp] if vp in state.distinct(node) else []
+                    else:
+                        eligible = state.labelled(node, neighbor_query)
+                    waiting = queued[neighbor_query]
+                    candidates = list(filterfalse(waiting.__contains__, eligible))
+                    if use_weights and len(candidates) > 1:
+                        candidates = state.rank(candidates, neighbor_query, bound)
+                    # Without weights (FIFO ablation) discovery order is the ranking.
+                    for candidate in reversed(candidates[:bound]):
                         stack.append((neighbor_query, candidate, depth + 1))
-                        queued.add((neighbor_query, candidate))
-
-            if terminate:
+                        waiting.add(candidate)
+                expanded[node] = done
+            if stop == "storage":
                 break
-            if changed:
-                bound += 1
-            else:
-                terminate = True
+            if not changed:
+                stop = "fixpoint"
+                break
+            bound += 1
 
+        budget.charge_storage(stored)
+        budget.charge_visit(visited)
         return ReductionResult(
             subgraph=builder.build(),
-            budget=snapshot(self._budget),
+            budget=snapshot(budget),
             final_bound=bound,
             passes=passes,
             candidate_counts=candidate_counts,
+            stop=stop,
         )
-
-    # ------------------------------------------------------------------ #
-    # Procedure Pick
-    # ------------------------------------------------------------------ #
-    def _pick(
-        self,
-        query_node: QueryNodeId,
-        node: NodeId,
-        bound: int,
-        queued: Set[Tuple[QueryNodeId, NodeId]],
-    ) -> List[NodeId]:
-        """Top-``bound`` new candidates for ``query_node`` among ``N(node)``.
-
-        Candidates must pass the guarded condition and not already be queued
-        for the same query node; they are ranked by ``p/(c+1)``.  Every
-        neighbour of ``node`` is charged as visited on every call; which of
-        them pass is read from the search's state, so only the ``queued``
-        filter and the weights (which move with ``G_Q``) are recomputed when
-        a later pass picks here again.
-        """
-        state = self._estimator
-        neighbors = state.distinct(node)
-        self._budget.charge_visit(len(neighbors))
-        if self._use_guard:
-            eligible = state.eligible(node, query_node)
-        elif query_node == self._pattern.personalized:
-            # Ablation mode: only the label must match (up is matched by identity).
-            eligible = [n for n in neighbors if n == self._vp]
-        else:
-            label = self._pattern.label_of(query_node)
-            eligible = [n for n in neighbors if self._graph.label(n) == label]
-        candidates = [n for n in eligible if (query_node, n) not in queued]
-        if self._use_weights and len(candidates) > 1:
-            # Best weight first; the sort is stable, so ties keep discovery order.
-            weights = [state.weight(candidate, query_node) for candidate in candidates]
-            ranked = sorted(range(len(candidates)), key=weights.__getitem__, reverse=True)
-            candidates = [candidates[position] for position in ranked]
-        # Without weights (FIFO ablation) discovery order is the ranking.
-        return candidates[: max(1, bound)]
-
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
-    def _add_to_subgraph(
-        self,
-        builder: SubgraphBuilder,
-        node: NodeId,
-        query_node: QueryNodeId,
-        candidate_counts: Dict[QueryNodeId, int],
-    ) -> bool:
-        """Add a new ``node`` (and its edges to existing ``G_Q`` nodes) within budget."""
-        in_gq, budget = self._estimator.in_gq, self._budget
-        if not budget.can_store(1):
-            return False
-        builder.add_node(node)
-        budget.charge_storage(1)
-        budget.charge_visit()
-        candidate_counts[query_node] = candidate_counts.get(query_node, 0) + 1
-        scan = self._estimator.admit(node)
-        split = self._graph.out_degree(node)
-        children, parents = scan[:split], scan[split:]
-        # Connect the new node to G_Q.  Iterate over whichever side is
-        # smaller (the node's adjacency or the current G_Q) so hub nodes
-        # with thousands of neighbours do not dominate the cost.
-        if len(scan) > 2 * len(in_gq):
-            # The edges go in in the iteration order of this set, built the
-            # way the frozen oracle builds it.
-            gq_nodes = builder.nodes()
-            children, parents = set(children), set(parents)
-            out_targets = [n for n in gq_nodes if n in children]
-            in_sources = [n for n in gq_nodes if n in parents]
-        else:
-            out_targets = [n for n in children if n in in_gq]
-            in_sources = [n for n in parents if n in in_gq]
-        added_edges = 0
-        for target in out_targets:
-            if not builder.has_edge(node, target):
-                if not budget.can_store(1):
-                    break
-                builder.add_edge(node, target)
-                budget.charge_storage(1)
-                added_edges += 1
-        for source in in_sources:
-            if not builder.has_edge(source, node):
-                if not budget.can_store(1):
-                    break
-                builder.add_edge(source, node)
-                budget.charge_storage(1)
-                added_edges += 1
-        budget.charge_visit(added_edges)
-        return True

@@ -25,7 +25,14 @@ on the evolving ``G_Q``, while ``Search`` restarts with a larger bound up to
 :class:`WeightEstimator`, the flat state of one search, therefore loads each
 data node's row once, and updates ``c(v, u)`` the way the paper says,
 "dynamically": a node joining ``G_Q`` pushes what it can play to its
-neighbours, and nothing is recomputed from scratch per candidate.
+neighbours, and nothing is recomputed from scratch per candidate; a weight is
+recomputed only when a member joined around its node.
+
+On a ``CSRGraph`` the state works in row space: a row's askers are one
+gather through a label id -> askers table, and a row wider than
+``max_scan`` has ``C(·, u)`` decided for all of its untried entries by one
+:meth:`GuardedCondition.check_rows` call, vectorised over label ids,
+degrees and the ``label_presence`` words.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ from functools import reduce
 from itertools import chain, islice, repeat
 from operator import or_
 from typing import Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
+
+import numpy as np
 
 from repro.graph.digraph import NodeId
 from repro.graph.protocol import GraphLike
@@ -56,8 +65,16 @@ def _label_key(csr, label):
 class GuardedCondition(Protocol):
     """Interface shared by the simulation and isomorphism guards."""
 
+    #: Whether :meth:`check_rows` may be asked: the graph is a ``CSRGraph``
+    #: whose rows are the rows of every array the guard reads.
+    row_space: bool
+
     def check(self, node: NodeId, query_node: QueryNodeId) -> bool:
         """Whether ``node`` may still match ``query_node`` (necessary condition)."""
+        ...  # pragma: no cover - protocol definition
+
+    def check_rows(self, rows: np.ndarray, query_node: QueryNodeId) -> np.ndarray:
+        """:meth:`check` of the node at each of ``rows``, as one boolean array."""
         ...  # pragma: no cover - protocol definition
 
 
@@ -68,7 +85,9 @@ class _BaseGuard:
     the evolving ``G_Q``), so results are memoised per ``(node, query_node)``
     pair: the potential/cost estimators re-check the same pairs many times
     during one reduction and the cache turns those repeats into dictionary
-    lookups.
+    lookups.  :meth:`check_rows` is the same condition over an array of
+    ``CSRGraph`` rows, read from the columns in one vectorised pass; it
+    memoises nothing (the search state records what it returns).
     """
 
     def __init__(
@@ -85,10 +104,13 @@ class _BaseGuard:
         self._cache: Dict[tuple, bool] = {}
         # On a ``CSRGraph`` labels and degrees of a neighbour slice are read
         # from its columns; a ``DiGraph`` or an overlay is asked node by node.
-        self._csr = _csr_of(graph)
+        csr = self._csr = _csr_of(graph)
+        self.row_space = csr is not None
         self._vp_sides: Dict[bool, FrozenSet[NodeId]] = {}
         # What each query node asks of its neighbourhood, compiled once per guard.
         self._needs: Dict[object, tuple] = {}
+        # The label key each query node asks for (``up`` is pinned to ``vp``).
+        self._label_keys = {u: _label_key(csr, pattern.label_of(u)) for u in pattern.nodes()}
 
     def check(self, node: NodeId, query_node: QueryNodeId) -> bool:
         """Memoised evaluation of the guarded condition."""
@@ -118,7 +140,29 @@ class _BaseGuard:
         """Label test; the personalized node is matched by identity, not label."""
         if query_node == self._pattern.personalized:
             return node == self._vp
-        return self._graph.label(node) == self._pattern.label_of(query_node)
+        csr = self._csr
+        if csr is None:
+            return self._graph.label(node) == self._pattern.label_of(query_node)
+        return csr.label_ids_of(csr.index_of(node)) == self._label_keys[query_node]
+
+    # Row space (``CSRGraph`` only) --------------------------------------- #
+    def _label_rows(self, rows: np.ndarray, query_node: QueryNodeId) -> np.ndarray:
+        """:meth:`_label_matches` of each of ``rows``."""
+        csr, vp = self._csr, self._vp
+        if query_node == self._pattern.personalized:
+            return rows == (csr.index_of(vp) if vp in csr else -1)
+        key = self._label_keys[query_node]
+        if key is None:
+            return np.zeros(rows.shape[0], dtype=bool)
+        return csr.label_ids_of(rows) == key
+
+    def _vp_side_rows(self, rows: np.ndarray, children: bool) -> np.ndarray:
+        """Which of ``rows`` are children (resp. parents) of ``vp``."""
+        csr, vp = self._csr, self._vp
+        if vp not in csr:
+            return np.zeros(rows.shape[0], dtype=bool)
+        side = csr.successors(vp) if children else csr.predecessors(vp)
+        return np.isin(rows, side.indices)
 
 
 class SimulationGuard(_BaseGuard):
@@ -138,6 +182,8 @@ class SimulationGuard(_BaseGuard):
         index: NeighborhoodIndex,
     ) -> None:
         super().__init__(pattern, graph, personalized_match, index)
+        # The presence words are read by row: they must be this graph's.
+        self.row_space = self.row_space and index.graph is graph
         # Per query node: the labels its non-personalized parents/children
         # require, compiled once, and whether vp itself must be a parent/child.
         personalized = pattern.personalized
@@ -162,9 +208,20 @@ class SimulationGuard(_BaseGuard):
             return False
         if vp_child and node not in self._vp_side(children=False):
             return False
-        return self._index.has_parent_labels(node, parent_labels) and self._index.has_child_labels(
-            node, child_labels
-        )
+        return self._index.has_labels(node, parent_labels, child_labels)
+
+    def check_rows(self, rows: np.ndarray, query_node: QueryNodeId) -> np.ndarray:
+        """``C(·, query_node)`` of each of ``rows``: label ids, ``vp``'s sides
+        and the presence words, each one vectorised test."""
+        passed = self._label_rows(rows, query_node)
+        parent_labels, child_labels, vp_parent, vp_child = self._needs[query_node]
+        if vp_parent:
+            passed &= self._vp_side_rows(rows, children=True)
+        if vp_child:
+            passed &= self._vp_side_rows(rows, children=False)
+        passed &= self._index.rows_have_labels(rows, parent_labels, children=False)
+        passed &= self._index.rows_have_labels(rows, child_labels, children=True)
+        return passed
 
 
 class IsomorphismGuard(_BaseGuard):
@@ -190,11 +247,43 @@ class IsomorphismGuard(_BaseGuard):
             # The personalized neighbour must literally be vp.
             if vp_needed and node not in self._vp_side(children=not on_children):
                 return False
-            if requirements and not self._satisfiable(
-                graph.successors(node) if on_children else graph.predecessors(node), requirements
+            if requirements and not _satisfiable(
+                *self._side_columns(graph.successors(node) if on_children else graph.predecessors(node)),
+                requirements,
             ):
                 return False
         return True
+
+    def check_rows(self, rows: np.ndarray, query_node: QueryNodeId) -> np.ndarray:
+        """``C(·, query_node)`` of each of ``rows``: label ids, degree dominance
+        and ``vp``'s sides vectorised; the distinct-assignment test then runs
+        per survivor, on two column gathers of its row."""
+        children, parents = self._needs.get(query_node) or self._compile(query_node)
+        csr = self._csr
+        out_degrees, in_degrees = csr.side_degrees(rows)
+        passed = self._label_rows(rows, query_node)
+        passed &= (out_degrees >= children[0]) & (in_degrees >= parents[0])
+        for on_children, (_, vp_needed, _) in ((True, children), (False, parents)):
+            if vp_needed:
+                passed &= self._vp_side_rows(rows, children=not on_children)
+        survivors = np.flatnonzero(passed)
+        if survivors.shape[0] and (children[2] or parents[2]):
+            # Every survivor's row in one gather; each side is a slice of it.
+            entries = csr.adjacent_rows(rows[survivors])
+            labels, degrees = csr.label_ids_of(entries).tolist(), csr.degrees()[entries].tolist()
+            start = 0
+            for position, split, length in zip(
+                survivors.tolist(), out_degrees[survivors].tolist(), in_degrees[survivors].tolist()
+            ):
+                middle = start + split
+                end = middle + length
+                if not (
+                    _satisfiable(labels[start:middle], degrees[start:middle], children[2])
+                    and _satisfiable(labels[middle:end], degrees[middle:end], parents[2])
+                ):
+                    passed[position] = False
+                start = end
+        return passed
 
     def _compile(self, query_node: QueryNodeId):
         """What ``query_node`` asks of the children and of the parents of a data
@@ -206,34 +295,35 @@ class IsomorphismGuard(_BaseGuard):
             requirements: Dict[object, List[int]] = {}
             for neighbor_query in query_neighbors:
                 if neighbor_query != pattern.personalized:
-                    label = _label_key(self._csr, pattern.label_of(neighbor_query))
-                    requirements.setdefault(label, []).append(pattern.degree(neighbor_query))
+                    requirements.setdefault(self._label_keys[neighbor_query], []).append(
+                        pattern.degree(neighbor_query)
+                    )
             for degrees_needed in requirements.values():
                 degrees_needed.sort(reverse=True)
             sides.append((len(query_neighbors), pattern.personalized in query_neighbors, requirements))
         needs = self._needs[query_node] = tuple(sides)
         return needs
 
-    def _satisfiable(self, side, requirements: Dict[object, List[int]]) -> bool:
-        """Greedy distinct-assignment check for one direction: the label keys
-        and ``d(·)`` of ``side`` are two column gathers on a ``CSRGraph``,
-        else one pass over the neighbours."""
+    def _side_columns(self, side) -> Tuple[List[object], List[int]]:
+        """The label keys and ``d(·)`` of the neighbours on one side: two
+        column gathers on a ``CSRGraph``, else one pass over the neighbours."""
         csr, graph = self._csr, self._graph
         if csr is not None:
-            labels = csr.label_ids_of(side.indices).tolist()
-            degrees = csr.degrees()[side.indices].tolist()
-        else:
-            side = list(side)
-            labels, degrees = list(map(graph.label, side)), list(map(graph.degree, side))
-        for label, degrees_needed in requirements.items():
-            available = sorted(
-                (have for have, found in zip(degrees, labels) if found == label), reverse=True
-            )
-            if len(available) < len(degrees_needed):
-                return False
-            if any(have < need for have, need in zip(available, degrees_needed)):
-                return False
-        return True
+            return csr.label_ids_of(side.indices).tolist(), csr.degrees()[side.indices].tolist()
+        side = list(side)
+        return list(map(graph.label, side)), list(map(graph.degree, side))
+
+
+def _satisfiable(labels: List[object], degrees: List[int], requirements: Dict[object, List[int]]) -> bool:
+    """Greedy distinct-assignment check for one direction: per label key, the
+    neighbours carrying it, largest degree first, must cover the degrees needed."""
+    for label, degrees_needed in requirements.items():
+        available = sorted((have for have, found in zip(degrees, labels) if found == label), reverse=True)
+        if len(available) < len(degrees_needed):
+            return False
+        if any(have < need for have, need in zip(available, degrees_needed)):
+            return False
+    return True
 
 
 class WeightEstimator:
@@ -244,19 +334,25 @@ class WeightEstimator:
       node (the query nodes it satisfies ``C`` for) are ints.
     * **Rows.**  What ``G`` says about a data node is loaded once: its scan
       list (children then parents, a node on both sides twice) and, beside
-      it, which query nodes ask for the label of each entry.  A candidate
-      that is only *ranked* loads its first ``max_scan`` entries, all that
-      ``p(v, u)`` reads; the whole row is loaded when the node is expanded or
-      joins ``G_Q``.  Who can play what is decided on the row in list space,
-      and only an entry whose label is asked for reaches the exact, memoised
-      ``guard.check`` (which, being a necessary condition for a match,
-      implies the label test), once per search and query node.
+      it, which query nodes ask for the label of each entry (on a
+      ``CSRGraph`` one gather through a label id -> askers table).  A
+      candidate that is only *ranked* loads its first ``max_scan`` entries,
+      all that ``p(v, u)`` reads; the whole row is loaded when the node is
+      expanded or joins ``G_Q``.  Who can play what is decided on the row in
+      list space, and only an entry whose label is asked for reaches the
+      exact, memoised ``guard.check`` (which, being a necessary condition for
+      a match, implies the label test), once per search and query node.
+    * **Wide rows.**  On a ``CSRGraph``, a row with more than ``max_scan``
+      entries gets ``C(·, u)`` for all of its untried entries in one
+      ``guard.check_rows`` call, whose results go into the same roles.
     * **Incremental cost.**  :meth:`admit` pushes the roles of the node
       joining ``G_Q`` to the entries of its row, so ``c(v, u)`` is a popcount:
       one node joining changes the cost of its neighbours and of nobody
       else.  A member with more than ``max_scan`` entries is not pushed but
       probed from its side, and the order-dependent capped scan is left for
-      a ``v`` with more than ``max_scan`` members around it.
+      a ``v`` with more than ``max_scan`` members around it.  A weight is
+      kept until a member joins around its node: ``hits[v]`` moves, or a
+      wide member has ``v`` in its row.
     """
 
     def __init__(
@@ -268,8 +364,9 @@ class WeightEstimator:
         max_scan: int = 64,
     ) -> None:
         self._graph = graph
-        self._csr = _csr_of(graph)
+        csr = self._csr = _csr_of(graph)
         self._check = guard.check
+        self._check_rows = guard.check_rows if guard.row_space else None
         # Cap on how many neighbours are inspected per estimate.  The paper
         # notes the potential "can be extended by making use of sampling";
         # the cap bounds what one estimate reads without changing which
@@ -277,35 +374,53 @@ class WeightEstimator:
         self.max_scan = max(1, max_scan)
         self.in_gq: Set[NodeId] = set()
         self._query_nodes = tuple(pattern.nodes())
-        self._bit = {u: 1 << position for position, u in enumerate(self._query_nodes)}
+        self.bits = {u: 1 << position for position, u in enumerate(self._query_nodes)}
         self._needed = {
-            u: reduce(or_, (self._bit[neighbor] for neighbor in pattern.neighbors(u)), 0)
+            u: reduce(or_, (self.bits[neighbor] for neighbor in pattern.neighbors(u)), 0)
             for u in self._query_nodes
         }
         # Label key -> the query nodes asking for it (``up`` is matched by
         # identity, so it asks for the label ``vp`` has).
         self._askers: Dict[object, int] = {}
-        for u, bit in self._bit.items():
+        for u, bit in self.bits.items():
             if u != pattern.personalized:
-                key = _label_key(self._csr, pattern.label_of(u))
-            elif personalized_match in graph:
-                key = _label_key(self._csr, graph.label(personalized_match))
-            else:
+                key = _label_key(csr, pattern.label_of(u))
+            elif personalized_match not in graph:
                 continue
+            elif csr is None:
+                key = graph.label(personalized_match)
+            else:
+                key = csr.label_ids_of(csr.index_of(personalized_match)).item()
             self._askers[key] = self._askers.get(key, 0) | bit
+        if csr is not None:
+            # Label id -> askers, so a row's askers are one gather.
+            self._askers_table = np.zeros(
+                csr.num_labels(), dtype=np.int64 if len(self.bits) < 64 else object
+            )
+            for key, askers in self._askers.items():
+                if key is not None:
+                    self._askers_table[key] = askers
         # Per data node: (scan, askers of each entry, whether that is the whole row).
         self._rows: Dict[NodeId, Tuple[List[NodeId], List[int], bool]] = {}
+        # Wide whole rows when ``check_rows`` may be asked: (entry rows, askers).
+        self._arrays: Dict[NodeId, Tuple[np.ndarray, np.ndarray]] = {}
         self._distinct: Dict[NodeId, Dict[NodeId, int]] = {}
         # Per data node: its roles as far as known, and the query nodes tried.
         self._roles: Dict[NodeId, int] = {}
         self._tried: Dict[NodeId, int] = {}
         self._eligible: Dict[Tuple[NodeId, QueryNodeId], List[NodeId]] = {}
         self._usable: Dict[Tuple[NodeId, QueryNodeId], List[NodeId]] = {}
+        # Per query node u: hits[v] when the weight of (v, u) was computed (-1:
+        # stale) and that weight; and how many wide members were applied to them.
+        self._kept: Dict[QueryNodeId, Tuple[Dict[NodeId, int], Dict[NodeId, float]]] = {
+            u: ({}, {}) for u in self._query_nodes
+        }
+        self._wide_seen: Dict[QueryNodeId, int] = {}
         # What moves with G_Q, per data node: the roles of the members among
         # the entries of its row, and how many entries those are.  Members too
         # wide to push are kept aside: (roles, how often each entry occurs).
         self._covered: Dict[NodeId, int] = {}
-        self._hits: Dict[NodeId, int] = {}
+        self._hits: Counter = Counter()
         self._wide: List[Tuple[int, Counter]] = []
 
     # ------------------------------------------------------------------ #
@@ -313,17 +428,20 @@ class WeightEstimator:
     # ------------------------------------------------------------------ #
     def _load(self, node: NodeId, limit: Optional[int]) -> Tuple[List[NodeId], List[int], bool]:
         """The first ``limit`` entries of the row of ``node`` (all when ``None``):
-        an index slice and a label gather on a ``CSRGraph``, else one pass
-        over each side."""
+        an index slice and two gathers on a ``CSRGraph``, else one pass over
+        each side."""
         csr = self._csr
         if csr is not None:
             indices = csr.neighbor_indices(csr.index_of(node), limit)
-            scan, keys = csr.ids_of(indices), csr.label_ids_of(indices).tolist()
+            askers = self._askers_table[csr.label_ids_of(indices)]
+            scan = csr.ids_of(indices)
+            if limit is None and len(scan) > self.max_scan and self._check_rows is not None:
+                self._arrays[node] = (indices, askers)
+            askers = askers.tolist()
         else:
             graph = self._graph
             scan = list(islice(chain(graph.successors(node), graph.predecessors(node)), limit))
-            keys = map(graph.label, scan)
-        askers = list(map(self._askers.get, keys, repeat(0)))
+            askers = list(map(self._askers.get, map(graph.label, scan), repeat(0)))
         row = self._rows[node] = (scan, askers, limit is None or len(scan) < limit)
         return row
 
@@ -336,12 +454,18 @@ class WeightEstimator:
 
     def distinct(self, node: NodeId) -> Dict[NodeId, int]:
         """The neighbours of ``node`` in scan order, first occurrences only (what
-        ``Pick`` charges and walks), each with the query nodes asking for its label."""
+        ``Pick`` walks), each with the query nodes asking for its label."""
         distinct = self._distinct.get(node)
         if distinct is None:
             scan = self.row(node)
             distinct = self._distinct[node] = dict(zip(scan, self._rows[node][1]))
         return distinct
+
+    def width(self, node: NodeId) -> int:
+        """``|N(v)|``, what one ``Pick`` at ``node`` is charged (on a ``CSRGraph``
+        the ``degrees`` column)."""
+        csr = self._csr
+        return len(self.distinct(node)) if csr is None else csr.degree(node)
 
     def _plays(self, node: NodeId, mask: int, every: bool = False) -> int:
         """The roles of ``node`` among the query nodes of ``mask`` (all asking
@@ -367,13 +491,41 @@ class WeightEstimator:
         key = (node, query_node)
         eligible = self._eligible.get(key)
         if eligible is None:
-            bit, plays = self._bit[query_node], self._plays
-            eligible = self._eligible[key] = [
-                neighbor
-                for neighbor, askers in self.distinct(node).items()
-                if askers & bit and plays(neighbor, bit)
-            ]
+            self.row(node)
+            bit, arrays = self.bits[query_node], self._arrays.get(node)
+            if arrays is None:
+                plays = self._plays
+                eligible = [
+                    neighbor
+                    for neighbor, askers in self.distinct(node).items()
+                    if askers & bit and plays(neighbor, bit)
+                ]
+            else:
+                eligible = self._eligible_rows(arrays, query_node, bit)
+            self._eligible[key] = eligible
         return eligible
+
+    def _eligible_rows(self, arrays, query_node: QueryNodeId, bit: int) -> List[NodeId]:
+        """:meth:`eligible` of a wide row in row space: the entries whose label
+        ``query_node`` asks for, one ``check_rows`` call for those not tried."""
+        indices, askers = arrays
+        asked = indices[(askers & bit) != 0]
+        first = dict(zip(self._csr.ids_of(asked), asked.tolist()))  # distinct, in scan order
+        roles, tried = self._roles, self._tried
+        fresh = [neighbor for neighbor in first if not tried.get(neighbor, 0) & bit]
+        if fresh:
+            rows = np.fromiter(map(first.__getitem__, fresh), dtype=np.int64, count=len(fresh))
+            for neighbor, passed in zip(fresh, self._check_rows(rows, query_node).tolist()):
+                tried[neighbor] = tried.get(neighbor, 0) | bit
+                if passed:
+                    roles[neighbor] = roles.get(neighbor, 0) | bit
+        return [neighbor for neighbor in first if roles.get(neighbor, 0) & bit]
+
+    def labelled(self, node: NodeId, query_node: QueryNodeId) -> List[NodeId]:
+        """Distinct neighbours of ``node`` whose label ``query_node`` asks for
+        (the guardless ablation's eligibility), in scan order."""
+        bit = self.bits[query_node]
+        return [neighbor for neighbor, askers in self.distinct(node).items() if askers & bit]
 
     def _usable_entries(self, node: NodeId, query_node: QueryNodeId) -> List[NodeId]:
         """Entries among the first ``max_scan`` of the row of ``node`` (duplicates
@@ -382,37 +534,50 @@ class WeightEstimator:
         usable = self._usable.get(key)
         if usable is None:
             scan, asking, _ = self._rows.get(node) or self._load(node, self.max_scan)
-            needed, known, plays = self._needed[query_node], self._roles.get, self._plays
+            needed, plays = self._needed[query_node], self._plays
+            known, tried = self._roles.get, self._tried.get
             usable = self._usable[key] = [
                 neighbor
                 for neighbor, askers in islice(zip(scan, asking), self.max_scan)
-                if askers & needed and (known(neighbor, 0) & needed or plays(neighbor, askers & needed))
+                if askers & needed
+                and (
+                    known(neighbor, 0) & needed
+                    or askers & needed & ~tried(neighbor, 0)
+                    and plays(neighbor, askers & needed)
+                )
             ]
         return usable
 
     # ------------------------------------------------------------------ #
     # What moves with G_Q
     # ------------------------------------------------------------------ #
-    def admit(self, node: NodeId) -> List[NodeId]:
+    def admit(self, node: NodeId) -> Tuple[object, List[NodeId], List[NodeId]]:
         """``node`` joins ``G_Q``: tell its neighbours what it can play.
 
-        Returns its scan list.  Each entry of the row of ``node`` is an entry
-        for ``node`` in that neighbour's row (a child here is a parent
-        there), so after the push ``hits[v]`` is how many entries of the row
-        of ``v`` are members of ``G_Q`` and ``covered[v]`` what they can play.
+        Returns its label, its children and its parents.  Each entry of the
+        row of ``node`` is an entry for ``node`` in that neighbour's row (a
+        child here is a parent there), so after the push ``hits[v]`` is how
+        many entries of the row of ``v`` are members of ``G_Q`` and
+        ``covered[v]`` what they can play.
         """
         self.in_gq.add(node)
         scan = self.row(node)
-        label = _label_key(self._csr, self._graph.label(node))
-        roles = self._plays(node, self._askers.get(label, 0), every=True)
+        csr = self._csr
+        if csr is None:
+            label = key = self._graph.label(node)
+        else:
+            label = csr.label_at(csr.index_of(node))
+            key = csr.label_id(label)
+        roles = self._plays(node, self._askers.get(key, 0), every=True)
         if len(scan) > self.max_scan:
             self._wide.append((roles, Counter(scan)))  # no O(deg) loop per hub
         else:
-            covered, hits = self._covered, self._hits
+            covered = self._covered
             for neighbor in scan:
                 covered[neighbor] = covered.get(neighbor, 0) | roles
-                hits[neighbor] = hits.get(neighbor, 0) + 1
-        return scan
+            self._hits.update(scan)
+        split = self._graph.out_degree(node)
+        return label, scan[:split], scan[split:]
 
     def cost(self, node: NodeId, query_node: QueryNodeId) -> int:
         """``c(v, u)``: query neighbours of ``u`` with no candidate of ``v`` in ``G_Q``.
@@ -448,3 +613,31 @@ class WeightEstimator:
         potential = self.potential(node, query_node)
         # No potential: the weight is 0 whatever the cost.
         return potential / (self.cost(node, query_node) + 1) if potential else 0.0
+
+    def rank(self, candidates: List[NodeId], query_node: QueryNodeId, bound: int) -> List[NodeId]:
+        """The ``bound`` best ``candidates`` by weight, best first; the sort is
+        stable, so ties keep their order.
+
+        Only a member joining around ``v`` moves its weight: it raises
+        ``hits[v]``, or it is a wide member with ``v`` in its row.  A weight is
+        kept with the ``hits[v]`` it was computed at, a wide member joining
+        marks the kept weights of its row's entries stale, and only a stale
+        weight is computed again: a ranking with none reads two dicts.
+        """
+        kept_hits, kept = self._kept[query_node]
+        wide, seen = self._wide, self._wide_seen.get(query_node, 0)
+        if seen != len(wide):
+            for _, entries in wide[seen:]:
+                for stale in kept_hits.keys() & entries.keys():
+                    kept_hits[stale] = -1
+            self._wide_seen[query_node] = len(wide)
+        hits = list(map(self._hits.get, candidates, repeat(0)))
+        then = list(map(kept_hits.get, candidates))
+        if then != hits:
+            weight = self.weight
+            for candidate, now, before in zip(candidates, hits, then):
+                if now != before:
+                    kept[candidate], kept_hits[candidate] = weight(candidate, query_node), now
+        weights = list(map(kept.__getitem__, candidates))
+        ranked = sorted(range(len(candidates)), key=weights.__getitem__, reverse=True)
+        return list(map(candidates.__getitem__, ranked[:bound]))

@@ -720,6 +720,11 @@ class CSRGraph:
         ]
         return adjacent
 
+    def side_degrees(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Out- and in-degrees of each of ``rows`` (two ``indptr`` gathers)."""
+        succ, pred = self._succ_indptr, self._pred_indptr
+        return succ[rows + 1] - succ[rows], pred[rows + 1] - pred[rows]
+
     def edge_rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every edge as ``(source rows, target rows)``, in successor order."""
         counts = np.diff(self._succ_indptr)
@@ -736,6 +741,10 @@ class CSRGraph:
     def label_ids_of(self, indices: np.ndarray) -> np.ndarray:
         """Label ids of an index array (compare against :meth:`label_id`)."""
         return self._label_ids[indices]
+
+    def label_at(self, index: int) -> Label:
+        """The label of the node stored at array ``index``."""
+        return self._label_table[self._label_ids.item(index)]
 
     def successors(self, node: NodeId) -> _NeighborView:
         """Children of ``node`` as a flat-array view (sized, iterable, ``in``)."""

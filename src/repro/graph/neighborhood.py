@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.graph.digraph import DiGraph, Label, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.subgraph import induced_subgraph
@@ -111,6 +113,9 @@ class LabelRequirement(NamedTuple):
     words: Optional[Tuple[Tuple[int, int], ...]]
 
 
+_NO_LABELS = LabelRequirement((), ())
+
+
 class NeighborhoodIndex:
     """The ``Sl`` summaries the dynamic reduction consults (Section 4.1).
 
@@ -164,7 +169,7 @@ class NeighborhoodIndex:
             self._rows: Mapping[NodeId, int] = {}
             self._label_bit: Optional[Dict[Label, Tuple[int, int]]] = None
             return
-        child_bits, parent_bits = source.label_presence()
+        child_bits, parent_bits = self._bits = source.label_presence()
         self._rows = source._index
         self._words = child_bits.shape[1]
         self._child_words = memoryview(child_bits.reshape(-1))
@@ -232,14 +237,14 @@ class NeighborhoodIndex:
 
     def has_child_label(self, node: NodeId, label: Label) -> bool:
         """Whether ``node`` has at least one child labelled ``label``."""
-        return self._has_labels(node, self.requirement((label,)), children=True)
+        return self.has_labels(node, _NO_LABELS, self.requirement((label,)))
 
     def has_parent_label(self, node: NodeId, label: Label) -> bool:
         """Whether ``node`` has at least one parent labelled ``label``."""
-        return self._has_labels(node, self.requirement((label,)), children=False)
+        return self.has_labels(node, self.requirement((label,)), _NO_LABELS)
 
     def requirement(self, labels: Iterable[Label]) -> LabelRequirement:
-        """Compile ``labels`` for :meth:`has_child_labels`/:meth:`has_parent_labels`."""
+        """Compile ``labels`` for :meth:`has_labels` and its one-sided forms."""
         labels = tuple(dict.fromkeys(labels))
         if self._label_bit is None:
             return LabelRequirement(labels, None)
@@ -253,26 +258,48 @@ class NeighborhoodIndex:
 
     def has_child_labels(self, node: NodeId, need: LabelRequirement) -> bool:
         """Whether ``node`` has a child of every label in ``need``."""
-        return self._has_labels(node, need, children=True)
+        return self.has_labels(node, _NO_LABELS, need)
 
     def has_parent_labels(self, node: NodeId, need: LabelRequirement) -> bool:
         """Whether ``node`` has a parent of every label in ``need``."""
-        return self._has_labels(node, need, children=False)
+        return self.has_labels(node, need, _NO_LABELS)
 
-    def _has_labels(self, node: NodeId, need: LabelRequirement, children: bool) -> bool:
+    def has_labels(self, node: NodeId, parents: LabelRequirement, children: LabelRequirement) -> bool:
+        """Whether ``node`` has a parent of every label in ``parents`` and a
+        child of every label in ``children`` (its row is looked up once)."""
         row = None if node in self._stale else self._rows.get(node)  # _row(), inlined
         if row is None:
             summary = self.summary(node)
-            counts = summary.child_label_counts if children else summary.parent_label_counts
-            return all(label in counts for label in need.labels)
-        if need.words is None:
-            return False
-        words = self._child_words if children else self._parent_words
+            return all(label in summary.parent_label_counts for label in parents.labels) and all(
+                label in summary.child_label_counts for label in children.labels
+            )
         base = row * self._words
-        for word, mask in need.words:
-            if words[base + word] & mask != mask:
+        for need, words in ((parents, self._parent_words), (children, self._child_words)):
+            if need.words is None:
                 return False
+            for word, mask in need.words:
+                if words[base + word] & mask != mask:
+                    return False
         return True
+
+    def rows_have_labels(self, rows: np.ndarray, need: LabelRequirement, children: bool) -> np.ndarray:
+        """:meth:`has_child_labels` (or :meth:`has_parent_labels`) of each of
+        ``rows`` of the indexed ``CSRGraph``, as one boolean array: one gather
+        and one mask test per word of the presence arrays."""
+        if need.words is None:
+            have = np.zeros(rows.shape[0], dtype=bool)
+        else:
+            bits = self._bits[0 if children else 1]
+            have = np.ones(rows.shape[0], dtype=bool)
+            for word, mask in need.words:
+                mask = np.uint64(mask)
+                have &= (bits[rows, word] & mask) == mask
+        if self._stale:  # the arrays describe these rows wrongly
+            one_side = self.has_child_labels if children else self.has_parent_labels
+            for position, node in enumerate(self._source.ids_of(rows)):
+                if node in self._stale:
+                    have[position] = one_side(node, need)
+        return have
 
 
 def max_label_fanout(graph: GraphLike, center: NodeId, radius: int) -> int:

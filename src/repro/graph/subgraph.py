@@ -14,11 +14,14 @@ time while keeping its size observable in O(1).
 
 from __future__ import annotations
 
-from typing import Iterable, Set, Tuple
+from itertools import chain, repeat
+from typing import Iterable, Sequence, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
-from repro.graph.digraph import DiGraph, NodeId
+from repro.graph.digraph import DiGraph, Label, NodeId
 from repro.graph.protocol import GraphLike
+
+_FROM_HOST = object()
 
 
 def induced_subgraph(graph: GraphLike, nodes: Iterable[NodeId]) -> DiGraph:
@@ -93,13 +96,19 @@ class SubgraphBuilder:
         """Whether the partial subgraph already holds this edge."""
         return self._graph.has_edge(source, target)
 
-    def add_node(self, node: NodeId) -> bool:
-        """Add ``node`` (label copied from the host); return True if new."""
+    def add_node(self, node: NodeId, label: Label = _FROM_HOST) -> bool:
+        """Add ``node`` (label copied from the host); return True if new.
+
+        ``label`` is the host's label of ``node`` when the caller has read
+        it from the host already (the host is then not asked again).
+        """
         if node in self._graph:
             return False
-        if node not in self._host:
-            raise NodeNotFoundError(node)
-        self._graph.add_node(node, self._host.label(node))
+        if label is _FROM_HOST:
+            if node not in self._host:
+                raise NodeNotFoundError(node)
+            label = self._host.label(node)
+        self._graph.add_node(node, label)
         return True
 
     def add_edge(self, source: NodeId, target: NodeId) -> bool:
@@ -114,20 +123,36 @@ class SubgraphBuilder:
             raise NodeNotFoundError(source if source not in self._graph else target)
         return self._graph.add_edge(source, target)
 
-    def connect_to_existing(self, node: NodeId) -> int:
-        """Add every host edge between ``node`` and nodes already in the subgraph.
+    def add_row_edges(
+        self, node: NodeId, children: Sequence[NodeId], parents: Sequence[NodeId], room: int
+    ) -> int:
+        """Connect the newly added ``node`` to the subgraph from its own row.
 
-        Returns the number of edges added.  This mirrors the paper's
-        construction of ``G_Q`` as (a connected portion of) the subgraph
-        induced by the selected nodes.
+        ``children`` and ``parents`` are the row of ``node`` in the host, so an
+        edge is a host edge exactly when its other end is in the row: no host
+        probe is made.  ``node -> t`` goes in for every member ``t`` among the
+        children, then ``s -> node`` for every member ``s`` among the parents,
+        until ``room`` edges were added; returns how many were.
+
+        Whichever side is smaller, the row or the subgraph, is iterated, so
+        hub nodes with thousands of neighbours do not dominate the cost.  A
+        row more than twice the node count is intersected with a snapshot of
+        the nodes, and the edges go in in that set's iteration order.
         """
+        graph = self._graph
+        if len(children) + len(parents) > 2 * graph.num_nodes():
+            members = set(graph.nodes())
+            children, parents = set(children), set(parents)
+            targets = [member for member in members if member in children]
+            sources = [member for member in members if member in parents]
+        else:
+            targets = [child for child in children if child in graph]
+            sources = [parent for parent in parents if parent in graph]
         added = 0
-        for target in self._host.successors(node):
-            if target in self._graph and self._graph.add_edge(node, target):
-                added += 1
-        for source in self._host.predecessors(node):
-            if source in self._graph and self._graph.add_edge(source, node):
-                added += 1
+        for source, target in chain(zip(repeat(node), targets), zip(sources, repeat(node))):
+            if added == room:
+                break
+            added += graph.add_edge(source, target)  # a self-loop is met on both sides
         return added
 
     def size(self) -> int:

@@ -8,6 +8,11 @@
 from the table-backed implementation; nothing in ``src/`` imports them.
 The one addition is the ``max_scan`` constructor argument, passed through
 to the estimator so the sweep can make the scan cap bite.
+
+Below the oracle sit the two helpers every comparison with it shares (the
+differential test and ``benchmarks/bench_search.py``): :func:`build_reducer`
+makes either reducer with the same scan cap, and :func:`fingerprint` is what
+"identical to the oracle" compares.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.budget import ResourceBudget, snapshot
 from repro.core.reduction import ReductionResult
-from repro.core.weights import GuardedCondition
+from repro.core.weights import GuardedCondition, WeightEstimator
 from repro.graph.digraph import NodeId
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.protocol import GraphLike
@@ -296,3 +301,34 @@ class OracleReducer:
                     added_edges += 1
             self._budget.charge_visit(added_edges)
         return is_new
+
+
+# --------------------------------------------------------------------------- #
+# Shared by every comparison with the oracle
+# --------------------------------------------------------------------------- #
+def build_reducer(reducer_class, max_scan: int = 64, **arguments):
+    """``reducer_class`` (``DynamicReducer`` or ``OracleReducer``) over the
+    constructor ``arguments``, its estimates reading at most ``max_scan``
+    entries of a row."""
+    if reducer_class is OracleReducer:
+        return OracleReducer(max_scan=max_scan, **arguments)
+    reducer = reducer_class(**arguments)
+    if reducer._estimator.max_scan != max_scan:
+        reducer._estimator = WeightEstimator(
+            arguments["pattern"], arguments["graph"], arguments["personalized_match"], arguments["guard"],
+            max_scan=max_scan,
+        )
+    return reducer
+
+
+def fingerprint(result: ReductionResult):
+    """Everything a ``ReductionResult`` says, order included."""
+    subgraph = result.subgraph
+    return (
+        [(node, subgraph.label(node)) for node in subgraph.nodes()],
+        list(subgraph.edges()),
+        result.budget,
+        result.final_bound,
+        result.passes,
+        result.candidate_counts,
+    )

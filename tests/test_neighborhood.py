@@ -3,6 +3,7 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +108,16 @@ def assert_agrees_with_reference(index, graph, labels, rng):
             )
 
 
+def assert_rows_agree(index, csr, labels, rng):
+    """``rows_have_labels`` over every row equals the per-node predicates."""
+    rows = np.arange(csr.num_nodes(), dtype=np.int64)
+    for wanted in ([], rng.sample(labels, min(2, len(labels))), labels[:1] + ["absent"]):
+        need = index.requirement(wanted)
+        for children, per_node in ((True, index.has_child_labels), (False, index.has_parent_labels)):
+            expected = [per_node(node, need) for node in csr.nodes()]
+            assert index.rows_have_labels(rows, need, children).tolist() == expected
+
+
 class TestArrayBackedIndex:
     """The presence arrays of a CSR graph against the per-node reference."""
 
@@ -129,6 +140,11 @@ class TestArrayBackedIndex:
         index = NeighborhoodIndex(csr)
         assert all(index._row(node) is not None for node in nodes)
         assert_agrees_with_reference(index, csr, labels, rng)
+        assert_rows_agree(index, csr, labels, rng)
+        # Invalidated rows are answered node by node, inside the same array.
+        stale = NeighborhoodIndex(csr)
+        stale.invalidate(rng.sample(nodes, len(nodes) // 2))
+        assert_rows_agree(stale, csr, labels, rng)
 
         overlay = MutableOverlay(csr)
         index.rebind(overlay)

@@ -456,9 +456,11 @@ class TestReductionSpanAttrs:
         by_name = {record["span"]: record for record in records}
         assert by_name["reduction.search"]["attrs"] == {
             "passes": answer.reduction.passes,
+            "stop": answer.reduction.stop,
             "stored": answer.budget.stored,
-            "visited": answer.budget.visited,
             "size_limit": answer.budget.size_limit,
+            "visited": answer.budget.visited,
+            "visit_limit": answer.budget.visit_limit,
         }
         assert "attrs" not in by_name["match.exact"]
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.budget import ResourceBudget
 from repro.core.reduction import DynamicReducer
 from repro.core.weights import SimulationGuard
+from repro.graph.digraph import DiGraph
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.subgraph import is_subgraph
 from repro.patterns.pattern import make_pattern
@@ -111,3 +112,60 @@ class TestAblationModes:
         assert "Michael" in subgraph
         for node in subgraph.nodes():
             assert example1_graph.label(node) in {"Michael", "HG", "CC", "CL"}
+
+
+class TestStopReason:
+    """Why a search stopped, and the spend it reports beside it."""
+
+    @staticmethod
+    def fan(spokes: int):
+        """``vp`` (label P) with ``spokes`` children labelled A; the pattern is ``p -> a``."""
+        graph = DiGraph()
+        graph.add_node("vp", "P")
+        for position in range(spokes):
+            graph.add_node(f"a{position}", "A")
+            graph.add_edge("vp", f"a{position}")
+        pattern = make_pattern({"p": "P", "a": "A"}, [("p", "a")], personalized="p", output="a")
+        return graph, pattern
+
+    def test_storage(self):
+        graph, pattern = self.fan(5)  # |G| = 11, so alpha 0.3 allows 3 items
+        reducer, budget = make_reducer(graph, pattern, "vp", alpha=0.3)
+        result = reducer.search()
+        # vp, then its best A and the edge between them: G_Q is full in pass 1.
+        assert (result.stop, result.passes, result.budget.stored) == ("storage", 1, 3)
+        assert result.spend() == {
+            "passes": 1,
+            "stop": "storage",
+            "stored": 3,
+            "size_limit": 3,
+            "visited": result.budget.visited,
+            "visit_limit": budget.visit_limit,
+        }
+
+    def test_fixpoint(self):
+        graph, pattern = self.fan(2)
+        graph.add_node("b", "B")  # a child no query node asks for: G_Q never fills
+        graph.add_edge("vp", "b")
+        reducer, budget = make_reducer(graph, pattern, "vp", alpha=1.0)
+        result = reducer.search()
+        # Pass 1 takes both spokes (b = 2); pass 2 adds nothing.
+        assert (result.stop, result.passes, result.final_bound) == ("fixpoint", 2, 3)
+        assert result.subgraph.num_nodes() == 3
+        # Pass 1: vp, two spokes and two edges (5 items) and one Pick at vp,
+        # charged |N(vp)| = 3; pass 2: one more Pick.  The allowance is
+        # c * alpha * |G| with c = d_G = 3 and |G| = 7.
+        assert (result.budget.visited, result.budget.visit_limit) == (11, 21)
+        assert result.spend()["visit_limit"] == budget.visit_limit == 21
+
+    def test_passes(self):
+        graph, pattern = self.fan(5)
+        reducer, _ = make_reducer(graph, pattern, "vp", alpha=1.0, max_passes=2)
+        result = reducer.search()
+        # b = 2 then 3: both passes still add spokes, so max_passes ends it.
+        assert (result.stop, result.passes) == ("passes", 2)
+        assert result.subgraph.num_nodes() == 1 + 3
+
+    def test_missing_personalized_match(self, example1_graph, example1_query):
+        reducer, _ = make_reducer(example1_graph, example1_query, "nobody", alpha=0.5)
+        assert reducer.search().stop == "fixpoint"

@@ -11,8 +11,10 @@ to the oracle's from-scratch values after every single ``G_Q`` insertion.
 
 The count gates at the bottom are the deterministic stand-in for a timing
 floor: what the search state promises is that no ``(node, query node)`` guard
-evaluation and no row load is repeated within one search, however many
-passes it takes, and that ``Pick`` never snapshots ``G_Q``.
+evaluation (one by one or a row at a time) and no row load is repeated within
+one search, however many passes it takes, that a search never snapshots
+``G_Q``, and that on a ``CSRGraph`` it probes no edge and reads no label node
+by node.
 """
 
 import random
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reduction_oracle import OracleReducer, OracleWeightEstimator
+from reduction_oracle import OracleReducer, OracleWeightEstimator, build_reducer, fingerprint
 from repro.core.budget import ResourceBudget
 from repro.core.reduction import DynamicReducer
 from repro.core.weights import IsomorphismGuard, SimulationGuard, WeightEstimator
@@ -36,6 +38,7 @@ from repro.patterns.generator import embedded_pattern, random_pattern
 from repro.patterns.pattern import make_pattern
 from repro.updates.overlay import MutableOverlay
 from repro.workloads.datasets import load_dataset
+from repro.workloads.queries import generate_pattern_workload
 
 GUARDS = {"simulation": SimulationGuard, "isomorphism": IsomorphismGuard}
 LABELS = ["A", "B", "C"]
@@ -137,15 +140,10 @@ def build(
         graph_size=graph.size(),
         visit_coefficient=visit_coefficient(graph, pattern, paper_visit_cap),
     )
-    arguments = dict(
-        pattern=pattern, graph=graph, personalized_match=vp, guard=guard, budget=budget,
-        max_passes=MAX_PASSES, **flags
+    return build_reducer(
+        reducer_class, max_scan, pattern=pattern, graph=graph, personalized_match=vp, guard=guard,
+        budget=budget, max_passes=MAX_PASSES, **flags
     )
-    if reducer_class is OracleReducer:
-        return OracleReducer(max_scan=max_scan, **arguments)
-    reducer = DynamicReducer(**arguments)
-    reducer._estimator = WeightEstimator(pattern, graph, vp, guard, max_scan=max_scan)
-    return reducer
 
 
 def reduce_both(graph, pattern, vp, guard_kind, alpha, max_scan, **flags):
@@ -153,19 +151,6 @@ def reduce_both(graph, pattern, vp, guard_kind, alpha, max_scan, **flags):
     return tuple(
         build(reducer_class, graph, pattern, vp, GUARDS[guard_kind], alpha, max_scan, **flags).search()
         for reducer_class in (DynamicReducer, OracleReducer)
-    )
-
-
-def fingerprint(result):
-    """Everything a ``ReductionResult`` says, order included."""
-    subgraph = result.subgraph
-    return (
-        [(node, subgraph.label(node)) for node in subgraph.nodes()],
-        list(subgraph.edges()),
-        result.budget,
-        result.final_bound,
-        result.passes,
-        result.candidate_counts,
     )
 
 
@@ -213,6 +198,28 @@ def test_hub_personalized_match_on_youtube(backend, guard_kind):
     assert result.subgraph.num_nodes() > 1
     assert result.budget.within_size_bound
     assert result.budget.within_visit_bound
+
+
+@pytest.fixture(scope="module")
+def youtube_log():
+    """The 64-query (4, 8) pattern log of the ``youtube`` surrogate, and its CSR freeze."""
+    content = load_dataset("youtube")
+    workload = generate_pattern_workload(content, shape=(4, 8), count=64, seed=7)
+    return CSRGraph.from_digraph(content), workload.queries
+
+
+@pytest.mark.parametrize("guard_kind", sorted(GUARDS))
+def test_youtube_pattern_log_equals_the_frozen_oracle(youtube_log, guard_kind):
+    """Every query of a real log, on the backend whose wide rows are decided
+    in row space: hubs are common there, not one hand-picked case."""
+    graph, queries = youtube_log
+    for query in queries:
+        result, expected = reduce_both(
+            graph, query.pattern, query.personalized_match, guard_kind, 0.02, 64, paper_visit_cap=True
+        )
+        assert fingerprint(result) == fingerprint(expected)
+        assert result.budget.within_size_bound
+        assert result.budget.within_visit_bound
 
 
 # --------------------------------------------------------------------------- #
@@ -362,13 +369,20 @@ def test_a_member_on_both_sides_counts_twice_towards_the_cap(substrate):
 # --------------------------------------------------------------------------- #
 # The work gate (counts, not seconds)
 # --------------------------------------------------------------------------- #
-def counting(guard_class, evaluations: Counter):
-    """``guard_class`` with every ``_evaluate`` call tallied per ``(node, query node)``."""
+def counting(guard_class, evaluations: Counter, row_calls: Counter, owner: list):
+    """``guard_class`` with every ``(node, query node)`` it evaluates tallied,
+    one by one (``_evaluate``) or a row at a time (``check_rows``), and every
+    ``check_rows`` call tallied per (row owner, query node)."""
 
     class Counting(guard_class):
         def _evaluate(self, node, query_node):
             evaluations[(node, query_node)] += 1
             return super()._evaluate(node, query_node)
+
+        def check_rows(self, rows, query_node):
+            row_calls[(owner[-1], query_node)] += 1
+            evaluations.update((node, query_node) for node in self._graph.ids_of(rows))
+            return super().check_rows(rows, query_node)
 
     return Counting
 
@@ -393,24 +407,25 @@ def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(
 
     monkeypatch.setattr(WeightEstimator, "_load", tallied_load)
 
-    # ``SubgraphBuilder.nodes()`` calls made while a ``_pick`` is on the stack.
-    picking, snapshots = [], []
-    pick, snapshot_nodes = DynamicReducer._pick, SubgraphBuilder.nodes
+    # ``SubgraphBuilder.nodes()`` calls made while a search runs (``Pick``
+    # is inline, so this covers every ``Pick`` and more).
+    searching, snapshots = [], []
+    search, snapshot_nodes = DynamicReducer.search, SubgraphBuilder.nodes
 
-    def flagged_pick(reducer, *arguments):
-        picking.append(True)
+    def flagged_search(reducer):
+        searching.append(True)
         try:
-            return pick(reducer, *arguments)
+            return search(reducer)
         finally:
-            picking.pop()
+            searching.pop()
 
     def tallied_nodes(builder):
-        snapshots.extend(picking)
+        snapshots.extend(searching)
         return snapshot_nodes(builder)
 
-    monkeypatch.setattr(DynamicReducer, "_pick", flagged_pick)
+    monkeypatch.setattr(DynamicReducer, "search", flagged_search)
     monkeypatch.setattr(SubgraphBuilder, "nodes", tallied_nodes)
-    guard_class = counting(GUARDS[guard_kind], evaluations)
+    guard_class = counting(GUARDS[guard_kind], evaluations, Counter(), [None])
     reducer = build(DynamicReducer, graph, pattern, vp, guard_class, 0.05, 64)
     result = reducer.search()
     assert result.passes >= 3, "the case must restart, or it shows nothing about passes"
@@ -423,5 +438,54 @@ def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(
     assert set(loads.values()) == {1}
     assert {node for node, whole in loads if whole} <= set(result.subgraph.nodes())
 
-    # G_Q: ``Pick`` reads the search state's own set, never a snapshot.
+    # G_Q: the search reads its state's own set, never a snapshot.
     assert not snapshots
+
+
+@pytest.mark.parametrize("guard_kind", sorted(GUARDS))
+def test_a_csr_search_reads_rows_not_nodes(guard_kind, monkeypatch):
+    """On a ``CSRGraph`` the search reads the host in row space: no edge probe
+    (``G_Q`` edges come from the admitted node's own row), no per-node label
+    read (labels arrive with the row gathers), and one ``check_rows`` call per
+    (wide row, query node) decides every untried entry of that row."""
+    content = load_dataset("youtube-small")
+    graph = CSRGraph.from_digraph(content)
+    hub = max(content.nodes(), key=content.degree)
+    pattern, vp = embedded_pattern(content, 4, 8, seed=3, personalized_node=hub)
+
+    probes: Counter = Counter()
+    for name in ("has_edge", "label"):
+        method = getattr(CSRGraph, name)
+
+        def tallied(host, *arguments, _name=name, _method=method):
+            probes[_name] += 1
+            return _method(host, *arguments)
+
+        monkeypatch.setattr(CSRGraph, name, tallied)
+
+    # Which row's eligibility is being decided when ``check_rows`` is called.
+    owner = [None]
+    eligible = WeightEstimator.eligible
+
+    def owned_eligible(state, node, query_node):
+        owner.append(node)
+        try:
+            return eligible(state, node, query_node)
+        finally:
+            owner.pop()
+
+    monkeypatch.setattr(WeightEstimator, "eligible", owned_eligible)
+    evaluations: Counter = Counter()
+    row_calls: Counter = Counter()
+    guard_class = counting(GUARDS[guard_kind], evaluations, row_calls, owner)
+    reducer = build(DynamicReducer, graph, pattern, vp, guard_class, 0.05, 64)
+    result = reducer.search()
+    assert probes == Counter(), "the search probed the host node by node"
+    expected = build(OracleReducer, graph, pattern, vp, GUARDS[guard_kind], 0.05, 64).search()
+    assert fingerprint(result) == fingerprint(expected)
+
+    assert row_calls, "the hub's row must be decided in row space"
+    assert set(row_calls.values()) == {1}
+    state = reducer._estimator
+    assert all(len(state.row(node)) > state.max_scan for node, _ in row_calls)
+    assert set(evaluations.values()) == {1}

@@ -90,17 +90,30 @@ class TestSubgraphBuilder:
         with pytest.raises(NodeNotFoundError):
             builder.add_edge(1, 2)
 
-    def test_connect_to_existing_adds_both_directions(self, host):
+    def test_add_row_edges_adds_both_directions(self, host):
         builder = SubgraphBuilder(host)
         builder.add_node(2)
         builder.add_node(3)
         builder.add_node(1)
-        added = builder.connect_to_existing(1)
+        added = builder.add_row_edges(1, list(host.successors(1)), list(host.predecessors(1)), host.size())
         # host edges incident to 1 among {1,2,3}: (1,2) and (3,1)
         assert added == 2
         result = builder.build()
         assert result.has_edge(1, 2)
         assert result.has_edge(3, 1)
+
+    @pytest.mark.parametrize("room", [0, 1, 2, 3])
+    def test_add_row_edges_connects_from_the_row_until_room_is_used(self, host, room):
+        host.add_edge(3, 3)
+        builder = SubgraphBuilder(host)
+        for node in (1, 4, 3):
+            builder.add_node(node)
+        children, parents = list(host.successors(3)), list(host.predecessors(3))
+        # Members among the children (1, 4, and 3 itself), then among the
+        # parents (3 again, already in: a self-loop is one edge).
+        assert builder.add_row_edges(3, children, parents, room) == min(room, 3)
+        assert list(builder.build().edges()) == [(3, 1), (3, 4), (3, 3)][:room]
+        assert is_subgraph(builder.build(), host)
 
     def test_size_tracks_nodes_plus_edges(self, host):
         builder = SubgraphBuilder(host)
@@ -122,5 +135,5 @@ class TestSubgraphBuilder:
         builder = SubgraphBuilder(host)
         for node in (1, 2, 3):
             builder.add_node(node)
-            builder.connect_to_existing(node)
+            builder.add_row_edges(node, list(host.successors(node)), list(host.predecessors(node)), host.size())
         assert is_subgraph(builder.build(), host)
