@@ -9,7 +9,8 @@
 #                       floors, ratios measured in one process (no baseline)
 #   make bench        - every pytest benchmark: the paper figures
 #                       (bench_figures.py), preprocessing, ablations, Search
-#                       alone (bench_search.py) and the bench-smoke floors
+#                       alone (bench_search.py), RBReach alone
+#                       (bench_reach.py) and the bench-smoke floors
 #   make bench-e2e    - the front-door benchmark BENCHMARK.json declares: six
 #                       GraphService workloads, untraced then traced (~4 min;
 #                       E2E_ARGS="--seed 11 --out A1.json" passes flags through)

@@ -3,14 +3,14 @@
 Section 5.1 of the paper defines, for a DAG, the *topological rank* ``v.r``
 of a node: 0 for sinks (no children), otherwise one more than the largest
 rank among its children.  Ranks drive both the greedy landmark selection
-(``(deg * rank) / (L * D)``) and the guarded condition of ``RBReach``
-(a landmark subtree whose topological range cannot straddle the query
-endpoints is pruned, Lemma 5(2)).
+(``(deg * rank) / (L * D)``) and the rank window of ``RBReach`` (a
+landmark whose rank lies outside ``[vo.r, vp.r]`` cannot be on a path
+between the query endpoints and is pruned, Lemma 5(2)).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -164,29 +164,6 @@ class TopologicalRankIndex:
         if denominator == 0:
             return float(degree * rank)
         return (degree * rank) / denominator
-
-    def range_may_cover(
-        self,
-        node_range: Tuple[int, int],
-        source_rank: int,
-        target_rank: int,
-    ) -> bool:
-        """Lemma 5(2) pruning test for RBReach.
-
-        A landmark subtree with topological range ``[r1, r2]`` can only
-        contain a landmark on a path from the query source (rank
-        ``source_rank``) to the query target (rank ``target_rank``) if the
-        range is not entirely below the target nor entirely above the source.
-        On a DAG an edge always goes from a higher-rank node to a lower-rank
-        one, so any node on a path from ``v_p`` to ``v_o`` has rank strictly
-        between ``v_o.r`` and ``v_p.r`` (inclusive at the endpoints).
-        """
-        low, high = node_range
-        if high < target_rank:
-            return False
-        if low > source_rank:
-            return False
-        return True
 
 
 def verify_rank_invariant(graph: DiGraph, ranks: Dict[NodeId, int]) -> bool:

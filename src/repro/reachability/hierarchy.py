@@ -12,8 +12,8 @@ DAG.  It consists of:
   an edge ``v -> v'`` is stored when ``v`` can reach ``v'`` in the DAG
   (so following stored edges only ever asserts true reachability);
 * per-landmark *cover sizes* (how many connected pairs the landmark covers,
-  estimated as ancestors x descendants) and *topological ranges*, which drive
-  the drill-down / roll-up decisions and the Lemma 5(2) pruning;
+  estimated as ancestors x descendants) and topological ranks ``v.r``, which
+  drive the drill-down / roll-up decisions and the Lemma 5(2) pruning;
 * per-node *out-of-index labels* ``v.E``: the first landmarks hit by a
   forward (resp. backward) traversal from the node that stops at landmarks
   (int columns, :class:`~repro.reachability.landmarks.LabelTable`, until a
@@ -53,8 +53,6 @@ class LandmarkInfo:
     level: int
     rank: int
     cover_size: int
-    range_low: int
-    range_high: int
 
 
 @dataclass
@@ -103,14 +101,6 @@ class HierarchicalLandmarkIndex:
         """Whether a DAG node is a landmark."""
         return node in self.landmarks
 
-    def reachable_index_neighbors(self, landmark: NodeId) -> Set[NodeId]:
-        """Landmarks known (via stored edges) to be reachable *from* ``landmark``."""
-        return self.forward_edges.get(landmark, set())
-
-    def reaching_index_neighbors(self, landmark: NodeId) -> Set[NodeId]:
-        """Landmarks known (via stored edges) to reach ``landmark``."""
-        return self.backward_edges.get(landmark, set())
-
     def labels_of(self, dag_node: NodeId, forward: bool) -> Set[NodeId]:
         """Out-of-index labels ``v.E`` of a DAG node for one direction (a set the caller owns)."""
         table = self.forward_labels if forward else self.backward_labels
@@ -131,10 +121,6 @@ class HierarchicalLandmarkIndex:
     def thaw_labels(self) -> None:
         """Replace the label tables by the plain dicts an index repair patches."""
         self.forward_labels, self.backward_labels = dict(self.forward_labels), dict(self.backward_labels)
-
-    def info(self, landmark: NodeId) -> LandmarkInfo:
-        """Metadata of a landmark."""
-        return self.landmarks[landmark]
 
 
 def sweep_landmark(
@@ -341,7 +327,7 @@ def assemble_index(
     max_parents_per_landmark: int = 4,
     max_levels: Optional[int] = None,
 ) -> HierarchicalLandmarkIndex:
-    """Deterministic assembly: levels, index edges, ranges.
+    """Deterministic assembly: levels and index edges.
 
     Everything downstream of the per-landmark sweeps is cheap and pure; the
     fresh build and the incremental repair both run this exact function, so
@@ -377,14 +363,11 @@ def assemble_index(
             level_of[node] = level_number  # highest level wins (later overwrites)
 
     for node in leaves:
-        rank = compressed.ranks.rank(node)
         index.landmarks[node] = LandmarkInfo(
             node=node,
             level=level_of[node],
-            rank=rank,
+            rank=compressed.ranks.rank(node),
             cover_size=cover[node],
-            range_low=rank,
-            range_high=rank,
         )
     index.levels = levels
 
@@ -441,23 +424,4 @@ def assemble_index(
                     break
                 if try_add_edge(leaf, other):
                     fanout[leaf] = fanout.get(leaf, 0) + 1
-
-    # Update topological ranges bottom-up: a landmark's range spans the ranks
-    # of every landmark in its (index-)subtree, used for Lemma 5(2) pruning.
-    for level_number in range(2, len(levels) + 1):
-        for node in levels[level_number - 1]:
-            info = index.landmarks[node]
-            low, high = info.range_low, info.range_high
-            for child in index.forward_edges.get(node, set()) | index.backward_edges.get(node, set()):
-                child_info = index.landmarks[child]
-                low = min(low, child_info.range_low)
-                high = max(high, child_info.range_high)
-            index.landmarks[node] = LandmarkInfo(
-                node=node,
-                level=info.level,
-                rank=info.rank,
-                cover_size=info.cover_size,
-                range_low=low,
-                range_high=high,
-            )
     return index

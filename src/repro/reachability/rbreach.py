@@ -13,19 +13,33 @@ the full graph):
 * as soon as the two frontiers share a landmark ``m`` we have
   ``vp → m → vo`` and the answer is ``True`` (Lemma 5(1)) — so the algorithm
   never returns a false positive;
-* landmarks whose topological range cannot lie on a ``vp → vo`` path are
-  pruned (Lemma 5(2));
+* a landmark enters a frontier only if its rank lies in the query's window
+  ``[vo.r, vp.r]``: every edge of the DAG lowers the rank, so a landmark
+  outside it cannot lie on a ``vp → vo`` path.  This is Lemma 5(2) applied
+  per landmark;
 * the search touches at most ``alpha * |G|`` landmarks/edges (the entire
   index in the worst case) and answers ``False`` when the frontiers are
   exhausted without meeting — possibly a false negative, which is exactly
   the accuracy the experiments measure.
+
+The answer loop only reads.  On its first query a matcher builds one row
+per landmark — rank, cover size, the frozen set of its forward ∪ backward
+index neighbours and its ``repr`` (the heap tie-break) — and the index
+adjacency as tuples in the index sets' iteration order, so a weight is one
+set intersection.  The rows are built lazily and never pickled: an
+unpickled matcher rebuilds them from its own copy of the index.
+
+The index stores no subtree range ``[r1, r2]`` for Lemma 5(2).  The search
+tests every candidate on its own rank before it enters a frontier, and a
+subtree range always contains the landmark's own rank, so the range test
+passes for every landmark the rank window admits: it could never prune.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.graph.digraph import NodeId
 from repro.graph.protocol import GraphLike
@@ -42,12 +56,35 @@ class ReachabilityAnswer:
     exhausted: bool = False
 
 
+class _Row(NamedTuple):
+    """What a query reads of one landmark, built once per index."""
+
+    rank: int
+    cover: int
+    neighbors: FrozenSet[NodeId]  # forward ∪ backward index neighbours
+    key: str  # repr(landmark), the frontier heap's tie-break
+
+
+class _Rows(NamedTuple):
+    """The landmark rows plus the index adjacency in the index sets' iteration order."""
+
+    rows: Dict[NodeId, _Row]
+    forward: Dict[NodeId, Tuple[NodeId, ...]]
+    backward: Dict[NodeId, Tuple[NodeId, ...]]
+
+
 class RBReach:
     """Resource-bounded reachability answering over a hierarchical landmark index."""
 
     def __init__(self, index: HierarchicalLandmarkIndex):
         self._index = index
         self._compressed = index.compressed
+        self._rows: Optional[_Rows] = None
+
+    def __reduce__(self):
+        # The rows stay behind: they would grow the daemon payload, and the
+        # far side rebuilds them from its copy of the index in under a millisecond.
+        return RBReach, (self._index,)
 
     @classmethod
     def from_graph(cls, graph: GraphLike, alpha: float, **index_kwargs) -> "RBReach":
@@ -93,34 +130,49 @@ class RBReach:
         if meeting is not None:
             return ReachabilityAnswer(reachable=True, visited=visited, met_at=meeting)
 
-        forward_frontier = self._new_frontier(forward_active, source_rank, target_rank, forward=True)
-        backward_frontier = self._new_frontier(backward_active, source_rank, target_rank, forward=False)
+        # Lemma 5 per landmark: a landmark on a source -> target path has a
+        # rank in [target_rank, source_rank].  A heap pops its entries in
+        # sorted order whatever order they arrived in, so each initial
+        # frontier is built as a list and heapified once.
+        rows, forward_edges, backward_edges = self._landmark_rows()
+        forward_frontier = [
+            entry
+            for landmark in forward_active
+            for entry in _candidates(rows, forward_edges.get(landmark, ()), forward_active, target_rank, source_rank)
+        ]
+        backward_frontier = [
+            entry
+            for landmark in backward_active
+            for entry in _candidates(rows, backward_edges.get(landmark, ()), backward_active, target_rank, source_rank)
+        ]
+        heapify(forward_frontier)
+        heapify(backward_frontier)
 
         while (forward_frontier or backward_frontier) and visited < limit:
             if forward_frontier and (not backward_frontier or len(forward_active) <= len(backward_active)):
-                frontier, active, other_active, forward = (
+                frontier, active, other_active, edges = (
                     forward_frontier,
                     forward_active,
                     backward_active,
-                    True,
+                    forward_edges,
                 )
             else:
-                frontier, active, other_active, forward = (
+                frontier, active, other_active, edges = (
                     backward_frontier,
                     backward_active,
                     forward_active,
-                    False,
+                    backward_edges,
                 )
-            _, _, landmark = heapq.heappop(frontier)
+            _, _, landmark = heappop(frontier)
             if landmark in active:
                 continue
             active.add(landmark)
             visited += 1
             if landmark in other_active:
                 return ReachabilityAnswer(reachable=True, visited=visited, met_at=landmark)
-            for neighbor, weight in self._expansions(landmark, active, source_rank, target_rank, forward):
+            for entry in _candidates(rows, edges.get(landmark, ()), active, target_rank, source_rank):
                 visited += 1
-                heapq.heappush(frontier, (-weight, repr(neighbor), neighbor))
+                heappush(frontier, entry)
                 if visited >= limit:
                     break
 
@@ -165,65 +217,51 @@ class RBReach:
         common = forward_active & backward_active
         return min(common, key=repr) if common else None
 
-    def _guard(self, landmark: NodeId, source_rank: int, target_rank: int) -> bool:
-        """Lemma 5(2): prune landmarks whose range cannot straddle the query."""
-        info = self._index.info(landmark)
-        return self._compressed.ranks.range_may_cover(
-            (info.range_low, info.range_high), source_rank, target_rank
-        )
-
-    def _weight(self, landmark: NodeId, active: Set[NodeId]) -> float:
-        """Drill/roll weight ``p(v) / (c(v) + 1)`` from cover sizes."""
-        info = self._index.info(landmark)
-        visited_neighbors = sum(
-            1
-            for neighbor in (
-                self._index.reachable_index_neighbors(landmark)
-                | self._index.reaching_index_neighbors(landmark)
+    def _landmark_rows(self) -> _Rows:
+        """The per-landmark rows and the index adjacency as tuples, built on first use."""
+        rows = self._rows
+        if rows is None:
+            index = self._index
+            forward, backward = index.forward_edges, index.backward_edges
+            empty: FrozenSet[NodeId] = frozenset()
+            rows = self._rows = _Rows(
+                {
+                    landmark: _Row(
+                        info.rank,
+                        info.cover_size,
+                        frozenset(forward.get(landmark, empty) | backward.get(landmark, empty)),
+                        repr(landmark),
+                    )
+                    for landmark, info in index.landmarks.items()
+                },
+                {landmark: tuple(targets) for landmark, targets in forward.items()},
+                {landmark: tuple(sources) for landmark, sources in backward.items()},
             )
-            if neighbor in active
-        )
-        potential = max(1, info.cover_size - visited_neighbors)
-        cost = 1 + visited_neighbors
-        return potential / cost
+        return rows
 
-    def _new_frontier(
-        self,
-        active: Set[NodeId],
-        source_rank: int,
-        target_rank: int,
-        forward: bool,
-    ) -> List[Tuple[float, str, NodeId]]:
-        frontier: List[Tuple[float, str, NodeId]] = []
-        for landmark in active:
-            for neighbor, weight in self._expansions(landmark, active, source_rank, target_rank, forward):
-                heapq.heappush(frontier, (-weight, repr(neighbor), neighbor))
-        return frontier
 
-    def _expansions(
-        self,
-        landmark: NodeId,
-        active: Set[NodeId],
-        source_rank: int,
-        target_rank: int,
-        forward: bool,
-    ) -> List[Tuple[NodeId, float]]:
-        """Index neighbours that can soundly extend the frontier, with weights."""
-        if forward:
-            neighbors = self._index.reachable_index_neighbors(landmark)
-        else:
-            neighbors = self._index.reaching_index_neighbors(landmark)
-        results: List[Tuple[NodeId, float]] = []
-        for neighbor in neighbors:
-            if neighbor in active:
-                continue
-            rank = self._index.info(neighbor).rank
-            if rank > source_rank or rank < target_rank:
-                continue
-            if not self._guard(neighbor, source_rank, target_rank):
-                continue
-            results.append((neighbor, self._weight(neighbor, active)))
-        return results
+def _candidates(
+    rows: Dict[NodeId, _Row],
+    neighbors: Tuple[NodeId, ...],
+    active: Set[NodeId],
+    low: int,
+    high: int,
+) -> Iterator[Tuple[float, str, NodeId]]:
+    """Frontier heap entries ``(-weight, repr, node)`` for the index neighbours that may extend ``active``.
+
+    A neighbour qualifies when it is not active yet and its rank lies in the
+    query's window ``[low, high]``.  Its drill/roll weight is
+    ``p(v) / (c(v) + 1)`` with ``c(v)`` the active landmarks among its index
+    neighbours and ``p(v) = max(1, cover - c(v))``.
+    """
+    for neighbor in neighbors:
+        if neighbor in active:
+            continue
+        rank, cover, around, key = rows[neighbor]
+        if low <= rank <= high:
+            seen = len(around & active)
+            potential = cover - seen  # max(1, ...) without the builtin call
+            yield -(potential if potential > 1 else 1) / (1 + seen), key, neighbor
 
 
 def rbreach(graph: GraphLike, alpha: float, source: NodeId, target: NodeId) -> bool:

@@ -40,7 +40,6 @@ class TestBuildIndex:
         for landmark, info in social_index.landmarks.items():
             assert info.node == landmark
             assert info.cover_size >= 1
-            assert info.range_low <= info.rank <= info.range_high
             assert 1 <= info.level <= social_index.num_levels()
 
     def test_index_edges_assert_true_reachability(self, social_graph, social_index):

@@ -6,7 +6,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import path_graph, preferential_attachment_graph
 from repro.graph.traversal import bidirectional_reachable
 from repro.reachability.hierarchy import build_index
-from repro.reachability.rbreach import RBReach, rbreach
+from repro.reachability.rbreach import RBReach, _candidates, rbreach
 from repro.workloads.queries import generate_reachability_workload
 
 
@@ -43,6 +43,23 @@ class TestSoundness:
         answer = matcher.query(5, 0)
         assert not answer.reachable
         assert answer.visited <= 1  # rejected by the rank check alone
+
+    def test_rank_window_prunes_index_neighbours(self, diamond_dag):
+        """Lemma 5(2) per landmark: a neighbour ranked outside ``[vo.r, vp.r]`` never enters a frontier."""
+        matcher = RBReach.from_graph(diamond_dag, alpha=1.0)
+        a, c, d = map(matcher.index.compressed.component_of, "acd")
+        rows, forward, _ = matcher._landmark_rows()
+        assert set(forward[a]) == {c, d}
+        assert (rows[a].rank, rows[c].rank, rows[d].rank) == (3, 2, 1)
+
+        def admitted(low, high):
+            return {node for _, _, node in _candidates(rows, forward[a], {a}, low, high)}
+
+        assert admitted(0, 3) == {c, d}
+        assert admitted(2, 3) == {c}  # d ranks below a query target of rank 2
+        assert admitted(1, 1) == {d}  # c ranks above a query source of rank 1
+        assert admitted(3, 3) == set()
+        assert matcher.query("a", "c").met_at == c
 
 
 class TestRecall:

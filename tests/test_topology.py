@@ -79,12 +79,3 @@ class TestRankIndex:
         graph = DiGraph()
         graph.add_node("only", "X")
         assert rank_index(graph).selection_score("only") == 0.0
-
-    def test_range_may_cover_pruning(self, diamond_dag):
-        index = rank_index(diamond_dag)
-        # A query from rank 3 (a) to rank 0 (e): subtree spanning [1, 2] may cover.
-        assert index.range_may_cover((1, 2), source_rank=3, target_rank=0)
-        # Entirely above the source rank cannot lie on the path.
-        assert not index.range_may_cover((4, 6), source_rank=3, target_rank=2)
-        # Entirely below the target rank cannot lie on the path.
-        assert not index.range_may_cover((0, 0), source_rank=3, target_rank=1)
