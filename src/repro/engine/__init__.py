@@ -14,11 +14,12 @@ Section 1).  It separates the two phases the paper keeps distinct:
   (``serial``) or on a warm daemon pool (``daemon``), behind an LRU answer
   cache (:mod:`repro.engine.cache`) keyed on ``(query fingerprint, α)``.
 
-Parallel state ships through a zero-copy shared-memory tier
-(:mod:`repro.graph.shm` + :class:`~repro.engine.prepared.SharedPreparedGraph`):
-the CSR arrays are published once per state version and the persistent
-daemons of :mod:`repro.engine.daemons` attach the same physical pages by
-segment name.
+Parallel state is never shipped: the persistent daemons of
+:mod:`repro.engine.daemons` are forked from the prepared state once per
+state version and read it as copy-on-write pages.  The shared-memory tier
+(:mod:`repro.graph.shm` +
+:class:`~repro.engine.prepared.SharedPreparedGraph`) serves no path any
+more; the end-to-end benchmark's ``shm.*`` probe keeps it.
 
 The parity contract — identical answers for either executor and any worker
 count — is property-tested in ``tests/test_engine.py`` and

@@ -1,36 +1,38 @@
-"""Persistent worker daemons: a warm process pool that owns attached state.
+"""Persistent worker daemons: a warm process pool forked from the state it serves.
 
-A pool that forked per batch would pay worker startup plus state shipping
-on *every* batch and lose to serial.  A :class:`DaemonPool` starts its
-workers once and keeps them warm: each
-daemon attaches the engine's published
-:class:`~repro.engine.prepared.SharedPreparedGraph` — CSR arrays as
-zero-copy shared-memory views, derived indexes unpickled once per publish —
-and then answers an arbitrary number of batches over plain pipes carrying
-only ``(kind, alpha, queries)`` chunks and their answers.
+A pool that forked per batch would pay worker startup on *every* batch and
+lose to serial.  A :class:`DaemonPool` forks its workers once per state
+version and keeps them warm: each daemon inherits the state handed to
+:meth:`DaemonPool.run` as its ``Process`` argument — copy-on-write pages,
+nothing exported, nothing pickled — and then answers an arbitrary number of
+batches over plain pipes carrying only ``(kind, alpha, queries)`` chunks and
+their answers.
 
 Lifecycle guarantees (crash-tested in ``tests/test_daemons.py``):
 
-* **versioned state** — every publish carries a sequence number; a daemon
-  acknowledges attachment before tasks flow, and the pool republishes when
-  the owning engine's state epoch moves (an update, a new α index), so
-  long-lived workers never serve stale state;
+* **one version** — when the owner's state version moves (an update, a new
+  α index) the pool stops its workers and forks fresh ones from the current
+  state, so every worker serves the version it was forked from; the
+  hand-off costs a fork (page tables), not a copy of the state;
 * **restart-on-death** — a daemon that dies (e.g. SIGKILL) mid-batch is
-  detected via its process sentinel, restarted, re-attached, and its
-  in-flight chunk is retried on a healthy worker; a chunk that keeps
+  detected via its process sentinel, re-forked from the current state, and
+  its in-flight chunk is retried on a healthy worker; a chunk that keeps
   killing workers raises a typed
   :class:`~repro.exceptions.DaemonError` (an ``EngineError``) instead of
   looping, and the pool stays usable for the next batch;
 * **health-check ping** — :meth:`DaemonPool.ping` round-trips every worker
   (optionally reviving dead ones) without touching state;
-* **graceful shutdown** — :meth:`DaemonPool.close` stops the workers,
-  joins them (escalating to ``terminate`` on a timeout) and unlinks every
-  shared segment; an ``atexit`` sweep closes leaked pools so daemons never
-  outlive the interpreter.
+* **graceful shutdown** — :meth:`DaemonPool.close` stops the workers and
+  joins them (escalating to ``terminate`` on a timeout); an ``atexit``
+  sweep closes leaked pools so daemons never outlive the interpreter.
+
+The pool needs the ``fork`` start method: constructing one where it is
+missing raises :class:`~repro.exceptions.DaemonError`, and the ``auto``
+planner stays serial there (:func:`fork_available`).
 
 Answers are bit-identical to serial: daemons run the same pure chunk
-functions over the same chunking as the serial executor, against state
-that attaches to the same arrays the parent serves from.
+functions over the same chunking as the serial executor, against a
+copy-on-write image of the very state the parent serves from.
 """
 
 from __future__ import annotations
@@ -49,25 +51,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.engine.executors import answer_chunk, default_workers
-from repro.engine.prepared import SharedPreparedGraph, publish_state
 from repro.exceptions import DaemonError
 
 
-def _process_context():
-    """Prefer ``fork`` (cheap worker start, inherited hash seed).
-
-    ``REPRO_MP_START_METHOD`` overrides the choice (``fork``/``spawn``/
-    ``forkserver``) — used by tests to exercise the non-fork attach path
-    on Linux, and available as an escape hatch on platforms where forking a
-    threaded parent misbehaves.
-    """
-    override = os.environ.get("REPRO_MP_START_METHOD")
-    if override:
-        return multiprocessing.get_context(override)
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
+def fork_available() -> bool:
+    """Whether this platform offers the ``fork`` start method the pool needs."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 DEFAULT_JOIN_TIMEOUT = 5.0
@@ -90,65 +79,55 @@ def _close_leaked_pools() -> None:  # pragma: no cover - interpreter exit
 atexit.register(_close_leaked_pools)
 
 
-def _daemon_main(conn: Any, metrics_enabled: bool = True) -> None:  # pragma: no cover - runs in worker processes
-    """Daemon loop: attach published state, answer chunks until told to stop.
+def _daemon_main(conn: Any, state: Any) -> None:  # pragma: no cover - runs in worker processes
+    """Daemon loop: answer chunks against the inherited ``state`` until told to stop.
 
     The worker keeps its own process-local metrics registry and drains it
     (snapshot + reset) into every ``ok``/``pong`` reply, so the parent can
-    merge each delta exactly once.  ``metrics_enabled`` is passed explicitly
-    because under ``spawn`` the child does not inherit the parent's
-    module-level enabled flag.
+    merge each delta exactly once.  Its first reply also carries its
+    ``ru_maxrss``.
     """
+    import gc
     import resource
     import signal
 
+    # Every object inherited from the parent is long-lived here: keep the
+    # collector off them, or its first full pass writes to each one's header
+    # and copies nearly every page of the state out of the shared image.
+    gc.freeze()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates shutdown
-    obs.set_enabled(metrics_enabled)
-    # Under ``fork`` the child starts with a *copy* of the parent's registry;
-    # without this reset its first drain would ship the parent's own counts
-    # back to the parent, which would merge them a second time.
+    # The child starts with a *copy* of the parent's registry; without this
+    # reset its first drain would ship the parent's own counts back to the
+    # parent, which would merge them a second time.
     obs.REGISTRY.reset()
     # Same hazard for tracing: a forked child inherits the parent's open span
     # stack (its spans would claim the parent's span IDs as parents) and the
     # parent's sink file descriptor (interleaved writes).  Worker spans travel
     # back as buffered records instead; the parent is the only writer.
     obs.trace.reset_for_child()
+    unreported = True
 
-    def drained_stats() -> Optional[Dict[str, Any]]:
+    def footer() -> Tuple[Optional[Dict[str, Any]], Optional[int]]:
+        """The drained metrics delta, and ``ru_maxrss`` in bytes on the first reply."""
+        nonlocal unreported
+        rss_bytes = None
+        if unreported:
+            unreported = False
+            rss_bytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
         if not obs.enabled():
-            return None
+            return None, rss_bytes
         delta = obs.REGISTRY.drain()
-        return delta if any(delta.values()) else None
+        return (delta if any(delta.values()) else None), rss_bytes
 
-    state: Any = None
-    handle: Optional[SharedPreparedGraph] = None
-    state_seq = -1
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             break
         kind = message[0]
-        if kind == "state":
-            _, seq, new_handle = message
-            try:
-                new_state = new_handle.attach()
-            except BaseException as exc:
-                conn.send(("attach-error", seq, repr(exc)))
-                continue
-            state = new_state
-            state_seq = seq
-            if handle is not None:
-                handle.close()  # detach old segments (owner unlinks)
-            handle = new_handle
-            rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-            conn.send(("ready", seq, rss_kib * 1024))
-        elif kind == "task":
-            _, seq, batch, index, chunk_fn, task, ctx, _send_ts = message
+        if kind == "task":
+            _, batch, index, chunk_fn, task, ctx, _send_ts = message
             recv_ts = time.perf_counter()
-            if seq != state_seq or state is None:
-                conn.send(("stale", batch, index))
-                continue
             try:
                 chunk_started = time.perf_counter()
                 if ctx is None:
@@ -170,27 +149,14 @@ def _daemon_main(conn: Any, metrics_enabled: bool = True) -> None:  # pragma: no
                 obs.histogram("daemon.worker.chunk.seconds").observe(
                     time.perf_counter() - chunk_started
                 )
+                stats, rss_bytes = footer()
                 conn.send(
-                    (
-                        "ok",
-                        batch,
-                        index,
-                        result,
-                        drained_stats(),
-                        spans,
-                        recv_ts,
-                        time.perf_counter(),
-                    )
+                    ("ok", batch, index, result, stats, spans, recv_ts, time.perf_counter(), rss_bytes)
                 )
         elif kind == "ping":
-            conn.send(("pong", message[1], state_seq, os.getpid(), drained_stats()))
+            conn.send(("pong", message[1], os.getpid(), *footer()))
         elif kind == "stop":
             break
-    if handle is not None:
-        try:
-            handle.close()
-        except Exception:
-            pass
     try:
         conn.close()
     except Exception:
@@ -245,17 +211,22 @@ def _emit_worker_trace(
 class _Daemon:
     """Parent-side record of one worker process."""
 
-    __slots__ = ("process", "conn", "state_seq", "rss_bytes")
+    __slots__ = ("process", "conn", "rss_bytes")
 
     def __init__(self, process: Any, conn: Any):
         self.process = process
         self.conn = conn
-        self.state_seq = -1
-        self.rss_bytes = 0  # the worker's ru_maxrss at its latest attach
+        self.rss_bytes = 0  # the worker's ru_maxrss, from its first reply
 
     @property
     def alive(self) -> bool:
         return self.process.is_alive()
+
+    def note_rss(self, rss_bytes: Optional[int]) -> None:
+        """Record the ``ru_maxrss`` a worker's first reply carries."""
+        if rss_bytes is not None:
+            self.rss_bytes = rss_bytes
+            obs.histogram("daemon.worker.rss.bytes").observe(rss_bytes)
 
     def discard(self) -> None:
         """Drop a dead (or dying) worker without ceremony."""
@@ -268,26 +239,55 @@ class _Daemon:
         self.process.join(timeout=DEFAULT_JOIN_TIMEOUT)
 
 
-class DaemonPool:
-    """A warm pool of persistent worker processes with attached state.
+def _stop(workers: List[_Daemon], timeout: float) -> int:
+    """Ask every worker to stop, then join each (terminating a stuck one).
 
-    Workers start lazily on the first :meth:`run` and persist across
-    batches (and across :meth:`publish` cycles) until :meth:`close`.  The
-    engines' ``daemon`` executor calls :meth:`run` on the pool they own.
+    Returns how many of them had died instead of stopping cleanly.
+    """
+    for worker in workers:
+        if worker.alive:
+            try:
+                worker.conn.send(("stop",))
+            except (BrokenPipeError, OSError):  # pragma: no cover - racing death
+                pass
+    for worker in workers:
+        worker.process.join(timeout=timeout)
+        if worker.process.is_alive():  # pragma: no cover - stuck worker
+            worker.process.terminate()
+            worker.process.join(timeout=timeout)
+        try:
+            worker.conn.close()
+        except Exception:  # pragma: no cover - already closed
+            pass
+    return sum(worker.process.exitcode != 0 for worker in workers)
+
+
+class DaemonPool:
+    """A warm pool of persistent worker processes forked from the served state.
+
+    Workers fork lazily on the first :meth:`run` and persist across batches
+    until the state version changes or :meth:`close`.  The engines'
+    ``daemon`` executor calls :meth:`run` on the pool they own.
 
     ``version`` is the owner's state token (the engine's update epoch plus
-    its prepared-state signature); the pool republishes exactly when it
-    changes.  Without an explicit version, object identity of ``state`` is
-    the trigger.
+    its prepared-state signature); the pool re-forks its workers exactly
+    when it changes.  Without an explicit version, object identity of
+    ``state`` is the trigger.
     """
 
-    def __init__(self, workers: Optional[int] = None, context: Any = None):
+    def __init__(self, workers: Optional[int] = None):
+        if not fork_available():
+            raise DaemonError(
+                "the daemon executor forks its workers from the served state and this "
+                "platform has no 'fork' start method; use executor='serial'"
+            )
         self.workers = max(1, workers or default_workers())
-        self._context = context if context is not None else _process_context()
+        self._context = multiprocessing.get_context("fork")
         self._workers: List[_Daemon] = []
-        self._handle: Optional[SharedPreparedGraph] = None
-        self._published_version: Any = None
-        self._state_seq = 0
+        # The state every worker is a fork of, and its version key; a
+        # restarted worker forks from the same one.
+        self._state: Any = None
+        self._version: Any = None
         self._batch_seq = 0
         self._restarts = 0
         self._closed = False
@@ -315,162 +315,66 @@ class DaemonPool:
         """Pids of the current worker processes."""
         return [worker.process.pid for worker in self._workers]
 
-    def segment_names(self) -> List[str]:
-        """Shared segments backing the currently-published state."""
-        return self._handle.segment_names() if self._handle is not None else []
-
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def _spawn_worker(self) -> _Daemon:
+    def _fork_worker(self) -> _Daemon:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_daemon_main,
-            # The enabled flag ships as a spawn argument: under ``spawn`` the
-            # child re-imports modules and would otherwise default to the env.
-            args=(child_conn, obs.enabled()),
+            args=(child_conn, self._state),
             daemon=True,
             name="repro-daemon",
         )
         process.start()
         child_conn.close()
-        worker = _Daemon(process, parent_conn)
-        if self._handle is not None:
-            self._attach_worker(worker)
-        return worker
-
-    def _send_state(self, worker: _Daemon) -> float:
-        """Ship the current state handle to one worker; returns the send time."""
-        try:
-            worker.conn.send(("state", self._state_seq, self._handle))
-        except (BrokenPipeError, OSError):
-            raise DaemonError("daemon worker died while attaching shared state") from None
-        return time.perf_counter()
-
-    def _await_ready(self, worker: _Daemon, sent_at: float) -> None:
-        """Wait for one worker's ack of the state sent at ``sent_at``."""
-        while True:
-            ready = connection.wait([worker.conn, worker.process.sentinel])
-            if worker.conn in ready:
-                try:
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    raise DaemonError("daemon worker died while attaching shared state")
-                if message[0] == "ready":
-                    worker.state_seq, worker.rss_bytes = message[1], message[2]
-                    obs.histogram("daemon.attach.seconds").observe(time.perf_counter() - sent_at)
-                    obs.histogram("daemon.worker.rss.bytes").observe(worker.rss_bytes)
-                    return
-                if message[0] == "attach-error":
-                    raise DaemonError(f"daemon worker failed to attach shared state: {message[2]}")
-                # Drop fenced replies from an earlier batch and keep waiting.
-                continue
-            raise DaemonError("daemon worker died while attaching shared state")
-
-    def _attach_worker(self, worker: _Daemon) -> None:
-        """Ship the current state handle to one worker and await its ack."""
-        self._await_ready(worker, self._send_state(worker))
+        return _Daemon(process, parent_conn)
 
     def _ensure_started(self) -> None:
         if self._closed:
             raise DaemonError("daemon pool is closed")
         while len(self._workers) < self.workers:
-            self._workers.append(self._spawn_worker())
+            self._workers.append(self._fork_worker())
+
+    def _serve_locked(self, state: Any, version: Any) -> None:
+        """Make every worker a fork of ``state``; re-fork only on a new version."""
+        if self._closed:
+            raise DaemonError("daemon pool is closed")
+        key = ("id", id(state)) if version is None else ("v", version)
+        if key != self._version:
+            workers, self._workers = self._workers, []
+            died = _stop(workers, DEFAULT_JOIN_TIMEOUT)
+            if died:  # died since their last batch: replaced like any restart
+                self._restarts += died
+                obs.counter("daemon.restarts").inc(died)
+            self._state, self._version = state, key
+            obs.counter("daemon.publishes").inc()
+        self._ensure_started()
 
     def _restart(self, worker: _Daemon) -> _Daemon:
         """Replace a dead worker in place; counts toward the restart budget."""
         worker.discard()
         self._restarts += 1
         obs.counter("daemon.restarts").inc()
-        replacement = self._spawn_worker()
+        replacement = self._fork_worker()
         self._workers[self._workers.index(worker)] = replacement
         return replacement
 
     def close(self, timeout: float = DEFAULT_JOIN_TIMEOUT) -> None:
-        """Graceful shutdown: stop workers, join, unlink shared segments."""
+        """Graceful shutdown: stop the workers and join them."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             workers, self._workers = self._workers, []
-            for worker in workers:
-                if worker.alive:
-                    try:
-                        worker.conn.send(("stop",))
-                    except (BrokenPipeError, OSError):  # pragma: no cover - racing death
-                        pass
-            for worker in workers:
-                worker.process.join(timeout=timeout)
-                if worker.process.is_alive():  # pragma: no cover - stuck worker
-                    worker.process.terminate()
-                    worker.process.join(timeout=timeout)
-                try:
-                    worker.conn.close()
-                except Exception:  # pragma: no cover - already closed
-                    pass
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            self._published_version = None
+            _stop(workers, timeout)
+            self._state = self._version = None
 
     def __enter__(self) -> "DaemonPool":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ #
-    # State publication
-    # ------------------------------------------------------------------ #
-    def publish(self, state: Any, version: Any = None) -> None:
-        """Export ``state`` and attach every worker to it.
-
-        Called implicitly by :meth:`run`; idempotent while ``version`` (or
-        the state's identity) is unchanged.  Workers attach concurrently;
-        the previous publication's segments are unlinked only after every
-        worker acknowledged the new one, so attach windows never race
-        cleanup.
-        """
-        with self._lock:
-            self._ensure_started()
-            self._publish_locked(state, version)
-
-    def _publish_locked(self, state: Any, version: Any) -> None:
-        key = ("id", id(state)) if version is None else ("v", version)
-        if self._handle is not None and self._published_version == key:
-            return
-        publish_started = time.perf_counter()
-        handle = publish_state(state)
-        obs.counter("daemon.publishes").inc()
-        obs.histogram("daemon.publish.seconds").observe(time.perf_counter() - publish_started)
-        obs.gauge("daemon.payload.bytes").set(handle.payload_bytes)
-        old_handle = self._handle
-        self._handle = handle
-        self._state_seq += 1
-        self._published_version = key
-        try:
-            # Every live worker gets the handle before any ack is awaited, so
-            # the workers unpickle and map the new state side by side.
-            sent: List[Tuple[_Daemon, float]] = []
-            for index, worker in enumerate(self._workers):
-                if worker.alive:
-                    sent.append((worker, self._send_state(worker)))
-                else:
-                    self._workers[index] = self._spawn_worker()  # attaches
-            for worker, sent_at in sent:
-                self._await_ready(worker, sent_at)
-        except DaemonError:
-            # A worker died mid-attach: restart it against the new handle;
-            # give up (leaving the pool consistent) only if that fails too.
-            for index, worker in enumerate(self._workers):
-                if not worker.alive or worker.state_seq != self._state_seq:
-                    self._restarts += 1
-                    obs.counter("daemon.restarts").inc()
-                    worker.discard()
-                    self._workers[index] = self._spawn_worker()
-        finally:
-            if old_handle is not None:
-                old_handle.close()
 
     # ------------------------------------------------------------------ #
     # Batch execution
@@ -491,8 +395,7 @@ class DaemonPool:
         with self._lock:
             if not tasks:
                 return []
-            self._ensure_started()
-            self._publish_locked(state, version)
+            self._serve_locked(state, version)
             self._batch_seq += 1
             return self._dispatch_locked(list(tasks), chunk_fn)
 
@@ -535,9 +438,7 @@ class DaemonPool:
                 index = pending.popleft()
                 send_ts = time.perf_counter()
                 try:
-                    worker.conn.send(
-                        ("task", self._state_seq, batch, index, chunk_fn, tasks[index], ctx, send_ts)
-                    )
+                    worker.conn.send(("task", batch, index, chunk_fn, tasks[index], ctx, send_ts))
                 except (BrokenPipeError, OSError):
                     pending.appendleft(index)
                     requeue(worker, "pipe closed on dispatch")
@@ -565,31 +466,22 @@ class DaemonPool:
                     requeue(worker, "pipe closed mid-chunk")
                     continue
                 kind = message[0]
-                if kind in ("ok", "err", "stale") and message[1] != batch:
+                if kind in ("ok", "err") and message[1] != batch:
                     continue  # fenced reply from an abandoned batch
                 if kind == "ok":
-                    index, result, worker_stats = message[2], message[3], message[4]
+                    _, _, index, result, worker_stats, spans, recv_ts, done_ts, rss_bytes = message
                     obs.REGISTRY.merge(worker_stats)
+                    worker.note_rss(rss_bytes)
                     results[index] = result
                     _, send_ts = inflight.pop(worker)
                     idle.append(worker)
-                    if ctx is not None and len(message) > 5 and message[5] is not None:
-                        _emit_worker_trace(
-                            ctx, index, message[5], dispatch_start, send_ts, message[6], message[7]
-                        )
+                    if ctx is not None and spans is not None:
+                        _emit_worker_trace(ctx, index, spans, dispatch_start, send_ts, recv_ts, done_ts)
                 elif kind == "err":
                     _, _, index, text = message
                     inflight.pop(worker)
                     idle.append(worker)
                     raise DaemonError(f"daemon chunk {index} failed in worker:\n{text}")
-                elif kind == "stale":
-                    # The worker missed a publish (it was restarting); ship
-                    # the current state and retry the chunk elsewhere.
-                    _, _, index = message
-                    inflight.pop(worker)
-                    self._attach_worker(worker)
-                    idle.append(worker)
-                    pending.appendleft(index)
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
@@ -605,7 +497,7 @@ class DaemonPool:
             self._ensure_started()
             nonce = next(_PING_NONCE)
             alive: List[bool] = []
-            for index, worker in enumerate(self._workers):
+            for worker in list(self._workers):
                 ok = False
                 if worker.alive:
                     try:
@@ -619,16 +511,14 @@ class DaemonPool:
                                 obs.histogram("daemon.ping.seconds").observe(
                                     time.perf_counter() - ping_started
                                 )
-                                obs.REGISTRY.merge(message[4] if len(message) > 4 else None)
+                                obs.REGISTRY.merge(message[3])
+                                worker.note_rss(message[4])
                                 ok = True
                                 break
                     except (BrokenPipeError, EOFError, OSError):
                         ok = False
                 if not ok and restart:
-                    self._restarts += 1
-                    obs.counter("daemon.restarts").inc()
-                    worker.discard()
-                    self._workers[index] = self._spawn_worker()
+                    self._restart(worker)
                 alive.append(ok)
             return alive
 
@@ -640,4 +530,5 @@ __all__ = [
     "DEFAULT_JOIN_TIMEOUT",
     "DaemonPool",
     "MAX_TASK_RETRIES",
+    "fork_available",
 ]

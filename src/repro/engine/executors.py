@@ -12,7 +12,7 @@ promises and tests.  The executor only chooses where chunks run:
 
 * ``serial`` — inline, in order, in the calling thread (the reference path);
 * ``daemon`` — on the owner's warm :class:`~repro.engine.daemons.DaemonPool`,
-  whose workers keep the shared-memory state attached across batches.
+  whose workers are forks of the prepared state, warm across batches.
 """
 
 from __future__ import annotations

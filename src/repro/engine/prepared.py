@@ -4,15 +4,15 @@ The paper's premise is that queries "arrive by the thousands" while the
 expensive work — freezing the graph into CSR, condensing SCCs, building the
 hierarchical landmark index, summarising labels and degrees — happens *once*.
 :class:`PreparedGraph` is that one-time product: an immutable-after-prepare
-bundle the engine consults per query and ships to worker processes once per
-state version, never per query.
+bundle the engine consults per query, and the state the daemon pool forks
+its workers from once per state version, never per query.
 
-The daemon pool reaches its workers through :class:`SharedPreparedGraph`,
-under every start method: the array-shaped parts — CSR adjacency, the
-neighbour-label presence bits behind the ``Sl`` summaries, and the
-condensation and rank columns of a fresh CSR prepare — are copied into
-shared-memory segments that workers map zero-copy, and only the rest
-(landmark indexes, matchers: plain dicts and dataclasses) is pickled.
+:class:`SharedPreparedGraph` exports the array-shaped parts — CSR
+adjacency, the neighbour-label presence bits behind the ``Sl`` summaries,
+and the condensation and rank columns of a fresh CSR prepare — into
+shared-memory segments and pickles the rest.  No serving path uses it (the
+daemons inherit the state by ``fork``); the end-to-end benchmark's
+``shm.*`` probe still does.
 """
 
 from __future__ import annotations
@@ -338,7 +338,7 @@ class PreparedGraph:
     def state_signature(self) -> tuple:
         """Hashable token of which derived structures currently exist.
 
-        The daemon pool republishes shared state when this changes between
+        The daemon pool re-forks its workers when this changes between
         batches (a new α index built, matchers dropped by an update), so
         long-lived workers never serve stale state.
         """

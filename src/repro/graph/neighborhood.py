@@ -123,8 +123,8 @@ class NeighborhoodIndex:
     offline preprocessing").  On a :class:`~repro.graph.csr.CSRGraph` that
     pass is :meth:`CSRGraph.label_presence`: two packed bit arrays answering
     "does ``v`` have a parent/child labelled ``l``?" for every node, built by
-    one vectorised sweep and shared zero-copy with worker processes as part
-    of the graph's shared-memory segment.  On a
+    one vectorised sweep and inherited copy-on-write by the forked daemon
+    workers.  On a
     :class:`~repro.updates.overlay.MutableOverlay` over a CSR base the
     arrays keep serving every node whose neighbourhood no delta touched;
     the :meth:`invalidate`-d nodes, like every node of a ``DiGraph``, go

@@ -23,6 +23,9 @@ drift from it.  ``SPANS`` plays the same role for trace span names.
 
 from __future__ import annotations
 
+import os
+import threading
+
 from repro.obs import context, trace
 from repro.obs.context import TraceContext
 from repro.obs.metrics import (
@@ -44,6 +47,25 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import span
 from repro.obs import flight  # noqa: E402  (needs metrics + trace initialised)
+
+
+def _fresh_locks_in_child() -> None:
+    """Re-create the registry, trace and flight-recorder locks in a forked child.
+
+    A fork copies each lock in whatever state a parent thread left it: one
+    held by a parent thread at the fork stays held forever in the child,
+    and a daemon worker's first ``REGISTRY.reset()`` would deadlock.
+    """
+    REGISTRY._lock = threading.Lock()
+    trace._lock = threading.Lock()
+    recorder = flight.recorder()
+    if recorder is not None:
+        recorder._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_fresh_locks_in_child)
+
 
 #: Every metric the stack may register: name -> (kind, unit, emitting module).
 CATALOG = {
@@ -76,11 +98,8 @@ CATALOG = {
     # daemon pool, parent side (repro/engine/daemons.py)
     "daemon.restarts": ("counter", "workers", "repro.engine.daemons"),
     "daemon.retries": ("counter", "chunks", "repro.engine.daemons"),
-    "daemon.publishes": ("counter", "states", "repro.engine.daemons"),
+    "daemon.publishes": ("counter", "fork rounds", "repro.engine.daemons"),
     "daemon.ping.seconds": ("histogram", "seconds", "repro.engine.daemons"),
-    "daemon.publish.seconds": ("histogram", "seconds", "repro.engine.daemons"),
-    "daemon.attach.seconds": ("histogram", "seconds", "repro.engine.daemons"),
-    "daemon.payload.bytes": ("gauge", "bytes", "repro.engine.daemons"),
     "daemon.worker.rss.bytes": ("histogram", "bytes", "repro.engine.daemons"),
     # daemon workers (merged into the parent registry via drained snapshots)
     "daemon.worker.chunks": ("counter", "chunks", "repro.engine.daemons"),

@@ -82,7 +82,7 @@ class RBReach:
         self._rows: Optional[_Rows] = None
 
     def __reduce__(self):
-        # The rows stay behind: they would grow the daemon payload, and the
+        # The rows stay behind: they would grow a published payload, and the
         # far side rebuilds them from its copy of the index in under a millisecond.
         return RBReach, (self._index,)
 

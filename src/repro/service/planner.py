@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.engine.daemons import fork_available
 from repro.engine.executors import default_workers
 from repro.service.config import AUTO, SCATTER, ServiceConfig
 
@@ -88,7 +89,8 @@ class Planner:
         its startup only when the batch is big enough to amortise it and the
         graph is big enough that per-query work dominates dispatch
         (:data:`PARALLEL_THRESHOLD`, :data:`SMALL_GRAPH_SIZE`), and only with
-        at least :data:`MIN_PARALLEL_CORES` schedulable cores.
+        at least :data:`MIN_PARALLEL_CORES` schedulable cores on a platform
+        that can ``fork`` the daemons.
         """
         config = self.config
         if config.executor != AUTO:
@@ -105,6 +107,8 @@ class Planner:
                 f"auto: {cores} schedulable core(s) < {MIN_PARALLEL_CORES}, "
                 "pool startup would not pay for itself",
             )
+        if not fork_available():
+            return (SERIAL, None, "auto: no 'fork' start method, the daemon pool cannot start")
         if graph_size < SMALL_GRAPH_SIZE:
             return (
                 SERIAL,

@@ -712,9 +712,9 @@ class GraphService:
                 chunk_results = [answer_chunk(self._prepared, task) for task in tasks]
             else:
                 # The version is taken *after* the prepare loop, so a new α
-                # index (or an absorbed update, via the epoch) triggers a
-                # republish to the daemons, which otherwise keep serving
-                # their attached state.
+                # index (or an absorbed update, via the epoch) re-forks the
+                # daemons, which otherwise keep serving the state they were
+                # forked from.
                 chunk_results = pool.run(
                     self._prepared,
                     tasks,

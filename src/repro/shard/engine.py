@@ -234,9 +234,9 @@ class ShardedEngine:
 
         Runs the construction path with the same ``k``, method, seed, halo
         depth and boundary α, so the engine afterwards answers exactly like
-        ``ShardedEngine(graph, ...)``.  The daemon pool stays warm; the
-        bumped state epoch makes its workers republish before the next
-        batch.  Returns ``self``.
+        ``ShardedEngine(graph, ...)``.  The daemon pool stays; the bumped
+        state epoch makes it re-fork its workers before the next batch.
+        Returns ``self``.
         """
         frozen = freeze(graph)
         self._build(
@@ -277,11 +277,10 @@ class ShardedEngine:
     def daemon_pool(self, workers: Optional[int] = None) -> DaemonPool:
         """The engine's warm worker pool, created on first use.
 
-        Daemons hold the full shard-state table attached (every shard's CSR
-        arrays live in shared memory), so steady-state scatter batches ship
-        only query chunks.  The first call fixes the worker count (later
+        Daemons are forks of the full shard-state table, so steady-state
+        scatter batches ship only query chunks.  The first call fixes the worker count (later
         ``workers`` arguments are ignored while the pool lives).  Pair with :meth:`close` — or use the engine as a
-        context manager — to tear the daemons and their segments down.
+        context manager — to tear the daemons down.
         """
         if self._daemon_pool is None or self._daemon_pool.closed:
             self._daemon_pool = DaemonPool(workers)
@@ -486,8 +485,8 @@ class ShardedEngine:
                 chunk_results = [answer_shard_chunk(states, task) for task in tasks]
             else:
                 # Versioned after shard preparation, so the token reflects what
-                # this batch needs; the fresh per-batch ``states`` dict is only
-                # republished when the token moves.
+                # this batch needs; the workers are re-forked from the fresh
+                # per-batch ``states`` dict only when the token moves.
                 chunk_results = pool.run(
                     states,
                     tasks,

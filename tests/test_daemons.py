@@ -12,26 +12,32 @@ Crash-injection contract:
 * the async service front-end releases admission on a daemon failure and
   remains reusable.
 
-Plus the non-fork attach path: under ``spawn`` the daemons must attach the
-shared-memory publication, answer like serial, report their metrics and
-leave no segment behind (``REPRO_MP_START_METHOD`` forces the start method
-for the test).
+Plus the fork contract: workers fork from the state they serve, so their
+pids change exactly when the state version does, ``daemon.publishes``
+counts one fork round per version, no ``/dev/shm`` segment is created, a
+pool without the ``fork`` start method refuses to start, and ``close()``
+leaves no daemon behind.
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
 
-from repro.engine.daemons import MAX_TASK_RETRIES, DaemonPool, _process_context
+from repro import obs
+from repro.engine.daemons import MAX_TASK_RETRIES, DaemonPool
 from repro.engine.queries import ReachQuery
 from repro.exceptions import DaemonError, EngineError
 from repro.graph.generators import random_graph
+from repro.graph.shm import SEGMENT_PREFIX
 from repro.service import GraphService, ReachRequest, ServiceConfig
+from repro.service.planner import Planner
 from repro.updates.delta import GraphDelta
 
 ALPHA = 0.1
@@ -39,6 +45,15 @@ ALPHA = 0.1
 
 def daemon_service(graph) -> GraphService:
     return GraphService(graph, executor="daemon", workers=2, cache_size=0)
+
+
+def shm_segments():
+    """This package's segments currently in ``/dev/shm``, whoever created them."""
+    return {name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)}
+
+
+def publishes():
+    return obs.snapshot()["counters"].get("daemon.publishes", 0)
 
 
 def serial_answers(graph, batch):
@@ -74,21 +89,13 @@ def _error_chunk(state, task):
 
 
 def _probe_summaries_chunk(state, task):
-    """Per ``(node, label)``: what the worker's attached summaries answer, and how."""
+    """Per ``(node, label)``: what the worker's summaries answer, and from which rows."""
     index = state.neighborhood_index()
-    child_bits, parent_bits = index._source.label_presence()
-    zero_copy = not (
-        child_bits.flags.owndata
-        or parent_bits.flags.owndata
-        or child_bits.flags.writeable
-        or parent_bits.flags.writeable
-    )
     return [
         (
             index.has_child_label(node, label),
             index.has_parent_label(node, label),
             index._row(node) is not None,
-            zero_copy and index._child_words.readonly and index._parent_words.readonly,
         )
         for node, label in task
     ]
@@ -119,8 +126,6 @@ class TestDaemonPool:
             assert not pool.started
 
     def test_kill_between_batches_restarts_and_answers(self):
-        from repro import obs
-
         state = {"factor": 2}
         restarts_before = obs.snapshot()["counters"].get("daemon.restarts", 0)
         with DaemonPool(workers=2) as pool:
@@ -185,22 +190,26 @@ class TestDaemonPool:
         with pytest.raises(DaemonError):
             pool.run({"factor": 1}, [[1]], chunk_fn=_echo_chunk)
 
-    def test_republish_on_new_version_only(self):
-        state = {"factor": 2}
-        with DaemonPool(workers=1) as pool:
-            pool.run(state, [[1]], chunk_fn=_echo_chunk, version=1)
-            seq = pool._state_seq
-            pool.run(state, [[1]], chunk_fn=_echo_chunk, version=1)
-            assert pool._state_seq == seq  # warm: same version, no republish
-            pool.run({"factor": 5}, [[1]], chunk_fn=_echo_chunk, version=2)
-            assert pool._state_seq == seq + 1
+    def test_refork_on_new_version_only(self):
+        """Same version: the same warm workers; a new one: fresh forks of the new state."""
+        before = publishes()
+        with DaemonPool(workers=2) as pool:
+            assert pool.run({"factor": 2}, [[1], [2]], chunk_fn=_echo_chunk, version=1) == [[2], [4]]
+            pids = pool.worker_pids()
+            for _ in range(3):
+                pool.run({"factor": 2}, [[1], [2]], chunk_fn=_echo_chunk, version=1)
+            assert pool.worker_pids() == pids  # warm: same version, no re-fork
+            assert publishes() == before + 1
+            assert pool.run({"factor": 5}, [[1], [2]], chunk_fn=_echo_chunk, version=2) == [[5], [10]]
+            assert not set(pool.worker_pids()) & set(pids)
+            assert publishes() == before + 2
+            assert pool.restarts == 0
 
 
 class TestSharedSummaries:
     """Workers read the neighbourhood summaries out of the shared segment."""
 
-    def test_workers_map_masks_and_republish_serves_patched_ones(self, graph):
-        from repro import obs
+    def test_workers_read_masks_and_a_refork_serves_patched_ones(self, graph):
         from repro.engine.prepared import PreparedGraph
         from repro.engine.queries import SIMULATION
         from repro.graph.neighborhood import summarize_node
@@ -219,13 +228,13 @@ class TestSharedSummaries:
                 rows.append((summary.child_count(label) > 0, summary.parent_count(label) > 0))
             return rows
 
-        before = obs.snapshot()
+        segments, before = shm_segments(), publishes()
         with DaemonPool(workers=2) as pool:
             first = pool.run(prepared, [probes, probes], chunk_fn=_probe_summaries_chunk, version=0)
-            segments = pool.segment_names()
+            pids = pool.worker_pids()
             for rows in first:
                 assert [row[:2] for row in rows] == expected()
-                assert all(array_backed and zero_copy for _, _, array_backed, zero_copy in rows)
+                assert all(array_backed for _, _, array_backed in rows)
 
             delta = GraphDelta().add_node("fresh", label="never-seen").add_edge(hub, "fresh")
             delta.add_edge("fresh", other)
@@ -235,20 +244,15 @@ class TestSharedSummaries:
             probes += [(hub, "never-seen"), (other, "never-seen"), ("fresh", labels[0])]
             second = pool.run(prepared, [probes, probes], chunk_fn=_probe_summaries_chunk, version=1)
             assert pool.restarts == 0
+            assert not set(pool.worker_pids()) & set(pids)  # forked from the patched state
             for rows in second:
                 assert [row[:2] for row in rows] == expected()
                 backed = {probe[0]: row[2] for probe, row in zip(probes, rows)}
                 assert not backed[hub] and not backed[other] and not backed["fresh"]
                 assert all(backed[node] for node in nodes[1:30])  # untouched: still the arrays
-                assert all(row[3] for row in rows)
             assert rows[-3][0] and rows[-2][1]  # the patched masks see the new label
-            segments += pool.segment_names()
-        assert not any(os.path.exists(os.path.join("/dev/shm", name)) for name in segments)
-        after = obs.snapshot()
-        for name in ("daemon.publish.seconds", "daemon.attach.seconds"):
-            grown = after["histograms"][name]["count"] - before["histograms"].get(name, {}).get("count", 0)
-            assert grown == (2 if name == "daemon.publish.seconds" else 4)
-        assert after["gauges"]["daemon.payload.bytes"] > 0
+            assert shm_segments() == segments
+        assert publishes() == before + 2
 
     def test_pattern_parity_across_update(self, graph):
         """Serial and daemon pattern answers agree before and after ``update``."""
@@ -278,8 +282,7 @@ class TestSharedCompression:
     """Workers read the condensation and the ranks out of the DAG mirror's segment."""
 
     def test_reach_and_pattern_parity_across_the_thaw(self, graph, queries):
-        """Columns before the first ``update``; thaw → patched containers → republish after."""
-        from repro import obs
+        """Columns before the first ``update``; thaw → patched containers → re-fork after."""
         from repro.engine.queries import PatternQuery
         from repro.workloads.queries import generate_pattern_workload
 
@@ -303,14 +306,14 @@ class TestSharedCompression:
         def thaws(structure="condensation"):
             return obs.snapshot()["counters"].get("prepare.thaw." + structure, 0)
 
+        segments = shm_segments()
         thaws_before, label_thaws_before = thaws(), thaws("labels")
         with daemon_service(graph) as service:
             assert_parity(service)
             assert service.prepared.compressed().condensation.array_backed
             pool = service._daemon_pool
-            segments = pool.segment_names()
-            column_payload = obs.snapshot()["gauges"]["daemon.payload.bytes"]
-            assert all(worker.rss_bytes > 2**20 for worker in pool._workers)  # sent with "ready"
+            pids = pool.worker_pids()
+            assert all(worker.rss_bytes > 2**20 for worker in pool._workers)  # from the first reply
             assert obs.snapshot()["histograms"]["daemon.worker.rss.bytes"]["count"] >= 2
             assert (thaws(), thaws("labels")) == (thaws_before, label_thaws_before)  # reads never thaw
 
@@ -320,16 +323,16 @@ class TestSharedCompression:
             assert service.update(delta).mode == "patched"
             assert (thaws(), thaws("labels")) == (thaws_before + 1, label_thaws_before + 1)
             assert not service.prepared.compressed().condensation.array_backed
-            assert_parity(service)  # republished: the patched containers travel pickled
-            assert obs.snapshot()["gauges"]["daemon.payload.bytes"] > column_payload
-            segments += pool.segment_names()
+            assert_parity(service)  # re-forked: the workers inherit the patched containers
+            assert not set(pool.worker_pids()) & set(pids)
+            pids = pool.worker_pids()
 
             assert service.update(GraphDelta().add_edge(nodes[8], nodes[2])).mode == "patched"
             assert thaws() == thaws_before + 1  # the maintainer owns the containers now
             assert_parity(service)
-            segments += pool.segment_names()
+            assert not set(pool.worker_pids()) & set(pids)
             assert pool.restarts == 0
-        assert not any(os.path.exists(os.path.join("/dev/shm", name)) for name in segments)
+            assert shm_segments() == segments
 
 
 class TestEngineDaemonPool:
@@ -375,42 +378,81 @@ class TestServiceAdmission:
             assert service._frontend.admission.inflight == 0
 
 
-class TestSpawnShipping:
-    def test_env_override_selects_start_method(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
-        assert _process_context().get_start_method() == "spawn"
-        monkeypatch.delenv("REPRO_MP_START_METHOD")
-        assert _process_context().get_start_method() in ("fork", "spawn", "forkserver")
+class TestForkContract:
+    def test_pool_without_fork_raises_and_auto_stays_serial(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with pytest.raises(DaemonError, match="fork"):
+            DaemonPool(workers=2)
+        executor, _, reason = Planner(ServiceConfig()).choose_executor(4096, 100_000, cores=16)
+        assert executor == "serial" and "fork" in reason
 
-    def test_daemon_parity_under_spawn(self, graph, queries, monkeypatch):
-        """Spawned daemons attach the shared state and report their metrics."""
-        from repro import obs
-
-        monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
-        # A spawned child re-imports ``repro.obs`` and would read this default;
-        # the parent's registry stays enabled (the flag is read at import).
-        monkeypatch.setenv("REPRO_METRICS", "0")
-        before = obs.snapshot()["counters"].get("daemon.worker.chunks", 0)
-        serial = serial_answers(graph, queries)
+    def test_one_fork_round_per_version_and_no_shm_segment(self, graph, queries):
+        """The hand-off in counts: one ``daemon.publishes`` per state version, none per batch."""
+        segments, before = shm_segments(), publishes()
         with daemon_service(graph) as service:
-            report = service.run_batch(queries, ALPHA)
-            assert service._daemon_pool._context.get_start_method() == "spawn"
-        assert [a.reachable for a in report.answers] == [a.reachable for a in serial]
-        # Worker counters reach this registry only because the pool ships
-        # ``metrics_enabled`` to the child explicitly.
-        grown = obs.snapshot()["counters"].get("daemon.worker.chunks", 0) - before
-        assert grown == report.chunks > 0
+            for _ in range(3):
+                service.run_batch(queries, ALPHA)
+            assert publishes() == before + 1
+            pids = service._daemon_pool.worker_pids()
+            nodes = list(graph.nodes())
+            service.update(GraphDelta().add_edge(nodes[3], nodes[5]))
+            assert publishes() == before + 1  # an update alone forks nothing
+            for _ in range(2):
+                service.run_batch(queries, ALPHA)
+            assert publishes() == before + 2
+            assert not set(service._daemon_pool.worker_pids()) & set(pids)
+            assert shm_segments() == segments
+        assert shm_segments() == segments
 
-    def test_spawn_pool_leaves_no_segments(self, graph, queries, monkeypatch):
-        from repro.graph.shm import active_segments
+    def test_close_leaves_no_daemon_behind(self, graph, queries):
+        """After ``close()`` no worker survives: not after an update, not after a SIGKILL."""
+        def daemons():
+            return [child for child in multiprocessing.active_children() if child.name == "repro-daemon"]
 
-        monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
-        before = set(active_segments())
+        nodes = list(graph.nodes())
         with daemon_service(graph) as service:
             service.run_batch(queries, ALPHA)
-            segments = service._daemon_pool.segment_names()
-        assert segments and set(active_segments()) == before
-        assert not any(os.path.exists(os.path.join("/dev/shm", name)) for name in segments)
+            service.update(GraphDelta().add_edge(nodes[3], nodes[5]))
+            service.run_batch(queries, ALPHA)
+            os.kill(service._daemon_pool.worker_pids()[0], signal.SIGKILL)
+            service.run_batch(queries, ALPHA)
+            assert service._daemon_pool.restarts >= 1
+            assert len(daemons()) == 2
+        assert daemons() == []
+
+    def test_fork_while_another_thread_holds_the_registry_lock(self):
+        """A worker forked while a parent thread holds an obs lock still answers."""
+        obs.counter("daemon.publishes")  # registered: the fork round needs no lock
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with obs.REGISTRY._lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        held.wait(10)
+        results = []
+        with DaemonPool(workers=1) as pool:
+            runner = threading.Thread(
+                target=lambda: results.append(pool.run({"factor": 3}, [[1]], chunk_fn=_echo_chunk)),
+                daemon=True,
+            )
+            runner.start()
+            deadline = time.monotonic() + 10
+            while not pool.started and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # forked under the held lock; the worker resets its registry
+            release.set()
+            runner.join(20)
+            if runner.is_alive():  # the worker deadlocked: unblock the runner, then fail
+                for pid in pool.worker_pids():
+                    os.kill(pid, signal.SIGKILL)
+                runner.join(20)
+                pytest.fail("a worker forked under a held registry lock never answered")
+        holder.join(10)
+        assert results == [[[3]]]
 
 
 @pytest.mark.slow_shm
@@ -418,10 +460,9 @@ class TestSoak:
     def test_daemon_soak_200_batches_no_leaks(self, graph):
         """Nightly: 200 daemon batches with periodic updates, zero leaks.
 
-        Each update republishes (container-backed after the first thaw), so
-        a worker that kept the state it detached from would grow by one
-        state per republish: its ``ru_maxrss`` after the last attach must
-        stay within 8 MB of the one after its first.
+        Each update re-forks the workers from the patched state, so a fork
+        must not carry more than the state it serves: the ``ru_maxrss`` of
+        the last version's workers must stay within 8 MB of the first's.
         """
         from repro.graph.shm import active_segments
 
@@ -447,9 +488,8 @@ class TestSoak:
                     delta.add_edge(nodes[batch % len(nodes)], nodes[(batch * 7) % len(nodes)])
                     service.update(delta)
                     serial.update(delta)
-            # Steady state: the warm pool held at most one publication's
-            # segments at a time; crashes aside, the original workers served
-            # every batch.
+            # Crashes aside, every worker was a fork of its version: no
+            # restart, and no segment.
             assert pool is not None and pool.restarts == 0
             last_rss = [worker.rss_bytes for worker in pool._workers]
             assert all(0 < first for first in first_rss)

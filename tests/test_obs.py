@@ -537,15 +537,20 @@ class TestExemplars:
 class TestDaemonWorkerMetrics:
     def test_worker_deltas_merge_exactly_once(self):
         with DaemonPool(workers=2) as pool:
-            pool.run({"factor": 2}, [[1], [2], [3]], chunk_fn=_echo_chunk)
+            pool.run({"factor": 2}, [[1], [2], [3]], chunk_fn=_echo_chunk, version=1)
             pool.ping()  # pongs also carry drained deltas
+            # A new version re-forks the workers from a parent registry that
+            # already holds the first three chunks; each fork must start empty.
+            pool.run({"factor": 3}, [[4], [5]], chunk_fn=_echo_chunk, version=2)
+            pool.ping()
         snap = obs.snapshot()
-        # Three chunks ran in the workers; the drained deltas must add up to
-        # exactly three in the parent — no double counting across the reset
+        # Five chunks ran in the workers; the drained deltas must add up to
+        # exactly five in the parent — no double counting across the reset
         # boundary (fork-inherited registries are cleared at worker start).
-        assert snap["counters"].get("daemon.worker.chunks") == 3
-        assert snap["histograms"]["daemon.worker.chunk.seconds"]["count"] == 3
-        assert snap["counters"].get("daemon.publishes") == 1
+        assert snap["counters"].get("daemon.worker.chunks") == 5
+        assert snap["histograms"]["daemon.worker.chunk.seconds"]["count"] == 5
+        assert snap["counters"].get("daemon.publishes") == 2  # one fork round per version
+        assert snap["histograms"]["daemon.worker.rss.bytes"]["count"] == 4  # first reply of each
 
     def test_crash_injection_increments_global_restart_counter(self):
         with DaemonPool(workers=2) as pool:

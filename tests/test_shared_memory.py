@@ -436,7 +436,10 @@ class TestSharedPreparedGraph:
 
         nodes = list(graph.nodes())
         queries = [ReachQuery(nodes[i], nodes[-1 - i]) for i in range(8)]
+        on_disk = {name for name in os.listdir("/dev/shm") if name.startswith(shm.SEGMENT_PREFIX)}
         with GraphService(graph, executor="daemon", workers=2, cache_size=0) as service:
             service.run_batch(queries, 0.2)
-            assert set(shm.active_segments()) > before  # pool holds segments
+            # The workers are forks of the prepared state: nothing is exported.
+            assert set(shm.active_segments()) == before
+            assert {name for name in os.listdir("/dev/shm") if name.startswith(shm.SEGMENT_PREFIX)} == on_disk
         assert set(shm.active_segments()) == before

@@ -24,7 +24,14 @@ Runs, in order:
 6. the cli-only check: under ``src/repro`` only ``cli.py`` may ``import
    argparse`` or ``raise SystemExit``.  Flag parsing, exit codes and
    printed reports belong to the command line; the library raises its own
-   exceptions, so a caller embedding it is never exited from under it.
+   exceptions, so a caller embedding it is never exited from under it;
+7. the one-forker check: under ``src/repro`` only ``engine/daemons.py``
+   may start a process (a ``Process(...)``, ``get_context(...)`` or
+   ``os.fork()`` call), and no file there may name the retired
+   ``REPRO_MP_START_METHOD`` override.  A daemon worker is forked from the
+   very state it serves; a second place that starts processes, or a start
+   method chosen from the environment, would let a worker run on state it
+   was never forked from.
 
 ruff and mypy are exercised when importable and *skipped with a notice*
 otherwise: the target container bakes in only the core Python toolchain and
@@ -125,6 +132,29 @@ def cli_only_lines(root: Path = ROOT / "src" / "repro") -> list:
     return found
 
 
+FORKERS = {"Process", "get_context", "fork"}
+RETIRED_ENV = "REPRO_MP_START_METHOD"
+
+
+def one_forker_lines(root: Path = ROOT / "src" / "repro") -> list:
+    """``path:line: what`` of every process start under ``root`` outside ``engine/daemons.py``,
+    and of every mention of the retired start-method override."""
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {name}(...)"
+        for path, node in _nodes(root)
+        if path != root / "engine" / "daemons.py"
+        and isinstance(node, ast.Call)
+        and (name := getattr(node.func, "attr", getattr(node.func, "id", None))) in FORKERS
+    ]
+    found += [
+        f"{path.relative_to(ROOT)}:{number}: {RETIRED_ENV}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if RETIRED_ENV in line
+    ]
+    return found
+
+
 def main() -> int:
     ok = True
 
@@ -161,6 +191,12 @@ def main() -> int:
             "cli-only",
             "under src/repro only cli.py imports argparse or raises SystemExit",
             cli_only_lines(),
+        ),
+        (
+            "one-forker",
+            "under src/repro only engine/daemons.py starts a process, and nothing reads "
+            "REPRO_MP_START_METHOD (a worker is forked from the state it serves)",
+            one_forker_lines(),
         ),
     ):
         print(f"[lint] {label}: {rule}", flush=True)
