@@ -12,9 +12,11 @@ pattern logs over CSR graphs:
 Both logs are built the way the end-to-end benchmark builds its pattern
 logs (dataset seed 7).  Before timing, the digest of every
 ``ReductionResult`` (``G_Q`` nodes, labels and edges in order, budget,
-bound, passes, candidate counts) is checked against the frozen oracle of
-``tests/reduction_oracle.py``.  Timings are reported, not gated: they go to
-``benchmarks/_reports/search.txt`` with the per-log stop reasons.
+bound, passes, candidate counts, stop, cut and re-Pick counts) is checked
+against the oracle of ``tests/reduction_oracle.py``.  Timings are reported,
+not gated: they go to ``benchmarks/_reports/search.txt`` with the per-log
+stop reasons, the distribution of pass counts and the re-Picks per search
+(each a count the oracle's digest covers).
 
 Run with:  python3 benchmarks/bench_search.py [--rounds 5] [--log youtube]
        or: PYTHONPATH=src python -m pytest benchmarks/bench_search.py -q
@@ -133,6 +135,9 @@ def measure(name: str, rounds: int) -> dict:
         "search_ms_p50": 1e3 * statistics.median(per_query),
         "search_ms_p90": 1e3 * statistics.quantiles(per_query, n=10)[-1],
         "stops": dict(sorted(Counter(result.stop for result in results).items())),
+        "passes": dict(sorted(Counter(result.passes for result in results).items())),
+        "repicks_per_search": statistics.mean(result.repicks for result in results),
+        "repicks_max": max(result.repicks for result in results),
         "digest": found,
         "oracle_digest": expected,
     }

@@ -15,12 +15,12 @@ and a resource ratio ``alpha``, ``RBSim``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Set
+from typing import Callable, Optional, Set
 
 from repro import obs
 from repro.core.budget import BudgetReport, ResourceBudget
 from repro.core.reduction import DynamicReducer, ReductionResult
-from repro.core.weights import SimulationGuard
+from repro.core.weights import GuardedCondition, SimulationGuard
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.neighborhood import NeighborhoodIndex
@@ -43,7 +43,6 @@ class RBSimConfig:
     """
 
     initial_bound: int = 2
-    max_passes: int = 6
     visit_coefficient: Optional[float] = None
     use_weights: bool = True
     use_guard: bool = True
@@ -65,8 +64,10 @@ class PatternAnswer:
         return self.subgraph.size() if self.subgraph is not None else 0
 
 
-class RBSim:
-    """Resource-bounded strong-simulation matcher.
+class BoundedMatcher:
+    """What ``RBSim`` and ``RBSub`` share: the budget, the reduction to
+    ``G_Q`` and the two leaf spans.  A subclass names its guarded condition
+    (``guard_class``) and its exact matcher on ``G_Q`` (``_match``).
 
     Parameters
     ----------
@@ -75,7 +76,7 @@ class RBSim:
     alpha:
         Resource ratio; ``|G_Q| <= alpha * |G|``.
     config:
-        Optional :class:`RBSimConfig`.
+        Optional config (the subclass's ``config_class`` by default).
     neighborhood_index:
         Optional shared :class:`NeighborhoodIndex`; pass one when issuing many
         queries against the same graph so the offline summaries are reused
@@ -88,6 +89,9 @@ class RBSim:
         then match single-graph evaluation exactly).
     """
 
+    config_class = RBSimConfig
+    guard_class: Callable[..., GuardedCondition] = SimulationGuard
+
     def __init__(
         self,
         graph: GraphLike,
@@ -98,7 +102,7 @@ class RBSim:
     ) -> None:
         self._graph = graph
         self._alpha = alpha
-        self._config = config or RBSimConfig()
+        self._config = config or self.config_class()
         self._index = neighborhood_index or NeighborhoodIndex(graph)
         self._reference_size = reference_size
         self._max_degree_cache: Optional[int] = None
@@ -113,26 +117,58 @@ class RBSim:
         """The resource ratio."""
         return self._alpha
 
-    def _max_degree(self) -> int:
-        # Computed once per matcher: scanning every node's degree is linear in
-        # |G| and would otherwise dominate small queries.
-        if self._max_degree_cache is None:
-            self._max_degree_cache = max(1, self._graph.max_degree())
-        return self._max_degree_cache
-
     def _make_budget(self) -> ResourceBudget:
         coefficient = self._config.visit_coefficient
         if coefficient is None:
-            coefficient = float(self._max_degree())
+            # ``d_G``, computed once per matcher: scanning every node's degree
+            # is linear in |G| and would otherwise dominate small queries.
+            if self._max_degree_cache is None:
+                self._max_degree_cache = max(1, self._graph.max_degree())
+            coefficient = float(self._max_degree_cache)
         size = self._reference_size if self._reference_size is not None else self._graph.size()
-        return ResourceBudget(
-            alpha=self._alpha,
-            graph_size=size,
-            visit_coefficient=coefficient,
+        return ResourceBudget(alpha=self._alpha, graph_size=size, visit_coefficient=coefficient)
+
+    def reduce(self, pattern: GraphPattern, personalized_match: NodeId) -> ReductionResult:
+        """Run only the dynamic-reduction step and return ``G_Q``."""
+        pattern.validate()
+        config = self._config
+        return DynamicReducer(
+            pattern=pattern,
+            graph=self._graph,
+            personalized_match=personalized_match,
+            guard=self.guard_class(pattern, self._graph, personalized_match, self._index),
+            budget=self._make_budget(),
+            initial_bound=config.initial_bound,
+            use_weights=config.use_weights,
+            use_guard=config.use_guard,
+            max_depth=pattern.diameter(),
+        ).search()
+
+    def _match(self, pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[NodeId]:
+        raise NotImplementedError
+
+    def _answer(self, pattern: GraphPattern, personalized_match: Optional[NodeId]) -> PatternAnswer:
+        """Reduce to ``G_Q`` and answer exactly inside it (empty without ``vp``)."""
+        if personalized_match is None:
+            return PatternAnswer(answer=set(), subgraph=DiGraph())
+        # Leaf spans under the caller's ``executor.chunk``; one branch each when
+        # untraced, and one more to say what the search spent of its budget.
+        with obs.span("reduction.search") as span:
+            reduction = self.reduce(pattern, personalized_match)
+            if span.attrs is not None:
+                span.attrs.update(reduction.spend())
+        with obs.span("match.exact"):
+            answer = self._match(pattern, reduction.subgraph, personalized_match)
+        return PatternAnswer(
+            answer=answer,
+            subgraph=reduction.subgraph,
+            budget=reduction.budget,
+            reduction=reduction,
         )
 
-    def _guard(self, pattern: GraphPattern, personalized_match: NodeId) -> SimulationGuard:
-        return SimulationGuard(pattern, self._graph, personalized_match, self._index)
+
+class RBSim(BoundedMatcher):
+    """Resource-bounded strong-simulation matcher (parameters: :class:`BoundedMatcher`)."""
 
     def _resolve_personalized(self, pattern: GraphPattern, personalized_match: Optional[NodeId]) -> Optional[NodeId]:
         """Return the data node pinned to ``up``.
@@ -156,43 +192,12 @@ class RBSim:
             return None
         return max(candidates, key=lambda node: (self._graph.degree(node), repr(node)))
 
-    def reduce(self, pattern: GraphPattern, personalized_match: NodeId) -> ReductionResult:
-        """Run only the dynamic-reduction step and return ``G_Q``."""
-        pattern.validate()
-        budget = self._make_budget()
-        reducer = DynamicReducer(
-            pattern=pattern,
-            graph=self._graph,
-            personalized_match=personalized_match,
-            guard=self._guard(pattern, personalized_match),
-            budget=budget,
-            initial_bound=self._config.initial_bound,
-            max_passes=self._config.max_passes,
-            use_weights=self._config.use_weights,
-            use_guard=self._config.use_guard,
-            max_depth=pattern.diameter(),
-        )
-        return reducer.search()
+    def _match(self, pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[NodeId]:
+        return match_in_subgraph(pattern, subgraph, personalized_match)
 
     def answer(self, pattern: GraphPattern, personalized_match: Optional[NodeId] = None) -> PatternAnswer:
         """Algorithm ``RBSim``: reduce to ``G_Q`` and return ``Q(G_Q)``."""
-        resolved = self._resolve_personalized(pattern, personalized_match)
-        if resolved is None:
-            return PatternAnswer(answer=set(), subgraph=DiGraph())
-        # Leaf spans under the caller's ``executor.chunk``; one branch each when
-        # untraced, and one more to say what the search spent of its budget.
-        with obs.span("reduction.search") as span:
-            reduction = self.reduce(pattern, resolved)
-            if span.attrs is not None:
-                span.attrs.update(reduction.spend())
-        with obs.span("match.exact"):
-            answer = match_in_subgraph(pattern, reduction.subgraph, resolved)
-        return PatternAnswer(
-            answer=answer,
-            subgraph=reduction.subgraph,
-            budget=reduction.budget,
-            reduction=reduction,
-        )
+        return self._answer(pattern, self._resolve_personalized(pattern, personalized_match))
 
 
 def rbsim(

@@ -8,13 +8,17 @@ from ``vp`` and populates a subgraph ``G_Q`` with candidate matches:
 * only nodes satisfying the guarded condition ``C(v, u)`` are considered;
 * among eligible neighbours the top-``b`` by weight ``p/(c+1)`` are pushed
   (procedure ``Pick``), with the best candidate on top of the stack;
-* when the stack drains but new nodes were added in the current pass
-  (``changed``), the per-query-node bound ``b`` is increased and the search
-  restarts from ``(up, vp)`` so that every query node keeps a fair chance of
-  acquiring candidates;
-* the traversal stops when ``|G_Q|`` reaches ``alpha * |G|``, when a pass
-  adds nothing, or after ``max_passes`` passes (``ReductionResult.stop``
-  says which).
+* a ``Pick`` with more eligible neighbours than ``b`` is *cut*.  When the
+  stack drains and the pass added nodes, the bound grows to ``b+1`` and the
+  next pass *resumes*: it re-Picks only the cut Picks, in the order
+  they were made, each giving its best candidates not given before (up to
+  ``b`` over its life), and runs the same traversal from those; a query edge
+  is expanded at a data node once per search.  This is the paper's restart
+  from ``(up, vp)`` without re-walking what did not change;
+* the traversal stops when ``|G_Q|`` reaches ``alpha * |G|`` (``storage``),
+  when the next charge would pass the visit cap ``c * alpha * |G|``
+  (``visits``), or when a pass admits nothing or leaves no ``Pick`` cut
+  (``fixpoint``); ``ReductionResult.stop`` says which.
 
 The procedure is shared by ``RBSim`` and ``RBSub``; they differ only in the
 guarded condition (and therefore in the weights derived from it).
@@ -27,11 +31,16 @@ from itertools import filterfalse
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.budget import BudgetReport, ResourceBudget, snapshot
-from repro.core.weights import GuardedCondition, WeightEstimator
+from repro.core.weights import GuardedCondition, Remainder, WeightEstimator
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.subgraph import SubgraphBuilder
 from repro.patterns.pattern import GraphPattern, QueryNodeId
+
+
+#: A cut ``Pick``: the node it was made at, the query node it picks for, the
+#: node's traversal depth, and the candidates it has not given yet.
+CutPick = Tuple[NodeId, QueryNodeId, int, Remainder]
 
 
 @dataclass
@@ -39,12 +48,15 @@ class ReductionResult:
     """Outcome of the dynamic reduction step.
 
     ``subgraph`` is the extracted ``G_Q``; ``budget`` records how much of the
-    allowance was used; ``final_bound`` is the last value of the selection
-    bound ``b``; ``passes`` counts how many times the search restarted from
-    ``(up, vp)`` with an enlarged bound; ``stop`` says why it stopped:
-    ``storage`` (``|G_Q|`` reached ``alpha * |G|``), ``fixpoint`` (a pass
-    added nothing) or ``passes`` (``max_passes`` ran out while passes still
-    added nodes).
+    allowance was used; ``final_bound`` is the selection bound ``b`` of the
+    last pass; ``passes`` counts the passes (the first from ``(up, vp)``,
+    each later one resuming the cut Picks); ``stop`` says why it
+    stopped: ``storage`` (``|G_Q|`` reached ``alpha * |G|``), ``visits`` (the
+    next charge would pass the visit cap) or ``fixpoint`` (a pass admitted
+    nothing, or no ``Pick`` was left cut); ``cut`` is how many Picks were
+    still cut at the stop, so ``storage`` or ``visits`` with ``cut > 0`` says
+    the budget, not the graph, ended the search; ``repicks`` is how many
+    times a cut ``Pick`` was made again.
     """
 
     subgraph: DiGraph
@@ -53,6 +65,8 @@ class ReductionResult:
     passes: int = 1
     candidate_counts: Dict[QueryNodeId, int] = field(default_factory=dict)
     stop: str = "fixpoint"
+    cut: int = 0
+    repicks: int = 0
 
     def spend(self) -> Dict[str, object]:
         """Budget spent versus budget allowed, as the ``reduction.search`` span carries it."""
@@ -60,6 +74,7 @@ class ReductionResult:
         return {
             "passes": self.passes,
             "stop": self.stop,
+            "cut": self.cut,
             "stored": budget.stored,
             "size_limit": budget.size_limit,
             "visited": budget.visited,
@@ -78,7 +93,6 @@ class DynamicReducer:
         guard: GuardedCondition,
         budget: ResourceBudget,
         initial_bound: int = 2,
-        max_passes: int = 6,
         use_weights: bool = True,
         use_guard: bool = True,
         max_depth: Optional[int] = None,
@@ -88,7 +102,6 @@ class DynamicReducer:
         self._vp = personalized_match
         self._budget = budget
         self._initial_bound = max(1, initial_bound)
-        self._max_passes = max(1, max_passes)
         self._use_weights = use_weights
         self._use_guard = use_guard
         # Restrict the traversal to the d_Q-ball of vp: the paper's G_Q is a
@@ -119,10 +132,14 @@ class DynamicReducer:
         """Extract ``G_Q`` (procedure ``Search`` of Fig. 3, ``Pick`` inline).
 
         A pop admits a new node into ``G_Q`` (its edges to members read from
-        its own row), then expands each query edge at that node once per pass:
-        ``Pick`` charges ``|N(v)|`` visits and pushes the top-``b`` eligible
-        neighbours not yet queued for that query node, best on top.  Charges
-        accumulate in locals and reach the budget when the search ends.
+        its own row), then expands each query edge at that node not expanded
+        before: ``Pick`` charges ``|N(v)|`` visits and pushes the top-``b``
+        eligible neighbours not yet queued for that query node, best on top,
+        and keeps the rest as the ``Remainder`` of a cut ``Pick``.  When the
+        stack drains, the next cut ``Pick`` of the pass is made again (the
+        first one of the next pass at ``b+1`` once the pass is over), giving
+        what its bound now allows.  Charges accumulate in locals and reach
+        the budget when the search ends.
         """
         builder = SubgraphBuilder(self._graph)
         bound, budget, vp = self._initial_bound, self._budget, self._vp
@@ -136,63 +153,101 @@ class DynamicReducer:
         use_guard, use_weights, personalized = self._use_guard, self._use_weights, pattern.personalized
         candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in pattern.nodes()}
         room = budget.size_limit - budget.stored  # storage left; G_Q is full at 0
-        stored = visited = passes = 0
-        stop = "passes"
-        while passes < self._max_passes:
-            passes += 1
-            changed = False
-            # Per data node, the query edges expanded there this pass (as
-            # bits); per query node, the data nodes queued for it.
-            expanded: Dict[NodeId, int] = {}
-            queued: Dict[QueryNodeId, Set[NodeId]] = {u: set() for u in bits}
-            queued[personalized].add(vp)
-            stack: List[Tuple[QueryNodeId, NodeId, int]] = [(personalized, vp, 0)]
-            while stack:
-                query_node, node, depth = stack.pop()
-                queued[query_node].discard(node)
-                if node not in in_gq:
-                    if stored < room:
-                        label, children, parents = state.admit(node)
-                        builder.add_node(node, label)
-                        edges = builder.add_row_edges(node, children, parents, room - stored - 1)
-                        stored += 1 + edges
-                        visited += 1 + edges
-                        candidate_counts[query_node] += 1
-                        changed = True
-                    if stored >= room:
-                        stop = "storage"
+        visit_room = budget.visit_limit - budget.visited  # a charge past it is not made
+        stored = visited = repicks = 0
+        passes, changed, stop = 1, False, None
+        # Per data node, the query edges expanded there (as bits); per query
+        # node, the data nodes queued for it.
+        expanded: Dict[NodeId, int] = {}
+        queued: Dict[QueryNodeId, Set[NodeId]] = {u: set() for u in bits}
+        queued[personalized].add(vp)
+        stack: List[Tuple[QueryNodeId, NodeId, int]] = [(personalized, vp, 0)]
+        # The cut Picks of this pass still to be made again, and those of the next.
+        pending: List[CutPick] = []
+        cuts: List[CutPick] = []
+        position = 0
+        while True:
+            if not stack:
+                if position == len(pending):  # the pass is over
+                    if not changed or not cuts:
+                        stop = "fixpoint"
                         break
-                if depth >= max_depth:
+                    pending, cuts, position = cuts, [], 0
+                    bound, passes, changed = bound + 1, passes + 1, False
+                pick = pending[position]
+                node, neighbor_query, depth, remainder = pick
+                width = state.width(node)
+                if visited + width > visit_room:
+                    stop = "visits"
+                    break
+                visited += width
+                position += 1
+                repicks += 1
+                taken = remainder.take(bound - remainder.given)
+                if remainder:
+                    cuts.append(pick)
+                waiting = queued[neighbor_query]
+                for candidate in reversed(taken):
+                    stack.append((neighbor_query, candidate, depth + 1))
+                    waiting.add(candidate)
+                continue
+
+            query_node, node, depth = stack.pop()
+            queued[query_node].discard(node)
+            if node not in in_gq:
+                if stored < room:
+                    if visited >= visit_room:
+                        stop = "visits"
+                        break
+                    label, children, parents = state.admit(node)
+                    builder.add_node(node, label)
+                    edges = builder.add_row_edges(
+                        node, children, parents, min(room - stored, visit_room - visited) - 1
+                    )
+                    stored += 1 + edges
+                    visited += 1 + edges
+                    candidate_counts[query_node] += 1
+                    changed = True
+                if stored >= room:
+                    stop = "storage"
+                    break
+            if depth >= max_depth:
+                continue
+            done = expanded.get(node, 0)
+            for neighbor_query, edge_bit in incident[query_node]:
+                if done & edge_bit:
                     continue
-                done = expanded.get(node, 0)
-                for neighbor_query, edge_bit in incident[query_node]:
-                    if done & edge_bit:
-                        continue
-                    done |= edge_bit
-                    # Pick: every distinct neighbour of ``node`` is charged.
-                    visited += state.width(node)
-                    if use_guard:
-                        eligible = state.eligible(node, neighbor_query)
-                    elif neighbor_query == personalized:
-                        # Ablation mode: only the label must match (up is matched by identity).
-                        eligible = [vp] if vp in state.distinct(node) else []
-                    else:
-                        eligible = state.labelled(node, neighbor_query)
-                    waiting = queued[neighbor_query]
+                # Pick: every distinct neighbour of ``node`` is charged.
+                width = state.width(node)
+                if visited + width > visit_room:
+                    stop = "visits"
+                    break
+                visited += width
+                done |= edge_bit
+                if use_guard:
+                    eligible = state.eligible(node, neighbor_query)
+                elif neighbor_query == personalized:
+                    # Ablation mode: only the label must match (up is matched by identity).
+                    eligible = [vp] if vp in state.distinct(node) else []
+                else:
+                    eligible = state.labelled(node, neighbor_query)
+                waiting = queued[neighbor_query]
+                if len(eligible) > bound:
+                    # Cut: the rest waits for a later pass, best first.
+                    remainder = Remainder(state, eligible, neighbor_query, use_weights)
+                    candidates = remainder.take(bound, waiting)
+                    cuts.append((node, neighbor_query, depth, remainder))
+                else:
                     candidates = list(filterfalse(waiting.__contains__, eligible))
                     if use_weights and len(candidates) > 1:
                         candidates = state.rank(candidates, neighbor_query, bound)
                     # Without weights (FIFO ablation) discovery order is the ranking.
-                    for candidate in reversed(candidates[:bound]):
-                        stack.append((neighbor_query, candidate, depth + 1))
-                        waiting.add(candidate)
-                expanded[node] = done
-            if stop == "storage":
+                for candidate in reversed(candidates):
+                    stack.append((neighbor_query, candidate, depth + 1))
+                    waiting.add(candidate)
+            expanded[node] = done
+            if stop is not None:
                 break
-            if not changed:
-                stop = "fixpoint"
-                break
-            bound += 1
 
         budget.charge_storage(stored)
         budget.charge_visit(visited)
@@ -203,4 +258,6 @@ class DynamicReducer:
             passes=passes,
             candidate_counts=candidate_counts,
             stop=stop,
+            cut=len(cuts) + len(pending) - position,
+            repicks=repicks,
         )

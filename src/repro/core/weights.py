@@ -20,13 +20,15 @@ neighbour), and :class:`IsomorphismGuard` is the revised condition of
 with sufficient degree for every query neighbour.
 
 ``C(v, u)`` and the adjacency of ``v`` depend on ``G`` and ``Q`` alone, never
-on the evolving ``G_Q``, while ``Search`` restarts with a larger bound up to
-``max_passes`` times and re-ranks the same neighbourhoods each time.
+on the evolving ``G_Q``, while ``Search`` comes back, pass after pass, to the
+Picks its bound cut short and ranks the same neighbourhoods again.
 :class:`WeightEstimator`, the flat state of one search, therefore loads each
 data node's row once, and updates ``c(v, u)`` the way the paper says,
 "dynamically": a node joining ``G_Q`` pushes what it can play to its
 neighbours, and nothing is recomputed from scratch per candidate; a weight is
-recomputed only when a member joined around its node.
+recomputed only when a member joined around its node.  A cut ``Pick`` keeps
+its ungiven candidates as a :class:`Remainder`, a heap that re-weighs only
+the candidates in the rows of members admitted since it last gave.
 
 On a ``CSRGraph`` the state works in row space: a row's askers are one
 gather through a label id -> askers table, and a row wider than
@@ -39,9 +41,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import chain, islice, repeat
 from operator import or_
-from typing import Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
 
 import numpy as np
 
@@ -422,6 +425,8 @@ class WeightEstimator:
         self._covered: Dict[NodeId, int] = {}
         self._hits: Counter = Counter()
         self._wide: List[Tuple[int, Counter]] = []
+        # The row of every member, in admission order: whose weights moved.
+        self.touched: List[List[NodeId]] = []
 
     # ------------------------------------------------------------------ #
     # What depends on G and Q alone
@@ -569,6 +574,7 @@ class WeightEstimator:
             label = csr.label_at(csr.index_of(node))
             key = csr.label_id(label)
         roles = self._plays(node, self._askers.get(key, 0), every=True)
+        self.touched.append(scan)
         if len(scan) > self.max_scan:
             self._wide.append((roles, Counter(scan)))  # no O(deg) loop per hub
         else:
@@ -614,15 +620,14 @@ class WeightEstimator:
         # No potential: the weight is 0 whatever the cost.
         return potential / (self.cost(node, query_node) + 1) if potential else 0.0
 
-    def rank(self, candidates: List[NodeId], query_node: QueryNodeId, bound: int) -> List[NodeId]:
-        """The ``bound`` best ``candidates`` by weight, best first; the sort is
-        stable, so ties keep their order.
+    def weights(self, candidates: List[NodeId], query_node: QueryNodeId) -> List[float]:
+        """The weight of each of ``candidates`` for ``query_node``.
 
         Only a member joining around ``v`` moves its weight: it raises
         ``hits[v]``, or it is a wide member with ``v`` in its row.  A weight is
         kept with the ``hits[v]`` it was computed at, a wide member joining
         marks the kept weights of its row's entries stale, and only a stale
-        weight is computed again: a ranking with none reads two dicts.
+        weight is computed again: a call with none reads two dicts.
         """
         kept_hits, kept = self._kept[query_node]
         wide, seen = self._wide, self._wide_seen.get(query_node, 0)
@@ -638,6 +643,93 @@ class WeightEstimator:
             for candidate, now, before in zip(candidates, hits, then):
                 if now != before:
                     kept[candidate], kept_hits[candidate] = weight(candidate, query_node), now
-        weights = list(map(kept.__getitem__, candidates))
+        return list(map(kept.__getitem__, candidates))
+
+    def rank(self, candidates: List[NodeId], query_node: QueryNodeId, bound: int) -> List[NodeId]:
+        """The ``bound`` best ``candidates`` by weight, best first; the sort is
+        stable, so ties keep their order."""
+        weights = self.weights(candidates, query_node)
         ranked = sorted(range(len(candidates)), key=weights.__getitem__, reverse=True)
         return list(map(candidates.__getitem__, ranked[:bound]))
+
+
+class Remainder:
+    """The candidates a cut ``Pick`` has not given yet, best first.
+
+    ``eligible`` is the ``Pick``'s eligible list in scan order; the order is
+    weight, highest first, then scan position, which is what a stable sort
+    of the ungiven candidates gives.  The heap holds ``(-weight, position)``
+    entries, one current per candidate (``keys``) and superseded ones left
+    to be skipped when popped.  Before giving, it re-weighs only the
+    candidates in the rows of members admitted since it last gave (all of
+    them when those rows are longer than what is left), and pushes a new
+    entry for each weight that moved.  Unweighted (the FIFO ablation), the
+    order is the scan order.
+    """
+
+    __slots__ = ("_state", "_query_node", "_eligible", "_positions", "_heap", "_keys", "_seen")
+
+    def __init__(
+        self, state: WeightEstimator, eligible: List[NodeId], query_node: QueryNodeId, weighted: bool
+    ) -> None:
+        self._state, self._query_node, self._eligible = state, query_node, eligible
+        weights = map(float.__neg__, state.weights(eligible, query_node)) if weighted else [0.0] * len(eligible)
+        self._keys: Dict[int, float] = dict(enumerate(weights))
+        self._heap = [(key, position) for position, key in self._keys.items()]
+        heapify(self._heap)
+        self._positions: Optional[Dict[NodeId, int]] = None  # candidate -> position, on first use
+        # How much of ``state.touched`` the weights have seen (``None``: never moves).
+        self._seen = len(state.touched) if weighted else None
+
+    def __len__(self) -> int:
+        """How many eligible candidates are still to be given."""
+        return len(self._keys)
+
+    @property
+    def given(self) -> int:
+        """How many candidates this ``Pick`` has given so far."""
+        return len(self._eligible) - len(self._keys)
+
+    def take(self, count: int, waiting: Collection[NodeId] = ()) -> List[NodeId]:
+        """Give the ``count`` best candidates not ``waiting``, best first."""
+        self._refresh()
+        heap, keys, eligible = self._heap, self._keys, self._eligible
+        taken: List[NodeId] = []
+        passed = []
+        while heap and len(taken) < count:
+            entry = heappop(heap)
+            key, position = entry
+            if keys.get(position) != key:
+                continue  # superseded, or given
+            candidate = eligible[position]
+            if candidate in waiting:
+                passed.append(entry)
+                continue
+            del keys[position]
+            taken.append(candidate)
+        for entry in passed:
+            heappush(heap, entry)
+        return taken
+
+    def _refresh(self) -> None:
+        """Re-weigh the candidates whose weight may have moved since the last call."""
+        touched, seen, keys = self._state.touched, self._seen, self._keys
+        if seen is None or seen == len(touched):
+            return
+        self._seen = len(touched)
+        rows = touched[seen:]
+        if sum(map(len, rows)) < len(keys):
+            positions = self._positions
+            if positions is None:
+                positions = self._positions = {c: p for p, c in enumerate(self._eligible)}
+            moved = [p for p in map(positions.get, set(chain.from_iterable(rows))) if p in keys]
+        else:
+            moved = list(keys)
+        if not moved:
+            return
+        eligible, heap = self._eligible, self._heap
+        weights = self._state.weights([eligible[p] for p in moved], self._query_node)
+        for p, weight in zip(moved, weights):
+            if keys[p] != -weight:
+                keys[p] = -weight
+                heappush(heap, (-weight, p))

@@ -335,20 +335,21 @@ def theoretical_alpha_bound(
     num_labels: int,
     fanout: Optional[int] = None,
 ) -> float:
-    """Theorem 3(b)'s sufficient resource ratio ``2((l*f)^d - 1) / ((l*f - 1)|G|)``.
+    """Theorem 3(b)'s sufficient resource ratio for a ball bounded by ``l`` and ``f``.
 
     ``num_labels`` is ``l`` (distinct labels in the query), ``radius`` is the
     undirected query diameter ``d`` and ``fanout`` defaults to the measured
-    ``f`` of the ball around ``center``.  Returns 1.0 when the bound exceeds
-    the whole graph (i.e. no guarantee below reading everything).
+    ``f`` of the ball around ``center``.  A node has at most ``l*f``
+    neighbours on each side carrying a query label, so the part of the
+    ``d``-ball a search can admit holds at most
+    ``N = 1 + l*f + ... + (l*f)^d`` nodes and ``l*f`` edges out of each: the
+    ratio is ``N * (1 + l*f) / |G|``.  Returns 1.0 when that exceeds the whole
+    graph (i.e. no guarantee below reading everything).
     """
     size = graph.size()
     if size == 0:
         return 1.0
     f = max_label_fanout(graph, center, radius) if fanout is None else fanout
     branching = num_labels * max(f, 1)
-    if branching <= 1:
-        needed = 2.0 * radius
-    else:
-        needed = 2.0 * (branching**radius - 1) / (branching - 1)
-    return min(1.0, needed / size)
+    nodes = sum(branching**level for level in range(radius + 1))
+    return min(1.0, nodes * (1 + branching) / size)

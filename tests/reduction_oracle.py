@@ -1,13 +1,25 @@
-"""The per-neighbour ``Search``/``Pick``/``weight`` of PR 16, frozen as an oracle.
+"""The per-neighbour ``Search``/``Pick``/``weight``, kept as an oracle.
 
-``OracleReducer`` and ``OracleWeightEstimator`` are ``DynamicReducer`` and
-``WeightEstimator`` exactly as they stood before the candidate table
-(commit c271cfb): every ``Pick`` re-scans the adjacency of its node, every
-``weight`` re-scans the adjacency of its candidate.  They exist only so
+``OracleWeightEstimator`` is ``WeightEstimator`` as it stood before the
+candidate table (commit c271cfb): every ``weight`` re-scans the adjacency of
+its candidate.  ``OracleReducer`` is ``DynamicReducer`` in the same simple
+style, with the resume rule written out and no caches: every ``Pick`` (first
+or repeated) re-scans the adjacency of its node and re-weighs every
+candidate from scratch.  They exist only so
 ``tests/test_reduction_differential.py`` can demand bit-identical results
 from the table-backed implementation; nothing in ``src/`` imports them.
-The one addition is the ``max_scan`` constructor argument, passed through
-to the estimator so the sweep can make the scan cap bite.
+The ``max_scan`` constructor argument is passed through to the estimator so
+the sweep can make the scan cap bite.
+
+The resume rule: a ``Pick`` with more eligible neighbours than its bound is
+*cut* and remembered as ``(node, neighbour query node, depth, candidates
+given)``.  When a pass drains and admitted something, the bound grows by
+one and the next pass makes the cut Picks again, in the order they were
+made, each charged ``|N(v)|`` and giving its best candidates not given
+before (up to its bound over its life) at ``depth + 1``; the traversal from
+each runs before the next one is made, and a query edge is expanded at a
+data node once per search.  A ``Pick`` whose eligible candidates have all
+been given is dropped.  A charge that would pass either limit is not made.
 
 Below the oracle sit the two helpers every comparison with it shares (the
 differential test and ``benchmarks/bench_search.py``): :func:`build_reducer`
@@ -108,7 +120,6 @@ class OracleReducer:
         budget: ResourceBudget,
         neighborhood_index: Optional[NeighborhoodIndex] = None,
         initial_bound: int = 2,
-        max_passes: int = 6,
         use_weights: bool = True,
         use_guard: bool = True,
         max_depth: Optional[int] = None,
@@ -121,7 +132,6 @@ class OracleReducer:
         self._budget = budget
         self._index = neighborhood_index or NeighborhoodIndex(graph)
         self._initial_bound = max(1, initial_bound)
-        self._max_passes = max(1, max_passes)
         self._use_weights = use_weights
         self._use_guard = use_guard
         # Restrict the traversal to the d_Q-ball of vp: the paper's G_Q is a
@@ -129,15 +139,16 @@ class OracleReducer:
         # (measured along the traversal) are never added.
         self._max_depth = max_depth if max_depth is not None else pattern.diameter()
         self._estimator = OracleWeightEstimator(pattern, graph, guard, max_scan)
+        # (query edge endpoints, data node) triples expanded so far.
+        self._expanded: Set[Tuple[QueryNodeId, QueryNodeId, NodeId]] = set()
 
     # ------------------------------------------------------------------ #
     # Procedure Search
     # ------------------------------------------------------------------ #
     def search(self) -> ReductionResult:
-        """Extract ``G_Q`` (procedure ``Search`` of Fig. 3)."""
+        """Extract ``G_Q`` (procedure ``Search`` of Fig. 3, resuming cut Picks)."""
         builder = SubgraphBuilder(self._graph)
         bound = self._initial_bound
-        passes = 0
         candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in self._pattern.nodes()}
 
         if self._vp not in self._graph:
@@ -145,49 +156,44 @@ class OracleReducer:
                 subgraph=builder.build(), budget=snapshot(self._budget), final_bound=bound, passes=0
             )
 
-        terminate = False
-        while not terminate and passes < self._max_passes:
+        passes = 1
+        cuts: List[list] = []  # [node, neighbour query node, depth, given]
+        stop, changed = self._drain(
+            builder, [(self._pattern.personalized, self._vp, 0)], bound, cuts, candidate_counts
+        )
+        unmade = 0  # cut Picks of the interrupted pass not made again
+        repicks = 0  # cut Picks made again
+        while stop is None:
+            if not changed or not cuts:
+                stop = "fixpoint"
+                break
+            bound += 1
             passes += 1
             changed = False
-            # (query edge endpoints, data node) pairs already expanded this pass.
-            expanded: Set[Tuple[QueryNodeId, QueryNodeId, NodeId]] = set()
-            stack: List[Tuple[QueryNodeId, NodeId, int]] = [(self._pattern.personalized, self._vp, 0)]
-            queued: Set[Tuple[QueryNodeId, NodeId]] = {(self._pattern.personalized, self._vp)}
-
-            while stack:
-                query_node, node, depth = stack.pop()
-                queued.discard((query_node, node))
-                added = self._add_to_subgraph(builder, node, query_node, candidate_counts)
-                if added:
-                    changed = True
-                if self._budget.storage_exhausted():
-                    terminate = True
+            pending, cuts = cuts, []
+            for index, pick in enumerate(pending):
+                node, neighbor_query, depth, given = pick
+                if not self._pick_fits(node):
+                    stop, unmade = "visits", len(pending) - index
                     break
-                if depth >= self._max_depth:
-                    continue
-                for neighbor_query, forward in self._incident_query_edges(query_node):
-                    edge_key = (query_node, neighbor_query, node) if forward else (
-                        neighbor_query,
-                        query_node,
-                        node,
-                    )
-                    if edge_key in expanded:
-                        continue
-                    expanded.add(edge_key)
-                    picked = self._pick(neighbor_query, node, builder, bound, queued)
-                    # Best candidate goes on top of the stack (pushed last).
-                    for candidate in reversed(picked):
-                        pair = (neighbor_query, candidate)
-                        if pair not in queued:
-                            stack.append((neighbor_query, candidate, depth + 1))
-                            queued.add(pair)
-
-            if terminate:
-                break
-            if changed:
-                bound += 1
-            else:
-                terminate = True
+                repicks += 1
+                picked, eligible = self._pick(
+                    neighbor_query, node, builder, bound - len(given), set(), given
+                )
+                given.update(picked)
+                if len(given) < eligible:
+                    cuts.append(pick)
+                stop, added = self._drain(
+                    builder,
+                    [(neighbor_query, candidate, depth + 1) for candidate in reversed(picked)],
+                    bound,
+                    cuts,
+                    candidate_counts,
+                )
+                changed = changed or added
+                if stop is not None:
+                    unmade = len(pending) - index - 1
+                    break
 
         return ReductionResult(
             subgraph=builder.build(),
@@ -195,35 +201,95 @@ class OracleReducer:
             final_bound=bound,
             passes=passes,
             candidate_counts=candidate_counts,
+            stop=stop,
+            cut=len(cuts) + unmade,
+            repicks=repicks,
         )
+
+    def _drain(
+        self,
+        builder: SubgraphBuilder,
+        stack: List[Tuple[QueryNodeId, NodeId, int]],
+        bound: int,
+        cuts: List[list],
+        candidate_counts: Dict[QueryNodeId, int],
+    ) -> Tuple[Optional[str], bool]:
+        """The depth-first traversal from ``stack`` until it drains; returns
+        the stop it met (``None`` if none) and whether it admitted a node."""
+        changed = False
+        queued: Set[Tuple[QueryNodeId, NodeId]] = {(query_node, node) for query_node, node, _ in stack}
+        while stack:
+            query_node, node, depth = stack.pop()
+            queued.discard((query_node, node))
+            added = self._add_to_subgraph(builder, node, query_node, candidate_counts)
+            if added is None:
+                return "visits", changed
+            if added:
+                changed = True
+            if self._budget.storage_exhausted():
+                return "storage", changed
+            if depth >= self._max_depth:
+                continue
+            for neighbor_query, forward in self._incident_query_edges(query_node):
+                edge_key = (query_node, neighbor_query, node) if forward else (
+                    neighbor_query,
+                    query_node,
+                    node,
+                )
+                if edge_key in self._expanded:
+                    continue
+                if not self._pick_fits(node):
+                    return "visits", changed
+                self._expanded.add(edge_key)
+                picked, eligible = self._pick(neighbor_query, node, builder, bound, queued, set())
+                if eligible > bound:
+                    cuts.append([node, neighbor_query, depth, set(picked)])
+                # Best candidate goes on top of the stack (pushed last).
+                for candidate in reversed(picked):
+                    pair = (neighbor_query, candidate)
+                    if pair not in queued:
+                        stack.append((neighbor_query, candidate, depth + 1))
+                        queued.add(pair)
+        return None, changed
 
     # ------------------------------------------------------------------ #
     # Procedure Pick
     # ------------------------------------------------------------------ #
+    def _neighbors(self, node: NodeId) -> List[NodeId]:
+        """``N(node)``: children then parents, each once."""
+        seen: Set[NodeId] = set()
+        distinct = []
+        for neighbor in list(self._graph.successors(node)) + list(self._graph.predecessors(node)):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                distinct.append(neighbor)
+        return distinct
+
+    def _pick_fits(self, node: NodeId) -> bool:
+        """Whether a ``Pick`` at ``node``, charged ``|N(node)|``, fits the visit cap."""
+        return self._budget.visited + len(self._neighbors(node)) <= self._budget.visit_limit
+
     def _pick(
         self,
         query_node: QueryNodeId,
         node: NodeId,
         builder: SubgraphBuilder,
-        bound: int,
+        limit: int,
         queued: Set[Tuple[QueryNodeId, NodeId]],
-    ) -> List[NodeId]:
-        """Top-``bound`` new candidates for ``query_node`` among ``N(node)``.
+        given: Set[NodeId],
+    ) -> Tuple[List[NodeId], int]:
+        """Top-``limit`` new candidates for ``query_node`` among ``N(node)``,
+        and how many neighbours are eligible at all.
 
-        Candidates must pass the guarded condition and not already be queued
-        for the same query node; they are ranked by ``p/(c+1)``.
+        Candidates must pass the guarded condition and be neither queued for
+        the same query node nor ``given`` by this ``Pick`` before; they are
+        ranked by ``p/(c+1)``.
         """
         in_gq = builder.nodes()
         scored: List[Tuple[float, int, NodeId]] = []
-        order = 0
-        seen_neighbors: Set[NodeId] = set()
-        for neighbor in list(self._graph.successors(node)) + list(self._graph.predecessors(node)):
-            if neighbor in seen_neighbors:
-                continue
-            seen_neighbors.add(neighbor)
+        order = eligible = 0
+        for neighbor in self._neighbors(node):
             self._budget.charge_visit()
-            if (query_node, neighbor) in queued:
-                continue
             if self._use_guard and not self._guard.check(neighbor, query_node):
                 continue
             if not self._use_guard:
@@ -234,6 +300,9 @@ class OracleReducer:
                     continue
                 if query_node == self._pattern.personalized and neighbor != self._vp:
                     continue
+            eligible += 1
+            if (query_node, neighbor) in queued or neighbor in given:
+                continue
             if self._use_weights:
                 weight = self._estimator.weight(neighbor, query_node, in_gq)
             else:
@@ -241,8 +310,7 @@ class OracleReducer:
             scored.append((weight, -order, neighbor))
             order += 1
         scored.sort(reverse=True)
-        limit = max(1, bound)
-        return [entry[2] for entry in scored[:limit]]
+        return [entry[2] for entry in scored[:limit]], eligible
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -256,23 +324,29 @@ class OracleReducer:
             incident.append((parent, False))
         return incident
 
+    def _fits(self) -> bool:
+        """Whether one more item fits ``G_Q`` and its visit fits the cap."""
+        return self._budget.can_store(1) and not self._budget.visits_exhausted()
+
     def _add_to_subgraph(
         self,
         builder: SubgraphBuilder,
         node: NodeId,
         query_node: QueryNodeId,
         candidate_counts: Dict[QueryNodeId, int],
-    ) -> bool:
-        """Add ``node`` (and its edges to existing ``G_Q`` nodes) within budget."""
+    ) -> Optional[bool]:
+        """Add ``node`` (and its edges to existing ``G_Q`` nodes) within budget;
+        ``None`` when storage is left but the node's visit would pass the cap."""
         is_new = node not in builder
         if is_new:
             if not self._budget.can_store(1):
                 return False
+            if self._budget.visits_exhausted():
+                return None
             builder.add_node(node)
             self._budget.charge_storage(1)
             self._budget.charge_visit()
             candidate_counts[query_node] = candidate_counts.get(query_node, 0) + 1
-            added_edges = 0
             # Connect the new node to G_Q.  Iterate over whichever side is
             # smaller (the node's adjacency or the current G_Q) so hub nodes
             # with thousands of neighbours do not dominate the cost.
@@ -287,19 +361,18 @@ class OracleReducer:
                 in_sources = [n for n in predecessors if n in builder]
             for target in out_targets:
                 if not builder.has_edge(node, target):
-                    if not self._budget.can_store(1):
+                    if not self._fits():
                         break
                     builder.add_edge(node, target)
                     self._budget.charge_storage(1)
-                    added_edges += 1
+                    self._budget.charge_visit()
             for source in in_sources:
                 if not builder.has_edge(source, node):
-                    if not self._budget.can_store(1):
+                    if not self._fits():
                         break
                     builder.add_edge(source, node)
                     self._budget.charge_storage(1)
-                    added_edges += 1
-            self._budget.charge_visit(added_edges)
+                    self._budget.charge_visit()
         return is_new
 
 
@@ -331,4 +404,7 @@ def fingerprint(result: ReductionResult):
         result.final_bound,
         result.passes,
         result.candidate_counts,
+        result.stop,
+        result.cut,
+        result.repicks,
     )

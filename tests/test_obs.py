@@ -457,6 +457,7 @@ class TestReductionSpanAttrs:
         assert by_name["reduction.search"]["attrs"] == {
             "passes": answer.reduction.passes,
             "stop": answer.reduction.stop,
+            "cut": answer.reduction.cut,
             "stored": answer.budget.stored,
             "size_limit": answer.budget.size_limit,
             "visited": answer.budget.visited,

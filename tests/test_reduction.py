@@ -11,10 +11,12 @@ from repro.graph.subgraph import is_subgraph
 from repro.patterns.pattern import make_pattern
 
 
-def make_reducer(graph, pattern, vp, alpha, **kwargs):
+def make_reducer(graph, pattern, vp, alpha, visit_coefficient=None, **kwargs):
     index = NeighborhoodIndex(graph)
     guard = SimulationGuard(pattern, graph, vp, index)
-    budget = ResourceBudget(alpha=alpha, graph_size=graph.size(), visit_coefficient=graph.max_degree() or 1)
+    budget = ResourceBudget(
+        alpha=alpha, graph_size=graph.size(), visit_coefficient=visit_coefficient or graph.max_degree() or 1
+    )
     return DynamicReducer(
         pattern=pattern,
         graph=graph,
@@ -66,11 +68,12 @@ class TestSearch:
 
     def test_bound_grows_over_passes(self, example1_graph, example1_query):
         reducer, _ = make_reducer(
-            example1_graph, example1_query, "Michael", alpha=0.9, initial_bound=1, max_passes=8
+            example1_graph, example1_query, "Michael", alpha=0.9, initial_bound=1
         )
         result = reducer.search()
-        assert result.final_bound >= 1
         assert result.passes >= 1
+        # One pass at b = 1, then one more per resume at b + 1.
+        assert result.final_bound == 1 + result.passes - 1
 
     def test_candidate_counts_track_added_nodes(self, example1_graph, example1_query):
         reducer, _ = make_reducer(example1_graph, example1_query, "Michael", alpha=0.9)
@@ -132,11 +135,13 @@ class TestStopReason:
         graph, pattern = self.fan(5)  # |G| = 11, so alpha 0.3 allows 3 items
         reducer, budget = make_reducer(graph, pattern, "vp", alpha=0.3)
         result = reducer.search()
-        # vp, then its best A and the edge between them: G_Q is full in pass 1.
+        # vp, then its best A and the edge between them: G_Q is full in pass 1,
+        # with the Pick at vp (5 eligible, b = 2) still cut.
         assert (result.stop, result.passes, result.budget.stored) == ("storage", 1, 3)
         assert result.spend() == {
             "passes": 1,
             "stop": "storage",
+            "cut": 1,
             "stored": 3,
             "size_limit": 3,
             "visited": result.budget.visited,
@@ -144,27 +149,32 @@ class TestStopReason:
         }
 
     def test_fixpoint(self):
-        graph, pattern = self.fan(2)
+        graph, pattern = self.fan(3)
         graph.add_node("b", "B")  # a child no query node asks for: G_Q never fills
         graph.add_edge("vp", "b")
         reducer, budget = make_reducer(graph, pattern, "vp", alpha=1.0)
         result = reducer.search()
-        # Pass 1 takes both spokes (b = 2); pass 2 adds nothing.
-        assert (result.stop, result.passes, result.final_bound) == ("fixpoint", 2, 3)
-        assert result.subgraph.num_nodes() == 3
-        # Pass 1: vp, two spokes and two edges (5 items) and one Pick at vp,
-        # charged |N(vp)| = 3; pass 2: one more Pick.  The allowance is
-        # c * alpha * |G| with c = d_G = 3 and |G| = 7.
-        assert (result.budget.visited, result.budget.visit_limit) == (11, 21)
-        assert result.spend()["visit_limit"] == budget.visit_limit == 21
+        # Pass 1 takes two spokes (b = 2) and cuts the Pick at vp; pass 2
+        # (b = 3) makes that Pick again, which gives the third spoke and
+        # leaves nothing cut.
+        assert (result.stop, result.passes, result.final_bound, result.cut) == ("fixpoint", 2, 3, 0)
+        assert result.subgraph.num_nodes() == 4
+        # vp, three spokes and three edges (7 items), and the Pick at vp
+        # twice, charged |N(vp)| = 4 each time.  The allowance is
+        # c * alpha * |G| with c = d_G = 4 and |G| = 9.
+        assert (result.budget.visited, result.budget.visit_limit) == (15, 36)
+        assert result.spend()["visit_limit"] == budget.visit_limit == 36
 
-    def test_passes(self):
-        graph, pattern = self.fan(5)
-        reducer, _ = make_reducer(graph, pattern, "vp", alpha=1.0, max_passes=2)
+    def test_visits(self):
+        graph, pattern = self.fan(5)  # |G| = 11: c = 0.75 allows 8 visits
+        reducer, budget = make_reducer(graph, pattern, "vp", alpha=1.0, visit_coefficient=0.75)
         result = reducer.search()
-        # b = 2 then 3: both passes still add spokes, so max_passes ends it.
-        assert (result.stop, result.passes) == ("passes", 2)
-        assert result.subgraph.num_nodes() == 1 + 3
+        # vp (1), the Pick at vp (|N(vp)| = 5), the best spoke and its edge
+        # (2): the next spoke's visit would pass the cap, long before storage
+        # (11) fills or the cut Pick at vp runs out.
+        assert (result.stop, result.passes, result.cut) == ("visits", 1, 1)
+        assert (result.budget.visited, budget.visit_limit, result.budget.stored) == (8, 8, 3)
+        assert result.subgraph.num_nodes() == 2
 
     def test_missing_personalized_match(self, example1_graph, example1_query):
         reducer, _ = make_reducer(example1_graph, example1_query, "nobody", alpha=0.5)

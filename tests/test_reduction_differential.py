@@ -1,11 +1,13 @@
 """Differential and work-count tests for the flat ``Search``/``Pick``.
 
-``tests/reduction_oracle.py`` freezes the per-neighbour implementation that
-``DynamicReducer`` replaced.  Both must produce the same ``ReductionResult``
-— ``G_Q`` node order, edge order, labels, every budget charge, the final
-bound, the pass count and the per-query-node candidate counts — on every
-substrate the reduction runs on, for both guarded conditions, with the
-ablation flags on and off, and with the scan cap small enough to bite.
+``tests/reduction_oracle.py`` keeps the per-neighbour implementation that
+``DynamicReducer`` replaced, with the resume rule written out and no caches.
+Both must produce the same ``ReductionResult`` — ``G_Q`` node order, edge
+order, labels, every budget charge, the final bound, the pass count, the
+per-query-node candidate counts, the stop, the cut and re-Pick counts — on
+every substrate the reduction runs on, for both guarded conditions, with the
+ablation flags on and off, with the scan cap small enough to bite, and with
+a visit cap tight enough to stop the search mid-pass.
 The step test holds the incrementally maintained ``c(v, u)`` and ``p(v, u)``
 to the oracle's from-scratch values after every single ``G_Q`` insertion.
 
@@ -114,35 +116,34 @@ def draw_query(content: DiGraph, seed: int, embedded: bool):
     return random_pattern(num_nodes, num_edges, LABELS + ["Z"], seed=seed), rng.choice(list(content.nodes()))
 
 
-MAX_PASSES = 6
-
-
-def visit_coefficient(graph, pattern, paper: bool) -> float:
+def visit_coefficient(graph, pattern, cap: str) -> float:
     """The ``c`` of the visit cap ``c * alpha * |G|``.
 
-    ``paper`` is ``RBSim``'s default, ``d_G``.  ``Search`` does not stop at
-    the visit cap, and on graphs of a dozen nodes it overruns ``d_G``: each
-    pass re-charges ``N(v)`` once per query edge for every node of ``G_Q``.
-    That gives the coefficient ``Search`` can promise on *any* input, which
-    is what the random sweep holds it to.
+    ``paper`` is ``RBSim``'s default, ``d_G``.  ``tight`` (a quarter of an
+    item per item of ``G``) stops most searches on their visits early, so
+    the stop lands mid-pass and mid-insertion.  ``loose`` allows every
+    ``Pick`` of every query edge at every node to be made ``d_G`` times over,
+    so storage or a fixpoint ends the search instead.
     """
     max_degree = max(1, graph.max_degree())
-    return max_degree if paper else MAX_PASSES * pattern.num_edges() * max_degree + 1
+    if cap == "paper":
+        return max_degree
+    if cap == "tight":
+        return 0.25
+    return 8 * pattern.num_edges() * max_degree * max_degree + 8
 
 
-def build(
-    reducer_class, graph, pattern, vp, guard_class, alpha, max_scan, paper_visit_cap=False, **flags
-):
+def build(reducer_class, graph, pattern, vp, guard_class, alpha, max_scan, visit_cap="loose", **flags):
     """One reducer over its own index, guard and budget (nothing memoised is shared)."""
     guard = guard_class(pattern, graph, vp, NeighborhoodIndex(graph))
     budget = ResourceBudget(
         alpha=alpha,
         graph_size=graph.size(),
-        visit_coefficient=visit_coefficient(graph, pattern, paper_visit_cap),
+        visit_coefficient=visit_coefficient(graph, pattern, visit_cap),
     )
     return build_reducer(
         reducer_class, max_scan, pattern=pattern, graph=graph, personalized_match=vp, guard=guard,
-        budget=budget, max_passes=MAX_PASSES, **flags
+        budget=budget, **flags
     )
 
 
@@ -168,14 +169,16 @@ def reduce_both(graph, pattern, vp, guard_kind, alpha, max_scan, **flags):
     use_guard=st.booleans(),
     max_scan=st.sampled_from([1, 3, 64]),
     alpha=st.sampled_from([0.15, 0.4, 1.0]),
+    visit_cap=st.sampled_from(["tight", "paper", "loose"]),
 )
 def test_table_backed_search_equals_the_frozen_oracle(
-    graph, seed, embedded, substrate, guard_kind, use_weights, use_guard, max_scan, alpha
+    graph, seed, embedded, substrate, guard_kind, use_weights, use_guard, max_scan, alpha, visit_cap
 ):
     host, content = substrate_of(substrate, graph, seed)
     pattern, vp = draw_query(content, seed, embedded)
     result, expected = reduce_both(
-        host, pattern, vp, guard_kind, alpha, max_scan, use_weights=use_weights, use_guard=use_guard
+        host, pattern, vp, guard_kind, alpha, max_scan,
+        visit_cap=visit_cap, use_weights=use_weights, use_guard=use_guard,
     )
     assert fingerprint(result) == fingerprint(expected)
     assert result.budget.within_size_bound
@@ -193,7 +196,7 @@ def test_hub_personalized_match_on_youtube(backend, guard_kind):
     assert content.out_degree(hub) + content.in_degree(hub) > 64
     graph = content if backend == "digraph" else CSRGraph.from_digraph(content)
     pattern, vp = embedded_pattern(content, 4, 8, seed=7, personalized_node=hub)
-    result, expected = reduce_both(graph, pattern, vp, guard_kind, 0.02, 64, paper_visit_cap=True)
+    result, expected = reduce_both(graph, pattern, vp, guard_kind, 0.02, 64, visit_cap="paper")
     assert fingerprint(result) == fingerprint(expected)
     assert result.subgraph.num_nodes() > 1
     assert result.budget.within_size_bound
@@ -215,7 +218,7 @@ def test_youtube_pattern_log_equals_the_frozen_oracle(youtube_log, guard_kind):
     graph, queries = youtube_log
     for query in queries:
         result, expected = reduce_both(
-            graph, query.pattern, query.personalized_match, guard_kind, 0.02, 64, paper_visit_cap=True
+            graph, query.pattern, query.personalized_match, guard_kind, 0.02, 64, visit_cap="paper"
         )
         assert fingerprint(result) == fingerprint(expected)
         assert result.budget.within_size_bound

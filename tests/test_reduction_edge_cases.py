@@ -17,12 +17,12 @@ class TestDegenerateQueries:
     def test_single_edge_pattern_on_star(self):
         graph = star_graph(12)
         pattern = make_pattern({0: "HUB", 1: "LEAF"}, [(0, 1)], personalized=0, output=1)
-        # The per-query-node bound b grows by one per pass, so finding all 12
-        # leaves needs enough passes for b to reach the hub's fan-out, and a
-        # budget large enough to hold the whole star (alpha = 1).
-        answer = rbsim(pattern, graph, 0, alpha=1.0, config=RBSimConfig(max_passes=16))
+        # The per-query-node bound b grows by one per pass, and the cut Pick at
+        # the hub resumes until it has given every leaf: with a budget large
+        # enough to hold the whole star (alpha = 1) all 12 are found.
+        answer = rbsim(pattern, graph, 0, alpha=1.0)
         assert answer.answer == set(range(1, 13))
-        # With the default pass cap the answer is a budget-bounded subset.
+        # Below that the answer is a budget-bounded subset.
         capped = rbsim(pattern, graph, 0, alpha=0.9)
         assert capped.answer
         assert capped.answer <= answer.answer
@@ -65,16 +65,17 @@ class TestDegenerateQueries:
 
 
 class TestReducerConfiguration:
-    def test_max_passes_one_still_returns_subgraph(self, example1_graph, example1_query):
+    def test_initial_bound_one_resumes_until_a_stop(self, example1_graph, example1_query):
         index = NeighborhoodIndex(example1_graph)
         guard = SimulationGuard(example1_query, example1_graph, "Michael", index)
         budget = ResourceBudget(alpha=0.9, graph_size=example1_graph.size(), visit_coefficient=10)
         reducer = DynamicReducer(
             example1_query, example1_graph, "Michael", guard, budget,
-            max_passes=1,
+            initial_bound=1,
         )
         result = reducer.search()
-        assert result.passes == 1
+        assert result.stop in {"storage", "visits", "fixpoint"}
+        assert result.final_bound == result.passes  # b = 1 in pass 1, one more per pass
         assert "Michael" in result.subgraph
 
     def test_max_depth_zero_limits_to_personalized_node(self, example1_graph, example1_query):
@@ -91,7 +92,7 @@ class TestReducerConfiguration:
     def test_rbsim_config_is_frozen(self):
         config = RBSimConfig()
         with pytest.raises(Exception):
-            config.max_passes = 99  # type: ignore[misc]
+            config.initial_bound = 99  # type: ignore[misc]
 
     def test_rbsub_config_inherits_rbsim_fields(self):
         config = RBSubConfig(initial_bound=3, max_embeddings=10)
