@@ -4,7 +4,8 @@ One parametrised test per experiment id times one full regeneration of that
 experiment and writes its series to ``benchmarks/_reports/<id>.txt``.  Shape
 assertions (not absolute numbers) check that the regenerated series is usable
 for the paper-vs-measured comparison: timings are positive, accuracies are
-fractions, RBReach never answers a false positive, and Table 2's budget ratio
+fractions, RBReach never answers a false positive and keeps an accuracy of
+at least 0.99 on Fig. 8(m)–8(p), and Table 2's budget ratio
 ``min(1, α·|G| / |G_dQ(vp)|)`` lies in ``(0, 1]``.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_figures.py -q
@@ -31,6 +32,11 @@ def zero(value):
     return value == 0
 
 
+def near_exact(value):
+    # RBReach misses a pair only when α·|G| runs out (the paper reports 100%).
+    return 0.99 <= value <= 1
+
+
 def budget_share(value):
     return 0 < value <= 1.0
 
@@ -49,10 +55,10 @@ ROW_CHECKS = {
     "fig8j": {"rbsim_accuracy": fraction},
     "fig8k": {"rbreach_time": positive, "bfs_time": positive},
     "fig8l": {"rbreach_time": positive, "bfsopt_time": positive},
-    "fig8m": {"rbreach_false_positives": zero, "rbreach_accuracy": fraction},
-    "fig8n": {"rbreach_false_positives": zero},
-    "fig8o": {"rbreach_time": positive},
-    "fig8p": {"rbreach_false_positives": zero},
+    "fig8m": {"rbreach_false_positives": zero, "rbreach_accuracy": near_exact},
+    "fig8n": {"rbreach_false_positives": zero, "rbreach_accuracy": near_exact},
+    "fig8o": {"rbreach_time": positive, "rbreach_false_positives": zero, "rbreach_accuracy": near_exact},
+    "fig8p": {"rbreach_false_positives": zero, "rbreach_accuracy": near_exact},
     "table2": {"budget_ratio": budget_share, "reduction_ratio": non_negative},
 }
 

@@ -39,6 +39,7 @@ import pytest  # noqa: E402
 
 from rbreach_oracle import OracleRBReach, digest  # noqa: E402
 from repro.engine.prepared import PreparedGraph  # noqa: E402
+from repro.reachability.rbreach import RBReach  # noqa: E402
 from workloads import DATASET_SEED, FULL, build_graph, reach_pool  # noqa: E402
 
 REPORT_DIR = Path(__file__).resolve().parent / "_reports"
@@ -47,9 +48,24 @@ PAIRS = 16_384
 POOLS = {"youtube": 0.02, "community": 0.01}
 
 
+class CountingRBReach(RBReach):
+    """``RBReach`` that counts the queries its second stage, the DAG search, answers."""
+
+    searched = 0
+
+    def _dag_search(self, *arguments):
+        self.searched += 1
+        return super()._dag_search(*arguments)
+
+
 def stages(matcher, pairs) -> Counter:
-    """How many pairs end at ``locate``/the rank test, at a seed meeting, or in a frontier."""
+    """How many pairs end at ``locate``/the rank test, at a seed meeting, in a frontier, or in the DAG search.
+
+    ``local`` counts the pairs the second stage answered: the index
+    frontiers ran dry below the budget, so the DAG search gave the answer.
+    """
     compressed, counts = matcher.index.compressed, Counter()
+    staged = CountingRBReach(matcher.index)
     for source, target in pairs:
         source_at, target_at = compressed.locate(source), compressed.locate(target)
         if source_at is None or target_at is None or source_at[0] == target_at[0] or source_at[1] <= target_at[1]:
@@ -57,7 +73,9 @@ def stages(matcher, pairs) -> Counter:
         elif matcher._seed(source_at[0], forward=True) & matcher._seed(target_at[0], forward=False):
             counts["seed_meeting"] += 1
         else:
-            counts["frontier"] += 1
+            before = staged.searched
+            staged.query(source, target)
+            counts["local" if staged.searched > before else "frontier"] += 1
     return counts
 
 

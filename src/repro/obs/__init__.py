@@ -129,6 +129,8 @@ CATALOG = {
     "kernel.batch_size": ("histogram", "sources", "repro.graph.kernels"),
     "kernel.fallbacks": ("counter", "dispatches", "repro.graph.kernels"),
     "kernel.sweep.words": ("counter", "frontier entries", "repro.graph.kernels"),
+    # RBReach answers found by the DAG search once the index frontiers ran dry
+    "rbreach.local_hits": ("counter", "queries", "repro.reachability.rbreach"),
     # standing queries (repro/subscribe + repro/service)
     "sub.active": ("gauge", "subscriptions", "repro.service.service"),
     "sub.registered": ("counter", "subscriptions", "repro.service.service"),

@@ -12,7 +12,7 @@ as "the DAG ``G``" of Section 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +82,17 @@ class CompressedGraph:
             return None
         component = condensed.component_of(node)
         return component, self.ranks.rank(component)
+
+    def rank_rows(self) -> Sequence[int]:
+        """``v.r`` by row of ``dag_csr``.
+
+        Array-backed, this is the rank column itself (built on the mirror's
+        rows, as :meth:`locate` reads it); after an incremental patch the
+        ranks are a maintained dict, read once per mirror row.
+        """
+        if self.condensation.array_backed:
+            return self.ranks._column_view
+        return list(map(self.ranks.rank, self.dag_csr.nodes()))
 
     def rank_of(self, node: NodeId) -> int:
         """Topological rank of the component hosting ``node``."""

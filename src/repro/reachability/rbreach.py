@@ -1,8 +1,9 @@
 """``RBReach`` — resource-bounded reachability (Fan, Wang & Wu, SIGMOD 2014, Section 5.2, Fig. 7).
 
 Given a reachability query ``(vp, vo)`` and the hierarchical landmark index
-``I``, ``RBReach`` performs a bidirectional search *on the index* (never on
-the full graph):
+``I``, ``RBReach`` answers in two stages under one budget of
+``alpha * |G|`` visits.  The first is Fig. 7's bidirectional search *on the
+index*:
 
 * the *forward* frontier ``vp.Active`` holds landmarks known to be reachable
   from ``vp``; it is seeded from the out-of-index labels ``vp.E`` and grown
@@ -11,23 +12,34 @@ the full graph):
 * the *backward* frontier ``vo.Active`` symmetrically holds landmarks known
   to reach ``vo``;
 * as soon as the two frontiers share a landmark ``m`` we have
-  ``vp → m → vo`` and the answer is ``True`` (Lemma 5(1)) — so the algorithm
-  never returns a false positive;
-* a landmark enters a frontier only if its rank lies in the query's window
-  ``[vo.r, vp.r]``: every edge of the DAG lowers the rank, so a landmark
-  outside it cannot lie on a ``vp → vo`` path.  This is Lemma 5(2) applied
-  per landmark;
-* the search touches at most ``alpha * |G|`` landmarks/edges (the entire
-  index in the worst case) and answers ``False`` when the frontiers are
-  exhausted without meeting — possibly a false negative, which is exactly
-  the accuracy the experiments measure.
+  ``vp → m → vo`` and the answer is ``True`` (Lemma 5(1)).
+
+A pair with no landmark on any ``vp → vo`` path runs both index frontiers
+dry long before the budget.  The second stage spends what is left on a
+bidirectional search of the condensed DAG itself (``compressed.dag_csr``):
+it expands the side with the shorter queue, first in first out, over the
+mirror's rows in CSR order, and each expanded node and each scanned edge
+costs one visit.  The two sides meet on a node both have reached, so a
+meeting is a real DAG path.
+
+Lemma 5's rank window prunes both stages: every edge of the DAG lowers the
+rank, so a landmark enters a frontier only if its rank lies in
+``[vo.r, vp.r]``, and a DAG node enters a queue only if its rank lies
+strictly between the two.  Neither stage can answer a false positive.  The
+answer is ``exhausted`` exactly when the budget ran out: only such a
+``False`` may be a false negative, the accuracy the experiments measure.  A
+``False`` below the budget is exact, because one side of the DAG search
+reached everything its endpoint reaches inside the window.
 
 The answer loop only reads.  On its first query a matcher builds one row
 per landmark — rank, cover size, the frozen set of its forward ∪ backward
 index neighbours and its ``repr`` (the heap tie-break) — and the index
 adjacency as tuples in the index sets' iteration order, so a weight is one
-set intersection.  The rows are built lazily and never pickled: an
-unpickled matcher rebuilds them from its own copy of the index.
+set intersection.  On its first DAG search it takes the mirror's adjacency
+columns and one rank per mirror row, so a scanned edge is two indexings and
+no id is resolved until a meeting names one.  Both are built lazily and
+never pickled: an unpickled matcher rebuilds them from its own copy of the
+index.
 
 The index stores no subtree range ``[r1, r2]`` for Lemma 5(2).  The search
 tests every candidate on its own rank before it enters a frontier, and a
@@ -37,10 +49,12 @@ passes for every landmark the rank window admits: it could never prune.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.graph.digraph import NodeId
 from repro.graph.protocol import GraphLike
 from repro.reachability.hierarchy import HierarchicalLandmarkIndex, build_index
@@ -73,6 +87,18 @@ class _Rows(NamedTuple):
     backward: Dict[NodeId, Tuple[NodeId, ...]]
 
 
+class _Mirror(NamedTuple):
+    """What the DAG search reads of ``compressed.dag_csr``, by mirror row."""
+
+    rows: Mapping[NodeId, int]  # component id -> mirror row
+    ids: Sequence[NodeId]  # mirror row -> component id
+    succ_indptr: Sequence[int]
+    succ_indices: Sequence[int]
+    pred_indptr: Sequence[int]
+    pred_indices: Sequence[int]
+    ranks: Sequence[int]  # v.r by mirror row
+
+
 class RBReach:
     """Resource-bounded reachability answering over a hierarchical landmark index."""
 
@@ -80,10 +106,12 @@ class RBReach:
         self._index = index
         self._compressed = index.compressed
         self._rows: Optional[_Rows] = None
+        self._mirror: Optional[_Mirror] = None
 
     def __reduce__(self):
-        # The rows stay behind: they would grow a published payload, and the
-        # far side rebuilds them from its copy of the index in under a millisecond.
+        # The rows and the mirror views stay behind: they would grow the
+        # payload, and the far side rebuilds them from its copy of the index
+        # in under a millisecond.
         return RBReach, (self._index,)
 
     @classmethod
@@ -176,7 +204,9 @@ class RBReach:
                 if visited >= limit:
                     break
 
-        return ReachabilityAnswer(reachable=False, visited=visited, exhausted=visited >= limit)
+        if visited >= limit:
+            return ReachabilityAnswer(reachable=False, visited=visited, exhausted=True)
+        return self._dag_search(source_component, target_component, target_rank, source_rank, visited, limit)
 
     def query_batch(self, pairs: List[Tuple[NodeId, NodeId]]) -> List["ReachabilityAnswer"]:
         """Answer a whole sub-batch in one entry — the executor fan-out seam.
@@ -207,13 +237,80 @@ class RBReach:
             seeds.add(component)
         return seeds
 
+    def _dag_search(
+        self, source: NodeId, target: NodeId, low: int, high: int, visited: int, limit: int
+    ) -> ReachabilityAnswer:
+        """The second stage: a bidirectional search of the condensed DAG for what the budget leaves.
+
+        Each side keeps the rows it has reached and a FIFO queue of rows to
+        expand; the side with the shorter queue expands next (forward on a
+        tie).  A scanned edge whose far row the other side has reached is a
+        meeting; otherwise the row joins the queue if its rank lies strictly
+        inside ``(low, high)``.  When either queue runs dry that side has
+        reached everything its endpoint reaches through the window, so the
+        ``False`` is exact.
+        """
+        rows, ids, succ_indptr, succ_indices, pred_indptr, pred_indices, ranks = self._mirror_rows()
+        source_row, target_row = rows[source], rows[target]
+        forward_seen, backward_seen = {source_row}, {target_row}
+        forward_queue, backward_queue = deque((source_row,)), deque((target_row,))
+        while forward_queue and backward_queue and visited < limit:
+            if len(forward_queue) <= len(backward_queue):
+                queue, seen, other_seen, indptr, indices = (
+                    forward_queue,
+                    forward_seen,
+                    backward_seen,
+                    succ_indptr,
+                    succ_indices,
+                )
+            else:
+                queue, seen, other_seen, indptr, indices = (
+                    backward_queue,
+                    backward_seen,
+                    forward_seen,
+                    pred_indptr,
+                    pred_indices,
+                )
+            row = queue.popleft()
+            visited += 1
+            for neighbor in indices[indptr[row] : indptr[row + 1]]:
+                if visited >= limit:
+                    break
+                visited += 1
+                if neighbor in other_seen:
+                    obs.counter("rbreach.local_hits").inc()
+                    return ReachabilityAnswer(reachable=True, visited=visited, met_at=ids[neighbor])
+                if neighbor not in seen and low < ranks[neighbor] < high:
+                    seen.add(neighbor)
+                    queue.append(neighbor)
+        return ReachabilityAnswer(reachable=False, visited=visited, exhausted=visited >= limit)
+
+    def _mirror_rows(self) -> _Mirror:
+        """The DAG mirror's adjacency columns and its ranks by row, taken on first use."""
+        mirror = self._mirror
+        if mirror is None:
+            compressed = self._compressed
+            dag = compressed.dag_csr
+            mirror = self._mirror = _Mirror(
+                dag._index,
+                dag._ids,
+                memoryview(dag._succ_indptr),
+                memoryview(dag._succ_indices),
+                memoryview(dag._pred_indptr),
+                memoryview(dag._pred_indices),
+                compressed.rank_rows(),
+            )
+        return mirror
+
     @staticmethod
     def _meeting_point(forward_active: Set[NodeId], backward_active: Set[NodeId]) -> Optional[NodeId]:
-        # Deterministic choice: set iteration order depends on insertion
-        # history, which a pickle round-trip (shared-memory publication to
-        # the daemon workers) rewrites — ``next(iter(...))`` here would break
-        # the bit-parity contract between the serial path and attached
-        # workers.  The repr key matches the frontier heap's tie-break.
+        # Deterministic choice: a set's iteration order depends on its
+        # insertion history, and the seed sets come from label columns, from
+        # thawed label dicts after an index repair, or from a pickled
+        # matcher's copy of the index; ``next(iter(...))`` would name a
+        # different landmark for the same query on each.  The repr key makes
+        # ``met_at`` a function of the sets' contents (what the oracle parity
+        # holds) and matches the frontier heap's tie-break.
         common = forward_active & backward_active
         return min(common, key=repr) if common else None
 

@@ -3,7 +3,11 @@
 ``OracleRBReach.query`` is ``RBReach.query`` exactly as it stood before the
 landmark rows: every candidate pays a Lemma 5(2) ``_guard`` on its subtree
 range, and every ``_weight`` builds a fresh ``forward ∪ backward``
-index-neighbour set and counts the active landmarks in it.  The index no longer stores the subtree ranges, so
+index-neighbour set and counts the active landmarks in it.  When both index
+frontiers run dry below the budget, ``_dag_search`` is the second stage in
+the same style: a bidirectional search over the condensed DAG's ids
+(``compressed.dag_view``), one ``ranks.rank`` call per scanned neighbour.
+The index no longer stores the subtree ranges, so
 :func:`subtree_ranges` recomputes them with the bottom-up loop that
 ``assemble_index`` ran, and :func:`range_may_cover` is the removed
 ``TopologicalRankIndex.range_may_cover``.  The oracle exists only so
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.digraph import NodeId
@@ -117,6 +122,42 @@ class OracleRBReach:
                 if visited >= limit:
                     break
 
+        if visited >= limit:
+            return ReachabilityAnswer(reachable=False, visited=visited, exhausted=True)
+        return self._dag_search(source_component, target_component, source_rank, target_rank, visited, limit)
+
+    def _dag_search(
+        self,
+        source: NodeId,
+        target: NodeId,
+        source_rank: int,
+        target_rank: int,
+        visited: int,
+        limit: int,
+    ) -> ReachabilityAnswer:
+        dag = self._compressed.dag_view
+        ranks = self._compressed.ranks
+        forward_seen, backward_seen = {source}, {target}
+        forward_queue, backward_queue = deque([source]), deque([target])
+        while forward_queue and backward_queue and visited < limit:
+            forward = len(forward_queue) <= len(backward_queue)
+            if forward:
+                queue, seen, other_seen = forward_queue, forward_seen, backward_seen
+            else:
+                queue, seen, other_seen = backward_queue, backward_seen, forward_seen
+            node = queue.popleft()
+            visited += 1
+            for neighbor in dag.successors(node) if forward else dag.predecessors(node):
+                if visited >= limit:
+                    break
+                visited += 1
+                if neighbor in other_seen:
+                    return ReachabilityAnswer(reachable=True, visited=visited, met_at=neighbor)
+                if neighbor in seen:
+                    continue
+                if target_rank < ranks.rank(neighbor) < source_rank:
+                    seen.add(neighbor)
+                    queue.append(neighbor)
         return ReachabilityAnswer(reachable=False, visited=visited, exhausted=visited >= limit)
 
     def query_batch(self, pairs: List[Tuple[NodeId, NodeId]]) -> List[ReachabilityAnswer]:
