@@ -6,7 +6,9 @@ assertions (not absolute numbers) check that the regenerated series is usable
 for the paper-vs-measured comparison: timings are positive, accuracies are
 fractions, RBReach never answers a false positive and keeps an accuracy of
 at least 0.99 on Fig. 8(m)–8(p), and Table 2's budget ratio
-``min(1, α·|G| / |G_dQ(vp)|)`` lies in ``(0, 1]``.
+``min(1, α·|G| / |G_dQ(vp)|)`` lies in ``(0, 1]``.  Across the rows of
+Fig. 8(c)/8(d), per dataset, RBSim's and RBSub's accuracy never falls as α
+grows: a larger α only lets ``Search`` run further.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_figures.py -q
 """
@@ -63,6 +65,26 @@ ROW_CHECKS = {
 }
 
 
+# Experiment id -> row fields that must be non-decreasing in alpha, per dataset.
+SWEEP_CHECKS = {
+    "fig8c": ("rbsim_accuracy", "rbsub_accuracy"),
+    "fig8d": ("rbsim_accuracy", "rbsub_accuracy"),
+}
+
+
+def check_sweep(experiment_id, rows):
+    """Each ``SWEEP_CHECKS`` field of ``rows`` never falls as alpha grows, per dataset."""
+    for dataset in {row.dataset for row in rows}:
+        series = sorted((row for row in rows if row.dataset == dataset), key=lambda row: row.alpha)
+        for low, high in zip(series, series[1:]):
+            for field in SWEEP_CHECKS.get(experiment_id, ()):
+                before, after = getattr(low, field), getattr(high, field)
+                assert after >= before, (
+                    f"{experiment_id} {dataset}: {field} falls from {before!r} at alpha {low.alpha} "
+                    f"to {after!r} at alpha {high.alpha}"
+                )
+
+
 @pytest.mark.parametrize("experiment_id", list(ROW_CHECKS))
 def test_figure(benchmark, experiment_id):
     """Regenerate one experiment at the quick scale and sanity-check its rows."""
@@ -73,3 +95,4 @@ def test_figure(benchmark, experiment_id):
         for field, check in ROW_CHECKS[experiment_id].items():
             value = getattr(row, field)
             assert check(value), f"{experiment_id}: {field}={value!r} fails {check.__name__}"
+    check_sweep(experiment_id, result.rows)

@@ -6,17 +6,39 @@ pattern logs over CSR graphs:
 
 * **youtube**: 128 embedded (4, 8) patterns on the ``youtube`` surrogate at
   ``alpha = 0.02``, alternating simulation and subgraph semantics;
-* **community**: 12 such patterns on an 80-community graph at
+* **community**: 64 such patterns on an 80-community graph at
   ``alpha = 0.01``.
 
 Both logs are built the way the end-to-end benchmark builds its pattern
 logs (dataset seed 7).  Before timing, the digest of every
 ``ReductionResult`` (``G_Q`` nodes, labels and edges in order, budget,
-bound, passes, candidate counts, stop, cut and re-Pick counts) is checked
-against the oracle of ``tests/reduction_oracle.py``.  Timings are reported,
-not gated: they go to ``benchmarks/_reports/search.txt`` with the per-log
-stop reasons, the distribution of pass counts and the re-Picks per search
-(each a count the oracle's digest covers).
+bound, passes, candidate counts, stop, cut, ungiven and re-Pick counts) is
+checked against the oracle of ``tests/reduction_oracle.py``.  Timings are
+reported, not gated: they go to ``benchmarks/_reports/search.txt`` with the
+per-log stop reasons split by whether a ``Pick`` was left cut, the
+candidates the cut Picks still held, the distribution of pass counts and
+the re-Picks per search (each a count the oracle's digest covers).
+
+Each answer on ``G_Q`` (strong simulation for the simulation half, the
+``RBSub`` isomorphism step for the other) is scored against ``MatchOpt`` /
+``VF2Opt`` on ``G``, and every missed or extra output match gets exactly one
+cause (:data:`CAUSES`), read off a second, recorded run of the same search:
+
+* ``ungiven``: still held by a cut ``Pick`` at a storage or visits stop;
+* ``queued``: given, but still on the stack at a storage or visits stop;
+* ``unreached``: never made eligible from an expanded node; the report
+  counts these by stop and by ``true/through``, the hops from ``vp`` in
+  ``G`` (the ``d_Q``-ball distance) against the hops through ``G_Q``;
+* ``unmatched``: in ``G_Q`` but not matched there (an edge cut at ``room``,
+  or the embedding cap of the isomorphism step);
+* ``extra``: matched in ``G_Q`` but not in ``G``.
+
+A miss that fits none of these (a budget cause at a ``fixpoint`` stop) is
+``unexplained`` and fails the run.  The guarded condition ``C(v, u)`` and
+the ``max_scan`` head are counted too, to show they exclude no match:
+``guard_excluded`` is the misses ``C(·, output)`` rejects, ``scan_excluded``
+the misses in the row of a ``Pick`` that passed ``C`` but were left out of
+its eligible list.  Both must be 0.
 
 Run with:  python3 benchmarks/bench_search.py [--rounds 5] [--log youtube]
        or: PYTHONPATH=src python -m pytest benchmarks/bench_search.py -q
@@ -32,7 +54,9 @@ import statistics
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
+from unittest.mock import patch
 
 _ROOT = Path(__file__).resolve().parent.parent
 for _path in (_ROOT / "src", _ROOT / "tests"):
@@ -42,12 +66,18 @@ for _path in (_ROOT / "src", _ROOT / "tests"):
 import pytest  # noqa: E402
 
 from reduction_oracle import OracleReducer, build_reducer, fingerprint  # noqa: E402
+from repro.core import reduction  # noqa: E402
+from repro.core.accuracy import pattern_accuracy  # noqa: E402
 from repro.core.budget import ResourceBudget  # noqa: E402
+from repro.core.rbsub import RBSubConfig  # noqa: E402
 from repro.core.reduction import DynamicReducer  # noqa: E402
-from repro.core.weights import IsomorphismGuard, SimulationGuard  # noqa: E402
+from repro.core.weights import IsomorphismGuard, Remainder, SimulationGuard, WeightEstimator  # noqa: E402
 from repro.graph.csr import CSRGraph  # noqa: E402
 from repro.graph.generators import community_graph  # noqa: E402
 from repro.graph.neighborhood import NeighborhoodIndex  # noqa: E402
+from repro.graph.traversal import bfs_levels  # noqa: E402
+from repro.matching.strong_simulation import match_in_subgraph, match_opt  # noqa: E402
+from repro.matching.vf2 import isomorphic_answer_in_subgraph, vf2_opt  # noqa: E402
 from repro.workloads.datasets import load_dataset  # noqa: E402
 from repro.workloads.queries import generate_pattern_workload  # noqa: E402
 
@@ -62,9 +92,15 @@ LOGS = {
             [120] + [60] * 79, intra_probability=0.1, inter_edges=0, seed=DATASET_SEED
         ),
         0.01,
-        12,
+        64,
     ),
 }
+#: Why an output match is missed by, or extra in, the answer on ``G_Q``.
+CAUSES = ("ungiven", "queued", "unreached", "unmatched", "extra")
+#: The stops at which the budget, not the graph, ended a search.
+BUDGET_STOPS = {"storage", "visits"}
+#: Simulation F against ``MatchOpt`` that each log must keep.
+SIMULATION_F_FLOOR = {"youtube": 1.0, "community": 0.99}
 
 
 class SearchLog:
@@ -112,6 +148,112 @@ class SearchLog:
             seconds.append(time.perf_counter() - start)
         return seconds
 
+    def classified(self, position: int, plain) -> dict:
+        """Score query ``position`` against the exact answer on ``G`` and give
+        every missed or extra output match its cause; ``plain`` is the same
+        search run unrecorded, which the recorded run must reproduce."""
+        pattern, vp, guard_class = self.queries[position]
+        reducer = self.reducer(DynamicReducer, pattern, vp, guard_class)
+        with recorded() as (remainders, picks):
+            result = reducer.search()
+        assert fingerprint(result) == fingerprint(plain), "recording changed the search"
+        held = {candidate for remainder in remainders for candidate in remainder}
+        assert sum(map(len, remainders)) == result.ungiven, "ungiven is not what the cut Picks hold"
+        subgraph = result.subgraph
+        if guard_class is SimulationGuard:
+            exact = match_opt(pattern, self.graph, vp).answer
+            approximate = match_in_subgraph(pattern, subgraph, vp)
+        else:
+            exact = vf2_opt(pattern, self.graph, vp).answer
+            approximate = isomorphic_answer_in_subgraph(
+                pattern, subgraph, vp, max_embeddings=RBSubConfig().max_embeddings
+            )
+        misses = exact - approximate
+        made_eligible = {candidate for _, _, eligible in picks for candidate in eligible}
+        budget_stop = result.stop in BUDGET_STOPS
+        causes, unreached = Counter(), Counter()
+        for miss in misses:
+            if miss in subgraph:
+                causes["unmatched"] += 1
+            elif miss in held:
+                causes["ungiven" if budget_stop else "unexplained"] += 1
+            elif miss in made_eligible:
+                causes["queued" if budget_stop else "unexplained"] += 1
+            else:
+                causes["unreached"] += 1
+                unreached[(result.stop, *self._distances(pattern, vp, subgraph, miss))] += 1
+        causes["extra"] += len(approximate - exact)
+        guard = guard_class(pattern, self.graph, vp, self.index)
+        return {
+            "simulation": guard_class is SimulationGuard,
+            "f": pattern_accuracy(exact, approximate).f_measure,
+            "causes": causes,
+            "unreached": unreached,
+            "guard_excluded": sum(not guard.check(miss, pattern.output) for miss in misses),
+            "scan_excluded": sum(
+                guard.check(miss, query_node)
+                for node, query_node, eligible in (picks if misses else ())
+                for miss in (misses & self._row(node)).difference(eligible)
+            ),
+        }
+
+    def _row(self, node):
+        """``N(node)``: its children and parents in ``G``."""
+        return set(self.graph.successors(node)) | set(self.graph.predecessors(node))
+
+    def _distances(self, pattern, vp, subgraph, miss):
+        """The hops from ``vp`` to ``miss`` in ``G`` (within ``d_Q``) and
+        through ``G_Q`` (``None`` when no member of ``G_Q`` is next to it)."""
+        radius = pattern.diameter()
+        true = bfs_levels(self.graph, vp, max_hops=radius).get(miss)
+        inside = bfs_levels(subgraph, vp)
+        through = [inside[node] + 1 for node in self._row(miss) if node in inside]
+        return true, min(through, default=None)
+
+
+@contextmanager
+def recorded():
+    """Record, for the searches run inside, every ``Remainder`` made (the
+    candidates a cut ``Pick`` held) and every ``Pick``'s eligible list."""
+    remainders, picks = [], []
+    eligible = WeightEstimator.eligible
+
+    def recording_eligible(state, node, query_node):
+        found = eligible(state, node, query_node)
+        picks.append((node, query_node, found))
+        return found
+
+    class RecordedRemainder(Remainder):
+        def __init__(self, *arguments):
+            super().__init__(*arguments)
+            remainders.append(self)
+
+    with patch.object(reduction, "Remainder", RecordedRemainder), patch.object(
+        WeightEstimator, "eligible", recording_eligible
+    ):
+        yield remainders, picks
+
+
+def accuracy(log: SearchLog, results) -> dict:
+    """F per semantics and the causes of every miss, over the whole log."""
+    rows = [log.classified(position, result) for position, result in enumerate(results)]
+    causes, unreached = Counter(), Counter()
+    for row in rows:
+        causes.update(row["causes"])
+        unreached.update(row["unreached"])
+    return {
+        "f_simulation": statistics.mean(row["f"] for row in rows if row["simulation"]),
+        "f_subgraph": statistics.mean(row["f"] for row in rows if not row["simulation"]),
+        "queries_below_f1": sum(row["f"] < 1 for row in rows),
+        "causes": {cause: causes[cause] for cause in CAUSES},
+        "unexplained": causes["unexplained"],
+        "unreached_by_stop_and_distance": {
+            f"{stop} {true}/{through}": count for (stop, true, through), count in sorted(unreached.items(), key=repr)
+        },
+        "guard_excluded": sum(row["guard_excluded"] for row in rows),
+        "scan_excluded": sum(row["scan_excluded"] for row in rows),
+    }
+
 
 def digest(results) -> str:
     return hashlib.sha256(repr([fingerprint(result) for result in results]).encode()).hexdigest()[:16]
@@ -134,13 +276,32 @@ def measure(name: str, rounds: int) -> dict:
         "search_ms_per_query_min": 1e3 * min(totals) / len(log.queries),
         "search_ms_p50": 1e3 * statistics.median(per_query),
         "search_ms_p90": 1e3 * statistics.quantiles(per_query, n=10)[-1],
-        "stops": dict(sorted(Counter(result.stop for result in results).items())),
+        "stops": dict(sorted(Counter(
+            f"{result.stop}/{'cut' if result.cut else 'uncut'}" for result in results
+        ).items())),
+        "ungiven": sum(result.ungiven for result in results),
+        "ungiven_max": max(result.ungiven for result in results),
         "passes": dict(sorted(Counter(result.passes for result in results).items())),
         "repicks_per_search": statistics.mean(result.repicks for result in results),
         "repicks_max": max(result.repicks for result in results),
         "digest": found,
         "oracle_digest": expected,
+        **accuracy(log, results),
     }
+
+
+def failures(row: dict) -> list:
+    """What in ``row`` fails the run: a digest off the oracle's, a miss with
+    no cause, an exclusion by the guard or the scan cap, or F below its floor."""
+    found = []
+    if row["digest"] != row["oracle_digest"]:
+        found.append("digest differs from the oracle's")
+    for count in ("unexplained", "guard_excluded", "scan_excluded"):
+        if row[count]:
+            found.append(f"{count} = {row[count]}")
+    if row["f_simulation"] < SIMULATION_F_FLOOR[row["log"]]:
+        found.append(f"simulation F {row['f_simulation']} < {SIMULATION_F_FLOOR[row['log']]}")
+    return found
 
 
 def report(row: dict) -> None:
@@ -153,7 +314,7 @@ def report(row: dict) -> None:
 def test_search_ms_per_query(name):
     row = measure(name, rounds=3)
     report(row)
-    assert row["digest"] == row["oracle_digest"]
+    assert not failures(row), failures(row)
 
 
 def main() -> None:
@@ -166,9 +327,11 @@ def main() -> None:
         row = measure(name, arguments.rounds)
         report(row)
         print(json.dumps(row))
-        failed |= row["digest"] != row["oracle_digest"]
+        for failure in failures(row):
+            print(f"{name}: {failure}", file=sys.stderr)
+            failed = True
     if failed:
-        raise SystemExit("digest differs from the oracle's")
+        raise SystemExit("a check failed")
 
 
 if __name__ == "__main__":

@@ -9,16 +9,18 @@ from ``vp`` and populates a subgraph ``G_Q`` with candidate matches:
 * among eligible neighbours the top-``b`` by weight ``p/(c+1)`` are pushed
   (procedure ``Pick``), with the best candidate on top of the stack;
 * a ``Pick`` with more eligible neighbours than ``b`` is *cut*.  When the
-  stack drains and the pass added nodes, the bound grows to ``b+1`` and the
-  next pass *resumes*: it re-Picks only the cut Picks, in the order
+  stack drains and a ``Pick`` is still cut, the bound grows to ``b+1`` and
+  the next pass *resumes*: it re-Picks only the cut Picks, in the order
   they were made, each giving its best candidates not given before (up to
   ``b`` over its life), and runs the same traversal from those; a query edge
   is expanded at a data node once per search.  This is the paper's restart
   from ``(up, vp)`` without re-walking what did not change;
 * the traversal stops when ``|G_Q|`` reaches ``alpha * |G|`` (``storage``),
   when the next charge would pass the visit cap ``c * alpha * |G|``
-  (``visits``), or when a pass admits nothing or leaves no ``Pick`` cut
-  (``fixpoint``); ``ReductionResult.stop`` says which.
+  (``visits``), or when no ``Pick`` is left cut (``fixpoint``: every
+  ``Pick`` made has given all its eligible candidates);
+  ``ReductionResult.stop`` says which, and ``ReductionResult.ungiven`` how
+  many candidates the cut Picks still held.
 
 The procedure is shared by ``RBSim`` and ``RBSub``; they differ only in the
 guarded condition (and therefore in the weights derived from it).
@@ -52,11 +54,13 @@ class ReductionResult:
     last pass; ``passes`` counts the passes (the first from ``(up, vp)``,
     each later one resuming the cut Picks); ``stop`` says why it
     stopped: ``storage`` (``|G_Q|`` reached ``alpha * |G|``), ``visits`` (the
-    next charge would pass the visit cap) or ``fixpoint`` (a pass admitted
-    nothing, or no ``Pick`` was left cut); ``cut`` is how many Picks were
-    still cut at the stop, so ``storage`` or ``visits`` with ``cut > 0`` says
-    the budget, not the graph, ended the search; ``repicks`` is how many
-    times a cut ``Pick`` was made again.
+    next charge would pass the visit cap) or ``fixpoint`` (no ``Pick`` was
+    left cut, so the graph ran out before the budget); ``cut`` is how many
+    Picks were still cut at the stop and ``ungiven`` how many eligible
+    candidates they still held, so ``storage`` or ``visits`` with
+    ``ungiven > 0`` says the budget, not the graph, ended the search (and
+    ``fixpoint`` always has both at 0); ``repicks`` is how many times a cut
+    ``Pick`` was made again.
     """
 
     subgraph: DiGraph
@@ -66,6 +70,7 @@ class ReductionResult:
     candidate_counts: Dict[QueryNodeId, int] = field(default_factory=dict)
     stop: str = "fixpoint"
     cut: int = 0
+    ungiven: int = 0
     repicks: int = 0
 
     def spend(self) -> Dict[str, object]:
@@ -75,6 +80,7 @@ class ReductionResult:
             "passes": self.passes,
             "stop": self.stop,
             "cut": self.cut,
+            "ungiven": self.ungiven,
             "stored": budget.stored,
             "size_limit": budget.size_limit,
             "visited": budget.visited,
@@ -155,7 +161,7 @@ class DynamicReducer:
         room = budget.size_limit - budget.stored  # storage left; G_Q is full at 0
         visit_room = budget.visit_limit - budget.visited  # a charge past it is not made
         stored = visited = repicks = 0
-        passes, changed, stop = 1, False, None
+        passes, stop = 1, None
         # Per data node, the query edges expanded there (as bits); per query
         # node, the data nodes queued for it.
         expanded: Dict[NodeId, int] = {}
@@ -169,11 +175,11 @@ class DynamicReducer:
         while True:
             if not stack:
                 if position == len(pending):  # the pass is over
-                    if not changed or not cuts:
+                    if not cuts:
                         stop = "fixpoint"
                         break
                     pending, cuts, position = cuts, [], 0
-                    bound, passes, changed = bound + 1, passes + 1, False
+                    bound, passes = bound + 1, passes + 1
                 pick = pending[position]
                 node, neighbor_query, depth, remainder = pick
                 width = state.width(node)
@@ -207,7 +213,6 @@ class DynamicReducer:
                     stored += 1 + edges
                     visited += 1 + edges
                     candidate_counts[query_node] += 1
-                    changed = True
                 if stored >= room:
                     stop = "storage"
                     break
@@ -251,6 +256,7 @@ class DynamicReducer:
 
         budget.charge_storage(stored)
         budget.charge_visit(visited)
+        open_picks = cuts + pending[position:]
         return ReductionResult(
             subgraph=builder.build(),
             budget=snapshot(budget),
@@ -258,6 +264,7 @@ class DynamicReducer:
             passes=passes,
             candidate_counts=candidate_counts,
             stop=stop,
-            cut=len(cuts) + len(pending) - position,
+            cut=len(open_picks),
+            ungiven=sum(len(remainder) for *_, remainder in open_picks),
             repicks=repicks,
         )

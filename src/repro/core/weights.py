@@ -44,7 +44,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice, repeat
 from operator import or_
-from typing import Collection, Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Protocol, Set, Tuple
 
 import numpy as np
 
@@ -684,6 +684,10 @@ class Remainder:
     def __len__(self) -> int:
         """How many eligible candidates are still to be given."""
         return len(self._keys)
+
+    def __iter__(self) -> Iterator[NodeId]:
+        """The eligible candidates still to be given, in scan order."""
+        return map(self._eligible.__getitem__, sorted(self._keys))
 
     @property
     def given(self) -> int:

@@ -29,7 +29,10 @@ strictly between the two.  Neither stage can answer a false positive.  The
 answer is ``exhausted`` exactly when the budget ran out: only such a
 ``False`` may be a false negative, the accuracy the experiments measure.  A
 ``False`` below the budget is exact, because one side of the DAG search
-reached everything its endpoint reaches inside the window.
+reached everything its endpoint reaches inside the window.  Seeding the two
+frontiers costs ``|vp.E| + |vo.E| + 1`` visits; when that alone passes the
+budget, nothing further is read and the answer is an exhausted ``False``
+charged the budget, so every answer keeps ``visited <= alpha * |G|``.
 
 The answer loop only reads.  On its first query a matcher builds one row
 per landmark — rank, cover size, the frozen set of its forward ∪ backward
@@ -147,12 +150,14 @@ class RBReach:
         if source_rank <= target_rank:
             return ReachabilityAnswer(reachable=False, visited=1)
 
-        visited = 0
         limit = self.visit_limit
-
         forward_active = self._seed(source_component, forward=True)
         backward_active = self._seed(target_component, forward=False)
-        visited += len(forward_active) + len(backward_active) + 1
+        visited = len(forward_active) + len(backward_active) + 1
+        if visited > limit:
+            # The seed labels alone cost more than the budget: nothing further
+            # is read, and the answer is the budget's, not the graph's.
+            return ReachabilityAnswer(reachable=False, visited=limit, exhausted=True)
 
         meeting = self._meeting_point(forward_active, backward_active)
         if meeting is not None:

@@ -80,12 +80,12 @@ class OracleRBReach:
         if source_rank <= target_rank:
             return ReachabilityAnswer(reachable=False, visited=1)
 
-        visited = 0
         limit = self.visit_limit
-
         forward_active = self._seed(source_component, forward=True)
         backward_active = self._seed(target_component, forward=False)
-        visited += len(forward_active) + len(backward_active) + 1
+        visited = len(forward_active) + len(backward_active) + 1
+        if visited > limit:
+            return ReachabilityAnswer(reachable=False, visited=limit, exhausted=True)
 
         meeting = self._meeting_point(forward_active, backward_active)
         if meeting is not None:

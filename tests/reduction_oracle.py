@@ -13,13 +13,14 @@ the sweep can make the scan cap bite.
 
 The resume rule: a ``Pick`` with more eligible neighbours than its bound is
 *cut* and remembered as ``(node, neighbour query node, depth, candidates
-given)``.  When a pass drains and admitted something, the bound grows by
-one and the next pass makes the cut Picks again, in the order they were
-made, each charged ``|N(v)|`` and giving its best candidates not given
-before (up to its bound over its life) at ``depth + 1``; the traversal from
-each runs before the next one is made, and a query edge is expanded at a
-data node once per search.  A ``Pick`` whose eligible candidates have all
-been given is dropped.  A charge that would pass either limit is not made.
+given, eligible count)``.  When a pass drains and a ``Pick`` is still cut,
+the bound grows by one and the next pass makes the cut Picks again, in the
+order they were made, each charged ``|N(v)|`` and giving its best
+candidates not given before (up to its bound over its life) at
+``depth + 1``; the traversal from each runs before the next one is made,
+and a query edge is expanded at a data node once per search.  A ``Pick`` whose eligible candidates have all
+been given is dropped, and the search reaches its fixpoint once none is
+left.  A charge that would pass either limit is not made.
 
 Below the oracle sit the two helpers every comparison with it shares (the
 differential test and ``benchmarks/bench_search.py``): :func:`build_reducer`
@@ -157,24 +158,21 @@ class OracleReducer:
             )
 
         passes = 1
-        cuts: List[list] = []  # [node, neighbour query node, depth, given]
-        stop, changed = self._drain(
-            builder, [(self._pattern.personalized, self._vp, 0)], bound, cuts, candidate_counts
-        )
-        unmade = 0  # cut Picks of the interrupted pass not made again
+        cuts: List[list] = []  # [node, neighbour query node, depth, given, eligible]
+        stop = self._drain(builder, [(self._pattern.personalized, self._vp, 0)], bound, cuts, candidate_counts)
+        unmade: List[list] = []  # cut Picks of the interrupted pass not made again
         repicks = 0  # cut Picks made again
         while stop is None:
-            if not changed or not cuts:
+            if not cuts:
                 stop = "fixpoint"
                 break
             bound += 1
             passes += 1
-            changed = False
             pending, cuts = cuts, []
             for index, pick in enumerate(pending):
-                node, neighbor_query, depth, given = pick
+                node, neighbor_query, depth, given, _ = pick
                 if not self._pick_fits(node):
-                    stop, unmade = "visits", len(pending) - index
+                    stop, unmade = "visits", pending[index:]
                     break
                 repicks += 1
                 picked, eligible = self._pick(
@@ -183,16 +181,15 @@ class OracleReducer:
                 given.update(picked)
                 if len(given) < eligible:
                     cuts.append(pick)
-                stop, added = self._drain(
+                stop = self._drain(
                     builder,
                     [(neighbor_query, candidate, depth + 1) for candidate in reversed(picked)],
                     bound,
                     cuts,
                     candidate_counts,
                 )
-                changed = changed or added
                 if stop is not None:
-                    unmade = len(pending) - index - 1
+                    unmade = pending[index + 1:]
                     break
 
         return ReductionResult(
@@ -202,7 +199,8 @@ class OracleReducer:
             passes=passes,
             candidate_counts=candidate_counts,
             stop=stop,
-            cut=len(cuts) + unmade,
+            cut=len(cuts) + len(unmade),
+            ungiven=sum(eligible - len(given) for *_, given, eligible in cuts + unmade),
             repicks=repicks,
         )
 
@@ -213,21 +211,17 @@ class OracleReducer:
         bound: int,
         cuts: List[list],
         candidate_counts: Dict[QueryNodeId, int],
-    ) -> Tuple[Optional[str], bool]:
+    ) -> Optional[str]:
         """The depth-first traversal from ``stack`` until it drains; returns
-        the stop it met (``None`` if none) and whether it admitted a node."""
-        changed = False
+        the stop it met (``None`` if none)."""
         queued: Set[Tuple[QueryNodeId, NodeId]] = {(query_node, node) for query_node, node, _ in stack}
         while stack:
             query_node, node, depth = stack.pop()
             queued.discard((query_node, node))
-            added = self._add_to_subgraph(builder, node, query_node, candidate_counts)
-            if added is None:
-                return "visits", changed
-            if added:
-                changed = True
+            if self._add_to_subgraph(builder, node, query_node, candidate_counts) is None:
+                return "visits"
             if self._budget.storage_exhausted():
-                return "storage", changed
+                return "storage"
             if depth >= self._max_depth:
                 continue
             for neighbor_query, forward in self._incident_query_edges(query_node):
@@ -239,18 +233,18 @@ class OracleReducer:
                 if edge_key in self._expanded:
                     continue
                 if not self._pick_fits(node):
-                    return "visits", changed
+                    return "visits"
                 self._expanded.add(edge_key)
                 picked, eligible = self._pick(neighbor_query, node, builder, bound, queued, set())
                 if eligible > bound:
-                    cuts.append([node, neighbor_query, depth, set(picked)])
+                    cuts.append([node, neighbor_query, depth, set(picked), eligible])
                 # Best candidate goes on top of the stack (pushed last).
                 for candidate in reversed(picked):
                     pair = (neighbor_query, candidate)
                     if pair not in queued:
                         stack.append((neighbor_query, candidate, depth + 1))
                         queued.add(pair)
-        return None, changed
+        return None
 
     # ------------------------------------------------------------------ #
     # Procedure Pick
@@ -406,5 +400,6 @@ def fingerprint(result: ReductionResult):
         result.candidate_counts,
         result.stop,
         result.cut,
+        result.ungiven,
         result.repicks,
     )

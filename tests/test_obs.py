@@ -458,6 +458,7 @@ class TestReductionSpanAttrs:
             "passes": answer.reduction.passes,
             "stop": answer.reduction.stop,
             "cut": answer.reduction.cut,
+            "ungiven": answer.reduction.ungiven,
             "stored": answer.budget.stored,
             "size_limit": answer.budget.size_limit,
             "visited": answer.budget.visited,

@@ -8,12 +8,15 @@
 The first three are checked on the end-to-end benchmark's reachability
 pools (``youtube`` at α 0.02, the 80-community graph at α 0.01, built as
 ``benchmarks/e2e/workloads.py`` builds them), the last two also on
-hypothesis-drawn random DAGs.  A hand-built pair whose only path carries no
-landmark shows the second stage: the DAG search answers it ``True`` where
-the index search alone runs dry, and at a tiny α the same pair runs out of
-budget and says so.
+hypothesis-drawn random DAGs, and the first two on every pair of 300
+seeded small DAGs at α 0.05 and 0.2, where the seed labels alone may pass
+the limit.  A hand-built pair whose only path carries no landmark shows the
+second stage: the DAG search answers it ``True`` where the index search
+alone runs dry, and at a tiny α the same pair runs out of budget and says
+so.
 """
 
+import random
 import sys
 from pathlib import Path
 
@@ -148,3 +151,37 @@ def test_landmark_free_path_at_a_tiny_alpha_is_an_exhausted_false():
     # The DAG search stops mid-row at the limit: the hub has ten children to scan.
     assert matcher.query("hub", "x2").visited == matcher.visit_limit
     assert all(matcher.query(source, target).visited <= matcher.visit_limit for source in graph for target in graph)
+
+
+def random_dag(seed: int) -> DiGraph:
+    """A seeded random DAG of 3 to 14 nodes: every edge runs from a lower id to a higher one."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 14)
+    graph = DiGraph()
+    for node in range(n):
+        graph.add_node(node, "A")
+    pairs = [(low, high) for low in range(n) for high in range(low + 1, n)]
+    for source, target in rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n))):
+        graph.add_edge(source, target)
+    return graph
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.2])
+def test_no_answer_spends_past_the_limit_on_small_dags(alpha):
+    """At a small limit the seed labels alone can cost more than the budget:
+    such a pair reads nothing further and is an exhausted ``False``."""
+    answers = at_limit = 0
+    for seed in range(300):
+        graph = random_dag(seed)
+        matcher = RBReach.from_graph(graph, alpha)
+        limit = matcher.visit_limit
+        for source in graph.nodes():
+            for target in graph.nodes():
+                answer = matcher.query(source, target)
+                answers += 1
+                assert answer.visited <= limit, (seed, source, target, answer)
+                if answer.reachable:
+                    assert is_reachable(graph, source, target), (seed, source, target, answer)
+                at_limit += answer.exhausted and answer.visited == limit
+    assert at_limit, "the limit never bound: the check shows nothing"
+    assert answers > 10_000

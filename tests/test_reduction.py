@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.budget import ResourceBudget
 from repro.core.reduction import DynamicReducer
-from repro.core.weights import SimulationGuard
+from repro.core.weights import Remainder, SimulationGuard, WeightEstimator
 from repro.graph.digraph import DiGraph
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.subgraph import is_subgraph
@@ -136,12 +136,13 @@ class TestStopReason:
         reducer, budget = make_reducer(graph, pattern, "vp", alpha=0.3)
         result = reducer.search()
         # vp, then its best A and the edge between them: G_Q is full in pass 1,
-        # with the Pick at vp (5 eligible, b = 2) still cut.
+        # with the Pick at vp (5 eligible, b = 2) still cut and holding three.
         assert (result.stop, result.passes, result.budget.stored) == ("storage", 1, 3)
         assert result.spend() == {
             "passes": 1,
             "stop": "storage",
             "cut": 1,
+            "ungiven": 3,
             "stored": 3,
             "size_limit": 3,
             "visited": result.budget.visited,
@@ -157,7 +158,9 @@ class TestStopReason:
         # Pass 1 takes two spokes (b = 2) and cuts the Pick at vp; pass 2
         # (b = 3) makes that Pick again, which gives the third spoke and
         # leaves nothing cut.
-        assert (result.stop, result.passes, result.final_bound, result.cut) == ("fixpoint", 2, 3, 0)
+        assert (result.stop, result.passes, result.final_bound, result.cut, result.ungiven) == (
+            "fixpoint", 2, 3, 0, 0
+        )
         assert result.subgraph.num_nodes() == 4
         # vp, three spokes and three edges (7 items), and the Pick at vp
         # twice, charged |N(vp)| = 4 each time.  The allowance is
@@ -172,9 +175,18 @@ class TestStopReason:
         # vp (1), the Pick at vp (|N(vp)| = 5), the best spoke and its edge
         # (2): the next spoke's visit would pass the cap, long before storage
         # (11) fills or the cut Pick at vp runs out.
-        assert (result.stop, result.passes, result.cut) == ("visits", 1, 1)
+        assert (result.stop, result.passes, result.cut, result.ungiven) == ("visits", 1, 1, 3)
         assert (result.budget.visited, budget.visit_limit, result.budget.stored) == (8, 8, 3)
         assert result.subgraph.num_nodes() == 2
+
+    def test_a_remainder_holds_what_its_pick_has_not_given(self):
+        graph, pattern = self.fan(5)
+        guard = SimulationGuard(pattern, graph, "vp", NeighborhoodIndex(graph))
+        state = WeightEstimator(pattern, graph, "vp", guard)
+        eligible = state.eligible("vp", "a")
+        remainder = Remainder(state, eligible, "a", weighted=False)  # scan order
+        assert remainder.take(2) == eligible[:2]
+        assert (len(remainder), list(remainder)) == (3, eligible[2:])
 
     def test_missing_personalized_match(self, example1_graph, example1_query):
         reducer, _ = make_reducer(example1_graph, example1_query, "nobody", alpha=0.5)

@@ -4,8 +4,9 @@
   patterns at alpha 0.02; ``community``, 64 patterns at alpha 0.01, built the
   way ``benchmarks/e2e/workloads.py`` builds them), every ``ReductionResult``
   stays within ``alpha * |G|`` stored and ``c * alpha * |G|`` visited, and
-  says it stopped on one of the paper's stops.  A tiny ``c`` makes the
-  visit stop the one that fires.
+  says it stopped on one of the paper's stops; a ``fixpoint`` stop leaves
+  no ``Pick`` cut and no candidate ungiven.  A tiny ``c`` makes the visit
+  stop the one that fires.
 * **alpha nests ``G_Q``.**  A search at a smaller alpha is the same search
   cut off earlier: its ``G_Q`` nodes are a prefix of those at a larger alpha.
 * **Theorem 3.**  On small generated graphs, a query whose alpha is at least
@@ -84,7 +85,12 @@ def test_every_search_on_the_e2e_pattern_logs_keeps_both_limits(pattern_log):
         assert budget.stored <= budget.size_limit
         assert result.stop in STOPS
         assert result.final_bound == 2 + result.passes - 1
+        # A fixpoint is the graph running out: no cut Pick holds a candidate.
+        if result.stop == "fixpoint":
+            assert (result.cut, result.ungiven) == (0, 0)
+        assert (result.cut == 0) == (result.ungiven == 0)
     assert any(result.passes > 1 for result in results), "no search resumed"
+    assert any(result.stop == "fixpoint" for result in results), "no search reached its fixpoint"
 
 
 def test_a_tiny_visit_coefficient_stops_on_visits_first():

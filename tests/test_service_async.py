@@ -453,7 +453,9 @@ class TestSubscriptionStream:
             toy.add_node(node, "A")
         toy.add_edge(0, 1)
         toy.add_edge(2, 3)
-        return GraphService(toy, ServiceConfig(alpha=ALPHA))
+        # At ALPHA the 7-item toy allows 2 visits, fewer than reading the seed
+        # labels of (0, 3) costs, so every answer would be an exhausted False.
+        return GraphService(toy, ServiceConfig(alpha=0.5))
 
     def test_stream_pushes_snapshot_then_maintenance_delta(self):
         from repro.subscribe import INITIAL, UPDATE

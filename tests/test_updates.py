@@ -443,12 +443,15 @@ class TestRebuildEquivalence:
         """A failing delta's applied prefix must not be masked by the cache."""
         graph = DiGraph.from_edges([("a", "b"), ("c", "d")])
         service = _serial(graph, cache_size=16)
-        before = service.run_batch([ReachQuery("b", "d")], ALPHA).answers[0]
+        # At ALPHA this graph allows 2 visits, fewer than reading the seed
+        # labels of (b, d) costs, so every answer would be an exhausted False.
+        alpha = 0.5
+        before = service.run_batch([ReachQuery("b", "d")], alpha).answers[0]
         assert not before.reachable
         bad = GraphDelta().add_edge("b", "d").remove_edge("a", "d")
         with pytest.raises(EdgeNotFoundError):
             service.update(bad)
-        after = service.run_batch([ReachQuery("b", "d")], ALPHA).answers[0]
+        after = service.run_batch([ReachQuery("b", "d")], alpha).answers[0]
         assert after.reachable  # the applied b->d insert is served, not cached-over
 
     def test_failed_delta_does_not_leave_stale_summaries(self):
