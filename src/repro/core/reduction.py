@@ -22,6 +22,14 @@ from ``vp`` and populates a subgraph ``G_Q`` with candidate matches:
   ``ReductionResult.stop`` says which, and ``ReductionResult.ungiven`` how
   many candidates the cut Picks still held.
 
+``G_Q`` holds the admitted nodes and, of the edges of ``G`` between them,
+only those a match can read: a node joining ``G_Q`` is joined to a member
+``w`` by ``v -> w`` only when some query edge ``(u, u')`` has ``C(v, u)`` and
+``C(w, u')`` (and likewise ``w -> v``).  Dual simulation and the isomorphism
+step read an edge only as the image of a query edge, and ``C`` is necessary
+for a match in ``G``, so the edges left out change no answer; ``|G_Q|`` is
+still nodes plus the edges stored.
+
 The procedure is shared by ``RBSim`` and ``RBSub``; they differ only in the
 guarded condition (and therefore in the weights derived from it).
 """
@@ -29,7 +37,9 @@ guarded condition (and therefore in the weights derived from it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import filterfalse
+from operator import or_
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.budget import BudgetReport, ResourceBudget, snapshot
@@ -130,6 +140,17 @@ class DynamicReducer:
             + [(parent, edge_bits[parent, node]) for parent in pattern.parents(node)]
             for node in pattern.nodes()
         }
+        # Per query node: its role bit, and the role bits of its query children
+        # and of its query parents, the roles the far end of a readable edge plays.
+        bits = self._estimator.bits
+        self._reads = [
+            (
+                bits[node],
+                reduce(or_, (bits[child] for child in pattern.children(node)), 0),
+                reduce(or_, (bits[parent] for parent in pattern.parents(node)), 0),
+            )
+            for node in pattern.nodes()
+        ]
 
     # ------------------------------------------------------------------ #
     # Procedures Search and Pick
@@ -138,7 +159,8 @@ class DynamicReducer:
         """Extract ``G_Q`` (procedure ``Search`` of Fig. 3, ``Pick`` inline).
 
         A pop admits a new node into ``G_Q`` (its edges to members read from
-        its own row), then expands each query edge at that node not expanded
+        its own row, kept when its roles and the member's meet on a query
+        edge), then expands each query edge at that node not expanded
         before: ``Pick`` charges ``|N(v)|`` visits and pushes the top-``b``
         eligible neighbours not yet queued for that query node, best on top,
         and keeps the rest as the ``Remainder`` of a cut ``Pick``.  When the
@@ -156,6 +178,7 @@ class DynamicReducer:
 
         state, pattern = self._estimator, self._pattern
         in_gq, bits, incident, max_depth = state.in_gq, state.bits, self._incident, self._max_depth
+        reads = self._reads
         use_guard, use_weights, personalized = self._use_guard, self._use_weights, pattern.personalized
         candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in pattern.nodes()}
         room = budget.size_limit - budget.stored  # storage left; G_Q is full at 0
@@ -205,10 +228,16 @@ class DynamicReducer:
                     if visited >= visit_room:
                         stop = "visits"
                         break
-                    label, children, parents = state.admit(node)
+                    label, roles, children, parents = state.admit(node)
                     builder.add_node(node, label)
+                    child_roles = parent_roles = 0
+                    for bit, below, above in reads:
+                        if roles & bit:
+                            child_roles |= below
+                            parent_roles |= above
                     edges = builder.add_row_edges(
-                        node, children, parents, min(room - stored, visit_room - visited) - 1
+                        node, children, parents, min(room - stored, visit_room - visited) - 1,
+                        state.roles, child_roles, parent_roles,
                     )
                     stored += 1 + edges
                     visited += 1 + edges

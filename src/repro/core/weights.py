@@ -408,8 +408,9 @@ class WeightEstimator:
         # Wide whole rows when ``check_rows`` may be asked: (entry rows, askers).
         self._arrays: Dict[NodeId, Tuple[np.ndarray, np.ndarray]] = {}
         self._distinct: Dict[NodeId, Dict[NodeId, int]] = {}
-        # Per data node: its roles as far as known, and the query nodes tried.
-        self._roles: Dict[NodeId, int] = {}
+        # Per data node: its roles as far as known (all of them for a member
+        # of G_Q), and the query nodes tried.
+        self.roles: Dict[NodeId, int] = {}
         self._tried: Dict[NodeId, int] = {}
         self._eligible: Dict[Tuple[NodeId, QueryNodeId], List[NodeId]] = {}
         self._usable: Dict[Tuple[NodeId, QueryNodeId], List[NodeId]] = {}
@@ -476,7 +477,7 @@ class WeightEstimator:
         """The roles of ``node`` among the query nodes of ``mask`` (all asking
         for its label): all of them, or just the first one found.  No
         ``(node, query node)`` reaches the guard twice in one search."""
-        roles, tried = self._roles.get(node, 0), self._tried.get(node, 0)
+        roles, tried = self.roles.get(node, 0), self._tried.get(node, 0)
         untried = mask & ~tried
         if untried and (every or not roles & mask):
             check, query_nodes = self._check, self._query_nodes
@@ -488,7 +489,7 @@ class WeightEstimator:
                     roles |= low
                     if not every:
                         break
-            self._roles[node], self._tried[node] = roles, tried
+            self.roles[node], self._tried[node] = roles, tried
         return roles & mask
 
     def eligible(self, node: NodeId, query_node: QueryNodeId) -> List[NodeId]:
@@ -516,7 +517,7 @@ class WeightEstimator:
         indices, askers = arrays
         asked = indices[(askers & bit) != 0]
         first = dict(zip(self._csr.ids_of(asked), asked.tolist()))  # distinct, in scan order
-        roles, tried = self._roles, self._tried
+        roles, tried = self.roles, self._tried
         fresh = [neighbor for neighbor in first if not tried.get(neighbor, 0) & bit]
         if fresh:
             rows = np.fromiter(map(first.__getitem__, fresh), dtype=np.int64, count=len(fresh))
@@ -540,7 +541,7 @@ class WeightEstimator:
         if usable is None:
             scan, asking, _ = self._rows.get(node) or self._load(node, self.max_scan)
             needed, plays = self._needed[query_node], self._plays
-            known, tried = self._roles.get, self._tried.get
+            known, tried = self.roles.get, self._tried.get
             usable = self._usable[key] = [
                 neighbor
                 for neighbor, askers in islice(zip(scan, asking), self.max_scan)
@@ -556,14 +557,15 @@ class WeightEstimator:
     # ------------------------------------------------------------------ #
     # What moves with G_Q
     # ------------------------------------------------------------------ #
-    def admit(self, node: NodeId) -> Tuple[object, List[NodeId], List[NodeId]]:
+    def admit(self, node: NodeId) -> Tuple[object, int, List[NodeId], List[NodeId]]:
         """``node`` joins ``G_Q``: tell its neighbours what it can play.
 
-        Returns its label, its children and its parents.  Each entry of the
-        row of ``node`` is an entry for ``node`` in that neighbour's row (a
-        child here is a parent there), so after the push ``hits[v]`` is how
-        many entries of the row of ``v`` are members of ``G_Q`` and
-        ``covered[v]`` what they can play.
+        Returns its label, its roles (every query node it satisfies ``C``
+        for, as bits, which ``roles`` keeps from now on), its children and
+        its parents.  Each entry of the row of ``node`` is an entry for
+        ``node`` in that neighbour's row (a child here is a parent there), so
+        after the push ``hits[v]`` is how many entries of the row of ``v``
+        are members of ``G_Q`` and ``covered[v]`` what they can play.
         """
         self.in_gq.add(node)
         scan = self.row(node)
@@ -583,7 +585,7 @@ class WeightEstimator:
                 covered[neighbor] = covered.get(neighbor, 0) | roles
             self._hits.update(scan)
         split = self._graph.out_degree(node)
-        return label, scan[:split], scan[split:]
+        return label, roles, scan[:split], scan[split:]
 
     def cost(self, node: NodeId, query_node: QueryNodeId) -> int:
         """``c(v, u)``: query neighbours of ``u`` with no candidate of ``v`` in ``G_Q``.
@@ -600,7 +602,7 @@ class WeightEstimator:
                 covered |= roles
                 hits += times
         if hits > self.max_scan:
-            covered, found, in_gq, roles_of = 0, 0, self.in_gq, self._roles
+            covered, found, in_gq, roles_of = 0, 0, self.in_gq, self.roles
             for neighbor in self.row(node):
                 if neighbor in in_gq:
                     covered |= roles_of.get(neighbor, 0)

@@ -9,13 +9,17 @@ The paper distinguishes two subgraph notions (Section 2):
 
 Both are provided here, together with an incremental :class:`SubgraphBuilder`
 used by the dynamic-reduction algorithms to grow ``G_Q`` one node/edge at a
-time while keeping its size observable in O(1).
+time while keeping its size observable in O(1).  ``G_Q`` is a subgraph in the
+first sense, not the induced one: :meth:`SubgraphBuilder.add_row_edges` joins
+an admitted node only to the members a query edge can map an edge to, by the
+query nodes each end can play, so ``alpha * |G|`` is not spent on edges no
+match reads.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Iterable, Mapping, Sequence, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.digraph import DiGraph, Label, NodeId
@@ -124,15 +128,29 @@ class SubgraphBuilder:
         return self._graph.add_edge(source, target)
 
     def add_row_edges(
-        self, node: NodeId, children: Sequence[NodeId], parents: Sequence[NodeId], room: int
+        self,
+        node: NodeId,
+        children: Sequence[NodeId],
+        parents: Sequence[NodeId],
+        room: int,
+        roles: Mapping[NodeId, int],
+        child_roles: int,
+        parent_roles: int,
     ) -> int:
-        """Connect the newly added ``node`` to the subgraph from its own row.
+        """Connect the newly added ``node`` to the subgraph from its own row,
+        by the edges a match can read.
 
         ``children`` and ``parents`` are the row of ``node`` in the host, so an
         edge is a host edge exactly when its other end is in the row: no host
-        probe is made.  ``node -> t`` goes in for every member ``t`` among the
-        children, then ``s -> node`` for every member ``s`` among the parents,
-        until ``room`` edges were added; returns how many were.
+        probe is made.  ``roles`` maps a member to the query nodes it can play
+        (bits; a member missing from it plays none).  ``node -> t`` goes in
+        for every member ``t`` among the children that plays one of
+        ``child_roles``, then ``s -> node`` for every member ``s`` among the
+        parents that plays one of ``parent_roles``, until ``room`` edges were
+        added; returns how many were.  The caller passes as ``child_roles``
+        the query children of the roles of ``node`` (and as ``parent_roles``
+        their query parents), so an edge goes in only when a query edge can
+        map to it.
 
         Whichever side is smaller, the row or the subgraph, is iterated, so
         hub nodes with thousands of neighbours do not dominate the cost.  A
@@ -148,6 +166,9 @@ class SubgraphBuilder:
         else:
             targets = [child for child in children if child in graph]
             sources = [parent for parent in parents if parent in graph]
+        plays = roles.get
+        targets = [target for target in targets if plays(target, 0) & child_roles]
+        sources = [source for source in sources if plays(source, 0) & parent_roles]
         added = 0
         for source, target in chain(zip(repeat(node), targets), zip(sources, repeat(node))):
             if added == room:

@@ -22,6 +22,11 @@ and a query edge is expanded at a data node once per search.  A ``Pick`` whose e
 been given is dropped, and the search reaches its fixpoint once none is
 left.  A charge that would pass either limit is not made.
 
+The edge rule: a node joining ``G_Q`` brings its edges to the nodes already
+there, but only those a match can read, an edge ``v -> w`` for which some
+query edge ``(u, u')`` has ``C(v, u)`` and ``C(w, u')``; each is decided by
+its own ``guard.check`` calls.
+
 Below the oracle sit the two helpers every comparison with it shares (the
 differential test and ``benchmarks/bench_search.py``): :func:`build_reducer`
 makes either reducer with the same scan cap, and :func:`fingerprint` is what
@@ -322,6 +327,12 @@ class OracleReducer:
         """Whether one more item fits ``G_Q`` and its visit fits the cap."""
         return self._budget.can_store(1) and not self._budget.visits_exhausted()
 
+    def _readable(self, source: NodeId, target: NodeId) -> bool:
+        """Whether some query edge ``(u, u')`` can map to ``source -> target``:
+        ``C(source, u)`` and ``C(target, u')``."""
+        check = self._guard.check
+        return any(check(source, u) and check(target, child) for u, child in self._pattern.edges)
+
     def _add_to_subgraph(
         self,
         builder: SubgraphBuilder,
@@ -329,8 +340,8 @@ class OracleReducer:
         query_node: QueryNodeId,
         candidate_counts: Dict[QueryNodeId, int],
     ) -> Optional[bool]:
-        """Add ``node`` (and its edges to existing ``G_Q`` nodes) within budget;
-        ``None`` when storage is left but the node's visit would pass the cap."""
+        """Add ``node`` (and its readable edges to existing ``G_Q`` nodes) within
+        budget; ``None`` when storage is left but the node's visit would pass the cap."""
         is_new = node not in builder
         if is_new:
             if not self._budget.can_store(1):
@@ -353,15 +364,16 @@ class OracleReducer:
             else:
                 out_targets = [n for n in successors if n in builder]
                 in_sources = [n for n in predecessors if n in builder]
+            # Only the edges a match can read go in.
             for target in out_targets:
-                if not builder.has_edge(node, target):
+                if self._readable(node, target) and not builder.has_edge(node, target):
                     if not self._fits():
                         break
                     builder.add_edge(node, target)
                     self._budget.charge_storage(1)
                     self._budget.charge_visit()
             for source in in_sources:
-                if not builder.has_edge(source, node):
+                if self._readable(source, node) and not builder.has_edge(source, node):
                     if not self._fits():
                         break
                     builder.add_edge(source, node)

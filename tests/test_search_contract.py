@@ -11,6 +11,13 @@
   cut off earlier: its ``G_Q`` nodes are a prefix of those at a larger alpha.
 * **Theorem 3.**  On small generated graphs, a query whose alpha is at least
   ``theoretical_alpha_bound`` is answered exactly by ``RBSim``.
+* **``G_Q`` holds the edges a match reads.**  ``G_Q`` is not induced on its
+  nodes: an edge ``(v, w)`` is in it only when some query edge ``(u, u')``
+  has ``C(v, u)`` and ``C(w, u')``.  ``C`` is necessary for a match in ``G``,
+  so the edges left out change no answer: on both logs, strong simulation
+  and the ``RBSub`` step (with its embedding cap) answer the same on ``G_Q``
+  as on the subgraph of ``G`` induced on ``G_Q``'s nodes (less the readable
+  edges of the last node admitted that the storage room cut off).
 """
 
 import random
@@ -20,11 +27,13 @@ import pytest
 
 from repro.core.accuracy import pattern_accuracy
 from repro.core.rbsim import RBSim, RBSimConfig
-from repro.core.rbsub import RBSub
+from repro.core.rbsub import RBSub, RBSubConfig
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import community_graph, random_graph, star_graph
 from repro.graph.neighborhood import NeighborhoodIndex, theoretical_alpha_bound
-from repro.matching.strong_simulation import match_opt
+from repro.graph.subgraph import induced_subgraph
+from repro.matching.strong_simulation import match_in_subgraph, match_opt
+from repro.matching.vf2 import isomorphic_answer_in_subgraph
 from repro.patterns.generator import embedded_pattern
 from repro.patterns.pattern import make_pattern
 from repro.workloads.datasets import load_dataset
@@ -57,10 +66,12 @@ class PatternLog:
         workload = generate_pattern_workload(content, shape=(4, 8), count=count, seed=DATASET_SEED)
         self.queries = [(query.pattern, query.personalized_match) for query in workload.queries]
 
+    def matchers(self, alpha: float):
+        """``RBSim`` for the even positions of the log, ``RBSub`` for the odd ones."""
+        return [matcher_class(self.graph, alpha, neighborhood_index=self.index) for matcher_class in (RBSim, RBSub)]
+
     def reductions(self, alpha: float, queries=None):
-        matchers = [
-            matcher_class(self.graph, alpha, neighborhood_index=self.index) for matcher_class in (RBSim, RBSub)
-        ]
+        matchers = self.matchers(alpha)
         return [
             matchers[position % 2].reduce(pattern, vp)
             for position, (pattern, vp) in enumerate(self.queries if queries is None else queries)
@@ -91,6 +102,40 @@ def test_every_search_on_the_e2e_pattern_logs_keeps_both_limits(pattern_log):
         assert (result.cut == 0) == (result.ungiven == 0)
     assert any(result.passes > 1 for result in results), "no search resumed"
     assert any(result.stop == "fixpoint" for result in results), "no search reached its fixpoint"
+
+
+def test_gq_answers_as_its_induced_subgraph_and_keeps_only_readable_edges(pattern_log):
+    graph, alpha = pattern_log.graph, pattern_log.alpha
+    answers = (
+        match_in_subgraph,
+        lambda pattern, subgraph, vp: isomorphic_answer_in_subgraph(
+            pattern, subgraph, vp, max_embeddings=RBSubConfig().max_embeddings
+        ),
+    )
+    left_out = 0
+    for position, (matcher, (pattern, vp), result) in enumerate(
+        zip(pattern_log.matchers(alpha) * len(pattern_log.queries), pattern_log.queries, pattern_log.reductions(alpha))
+    ):
+        subgraph = result.subgraph
+        guard = matcher.guard_class(pattern, graph, vp, pattern_log.index)
+
+        def readable(source, target):
+            return any(guard.check(source, u) and guard.check(target, child) for u, child in pattern.edges)
+
+        assert all(readable(*edge) for edge in subgraph.edges()), position
+        # The induced subgraph, less the readable edges the storage room cut
+        # off the last node admitted (the room cut them before this change too).
+        induced = induced_subgraph(graph, subgraph.nodes())
+        cut = [edge for edge in induced.edges() if not subgraph.has_edge(*edge) and readable(*edge)]
+        if cut:
+            last = list(subgraph.nodes())[-1]
+            assert result.stop in {"storage", "visits"} and all(last in edge for edge in cut), position
+        for edge in cut:
+            induced.remove_edge(*edge)
+        left_out += induced.num_edges() - subgraph.num_edges()
+        answer = answers[position % 2]
+        assert answer(pattern, subgraph, vp) == answer(pattern, induced, vp), position
+    assert left_out, "G_Q left no edge out: the check shows nothing"
 
 
 def test_a_tiny_visit_coefficient_stops_on_visits_first():

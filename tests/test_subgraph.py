@@ -7,6 +7,13 @@ from repro.graph.digraph import DiGraph
 from repro.graph.subgraph import SubgraphBuilder, edge_subgraph, induced_subgraph, is_subgraph
 
 
+def every_edge_read(host):
+    """``roles``, ``child_roles`` and ``parent_roles`` under which a match can
+    read every edge: each node plays the one query node, which has a query
+    edge to itself."""
+    return {node: 1 for node in host.nodes()}, 1, 1
+
+
 @pytest.fixture
 def host() -> DiGraph:
     graph = DiGraph.from_edges(
@@ -95,7 +102,9 @@ class TestSubgraphBuilder:
         builder.add_node(2)
         builder.add_node(3)
         builder.add_node(1)
-        added = builder.add_row_edges(1, list(host.successors(1)), list(host.predecessors(1)), host.size())
+        added = builder.add_row_edges(
+            1, list(host.successors(1)), list(host.predecessors(1)), host.size(), *every_edge_read(host)
+        )
         # host edges incident to 1 among {1,2,3}: (1,2) and (3,1)
         assert added == 2
         result = builder.build()
@@ -111,9 +120,48 @@ class TestSubgraphBuilder:
         children, parents = list(host.successors(3)), list(host.predecessors(3))
         # Members among the children (1, 4, and 3 itself), then among the
         # parents (3 again, already in: a self-loop is one edge).
-        assert builder.add_row_edges(3, children, parents, room) == min(room, 3)
+        assert builder.add_row_edges(3, children, parents, room, *every_edge_read(host)) == min(room, 3)
         assert list(builder.build().edges()) == [(3, 1), (3, 4), (3, 3)][:room]
         assert is_subgraph(builder.build(), host)
+
+    # Roles for the query path a -> b -> c: node 3 plays b, so a child member
+    # must play c and a parent member a for a query edge to map to the edge.
+    A, B, C = 1, 2, 4
+
+    def test_a_member_playing_no_role_on_its_side_is_not_connected(self, host):
+        builder = SubgraphBuilder(host)
+        for node in (1, 2, 4, 3):
+            builder.add_node(node)
+        # 3 -> 1: 1 plays only a, not c; 3 -> 4: 4 plays c; 2 -> 3: 2 plays a and c.
+        roles = {1: self.A, 2: self.A | self.C, 3: self.B, 4: self.C}
+        added = builder.add_row_edges(3, [1, 4], [2], host.size(), roles, self.C, self.A)
+        assert added == 2
+        assert list(builder.build().edges()) == [(2, 3), (3, 4)]
+        assert builder.size() == 4 + 2
+
+    @pytest.mark.parametrize("room", [0, 1, 2])
+    def test_room_counts_only_the_kept_edges(self, host, room):
+        builder = SubgraphBuilder(host)
+        for node in (1, 2, 4, 3):
+            builder.add_node(node)
+        roles = {1: self.A, 2: self.A, 3: self.B, 4: self.C}
+        # 3 -> 1 comes first in the row and is not read: it takes no room.
+        assert builder.add_row_edges(3, [1, 4], [2], room, roles, self.C, self.A) == room
+        assert set(builder.build().edges()) == set([(3, 4), (2, 3)][:room])
+        assert builder.size() == 4 + room
+
+    # Playing b and c, 3 is met as its own child (b -> c) and as its own
+    # parent; playing b alone, it is neither.
+    @pytest.mark.parametrize(
+        "plays, child_roles, parent_roles, loops", [(B | C, C, A | B, 1), (B, C, A, 0)]
+    )
+    def test_a_self_loop_is_met_once(self, host, plays, child_roles, parent_roles, loops):
+        host.add_edge(3, 3)
+        builder = SubgraphBuilder(host)
+        builder.add_node(3)
+        added = builder.add_row_edges(3, [1, 4, 3], [2, 3], host.size(), {3: plays}, child_roles, parent_roles)
+        assert added == loops
+        assert list(builder.build().edges()) == [(3, 3)][:loops]
 
     def test_size_tracks_nodes_plus_edges(self, host):
         builder = SubgraphBuilder(host)
@@ -135,5 +183,8 @@ class TestSubgraphBuilder:
         builder = SubgraphBuilder(host)
         for node in (1, 2, 3):
             builder.add_node(node)
-            builder.add_row_edges(node, list(host.successors(node)), list(host.predecessors(node)), host.size())
+            builder.add_row_edges(
+                node, list(host.successors(node)), list(host.predecessors(node)), host.size(),
+                *every_edge_read(host),
+            )
         assert is_subgraph(builder.build(), host)
