@@ -27,13 +27,12 @@ import pytest
 
 from repro.core.accuracy import pattern_accuracy
 from repro.core.rbsim import RBSim, RBSimConfig
-from repro.core.rbsub import RBSub, RBSubConfig
+from repro.core.rbsub import RBSub
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import community_graph, random_graph, star_graph
 from repro.graph.neighborhood import NeighborhoodIndex, theoretical_alpha_bound
 from repro.graph.subgraph import induced_subgraph
-from repro.matching.strong_simulation import match_in_subgraph, match_opt
-from repro.matching.vf2 import isomorphic_answer_in_subgraph
+from repro.matching.strong_simulation import match_opt
 from repro.patterns.generator import embedded_pattern
 from repro.patterns.pattern import make_pattern
 from repro.workloads.datasets import load_dataset
@@ -106,16 +105,11 @@ def test_every_search_on_the_e2e_pattern_logs_keeps_both_limits(pattern_log):
 
 def test_gq_answers_as_its_induced_subgraph_and_keeps_only_readable_edges(pattern_log):
     graph, alpha = pattern_log.graph, pattern_log.alpha
-    answers = (
-        match_in_subgraph,
-        lambda pattern, subgraph, vp: isomorphic_answer_in_subgraph(
-            pattern, subgraph, vp, max_embeddings=RBSubConfig().max_embeddings
-        ),
-    )
+    matchers = pattern_log.matchers(alpha)
     left_out = 0
-    for position, (matcher, (pattern, vp), result) in enumerate(
-        zip(pattern_log.matchers(alpha) * len(pattern_log.queries), pattern_log.queries, pattern_log.reductions(alpha))
-    ):
+    for position, ((pattern, vp), result) in enumerate(zip(pattern_log.queries, pattern_log.reductions(alpha))):
+        # The matcher's own step on G_Q: strong simulation, or VF2 with its embedding cap.
+        matcher = matchers[position % 2]
         subgraph = result.subgraph
         guard = matcher.guard_class(pattern, graph, vp, pattern_log.index)
 
@@ -133,8 +127,7 @@ def test_gq_answers_as_its_induced_subgraph_and_keeps_only_readable_edges(patter
         for edge in cut:
             induced.remove_edge(*edge)
         left_out += induced.num_edges() - subgraph.num_edges()
-        answer = answers[position % 2]
-        assert answer(pattern, subgraph, vp) == answer(pattern, induced, vp), position
+        assert matcher._match(pattern, subgraph, vp) == matcher._match(pattern, induced, vp), position
     assert left_out, "G_Q left no edge out: the check shows nothing"
 
 
