@@ -83,6 +83,12 @@ class ResourceBudget:
             raise BudgetError("cannot charge negative storage")
         self._stored += amount
 
+    def release_storage(self, amount: int) -> None:
+        """Record that ``amount`` items left ``G_Q`` (a storage reclamation)."""
+        if not 0 <= amount <= self._stored:
+            raise BudgetError("cannot release more storage than is charged")
+        self._stored -= amount
+
     def visits_exhausted(self) -> bool:
         """Whether the visit allowance has been used up."""
         return self._visited >= self.visit_limit

@@ -7,7 +7,8 @@ and a resource ratio ``alpha``, ``RBSim``
 1. runs the dynamic reduction (``Search``/``Pick`` with the simulation
    guarded condition) to extract a subgraph ``G_Q`` of the ``d_Q``-ball of
    ``vp`` with ``|G_Q| <= alpha * |G|``, visiting at most ``d_G * alpha * |G|``
-   data items; and
+   data items (when ``G_Q`` fills, the edges the answer on it does not need
+   are dropped and the search goes on); and
 2. evaluates strong simulation on ``G_Q`` and returns the matches of the
    output node as the approximate answer ``Q(G_Q)``.
 """
@@ -21,10 +22,10 @@ from repro import obs
 from repro.core.budget import BudgetReport, ResourceBudget
 from repro.core.reduction import DynamicReducer, ReductionResult
 from repro.core.weights import GuardedCondition, SimulationGuard
-from repro.graph.digraph import DiGraph, NodeId
+from repro.graph.digraph import DiGraph, Edge, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.neighborhood import NeighborhoodIndex
-from repro.matching.strong_simulation import match_in_subgraph
+from repro.matching.strong_simulation import match_in_subgraph, simulation_witnesses
 from repro.patterns.pattern import GraphPattern
 
 
@@ -67,7 +68,9 @@ class PatternAnswer:
 class BoundedMatcher:
     """What ``RBSim`` and ``RBSub`` share: the budget, the reduction to
     ``G_Q`` and the two leaf spans.  A subclass names its guarded condition
-    (``guard_class``) and its exact matcher on ``G_Q`` (``_match``).
+    (``guard_class``), its exact matcher on ``G_Q`` (``_match``) and the
+    edges of ``G_Q`` that matcher's answer needs (``witnesses``, which
+    ``Search`` keeps when ``G_Q`` is full).
 
     Parameters
     ----------
@@ -138,6 +141,7 @@ class BoundedMatcher:
             personalized_match=personalized_match,
             guard=self.guard_class(pattern, self._graph, personalized_match, self._index),
             budget=self._make_budget(),
+            witnesses=self.witnesses,
             initial_bound=config.initial_bound,
             use_weights=config.use_weights,
             use_guard=config.use_guard,
@@ -145,6 +149,10 @@ class BoundedMatcher:
         ).search()
 
     def _match(self, pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[NodeId]:
+        raise NotImplementedError
+
+    def witnesses(self, pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[Edge]:
+        """The edges of ``subgraph`` that ``_match``'s answer on it needs (empty when the answer is)."""
         raise NotImplementedError
 
     def _answer(self, pattern: GraphPattern, personalized_match: Optional[NodeId]) -> PatternAnswer:
@@ -194,6 +202,10 @@ class RBSim(BoundedMatcher):
 
     def _match(self, pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[NodeId]:
         return match_in_subgraph(pattern, subgraph, personalized_match)
+
+    def witnesses(self, pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[Edge]:
+        """One witness edge per pair of the dual-simulation relation and query edge at it."""
+        return simulation_witnesses(pattern, subgraph, personalized_match)
 
     def answer(self, pattern: GraphPattern, personalized_match: Optional[NodeId] = None) -> PatternAnswer:
         """Algorithm ``RBSim``: reduce to ``G_Q`` and return ``Q(G_Q)``."""

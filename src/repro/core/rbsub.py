@@ -20,9 +20,9 @@ from typing import Optional, Set
 
 from repro.core.rbsim import BoundedMatcher, PatternAnswer, RBSimConfig
 from repro.core.weights import IsomorphismGuard
-from repro.graph.digraph import DiGraph, NodeId
+from repro.graph.digraph import DiGraph, Edge, NodeId
 from repro.graph.protocol import GraphLike
-from repro.matching.vf2 import isomorphic_answer_in_subgraph
+from repro.matching.vf2 import embedding_witnesses, isomorphic_answer_in_subgraph
 from repro.patterns.pattern import GraphPattern
 
 
@@ -41,6 +41,12 @@ class RBSub(BoundedMatcher):
 
     def _match(self, pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[NodeId]:
         return isomorphic_answer_in_subgraph(
+            pattern, subgraph, personalized_match, max_embeddings=self._config.max_embeddings
+        )
+
+    def witnesses(self, pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[Edge]:
+        """The query-edge images of the first embedding found for each output match."""
+        return embedding_witnesses(
             pattern, subgraph, personalized_match, max_embeddings=self._config.max_embeddings
         )
 

@@ -15,12 +15,20 @@ from ``vp`` and populates a subgraph ``G_Q`` with candidate matches:
   ``b`` over its life), and runs the same traversal from those; a query edge
   is expanded at a data node once per search.  This is the paper's restart
   from ``(up, vp)`` without re-walking what did not change;
-* the traversal stops when ``|G_Q|`` reaches ``alpha * |G|`` (``storage``),
+* when an admission brings ``|G_Q|`` to ``alpha * |G|``, ``G_Q`` is
+  *reclaimed*: reading it costs ``|G_Q|`` visits, the matcher names the
+  edges its current answer on ``G_Q`` needs (``witnesses``), every other
+  edge is dropped, the node just admitted gets the readable edges the room
+  had cut off it, and the search goes on where it was (reclaiming again
+  while ``G_Q`` is still full);
+* the traversal stops when ``G_Q`` is full and a reclamation would free
+  nothing (the answer on ``G_Q`` is empty, or needs every edge: ``storage``),
   when the next charge would pass the visit cap ``c * alpha * |G|``
   (``visits``), or when no ``Pick`` is left cut (``fixpoint``: every
   ``Pick`` made has given all its eligible candidates);
-  ``ReductionResult.stop`` says which, and ``ReductionResult.ungiven`` how
-  many candidates the cut Picks still held.
+  ``ReductionResult.stop`` says which, ``ReductionResult.ungiven`` how
+  many candidates the cut Picks still held and ``ReductionResult.reclaimed``
+  how many edges were dropped.
 
 ``G_Q`` holds the admitted nodes and, of the edges of ``G`` between them,
 only those a match can read: a node joining ``G_Q`` is joined to a member
@@ -28,10 +36,16 @@ only those a match can read: a node joining ``G_Q`` is joined to a member
 ``C(w, u')`` (and likewise ``w -> v``).  Dual simulation and the isomorphism
 step read an edge only as the image of a query edge, and ``C`` is necessary
 for a match in ``G``, so the edges left out change no answer; ``|G_Q|`` is
-still nodes plus the edges stored.
+still nodes plus the edges stored.  A reclamation keeps the witnesses of the
+answer it read, and the answer on ``G_Q`` only grows with ``G_Q``, so the
+answer at the end contains the one at every reclamation; a reclaimed
+``G_Q`` is no longer the readable subgraph induced on its nodes.  The weights
+read ``in_gq`` and rows, never ``G_Q``'s edges, so reclaiming changes the
+order nodes are admitted in nowhere.
 
 The procedure is shared by ``RBSim`` and ``RBSub``; they differ only in the
-guarded condition (and therefore in the weights derived from it).
+guarded condition (and therefore in the weights derived from it) and in the
+matcher that names the witnesses.
 """
 
 from __future__ import annotations
@@ -40,11 +54,11 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import filterfalse
 from operator import or_
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.budget import BudgetReport, ResourceBudget, snapshot
 from repro.core.weights import GuardedCondition, Remainder, WeightEstimator
-from repro.graph.digraph import DiGraph, NodeId
+from repro.graph.digraph import DiGraph, Edge, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.subgraph import SubgraphBuilder
 from repro.patterns.pattern import GraphPattern, QueryNodeId
@@ -53,6 +67,10 @@ from repro.patterns.pattern import GraphPattern, QueryNodeId
 #: A cut ``Pick``: the node it was made at, the query node it picks for, the
 #: node's traversal depth, and the candidates it has not given yet.
 CutPick = Tuple[NodeId, QueryNodeId, int, Remainder]
+
+#: The matcher's witness rule: the edges of ``G_Q`` its answer on ``G_Q``
+#: needs, from ``(pattern, G_Q, vp)``; empty when the answer is.
+WitnessRule = Callable[[GraphPattern, DiGraph, NodeId], Set[Edge]]
 
 
 @dataclass
@@ -70,7 +88,9 @@ class ReductionResult:
     candidates they still held, so ``storage`` or ``visits`` with
     ``ungiven > 0`` says the budget, not the graph, ended the search (and
     ``fixpoint`` always has both at 0); ``repicks`` is how many times a cut
-    ``Pick`` was made again.
+    ``Pick`` was made again; ``reclaimed`` is how many edges the storage
+    reclamations dropped from ``G_Q`` (so ``storage`` with ``reclaimed > 0``
+    says ``alpha`` binds even after the spare edges were freed).
     """
 
     subgraph: DiGraph
@@ -82,6 +102,7 @@ class ReductionResult:
     cut: int = 0
     ungiven: int = 0
     repicks: int = 0
+    reclaimed: int = 0
 
     def spend(self) -> Dict[str, object]:
         """Budget spent versus budget allowed, as the ``reduction.search`` span carries it."""
@@ -91,6 +112,7 @@ class ReductionResult:
             "stop": self.stop,
             "cut": self.cut,
             "ungiven": self.ungiven,
+            "reclaimed": self.reclaimed,
             "stored": budget.stored,
             "size_limit": budget.size_limit,
             "visited": budget.visited,
@@ -108,6 +130,7 @@ class DynamicReducer:
         personalized_match: NodeId,
         guard: GuardedCondition,
         budget: ResourceBudget,
+        witnesses: WitnessRule,
         initial_bound: int = 2,
         use_weights: bool = True,
         use_guard: bool = True,
@@ -117,6 +140,7 @@ class DynamicReducer:
         self._graph = graph
         self._vp = personalized_match
         self._budget = budget
+        self._witnesses = witnesses
         self._initial_bound = max(1, initial_bound)
         self._use_weights = use_weights
         self._use_guard = use_guard
@@ -166,10 +190,12 @@ class DynamicReducer:
         and keeps the rest as the ``Remainder`` of a cut ``Pick``.  When the
         stack drains, the next cut ``Pick`` of the pass is made again (the
         first one of the next pass at ``b+1`` once the pass is over), giving
-        what its bound now allows.  Charges accumulate in locals and reach
-        the budget when the search ends.
+        what its bound now allows.  An admission that fills ``G_Q`` reclaims
+        it (see the module docstring) before the node is expanded.  Charges
+        accumulate in locals and reach the budget when the search ends.
         """
         builder = SubgraphBuilder(self._graph)
+        gq = builder.partial
         bound, budget, vp = self._initial_bound, self._budget, self._vp
         if vp not in self._graph:
             return ReductionResult(
@@ -178,12 +204,12 @@ class DynamicReducer:
 
         state, pattern = self._estimator, self._pattern
         in_gq, bits, incident, max_depth = state.in_gq, state.bits, self._incident, self._max_depth
-        reads = self._reads
+        reads, witnesses = self._reads, self._witnesses
         use_guard, use_weights, personalized = self._use_guard, self._use_weights, pattern.personalized
         candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in pattern.nodes()}
         room = budget.size_limit - budget.stored  # storage left; G_Q is full at 0
         visit_room = budget.visit_limit - budget.visited  # a charge past it is not made
-        stored = visited = repicks = 0
+        stored = visited = repicks = reclaimed = 0
         passes, stop = 1, None
         # Per data node, the query edges expanded there (as bits); per query
         # node, the data nodes queued for it.
@@ -224,26 +250,52 @@ class DynamicReducer:
             query_node, node, depth = stack.pop()
             queued[query_node].discard(node)
             if node not in in_gq:
-                if stored < room:
-                    if visited >= visit_room:
+                if stored >= room:  # only a budget spent before the search is full here
+                    stop = "storage"
+                    break
+                if visited >= visit_room:
+                    stop = "visits"
+                    break
+                label, roles, children, parents = state.admit(node)
+                builder.add_node(node, label)
+                child_roles = parent_roles = 0
+                for bit, below, above in reads:
+                    if roles & bit:
+                        child_roles |= below
+                        parent_roles |= above
+                edges = builder.add_row_edges(
+                    node, children, parents, min(room - stored, visit_room - visited) - 1,
+                    state.roles, child_roles, parent_roles,
+                )
+                stored += 1 + edges
+                visited += 1 + edges
+                candidate_counts[query_node] += 1
+                while stored >= room:
+                    # Reclaim: read G_Q (|G_Q| visits), keep the edges the
+                    # answer on it needs and drop the rest; then the node just
+                    # admitted gets the readable edges the room cut off it
+                    # (never one it had, kept or dropped).
+                    if visited + stored > visit_room:
                         stop = "visits"
                         break
-                    label, roles, children, parents = state.admit(node)
-                    builder.add_node(node, label)
-                    child_roles = parent_roles = 0
-                    for bit, below, above in reads:
-                        if roles & bit:
-                            child_roles |= below
-                            parent_roles |= above
+                    visited += stored
+                    needed = witnesses(pattern, gq, vp)
+                    had_children, had_parents = gq.successors(node), gq.predecessors(node)
+                    children = [child for child in children if child not in had_children]
+                    parents = [parent for parent in parents if parent not in had_parents]
+                    freed = builder.retain_edges(needed) if needed else 0
+                    if not freed:
+                        stop = "storage"
+                        break
+                    stored -= freed
+                    reclaimed += freed
                     edges = builder.add_row_edges(
-                        node, children, parents, min(room - stored, visit_room - visited) - 1,
+                        node, children, parents, min(room - stored, visit_room - visited),
                         state.roles, child_roles, parent_roles,
                     )
-                    stored += 1 + edges
-                    visited += 1 + edges
-                    candidate_counts[query_node] += 1
-                if stored >= room:
-                    stop = "storage"
+                    stored += edges
+                    visited += edges
+                if stop is not None:
                     break
             if depth >= max_depth:
                 continue
@@ -296,4 +348,5 @@ class DynamicReducer:
             cut=len(open_picks),
             ungiven=sum(len(remainder) for *_, remainder in open_picks),
             repicks=repicks,
+            reclaimed=reclaimed,
         )

@@ -13,16 +13,17 @@ time while keeping its size observable in O(1).  ``G_Q`` is a subgraph in the
 first sense, not the induced one: :meth:`SubgraphBuilder.add_row_edges` joins
 an admitted node only to the members a query edge can map an edge to, by the
 query nodes each end can play, so ``alpha * |G|`` is not spent on edges no
-match reads.
+match reads; :meth:`SubgraphBuilder.retain_edges` drops, when ``G_Q`` is full,
+the edges the current answer does not need.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence, Set, Tuple
+from typing import Container, Iterable, Mapping, Sequence, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
-from repro.graph.digraph import DiGraph, Label, NodeId
+from repro.graph.digraph import DiGraph, Edge, Label, NodeId
 from repro.graph.protocol import GraphLike
 
 _FROM_HOST = object()
@@ -92,6 +93,11 @@ class SubgraphBuilder:
     def host(self) -> GraphLike:
         """The graph this builder extracts from."""
         return self._host
+
+    @property
+    def partial(self) -> DiGraph:
+        """The subgraph built so far, not a copy: read it, do not change it."""
+        return self._graph
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self._graph
@@ -175,6 +181,20 @@ class SubgraphBuilder:
                 break
             added += graph.add_edge(source, target)  # a self-loop is met on both sides
         return added
+
+    def retain_edges(self, needed: Container[Edge]) -> int:
+        """Drop every edge not in ``needed``; return how many were dropped.
+
+        Every node stays, and the kept edges keep their order.  ``Search``
+        calls this when ``G_Q`` is full, with the edges the matcher's answer
+        on ``G_Q`` needs (``BoundedMatcher.witnesses``), so the count returned
+        is the storage freed.
+        """
+        graph = self._graph
+        dropped = [edge for edge in graph.edges() if edge not in needed]
+        for source, target in dropped:
+            graph.remove_edge(source, target)
+        return len(dropped)
 
     def size(self) -> int:
         """Current |G_Q| = nodes + edges."""

@@ -18,10 +18,12 @@ from repro.matching.strong_simulation import (
     StrongSimulationResult,
     match_in_subgraph,
     match_opt,
+    simulation_witnesses,
     strong_simulation,
 )
 from repro.matching.vf2 import (
     SubgraphIsomorphismResult,
+    embedding_witnesses,
     isomorphic_answer_in_subgraph,
     subgraph_isomorphism,
     vf2_opt,
@@ -41,8 +43,10 @@ __all__ = [
     "StrongSimulationResult",
     "match_in_subgraph",
     "match_opt",
+    "simulation_witnesses",
     "strong_simulation",
     "SubgraphIsomorphismResult",
+    "embedding_witnesses",
     "isomorphic_answer_in_subgraph",
     "subgraph_isomorphism",
     "vf2_opt",

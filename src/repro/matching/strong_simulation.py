@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
-from repro.graph.digraph import DiGraph, NodeId
+from repro.graph.digraph import DiGraph, Edge, NodeId
 from repro.graph.neighborhood import ball
 from repro.matching.simulation import MatchRelation, dual_simulation, output_matches
 from repro.patterns.pattern import GraphPattern
@@ -90,6 +90,35 @@ def match_in_subgraph(
         return set()
     relation = dual_simulation(pattern, subgraph, personalized_match)
     return output_matches(pattern, relation)
+
+
+def simulation_witnesses(
+    pattern: GraphPattern,
+    subgraph: DiGraph,
+    personalized_match: NodeId,
+) -> Set[Edge]:
+    """The edges of ``subgraph`` that its strong-simulation answer needs.
+
+    For each pair ``(u, v)`` of the maximum dual-simulation relation on
+    ``subgraph`` and each query edge at ``u``, the first edge of ``v``'s
+    adjacency (in ``subgraph``'s order) that witnesses it.  The relation is a
+    dual simulation on these edges alone, so every graph that keeps them
+    (and any graph grown from one) answers at least as much.  Empty when the
+    answer is.
+    """
+    if personalized_match not in subgraph:
+        return set()
+    relation = dual_simulation(pattern, subgraph, personalized_match)
+    needed: Set[Edge] = set()
+    for query_node, matches in relation.items():
+        for node in matches:
+            for child in pattern.children(query_node):
+                related = relation[child]
+                needed.add((node, next(w for w in subgraph.successors(node) if w in related)))
+            for parent in pattern.parents(query_node):
+                related = relation[parent]
+                needed.add((next(w for w in subgraph.predecessors(node) if w in related), node))
+    return needed
 
 
 def match_opt(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.graph.digraph import DiGraph, NodeId
+from repro.graph.digraph import DiGraph, Edge, NodeId
 from repro.graph.neighborhood import ball
 from repro.matching.filters import degree_filtered_candidates, structural_prune
 from repro.patterns.pattern import GraphPattern, QueryNodeId
@@ -174,3 +174,22 @@ def isomorphic_answer_in_subgraph(
     if personalized_match not in subgraph:
         return set()
     return subgraph_isomorphism(pattern, subgraph, personalized_match, max_embeddings).answer
+
+
+def embedding_witnesses(
+    pattern: GraphPattern,
+    subgraph: DiGraph,
+    personalized_match: NodeId,
+    max_embeddings: int = 10_000,
+) -> Set[Edge]:
+    """The edges of ``subgraph`` that its isomorphism answer needs: the images
+    of the query edges under the first embedding found for each output match
+    (among the first ``max_embeddings``).  Empty when the answer is."""
+    matched: Set[NodeId] = set()
+    needed: Set[Edge] = set()
+    for embedding in subgraph_isomorphism(pattern, subgraph, personalized_match, max_embeddings).embeddings:
+        match = embedding[pattern.output]
+        if match not in matched:
+            matched.add(match)
+            needed.update((embedding[source], embedding[target]) for source, target in pattern.edges)
+    return needed

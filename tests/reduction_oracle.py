@@ -27,6 +27,16 @@ there, but only those a match can read, an edge ``v -> w`` for which some
 query edge ``(u, u')`` has ``C(v, u)`` and ``C(w, u')``; each is decided by
 its own ``guard.check`` calls.
 
+The reclamation rule: when an admission fills ``G_Q``, the oracle reads it
+(``|G_Q|`` visits, if they fit) and keeps, for the simulation guard, one
+witness per pair ``(u, v)`` of the maximum dual-simulation relation on
+``G_Q`` and query edge at ``u`` (the first in ``v``'s adjacency), for the
+isomorphism guard the query-edge images of the first embedding it meets of
+each output match; every other edge goes.  Nothing to keep, or nothing to
+drop, is the ``storage`` stop.  Otherwise the node just admitted gets the
+readable edges the room had cut off it (none it had before the read), and
+the search goes on, or reclaims again while ``G_Q`` is still full.
+
 Below the oracle sit the two helpers every comparison with it shares (the
 differential test and ``benchmarks/bench_search.py``): :func:`build_reducer`
 makes either reducer with the same scan cap, and :func:`fingerprint` is what
@@ -35,16 +45,24 @@ makes either reducer with the same scan cap, and :func:`fingerprint` is what
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.budget import ResourceBudget, snapshot
+from repro.core.rbsub import RBSubConfig
 from repro.core.reduction import ReductionResult
-from repro.core.weights import GuardedCondition, WeightEstimator
-from repro.graph.digraph import NodeId
+from repro.core.weights import GuardedCondition, IsomorphismGuard, WeightEstimator
+from repro.graph.digraph import DiGraph, Edge, NodeId
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.protocol import GraphLike
 from repro.graph.subgraph import SubgraphBuilder
+from repro.matching.simulation import dual_simulation
+from repro.matching.strong_simulation import simulation_witnesses
+from repro.matching.vf2 import embedding_witnesses, subgraph_isomorphism
 from repro.patterns.pattern import GraphPattern, QueryNodeId
+
+#: The embedding cap of ``RBSub``'s step on ``G_Q``, which its witnesses keep.
+MAX_EMBEDDINGS = RBSubConfig().max_embeddings
 
 
 class OracleWeightEstimator:
@@ -147,6 +165,7 @@ class OracleReducer:
         self._estimator = OracleWeightEstimator(pattern, graph, guard, max_scan)
         # (query edge endpoints, data node) triples expanded so far.
         self._expanded: Set[Tuple[QueryNodeId, QueryNodeId, NodeId]] = set()
+        self._reclaimed = 0
 
     # ------------------------------------------------------------------ #
     # Procedure Search
@@ -207,6 +226,7 @@ class OracleReducer:
             cut=len(cuts) + len(unmade),
             ungiven=sum(eligible - len(given) for *_, given, eligible in cuts + unmade),
             repicks=repicks,
+            reclaimed=self._reclaimed,
         )
 
     def _drain(
@@ -223,10 +243,13 @@ class OracleReducer:
         while stack:
             query_node, node, depth = stack.pop()
             queued.discard((query_node, node))
-            if self._add_to_subgraph(builder, node, query_node, candidate_counts) is None:
+            added = self._add_to_subgraph(builder, node, query_node, candidate_counts)
+            if added is None:
                 return "visits"
             if self._budget.storage_exhausted():
-                return "storage"
+                stop = self._reclaim(builder, node) if added else "storage"
+                if stop is not None:
+                    return stop
             if depth >= self._max_depth:
                 continue
             for neighbor_query, forward in self._incident_query_edges(query_node):
@@ -352,46 +375,120 @@ class OracleReducer:
             self._budget.charge_storage(1)
             self._budget.charge_visit()
             candidate_counts[query_node] = candidate_counts.get(query_node, 0) + 1
-            # Connect the new node to G_Q.  Iterate over whichever side is
-            # smaller (the node's adjacency or the current G_Q) so hub nodes
-            # with thousands of neighbours do not dominate the cost.
-            successors = self._graph.successors(node)
-            predecessors = self._graph.predecessors(node)
-            gq_nodes = builder.nodes()
-            if len(successors) + len(predecessors) > 2 * len(gq_nodes):
-                out_targets = [n for n in gq_nodes if n in successors]
-                in_sources = [n for n in gq_nodes if n in predecessors]
-            else:
-                out_targets = [n for n in successors if n in builder]
-                in_sources = [n for n in predecessors if n in builder]
-            # Only the edges a match can read go in.
-            for target in out_targets:
-                if self._readable(node, target) and not builder.has_edge(node, target):
-                    if not self._fits():
-                        break
-                    builder.add_edge(node, target)
-                    self._budget.charge_storage(1)
-                    self._budget.charge_visit()
-            for source in in_sources:
-                if self._readable(source, node) and not builder.has_edge(source, node):
-                    if not self._fits():
-                        break
-                    builder.add_edge(source, node)
-                    self._budget.charge_storage(1)
-                    self._budget.charge_visit()
+            self._connect(builder, node, self._graph.successors(node), self._graph.predecessors(node))
         return is_new
+
+    def _connect(self, builder: SubgraphBuilder, node: NodeId, successors, predecessors) -> None:
+        """Join ``node`` to the rest of ``G_Q`` by its readable edges to those
+        of ``successors`` and ``predecessors`` that are members, within budget."""
+        # Iterate over whichever side is smaller (the node's adjacency or the
+        # current G_Q) so hub nodes with thousands of neighbours do not
+        # dominate the cost.
+        gq_nodes = builder.nodes()
+        if len(successors) + len(predecessors) > 2 * len(gq_nodes):
+            out_targets = [n for n in gq_nodes if n in successors]
+            in_sources = [n for n in gq_nodes if n in predecessors]
+        else:
+            out_targets = [n for n in successors if n in builder]
+            in_sources = [n for n in predecessors if n in builder]
+        # Only the edges a match can read go in.
+        for target in out_targets:
+            if self._readable(node, target) and not builder.has_edge(node, target):
+                if not self._fits():
+                    break
+                builder.add_edge(node, target)
+                self._budget.charge_storage(1)
+                self._budget.charge_visit()
+        for source in in_sources:
+            if self._readable(source, node) and not builder.has_edge(source, node):
+                if not self._fits():
+                    break
+                builder.add_edge(source, node)
+                self._budget.charge_storage(1)
+                self._budget.charge_visit()
+
+    # ------------------------------------------------------------------ #
+    # Reclamation
+    # ------------------------------------------------------------------ #
+    def _reclaim(self, builder: SubgraphBuilder, node: NodeId) -> Optional[str]:
+        """``G_Q`` is full after admitting ``node``: keep the witnesses of the
+        answer on it, drop the other edges, give ``node`` the readable edges
+        the room cut off it, and repeat while ``G_Q`` is full; the stop met,
+        or ``None`` to go on."""
+        successors = list(self._graph.successors(node))
+        predecessors = list(self._graph.predecessors(node))
+        while self._budget.storage_exhausted():
+            size = builder.size()
+            if self._budget.visited + size > self._budget.visit_limit:
+                return "visits"
+            self._budget.charge_visit(size)
+            subgraph = builder.build()
+            needed = self._needed(subgraph)
+            # An edge ``node`` had (kept or about to be dropped) is not given back.
+            successors = [n for n in successors if not subgraph.has_edge(node, n)]
+            predecessors = [n for n in predecessors if not subgraph.has_edge(n, node)]
+            if not needed:
+                return "storage"
+            freed = builder.retain_edges(needed)
+            if not freed:
+                return "storage"
+            self._budget.release_storage(freed)
+            self._reclaimed += freed
+            self._connect(builder, node, successors, predecessors)
+        return None
+
+    def _needed(self, subgraph: DiGraph) -> Set[Edge]:
+        """The edges of ``subgraph`` the answer on it needs."""
+        pattern, vp = self._pattern, self._vp
+        needed: Set[Edge] = set()
+        if isinstance(self._guard, IsomorphismGuard):
+            # Per embedding: the first one met of each output match keeps its edge images.
+            found = subgraph_isomorphism(pattern, subgraph, vp, MAX_EMBEDDINGS)
+            matched: Set[NodeId] = set()
+            for embedding in found.embeddings:
+                if embedding[pattern.output] in matched:
+                    continue
+                matched.add(embedding[pattern.output])
+                for source, target in pattern.edges:
+                    needed.add((embedding[source], embedding[target]))
+            return needed
+        # Per pair: each query edge at u keeps the first edge of v that witnesses it.
+        relation = dual_simulation(pattern, subgraph, vp)
+        for query_node in pattern.nodes():
+            for node in relation[query_node]:
+                for neighbor_query, forward in self._incident_query_edges(query_node):
+                    if forward:
+                        for child in subgraph.successors(node):
+                            if child in relation[neighbor_query]:
+                                needed.add((node, child))
+                                break
+                    else:
+                        for parent in subgraph.predecessors(node):
+                            if parent in relation[neighbor_query]:
+                                needed.add((parent, node))
+                                break
+        return needed
 
 
 # --------------------------------------------------------------------------- #
 # Shared by every comparison with the oracle
 # --------------------------------------------------------------------------- #
+def witness_rule(guard: GuardedCondition):
+    """The witness rule ``RBSim`` or ``RBSub`` (whichever ``guard`` is the
+    guarded condition of, with the default embedding cap) hands ``Search``."""
+    if isinstance(guard, IsomorphismGuard):
+        return partial(embedding_witnesses, max_embeddings=MAX_EMBEDDINGS)
+    return simulation_witnesses
+
+
 def build_reducer(reducer_class, max_scan: int = 64, **arguments):
     """``reducer_class`` (``DynamicReducer`` or ``OracleReducer``) over the
     constructor ``arguments``, its estimates reading at most ``max_scan``
-    entries of a row."""
+    entries of a row; ``DynamicReducer`` gets the matcher's witness rule
+    for the guard (:func:`witness_rule`), the oracle derives its own."""
     if reducer_class is OracleReducer:
         return OracleReducer(max_scan=max_scan, **arguments)
-    reducer = reducer_class(**arguments)
+    reducer = reducer_class(witnesses=witness_rule(arguments["guard"]), **arguments)
     if reducer._estimator.max_scan != max_scan:
         reducer._estimator = WeightEstimator(
             arguments["pattern"], arguments["graph"], arguments["personalized_match"], arguments["guard"],
@@ -414,4 +511,5 @@ def fingerprint(result: ReductionResult):
         result.cut,
         result.ungiven,
         result.repicks,
+        result.reclaimed,
     )

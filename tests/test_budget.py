@@ -67,6 +67,18 @@ class TestResourceBudget:
         with pytest.raises(BudgetError):
             budget.charge_storage(-1)
 
+    def test_released_storage_frees_room_but_never_more_than_was_charged(self):
+        budget = ResourceBudget(alpha=0.5, graph_size=10)
+        budget.charge_storage(5)
+        assert budget.storage_exhausted()
+        budget.release_storage(2)
+        assert (budget.stored, budget.storage_remaining()) == (3, 2)
+        with pytest.raises(BudgetError):
+            budget.release_storage(4)
+        with pytest.raises(BudgetError):
+            budget.release_storage(-1)
+        assert budget.stored == 3
+
     def test_reset(self):
         budget = ResourceBudget(alpha=0.5, graph_size=10)
         budget.charge_storage(2)

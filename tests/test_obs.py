@@ -459,6 +459,7 @@ class TestReductionSpanAttrs:
             "stop": answer.reduction.stop,
             "cut": answer.reduction.cut,
             "ungiven": answer.reduction.ungiven,
+            "reclaimed": answer.reduction.reclaimed,
             "stored": answer.budget.stored,
             "size_limit": answer.budget.size_limit,
             "visited": answer.budget.visited,

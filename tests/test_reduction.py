@@ -3,11 +3,16 @@
 import pytest
 
 from repro.core.budget import ResourceBudget
+from repro.core.rbsim import RBSim, RBSimConfig
+from repro.core.rbsub import RBSub, RBSubConfig
 from repro.core.reduction import DynamicReducer
+from repro.matching.strong_simulation import simulation_witnesses
 from repro.core.weights import Remainder, SimulationGuard, WeightEstimator
 from repro.graph.digraph import DiGraph
 from repro.graph.neighborhood import NeighborhoodIndex
-from repro.graph.subgraph import is_subgraph
+from repro.graph.subgraph import SubgraphBuilder, is_subgraph
+from repro.matching.strong_simulation import match_opt
+from repro.matching.vf2 import subgraph_isomorphism
 from repro.patterns.pattern import make_pattern
 
 
@@ -23,6 +28,7 @@ def make_reducer(graph, pattern, vp, alpha, visit_coefficient=None, **kwargs):
         personalized_match=vp,
         guard=guard,
         budget=budget,
+        witnesses=simulation_witnesses,
         **kwargs,
     ), budget
 
@@ -143,6 +149,7 @@ class TestStopReason:
             "stop": "storage",
             "cut": 1,
             "ungiven": 3,
+            "reclaimed": 0,
             "stored": 3,
             "size_limit": 3,
             "visited": result.budget.visited,
@@ -191,3 +198,130 @@ class TestStopReason:
     def test_missing_personalized_match(self, example1_graph, example1_query):
         reducer, _ = make_reducer(example1_graph, example1_query, "nobody", alpha=0.5)
         assert reducer.search().stop == "fixpoint"
+
+
+class TestReclamation:
+    """A full ``G_Q`` keeps the edges its answer needs and the search goes on.
+
+    The graph is ``vp -> a0, a1, a2`` and every ``ai -> bj`` (3 x 3), |G| = 19;
+    the pattern is ``p -> a -> b`` with output ``b``, so every edge is
+    readable, and every pair ``(ai, bj)`` but the first one an ``a`` or a ``b``
+    is met by is a spare witness.
+    """
+
+    PATTERN = make_pattern({"p": "P", "a": "A", "b": "B"}, [("p", "a"), ("a", "b")], personalized="p", output="b")
+
+    @staticmethod
+    def grid() -> DiGraph:
+        graph = DiGraph()
+        graph.add_node("vp", "P")
+        for i in range(3):
+            graph.add_node(f"a{i}", "A")
+            graph.add_edge("vp", f"a{i}")
+        for j in range(3):
+            graph.add_node(f"b{j}", "B")
+        for i in range(3):
+            for j in range(3):
+                graph.add_edge(f"a{i}", f"b{j}")
+        return graph
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Every reclamation as ``(G_Q before, edges needed, edges after)``,
+        and ``|G_Q|`` after every admission and every reclamation."""
+        reclamations, sizes = [], []
+        retain, add_row_edges = SubgraphBuilder.retain_edges, SubgraphBuilder.add_row_edges
+
+        def recording_retain(builder, needed):
+            before = builder.partial.copy()
+            freed = retain(builder, needed)
+            reclamations.append((before, set(needed), list(builder.partial.edges())))
+            sizes.append(builder.size())
+            return freed
+
+        def recording_add(builder, *arguments):
+            added = add_row_edges(builder, *arguments)
+            sizes.append(builder.size())
+            return added
+
+        monkeypatch.setattr(SubgraphBuilder, "retain_edges", recording_retain)
+        monkeypatch.setattr(SubgraphBuilder, "add_row_edges", recording_add)
+        return reclamations, sizes
+
+    def reduce(self, matcher_class, alpha, visit_coefficient=20.0):
+        config = (RBSubConfig if matcher_class is RBSub else RBSimConfig)(visit_coefficient=visit_coefficient)
+        return matcher_class(self.grid(), alpha, config=config).reduce(self.PATTERN, "vp")
+
+    def test_exactly_the_non_witness_edges_are_freed(self, monkeypatch):
+        reclamations, _ = self.recorded(monkeypatch)
+        result = self.reduce(RBSim, 0.6)  # 11 items
+        (gq, needed, after), *_ = reclamations
+        before = list(gq.edges())
+        # vp, a0, b0, b1, a1 and the six edges among them fill G_Q.  a1 -> b1
+        # is the one spare: a1's child is witnessed by a1 -> b0 (first in its
+        # row) and b1's parent by a0 -> b1 (first in its).
+        assert before == [("vp", "a0"), ("vp", "a1"), ("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b1")]
+        assert needed == set(before) - {("a1", "b1")}
+        assert after == [edge for edge in before if edge in needed]
+        for gq, needed, after in reclamations:
+            assert after == [edge for edge in gq.edges() if edge in needed]
+        # a2 then fills G_Q with an answer that needs every edge: storage.
+        assert (result.stop, result.reclaimed, result.budget.stored) == ("storage", 1, 11)
+        assert result.spend()["reclaimed"] == 1
+
+    def test_the_search_resumes_and_ends_with_the_full_answer(self):
+        graph = self.grid()
+        result = self.reduce(RBSim, 0.9)  # 17 items: the 19 of G do not fit
+        assert result.reclaimed == 4
+        assert result.stop == "fixpoint"
+        assert result.subgraph.num_nodes() == graph.num_nodes()
+        assert result.budget.stored == result.subgraph.size() < result.budget.size_limit
+        assert match_opt(self.PATTERN, graph, "vp").answer == {"b0", "b1", "b2"}
+        assert RBSim(graph, 0.9)._match(self.PATTERN, result.subgraph, "vp") == {"b0", "b1", "b2"}
+
+    def test_an_empty_answer_at_the_stop_reclaims_nothing(self, monkeypatch):
+        reclamations, _ = self.recorded(monkeypatch)
+        result = self.reduce(RBSim, 0.16)  # 3 items: vp, a0 and vp -> a0, no b yet
+        assert (result.stop, result.reclaimed, result.budget.stored) == ("storage", 0, 3)
+        assert reclamations == []
+        # The read of G_Q was charged: vp (1), the Pick at vp (3), a0 and its edge (2), G_Q (3).
+        assert result.budget.visited == 9
+
+    def test_a_read_of_gq_past_the_visit_limit_stops_on_visits(self):
+        # At 31 visits G_Q fills at 22 visited, and reading its 11 items would pass the limit.
+        tight = self.reduce(RBSim, 0.6, visit_coefficient=2.75)
+        assert tight.budget.visit_limit == 31
+        assert (tight.stop, tight.reclaimed, tight.budget.visited) == ("visits", 0, 22)
+        assert tight.budget.stored == tight.budget.size_limit == 11
+        # Three more visits allow the read: it frees the spare edge.
+        loose = self.reduce(RBSim, 0.6, visit_coefficient=3.0)
+        assert loose.budget.visit_limit == 34
+        assert (loose.reclaimed, loose.budget.visited) == (1, 33)
+
+    def test_rbsub_keeps_one_embeddings_edges_per_output_match(self, monkeypatch):
+        reclamations, _ = self.recorded(monkeypatch)
+        result = self.reduce(RBSub, 0.6)
+        (gq, needed, after), *_ = reclamations
+        assert list(gq.edges()) == [("vp", "a0"), ("vp", "a1"), ("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b1")]
+        # b0 and b1 each keep the two edges of the first embedding found (which
+        # one that is follows the matcher's set order): 3 edges when both go
+        # through one a, 4 otherwise, where strong simulation keeps 5.
+        assert len(needed) in (3, 4) and {("vp", "a0"), ("vp", "a1")} & needed
+        assert after == [edge for edge in gq.edges() if edge in needed]
+        for gq, needed, _ in reclamations:
+            first = {}
+            for embedding in subgraph_isomorphism(self.PATTERN, gq, "vp", RBSubConfig().max_embeddings).embeddings:
+                first.setdefault(embedding["b"], embedding)
+            assert needed == {(e[u], e[w]) for e in first.values() for u, w in self.PATTERN.edges}
+        assert result.reclaimed == sum(gq.num_edges() - len(after) for gq, _, after in reclamations)
+
+    @pytest.mark.parametrize("matcher_class", [RBSim, RBSub])
+    @pytest.mark.parametrize("alpha", [0.16, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0])
+    def test_gq_keeps_its_size_limit_after_every_admission_and_reclamation(
+        self, monkeypatch, matcher_class, alpha
+    ):
+        _, sizes = self.recorded(monkeypatch)
+        result = self.reduce(matcher_class, alpha)
+        assert sizes and max(sizes) <= result.budget.size_limit
+        assert result.budget.visited <= result.budget.visit_limit
+        assert result.budget.stored == result.subgraph.size()

@@ -7,7 +7,10 @@ order, labels, every budget charge, the final bound, the pass count, the
 per-query-node candidate counts, the stop, the cut and re-Pick counts — on
 every substrate the reduction runs on, for both guarded conditions, with the
 ablation flags on and off, with the scan cap small enough to bite, and with
-a visit cap tight enough to stop the search mid-pass.
+a visit cap tight enough to stop the search mid-pass.  Searches that fill
+``G_Q`` and reclaim it are compared on layered graphs dense with spare
+witnesses and on the end-to-end ``community`` log, where the oracle's
+witness rules (per pair, per embedding) are its own.
 The step test holds the incrementally maintained ``c(v, u)`` and ``p(v, u)``
 to the oracle's from-scratch values after every single ``G_Q`` insertion.
 
@@ -34,6 +37,7 @@ from repro.core.weights import IsomorphismGuard, SimulationGuard, WeightEstimato
 from repro.exceptions import WorkloadError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import community_graph
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.subgraph import SubgraphBuilder
 from repro.patterns.generator import embedded_pattern, random_pattern
@@ -223,6 +227,74 @@ def test_youtube_pattern_log_equals_the_frozen_oracle(youtube_log, guard_kind):
         assert fingerprint(result) == fingerprint(expected)
         assert result.budget.within_size_bound
         assert result.budget.within_visit_bound
+
+
+# --------------------------------------------------------------------------- #
+# Reclamation: G_Q fills with spare witnesses
+# --------------------------------------------------------------------------- #
+@st.composite
+def layered_graphs(draw):
+    """``vp`` (label P) over 2-5 A nodes over 2-5 B nodes: every A is a child
+    of ``vp``, and A -> B edges are dense (some B -> A come back), so a ``G_Q``
+    that fills holds more witnesses than its answer needs."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    graph = DiGraph()
+    graph.add_node("vp", "P")
+    layers = [[f"{label.lower()}{i}" for i in range(draw(st.integers(min_value=2, max_value=5)))] for label in "AB"]
+    for label, layer in zip("AB", layers):
+        for node in layer:
+            graph.add_node(node, label)
+    for upper in layers[0]:
+        graph.add_edge("vp", upper)
+        for lower in layers[1]:
+            if rng.random() < 0.7:
+                graph.add_edge(upper, lower)
+            if rng.random() < 0.2:
+                graph.add_edge(lower, upper)
+    return graph
+
+
+LAYERED_PATTERNS = [
+    make_pattern({"p": "P", "a": "A", "b": "B"}, [("p", "a"), ("a", "b")], personalized="p", output="b"),
+    make_pattern({"p": "P", "a": "A", "b": "B"}, [("p", "a"), ("a", "b"), ("b", "a")], personalized="p", output="a"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=layered_graphs(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    shape=st.sampled_from(range(len(LAYERED_PATTERNS))),
+    substrate=st.sampled_from(["digraph", "csr", "overlay"]),
+    guard_kind=st.sampled_from(sorted(GUARDS)),
+    alpha=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+    visit_cap=st.sampled_from(["tight", "paper", "loose"]),
+)
+def test_a_reclaiming_search_equals_the_frozen_oracle(graph, seed, shape, substrate, guard_kind, alpha, visit_cap):
+    host, _ = substrate_of(substrate, graph, seed)
+    result, expected = reduce_both(
+        host, LAYERED_PATTERNS[shape], "vp", guard_kind, alpha, 64, visit_cap=visit_cap
+    )
+    assert fingerprint(result) == fingerprint(expected)
+    assert result.budget.within_size_bound
+    assert result.budget.within_visit_bound
+
+
+def test_the_community_pattern_log_equals_the_frozen_oracle():
+    """The e2e ``community`` log at alpha 0.01, simulation and subgraph
+    queries alternating: the log on which searches fill ``G_Q`` and reclaim."""
+    content = community_graph([120] + [60] * 79, intra_probability=0.1, inter_edges=0, seed=7)
+    graph = CSRGraph.from_digraph(content)
+    queries = generate_pattern_workload(content, shape=(4, 8), count=64, seed=7).queries
+    reclaimed = 0
+    for position, query in enumerate(queries):
+        guard_kind = sorted(GUARDS)[1 - position % 2]  # simulation first
+        result, expected = reduce_both(
+            graph, query.pattern, query.personalized_match, guard_kind, 0.01, 64, visit_cap="paper"
+        )
+        assert fingerprint(result) == fingerprint(expected), position
+        reclaimed += result.reclaimed > 0
+    assert reclaimed >= 5, "too few searches reclaimed: the check shows little"
 
 
 # --------------------------------------------------------------------------- #

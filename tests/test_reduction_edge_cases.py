@@ -10,6 +10,7 @@ from repro.core.weights import IsomorphismGuard, SimulationGuard
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_graph, star_graph
 from repro.graph.neighborhood import NeighborhoodIndex
+from repro.matching.strong_simulation import simulation_witnesses
 from repro.patterns.pattern import make_pattern
 
 
@@ -70,7 +71,7 @@ class TestReducerConfiguration:
         guard = SimulationGuard(example1_query, example1_graph, "Michael", index)
         budget = ResourceBudget(alpha=0.9, graph_size=example1_graph.size(), visit_coefficient=10)
         reducer = DynamicReducer(
-            example1_query, example1_graph, "Michael", guard, budget,
+            example1_query, example1_graph, "Michael", guard, budget, simulation_witnesses,
             initial_bound=1,
         )
         result = reducer.search()
@@ -83,7 +84,7 @@ class TestReducerConfiguration:
         guard = SimulationGuard(example1_query, example1_graph, "Michael", index)
         budget = ResourceBudget(alpha=0.9, graph_size=example1_graph.size(), visit_coefficient=10)
         reducer = DynamicReducer(
-            example1_query, example1_graph, "Michael", guard, budget,
+            example1_query, example1_graph, "Michael", guard, budget, simulation_witnesses,
             max_depth=0,
         )
         result = reducer.search()

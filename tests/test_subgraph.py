@@ -163,6 +163,21 @@ class TestSubgraphBuilder:
         assert added == loops
         assert list(builder.build().edges()) == [(3, 3)][:loops]
 
+    def test_retain_edges_drops_exactly_the_edges_not_needed(self, host):
+        builder = SubgraphBuilder(host)
+        for node in (1, 2, 3, 4):
+            builder.add_node(node)
+            builder.add_row_edges(
+                node, list(host.successors(node)), list(host.predecessors(node)), host.size(),
+                *every_edge_read(host),
+            )
+        assert list(builder.partial.edges()) == [(1, 2), (2, 3), (3, 1), (3, 4)]
+        # An edge not in G_Q among the needed ones changes nothing.
+        assert builder.retain_edges({(3, 4), (1, 2), (4, 5)}) == 2
+        assert list(builder.partial.edges()) == [(1, 2), (3, 4)]
+        assert (builder.num_nodes(), builder.size()) == (4, 6)
+        assert builder.retain_edges({(3, 4), (1, 2)}) == 0
+
     def test_size_tracks_nodes_plus_edges(self, host):
         builder = SubgraphBuilder(host)
         builder.add_node(1)
