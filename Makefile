@@ -5,8 +5,10 @@
 #   make lint         - ruff + mypy when installed, compileall always
 #   make coverage     - tier-1 suite under pytest-cov + committed-floor gate
 #                       (skips with a warning when pytest-cov is missing)
-#   make bench-smoke  - the one perf gate: the CSR-backend and batched-kernel
-#                       floors, ratios measured in one process (no baseline)
+#   make bench-smoke  - the per-PR perf gate: the CSR-backend and batched-kernel
+#                       floors, ratios measured in one process (no baseline),
+#                       and Search alone (bench_search.py: oracle digest, every
+#                       miss given a cause, F floors; counts, no timing floor)
 #   make bench        - every pytest benchmark: the paper figures
 #                       (bench_figures.py), preprocessing, ablations, Search
 #                       alone (bench_search.py), RBReach alone
@@ -51,7 +53,7 @@ coverage:
 	$(PYTHON) tools/coverage_gate.py
 
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_backend_csr.py benchmarks/bench_kernels_batched.py -q -p no:cacheprovider
+	$(PYTHON) -m pytest benchmarks/bench_backend_csr.py benchmarks/bench_kernels_batched.py benchmarks/bench_search.py -q -p no:cacheprovider
 
 # The benchmark files are named bench_*.py, which pytest's default pattern
 # (test_*.py) does not collect from a directory.

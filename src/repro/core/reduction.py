@@ -13,8 +13,13 @@ from ``vp`` and populates a subgraph ``G_Q`` with candidate matches:
   the next pass *resumes*: it re-Picks only the cut Picks, in the order
   they were made, each giving its best candidates not given before (up to
   ``b`` over its life), and runs the same traversal from those; a query edge
-  is expanded at a data node once per search.  This is the paper's restart
-  from ``(up, vp)`` without re-walking what did not change;
+  is expanded at a data node once from each of its ends per search.  This is
+  the paper's restart from ``(up, vp)`` without re-walking what did not
+  change;
+* the visit cap pays for what is read: a first ``Pick`` at ``v`` is charged
+  ``|N(v)|``, an admission ``1`` plus its edges, a reclamation ``|G_Q|``; a
+  re-Pick reads no row (its ``Remainder`` kept the candidates), so it is
+  charged only the candidates it gives, at least 1;
 * when an admission brings ``|G_Q|`` to ``alpha * |G|``, ``G_Q`` is
   *reclaimed*: reading it costs ``|G_Q|`` visits, the matcher names the
   edges its current answer on ``G_Q`` needs (``witnesses``), every other
@@ -88,7 +93,8 @@ class ReductionResult:
     candidates they still held, so ``storage`` or ``visits`` with
     ``ungiven > 0`` says the budget, not the graph, ended the search (and
     ``fixpoint`` always has both at 0); ``repicks`` is how many times a cut
-    ``Pick`` was made again; ``reclaimed`` is how many edges the storage
+    ``Pick`` was made again (each charged the candidates it gave, never its
+    row again); ``reclaimed`` is how many edges the storage
     reclamations dropped from ``G_Q`` (so ``storage`` with ``reclaimed > 0``
     says ``alpha`` binds even after the spare edges were freed).
     """
@@ -152,16 +158,17 @@ class DynamicReducer:
         # one search, so the state lives exactly as long as its rows hold.
         self._estimator = WeightEstimator(pattern, graph, personalized_match, guard)
         # Query neighbours of each query node, each with the bit of the query
-        # edge between them (one bit per edge, whichever end it is seen from).
+        # edge between them seen from this end (one bit per edge and end: a
+        # data node playing both ends expands the edge toward each).
         edge_bits = {
-            (node, child): 1 << position
+            (node, child): 1 << 2 * position
             for position, (node, child) in enumerate(
                 (node, child) for node in pattern.nodes() for child in pattern.children(node)
             )
         }
         self._incident = {
             node: [(child, edge_bits[node, child]) for child in pattern.children(node)]
-            + [(parent, edge_bits[parent, node]) for parent in pattern.parents(node)]
+            + [(parent, edge_bits[parent, node] << 1) for parent in pattern.parents(node)]
             for node in pattern.nodes()
         }
         # Per query node: its role bit, and the role bits of its query children
@@ -185,14 +192,16 @@ class DynamicReducer:
         A pop admits a new node into ``G_Q`` (its edges to members read from
         its own row, kept when its roles and the member's meet on a query
         edge), then expands each query edge at that node not expanded
-        before: ``Pick`` charges ``|N(v)|`` visits and pushes the top-``b``
-        eligible neighbours not yet queued for that query node, best on top,
-        and keeps the rest as the ``Remainder`` of a cut ``Pick``.  When the
-        stack drains, the next cut ``Pick`` of the pass is made again (the
-        first one of the next pass at ``b+1`` once the pass is over), giving
-        what its bound now allows.  An admission that fills ``G_Q`` reclaims
-        it (see the module docstring) before the node is expanded.  Charges
-        accumulate in locals and reach the budget when the search ends.
+        before from the end it plays: ``Pick`` charges ``|N(v)|`` visits and
+        pushes the top-``b`` eligible neighbours not yet queued for that query
+        node, best on top, and keeps the rest as the ``Remainder`` of a cut
+        ``Pick``.  When the stack drains, the next cut ``Pick`` of the pass is
+        made again (the first one of the next pass at ``b+1`` once the pass is
+        over), giving what its bound now allows and charged just that many
+        visits: it reads the ``Remainder``, not the row.  An admission that
+        fills ``G_Q`` reclaims it (see the module docstring) before the node
+        is expanded.  Charges accumulate in locals and reach the budget when
+        the search ends.
         """
         builder = SubgraphBuilder(self._graph)
         gq = builder.partial
@@ -231,14 +240,15 @@ class DynamicReducer:
                     bound, passes = bound + 1, passes + 1
                 pick = pending[position]
                 node, neighbor_query, depth, remainder = pick
-                width = state.width(node)
-                if visited + width > visit_room:
+                # A re-Pick reads no row: it is charged the candidates it gives.
+                give = min(len(remainder), bound - remainder.given)
+                if visited + give > visit_room:
                     stop = "visits"
                     break
-                visited += width
+                visited += give
                 position += 1
                 repicks += 1
-                taken = remainder.take(bound - remainder.given)
+                taken = remainder.take(give)
                 if remainder:
                     cuts.append(pick)
                 waiting = queued[neighbor_query]

@@ -468,8 +468,8 @@ class WeightEstimator:
         return distinct
 
     def width(self, node: NodeId) -> int:
-        """``|N(v)|``, what one ``Pick`` at ``node`` is charged (on a ``CSRGraph``
-        the ``degrees`` column)."""
+        """``|N(v)|``, what the first ``Pick`` at ``node`` is charged (on a
+        ``CSRGraph`` the ``degrees`` column)."""
         csr = self._csr
         return len(self.distinct(node)) if csr is None else csr.degree(node)
 

@@ -15,12 +15,15 @@ The resume rule: a ``Pick`` with more eligible neighbours than its bound is
 *cut* and remembered as ``(node, neighbour query node, depth, candidates
 given, eligible count)``.  When a pass drains and a ``Pick`` is still cut,
 the bound grows by one and the next pass makes the cut Picks again, in the
-order they were made, each charged ``|N(v)|`` and giving its best
-candidates not given before (up to its bound over its life) at
-``depth + 1``; the traversal from each runs before the next one is made,
-and a query edge is expanded at a data node once per search.  A ``Pick`` whose eligible candidates have all
-been given is dropped, and the search reaches its fixpoint once none is
-left.  A charge that would pass either limit is not made.
+order they were made, each giving its best candidates not given before (up
+to its bound over its life) at ``depth + 1``; the traversal from each runs
+before the next one is made, and a query edge is expanded at a data node
+once from each of its ends per search.  A first ``Pick`` is charged
+``|N(v)|``; a repeated one re-scans ``N(v)`` all the same, but is charged
+only ``len(picked)``, the candidates it gives (its row was read when it was
+first made).  A ``Pick`` whose eligible candidates have all been given is
+dropped, and the search reaches its fixpoint once none is left.  A charge
+that would pass either limit is not made.
 
 The edge rule: a node joining ``G_Q`` brings its edges to the nodes already
 there, but only those a match can read, an edge ``v -> w`` for which some
@@ -163,8 +166,9 @@ class OracleReducer:
         # (measured along the traversal) are never added.
         self._max_depth = max_depth if max_depth is not None else pattern.diameter()
         self._estimator = OracleWeightEstimator(pattern, graph, guard, max_scan)
-        # (query edge endpoints, data node) triples expanded so far.
-        self._expanded: Set[Tuple[QueryNodeId, QueryNodeId, NodeId]] = set()
+        # (query node, neighbour query node, direction, data node) expanded so
+        # far: a query edge is expanded once from each end it is seen from.
+        self._expanded: Set[Tuple[QueryNodeId, QueryNodeId, bool, NodeId]] = set()
         self._reclaimed = 0
 
     # ------------------------------------------------------------------ #
@@ -194,14 +198,14 @@ class OracleReducer:
             passes += 1
             pending, cuts = cuts, []
             for index, pick in enumerate(pending):
-                node, neighbor_query, depth, given, _ = pick
-                if not self._pick_fits(node):
+                node, neighbor_query, depth, given, eligible = pick
+                # Charged only the candidates it gives, though it re-scans N(v).
+                if not self._pick_fits(min(eligible, bound) - len(given)):
                     stop, unmade = "visits", pending[index:]
                     break
                 repicks += 1
-                picked, eligible = self._pick(
-                    neighbor_query, node, builder, bound - len(given), set(), given
-                )
+                picked, _ = self._pick(neighbor_query, node, builder, bound - len(given), set(), given)
+                self._budget.charge_visit(len(picked))
                 given.update(picked)
                 if len(given) < eligible:
                     cuts.append(pick)
@@ -253,17 +257,15 @@ class OracleReducer:
             if depth >= self._max_depth:
                 continue
             for neighbor_query, forward in self._incident_query_edges(query_node):
-                edge_key = (query_node, neighbor_query, node) if forward else (
-                    neighbor_query,
-                    query_node,
-                    node,
-                )
+                edge_key = (query_node, neighbor_query, forward, node)
                 if edge_key in self._expanded:
                     continue
-                if not self._pick_fits(node):
+                width = len(self._neighbors(node))
+                if not self._pick_fits(width):
                     return "visits"
                 self._expanded.add(edge_key)
                 picked, eligible = self._pick(neighbor_query, node, builder, bound, queued, set())
+                self._budget.charge_visit(width)
                 if eligible > bound:
                     cuts.append([node, neighbor_query, depth, set(picked), eligible])
                 # Best candidate goes on top of the stack (pushed last).
@@ -287,9 +289,9 @@ class OracleReducer:
                 distinct.append(neighbor)
         return distinct
 
-    def _pick_fits(self, node: NodeId) -> bool:
-        """Whether a ``Pick`` at ``node``, charged ``|N(node)|``, fits the visit cap."""
-        return self._budget.visited + len(self._neighbors(node)) <= self._budget.visit_limit
+    def _pick_fits(self, charge: int) -> bool:
+        """Whether a ``Pick`` charged ``charge`` visits fits the visit cap."""
+        return self._budget.visited + charge <= self._budget.visit_limit
 
     def _pick(
         self,
@@ -311,7 +313,6 @@ class OracleReducer:
         scored: List[Tuple[float, int, NodeId]] = []
         order = eligible = 0
         for neighbor in self._neighbors(node):
-            self._budget.charge_visit()
             if self._use_guard and not self._guard.check(neighbor, query_node):
                 continue
             if not self._use_guard:

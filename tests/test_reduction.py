@@ -1,7 +1,10 @@
 """Tests for the dynamic reduction (Search / Pick) machinery."""
 
+from unittest.mock import patch
+
 import pytest
 
+from repro.core import reduction
 from repro.core.budget import ResourceBudget
 from repro.core.rbsim import RBSim, RBSimConfig
 from repro.core.rbsub import RBSub, RBSubConfig
@@ -169,10 +172,10 @@ class TestStopReason:
             "fixpoint", 2, 3, 0, 0
         )
         assert result.subgraph.num_nodes() == 4
-        # vp, three spokes and three edges (7 items), and the Pick at vp
-        # twice, charged |N(vp)| = 4 each time.  The allowance is
-        # c * alpha * |G| with c = d_G = 4 and |G| = 9.
-        assert (result.budget.visited, result.budget.visit_limit) == (15, 36)
+        # vp, three spokes and three edges (7 items), the Pick at vp charged
+        # |N(vp)| = 4, and its re-Pick charged the one spoke it gives.  The
+        # allowance is c * alpha * |G| with c = d_G = 4 and |G| = 9.
+        assert (result.budget.visited, result.budget.visit_limit) == (12, 36)
         assert result.spend()["visit_limit"] == budget.visit_limit == 36
 
     def test_visits(self):
@@ -198,6 +201,62 @@ class TestStopReason:
     def test_missing_personalized_match(self, example1_graph, example1_query):
         reducer, _ = make_reducer(example1_graph, example1_query, "nobody", alpha=0.5)
         assert reducer.search().stop == "fixpoint"
+
+
+class TestRePickCharge:
+    """A re-Pick reads no row: it is charged the candidates it gives.
+
+    The hub is ``vp`` with six A spokes and a B child no query node asks for
+    (so ``G_Q`` never fills; ``|G| = 15``) under ``p -> a``: the Pick at
+    ``vp`` (``|N(vp)| = 7``) is cut at ``b = 2``, and each later pass
+    re-Picks it for one more spoke.  Pass 1 costs 12 visits: ``vp`` (1), the
+    Pick (7) and two spokes with their edges (2 each).
+    """
+
+    @staticmethod
+    def hub(visit_limit=None):
+        graph, pattern = TestStopReason.fan(6)
+        graph.add_node("b", "B")
+        graph.add_edge("vp", "b")
+        coefficient = None if visit_limit is None else (visit_limit + 0.5) / graph.size()
+        reducer, budget = make_reducer(graph, pattern, "vp", alpha=1.0, visit_coefficient=coefficient)
+        assert visit_limit in (None, budget.visit_limit)
+        return reducer
+
+    def test_visited_is_the_row_the_admissions_and_what_each_re_pick_gave(self):
+        gives = []
+
+        class RecordedRemainder(Remainder):
+            def take(self, count, waiting=()):
+                taken = super().take(count, waiting)
+                gives.append(len(taken))
+                return taken
+
+        reducer = self.hub()
+        with patch.object(reduction, "Remainder", RecordedRemainder):
+            result = reducer.search()
+        first, *repicks = gives
+        assert (result.stop, first, len(repicks), result.repicks) == ("fixpoint", 2, 4, 4)
+        # |N(vp)| once, 1 per admitted node and edge (vp, six spokes, six
+        # edges), and the four re-Picks' single spokes.
+        assert result.budget.stored == 13
+        assert result.budget.visited == 7 + 13 + sum(repicks) == 24
+
+    def test_a_limit_that_fits_the_give_but_not_the_row_lets_the_search_go_on(self):
+        # After pass 1 (12 visits) the re-Pick's give (1) fits a limit of 17
+        # and |N(vp)| (7) would not: two re-Picks admit spokes 3 and 4 (the
+        # last without its edge, which the limit leaves no room for).
+        result = self.hub(17).search()
+        assert (result.stop, result.repicks, result.subgraph.num_nodes()) == ("visits", 2, 5)
+        assert (result.budget.visited, result.cut, result.ungiven) == (17, 1, 2)
+        # The exact cost of the whole search is enough to reach its fixpoint.
+        result = self.hub(24).search()
+        assert (result.stop, result.budget.visited, result.subgraph.num_nodes()) == ("fixpoint", 24, 7)
+
+    def test_a_limit_below_the_give_stops_on_visits_with_the_pick_cut(self):
+        result = self.hub(12).search()
+        assert (result.stop, result.repicks, result.cut, result.ungiven) == ("visits", 0, 1, 4)
+        assert (result.budget.visited, result.subgraph.num_nodes()) == (12, 3)
 
 
 class TestReclamation:

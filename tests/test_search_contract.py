@@ -149,9 +149,11 @@ def test_a_tiny_visit_coefficient_stops_on_visits_first():
     tight = RBSim(graph, 1.0, config=RBSimConfig(visit_coefficient=1.0)).reduce(pattern, 0)
     # Loose, the cut Pick at the hub resumes until G_Q holds the whole star.
     assert (loose.stop, loose.budget.stored, loose.cut) == ("storage", 25, 0)
-    # With c = 1 (25 visits) the hub's Pick is made twice (12 visits each):
-    # the visit cap ends the search with storage left and that Pick still cut.
-    assert (tight.stop, tight.cut) == ("visits", 1)
+    # With c = 1 (25 visits) the hub's Pick is charged its 12 leaves, each
+    # re-Pick the one leaf it gives, and each leaf 2 (itself and its edge; the
+    # fifth gets no edge, for want of visits): after three re-Picks the cap
+    # ends the search with storage left and that Pick still cut.
+    assert (tight.stop, tight.cut, tight.repicks) == ("visits", 1, 3)
     assert tight.budget.visited <= tight.budget.visit_limit == 25
     assert tight.budget.stored < tight.budget.size_limit
     nodes = list(tight.subgraph.nodes())
