@@ -12,15 +12,20 @@ pattern logs over CSR graphs:
 Both logs are built the way the end-to-end benchmark builds its pattern
 logs (dataset seed 7).  Before timing, the digest of every
 ``ReductionResult`` (``G_Q`` nodes, labels and edges in order, budget,
-bound, passes, candidate counts, stop, cut, ungiven and re-Pick counts) is
-checked against the oracle of ``tests/reduction_oracle.py``.  Timings are
-reported, not gated: they go to ``benchmarks/_reports/search.txt`` with the
-``G_Q`` nodes and edges and the visits charged (``visited``) summed over the
-log, the edges the storage reclamations dropped (``reclaimed``, and how many
-searches reclaimed), the per-log stop reasons split by whether a ``Pick``
-was left cut, the candidates the cut Picks still held, the distribution of
-pass counts and the re-Picks per search (each a count the oracle's digest
-covers).
+bound, passes, candidate counts, stop, cut, ungiven and re-Pick counts,
+whether the weighted search restarted and the visits of the abandoned
+unweighted pass) is checked against the oracle of
+``tests/reduction_oracle.py``.  Timings are reported, not gated: they go to
+``benchmarks/_reports/search.txt`` with the ``G_Q`` nodes and edges and the
+visits charged (``visited``) summed over the log, the searches the
+unweighted pass settled and those it restarted (with the visits the
+abandoned passes were charged), the edges the storage reclamations dropped
+(``reclaimed``, and how many searches reclaimed), the per-log stop reasons
+split by whether a ``Pick`` was left cut, the candidates the cut Picks still
+held, the distribution of pass counts and the re-Picks per search (each a
+count the oracle's digest covers).  The restarted searches are gated
+exactly (:data:`RESTARTS`): the pass settles every youtube search, and all
+community searches but the ten whose ``G_Q`` fills.
 
 Each answer on ``G_Q`` (strong simulation for the simulation half, the
 ``RBSub`` isomorphism step for the other) is scored against ``MatchOpt`` /
@@ -105,6 +110,9 @@ LOGS = {
 CAUSES = ("ungiven", "queued", "unreached", "unmatched", "extra")
 #: The stops at which the budget, not the graph, ended a search.
 BUDGET_STOPS = {"storage", "visits"}
+#: The positions of the searches whose unweighted pass fills ``G_Q``, so that
+#: the weighted search restarts: the searches ``alpha`` binds, and no other.
+RESTARTS = {"youtube": (), "community": (6, 10, 17, 19, 21, 25, 30, 51, 53, 55)}
 #: Simulation F against ``MatchOpt`` and subgraph F against ``VF2Opt`` that each log must keep.
 F_FLOORS = {
     "youtube": {"f_simulation": 1.0, "f_subgraph": 1.0},
@@ -222,15 +230,20 @@ class SearchLog:
 
 @contextmanager
 def recorded():
-    """Record, for the searches run inside, every ``Remainder`` made (the
-    candidates a cut ``Pick`` held) and every ``Pick``'s eligible list."""
+    """Record, for the search run inside, every ``Remainder`` made (the
+    candidates a cut ``Pick`` held) and every ``Pick``'s eligible list, those
+    of an abandoned unweighted pass forgotten when the weighted search restarts."""
     remainders, picks = [], []
-    eligible = WeightEstimator.eligible
+    eligible, weighted = WeightEstimator.eligible, DynamicReducer._weighted
 
     def recording_eligible(state, node, query_node):
         found = eligible(state, node, query_node)
         picks.append((node, query_node, found))
         return found
+
+    def restarting(reducer, spent):
+        picks.clear()
+        return weighted(reducer, spent)
 
     class RecordedRemainder(Remainder):
         def __init__(self, *arguments):
@@ -239,7 +252,7 @@ def recorded():
 
     with patch.object(reduction, "Remainder", RecordedRemainder), patch.object(
         WeightEstimator, "eligible", recording_eligible
-    ):
+    ), patch.object(DynamicReducer, "_weighted", restarting):
         yield remainders, picks
 
 
@@ -291,6 +304,9 @@ def measure(name: str, rounds: int) -> dict:
         "gq_nodes": sum(result.subgraph.num_nodes() for result in results),
         "gq_edges": sum(result.subgraph.num_edges() for result in results),
         "visited": sum(result.budget.visited for result in results),
+        "settled": sum(not result.restarted for result in results),
+        "restarted": [position for position, result in enumerate(results) if result.restarted],
+        "abandoned_visits": sum(result.abandoned_visits for result in results),
         "reclaimed": sum(result.reclaimed for result in results),
         "reclaiming_searches": sum(result.reclaimed > 0 for result in results),
         "ungiven": sum(result.ungiven for result in results),
@@ -305,11 +321,14 @@ def measure(name: str, rounds: int) -> dict:
 
 
 def failures(row: dict) -> list:
-    """What in ``row`` fails the run: a digest off the oracle's, a miss with
-    no cause, an exclusion by the guard or the scan cap, or F below its floor."""
+    """What in ``row`` fails the run: a digest off the oracle's, a restart
+    not in :data:`RESTARTS` or one missing, a miss with no cause, an
+    exclusion by the guard or the scan cap, or F below its floor."""
     found = []
     if row["digest"] != row["oracle_digest"]:
         found.append("digest differs from the oracle's")
+    if tuple(row["restarted"]) != RESTARTS[row["log"]]:
+        found.append(f"restarted {row['restarted']} != {list(RESTARTS[row['log']])}")
     for count in ("unexplained", "guard_excluded", "scan_excluded"):
         if row[count]:
             found.append(f"{count} = {row[count]}")

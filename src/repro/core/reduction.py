@@ -6,8 +6,17 @@ resource budget, ``Search`` performs a controlled traversal of ``G`` starting
 from ``vp`` and populates a subgraph ``G_Q`` with candidate matches:
 
 * only nodes satisfying the guarded condition ``C(v, u)`` are considered;
-* among eligible neighbours the top-``b`` by weight ``p/(c+1)`` are pushed
-  (procedure ``Pick``), with the best candidate on top of the stack;
+* the weights rank what a full ``G_Q`` keeps, so ``Search`` first makes one
+  *unweighted pass*: no bound, no ranking, every eligible neighbour pushed
+  in scan order, charged and stopped as below.  Only where an admission
+  fills ``G_Q`` and the weighted search would reclaim it is the pass
+  abandoned: its visits stay charged, and the weighted search below
+  *restarts* from ``(up, vp)`` with a new ``G_Q`` (the rows, the roles and
+  the eligible lists the pass loaded carry over; they depend on ``G`` and
+  ``Q`` alone).  Otherwise the pass is the search;
+* in the weighted search, among eligible neighbours the top-``b`` by
+  weight ``p/(c+1)`` are pushed (procedure ``Pick``), with the best
+  candidate on top of the stack;
 * a ``Pick`` with more eligible neighbours than ``b`` is *cut*.  When the
   stack drains and a ``Pick`` is still cut, the bound grows to ``b+1`` and
   the next pass *resumes*: it re-Picks only the cut Picks, in the order
@@ -96,7 +105,12 @@ class ReductionResult:
     ``Pick`` was made again (each charged the candidates it gave, never its
     row again); ``reclaimed`` is how many edges the storage
     reclamations dropped from ``G_Q`` (so ``storage`` with ``reclaimed > 0``
-    says ``alpha`` binds even after the spare edges were freed).
+    says ``alpha`` binds even after the spare edges were freed);
+    ``restarted`` says the unweighted pass filled ``G_Q`` with the visits to
+    reclaim it left, so the weighted search ran from ``(up, vp)``, and
+    ``abandoned_visits`` is what that pass was charged, counted in
+    ``budget.visited``.  A search the pass made alone has one pass and the
+    initial bound, and ``restarted`` false.
     """
 
     subgraph: DiGraph
@@ -109,6 +123,8 @@ class ReductionResult:
     ungiven: int = 0
     repicks: int = 0
     reclaimed: int = 0
+    restarted: bool = False
+    abandoned_visits: int = 0
 
     def spend(self) -> Dict[str, object]:
         """Budget spent versus budget allowed, as the ``reduction.search`` span carries it."""
@@ -119,6 +135,8 @@ class ReductionResult:
             "cut": self.cut,
             "ungiven": self.ungiven,
             "reclaimed": self.reclaimed,
+            "restarted": self.restarted,
+            "abandoned_visits": self.abandoned_visits,
             "stored": budget.stored,
             "size_limit": budget.size_limit,
             "visited": budget.visited,
@@ -189,6 +207,123 @@ class DynamicReducer:
     def search(self) -> ReductionResult:
         """Extract ``G_Q`` (procedure ``Search`` of Fig. 3, ``Pick`` inline).
 
+        One unweighted pass first (:meth:`_pass`).  Where it fills ``G_Q``
+        with the visits to read it left, the weighted search would reclaim:
+        the pass is abandoned, still charged, and the weighted search
+        (:meth:`_weighted`) restarts from ``(up, vp)``.  Otherwise the pass is
+        the search.  Charges accumulate in locals and reach the budget when
+        the search ends.
+        """
+        budget = self._budget
+        if self._vp not in self._graph:
+            return ReductionResult(
+                subgraph=DiGraph(), budget=snapshot(budget), final_bound=self._initial_bound, passes=0
+            )
+        builder = SubgraphBuilder(self._graph)
+        candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in self._pattern.nodes()}
+        stop, stored, visited = self._pass(builder, candidate_counts)
+        if stop is None:
+            return self._weighted(visited)
+        budget.charge_storage(stored)
+        budget.charge_visit(visited)
+        return ReductionResult(
+            subgraph=builder.build(),
+            budget=snapshot(budget),
+            final_bound=self._initial_bound,
+            candidate_counts=candidate_counts,
+            stop=stop,
+        )
+
+    def _eligible(self, node: NodeId, neighbor_query: QueryNodeId) -> List[NodeId]:
+        """The distinct neighbours of ``node`` a ``Pick`` for ``neighbor_query`` may give, in scan order."""
+        state = self._estimator
+        if self._use_guard:
+            return state.eligible(node, neighbor_query)
+        if neighbor_query == self._pattern.personalized:
+            # Ablation mode: only the label must match (up is matched by identity).
+            return [self._vp] if self._vp in state.distinct(node) else []
+        return state.labelled(node, neighbor_query)
+
+    def _edge_roles(self, roles: int) -> Tuple[int, int]:
+        """The roles a child and a parent of a node playing ``roles`` must
+        play for the edge between them to be readable."""
+        child_roles = parent_roles = 0
+        for bit, below, above in self._reads:
+            if roles & bit:
+                child_roles |= below
+                parent_roles |= above
+        return child_roles, parent_roles
+
+    def _pass(
+        self, builder: SubgraphBuilder, candidate_counts: Dict[QueryNodeId, int]
+    ) -> Tuple[Optional[str], int, int]:
+        """The traversal from ``(up, vp)`` with no bound and no ranking: a
+        ``Pick`` pushes every eligible candidate not queued for its query
+        node, the first in scan order on top.  It is charged as the weighted
+        search is and stops where that search would: ``visits`` when a charge
+        would pass the cap, ``storage`` when the budget was full before it
+        began, ``fixpoint`` when the stack drains.  The one step it cannot
+        take is a reclamation, whose kept edges depend on the admission
+        order: where an admission fills ``G_Q`` and the read of ``G_Q`` fits
+        the visits, it gives up (stop ``None``).  Returns the stop and the
+        storage and visits charged.  It reads only what depends on ``G`` and
+        ``Q`` (no weight, no push), so it leaves nothing for the weighted
+        search to undo.
+        """
+        budget, state, vp = self._budget, self._estimator, self._vp
+        room = budget.size_limit - budget.stored
+        visit_room = budget.visit_limit - budget.visited
+        gq, roles_of, incident, max_depth = builder.partial, state.roles, self._incident, self._max_depth
+        describe, width_of, eligible_of, edge_roles = state.describe, state.width, self._eligible, self._edge_roles
+        personalized = self._pattern.personalized
+        stored = visited = 0
+        expanded: Dict[NodeId, int] = {}
+        queued: Dict[QueryNodeId, Set[NodeId]] = {u: set() for u in state.bits}
+        queued[personalized].add(vp)
+        stack: List[Tuple[QueryNodeId, NodeId, int]] = [(personalized, vp, 0)]
+        while stack:
+            query_node, node, depth = stack.pop()
+            queued[query_node].discard(node)
+            if node not in gq:
+                if stored >= room:  # only a budget spent before the search is full here
+                    return "storage", stored, visited
+                if visited >= visit_room:
+                    return "visits", stored, visited
+                label, roles, children, parents = describe(node)
+                builder.add_node(node, label)
+                edges = builder.add_row_edges(
+                    node, children, parents, min(room - stored, visit_room - visited) - 1,
+                    roles_of, *edge_roles(roles),
+                )
+                stored += 1 + edges
+                visited += 1 + edges
+                candidate_counts[query_node] += 1
+                if stored >= room:
+                    # Full: the weighted search reclaims here, if reading G_Q fits.
+                    return ("visits" if visited + stored > visit_room else None), stored, visited
+            if depth >= max_depth:
+                continue
+            done = expanded.get(node, 0)
+            for neighbor_query, edge_bit in incident[query_node]:
+                if done & edge_bit:
+                    continue
+                width = width_of(node)
+                if visited + width > visit_room:
+                    return "visits", stored, visited
+                visited += width
+                done |= edge_bit
+                waiting = queued[neighbor_query]
+                candidates = list(filterfalse(waiting.__contains__, eligible_of(node, neighbor_query)))
+                for candidate in reversed(candidates):
+                    stack.append((neighbor_query, candidate, depth + 1))
+                    waiting.add(candidate)
+            expanded[node] = done
+        return "fixpoint", stored, visited
+
+    def _weighted(self, spent: int) -> ReductionResult:
+        """The weighted, resumable search from ``(up, vp)``, after an unweighted
+        pass that filled ``G_Q``, was charged ``spent`` visits and was abandoned.
+
         A pop admits a new node into ``G_Q`` (its edges to members read from
         its own row, kept when its roles and the member's meet on a query
         edge), then expands each query edge at that node not expanded
@@ -200,25 +335,20 @@ class DynamicReducer:
         over), giving what its bound now allows and charged just that many
         visits: it reads the ``Remainder``, not the row.  An admission that
         fills ``G_Q`` reclaims it (see the module docstring) before the node
-        is expanded.  Charges accumulate in locals and reach the budget when
-        the search ends.
+        is expanded.
         """
         builder = SubgraphBuilder(self._graph)
         gq = builder.partial
         bound, budget, vp = self._initial_bound, self._budget, self._vp
-        if vp not in self._graph:
-            return ReductionResult(
-                subgraph=builder.build(), budget=snapshot(budget), final_bound=bound, passes=0
-            )
-
         state, pattern = self._estimator, self._pattern
         in_gq, bits, incident, max_depth = state.in_gq, state.bits, self._incident, self._max_depth
-        reads, witnesses = self._reads, self._witnesses
-        use_guard, use_weights, personalized = self._use_guard, self._use_weights, pattern.personalized
+        witnesses, edge_roles, eligible_of = self._witnesses, self._edge_roles, self._eligible
+        use_weights, personalized = self._use_weights, pattern.personalized
         candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in pattern.nodes()}
         room = budget.size_limit - budget.stored  # storage left; G_Q is full at 0
         visit_room = budget.visit_limit - budget.visited  # a charge past it is not made
-        stored = visited = repicks = reclaimed = 0
+        stored = repicks = reclaimed = 0
+        visited = spent
         passes, stop = 1, None
         # Per data node, the query edges expanded there (as bits); per query
         # node, the data nodes queued for it.
@@ -268,11 +398,7 @@ class DynamicReducer:
                     break
                 label, roles, children, parents = state.admit(node)
                 builder.add_node(node, label)
-                child_roles = parent_roles = 0
-                for bit, below, above in reads:
-                    if roles & bit:
-                        child_roles |= below
-                        parent_roles |= above
+                child_roles, parent_roles = edge_roles(roles)
                 edges = builder.add_row_edges(
                     node, children, parents, min(room - stored, visit_room - visited) - 1,
                     state.roles, child_roles, parent_roles,
@@ -320,13 +446,7 @@ class DynamicReducer:
                     break
                 visited += width
                 done |= edge_bit
-                if use_guard:
-                    eligible = state.eligible(node, neighbor_query)
-                elif neighbor_query == personalized:
-                    # Ablation mode: only the label must match (up is matched by identity).
-                    eligible = [vp] if vp in state.distinct(node) else []
-                else:
-                    eligible = state.labelled(node, neighbor_query)
+                eligible = eligible_of(node, neighbor_query)
                 waiting = queued[neighbor_query]
                 if len(eligible) > bound:
                     # Cut: the rest waits for a later pass, best first.
@@ -359,4 +479,6 @@ class DynamicReducer:
             ungiven=sum(len(remainder) for *_, remainder in open_picks),
             repicks=repicks,
             reclaimed=reclaimed,
+            restarted=True,
+            abandoned_visits=spent,
         )

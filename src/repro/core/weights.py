@@ -28,7 +28,9 @@ data node's row once, and updates ``c(v, u)`` the way the paper says,
 neighbours, and nothing is recomputed from scratch per candidate; a weight is
 recomputed only when a member joined around its node.  A cut ``Pick`` keeps
 its ungiven candidates as a :class:`Remainder`, a heap that re-weighs only
-the candidates in the rows of members admitted since it last gave.
+the candidates in the rows of members admitted since it last gave.  Weights
+are asked only where ``alpha`` binds: ``Search`` first makes one unweighted
+pass, which reads rows and ``C`` and nothing that moves with ``G_Q``.
 
 On a ``CSRGraph`` the state works in row space: a row's askers are one
 gather through a label id -> askers table, and a row wider than
@@ -356,6 +358,11 @@ class WeightEstimator:
       a ``v`` with more than ``max_scan`` members around it.  A weight is
       kept until a member joins around its node: ``hits[v]`` moves, or a
       wide member has ``v`` in its row.
+    * **One search, two traversals.**  ``Search``'s unweighted pass reads
+      only what depends on ``G`` and ``Q`` (:meth:`describe`, never
+      :meth:`admit`), so when it is abandoned the weighted search that
+      restarts finds ``in_gq`` and every count that moves with ``G_Q``
+      empty, and the rows, roles and eligible lists the pass loaded.
     """
 
     def __init__(
@@ -554,20 +561,12 @@ class WeightEstimator:
             ]
         return usable
 
-    # ------------------------------------------------------------------ #
-    # What moves with G_Q
-    # ------------------------------------------------------------------ #
-    def admit(self, node: NodeId) -> Tuple[object, int, List[NodeId], List[NodeId]]:
-        """``node`` joins ``G_Q``: tell its neighbours what it can play.
-
-        Returns its label, its roles (every query node it satisfies ``C``
-        for, as bits, which ``roles`` keeps from now on), its children and
-        its parents.  Each entry of the row of ``node`` is an entry for
-        ``node`` in that neighbour's row (a child here is a parent there), so
-        after the push ``hits[v]`` is how many entries of the row of ``v``
-        are members of ``G_Q`` and ``covered[v]`` what they can play.
-        """
-        self.in_gq.add(node)
+    def describe(self, node: NodeId) -> Tuple[object, int, List[NodeId], List[NodeId]]:
+        """What ``node`` brings to ``G_Q``: its label, its roles (every query
+        node it satisfies ``C`` for, as bits, which ``roles`` keeps from now
+        on), its children and its parents.  It reads ``G`` and ``Q`` alone:
+        the unweighted pass of ``Search`` admits a node with this, and no
+        weight is asked of it."""
         scan = self.row(node)
         csr = self._csr
         if csr is None:
@@ -576,6 +575,24 @@ class WeightEstimator:
             label = csr.label_at(csr.index_of(node))
             key = csr.label_id(label)
         roles = self._plays(node, self._askers.get(key, 0), every=True)
+        split = self._graph.out_degree(node)
+        return label, roles, scan[:split], scan[split:]
+
+    # ------------------------------------------------------------------ #
+    # What moves with G_Q
+    # ------------------------------------------------------------------ #
+    def admit(self, node: NodeId) -> Tuple[object, int, List[NodeId], List[NodeId]]:
+        """``node`` joins ``G_Q``: :meth:`describe` it and tell its neighbours
+        what it can play.
+
+        Each entry of the row of ``node`` is an entry for ``node`` in that
+        neighbour's row (a child here is a parent there), so after the push
+        ``hits[v]`` is how many entries of the row of ``v`` are members of
+        ``G_Q`` and ``covered[v]`` what they can play.
+        """
+        self.in_gq.add(node)
+        described = self.describe(node)
+        roles, scan = described[1], self.row(node)
         self.touched.append(scan)
         if len(scan) > self.max_scan:
             self._wide.append((roles, Counter(scan)))  # no O(deg) loop per hub
@@ -584,8 +601,7 @@ class WeightEstimator:
             for neighbor in scan:
                 covered[neighbor] = covered.get(neighbor, 0) | roles
             self._hits.update(scan)
-        split = self._graph.out_degree(node)
-        return label, roles, scan[:split], scan[split:]
+        return described
 
     def cost(self, node: NodeId, query_node: QueryNodeId) -> int:
         """``c(v, u)``: query neighbours of ``u`` with no candidate of ``v`` in ``G_Q``.

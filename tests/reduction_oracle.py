@@ -11,6 +11,17 @@ from the table-backed implementation; nothing in ``src/`` imports them.
 The ``max_scan`` constructor argument is passed through to the estimator so
 the sweep can make the scan cap bite.
 
+The pass-then-restart rule: ``search`` first walks from ``(up, vp)`` with
+no bound and no weights, every ``Pick`` (charged ``|N(v)|``) pushing all its
+eligible neighbours not queued, first in scan order on top.  It stops as
+the weighted search does (a charge that would pass the visit cap, or a
+budget full before the walk), or reaches its fixpoint when the stack
+drains, and that is the result; but where an admission leaves ``G_Q`` full
+and the ``|G_Q|`` visits of a read still fit, the walk is abandoned: its
+storage is released, its visits stay charged, and
+:meth:`OracleReducer.weighted_search` (the rest of this docstring, callable
+on its own) runs from ``(up, vp)`` on the same budget.
+
 The resume rule: a ``Pick`` with more eligible neighbours than its bound is
 *cut* and remembered as ``(node, neighbour query node, depth, candidates
 given, eligible count)``.  When a pass drains and a ``Pick`` is still cut,
@@ -48,6 +59,7 @@ makes either reducer with the same scan cap, and :func:`fingerprint` is what
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -175,7 +187,77 @@ class OracleReducer:
     # Procedure Search
     # ------------------------------------------------------------------ #
     def search(self) -> ReductionResult:
-        """Extract ``G_Q`` (procedure ``Search`` of Fig. 3, resuming cut Picks)."""
+        """Extract ``G_Q``: the unweighted pass, and the weighted search from
+        ``(up, vp)`` when the pass fills ``G_Q`` and could reclaim it."""
+        if self._vp not in self._graph:
+            return self.weighted_search()
+        visited = self._budget.visited
+        result = self._unweighted_pass()
+        if result is not None:
+            return result
+        spent = self._budget.visited - visited
+        return replace(self.weighted_search(), restarted=True, abandoned_visits=spent)
+
+    def _unweighted_pass(self) -> Optional[ReductionResult]:
+        """The traversal from ``(up, vp)`` with no bound and no ranking: every
+        ``Pick`` pushes all its eligible candidates not queued, first in scan
+        order on top.  Its result when it stops; ``None``, its storage
+        released and its visits kept charged, where it fills ``G_Q`` and
+        could pay to read it."""
+        budget, pattern = self._budget, self._pattern
+        builder = SubgraphBuilder(self._graph)
+        candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in pattern.nodes()}
+        expanded: Set[Tuple[QueryNodeId, QueryNodeId, bool, NodeId]] = set()
+        stack = [(pattern.personalized, self._vp, 0)]
+        queued = {(pattern.personalized, self._vp)}
+        stop = None
+        while stop is None and stack:
+            query_node, node, depth = stack.pop()
+            queued.discard((query_node, node))
+            added = self._add_to_subgraph(builder, node, query_node, candidate_counts)
+            if added is None:
+                stop = "visits"
+                break
+            if budget.storage_exhausted():
+                if not added:
+                    stop = "storage"
+                    break
+                if budget.visited + builder.size() <= budget.visit_limit:
+                    budget.release_storage(builder.size())
+                    return None  # the weighted search would reclaim here
+                stop = "visits"
+                break
+            if depth >= self._max_depth:
+                continue
+            for neighbor_query, forward in self._incident_query_edges(query_node):
+                edge_key = (query_node, neighbor_query, forward, node)
+                if edge_key in expanded:
+                    continue
+                neighbors = self._neighbors(node)
+                if not self._pick_fits(len(neighbors)):
+                    stop = "visits"
+                    break
+                expanded.add(edge_key)
+                budget.charge_visit(len(neighbors))
+                picked = [
+                    neighbor
+                    for neighbor in neighbors
+                    if self._eligible(neighbor, neighbor_query) and (neighbor_query, neighbor) not in queued
+                ]
+                for candidate in reversed(picked):
+                    stack.append((neighbor_query, candidate, depth + 1))
+                    queued.add((neighbor_query, candidate))
+        return ReductionResult(
+            subgraph=builder.build(),
+            budget=snapshot(budget),
+            final_bound=self._initial_bound,
+            candidate_counts=candidate_counts,
+            stop=stop or "fixpoint",
+        )
+
+    def weighted_search(self) -> ReductionResult:
+        """The weighted search of Fig. 3 from ``(up, vp)``, resuming cut
+        Picks, on its own: what ``search`` runs once the pass filled ``G_Q``."""
         builder = SubgraphBuilder(self._graph)
         bound = self._initial_bound
         candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in self._pattern.nodes()}
@@ -313,16 +395,8 @@ class OracleReducer:
         scored: List[Tuple[float, int, NodeId]] = []
         order = eligible = 0
         for neighbor in self._neighbors(node):
-            if self._use_guard and not self._guard.check(neighbor, query_node):
+            if not self._eligible(neighbor, query_node):
                 continue
-            if not self._use_guard:
-                # Ablation mode: only the label must match.
-                if query_node != self._pattern.personalized and self._graph.label(
-                    neighbor
-                ) != self._pattern.label_of(query_node):
-                    continue
-                if query_node == self._pattern.personalized and neighbor != self._vp:
-                    continue
             eligible += 1
             if (query_node, neighbor) in queued or neighbor in given:
                 continue
@@ -334,6 +408,15 @@ class OracleReducer:
             order += 1
         scored.sort(reverse=True)
         return [entry[2] for entry in scored[:limit]], eligible
+
+    def _eligible(self, neighbor: NodeId, query_node: QueryNodeId) -> bool:
+        """Whether a ``Pick`` for ``query_node`` may give ``neighbor``."""
+        if self._use_guard:
+            return self._guard.check(neighbor, query_node)
+        # Ablation mode: only the label must match.
+        if query_node == self._pattern.personalized:
+            return neighbor == self._vp
+        return self._graph.label(neighbor) == self._pattern.label_of(query_node)
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -513,4 +596,6 @@ def fingerprint(result: ReductionResult):
         result.ungiven,
         result.repicks,
         result.reclaimed,
+        result.restarted,
+        result.abandoned_visits,
     )

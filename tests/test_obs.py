@@ -460,6 +460,8 @@ class TestReductionSpanAttrs:
             "cut": answer.reduction.cut,
             "ungiven": answer.reduction.ungiven,
             "reclaimed": answer.reduction.reclaimed,
+            "restarted": answer.reduction.restarted,
+            "abandoned_visits": answer.reduction.abandoned_visits,
             "stored": answer.budget.stored,
             "size_limit": answer.budget.size_limit,
             "visited": answer.budget.visited,

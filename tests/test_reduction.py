@@ -76,11 +76,12 @@ class TestSearch:
         assert result.subgraph.size() <= budget.size_limit
 
     def test_bound_grows_over_passes(self, example1_graph, example1_query):
+        # alpha 0.7 binds: the weighted search restarts after the unweighted pass.
         reducer, _ = make_reducer(
-            example1_graph, example1_query, "Michael", alpha=0.9, initial_bound=1
+            example1_graph, example1_query, "Michael", alpha=0.7, initial_bound=1
         )
         result = reducer.search()
-        assert result.passes >= 1
+        assert result.restarted and result.passes >= 2
         # One pass at b = 1, then one more per resume at b + 1.
         assert result.final_bound == 1 + result.passes - 1
 
@@ -142,50 +143,91 @@ class TestStopReason:
 
     def test_storage(self):
         graph, pattern = self.fan(5)  # |G| = 11, so alpha 0.3 allows 3 items
-        reducer, budget = make_reducer(graph, pattern, "vp", alpha=0.3)
+        reducer, budget = make_reducer(graph, pattern, "vp", alpha=0.3, visit_coefficient=10)
         result = reducer.search()
-        # vp, then its best A and the edge between them: G_Q is full in pass 1,
-        # with the Pick at vp (5 eligible, b = 2) still cut and holding three.
+        # The unweighted pass fills G_Q with vp, a0 and their edge (8 visits:
+        # vp, the Pick at vp, a0 and the edge) and is abandoned.  The weighted
+        # search does the same in its pass 1, with the Pick at vp (5 eligible,
+        # b = 2) still cut and holding three; reading G_Q (3 visits) frees
+        # nothing, as the answer needs vp -> a0.
         assert (result.stop, result.passes, result.budget.stored) == ("storage", 1, 3)
+        assert (result.budget.visited, budget.visit_limit) == (8 + 8 + 3, 33)
         assert result.spend() == {
             "passes": 1,
             "stop": "storage",
             "cut": 1,
             "ungiven": 3,
             "reclaimed": 0,
+            "restarted": True,
+            "abandoned_visits": 8,
             "stored": 3,
             "size_limit": 3,
             "visited": result.budget.visited,
             "visit_limit": budget.visit_limit,
         }
 
-    def test_fixpoint(self):
+    def test_fixpoint_of_the_unweighted_pass(self):
         graph, pattern = self.fan(3)
         graph.add_node("b", "B")  # a child no query node asks for: G_Q never fills
         graph.add_edge("vp", "b")
         reducer, budget = make_reducer(graph, pattern, "vp", alpha=1.0)
         result = reducer.search()
-        # Pass 1 takes two spokes (b = 2) and cuts the Pick at vp; pass 2
-        # (b = 3) makes that Pick again, which gives the third spoke and
-        # leaves nothing cut.
+        # The unweighted pass gives all three spokes at once and drains with
+        # room left: no limit met it, so it is the answer, in one pass.
+        assert (result.stop, result.passes, result.final_bound, result.cut, result.ungiven) == (
+            "fixpoint", 1, 2, 0, 0
+        )
+        assert (result.restarted, result.abandoned_visits, result.repicks) == (False, 0, 0)
+        assert result.subgraph.num_nodes() == 4
+        # vp, three spokes and three edges (7 items) and the Pick at vp
+        # charged |N(vp)| = 4.  The allowance is c * alpha * |G| with c = d_G
+        # = 4 and |G| = 9.
+        assert (result.budget.visited, result.budget.visit_limit) == (11, 36)
+        assert result.spend()["visit_limit"] == budget.visit_limit == 36
+
+    def test_fixpoint(self):
+        # The reclamation grid's ball (19 items) does not fit alpha 0.9 (17):
+        # the unweighted pass fills G_Q and is abandoned after 36 visits.  The
+        # weighted search then takes two A's in pass 1 (b = 2) and cuts the
+        # Pick at vp; reclaiming frees the spare witnesses, and pass 2 (b = 3)
+        # makes that Pick again, which gives a2 and leaves nothing cut.
+        reducer, _ = make_reducer(
+            TestReclamation.grid(), TestReclamation.PATTERN, "vp", alpha=0.9, visit_coefficient=20
+        )
+        result = reducer.search()
         assert (result.stop, result.passes, result.final_bound, result.cut, result.ungiven) == (
             "fixpoint", 2, 3, 0, 0
         )
-        assert result.subgraph.num_nodes() == 4
-        # vp, three spokes and three edges (7 items), the Pick at vp charged
-        # |N(vp)| = 4, and its re-Pick charged the one spoke it gives.  The
-        # allowance is c * alpha * |G| with c = d_G = 4 and |G| = 9.
-        assert (result.budget.visited, result.budget.visit_limit) == (12, 36)
-        assert result.spend()["visit_limit"] == budget.visit_limit == 36
+        assert (result.restarted, result.reclaimed, result.subgraph.num_nodes()) == (True, 4, 7)
+        # The abandoned pass's visits count in the search's.
+        assert (result.abandoned_visits, result.budget.visited, result.budget.visit_limit) == (36, 119, 342)
 
     def test_visits(self):
+        graph, pattern = self.fan(5)  # |G| = 11: alpha 0.455 allows 5 items, c = 3.4 17 visits
+        reducer, budget = make_reducer(graph, pattern, "vp", alpha=0.455, visit_coefficient=3.4)
+        result = reducer.search()
+        # The unweighted pass fills G_Q at a1 (10 visits: vp, the Pick at vp,
+        # two spokes and their edges).  The weighted search is charged vp (1),
+        # the Pick at vp (|N(vp)| = 5) and the best spoke (1): the limit leaves
+        # no room for its edge, and the next spoke's visit would pass the cap,
+        # with storage left and the cut Pick at vp holding three.
+        assert (result.stop, result.passes, result.cut, result.ungiven) == ("visits", 1, 1, 3)
+        assert (result.abandoned_visits, result.budget.visited, budget.visit_limit, result.budget.stored) == (
+            10, 17, 17, 2
+        )
+        assert result.subgraph.num_nodes() == 2
+
+    def test_visits_of_the_unweighted_pass(self):
         graph, pattern = self.fan(5)  # |G| = 11: c = 0.75 allows 8 visits
         reducer, budget = make_reducer(graph, pattern, "vp", alpha=1.0, visit_coefficient=0.75)
         result = reducer.search()
-        # vp (1), the Pick at vp (|N(vp)| = 5), the best spoke and its edge
-        # (2): the next spoke's visit would pass the cap, long before storage
-        # (11) fills or the cut Pick at vp runs out.
-        assert (result.stop, result.passes, result.cut, result.ungiven) == ("visits", 1, 1, 3)
+        # vp (1), the Pick at vp (|N(vp)| = 5), the first spoke and its edge
+        # (2): the next spoke's visit would pass the cap long before storage
+        # (11) fills.  A restart could only spend less, so the pass, which
+        # holds no cut Pick, is the search.
+        assert (result.stop, result.passes, result.restarted, result.cut, result.ungiven) == (
+            "visits", 1, False, 0, 0
+        )
         assert (result.budget.visited, budget.visit_limit, result.budget.stored) == (8, 8, 3)
         assert result.subgraph.num_nodes() == 2
 
@@ -207,19 +249,27 @@ class TestRePickCharge:
     """A re-Pick reads no row: it is charged the candidates it gives.
 
     The hub is ``vp`` with six A spokes and a B child no query node asks for
-    (so ``G_Q`` never fills; ``|G| = 15``) under ``p -> a``: the Pick at
-    ``vp`` (``|N(vp)| = 7``) is cut at ``b = 2``, and each later pass
-    re-Picks it for one more spoke.  Pass 1 costs 12 visits: ``vp`` (1), the
-    Pick (7) and two spokes with their edges (2 each).
+    (``|G| = 15``) under ``p -> a``; alpha 0.6 allows 9 items, ``vp`` and four
+    spokes with their edges.  The unweighted pass fills ``G_Q`` at the fourth
+    spoke, is charged 16 visits (``vp``, the Pick at ``vp`` (``|N(vp)| = 7``)
+    and four spokes with their edges) and is abandoned, since the read of
+    ``G_Q`` fits.  In the weighted search that restarts, the Pick at ``vp`` is
+    cut at ``b = 2`` and each later pass re-Picks it for one more spoke.  Its
+    pass 1 costs 12 visits: ``vp`` (1), the Pick (7) and two spokes with their
+    edges (2 each).
     """
+
+    ABANDONED = 16
 
     @staticmethod
     def hub(visit_limit=None):
         graph, pattern = TestStopReason.fan(6)
         graph.add_node("b", "B")
         graph.add_edge("vp", "b")
-        coefficient = None if visit_limit is None else (visit_limit + 0.5) / graph.size()
-        reducer, budget = make_reducer(graph, pattern, "vp", alpha=1.0, visit_coefficient=coefficient)
+        alpha = 0.6
+        coefficient = None if visit_limit is None else (visit_limit + 0.5) / (alpha * graph.size())
+        reducer, budget = make_reducer(graph, pattern, "vp", alpha=alpha, visit_coefficient=coefficient)
+        assert budget.size_limit == 9
         assert visit_limit in (None, budget.visit_limit)
         return reducer
 
@@ -236,27 +286,30 @@ class TestRePickCharge:
         with patch.object(reduction, "Remainder", RecordedRemainder):
             result = reducer.search()
         first, *repicks = gives
-        assert (result.stop, first, len(repicks), result.repicks) == ("fixpoint", 2, 4, 4)
-        # |N(vp)| once, 1 per admitted node and edge (vp, six spokes, six
-        # edges), and the four re-Picks' single spokes.
-        assert result.budget.stored == 13
-        assert result.budget.visited == 7 + 13 + sum(repicks) == 24
+        # The fourth spoke fills G_Q again, and its answer needs every edge.
+        assert (result.stop, first, len(repicks), result.repicks) == ("storage", 2, 2, 2)
+        assert (result.restarted, result.abandoned_visits) == (True, self.ABANDONED)
+        # The abandoned pass, |N(vp)| once, 1 per admitted node and edge (vp,
+        # four spokes, four edges), the two re-Picks' single spokes, and the
+        # read of the full G_Q (9) that frees nothing.
+        assert result.budget.stored == 9
+        assert result.budget.visited == self.ABANDONED + 7 + 9 + sum(repicks) + 9 == 43
 
     def test_a_limit_that_fits_the_give_but_not_the_row_lets_the_search_go_on(self):
-        # After pass 1 (12 visits) the re-Pick's give (1) fits a limit of 17
-        # and |N(vp)| (7) would not: two re-Picks admit spokes 3 and 4 (the
+        # After pass 1 (16 + 12 visits) the re-Pick's give (1) fits a limit of
+        # 33 and |N(vp)| (7) would not: two re-Picks admit spokes 3 and 4 (the
         # last without its edge, which the limit leaves no room for).
-        result = self.hub(17).search()
+        result = self.hub(self.ABANDONED + 17).search()
         assert (result.stop, result.repicks, result.subgraph.num_nodes()) == ("visits", 2, 5)
-        assert (result.budget.visited, result.cut, result.ungiven) == (17, 1, 2)
-        # The exact cost of the whole search is enough to reach its fixpoint.
-        result = self.hub(24).search()
-        assert (result.stop, result.budget.visited, result.subgraph.num_nodes()) == ("fixpoint", 24, 7)
+        assert (result.budget.visited, result.cut, result.ungiven) == (33, 1, 2)
+        # The exact cost of the whole search is enough to reach its storage stop.
+        result = self.hub(43).search()
+        assert (result.stop, result.budget.visited, result.subgraph.num_nodes()) == ("storage", 43, 5)
 
     def test_a_limit_below_the_give_stops_on_visits_with_the_pick_cut(self):
-        result = self.hub(12).search()
+        result = self.hub(self.ABANDONED + 12).search()
         assert (result.stop, result.repicks, result.cut, result.ungiven) == ("visits", 0, 1, 4)
-        assert (result.budget.visited, result.subgraph.num_nodes()) == (12, 3)
+        assert (result.budget.visited, result.subgraph.num_nodes()) == (28, 3)
 
 
 class TestReclamation:
@@ -343,19 +396,33 @@ class TestReclamation:
         result = self.reduce(RBSim, 0.16)  # 3 items: vp, a0 and vp -> a0, no b yet
         assert (result.stop, result.reclaimed, result.budget.stored) == ("storage", 0, 3)
         assert reclamations == []
-        # The read of G_Q was charged: vp (1), the Pick at vp (3), a0 and its edge (2), G_Q (3).
-        assert result.budget.visited == 9
+        # The abandoned pass, filled by the same three items, was charged 6:
+        # vp (1), the Pick at vp (3), a0 and its edge (2).  The weighted
+        # search was charged the same 6 and the read of G_Q (3).
+        assert (result.restarted, result.abandoned_visits, result.budget.visited) == (True, 6, 6 + 9)
 
     def test_a_read_of_gq_past_the_visit_limit_stops_on_visits(self):
-        # At 31 visits G_Q fills at 22 visited, and reading its 11 items would pass the limit.
-        tight = self.reduce(RBSim, 0.6, visit_coefficient=2.75)
-        assert tight.budget.visit_limit == 31
-        assert (tight.stop, tight.reclaimed, tight.budget.visited) == ("visits", 0, 22)
+        # The unweighted pass fills G_Q after 22 visits and is abandoned.  At
+        # 53 visits the weighted search fills it again at 44 visited, and
+        # reading its 11 items would pass the limit.
+        tight = self.reduce(RBSim, 0.6, visit_coefficient=4.65)
+        assert tight.budget.visit_limit == 53
+        assert (tight.stop, tight.reclaimed, tight.abandoned_visits, tight.budget.visited) == ("visits", 0, 22, 44)
         assert tight.budget.stored == tight.budget.size_limit == 11
         # Three more visits allow the read: it frees the spare edge.
-        loose = self.reduce(RBSim, 0.6, visit_coefficient=3.0)
-        assert loose.budget.visit_limit == 34
-        assert (loose.reclaimed, loose.budget.visited) == (1, 33)
+        loose = self.reduce(RBSim, 0.6, visit_coefficient=4.92)
+        assert loose.budget.visit_limit == 56
+        assert (loose.reclaimed, loose.budget.visited) == (1, 55)
+
+    def test_a_full_gq_the_unweighted_pass_cannot_read_ends_the_search_on_visits(self):
+        # At 31 visits the pass fills G_Q at 22 visited, and reading its 11
+        # items would pass the limit: the weighted search could not reclaim
+        # either, so the pass stops on visits, as that search would, and is
+        # the search.
+        result = self.reduce(RBSim, 0.6, visit_coefficient=2.75)
+        assert result.budget.visit_limit == 31
+        assert (result.stop, result.restarted, result.reclaimed, result.budget.visited) == ("visits", False, 0, 22)
+        assert result.budget.stored == result.budget.size_limit == 11
 
     def test_rbsub_keeps_one_embeddings_edges_per_output_match(self, monkeypatch):
         reclamations, _ = self.recorded(monkeypatch)

@@ -4,10 +4,14 @@
 ``DynamicReducer`` replaced, with the resume rule written out and no caches.
 Both must produce the same ``ReductionResult`` — ``G_Q`` node order, edge
 order, labels, every budget charge, the final bound, the pass count, the
-per-query-node candidate counts, the stop, the cut and re-Pick counts — on
-every substrate the reduction runs on, for both guarded conditions, with the
-ablation flags on and off, with the scan cap small enough to bite, and with
-a visit cap tight enough to stop the search mid-pass.  Searches that fill
+per-query-node candidate counts, the stop, the cut and re-Pick counts,
+whether the unweighted pass settled or the weighted search restarted, and
+the visits the abandoned pass was charged — on every substrate the reduction
+runs on, for both guarded conditions, with the ablation flags on and off,
+with the scan cap small enough to bite, and with a visit cap tight enough to
+stop the search mid-pass.  The random sweep counts 150 draws the
+unweighted pass made alone and, on the same draws narrowed to a small
+alpha, 150 whose weighted search restarted.  Searches that fill
 ``G_Q`` and reclaim it are compared on layered graphs dense with spare
 witnesses and on the end-to-end ``community`` log, where the oracle's
 witness rules (per pair, per embedding) are its own.
@@ -27,7 +31,7 @@ from collections import Counter
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reduction_oracle import OracleReducer, OracleWeightEstimator, build_reducer, fingerprint
@@ -162,8 +166,8 @@ def reduce_both(graph, pattern, vp, guard_kind, alpha, max_scan, **flags):
 # --------------------------------------------------------------------------- #
 # The sweep
 # --------------------------------------------------------------------------- #
-@settings(max_examples=150, deadline=None)
-@given(
+#: What the sweeps draw besides alpha and the visit cap.
+SWEEP = dict(
     graph=labeled_graphs(),
     seed=st.integers(min_value=0, max_value=10_000),
     embedded=st.booleans(),
@@ -172,12 +176,11 @@ def reduce_both(graph, pattern, vp, guard_kind, alpha, max_scan, **flags):
     use_weights=st.booleans(),
     use_guard=st.booleans(),
     max_scan=st.sampled_from([1, 3, 64]),
-    alpha=st.sampled_from([0.15, 0.4, 1.0]),
-    visit_cap=st.sampled_from(["tight", "paper", "loose"]),
 )
-def test_table_backed_search_equals_the_frozen_oracle(
-    graph, seed, embedded, substrate, guard_kind, use_weights, use_guard, max_scan, alpha, visit_cap
-):
+
+
+def sweep_case(graph, seed, embedded, substrate, guard_kind, use_weights, use_guard, max_scan, alpha, visit_cap):
+    """One drawn search, held to the oracle; returns its result."""
     host, content = substrate_of(substrate, graph, seed)
     pattern, vp = draw_query(content, seed, embedded)
     result, expected = reduce_both(
@@ -187,6 +190,24 @@ def test_table_backed_search_equals_the_frozen_oracle(
     assert fingerprint(result) == fingerprint(expected)
     assert result.budget.within_size_bound
     assert result.budget.within_visit_bound
+    return result
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SWEEP, alpha=st.sampled_from([0.15, 0.4, 1.0]), visit_cap=st.sampled_from(["tight", "paper", "loose"]))
+def test_table_backed_search_equals_the_frozen_oracle(**drawn):
+    """Every draw is compared; the 150 that count are those the unweighted
+    pass made alone (about nine in ten draws)."""
+    assume(not sweep_case(**drawn).restarted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SWEEP, alpha=st.just(0.15), visit_cap=st.just("loose"))
+def test_a_restarted_search_equals_the_frozen_oracle(**drawn):
+    """The same draws where ``G_Q`` fills most (a small alpha, visits to read
+    it): the 150 that count are those whose unweighted pass was abandoned
+    and whose weighted search restarted (about half the draws)."""
+    assume(sweep_case(**drawn).restarted)
 
 
 @pytest.mark.parametrize("backend", ["digraph", "csr"])
@@ -271,6 +292,8 @@ LAYERED_PATTERNS = [
     visit_cap=st.sampled_from(["tight", "paper", "loose"]),
 )
 def test_a_reclaiming_search_equals_the_frozen_oracle(graph, seed, shape, substrate, guard_kind, alpha, visit_cap):
+    """Every draw is compared; the 150 that count are those whose unweighted
+    pass met a limit, so the weighted search restarted and could reclaim."""
     host, _ = substrate_of(substrate, graph, seed)
     result, expected = reduce_both(
         host, LAYERED_PATTERNS[shape], "vp", guard_kind, alpha, 64, visit_cap=visit_cap
@@ -278,6 +301,7 @@ def test_a_reclaiming_search_equals_the_frozen_oracle(graph, seed, shape, substr
     assert fingerprint(result) == fingerprint(expected)
     assert result.budget.within_size_bound
     assert result.budget.within_visit_bound
+    assume(result.restarted)
 
 
 def test_the_community_pattern_log_equals_the_frozen_oracle():
@@ -307,9 +331,12 @@ def hub_graph() -> DiGraph:
     """``vp`` (with a self-loop) fans out to 80 spokes; every spoke is tied to
     two far hubs by reciprocal edges, and every fourth one back to ``vp``.
 
-    With the bound past 80 the spokes all join ``G_Q`` in one pass, so each far
-    hub is re-ranked while ever more of its row (each spoke in it twice) is in
-    ``G_Q``: past ``max_scan`` members the capped scan decides ``c(v, u)``.
+    The whole ball is 483 of the 505 items of ``G``, so at ``alpha`` 0.9 or
+    less the unweighted pass fills ``G_Q`` and the weighted search restarts.
+    With the bound past 80 the spokes all join ``G_Q`` in one of its passes,
+    so each far hub is re-ranked while ever more of its row (each spoke in it
+    twice) is in ``G_Q``: past ``max_scan`` members the capped scan decides
+    ``c(v, u)``.
     ``vp`` and the far hubs are too wide to push.  Node ids are strings, so
     the iteration order of the ``G_Q`` set that the hub branch inserts edges
     in is the set's own, not the insertion order.
@@ -340,7 +367,7 @@ def members_around(graph, node, in_gq) -> int:
 @pytest.mark.parametrize("substrate", ["digraph", "csr", "overlay"])
 @pytest.mark.parametrize("guard_kind", sorted(GUARDS))
 @pytest.mark.parametrize("max_scan", [1, 3, 64])
-@pytest.mark.parametrize("alpha", [0.25, 1.0])
+@pytest.mark.parametrize("alpha", [0.25, 0.9])
 def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(
     substrate, guard_kind, max_scan, alpha
 ):
@@ -361,11 +388,12 @@ def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(
     # ranked candidate had more members around it than the cap (the tight
     # budget is there to stop mid-way through an edge insertion instead), and
     # what the search state says of every ranked pair is what the oracle recomputes.
+    assert result.restarted, "the budget must bind, or no weight is asked"
     state = reducers[0]._estimator
     assert state._wide
     ranked = set(state._usable)
     crowded = [node for node, _ in ranked if members_around(content, node, state.in_gq) > max_scan]
-    assert crowded or alpha < 1.0
+    assert crowded or alpha < 0.9
     guard = GUARDS[guard_kind](pattern, host, "vp", NeighborhoodIndex(host))
     oracle = OracleWeightEstimator(pattern, host, guard, max_scan)
     for node, query_node in ranked:
@@ -498,20 +526,31 @@ def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(
         snapshots.extend(searching)
         return snapshot_nodes(builder)
 
+    # Every node admitted, by the abandoned pass or by the weighted search.
+    admitted = set()
+    add_node = SubgraphBuilder.add_node
+
+    def tallied_add_node(builder, node, *label):
+        admitted.add(node)
+        return add_node(builder, node, *label)
+
     monkeypatch.setattr(DynamicReducer, "search", flagged_search)
     monkeypatch.setattr(SubgraphBuilder, "nodes", tallied_nodes)
+    monkeypatch.setattr(SubgraphBuilder, "add_node", tallied_add_node)
     guard_class = counting(GUARDS[guard_kind], evaluations, Counter(), [None])
-    reducer = build(DynamicReducer, graph, pattern, vp, guard_class, 0.05, 64)
+    reducer = build(DynamicReducer, graph, pattern, vp, guard_class, 0.02, 64)
     result = reducer.search()
-    assert result.passes >= 3, "the case must restart, or it shows nothing about passes"
+    assert result.restarted and result.passes >= 3, "the case must restart and resume, or it shows nothing"
 
-    # Guard: no (node, query node) pair is evaluated twice, whatever the pass count.
+    # Guard: no (node, query node) pair is evaluated twice, whatever the pass
+    # count, across the abandoned pass and the search that restarted.
     assert set(evaluations.values()) == {1}
 
     # Rows: at most one whole and one head load per node, and whole rows only
-    # of nodes the search put in G_Q (candidates are read through their head).
+    # of nodes admitted to a G_Q (candidates are read through their head).
     assert set(loads.values()) == {1}
-    assert {node for node, whole in loads if whole} <= set(result.subgraph.nodes())
+    assert {node for node, whole in loads if whole} <= admitted
+    assert set(result.subgraph.nodes()) <= admitted
 
     # G_Q: the search reads its state's own set, never a snapshot.
     assert not snapshots
@@ -553,10 +592,11 @@ def test_a_csr_search_reads_rows_not_nodes(guard_kind, monkeypatch):
     evaluations: Counter = Counter()
     row_calls: Counter = Counter()
     guard_class = counting(GUARDS[guard_kind], evaluations, row_calls, owner)
-    reducer = build(DynamicReducer, graph, pattern, vp, guard_class, 0.05, 64)
+    reducer = build(DynamicReducer, graph, pattern, vp, guard_class, 0.02, 64)
     result = reducer.search()
+    assert result.restarted, "the case must restart, or the weighted search reads nothing"
     assert probes == Counter(), "the search probed the host node by node"
-    expected = build(OracleReducer, graph, pattern, vp, GUARDS[guard_kind], 0.05, 64).search()
+    expected = build(OracleReducer, graph, pattern, vp, GUARDS[guard_kind], 0.02, 64).search()
     assert fingerprint(result) == fingerprint(expected)
 
     assert row_calls, "the hub's row must be decided in row space"
@@ -564,3 +604,30 @@ def test_a_csr_search_reads_rows_not_nodes(guard_kind, monkeypatch):
     state = reducer._estimator
     assert all(len(state.row(node)) > state.max_scan for node, _ in row_calls)
     assert set(evaluations.values()) == {1}
+
+
+@pytest.mark.parametrize("guard_kind", sorted(GUARDS))
+def test_the_weighted_search_restarts_on_g_and_q_alone(guard_kind, monkeypatch):
+    """When the unweighted pass is abandoned, the weighted search finds what
+    depends on ``G`` and ``Q`` loaded (rows, roles, eligible lists) and
+    nothing that moves with ``G_Q``: the pass admits without a push."""
+    content = load_dataset("youtube-small")
+    graph = CSRGraph.from_digraph(content)
+    hub = max(content.nodes(), key=content.degree)
+    pattern, vp = embedded_pattern(content, 4, 8, seed=3, personalized_node=hub)
+    at_restart = []
+    weighted = DynamicReducer._weighted
+
+    def restarting(reducer, spent):
+        state = reducer._estimator
+        moving = [state.in_gq, state._covered, state._hits, state._wide, state.touched, state._wide_seen]
+        moving += [kept for pair in state._kept.values() for kept in pair]
+        loaded = [state._rows, state.roles, state._tried, state._eligible]
+        at_restart.append(([len(part) for part in moving], [len(part) for part in loaded]))
+        return weighted(reducer, spent)
+
+    monkeypatch.setattr(DynamicReducer, "_weighted", restarting)
+    result = build(DynamicReducer, graph, pattern, vp, GUARDS[guard_kind], 0.02, 64).search()
+    assert result.restarted and result.abandoned_visits > 0
+    ((moving, loaded),) = at_restart
+    assert not any(moving) and all(loaded)

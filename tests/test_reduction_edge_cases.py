@@ -69,13 +69,16 @@ class TestReducerConfiguration:
     def test_initial_bound_one_resumes_until_a_stop(self, example1_graph, example1_query):
         index = NeighborhoodIndex(example1_graph)
         guard = SimulationGuard(example1_query, example1_graph, "Michael", index)
-        budget = ResourceBudget(alpha=0.9, graph_size=example1_graph.size(), visit_coefficient=10)
+        # alpha 0.7 (16 items) binds: the unweighted pass fills G_Q, so the
+        # weighted search restarts, at b = 1.
+        budget = ResourceBudget(alpha=0.7, graph_size=example1_graph.size(), visit_coefficient=10)
         reducer = DynamicReducer(
             example1_query, example1_graph, "Michael", guard, budget, simulation_witnesses,
             initial_bound=1,
         )
         result = reducer.search()
         assert result.stop in {"storage", "visits", "fixpoint"}
+        assert result.restarted and result.passes >= 2 and result.repicks
         assert result.final_bound == result.passes  # b = 1 in pass 1, one more per pass
         assert "Michael" in result.subgraph
 

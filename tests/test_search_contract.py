@@ -7,11 +7,20 @@
   says it stopped on one of the paper's stops; a ``fixpoint`` stop leaves
   no ``Pick`` cut and no candidate ungiven.  A tiny ``c`` makes the visit
   stop the one that fires.
+* **The unweighted pass settles where alpha does not bind.**  A search whose
+  unweighted pass drains with room left (all but 10 community searches) has
+  the ``G_Q`` node and edge sets and the answer of the oracle's weighted
+  search alone; the answers of both whole logs equal a digest frozen from
+  the weighted search; and a search that restarted was charged the visits
+  of the pass it abandoned, within the same limit.
 * **alpha nests ``G_Q`` and its answer.**  A search at a smaller alpha is the
   same search cut off earlier: its ``G_Q`` nodes are a prefix of those at a
-  larger alpha, and its answer is contained in theirs.  The edges need not
-  nest: a reclamation at the larger alpha may drop an edge the smaller one
-  never had to.
+  larger alpha, and its answer is contained in theirs.  Where the weighted
+  search restarted at the smaller alpha and the pass settled at the larger
+  one, the admission orders differ and the nodes nest as sets; a search
+  the pass settled is the same search at every larger alpha.  The edges need
+  not nest: a reclamation at the larger alpha may drop an edge the smaller
+  one never had to.
 * **Theorem 3.**  On small generated graphs, a query whose alpha is at least
   ``theoretical_alpha_bound`` is answered exactly by ``RBSim``.
 * **``G_Q`` holds the edges a match reads.**  ``G_Q`` is not induced on its
@@ -26,12 +35,15 @@
   the induced one.
 """
 
+import hashlib
 import random
 from functools import lru_cache
 
 import pytest
 
+from reduction_oracle import OracleReducer, build_reducer
 from repro.core.accuracy import pattern_accuracy
+from repro.core.budget import ResourceBudget
 from repro.core.rbsim import RBSim, RBSimConfig
 from repro.core.rbsub import RBSub
 from repro.graph.csr import CSRGraph
@@ -59,11 +71,20 @@ LOGS = {
 }
 
 
+#: name -> the positions of the searches whose unweighted pass fills ``G_Q``
+#: at the log's alpha, so that the weighted search restarts.
+RESTARTED = {"youtube": (), "community": (6, 10, 17, 19, 21, 25, 30, 51, 53, 55)}
+#: name -> the digest of the answers on ``G_Q`` over the log at its alpha
+#: (:func:`answers_digest`), frozen from the weighted search run alone.
+ANSWERS = {"youtube": "425dd943aef9600e", "community": "910b11ae3c5b0b7d"}
+
+
 class PatternLog:
     """One log over the ``CSRGraph`` a service serves it on, half simulation
     and half subgraph queries, with the matchers a service builds (``c = d_G``)."""
 
     def __init__(self, name: str) -> None:
+        self.name = name
         build, self.alpha, count = LOGS[name]
         content = build()
         self.graph = CSRGraph.from_digraph(content)
@@ -82,10 +103,38 @@ class PatternLog:
             for position, (pattern, vp) in enumerate(self.queries if queries is None else queries)
         ]
 
+    def answers(self, results, alpha: float):
+        """Each matcher's answer on the ``G_Q`` of each of ``results``."""
+        matchers = self.matchers(alpha)
+        return [
+            matchers[position % 2]._match(pattern, result.subgraph, vp)
+            for position, ((pattern, vp), result) in enumerate(zip(self.queries, results))
+        ]
+
+    def weighted_alone(self):
+        """The oracle's weighted search on every query, with no unweighted pass before it."""
+        results, matchers = [], self.matchers(self.alpha)
+        for position, (pattern, vp) in enumerate(self.queries):
+            budget = ResourceBudget(
+                alpha=self.alpha, graph_size=self.graph.size(), visit_coefficient=max(1, self.graph.max_degree())
+            )
+            guard = matchers[position % 2].guard_class(pattern, self.graph, vp, self.index)
+            reducer = build_reducer(
+                OracleReducer, pattern=pattern, graph=self.graph, personalized_match=vp, guard=guard,
+                budget=budget, max_depth=pattern.diameter(),
+            )
+            results.append(reducer.weighted_search())
+        return results
+
 
 @lru_cache(maxsize=None)
 def pattern_log_named(name: str) -> PatternLog:
     return PatternLog(name)
+
+
+def answers_digest(answers) -> str:
+    """A short digest of a log's answers, each sorted."""
+    return hashlib.sha256(repr([sorted(answer) for answer in answers]).encode()).hexdigest()[:16]
 
 
 @pytest.fixture(params=sorted(LOGS))
@@ -105,8 +154,47 @@ def test_every_search_on_the_e2e_pattern_logs_keeps_both_limits(pattern_log):
         if result.stop == "fixpoint":
             assert (result.cut, result.ungiven) == (0, 0)
         assert (result.cut == 0) == (result.ungiven == 0)
-    assert any(result.passes > 1 for result in results), "no search resumed"
+        if not result.restarted:
+            # The unweighted pass was the search: one pass, nothing cut, nothing reclaimed.
+            assert (result.passes, result.cut, result.repicks, result.reclaimed) == (1, 0, 0, 0)
+            assert result.abandoned_visits == 0
     assert any(result.stop == "fixpoint" for result in results), "no search reached its fixpoint"
+
+
+def test_the_unweighted_pass_settles_exactly_the_searches_alpha_does_not_bind(pattern_log):
+    """A search the pass settles (it drains with room left, on every search
+    of these logs that it does not abandon) has the ``G_Q`` node and edge sets
+    and the answer of the oracle's weighted search alone; the answers of the
+    whole log are the frozen ones; a restarted search was charged the pass
+    it abandoned."""
+    alpha = pattern_log.alpha
+    results = pattern_log.reductions(alpha)
+    alone = pattern_log.weighted_alone()
+    answers, expected = pattern_log.answers(results, alpha), pattern_log.answers(alone, alpha)
+    restarted = tuple(position for position, result in enumerate(results) if result.restarted)
+    assert restarted == RESTARTED[pattern_log.name]
+    assert answers_digest(answers) == ANSWERS[pattern_log.name]
+    for position, (result, weighted) in enumerate(zip(results, alone)):
+        if not result.restarted:
+            # No limit met the pass: it drained with room left in G_Q and in the visits.
+            assert result.stop == "fixpoint", position
+            assert result.budget.stored < result.budget.size_limit, position
+            assert result.budget.visited < result.budget.visit_limit, position
+            assert set(result.subgraph.nodes()) == set(weighted.subgraph.nodes()), position
+            assert set(result.subgraph.edges()) == set(weighted.subgraph.edges()), position
+            assert answers[position] == expected[position], position
+            continue
+        # Both runs are charged within the one limit: the weighted search got
+        # what the pass left, and where it ends as it does alone, it cost
+        # exactly what it costs alone on top of the pass.
+        budget = result.budget
+        assert 0 < result.abandoned_visits and budget.visited <= budget.visit_limit, position
+        spent = budget.visited - result.abandoned_visits
+        assert spent <= weighted.budget.visited, position
+        if result.stop == weighted.stop:
+            assert spent == weighted.budget.visited, position
+        else:
+            assert result.stop == "visits", position
 
 
 def test_gq_answers_as_its_induced_subgraph_and_keeps_only_readable_edges(pattern_log):
@@ -146,15 +234,18 @@ def test_a_tiny_visit_coefficient_stops_on_visits_first():
     graph = star_graph(12)  # |G| = 25
     pattern = make_pattern({0: "HUB", 1: "LEAF"}, [(0, 1)], personalized=0, output=1)
     loose = RBSim(graph, 1.0).reduce(pattern, 0)
-    tight = RBSim(graph, 1.0, config=RBSimConfig(visit_coefficient=1.0)).reduce(pattern, 0)
-    # Loose, the cut Pick at the hub resumes until G_Q holds the whole star.
-    assert (loose.stop, loose.budget.stored, loose.cut) == ("storage", 25, 0)
-    # With c = 1 (25 visits) the hub's Pick is charged its 12 leaves, each
-    # re-Pick the one leaf it gives, and each leaf 2 (itself and its edge; the
-    # fifth gets no edge, for want of visits): after three re-Picks the cap
-    # ends the search with storage left and that Pick still cut.
-    assert (tight.stop, tight.cut, tight.repicks) == ("visits", 1, 3)
-    assert tight.budget.visited <= tight.budget.visit_limit == 25
+    tight = RBSim(graph, 1.0, config=RBSimConfig(visit_coefficient=2.5)).reduce(pattern, 0)
+    # The whole star is alpha * |G|: the unweighted pass fills G_Q with it at
+    # 37 visits and is abandoned.  Loose, the cut Pick at the hub resumes
+    # until G_Q holds the whole star again.
+    assert (loose.stop, loose.budget.stored, loose.cut, loose.abandoned_visits) == ("storage", 25, 0, 37)
+    # With c = 2.5 (62 visits) the weighted search has 25 after the pass: the
+    # hub's Pick is charged its 12 leaves, each re-Pick the one leaf it gives,
+    # and each leaf 2 (itself and its edge; the fifth gets no edge, for want
+    # of visits): after three re-Picks the cap ends the search with storage
+    # left and that Pick still cut.
+    assert (tight.stop, tight.cut, tight.repicks, tight.abandoned_visits) == ("visits", 1, 3, 37)
+    assert tight.budget.visited <= tight.budget.visit_limit == 62
     assert tight.budget.stored < tight.budget.size_limit
     nodes = list(tight.subgraph.nodes())
     assert nodes == list(loose.subgraph.nodes())[: len(nodes)]
@@ -178,15 +269,26 @@ def test_alpha_nests_the_extracted_subgraph(name):
         ]
         for alpha, run in zip(alphas, runs)
     ]
-    nested = 0
+    nested = crossed = 0
     for smaller, larger, fewer, more in zip(runs, runs[1:], answers, answers[1:]):
         for before, after, answer, grown in zip(smaller, larger, fewer, more):
             nodes = list(before.subgraph.nodes())
-            assert nodes == list(after.subgraph.nodes())[: len(nodes)]
             assert answer <= grown
-            assert before.passes <= after.passes
+            if not before.restarted:
+                # Settled: no limit met the pass, so a larger alpha runs the same pass.
+                assert not after.restarted
+                assert nodes == list(after.subgraph.nodes())
+                assert list(before.subgraph.edges()) == list(after.subgraph.edges())
+            elif after.restarted:
+                assert nodes == list(after.subgraph.nodes())[: len(nodes)]
+                assert before.passes <= after.passes
+            else:
+                # The weighted search and the unweighted pass admit in different orders.
+                assert set(nodes) <= set(after.subgraph.nodes())
+                crossed += 1
             nested += len(nodes) < after.subgraph.num_nodes()
     assert nested, "alpha never bound: the check shows nothing"
+    assert crossed, "no search restarted at one alpha and settled at the next: the check shows nothing"
 
 
 def test_rbsim_is_exact_inside_the_theorem_3_ratio():
