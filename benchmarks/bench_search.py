@@ -241,9 +241,9 @@ def recorded():
         picks.append((node, query_node, found))
         return found
 
-    def restarting(reducer, spent):
+    def restarting(reducer, *arguments):
         picks.clear()
-        return weighted(reducer, spent)
+        return weighted(reducer, *arguments)
 
     class RecordedRemainder(Remainder):
         def __init__(self, *arguments):

@@ -13,7 +13,8 @@ from ``vp`` and populates a subgraph ``G_Q`` with candidate matches:
   abandoned: its visits stay charged, and the weighted search below
   *restarts* from ``(up, vp)`` with a new ``G_Q`` (the rows, the roles and
   the eligible lists the pass loaded carry over; they depend on ``G`` and
-  ``Q`` alone).  Otherwise the pass is the search;
+  ``Q`` alone).  Otherwise the pass is the search, also where it runs out
+  of visits: a restart there could only spend less;
 * in the weighted search, among eligible neighbours the top-``b`` by
   weight ``p/(c+1)`` are pushed (procedure ``Pick``), with the best
   candidate on top of the stack;
@@ -28,7 +29,9 @@ from ``vp`` and populates a subgraph ``G_Q`` with candidate matches:
 * the visit cap pays for what is read: a first ``Pick`` at ``v`` is charged
   ``|N(v)|``, an admission ``1`` plus its edges, a reclamation ``|G_Q|``; a
   re-Pick reads no row (its ``Remainder`` kept the candidates), so it is
-  charged only the candidates it gives, at least 1;
+  charged only the candidates it gives, at least 1; and after a restart, a
+  ``Pick`` the abandoned pass made reads the row the pass paid for, so it is
+  charged nothing;
 * when an admission brings ``|G_Q|`` to ``alpha * |G|``, ``G_Q`` is
   *reclaimed*: reading it costs ``|G_Q|`` visits, the matcher names the
   edges its current answer on ``G_Q`` needs (``witnesses``), every other
@@ -221,9 +224,9 @@ class DynamicReducer:
             )
         builder = SubgraphBuilder(self._graph)
         candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in self._pattern.nodes()}
-        stop, stored, visited = self._pass(builder, candidate_counts)
+        stop, stored, visited, picked = self._pass(builder, candidate_counts)
         if stop is None:
-            return self._weighted(visited)
+            return self._weighted(visited, picked)
         budget.charge_storage(stored)
         budget.charge_visit(visited)
         return ReductionResult(
@@ -256,7 +259,7 @@ class DynamicReducer:
 
     def _pass(
         self, builder: SubgraphBuilder, candidate_counts: Dict[QueryNodeId, int]
-    ) -> Tuple[Optional[str], int, int]:
+    ) -> Tuple[Optional[str], int, int, Dict[NodeId, int]]:
         """The traversal from ``(up, vp)`` with no bound and no ranking: a
         ``Pick`` pushes every eligible candidate not queued for its query
         node, the first in scan order on top.  It is charged as the weighted
@@ -265,10 +268,11 @@ class DynamicReducer:
         began, ``fixpoint`` when the stack drains.  The one step it cannot
         take is a reclamation, whose kept edges depend on the admission
         order: where an admission fills ``G_Q`` and the read of ``G_Q`` fits
-        the visits, it gives up (stop ``None``).  Returns the stop and the
-        storage and visits charged.  It reads only what depends on ``G`` and
-        ``Q`` (no weight, no push), so it leaves nothing for the weighted
-        search to undo.
+        the visits, it gives up (stop ``None``).  Returns the stop, the
+        storage and visits charged, and the Picks made (per data node, the
+        query edges expanded there, as bits).  It reads only what depends on
+        ``G`` and ``Q`` (no weight, no push), so it leaves nothing for the
+        weighted search to undo.
         """
         budget, state, vp = self._budget, self._estimator, self._vp
         room = budget.size_limit - budget.stored
@@ -286,9 +290,9 @@ class DynamicReducer:
             queued[query_node].discard(node)
             if node not in gq:
                 if stored >= room:  # only a budget spent before the search is full here
-                    return "storage", stored, visited
+                    return "storage", stored, visited, expanded
                 if visited >= visit_room:
-                    return "visits", stored, visited
+                    return "visits", stored, visited, expanded
                 label, roles, children, parents = describe(node)
                 builder.add_node(node, label)
                 edges = builder.add_row_edges(
@@ -300,7 +304,7 @@ class DynamicReducer:
                 candidate_counts[query_node] += 1
                 if stored >= room:
                     # Full: the weighted search reclaims here, if reading G_Q fits.
-                    return ("visits" if visited + stored > visit_room else None), stored, visited
+                    return ("visits" if visited + stored > visit_room else None), stored, visited, expanded
             if depth >= max_depth:
                 continue
             done = expanded.get(node, 0)
@@ -309,7 +313,7 @@ class DynamicReducer:
                     continue
                 width = width_of(node)
                 if visited + width > visit_room:
-                    return "visits", stored, visited
+                    return "visits", stored, visited, expanded
                 visited += width
                 done |= edge_bit
                 waiting = queued[neighbor_query]
@@ -318,11 +322,14 @@ class DynamicReducer:
                     stack.append((neighbor_query, candidate, depth + 1))
                     waiting.add(candidate)
             expanded[node] = done
-        return "fixpoint", stored, visited
+        return "fixpoint", stored, visited, expanded
 
-    def _weighted(self, spent: int) -> ReductionResult:
+    def _weighted(self, spent: int, paid: Dict[NodeId, int]) -> ReductionResult:
         """The weighted, resumable search from ``(up, vp)``, after an unweighted
         pass that filled ``G_Q``, was charged ``spent`` visits and was abandoned.
+        ``paid`` holds the Picks that pass made (per data node, the query
+        edges expanded there): the same ``Pick`` made here reads the row the
+        pass paid for, so it is charged nothing.
 
         A pop admits a new node into ``G_Q`` (its edges to members read from
         its own row, kept when its roles and the member's meet on a query
@@ -390,9 +397,6 @@ class DynamicReducer:
             query_node, node, depth = stack.pop()
             queued[query_node].discard(node)
             if node not in in_gq:
-                if stored >= room:  # only a budget spent before the search is full here
-                    stop = "storage"
-                    break
                 if visited >= visit_room:
                     stop = "visits"
                     break
@@ -439,8 +443,9 @@ class DynamicReducer:
             for neighbor_query, edge_bit in incident[query_node]:
                 if done & edge_bit:
                     continue
-                # Pick: every distinct neighbour of ``node`` is charged.
-                width = state.width(node)
+                # Pick: every distinct neighbour of ``node`` is charged, unless
+                # the abandoned pass read them for the same Pick.
+                width = 0 if paid.get(node, 0) & edge_bit else state.width(node)
                 if visited + width > visit_room:
                     stop = "visits"
                     break

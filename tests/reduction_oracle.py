@@ -20,7 +20,9 @@ drains, and that is the result; but where an admission leaves ``G_Q`` full
 and the ``|G_Q|`` visits of a read still fit, the walk is abandoned: its
 storage is released, its visits stay charged, and
 :meth:`OracleReducer.weighted_search` (the rest of this docstring, callable
-on its own) runs from ``(up, vp)`` on the same budget.
+on its own) runs from ``(up, vp)`` on the same budget.  A first ``Pick`` the
+walk made is charged nothing when the weighted search makes it again: the
+walk paid for that read.
 
 The resume rule: a ``Pick`` with more eligible neighbours than its bound is
 *cut* and remembered as ``(node, neighbour query node, depth, candidates
@@ -182,6 +184,8 @@ class OracleReducer:
         # far: a query edge is expanded once from each end it is seen from.
         self._expanded: Set[Tuple[QueryNodeId, QueryNodeId, bool, NodeId]] = set()
         self._reclaimed = 0
+        # The Picks the abandoned unweighted pass made and paid for.
+        self._paid: Set[Tuple[QueryNodeId, QueryNodeId, bool, NodeId]] = set()
 
     # ------------------------------------------------------------------ #
     # Procedure Search
@@ -224,6 +228,7 @@ class OracleReducer:
                     break
                 if budget.visited + builder.size() <= budget.visit_limit:
                     budget.release_storage(builder.size())
+                    self._paid = expanded
                     return None  # the weighted search would reclaim here
                 stop = "visits"
                 break
@@ -342,7 +347,8 @@ class OracleReducer:
                 edge_key = (query_node, neighbor_query, forward, node)
                 if edge_key in self._expanded:
                     continue
-                width = len(self._neighbors(node))
+                # A Pick the abandoned pass made was paid for there.
+                width = 0 if edge_key in self._paid else len(self._neighbors(node))
                 if not self._pick_fits(width):
                     return "visits"
                 self._expanded.add(edge_key)

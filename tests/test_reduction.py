@@ -75,15 +75,18 @@ class TestSearch:
         result = reducer.search()
         assert result.subgraph.size() <= budget.size_limit
 
-    def test_bound_grows_over_passes(self, example1_graph, example1_query):
-        # alpha 0.7 binds: the weighted search restarts after the unweighted pass.
+    @pytest.mark.parametrize("alpha", [0.9, 0.7])
+    def test_bound_grows_over_passes(self, example1_graph, example1_query, alpha):
         reducer, _ = make_reducer(
-            example1_graph, example1_query, "Michael", alpha=0.7, initial_bound=1
+            example1_graph, example1_query, "Michael", alpha=alpha, initial_bound=1
         )
         result = reducer.search()
-        assert result.restarted and result.passes >= 2
+        assert result.passes >= 1
         # One pass at b = 1, then one more per resume at b + 1.
         assert result.final_bound == 1 + result.passes - 1
+        # alpha 0.7 binds: the weighted search restarts after the unweighted
+        # pass, and resumes.
+        assert result.restarted == (result.passes >= 2) == (alpha < 0.9)
 
     def test_candidate_counts_track_added_nodes(self, example1_graph, example1_query):
         reducer, _ = make_reducer(example1_graph, example1_query, "Michael", alpha=0.9)
@@ -143,15 +146,18 @@ class TestStopReason:
 
     def test_storage(self):
         graph, pattern = self.fan(5)  # |G| = 11, so alpha 0.3 allows 3 items
-        reducer, budget = make_reducer(graph, pattern, "vp", alpha=0.3, visit_coefficient=10)
+        reducer, budget = make_reducer(graph, pattern, "vp", alpha=0.3)
         result = reducer.search()
-        # The unweighted pass fills G_Q with vp, a0 and their edge (8 visits:
-        # vp, the Pick at vp, a0 and the edge) and is abandoned.  The weighted
-        # search does the same in its pass 1, with the Pick at vp (5 eligible,
-        # b = 2) still cut and holding three; reading G_Q (3 visits) frees
-        # nothing, as the answer needs vp -> a0.
+        # vp, then its best A and the edge between them: G_Q is full in pass 1,
+        # with the Pick at vp (5 eligible, b = 2) still cut and holding three.
         assert (result.stop, result.passes, result.budget.stored) == ("storage", 1, 3)
-        assert (result.budget.visited, budget.visit_limit) == (8 + 8 + 3, 33)
+        # The unweighted pass filled G_Q with the same items first and was
+        # abandoned after 8 visits: vp, the Pick at vp (|N(vp)| = 5), a0 and
+        # the edge.  The weighted search was charged vp, a0 and the edge (the
+        # Pick at vp is the one the pass paid for) and the read of G_Q (3),
+        # which frees nothing, as the answer needs vp -> a0.  The allowance
+        # is c * alpha * |G| with c = d_G = 5.
+        assert (result.budget.visited, budget.visit_limit) == (8 + 3 + 3, 16)
         assert result.spend() == {
             "passes": 1,
             "stop": "storage",
@@ -200,22 +206,22 @@ class TestStopReason:
         )
         assert (result.restarted, result.reclaimed, result.subgraph.num_nodes()) == (True, 4, 7)
         # The abandoned pass's visits count in the search's.
-        assert (result.abandoned_visits, result.budget.visited, result.budget.visit_limit) == (36, 119, 342)
+        assert (result.abandoned_visits, result.budget.visited, result.budget.visit_limit) == (36, 100, 342)
 
     def test_visits(self):
-        graph, pattern = self.fan(5)  # |G| = 11: alpha 0.455 allows 5 items, c = 3.4 17 visits
-        reducer, budget = make_reducer(graph, pattern, "vp", alpha=0.455, visit_coefficient=3.4)
+        graph, pattern = self.fan(5)  # |G| = 11: alpha 0.455 allows 5 items, c = 3 15 visits
+        reducer, budget = make_reducer(graph, pattern, "vp", alpha=0.455, visit_coefficient=3.0)
         result = reducer.search()
         # The unweighted pass fills G_Q at a1 (10 visits: vp, the Pick at vp,
-        # two spokes and their edges).  The weighted search is charged vp (1),
-        # the Pick at vp (|N(vp)| = 5) and the best spoke (1): the limit leaves
-        # no room for its edge, and the next spoke's visit would pass the cap,
-        # with storage left and the cut Pick at vp holding three.
+        # two spokes and their edges), and its read (5) fits.  The weighted
+        # search is charged vp and its two best spokes with their edges (the
+        # Pick at vp is the one the pass paid for): G_Q is full again, and
+        # reading it would pass the cap, with the cut Pick at vp holding three.
         assert (result.stop, result.passes, result.cut, result.ungiven) == ("visits", 1, 1, 3)
         assert (result.abandoned_visits, result.budget.visited, budget.visit_limit, result.budget.stored) == (
-            10, 17, 17, 2
+            10, 15, 15, 5
         )
-        assert result.subgraph.num_nodes() == 2
+        assert result.subgraph.num_nodes() == 3
 
     def test_visits_of_the_unweighted_pass(self):
         graph, pattern = self.fan(5)  # |G| = 11: c = 0.75 allows 8 visits
@@ -249,27 +255,27 @@ class TestRePickCharge:
     """A re-Pick reads no row: it is charged the candidates it gives.
 
     The hub is ``vp`` with six A spokes and a B child no query node asks for
-    (``|G| = 15``) under ``p -> a``; alpha 0.6 allows 9 items, ``vp`` and four
-    spokes with their edges.  The unweighted pass fills ``G_Q`` at the fourth
-    spoke, is charged 16 visits (``vp``, the Pick at ``vp`` (``|N(vp)| = 7``)
-    and four spokes with their edges) and is abandoned, since the read of
-    ``G_Q`` fits.  In the weighted search that restarts, the Pick at ``vp`` is
-    cut at ``b = 2`` and each later pass re-Picks it for one more spoke.  Its
-    pass 1 costs 12 visits: ``vp`` (1), the Pick (7) and two spokes with their
-    edges (2 each).
+    (``|G| = 15``) under ``p -> a``; alpha 0.7 allows 10 items, ``vp``, five
+    spokes and four edges.  The unweighted pass fills ``G_Q`` at the fifth
+    spoke, is charged 17 visits (``vp``, the Pick at ``vp`` (``|N(vp)| = 7``),
+    four spokes with their edges and the fifth) and is abandoned, since the
+    read of ``G_Q`` fits.  In the weighted search that restarts, the Pick at
+    ``vp`` is cut at ``b = 2`` and each later pass re-Picks it for one more
+    spoke.  Its pass 1 costs 5 visits: ``vp`` (1) and two spokes with their
+    edges (2 each); the Pick reads the row the pass paid for.
     """
 
-    ABANDONED = 16
+    ABANDONED = 17
 
     @staticmethod
     def hub(visit_limit=None):
         graph, pattern = TestStopReason.fan(6)
         graph.add_node("b", "B")
         graph.add_edge("vp", "b")
-        alpha = 0.6
+        alpha = 0.7
         coefficient = None if visit_limit is None else (visit_limit + 0.5) / (alpha * graph.size())
         reducer, budget = make_reducer(graph, pattern, "vp", alpha=alpha, visit_coefficient=coefficient)
-        assert budget.size_limit == 9
+        assert budget.size_limit == 10
         assert visit_limit in (None, budget.visit_limit)
         return reducer
 
@@ -286,30 +292,32 @@ class TestRePickCharge:
         with patch.object(reduction, "Remainder", RecordedRemainder):
             result = reducer.search()
         first, *repicks = gives
-        # The fourth spoke fills G_Q again, and its answer needs every edge.
-        assert (result.stop, first, len(repicks), result.repicks) == ("storage", 2, 2, 2)
+        # The fifth spoke fills G_Q again, and its answer needs every edge.
+        assert (result.stop, first, len(repicks), result.repicks) == ("storage", 2, 3, 3)
         assert (result.restarted, result.abandoned_visits) == (True, self.ABANDONED)
-        # The abandoned pass, |N(vp)| once, 1 per admitted node and edge (vp,
-        # four spokes, four edges), the two re-Picks' single spokes, and the
-        # read of the full G_Q (9) that frees nothing.
-        assert result.budget.stored == 9
-        assert result.budget.visited == self.ABANDONED + 7 + 9 + sum(repicks) + 9 == 43
+        # The abandoned pass (|N(vp)| once among its 17), 1 per admitted node
+        # and edge (vp, five spokes, four edges), the three re-Picks' single
+        # spokes, and the read of the full G_Q (10) that frees nothing.
+        assert result.budget.stored == 10
+        assert result.budget.visited == self.ABANDONED + 10 + sum(repicks) + 10 == 40
 
     def test_a_limit_that_fits_the_give_but_not_the_row_lets_the_search_go_on(self):
-        # After pass 1 (16 + 12 visits) the re-Pick's give (1) fits a limit of
-        # 33 and |N(vp)| (7) would not: two re-Picks admit spokes 3 and 4 (the
+        # After pass 1 (17 + 5 visits) the re-Pick's give (1) fits a limit of
+        # 27 and |N(vp)| (7) would not: two re-Picks admit spokes 3 and 4 (the
         # last without its edge, which the limit leaves no room for).
-        result = self.hub(self.ABANDONED + 17).search()
+        result = self.hub(27).search()
         assert (result.stop, result.repicks, result.subgraph.num_nodes()) == ("visits", 2, 5)
-        assert (result.budget.visited, result.cut, result.ungiven) == (33, 1, 2)
+        assert (result.budget.visited, result.cut, result.ungiven) == (27, 1, 2)
         # The exact cost of the whole search is enough to reach its storage stop.
-        result = self.hub(43).search()
-        assert (result.stop, result.budget.visited, result.subgraph.num_nodes()) == ("storage", 43, 5)
+        result = self.hub(40).search()
+        assert (result.stop, result.budget.visited, result.subgraph.num_nodes()) == ("storage", 40, 6)
 
     def test_a_limit_below_the_give_stops_on_visits_with_the_pick_cut(self):
-        result = self.hub(self.ABANDONED + 12).search()
-        assert (result.stop, result.repicks, result.cut, result.ungiven) == ("visits", 0, 1, 4)
-        assert (result.budget.visited, result.subgraph.num_nodes()) == (28, 3)
+        # A limit of 28 pays for pass 1 and two re-Picks with their spokes and
+        # edges, and leaves nothing for the third re-Pick's give.
+        result = self.hub(28).search()
+        assert (result.stop, result.repicks, result.cut, result.ungiven) == ("visits", 2, 1, 2)
+        assert (result.budget.visited, result.budget.stored, result.subgraph.num_nodes()) == (28, 9, 5)
 
 
 class TestReclamation:
@@ -398,31 +406,31 @@ class TestReclamation:
         assert reclamations == []
         # The abandoned pass, filled by the same three items, was charged 6:
         # vp (1), the Pick at vp (3), a0 and its edge (2).  The weighted
-        # search was charged the same 6 and the read of G_Q (3).
-        assert (result.restarted, result.abandoned_visits, result.budget.visited) == (True, 6, 6 + 9)
+        # search was charged vp, a0 and its edge (the Pick at vp is the one
+        # the pass paid for) and the read of G_Q (3).
+        assert (result.restarted, result.abandoned_visits, result.budget.visited) == (True, 6, 6 + 3 + 3)
 
     def test_a_read_of_gq_past_the_visit_limit_stops_on_visits(self):
-        # The unweighted pass fills G_Q after 22 visits and is abandoned.  At
-        # 53 visits the weighted search fills it again at 44 visited, and
-        # reading its 11 items would pass the limit.
-        tight = self.reduce(RBSim, 0.6, visit_coefficient=4.65)
-        assert tight.budget.visit_limit == 53
-        assert (tight.stop, tight.reclaimed, tight.abandoned_visits, tight.budget.visited) == ("visits", 0, 22, 44)
+        # At 31 visits G_Q fills at 22 visited, and reading its 11 items would
+        # pass the limit.  The unweighted pass fills it so: the weighted search
+        # could not reclaim either, so the pass is the search.
+        tight = self.reduce(RBSim, 0.6, visit_coefficient=2.75)
+        assert tight.budget.visit_limit == 31
+        assert (tight.stop, tight.reclaimed, tight.budget.visited) == ("visits", 0, 22)
         assert tight.budget.stored == tight.budget.size_limit == 11
-        # Three more visits allow the read: it frees the spare edge.
-        loose = self.reduce(RBSim, 0.6, visit_coefficient=4.92)
-        assert loose.budget.visit_limit == 56
-        assert (loose.reclaimed, loose.budget.visited) == (1, 55)
-
-    def test_a_full_gq_the_unweighted_pass_cannot_read_ends_the_search_on_visits(self):
-        # At 31 visits the pass fills G_Q at 22 visited, and reading its 11
-        # items would pass the limit: the weighted search could not reclaim
-        # either, so the pass stops on visits, as that search would, and is
-        # the search.
-        result = self.reduce(RBSim, 0.6, visit_coefficient=2.75)
-        assert result.budget.visit_limit == 31
-        assert (result.stop, result.restarted, result.reclaimed, result.budget.visited) == ("visits", False, 0, 22)
-        assert result.budget.stored == result.budget.size_limit == 11
+        assert not tight.restarted
+        # At 34 visits the pass's read fits, so it is abandoned (22 visits),
+        # but the weighted search fills G_Q at 33 visited and cannot read it:
+        # the two runs are charged within the one limit.
+        mid = self.reduce(RBSim, 0.6, visit_coefficient=3.0)
+        assert mid.budget.visit_limit == 34
+        assert (mid.stop, mid.restarted, mid.reclaimed, mid.budget.visited) == ("visits", True, 0, 33)
+        # At 45 visits the read fits: the pass is abandoned (22 visits), and the
+        # weighted search (the Picks the pass made charged nothing) fills G_Q
+        # at 33 visited; its read (11) frees the spare edge.
+        loose = self.reduce(RBSim, 0.6, visit_coefficient=4.0)
+        assert loose.budget.visit_limit == 45
+        assert (loose.restarted, loose.abandoned_visits, loose.reclaimed, loose.budget.visited) == (True, 22, 1, 44)
 
     def test_rbsub_keeps_one_embeddings_edges_per_output_match(self, monkeypatch):
         reclamations, _ = self.recorded(monkeypatch)

@@ -492,8 +492,9 @@ def counting(guard_class, evaluations: Counter, row_calls: Counter, owner: list)
 
 @pytest.mark.parametrize("backend", ["digraph", "csr"])
 @pytest.mark.parametrize("guard_kind", sorted(GUARDS))
+@pytest.mark.parametrize("alpha", [0.05, 0.02])
 def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(
-    backend, guard_kind, monkeypatch
+    backend, guard_kind, alpha, monkeypatch
 ):
     content = load_dataset("youtube-small")
     graph = content if backend == "digraph" else CSRGraph.from_digraph(content)
@@ -526,38 +527,48 @@ def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(
         snapshots.extend(searching)
         return snapshot_nodes(builder)
 
-    # Every node admitted, by the abandoned pass or by the weighted search.
-    admitted = set()
-    add_node = SubgraphBuilder.add_node
+    # The nodes an abandoned unweighted pass admitted to its own G_Q.
+    admitted, abandoned = [], set()
+    add_node, weighted = SubgraphBuilder.add_node, DynamicReducer._weighted
 
     def tallied_add_node(builder, node, *label):
-        admitted.add(node)
+        admitted.append(node)
         return add_node(builder, node, *label)
 
+    def restarting(reducer, *arguments):
+        abandoned.update(admitted)
+        return weighted(reducer, *arguments)
+
     monkeypatch.setattr(DynamicReducer, "search", flagged_search)
+    monkeypatch.setattr(DynamicReducer, "_weighted", restarting)
     monkeypatch.setattr(SubgraphBuilder, "nodes", tallied_nodes)
     monkeypatch.setattr(SubgraphBuilder, "add_node", tallied_add_node)
     guard_class = counting(GUARDS[guard_kind], evaluations, Counter(), [None])
-    reducer = build(DynamicReducer, graph, pattern, vp, guard_class, 0.02, 64)
+    reducer = build(DynamicReducer, graph, pattern, vp, guard_class, alpha, 64)
     result = reducer.search()
-    assert result.restarted and result.passes >= 3, "the case must restart and resume, or it shows nothing"
+    # At 0.05 the unweighted pass settles the search; at 0.02 it fills G_Q,
+    # and the weighted search restarts and resumes.
+    assert result.restarted == (alpha < 0.05) == bool(abandoned)
+    if result.restarted:
+        assert result.passes >= 3, "the case must restart, or it shows nothing about passes"
 
     # Guard: no (node, query node) pair is evaluated twice, whatever the pass
-    # count, across the abandoned pass and the search that restarted.
+    # count, across an abandoned pass and the search that restarted.
     assert set(evaluations.values()) == {1}
 
     # Rows: at most one whole and one head load per node, and whole rows only
-    # of nodes admitted to a G_Q (candidates are read through their head).
+    # of nodes the search put in G_Q (candidates are read through their head),
+    # or an abandoned pass put in its own.
     assert set(loads.values()) == {1}
-    assert {node for node, whole in loads if whole} <= admitted
-    assert set(result.subgraph.nodes()) <= admitted
+    assert {node for node, whole in loads if whole} <= set(result.subgraph.nodes()) | abandoned
 
     # G_Q: the search reads its state's own set, never a snapshot.
     assert not snapshots
 
 
 @pytest.mark.parametrize("guard_kind", sorted(GUARDS))
-def test_a_csr_search_reads_rows_not_nodes(guard_kind, monkeypatch):
+@pytest.mark.parametrize("alpha", [0.05, 0.02])
+def test_a_csr_search_reads_rows_not_nodes(guard_kind, alpha, monkeypatch):
     """On a ``CSRGraph`` the search reads the host in row space: no edge probe
     (``G_Q`` edges come from the admitted node's own row), no per-node label
     read (labels arrive with the row gathers), and one ``check_rows`` call per
@@ -592,11 +603,12 @@ def test_a_csr_search_reads_rows_not_nodes(guard_kind, monkeypatch):
     evaluations: Counter = Counter()
     row_calls: Counter = Counter()
     guard_class = counting(GUARDS[guard_kind], evaluations, row_calls, owner)
-    reducer = build(DynamicReducer, graph, pattern, vp, guard_class, 0.02, 64)
+    reducer = build(DynamicReducer, graph, pattern, vp, guard_class, alpha, 64)
     result = reducer.search()
-    assert result.restarted, "the case must restart, or the weighted search reads nothing"
+    # The unweighted pass settles at 0.05; at 0.02 the weighted search restarts.
+    assert result.restarted == (alpha < 0.05)
     assert probes == Counter(), "the search probed the host node by node"
-    expected = build(OracleReducer, graph, pattern, vp, GUARDS[guard_kind], 0.02, 64).search()
+    expected = build(OracleReducer, graph, pattern, vp, GUARDS[guard_kind], alpha, 64).search()
     assert fingerprint(result) == fingerprint(expected)
 
     assert row_calls, "the hub's row must be decided in row space"
@@ -618,13 +630,13 @@ def test_the_weighted_search_restarts_on_g_and_q_alone(guard_kind, monkeypatch):
     at_restart = []
     weighted = DynamicReducer._weighted
 
-    def restarting(reducer, spent):
+    def restarting(reducer, *arguments):
         state = reducer._estimator
         moving = [state.in_gq, state._covered, state._hits, state._wide, state.touched, state._wide_seen]
         moving += [kept for pair in state._kept.values() for kept in pair]
         loaded = [state._rows, state.roles, state._tried, state._eligible]
         at_restart.append(([len(part) for part in moving], [len(part) for part in loaded]))
-        return weighted(reducer, spent)
+        return weighted(reducer, *arguments)
 
     monkeypatch.setattr(DynamicReducer, "_weighted", restarting)
     result = build(DynamicReducer, graph, pattern, vp, GUARDS[guard_kind], 0.02, 64).search()

@@ -12,15 +12,17 @@
   the ``G_Q`` node and edge sets and the answer of the oracle's weighted
   search alone; the answers of both whole logs equal a digest frozen from
   the weighted search; and a search that restarted was charged the visits
-  of the pass it abandoned, within the same limit.
+  of the pass it abandoned, within the same limit, and no Pick the pass
+  paid for.  At ``c = 1``, a pass that runs out of visits is the search:
+  what its answer and the weighted search's each miss is frozen.
 * **alpha nests ``G_Q`` and its answer.**  A search at a smaller alpha is the
   same search cut off earlier: its ``G_Q`` nodes are a prefix of those at a
   larger alpha, and its answer is contained in theirs.  Where the weighted
   search restarted at the smaller alpha and the pass settled at the larger
-  one, the admission orders differ and the nodes nest as sets; a search
-  the pass settled is the same search at every larger alpha.  The edges need
-  not nest: a reclamation at the larger alpha may drop an edge the smaller
-  one never had to.
+  one, the pass admitted the same ``G_Q`` as the weighted search there, but
+  in scan order, so the smaller run is held to that weighted search.  The
+  edges need not nest: a reclamation at the larger alpha may drop an edge
+  the smaller one never had to.
 * **Theorem 3.**  On small generated graphs, a query whose alpha is at least
   ``theoretical_alpha_bound`` is answered exactly by ``RBSim``.
 * **``G_Q`` holds the edges a match reads.**  ``G_Q`` is not induced on its
@@ -45,7 +47,7 @@ from reduction_oracle import OracleReducer, build_reducer
 from repro.core.accuracy import pattern_accuracy
 from repro.core.budget import ResourceBudget
 from repro.core.rbsim import RBSim, RBSimConfig
-from repro.core.rbsub import RBSub
+from repro.core.rbsub import RBSub, RBSubConfig
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import community_graph, random_graph, star_graph
 from repro.graph.neighborhood import NeighborhoodIndex, theoretical_alpha_bound
@@ -71,9 +73,6 @@ LOGS = {
 }
 
 
-#: name -> the positions of the searches whose unweighted pass fills ``G_Q``
-#: at the log's alpha, so that the weighted search restarts.
-RESTARTED = {"youtube": (), "community": (6, 10, 17, 19, 21, 25, 30, 51, 53, 55)}
 #: name -> the digest of the answers on ``G_Q`` over the log at its alpha
 #: (:func:`answers_digest`), frozen from the weighted search run alone.
 ANSWERS = {"youtube": "425dd943aef9600e", "community": "910b11ae3c5b0b7d"}
@@ -92,12 +91,18 @@ class PatternLog:
         workload = generate_pattern_workload(content, shape=(4, 8), count=count, seed=DATASET_SEED)
         self.queries = [(query.pattern, query.personalized_match) for query in workload.queries]
 
-    def matchers(self, alpha: float):
+    def matchers(self, alpha: float, visit_coefficient=None):
         """``RBSim`` for the even positions of the log, ``RBSub`` for the odd ones."""
-        return [matcher_class(self.graph, alpha, neighborhood_index=self.index) for matcher_class in (RBSim, RBSub)]
+        return [
+            matcher_class(
+                self.graph, alpha, config=config_class(visit_coefficient=visit_coefficient),
+                neighborhood_index=self.index,
+            )
+            for matcher_class, config_class in ((RBSim, RBSimConfig), (RBSub, RBSubConfig))
+        ]
 
-    def reductions(self, alpha: float, queries=None):
-        matchers = self.matchers(alpha)
+    def reductions(self, alpha: float, queries=None, visit_coefficient=None):
+        matchers = self.matchers(alpha, visit_coefficient)
         return [
             matchers[position % 2].reduce(pattern, vp)
             for position, (pattern, vp) in enumerate(self.queries if queries is None else queries)
@@ -111,13 +116,17 @@ class PatternLog:
             for position, ((pattern, vp), result) in enumerate(zip(self.queries, results))
         ]
 
-    def weighted_alone(self):
-        """The oracle's weighted search on every query, with no unweighted pass before it."""
-        results, matchers = [], self.matchers(self.alpha)
-        for position, (pattern, vp) in enumerate(self.queries):
-            budget = ResourceBudget(
-                alpha=self.alpha, graph_size=self.graph.size(), visit_coefficient=max(1, self.graph.max_degree())
-            )
+    def weighted_alone(self, alpha=None, positions=None, visit_coefficient=None):
+        """The oracle's weighted search, with no unweighted pass before it, on
+        the queries at ``positions`` (all by default) at ``alpha`` (the log's
+        by default) and ``c`` (``d_G`` by default)."""
+        alpha = self.alpha if alpha is None else alpha
+        if visit_coefficient is None:
+            visit_coefficient = max(1, self.graph.max_degree())
+        results, matchers = [], self.matchers(alpha)
+        for position in range(len(self.queries)) if positions is None else positions:
+            pattern, vp = self.queries[position]
+            budget = ResourceBudget(alpha=alpha, graph_size=self.graph.size(), visit_coefficient=visit_coefficient)
             guard = matchers[position % 2].guard_class(pattern, self.graph, vp, self.index)
             reducer = build_reducer(
                 OracleReducer, pattern=pattern, graph=self.graph, personalized_match=vp, guard=guard,
@@ -158,43 +167,73 @@ def test_every_search_on_the_e2e_pattern_logs_keeps_both_limits(pattern_log):
             # The unweighted pass was the search: one pass, nothing cut, nothing reclaimed.
             assert (result.passes, result.cut, result.repicks, result.reclaimed) == (1, 0, 0, 0)
             assert result.abandoned_visits == 0
+    if any(result.restarted for result in results):
+        assert any(result.passes > 1 for result in results), "no search resumed"
     assert any(result.stop == "fixpoint" for result in results), "no search reached its fixpoint"
 
 
 def test_the_unweighted_pass_settles_exactly_the_searches_alpha_does_not_bind(pattern_log):
     """A search the pass settles (it drains with room left, on every search
     of these logs that it does not abandon) has the ``G_Q`` node and edge sets
-    and the answer of the oracle's weighted search alone; the answers of the
-    whole log are the frozen ones; a restarted search was charged the pass
-    it abandoned."""
+    and the answer of the oracle's weighted search alone, and so does a
+    restarted search that stops where that search does; the answers of the
+    whole log are the frozen ones; a restarted search was charged the pass it
+    abandoned, and the weighted search after it no more than alone."""
     alpha = pattern_log.alpha
     results = pattern_log.reductions(alpha)
     alone = pattern_log.weighted_alone()
     answers, expected = pattern_log.answers(results, alpha), pattern_log.answers(alone, alpha)
-    restarted = tuple(position for position, result in enumerate(results) if result.restarted)
-    assert restarted == RESTARTED[pattern_log.name]
     assert answers_digest(answers) == ANSWERS[pattern_log.name]
     for position, (result, weighted) in enumerate(zip(results, alone)):
-        if not result.restarted:
+        budget = result.budget
+        if result.restarted:
+            # Both runs are charged within the one limit.  The weighted search
+            # is not charged the Picks the pass paid for (the one at vp among
+            # them), so it costs less than it does alone.
+            assert 0 < result.abandoned_visits and budget.visited <= budget.visit_limit, position
+            assert budget.visited - result.abandoned_visits < weighted.budget.visited, position
+        else:
             # No limit met the pass: it drained with room left in G_Q and in the visits.
             assert result.stop == "fixpoint", position
-            assert result.budget.stored < result.budget.size_limit, position
-            assert result.budget.visited < result.budget.visit_limit, position
-            assert set(result.subgraph.nodes()) == set(weighted.subgraph.nodes()), position
-            assert set(result.subgraph.edges()) == set(weighted.subgraph.edges()), position
-            assert answers[position] == expected[position], position
+            assert budget.stored < budget.size_limit, position
+            assert budget.visited < budget.visit_limit, position
+        if result.stop != weighted.stop:
+            assert result.restarted and result.stop == "visits", position
             continue
-        # Both runs are charged within the one limit: the weighted search got
-        # what the pass left, and where it ends as it does alone, it cost
-        # exactly what it costs alone on top of the pass.
-        budget = result.budget
-        assert 0 < result.abandoned_visits and budget.visited <= budget.visit_limit, position
-        spent = budget.visited - result.abandoned_visits
-        assert spent <= weighted.budget.visited, position
-        if result.stop == weighted.stop:
-            assert spent == weighted.budget.visited, position
-        else:
-            assert result.stop == "visits", position
+        assert set(result.subgraph.nodes()) == set(weighted.subgraph.nodes()), position
+        assert set(result.subgraph.edges()) == set(weighted.subgraph.edges()), position
+        assert answers[position] == expected[position], position
+
+
+#: name -> at ``c = 1``: how many searches end in an unweighted pass that ran
+#: out of visits, and over those, the matches of the weighted search alone
+#: that the pass's ``G_Q`` misses and the matches it finds that the weighted
+#: search's ``G_Q`` misses.
+VISIT_BOUND = {"youtube": (22, 8, 0), "community": (49, 71, 205)}
+
+
+def test_a_pass_that_runs_out_of_visits_is_the_search(pattern_log):
+    """At ``c = 1`` the visit cap binds first on many searches.  A pass that
+    runs out of visits is the search (a restart would have less than the
+    pass was refused), so its ``G_Q`` holds what the pass reached in scan
+    order where the weighted search alone ranks.  Neither answer contains
+    the other; what each finds that the other misses is frozen here."""
+    alpha = pattern_log.alpha
+    results = pattern_log.reductions(alpha, visit_coefficient=1.0)
+    bound = [position for position, result in enumerate(results) if result.stop == "visits" and not result.restarted]
+    alone = pattern_log.weighted_alone(positions=bound, visit_coefficient=1.0)
+    answers, matchers = pattern_log.answers(results, alpha), pattern_log.matchers(alpha)
+    lost = gained = 0
+    for position, weighted in zip(bound, alone):
+        result = results[position]
+        assert (result.passes, result.cut, result.repicks, result.abandoned_visits) == (1, 0, 0, 0), position
+        assert result.budget.visited <= result.budget.visit_limit, position
+        assert weighted.stop == "visits", position
+        pattern, vp = pattern_log.queries[position]
+        expected = matchers[position % 2]._match(pattern, weighted.subgraph, vp)
+        lost += len(expected - answers[position])
+        gained += len(answers[position] - expected)
+    assert (len(bound), lost, gained) == VISIT_BOUND[pattern_log.name]
 
 
 def test_gq_answers_as_its_induced_subgraph_and_keeps_only_readable_edges(pattern_log):
@@ -234,21 +273,29 @@ def test_a_tiny_visit_coefficient_stops_on_visits_first():
     graph = star_graph(12)  # |G| = 25
     pattern = make_pattern({0: "HUB", 1: "LEAF"}, [(0, 1)], personalized=0, output=1)
     loose = RBSim(graph, 1.0).reduce(pattern, 0)
-    tight = RBSim(graph, 1.0, config=RBSimConfig(visit_coefficient=2.5)).reduce(pattern, 0)
-    # The whole star is alpha * |G|: the unweighted pass fills G_Q with it at
-    # 37 visits and is abandoned.  Loose, the cut Pick at the hub resumes
-    # until G_Q holds the whole star again.
+    tight = RBSim(graph, 1.0, config=RBSimConfig(visit_coefficient=1.0)).reduce(pattern, 0)
+    restarted = RBSim(graph, 1.0, config=RBSimConfig(visit_coefficient=2.5)).reduce(pattern, 0)
+    # Loose, the cut Pick at the hub resumes until G_Q holds the whole star
+    # (after the unweighted pass filled G_Q with it at 37 visits and was
+    # abandoned).
     assert (loose.stop, loose.budget.stored, loose.cut, loose.abandoned_visits) == ("storage", 25, 0, 37)
-    # With c = 2.5 (62 visits) the weighted search has 25 after the pass: the
-    # hub's Pick is charged its 12 leaves, each re-Pick the one leaf it gives,
-    # and each leaf 2 (itself and its edge; the fifth gets no edge, for want
-    # of visits): after three re-Picks the cap ends the search with storage
-    # left and that Pick still cut.
-    assert (tight.stop, tight.cut, tight.repicks, tight.abandoned_visits) == ("visits", 1, 3, 37)
-    assert tight.budget.visited <= tight.budget.visit_limit == 62
-    assert tight.budget.stored < tight.budget.size_limit
-    nodes = list(tight.subgraph.nodes())
-    assert nodes == list(loose.subgraph.nodes())[: len(nodes)]
+    # With c = 1 (25 visits) the unweighted pass is the search: the hub's
+    # Pick is charged its 12 leaves and each leaf 2 (itself and its edge),
+    # and the seventh leaf's visit would pass the cap, with storage left and
+    # no Pick cut.
+    assert (tight.stop, tight.restarted, tight.cut, tight.repicks) == ("visits", False, 0, 0)
+    assert tight.budget.visited <= tight.budget.visit_limit == 25
+    # With c = 2.5 (62 visits) the pass's read of the full G_Q fits, so it is
+    # abandoned.  The weighted search has 25 visits: the hub's Pick is the
+    # one the pass paid for, each re-Pick is charged the one leaf it gives
+    # and each leaf 2 (the last gets no edge, for want of visits): after
+    # seven re-Picks the cap ends the search with that Pick still cut.
+    assert (restarted.stop, restarted.cut, restarted.repicks, restarted.abandoned_visits) == ("visits", 1, 7, 37)
+    assert restarted.budget.visited <= restarted.budget.visit_limit == 62
+    for result in (tight, restarted):
+        assert result.budget.stored < result.budget.size_limit
+        nodes = list(result.subgraph.nodes())
+        assert nodes == list(loose.subgraph.nodes())[: len(nodes)]
 
 
 #: name -> the alphas the nesting test runs the first 48 queries of the log at.
@@ -270,22 +317,22 @@ def test_alpha_nests_the_extracted_subgraph(name):
         for alpha, run in zip(alphas, runs)
     ]
     nested = crossed = 0
-    for smaller, larger, fewer, more in zip(runs, runs[1:], answers, answers[1:]):
-        for before, after, answer, grown in zip(smaller, larger, fewer, more):
-            nodes = list(before.subgraph.nodes())
-            assert answer <= grown
-            if not before.restarted:
-                # Settled: no limit met the pass, so a larger alpha runs the same pass.
-                assert not after.restarted
-                assert nodes == list(after.subgraph.nodes())
-                assert list(before.subgraph.edges()) == list(after.subgraph.edges())
-            elif after.restarted:
-                assert nodes == list(after.subgraph.nodes())[: len(nodes)]
-                assert before.passes <= after.passes
-            else:
-                # The weighted search and the unweighted pass admit in different orders.
-                assert set(nodes) <= set(after.subgraph.nodes())
+    for larger_alpha, smaller, larger, fewer, more in zip(alphas[1:], runs, runs[1:], answers, answers[1:]):
+        for position, (before, after, answer, grown) in enumerate(zip(smaller, larger, fewer, more)):
+            if before.restarted and not after.restarted:
+                # alpha binds at the smaller alpha only.  The pass that settled
+                # at the larger one admitted the weighted search's G_Q there
+                # (node and edge sets) in scan order: the run at the smaller
+                # alpha is held to that weighted search.
+                (weighted,) = log.weighted_alone(larger_alpha, [position])
+                assert set(after.subgraph.nodes()) == set(weighted.subgraph.nodes())
+                assert set(after.subgraph.edges()) == set(weighted.subgraph.edges())
+                after = weighted
                 crossed += 1
+            nodes = list(before.subgraph.nodes())
+            assert nodes == list(after.subgraph.nodes())[: len(nodes)]
+            assert answer <= grown
+            assert before.passes <= after.passes
             nested += len(nodes) < after.subgraph.num_nodes()
     assert nested, "alpha never bound: the check shows nothing"
     assert crossed, "no search restarted at one alpha and settled at the next: the check shows nothing"
