@@ -8,7 +8,9 @@
 #   make bench-smoke  - the per-PR perf gate: the CSR-backend and batched-kernel
 #                       floors, ratios measured in one process (no baseline),
 #                       and Search alone (bench_search.py: oracle digest, every
-#                       miss given a cause, F floors; counts, no timing floor)
+#                       miss given a cause, F floors; counts, no timing floor),
+#                       and Fig. 8c/8d's accuracy non-decreasing in alpha at
+#                       the full scale (bench_figures.py)
 #   make bench        - every pytest benchmark: the paper figures
 #                       (bench_figures.py), preprocessing, ablations, Search
 #                       alone (bench_search.py), RBReach alone
@@ -53,7 +55,8 @@ coverage:
 	$(PYTHON) tools/coverage_gate.py
 
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_backend_csr.py benchmarks/bench_kernels_batched.py benchmarks/bench_search.py -q -p no:cacheprovider
+	$(PYTHON) -m pytest benchmarks/bench_backend_csr.py benchmarks/bench_kernels_batched.py benchmarks/bench_search.py \
+		benchmarks/bench_figures.py::test_sweep_at_full_scale -q -p no:cacheprovider
 
 # The benchmark files are named bench_*.py, which pytest's default pattern
 # (test_*.py) does not collect from a directory.

@@ -8,7 +8,9 @@ fractions, RBReach never answers a false positive and keeps an accuracy of
 at least 0.99 on Fig. 8(m)–8(p), and Table 2's budget ratio
 ``min(1, α·|G| / |G_dQ(vp)|)`` lies in ``(0, 1]``.  Across the rows of
 Fig. 8(c)/8(d), per dataset, RBSim's and RBSub's accuracy never falls as α
-grows: a larger α only lets ``Search`` run further.
+grows: a larger α only lets ``Search`` run further.  That sweep check also
+runs on Fig. 8(c)/8(d) at the full scale (``test_sweep_at_full_scale``, part
+of ``make bench-smoke``), whose yahoo query 6 has 634 matches.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_figures.py -q
 """
@@ -96,3 +98,11 @@ def test_figure(benchmark, experiment_id):
             value = getattr(row, field)
             assert check(value), f"{experiment_id}: {field}={value!r} fails {check.__name__}"
     check_sweep(experiment_id, result.rows)
+
+
+@pytest.mark.parametrize("experiment_id", list(SWEEP_CHECKS))
+def test_sweep_at_full_scale(experiment_id):
+    """The sweep check on the full-scale rows (the CLI's ``--scale full``, seed 0)."""
+    from repro.experiments.harness import run_experiment
+
+    check_sweep(experiment_id, run_experiment(experiment_id, scale="full").rows)

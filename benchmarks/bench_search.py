@@ -38,8 +38,7 @@ cause (:data:`CAUSES`), read off a second, recorded run of the same search:
   counts these by stop and by ``true/through``, the hops from ``vp`` in
   ``G`` (the ``d_Q``-ball distance) against the hops through ``G_Q``;
 * ``unmatched``: in ``G_Q`` but not matched there (an edge cut at ``room``
-  or dropped by a reclamation, or the embedding cap of the isomorphism
-  step);
+  or dropped by a reclamation);
 * ``extra``: matched in ``G_Q`` but not in ``G``.
 
 A miss that fits none of these (a budget cause at a ``fixpoint`` stop) is
@@ -48,7 +47,7 @@ the ``max_scan`` head are counted too, to show they exclude no match:
 ``guard_excluded`` is the misses ``C(·, output)`` rejects, ``scan_excluded``
 the misses in the row of a ``Pick`` that passed ``C`` but were left out of
 its eligible list.  Both must be 0.  Simulation F and subgraph F must keep
-the floors of :data:`F_FLOORS` (1.0 on youtube; 1.0 and 0.998 on
+the floors of :data:`F_FLOORS` (1.0 on youtube; 1.0 and 0.99902 on
 community).
 
 Run with:  python3 benchmarks/bench_search.py [--rounds 5] [--log youtube]
@@ -80,7 +79,6 @@ from reduction_oracle import OracleReducer, build_reducer, fingerprint  # noqa: 
 from repro.core import reduction  # noqa: E402
 from repro.core.accuracy import pattern_accuracy  # noqa: E402
 from repro.core.budget import ResourceBudget  # noqa: E402
-from repro.core.rbsub import RBSubConfig  # noqa: E402
 from repro.core.reduction import DynamicReducer  # noqa: E402
 from repro.core.weights import IsomorphismGuard, Remainder, SimulationGuard, WeightEstimator  # noqa: E402
 from repro.graph.csr import CSRGraph  # noqa: E402
@@ -116,7 +114,7 @@ RESTARTS = {"youtube": (), "community": (6, 10, 17, 19, 21, 25, 30, 51, 53, 55)}
 #: Simulation F against ``MatchOpt`` and subgraph F against ``VF2Opt`` that each log must keep.
 F_FLOORS = {
     "youtube": {"f_simulation": 1.0, "f_subgraph": 1.0},
-    "community": {"f_simulation": 1.0, "f_subgraph": 0.998},
+    "community": {"f_simulation": 1.0, "f_subgraph": 0.99902},
 }
 
 
@@ -182,9 +180,7 @@ class SearchLog:
             approximate = match_in_subgraph(pattern, subgraph, vp)
         else:
             exact = vf2_opt(pattern, self.graph, vp).answer
-            approximate = isomorphic_answer_in_subgraph(
-                pattern, subgraph, vp, max_embeddings=RBSubConfig().max_embeddings
-            )
+            approximate = isomorphic_answer_in_subgraph(pattern, subgraph, vp)
         misses = exact - approximate
         made_eligible = {candidate for _, _, eligible in picks for candidate in eligible}
         budget_stop = result.stop in BUDGET_STOPS

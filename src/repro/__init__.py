@@ -49,7 +49,6 @@ from repro.core import (
     RBSim,
     RBSimConfig,
     RBSub,
-    RBSubConfig,
     ResourceBudget,
     pattern_accuracy,
     rbsim,
@@ -94,7 +93,6 @@ __all__ = [
     "RBSim",
     "RBSimConfig",
     "RBSub",
-    "RBSubConfig",
     "ResourceBudget",
     "pattern_accuracy",
     "rbsim",

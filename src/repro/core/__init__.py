@@ -16,7 +16,7 @@ from repro.core.accuracy import (
 )
 from repro.core.budget import BudgetReport, ResourceBudget, snapshot
 from repro.core.rbsim import PatternAnswer, RBSim, RBSimConfig, rbsim
-from repro.core.rbsub import RBSub, RBSubConfig, rbsub
+from repro.core.rbsub import RBSub, rbsub
 from repro.core.reduction import DynamicReducer, ReductionResult
 from repro.core.weights import IsomorphismGuard, SimulationGuard, WeightEstimator
 
@@ -35,7 +35,6 @@ __all__ = [
     "RBSimConfig",
     "rbsim",
     "RBSub",
-    "RBSubConfig",
     "rbsub",
     "DynamicReducer",
     "ReductionResult",

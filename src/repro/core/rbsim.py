@@ -79,7 +79,7 @@ class BoundedMatcher:
     alpha:
         Resource ratio; ``|G_Q| <= alpha * |G|``.
     config:
-        Optional config (the subclass's ``config_class`` by default).
+        Optional config (:class:`RBSimConfig` by default).
     neighborhood_index:
         Optional shared :class:`NeighborhoodIndex`; pass one when issuing many
         queries against the same graph so the offline summaries are reused
@@ -92,7 +92,6 @@ class BoundedMatcher:
         then match single-graph evaluation exactly).
     """
 
-    config_class = RBSimConfig
     guard_class: Callable[..., GuardedCondition] = SimulationGuard
 
     def __init__(
@@ -105,7 +104,7 @@ class BoundedMatcher:
     ) -> None:
         self._graph = graph
         self._alpha = alpha
-        self._config = config or self.config_class()
+        self._config = config or RBSimConfig()
         self._index = neighborhood_index or NeighborhoodIndex(graph)
         self._reference_size = reference_size
         self._max_degree_cache: Optional[int] = None

@@ -15,7 +15,6 @@ shared with ``RBSim`` through :class:`repro.core.rbsim.BoundedMatcher`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Set
 
 from repro.core.rbsim import BoundedMatcher, PatternAnswer, RBSimConfig
@@ -26,29 +25,17 @@ from repro.matching.vf2 import embedding_witnesses, isomorphic_answer_in_subgrap
 from repro.patterns.pattern import GraphPattern
 
 
-@dataclass(frozen=True)
-class RBSubConfig(RBSimConfig):
-    """Tunables for :class:`RBSub`; adds the embedding cap of the VF2 step."""
-
-    max_embeddings: int = 2_000
-
-
 class RBSub(BoundedMatcher):
     """Resource-bounded subgraph-isomorphism matcher (parameters: :class:`BoundedMatcher`)."""
 
-    config_class = RBSubConfig
     guard_class = IsomorphismGuard
 
     def _match(self, pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[NodeId]:
-        return isomorphic_answer_in_subgraph(
-            pattern, subgraph, personalized_match, max_embeddings=self._config.max_embeddings
-        )
+        return isomorphic_answer_in_subgraph(pattern, subgraph, personalized_match)
 
     def witnesses(self, pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[Edge]:
         """The query-edge images of the first embedding found for each output match."""
-        return embedding_witnesses(
-            pattern, subgraph, personalized_match, max_embeddings=self._config.max_embeddings
-        )
+        return embedding_witnesses(pattern, subgraph, personalized_match)
 
     def answer(self, pattern: GraphPattern, personalized_match: NodeId) -> PatternAnswer:
         """Algorithm ``RBSub``: reduce to ``G_Q`` and return the isomorphism answer."""
@@ -60,7 +47,7 @@ def rbsub(
     graph: GraphLike,
     personalized_match: NodeId,
     alpha: float,
-    config: Optional[RBSubConfig] = None,
+    config: Optional[RBSimConfig] = None,
 ) -> PatternAnswer:
     """One-shot convenience wrapper around :class:`RBSub`."""
     return RBSub(graph, alpha, config=config).answer(pattern, personalized_match)

@@ -230,7 +230,7 @@ class DynamicReducer:
         budget.charge_storage(stored)
         budget.charge_visit(visited)
         return ReductionResult(
-            subgraph=builder.build(),
+            subgraph=builder.partial,
             budget=snapshot(budget),
             final_bound=self._initial_bound,
             candidate_counts=candidate_counts,
@@ -474,7 +474,7 @@ class DynamicReducer:
         budget.charge_visit(visited)
         open_picks = cuts + pending[position:]
         return ReductionResult(
-            subgraph=builder.build(),
+            subgraph=builder.partial,
             budget=snapshot(budget),
             final_bound=bound,
             passes=passes,

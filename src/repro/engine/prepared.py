@@ -22,11 +22,11 @@ import pickle
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping, Optional, Set
+from typing import Any, Dict, Iterator, Mapping, Optional, Set, Type, TypeVar
 
 from repro import obs
-from repro.core.rbsim import RBSim, RBSimConfig
-from repro.core.rbsub import RBSub, RBSubConfig
+from repro.core.rbsim import BoundedMatcher, RBSim, RBSimConfig
+from repro.core.rbsub import RBSub
 from repro.exceptions import EngineError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import NodeId
@@ -38,6 +38,8 @@ from repro.reachability.hierarchy import HierarchicalLandmarkIndex, build_index
 from repro.reachability.rbreach import RBReach
 from repro.updates.delta import AppliedDelta, GraphDelta
 from repro.updates.overlay import MutableOverlay
+
+Matcher = TypeVar("Matcher", bound=BoundedMatcher)
 
 DEFAULT_PATCH_THRESHOLD = 0.05
 """Deltas above this fraction of ``|G|`` skip patching (rebuild wins)."""
@@ -286,30 +288,22 @@ class PreparedGraph:
 
     def rbsim(self, alpha: float) -> RBSim:
         """The strong-simulation matcher for ``alpha`` (shared index)."""
-        matcher = self._rbsim.get(alpha)
+        return self._matcher(self._rbsim, RBSim, alpha)
+
+    def rbsub(self, alpha: float) -> RBSub:
+        """The subgraph-isomorphism matcher for ``alpha`` (shared index)."""
+        return self._matcher(self._rbsub, RBSub, alpha)
+
+    def _matcher(self, matchers: Dict[float, Matcher], matcher_class: Type[Matcher], alpha: float) -> Matcher:
+        matcher = matchers.get(alpha)
         if matcher is None:
-            matcher = RBSim(
+            matcher = matchers[alpha] = matcher_class(
                 self.graph,
                 alpha,
                 config=RBSimConfig(visit_coefficient=self._visit_coefficient()),
                 neighborhood_index=self.neighborhood_index(),
                 reference_size=self._pattern_reference_size,
             )
-            self._rbsim[alpha] = matcher
-        return matcher
-
-    def rbsub(self, alpha: float) -> RBSub:
-        """The subgraph-isomorphism matcher for ``alpha`` (shared index)."""
-        matcher = self._rbsub.get(alpha)
-        if matcher is None:
-            matcher = RBSub(
-                self.graph,
-                alpha,
-                config=RBSubConfig(visit_coefficient=self._visit_coefficient()),
-                neighborhood_index=self.neighborhood_index(),
-                reference_size=self._pattern_reference_size,
-            )
-            self._rbsub[alpha] = matcher
         return matcher
 
     # ------------------------------------------------------------------ #

@@ -19,7 +19,7 @@ strong simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.digraph import DiGraph, Edge, NodeId
 from repro.graph.neighborhood import ball
@@ -31,17 +31,20 @@ from repro.patterns.pattern import GraphPattern, QueryNodeId
 class SubgraphIsomorphismResult:
     """Outcome of a subgraph-isomorphism evaluation.
 
-    ``answer`` collects the matches of the output node; ``embeddings`` holds
-    up to ``max_embeddings`` full assignments (query node → data node) for
-    inspection; ``complete`` is False when the search was truncated by the
-    embedding cap.
+    ``answer`` is ``Q(G)``, the matches of the output node; ``embedding_of``
+    maps each match to the first embedding found for it (query node → data
+    node), in sorted-id order.
     """
 
     answer: Set[NodeId] = field(default_factory=set)
-    embeddings: List[Dict[QueryNodeId, NodeId]] = field(default_factory=list)
+    embedding_of: Dict[NodeId, Dict[QueryNodeId, NodeId]] = field(default_factory=dict)
     ball_size: int = 0
-    visited: int = 0
-    complete: bool = True
+
+
+def node_order(node: NodeId) -> Tuple[str, NodeId]:
+    """Sort key of data node ids: ints in numeric order, and ids of different
+    types never compared with each other."""
+    return type(node).__name__, node
 
 
 def _matching_order(pattern: GraphPattern, candidates: Dict[QueryNodeId, Set[NodeId]]) -> List[QueryNodeId]:
@@ -82,13 +85,14 @@ def subgraph_isomorphism(
     pattern: GraphPattern,
     graph: DiGraph,
     personalized_match: NodeId,
-    max_embeddings: int = 10_000,
 ) -> SubgraphIsomorphismResult:
-    """Enumerate subgraph-isomorphism matches of ``pattern`` in ``graph``.
+    """The subgraph-isomorphism answer of ``pattern`` in ``graph``, exact.
 
-    The search is exact unless it would produce more than ``max_embeddings``
-    embeddings, in which case ``complete`` is set to False (the answer set is
-    still a valid under-approximation).
+    ``Q(G)`` is a projection, so no embedding is listed: for each candidate
+    ``v`` of the output node, ``uo → v`` is pinned and the backtracking stops
+    at the first embedding.  Every pool is walked in sorted-id order
+    (:func:`node_order`), so the embedding found for a match is the first in
+    that order, whatever the hash seed.
     """
     pattern.validate()
     result = SubgraphIsomorphismResult()
@@ -100,48 +104,37 @@ def subgraph_isomorphism(
     if any(not nodes for nodes in candidates.values()):
         return result
 
-    order = _matching_order(pattern, candidates)
+    output = pattern.output
+    # The output node goes right after ``up``, so its pin anchors the rest.
+    order = [node for node in _matching_order(pattern, candidates) if node != output]
+    order.insert(1 if output != pattern.personalized else 0, output)
+    pools = {query_node: sorted(nodes, key=node_order) for query_node, nodes in candidates.items()}
     assignment: Dict[QueryNodeId, NodeId] = {}
     used: Set[NodeId] = set()
-    visited = [0]
 
-    def backtrack(depth: int) -> bool:
-        """Depth-first extension; returns False when the embedding cap is hit."""
+    def extend(depth: int) -> bool:
+        """Depth-first extension; True once ``assignment`` is an embedding."""
         if depth == len(order):
-            result.embeddings.append(dict(assignment))
-            result.answer.add(assignment[pattern.output])
-            return len(result.embeddings) < max_embeddings
+            return True
         query_node = order[depth]
-        pool = candidates[query_node]
-        # Prefer extending through already-mapped neighbours to cut the pool.
-        anchored: Optional[Set[NodeId]] = None
-        for neighbor_query in pattern.neighbors(query_node):
-            mapped = assignment.get(neighbor_query)
-            if mapped is None:
-                continue
-            if pattern.has_edge(neighbor_query, query_node):
-                reachable = graph.successors(mapped)
-            else:
-                reachable = graph.predecessors(mapped)
-            anchored = set(reachable) if anchored is None else anchored & set(reachable)
-        search_space = pool if anchored is None else (pool & anchored)
-        for node in search_space:
-            visited[0] += 1
-            if node in used:
-                continue
-            if not _consistent(pattern, graph, assignment, query_node, node):
+        for node in pools[query_node]:
+            if node in used or not _consistent(pattern, graph, assignment, query_node, node):
                 continue
             assignment[query_node] = node
             used.add(node)
-            keep_going = backtrack(depth + 1)
+            if extend(depth + 1):
+                return True
             used.discard(node)
             del assignment[query_node]
-            if not keep_going:
-                return False
-        return True
+        return False
 
-    result.complete = backtrack(0)
-    result.visited = visited[0]
+    for match in pools.pop(output):
+        pools[output] = [match]
+        if extend(0):
+            result.answer.add(match)
+            result.embedding_of[match] = dict(assignment)
+        assignment.clear()
+        used.clear()
     return result
 
 
@@ -149,15 +142,13 @@ def vf2_opt(
     pattern: GraphPattern,
     graph: DiGraph,
     personalized_match: NodeId,
-    max_embeddings: int = 10_000,
 ) -> SubgraphIsomorphismResult:
     """The ``VF2OPT`` baseline: restrict to the ``d_Q``-ball of ``vp``, then match."""
     if personalized_match not in graph:
         return SubgraphIsomorphismResult()
     the_ball = ball(graph, personalized_match, pattern.diameter())
-    result = subgraph_isomorphism(pattern, the_ball, personalized_match, max_embeddings)
+    result = subgraph_isomorphism(pattern, the_ball, personalized_match)
     result.ball_size = the_ball.size()
-    result.visited += the_ball.size()
     return result
 
 
@@ -165,31 +156,22 @@ def isomorphic_answer_in_subgraph(
     pattern: GraphPattern,
     subgraph: DiGraph,
     personalized_match: NodeId,
-    max_embeddings: int = 10_000,
+    max_embeddings: Optional[int] = None,
 ) -> Set[NodeId]:
     """Subgraph-isomorphism answer inside an already reduced graph ``G_Q``.
 
     This is the evaluation step ``RBSub`` applies after dynamic reduction.
+    ``max_embeddings`` is accepted and ignored: the answer has no cap.
     """
-    if personalized_match not in subgraph:
-        return set()
-    return subgraph_isomorphism(pattern, subgraph, personalized_match, max_embeddings).answer
+    return subgraph_isomorphism(pattern, subgraph, personalized_match).answer
 
 
-def embedding_witnesses(
-    pattern: GraphPattern,
-    subgraph: DiGraph,
-    personalized_match: NodeId,
-    max_embeddings: int = 10_000,
-) -> Set[Edge]:
+def embedding_witnesses(pattern: GraphPattern, subgraph: DiGraph, personalized_match: NodeId) -> Set[Edge]:
     """The edges of ``subgraph`` that its isomorphism answer needs: the images
     of the query edges under the first embedding found for each output match
-    (among the first ``max_embeddings``).  Empty when the answer is."""
-    matched: Set[NodeId] = set()
-    needed: Set[Edge] = set()
-    for embedding in subgraph_isomorphism(pattern, subgraph, personalized_match, max_embeddings).embeddings:
-        match = embedding[pattern.output]
-        if match not in matched:
-            matched.add(match)
-            needed.update((embedding[source], embedding[target]) for source, target in pattern.edges)
-    return needed
+    (:attr:`SubgraphIsomorphismResult.embedding_of`).  Empty when the answer is."""
+    return {
+        (embedding[source], embedding[target])
+        for embedding in subgraph_isomorphism(pattern, subgraph, personalized_match).embedding_of.values()
+        for source, target in pattern.edges
+    }

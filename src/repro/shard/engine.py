@@ -45,7 +45,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.rbsim import PatternAnswer, RBSim, RBSimConfig
-from repro.core.rbsub import RBSub, RBSubConfig
+from repro.core.rbsub import RBSub
 from repro.engine.daemons import DaemonPool
 from repro.engine.executors import check_executor, chunked
 from repro.engine.prepared import PreparedGraph
@@ -599,20 +599,12 @@ class ShardedEngine:
         region, touched = assemble_region(
             self.shards, self.partition, query.personalized_match, radius
         )
-        if query.kind == SIMULATION:
-            matcher = RBSim(
-                region,
-                alpha,
-                config=RBSimConfig(visit_coefficient=self._visit_coefficient),
-                reference_size=self._global_size,
-            )
-        else:
-            matcher = RBSub(
-                region,
-                alpha,
-                config=RBSubConfig(visit_coefficient=self._visit_coefficient),
-                reference_size=self._global_size,
-            )
+        matcher = (RBSim if query.kind == SIMULATION else RBSub)(
+            region,
+            alpha,
+            config=RBSimConfig(visit_coefficient=self._visit_coefficient),
+            reference_size=self._global_size,
+        )
         return matcher.answer(query.pattern, query.personalized_match), touched
 
 

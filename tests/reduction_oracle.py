@@ -48,7 +48,9 @@ The reclamation rule: when an admission fills ``G_Q``, the oracle reads it
 witness per pair ``(u, v)`` of the maximum dual-simulation relation on
 ``G_Q`` and query edge at ``u`` (the first in ``v``'s adjacency), for the
 isomorphism guard the query-edge images of the first embedding it meets of
-each output match; every other edge goes.  Nothing to keep, or nothing to
+each output match, enumerating every embedding with no cap, in the query
+node order of ``matching/vf2.py`` and sorted-id order
+(:func:`embeddings`); every other edge goes.  Nothing to keep, or nothing to
 drop, is the ``storage`` stop.  Otherwise the node just admitted gets the
 readable edges the room had cut off it (none it had before the read), and
 the search goes on, or reclaims again while ``G_Q`` is still full.
@@ -62,24 +64,55 @@ makes either reducer with the same scan cap, and :func:`fingerprint` is what
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.budget import ResourceBudget, snapshot
-from repro.core.rbsub import RBSubConfig
 from repro.core.reduction import ReductionResult
 from repro.core.weights import GuardedCondition, IsomorphismGuard, WeightEstimator
 from repro.graph.digraph import DiGraph, Edge, NodeId
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.protocol import GraphLike
 from repro.graph.subgraph import SubgraphBuilder
+from repro.matching.filters import degree_filtered_candidates, structural_prune
 from repro.matching.simulation import dual_simulation
 from repro.matching.strong_simulation import simulation_witnesses
-from repro.matching.vf2 import embedding_witnesses, subgraph_isomorphism
+from repro.matching.vf2 import _matching_order, embedding_witnesses, node_order
 from repro.patterns.pattern import GraphPattern, QueryNodeId
 
-#: The embedding cap of ``RBSub``'s step on ``G_Q``, which its witnesses keep.
-MAX_EMBEDDINGS = RBSubConfig().max_embeddings
+
+def embeddings(pattern: GraphPattern, graph: DiGraph, vp: NodeId) -> Iterator[Dict[QueryNodeId, NodeId]]:
+    """Every subgraph-isomorphism embedding of ``pattern`` in ``graph`` with
+    ``up -> vp``, no cap, in lexicographic order: query nodes in
+    ``_matching_order``, each over its candidates in sorted-id order, and
+    every query edge between two assigned nodes checked by its own
+    ``has_edge``.  ``subgraph_isomorphism`` pins ``uo`` right after ``up``
+    instead; within one match ``uo`` is fixed, so the first embedding met
+    per match is the same."""
+    if vp not in graph:
+        return
+    candidates = structural_prune(pattern, graph, degree_filtered_candidates(pattern, graph, vp))
+    order = _matching_order(pattern, candidates)
+    pools = [sorted(candidates[query_node], key=node_order) for query_node in order]
+    assignment: Dict[QueryNodeId, NodeId] = {}
+
+    def extend(depth: int) -> Iterator[Dict[QueryNodeId, NodeId]]:
+        if depth == len(order):
+            yield dict(assignment)
+            return
+        query_node = order[depth]
+        for node in pools[depth]:
+            if node in assignment.values():
+                continue
+            assignment[query_node] = node
+            if all(
+                graph.has_edge(assignment[source], assignment[target])
+                for source, target in pattern.edges
+                if source in assignment and target in assignment
+            ):
+                yield from extend(depth + 1)
+            del assignment[query_node]
+
+    yield from extend(0)
 
 
 class OracleWeightEstimator:
@@ -533,9 +566,8 @@ class OracleReducer:
         needed: Set[Edge] = set()
         if isinstance(self._guard, IsomorphismGuard):
             # Per embedding: the first one met of each output match keeps its edge images.
-            found = subgraph_isomorphism(pattern, subgraph, vp, MAX_EMBEDDINGS)
             matched: Set[NodeId] = set()
-            for embedding in found.embeddings:
+            for embedding in embeddings(pattern, subgraph, vp):
                 if embedding[pattern.output] in matched:
                     continue
                 matched.add(embedding[pattern.output])
@@ -565,9 +597,9 @@ class OracleReducer:
 # --------------------------------------------------------------------------- #
 def witness_rule(guard: GuardedCondition):
     """The witness rule ``RBSim`` or ``RBSub`` (whichever ``guard`` is the
-    guarded condition of, with the default embedding cap) hands ``Search``."""
+    guarded condition of) hands ``Search``."""
     if isinstance(guard, IsomorphismGuard):
-        return partial(embedding_witnesses, max_embeddings=MAX_EMBEDDINGS)
+        return embedding_witnesses
     return simulation_witnesses
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.accuracy import pattern_accuracy
-from repro.core.rbsub import RBSub, RBSubConfig, rbsub
+from repro.core.rbsim import RBSimConfig
+from repro.core.rbsub import RBSub, rbsub
 from repro.graph.subgraph import is_subgraph
 from repro.matching.vf2 import vf2_opt
 from repro.patterns.generator import embedded_pattern
@@ -57,11 +58,11 @@ class TestRBSubOnSurrogates:
 
 
 class TestRBSubConfig:
-    def test_embedding_cap_configurable(self, example1_graph, example1_query):
-        config = RBSubConfig(max_embeddings=1)
-        matcher = RBSub(example1_graph, alpha=0.9, config=config)
+    def test_takes_the_rbsim_config(self, example1_graph, example1_query):
+        # RBSub has no tunable of its own: the isomorphism step has no embedding cap.
+        matcher = RBSub(example1_graph, alpha=0.9, config=RBSimConfig(initial_bound=1))
         answer = matcher.answer(example1_query, "Michael")
-        assert len(answer.answer) >= 1  # at least the first embedding's output
+        assert answer.answer == vf2_opt(example1_query, example1_graph, "Michael").answer == {"cl3", "cl4"}
 
     def test_properties(self, example1_graph):
         matcher = RBSub(example1_graph, alpha=0.25)

@@ -1,13 +1,19 @@
 """Tests for the dynamic reduction (Search / Pick) machinery."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 
+from reduction_oracle import embeddings
 from repro.core import reduction
 from repro.core.budget import ResourceBudget
 from repro.core.rbsim import RBSim, RBSimConfig
-from repro.core.rbsub import RBSub, RBSubConfig
+from repro.core.rbsub import RBSub
 from repro.core.reduction import DynamicReducer
 from repro.matching.strong_simulation import simulation_witnesses
 from repro.core.weights import Remainder, SimulationGuard, WeightEstimator
@@ -15,7 +21,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.subgraph import SubgraphBuilder, is_subgraph
 from repro.matching.strong_simulation import match_opt
-from repro.matching.vf2 import subgraph_isomorphism
 from repro.patterns.pattern import make_pattern
 
 
@@ -369,7 +374,7 @@ class TestReclamation:
         return reclamations, sizes
 
     def reduce(self, matcher_class, alpha, visit_coefficient=20.0):
-        config = (RBSubConfig if matcher_class is RBSub else RBSimConfig)(visit_coefficient=visit_coefficient)
+        config = RBSimConfig(visit_coefficient=visit_coefficient)
         return matcher_class(self.grid(), alpha, config=config).reduce(self.PATTERN, "vp")
 
     def test_exactly_the_non_witness_edges_are_freed(self, monkeypatch):
@@ -437,17 +442,40 @@ class TestReclamation:
         result = self.reduce(RBSub, 0.6)
         (gq, needed, after), *_ = reclamations
         assert list(gq.edges()) == [("vp", "a0"), ("vp", "a1"), ("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b1")]
-        # b0 and b1 each keep the two edges of the first embedding found (which
-        # one that is follows the matcher's set order): 3 edges when both go
-        # through one a, 4 otherwise, where strong simulation keeps 5.
-        assert len(needed) in (3, 4) and {("vp", "a0"), ("vp", "a1")} & needed
+        # b0 and b1 each keep the two edges of their first embedding in
+        # sorted-id order, both through a0, where strong simulation keeps 5.
+        assert needed == {("vp", "a0"), ("a0", "b0"), ("a0", "b1")}
         assert after == [edge for edge in gq.edges() if edge in needed]
         for gq, needed, _ in reclamations:
             first = {}
-            for embedding in subgraph_isomorphism(self.PATTERN, gq, "vp", RBSubConfig().max_embeddings).embeddings:
+            for embedding in embeddings(self.PATTERN, gq, "vp"):
                 first.setdefault(embedding["b"], embedding)
             assert needed == {(e[u], e[w]) for e in first.values() for u, w in self.PATTERN.edges}
         assert result.reclaimed == sum(gq.num_edges() - len(after) for gq, _, after in reclamations)
+
+    def test_rbsub_is_the_same_under_every_hash_seed(self):
+        # String ids hash differently per interpreter; the witnesses a
+        # reclamation keeps, and so G_Q and its answer, must not follow.
+        tests = Path(__file__).resolve().parent
+        code = (
+            "from test_reduction import TestReclamation as T; from repro.core.rbsub import RBSub;"
+            "result = T().reduce(RBSub, 0.6);"
+            "answer = RBSub(T.grid(), 0.6)._match(T.PATTERN, result.subgraph, 'vp');"
+            "print(repr((sorted(answer), sorted(result.subgraph.edges()), result.reclaimed)))"
+        )
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        runs = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
+            ).stdout
+            for seed in range(6)
+        }
+        assert len(runs) == 1, runs
+        # Every b is kept through a0, the first a in sorted-id order.
+        assert ast.literal_eval(runs.pop()) == (
+            ["b0", "b1", "b2"], [("a0", "b0"), ("a0", "b1"), ("a0", "b2"), ("vp", "a0")], 6
+        )
 
     @pytest.mark.parametrize("matcher_class", [RBSim, RBSub])
     @pytest.mark.parametrize("alpha", [0.16, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0])

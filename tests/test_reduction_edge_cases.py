@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.budget import ResourceBudget
 from repro.core.rbsim import RBSim, RBSimConfig, rbsim
-from repro.core.rbsub import RBSub, RBSubConfig
+from repro.core.rbsub import RBSub
 from repro.core.reduction import DynamicReducer
 from repro.core.weights import IsomorphismGuard, SimulationGuard
 from repro.graph.digraph import DiGraph
@@ -98,10 +98,10 @@ class TestReducerConfiguration:
         with pytest.raises(Exception):
             config.initial_bound = 99  # type: ignore[misc]
 
-    def test_rbsub_config_inherits_rbsim_fields(self):
-        config = RBSubConfig(initial_bound=3, max_embeddings=10)
-        assert config.initial_bound == 3
-        assert config.max_embeddings == 10
+    def test_rbsub_takes_the_rbsim_config(self):
+        config = RBSimConfig(initial_bound=3)
+        assert RBSub(star_graph(4), 0.5, config=config)._config is config
+        assert RBSub(star_graph(4), 0.5)._config == RBSimConfig()
 
     def test_isomorphism_guard_on_star_center(self):
         graph = star_graph(4)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reduction_oracle import embeddings
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_bipartite_graph
 from repro.matching.filters import (
@@ -11,6 +12,7 @@ from repro.matching.filters import (
     structural_prune,
 )
 from repro.matching.vf2 import (
+    embedding_witnesses,
     isomorphic_answer_in_subgraph,
     subgraph_isomorphism,
     vf2_opt,
@@ -45,12 +47,13 @@ class TestSubgraphIsomorphism:
     def test_example1_answer(self, example1_graph, example1_query):
         result = subgraph_isomorphism(example1_query, example1_graph, "Michael")
         assert result.answer == {"cl3", "cl4"}
-        assert result.complete
-        assert all(len(set(embedding.values())) == len(embedding) for embedding in result.embeddings)
+        assert list(result.embedding_of) == ["cl3", "cl4"]
+        assert all(len(set(embedding.values())) == len(embedding) for embedding in result.embedding_of.values())
 
     def test_embeddings_respect_edges(self, example1_graph, example1_query):
         result = subgraph_isomorphism(example1_query, example1_graph, "Michael")
-        for embedding in result.embeddings:
+        for match, embedding in result.embedding_of.items():
+            assert embedding[example1_query.output] == match
             for source, target in example1_query.edges:
                 assert example1_graph.has_edge(embedding[source], embedding[target])
 
@@ -76,14 +79,35 @@ class TestSubgraphIsomorphism:
     def test_missing_personalized_match(self, example1_graph, example1_query):
         assert subgraph_isomorphism(example1_query, example1_graph, "nobody").answer == set()
 
-    def test_embedding_cap_marks_incomplete(self):
-        graph = complete_bipartite_graph(4, 6)
+    def test_answer_has_no_embedding_cap(self):
+        # A three-leaf star on a 30-leaf star: 30 * 29 * 28 = 24 360 embeddings,
+        # far past any cap, and every leaf is a match.
+        graph = complete_bipartite_graph(1, 30)
         pattern = make_pattern(
-            {0: "L", 1: "R", 2: "R"}, [(0, 1), (0, 2)], personalized=0, output=1
+            {0: "L", 1: "R", 2: "R", 3: "R"}, [(0, 1), (0, 2), (0, 3)], personalized=0, output=1
         )
-        result = subgraph_isomorphism(pattern, graph, ("l", 0), max_embeddings=5)
-        assert len(result.embeddings) == 5
-        assert not result.complete
+        assert sum(1 for _ in embeddings(pattern, graph, ("l", 0))) == 24_360
+        result = subgraph_isomorphism(pattern, graph, ("l", 0))
+        assert result.answer == {("r", leaf) for leaf in range(30)}
+        assert vf2_opt(pattern, graph, ("l", 0)).answer == result.answer
+
+    def test_witnesses_are_the_first_embedding_per_match_in_sorted_order(self):
+        # Ints sort numerically (2 < 9 < 10), and a str id is never compared with an int.
+        pattern = make_pattern({"h": "H", "x": "B", "y": "B"}, [("h", "x"), ("h", "y")], personalized="h", output="x")
+        graph = DiGraph()
+        graph.add_node("hub", "H")
+        for leaf in (10, "z", 9, 2):
+            graph.add_node(leaf, "B")
+            graph.add_edge("hub", leaf)
+        result = subgraph_isomorphism(pattern, graph, "hub")
+        assert list(result.embedding_of) == [2, 9, 10, "z"]
+        assert [embedding["y"] for embedding in result.embedding_of.values()] == [9, 2, 2, 2]
+        first = {}
+        for embedding in embeddings(pattern, graph, "hub"):
+            first.setdefault(embedding["x"], embedding)
+        assert first == result.embedding_of
+        assert embedding_witnesses(pattern, graph, "hub") == {("hub", 2), ("hub", 9), ("hub", 10), ("hub", "z")}
+        assert embedding_witnesses(pattern, graph, "nobody") == set()
 
     def test_isomorphism_stricter_than_simulation(self, example1_graph):
         # Strong simulation allows one data node to play several roles along a
