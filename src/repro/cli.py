@@ -33,8 +33,8 @@ Subcommands
 ``update``
     Replay a generated delta stream through ``GraphService.update``,
     interleaving query batches, and report update throughput (ops/s),
-    per-delta staleness, the patch/rebuild decisions and cache
-    retention; ``--verify`` additionally checks every batch against a
+    per-delta staleness (each update re-prepares), the update modes and
+    cache retention; ``--verify`` additionally checks every batch against a
     freshly opened service (the rebuild-equivalence contract).
 ``subscribe``
     Register a sampled workload as *standing queries*, replay a generated
@@ -470,6 +470,13 @@ def _command_batch(args: argparse.Namespace) -> int:
 
 
 def _command_update(args: argparse.Namespace) -> int:
+    """Replay a delta stream through ``GraphService.update`` with reach batches between.
+
+    Each update re-prepares the service on the updated graph; per batch the
+    line shows the update's mode and wall time, the read throughput and the
+    cache retention, and ``--verify`` compares the batch with a fresh
+    cache-less serial service on ``service.graph``.
+    """
     from repro.workloads.deltas import generate_delta_stream
     from repro.workloads.queries import sample_mixed_pairs
 
@@ -488,7 +495,6 @@ def _command_update(args: argparse.Namespace) -> int:
 
     modes: dict = {}
     staleness: List[float] = []
-    compactions = 0
     evicted = retained = 0
     verify_failures = 0
     with service:
@@ -497,7 +503,6 @@ def _command_update(args: argparse.Namespace) -> int:
             report = service.update(delta)
             staleness.append(report.wall_seconds)
             modes[report.mode] = modes.get(report.mode, 0) + 1
-            compactions += int(report.engine_report.summary.compacted)
             evicted += report.cache_evicted
             retained = report.cache_retained
             query_report = service.run_batch(requests)
@@ -522,7 +527,7 @@ def _command_update(args: argparse.Namespace) -> int:
     print(
         f"stream: {total_ops} ops in {total_update_seconds:.3f}s "
         f"({total_ops / total_update_seconds:.0f} ops/s) "
-        f"modes={modes} compactions={compactions} "
+        f"modes={modes} "
         f"mean staleness={mean_staleness_ms:.1f}ms"
     )
     payload = {
@@ -537,7 +542,6 @@ def _command_update(args: argparse.Namespace) -> int:
         "updates_per_second": total_ops / total_update_seconds if total_update_seconds else 0.0,
         "mean_staleness_ms": mean_staleness_ms,
         "modes": modes,
-        "compactions": compactions,
         "cache_evicted_total": evicted,
         "cache_retained_final": retained,
         "verified": bool(args.verify),

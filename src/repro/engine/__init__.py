@@ -28,11 +28,12 @@ pool is worth is measured by the end-to-end benchmark
 (``benchmarks/e2e/``: ``pattern_daemon`` against ``pattern_serial``).
 
 Graphs mutate under traffic: ``GraphService.update`` absorbs a
-:class:`~repro.updates.GraphDelta` by patching the prepared state
-incrementally (``PreparedGraph.apply_delta``: overlay substrate,
-condensation and index repair; :mod:`repro.engine.invalidation`: surgical
-cache invalidation), with answers bit-identical to a fresh service on the
-mutated graph — see :mod:`repro.updates` and ``tests/test_updates.py``.
+:class:`~repro.updates.GraphDelta` by re-preparing on the updated graph
+(``PreparedGraph.apply_delta``: the overlay applies the ops and freezes
+from arrays; :mod:`repro.engine.invalidation`: surgical cache invalidation
+from the old and the fresh state), with answers bit-identical to a fresh
+service on the mutated graph — see :mod:`repro.updates` and
+``tests/test_updates.py``.
 """
 
 from repro.engine.cache import AnswerCache, CacheStats

@@ -5,14 +5,15 @@ expensive work — freezing the graph into CSR, condensing SCCs, building the
 hierarchical landmark index, summarising labels and degrees — happens *once*.
 :class:`PreparedGraph` is that one-time product: an immutable-after-prepare
 bundle the engine consults per query, and the state the daemon pool forks
-its workers from once per state version, never per query.
+its workers from once per state version, never per query.  An update
+(:meth:`PreparedGraph.apply_delta`) re-runs the same prepare on the next
+graph; there is no second, incremental copy of it.
 
 :class:`SharedPreparedGraph` exports the array-shaped parts — CSR
 adjacency, the neighbour-label presence bits behind the ``Sl`` summaries,
-and the condensation and rank columns of a fresh CSR prepare — into
-shared-memory segments and pickles the rest.  No serving path uses it (the
-daemons inherit the state by ``fork``); the end-to-end benchmark's
-``shm.*`` probe still does.
+and the condensation and rank columns — into shared-memory segments and
+pickles the rest.  No serving path uses it (the daemons inherit the state
+by ``fork``); the end-to-end benchmark's ``shm.*`` probe still does.
 """
 
 from __future__ import annotations
@@ -33,58 +34,51 @@ from repro.graph.digraph import NodeId
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.protocol import GraphLike
 from repro.graph.statistics import summarize_for_report
-from repro.reachability.compression import CompressedGraph, compress
-from repro.reachability.hierarchy import HierarchicalLandmarkIndex, build_index
+from repro.reachability.compression import CompressedGraph, compress, component_changes
+from repro.reachability.hierarchy import HierarchicalLandmarkIndex, build_index, index_equivalent
 from repro.reachability.rbreach import RBReach
 from repro.updates.delta import AppliedDelta, GraphDelta
 from repro.updates.overlay import MutableOverlay
 
 Matcher = TypeVar("Matcher", bound=BoundedMatcher)
 
-DEFAULT_PATCH_THRESHOLD = 0.05
-"""Deltas above this fraction of ``|G|`` skip patching (rebuild wins)."""
-
-DEFAULT_COMPACT_THRESHOLD = 0.25
-"""Overlay churn fraction beyond which the overlay folds into a fresh CSR."""
-
 
 @dataclass
 class UpdateSummary:
     """What one ``apply_delta`` call did to the prepared state.
 
-    ``mode`` is ``"noop"`` (delta had no effect), ``"fresh"`` (no derived
-    state existed yet — substrate updated, nothing to patch), ``"patched"``
-    (condensation and indexes repaired in place) or ``"rebuilt"`` (derived
-    state dropped, lazily rebuilt from scratch).  The cache-invalidation
-    fields say which cached answers provably survived: see
-    ``GraphService.update``.
+    ``mode`` is ``"noop"`` (delta had no effect), ``"fresh"`` (no
+    reachability state existed yet, so nothing was compared), ``"patched"``
+    (the state was re-prepared and compared with the old one, which decides
+    the retention fields below) or ``"rebuilt"`` (a node was removed: the
+    state was re-prepared and nothing is vouched for).  The names predate
+    the single re-prepare path and stay because reports read them.  The
+    cache-invalidation fields say which cached answers provably survived:
+    see ``GraphService.update``.
     """
 
     mode: str
     seconds: float = 0.0
     delta_ops: int = 0
     touched_nodes: Set[NodeId] = field(default_factory=set)
-    compacted: bool = False
-    size_changed: bool = False
     #: ``|G|`` before/after the delta — the inputs of the per-α resource
     #: budget ``⌊α·|G|⌋``, so invalidation can tell a size drift that moves
     #: a budget from one that does not (see ``repro.engine.invalidation``).
     size_before: int = 0
     size_after: int = 0
-    #: Per prepared α: the repaired index (plus ranks) is answer-identical
-    #: to the pre-update one, so untouched cached answers are still exact.
+    #: Per prepared α: the fresh index is answer-identical to the old one
+    #: and no surviving component moved rank, so untouched cached answers
+    #: are still exact.
     reach_alphas_preserved: Dict[float, bool] = field(default_factory=dict)
     #: Original nodes whose condensed component changed (merges/splits).
     membership_dirty: Set[NodeId] = field(default_factory=set)
-    #: Nodes whose neighbourhood summary was invalidated.
-    summaries_evicted: int = 0
     #: Degrees of the delta's touched nodes before/after the update — the
     #: only degrees that can move, so the engine's pattern-cache guard can
     #: detect max-degree changes without a full-graph scan.
     touched_degrees_before: Dict[NodeId, int] = field(default_factory=dict)
     touched_degrees_after: Dict[NodeId, int] = field(default_factory=dict)
-    #: Landmarks re-swept across all repaired α indexes (``patched`` mode
-    #: only) — the dominant cost of an in-place repair.
+    #: Always 0: no landmark is re-swept in place.  Kept for the reports
+    #: that read it.
     dirty_landmarks: int = 0
 
 
@@ -92,42 +86,12 @@ def _child_only(span):
     """``span`` inside an open trace, a no-op outside one.
 
     A trace is one query batch or update.  A prepare stage belongs to one
-    when it rebuilds after an update or builds lazily under a query; at
+    when it re-prepares after an update or builds lazily under a query; at
     set-up nothing is in flight, and a root span there would file a one-span
     "query" timeline with the flight recorder.  Either way the stage lands on
     its ``prepare.*.seconds`` histogram.
     """
     return span if obs.context.current() is not None else nullcontext()
-
-
-def _timed_thaw(structure: str, thaw):
-    """Run one array → container thaw on the ``prepare.thaw.*`` instruments."""
-    started = time.perf_counter()
-    thawed = thaw()
-    obs.histogram("prepare.thaw.seconds").observe(time.perf_counter() - started)
-    obs.counter("prepare.thaw." + structure).inc()
-    return thawed
-
-
-def maintained_max_degree(
-    cached: Optional[int],
-    before: Mapping[NodeId, int],
-    after: Mapping[NodeId, int],
-    nodes_removed: bool,
-) -> Optional[int]:
-    """``d_G`` after a delta, from the degrees of the nodes it named.
-
-    Only a named node's degree can grow, so the maximum of ``cached`` and
-    the ``after`` degrees is exact — unless a node at the cached maximum
-    shrank (it may have been the unique holder) or a node was removed (its
-    neighbours shrink without being named).  Then, or when nothing was
-    cached, the answer is ``None``: only a scan can tell.
-    """
-    if cached is None or nodes_removed:
-        return None
-    if any(degree == cached and after.get(node, 0) < cached for node, degree in before.items()):
-        return None
-    return max(cached, max(after.values(), default=0))
 
 
 def _freeze(graph: GraphLike) -> CSRGraph:
@@ -136,7 +100,7 @@ def _freeze(graph: GraphLike) -> CSRGraph:
         return graph
     started = time.perf_counter()
     with _child_only(obs.span("prepare.freeze")):
-        frozen = CSRGraph.from_digraph(graph)
+        frozen = graph.freeze() if isinstance(graph, MutableOverlay) else CSRGraph.from_digraph(graph)
     obs.histogram("prepare.freeze.seconds").observe(time.perf_counter() - started)
     return frozen
 
@@ -149,7 +113,8 @@ class PreparedGraph:
     graph:
         The data graph.  Anything but a :class:`CSRGraph` (a ``DiGraph``, a
         ``MutableOverlay``) is frozen on entry with
-        ``CSRGraph.from_digraph``, which preserves node and neighbour
+        ``CSRGraph.from_digraph`` (an overlay over a CSR base with
+        :meth:`MutableOverlay.freeze`), which preserves node and neighbour
         iteration order, so answers are those of the graph as given.
     reach_reference_size:
         Optional ``|G|`` used for the ``RBReach`` index budget instead of
@@ -172,7 +137,7 @@ class PreparedGraph:
         pattern_visit_coefficient: Optional[float] = None,
     ):
         self.original = graph
-        self.graph: GraphLike = _freeze(graph)
+        self.graph: CSRGraph = _freeze(graph)
         self._statistics: Optional[Mapping[str, object]] = None
         self._compressed: Optional[CompressedGraph] = None
         self._indexes: Dict[float, HierarchicalLandmarkIndex] = {}
@@ -181,15 +146,13 @@ class PreparedGraph:
         self._neighborhood: Optional[NeighborhoodIndex] = None
         self._rbsim: Dict[float, RBSim] = {}
         self._rbsub: Dict[float, RBSub] = {}
-        self._maintainer = None  # CondensationMaintainer, built on first patch
-        self._max_degree_cache: Optional[int] = None
         self._reach_reference_size = reach_reference_size
         self._pattern_reference_size = pattern_reference_size
         self._pattern_visit_coefficient = pattern_visit_coefficient
 
     @property
     def backend(self) -> str:
-        """Class name of the serving substrate (``CSRGraph``; ``MutableOverlay`` after an update)."""
+        """Class name of the serving substrate (always ``CSRGraph``)."""
         return type(self.graph).__name__
 
     @property
@@ -200,30 +163,15 @@ class PreparedGraph:
         return self._statistics
 
     def max_degree(self) -> int:
-        """``d_G`` of the serving graph, scanned once and then maintained.
-
-        ``apply_delta`` keeps the cached value current from the touched
-        nodes' degree changes (the only degrees a delta can move), so
-        repeated callers — the engine's pattern-cache guard — avoid paying
-        a full-graph scan per update.
-        """
-        if self._max_degree_cache is None:
-            self._max_degree_cache = self.graph.max_degree()
-        return self._max_degree_cache
+        """``d_G`` of the serving graph: one ``max`` over its degree column."""
+        return self.graph.max_degree()
 
     # ------------------------------------------------------------------ #
     # Reachability state
     # ------------------------------------------------------------------ #
     def compressed(self) -> CompressedGraph:
-        """The SCC condensation, built on first use (paper Section 5).
-
-        Always condensed on a ``CSRGraph``: an overlay left by updates (a
-        rebuild drops the condensation) is frozen first (``prepare.freeze``),
-        so the array passes are the only prepare.
-        """
+        """The SCC condensation, built on first use (paper Section 5)."""
         if self._compressed is None:
-            if isinstance(self.graph, MutableOverlay):
-                self._rebind_substrate(_freeze(self.graph))
             started = time.perf_counter()
             with _child_only(obs.span("prepare.compress")):
                 self._compressed = compress(self.graph)
@@ -276,12 +224,7 @@ class PreparedGraph:
         return self._neighborhood
 
     def _visit_coefficient(self) -> float:
-        """The pinned ``c``, else ``d_G`` as :meth:`max_degree` maintains it.
-
-        Handed to every matcher so a rebuilt one (each update drops them)
-        does not rescan the degrees of the whole substrate for a value the
-        delta's touched nodes already settled.
-        """
+        """The pinned ``c``, else ``d_G`` of the serving graph."""
         if self._pattern_visit_coefficient is not None:
             return self._pattern_visit_coefficient
         return float(max(1, self.max_degree()))
@@ -344,166 +287,88 @@ class PreparedGraph:
         )
 
     # ------------------------------------------------------------------ #
-    # Incremental updates
+    # Updates
     # ------------------------------------------------------------------ #
-    def apply_delta(
-        self,
-        delta: GraphDelta,
-        patch_threshold: float = DEFAULT_PATCH_THRESHOLD,
-        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
-    ) -> UpdateSummary:
-        """Absorb a :class:`GraphDelta` into the prepared state.
+    def apply_delta(self, delta: GraphDelta) -> UpdateSummary:
+        """Absorb a :class:`GraphDelta`: apply it, then re-prepare from arrays.
 
-        The substrate always updates in O(|delta|) via a
-        :class:`MutableOverlay`; the derived state (condensation, per-α
-        landmark indexes, neighbourhood summaries, statistics) is *patched*
-        when the delta is small and free of node removals, and otherwise
-        dropped for lazy rebuild.  Either way the post-update answers are
-        bit-identical to a :class:`PreparedGraph` freshly built on the
-        updated substrate — the rebuild-equivalence contract.
+        The ops land one by one on a :class:`MutableOverlay` over the serving
+        graph, which validates each with ``DiGraph`` semantics; the overlay
+        then freezes into the next serving ``CSRGraph``
+        (:meth:`MutableOverlay.freeze`, order exact) and what was built on
+        the old graph — the condensation and each α index — is built again
+        on the new one at once.  Matchers, summaries and statistics rebuild
+        lazily.  Answers are therefore those of a :class:`PreparedGraph`
+        freshly built on the updated graph.
+
+        Cached answers survive by comparison of the old and the fresh
+        state (``UpdateSummary``): an α index survives when it is
+        answer-identical to the old one and no surviving component moved
+        rank; the nodes of every component that split or merged join the
+        touched region.  A delta that removes a node renumbers the graph,
+        so nothing is compared (``rebuilt``).
 
         If an op in the delta is invalid (removing a missing edge, ...), the
-        error propagates after the already-applied prefix is made consistent
-        by dropping all derived state.
+        error propagates after the already-applied prefix is re-prepared
+        the same way.
         """
         started = time.perf_counter()
-        if not isinstance(self.graph, MutableOverlay):
-            self._rebind_substrate(MutableOverlay(self.graph))
-        overlay: MutableOverlay = self.graph
-        pre_size = overlay.size()
-
-        # The maintainer's edge multiplicities must be bootstrapped from the
-        # *pre-delta* graph, so build it before mutating the substrate.
-        may_patch = (
-            self._compressed is not None
-            and not delta.has_node_removals()
-            and delta.size() <= patch_threshold * max(1, pre_size)
-        )
-        if may_patch and self._maintainer is None:
-            from repro.updates.scc import CondensationMaintainer
-
-            compressed = self._compressed
-            condensation = compressed.condensation
-            if condensation.array_backed:
-                # The first patch of a fresh CSR prepare: materialise the
-                # containers the maintainer mutates, once and in bulk.
-                condensation = _timed_thaw("condensation", condensation.thaw)
-            self._maintainer = CondensationMaintainer.from_fresh(
-                overlay, condensation, compressed.ranks, compressed.dag_csr
-            )
-
-        delta_touched = delta.touched_nodes()
-        degrees_before = {
-            node: overlay.degree(node) for node in delta_touched if node in overlay
-        }
-
+        old_graph = self.graph
+        overlay = MutableOverlay(old_graph)
+        touched = delta.touched_nodes()
+        degrees_before = {node: old_graph.degree(node) for node in touched if node in old_graph}
         record = AppliedDelta()
         try:
             overlay.apply(delta, applied=record)
         except Exception:
-            self.invalidate()
-            # The applied prefix touched summaries too; a fresh index reads
-            # what the overlay has accumulated (touched_neighborhoods()).
-            self._neighborhood = None
+            self._reprepare(overlay)
             raise
 
         summary = UpdateSummary(
-            mode="noop", delta_ops=delta.size(), size_before=pre_size, size_after=pre_size
+            mode="noop",
+            delta_ops=delta.size(),
+            size_before=old_graph.size(),
+            size_after=old_graph.size(),
         )
         if record.is_empty():
             summary.seconds = time.perf_counter() - started
             obs.counter("update.noop").inc()
             return summary
+        old_compressed, old_indexes = self._compressed, self._indexes
+        self._reprepare(overlay)
+        graph = self.graph
         summary.touched_nodes = record.touched_nodes()
-        summary.size_after = overlay.size()
-        summary.size_changed = summary.size_after != pre_size
+        summary.size_after = graph.size()
         summary.touched_degrees_before = degrees_before
-        summary.touched_degrees_after = {
-            node: overlay.degree(node) for node in delta_touched if node in overlay
-        }
-        # ``None`` re-derives it lazily.
-        self._max_degree_cache = maintained_max_degree(
-            self._max_degree_cache,
-            degrees_before,
-            summary.touched_degrees_after,
-            bool(record.nodes_removed),
-        )
-
-        if self._compressed is None:
+        summary.touched_degrees_after = {node: graph.degree(node) for node in touched if node in graph}
+        if record.nodes_removed:
+            summary.mode = "rebuilt"
+        elif old_compressed is None:
             summary.mode = "fresh"
         else:
-            patch = None
-            if may_patch and self._maintainer is not None:
-                patch = self._maintainer.apply(overlay, record)
-            if patch is None:
-                self.invalidate()
-                summary.mode = "rebuilt"
-            else:
-                summary.mode = "patched"
-                self._patch_reachability(patch, summary)
-
-        # Pattern-side state: matchers cache α·|G| budgets and max-degree
-        # coefficients, so they are always rebuilt lazily; the shared
-        # summaries survive minus the touched neighbourhoods.
-        self._rbsim = {}
-        self._rbsub = {}
-        self._statistics = None
-        if self._neighborhood is not None:
-            summary.summaries_evicted = self._neighborhood.invalidate(record.summary_dirty)
-
-        if overlay.fraction() > compact_threshold:
-            self._rebind_substrate(overlay.compact())
-            summary.compacted = True
-
+            summary.mode = "patched"
+            summary.membership_dirty, ranks_moved = component_changes(
+                old_compressed, self._compressed, summary.touched_nodes
+            )
+            for alpha, old_index in old_indexes.items():
+                summary.reach_alphas_preserved[alpha] = not ranks_moved and index_equivalent(
+                    old_index, self._indexes[alpha]
+                )
         summary.seconds = time.perf_counter() - started
         obs.counter("update." + summary.mode).inc()
-        if summary.dirty_landmarks:
-            obs.counter("update.dirty.landmarks").inc(summary.dirty_landmarks)
         return summary
 
-    def _patch_reachability(self, patch, summary: UpdateSummary) -> None:
-        """Swap in the patched condensation and repair every built α index."""
-        from repro.updates.index_repair import index_equivalent, repair_index
-
-        new_compressed = CompressedGraph(
-            original=self.graph,
-            condensation=patch.condensation,
-            ranks=patch.rank_index,
-            dag_csr=self._maintainer.dag_mirror(),
-        )
-        self._compressed = new_compressed
-        members = patch.condensation.members
-        for component in patch.changed_components:
-            summary.membership_dirty |= members[component]
-
-        old_indexes = self._indexes
-        self._indexes = {}
-        self._rbreach = {}
-        reference_size = self._reach_reference()
-        dirty = patch.dirty_forward | patch.dirty_backward
-        for alpha, old_index in old_indexes.items():
-            summary.dirty_landmarks += sum(
-                1 for landmark in old_index.landmarks if landmark in dirty
-            )
-            if type(old_index.forward_labels) is not dict:
-                _timed_thaw("labels", old_index.thaw_labels)  # the repair patches dicts
-            repaired = repair_index(old_index, new_compressed, patch, reference_size)
-            self._indexes[alpha] = repaired
-            summary.reach_alphas_preserved[alpha] = not patch.ranks_changed and index_equivalent(
-                old_index, repaired
-            )
-
-    def _rebind_substrate(self, graph: GraphLike) -> None:
-        """Swap the serving substrate, keeping content-derived state valid."""
-        self.graph = graph
-        if self._compressed is not None:
-            self._compressed.original = graph
-        if self._neighborhood is not None:
-            self._neighborhood.rebind(graph)
-        # Matchers hold direct substrate references; rebuild them lazily.
-        self._rbsim = {}
-        self._rbsub = {}
-        self._rbreach = {}
+    def _reprepare(self, overlay: MutableOverlay) -> None:
+        """Serve the overlay's freeze, rebuilding the condensation and α indexes that existed."""
+        alphas = list(self._indexes)
+        condensed = self._compressed is not None
+        self.graph = _freeze(overlay)
+        self.invalidate()
+        self._neighborhood = None
+        if condensed:
+            self.compressed()
+        for alpha in alphas:
+            self.reachability_index(alpha)
 
     def invalidate(self) -> None:
         """Drop every derived structure, keeping the substrate; all of it rebuilds lazily."""
@@ -514,8 +379,6 @@ class PreparedGraph:
         self._rbsim = {}
         self._rbsub = {}
         self._statistics = None
-        self._maintainer = None
-        self._max_degree_cache = None
 
 
 # ----------------------------------------------------------------------- #
@@ -573,16 +436,13 @@ class SharedPreparedGraph:
     mirror) found in the state into shared-memory segments
     (:meth:`CSRGraph.to_shared`) — adjacency arrays plus, for a substrate
     whose neighbourhood index exists, the label-presence bits that index
-    reads, and, beside the DAG mirror of a fresh CSR prepare, the columns
-    behind the condensation and the ranks (``CompressedGraph.columns()``) —
-    and pickles the *rest* (the landmark indexes, matchers, the handful of
-    per-node summaries an overlay has patched) once, with the big graphs
-    and columns replaced by attach-by-name tokens.  Workers call
-    :meth:`attach` to rebuild the state: the derived structures unpickle,
-    the graphs, the compression and the summaries over them resolve to
-    zero-copy views of the shared pages.  A compression an update has
-    patched is container-backed and pickles whole, as before.
-    ``state`` may be a :class:`PreparedGraph` or the sharded engine's
+    reads, and, beside the DAG mirror, the columns behind the condensation
+    and the ranks (``CompressedGraph.columns()``) — and pickles the *rest*
+    (the landmark indexes, matchers) once, with the big graphs and columns
+    replaced by attach-by-name tokens.  Workers call :meth:`attach` to
+    rebuild the state: the derived structures unpickle, the graphs, the
+    compression and the summaries over them resolve to zero-copy views of
+    the shared pages.  ``state`` may be a :class:`PreparedGraph` or the sharded engine's
     ``{shard_id: ShardState}`` table.
 
     The publishing process owns the segments: :meth:`close` unlinks them.
@@ -615,11 +475,7 @@ class SharedPreparedGraph:
         for prepared in _prepared_components(state):
             substrate = prepared.graph
             token = share(substrate)
-            if token is None and isinstance(substrate, MutableOverlay):
-                # Post-update serving: the overlay deltas are small and
-                # pickle; its frozen base is the big array payload.
-                share(substrate.base)
-            if token is not None and prepared.original is not substrate:
+            if prepared.original is not substrate:
                 # Workers never consult the pre-freeze graph; resolving it
                 # to the shared substrate keeps the multi-hundred-MB source
                 # DiGraph out of the payload (order-exact mirror, so

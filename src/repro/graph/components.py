@@ -21,8 +21,7 @@ on that order: a component's canonical id is its smallest member index.
 The rest is assembled from whole-array passes, and
 ``tests/test_prepare_differential.py`` pins it to the frozen
 element-by-element prepare.  :func:`strongly_connected_components` keeps
-the node-keyed body for the incremental maintenance, which re-runs it over
-one component's members (``restrict``).
+the node-keyed body for any ``GraphLike``.
 """
 
 from __future__ import annotations
@@ -37,18 +36,12 @@ from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
 
 
-def strongly_connected_components(
-    graph: GraphLike, restrict: Optional[Set[NodeId]] = None
-) -> List[Set[NodeId]]:
+def strongly_connected_components(graph: GraphLike) -> List[Set[NodeId]]:
     """Return the strongly connected components of ``graph``.
 
     Uses an iterative Tarjan algorithm; components are returned in reverse
     topological order of the condensation (i.e. a component appears after all
     components it can reach), which is a convenient order for DP over DAGs.
-
-    With ``restrict`` the traversal runs on the subgraph induced by that
-    node set — the incremental condensation maintenance uses this to re-run
-    Tarjan over just one affected component's members.
     """
     index_counter = 0
     indices: Dict[NodeId, int] = {}
@@ -57,17 +50,10 @@ def strongly_connected_components(
     stack: List[NodeId] = []
     components: List[Set[NodeId]] = []
 
-    if restrict is not None:
+    def successors_of(node: NodeId) -> List[NodeId]:
+        return list(graph.successors(node))
 
-        def successors_of(node: NodeId) -> List[NodeId]:
-            return [child for child in graph.successors(node) if child in restrict]
-
-    else:
-
-        def successors_of(node: NodeId) -> List[NodeId]:
-            return list(graph.successors(node))
-
-    for root in (graph.nodes() if restrict is None else restrict):
+    for root in graph.nodes():
         if root in indices:
             continue
         # Each work item is (node, iterator over successors).
@@ -275,9 +261,8 @@ class Condensation:
     the graph's node iteration order) of its earliest member, and the DAG's
     adjacency is built in sorted id order.  Canonical ids are a function of
     the partition and the node order alone — not of the traversal that
-    discovered the partition — which is what lets the incremental maintenance
-    in ``repro.updates`` patch a condensation and land on exactly the ids a
-    fresh :func:`condensation` call would assign.
+    discovered the partition — which is what lets an update compare the
+    condensations before and after component by component.
 
     :func:`condensation` builds it *array-backed* (:meth:`from_arrays`): it
     keeps the columns :func:`condensation_with_mirror` computed — ``compact`` (node
@@ -291,13 +276,12 @@ class Condensation:
     materialised on first access (the DAG through
     :meth:`DiGraph.from_adjacency` off the mirror, whose adjacency order is
     the DAG's); a read-only service never asks for them, and they are neither
-    pickled nor published.  :meth:`thaw` hands the containers to a reader that
-    will mutate them (the incremental maintenance); the constructor takes
-    such containers directly.
+    pickled nor published.  The constructor takes such containers directly
+    (the element-by-element reference in the tests builds one that way).
 
     Iteration order of ``membership``/``members`` is not part of the
-    contract: they fill in node order and component-id order, a maintainer
-    patches them in place.  Readers look entries up or sort the keys.
+    contract: they fill in node order and component-id order.  Readers look
+    entries up or sort the keys.
     """
 
     def __init__(
@@ -414,19 +398,14 @@ class Condensation:
             self._members = dict(zip(self._own_ids(), groups))
         return self._members
 
-    def thaw(self) -> "Condensation":
-        """A container-backed condensation a maintainer may mutate in place.
+    def member_rows(self, row: int) -> np.ndarray:
+        """Graph rows of the members of node row ``row``'s component, ascending (array-backed only)."""
+        component = self._compact_view[row]
+        return self._member_order[self._offsets_view[component] : self._offsets_view[component + 1]]
 
-        Array-backed, this materialises whichever containers no reader asked
-        for yet and moves all three into a new object; the columns keep
-        describing the snapshot, so this object re-materialises fresh
-        containers if asked again.  Container-backed, it is ``self``.
-        """
-        if self._compact is None:
-            return self
-        thawed = Condensation(self.dag, self.membership, self.members)
-        self._dag = self._membership = self._members = None
-        return thawed
+    def component_ids(self) -> np.ndarray:
+        """The component ids by mirror row, ascending (array-backed only)."""
+        return np.asarray(self._component_ids, dtype=np.int64)
 
     def component_of(self, node: NodeId) -> int:
         """Component id of an original node."""

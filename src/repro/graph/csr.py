@@ -32,7 +32,8 @@ Two properties keep the backend drop-in compatible with
 ``CSRGraph`` is deliberately immutable: updates land either on ``DiGraph``
 (freeze a snapshot with ``from_digraph`` when switching to query answering)
 or, for a *serving* graph that must keep absorbing mutations, on a
-:class:`repro.updates.overlay.MutableOverlay` layered over a frozen base.
+:class:`repro.updates.overlay.MutableOverlay` layered over a frozen base,
+which freezes into the next ``CSRGraph`` from the base's arrays.
 """
 
 from __future__ import annotations
@@ -361,7 +362,8 @@ class CSRGraph:
         ``{node: i}`` map either, since every adjacency entry already is its
         row.  A ``MutableOverlay`` and ``DiGraph`` subclasses, which may
         override the views, are read through ``label``, ``successors`` and
-        ``predecessors`` node by node.
+        ``predecessors`` node by node (an overlay over a CSR base freezes
+        faster through its own ``freeze``).
         """
         if type(graph) is DiGraph:
             ids = list(graph._labels)
@@ -449,8 +451,7 @@ class CSRGraph:
         ``sources[k] → targets[k]`` are the edges as node *indices* into
         ``ids`` (as the constructor takes them).  Adjacency comes out
         grouped by node in edge-array order (vectorised stable sorts): the
-        condensation's DAG mirror (edges sorted, so each slice is sorted) and
-        the incremental DAG mirror.
+        condensation's DAG mirror (edges sorted, so each slice is sorted).
         """
         n = len(ids)
         return cls(
@@ -548,7 +549,7 @@ class CSRGraph:
         )
 
     def to_digraph(self) -> DiGraph:
-        """Thaw back into a mutable :class:`DiGraph` (same nodes/edges/labels)."""
+        """Convert back into a mutable :class:`DiGraph` (same nodes/edges/labels)."""
         graph = DiGraph()
         for i, node in enumerate(self._ids):
             graph.add_node(node, self._label_table[int(self._label_ids[i])])

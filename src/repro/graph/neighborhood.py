@@ -124,47 +124,25 @@ class NeighborhoodIndex:
     pass is :meth:`CSRGraph.label_presence`: two packed bit arrays answering
     "does ``v`` have a parent/child labelled ``l``?" for every node, built by
     one vectorised sweep and inherited copy-on-write by the forked daemon
-    workers.  On a
-    :class:`~repro.updates.overlay.MutableOverlay` over a CSR base the
-    arrays keep serving every node whose neighbourhood no delta touched;
-    the :meth:`invalidate`-d nodes, like every node of a ``DiGraph``, go
-    through :func:`summarize_node` on first use and are cached.  That
-    per-node path is the reference the arrays are tested against.
+    workers.  Every node of any other graph (a ``DiGraph``) goes through
+    :func:`summarize_node` on first use and is cached.  That per-node path
+    is the reference the arrays are tested against.  An update re-prepares
+    on a new ``CSRGraph``, so an index never outlives its graph.
     """
 
     def __init__(self, graph: GraphLike):
-        self._source: Optional[GraphLike] = None
-        self.rebind(graph)
+        self._graph = graph
+        self._summaries: Dict[NodeId, NeighborhoodSummary] = {}
+        self._bind_arrays()
 
     @property
     def graph(self) -> GraphLike:
         """The indexed graph."""
         return self._graph
 
-    def rebind(self, graph: GraphLike) -> None:
-        """Point the index at a new substrate carrying the same content.
-
-        Wrapping the substrate in an overlay keeps everything (the base
-        underneath is the same object).  An overlay compacting into a fresh
-        CSR snapshot renumbers nodes and labels, so the arrays are taken
-        from the new snapshot and every node is array-backed again.
-        """
-        self._graph = graph
-        source = getattr(graph, "base", graph)  # the graph under an overlay
-        if source is self._source:
-            return
-        self._source = source
-        self._summaries: Dict[NodeId, NeighborhoodSummary] = {}
-        self._bind_arrays()
-        # Nodes the arrays describe wrongly: an overlay met with churn
-        # already on it names them itself, later ones arrive via invalidate().
-        self._stale: Set[NodeId] = set()
-        if self._label_bit is not None and graph is not source:
-            self._stale.update(graph.touched_neighborhoods())
-
     def _bind_arrays(self) -> None:
-        """Resolve the source graph's presence arrays to flat word views."""
-        source = self._source
+        """Resolve the graph's presence arrays to flat word views."""
+        source = self._graph
         if not hasattr(source, "label_presence"):
             self._rows: Mapping[NodeId, int] = {}
             self._label_bit: Optional[Dict[Label, Tuple[int, int]]] = None
@@ -180,17 +158,15 @@ class NeighborhoodIndex:
 
     def __getstate__(self):
         # The word views are memoryviews over (possibly shared) arrays of the
-        # source graph: rebuilt from the graph on load, never serialised.
-        return (self._graph, self._source, self._stale, self._summaries)
+        # graph: rebuilt from the graph on load, never serialised.
+        return (self._graph, self._summaries)
 
     def __setstate__(self, state) -> None:
-        self._graph, self._source, self._stale, self._summaries = state
+        self._graph, self._summaries = state
         self._bind_arrays()
 
     def _row(self, node: NodeId) -> Optional[int]:
         """Array row of ``node``, or ``None`` when the per-node path serves it."""
-        if node in self._stale:
-            return None
         return self._rows.get(node)
 
     def precompute(self) -> None:
@@ -202,23 +178,6 @@ class NeighborhoodIndex:
         for node in self._graph.nodes():
             if self._row(node) is None:
                 self.summary(node)
-
-    def invalidate(self, nodes) -> int:
-        """Drop what is known about ``nodes``; returns how many were known.
-
-        Incremental updates call this for every node whose 1-hop
-        neighbourhood changed.  Those nodes rebuild lazily through
-        :func:`summarize_node`; every other node stays valid because its
-        summary only describes untouched adjacency.
-        """
-        evicted = 0
-        for node in nodes:
-            known = self._summaries.pop(node, None) is not None
-            if self._row(node) is not None:
-                self._stale.add(node)
-                known = True
-            evicted += known
-        return evicted
 
     def __len__(self) -> int:
         return len(self._summaries)
@@ -267,7 +226,7 @@ class NeighborhoodIndex:
     def has_labels(self, node: NodeId, parents: LabelRequirement, children: LabelRequirement) -> bool:
         """Whether ``node`` has a parent of every label in ``parents`` and a
         child of every label in ``children`` (its row is looked up once)."""
-        row = None if node in self._stale else self._rows.get(node)  # _row(), inlined
+        row = self._rows.get(node)  # _row(), inlined
         if row is None:
             summary = self.summary(node)
             return all(label in summary.parent_label_counts for label in parents.labels) and all(
@@ -294,11 +253,6 @@ class NeighborhoodIndex:
             for word, mask in need.words:
                 mask = np.uint64(mask)
                 have &= (bits[rows, word] & mask) == mask
-        if self._stale:  # the arrays describe these rows wrongly
-            one_side = self.has_child_labels if children else self.has_parent_labels
-            for position, node in enumerate(self._source.ids_of(rows)):
-                if node in self._stale:
-                    have[position] = one_side(node, need)
         return have
 
 

@@ -65,8 +65,8 @@ class TopologicalRankIndex:
     column aligned with the rows of a CSR mirror of the DAG, read through a
     flat ``memoryview``; the dict behind :meth:`ranks` is then made per
     call, and the column is what pickles and what publication places in
-    shared memory.  Built :meth:`from_parts` (the incremental maintenance)
-    they are a node-keyed dict.
+    shared memory.  Built :meth:`from_parts` (the element-by-element
+    reference in the tests) they are a node-keyed dict.
     """
 
     @classmethod
@@ -77,10 +77,8 @@ class TopologicalRankIndex:
         max_rank: int,
         max_degree: int,
     ) -> "TopologicalRankIndex":
-        """Assemble an index from already-known ranks (incremental updates).
+        """Assemble an index from already-known ranks, without recomputing.
 
-        ``repro.updates`` maintains ranks with a worklist instead of a full
-        level peel; this constructor wraps the result without recomputing.
         The caller vouches that ``ranks`` satisfies the defining recurrence
         on ``graph`` (checked by :func:`verify_rank_invariant` in tests).
         """

@@ -115,16 +115,11 @@ CATALOG = {
     "prepare.freeze.seconds": ("histogram", "seconds", "repro.engine.prepared"),
     "prepare.compress.seconds": ("histogram", "seconds", "repro.engine.prepared"),
     "prepare.index.seconds": ("histogram", "seconds", "repro.engine.prepared"),
-    "prepare.thaw.seconds": ("histogram", "seconds", "repro.engine.prepared"),
-    # one per structure an update materialised from its columns (first patch)
-    "prepare.thaw.condensation": ("counter", "structures", "repro.engine.prepared"),
-    "prepare.thaw.labels": ("counter", "structures", "repro.engine.prepared"),
-    # incremental updates (repro/engine/prepared.py)
+    # updates, one per mode (repro/engine/prepared.py)
     "update.noop": ("counter", "updates", "repro.engine.prepared"),
     "update.fresh": ("counter", "updates", "repro.engine.prepared"),
     "update.patched": ("counter", "updates", "repro.engine.prepared"),
     "update.rebuilt": ("counter", "updates", "repro.engine.prepared"),
-    "update.dirty.landmarks": ("counter", "landmarks", "repro.engine.prepared"),
     # traversal kernel dispatch (repro/graph/kernels.py)
     "kernel.batch_size": ("histogram", "sources", "repro.graph.kernels"),
     "kernel.fallbacks": ("counter", "dispatches", "repro.graph.kernels"),

@@ -12,7 +12,7 @@ as "the DAG ``G``" of Section 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,14 +29,14 @@ class CompressedGraph:
     """A data graph together with its reachability-preserving DAG view.
 
     ``dag_csr`` is a compressed-sparse-row mirror of the condensed DAG; the
-    index builder, the repair and the exact oracle run their sweeps on it.
+    index builder and the exact oracle run their sweeps on it.
     Fresh from :func:`compress` the mirror and the columns beside it are all
     there is (an array-backed :class:`~repro.graph.components.Condensation`):
     ``dag`` is then a ``DiGraph`` materialised on first access, which
     prepare and query answering never ask for — they read :attr:`dag_view`.
-    After an incremental patch the condensation is container-backed, its
-    mutable ``dag`` is canonical and the mirror is rebuilt from the
-    maintained edges.  Answers are identical either way.
+    A container-backed condensation (the element-by-element reference in
+    the tests builds one) has a canonical ``dag`` of its own.  Answers are
+    identical either way.
     """
 
     original: GraphLike
@@ -46,7 +46,7 @@ class CompressedGraph:
 
     @property
     def dag(self) -> DiGraph:
-        """The condensed DAG as a mutable ``DiGraph`` (a thaw when array-backed)."""
+        """The condensed DAG as a mutable ``DiGraph`` (built on first access when array-backed)."""
         return self.condensation.dag
 
     @property
@@ -87,8 +87,8 @@ class CompressedGraph:
         """``v.r`` by row of ``dag_csr``.
 
         Array-backed, this is the rank column itself (built on the mirror's
-        rows, as :meth:`locate` reads it); after an incremental patch the
-        ranks are a maintained dict, read once per mirror row.
+        rows, as :meth:`locate` reads it); container-backed, the ranks are
+        a dict, read once per mirror row.
         """
         if self.condensation.array_backed:
             return self.ranks._column_view
@@ -124,12 +124,50 @@ def compress(graph: GraphLike) -> CompressedGraph:
     mirrored by whole-array passes.  The condensation is array-backed and
     the ranks are a level peel over the mirror, kept as one column.  The
     paper-figure drivers, the serving engine and the rebuild after a
-    node-removal update all take this path; ``tests/prepare_oracle.py``
+    re-prepare after every update all take this path; ``tests/prepare_oracle.py``
     holds it to the element-by-element definition.
     """
     condensed, dag_csr = condensation_with_mirror(freeze(graph))
     ranks = TopologicalRankIndex.from_mirror(dag_csr)
     return CompressedGraph(original=graph, condensation=condensed, ranks=ranks, dag_csr=dag_csr)
+
+
+def component_changes(
+    old: CompressedGraph, fresh: CompressedGraph, touched: Iterable[NodeId]
+) -> Tuple[Set[NodeId], bool]:
+    """What a delta that removed no node did to the condensation.
+
+    ``old`` and ``fresh`` are the compressions of the graph before and
+    after; with no node removed, every old node keeps its row, so a
+    component keeps its id (its earliest member's row) unless its members
+    change.  Only a component hosting a touched node, before or after, can
+    split or merge.  Returns the nodes of every such component whose member
+    set changed (old and new members alike), and whether any component
+    present in both with the same members moved topological rank.
+    """
+    old_condensed, new_condensed = old.condensation, fresh.condensation
+    graph = fresh.original
+    old_rows = old.original.num_nodes()
+    dirty_rows: List[np.ndarray] = []
+    changed_ids: List[int] = []
+    for row in sorted({graph.index_of(node) for node in touched if node in graph}):
+        members = new_condensed.member_rows(row)
+        if row < old_rows:
+            before = old_condensed.member_rows(row)
+            if np.array_equal(before, members):
+                continue
+            dirty_rows.append(before)
+            changed_ids.append(int(before[0]))
+        dirty_rows.append(members)
+        changed_ids.append(int(members[0]))
+    dirty = set(graph.ids_of(np.concatenate(dirty_rows))) if dirty_rows else set()
+
+    old_ids, new_ids = old_condensed.component_ids(), new_condensed.component_ids()
+    at = np.minimum(np.searchsorted(new_ids, old_ids), max(new_ids.shape[0] - 1, 0))
+    shared = (new_ids[at] == old_ids) & ~np.isin(old_ids, np.array(changed_ids, dtype=np.int64))
+    old_ranks, new_ranks = old.ranks.columns()["ranks"], fresh.ranks.columns()["ranks"]
+    moved = bool((old_ranks[shared] != new_ranks[at[shared]]).any())
+    return dirty, moved
 
 
 def verify_reachability_preserved(

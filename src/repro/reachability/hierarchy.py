@@ -16,8 +16,7 @@ DAG.  It consists of:
   drive the drill-down / roll-up decisions and the Lemma 5(2) pruning;
 * per-node *out-of-index labels* ``v.E``: the first landmarks hit by a
   forward (resp. backward) traversal from the node that stops at landmarks
-  (int columns, :class:`~repro.reachability.landmarks.LabelTable`, until a
-  repair thaws them).
+  (int columns, :class:`~repro.reachability.landmarks.LabelTable`).
 
 The total number of landmarks plus index edges never exceeds
 ``alpha * |G|``, which is the resource bound RBReach operates under.
@@ -62,9 +61,7 @@ class HierarchicalLandmarkIndex:
     ``cover_parts``, ``forward_reach`` and ``backward_reach`` retain the raw
     per-landmark statistics (descendant/ancestor counts and the
     landmark-to-landmark reachability sets) the assembly consumed.  They are
-    small — the landmark graph is sparse — and they are what lets the
-    incremental repair in ``repro.updates`` rebuild the index after a delta
-    while recomputing sweeps only for landmarks in the dirty region.
+    small — the landmark graph is sparse.
     """
 
     compressed: CompressedGraph
@@ -107,10 +104,12 @@ class HierarchicalLandmarkIndex:
         labels = table.get(dag_node)
         if labels is None:
             return set()
+        # A table's lookup is a fresh set; a plain dict (the reference build
+        # in the tests) hands out its own, so it is copied.
         return labels if type(table) is LabelTable else set(labels)
 
     def columns(self) -> Dict[str, np.ndarray]:
-        """The label columns by name (none once thawed), for publication beside their mirror."""
+        """The label columns by name (none without landmarks), for publication beside their mirror."""
         return {
             f"{direction}_{name}": column
             for direction, table in (("forward", self.forward_labels), ("backward", self.backward_labels))
@@ -118,30 +117,23 @@ class HierarchicalLandmarkIndex:
             for name, column in (("offsets", table.offsets), ("values", table.ids))
         }
 
-    def thaw_labels(self) -> None:
-        """Replace the label tables by the plain dicts an index repair patches."""
-        self.forward_labels, self.backward_labels = dict(self.forward_labels), dict(self.backward_labels)
 
+def index_equivalent(left: HierarchicalLandmarkIndex, right: HierarchicalLandmarkIndex) -> bool:
+    """Whether two indexes answer every query identically.
 
-def sweep_landmark(
-    mirror: GraphLike,
-    landmark: NodeId,
-    landmark_set: Set[NodeId],
-    forward: bool,
-    probe_mask=None,
-) -> Tuple[int, Set[NodeId]]:
-    """One directional sweep over the CSR DAG ``mirror``: reachable-node count plus reached landmarks.
-
-    The unit of work behind the cover statistics, exposed so the incremental
-    repair can recompute exactly the sweeps a delta dirtied.  Callers
-    issuing many sweeps can pass ``probe_mask`` (the boolean landmark mask
-    over ``mirror`` rows) to avoid rebuilding it per sweep.
+    Compares the answer-relevant state: landmark metadata, levels, stored
+    index edges and the out-of-index labels.  Used by the engine to decide
+    whether cached answers survived an update.
     """
-    if probe_mask is None:
-        probe_mask = np.zeros(mirror.num_nodes(), dtype=bool)
-        probe_mask[[mirror.index_of(mark) for mark in landmark_set]] = True
-    count, hits = mirror.reach_stats(mirror.index_of(landmark), forward=forward, probe_mask=probe_mask)
-    return count, {mirror.node_at(i) for i in hits}
+    return (
+        left.size_budget == right.size_budget
+        and left.landmarks == right.landmarks
+        and left.levels == right.levels
+        and left.forward_edges == right.forward_edges
+        and left.backward_edges == right.backward_edges
+        and left.forward_labels == right.forward_labels
+        and left.backward_labels == right.backward_labels
+    )
 
 
 def sweep_landmarks(
@@ -150,7 +142,7 @@ def sweep_landmarks(
     forward: bool,
     row_of: Optional[Mapping[NodeId, int]] = None,
 ) -> Tuple[Dict[NodeId, int], Dict[NodeId, Set[NodeId]]]:
-    """:func:`sweep_landmark` for every landmark at once, in one direction.
+    """One directional sweep per landmark over the CSR DAG ``mirror``, all at once.
 
     Returns ``(counts, reached)``: per landmark the number of nodes it
     reaches and the *other* landmarks among them.  All landmarks ride one
@@ -162,8 +154,7 @@ def sweep_landmarks(
     marks = landmark_rows(mirror, landmarks, row_of)
     batch = kernels.reach_batch(mirror, landmarks, forward=forward, rows=marks)
     rows, sources = batch.pairs(marks)
-    # A sweep reaches its own source; ``sweep_landmark`` reports neither it
-    # nor its count.  The stable sort keeps each landmark's hits in
+    # A sweep reaches its own source; neither it nor its count is reported.  The stable sort keeps each landmark's hits in
     # ``landmarks`` order, as the per-landmark probe listed them.
     others = rows != marks[sources]
     rows, sources = rows[others], sources[others]
@@ -200,7 +191,6 @@ def build_index(
     reference_size: Optional[int] = None,
     max_parents_per_landmark: int = 4,
     max_levels: Optional[int] = None,
-    ordered: Optional[List[NodeId]] = None,
 ) -> HierarchicalLandmarkIndex:
     """Procedure ``RBIndex``: build the hierarchical landmark index.
 
@@ -222,9 +212,6 @@ def build_index(
     max_levels:
         Optional cap on hierarchy depth (defaults to the paper's
         ``floor(log_a |G|) + 1``).
-    ordered:
-        Optional full candidate order for :func:`select_leaves` (the one an
-        incremental maintainer keeps), instead of sorting afresh.
     """
     if not 0 < alpha <= 1:
         raise IndexBuildError(f"alpha must be in (0, 1], got {alpha}")
@@ -238,7 +225,7 @@ def build_index(
     if dag.num_nodes() == 0:
         return index
 
-    leaves = select_leaves(compressed, alpha, size_budget, ordered=ordered)
+    leaves = select_leaves(compressed, alpha, size_budget)
     if not leaves:
         return index
 
@@ -270,16 +257,8 @@ def select_leaves(
     compressed: CompressedGraph,
     alpha: float,
     size_budget: int,
-    ordered: Optional[List[NodeId]] = None,
 ) -> List[NodeId]:
     """The deterministic greedy leaf selection used by ``build_index``.
-
-    Exposed so the incremental repair path reruns *exactly* this selection
-    on the patched condensation — any divergence here would break the
-    rebuild-equivalence contract.  ``ordered`` optionally supplies the full
-    pre-sorted candidate order (the maintained one from
-    ``CondensationMaintainer``), skipping the sort — same numbers, same
-    selection either way.
 
     The score is the paper's ``(deg * rank) / (L * D)`` weighted by SCC
     size: a component node stands for all of its original members, so it
@@ -290,32 +269,20 @@ def select_leaves(
     mirror = compressed.dag_csr
     exclusion_radius = max(1, math.floor(2 / alpha)) if alpha < 1 else 1
     num_leaves = max(1, min(size_budget // 2, mirror.num_nodes()))
-    if ordered is None:
-        order = selection_rows(*_selection_columns(compressed))
-    else:
-        order = np.fromiter(map(mirror.index_of, ordered), dtype=np.int64, count=len(ordered))
+    order = selection_rows(*_selection_columns(compressed))
     return greedy_landmarks(mirror, order, num_leaves, exclusion_radius)
 
 
 def _selection_columns(compressed: CompressedGraph) -> Tuple[np.ndarray, ...]:
     """Ids, degrees, ``v.r`` and SCC sizes (float64) over the rows of ``compressed.dag_csr``.
 
-    The ids are the mirror's int column (or its rows, when they are the
-    ids) and the degrees its degree column.  Fresh from ``compress`` ranks
-    and sizes are columns already: the rank column and the differences of
-    the member offsets.  A state an update patched keeps them in
-    containers, read with one ``np.fromiter`` each.
+    The ids are the condensation's id column and the degrees the mirror's
+    degree column; ranks and sizes are columns already (the rank column and
+    the differences of the member offsets).
     """
-    mirror, ranks, condensed = compressed.dag_csr, compressed.ranks, compressed.condensation
-    n = mirror.num_nodes()
-    ids = np.arange(n, dtype=np.int64) if mirror._identity else mirror._index.ids
-    if condensed.array_backed and ranks.graph is mirror:
-        rank_column = ranks.columns()["ranks"]
-        sizes = np.diff(condensed.columns()["member_offsets"]).astype(np.float64)
-    else:
-        rank_column = np.fromiter(map(ranks.rank, mirror.nodes()), dtype=np.int64, count=n)
-        sizes = np.fromiter(map(condensed.size_of, mirror.nodes()), dtype=np.float64, count=n)
-    return ids, mirror.degrees(), rank_column, sizes
+    mirror, condensed = compressed.dag_csr, compressed.condensation
+    sizes = np.diff(condensed.columns()["member_offsets"]).astype(np.float64)
+    return condensed.component_ids(), mirror.degrees(), compressed.ranks.columns()["ranks"], sizes
 
 
 def assemble_index(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -35,10 +35,9 @@ def selection_scores(dag: GraphLike, ranks: TopologicalRankIndex) -> Dict[NodeId
 def selection_sort_key(node: NodeId, degree: int, rank: int, weight: float = 1.0):
     """The (descending) greedy-selection sort key of one candidate.
 
-    The incremental maintenance re-derives keys only for disturbed nodes
-    and merges them into its maintained order; :func:`selection_rows` sorts
-    a fresh prepare's rows by the same three keys, so the float expression
-    here and there must stay the same or the two orders diverge.
+    :func:`selection_rows` sorts a prepare's rows by the same three keys,
+    so the float expression here and there must stay the same or the two
+    orders diverge.
     """
     return (-((degree * (rank + 1)) * weight), -degree, repr(node))
 
@@ -199,6 +198,23 @@ class LabelTable(Mapping):
 
     def __len__(self) -> int:
         return int(self._rows().shape[0])
+
+    def __eq__(self, other: object) -> bool:
+        """Equal label sets under equal ids, compared column-wise when both are tables."""
+        if not isinstance(other, LabelTable):
+            return super().__eq__(other)
+        return self._canonical() == other._canonical()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _canonical(self) -> Tuple[bytes, bytes, bytes, Dict[NodeId, FrozenSet[NodeId]]]:
+        """Ids of the labelled rows, their label counts, the labels sorted per row, and the spill."""
+        counts = np.diff(self.offsets)
+        rows = np.flatnonzero(counts)
+        ids = self.mirror._index.ids if not self.mirror._identity else np.arange(counts.shape[0])
+        order = np.lexsort((self.ids, np.repeat(np.arange(counts.shape[0]), counts)))
+        spill = {self.mirror.node_at(row): frozenset(labels) for row, labels in self.spill.items()}
+        return ids[rows].tobytes(), counts[rows].tobytes(), self.ids[order].tobytes(), spill
 
 
 def out_of_index_labels(

@@ -311,8 +311,8 @@ class RBReach:
     def _meeting_point(forward_active: Set[NodeId], backward_active: Set[NodeId]) -> Optional[NodeId]:
         # Deterministic choice: a set's iteration order depends on its
         # insertion history, and the seed sets come from label columns, from
-        # thawed label dicts after an index repair, or from a pickled
-        # matcher's copy of the index; ``next(iter(...))`` would name a
+        # the reference build's label dicts, or from a pickled matcher's copy
+        # of the index; ``next(iter(...))`` would name a
         # different landmark for the same query on each.  The repr key makes
         # ``met_at`` a function of the sets' contents (what the oracle parity
         # holds) and matches the frontier heap's tie-break.

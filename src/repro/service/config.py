@@ -2,7 +2,7 @@
 
 Every tunable the four previous layers exposed separately (engine executor
 and worker count, shard count ``k``, cache capacity, the α resource ratio,
-the update patch/compact thresholds, the async admission limits) lives in
+the async admission limits) lives in
 this single frozen dataclass.  :class:`~repro.service.GraphService` takes
 one of these at ``open`` time; the planner reads it when routing batches.
 """
@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.engine.executors import EXECUTOR_NAMES
-from repro.engine.prepared import DEFAULT_COMPACT_THRESHOLD, DEFAULT_PATCH_THRESHOLD
 from repro.exceptions import ServiceError
 from repro.shard.partition import GREEDY, METHODS
 from repro.shard.shards import DEFAULT_HALO_DEPTH
@@ -58,10 +57,6 @@ class ServiceConfig:
         scatter–gather routing of PR 4).
     cache_size / seed:
         LRU answer-cache capacity (0 disables caching) and partitioner seed.
-    patch_threshold / compact_threshold:
-        Update budget policy: deltas above ``patch_threshold·|G|`` ops (or
-        with node removals) rebuild the prepared state lazily; ``compact_threshold``
-        is the overlay-churn fraction that triggers CSR compaction.
     max_inflight / client_alpha_budget / stream_chunk_size:
         Async admission control: at most ``max_inflight`` queries admitted
         at once (further ``submit``/``stream`` calls await — backpressure,
@@ -83,8 +78,6 @@ class ServiceConfig:
     shard_policy: str = CONTAIN
     cache_size: int = 4096
     seed: int = 0
-    patch_threshold: float = DEFAULT_PATCH_THRESHOLD
-    compact_threshold: float = DEFAULT_COMPACT_THRESHOLD
     max_inflight: int = 32
     client_alpha_budget: float = 1.0
     stream_chunk_size: int = 16
@@ -113,10 +106,6 @@ class ServiceConfig:
             )
         if self.cache_size < 0:
             raise ServiceError(f"cache_size must be >= 0, got {self.cache_size}")
-        if not 0 <= self.patch_threshold <= 1:
-            raise ServiceError(f"patch_threshold must be in [0, 1], got {self.patch_threshold}")
-        if not 0 <= self.compact_threshold <= 1:
-            raise ServiceError(f"compact_threshold must be in [0, 1], got {self.compact_threshold}")
         if self.max_inflight < 1:
             raise ServiceError(f"max_inflight must be >= 1, got {self.max_inflight}")
         if self.client_alpha_budget <= 0:

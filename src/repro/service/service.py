@@ -6,7 +6,7 @@ separates one-time preparation from cheap per-query answering.
 
     with GraphService.open("youtube-small", ServiceConfig(alpha=0.02)) as service:
         report = service.run_batch([ReachRequest(4, 17), ReachRequest(3, 99)])
-        service.update(delta)          # patch or rebuild; live shards re-prepare
+        service.update(delta)          # re-prepare; live shards re-prepare
         answer = await service.submit(ReachRequest(5, 23))   # async front-end
 
 The service freezes its graph once, on construction, into the shared
@@ -389,7 +389,7 @@ class GraphService:
 
     @property
     def backend(self) -> str:
-        """Serving substrate class name (``CSRGraph``; ``MutableOverlay`` after an update)."""
+        """Serving substrate class name (always ``CSRGraph``)."""
         return self._prepared.backend
 
     def stats(self) -> ServiceStats:
@@ -775,13 +775,13 @@ class GraphService:
     def update(self, delta: GraphDelta) -> ServiceUpdateReport:
         """Absorb a :class:`GraphDelta`; answers then equal a fresh service's.
 
-        The service holds the one mutable graph: it patches its prepared
-        state (condensation/index repair, surgical cache invalidation) or
-        rebuilds it lazily, as ``PreparedGraph.apply_delta`` decides under
-        ``config.patch_threshold`` and ``compact_threshold``.  A live sharded
-        engine then re-prepares from the served graph
-        (:meth:`ShardedEngine.reset`) — also when an invalid op stops the
-        delta after a prefix landed.  Subsequent answers are bit-identical to
+        The service holds the one mutable graph: ``PreparedGraph.apply_delta``
+        re-prepares its state on the updated graph and reports what survived,
+        which the cache invalidation then reads.  A live sharded engine then
+        re-prepares from the served graph
+        (:meth:`ShardedEngine.reset`), and the standing queries are
+        maintained — also when an invalid op stops the delta after a prefix
+        landed (every standing query then re-evaluates).  Subsequent answers are bit-identical to
         ``GraphService(service.graph, config)``, for either executor and any
         worker count.
         """
@@ -793,12 +793,17 @@ class GraphService:
             with obs.span("service.update", ops=delta.size()):
                 try:
                     engine_report = self._apply(delta)
+                except Exception:
+                    # The applied prefix is served now, and nothing vouches
+                    # for any standing answer: every one re-evaluates.
+                    engine_report = UpdateReport(summary=UpdateSummary(mode="rebuilt"))
+                    raise
                 finally:
                     # An unbuilt sharded engine needs nothing: it partitions
                     # the served graph on first use.
                     if self._sharded is not None:
                         self._sharded.reset(self.graph)
-                maintenance = self._maintain_subscriptions(engine_report)
+                    maintenance = self._maintain_subscriptions(engine_report)
             wall = time.perf_counter() - started
             self._stats.updates += 1
             obs.counter("service.updates").inc()
@@ -813,26 +818,22 @@ class GraphService:
             )
 
     def _apply(self, delta: GraphDelta) -> UpdateReport:
-        """Patch (or drop for lazy rebuild) the prepared state, then the cache.
+        """Re-prepare the state on the updated graph, then invalidate the cache.
 
         Every effective update bumps the state epoch, so the next daemon
         batch republishes before dispatch.  Cached answers are invalidated
         surgically: entries whose query touches the mutated region (delta
         endpoints, changed components, pattern balls overlapping the delta)
-        are evicted; the rest are kept only when the repaired state is
+        are evicted; the rest are kept only when the re-prepared state is
         provably answer-identical for them (identical α index and ranks for
         reachability; unchanged size, max degree and ball for patterns).  A
-        rebuild flushes the cache.
+        node removal flushes the cache.
         """
         try:
-            summary = self._prepared.apply_delta(
-                delta,
-                patch_threshold=self._config.patch_threshold,
-                compact_threshold=self._config.compact_threshold,
-            )
+            summary = self._prepared.apply_delta(delta)
         except Exception:
             # The failing op's prefix is already on the substrate; the
-            # prepared state was dropped for lazy rebuild, and the cached
+            # prepared state was re-prepared on it, and the cached
             # answers must go with it or they would keep serving the
             # pre-delta graph.  The epoch moves too: warm daemons must not
             # keep serving the pre-delta state either.

@@ -98,7 +98,7 @@ def build_contribution(
     boundary_comps = set(contribution.comp_of.values())
     contribution.boundary_comps = frozenset(boundary_comps)
 
-    # The read-only view (a fresh prepare's mirror): nothing thaws, and the
+    # The read-only view (a fresh prepare's mirror): no container is built, and the
     # label tables come back as columns over the mirror's rows.
     dag = compressed.dag_view
     ordered_comps = sorted(boundary_comps, key=repr)

@@ -1,28 +1,22 @@
-"""Incremental graph updates: deltas, overlays, condensation/index repair.
+"""Graph updates: deltas and the overlay that applies them.
 
 The dynamic-graph layer of the reproduction (motivated by the
 FO+MOD-under-updates line of work in PAPERS.md): a
-:class:`~repro.updates.delta.GraphDelta` describes a batch of mutations, a
-:class:`~repro.updates.overlay.MutableOverlay` absorbs it on top of an
-immutable CSR base, and the maintenance modules patch the prepared state —
-SCC condensation (``scc``), hierarchical landmark indexes
-(``index_repair``) — instead of rebuilding it, with bit-identical answers
-as the contract.  ``GraphService.update`` is the public entry point.
+:class:`~repro.updates.delta.GraphDelta` describes a batch of mutations and
+a :class:`~repro.updates.overlay.MutableOverlay` applies it op by op on top
+of an immutable CSR base, then freezes into the next serving graph.  The
+prepared state is then built again on that graph, with answers identical to
+a fresh prepare as the contract.  ``GraphService.update`` is the public
+entry point.
 """
 
 from repro.updates.delta import AppliedDelta, DeltaOp, GraphDelta
 from repro.updates.overlay import MutableOverlay, overlay_digraph_equal
-from repro.updates.scc import CondensationMaintainer, PatchResult
-from repro.updates.index_repair import index_equivalent, repair_index
 
 __all__ = [
     "AppliedDelta",
-    "CondensationMaintainer",
     "DeltaOp",
     "GraphDelta",
     "MutableOverlay",
-    "PatchResult",
-    "index_equivalent",
     "overlay_digraph_equal",
-    "repair_index",
 ]

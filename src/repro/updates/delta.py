@@ -65,8 +65,8 @@ class GraphDelta:
         )
 
     Apply it to a mutable graph with :meth:`apply_to`, or hand it to
-    ``GraphService.update`` which routes it through the prepared state's
-    incremental maintenance.
+    ``GraphService.update``, which re-prepares the served state on the
+    updated graph.
     """
 
     __slots__ = ("ops",)
@@ -136,7 +136,7 @@ class GraphDelta:
         return kinds
 
     def size(self) -> int:
-        """Number of operations — the ``|delta|`` used by patch thresholds."""
+        """Number of operations — the ``|delta|``."""
         return len(self.ops)
 
     def touched_nodes(self) -> Set[NodeId]:
@@ -149,7 +149,7 @@ class GraphDelta:
         return touched
 
     def has_node_removals(self) -> bool:
-        """Whether any op removes a node (forces the full-rebuild path)."""
+        """Whether any op removes a node."""
         return any(op.kind == REMOVE_NODE for op in self.ops)
 
     # ------------------------------------------------------------------ #
@@ -177,7 +177,7 @@ class GraphDelta:
             elif op.kind == ADD_NODE:
                 if op.node in graph:
                     if graph.label(op.node) != op.label:
-                        applied.record_relabel(op.node, set(graph.neighbors(op.node)))
+                        applied.record_relabel(op.node)
                     graph.add_node(op.node, op.label)
                 else:
                     graph.add_node(op.node, op.label)
@@ -200,8 +200,8 @@ class AppliedDelta:
 
     A delta is an op log; which ops had an effect depends on the graph it is
     applied to (a re-inserted edge is a no-op, a node removal implies edge
-    removals).  Substrates record the net outcome here so the incremental
-    maintenance downstream works from facts, not from the op log.
+    removals).  Substrates record the net outcome here so the update
+    downstream works from facts, not from the op log.
 
     ``edges_added``/``edges_removed`` are kept as ordered lists: the same
     edge can legitimately appear in both (removed then re-inserted — its
@@ -214,7 +214,6 @@ class AppliedDelta:
         "nodes_added",
         "nodes_removed",
         "relabeled",
-        "summary_dirty",
     )
 
     def __init__(self) -> None:
@@ -223,31 +222,21 @@ class AppliedDelta:
         self.nodes_added: List[NodeId] = []
         self.nodes_removed: List[NodeId] = []
         self.relabeled: List[NodeId] = []
-        #: Nodes whose neighbourhood summary (``Sl``) may have changed.
-        self.summary_dirty: Set[NodeId] = set()
 
     def record_edge_added(self, source: NodeId, target: NodeId) -> None:
         self.edges_added.append((source, target))
-        self.summary_dirty.add(source)
-        self.summary_dirty.add(target)
 
     def record_edge_removed(self, source: NodeId, target: NodeId) -> None:
         self.edges_removed.append((source, target))
-        self.summary_dirty.add(source)
-        self.summary_dirty.add(target)
 
     def record_node_added(self, node: NodeId) -> None:
         self.nodes_added.append(node)
 
     def record_node_removed(self, node: NodeId) -> None:
         self.nodes_removed.append(node)
-        self.summary_dirty.add(node)
 
-    def record_relabel(self, node: NodeId, neighbors: Set[NodeId]) -> None:
-        # A relabel changes the label counts in every *neighbour's* summary
-        # (a node's own summary does not mention its own label).
+    def record_relabel(self, node: NodeId) -> None:
         self.relabeled.append(node)
-        self.summary_dirty.update(neighbors)
 
     def is_empty(self) -> bool:
         """Whether the delta had no effect at all."""
@@ -271,15 +260,6 @@ class AppliedDelta:
             touched.add(source)
             touched.add(target)
         return touched
-
-    def merge(self, other: "AppliedDelta") -> None:
-        """Fold another record into this one (sequential application)."""
-        self.edges_added.extend(other.edges_added)
-        self.edges_removed.extend(other.edges_removed)
-        self.nodes_added.extend(other.nodes_added)
-        self.nodes_removed.extend(other.nodes_removed)
-        self.relabeled.extend(other.relabeled)
-        self.summary_dirty.update(other.summary_dirty)
 
 
 __all__ = [

@@ -3,29 +3,27 @@
 The serving substrate of the engine is an immutable
 :class:`~repro.graph.csr.CSRGraph`; real graphs mutate under traffic.  The
 overlay keeps the base frozen and absorbs a :class:`~repro.updates.delta
-.GraphDelta` on top, while still satisfying the full
-:class:`~repro.graph.protocol.GraphLike` protocol — every algorithm in the
-reproduction runs on it unchanged.
+.GraphDelta` on top, op by op with ``DiGraph`` semantics (so every op is
+validated as a ``DiGraph`` would validate it), while still satisfying the
+full :class:`~repro.graph.protocol.GraphLike` protocol.
 
 The load-bearing property is **order equivalence**: the overlay iterates
 nodes and neighbours in exactly the order a mutable
 :class:`~repro.graph.digraph.DiGraph` would after applying the same ops —
-base order with deletions masked, insertions appended.  Together with the
-insertion-ordered ``DiGraph`` adjacency this makes answers computed over an
-overlay bit-identical to answers over a freshly mutated graph, which is the
-contract ``GraphService.update`` is tested against.
-
-Once the accumulated delta exceeds a configurable fraction of the base
-(:meth:`fraction`), :meth:`compact` folds the overlay back into a fresh CSR
-snapshot — iteration orders preserved, so derived state (condensation ids,
-landmark indexes) stays valid across compaction.
+base order with deletions masked, insertions appended.  :meth:`freeze`
+turns the overlay into the next serving ``CSRGraph`` in that order, read
+off the base columns, the tombstones and the append region; nothing serves
+from the overlay itself.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, KeysView, List, Mapping, Optional, Set
 
+import numpy as np
+
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
+from repro.graph.csr import CSRGraph, _indptr, _union_degrees
 from repro.graph.digraph import Edge, Label, NodeId
 from repro.graph.protocol import GraphLike
 from repro.updates.delta import AppliedDelta, GraphDelta
@@ -116,37 +114,87 @@ class MutableOverlay:
             + len(self._removed_nodes)
         )
 
-    def fraction(self) -> float:
-        """Overlay churn relative to ``|base|`` — the compaction trigger."""
-        return self.overlay_size() / max(1, self._base.size())
+    def freeze(self) -> CSRGraph:
+        """The overlay as a fresh :class:`CSRGraph`, node and neighbour order exact.
 
-    def touched_neighborhoods(self) -> Set[NodeId]:
-        """Nodes whose 1-hop neighbourhood differs from the base's.
-
-        Endpoints of every added or removed edge, added and removed nodes,
-        and the neighbours of relabelled nodes — the accumulated counterpart
-        of :attr:`AppliedDelta.summary_dirty`, read off the overlay's own
-        state in O(churn) for consumers that meet the overlay after deltas
-        were applied.
+        Equal, array for array, to ``CSRGraph.from_digraph(self)``: base rows
+        with the removed nodes masked, then the added nodes; each neighbour
+        slice is the base slice less its tombstoned edges, then the edges
+        appended to it in insertion order; labels are re-interned in
+        first-appearance order.  The base columns are read whole; only the
+        churn (tombstones, appended nodes and edges, relabels) is walked.
+        A base that is not a ``CSRGraph`` is frozen node by node.
         """
-        touched: Set[NodeId] = set(self._removed_nodes)
-        touched.update(self._added_nodes)
-        for endpoints in (self._removed_out, self._removed_in, self._added_succ, self._added_pred):
-            touched.update(node for node, others in endpoints.items() if others)
-        for node in self._label_overrides:  # only ever holds present nodes
-            touched.update(self.neighbors(node))
-        return touched
+        base = self._base
+        if not isinstance(base, CSRGraph):
+            return CSRGraph.from_digraph(self)  # type: ignore[arg-type]
+        removed_nodes = self._removed_nodes
+        alive = np.ones(base.num_nodes(), dtype=bool)
+        alive[[base.index_of(node) for node in removed_nodes]] = False
+        kept = np.flatnonzero(alive)
+        added = list(self._added_nodes)
+        n = kept.shape[0] + len(added)
+        renumber = np.full(alive.shape[0], -1, dtype=np.int64)
+        renumber[kept] = np.arange(kept.shape[0], dtype=np.int64)
+        appended = {node: kept.shape[0] + i for i, node in enumerate(added)}
 
-    def compact(self):
-        """Fold the overlay into a fresh :class:`~repro.graph.csr.CSRGraph`.
+        def row(node: NodeId) -> int:
+            found = appended.get(node)
+            return int(renumber[base.index_of(node)]) if found is None else found
 
-        Node and neighbour iteration orders are preserved (the freeze reads
-        them through this overlay), so the result is bit-equivalent to
-        freezing a ``DiGraph`` that applied the same ops.
-        """
-        from repro.graph.csr import CSRGraph
+        sides = []
+        for indptr, indices, tombstones, extra in (
+            (base._succ_indptr, base._succ_indices, self._removed_out, self._added_succ),
+            (base._pred_indptr, base._pred_indices, self._removed_in, self._added_pred),
+        ):
+            owners = np.repeat(np.arange(alive.shape[0], dtype=np.int64), np.diff(indptr))
+            keep = alive[owners] & alive[indices]
+            for node, others in tombstones.items():
+                if node in removed_nodes:
+                    continue  # every edge of a removed node is masked already
+                owner = base.index_of(node)
+                low, high = int(indptr[owner]), int(indptr[owner + 1])
+                for other in others:
+                    if other not in removed_nodes:
+                        at = np.flatnonzero(indices[low:high] == base.index_of(other))
+                        keep[low + int(at[0])] = False
+            tail_owners = [row(node) for node, others in extra.items() for _ in others]
+            tail_others = [row(other) for others in extra.values() for other in others]
+            owners = np.concatenate((renumber[owners[keep]], np.array(tail_owners, dtype=np.int64)))
+            others = np.concatenate((renumber[indices[keep]], np.array(tail_others, dtype=np.int64)))
+            # Stable: each node's base slice first, then what was appended to it.
+            order = np.argsort(owners, kind="stable")
+            sides.append((_indptr(np.bincount(owners, minlength=n)), others[order]))
+        (succ_indptr, succ_indices), (pred_indptr, pred_indices) = sides
 
-        return CSRGraph.from_digraph(self)  # type: ignore[arg-type]
+        table = list(base._label_table)
+        row_of_label = dict(base._label_rows)
+        label_ids = np.empty(n, dtype=np.int64)
+        label_ids[: kept.shape[0]] = base._label_ids[kept]
+        for node, label in self._label_overrides.items():
+            if label not in row_of_label:
+                row_of_label[label] = len(table)
+                table.append(label)
+            label_ids[row(node)] = row_of_label[label]
+        # Re-interned in first-appearance order over the rows, as a freeze does.
+        first = np.full(len(table), n, dtype=np.int64)
+        np.minimum.at(first, label_ids, np.arange(n, dtype=np.int64))
+        used = np.flatnonzero(first < n)
+        used = used[np.argsort(first[used])]
+        interned = np.zeros(len(table), dtype=np.int64)
+        interned[used] = np.arange(used.shape[0], dtype=np.int64)
+
+        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(succ_indptr))
+        return CSRGraph(
+            base.ids_of(kept) + added,
+            [table[label] for label in used.tolist()],
+            interned[label_ids],
+            succ_indptr,
+            succ_indices,
+            pred_indptr,
+            pred_indices,
+            _union_degrees(n, sources, succ_indices),
+        )
 
     # ------------------------------------------------------------------ #
     # Mutation (DiGraph semantics)

@@ -209,7 +209,7 @@ class TestDaemonPool:
 class TestSharedSummaries:
     """Workers read the neighbourhood summaries out of the shared segment."""
 
-    def test_workers_read_masks_and_a_refork_serves_patched_ones(self, graph):
+    def test_workers_read_masks_and_a_refork_serves_the_re_prepared_ones(self, graph):
         from repro.engine.prepared import PreparedGraph
         from repro.engine.queries import SIMULATION
         from repro.graph.neighborhood import summarize_node
@@ -238,19 +238,16 @@ class TestSharedSummaries:
 
             delta = GraphDelta().add_node("fresh", label="never-seen").add_edge(hub, "fresh")
             delta.add_edge("fresh", other)
-            summary = prepared.apply_delta(delta)
-            assert summary.summaries_evicted == 2  # hub and other; "fresh" was never known
+            prepared.apply_delta(delta)
             prepared.prepare(SIMULATION, ALPHA)
             probes += [(hub, "never-seen"), (other, "never-seen"), ("fresh", labels[0])]
             second = pool.run(prepared, [probes, probes], chunk_fn=_probe_summaries_chunk, version=1)
             assert pool.restarts == 0
-            assert not set(pool.worker_pids()) & set(pids)  # forked from the patched state
+            assert not set(pool.worker_pids()) & set(pids)  # forked from the re-prepared state
             for rows in second:
                 assert [row[:2] for row in rows] == expected()
-                backed = {probe[0]: row[2] for probe, row in zip(probes, rows)}
-                assert not backed[hub] and not backed[other] and not backed["fresh"]
-                assert all(backed[node] for node in nodes[1:30])  # untouched: still the arrays
-            assert rows[-3][0] and rows[-2][1]  # the patched masks see the new label
+                assert all(array_backed for _, _, array_backed in rows)  # the new graph's arrays
+            assert rows[-3][0] and rows[-2][1]  # the re-prepared masks see the new label
             assert shm_segments() == segments
         assert publishes() == before + 2
 
@@ -276,63 +273,6 @@ class TestSharedSummaries:
                 assert signatures(daemon) == signatures(serial_answers(service.graph, queries))
                 service.update(delta)
             assert service._daemon_pool.restarts == 0
-
-
-class TestSharedCompression:
-    """Workers read the condensation and the ranks out of the DAG mirror's segment."""
-
-    def test_reach_and_pattern_parity_across_the_thaw(self, graph, queries):
-        """Columns before the first ``update``; thaw → patched containers → re-fork after."""
-        from repro.engine.queries import PatternQuery
-        from repro.workloads.queries import generate_pattern_workload
-
-        workload = generate_pattern_workload(graph, shape=(4, 6), count=6, seed=4)
-        patterns = [PatternQuery(query.pattern, query.personalized_match) for query in workload]
-        nodes = list(graph.nodes())
-
-        def signatures(answers):
-            return [
-                (a.reachable, a.visited, a.met_at, a.exhausted)
-                if hasattr(a, "reachable")
-                else (frozenset(a.answer), a.subgraph_size)
-                for a in answers
-            ]
-
-        def assert_parity(service):
-            batch = queries + patterns
-            daemon = service.run_batch(batch, ALPHA).answers
-            assert signatures(daemon) == signatures(serial_answers(service.graph, batch))
-
-        def thaws(structure="condensation"):
-            return obs.snapshot()["counters"].get("prepare.thaw." + structure, 0)
-
-        segments = shm_segments()
-        thaws_before, label_thaws_before = thaws(), thaws("labels")
-        with daemon_service(graph) as service:
-            assert_parity(service)
-            assert service.prepared.compressed().condensation.array_backed
-            pool = service._daemon_pool
-            pids = pool.worker_pids()
-            assert all(worker.rss_bytes > 2**20 for worker in pool._workers)  # from the first reply
-            assert obs.snapshot()["histograms"]["daemon.worker.rss.bytes"]["count"] >= 2
-            assert (thaws(), thaws("labels")) == (thaws_before, label_thaws_before)  # reads never thaw
-
-            delta = GraphDelta()
-            for source, target in zip(nodes[:6], nodes[1:7]):
-                delta.add_edge(source, target)
-            assert service.update(delta).mode == "patched"
-            assert (thaws(), thaws("labels")) == (thaws_before + 1, label_thaws_before + 1)
-            assert not service.prepared.compressed().condensation.array_backed
-            assert_parity(service)  # re-forked: the workers inherit the patched containers
-            assert not set(pool.worker_pids()) & set(pids)
-            pids = pool.worker_pids()
-
-            assert service.update(GraphDelta().add_edge(nodes[8], nodes[2])).mode == "patched"
-            assert thaws() == thaws_before + 1  # the maintainer owns the containers now
-            assert_parity(service)
-            assert not set(pool.worker_pids()) & set(pids)
-            assert pool.restarts == 0
-            assert shm_segments() == segments
 
 
 class TestEngineDaemonPool:

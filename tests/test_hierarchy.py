@@ -1,13 +1,17 @@
 """Tests for the hierarchical landmark index (RBIndex)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import IndexBuildError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import layered_dag, preferential_attachment_graph
 from repro.graph.traversal import is_reachable
 from repro.reachability.compression import compress
-from repro.reachability.hierarchy import build_index
+from repro.reachability.hierarchy import build_index, index_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +100,42 @@ class TestBuildIndex:
         small_ref = build_index(social_graph, alpha=0.1, reference_size=100)
         assert small_ref.size_budget == 10
         assert small_ref.size() <= 10
+
+
+class TestIndexEquivalence:
+    """``index_equivalent`` and the column-wise ``LabelTable`` equality it reads."""
+
+    @staticmethod
+    def _index(graph, alpha=0.1):
+        from repro.graph.csr import CSRGraph
+
+        return build_index(compress(CSRGraph.from_digraph(graph)), alpha)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_table_equality_agrees_with_dict_equality(self, seed):
+        rng = random.Random(seed)
+        graph = preferential_attachment_graph(
+            120, edges_per_node=2, seed=seed % 7, back_edge_probability=0.05
+        )
+        before = self._index(graph)
+        nodes = list(graph.nodes())
+        for _ in range(rng.randint(1, 3)):
+            graph.add_edge(rng.choice(nodes), rng.choice(nodes))
+        after = self._index(graph)
+        for left, right in (
+            (before.forward_labels, after.forward_labels),
+            (before.backward_labels, after.backward_labels),
+        ):
+            assert (left == right) == (dict(left) == dict(right))
+            assert left == dict(left) and dict(right) == right
+        assert index_equivalent(before, after) == index_equivalent(after, before)
+
+    def test_a_rebuild_on_an_equal_graph_is_equivalent(self, social_graph):
+        first, second = self._index(social_graph.copy()), self._index(social_graph.copy())
+        assert first.forward_labels is not second.forward_labels
+        assert first.forward_labels == second.forward_labels
+        assert index_equivalent(first, second)
+
+    def test_an_index_at_another_alpha_is_not_equivalent(self, social_graph):
+        assert not index_equivalent(self._index(social_graph, 0.1), self._index(social_graph, 0.2))

@@ -21,7 +21,7 @@ from repro.graph.neighborhood import (
     summarize_node,
     theoretical_alpha_bound,
 )
-from repro.updates.delta import AppliedDelta, GraphDelta
+from repro.updates.delta import GraphDelta
 from repro.updates.overlay import MutableOverlay
 
 
@@ -126,7 +126,7 @@ class TestArrayBackedIndex:
         seed=st.integers(min_value=0, max_value=10_000),
         num_labels=st.sampled_from([1, 3, 64, 65, 130]),
     )
-    def test_agrees_with_summarize_node_through_deltas_and_compaction(self, seed, num_labels):
+    def test_agrees_with_summarize_node_through_deltas(self, seed, num_labels):
         rng = random.Random(seed)
         labels = [f"L{i}" for i in range(num_labels)]
         graph = DiGraph()
@@ -141,17 +141,13 @@ class TestArrayBackedIndex:
         assert all(index._row(node) is not None for node in nodes)
         assert_agrees_with_reference(index, csr, labels, rng)
         assert_rows_agree(index, csr, labels, rng)
-        # Invalidated rows are answered node by node, inside the same array.
-        stale = NeighborhoodIndex(csr)
-        stale.invalidate(rng.sample(nodes, len(nodes) // 2))
-        assert_rows_agree(stale, csr, labels, rng)
 
-        overlay = MutableOverlay(csr)
-        index.rebind(overlay)
+        # Each delta lands on an overlay that freezes into the next graph,
+        # which gets an index of its own, as an update re-prepares it.
         pool = nodes + ["x0", "x1", "x2"]
         delta_labels = labels + ["fresh"]  # a label the base table never saw
         for _ in range(3):
-            record = AppliedDelta()
+            overlay = MutableOverlay(csr)
             for _ in range(6):
                 roll = rng.random()
                 if roll < 0.35:
@@ -163,33 +159,17 @@ class TestArrayBackedIndex:
                 else:
                     op = GraphDelta().remove_node(rng.choice(pool))
                 try:
-                    overlay.apply(op, applied=record)
+                    overlay.apply(op)
                 except (NodeNotFoundError, EdgeNotFoundError):
                     pass
-            index.invalidate(record.summary_dirty)
-            assert_agrees_with_reference(index, overlay, delta_labels, rng)
-        # An index that first meets the overlay with the churn already on it.
-        assert_agrees_with_reference(NeighborhoodIndex(overlay), overlay, delta_labels, rng)
-        assert_agrees_with_reference(
-            pickle.loads(pickle.dumps(index)), overlay, delta_labels, rng
-        )
-
-        compacted = overlay.compact()
-        index.rebind(compacted)
-        assert all(index._row(node) is not None for node in compacted.nodes())
-        assert_agrees_with_reference(index, compacted, delta_labels, rng)
-
-    def test_untouched_nodes_stay_array_backed_on_an_overlay(self):
-        graph = DiGraph.from_edges([(i, i + 1) for i in range(10)])
-        csr = CSRGraph.from_digraph(graph)
-        index = NeighborhoodIndex(csr)
-        overlay = MutableOverlay(csr)
-        index.rebind(overlay)
-        record = overlay.apply(GraphDelta().remove_edge(3, 4))
-        assert index.invalidate(record.summary_dirty) == 2
-        assert {node for node in overlay.nodes() if index._row(node) is None} == {3, 4}
-        assert not index.has_child_label(3, "") and index.has_child_label(2, "")
-        assert len(index) == 1  # only node 3 went through summarize_node
+            # An overlay is no CSRGraph: its index summarises node by node.
+            assert_agrees_with_reference(NeighborhoodIndex(overlay), overlay, delta_labels, rng)
+            csr = overlay.freeze()
+            index = NeighborhoodIndex(csr)
+            assert all(index._row(node) is not None for node in csr.nodes())
+            assert_agrees_with_reference(index, csr, delta_labels, rng)
+            assert_rows_agree(index, csr, delta_labels, rng)
+        assert_agrees_with_reference(pickle.loads(pickle.dumps(index)), csr, delta_labels, rng)
 
 
 class TestFanoutAndBound:

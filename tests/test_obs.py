@@ -27,6 +27,7 @@ What is pinned down here:
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
@@ -269,6 +270,32 @@ class TestCatalog:
             "docs/OBSERVABILITY.md span table drifted from repro.obs.SPANS"
         )
 
+    def test_every_catalogued_name_is_emitted_in_source(self):
+        """No dangling instrument: each name is a literal in ``src/repro``, or
+        the member of a family emitted as ``"prefix." + ...``."""
+        families = ("engine.executor.", "update.")
+        literals, prefixes = set(), set()
+        for path in (ROOT / "src" / "repro").rglob("*.py"):
+            if path == ROOT / "src" / "repro" / "obs" / "__init__.py":
+                continue  # the catalogue itself
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+                if (
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Add)
+                    and isinstance(node.left, ast.Constant)
+                    and node.left.value in families
+                ):
+                    prefixes.add(node.left.value)
+        assert prefixes == set(families), "a listed family is no longer emitted"
+        dangling = sorted(
+            name
+            for name in obs.CATALOG
+            if name not in literals and not name.startswith(tuple(prefixes))
+        )
+        assert not dangling, f"catalogued but never emitted in src/repro: {dangling}"
+
     def test_catalog_histogram_schemes_are_valid(self):
         for name, (kind, unit, module) in obs.CATALOG.items():
             assert kind in ("counter", "gauge", "histogram"), name
@@ -415,10 +442,9 @@ class TestPrepareStages:
         try:
             prepared = PreparedGraph(random_graph(num_nodes=120, num_edges=400, seed=4))
             prepared.prepare("reach", ALPHA)
-            assert prepared.apply_delta(GraphDelta().remove_node(0)).mode == "rebuilt"
-            assert prepared.backend == "MutableOverlay"
-            with obs.span("service.update"):  # the rebuild freezes the overlay first
-                prepared.prepare("reach", ALPHA)
+            with obs.span("service.update"):  # the update re-prepares at once, overlay freeze first
+                assert prepared.apply_delta(GraphDelta().remove_node(0)).mode == "rebuilt"
+            assert prepared.backend == "CSRGraph"
         finally:
             clean_trace.remove_collector(records.append)
         stages = [record for record in records if record["span"] != "service.update"]

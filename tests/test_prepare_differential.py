@@ -7,14 +7,14 @@ selected leaves in order, every field of the landmark index — and therefore
 the same ``RBReach`` answers, visit counts included.  The condensation and
 the ranks of a ``CSRGraph`` are array-backed: ``component_of``, ``size_of``
 and ``rank`` must agree with the oracle's containers for every node while no
-container exists, and the containers thawed afterwards (``membership``,
+container exists, and the containers materialised afterwards (``membership``,
 ``members``, the DAG's labels and both neighbour *orders*, ``ranks()``) must
 equal the oracle's.  The out-of-index labels are int columns
 (``LabelTable``): every DAG node's ``labels_of`` must iterate exactly as the
 oracle's set — also for rows the caps 1–2 truncate, after a pickle
-round-trip and after a shared-memory attach — and the first update thaws
-them into the oracle's dicts.  Ids ``0..n-1`` and a DAG mirror's ids keep no
-per-node map, yet answer every lookup as ``{id: row}`` would.
+round-trip and after a shared-memory attach — and an update re-prepares
+them as columns equal to the oracle's.  Ids ``0..n-1`` and a DAG mirror's
+ids keep no per-node map, yet answer every lookup as ``{id: row}`` would.
 
 The shard build is held to the oracle the same way: ``greedy_partition``
 (on a ``DiGraph`` and on its freeze) must return the identical
@@ -88,7 +88,6 @@ from repro.shard import ShardedEngine
 from repro.shard.partition import Partition, greedy_partition, partition_graph
 from repro.shard.shards import build_shards, induced_order_preserving
 from repro.updates.delta import GraphDelta
-from repro.updates.index_repair import index_equivalent
 from repro.workloads.datasets import load_dataset
 
 ALPHAS = (0.02, 0.2, 1.0)
@@ -199,7 +198,7 @@ def assert_same_dag(actual: DiGraph, expected: DiGraph) -> None:
 
 
 def assert_same_condensation(actual: Condensation, expected: Condensation) -> None:
-    """Array-backed accessors first, then the containers they thaw into."""
+    """Array-backed accessors first, then the containers they materialise."""
     assert actual.array_backed and not expected.array_backed
     assert (actual._dag, actual._membership, actual._members) == (None, None, None)
     for node, component in expected.membership.items():
@@ -216,16 +215,6 @@ def assert_same_condensation(actual: Condensation, expected: Condensation) -> No
     assert actual.members == expected.members
     assert_same_dag(actual.dag, expected.dag)
     assert actual.membership is actual.membership and actual.dag is actual.dag  # made once
-
-    # A thaw moves the containers out; the columns still describe the snapshot.
-    thawed = actual.thaw()
-    assert not thawed.array_backed and thawed.thaw() is thawed and actual.array_backed
-    assert thawed.membership == expected.membership and thawed.members == expected.members
-    assert_same_dag(thawed.dag, expected.dag)
-    assert actual.members == expected.members and actual.members is not thawed.members
-    for node, component in expected.membership.items():
-        assert actual.component_of(node) == thawed.component_of(node) == component
-        assert thawed.size_of(component) == actual.size_of(component)
 
 
 def assert_same_compression(actual, expected) -> None:
@@ -292,7 +281,7 @@ def check_prepared_csr(frozen, frozen_oracle, alphas, reference_size=None, pair_
 
     compressed, compressed_oracle = compress(frozen), oracle_compress(frozen_oracle)
     assert_same_compression(compressed, compressed_oracle)
-    compressed = compress(frozen)  # the stages below run on columns nobody thawed
+    compressed = compress(frozen)  # the stages below run on columns, no container built
     ranks = csr_topological_ranks(compressed.dag_csr)
     assert dict(zip(compressed.dag_csr.nodes(), ranks.tolist())) == oracle_topological_ranks(
         compressed_oracle.dag
@@ -415,7 +404,7 @@ def test_overlay_substrate_gets_the_mirror_ranks_and_order():
 
 
 # --------------------------------------------------------------------------- #
-# Label columns and id maps: published, thawed, looked up as the dicts were
+# Label columns and id maps: published, looked up as the dicts were
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("shape", SHAPES)
 def test_label_columns_attach_as_views_of_the_mirror_segment(shape):
@@ -435,33 +424,21 @@ def test_label_columns_attach_as_views_of_the_mirror_segment(shape):
         del pages, columns, column, attached
 
 
-def test_first_update_thaws_the_labels_into_the_oracles_dicts():
-    graph = make_graph(300, "random", "identity", seed=5)
-    prepared = PreparedGraph(graph)
-    prepared.prepare("reach", 0.05)
-    index = prepared.reachability_index(0.05)
-    oracle = oracle_build_index(oracle_from_digraph(graph), 0.05)
-    assert type(index.forward_labels) is LabelTable
-    assert prepared.apply_delta(GraphDelta().add_edge(3, 200)).mode == "patched"
-    assert type(index.forward_labels) is dict and type(index.backward_labels) is dict
-    assert index.forward_labels == oracle.forward_labels
-    assert index.backward_labels == oracle.backward_labels
-    repaired = prepared.reachability_index(0.05)
-    assert index_equivalent(index, repaired) == index_equivalent(oracle, repaired)
-
-
-def test_a_new_alpha_on_a_patched_state_selects_like_a_fresh_prepare():
-    """A patched state keeps ranks and sizes in containers; the sort reads them into columns."""
+def test_an_update_re_prepares_every_index_like_a_fresh_prepare():
+    """Built α indexes are rebuilt on arrays at once; a new α selects like a fresh prepare."""
     delta = GraphDelta().add_edge(3, 200).add_edge(200, 3).add_edge(40, 41)
     prepared = PreparedGraph(make_graph(300, "random", "identity", seed=5))
     prepared.prepare("reach", 0.05)
     assert prepared.apply_delta(delta).mode == "patched"
-    assert not prepared.compressed().condensation.array_backed
+    assert prepared.compressed().condensation.array_backed
+    assert type(prepared._indexes[0.05].forward_labels) is LabelTable
     mutated = make_graph(300, "random", "identity", seed=5)
     for source, target in ((3, 200), (200, 3), (40, 41)):
         mutated.add_edge(source, target)
-    for alpha in (0.2, 1.0):  # no index of these α exists: ``select_leaves`` sorts afresh
-        assert_same_index(prepared.reachability_index(alpha), oracle_build_index(oracle_from_digraph(mutated), alpha))
+    for alpha in (0.05, 0.2, 1.0):
+        oracle = oracle_build_index(oracle_from_digraph(mutated), alpha)
+        assert_same_index(prepared.reachability_index(alpha), oracle)
+        assert_same_label_order(prepared.reachability_index(alpha), oracle)
 
 
 ID_KEYS = [0, 1, 3, -1, -2, True, False, 1.0, 2.5, np.int64(3), np.float64(2.0), "1", None, (1,), 2**64 + 1]
@@ -838,10 +815,10 @@ def test_work_gate_fresh_csr_prepare_and_reach_batch_build_no_container(work_cou
         report = service.run_batch(queries, 0.05)
     assert any(answer.reachable for answer in report.answers)
     assert {name: work_counts[name] for name in NO_CONTAINERS} == dict.fromkeys(NO_CONTAINERS, 0)
-    # ... and the first patchable update is what thaws, once.
+    # ... and neither does an update: it re-prepares on arrays, freezing nothing node by node.
     with GraphService(frozen, executor="serial", cache_size=0) as service:
         service.prepare(reach_alphas=[0.05])
         work_counts.clear()
-        service.update(GraphDelta().add_edge(nodes[0], nodes[-1]))
-        assert (work_counts["dag"], work_counts["membership"], work_counts["members"]) != (0, 0, 0)
-        assert work_counts["__init__"] == 1  # the DAG; the overlay wraps the CSR, not a DiGraph
+        assert service.update(GraphDelta().add_edge(nodes[0], nodes[-1])).mode == "patched"
+        assert {name: work_counts[name] for name in NO_CONTAINERS} == dict.fromkeys(NO_CONTAINERS, 0)
+        assert work_counts["from_digraph"] == 0

@@ -136,7 +136,6 @@ class TestServiceConfig:
             {"halo_depth": 0},
             {"shard_policy": "broadcast"},
             {"cache_size": -1},
-            {"patch_threshold": 2.0},
             {"max_inflight": 0},
             {"client_alpha_budget": 0.0},
             {"stream_chunk_size": 0},
@@ -323,18 +322,6 @@ class TestPlannerParityContract:
                 got = service.run_batch(requests, alpha=ALPHA).answers
                 expected = serial_answers(service.graph, requests)
                 assert answers_identical("reach", got, expected)
-
-    def test_forced_rebuild_plan_stays_bit_identical(self):
-        base = clustered_graph(clusters=2, size=30, seed=6)
-        requests = [ReachRequest(s, t) for s, t in sample_mixed_pairs(base, 20, seed=8)]
-        # patch_threshold=0 rebuilds every delta.
-        service = GraphService(base.copy(), ServiceConfig(patch_threshold=0.0)).prepare()
-        delta = next(iter(generate_delta_stream(base, batches=1, ops_per_batch=10, seed=3)))
-        report = service.update(delta)
-        assert report.mode == "rebuilt"
-        got = service.run_batch(requests, alpha=ALPHA).answers
-        expected = serial_answers(service.graph, requests)
-        assert answers_identical("reach", got, expected)
 
     def test_update_before_lazy_shard_build_partitions_updated_graph(self):
         # A delta absorbed before the first sharded batch must not strand

@@ -324,6 +324,25 @@ class TestSubscribeAPI:
             report = service.update(GraphDeltaFactory.single_edge(service))
             assert report.maintenance is None
 
+    def test_a_failed_delta_re_evaluates_every_standing_query(self):
+        """The prefix of a delta that raises is served, so no standing answer
+        may stay on the pre-delta graph."""
+        from repro.exceptions import EdgeNotFoundError
+        from repro.updates.delta import GraphDelta
+
+        graph = line_graph(12)
+        with GraphService(graph, ServiceConfig(alpha=0.5)) as service:
+            log = []
+            sub = service.subscribe(ReachRequest(0, 11), sink=log.append)
+            assert sub.signature()[1] is True
+            with pytest.raises(EdgeNotFoundError):
+                service.update(GraphDelta().remove_edge(5, 6).remove_edge(6, 5))
+            assert sub.signature()[1] is False
+            with GraphService(service.graph, ServiceConfig(alpha=0.5)) as fresh:
+                again = fresh.run_batch([sub.request], sub.alpha).answers[0]
+            assert sub.signature() == answer_signature(sub.kind, again)
+            assert answer_signature(sub.kind, replay(log)) == sub.signature()
+
     def test_maintenance_report_partitions_the_table(self):
         with self._service() as service:
             service.subscribe(ReachRequest(0, 9))
@@ -341,9 +360,9 @@ class TestSubscribeAPI:
             assert stats.sub_skipped == maintenance.skipped
 
 
-    def test_patched_update_reads_the_maintained_max_degree(self, monkeypatch):
-        """Rebuilt matchers take ``d_G`` from ``PreparedGraph.max_degree``, which
-        ``apply_delta`` keeps current, instead of rescanning the overlay."""
+    def test_patched_update_takes_d_G_from_the_fresh_csr(self, monkeypatch):
+        """Rebuilt matchers take ``d_G`` off the re-prepared ``CSRGraph``'s degree
+        column; the overlay that applied the delta is never scanned."""
         from repro.updates.delta import GraphDelta
         from repro.updates.overlay import MutableOverlay
 
@@ -356,24 +375,22 @@ class TestSubscribeAPI:
 
         monkeypatch.setattr(MutableOverlay, "max_degree", counted)
         with self._service() as service:
-            service.prepare()  # a condensation to patch
+            service.prepare()  # a condensation to compare against
             query = next(
                 iter(generate_pattern_workload(service.graph, shape=(3, 3), count=1, seed=4))
             )
             sub = service.subscribe(PatternRequest(query.pattern, query.personalized_match))
             anchor = query.personalized_match
-            strangers = [
+            stranger = next(
                 node
                 for node in service.graph.nodes()
                 if node != anchor and node not in service.graph.neighbors(anchor)
-            ]
-            warm = service.update(GraphDelta().add_edge(anchor, strangers[0]))
-            assert warm.mode == "patched"
-            del scans[:]
-            report = service.update(GraphDelta().add_edge(strangers[1], anchor))
+            )
+            report = service.update(GraphDelta().add_edge(stranger, anchor))
             assert report.mode == "patched"
             assert report.maintenance.affected == 1
             assert scans == []
+            assert service.prepared.max_degree() == service.graph.degrees().max()
             with GraphService(service.graph, ServiceConfig(alpha=ALPHA)) as fresh:
                 again = fresh.run_batch([sub.request], sub.alpha).answers[0]
             assert sub.signature() == answer_signature(sub.kind, again)

@@ -3,17 +3,19 @@
 The load-bearing property is **rebuild equivalence**: after any delta
 sequence, the updated service's answers are bit-identical — field by field,
 ``visited`` counters included — to a service freshly prepared on the mutated
-graph, for every executor and worker count, whether the update was patched
-or rebuilt.  On top of that: the overlay must mirror ``DiGraph`` op
-semantics exactly (including iteration order), the maintained condensation
-must equal a fresh one, and cache invalidation must be surgical (touched
-entries evicted, untouched entries provably still exact stay hot).
+graph, for every executor and worker count.  On top of that: the overlay
+must mirror ``DiGraph`` op semantics exactly (including iteration order),
+its array freeze must equal the node-by-node one, the comparison of the old
+and the fresh condensation must name exactly the components that changed,
+and cache invalidation must be surgical (touched entries evicted, untouched
+entries provably still exact stay hot).
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,16 +27,9 @@ from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import preferential_attachment_graph
 from repro.graph.protocol import GraphLike
-from repro.graph.topology import verify_rank_invariant
-from repro.reachability.compression import compress
+from repro.reachability.compression import component_changes, compress
 from repro.service import GraphService
-from repro.updates import (
-    CondensationMaintainer,
-    GraphDelta,
-    MutableOverlay,
-    overlay_digraph_equal,
-)
-from repro.updates.delta import AppliedDelta
+from repro.updates import GraphDelta, MutableOverlay, overlay_digraph_equal
 from repro.workloads.deltas import generate_delta_stream
 from repro.workloads.queries import generate_reachability_workload
 
@@ -178,121 +173,141 @@ class TestMutableOverlay:
         for label in mutable.distinct_labels():
             assert overlay.nodes_with_label(label) == mutable.nodes_with_label(label)
 
-    def test_compaction_equals_frozen_mutated_graph(self):
-        rng = random.Random(3)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000), removals=st.booleans())
+    def test_freeze_equals_the_digraph_freeze(self, seed, removals):
+        """Array for array, each delta over the last freeze, as updates chain them."""
+        rng = random.Random(seed)
+        graph = preferential_attachment_graph(
+            num_nodes=40, edges_per_node=2, seed=seed % 7, back_edge_probability=0.15
+        )
+        frozen = CSRGraph.from_digraph(graph)
+        mutable = graph.copy()
+        for _ in range(2):
+            overlay = MutableOverlay(frozen)
+            delta = _random_delta(rng, mutable, ops=12, allow_removals=removals)
+            delta.apply_to(mutable)
+            overlay.apply(delta)
+            frozen = overlay.freeze()
+            assert_same_arrays(frozen, CSRGraph.from_digraph(overlay))
+            assert_same_arrays(frozen, CSRGraph.from_digraph(mutable))
+
+    def test_freeze_moves_reinserted_items_to_the_end(self):
+        graph = DiGraph.from_edges(
+            [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)], labels={0: "A", 1: "B", 2: "A", 3: "C"}
+        )
+        delta = (
+            GraphDelta()
+            .remove_node(1)
+            .add_node(1, "Q")
+            .add_edge(1, 0)
+            .remove_edge(2, 0)
+            .add_edge(2, 0)
+            .add_node(3, "R")
+            .add_node("new", "A")
+            .add_edge("new", 1)
+            .add_edge(0, "new")
+        )
+        overlay = MutableOverlay(CSRGraph.from_digraph(graph))
+        overlay.apply(delta)
+        mutable = graph.copy()
+        delta.apply_to(mutable)
+        frozen = overlay.freeze()
+        assert list(frozen.nodes()) == [0, 2, 3, 1, "new"]
+        assert list(frozen.successors(2)) == [3, 0]
+        assert frozen._label_table == ["A", "R", "Q"]
+        assert_same_arrays(frozen, CSRGraph.from_digraph(mutable))
+
+    def test_freeze_reads_no_per_node_view(self, monkeypatch):
         graph = preferential_attachment_graph(num_nodes=60, edges_per_node=2, seed=3)
         overlay = MutableOverlay(CSRGraph.from_digraph(graph))
-        mutable = graph.copy()
-        delta = _random_delta(rng, graph, ops=25, allow_removals=True)
+        overlay.apply(_random_delta(random.Random(3), graph, ops=25, allow_removals=True))
+        expected = CSRGraph.from_digraph(overlay)
+        for name in ("label", "successors", "predecessors", "neighbors", "nodes"):
+            monkeypatch.setattr(MutableOverlay, name, None)
+        assert_same_arrays(overlay.freeze(), expected)
+
+
+    def test_freeze_over_a_digraph_base_goes_node_by_node(self):
+        graph = preferential_attachment_graph(num_nodes=30, edges_per_node=2, seed=2)
+        overlay = MutableOverlay(graph.copy())
+        delta = _random_delta(random.Random(2), graph, ops=10, allow_removals=True)
         overlay.apply(delta)
-        delta.apply_to(mutable)
-        compacted = overlay.compact()
-        frozen = CSRGraph.from_digraph(mutable)
-        assert list(compacted.nodes()) == list(frozen.nodes())
-        for node in mutable.nodes():
-            assert list(compacted.successors(node)) == list(frozen.successors(node))
-            assert list(compacted.predecessors(node)) == list(frozen.predecessors(node))
-            assert compacted.label(node) == frozen.label(node)
-
-    def test_fraction_grows_with_churn(self):
-        graph = DiGraph.from_edges([(index, index + 1) for index in range(50)])
-        overlay = MutableOverlay(CSRGraph.from_digraph(graph))
-        assert overlay.fraction() == 0.0
-        overlay.apply(GraphDelta().remove_edge(0, 1).add_node("new").add_edge("new", 5))
-        assert overlay.overlay_size() == 3
-        assert overlay.fraction() == pytest.approx(3 / graph.size())
+        delta.apply_to(graph)
+        assert_same_arrays(overlay.freeze(), CSRGraph.from_digraph(graph))
 
 
-def _maintainer_of(graph) -> CondensationMaintainer:
-    compressed = compress(graph)
-    return CondensationMaintainer.from_fresh(
-        graph, compressed.condensation, compressed.ranks, compressed.dag_csr
-    )
+def assert_same_arrays(actual: CSRGraph, expected: CSRGraph) -> None:
+    """Ids, label table and every column equal, dtypes included."""
+    assert list(actual.nodes()) == list(expected.nodes())
+    assert actual._identity == expected._identity
+    assert actual._label_table == expected._label_table
+    for name in (
+        "_label_ids",
+        "_succ_indptr",
+        "_succ_indices",
+        "_pred_indptr",
+        "_pred_indices",
+        "_degrees",
+    ):
+        left, right = getattr(actual, name), getattr(expected, name)
+        assert left.dtype == right.dtype and np.array_equal(left, right), name
 
 
-class TestIncrementalCondensation:
-    @settings(max_examples=15, deadline=None)
+class TestComponentChanges:
+    def test_a_merge_and_a_split_name_their_components(self):
+        # Two 2-cycles {0, 1} and {2, 3}, joined 1 -> 2, with a tail 3 -> 4.
+        graph = DiGraph.from_edges([(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (3, 4)])
+        old = compress(CSRGraph.from_digraph(graph))
+        merged = graph.copy()
+        merged.add_edge(3, 0)  # one cycle through 0..3; 4 stays alone, rank unmoved
+        dirty, moved = component_changes(old, compress(CSRGraph.from_digraph(merged)), {3, 0})
+        assert (dirty, moved) == ({0, 1, 2, 3}, False)
+        split = graph.copy()
+        split.remove_edge(1, 0)  # {0, 1} splits; 0 and 1 become their own components
+        dirty, moved = component_changes(old, compress(CSRGraph.from_digraph(split)), {1, 0})
+        assert (dirty, moved) == ({0, 1}, False)
+        chained = graph.copy()
+        chained.add_node(5)
+        chained.add_edge(4, 5)  # 4 gains a child: it and every ancestor move rank
+        dirty, moved = component_changes(old, compress(CSRGraph.from_digraph(chained)), {4, 5})
+        assert (dirty, moved) == ({5}, True)
+
+    @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_patched_condensation_equals_fresh(self, seed):
-        """Membership, DAG (orders included), ranks and multiplicities match."""
+    def test_component_changes_match_a_scan_of_every_component(self, seed):
+        """The touched nodes' components are all that can change, and the rank
+        check sees every surviving component."""
         rng = random.Random(seed)
         graph = preferential_attachment_graph(
             num_nodes=60, edges_per_node=2, seed=seed % 5, back_edge_probability=0.2
         )
-        overlay = MutableOverlay(CSRGraph.from_digraph(graph))
-        maintainer = _maintainer_of(overlay)
-        pool = list(overlay.nodes())
-        for round_number in range(3):
-            record = AppliedDelta()
-            for position in range(10):
-                roll = rng.random()
-                op = GraphDelta()
-                if roll < 0.45:
-                    op.add_edge(rng.choice(pool), rng.choice(pool))
-                elif roll < 0.75:
-                    edges = list(overlay.edges())
-                    if not edges:
-                        continue
-                    op.remove_edge(*rng.choice(edges))
-                elif roll < 0.9:
-                    name = f"n{round_number}-{position}"
-                    op.add_node(name, label=rng.choice("ABC"))
-                    pool.append(name)
-                else:
-                    op.add_node(rng.choice(pool), label=rng.choice("ABC"))
-                try:
-                    overlay.apply(op, applied=record)
-                except (NodeNotFoundError, EdgeNotFoundError):
-                    pass
-            result = maintainer.apply(overlay, record)
-            assert result is not None
-            fresh_compressed = compress(overlay)
-            fresh, fresh_ranks = fresh_compressed.condensation, fresh_compressed.ranks
-            patched = result.condensation
-            assert dict(patched.membership) == dict(fresh.membership)
-            assert set(patched.dag.nodes()) == set(fresh.dag.nodes())
-            assert patched.dag.num_edges() == fresh.dag.num_edges()
-            for component in fresh.dag.nodes():
-                assert patched.dag.label(component) == fresh.dag.label(component)
-                assert list(patched.dag.successors(component)) == list(
-                    fresh.dag.successors(component)
-                )
-                assert list(patched.dag.predecessors(component)) == list(
-                    fresh.dag.predecessors(component)
-                )
-            assert result.rank_index.ranks() == fresh_ranks.ranks()
-            assert result.rank_index.max_rank == fresh_ranks.max_rank
-            assert result.rank_index.max_degree == fresh_ranks.max_degree
-            assert verify_rank_invariant(patched.dag, result.rank_index.ranks())
-            # The greedy exclusion walk runs on the mirror: neighbours in DAG order.
-            mirror = maintainer.dag_mirror()
-            for component in fresh.dag.nodes():
-                row = mirror.index_of(component)
-                assert mirror.ids_of(mirror.neighbor_indices(row)) == list(fresh.dag.neighbors(component))
-            # Maintained degrees feed the selection rerun; they must match.
-            assert result.dag_degrees == {
-                component: fresh.dag.degree(component) for component in fresh.dag.nodes()
-            }
-            # The maintained candidate order must equal a fresh full sort.
-            from repro.reachability.landmarks import selection_sort_key
+        mutable = graph.copy()
+        old = compress(CSRGraph.from_digraph(graph))
+        for _ in range(3):
+            delta = _random_delta(rng, mutable, ops=10)
+            touched = delta.apply_to(mutable).touched_nodes()
+            fresh = compress(CSRGraph.from_digraph(mutable))
+            dirty, moved = component_changes(old, fresh, touched)
 
-            fresh_order = sorted(
-                fresh.dag.nodes(),
-                key=lambda c: selection_sort_key(
-                    c,
-                    fresh.dag.degree(c),
-                    fresh_ranks.rank(c),
-                    float(len(fresh.members[c])),
-                ),
+            def groups(compressed):
+                members = compressed.condensation.members
+                return {component: frozenset(nodes) for component, nodes in members.items()}
+
+            before, after = groups(old), groups(fresh)
+            expected_dirty = set()
+            for node in mutable.nodes():
+                now = after[fresh.component_of(node)]
+                then = before[old.component_of(node)] if node in old.original else frozenset()
+                if now != then:
+                    expected_dirty |= now | then
+            assert dirty == expected_dirty
+            assert moved == any(
+                old.ranks.rank(component) != fresh.ranks.rank(component)
+                for component, members in before.items()
+                if after.get(component) == members
             )
-            assert result.selection_order == fresh_order
-
-    def test_node_removal_refuses_to_patch(self):
-        graph = preferential_attachment_graph(num_nodes=30, edges_per_node=2, seed=0)
-        overlay = MutableOverlay(CSRGraph.from_digraph(graph))
-        maintainer = _maintainer_of(overlay)
-        record = overlay.apply(GraphDelta().remove_node(next(iter(graph.nodes()))))
-        assert maintainer.apply(overlay, record) is None
+            old = fresh
 
 
 @pytest.fixture(scope="module")
@@ -337,26 +352,20 @@ class TestRebuildEquivalence:
         assert updated == _answers(_serial(service.graph), reach_queries)
         assert updated == _answers(_serial(mutable), reach_queries)
 
-    @pytest.mark.parametrize("with_condensation", [False, True])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_maintained_max_degree_equals_a_scan(self, served_graph, seed, with_condensation):
-        """The pattern matchers' visit coefficient is read off this value."""
+    def test_max_degree_reads_the_fresh_csr(self, served_graph, seed):
+        """The pattern matchers' visit coefficient, after node removals too."""
         rng = random.Random(seed)
         prepared = PreparedGraph(served_graph.copy())
-        if with_condensation:
-            prepared.compressed()  # "patched"/"rebuilt" modes; "fresh" otherwise
         hub = max(served_graph.nodes(), key=served_graph.degree)
-        deltas = [GraphDelta().remove_node(next(iter(served_graph.neighbors(hub))))]
         mutable = served_graph.copy()
-        deltas[0].apply_to(mutable)
-        for _ in range(6):
-            delta = _random_delta(rng, mutable, ops=8, allow_removals=True)
-            delta.apply_to(mutable)
-            deltas.append(delta)
+        deltas = [GraphDelta().remove_node(next(iter(served_graph.neighbors(hub))))]
         assert prepared.max_degree() == served_graph.max_degree()
-        for delta in deltas:
+        for step in range(7):
+            delta = deltas[0] if step == 0 else _random_delta(rng, mutable, ops=8, allow_removals=True)
+            delta.apply_to(mutable)
             prepared.apply_delta(delta)
-            assert prepared.max_degree() == prepared.graph.max_degree()
+            assert prepared.max_degree() == mutable.max_degree()
 
     @staticmethod
     def _remove_a_node(served_graph, reach_queries, alphas):
@@ -372,7 +381,7 @@ class TestRebuildEquivalence:
     def test_node_removals_take_rebuild_path_and_stay_equivalent(self, served_graph, reach_queries):
         service, mutable = self._remove_a_node(served_graph, reach_queries, (ALPHA, 0.2))
         fresh = _serial(mutable)
-        for alpha in (ALPHA, 0.2):  # the lazy re-prepare answers as a fresh one does
+        for alpha in (ALPHA, 0.2):  # the re-prepare answers as a fresh one does
             assert _answers(service, reach_queries, alpha) == _answers(fresh, reach_queries, alpha)
 
     def test_node_removal_rebuild_lands_on_the_array_tier(self, served_graph, reach_queries):
@@ -390,15 +399,6 @@ class TestRebuildEquivalence:
             assert_same_index(prepared.reachability_index(alpha), oracle_build_index(frozen_oracle, alpha))
         assert_same_compression(compressed, oracle_compress(frozen_oracle))
 
-    def test_oversized_delta_falls_back_to_rebuild(self, served_graph, reach_queries):
-        service = _serial(served_graph, patch_threshold=0.0)
-        service.run_batch(reach_queries, ALPHA)
-        mutable = served_graph.copy()
-        delta = _random_delta(random.Random(5), mutable, ops=6)
-        delta.apply_to(mutable)
-        assert service.update(delta).mode == "rebuilt"
-        assert _answers(service, reach_queries) == _answers(_serial(mutable), reach_queries)
-
     def test_warm_daemons_see_updated_state(self, served_graph, reach_queries):
         mutable = served_graph.copy()
         delta = _random_delta(random.Random(11), mutable, ops=10)
@@ -409,19 +409,24 @@ class TestRebuildEquivalence:
             via_daemon = _answers(service, reach_queries)
         assert via_daemon == _answers(_serial(mutable), reach_queries)
 
-    def test_compaction_preserves_answers(self, served_graph, reach_queries):
-        service = _serial(served_graph, compact_threshold=0.02)
-        service.run_batch(reach_queries, ALPHA)
-        mutable = served_graph.copy()
-        rng = random.Random(21)
-        compacted = False
-        for _ in range(6):
-            delta = _random_delta(rng, mutable, ops=12)
-            delta.apply_to(mutable)
-            report = service.update(delta)
-            compacted = compacted or report.engine_report.summary.compacted
-        assert compacted, "compaction threshold never tripped"
-        assert _answers(service, reach_queries) == _answers(_serial(mutable), reach_queries)
+    def test_an_update_rebuilds_only_what_was_built(self, served_graph):
+        pattern_only = PreparedGraph(served_graph)
+        pattern_only.prepare("simulation", ALPHA)
+        assert pattern_only.apply_delta(GraphDelta().add_node("w", "Z")).mode == "fresh"
+        assert pattern_only.state_signature() == ((), (), (), False)  # matchers stay lazy
+        reach = PreparedGraph(served_graph)
+        reach.prepare("reach", ALPHA)
+        reach.prepare("reach", 0.2)
+        assert reach.apply_delta(GraphDelta().add_node("w", "Z")).mode == "patched"
+        assert reach.state_signature() == ((ALPHA, 0.2), (), (), True)
+
+    def test_a_noop_delta_keeps_the_prepared_state(self, served_graph):
+        prepared = PreparedGraph(served_graph)
+        prepared.prepare("reach", ALPHA)
+        graph, index = prepared.graph, prepared.reachability_index(ALPHA)
+        source, target = next(iter(served_graph.edges()))
+        assert prepared.apply_delta(GraphDelta().add_edge(source, target)).mode == "noop"
+        assert prepared.graph is graph and prepared.reachability_index(ALPHA) is index
 
     def test_empty_delta_is_noop(self, served_graph):
         assert GraphService(served_graph).update(GraphDelta()).mode == "noop"
@@ -558,6 +563,20 @@ class TestCacheInvalidation:
         assert report.cache_retained == 0
         assert len(service._cache) == 0
 
+    def test_removing_a_personalized_match_evicts_its_pattern_entries(self, served_graph):
+        """With no reach state built, a node removal still flushes: a kept answer
+        anchored at the removed node would outlive it."""
+        from repro.workloads.queries import generate_pattern_workload
+
+        workload = generate_pattern_workload(served_graph, shape=(3, 3), count=2, seed=4)
+        queries = [PatternQuery(q.pattern, q.personalized_match) for q in workload]
+        service = _serial(served_graph, cache_size=64)
+        service.run_batch(queries, ALPHA)
+        report = service.update(GraphDelta().remove_node(queries[0].personalized_match))
+        assert report.mode == "rebuilt" and report.cache_retained == 0
+        fresh = _serial(service.graph).run_batch(queries, ALPHA).answers
+        assert [a.answer for a in service.run_batch(queries, ALPHA).answers] == [a.answer for a in fresh]
+
     def test_pattern_entries_evicted_on_size_change(self, served_graph):
         from repro.workloads.queries import generate_pattern_workload
 
@@ -609,12 +628,6 @@ class TestDeltaStream:
         for delta in stream:
             delta.apply_to(mutable)  # must not raise
         assert mutable == stream.final_graph
-
-    def test_growth_stream_stays_patched(self, served_graph):
-        stream = generate_delta_stream(served_graph, batches=3, ops_per_batch=15, mix="growth", seed=2)
-        service = GraphService(served_graph).prepare(reach_alphas=[ALPHA])
-        for delta in stream:
-            assert service.update(delta).mode == "patched"
 
     @pytest.mark.parametrize("mix", ["growth", "uniform"])
     def test_stream_answers_match_fresh_prepare(self, served_graph, reach_queries, mix):
