@@ -25,15 +25,17 @@
 #                       when installed), printing which gate failed
 #   make test-soak    - the slow_shm shared-memory/daemon soak tests
 #                       (deselected from tier-1; run nightly)
-#   make nightly      - the soak tests + every pytest benchmark (the nightly
-#                       workflow then runs bench-e2e)
+#   make fuzz-nightly - the stateful service fuzzer under its long hypothesis
+#                       profile (300 examples x 20 steps; tier-1 runs 30 x 12)
+#   make nightly      - the soak tests, the long fuzzer run + every pytest
+#                       benchmark (the nightly workflow then runs bench-e2e)
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 CI_GATES := lint test docs-check coverage bench-smoke
 
-.PHONY: test test-soak lint coverage bench-smoke bench bench-e2e docs-check ci nightly
+.PHONY: test test-soak fuzz-nightly lint coverage bench-smoke bench bench-e2e docs-check ci nightly
 
 # --durations: the ten slowest tests in every log, so the tier-1 budget
 # (<=2 min, ROADMAP.md) is visible before it is broken.
@@ -47,6 +49,9 @@ test:
 
 test-soak:
 	$(PYTHON) -m pytest tests -m slow_shm -q
+
+fuzz-nightly:
+	$(PYTHON) -m pytest tests/test_service_stateful.py -q --hypothesis-profile=nightly
 
 lint:
 	$(PYTHON) tools/lint.py
@@ -77,4 +82,4 @@ ci:
 		$(MAKE) --no-print-directory $$gate || { echo "CI GATE FAILED: $$gate"; exit 1; }; \
 	done; echo "all CI gates passed: $(CI_GATES)"
 
-nightly: test-soak bench
+nightly: test-soak fuzz-nightly bench

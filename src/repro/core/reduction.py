@@ -129,6 +129,22 @@ class ReductionResult:
     restarted: bool = False
     abandoned_visits: int = 0
 
+    @property
+    def saturated(self) -> bool:
+        """Whether no cap bound this search: one pass to its ``fixpoint`` that
+        never reclaimed, with ``stored`` and ``visited`` strictly under the
+        caps.  Every charge then fit and no cut fired, so under any caps its
+        spend fits strictly under the search takes the same steps and gives
+        the same ``G_Q``."""
+        budget = self.budget
+        return (
+            self.stop == "fixpoint"
+            and not self.restarted
+            and self.reclaimed == 0
+            and budget.stored < budget.size_limit
+            and budget.visited < budget.visit_limit
+        )
+
     def spend(self) -> Dict[str, object]:
         """Budget spent versus budget allowed, as the ``reduction.search`` span carries it."""
         budget = self.budget

@@ -42,7 +42,6 @@ from repro.engine.invalidation import (
     InvalidationDecision,
     anchor_of,
     partition_entries,
-    pattern_budget_changed,
 )
 from repro.engine.executors import EXECUTOR_NAMES, default_workers
 from repro.engine.prepared import PreparedGraph, SharedPreparedGraph, UpdateSummary, publish_state
@@ -62,6 +61,5 @@ __all__ = [
     "anchor_of",
     "default_workers",
     "partition_entries",
-    "pattern_budget_changed",
     "publish_state",
 ]

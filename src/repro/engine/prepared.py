@@ -23,9 +23,10 @@ import pickle
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping, Optional, Set, Type, TypeVar
+from typing import Any, Dict, Iterator, Mapping, Optional, Set, Tuple, Type, TypeVar
 
 from repro import obs
+from repro.core.budget import ResourceBudget
 from repro.core.rbsim import BoundedMatcher, RBSim, RBSimConfig
 from repro.core.rbsub import RBSub
 from repro.exceptions import EngineError
@@ -61,9 +62,8 @@ class UpdateSummary:
     seconds: float = 0.0
     delta_ops: int = 0
     touched_nodes: Set[NodeId] = field(default_factory=set)
-    #: ``|G|`` before/after the delta — the inputs of the per-α resource
-    #: budget ``⌊α·|G|⌋``, so invalidation can tell a size drift that moves
-    #: a budget from one that does not (see ``repro.engine.invalidation``).
+    #: ``|G|`` before/after the delta (reported; pattern retention reads
+    #: the caps themselves, :meth:`PreparedGraph.pattern_caps`).
     size_before: int = 0
     size_after: int = 0
     #: Per prepared α: the fresh index is answer-identical to the old one
@@ -72,11 +72,6 @@ class UpdateSummary:
     reach_alphas_preserved: Dict[float, bool] = field(default_factory=dict)
     #: Original nodes whose condensed component changed (merges/splits).
     membership_dirty: Set[NodeId] = field(default_factory=set)
-    #: Degrees of the delta's touched nodes before/after the update — the
-    #: only degrees that can move, so the engine's pattern-cache guard can
-    #: detect max-degree changes without a full-graph scan.
-    touched_degrees_before: Dict[NodeId, int] = field(default_factory=dict)
-    touched_degrees_after: Dict[NodeId, int] = field(default_factory=dict)
     #: Always 0: no landmark is re-swept in place.  Kept for the reports
     #: that read it.
     dirty_landmarks: int = 0
@@ -229,6 +224,13 @@ class PreparedGraph:
             return self._pattern_visit_coefficient
         return float(max(1, self.max_degree()))
 
+    def pattern_caps(self, alpha: float) -> Tuple[int, int]:
+        """The caps ``(⌊α·|G|⌋, ⌊c·α·|G|⌋)`` a pattern search at ``alpha`` runs
+        under on this graph: the matchers' budget, read without a search."""
+        size = self._pattern_reference_size
+        budget = ResourceBudget(alpha, self.graph.size() if size is None else size, self._visit_coefficient())
+        return budget.size_limit, budget.visit_limit
+
     def rbsim(self, alpha: float) -> RBSim:
         """The strong-simulation matcher for ``alpha`` (shared index)."""
         return self._matcher(self._rbsim, RBSim, alpha)
@@ -315,8 +317,6 @@ class PreparedGraph:
         started = time.perf_counter()
         old_graph = self.graph
         overlay = MutableOverlay(old_graph)
-        touched = delta.touched_nodes()
-        degrees_before = {node: old_graph.degree(node) for node in touched if node in old_graph}
         record = AppliedDelta()
         try:
             overlay.apply(delta, applied=record)
@@ -336,11 +336,8 @@ class PreparedGraph:
             return summary
         old_compressed, old_indexes = self._compressed, self._indexes
         self._reprepare(overlay)
-        graph = self.graph
         summary.touched_nodes = record.touched_nodes()
-        summary.size_after = graph.size()
-        summary.touched_degrees_before = degrees_before
-        summary.touched_degrees_after = {node: graph.degree(node) for node in touched if node in graph}
+        summary.size_after = self.graph.size()
         if record.nodes_removed:
             summary.mode = "rebuilt"
         elif old_compressed is None:

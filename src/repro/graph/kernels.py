@@ -517,17 +517,18 @@ def csr_reach_mask(
     return seen
 
 
-def csr_bfs_distances(
+def csr_hop_levels(
     graph: CSRGraph,
-    source: NodeId,
+    rows: Sequence[int],
     max_hops: Optional[int] = None,
     direction: Direction = _BOTH,
-) -> Dict[NodeId, int]:
-    """Level-synchronous BFS distances via vectorised frontier gathers."""
-    start = graph.index_of(source)
+) -> "np.ndarray":
+    """Hop distance of every row from the nearest of ``rows`` (-1 where not
+    reached within ``max_hops``): one level-synchronous sweep of vectorised
+    frontier gathers for all sources at once."""
     dist = np.full(graph.num_nodes(), -1, dtype=np.int64)
-    dist[start] = 0
-    frontier = np.array([start], dtype=np.int64)
+    frontier = _unique(np.asarray(rows, dtype=np.int64))
+    dist[frontier] = 0
     depth = 0
     while frontier.size and (max_hops is None or depth < max_hops):
         candidates = graph._frontier_neighbors(frontier, direction)
@@ -537,6 +538,17 @@ def csr_bfs_distances(
         frontier = _unique(candidates)
         depth += 1
         dist[frontier] = depth
+    return dist
+
+
+def csr_bfs_distances(
+    graph: CSRGraph,
+    source: NodeId,
+    max_hops: Optional[int] = None,
+    direction: Direction = _BOTH,
+) -> Dict[NodeId, int]:
+    """Level-synchronous BFS distances from one source (:func:`csr_hop_levels`)."""
+    dist = csr_hop_levels(graph, [graph.index_of(source)], max_hops, direction)
     reached = np.nonzero(dist >= 0)[0]
     return dict(zip(graph.ids_of(reached), dist[reached].tolist()))
 

@@ -256,7 +256,6 @@ class GraphService:
         # Invalidation anchors: cache key → what part of the graph the query
         # touches, so updates can evict surgically (see :meth:`_apply`).
         self._anchors: Dict[CacheKey, Tuple[Any, ...]] = {}
-        self._pattern_guard_max_degree: Optional[int] = None
         # Warm daemon pool (created by the first daemon batch) and the update
         # epoch that, with the prepared-state signature, versions the state
         # the daemons hold so republish happens exactly when needed.
@@ -733,13 +732,7 @@ class GraphService:
                     for stale in self._cache.put(fingerprint, alpha, answer):
                         self._anchors.pop(stale, None)
                         evictions += 1
-                    anchor = anchor_of(queries[position])
-                    self._anchors[(fingerprint, alpha)] = anchor
-                    if anchor[0] != REACH and self._pattern_guard_max_degree is None:
-                        # Pattern retention across updates needs the visit
-                        # coefficient (max degree) the answer was computed
-                        # under; snapshot it with the first cached pattern.
-                        self._pattern_guard_max_degree = self._prepared.max_degree()
+                    self._anchors[(fingerprint, alpha)] = anchor_of(queries[position], answer)
         for position, leader in followers:
             answers[position] = answers[leader]
 
@@ -764,10 +757,9 @@ class GraphService:
         return answers
 
     def _flush_cache(self) -> None:
-        """Drop every cached answer, its anchor and the pattern guard."""
+        """Drop every cached answer and its anchor."""
         self._cache.clear()
         self._anchors.clear()
-        self._pattern_guard_max_degree = None
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -791,19 +783,19 @@ class GraphService:
                 raise ServiceError(f"update needs a GraphDelta, got {type(delta).__name__}")
             started = time.perf_counter()
             with obs.span("service.update", ops=delta.size()):
+                # The applied prefix of a delta that raises is served, and
+                # nothing vouches for any standing answer: every one
+                # re-evaluates.
+                engine_report = UpdateReport(summary=UpdateSummary(mode="rebuilt"))
+                standing = [sub.id for sub in self._subscriptions.subscriptions()]
                 try:
-                    engine_report = self._apply(delta)
-                except Exception:
-                    # The applied prefix is served now, and nothing vouches
-                    # for any standing answer: every one re-evaluates.
-                    engine_report = UpdateReport(summary=UpdateSummary(mode="rebuilt"))
-                    raise
+                    engine_report, standing = self._apply(delta)
                 finally:
                     # An unbuilt sharded engine needs nothing: it partitions
                     # the served graph on first use.
                     if self._sharded is not None:
                         self._sharded.reset(self.graph)
-                    maintenance = self._maintain_subscriptions(engine_report)
+                    maintenance = self._maintain_subscriptions(engine_report.mode, standing)
             wall = time.perf_counter() - started
             self._stats.updates += 1
             obs.counter("service.updates").inc()
@@ -817,17 +809,20 @@ class GraphService:
                 maintenance=maintenance,
             )
 
-    def _apply(self, delta: GraphDelta) -> UpdateReport:
-        """Re-prepare the state on the updated graph, then invalidate the cache.
+    def _apply(self, delta: GraphDelta) -> Tuple[UpdateReport, List[int]]:
+        """Re-prepare the state on the updated graph, then decide retention.
 
         Every effective update bumps the state epoch, so the next daemon
-        batch republishes before dispatch.  Cached answers are invalidated
-        surgically: entries whose query touches the mutated region (delta
-        endpoints, changed components, pattern balls overlapping the delta)
-        are evicted; the rest are kept only when the re-prepared state is
-        provably answer-identical for them (identical α index and ranks for
-        reachability; unchanged size, max degree and ball for patterns).  A
-        node removal flushes the cache.
+        batch republishes before dispatch.  One
+        :func:`~repro.engine.invalidation.partition_entries` call decides
+        for the cached answers and the standing queries together: entries
+        whose query touches the mutated region (delta endpoints, changed
+        components, pattern balls overlapping the delta) go; the rest stay
+        only when the re-prepared state is provably answer-identical for
+        them (identical α index and ranks for reachability; the same caps,
+        or a saturated search that fits the fresh ones, for patterns).  A
+        node removal flushes the cache.  Returns the report and the IDs of
+        the standing queries to re-evaluate.
         """
         try:
             summary = self._prepared.apply_delta(delta)
@@ -840,30 +835,29 @@ class GraphService:
             self._state_epoch += 1
             self._flush_cache()
             raise
+        cached, standing = partition_entries(
+            [
+                [(key, key[1], self._anchors.get(key)) for key in self._cache.keys()],
+                self._subscriptions.entries(),
+            ],
+            summary,
+            self._prepared,
+        )
+        self._subscriptions.skip(standing.retained)
         report = UpdateReport(summary=summary)
-        if summary.mode == "noop":
-            report.cache_retained = len(self._cache)
-        elif summary.mode == "rebuilt":
-            self._state_epoch += 1
+        if summary.mode == "rebuilt":
             report.cache_evicted = len(self._cache)
             self._flush_cache()
         else:
-            self._state_epoch += 1
-            decision = partition_entries(
-                [(key, key[1], self._anchors.get(key)) for key in self._cache.keys()],
-                summary,
-                pattern_guard=self._pattern_guard_max_degree,
-                graph=self._prepared.graph,
-                max_degree=self._prepared.max_degree,
-            )
-            self._pattern_guard_max_degree = decision.pattern_guard
-            report.cache_evicted = self._cache.invalidate(decision.stale)
-            for key in decision.stale:
+            report.cache_evicted = self._cache.invalidate(cached.stale)
+            for key in cached.stale:
                 self._anchors.pop(key, None)
-            report.cache_retained = len(self._cache)
+        if summary.mode != "noop":
+            self._state_epoch += 1
+        report.cache_retained = len(self._cache)
         if report.cache_retained:
             obs.counter("cache.retained").inc(report.cache_retained)
-        return report
+        return report, standing.stale
 
     # ------------------------------------------------------------------ #
     # Standing queries (repro.subscribe)
@@ -904,7 +898,6 @@ class GraphService:
                 value,
                 client=resolved.client,
                 sink=sink,
-                max_degree=self._prepared.max_degree,
             )
             self._stats.subscribed += 1
             self._stats.answer_deltas += 1  # the epoch-0 snapshot
@@ -932,14 +925,14 @@ class GraphService:
         with self._lock:
             return self._subscriptions.subscriptions()
 
-    def _maintain_subscriptions(self, engine_report: UpdateReport) -> Optional[MaintenanceReport]:
+    def _maintain_subscriptions(self, mode: str, stale: List[int]) -> Optional[MaintenanceReport]:
         """Re-evaluate exactly the standing queries the delta may have changed.
 
-        Called under the service lock inside ``update``.  The partition comes
-        from the same oracle the cache invalidation just used, so a
-        subscription skips work precisely when its cached answer would have
-        survived; affected ones re-run through :meth:`_run_batch_locked` —
-        planner, cache, daemons and shards included — in chunks of
+        Called under the service lock inside ``update`` with the ``stale``
+        IDs the update's invalidation decision named, so a subscription
+        skips work precisely when its cached answer would have survived;
+        affected ones re-run through :meth:`_run_batch_locked` — planner,
+        cache, daemons and shards included — in chunks of
         :data:`MAINTENANCE_BATCH_SIZE` per α.
         """
         manager = self._subscriptions
@@ -947,39 +940,33 @@ class GraphService:
         if total == 0:
             return None
         started = time.perf_counter()
+        changed = 0
         with obs.span("subscription.maintain", subscriptions=total):
-            decision = manager.partition(
-                engine_report.summary, self.graph, self._prepared.max_degree
-            )
-            changed = 0
-            if decision.stale:
-                groups: Dict[float, List[Subscription]] = {}
-                for sub_id in decision.stale:
-                    sub = manager.get(sub_id)
-                    groups.setdefault(sub.alpha, []).append(sub)
-                for group_alpha in sorted(groups):
-                    group = groups[group_alpha]
-                    for start in range(0, len(group), MAINTENANCE_BATCH_SIZE):
-                        chunk = group[start : start + MAINTENANCE_BATCH_SIZE]
-                        batch = self._run_batch_locked(
-                            [sub.request for sub in chunk], group_alpha
-                        )
-                        for sub, value in zip(chunk, batch.answers):
-                            if manager.commit(sub.id, value) is not None:
-                                changed += 1
-                manager.reseed_guard(self._prepared.max_degree)
+            groups: Dict[float, List[Subscription]] = {}
+            for sub_id in stale:
+                sub = manager.get(sub_id)
+                groups.setdefault(sub.alpha, []).append(sub)
+            for group_alpha in sorted(groups):
+                group = groups[group_alpha]
+                for start in range(0, len(group), MAINTENANCE_BATCH_SIZE):
+                    chunk = group[start : start + MAINTENANCE_BATCH_SIZE]
+                    batch = self._run_batch_locked([sub.request for sub in chunk], group_alpha)
+                    for sub, value in zip(chunk, batch.answers):
+                        if manager.commit(sub.id, value) is not None:
+                            changed += 1
         wall = time.perf_counter() - started
-        obs.counter("sub.affected").inc(len(decision.stale))
-        obs.counter("sub.skipped").inc(len(decision.retained))
+        skipped = total - len(stale)
+        obs.counter("sub.affected").inc(len(stale))
+        obs.counter("sub.skipped").inc(skipped)
         obs.histogram("sub.maintain.seconds").observe(wall)
-        self._stats.sub_affected += len(decision.stale)
-        self._stats.sub_skipped += len(decision.retained)
+        self._stats.sub_affected += len(stale)
+        self._stats.sub_skipped += skipped
         self._stats.answer_deltas += changed
         return MaintenanceReport(
-            mode=engine_report.mode,
+            mode=mode,
             subscriptions=total,
-            affected=len(decision.stale),
-            skipped=len(decision.retained),
+            affected=len(stale),
+            skipped=skipped,
             changed=changed,
             wall_seconds=wall,
         )

@@ -3,11 +3,11 @@
 The :class:`SubscriptionManager` owns the standing-query table of one
 :class:`~repro.service.GraphService`.  It is deliberately engine-agnostic:
 the service materialises and re-evaluates answers through its normal batch
-path; the manager only decides *which* subscriptions an absorbed delta may
-have affected — by calling the same
-:func:`repro.engine.invalidation.partition_entries` oracle the engine's LRU
-cache uses — and turns answer changes into pushed
-:class:`~repro.subscribe.subscription.AnswerDelta` envelopes.
+path and decides *which* subscriptions an absorbed delta may have affected
+— in the same :func:`repro.engine.invalidation.partition_entries` call that
+decides its LRU cache's retention, over the anchors this table keeps
+(:meth:`SubscriptionManager.entries`); the manager turns answer changes into
+pushed :class:`~repro.subscribe.subscription.AnswerDelta` envelopes.
 
 All mutation happens under the owning service's lock; the manager itself
 holds none.
@@ -15,16 +15,12 @@ holds none.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro import obs
-from repro.engine.invalidation import InvalidationDecision, anchor_of, partition_entries
-from repro.engine.prepared import UpdateSummary
-from repro.engine.queries import REACH
+from repro.engine.invalidation import Entry, anchor_of
 from repro.exceptions import ServiceError
-from repro.graph.protocol import GraphLike
 from repro.subscribe.subscription import (
     INITIAL,
     UPDATE,
@@ -61,19 +57,12 @@ class MaintenanceReport:
 
 
 class SubscriptionManager:
-    """The standing-query table: registration, partitioning, delta emission.
-
-    ``_guard`` mirrors the engine's pattern max-degree guard but tracks the
-    *subscription* population: it is snapshotted when the first pattern
-    subscription appears and dropped whenever a partition retains no pattern
-    subscription, exactly as :func:`partition_entries` prescribes.
-    """
+    """The standing-query table: registration, anchors, delta emission."""
 
     def __init__(self) -> None:
         self._subscriptions: Dict[int, Subscription] = {}
         self._sinks: Dict[int, DeltaSink] = {}
         self._next_id = 0
-        self._guard: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self._subscriptions)
@@ -99,28 +88,24 @@ class SubscriptionManager:
         *,
         client: str,
         sink: Optional[DeltaSink] = None,
-        max_degree: Optional[Callable[[], int]] = None,
     ) -> Subscription:
         """Admit a standing query with its freshly materialised answer.
 
         Emits the epoch-0 registration snapshot through ``sink`` so a delta
-        log replays from nothing to the current answer.  ``max_degree``
-        seeds the pattern guard when this is the first pattern subscription.
+        log replays from nothing to the current answer.
         """
         sub = Subscription(
             id=self._next_id,
             request=request,
             alpha=alpha,
             client=client,
-            anchor=anchor_of(request),
+            anchor=anchor_of(request, value),
             value=value,
         )
         self._next_id += 1
         self._subscriptions[sub.id] = sub
         if sink is not None:
             self._sinks[sub.id] = sink
-        if sub.kind != REACH and self._guard is None and max_degree is not None:
-            self._guard = max_degree()
         self._emit(sub, old_value=None, reason=INITIAL)
         return sub
 
@@ -129,52 +114,26 @@ class SubscriptionManager:
         sub = self.get(sub_id)
         del self._subscriptions[sub_id]
         self._sinks.pop(sub_id, None)
-        if not any(s.kind != REACH for s in self._subscriptions.values()):
-            self._guard = None
         return sub
 
-    def partition(
-        self,
-        summary: UpdateSummary,
-        graph: GraphLike,
-        max_degree: Callable[[], int],
-    ) -> InvalidationDecision:
-        """Ask the shared oracle which subscriptions the delta may affect.
+    def entries(self) -> List[Entry]:
+        """``(id, alpha, anchor)`` per subscription, for the invalidation oracle."""
+        return [(sub.id, sub.alpha, sub.anchor) for sub in self._subscriptions.values()]
 
-        Stale IDs must be re-evaluated; retained ones keep their answers.
-        Updates the pattern guard from the decision — callers that re-admit
-        pattern subscriptions after re-evaluation should follow up with
-        :meth:`reseed_guard`.
-        """
-        decision = partition_entries(
-            [(sub.id, sub.alpha, sub.anchor) for sub in self._subscriptions.values()],
-            summary,
-            pattern_guard=self._guard,
-            graph=graph,
-            max_degree=max_degree,
-        )
-        self._guard = decision.pattern_guard
-        for sub_id in decision.retained:
+    def skip(self, sub_ids: Iterable[int]) -> None:
+        """Count a maintenance pass the oracle let each of ``sub_ids`` skip."""
+        for sub_id in sub_ids:
             self._subscriptions[sub_id].skipped += 1
-        return decision
-
-    def reseed_guard(self, max_degree: Callable[[], int]) -> None:
-        """Re-snapshot the pattern guard after affected answers were redone.
-
-        Once every affected pattern subscription holds an answer computed
-        against the *current* graph, the current max degree is the correct
-        guard for all of them — the same contract the engine applies when it
-        caches its next pattern answer.
-        """
-        if self._guard is None and any(
-            s.kind != REACH for s in self._subscriptions.values()
-        ):
-            self._guard = max_degree()
 
     def commit(self, sub_id: int, new_value: Any) -> Optional[AnswerDelta]:
-        """Install a re-evaluated answer; emit a delta iff it changed."""
+        """Install a re-evaluated answer; emit a delta iff it changed.
+
+        The anchor moves to the new answer either way: it was computed under
+        the fresh caps.
+        """
         sub = self.get(sub_id)
         sub.reevaluated += 1
+        sub.anchor = anchor_of(sub.request, new_value)
         old_value = sub.value
         if answer_signature(sub.kind, new_value) == sub.signature():
             return None

@@ -11,12 +11,18 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import preferential_attachment_graph, random_graph
 from repro.patterns.pattern import GraphPattern, example1_pattern
 
 SHM_DIR = "/dev/shm"
+
+# The long run of the stateful fuzzer (``tests/test_service_stateful.py``):
+# ``pytest --hypothesis-profile=nightly`` loads it before collection, which
+# is why it is registered here and not in the test module.
+settings.register_profile("nightly", max_examples=300, stateful_step_count=20)
 
 
 def _repro_segments() -> "list[str]":

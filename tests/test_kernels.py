@@ -209,6 +209,18 @@ class TestDispatch:
                 exact = sorted(map(sorted, exact))
             assert generic == exact, (name, op.__name__)
 
+    def test_hop_levels_are_the_nearest_source_distance(self, family):
+        """One multi-source sweep equals the minimum over the per-source oracle BFS."""
+        name, digraph, csr = family
+        sources = _sample_sources(digraph, 5)
+        levels = kernels.csr_hop_levels(csr, [csr.index_of(node) for node in sources], 2)
+        nearest = {}
+        for source in sources:
+            for node, hops in kernels.bfs_levels(digraph, source, max_hops=2).items():
+                nearest[node] = min(hops, nearest.get(node, hops))
+        reached = np.nonzero(levels >= 0)[0]
+        assert dict(zip(csr.ids_of(reached), levels[reached].tolist())) == nearest, name
+
     def test_fallback_counter_and_batch_histogram(self):
         obs.set_enabled(True)
         obs.REGISTRY.reset()

@@ -2,9 +2,13 @@
 
 One seeded, shrinkable hypothesis :class:`RuleBasedStateMachine` interleaves
 updates (edge inserts and deletes, node adds and removals, a delta that
-raises partway, a delta larger than 5% of ``|G|``), cached ``run_batch``
+raises partway, a delta larger than 5% of ``|G|``, and the deltas that move
+a pattern search's caps: isolated nodes inside one ``⌊α·|G|⌋`` quantum, an
+edge that raises ``d_G``, one off its unique holder), cached ``run_batch``
 calls of reachability and pattern requests at two per-request α values, and
-subscribe / unsubscribe.  After every step it checks two contracts:
+subscribe / unsubscribe.  Two standing pattern queries stop on their visits
+at the smaller α, so a visit cap that moves must reach them.  After every
+step it checks two contracts:
 
 * **(c) fresh parity** — every answer the service gives (a batch's, and
   every subscription's live answer) equals the answer of a fresh, cache-less
@@ -15,9 +19,15 @@ subscribe / unsubscribe.  After every step it checks two contracts:
 A model ``DiGraph`` takes every delta beside the service, so the drawn ops
 are valid (or, for the raising delta, invalid exactly where intended) and
 the served graph keeps the model's node order.
+
+Tier-1 runs 30 examples of 12 steps; ``pytest --hypothesis-profile=nightly``
+(``make fuzz-nightly``) runs the longer profile ``tests/conftest.py``
+registers.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -42,6 +52,8 @@ from repro.updates import GraphDelta
 from repro.workloads.queries import generate_pattern_workload
 
 ALPHAS = (0.05, 0.2)
+#: Tier-1's run length (the ``nightly`` profile replaces it).
+TIER1 = settings(max_examples=30, stateful_step_count=12)
 LABELS = "ABCD"
 #: The share of ``|G|`` one oversized delta must exceed.
 LARGE_DELTA_FRACTION = 0.05
@@ -59,7 +71,10 @@ def _base_graph():
 
 
 QUERIES = list(generate_pattern_workload(_base_graph(), shape=(3, 3), count=3, seed=1))
-PATTERNS = [query.pattern for query in QUERIES]
+#: A 5-node pattern whose search from nodes 1 and 2 of the base graph stops
+#: on its visits at ``ALPHAS[0]``, not on its fixpoint.
+BOUNDED = list(generate_pattern_workload(_base_graph(), shape=(5, 6), count=3, seed=1))[2].pattern
+PATTERNS = [query.pattern for query in QUERIES] + [BOUNDED]
 
 
 def _kind(request) -> str:
@@ -81,8 +96,10 @@ class ServiceMachine(RuleBasedStateMachine):
         self.logs = {}
         self.requests = []
         self.fresh_service = None
+        self.added = 0
         standing = [ReachRequest(*pair, alpha=alpha) for pair in STANDING_PAIRS for alpha in ALPHAS]
         standing.append(PatternRequest(PATTERNS[0], QUERIES[0].personalized_match, alpha=ALPHAS[0]))
+        standing += [PatternRequest(BOUNDED, match, alpha=ALPHAS[0]) for match in (1, 2)]
         ids = []
         for request in standing:
             log = []
@@ -149,6 +166,46 @@ class ServiceMachine(RuleBasedStateMachine):
         self.model.add_edge(node, target)
         self.model.add_edge(target, node)
         self._update(delta)
+
+    @rule(data=st.data(), label=st.sampled_from(LABELS))
+    def add_isolated_nodes(self, data, label):
+        """Grow ``|G|`` inside one ``⌊α·|G|⌋`` quantum at ``ALPHAS[0]`` (one
+        node when none is left): of that α's caps, only ``⌊d_G·α·|G|⌋`` moves."""
+        size, alpha = self.model.size(), ALPHAS[0]
+        room = 0
+        while math.floor(alpha * (size + room + 1)) == math.floor(alpha * size):
+            room += 1
+        delta = GraphDelta()
+        for _ in range(data.draw(st.integers(1, max(1, room)))):
+            self.added += 1
+            delta.add_node(f"i{self.added}", label=label)
+            self.model.add_node(f"i{self.added}", label)
+        self._update(delta)
+
+    def _holder(self):
+        """A node of degree ``d_G`` in the model (the first in node order)."""
+        return max(self.model.nodes(), key=self.model.degree)
+
+    @rule(data=st.data())
+    def raise_max_degree(self, data):
+        holder = self._holder()
+        targets = [node for node in self.model.nodes() if node != holder and not self.model.has_edge(holder, node)]
+        if targets:
+            target = data.draw(st.sampled_from(targets))
+            self.model.add_edge(holder, target)
+            self._update(GraphDelta().add_edge(holder, target))
+
+    @precondition(
+        lambda self: [self.model.degree(node) for node in self.model.nodes()].count(self.model.max_degree()) == 1
+    )
+    @rule(data=st.data())
+    def lower_max_degree_holder(self, data):
+        holder = self._holder()
+        edges = [(holder, node) for node in self.model.successors(holder)]
+        edges += [(node, holder) for node in self.model.predecessors(holder)]
+        source, target = data.draw(st.sampled_from(edges))
+        self.model.remove_edge(source, target)
+        self._update(GraphDelta().remove_edge(source, target))
 
     @rule(data=st.data(), label=st.sampled_from(LABELS))
     def relabel(self, data, label):
@@ -243,8 +300,7 @@ class ServiceMachine(RuleBasedStateMachine):
 
 TestServiceMachine = ServiceMachine.TestCase
 TestServiceMachine.settings = settings(
-    max_examples=30,
-    stateful_step_count=12,
+    settings.default if settings.get_current_profile_name() == "nightly" else TIER1,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],

@@ -5,9 +5,9 @@ The contracts under test:
 * **one oracle** — ``partition_entries`` is the single answer-unchanged
   predicate: ``noop`` retains everything, ``rebuilt`` retains nothing,
   reachability retention needs the preserved α index *and* untouched
-  endpoints, pattern retention needs an unmoved budget quantum, an intact
-  max-degree guard and a far-enough ball — and the guard never outlives the
-  pattern entries it described;
+  endpoints, pattern retention needs a far-enough ball and either the caps
+  the search ran under or a saturated spend that fits strictly under the
+  fresh ones;
 * **envelope integrity** — ``replay`` folds a pushed delta log back into
   the final answer and rejects gaps, mixed logs and broken old→new chains;
 * **maintenance parity** (the tentpole property) — after any churn stream,
@@ -23,13 +23,8 @@ import random
 
 import pytest
 
-from repro.engine.invalidation import (
-    anchor_of,
-    hops_from,
-    partition_entries,
-    pattern_budget_changed,
-)
-from repro.engine.prepared import UpdateSummary
+from repro.engine.invalidation import anchor_of, partition_entries
+from repro.engine.prepared import PreparedGraph, UpdateSummary
 from repro.engine.queries import REACH
 from repro.exceptions import ServiceError
 from repro.graph.digraph import DiGraph
@@ -59,15 +54,29 @@ def line_graph(n=12, label="A"):
 
 
 def summary_for(mode="patched", **kwargs) -> UpdateSummary:
-    defaults = dict(
-        delta_ops=1,
-        size_before=100,
-        size_after=100,
-        touched_degrees_before={},
-        touched_degrees_after={},
-    )
-    defaults.update(kwargs)
-    return UpdateSummary(mode=mode, **defaults)
+    return UpdateSummary(mode=mode, delta_ops=1, **kwargs)
+
+
+def pattern_entry(caps, spend=None, match=5, radius=2):
+    """A pattern entry anchored at ``match`` whose search ran under ``caps``."""
+    return ("p", ALPHA, ("pattern", match, radius, caps, spend))
+
+
+def with_hub_edges(count, n=40):
+    """``line_graph(n)`` plus two nodes ``h0``, ``h1``, the first ``count``
+    of them hung off its last node, the unique ``d_G`` holder at ``count`` 2."""
+    graph = line_graph(n)
+    for leaf in range(2):
+        graph.add_node(f"h{leaf}", "A")
+    for leaf in range(count):
+        graph.add_edge(n - 1, f"h{leaf}")
+    return graph
+
+
+def decide(entries, summary, graph):
+    """The decision over one population, on the prepared ``graph``."""
+    (decision,) = partition_entries([entries], summary, PreparedGraph(graph))
+    return decision
 
 
 # --------------------------------------------------------------------------- #
@@ -75,166 +84,156 @@ def summary_for(mode="patched", **kwargs) -> UpdateSummary:
 # --------------------------------------------------------------------------- #
 class TestPartitionEntries:
     REACH_ENTRY = ("r", ALPHA, (REACH, 0, 9))
-    PATTERN_ENTRY = ("p", ALPHA, ("pattern", 5, 2))
 
     def _graph(self):
         return line_graph()
 
-    def test_noop_retains_everything_and_keeps_the_guard(self):
-        decision = partition_entries(
-            [self.REACH_ENTRY, self.PATTERN_ENTRY],
-            summary_for("noop"),
-            pattern_guard=7,
-            graph=self._graph(),
-            max_degree=lambda: 7,
-        )
+    def _pattern(self, **kwargs):
+        """A bounded pattern entry whose caps are the line graph's own."""
+        return pattern_entry(PreparedGraph(self._graph()).pattern_caps(ALPHA), **kwargs)
+
+    def test_noop_retains_everything(self):
+        decision = decide([self.REACH_ENTRY, self._pattern()], summary_for("noop"), self._graph())
         assert set(decision.retained) == {"r", "p"}
         assert decision.stale == []
-        assert decision.pattern_guard == 7
 
     def test_rebuilt_marks_everything_stale(self):
-        decision = partition_entries(
-            [self.REACH_ENTRY, self.PATTERN_ENTRY],
-            summary_for("rebuilt"),
-            pattern_guard=7,
-            graph=self._graph(),
-            max_degree=lambda: 7,
-        )
+        decision = decide([self.REACH_ENTRY, self._pattern()], summary_for("rebuilt"), self._graph())
         assert set(decision.stale) == {"r", "p"}
-        assert decision.pattern_guard is None
+
+    def test_one_call_decides_every_population(self):
+        cached, standing = partition_entries(
+            [[self.REACH_ENTRY], [self._pattern(), ("q", ALPHA, None)]],
+            summary_for(touched_nodes={11}, reach_alphas_preserved={ALPHA: True}),
+            PreparedGraph(self._graph()),
+        )
+        assert (cached.retained, cached.stale) == (["r"], [])
+        assert (standing.retained, standing.stale) == (["p"], ["q"])
 
     def test_anchorless_entry_is_always_stale(self):
-        decision = partition_entries(
+        decision = decide(
             [("mystery", ALPHA, None)],
             summary_for(reach_alphas_preserved={ALPHA: True}),
-            pattern_guard=None,
-            graph=self._graph(),
-            max_degree=lambda: 2,
+            self._graph(),
         )
         assert decision.stale == ["mystery"]
 
     def test_reach_needs_preserved_index_and_untouched_endpoints(self):
         preserved = {ALPHA: True}
         for touched, kept in (({5}, True), ({0}, False), ({9}, False)):
-            decision = partition_entries(
+            decision = decide(
                 [self.REACH_ENTRY],
                 summary_for(touched_nodes=touched, reach_alphas_preserved=preserved),
-                pattern_guard=None,
-                graph=self._graph(),
-                max_degree=lambda: 2,
+                self._graph(),
             )
             assert ("r" in decision.retained) is kept
-        decision = partition_entries(
+        decision = decide(
             [self.REACH_ENTRY],
             summary_for(touched_nodes={5}, reach_alphas_preserved={ALPHA: False}),
-            pattern_guard=None,
-            graph=self._graph(),
-            max_degree=lambda: 2,
+            self._graph(),
         )
         assert decision.stale == ["r"]
 
-    def test_pattern_without_guard_is_stale(self):
-        decision = partition_entries(
-            [self.PATTERN_ENTRY],
-            summary_for(touched_nodes={11}),
-            pattern_guard=None,
-            graph=self._graph(),
-            max_degree=lambda: 2,
-        )
-        assert decision.stale == ["p"]
-
     def test_pattern_ball_distance_decides(self):
         # Pattern anchored at node 5 with radius 2: touching node 8 (3 hops
-        # away) retains it, touching node 7 (2 hops) does not.
-        for touched, kept in (({8}, True), ({7}, False), ({5}, False)):
-            decision = partition_entries(
-                [self.PATTERN_ENTRY],
-                summary_for(touched_nodes=touched),
-                pattern_guard=2,
-                graph=self._graph(),
-                max_degree=lambda: 2,
-            )
+        # away) retains it, touching node 7 (2 hops) does not; the sweep
+        # runs against the edge direction too (node 3 is 2 hops upstream).
+        for touched, kept in (({8}, True), ({7}, False), ({5}, False), ({3}, False), ({2}, True)):
+            decision = decide([self._pattern()], summary_for(touched_nodes=touched), self._graph())
             assert ("p" in decision.retained) is kept, touched
 
-    def test_budget_quantum_crossing_evicts_within_quantum_retains(self):
-        # α=0.05: ⌊0.05·100⌋ = 5 = ⌊0.05·119⌋, but ⌊0.05·120⌋ = 6.
-        within = summary_for(touched_nodes={11}, size_before=100, size_after=119)
-        crossing = summary_for(touched_nodes={11}, size_before=100, size_after=120)
-        assert not pattern_budget_changed(ALPHA, within)
-        assert pattern_budget_changed(ALPHA, crossing)
-        for summary, kept in ((within, True), (crossing, False)):
-            decision = partition_entries(
-                [self.PATTERN_ENTRY],
-                summary,
-                pattern_guard=2,
-                graph=self._graph(),
-                max_degree=lambda: 2,
-            )
-            assert ("p" in decision.retained) is kept
+    def test_bounded_pattern_needs_the_caps_it_ran_under(self):
+        size_cap, visit_cap = PreparedGraph(self._graph()).pattern_caps(ALPHA)
+        for caps, kept in (
+            ((size_cap, visit_cap), True),
+            ((size_cap, visit_cap + 1), False),
+            ((size_cap + 1, visit_cap), False),
+        ):
+            decision = decide([pattern_entry(caps)], summary_for(touched_nodes={11}), self._graph())
+            assert ("p" in decision.retained) is kept, caps
 
-    def test_budget_quantum_is_per_alpha(self):
-        # The same drift moves α=0.05's budget but not α=0.01's.
-        summary = summary_for(touched_nodes={11}, size_before=100, size_after=120)
-        assert pattern_budget_changed(0.05, summary)
-        assert not pattern_budget_changed(0.01, summary)
+    def test_a_visit_cap_move_within_the_size_quantum(self):
+        # An isolated node keeps ⌊α·|G|⌋ but moves ⌊d_G·α·|G|⌋ (|G| 89 →
+        # 90): a search that stopped on its visits may read further now,
+        # one that settled under both caps reads the same.
+        before, after = line_graph(45), line_graph(45)
+        after.add_node("x", "A")
+        (size_cap, visit_cap), fresh = (
+            PreparedGraph(before).pattern_caps(ALPHA),
+            PreparedGraph(after).pattern_caps(ALPHA),
+        )
+        assert fresh == (size_cap, visit_cap + 1)
+        summary = summary_for(touched_nodes={"x"})
+        assert decide([pattern_entry((size_cap, visit_cap))], summary, after).stale == ["p"]
+        saturated = pattern_entry((size_cap, visit_cap), spend=(size_cap - 1, visit_cap - 1))
+        assert decide([saturated], summary, after).retained == ["p"]
 
-    def test_degree_above_guard_evicts_all_patterns(self):
-        decision = partition_entries(
-            [self.PATTERN_ENTRY],
-            summary_for(touched_nodes={11}, touched_degrees_after={11: 3}),
-            pattern_guard=2,
-            graph=self._graph(),
-            max_degree=lambda: 3,
-        )
-        assert decision.stale == ["p"]
-        assert decision.pattern_guard is None
+    def test_fresh_caps_are_per_alpha(self):
+        # The same drift moves α=0.05's visit cap but not α=0.01's.
+        before, after = line_graph(45), line_graph(45)
+        after.add_node("x", "A")
+        caps = PreparedGraph(before).pattern_caps
+        entries = [(alpha, alpha, ("pattern", 5, 2, caps(alpha), None)) for alpha in (0.05, 0.01)]
+        decision = decide(entries, summary_for(touched_nodes={"x"}), after)
+        assert (decision.stale, decision.retained) == ([0.05], [0.01])
 
-    def test_shrunk_guard_holder_rechecks_the_live_max(self):
-        summary = summary_for(
-            touched_nodes={11},
-            touched_degrees_before={11: 2},
-            touched_degrees_after={11: 1},
+    def test_a_raised_d_G_keeps_only_saturated_answers(self):
+        before, after = with_hub_edges(1), with_hub_edges(2)
+        (size_cap, visit_cap), fresh = (
+            PreparedGraph(before).pattern_caps(ALPHA),
+            PreparedGraph(after).pattern_caps(ALPHA),
         )
-        kept = partition_entries(
-            [self.PATTERN_ENTRY], summary, pattern_guard=2,
-            graph=self._graph(), max_degree=lambda: 2,
-        )
-        assert kept.retained == ["p"]
-        dropped = partition_entries(
-            [self.PATTERN_ENTRY], summary, pattern_guard=2,
-            graph=self._graph(), max_degree=lambda: 1,
-        )
-        assert dropped.stale == ["p"]
+        assert fresh[0] == size_cap and fresh[1] > visit_cap
+        summary = summary_for(touched_nodes={39, "h1"})
+        assert decide([pattern_entry((size_cap, visit_cap), match=20)], summary, after).stale == ["p"]
+        saturated = pattern_entry((size_cap, visit_cap), spend=(1, visit_cap - 1), match=20)
+        assert decide([saturated], summary, after).retained == ["p"]
 
-    def test_guard_never_outlives_the_pattern_entries(self):
-        # Every pattern entry goes stale -> the guard must come back None,
-        # even though it was valid coming in (the stale-guard healing rule).
-        decision = partition_entries(
-            [self.PATTERN_ENTRY, self.REACH_ENTRY],
-            summary_for(
-                touched_nodes={5}, reach_alphas_preserved={ALPHA: True}
-            ),
-            pattern_guard=2,
-            graph=self._graph(),
-            max_degree=lambda: 2,
+    def test_a_lowered_unique_d_G_holder_lowers_the_visit_cap(self):
+        before, after = with_hub_edges(2), with_hub_edges(1)
+        (size_cap, visit_cap), (_, fresh_visits) = (
+            PreparedGraph(before).pattern_caps(ALPHA),
+            PreparedGraph(after).pattern_caps(ALPHA),
         )
-        assert decision.stale == ["p"]
-        assert decision.retained == ["r"]
-        assert decision.pattern_guard is None
+        assert fresh_visits < visit_cap
+        summary = summary_for(touched_nodes={39, "h1"})
+        assert decide([pattern_entry((size_cap, visit_cap), match=20)], summary, after).stale == ["p"]
+        for visited, kept in ((fresh_visits - 1, True), (fresh_visits, False)):
+            saturated = pattern_entry((size_cap, visit_cap), spend=(1, visited), match=20)
+            assert ("p" in decide([saturated], summary, after).retained) is kept, visited
 
-    def test_hops_from_is_undirected_and_bounded(self):
-        graph = line_graph(6)
-        hops = hops_from(graph, {3}, max_hops=2)
-        assert hops == {3: 0, 2: 1, 4: 1, 1: 2, 5: 2}
+    def test_saturated_spend_must_fit_strictly_under_the_fresh_caps(self):
+        size_cap, visit_cap = PreparedGraph(self._graph()).pattern_caps(ALPHA)
+        moved = (size_cap + 1, visit_cap + 1)
+        summary = summary_for(touched_nodes={11})
+        for spend, kept in (
+            ((size_cap - 1, visit_cap - 1), True),
+            ((size_cap, visit_cap - 1), False),
+            ((size_cap - 1, visit_cap), False),
+        ):
+            decision = decide([pattern_entry(moved, spend=spend)], summary, self._graph())
+            assert ("p" in decision.retained) is kept, spend
 
     def test_anchor_of_both_query_classes(self):
-        assert anchor_of(ReachRequest(3, 8)) == (REACH, 3, 8)
+        assert anchor_of(ReachRequest(3, 8), None) == (REACH, 3, 8)
         graph = youtube_like(seed=0)
         query = next(iter(generate_pattern_workload(graph, shape=(3, 3), count=1, seed=1)))
-        anchor = anchor_of(
-            PatternRequest(query.pattern, query.personalized_match)
+        request = PatternRequest(query.pattern, query.personalized_match)
+        with GraphService(graph, ServiceConfig(alpha=ALPHA)) as service:
+            answer = service.run_batch([request]).answers[0]
+            missing = service.run_batch([PatternRequest(query.pattern, "absent")]).answers[0]
+        budget = answer.reduction.budget
+        assert answer.reduction.saturated
+        assert anchor_of(request, answer) == (
+            "pattern",
+            query.personalized_match,
+            3,
+            (budget.size_limit, budget.visit_limit),
+            (budget.stored, budget.visited),
         )
-        assert anchor == ("pattern", query.personalized_match, 3)
+        assert anchor_of(PatternRequest(query.pattern, "absent"), missing) == (
+            "pattern", "absent", 3, None, (0, 0)
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -400,8 +399,8 @@ class TestSubscribeAPI:
         """Growth confined to two communities re-evaluates ≤20% of pattern
         subscriptions spread over all of them, and none goes stale.
 
-        A double-size hub community owns the max degree, so churn never trips
-        the guard; the stream's size drift stays inside one α-budget quantum.
+        Growth moves both caps, so only the saturated answers (whose spend
+        fits the fresh caps) outlive a delta away from their balls.
         """
         alpha, hub, community, communities = 0.008, 60, 30, 40
         graph = community_graph(

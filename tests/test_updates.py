@@ -615,6 +615,85 @@ class TestCacheInvalidation:
         assert warm.cache_hits == len(queries)
 
 
+    def test_a_visit_cap_move_evicts_a_visit_bound_pattern_answer(self):
+        """Two isolated nodes keep ``⌊α·|G|⌋`` but move ``⌊d_G·α·|G|⌋``: a
+        pattern answer whose search stopped on its visits reads further on
+        the fresh graph, so neither the cached answer nor the standing one
+        may survive."""
+        from repro.service import PatternRequest
+        from repro.subscribe import answer_signature
+        from repro.workloads.queries import generate_pattern_workload
+
+        graph = preferential_attachment_graph(num_nodes=20, edges_per_node=2, seed=0, back_edge_probability=0.1)
+        query = list(generate_pattern_workload(graph, shape=(3, 3), count=12, seed=0))[8]
+        request = PatternRequest(query.pattern, query.personalized_match)
+        service = _serial(graph.copy(), cache_size=64)
+        cached = service.run_batch([request], ALPHA).answers[0]
+        sub = service.subscribe(request, alpha=ALPHA)
+        assert cached.reduction.stop == "visits"
+        assert service.update(GraphDelta().add_node("x", "Z").add_node("y", "Z")).mode == "fresh"
+        fresh = _serial(service.graph).run_batch([request], ALPHA).answers[0]
+        assert fresh.budget.size_limit == cached.budget.size_limit
+        assert fresh.budget.visit_limit > cached.budget.visit_limit
+        assert answer_signature(request.kind, fresh) != answer_signature(request.kind, cached)
+        served = service.run_batch([request], ALPHA).answers[0]
+        assert answer_signature(request.kind, served) == answer_signature(request.kind, fresh)
+        assert sub.signature() == answer_signature(request.kind, fresh)
+
+    @pytest.mark.parametrize("split", [True, False])
+    def test_a_split_or_merge_away_from_the_delta_evicts_its_reach_pairs(self, split):
+        """Cutting (or closing) the cycle ``s → b → c → t → s`` at ``b → c``
+        moves ``s ⇝ t`` although neither endpoint is touched and the α index,
+        whose one landmark is a hub elsewhere, stays equivalent: only the
+        component change names the pair."""
+        graph = DiGraph()
+        for node in "sbct":
+            graph.add_node(node, "A")
+        for edge in (("s", "b"), ("c", "t"), ("t", "s")) + ((("b", "c"),) if split else ()):
+            graph.add_edge(*edge)
+        for hub in range(8):
+            graph.add_node(hub, "B")
+            if hub:
+                graph.add_edge(0, hub)
+        delta = GraphDelta().remove_edge("b", "c") if split else GraphDelta().add_edge("b", "c")
+        query = ReachQuery("s", "t")
+        service = _serial(graph, cache_size=16)
+        service.prepare(reach_alphas=(0.1,))
+        before = service.run_batch([query], 0.1).answers
+        summary = service.update(delta).engine_report.summary
+        assert summary.reach_alphas_preserved == {0.1: True}
+        assert not {"s", "t"} & summary.touched_nodes and {"s", "t"} <= summary.membership_dirty
+        fresh = _answers(_serial(service.graph), [query], 0.1)
+        assert fresh != _reach_signature(before)
+        assert _answers(service, [query], 0.1) == fresh
+
+    def test_one_ball_sweep_per_update(self, monkeypatch):
+        """The cached answers and the standing queries share one decision, so
+        an update sweeps the pattern balls once: none on a noop or a
+        rebuild, which need no ball."""
+        from repro.graph import kernels
+        from repro.service import PatternRequest
+        from repro.workloads.queries import generate_pattern_workload
+
+        sweeps = []
+        sweep = kernels.csr_hop_levels
+        monkeypatch.setattr(kernels, "csr_hop_levels", lambda *args: sweeps.append(args) or sweep(*args))
+        graph = preferential_attachment_graph(num_nodes=40, edges_per_node=2, seed=1)
+        workload = list(generate_pattern_workload(graph, shape=(3, 3), count=4, seed=1))
+        service = _serial(graph.copy(), cache_size=64)
+        service.run_batch([PatternQuery(q.pattern, q.personalized_match) for q in workload[:2]], ALPHA)
+        for query in workload[2:]:
+            service.subscribe(PatternRequest(query.pattern, query.personalized_match), alpha=ALPHA)
+        for delta, mode, count in (
+            (GraphDelta().add_edge(3, 30), "fresh", 1),
+            (GraphDelta().add_edge(3, 30), "noop", 1),
+            (GraphDelta().add_edge(5, 31).add_edge(31, 7), "fresh", 2),
+            (GraphDelta().remove_node(39), "rebuilt", 2),
+        ):
+            assert service.update(delta).mode == mode
+            assert len(sweeps) == count
+
+
 class TestDeltaStream:
     def test_same_seed_same_stream(self, served_graph):
         left = generate_delta_stream(served_graph, batches=4, ops_per_batch=20, seed=9)
