@@ -18,6 +18,11 @@
 #   make bench-e2e    - the front-door benchmark BENCHMARK.json declares: six
 #                       GraphService workloads, untraced then traced (~4 min;
 #                       E2E_ARGS="--seed 11 --out A1.json" passes flags through)
+#   make ab-answers PARENT=<tree>
+#                     - cold RBSim/RBSub answers on bench_search.py's two logs,
+#                       this tree against another one imported in the same
+#                       process, in alternating pairs: paired-median ratios and
+#                       wins; fails when any answer's fingerprint differs
 #   make docs-check   - run README code blocks + lint documentation links
 #   make ci           - every gate .github/workflows/ci.yml enforces (the
 #                       workflow runs coverage as a parallel job; locally it
@@ -35,7 +40,7 @@ export PYTHONPATH := src
 
 CI_GATES := lint test docs-check coverage bench-smoke
 
-.PHONY: test test-soak fuzz-nightly lint coverage bench-smoke bench bench-e2e docs-check ci nightly
+.PHONY: test test-soak fuzz-nightly lint coverage bench-smoke bench bench-e2e ab-answers docs-check ci nightly
 
 # --durations: the ten slowest tests in every log, so the tier-1 budget
 # (<=2 min, ROADMAP.md) is visible before it is broken.
@@ -70,6 +75,10 @@ bench:
 
 bench-e2e:
 	python3 benchmarks/e2e/run.py $(E2E_ARGS)
+
+ab-answers:
+	@test -n "$(PARENT)" || { echo "usage: make ab-answers PARENT=<tree holding src/repro>"; exit 2; }
+	$(PYTHON) benchmarks/ab_answers.py $(PARENT) $(AB_ARGS)
 
 docs-check:
 	$(PYTHON) tools/docs_check.py

@@ -15,7 +15,10 @@ logs (dataset seed 7).  Before timing, the digest of every
 bound, passes, candidate counts, stop, cut, ungiven and re-Pick counts,
 whether the weighted search restarted and the visits of the abandoned
 unweighted pass) is checked against the oracle of
-``tests/reduction_oracle.py``.  Timings are reported, not gated: they go to
+``tests/reduction_oracle.py``.  Beside ``search_ms_per_query`` it times cold
+full answers (``answer_ms_per_query``: the search plus the exact match on
+``G_Q``, on fresh pattern copies) split into construct, search and match.
+Timings are reported, not gated: they go to
 ``benchmarks/_reports/search.txt`` with the ``G_Q`` nodes and edges and the
 visits charged (``visited``) summed over the log, the searches the
 unweighted pass settled and those it restarted (with the visits the
@@ -163,6 +166,33 @@ class SearchLog:
             seconds.append(time.perf_counter() - start)
         return seconds
 
+    def answer_round(self):
+        """Seconds per query of one pass of cold full answers over the log,
+        split into construct (validation, budget, guard and search state),
+        search and match (strong simulation or the isomorphism step on
+        ``G_Q``), on fresh copies of the patterns, so nothing a pattern
+        derives on first use is carried from an earlier round."""
+        queries = [
+            (type(pattern)(pattern.labels, pattern.edges, pattern.personalized, pattern.output), vp, guard_class)
+            for pattern, vp, guard_class in self.queries
+        ]
+        split = {"construct": [], "search": [], "match": []}
+        clock = time.perf_counter
+        gc.collect()
+        for pattern, vp, guard_class in queries:
+            match = match_in_subgraph if guard_class is SimulationGuard else isomorphic_answer_in_subgraph
+            started = clock()
+            pattern.validate()
+            reducer = self.reducer(DynamicReducer, pattern, vp, guard_class)
+            built = clock()
+            result = reducer.search()
+            searched = clock()
+            match(pattern, result.subgraph, vp)
+            split["construct"].append(built - started)
+            split["search"].append(searched - built)
+            split["match"].append(clock() - searched)
+        return split
+
     def classified(self, position: int, plain) -> dict:
         """Score query ``position`` against the exact answer on ``G`` and give
         every missed or extra output match its cause; ``plain`` is the same
@@ -286,6 +316,12 @@ def measure(name: str, rounds: int) -> dict:
     per_round = [log.timed_round() for _ in range(rounds)]
     totals = [sum(seconds) for seconds in per_round]
     per_query = [statistics.median(column) for column in zip(*per_round)]
+    answers = [log.answer_round() for _ in range(rounds)]
+    answer_totals = [sum(map(sum, split.values())) for split in answers]
+
+    def per_query_ms(values) -> float:
+        return 1e3 * statistics.median(values) / len(log.queries)
+
     return {
         "log": name,
         "queries": len(log.queries),
@@ -294,6 +330,10 @@ def measure(name: str, rounds: int) -> dict:
         "search_ms_per_query_min": 1e3 * min(totals) / len(log.queries),
         "search_ms_p50": 1e3 * statistics.median(per_query),
         "search_ms_p90": 1e3 * statistics.quantiles(per_query, n=10)[-1],
+        "answer_ms_per_query": per_query_ms(answer_totals),
+        "answer_split_ms_per_query": {
+            part: per_query_ms([sum(split[part]) for split in answers]) for part in ("construct", "search", "match")
+        },
         "stops": dict(sorted(Counter(
             f"{result.stop}/{'cut' if result.cut else 'uncut'}" for result in results
         ).items())),

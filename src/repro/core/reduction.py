@@ -68,9 +68,7 @@ matcher that names the witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import filterfalse
-from operator import or_
+from itertools import filterfalse, repeat
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.budget import BudgetReport, ResourceBudget, snapshot
@@ -194,31 +192,24 @@ class DynamicReducer:
         # The flat state of the search (rows, ``in_gq``, costs): a reducer runs
         # one search, so the state lives exactly as long as its rows hold.
         self._estimator = WeightEstimator(pattern, graph, personalized_match, guard)
-        # Query neighbours of each query node, each with the bit of the query
-        # edge between them seen from this end (one bit per edge and end: a
-        # data node playing both ends expands the edge toward each).
-        edge_bits = {
-            (node, child): 1 << 2 * position
-            for position, (node, child) in enumerate(
-                (node, child) for node in pattern.nodes() for child in pattern.children(node)
-            )
-        }
-        self._incident = {
-            node: [(child, edge_bits[node, child]) for child in pattern.children(node)]
-            + [(parent, edge_bits[parent, node] << 1) for parent in pattern.parents(node)]
-            for node in pattern.nodes()
-        }
-        # Per query node: its role bit, and the role bits of its query children
-        # and of its query parents, the roles the far end of a readable edge plays.
+        # One pass over the query edges.  Per query node: its query children,
+        # then its query parents (in the pattern's order), each with the bit
+        # of the query edge between them seen from this end (one bit per edge
+        # and end: a data node playing both ends expands the edge toward
+        # each); and its role bit with the role bits of its query children and
+        # of its query parents, the roles the far end of a readable edge plays.
         bits = self._estimator.bits
-        self._reads = [
-            (
-                bits[node],
-                reduce(or_, (bits[child] for child in pattern.children(node)), 0),
-                reduce(or_, (bits[parent] for parent in pattern.parents(node)), 0),
-            )
-            for node in pattern.nodes()
-        ]
+        downward: Dict[QueryNodeId, list] = {node: [] for node in bits}
+        upward: Dict[QueryNodeId, list] = {node: [] for node in bits}
+        below, above = dict.fromkeys(bits, 0), dict.fromkeys(bits, 0)
+        for position, (source, target) in enumerate(pattern.edges):
+            downward[source].append((target, 1 << 2 * position))
+            upward[target].append((source, 2 << 2 * position))
+            below[source] |= bits[target]
+            above[target] |= bits[source]
+        self._incident = {node: downward[node] + upward[node] for node in bits}
+        self._reads = [(bit, below[node], above[node]) for node, bit in bits.items()]
+        self._edge_role_memo: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Procedures Search and Pick
@@ -253,25 +244,31 @@ class DynamicReducer:
             stop=stop,
         )
 
-    def _eligible(self, node: NodeId, neighbor_query: QueryNodeId) -> List[NodeId]:
-        """The distinct neighbours of ``node`` a ``Pick`` for ``neighbor_query`` may give, in scan order."""
+    def _eligible_of(self) -> Callable[[NodeId, QueryNodeId], List[NodeId]]:
+        """What gives the distinct neighbours of a node a ``Pick`` for a query
+        node may give, in scan order: the search state's ``eligible``, or
+        the label test alone in the guardless ablation."""
+        return self._estimator.eligible if self._use_guard else self._labelled
+
+    def _labelled(self, node: NodeId, neighbor_query: QueryNodeId) -> List[NodeId]:
+        """Ablation mode: only the label must match (up is matched by identity)."""
         state = self._estimator
-        if self._use_guard:
-            return state.eligible(node, neighbor_query)
         if neighbor_query == self._pattern.personalized:
-            # Ablation mode: only the label must match (up is matched by identity).
             return [self._vp] if self._vp in state.distinct(node) else []
         return state.labelled(node, neighbor_query)
 
     def _edge_roles(self, roles: int) -> Tuple[int, int]:
         """The roles a child and a parent of a node playing ``roles`` must
-        play for the edge between them to be readable."""
-        child_roles = parent_roles = 0
-        for bit, below, above in self._reads:
-            if roles & bit:
-                child_roles |= below
-                parent_roles |= above
-        return child_roles, parent_roles
+        play for the edge between them to be readable (once per ``roles``)."""
+        found = self._edge_role_memo.get(roles)
+        if found is None:
+            child_roles = parent_roles = 0
+            for bit, below, above in self._reads:
+                if roles & bit:
+                    child_roles |= below
+                    parent_roles |= above
+            found = self._edge_role_memo[roles] = (child_roles, parent_roles)
+        return found
 
     def _pass(
         self, builder: SubgraphBuilder, candidate_counts: Dict[QueryNodeId, int]
@@ -293,8 +290,9 @@ class DynamicReducer:
         budget, state, vp = self._budget, self._estimator, self._vp
         room = budget.size_limit - budget.stored
         visit_room = budget.visit_limit - budget.visited
-        gq, roles_of, incident, max_depth = builder.partial, state.roles, self._incident, self._max_depth
-        describe, width_of, eligible_of, edge_roles = state.describe, state.width, self._eligible, self._edge_roles
+        gq, roles_of, incident, max_depth = builder.members, state.roles, self._incident, self._max_depth
+        describe, width_of, eligible_of, edge_roles = state.describe, state.width, self._eligible_of(), self._edge_roles
+        add_node, add_row_edges = builder.add_node, builder.add_row_edges
         personalized = self._pattern.personalized
         stored = visited = 0
         expanded: Dict[NodeId, int] = {}
@@ -310,10 +308,11 @@ class DynamicReducer:
                 if visited >= visit_room:
                     return "visits", stored, visited, expanded
                 label, roles, children, parents = describe(node)
-                builder.add_node(node, label)
-                edges = builder.add_row_edges(
+                add_node(node, label)
+                child_roles, parent_roles = edge_roles(roles)
+                edges = add_row_edges(
                     node, children, parents, min(room - stored, visit_room - visited) - 1,
-                    roles_of, *edge_roles(roles),
+                    roles_of, child_roles, parent_roles,
                 )
                 stored += 1 + edges
                 visited += 1 + edges
@@ -323,20 +322,21 @@ class DynamicReducer:
                     return ("visits" if visited + stored > visit_room else None), stored, visited, expanded
             if depth >= max_depth:
                 continue
-            done = expanded.get(node, 0)
+            done, width = expanded.get(node, 0), None
             for neighbor_query, edge_bit in incident[query_node]:
                 if done & edge_bit:
                     continue
-                width = width_of(node)
+                if width is None:
+                    width = width_of(node)
                 if visited + width > visit_room:
                     return "visits", stored, visited, expanded
                 visited += width
                 done |= edge_bit
                 waiting = queued[neighbor_query]
                 candidates = list(filterfalse(waiting.__contains__, eligible_of(node, neighbor_query)))
-                for candidate in reversed(candidates):
-                    stack.append((neighbor_query, candidate, depth + 1))
-                    waiting.add(candidate)
+                if candidates:
+                    stack.extend(zip(repeat(neighbor_query), reversed(candidates), repeat(depth + 1)))
+                    waiting.update(candidates)
             expanded[node] = done
         return "fixpoint", stored, visited, expanded
 
@@ -365,7 +365,7 @@ class DynamicReducer:
         bound, budget, vp = self._initial_bound, self._budget, self._vp
         state, pattern = self._estimator, self._pattern
         in_gq, bits, incident, max_depth = state.in_gq, state.bits, self._incident, self._max_depth
-        witnesses, edge_roles, eligible_of = self._witnesses, self._edge_roles, self._eligible
+        witnesses, edge_roles, eligible_of = self._witnesses, self._edge_roles, self._eligible_of()
         use_weights, personalized = self._use_weights, pattern.personalized
         candidate_counts: Dict[QueryNodeId, int] = {node: 0 for node in pattern.nodes()}
         room = budget.size_limit - budget.stored  # storage left; G_Q is full at 0

@@ -22,8 +22,13 @@ with sufficient degree for every query neighbour.
 ``C(v, u)`` and the adjacency of ``v`` depend on ``G`` and ``Q`` alone, never
 on the evolving ``G_Q``, while ``Search`` comes back, pass after pass, to the
 Picks its bound cut short and ranks the same neighbourhoods again.
-:class:`WeightEstimator`, the flat state of one search, therefore loads each
-data node's row once, and updates ``c(v, u)`` the way the paper says,
+:class:`WeightEstimator`, the flat state of one search, therefore reads each
+data node's row once, into one record (:class:`_Row`) that describing the
+node, the guard's test of the node itself and the ``G_Q`` edges of its
+admission all read, asks the guard only what a known role or an earlier
+try does not settle (through :meth:`GuardedCondition.check_asked`, which
+skips the label test the askers bit already made), and updates
+``c(v, u)`` the way the paper says,
 "dynamically": a node joining ``G_Q`` pushes what it can play to its
 neighbours, and nothing is recomputed from scratch per candidate; a weight is
 recomputed only when a member joined around its node.  A cut ``Pick`` keeps
@@ -32,20 +37,21 @@ the candidates in the rows of members admitted since it last gave.  Weights
 are asked only where ``alpha`` binds: ``Search`` first makes one unweighted
 pass, which reads rows and ``C`` and nothing that moves with ``G_Q``.
 
-On a ``CSRGraph`` the state works in row space: a row's askers are one
-gather through a label id -> askers table, and a row wider than
-``max_scan`` has ``C(·, u)`` decided for all of its untried entries by one
-:meth:`GuardedCondition.check_rows` call, vectorised over label ids,
-degrees and the ``label_presence`` words.
+On a ``CSRGraph`` the state works in row space: a row is two index slices,
+its askers are one gather through a label id -> askers table, and a row
+wider than ``max_scan`` has ``C(·, u)`` decided for all of its untried
+entries by one :meth:`GuardedCondition.check_rows` call, vectorised over
+label ids, degrees and the ``label_presence`` words; the isomorphism
+guard's distinct-assignment test is there a set of threshold counts
+(:func:`_thresholds`), one ``bincount`` per (side, label, threshold) for all
+the rows at once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice, repeat
-from operator import or_
+from itertools import chain, compress, islice, repeat
 from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Protocol, Set, Tuple
 
 import numpy as np
@@ -56,15 +62,22 @@ from repro.graph.neighborhood import NeighborhoodIndex
 from repro.patterns.pattern import GraphPattern, QueryNodeId
 
 
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
 def _csr_of(graph: GraphLike):
     """``graph`` when its columns can be read a slice at a time (a ``CSRGraph``), else ``None``."""
     return graph if hasattr(graph, "neighbor_indices") else None
 
 
-def _label_key(csr, label):
-    """What a row of label keys holds for ``label``: its label-table row on a
-    ``CSRGraph`` (``None`` when no node carries it), else the label itself."""
-    return label if csr is None else csr.label_id(label)
+def _label_keys(csr, pattern: GraphPattern) -> Dict[QueryNodeId, object]:
+    """What a row of label keys holds for the label each query node asks
+    for: its label-table row on a ``CSRGraph`` (``None`` when no node
+    carries it), else the label itself."""
+    if csr is None:
+        return dict(pattern.labels)
+    label_id = csr.label_id
+    return {u: label_id(label) for u, label in pattern.labels.items()}
 
 
 class GuardedCondition(Protocol):
@@ -78,6 +91,12 @@ class GuardedCondition(Protocol):
         """Whether ``node`` may still match ``query_node`` (necessary condition)."""
         ...  # pragma: no cover - protocol definition
 
+    def check_asked(self, node: NodeId, query_node: QueryNodeId, row: Optional["_Row"] = None) -> bool:
+        """:meth:`check` of a node whose label ``query_node`` asks for, with
+        the label test skipped (``up`` keeps its identity test); ``row`` is
+        the node's whole row when the caller has loaded it."""
+        ...  # pragma: no cover - protocol definition
+
     def check_rows(self, rows: np.ndarray, query_node: QueryNodeId) -> np.ndarray:
         """:meth:`check` of the node at each of ``rows``, as one boolean array."""
         ...  # pragma: no cover - protocol definition
@@ -87,12 +106,14 @@ class _BaseGuard:
     """Common state for guarded conditions: graph, pattern, summaries, pinning.
 
     Guarded conditions depend only on the data graph and the pattern (never on
-    the evolving ``G_Q``), so results are memoised per ``(node, query_node)``
-    pair: the potential/cost estimators re-check the same pairs many times
-    during one reduction and the cache turns those repeats into dictionary
-    lookups.  :meth:`check_rows` is the same condition over an array of
-    ``CSRGraph`` rows, read from the columns in one vectorised pass; it
-    memoises nothing (the search state records what it returns).
+    the evolving ``G_Q``), so :meth:`check` memoises per ``(node, query_node)``
+    pair.  :meth:`check_asked` is the entry of the search state, which asks
+    each pair once per search and only of a node whose label the query node
+    asks for: it skips the label test and memoises nothing.
+    :meth:`check_rows` is the same condition over an array of ``CSRGraph``
+    rows, read from the columns in one vectorised pass; it memoises nothing
+    either (the search state records what it returns).  What a query node
+    asks of a neighbourhood is compiled on its first test.
     """
 
     def __init__(
@@ -103,6 +124,7 @@ class _BaseGuard:
         index: NeighborhoodIndex,
     ) -> None:
         self._pattern = pattern
+        self._personalized = pattern.personalized
         self._graph = graph
         self._vp = personalized_match
         self._index = index
@@ -112,10 +134,12 @@ class _BaseGuard:
         csr = self._csr = _csr_of(graph)
         self.row_space = csr is not None
         self._vp_sides: Dict[bool, FrozenSet[NodeId]] = {}
-        # What each query node asks of its neighbourhood, compiled once per guard.
+        self._vp_sorted: Dict[bool, np.ndarray] = {}
+        self._vp_row: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # What each query node asks of its neighbourhood, compiled on first use.
         self._needs: Dict[object, tuple] = {}
         # The label key each query node asks for (``up`` is pinned to ``vp``).
-        self._label_keys = {u: _label_key(csr, pattern.label_of(u)) for u in pattern.nodes()}
+        self._label_keys = _label_keys(csr, pattern)
 
     def check(self, node: NodeId, query_node: QueryNodeId) -> bool:
         """Memoised evaluation of the guarded condition."""
@@ -127,14 +151,37 @@ class _BaseGuard:
         return cached
 
     def _evaluate(self, node: NodeId, query_node: QueryNodeId) -> bool:
+        """Evaluate ``C(node, query_node)``: the label, then the neighbourhood."""
+        return self._label_matches(node, query_node) and self._condition(node, query_node, None)
+
+    def check_asked(self, node: NodeId, query_node: QueryNodeId, row: Optional["_Row"] = None) -> bool:
+        """``C(node, query_node)`` for a node whose label ``query_node`` asks
+        for, so only ``up`` is tested for it (by identity).  ``row`` is the
+        whole row of ``node`` as the search state loaded it, which the guard
+        then reads instead of the graph."""
+        if query_node == self._personalized and node != self._vp:
+            return False
+        return self._condition(node, query_node, row)
+
+    def _condition(self, node: NodeId, query_node: QueryNodeId, row: Optional["_Row"]) -> bool:
         raise NotImplementedError
+
+    def _vp_rows(self, children: bool) -> np.ndarray:
+        """The rows of the children (resp. parents) of ``vp`` on a ``CSRGraph``
+        (``vp``'s row is read once per guard)."""
+        if self._vp_row is None:
+            csr, vp = self._csr, self._vp
+            self._vp_row = csr.neighbor_sides(csr.index_of(vp)) if vp in csr else (_NO_ROWS, _NO_ROWS)
+        return self._vp_row[0 if children else 1]
 
     def _vp_side(self, children: bool) -> FrozenSet[NodeId]:
         """The children (resp. parents) of ``vp``, as a set built on first use."""
         side = self._vp_sides.get(children)
         if side is None:
-            graph, vp = self._graph, self._vp
-            if vp not in graph:
+            graph, csr, vp = self._graph, self._csr, self._vp
+            if csr is not None:
+                side = frozenset(csr.ids_of(self._vp_rows(children)))
+            elif vp not in graph:
                 side = frozenset()
             else:
                 side = frozenset(graph.successors(vp) if children else graph.predecessors(vp))
@@ -143,7 +190,7 @@ class _BaseGuard:
 
     def _label_matches(self, node: NodeId, query_node: QueryNodeId) -> bool:
         """Label test; the personalized node is matched by identity, not label."""
-        if query_node == self._pattern.personalized:
+        if query_node == self._personalized:
             return node == self._vp
         csr = self._csr
         if csr is None:
@@ -154,7 +201,7 @@ class _BaseGuard:
     def _label_rows(self, rows: np.ndarray, query_node: QueryNodeId) -> np.ndarray:
         """:meth:`_label_matches` of each of ``rows``."""
         csr, vp = self._csr, self._vp
-        if query_node == self._pattern.personalized:
+        if query_node == self._personalized:
             return rows == (csr.index_of(vp) if vp in csr else -1)
         key = self._label_keys[query_node]
         if key is None:
@@ -162,12 +209,14 @@ class _BaseGuard:
         return csr.label_ids_of(rows) == key
 
     def _vp_side_rows(self, rows: np.ndarray, children: bool) -> np.ndarray:
-        """Which of ``rows`` are children (resp. parents) of ``vp``."""
-        csr, vp = self._csr, self._vp
-        if vp not in csr:
+        """Which of ``rows`` are children (resp. parents) of ``vp``: a binary
+        search in that side, sorted once per guard."""
+        side = self._vp_sorted.get(children)
+        if side is None:
+            side = self._vp_sorted[children] = np.sort(self._vp_rows(children))
+        if not side.shape[0]:
             return np.zeros(rows.shape[0], dtype=bool)
-        side = csr.successors(vp) if children else csr.predecessors(vp)
-        return np.isin(rows, side.indices)
+        return side[np.minimum(np.searchsorted(side, rows), side.shape[0] - 1)] == rows
 
 
 class SimulationGuard(_BaseGuard):
@@ -189,24 +238,24 @@ class SimulationGuard(_BaseGuard):
         super().__init__(pattern, graph, personalized_match, index)
         # The presence words are read by row: they must be this graph's.
         self.row_space = self.row_space and index.graph is graph
-        # Per query node: the labels its non-personalized parents/children
-        # require, compiled once, and whether vp itself must be a parent/child.
-        personalized = pattern.personalized
-        for query_node in pattern.nodes():
-            parents = pattern.parents(query_node)
-            children = pattern.children(query_node)
-            self._needs[query_node] = (
-                index.requirement(pattern.label_of(u) for u in parents if u != personalized),
-                index.requirement(pattern.label_of(u) for u in children if u != personalized),
-                personalized in parents,
-                personalized in children,
-            )
 
-    def _evaluate(self, node: NodeId, query_node: QueryNodeId) -> bool:
-        """Evaluate ``C(node, query_node)``."""
-        if not self._label_matches(node, query_node):
-            return False
-        parent_labels, child_labels, vp_parent, vp_child = self._needs[query_node]
+    def _compile(self, query_node: QueryNodeId) -> tuple:
+        """The labels the non-personalized parents and children of
+        ``query_node`` require, and whether ``vp`` itself must be a parent or
+        a child."""
+        pattern, index, personalized = self._pattern, self._index, self._personalized
+        parents, children = pattern.parents(query_node), pattern.children(query_node)
+        needs = self._needs[query_node] = (
+            index.requirement(pattern.label_of(u) for u in parents if u != personalized),
+            index.requirement(pattern.label_of(u) for u in children if u != personalized),
+            personalized in parents,
+            personalized in children,
+        )
+        return needs
+
+    def _condition(self, node: NodeId, query_node: QueryNodeId, row: Optional["_Row"]) -> bool:
+        """``C(node, query_node)`` past the label test."""
+        parent_labels, child_labels, vp_parent, vp_child = self._needs.get(query_node) or self._compile(query_node)
         # vp is a parent of node iff node is a child of vp: probe vp's side,
         # materialised once, instead of scanning the adjacency of every node.
         if vp_parent and node not in self._vp_side(children=True):
@@ -219,7 +268,7 @@ class SimulationGuard(_BaseGuard):
         """``C(·, query_node)`` of each of ``rows``: label ids, ``vp``'s sides
         and the presence words, each one vectorised test."""
         passed = self._label_rows(rows, query_node)
-        parent_labels, child_labels, vp_parent, vp_child = self._needs[query_node]
+        parent_labels, child_labels, vp_parent, vp_child = self._needs.get(query_node) or self._compile(query_node)
         if vp_parent:
             passed &= self._vp_side_rows(rows, children=True)
         if vp_child:
@@ -229,106 +278,166 @@ class SimulationGuard(_BaseGuard):
         return passed
 
 
+#: Per label key, the ``(count, degree)`` thresholds of one side: at least
+#: ``count`` neighbours on that side carry the key and have ``d(·) >= degree``.
+Thresholds = Dict[object, Tuple[Tuple[int, int], ...]]
+
+
+def _thresholds(degrees_needed: List[int]) -> Tuple[Tuple[int, int], ...]:
+    """The distinct-assignment test for one label as threshold counts.
+
+    With the needs sorted ``n_1 >= n_2 >= ...``, distinct neighbours of that
+    label can cover them iff, for every ``j``, at least ``j`` of them have a
+    degree ``>= n_j`` (the greedy assignment, largest first, needs nothing
+    more); within a run of equal needs the last ``j`` implies the others.
+    """
+    needs = sorted(degrees_needed, reverse=True)
+    return tuple(
+        (count, need)
+        for count, need in enumerate(needs, start=1)
+        if count == len(needs) or needs[count] != need
+    )
+
+
 class IsomorphismGuard(_BaseGuard):
     """The revised guarded condition of RBSub (Section 4.2).
 
     ``C(v, u)`` holds iff for every query neighbour ``u'`` of ``u`` (with
     degree ``d_{u'}``) there is a *distinct* data neighbour of ``v`` on the
     correct side with the same label and degree at least ``d_{u'}``.
-    Distinctness is checked per (direction, label) group by comparing sorted
-    degree requirements against sorted available degrees.
+    Distinctness is decided per (direction, label) group as threshold counts
+    (:func:`_thresholds`): one per node from its row's label and degree
+    columns, one ``bincount`` per (side, label, threshold) for a whole array
+    of rows.
     """
 
-    def _evaluate(self, node: NodeId, query_node: QueryNodeId) -> bool:
-        """Evaluate the degree-aware guarded condition."""
-        if not self._label_matches(node, query_node):
-            return False
+    def _condition(self, node: NodeId, query_node: QueryNodeId, row: Optional["_Row"]) -> bool:
+        """``C(node, query_node)`` past the label test: degree dominance,
+        ``vp``'s sides, then the thresholds on one read of the row."""
         children, parents = self._needs.get(query_node) or self._compile(query_node)
-        graph = self._graph
+        graph, csr = self._graph, self._csr
+        if row is not None:
+            split, in_degree = row.split, len(row.scan) - row.split
+        else:
+            split, in_degree = graph.out_degree(node), graph.in_degree(node)
         # Degree dominance first: it reads no neighbour.
-        if graph.out_degree(node) < children[0] or graph.in_degree(node) < parents[0]:
+        if split < children[0] or in_degree < parents[0]:
             return False
-        for on_children, (_, vp_needed, requirements) in ((True, children), (False, parents)):
-            # The personalized neighbour must literally be vp.
-            if vp_needed and node not in self._vp_side(children=not on_children):
-                return False
-            if requirements and not _satisfiable(
-                *self._side_columns(graph.successors(node) if on_children else graph.predecessors(node)),
-                requirements,
-            ):
-                return False
-        return True
+        # The personalized neighbour must literally be vp.
+        if children[1] and node not in self._vp_side(children=False):
+            return False
+        if parents[1] and node not in self._vp_side(children=True):
+            return False
+        if not (children[2] or parents[2]):
+            return True
+        if csr is None:
+            scan = row.scan if row is not None else list(chain(graph.successors(node), graph.predecessors(node)))
+            labels, degrees = list(map(graph.label, scan)), list(map(graph.degree, scan))
+        else:
+            entries = csr.neighbor_indices(csr.index_of(node)) if row is None else row.entries
+            labels, degrees = csr.label_ids_of(entries).tolist(), csr.degrees()[entries].tolist()
+        return _satisfiable(labels[:split], degrees[:split], children[2]) and _satisfiable(
+            labels[split:], degrees[split:], parents[2]
+        )
 
     def check_rows(self, rows: np.ndarray, query_node: QueryNodeId) -> np.ndarray:
         """``C(·, query_node)`` of each of ``rows``: label ids, degree dominance
-        and ``vp``'s sides vectorised; the distinct-assignment test then runs
-        per survivor, on two column gathers of its row."""
+        and ``vp``'s sides vectorised, then the distinct-assignment test of
+        every survivor at once, as threshold counts over one gather of their
+        rows."""
         children, parents = self._needs.get(query_node) or self._compile(query_node)
         csr = self._csr
         out_degrees, in_degrees = csr.side_degrees(rows)
         passed = self._label_rows(rows, query_node)
         passed &= (out_degrees >= children[0]) & (in_degrees >= parents[0])
-        for on_children, (_, vp_needed, _) in ((True, children), (False, parents)):
-            if vp_needed:
-                passed &= self._vp_side_rows(rows, children=not on_children)
+        if children[1]:
+            passed &= self._vp_side_rows(rows, children=False)
+        if parents[1]:
+            passed &= self._vp_side_rows(rows, children=True)
         survivors = np.flatnonzero(passed)
-        if survivors.shape[0] and (children[2] or parents[2]):
-            # Every survivor's row in one gather; each side is a slice of it.
-            entries = csr.adjacent_rows(rows[survivors])
-            labels, degrees = csr.label_ids_of(entries).tolist(), csr.degrees()[entries].tolist()
-            start = 0
-            for position, split, length in zip(
-                survivors.tolist(), out_degrees[survivors].tolist(), in_degrees[survivors].tolist()
-            ):
-                middle = start + split
-                end = middle + length
-                if not (
-                    _satisfiable(labels[start:middle], degrees[start:middle], children[2])
-                    and _satisfiable(labels[middle:end], degrees[middle:end], parents[2])
-                ):
-                    passed[position] = False
-                start = end
+        if not survivors.shape[0] or not (children[2] or parents[2]):
+            return passed
+        # One gather per side asked about, each entry beside its survivor.
+        kept, surviving = np.ones(survivors.shape[0], dtype=bool), rows[survivors]
+        for on_children, thresholds in ((True, children[2]), (False, parents[2])):
+            if not thresholds:
+                continue
+            if None in thresholds:  # a label no node carries
+                kept[:] = False
+                break
+            entries, owner = csr.side_entries(surviving, on_children)
+            labels, degrees = csr.label_ids_of(entries), csr.degrees()[entries]
+            for key, pairs in thresholds.items():
+                carrying = labels == key
+                for needed, degree in pairs:
+                    kept &= np.bincount(owner[carrying & (degrees >= degree)], minlength=kept.shape[0]) >= needed
+        passed[survivors] = kept
         return passed
 
     def _compile(self, query_node: QueryNodeId):
         """What ``query_node`` asks of the children and of the parents of a data
         node, compiled once: how many there must be, whether ``vp`` must be one,
-        and per label key the degrees its query neighbours need, largest first."""
-        pattern = self._pattern
+        and per label key the thresholds its query neighbours set."""
+        pattern, personalized = self._pattern, self._personalized
         sides = []
         for query_neighbors in (pattern.children(query_node), pattern.parents(query_node)):
             requirements: Dict[object, List[int]] = {}
             for neighbor_query in query_neighbors:
-                if neighbor_query != pattern.personalized:
+                if neighbor_query != personalized:
                     requirements.setdefault(self._label_keys[neighbor_query], []).append(
                         pattern.degree(neighbor_query)
                     )
-            for degrees_needed in requirements.values():
-                degrees_needed.sort(reverse=True)
-            sides.append((len(query_neighbors), pattern.personalized in query_neighbors, requirements))
+            thresholds = {key: _thresholds(needed) for key, needed in requirements.items()}
+            sides.append((len(query_neighbors), personalized in query_neighbors, thresholds))
         needs = self._needs[query_node] = tuple(sides)
         return needs
 
-    def _side_columns(self, side) -> Tuple[List[object], List[int]]:
-        """The label keys and ``d(·)`` of the neighbours on one side: two
-        column gathers on a ``CSRGraph``, else one pass over the neighbours."""
-        csr, graph = self._csr, self._graph
-        if csr is not None:
-            return csr.label_ids_of(side.indices).tolist(), csr.degrees()[side.indices].tolist()
-        side = list(side)
-        return list(map(graph.label, side)), list(map(graph.degree, side))
 
-
-def _satisfiable(labels: List[object], degrees: List[int], requirements: Dict[object, List[int]]) -> bool:
-    """Greedy distinct-assignment check for one direction: per label key, the
-    neighbours carrying it, largest degree first, must cover the degrees needed."""
-    for label, degrees_needed in requirements.items():
-        available = sorted((have for have, found in zip(degrees, labels) if found == label), reverse=True)
-        if len(available) < len(degrees_needed):
-            return False
-        if any(have < need for have, need in zip(available, degrees_needed)):
-            return False
+def _satisfiable(labels: List[object], degrees: List[int], thresholds: Thresholds) -> bool:
+    """The distinct-assignment test for one side: per label key, enough
+    neighbours carrying it reach each of its thresholds."""
+    for label, pairs in thresholds.items():
+        have = [degree for degree, found in zip(degrees, labels) if found == label]
+        for needed, degree in pairs:
+            if len(have) < needed or sum(1 for own in have if own >= degree) < needed:
+                return False
     return True
+
+
+class _Row:
+    """A data node's row as one search loaded it: the ids of its entries
+    (children then parents, a node on both sides twice), whether that is the
+    whole row, how many of the entries are children, on a ``CSRGraph`` the
+    entries' rows, and beside each entry the query nodes asking for its
+    label (:meth:`WeightEstimator._asking`, on first use: a row read only
+    to admit its node never needs them).  :meth:`WeightEstimator.describe`,
+    the guard's test of the node itself and
+    :meth:`SubgraphBuilder.add_row_edges` all read this one record."""
+
+    __slots__ = ("scan", "whole", "split", "index", "sides", "_entries", "askers")
+
+    def __init__(
+        self,
+        scan: List[NodeId],
+        whole: bool,
+        split: int,
+        index: Optional[int],
+        sides: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        self.scan = scan
+        self.whole = whole
+        self.split = split
+        self.index = index  # on a ``CSRGraph``: the node's own row
+        self.sides = sides  # and the rows of its children and of its parents
+        self._entries: Optional[np.ndarray] = None
+        self.askers: Optional[List[int]] = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The rows of the entries, children then parents (joined on first use)."""
+        if self._entries is None:
+            self._entries = np.concatenate(self.sides)
+        return self._entries
 
 
 class WeightEstimator:
@@ -337,16 +446,18 @@ class WeightEstimator:
     * **Role bits.**  Query nodes are bit positions: the query neighbours of
       ``u``, the query nodes asking for a label, and the *roles* of a data
       node (the query nodes it satisfies ``C`` for) are ints.
-    * **Rows.**  What ``G`` says about a data node is loaded once: its scan
-      list (children then parents, a node on both sides twice) and, beside
-      it, which query nodes ask for the label of each entry (on a
-      ``CSRGraph`` one gather through a label id -> askers table).  A
-      candidate that is only *ranked* loads its first ``max_scan`` entries,
-      all that ``p(v, u)`` reads; the whole row is loaded when the node is
-      expanded or joins ``G_Q``.  Who can play what is decided on the row in
-      list space, and only an entry whose label is asked for reaches the
-      exact, memoised ``guard.check`` (which, being a necessary condition for
-      a match, implies the label test), once per search and query node.
+    * **Rows.**  What ``G`` says about a data node is loaded once, as a
+      :class:`_Row`: its scan list (children then parents, a node on both
+      sides twice) and, beside it, which query nodes ask for the label of
+      each entry (on a ``CSRGraph`` one gather through a label id -> askers
+      table).  A candidate that is only *ranked* loads its first
+      ``max_scan`` entries, all that ``p(v, u)`` reads; the whole row is
+      loaded when the node is expanded or joins ``G_Q``.  Who can play what
+      is decided on the row in list space: a known role or an already tried
+      query node settles an entry, and only an entry whose label is asked
+      for and not yet tried reaches the guard, through
+      ``guard.check_asked`` (the askers bit vouches for the label), once per
+      search and query node.
     * **Wide rows.**  On a ``CSRGraph``, a row with more than ``max_scan``
       entries gets ``C(·, u)`` for all of its untried entries in one
       ``guard.check_rows`` call, whose results go into the same roles.
@@ -362,7 +473,8 @@ class WeightEstimator:
       only what depends on ``G`` and ``Q`` (:meth:`describe`, never
       :meth:`admit`), so when it is abandoned the weighted search that
       restarts finds ``in_gq`` and every count that moves with ``G_Q``
-      empty, and the rows, roles and eligible lists the pass loaded.
+      empty, and the rows, roles and eligible lists the pass loaded.  The
+      kept weights of a query node are made on its first ranking.
     """
 
     def __init__(
@@ -375,7 +487,7 @@ class WeightEstimator:
     ) -> None:
         self._graph = graph
         csr = self._csr = _csr_of(graph)
-        self._check = guard.check
+        self._check = guard.check_asked
         self._check_rows = guard.check_rows if guard.row_space else None
         # Cap on how many neighbours are inspected per estimate.  The paper
         # notes the potential "can be extended by making use of sampling";
@@ -383,37 +495,36 @@ class WeightEstimator:
         # nodes are eligible (the guarded condition is still exact).
         self.max_scan = max(1, max_scan)
         self.in_gq: Set[NodeId] = set()
-        self._query_nodes = tuple(pattern.nodes())
-        self.bits = {u: 1 << position for position, u in enumerate(self._query_nodes)}
-        self._needed = {
-            u: reduce(or_, (self.bits[neighbor] for neighbor in pattern.neighbors(u)), 0)
-            for u in self._query_nodes
-        }
+        query_nodes = self._query_nodes = tuple(pattern.nodes())
+        bits = self.bits = {u: 1 << position for position, u in enumerate(query_nodes)}
+        # Per query node: the bits of its query neighbours.
+        needed = self._needed = dict.fromkeys(query_nodes, 0)
+        for source, target in pattern.edges:
+            needed[source] |= bits[target]
+            needed[target] |= bits[source]
         # Label key -> the query nodes asking for it (``up`` is matched by
         # identity, so it asks for the label ``vp`` has).
         self._askers: Dict[object, int] = {}
-        for u, bit in self.bits.items():
+        keys = _label_keys(csr, pattern)
+        for u, bit in bits.items():
             if u != pattern.personalized:
-                key = _label_key(csr, pattern.label_of(u))
+                key = keys[u]
             elif personalized_match not in graph:
                 continue
             elif csr is None:
                 key = graph.label(personalized_match)
             else:
-                key = csr.label_ids_of(csr.index_of(personalized_match)).item()
+                key = csr.label_entry(csr.index_of(personalized_match))[1]
             self._askers[key] = self._askers.get(key, 0) | bit
         if csr is not None:
             # Label id -> askers, so a row's askers are one gather.
             self._askers_table = np.zeros(
-                csr.num_labels(), dtype=np.int64 if len(self.bits) < 64 else object
+                csr.num_labels(), dtype=np.int64 if len(bits) < 64 else object
             )
             for key, askers in self._askers.items():
                 if key is not None:
                     self._askers_table[key] = askers
-        # Per data node: (scan, askers of each entry, whether that is the whole row).
-        self._rows: Dict[NodeId, Tuple[List[NodeId], List[int], bool]] = {}
-        # Wide whole rows when ``check_rows`` may be asked: (entry rows, askers).
-        self._arrays: Dict[NodeId, Tuple[np.ndarray, np.ndarray]] = {}
+        self._rows: Dict[NodeId, _Row] = {}
         self._distinct: Dict[NodeId, Dict[NodeId, int]] = {}
         # Per data node: its roles as far as known (all of them for a member
         # of G_Q), and the query nodes tried.
@@ -421,11 +532,10 @@ class WeightEstimator:
         self._tried: Dict[NodeId, int] = {}
         self._eligible: Dict[Tuple[NodeId, QueryNodeId], List[NodeId]] = {}
         self._usable: Dict[Tuple[NodeId, QueryNodeId], List[NodeId]] = {}
-        # Per query node u: hits[v] when the weight of (v, u) was computed (-1:
-        # stale) and that weight; and how many wide members were applied to them.
-        self._kept: Dict[QueryNodeId, Tuple[Dict[NodeId, int], Dict[NodeId, float]]] = {
-            u: ({}, {}) for u in self._query_nodes
-        }
+        # Per query node u (made on its first ranking): hits[v] when the
+        # weight of (v, u) was computed (-1: stale) and that weight; and how
+        # many wide members were applied to them.
+        self._kept: Dict[QueryNodeId, Tuple[Dict[NodeId, int], Dict[NodeId, float]]] = {}
         self._wide_seen: Dict[QueryNodeId, int] = {}
         # What moves with G_Q, per data node: the roles of the members among
         # the entries of its row, and how many entries those are.  Members too
@@ -439,39 +549,58 @@ class WeightEstimator:
     # ------------------------------------------------------------------ #
     # What depends on G and Q alone
     # ------------------------------------------------------------------ #
-    def _load(self, node: NodeId, limit: Optional[int]) -> Tuple[List[NodeId], List[int], bool]:
+    def _load(self, node: NodeId, limit: Optional[int]) -> _Row:
         """The first ``limit`` entries of the row of ``node`` (all when ``None``):
-        an index slice and two gathers on a ``CSRGraph``, else one pass over
-        each side."""
+        two index slices on a ``CSRGraph`` (their askers are gathered on first
+        use), else one pass over each side."""
         csr = self._csr
         if csr is not None:
-            indices = csr.neighbor_indices(csr.index_of(node), limit)
-            askers = self._askers_table[csr.label_ids_of(indices)]
-            scan = csr.ids_of(indices)
-            if limit is None and len(scan) > self.max_scan and self._check_rows is not None:
-                self._arrays[node] = (indices, askers)
-            askers = askers.tolist()
+            index = csr.index_of(node)
+            scan, sides = csr.neighbor_ids(index, limit)
+            split = sides[0].shape[0]
         else:
-            graph = self._graph
-            scan = list(islice(chain(graph.successors(node), graph.predecessors(node)), limit))
-            askers = list(map(self._askers.get, map(graph.label, scan), repeat(0)))
-        row = self._rows[node] = (scan, askers, limit is None or len(scan) < limit)
+            graph, index, sides = self._graph, None, None
+            if limit is None:
+                children = list(graph.successors(node))
+                split = len(children)
+                scan = children + list(graph.predecessors(node))
+            else:
+                scan = list(islice(chain(graph.successors(node), graph.predecessors(node)), limit))
+                split = min(len(scan), graph.out_degree(node))
+        row = self._rows[node] = _Row(scan, limit is None or len(scan) < limit, split, index, sides)
+        return row
+
+    def _asking(self, row: _Row) -> List[int]:
+        """The query nodes asking for the label of each entry of ``row``: one
+        gather through the label id -> askers table on a ``CSRGraph``."""
+        askers = row.askers
+        if askers is None:
+            csr = self._csr
+            if csr is not None:
+                askers = self._askers_table[csr.label_ids_of(row.entries)].tolist()
+            else:
+                askers = list(map(self._askers.get, map(self._graph.label, row.scan), repeat(0)))
+            row.askers = askers
+        return askers
+
+    def _whole(self, node: NodeId) -> _Row:
+        """The whole row of ``node``, loaded on first use."""
+        row = self._rows.get(node)
+        if row is None or not row.whole:
+            row = self._load(node, None)
         return row
 
     def row(self, node: NodeId) -> List[NodeId]:
         """The whole scan list of ``node``."""
-        row = self._rows.get(node)
-        if row is None or not row[2]:
-            row = self._load(node, None)
-        return row[0]
+        return self._whole(node).scan
 
     def distinct(self, node: NodeId) -> Dict[NodeId, int]:
         """The neighbours of ``node`` in scan order, first occurrences only (what
         ``Pick`` walks), each with the query nodes asking for its label."""
         distinct = self._distinct.get(node)
         if distinct is None:
-            scan = self.row(node)
-            distinct = self._distinct[node] = dict(zip(scan, self._rows[node][1]))
+            row = self._whole(node)
+            distinct = self._distinct[node] = dict(zip(row.scan, self._asking(row)))
         return distinct
 
     def width(self, node: NodeId) -> int:
@@ -483,16 +612,20 @@ class WeightEstimator:
     def _plays(self, node: NodeId, mask: int, every: bool = False) -> int:
         """The roles of ``node`` among the query nodes of ``mask`` (all asking
         for its label): all of them, or just the first one found.  No
-        ``(node, query node)`` reaches the guard twice in one search."""
+        ``(node, query node)`` reaches the guard twice in one search, and a
+        whole row already loaded is handed to it."""
         roles, tried = self.roles.get(node, 0), self._tried.get(node, 0)
         untried = mask & ~tried
         if untried and (every or not roles & mask):
             check, query_nodes = self._check, self._query_nodes
+            row = self._rows.get(node)
+            if row is not None and not row.whole:
+                row = None
             while untried:
                 low = untried & -untried
                 untried ^= low
                 tried |= low
-                if check(node, query_nodes[low.bit_length() - 1]):
+                if check(node, query_nodes[low.bit_length() - 1], row):
                     roles |= low
                     if not every:
                         break
@@ -504,35 +637,51 @@ class WeightEstimator:
         key = (node, query_node)
         eligible = self._eligible.get(key)
         if eligible is None:
-            self.row(node)
-            bit, arrays = self.bits[query_node], self._arrays.get(node)
-            if arrays is None:
-                plays = self._plays
+            row, bit = self._whole(node), self.bits[query_node]
+            if self._check_rows is not None and len(row.scan) > self.max_scan:
+                eligible = self._eligible_rows(row, query_node, bit)
+            else:
+                # The asked entries, first occurrences only; a known role or a
+                # tried query node settles one before the guard is asked.
+                asked = dict.fromkeys(compress(row.scan, map(bit.__and__, self._asking(row))))
+                known, tried, plays = self.roles.get, self._tried.get, self._plays
                 eligible = [
                     neighbor
-                    for neighbor, askers in self.distinct(node).items()
-                    if askers & bit and plays(neighbor, bit)
+                    for neighbor in asked
+                    if known(neighbor, 0) & bit or not tried(neighbor, 0) & bit and plays(neighbor, bit)
                 ]
-            else:
-                eligible = self._eligible_rows(arrays, query_node, bit)
             self._eligible[key] = eligible
         return eligible
 
-    def _eligible_rows(self, arrays, query_node: QueryNodeId, bit: int) -> List[NodeId]:
+    def _eligible_rows(self, row: _Row, query_node: QueryNodeId, bit: int) -> List[NodeId]:
         """:meth:`eligible` of a wide row in row space: the entries whose label
-        ``query_node`` asks for, one ``check_rows`` call for those not tried."""
-        indices, askers = arrays
-        asked = indices[(askers & bit) != 0]
-        first = dict(zip(self._csr.ids_of(asked), asked.tolist()))  # distinct, in scan order
+        ``query_node`` asks for, first occurrences only, and one
+        ``check_rows`` call for those not tried.  A node never tried has no
+        role yet, so those (most of a wide row) are recorded by dict
+        operations, not one by one."""
+        csr = self._csr
+        asked = row.entries[(self._askers_table[csr.label_ids_of(row.entries)] & bit) != 0]
+        at = dict(zip(csr.ids_of(asked), asked.tolist()))  # distinct, in scan order
         roles, tried = self.roles, self._tried
-        fresh = [neighbor for neighbor in first if not tried.get(neighbor, 0) & bit]
-        if fresh:
-            rows = np.fromiter(map(first.__getitem__, fresh), dtype=np.int64, count=len(fresh))
-            for neighbor, passed in zip(fresh, self._check_rows(rows, query_node).tolist()):
-                tried[neighbor] = tried.get(neighbor, 0) | bit
-                if passed:
+        known = tried.keys() & at.keys()
+        fresh = list(at) if not known else [neighbor for neighbor in at if neighbor not in known]
+        retried = [neighbor for neighbor in known if not tried[neighbor] & bit]
+        eligible = {neighbor for neighbor in known if roles.get(neighbor, 0) & bit}
+        untried = fresh + retried
+        if untried:
+            rows = np.fromiter(map(at.__getitem__, untried), dtype=np.int64, count=len(untried))
+            passed = self._check_rows(rows, query_node).tolist()
+            tried.update(dict.fromkeys(fresh, bit))
+            found = list(compress(fresh, passed))
+            roles.update(dict.fromkeys(found, bit))
+            if not known:  # every entry was fresh: the ones that passed, in scan order
+                return found
+            for neighbor, passing in zip(retried, passed[len(fresh) :]):
+                tried[neighbor] |= bit
+                if passing:
                     roles[neighbor] = roles.get(neighbor, 0) | bit
-        return [neighbor for neighbor in first if roles.get(neighbor, 0) & bit]
+            eligible.update(compress(untried, passed))
+        return list(filter(eligible.__contains__, at))
 
     def labelled(self, node: NodeId, query_node: QueryNodeId) -> List[NodeId]:
         """Distinct neighbours of ``node`` whose label ``query_node`` asks for
@@ -546,12 +695,12 @@ class WeightEstimator:
         key = (node, query_node)
         usable = self._usable.get(key)
         if usable is None:
-            scan, asking, _ = self._rows.get(node) or self._load(node, self.max_scan)
+            row = self._rows.get(node) or self._load(node, self.max_scan)
             needed, plays = self._needed[query_node], self._plays
             known, tried = self.roles.get, self._tried.get
             usable = self._usable[key] = [
                 neighbor
-                for neighbor, askers in islice(zip(scan, asking), self.max_scan)
+                for neighbor, askers in islice(zip(row.scan, self._asking(row)), self.max_scan)
                 if askers & needed
                 and (
                     known(neighbor, 0) & needed
@@ -564,18 +713,18 @@ class WeightEstimator:
     def describe(self, node: NodeId) -> Tuple[object, int, List[NodeId], List[NodeId]]:
         """What ``node`` brings to ``G_Q``: its label, its roles (every query
         node it satisfies ``C`` for, as bits, which ``roles`` keeps from now
-        on), its children and its parents.  It reads ``G`` and ``Q`` alone:
-        the unweighted pass of ``Search`` admits a node with this, and no
-        weight is asked of it."""
-        scan = self.row(node)
-        csr = self._csr
+        on), its children and its parents, all read off its one row.  It
+        reads ``G`` and ``Q`` alone: the unweighted pass of ``Search`` admits
+        a node with this, and no weight is asked of it."""
+        row, csr = self._whole(node), self._csr
         if csr is None:
-            label = key = self._graph.label(node)
+            label = self._graph.label(node)
+            asked = self._askers.get(label, 0)
         else:
-            label = csr.label_at(csr.index_of(node))
-            key = csr.label_id(label)
-        roles = self._plays(node, self._askers.get(key, 0), every=True)
-        split = self._graph.out_degree(node)
+            label, key = csr.label_entry(row.index)
+            asked = self._askers_table.item(key)
+        roles = self._plays(node, asked, every=True)
+        scan, split = row.scan, row.split
         return label, roles, scan[:split], scan[split:]
 
     # ------------------------------------------------------------------ #
@@ -592,7 +741,7 @@ class WeightEstimator:
         """
         self.in_gq.add(node)
         described = self.describe(node)
-        roles, scan = described[1], self.row(node)
+        roles, scan = described[1], self._rows[node].scan
         self.touched.append(scan)
         if len(scan) > self.max_scan:
             self._wide.append((roles, Counter(scan)))  # no O(deg) loop per hub
@@ -647,7 +796,7 @@ class WeightEstimator:
         marks the kept weights of its row's entries stale, and only a stale
         weight is computed again: a call with none reads two dicts.
         """
-        kept_hits, kept = self._kept[query_node]
+        kept_hits, kept = self._kept.get(query_node) or self._kept.setdefault(query_node, ({}, {}))
         wide, seen = self._wide, self._wide_seen.get(query_node, 0)
         if seen != len(wide):
             for _, entries in wide[seen:]:

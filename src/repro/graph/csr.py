@@ -694,13 +694,32 @@ class CSRGraph:
         ``predecessors``: stored order, a node on both sides appears twice.
         ``limit`` keeps the first ``limit`` entries and copies no more.
         """
-        children = self._succ_slice(index)
-        if limit is not None and limit <= children.shape[0]:
-            return children[:limit]
-        parents = self._pred_slice(index)
+        children, parents = self.neighbor_sides(index, limit)
+        return np.concatenate((children, parents)) if parents.shape[0] else children
+
+    def neighbor_sides(self, index: int, limit: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """The child and the parent indices of the node at ``index``, as two
+        slices of the stored columns (read only, nothing copied); ``limit``
+        keeps the first ``limit`` entries of children then parents."""
+        succ, pred = self._succ_indptr, self._pred_indptr
+        start, stop = succ.item(index), succ.item(index + 1)
+        if limit is not None and limit <= stop - start:
+            return self._succ_indices[start : start + limit], _EMPTY
+        low, high = pred.item(index), pred.item(index + 1)
         if limit is not None:
-            parents = parents[: limit - children.shape[0]]
-        return np.concatenate((children, parents))
+            high = min(high, low + limit - (stop - start))
+        return self._succ_indices[start:stop], self._pred_indices[low:high]
+
+    def neighbor_ids(
+        self, index: int, limit: Optional[int] = None
+    ) -> Tuple[List[NodeId], Tuple[np.ndarray, np.ndarray]]:
+        """The ids of the children then the parents of the node at ``index``
+        (``limit`` as in :meth:`neighbor_sides`), and the two index slices
+        they were read from."""
+        sides = self.neighbor_sides(index, limit)
+        if self._identity:
+            return sides[0].tolist() + sides[1].tolist(), sides
+        return self.ids_of(sides[0]) + self.ids_of(sides[1]), sides
 
     def adjacent_rows(self, rows: np.ndarray) -> np.ndarray:
         """Child then parent indices of each of ``rows``, row after row.
@@ -720,6 +739,17 @@ class CSRGraph:
             _spans(pred_starts, pred_counts)
         ]
         return adjacent
+
+    def side_entries(self, rows: np.ndarray, children: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """The children (resp. parents) of each of ``rows``, row after row, and
+        beside each the position in ``rows`` of the row it came from."""
+        if children:
+            indptr, indices = self._succ_indptr, self._succ_indices
+        else:
+            indptr, indices = self._pred_indptr, self._pred_indices
+        starts = indptr[rows]
+        counts = indptr[rows + 1] - starts
+        return indices[_spans(starts, counts)], np.repeat(np.arange(rows.shape[0]), counts)
 
     def side_degrees(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Out- and in-degrees of each of ``rows`` (two ``indptr`` gathers)."""
@@ -742,6 +772,11 @@ class CSRGraph:
     def label_ids_of(self, indices: np.ndarray) -> np.ndarray:
         """Label ids of an index array (compare against :meth:`label_id`)."""
         return self._label_ids[indices]
+
+    def label_entry(self, index: int) -> Tuple[Label, int]:
+        """The label of the node stored at array ``index`` and its label id."""
+        label_id = self._label_ids.item(index)
+        return self._label_table[label_id], label_id
 
     def label_at(self, index: int) -> Label:
         """The label of the node stored at array ``index``."""

@@ -114,6 +114,8 @@ class LabelRequirement(NamedTuple):
 
 
 _NO_LABELS = LabelRequirement((), ())
+#: How many compiled label tuples an index keeps before it starts over.
+_REQUIREMENT_MEMO = 4096
 
 
 class NeighborhoodIndex:
@@ -143,6 +145,7 @@ class NeighborhoodIndex:
     def _bind_arrays(self) -> None:
         """Resolve the graph's presence arrays to flat word views."""
         source = self._graph
+        self._requirements: Dict[Tuple[Label, ...], LabelRequirement] = {}
         if not hasattr(source, "label_presence"):
             self._rows: Mapping[NodeId, int] = {}
             self._label_bit: Optional[Dict[Label, Tuple[int, int]]] = None
@@ -203,8 +206,17 @@ class NeighborhoodIndex:
         return self.has_labels(node, self.requirement((label,)), _NO_LABELS)
 
     def requirement(self, labels: Iterable[Label]) -> LabelRequirement:
-        """Compile ``labels`` for :meth:`has_labels` and its one-sided forms."""
+        """Compile ``labels`` for :meth:`has_labels` and its one-sided forms,
+        once per label tuple: every query of a log asks for a few of them."""
         labels = tuple(dict.fromkeys(labels))
+        compiled = self._requirements.get(labels)
+        if compiled is None:
+            if len(self._requirements) >= _REQUIREMENT_MEMO:
+                self._requirements.clear()
+            compiled = self._requirements[labels] = self._compile(labels)
+        return compiled
+
+    def _compile(self, labels: Tuple[Label, ...]) -> LabelRequirement:
         if self._label_bit is None:
             return LabelRequirement(labels, None)
         masks: Dict[int, int] = {}

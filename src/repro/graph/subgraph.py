@@ -19,7 +19,6 @@ the edges the current answer does not need.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
 from typing import Container, Iterable, Mapping, Sequence, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
@@ -88,6 +87,7 @@ class SubgraphBuilder:
     def __init__(self, host: GraphLike):
         self._host = host
         self._graph = DiGraph()
+        self._members: Set[NodeId] = set()  # the nodes of ``_graph``, for C-level membership
 
     @property
     def host(self) -> GraphLike:
@@ -99,8 +99,13 @@ class SubgraphBuilder:
         """The subgraph built so far, not a copy: read it, do not change it."""
         return self._graph
 
+    @property
+    def members(self) -> Set[NodeId]:
+        """The nodes added so far, as a set (not a copy: read it, do not change it)."""
+        return self._members
+
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._graph
+        return node in self._members
 
     def has_edge(self, source: NodeId, target: NodeId) -> bool:
         """Whether the partial subgraph already holds this edge."""
@@ -112,13 +117,14 @@ class SubgraphBuilder:
         ``label`` is the host's label of ``node`` when the caller has read
         it from the host already (the host is then not asked again).
         """
-        if node in self._graph:
+        if node in self._members:
             return False
         if label is _FROM_HOST:
             if node not in self._host:
                 raise NodeNotFoundError(node)
             label = self._host.label(node)
         self._graph.add_node(node, label)
+        self._members.add(node)
         return True
 
     def add_edge(self, source: NodeId, target: NodeId) -> bool:
@@ -158,28 +164,40 @@ class SubgraphBuilder:
         their query parents), so an edge goes in only when a query edge can
         map to it.
 
-        Whichever side is smaller, the row or the subgraph, is iterated, so
-        hub nodes with thousands of neighbours do not dominate the cost.  A
-        row more than twice the node count is intersected with a snapshot of
-        the nodes, and the edges go in in that set's iteration order.
+        A side no role can use is not read.  Whichever side is smaller, the row or
+        the subgraph, is iterated, so hub nodes with thousands of neighbours
+        do not dominate the cost.  A row more than twice the node count is
+        intersected with a snapshot of the nodes (a side only when some
+        member plays a role it can use), and the edges go in in that set's
+        iteration order.
         """
-        graph = self._graph
-        if len(children) + len(parents) > 2 * graph.num_nodes():
-            members = set(graph.nodes())
-            children, parents = set(children), set(parents)
-            targets = [member for member in members if member in children]
-            sources = [member for member in members if member in parents]
+        graph, members, plays = self._graph, self._members, roles.get
+        if len(children) + len(parents) > 2 * len(members):
+            # Built from the node iteration, not copied from ``members``: a
+            # copy is presized and iterates in another order, so the edges
+            # would go in in another order.
+            snapshot = set(graph.nodes())
+            targets = [m for m in snapshot if plays(m, 0) & child_roles] if child_roles else []
+            if targets:
+                children = set(children)
+                targets = [m for m in targets if m in children]
+            sources = [m for m in snapshot if plays(m, 0) & parent_roles] if parent_roles else []
+            if sources:
+                parents = set(parents)
+                sources = [m for m in sources if m in parents]
         else:
-            targets = [child for child in children if child in graph]
-            sources = [parent for parent in parents if parent in graph]
-        plays = roles.get
-        targets = [target for target in targets if plays(target, 0) & child_roles]
-        sources = [source for source in sources if plays(source, 0) & parent_roles]
+            member = members.__contains__
+            targets = [c for c in filter(member, children) if plays(c, 0) & child_roles] if child_roles else []
+            sources = [p for p in filter(member, parents) if plays(p, 0) & parent_roles] if parent_roles else []
         added = 0
-        for source, target in chain(zip(repeat(node), targets), zip(sources, repeat(node))):
+        for target in targets:
+            if added == room:
+                return added
+            added += graph.add_edge(node, target)
+        for source in sources:
             if added == room:
                 break
-            added += graph.add_edge(source, target)  # a self-loop is met on both sides
+            added += graph.add_edge(source, node)  # a self-loop is met on both sides
         return added
 
     def retain_edges(self, needed: Container[Edge]) -> int:

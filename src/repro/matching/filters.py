@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.graph.digraph import DiGraph, NodeId
+from repro.graph.digraph import DiGraph, Label, NodeId
 from repro.graph.statistics import LabelIndex
 from repro.patterns.pattern import GraphPattern, QueryNodeId
 
@@ -23,14 +23,27 @@ def label_candidates(
     personalized_match: NodeId,
     label_index: Optional[LabelIndex] = None,
 ) -> Dict[QueryNodeId, Set[NodeId]]:
-    """Candidate sets by label: ``{u: {v | L(v) = fv(u)}}``, with ``up → {vp}``."""
-    index = label_index if label_index is not None else LabelIndex(graph)
+    """Candidate sets by label: ``{u: {v | L(v) = fv(u)}}``, with ``up → {vp}``.
+
+    Without ``label_index`` one pass over the labels of ``graph`` collects
+    the labels the pattern asks for, and no others."""
+    if label_index is not None:
+        nodes_with = label_index.nodes_with
+    else:
+        found: Dict[Label, Set[NodeId]] = {pattern.label_of(u): set() for u in pattern.nodes()}
+        for node, label in graph.labels().items():
+            if label in found:
+                found[label].add(node)
+
+        def nodes_with(label: Label) -> Set[NodeId]:
+            return set(found[label])
+
     candidates: Dict[QueryNodeId, Set[NodeId]] = {}
     for query_node in pattern.nodes():
         if query_node == pattern.personalized:
             candidates[query_node] = {personalized_match} if personalized_match in graph else set()
         else:
-            candidates[query_node] = index.nodes_with(pattern.label_of(query_node))
+            candidates[query_node] = nodes_with(pattern.label_of(query_node))
     return candidates
 
 
@@ -80,14 +93,12 @@ def structural_prune(
             for node in nodes:
                 ok = True
                 for child_query in pattern.children(query_node):
-                    child_candidates = current[child_query]
-                    if not any(child in child_candidates for child in graph.successors(node)):
+                    if current[child_query].isdisjoint(graph.successors(node)):
                         ok = False
                         break
                 if ok:
                     for parent_query in pattern.parents(query_node):
-                        parent_candidates = current[parent_query]
-                        if not any(parent in parent_candidates for parent in graph.predecessors(node)):
+                        if current[parent_query].isdisjoint(graph.predecessors(node)):
                             ok = False
                             break
                 if ok:

@@ -93,13 +93,11 @@ def _satisfies(
 ) -> bool:
     """Whether ``node`` still satisfies the simulation conditions for ``query_node``."""
     for child_query in pattern.children(query_node):
-        child_matches = relation[child_query]
-        if not any(child in child_matches for child in graph.successors(node)):
+        if relation[child_query].isdisjoint(graph.successors(node)):
             return False
     if require_parents:
         for parent_query in pattern.parents(query_node):
-            parent_matches = relation[parent_query]
-            if not any(parent in parent_matches for parent in graph.predecessors(node)):
+            if relation[parent_query].isdisjoint(graph.predecessors(node)):
                 return False
     return True
 

@@ -62,25 +62,6 @@ def _matching_order(pattern: GraphPattern, candidates: Dict[QueryNodeId, Set[Nod
     return order
 
 
-def _consistent(
-    pattern: GraphPattern,
-    graph: DiGraph,
-    assignment: Dict[QueryNodeId, NodeId],
-    query_node: QueryNodeId,
-    node: NodeId,
-) -> bool:
-    """Whether extending the partial assignment with ``query_node → node`` is legal."""
-    for child_query in pattern.children(query_node):
-        mapped = assignment.get(child_query)
-        if mapped is not None and not graph.has_edge(node, mapped):
-            return False
-    for parent_query in pattern.parents(query_node):
-        mapped = assignment.get(parent_query)
-        if mapped is not None and not graph.has_edge(mapped, node):
-            return False
-    return True
-
-
 def subgraph_isomorphism(
     pattern: GraphPattern,
     graph: DiGraph,
@@ -109,6 +90,19 @@ def subgraph_isomorphism(
     order = [node for node in _matching_order(pattern, candidates) if node != output]
     order.insert(1 if output != pattern.personalized else 0, output)
     pools = {query_node: sorted(nodes, key=node_order) for query_node, nodes in candidates.items()}
+    # The query nodes assigned before depth ``d`` are ``order[:d]``: the query
+    # edges a candidate at ``d`` must map to data edges are fixed per depth.
+    depth_of = {query_node: depth for depth, query_node in enumerate(order)}
+    checks = [
+        (
+            [child for child in pattern.children(query_node) if depth_of[child] < depth],
+            [parent for parent in pattern.parents(query_node) if depth_of[parent] < depth],
+        )
+        for depth, query_node in enumerate(order)
+    ]
+    # Each candidate's place in its pool (made on first use), to walk a subset
+    # of a pool in the pool's order.
+    places: Dict[QueryNodeId, Dict[NodeId, int]] = {}
     assignment: Dict[QueryNodeId, NodeId] = {}
     used: Set[NodeId] = set()
 
@@ -117,8 +111,31 @@ def subgraph_isomorphism(
         if depth == len(order):
             return True
         query_node = order[depth]
-        for node in pools[query_node]:
-            if node in used or not _consistent(pattern, graph, assignment, query_node, node):
+        children, parents = checks[depth]
+        pool = pools[query_node]
+        if children or parents:
+            # The images the candidate must have an edge to (resp. from); a
+            # candidate must be next to the first one, ``near``.
+            targets = list(map(assignment.__getitem__, children))
+            sources = list(map(assignment.__getitem__, parents))
+            if targets:
+                near = graph.predecessors(targets.pop(0))
+            else:
+                near = graph.successors(sources.pop(0))
+            if len(pool) > 1 and len(near) < len(pool):
+                # Walk the nodes next to it instead, in the pool's order.
+                place = places.get(query_node)
+                if place is None:
+                    place = places[query_node] = {node: at for at, node in enumerate(pool)}
+                pool = sorted(filter(place.__contains__, near), key=place.__getitem__)
+        else:
+            near, targets, sources = None, (), ()
+        for node in pool:
+            if node in used or near is not None and node not in near:
+                continue
+            if targets and not all(map(graph.successors(node).__contains__, targets)):
+                continue
+            if sources and not all(map(graph.predecessors(node).__contains__, sources)):
                 continue
             assignment[query_node] = node
             used.add(node)
@@ -130,6 +147,7 @@ def subgraph_isomorphism(
 
     for match in pools.pop(output):
         pools[output] = [match]
+        places.pop(output, None)
         if extend(0):
             result.answer.add(match)
             result.embedding_of[match] = dict(assignment)

@@ -44,11 +44,12 @@ class GraphPattern:
     _pred: Mapping[QueryNodeId, Tuple[QueryNodeId, ...]] = field(
         default=None, repr=False, compare=False
     )
-    # Derived once per frozen pattern: N(u) eagerly, d_Q on first use.
+    # Derived once per frozen pattern: N(u) eagerly, d_Q and connectivity on first use.
     _neighbors: Mapping[QueryNodeId, Tuple[QueryNodeId, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
     _diameter: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _connected: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = dict(self.labels)
@@ -169,23 +170,38 @@ class GraphPattern:
         never degenerates to just ``vp``.
         """
         if self._diameter is None:
-            longest = max(max(self._hops_from(node).values()) for node in self.labels)
-            object.__setattr__(self, "_diameter", max(1, longest) if self.edges else 0)
+            self._derive_hops()
         return self._diameter
 
-    def _hops_from(self, source: QueryNodeId) -> Dict[QueryNodeId, int]:
-        """Undirected hop distance from ``source`` to every query node it reaches."""
-        hops = {source: 0}
-        frontier = [source]
-        while frontier:
-            reached = []
-            for node in frontier:
-                for neighbor in self._neighbors[node]:
-                    if neighbor not in hops:
-                        hops[neighbor] = hops[node] + 1
-                        reached.append(neighbor)
-            frontier = reached
-        return hops
+    def _derive_hops(self) -> None:
+        """``d_Q`` and whether every query node is reached from ``up``, from one
+        breadth-first sweep per query node over neighbour bit masks."""
+        position = {node: index for index, node in enumerate(self.labels)}
+        adjacency = [0] * len(position)
+        for source, target in self.edges:
+            adjacency[position[source]] |= 1 << position[target]
+            adjacency[position[target]] |= 1 << position[source]
+        longest, connected = 0, False
+        for index in range(len(adjacency)):
+            reached = frontier = 1 << index
+            hops = 0
+            while True:
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= adjacency[low.bit_length() - 1]
+                    frontier ^= low
+                grown &= ~reached
+                if not grown:
+                    break
+                hops += 1
+                reached |= grown
+                frontier = grown
+            longest = max(longest, hops)
+            if index == position[self.personalized]:
+                connected = reached == (1 << len(adjacency)) - 1
+        object.__setattr__(self, "_diameter", max(1, longest) if self.edges else 0)
+        object.__setattr__(self, "_connected", connected)
 
     def undirected_diameter(self) -> int:
         """Alias for :meth:`diameter` (the paper's parameter ``d``)."""
@@ -193,7 +209,9 @@ class GraphPattern:
 
     def is_connected(self) -> bool:
         """Whether the pattern is weakly connected."""
-        return len(self._hops_from(self.personalized)) == self.num_nodes()
+        if self._connected is None:
+            self._derive_hops()
+        return self._connected
 
     def validate(self) -> None:
         """Raise :class:`PatternError` when the pattern is not usable.

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 
 from reduction_oracle import OracleReducer, OracleWeightEstimator, build_reducer, fingerprint
 from repro.core.budget import ResourceBudget
+from repro.core.rbsub import RBSub
 from repro.core.reduction import DynamicReducer
 from repro.core.weights import IsomorphismGuard, SimulationGuard, WeightEstimator
 from repro.exceptions import WorkloadError
@@ -474,13 +475,18 @@ def test_a_member_on_both_sides_counts_twice_towards_the_cap(substrate):
 # --------------------------------------------------------------------------- #
 def counting(guard_class, evaluations: Counter, row_calls: Counter, owner: list):
     """``guard_class`` with every ``(node, query node)`` it evaluates tallied,
-    one by one (``_evaluate``) or a row at a time (``check_rows``), and every
+    one by one (``_evaluate`` behind ``check``, or the search state's
+    label-free ``check_asked``) or a row at a time (``check_rows``), and every
     ``check_rows`` call tallied per (row owner, query node)."""
 
     class Counting(guard_class):
         def _evaluate(self, node, query_node):
             evaluations[(node, query_node)] += 1
             return super()._evaluate(node, query_node)
+
+        def check_asked(self, node, query_node, row=None):
+            evaluations[(node, query_node)] += 1
+            return super().check_asked(node, query_node, row)
 
         def check_rows(self, rows, query_node):
             row_calls[(owner[-1], query_node)] += 1
@@ -616,6 +622,53 @@ def test_a_csr_search_reads_rows_not_nodes(guard_kind, alpha, monkeypatch):
     state = reducer._estimator
     assert all(len(state.row(node)) > state.max_scan for node, _ in row_calls)
     assert set(evaluations.values()) == {1}
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.02])
+def test_a_csr_rbsub_answer_reads_each_row_once_and_builds_no_view(alpha, monkeypatch):
+    """On youtube-small's hub, a cold ``RBSub`` answer on a ``CSRGraph`` builds
+    no ``successors``/``predecessors`` view (the guard reads ``vp``'s sides
+    and every row as index slices), loads each whole row at most once, and
+    never reads again the row of a node whose whole row it loaded (the
+    guard's test of that node reads the loaded record), but for the one
+    read of ``vp``'s sides the guard makes for its pinned neighbours."""
+    content = load_dataset("youtube-small")
+    graph = CSRGraph.from_digraph(content)
+    hub = max(content.nodes(), key=content.degree)
+    pattern, vp = embedded_pattern(content, 4, 8, seed=3, personalized_node=hub)
+
+    views: Counter = Counter()
+    for name in ("successors", "predecessors"):
+        method = getattr(CSRGraph, name)
+
+        def tallied(host, node, _name=name, _method=method):
+            views[_name] += 1
+            return _method(host, node)
+
+        monkeypatch.setattr(CSRGraph, name, tallied)
+    loads: Counter = Counter()
+    loaded, reread = set(), []
+    load, sides = WeightEstimator._load, CSRGraph.neighbor_sides
+
+    def tallied_load(state, node, limit):
+        row = load(state, node, limit)
+        if limit is None:
+            loads[node] += 1
+            loaded.add(graph.index_of(node))
+        return row
+
+    def tallied_sides(host, index, limit=None):
+        if host is graph and index in loaded:
+            reread.append(index)
+        return sides(host, index, limit)
+
+    monkeypatch.setattr(WeightEstimator, "_load", tallied_load)
+    monkeypatch.setattr(CSRGraph, "neighbor_sides", tallied_sides)
+    answer = RBSub(graph, alpha).answer(pattern, vp)
+    assert answer.subgraph.num_nodes() > 1 and loads, "the case must admit and load rows"
+    assert views == Counter(), "the search built a neighbour view"
+    assert set(loads.values()) == {1}
+    assert reread in ([], [graph.index_of(vp)]), "a loaded row was read again"
 
 
 @pytest.mark.parametrize("guard_kind", sorted(GUARDS))

@@ -578,16 +578,33 @@ class TestCacheInvalidation:
         assert [a.answer for a in service.run_batch(queries, ALPHA).answers] == [a.answer for a in fresh]
 
     def test_pattern_entries_evicted_on_size_change(self, served_graph):
+        """Isolated nodes, far from every ball, move ``⌊α·|G|⌋``: the entry
+        whose search the old caps bounded goes, and the saturated one, whose
+        spend fits under the fresh caps too, stays."""
         from repro.workloads.queries import generate_pattern_workload
 
-        workload = generate_pattern_workload(served_graph, shape=(4, 6), count=2, seed=4)
-        queries = [PatternQuery(q.pattern, q.personalized_match) for q in workload]
-        service = _serial(served_graph, cache_size=64)
-        service.run_batch(queries, ALPHA)
+        alpha = 0.02
+        workload = list(generate_pattern_workload(served_graph, shape=(4, 6), count=3, seed=4))
+        queries = [PatternQuery(q.pattern, q.personalized_match) for q in (workload[0], workload[2])]
+        service = _serial(served_graph.copy(), cache_size=64)
+        cached = service.run_batch(queries, alpha).answers
         assert len(service._cache) == len(queries)
-        node = next(iter(served_graph.nodes()))
-        report = service.update(GraphDelta().add_node("fresh-node", "Z").add_edge("fresh-node", node))
-        assert report.cache_retained == 0
+        # The premise: one saturated entry and one a cap bound.
+        assert [answer.reduction.saturated for answer in cached] == [True, False]
+        assert cached[1].reduction.stop == "storage"
+        size_limit = cached[0].budget.size_limit
+        delta = GraphDelta()
+        for extra in range(8):
+            delta.add_node(("far", extra), "Z")
+        report = service.update(delta)
+        assert report.mode != "rebuilt"
+        assert service.prepared.pattern_caps(alpha)[0] > size_limit
+        assert (report.cache_evicted, report.cache_retained) == (1, 1)
+        warm = service.run_batch(queries, alpha)
+        assert warm.cache_hits == 1 and warm.cache_misses == 1
+        fresh = _serial(service.graph).run_batch(queries, alpha).answers
+        assert [a.answer for a in warm.answers] == [a.answer for a in fresh]
+        assert warm.answers[1].budget.size_limit > size_limit
 
     def test_pattern_entries_survive_distant_relabel(self):
         from repro.graph.traversal import bfs_levels
