@@ -644,12 +644,20 @@ class WeightEstimator:
                 # The asked entries, first occurrences only; a known role or a
                 # tried query node settles one before the guard is asked.
                 asked = dict.fromkeys(compress(row.scan, map(bit.__and__, self._asking(row))))
-                known, tried, plays = self.roles.get, self._tried.get, self._plays
-                eligible = [
-                    neighbor
-                    for neighbor in asked
-                    if known(neighbor, 0) & bit or not tried(neighbor, 0) & bit and plays(neighbor, bit)
-                ]
+                roles, tried, rows, check = self.roles, self._tried, self._rows, self._check
+                eligible = []
+                for neighbor in asked:
+                    played = roles.get(neighbor, 0)
+                    if not played & bit:
+                        seen = tried.get(neighbor, 0)
+                        if seen & bit:
+                            continue
+                        tried[neighbor] = seen | bit  # ``_plays`` for one query node, inline
+                        loaded = rows.get(neighbor)
+                        if not check(neighbor, query_node, loaded if loaded is not None and loaded.whole else None):
+                            continue
+                        roles[neighbor] = played | bit
+                    eligible.append(neighbor)
             self._eligible[key] = eligible
         return eligible
 
@@ -716,7 +724,9 @@ class WeightEstimator:
         on), its children and its parents, all read off its one row.  It
         reads ``G`` and ``Q`` alone: the unweighted pass of ``Search`` admits
         a node with this, and no weight is asked of it."""
-        row, csr = self._whole(node), self._csr
+        row, csr = self._rows.get(node), self._csr
+        if row is None or not row.whole:
+            row = self._load(node, None)
         if csr is None:
             label = self._graph.label(node)
             asked = self._askers.get(label, 0)
