@@ -14,6 +14,7 @@ from conftest import BENCH_SEED, REPORT_DIR
 
 from repro.core.accuracy import mean_accuracy, pattern_accuracy
 from repro.core.rbsim import RBSim, RBSimConfig
+from repro.graph.csr import freeze
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.matching.strong_simulation import match_opt
 from repro.workloads.queries import generate_pattern_workload
@@ -40,13 +41,14 @@ def _evaluate(graph, workload, config, index):
 def test_ablation_rbsim_weights_and_guard(benchmark, youtube_small):
     """Compare full RBSim against the no-weights and no-guard variants."""
     workload = generate_pattern_workload(youtube_small, shape=SHAPE, count=NUM_QUERIES, seed=BENCH_SEED)
-    index = NeighborhoodIndex(youtube_small)
+    graph = freeze(youtube_small)  # one freeze for the shared index and every matcher
+    index = NeighborhoodIndex(graph)
 
     def run_all_variants():
         return {
-            "full": _evaluate(youtube_small, workload, RBSimConfig(), index),
-            "no-weights": _evaluate(youtube_small, workload, RBSimConfig(use_weights=False), index),
-            "no-guard": _evaluate(youtube_small, workload, RBSimConfig(use_guard=False), index),
+            "full": _evaluate(graph, workload, RBSimConfig(), index),
+            "no-weights": _evaluate(graph, workload, RBSimConfig(use_weights=False), index),
+            "no-guard": _evaluate(graph, workload, RBSimConfig(use_guard=False), index),
         }
 
     results = benchmark.pedantic(run_all_variants, rounds=1, iterations=1)

@@ -78,6 +78,7 @@ for _path in (_ROOT / "src", _ROOT / "tests"):
 
 import pytest  # noqa: E402
 
+from guard_reference import checked  # noqa: E402
 from reduction_oracle import OracleReducer, build_reducer, fingerprint  # noqa: E402
 from repro.core import reduction  # noqa: E402
 from repro.core.accuracy import pattern_accuracy  # noqa: E402
@@ -139,7 +140,10 @@ class SearchLog:
         self.visit_coefficient = float(max(1, self.graph.max_degree()))
 
     def reducer(self, reducer_class, pattern, vp, guard_class):
-        """A cold reducer for one query, built the way ``RBSim.reduce`` builds it."""
+        """A cold reducer for one query, built the way ``RBSim.reduce`` builds it
+        (the oracle's guard answers its node-by-node ``check``)."""
+        if reducer_class is OracleReducer:
+            guard_class = checked(guard_class)
         budget = ResourceBudget(
             alpha=self.alpha, graph_size=self.graph.size(), visit_coefficient=self.visit_coefficient
         )
@@ -226,7 +230,7 @@ class SearchLog:
                 causes["unreached"] += 1
                 unreached[(result.stop, *self._distances(pattern, vp, subgraph, miss))] += 1
         causes["extra"] += len(approximate - exact)
-        guard = guard_class(pattern, self.graph, vp, self.index)
+        guard = checked(guard_class)(pattern, self.graph, vp, self.index)
         return {
             "simulation": guard_class is SimulationGuard,
             "f": pattern_accuracy(exact, approximate).f_measure,

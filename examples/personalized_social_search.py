@@ -17,6 +17,7 @@ import time
 
 from repro import RBSim, RBSub, generate_pattern_workload, pattern_accuracy, youtube_like
 from repro.core.accuracy import mean_accuracy
+from repro.graph.csr import freeze
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.matching.strong_simulation import match_opt
 from repro.matching.vf2 import vf2_opt
@@ -34,9 +35,11 @@ def main() -> None:
     print(f"resource ratio alpha = {ALPHA} -> budget of {int(ALPHA * graph.size())} nodes+edges per query\n")
 
     workload = generate_pattern_workload(graph, shape=SHAPE, count=NUM_QUERIES, seed=42)
-    shared_index = NeighborhoodIndex(graph)
-    rbsim = RBSim(graph, ALPHA, neighborhood_index=shared_index)
-    rbsub = RBSub(graph, ALPHA, neighborhood_index=shared_index)
+    # Freeze once: a shared index must index the CSRGraph the matchers search.
+    frozen = freeze(graph)
+    shared_index = NeighborhoodIndex(frozen)
+    rbsim = RBSim(frozen, ALPHA, neighborhood_index=shared_index)
+    rbsub = RBSub(frozen, ALPHA, neighborhood_index=shared_index)
 
     timings = {"RBSim": 0.0, "MatchOpt": 0.0, "RBSub": 0.0, "VF2OPT": 0.0}
     sim_accuracy, sub_accuracy = [], []

@@ -22,6 +22,7 @@ from repro import obs
 from repro.core.budget import BudgetReport, ResourceBudget
 from repro.core.reduction import DynamicReducer, ReductionResult
 from repro.core.weights import GuardedCondition, SimulationGuard
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import DiGraph, Edge, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.neighborhood import NeighborhoodIndex
@@ -75,7 +76,10 @@ class BoundedMatcher:
     Parameters
     ----------
     graph:
-        The data graph ``G``.
+        The data graph ``G``.  ``Search`` reads a ``CSRGraph`` only: any
+        other graph (a ``DiGraph``, a ``MutableOverlay``) is frozen on entry
+        (:func:`repro.graph.csr.freeze`, node and neighbour order exact), so
+        answers are those of the graph as given.
     alpha:
         Resource ratio; ``|G_Q| <= alpha * |G|``.
     config:
@@ -83,7 +87,10 @@ class BoundedMatcher:
     neighborhood_index:
         Optional shared :class:`NeighborhoodIndex`; pass one when issuing many
         queries against the same graph so the offline summaries are reused
-        (this mirrors the paper's once-for-all preprocessing).
+        (this mirrors the paper's once-for-all preprocessing).  It must index
+        the graph searched, ``index.graph is`` this matcher's ``CSRGraph``
+        (freeze once, then build the index and the matchers on the frozen
+        graph); any other index raises ``ValueError``.
     reference_size:
         ``|G|`` used for the resource budget; defaults to the size of
         ``graph``.  The sharded serving layer evaluates queries on a shard
@@ -102,7 +109,9 @@ class BoundedMatcher:
         neighborhood_index: Optional[NeighborhoodIndex] = None,
         reference_size: Optional[int] = None,
     ) -> None:
-        self._graph = graph
+        graph = self._graph = freeze(graph)
+        if neighborhood_index is not None and neighborhood_index.graph is not graph:
+            raise ValueError("neighborhood_index must index the CSRGraph this matcher searches")
         self._alpha = alpha
         self._config = config or RBSimConfig()
         self._index = neighborhood_index or NeighborhoodIndex(graph)
@@ -110,8 +119,8 @@ class BoundedMatcher:
         self._max_degree_cache: Optional[int] = None
 
     @property
-    def graph(self) -> GraphLike:
-        """The data graph this matcher answers queries on."""
+    def graph(self) -> CSRGraph:
+        """The data graph this matcher answers queries on (its ``CSRGraph``)."""
         return self._graph
 
     @property

@@ -73,8 +73,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.budget import BudgetReport, ResourceBudget, snapshot
 from repro.core.weights import GuardedCondition, Remainder, WeightEstimator
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph, Edge, NodeId
-from repro.graph.protocol import GraphLike
 from repro.graph.subgraph import SubgraphBuilder
 from repro.patterns.pattern import GraphPattern, QueryNodeId
 
@@ -162,12 +162,13 @@ class ReductionResult:
 
 
 class DynamicReducer:
-    """Implements procedures ``Search`` and ``Pick`` of the paper (Fig. 3)."""
+    """Implements procedures ``Search`` and ``Pick`` of the paper (Fig. 3) on a
+    ``CSRGraph`` (the matchers freeze their graph on entry)."""
 
     def __init__(
         self,
         pattern: GraphPattern,
-        graph: GraphLike,
+        graph: CSRGraph,
         personalized_match: NodeId,
         guard: GuardedCondition,
         budget: ResourceBudget,

@@ -37,12 +37,13 @@ the candidates in the rows of members admitted since it last gave.  Weights
 are asked only where ``alpha`` binds: ``Search`` first makes one unweighted
 pass, which reads rows and ``C`` and nothing that moves with ``G_Q``.
 
-On a ``CSRGraph`` the state works in row space: a row is two index slices,
-its askers are one gather through a label id -> askers table, and a row
-wider than ``max_scan`` has ``C(·, u)`` decided for all of its untried
-entries by one :meth:`GuardedCondition.check_rows` call, vectorised over
-label ids, degrees and the ``label_presence`` words; the isomorphism
-guard's distinct-assignment test is there a set of threshold counts
+The guards and the state read one substrate, the ``CSRGraph`` the matcher
+froze on entry, in row space: a row is two index slices, its askers are one
+gather through a label id -> askers table, and a row wider than
+``max_scan`` has ``C(·, u)`` decided for all of its untried entries by one
+:meth:`GuardedCondition.check_rows` call, vectorised over label ids,
+degrees and the ``label_presence`` words; the isomorphism guard's
+distinct-assignment test is there a set of threshold counts
 (:func:`_thresholds`), one ``bincount`` per (side, label, threshold) for all
 the rows at once.
 """
@@ -56,8 +57,8 @@ from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Protoc
 
 import numpy as np
 
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import NodeId
-from repro.graph.protocol import GraphLike
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.patterns.pattern import GraphPattern, QueryNodeId
 
@@ -65,40 +66,26 @@ from repro.patterns.pattern import GraphPattern, QueryNodeId
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
-def _csr_of(graph: GraphLike):
-    """``graph`` when its columns can be read a slice at a time (a ``CSRGraph``), else ``None``."""
-    return graph if hasattr(graph, "neighbor_indices") else None
-
-
-def _label_keys(csr, pattern: GraphPattern) -> Dict[QueryNodeId, object]:
-    """What a row of label keys holds for the label each query node asks
-    for: its label-table row on a ``CSRGraph`` (``None`` when no node
-    carries it), else the label itself."""
-    if csr is None:
-        return dict(pattern.labels)
-    label_id = csr.label_id
+def _label_keys(graph: CSRGraph, pattern: GraphPattern) -> Dict[QueryNodeId, Optional[int]]:
+    """The label-table row of the label each query node asks for (``None``
+    when no node carries it)."""
+    label_id = graph.label_id
     return {u: label_id(label) for u, label in pattern.labels.items()}
 
 
 class GuardedCondition(Protocol):
     """Interface shared by the simulation and isomorphism guards."""
 
-    #: Whether :meth:`check_rows` may be asked: the graph is a ``CSRGraph``
-    #: whose rows are the rows of every array the guard reads.
-    row_space: bool
-
-    def check(self, node: NodeId, query_node: QueryNodeId) -> bool:
-        """Whether ``node`` may still match ``query_node`` (necessary condition)."""
-        ...  # pragma: no cover - protocol definition
-
     def check_asked(self, node: NodeId, query_node: QueryNodeId, row: Optional["_Row"] = None) -> bool:
-        """:meth:`check` of a node whose label ``query_node`` asks for, with
-        the label test skipped (``up`` keeps its identity test); ``row`` is
-        the node's whole row when the caller has loaded it."""
+        """Whether ``node``, whose label ``query_node`` asks for, may still
+        match ``query_node`` (a necessary condition; ``up`` keeps its
+        identity test); ``row`` is the node's whole row when the caller has
+        loaded it."""
         ...  # pragma: no cover - protocol definition
 
     def check_rows(self, rows: np.ndarray, query_node: QueryNodeId) -> np.ndarray:
-        """:meth:`check` of the node at each of ``rows``, as one boolean array."""
+        """``C(·, query_node)`` of the node at each of ``rows``, the label
+        test included, as one boolean array."""
         ...  # pragma: no cover - protocol definition
 
 
@@ -106,11 +93,10 @@ class _BaseGuard:
     """Common state for guarded conditions: graph, pattern, summaries, pinning.
 
     Guarded conditions depend only on the data graph and the pattern (never on
-    the evolving ``G_Q``), so :meth:`check` memoises per ``(node, query_node)``
-    pair.  :meth:`check_asked` is the entry of the search state, which asks
-    each pair once per search and only of a node whose label the query node
-    asks for: it skips the label test and memoises nothing.
-    :meth:`check_rows` is the same condition over an array of ``CSRGraph``
+    the evolving ``G_Q``).  :meth:`check_asked` is the entry of the search
+    state, which asks each pair once per search and only of a node whose
+    label the query node asks for: it skips the label test and memoises
+    nothing.  :meth:`check_rows` is the same condition over an array of
     rows, read from the columns in one vectorised pass; it memoises nothing
     either (the search state records what it returns).  What a query node
     asks of a neighbourhood is compiled on its first test.
@@ -119,7 +105,7 @@ class _BaseGuard:
     def __init__(
         self,
         pattern: GraphPattern,
-        graph: GraphLike,
+        graph: CSRGraph,
         personalized_match: NodeId,
         index: NeighborhoodIndex,
     ) -> None:
@@ -128,31 +114,13 @@ class _BaseGuard:
         self._graph = graph
         self._vp = personalized_match
         self._index = index
-        self._cache: Dict[tuple, bool] = {}
-        # On a ``CSRGraph`` labels and degrees of a neighbour slice are read
-        # from its columns; a ``DiGraph`` or an overlay is asked node by node.
-        csr = self._csr = _csr_of(graph)
-        self.row_space = csr is not None
         self._vp_sides: Dict[bool, FrozenSet[NodeId]] = {}
         self._vp_sorted: Dict[bool, np.ndarray] = {}
         self._vp_row: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # What each query node asks of its neighbourhood, compiled on first use.
         self._needs: Dict[object, tuple] = {}
         # The label key each query node asks for (``up`` is pinned to ``vp``).
-        self._label_keys = _label_keys(csr, pattern)
-
-    def check(self, node: NodeId, query_node: QueryNodeId) -> bool:
-        """Memoised evaluation of the guarded condition."""
-        key = (node, query_node)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._evaluate(node, query_node)
-            self._cache[key] = cached
-        return cached
-
-    def _evaluate(self, node: NodeId, query_node: QueryNodeId) -> bool:
-        """Evaluate ``C(node, query_node)``: the label, then the neighbourhood."""
-        return self._label_matches(node, query_node) and self._condition(node, query_node, None)
+        self._label_keys = _label_keys(graph, pattern)
 
     def check_asked(self, node: NodeId, query_node: QueryNodeId, row: Optional["_Row"] = None) -> bool:
         """``C(node, query_node)`` for a node whose label ``query_node`` asks
@@ -167,46 +135,30 @@ class _BaseGuard:
         raise NotImplementedError
 
     def _vp_rows(self, children: bool) -> np.ndarray:
-        """The rows of the children (resp. parents) of ``vp`` on a ``CSRGraph``
-        (``vp``'s row is read once per guard)."""
+        """The rows of the children (resp. parents) of ``vp`` (``vp``'s row is
+        read once per guard)."""
         if self._vp_row is None:
-            csr, vp = self._csr, self._vp
-            self._vp_row = csr.neighbor_sides(csr.index_of(vp)) if vp in csr else (_NO_ROWS, _NO_ROWS)
+            graph, vp = self._graph, self._vp
+            self._vp_row = graph.neighbor_sides(graph.index_of(vp)) if vp in graph else (_NO_ROWS, _NO_ROWS)
         return self._vp_row[0 if children else 1]
 
     def _vp_side(self, children: bool) -> FrozenSet[NodeId]:
         """The children (resp. parents) of ``vp``, as a set built on first use."""
         side = self._vp_sides.get(children)
         if side is None:
-            graph, csr, vp = self._graph, self._csr, self._vp
-            if csr is not None:
-                side = frozenset(csr.ids_of(self._vp_rows(children)))
-            elif vp not in graph:
-                side = frozenset()
-            else:
-                side = frozenset(graph.successors(vp) if children else graph.predecessors(vp))
-            self._vp_sides[children] = side
+            side = self._vp_sides[children] = frozenset(self._graph.ids_of(self._vp_rows(children)))
         return side
 
-    def _label_matches(self, node: NodeId, query_node: QueryNodeId) -> bool:
-        """Label test; the personalized node is matched by identity, not label."""
-        if query_node == self._personalized:
-            return node == self._vp
-        csr = self._csr
-        if csr is None:
-            return self._graph.label(node) == self._pattern.label_of(query_node)
-        return csr.label_ids_of(csr.index_of(node)) == self._label_keys[query_node]
-
-    # Row space (``CSRGraph`` only) --------------------------------------- #
+    # Row space ------------------------------------------------------------ #
     def _label_rows(self, rows: np.ndarray, query_node: QueryNodeId) -> np.ndarray:
-        """:meth:`_label_matches` of each of ``rows``."""
-        csr, vp = self._csr, self._vp
+        """The label test of each of ``rows`` (``up`` is matched by identity)."""
+        graph, vp = self._graph, self._vp
         if query_node == self._personalized:
-            return rows == (csr.index_of(vp) if vp in csr else -1)
+            return rows == (graph.index_of(vp) if vp in graph else -1)
         key = self._label_keys[query_node]
         if key is None:
             return np.zeros(rows.shape[0], dtype=bool)
-        return csr.label_ids_of(rows) == key
+        return graph.label_ids_of(rows) == key
 
     def _vp_side_rows(self, rows: np.ndarray, children: bool) -> np.ndarray:
         """Which of ``rows`` are children (resp. parents) of ``vp``: a binary
@@ -227,17 +179,6 @@ class SimulationGuard(_BaseGuard):
     labelled ``fv(u')``.  Neighbour labels come from the offline ``Sl``
     summaries, so the test never re-scans the graph.
     """
-
-    def __init__(
-        self,
-        pattern: GraphPattern,
-        graph: GraphLike,
-        personalized_match: NodeId,
-        index: NeighborhoodIndex,
-    ) -> None:
-        super().__init__(pattern, graph, personalized_match, index)
-        # The presence words are read by row: they must be this graph's.
-        self.row_space = self.row_space and index.graph is graph
 
     def _compile(self, query_node: QueryNodeId) -> tuple:
         """The labels the non-personalized parents and children of
@@ -315,7 +256,7 @@ class IsomorphismGuard(_BaseGuard):
         """``C(node, query_node)`` past the label test: degree dominance,
         ``vp``'s sides, then the thresholds on one read of the row."""
         children, parents = self._needs.get(query_node) or self._compile(query_node)
-        graph, csr = self._graph, self._csr
+        graph = self._graph
         if row is not None:
             split, in_degree = row.split, len(row.scan) - row.split
         else:
@@ -330,12 +271,8 @@ class IsomorphismGuard(_BaseGuard):
             return False
         if not (children[2] or parents[2]):
             return True
-        if csr is None:
-            scan = row.scan if row is not None else list(chain(graph.successors(node), graph.predecessors(node)))
-            labels, degrees = list(map(graph.label, scan)), list(map(graph.degree, scan))
-        else:
-            entries = csr.neighbor_indices(csr.index_of(node)) if row is None else row.entries
-            labels, degrees = csr.label_ids_of(entries).tolist(), csr.degrees()[entries].tolist()
+        entries = graph.neighbor_indices(graph.index_of(node)) if row is None else row.entries
+        labels, degrees = graph.label_ids_of(entries).tolist(), graph.degrees()[entries].tolist()
         return _satisfiable(labels[:split], degrees[:split], children[2]) and _satisfiable(
             labels[split:], degrees[split:], parents[2]
         )
@@ -346,8 +283,8 @@ class IsomorphismGuard(_BaseGuard):
         every survivor at once, as threshold counts over one gather of their
         rows."""
         children, parents = self._needs.get(query_node) or self._compile(query_node)
-        csr = self._csr
-        out_degrees, in_degrees = csr.side_degrees(rows)
+        graph = self._graph
+        out_degrees, in_degrees = graph.side_degrees(rows)
         passed = self._label_rows(rows, query_node)
         passed &= (out_degrees >= children[0]) & (in_degrees >= parents[0])
         if children[1]:
@@ -365,8 +302,8 @@ class IsomorphismGuard(_BaseGuard):
             if None in thresholds:  # a label no node carries
                 kept[:] = False
                 break
-            entries, owner = csr.side_entries(surviving, on_children)
-            labels, degrees = csr.label_ids_of(entries), csr.degrees()[entries]
+            entries, owner = graph.side_entries(surviving, on_children)
+            labels, degrees = graph.label_ids_of(entries), graph.degrees()[entries]
             for key, pairs in thresholds.items():
                 carrying = labels == key
                 for needed, degree in pairs:
@@ -407,7 +344,7 @@ def _satisfiable(labels: List[object], degrees: List[int], thresholds: Threshold
 class _Row:
     """A data node's row as one search loaded it: the ids of its entries
     (children then parents, a node on both sides twice), whether that is the
-    whole row, how many of the entries are children, on a ``CSRGraph`` the
+    whole row, how many of the entries are children, its own row and the
     entries' rows, and beside each entry the query nodes asking for its
     label (:meth:`WeightEstimator._asking`, on first use: a row read only
     to admit its node never needs them).  :meth:`WeightEstimator.describe`,
@@ -421,13 +358,13 @@ class _Row:
         scan: List[NodeId],
         whole: bool,
         split: int,
-        index: Optional[int],
-        sides: Optional[Tuple[np.ndarray, np.ndarray]],
+        index: int,
+        sides: Tuple[np.ndarray, np.ndarray],
     ) -> None:
         self.scan = scan
         self.whole = whole
         self.split = split
-        self.index = index  # on a ``CSRGraph``: the node's own row
+        self.index = index  # the node's own row
         self.sides = sides  # and the rows of its children and of its parents
         self._entries: Optional[np.ndarray] = None
         self.askers: Optional[List[int]] = None
@@ -449,17 +386,17 @@ class WeightEstimator:
     * **Rows.**  What ``G`` says about a data node is loaded once, as a
       :class:`_Row`: its scan list (children then parents, a node on both
       sides twice) and, beside it, which query nodes ask for the label of
-      each entry (on a ``CSRGraph`` one gather through a label id -> askers
-      table).  A candidate that is only *ranked* loads its first
-      ``max_scan`` entries, all that ``p(v, u)`` reads; the whole row is
+      each entry (one gather through a label id -> askers table).  A
+      candidate that is only *ranked* loads its first ``max_scan``
+      entries, all that ``p(v, u)`` reads; the whole row is
       loaded when the node is expanded or joins ``G_Q``.  Who can play what
       is decided on the row in list space: a known role or an already tried
       query node settles an entry, and only an entry whose label is asked
       for and not yet tried reaches the guard, through
       ``guard.check_asked`` (the askers bit vouches for the label), once per
       search and query node.
-    * **Wide rows.**  On a ``CSRGraph``, a row with more than ``max_scan``
-      entries gets ``C(·, u)`` for all of its untried entries in one
+    * **Wide rows.**  A row with more than ``max_scan`` entries gets
+      ``C(·, u)`` for all of its untried entries in one
       ``guard.check_rows`` call, whose results go into the same roles.
     * **Incremental cost.**  :meth:`admit` pushes the roles of the node
       joining ``G_Q`` to the entries of its row, so ``c(v, u)`` is a popcount:
@@ -480,15 +417,14 @@ class WeightEstimator:
     def __init__(
         self,
         pattern: GraphPattern,
-        graph: GraphLike,
+        graph: CSRGraph,
         personalized_match: NodeId,
         guard: GuardedCondition,
         max_scan: int = 64,
     ) -> None:
         self._graph = graph
-        csr = self._csr = _csr_of(graph)
         self._check = guard.check_asked
-        self._check_rows = guard.check_rows if guard.row_space else None
+        self._check_rows = guard.check_rows
         # Cap on how many neighbours are inspected per estimate.  The paper
         # notes the potential "can be extended by making use of sampling";
         # the cap bounds what one estimate reads without changing which
@@ -502,28 +438,22 @@ class WeightEstimator:
         for source, target in pattern.edges:
             needed[source] |= bits[target]
             needed[target] |= bits[source]
-        # Label key -> the query nodes asking for it (``up`` is matched by
-        # identity, so it asks for the label ``vp`` has).
-        self._askers: Dict[object, int] = {}
-        keys = _label_keys(csr, pattern)
+        # Label id -> the query nodes asking for it, so a row's askers are
+        # one gather (``up`` is matched by identity, so it asks for the
+        # label ``vp`` has).
+        askers = self._askers_table = np.zeros(
+            graph.num_labels(), dtype=np.int64 if len(bits) < 64 else object
+        )
+        keys = _label_keys(graph, pattern)
         for u, bit in bits.items():
             if u != pattern.personalized:
                 key = keys[u]
             elif personalized_match not in graph:
                 continue
-            elif csr is None:
-                key = graph.label(personalized_match)
             else:
-                key = csr.label_entry(csr.index_of(personalized_match))[1]
-            self._askers[key] = self._askers.get(key, 0) | bit
-        if csr is not None:
-            # Label id -> askers, so a row's askers are one gather.
-            self._askers_table = np.zeros(
-                csr.num_labels(), dtype=np.int64 if len(bits) < 64 else object
-            )
-            for key, askers in self._askers.items():
-                if key is not None:
-                    self._askers_table[key] = askers
+                key = graph.label_entry(graph.index_of(personalized_match))[1]
+            if key is not None:
+                askers[key] |= bit
         self._rows: Dict[NodeId, _Row] = {}
         self._distinct: Dict[NodeId, Dict[NodeId, int]] = {}
         # Per data node: its roles as far as known (all of them for a member
@@ -551,36 +481,19 @@ class WeightEstimator:
     # ------------------------------------------------------------------ #
     def _load(self, node: NodeId, limit: Optional[int]) -> _Row:
         """The first ``limit`` entries of the row of ``node`` (all when ``None``):
-        two index slices on a ``CSRGraph`` (their askers are gathered on first
-        use), else one pass over each side."""
-        csr = self._csr
-        if csr is not None:
-            index = csr.index_of(node)
-            scan, sides = csr.neighbor_ids(index, limit)
-            split = sides[0].shape[0]
-        else:
-            graph, index, sides = self._graph, None, None
-            if limit is None:
-                children = list(graph.successors(node))
-                split = len(children)
-                scan = children + list(graph.predecessors(node))
-            else:
-                scan = list(islice(chain(graph.successors(node), graph.predecessors(node)), limit))
-                split = min(len(scan), graph.out_degree(node))
+        two index slices (their askers are gathered on first use)."""
+        index = self._graph.index_of(node)
+        scan, sides = self._graph.neighbor_ids(index, limit)
+        split = sides[0].shape[0]
         row = self._rows[node] = _Row(scan, limit is None or len(scan) < limit, split, index, sides)
         return row
 
     def _asking(self, row: _Row) -> List[int]:
         """The query nodes asking for the label of each entry of ``row``: one
-        gather through the label id -> askers table on a ``CSRGraph``."""
+        gather through the label id -> askers table."""
         askers = row.askers
         if askers is None:
-            csr = self._csr
-            if csr is not None:
-                askers = self._askers_table[csr.label_ids_of(row.entries)].tolist()
-            else:
-                askers = list(map(self._askers.get, map(self._graph.label, row.scan), repeat(0)))
-            row.askers = askers
+            askers = row.askers = self._askers_table[self._graph.label_ids_of(row.entries)].tolist()
         return askers
 
     def _whole(self, node: NodeId) -> _Row:
@@ -604,10 +517,9 @@ class WeightEstimator:
         return distinct
 
     def width(self, node: NodeId) -> int:
-        """``|N(v)|``, what the first ``Pick`` at ``node`` is charged (on a
-        ``CSRGraph`` the ``degrees`` column)."""
-        csr = self._csr
-        return len(self.distinct(node)) if csr is None else csr.degree(node)
+        """``|N(v)|``, what the first ``Pick`` at ``node`` is charged (the
+        ``degrees`` column)."""
+        return self._graph.degree(node)
 
     def _plays(self, node: NodeId, mask: int, every: bool = False) -> int:
         """The roles of ``node`` among the query nodes of ``mask`` (all asking
@@ -638,7 +550,7 @@ class WeightEstimator:
         eligible = self._eligible.get(key)
         if eligible is None:
             row, bit = self._whole(node), self.bits[query_node]
-            if self._check_rows is not None and len(row.scan) > self.max_scan:
+            if len(row.scan) > self.max_scan:
                 eligible = self._eligible_rows(row, query_node, bit)
             else:
                 # The asked entries, first occurrences only; a known role or a
@@ -667,9 +579,9 @@ class WeightEstimator:
         ``check_rows`` call for those not tried.  A node never tried has no
         role yet, so those (most of a wide row) are recorded by dict
         operations, not one by one."""
-        csr = self._csr
-        asked = row.entries[(self._askers_table[csr.label_ids_of(row.entries)] & bit) != 0]
-        at = dict(zip(csr.ids_of(asked), asked.tolist()))  # distinct, in scan order
+        graph = self._graph
+        asked = row.entries[(self._askers_table[graph.label_ids_of(row.entries)] & bit) != 0]
+        at = dict(zip(graph.ids_of(asked), asked.tolist()))  # distinct, in scan order
         roles, tried = self.roles, self._tried
         known = tried.keys() & at.keys()
         fresh = list(at) if not known else [neighbor for neighbor in at if neighbor not in known]
@@ -724,16 +636,11 @@ class WeightEstimator:
         on), its children and its parents, all read off its one row.  It
         reads ``G`` and ``Q`` alone: the unweighted pass of ``Search`` admits
         a node with this, and no weight is asked of it."""
-        row, csr = self._rows.get(node), self._csr
+        row = self._rows.get(node)
         if row is None or not row.whole:
             row = self._load(node, None)
-        if csr is None:
-            label = self._graph.label(node)
-            asked = self._askers.get(label, 0)
-        else:
-            label, key = csr.label_entry(row.index)
-            asked = self._askers_table.item(key)
-        roles = self._plays(node, asked, every=True)
+        label, key = self._graph.label_entry(row.index)
+        roles = self._plays(node, self._askers_table.item(key), every=True)
         scan, split = row.scan, row.split
         return label, roles, scan[:split], scan[split:]
 

@@ -30,7 +30,7 @@ from repro.core.budget import ResourceBudget
 from repro.core.rbsim import BoundedMatcher, RBSim, RBSimConfig
 from repro.core.rbsub import RBSub
 from repro.exceptions import EngineError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import NodeId
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.protocol import GraphLike
@@ -95,7 +95,7 @@ def _freeze(graph: GraphLike) -> CSRGraph:
         return graph
     started = time.perf_counter()
     with _child_only(obs.span("prepare.freeze")):
-        frozen = graph.freeze() if isinstance(graph, MutableOverlay) else CSRGraph.from_digraph(graph)
+        frozen = freeze(graph)
     obs.histogram("prepare.freeze.seconds").observe(time.perf_counter() - started)
     return frozen
 
@@ -108,8 +108,7 @@ class PreparedGraph:
     graph:
         The data graph.  Anything but a :class:`CSRGraph` (a ``DiGraph``, a
         ``MutableOverlay``) is frozen on entry with
-        ``CSRGraph.from_digraph`` (an overlay over a CSR base with
-        :meth:`MutableOverlay.freeze`), which preserves node and neighbour
+        :func:`repro.graph.csr.freeze`, which preserves node and neighbour
         iteration order, so answers are those of the graph as given.
     reach_reference_size:
         Optional ``|G|`` used for the ``RBReach`` index budget instead of

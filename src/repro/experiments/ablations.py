@@ -18,6 +18,7 @@ from typing import Dict, List, Tuple
 from repro.core.accuracy import boolean_accuracy, mean_accuracy, pattern_accuracy
 from repro.core.rbsim import RBSim, RBSimConfig
 from repro.experiments.records import ExperimentResult
+from repro.graph.csr import freeze
 from repro.graph.digraph import DiGraph
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.matching.strong_simulation import match_opt
@@ -67,7 +68,8 @@ def rbsim_mechanisms(
 ) -> ExperimentResult:
     """Ablate RBSim's weight function and guarded condition."""
     workload = generate_pattern_workload(graph, shape=shape, count=num_queries, seed=seed)
-    index = NeighborhoodIndex(graph)
+    frozen = freeze(graph)  # one freeze for the shared index and every matcher
+    index = NeighborhoodIndex(frozen)
     exact = {
         id(query): match_opt(query.pattern, graph, query.personalized_match).answer
         for query in workload
@@ -80,7 +82,7 @@ def rbsim_mechanisms(
     }
     rows: List[AblationRow] = []
     for variant, config in variants.items():
-        matcher = RBSim(graph, alpha, config=config, neighborhood_index=index)
+        matcher = RBSim(frozen, alpha, config=config, neighborhood_index=index)
         reports = []
         sizes = []
         for query in workload:

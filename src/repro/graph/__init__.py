@@ -45,12 +45,10 @@ from repro.graph.io import (
 )
 from repro.graph.neighborhood import (
     NeighborhoodIndex,
-    NeighborhoodSummary,
     ball,
     ball_size,
     max_label_fanout,
     nodes_within_hops,
-    summarize_node,
     theoretical_alpha_bound,
 )
 from repro.graph.statistics import (
@@ -128,12 +126,10 @@ __all__ = [
     "write_edge_list",
     "write_json",
     "NeighborhoodIndex",
-    "NeighborhoodSummary",
     "ball",
     "ball_size",
     "max_label_fanout",
     "nodes_within_hops",
-    "summarize_node",
     "theoretical_alpha_bound",
     "GraphProfile",
     "LabelIndex",

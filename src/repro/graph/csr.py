@@ -1077,5 +1077,12 @@ class CSRGraph:
 
 
 def freeze(graph) -> CSRGraph:
-    """``graph`` itself when it is a :class:`CSRGraph`, else its :meth:`~CSRGraph.from_digraph` freeze."""
-    return graph if isinstance(graph, CSRGraph) else CSRGraph.from_digraph(graph)
+    """``graph`` as a :class:`CSRGraph`, node and neighbour order exact: itself
+    when it is one, a ``MutableOverlay``'s array freeze
+    (:meth:`~repro.updates.overlay.MutableOverlay.freeze`), else its
+    :meth:`~CSRGraph.from_digraph` freeze."""
+    if isinstance(graph, CSRGraph):
+        return graph
+    from repro.updates.overlay import MutableOverlay  # overlay.py imports this module
+
+    return graph.freeze() if isinstance(graph, MutableOverlay) else CSRGraph.from_digraph(graph)

@@ -7,19 +7,18 @@ Section 2, Table 1).
 * ``G_r(v)`` — the subgraph of ``G`` induced by ``N_r(v)``; strong simulation
   is defined on the ``d_Q``-ball of the personalized match ``v_p``.
 
-The module also provides the per-node neighbourhood summaries (degree and
-neighbour-label multiset ``Sl``) that the paper precomputes offline and that
-the dynamic-reduction procedures consult to evaluate guarded conditions
-without touching the graph.
+The module also provides the neighbourhood summaries ``Sl`` that the paper
+precomputes offline and that the dynamic-reduction procedures consult to
+evaluate guarded conditions without touching the graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import DiGraph, Label, NodeId
 from repro.graph.protocol import GraphLike
 from repro.graph.subgraph import induced_subgraph
@@ -43,77 +42,13 @@ def ball_size(graph: GraphLike, center: NodeId, radius: int) -> int:
     return ball(graph, center, radius).size()
 
 
-@dataclass(frozen=True)
-class NeighborhoodSummary:
-    """Offline per-node summary used by the dynamic reduction (Section 4.1).
-
-    Attributes
-    ----------
-    degree:
-        ``d(v)`` — cardinality of the 1-hop neighbourhood ``N(v)``.
-    label_counts:
-        The paper's ``Sl``: for each distinct label ``l`` occurring in
-        ``N(v)``, the number of neighbours carrying ``l``.
-    child_label_counts / parent_label_counts:
-        The same statistic split by edge direction; the guarded condition of
-        RBSim requires a parent (resp. child) with a given label, so the
-        direction-aware counts let it be evaluated exactly from the summary.
-    """
-
-    degree: int
-    label_counts: Mapping[Label, int] = field(default_factory=dict)
-    child_label_counts: Mapping[Label, int] = field(default_factory=dict)
-    parent_label_counts: Mapping[Label, int] = field(default_factory=dict)
-
-    def count(self, label: Label) -> int:
-        """Occurrences of ``label`` among all neighbours."""
-        return self.label_counts.get(label, 0)
-
-    def child_count(self, label: Label) -> int:
-        """Occurrences of ``label`` among children."""
-        return self.child_label_counts.get(label, 0)
-
-    def parent_count(self, label: Label) -> int:
-        """Occurrences of ``label`` among parents."""
-        return self.parent_label_counts.get(label, 0)
+#: A set of neighbour labels compiled once for repeated guard tests
+#: (:meth:`NeighborhoodIndex.requirement`): the ``(word, mask)`` pairs to test
+#: against a row of the presence arrays, or ``None`` when no row can satisfy
+#: it (some label is absent from their label table).
+LabelRequirement = Optional[Tuple[Tuple[int, int], ...]]
 
 
-def summarize_node(graph: GraphLike, node: NodeId) -> NeighborhoodSummary:
-    """Compute the :class:`NeighborhoodSummary` of one node."""
-    child_counts: Dict[Label, int] = {}
-    parent_counts: Dict[Label, int] = {}
-    for child in graph.successors(node):
-        label = graph.label(child)
-        child_counts[label] = child_counts.get(label, 0) + 1
-    for parent in graph.predecessors(node):
-        label = graph.label(parent)
-        parent_counts[label] = parent_counts.get(label, 0) + 1
-    label_counts: Dict[Label, int] = {}
-    for neighbor in graph.neighbors(node):
-        label = graph.label(neighbor)
-        label_counts[label] = label_counts.get(label, 0) + 1
-    return NeighborhoodSummary(
-        degree=graph.degree(node),
-        label_counts=label_counts,
-        child_label_counts=child_counts,
-        parent_label_counts=parent_counts,
-    )
-
-
-class LabelRequirement(NamedTuple):
-    """A set of neighbour labels compiled once for repeated guard tests.
-
-    Built by :meth:`NeighborhoodIndex.requirement`.  ``words`` holds the
-    ``(word, mask)`` pairs to test against a row of the presence arrays, or
-    ``None`` when no row can satisfy it: the index has no arrays, or some
-    label is absent from their label table.
-    """
-
-    labels: Tuple[Label, ...]
-    words: Optional[Tuple[Tuple[int, int], ...]]
-
-
-_NO_LABELS = LabelRequirement((), ())
 #: How many compiled label tuples an index keeps before it starts over.
 _REQUIREMENT_MEMO = 4096
 
@@ -122,34 +57,29 @@ class NeighborhoodIndex:
     """The ``Sl`` summaries the dynamic reduction consults (Section 4.1).
 
     The paper builds them in a single offline pass over ``G`` ("once-for-all
-    offline preprocessing").  On a :class:`~repro.graph.csr.CSRGraph` that
-    pass is :meth:`CSRGraph.label_presence`: two packed bit arrays answering
-    "does ``v`` have a parent/child labelled ``l``?" for every node, built by
-    one vectorised sweep and inherited copy-on-write by the forked daemon
-    workers.  Every node of any other graph (a ``DiGraph``) goes through
-    :func:`summarize_node` on first use and is cached.  That per-node path
-    is the reference the arrays are tested against.  An update re-prepares
-    on a new ``CSRGraph``, so an index never outlives its graph.
+    offline preprocessing").  That pass is :meth:`CSRGraph.label_presence`:
+    two packed bit arrays answering "does ``v`` have a parent/child labelled
+    ``l``?" for every node, built by one vectorised sweep and inherited
+    copy-on-write by the forked daemon workers.  Any other graph (a
+    ``DiGraph``, a ``MutableOverlay``) is frozen on entry
+    (:func:`repro.graph.csr.freeze`, node and neighbour order exact).  An
+    update re-prepares on a new ``CSRGraph``, so an index never outlives its
+    graph.
     """
 
     def __init__(self, graph: GraphLike):
-        self._graph = graph
-        self._summaries: Dict[NodeId, NeighborhoodSummary] = {}
+        self._graph = freeze(graph)
         self._bind_arrays()
 
     @property
-    def graph(self) -> GraphLike:
-        """The indexed graph."""
+    def graph(self) -> CSRGraph:
+        """The indexed graph (the ``CSRGraph`` frozen from the one given)."""
         return self._graph
 
     def _bind_arrays(self) -> None:
         """Resolve the graph's presence arrays to flat word views."""
         source = self._graph
         self._requirements: Dict[Tuple[Label, ...], LabelRequirement] = {}
-        if not hasattr(source, "label_presence"):
-            self._rows: Mapping[NodeId, int] = {}
-            self._label_bit: Optional[Dict[Label, Tuple[int, int]]] = None
-            return
         child_bits, parent_bits = self._bits = source.label_presence()
         self._rows = source._index
         self._words = child_bits.shape[1]
@@ -162,107 +92,55 @@ class NeighborhoodIndex:
     def __getstate__(self):
         # The word views are memoryviews over (possibly shared) arrays of the
         # graph: rebuilt from the graph on load, never serialised.
-        return (self._graph, self._summaries)
+        return self._graph
 
-    def __setstate__(self, state) -> None:
-        self._graph, self._summaries = state
+    def __setstate__(self, graph) -> None:
+        self._graph = graph
         self._bind_arrays()
 
-    def _row(self, node: NodeId) -> Optional[int]:
-        """Array row of ``node``, or ``None`` when the per-node path serves it."""
-        return self._rows.get(node)
-
-    def precompute(self) -> None:
-        """Eagerly summarise every node (the paper's offline pass).
-
-        Array-backed nodes are complete from construction; only the others
-        are summarised here.
-        """
-        for node in self._graph.nodes():
-            if self._row(node) is None:
-                self.summary(node)
-
-    def __len__(self) -> int:
-        return len(self._summaries)
-
-    def summary(self, node: NodeId) -> NeighborhoodSummary:
-        """Summary of ``node``, computing and caching it on first use."""
-        cached = self._summaries.get(node)
-        if cached is None:
-            cached = summarize_node(self._graph, node)
-            self._summaries[node] = cached
-        return cached
-
-    def degree(self, node: NodeId) -> int:
-        """``d(v)`` from the summary cache."""
-        return self.summary(node).degree
-
-    def has_child_label(self, node: NodeId, label: Label) -> bool:
-        """Whether ``node`` has at least one child labelled ``label``."""
-        return self.has_labels(node, _NO_LABELS, self.requirement((label,)))
-
-    def has_parent_label(self, node: NodeId, label: Label) -> bool:
-        """Whether ``node`` has at least one parent labelled ``label``."""
-        return self.has_labels(node, self.requirement((label,)), _NO_LABELS)
-
     def requirement(self, labels: Iterable[Label]) -> LabelRequirement:
-        """Compile ``labels`` for :meth:`has_labels` and its one-sided forms,
+        """Compile ``labels`` for :meth:`has_labels` and :meth:`rows_have_labels`,
         once per label tuple: every query of a log asks for a few of them."""
         labels = tuple(dict.fromkeys(labels))
-        compiled = self._requirements.get(labels)
-        if compiled is None:
-            if len(self._requirements) >= _REQUIREMENT_MEMO:
-                self._requirements.clear()
-            compiled = self._requirements[labels] = self._compile(labels)
-        return compiled
+        requirements = self._requirements
+        if labels not in requirements:
+            if len(requirements) >= _REQUIREMENT_MEMO:
+                requirements.clear()
+            requirements[labels] = self._compile(labels)
+        return requirements[labels]
 
     def _compile(self, labels: Tuple[Label, ...]) -> LabelRequirement:
-        if self._label_bit is None:
-            return LabelRequirement(labels, None)
         masks: Dict[int, int] = {}
         for label in labels:
             bit = self._label_bit.get(label)
             if bit is None:
-                return LabelRequirement(labels, None)
+                return None
             masks[bit[0]] = masks.get(bit[0], 0) | bit[1]
-        return LabelRequirement(labels, tuple(masks.items()))
-
-    def has_child_labels(self, node: NodeId, need: LabelRequirement) -> bool:
-        """Whether ``node`` has a child of every label in ``need``."""
-        return self.has_labels(node, _NO_LABELS, need)
-
-    def has_parent_labels(self, node: NodeId, need: LabelRequirement) -> bool:
-        """Whether ``node`` has a parent of every label in ``need``."""
-        return self.has_labels(node, need, _NO_LABELS)
+        return tuple(masks.items())
 
     def has_labels(self, node: NodeId, parents: LabelRequirement, children: LabelRequirement) -> bool:
-        """Whether ``node`` has a parent of every label in ``parents`` and a
-        child of every label in ``children`` (its row is looked up once)."""
-        row = self._rows.get(node)  # _row(), inlined
-        if row is None:
-            summary = self.summary(node)
-            return all(label in summary.parent_label_counts for label in parents.labels) and all(
-                label in summary.child_label_counts for label in children.labels
-            )
-        base = row * self._words
+        """Whether ``node`` (a node of the indexed graph) has a parent of every
+        label in ``parents`` and a child of every label in ``children`` (its
+        row is looked up once)."""
+        base = self._rows.get(node) * self._words
         for need, words in ((parents, self._parent_words), (children, self._child_words)):
-            if need.words is None:
+            if need is None:
                 return False
-            for word, mask in need.words:
+            for word, mask in need:
                 if words[base + word] & mask != mask:
                     return False
         return True
 
     def rows_have_labels(self, rows: np.ndarray, need: LabelRequirement, children: bool) -> np.ndarray:
-        """:meth:`has_child_labels` (or :meth:`has_parent_labels`) of each of
-        ``rows`` of the indexed ``CSRGraph``, as one boolean array: one gather
+        """Whether each of ``rows`` of the indexed graph has a child (or a
+        parent) of every label in ``need``, as one boolean array: one gather
         and one mask test per word of the presence arrays."""
-        if need.words is None:
+        if need is None:
             have = np.zeros(rows.shape[0], dtype=bool)
         else:
             bits = self._bits[0 if children else 1]
             have = np.ones(rows.shape[0], dtype=bool)
-            for word, mask in need.words:
+            for word, mask in need:
                 mask = np.uint64(mask)
                 have &= (bits[rows, word] & mask) == mask
         return have

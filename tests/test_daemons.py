@@ -30,6 +30,7 @@ import time
 
 import pytest
 
+from guard_reference import has_child_label, has_parent_label, summarize_node
 from repro import obs
 from repro.engine.daemons import MAX_TASK_RETRIES, DaemonPool
 from repro.engine.queries import ReachQuery
@@ -89,14 +90,11 @@ def _error_chunk(state, task):
 
 
 def _probe_summaries_chunk(state, task):
-    """Per ``(node, label)``: what the worker's summaries answer, and from which rows."""
+    """Per ``(node, label)``: what the worker's summaries answer, and whether
+    they index the graph the worker serves."""
     index = state.neighborhood_index()
     return [
-        (
-            index.has_child_label(node, label),
-            index.has_parent_label(node, label),
-            index._row(node) is not None,
-        )
+        (has_child_label(index, node, label), has_parent_label(index, node, label), index.graph is state.graph)
         for node, label in task
     ]
 
@@ -212,7 +210,6 @@ class TestSharedSummaries:
     def test_workers_read_masks_and_a_refork_serves_the_re_prepared_ones(self, graph):
         from repro.engine.prepared import PreparedGraph
         from repro.engine.queries import SIMULATION
-        from repro.graph.neighborhood import summarize_node
 
         prepared = PreparedGraph(graph)
         prepared.prepare(SIMULATION, ALPHA)

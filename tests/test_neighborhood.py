@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guard_reference import has_child_label, has_parent_label, summarize_node
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
@@ -18,7 +19,6 @@ from repro.graph.neighborhood import (
     ball_size,
     max_label_fanout,
     nodes_within_hops,
-    summarize_node,
     theoretical_alpha_bound,
 )
 from repro.updates.delta import GraphDelta
@@ -72,49 +72,49 @@ class TestSummaries:
         assert summary.parent_count("HG") == 1
         assert summary.child_count("CC") == 0
 
-    def test_index_caches_and_precomputes(self, example1_graph):
+    def test_the_index_freezes_its_graph_on_entry(self, example1_graph):
         index = NeighborhoodIndex(example1_graph)
-        assert len(index) == 0
-        first = index.summary("Michael")
-        assert len(index) == 1
-        assert index.summary("Michael") is first
-        index.precompute()
-        assert len(index) == example1_graph.num_nodes()
+        assert isinstance(index.graph, CSRGraph)
+        assert list(index.graph.nodes()) == list(example1_graph.nodes())
+        assert NeighborhoodIndex(index.graph).graph is index.graph
+        assert pickle.loads(pickle.dumps(index)).graph.num_nodes() == example1_graph.num_nodes()
 
     def test_index_predicates(self, example1_graph):
         index = NeighborhoodIndex(example1_graph)
-        assert index.has_child_label("Michael", "HG")
-        assert not index.has_parent_label("Michael", "HG")
-        assert index.has_parent_label("cl3", "CC")
-        assert index.degree("cc2") == 1
+        assert has_child_label(index, "Michael", "HG")
+        assert not has_parent_label(index, "Michael", "HG")
+        assert has_parent_label(index, "cl3", "CC")
+        hg_and_cc = index.requirement(["HG", "CC"])
+        assert index.has_labels("cl3", hg_and_cc, index.requirement(()))
+        assert not index.has_labels("cl3", index.requirement(()), hg_and_cc)
+        assert not index.has_labels("cl3", index.requirement(["absent"]), index.requirement(()))
 
 
 def assert_agrees_with_reference(index, graph, labels, rng):
-    """Every predicate of ``index`` equals the answer read off ``summarize_node``."""
+    """``has_labels`` of every node equals the answer read off ``summarize_node``."""
+    none = index.requirement(())
     for node in graph.nodes():
         reference = summarize_node(graph, node)
         for label in labels:
-            assert index.has_child_label(node, label) == (reference.child_count(label) > 0)
-            assert index.has_parent_label(node, label) == (reference.parent_count(label) > 0)
+            assert has_child_label(index, node, label) == (reference.child_count(label) > 0)
+            assert has_parent_label(index, node, label) == (reference.parent_count(label) > 0)
         for wanted in ([], rng.sample(labels, min(2, len(labels))), list(reference.child_label_counts)):
             need = index.requirement(wanted)
-            assert index.has_child_labels(node, need) == all(
-                reference.child_count(label) for label in wanted
-            )
+            assert index.has_labels(node, none, need) == all(reference.child_count(label) for label in wanted)
         for wanted in ([], rng.sample(labels, min(2, len(labels))), list(reference.parent_label_counts)):
             need = index.requirement(wanted)
-            assert index.has_parent_labels(node, need) == all(
-                reference.parent_count(label) for label in wanted
-            )
+            assert index.has_labels(node, need, none) == all(reference.parent_count(label) for label in wanted)
 
 
 def assert_rows_agree(index, csr, labels, rng):
-    """``rows_have_labels`` over every row equals the per-node predicates."""
+    """``rows_have_labels`` over every row equals ``has_labels`` node by node."""
     rows = np.arange(csr.num_nodes(), dtype=np.int64)
+    none = index.requirement(())
     for wanted in ([], rng.sample(labels, min(2, len(labels))), labels[:1] + ["absent"]):
         need = index.requirement(wanted)
-        for children, per_node in ((True, index.has_child_labels), (False, index.has_parent_labels)):
-            expected = [per_node(node, need) for node in csr.nodes()]
+        for children in (True, False):
+            sides = (none, need) if children else (need, none)
+            expected = [index.has_labels(node, *sides) for node in csr.nodes()]
             assert index.rows_have_labels(rows, need, children).tolist() == expected
 
 
@@ -138,7 +138,7 @@ class TestArrayBackedIndex:
             graph.add_edge(rng.choice(nodes), rng.choice(nodes))
         csr = CSRGraph.from_digraph(graph)
         index = NeighborhoodIndex(csr)
-        assert all(index._row(node) is not None for node in nodes)
+        assert index.graph is csr
         assert_agrees_with_reference(index, csr, labels, rng)
         assert_rows_agree(index, csr, labels, rng)
 
@@ -162,11 +162,10 @@ class TestArrayBackedIndex:
                     overlay.apply(op)
                 except (NodeNotFoundError, EdgeNotFoundError):
                     pass
-            # An overlay is no CSRGraph: its index summarises node by node.
+            # An overlay is frozen on entry: its index reads the freeze's arrays.
             assert_agrees_with_reference(NeighborhoodIndex(overlay), overlay, delta_labels, rng)
             csr = overlay.freeze()
             index = NeighborhoodIndex(csr)
-            assert all(index._row(node) is not None for node in csr.nodes())
             assert_agrees_with_reference(index, csr, delta_labels, rng)
             assert_rows_agree(index, csr, delta_labels, rng)
         assert_agrees_with_reference(pickle.loads(pickle.dumps(index)), csr, delta_labels, rng)

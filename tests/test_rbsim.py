@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.accuracy import pattern_accuracy
 from repro.core.rbsim import RBSim, RBSimConfig, rbsim
+from repro.core.rbsub import RBSub
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.graph.subgraph import is_subgraph
 from repro.matching.strong_simulation import strong_simulation
@@ -67,13 +69,22 @@ class TestRBSimOnSurrogates:
         assert scores[-1] == 1.0
 
     def test_shared_neighborhood_index_gives_same_answer(self, small_social_graph):
-        index = NeighborhoodIndex(small_social_graph)
-        index.precompute()
-        shared = RBSim(small_social_graph, alpha=0.1, neighborhood_index=index)
+        graph = freeze(small_social_graph)
+        index = NeighborhoodIndex(graph)
+        shared = RBSim(graph, alpha=0.1, neighborhood_index=index)
         fresh = RBSim(small_social_graph, alpha=0.1)
         pattern, vp = embedded_pattern(small_social_graph, 4, 5, seed=4)
         assert shared.answer(pattern, vp).answer == fresh.answer(pattern, vp).answer
-        assert len(index) == small_social_graph.num_nodes()
+
+    @pytest.mark.parametrize("matcher_class", [RBSim, RBSub])
+    def test_an_index_over_another_graph_is_refused(self, small_social_graph, matcher_class):
+        graph = freeze(small_social_graph)
+        assert matcher_class(graph, 0.1, neighborhood_index=NeighborhoodIndex(graph)).graph is graph
+        # Each freezes the DiGraph anew: the index would read another graph's rows.
+        with pytest.raises(ValueError):
+            matcher_class(small_social_graph, 0.1, neighborhood_index=NeighborhoodIndex(small_social_graph))
+        with pytest.raises(ValueError):
+            matcher_class(graph, 0.1, neighborhood_index=NeighborhoodIndex(freeze(small_social_graph)))
 
     def test_visit_bound_holds(self, small_social_graph):
         pattern, vp = embedded_pattern(small_social_graph, 4, 5, seed=6)
@@ -86,7 +97,8 @@ class TestRBSimConfig:
     def test_properties_exposed(self, example1_graph):
         matcher = RBSim(example1_graph, alpha=0.3)
         assert matcher.alpha == 0.3
-        assert matcher.graph is example1_graph
+        assert isinstance(matcher.graph, CSRGraph)  # frozen on entry, order exact
+        assert list(matcher.graph.edges()) == list(example1_graph.edges())
 
     def test_unanchored_mode_returns_some_answer(self, example1_graph, example1_query):
         config = RBSimConfig(allow_unanchored=True)

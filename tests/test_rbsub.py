@@ -67,7 +67,7 @@ class TestRBSubConfig:
     def test_properties(self, example1_graph):
         matcher = RBSub(example1_graph, alpha=0.25)
         assert matcher.alpha == 0.25
-        assert matcher.graph is example1_graph
+        assert list(matcher.graph.nodes()) == list(example1_graph.nodes())  # its CSR freeze
 
     def test_reduce_entry_point(self, example1_graph, example1_query):
         matcher = RBSub(example1_graph, alpha=0.5)

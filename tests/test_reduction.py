@@ -26,6 +26,7 @@ from repro.patterns.pattern import make_pattern
 
 def make_reducer(graph, pattern, vp, alpha, visit_coefficient=None, **kwargs):
     index = NeighborhoodIndex(graph)
+    graph = index.graph  # the search reads the CSRGraph the index froze
     guard = SimulationGuard(pattern, graph, vp, index)
     budget = ResourceBudget(
         alpha=alpha, graph_size=graph.size(), visit_coefficient=visit_coefficient or graph.max_degree() or 1
@@ -244,7 +245,9 @@ class TestStopReason:
 
     def test_a_remainder_holds_what_its_pick_has_not_given(self):
         graph, pattern = self.fan(5)
-        guard = SimulationGuard(pattern, graph, "vp", NeighborhoodIndex(graph))
+        index = NeighborhoodIndex(graph)
+        graph = index.graph
+        guard = SimulationGuard(pattern, graph, "vp", index)
         state = WeightEstimator(pattern, graph, "vp", guard)
         eligible = state.eligible("vp", "a")
         remainder = Remainder(state, eligible, "a", weighted=False)  # scan order

@@ -6,10 +6,10 @@ Both must produce the same ``ReductionResult`` — ``G_Q`` node order, edge
 order, labels, every budget charge, the final bound, the pass count, the
 per-query-node candidate counts, the stop, the cut and re-Pick counts,
 whether the unweighted pass settled or the weighted search restarted, and
-the visits the abandoned pass was charged — on every substrate the reduction
-runs on, for both guarded conditions, with the ablation flags on and off,
-with the scan cap small enough to bite, and with a visit cap tight enough to
-stop the search mid-pass.  The random sweep counts 150 draws the
+the visits the abandoned pass was charged — on the ``CSRGraph`` the matchers
+freeze their graph into, for both guarded conditions, with the ablation
+flags on and off, with the scan cap small enough to bite, and with a visit
+cap tight enough to stop the search mid-pass.  The random sweep counts 150 draws the
 unweighted pass made alone and, on the same draws narrowed to a small
 alpha, 150 whose weighted search restarted.  Searches that fill
 ``G_Q`` and reclaim it are compared on layered graphs dense with spare
@@ -17,6 +17,8 @@ witnesses and on the end-to-end ``community`` log, where the oracle's
 witness rules (per pair, per embedding) are its own.
 The step test holds the incrementally maintained ``c(v, u)`` and ``p(v, u)``
 to the oracle's from-scratch values after every single ``G_Q`` insertion.
+A ``DiGraph`` or a ``MutableOverlay`` handed to ``RBSim``/``RBSub`` answers
+as its ``CSRGraph`` freeze, search for search.
 
 The count gates at the bottom are the deterministic stand-in for a timing
 floor: what the search state promises is that no ``(node, query node)`` guard
@@ -34,8 +36,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from guard_reference import checked
 from reduction_oracle import OracleReducer, OracleWeightEstimator, build_reducer, fingerprint
 from repro.core.budget import ResourceBudget
+from repro.core.rbsim import RBSim
 from repro.core.rbsub import RBSub
 from repro.core.reduction import DynamicReducer
 from repro.core.weights import IsomorphismGuard, SimulationGuard, WeightEstimator
@@ -101,15 +105,6 @@ def churned_overlay(graph: DiGraph, seed: int):
     return overlay, mirror
 
 
-def substrate_of(kind: str, graph: DiGraph, seed: int):
-    """The substrate under test and a ``DiGraph`` with the same content."""
-    if kind == "digraph":
-        return graph, graph
-    if kind == "csr":
-        return CSRGraph.from_digraph(graph), graph
-    return churned_overlay(graph, seed)
-
-
 def draw_query(content: DiGraph, seed: int, embedded: bool):
     """A pattern and its personalized match: embedded in the graph, or drawn
     from the alphabet (plus a label no node carries) around an arbitrary node."""
@@ -143,7 +138,10 @@ def visit_coefficient(graph, pattern, cap: str) -> float:
 
 
 def build(reducer_class, graph, pattern, vp, guard_class, alpha, max_scan, visit_cap="loose", **flags):
-    """One reducer over its own index, guard and budget (nothing memoised is shared)."""
+    """One reducer over its own index, guard and budget (nothing memoised is
+    shared); the oracle's guard answers its node-by-node ``check``."""
+    if reducer_class is OracleReducer:
+        guard_class = checked(guard_class)
     guard = guard_class(pattern, graph, vp, NeighborhoodIndex(graph))
     budget = ResourceBudget(
         alpha=alpha,
@@ -172,7 +170,6 @@ SWEEP = dict(
     graph=labeled_graphs(),
     seed=st.integers(min_value=0, max_value=10_000),
     embedded=st.booleans(),
-    substrate=st.sampled_from(["digraph", "csr", "overlay"]),
     guard_kind=st.sampled_from(sorted(GUARDS)),
     use_weights=st.booleans(),
     use_guard=st.booleans(),
@@ -180,10 +177,10 @@ SWEEP = dict(
 )
 
 
-def sweep_case(graph, seed, embedded, substrate, guard_kind, use_weights, use_guard, max_scan, alpha, visit_cap):
+def sweep_case(graph, seed, embedded, guard_kind, use_weights, use_guard, max_scan, alpha, visit_cap):
     """One drawn search, held to the oracle; returns its result."""
-    host, content = substrate_of(substrate, graph, seed)
-    pattern, vp = draw_query(content, seed, embedded)
+    host = CSRGraph.from_digraph(graph)
+    pattern, vp = draw_query(graph, seed, embedded)
     result, expected = reduce_both(
         host, pattern, vp, guard_kind, alpha, max_scan,
         visit_cap=visit_cap, use_weights=use_weights, use_guard=use_guard,
@@ -211,16 +208,38 @@ def test_a_restarted_search_equals_the_frozen_oracle(**drawn):
     assume(sweep_case(**drawn).restarted)
 
 
-@pytest.mark.parametrize("backend", ["digraph", "csr"])
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=labeled_graphs(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    embedded=st.booleans(),
+    alpha=st.sampled_from([0.15, 0.4, 1.0]),
+)
+def test_a_digraph_or_an_overlay_answers_as_its_csr_freeze(graph, seed, embedded, alpha):
+    """The matchers freeze what they are given: a ``DiGraph`` and a churned
+    ``MutableOverlay`` give the answer, ``G_Q`` node and edge lists and spend
+    of their ``CSRGraph`` freeze."""
+    overlay, content = churned_overlay(graph, seed)
+    pattern, vp = draw_query(content, seed, embedded)
+    for host in (graph, content, overlay):
+        frozen = CSRGraph.from_digraph(host)
+        for matcher_class in (RBSim, RBSub):
+            given, expected = (matcher_class(g, alpha).answer(pattern, vp) for g in (host, frozen))
+            assert given.answer == expected.answer
+            if vp in host:  # else neither searches
+                assert fingerprint(given.reduction) == fingerprint(expected.reduction)
+                assert given.reduction.spend() == expected.reduction.spend()
+
+
 @pytest.mark.parametrize("guard_kind", sorted(GUARDS))
-def test_hub_personalized_match_on_youtube(backend, guard_kind):
+def test_hub_personalized_match_on_youtube(guard_kind):
     """A hub ``vp``: reciprocal edges put neighbours on both of its sides, and
     its adjacency is far past the first-64 cap of ``p(v, u)``."""
     content = load_dataset("youtube")
     hub = max(content.nodes(), key=content.degree)
     assert set(content.successors(hub)) & set(content.predecessors(hub))
     assert content.out_degree(hub) + content.in_degree(hub) > 64
-    graph = content if backend == "digraph" else CSRGraph.from_digraph(content)
+    graph = CSRGraph.from_digraph(content)
     pattern, vp = embedded_pattern(content, 4, 8, seed=7, personalized_node=hub)
     result, expected = reduce_both(graph, pattern, vp, guard_kind, 0.02, 64, visit_cap="paper")
     assert fingerprint(result) == fingerprint(expected)
@@ -287,15 +306,14 @@ LAYERED_PATTERNS = [
     graph=layered_graphs(),
     seed=st.integers(min_value=0, max_value=10_000),
     shape=st.sampled_from(range(len(LAYERED_PATTERNS))),
-    substrate=st.sampled_from(["digraph", "csr", "overlay"]),
     guard_kind=st.sampled_from(sorted(GUARDS)),
     alpha=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
     visit_cap=st.sampled_from(["tight", "paper", "loose"]),
 )
-def test_a_reclaiming_search_equals_the_frozen_oracle(graph, seed, shape, substrate, guard_kind, alpha, visit_cap):
+def test_a_reclaiming_search_equals_the_frozen_oracle(graph, seed, shape, guard_kind, alpha, visit_cap):
     """Every draw is compared; the 150 that count are those whose unweighted
     pass met a limit, so the weighted search restarted and could reclaim."""
-    host, _ = substrate_of(substrate, graph, seed)
+    host = CSRGraph.from_digraph(graph)
     result, expected = reduce_both(
         host, LAYERED_PATTERNS[shape], "vp", guard_kind, alpha, 64, visit_cap=visit_cap
     )
@@ -365,14 +383,12 @@ def members_around(graph, node, in_gq) -> int:
     return sum(n in in_gq for n in chain(graph.successors(node), graph.predecessors(node)))
 
 
-@pytest.mark.parametrize("substrate", ["digraph", "csr", "overlay"])
 @pytest.mark.parametrize("guard_kind", sorted(GUARDS))
 @pytest.mark.parametrize("max_scan", [1, 3, 64])
 @pytest.mark.parametrize("alpha", [0.25, 0.9])
-def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(
-    substrate, guard_kind, max_scan, alpha
-):
-    host, content = substrate_of(substrate, hub_graph(), seed=11)
+def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(guard_kind, max_scan, alpha):
+    content = hub_graph()
+    host = CSRGraph.from_digraph(content)
     pattern = make_pattern(
         {"p": "P", "a": "A", "b": "B"}, [("p", "a"), ("a", "b"), ("b", "a")],
         personalized="p", output="b",
@@ -395,7 +411,7 @@ def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(
     ranked = set(state._usable)
     crowded = [node for node, _ in ranked if members_around(content, node, state.in_gq) > max_scan]
     assert crowded or alpha < 0.9
-    guard = GUARDS[guard_kind](pattern, host, "vp", NeighborhoodIndex(host))
+    guard = checked(GUARDS[guard_kind])(pattern, host, "vp", NeighborhoodIndex(host))
     oracle = OracleWeightEstimator(pattern, host, guard, max_scan)
     for node, query_node in ranked:
         assert state.cost(node, query_node) == oracle.cost(node, query_node, state.in_gq)
@@ -409,19 +425,16 @@ def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(
 @given(
     graph=labeled_graphs(self_loops=True),
     seed=st.integers(min_value=0, max_value=10_000),
-    substrate=st.sampled_from(["digraph", "csr", "overlay"]),
     guard_kind=st.sampled_from(sorted(GUARDS)),
     max_scan=st.sampled_from([1, 2, 3, 64]),
 )
-def test_costs_and_potentials_track_the_oracle_after_every_insertion(
-    graph, seed, substrate, guard_kind, max_scan
-):
-    host, content = substrate_of(substrate, graph, seed)
-    pattern, vp = draw_query(content, seed, embedded=False)
+def test_costs_and_potentials_track_the_oracle_after_every_insertion(graph, seed, guard_kind, max_scan):
+    host = CSRGraph.from_digraph(graph)
+    pattern, vp = draw_query(graph, seed, embedded=False)
     index = NeighborhoodIndex(host)
     state = WeightEstimator(pattern, host, vp, GUARDS[guard_kind](pattern, host, vp, index), max_scan)
-    oracle = OracleWeightEstimator(pattern, host, GUARDS[guard_kind](pattern, host, vp, index), max_scan)
-    nodes = list(content.nodes())
+    oracle = OracleWeightEstimator(pattern, host, checked(GUARDS[guard_kind])(pattern, host, vp, index), max_scan)
+    nodes = list(graph.nodes())
     rng = random.Random(seed)
     rng.shuffle(nodes)
     in_gq = set()
@@ -438,8 +451,7 @@ def test_costs_and_potentials_track_the_oracle_after_every_insertion(
     assert state.in_gq == in_gq
 
 
-@pytest.mark.parametrize("substrate", ["digraph", "csr", "overlay"])
-def test_a_member_on_both_sides_counts_twice_towards_the_cap(substrate):
+def test_a_member_on_both_sides_counts_twice_towards_the_cap():
     """The row of ``v`` reads ``x | x, y, vp``; with ``x`` and ``y`` in ``G_Q``
     and ``max_scan = 2`` the cap keeps ``x, x`` and never sees what ``y`` plays."""
     graph = DiGraph()
@@ -447,17 +459,13 @@ def test_a_member_on_both_sides_counts_twice_towards_the_cap(substrate):
         graph.add_node(node, label)
     for edge in [("v", "x"), ("x", "v"), ("y", "v"), ("vp", "v")]:
         graph.add_edge(*edge)
-    host = {
-        "digraph": graph,
-        "csr": CSRGraph.from_digraph(graph),
-        "overlay": MutableOverlay(CSRGraph.from_digraph(graph)),
-    }[substrate]
+    host = CSRGraph.from_digraph(graph)
     pattern = make_pattern(
         {"p": "P", "b": "B", "a": "A", "c": "C"},
         [("p", "b"), ("b", "a"), ("a", "b"), ("c", "b")],
         personalized="p", output="a",
     )
-    guard = SimulationGuard(pattern, host, "vp", NeighborhoodIndex(host))
+    guard = checked(SimulationGuard)(pattern, host, "vp", NeighborhoodIndex(host))
     oracle = OracleWeightEstimator(pattern, host, guard, max_scan=2)
     state = WeightEstimator(pattern, host, "vp", guard, max_scan=2)
     assert state.cost("v", "b") == oracle.cost("v", "b", set()) == 3
@@ -475,15 +483,10 @@ def test_a_member_on_both_sides_counts_twice_towards_the_cap(substrate):
 # --------------------------------------------------------------------------- #
 def counting(guard_class, evaluations: Counter, row_calls: Counter, owner: list):
     """``guard_class`` with every ``(node, query node)`` it evaluates tallied,
-    one by one (``_evaluate`` behind ``check``, or the search state's
-    label-free ``check_asked``) or a row at a time (``check_rows``), and every
-    ``check_rows`` call tallied per (row owner, query node)."""
+    one by one (``check_asked``) or a row at a time (``check_rows``), and
+    every ``check_rows`` call tallied per (row owner, query node)."""
 
     class Counting(guard_class):
-        def _evaluate(self, node, query_node):
-            evaluations[(node, query_node)] += 1
-            return super()._evaluate(node, query_node)
-
         def check_asked(self, node, query_node, row=None):
             evaluations[(node, query_node)] += 1
             return super().check_asked(node, query_node, row)
@@ -496,14 +499,11 @@ def counting(guard_class, evaluations: Counter, row_calls: Counter, owner: list)
     return Counting
 
 
-@pytest.mark.parametrize("backend", ["digraph", "csr"])
 @pytest.mark.parametrize("guard_kind", sorted(GUARDS))
 @pytest.mark.parametrize("alpha", [0.05, 0.02])
-def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(
-    backend, guard_kind, alpha, monkeypatch
-):
+def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(guard_kind, alpha, monkeypatch):
     content = load_dataset("youtube-small")
-    graph = content if backend == "digraph" else CSRGraph.from_digraph(content)
+    graph = CSRGraph.from_digraph(content)
     hub = max(content.nodes(), key=content.degree)
     pattern, vp = embedded_pattern(content, 4, 8, seed=3, personalized_node=hub)
 

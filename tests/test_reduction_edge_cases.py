@@ -1,5 +1,6 @@
 """Additional edge-case coverage for the dynamic reduction and its weights."""
 
+import numpy as np
 import pytest
 
 from repro.core.budget import ResourceBudget
@@ -68,12 +69,12 @@ class TestDegenerateQueries:
 class TestReducerConfiguration:
     def test_initial_bound_one_resumes_until_a_stop(self, example1_graph, example1_query):
         index = NeighborhoodIndex(example1_graph)
-        guard = SimulationGuard(example1_query, example1_graph, "Michael", index)
+        guard = SimulationGuard(example1_query, index.graph, "Michael", index)
         # alpha 0.7 (16 items) binds: the unweighted pass fills G_Q, so the
         # weighted search restarts, at b = 1.
         budget = ResourceBudget(alpha=0.7, graph_size=example1_graph.size(), visit_coefficient=10)
         reducer = DynamicReducer(
-            example1_query, example1_graph, "Michael", guard, budget, simulation_witnesses,
+            example1_query, index.graph, "Michael", guard, budget, simulation_witnesses,
             initial_bound=1,
         )
         result = reducer.search()
@@ -84,10 +85,10 @@ class TestReducerConfiguration:
 
     def test_max_depth_zero_limits_to_personalized_node(self, example1_graph, example1_query):
         index = NeighborhoodIndex(example1_graph)
-        guard = SimulationGuard(example1_query, example1_graph, "Michael", index)
+        guard = SimulationGuard(example1_query, index.graph, "Michael", index)
         budget = ResourceBudget(alpha=0.9, graph_size=example1_graph.size(), visit_coefficient=10)
         reducer = DynamicReducer(
-            example1_query, example1_graph, "Michael", guard, budget, simulation_witnesses,
+            example1_query, index.graph, "Michael", guard, budget, simulation_witnesses,
             max_depth=0,
         )
         result = reducer.search()
@@ -106,9 +107,10 @@ class TestReducerConfiguration:
     def test_isomorphism_guard_on_star_center(self):
         graph = star_graph(4)
         pattern = make_pattern({0: "HUB", 1: "LEAF", 2: "LEAF"}, [(0, 1), (0, 2)], personalized=0, output=1)
-        guard = IsomorphismGuard(pattern, graph, 0, NeighborhoodIndex(graph))
-        assert guard.check(0, 0)
-        assert not guard.check(1, 0)  # a leaf cannot host the hub query node
+        index = NeighborhoodIndex(graph)
+        guard = IsomorphismGuard(pattern, index.graph, 0, index)
+        rows = np.array([index.graph.index_of(0), index.graph.index_of(1)])
+        assert guard.check_rows(rows, 0).tolist() == [True, False]  # a leaf cannot host the hub query node
 
     def test_matchers_reusable_across_queries(self, example1_graph, example1_query):
         sim = RBSim(example1_graph, alpha=0.9)

@@ -43,6 +43,7 @@ from functools import lru_cache
 
 import pytest
 
+from guard_reference import checked
 from reduction_oracle import OracleReducer, build_reducer
 from repro.core.accuracy import pattern_accuracy
 from repro.core.budget import ResourceBudget
@@ -125,7 +126,7 @@ class PatternLog:
         for position in range(len(self.queries)) if positions is None else positions:
             pattern, vp = self.queries[position]
             budget = ResourceBudget(alpha=alpha, graph_size=self.graph.size(), visit_coefficient=visit_coefficient)
-            guard = matchers[position % 2].guard_class(pattern, self.graph, vp, self.index)
+            guard = checked(matchers[position % 2].guard_class)(pattern, self.graph, vp, self.index)
             reducer = build_reducer(
                 OracleReducer, pattern=pattern, graph=self.graph, personalized_match=vp, guard=guard,
                 budget=budget, max_depth=pattern.diameter(),
@@ -242,7 +243,7 @@ def test_gq_answers_as_its_induced_subgraph_and_keeps_only_readable_edges(patter
         # The matcher's own step on G_Q: strong simulation, or subgraph isomorphism.
         matcher = matchers[position % 2]
         subgraph = result.subgraph
-        guard = matcher.guard_class(pattern, graph, vp, pattern_log.index)
+        guard = checked(matcher.guard_class)(pattern, graph, vp, pattern_log.index)
 
         def readable(source, target):
             return any(guard.check(source, u) and guard.check(target, child) for u, child in pattern.edges)

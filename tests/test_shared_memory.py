@@ -30,6 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from guard_reference import has_child_label, has_parent_label
 from repro.engine.prepared import PreparedGraph, SharedPreparedGraph, publish_state
 from repro.engine.queries import REACH, SIMULATION
 from repro.exceptions import EngineError
@@ -277,7 +278,7 @@ class TestSharedPreparedGraph:
             pages = np.frombuffer(segment.buf, dtype=np.uint8)
             attached = handle.attach()
             index = attached.neighborhood_index()
-            assert len(index) == 0  # no per-node summary objects travelled
+            assert index.graph is attached.graph  # the index reads the attached arrays
             for mine, theirs in zip(attached.graph.label_presence(), prepared.graph.label_presence()):
                 assert not mine.flags.writeable and not mine.flags.owndata
                 assert np.shares_memory(mine, pages)  # a view of the segment, no private copy
@@ -287,8 +288,8 @@ class TestSharedPreparedGraph:
             reference = prepared.neighborhood_index()
             for node in list(graph.nodes())[:40]:
                 for label in graph.distinct_labels():
-                    assert index.has_child_label(node, label) == reference.has_child_label(node, label)
-                    assert index.has_parent_label(node, label) == reference.has_parent_label(node, label)
+                    assert has_child_label(index, node, label) == has_child_label(reference, node, label)
+                    assert has_parent_label(index, node, label) == has_parent_label(reference, node, label)
 
     def test_compression_attaches_as_views_of_the_mirror_segment(self):
         """A fresh CSR prepare publishes columns: no DAG, membership or members travels."""

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from guard_reference import has_child_label, has_parent_label
 from repro.engine import PatternQuery, ReachQuery
 from repro.engine.prepared import PreparedGraph
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, WorkloadError
@@ -464,12 +465,12 @@ class TestRebuildEquivalence:
         graph = DiGraph.from_edges([(0, 1)], labels={0: "A", 1: "B", 2: "C"})
         prepared = PreparedGraph(graph)
         prepared.prepare("simulation", 0.5)
-        assert not prepared.neighborhood_index().has_child_label(0, "C")
+        assert not has_child_label(prepared.neighborhood_index(), 0, "C")
         with pytest.raises(EdgeNotFoundError):
             prepared.apply_delta(GraphDelta().add_edge(0, 2).remove_edge(2, 1))
         assert prepared.graph.has_edge(0, 2)
-        assert prepared.neighborhood_index().has_child_label(0, "C")
-        assert prepared.neighborhood_index().has_parent_label(2, "A")
+        assert has_child_label(prepared.neighborhood_index(), 0, "C")
+        assert has_parent_label(prepared.neighborhood_index(), 2, "A")
 
 
 def _chain_scc_graph() -> DiGraph:

@@ -7,25 +7,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guard_reference import checked, isomorphism_condition, simulation_condition
 from repro.core.weights import IsomorphismGuard, SimulationGuard, WeightEstimator, _thresholds
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import DiGraph
 from repro.graph.neighborhood import NeighborhoodIndex
 from repro.patterns.pattern import make_pattern
 
 
-@pytest.fixture
-def sim_guard(example1_graph, example1_query):
-    return SimulationGuard(
-        example1_query, example1_graph, "Michael", NeighborhoodIndex(example1_graph)
-    )
+def guard_on(guard_class, pattern, graph, vp):
+    """``guard_class`` on the freeze of ``graph``, with the node-by-node
+    ``check`` (the label test, then ``check_asked``)."""
+    index = NeighborhoodIndex(graph)
+    return checked(guard_class)(pattern, index.graph, vp, index)
 
 
 @pytest.fixture
-def iso_guard(example1_graph, example1_query):
-    return IsomorphismGuard(
-        example1_query, example1_graph, "Michael", NeighborhoodIndex(example1_graph)
-    )
+def example1_csr(example1_graph):
+    return freeze(example1_graph)
+
+
+@pytest.fixture
+def sim_guard(example1_csr, example1_query):
+    return guard_on(SimulationGuard, example1_query, example1_csr, "Michael")
+
+
+@pytest.fixture
+def iso_guard(example1_csr, example1_query):
+    return guard_on(IsomorphismGuard, example1_query, example1_csr, "Michael")
 
 
 class TestSimulationGuard:
@@ -48,7 +57,7 @@ class TestSimulationGuard:
         assert not sim_guard.check("cl2", "CL")  # no parents at all
         assert not sim_guard.check("cl1", "CL")  # HG parent only
 
-    def test_guard_is_necessary_not_sufficient(self, example1_graph, example1_query, sim_guard):
+    def test_guard_is_necessary_not_sufficient(self, example1_csr, example1_query, sim_guard):
         # hg1 passes the guard (Michael parent + CL child) but is not a match
         # because its CL child is not itself a match — the guard only filters.
         assert sim_guard.check("hg1", "HG")
@@ -59,13 +68,8 @@ class TestSimulationGuard:
         pattern = make_pattern(
             {"m": "Michael", "c": "CC"}, [("m", "c")], personalized="m", output="c"
         )
-        guard = SimulationGuard(pattern, example1_graph, "Michael", NeighborhoodIndex(example1_graph))
+        guard = guard_on(SimulationGuard, pattern, example1_graph, "Michael")
         assert guard.check("cc1", "c")
-
-    def test_results_are_memoised(self, sim_guard):
-        assert sim_guard.check("cc1", "CC")
-        assert ("cc1", "CC") in sim_guard._cache
-        assert sim_guard.check("cc1", "CC")  # second call hits the cache
 
 
 class TestIsomorphismGuard:
@@ -90,9 +94,9 @@ class TestIsomorphismGuard:
         graph.add_node("b2", "B")
         graph.add_edge("a2", "b1")
         graph.add_edge("a2", "b2")
-        guard = IsomorphismGuard(pattern, graph, "a1", NeighborhoodIndex(graph))
+        guard = guard_on(IsomorphismGuard, pattern, graph, "a1")
         assert not guard.check("a1", 0)
-        guard2 = IsomorphismGuard(pattern, graph, "a2", NeighborhoodIndex(graph))
+        guard2 = guard_on(IsomorphismGuard, pattern, graph, "a2")
         assert guard2.check("a2", 0)
 
     def test_degree_dominance_of_neighbors(self):
@@ -104,7 +108,7 @@ class TestIsomorphismGuard:
         graph.add_node("a", "A")
         graph.add_node("b_low", "B")
         graph.add_edge("a", "b_low")  # b_low has degree 1 < 2
-        guard = IsomorphismGuard(pattern, graph, "a", NeighborhoodIndex(graph))
+        guard = guard_on(IsomorphismGuard, pattern, graph, "a")
         assert not guard.check("a", 0)
 
 
@@ -144,53 +148,25 @@ def guarded_cases(draw):
     return graph, pattern, vp
 
 
-def greedy_isomorphism_condition(graph, pattern, vp, node, u):
-    """Section 4.2's ``C(node, u)`` from scratch on a ``DiGraph``: the label
-    (``up`` by identity), then per side the degree, ``vp`` where ``up`` is a
-    query neighbour, and per label the greedy distinct assignment, largest
-    degree needed first against the largest degrees available."""
-    up = pattern.personalized
-    if node != vp if u == up else graph.label(node) != pattern.label_of(u):
-        return False
-    for query_side, data_side in (
-        (pattern.children(u), list(graph.successors(node))),
-        (pattern.parents(u), list(graph.predecessors(node))),
-    ):
-        if len(data_side) < len(query_side) or (up in query_side and vp not in data_side):
-            return False
-        needs = {}
-        for neighbor in query_side:
-            if neighbor != up:
-                needs.setdefault(pattern.label_of(neighbor), []).append(pattern.degree(neighbor))
-        for label, needed in needs.items():
-            available = sorted((graph.degree(w) for w in data_side if graph.label(w) == label), reverse=True)
-            needed = sorted(needed, reverse=True)
-            if len(available) < len(needed) or any(have < need for have, need in zip(available, needed)):
-                return False
-    return True
-
-
 @settings(max_examples=60, deadline=None)
 @given(guarded_cases())
 @pytest.mark.parametrize("guard_class", [IsomorphismGuard, SimulationGuard])
-def test_check_rows_and_check_asked_equal_evaluate_node_by_node(guard_class, case):
+def test_check_rows_and_check_asked_equal_the_node_by_node_reference(guard_class, case):
     """``check_rows`` over every row of a CSR graph (the isomorphism guard's
     threshold counts included), and ``check_asked`` with and without the
-    row the search state loaded, equal ``_evaluate`` node by node, which
-    equals the ``DiGraph`` guard's own evaluation and, for the isomorphism
-    guard, the greedy assignment written out."""
+    row the search state loaded, equal ``C(v, u)`` written out node by node
+    on the ``DiGraph`` (``tests/guard_reference.py``: the ``Sl`` summaries,
+    or the greedy distinct assignment), and so does the oracle's ``check``."""
     graph, pattern, vp = case
     csr = CSRGraph.from_digraph(graph)
-    guard = guard_class(pattern, csr, vp, NeighborhoodIndex(csr))
-    reference = guard_class(pattern, graph, vp, NeighborhoodIndex(graph))
+    guard = checked(guard_class)(pattern, csr, vp, NeighborhoodIndex(csr))
+    reference = simulation_condition if guard_class is SimulationGuard else isomorphism_condition
     state = WeightEstimator(pattern, csr, vp, guard_class(pattern, csr, vp, NeighborhoodIndex(csr)))
     rows = np.arange(csr.num_nodes(), dtype=np.int64)
     nodes = csr.ids_of(rows)
     for u in pattern.nodes():
-        expected = [guard._evaluate(node, u) for node in nodes]
-        assert expected == [reference._evaluate(node, u) for node in nodes]
-        if guard_class is IsomorphismGuard:
-            assert expected == [greedy_isomorphism_condition(graph, pattern, vp, node, u) for node in nodes]
+        expected = [reference(graph, pattern, vp, node, u) for node in nodes]
+        assert [guard.check(node, u) for node in nodes] == expected
         assert guard.check_rows(rows, u).tolist() == expected
         # Reversed and repeated rows answer row by row too.
         half = len(nodes) // 2
@@ -219,33 +195,33 @@ def estimator_with(graph, query, guard, members=(), **options):
 
 
 class TestWeightEstimator:
-    def test_cost_drops_as_gq_grows(self, example1_graph, example1_query, sim_guard):
+    def test_cost_drops_as_gq_grows(self, example1_csr, example1_query, sim_guard):
         # cc1 needs a Michael parent and a CL child; nothing in G_Q plays either yet.
-        empty = estimator_with(example1_graph, example1_query, sim_guard)
+        empty = estimator_with(example1_csr, example1_query, sim_guard)
         assert empty.cost("cc1", "CC") == 2
-        partial = estimator_with(example1_graph, example1_query, sim_guard, ["Michael"])
+        partial = estimator_with(example1_csr, example1_query, sim_guard, ["Michael"])
         assert partial.cost("cc1", "CC") == 1
         partial.admit("cl3")  # one more node joining updates the cost in place
         assert partial.cost("cc1", "CC") == 0
 
-    def test_potential_counts_useful_neighbors(self, example1_graph, example1_query, sim_guard):
-        estimator = estimator_with(example1_graph, example1_query, sim_guard)
+    def test_potential_counts_useful_neighbors(self, example1_csr, example1_query, sim_guard):
+        estimator = estimator_with(example1_csr, example1_query, sim_guard)
         # cc3's neighbours outside G_Q: Michael (candidate for Michael query
         # node? no — pinned), cl3, cl4 (candidates for CL).
         potential = estimator.potential("cc3", "CC")
         assert potential >= 2
 
-    def test_potential_excludes_gq_members(self, example1_graph, example1_query, sim_guard):
-        estimator = estimator_with(example1_graph, example1_query, sim_guard)
+    def test_potential_excludes_gq_members(self, example1_csr, example1_query, sim_guard):
+        estimator = estimator_with(example1_csr, example1_query, sim_guard)
         full = estimator.potential("cc3", "CC")
         estimator.admit("cl3")
         estimator.admit("cl4")
         assert estimator.potential("cc3", "CC") < full
 
-    def test_weight_prefers_high_potential_low_cost(self, example1_graph, example1_query, sim_guard):
-        estimator = estimator_with(example1_graph, example1_query, sim_guard, ["Michael"])
+    def test_weight_prefers_high_potential_low_cost(self, example1_csr, example1_query, sim_guard):
+        estimator = estimator_with(example1_csr, example1_query, sim_guard, ["Michael"])
         assert estimator.weight("cc3", "CC") > estimator.weight("cc2", "CC")
 
-    def test_scan_cap_bounds_potential(self, example1_graph, example1_query, sim_guard):
-        estimator = estimator_with(example1_graph, example1_query, sim_guard, max_scan=1)
+    def test_scan_cap_bounds_potential(self, example1_csr, example1_query, sim_guard):
+        estimator = estimator_with(example1_csr, example1_query, sim_guard, max_scan=1)
         assert estimator.potential("cc3", "CC") <= 1

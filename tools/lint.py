@@ -9,7 +9,12 @@ Runs, in order:
 3. ``mypy`` over the packages scoped in ``pyproject.toml``;
 4. the no-fallback check: numpy is a hard dependency, so ``src/repro``
    may hold no ``except ImportError`` and no ``np is None`` /
-   ``CSRGraph is None`` branch; and numpy is the *only* dependency, so
+   ``CSRGraph is None`` branch; ``Search`` reads one substrate, the
+   ``CSRGraph`` the matchers and the ``Sl`` index freeze on entry, so no
+   file under ``src/repro/core/`` and no ``graph/neighborhood.py`` may hold
+   a ``csr is (not) None`` branch or a ``hasattr(…, "neighbor_indices")`` /
+   ``hasattr(…, "label_presence")`` probe (a second, node-by-node arm
+   beside the row-space one); and numpy is the *only* dependency, so
    ``src/repro`` may import nothing outside the standard library, numpy
    and itself, not even inside a function (offending lines are printed).
    The measured reason: importing ``scipy.sparse.csgraph`` for its SCC
@@ -53,6 +58,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TARGETS = ["src", "tools", "tests", "benchmarks", "examples"]
 RUNTIME_IMPORTS = {"numpy", "repro"}
 FALLBACK = re.compile(r"except\s+\(?\s*ImportError|\b(?:np|numpy|_?CSRGraph)\s+is\s+(?:not\s+)?None\b")
+#: A second substrate where ``Search`` reads: a branch for a graph that is no ``CSRGraph``.
+SECOND_SUBSTRATE = re.compile(
+    r"\bcsr\s+is\s+(?:not\s+)?None\b|hasattr\([^)]*[\"'](?:neighbor_indices|label_presence)[\"']"
+)
 
 
 def _run(label: str, command: list) -> bool:
@@ -64,13 +73,20 @@ def _run(label: str, command: list) -> bool:
     return True
 
 
+def _reads_one_substrate(path: Path, root: Path) -> bool:
+    """Whether ``path`` is where ``Search`` reads: ``core/`` or ``graph/neighborhood.py``."""
+    relative = path.relative_to(root)
+    return relative.parts[0] == "core" or relative == Path("graph", "neighborhood.py")
+
+
 def fallback_lines(root: Path = ROOT / "src" / "repro") -> list:
-    """``path:line: text`` of every no-numpy fallback left under ``root``."""
+    """``path:line: text`` of every no-numpy fallback left under ``root``, and
+    of every second-substrate branch where ``Search`` reads."""
     return [
         f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
         for path in sorted(root.rglob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if FALLBACK.search(line)
+        if FALLBACK.search(line) or (SECOND_SUBSTRATE.search(line) and _reads_one_substrate(path, root))
     ]
 
 
@@ -175,7 +191,12 @@ def main() -> int:
         print("[lint] mypy not installed — skipped (CI installs it via the 'dev' extra)")
 
     for label, rule, offending in (
-        ("no-fallback", "src/repro must not guard against a missing numpy", fallback_lines()),
+        (
+            "no-fallback",
+            "src/repro must not guard against a missing numpy, and core/ and graph/neighborhood.py "
+            "read a CSRGraph only (no csr-is-None branch, no neighbor_indices/label_presence probe)",
+            fallback_lines(),
+        ),
         (
             "imports",
             "src/repro imports only the standard library and numpy (scipy alone adds 27.7 MB RSS at import)",
