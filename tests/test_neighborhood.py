@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from guard_reference import has_child_label, has_parent_label, summarize_node
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import star_graph
 from repro.graph.neighborhood import (
@@ -78,6 +78,16 @@ class TestSummaries:
         assert list(index.graph.nodes()) == list(example1_graph.nodes())
         assert NeighborhoodIndex(index.graph).graph is index.graph
         assert pickle.loads(pickle.dumps(index)).graph.num_nodes() == example1_graph.num_nodes()
+
+    def test_index_caches_and_precomputes(self, example1_graph):
+        # One offline sweep covers every node on construction; a second
+        # index over the same freeze reuses it, and a label tuple compiles once.
+        frozen = freeze(example1_graph)
+        index = NeighborhoodIndex(frozen)
+        child_bits, parent_bits = frozen.label_presence()
+        assert child_bits.shape[0] == parent_bits.shape[0] == example1_graph.num_nodes()
+        assert NeighborhoodIndex(frozen)._bits[0] is child_bits
+        assert index.requirement(["HG", "CC"]) is index.requirement(["HG", "CC"])
 
     def test_index_predicates(self, example1_graph):
         index = NeighborhoodIndex(example1_graph)

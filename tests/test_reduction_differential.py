@@ -6,10 +6,14 @@ Both must produce the same ``ReductionResult`` — ``G_Q`` node order, edge
 order, labels, every budget charge, the final bound, the pass count, the
 per-query-node candidate counts, the stop, the cut and re-Pick counts,
 whether the unweighted pass settled or the weighted search restarted, and
-the visits the abandoned pass was charged — on the ``CSRGraph`` the matchers
-freeze their graph into, for both guarded conditions, with the ablation
-flags on and off, with the scan cap small enough to bite, and with a visit
-cap tight enough to stop the search mid-pass.  The random sweep counts 150 draws the
+the visits the abandoned pass was charged — for a ``DiGraph``, a
+``CSRGraph`` and a churned ``MutableOverlay`` handed in, for both guarded
+conditions, with the ablation flags on and off, with the scan cap small
+enough to bite, and with a visit cap tight enough to stop the search
+mid-pass.  The flat reducer searches the ``CSRGraph`` freeze of what it is
+handed, as the matchers do on entry; the oracle walks the substrate as
+given, neighbour by neighbour, so a freeze that moved a node or a
+neighbour shows as a difference.  The random sweep counts 150 draws the
 unweighted pass made alone and, on the same draws narrowed to a small
 alpha, 150 whose weighted search restarted.  Searches that fill
 ``G_Q`` and reclaim it are compared on layered graphs dense with spare
@@ -105,6 +109,15 @@ def churned_overlay(graph: DiGraph, seed: int):
     return overlay, mirror
 
 
+def substrate_of(kind: str, graph: DiGraph, seed: int):
+    """The substrate handed in and a ``DiGraph`` with the same content."""
+    if kind == "digraph":
+        return graph, graph
+    if kind == "csr":
+        return CSRGraph.from_digraph(graph), graph
+    return churned_overlay(graph, seed)
+
+
 def draw_query(content: DiGraph, seed: int, embedded: bool):
     """A pattern and its personalized match: embedded in the graph, or drawn
     from the alphabet (plus a label no node carries) around an arbitrary node."""
@@ -139,10 +152,15 @@ def visit_coefficient(graph, pattern, cap: str) -> float:
 
 def build(reducer_class, graph, pattern, vp, guard_class, alpha, max_scan, visit_cap="loose", **flags):
     """One reducer over its own index, guard and budget (nothing memoised is
-    shared); the oracle's guard answers its node-by-node ``check``."""
+    shared).  The flat reducer searches the freeze of ``graph`` (what the
+    matchers do on entry); the oracle walks ``graph`` as given, and its guard
+    answers its node-by-node ``check``."""
+    index = NeighborhoodIndex(graph)
     if reducer_class is OracleReducer:
         guard_class = checked(guard_class)
-    guard = guard_class(pattern, graph, vp, NeighborhoodIndex(graph))
+    else:
+        graph = index.graph
+    guard = guard_class(pattern, index.graph, vp, index)
     budget = ResourceBudget(
         alpha=alpha,
         graph_size=graph.size(),
@@ -170,6 +188,7 @@ SWEEP = dict(
     graph=labeled_graphs(),
     seed=st.integers(min_value=0, max_value=10_000),
     embedded=st.booleans(),
+    substrate=st.sampled_from(["digraph", "csr", "overlay"]),
     guard_kind=st.sampled_from(sorted(GUARDS)),
     use_weights=st.booleans(),
     use_guard=st.booleans(),
@@ -177,10 +196,10 @@ SWEEP = dict(
 )
 
 
-def sweep_case(graph, seed, embedded, guard_kind, use_weights, use_guard, max_scan, alpha, visit_cap):
+def sweep_case(graph, seed, embedded, substrate, guard_kind, use_weights, use_guard, max_scan, alpha, visit_cap):
     """One drawn search, held to the oracle; returns its result."""
-    host = CSRGraph.from_digraph(graph)
-    pattern, vp = draw_query(graph, seed, embedded)
+    host, content = substrate_of(substrate, graph, seed)
+    pattern, vp = draw_query(content, seed, embedded)
     result, expected = reduce_both(
         host, pattern, vp, guard_kind, alpha, max_scan,
         visit_cap=visit_cap, use_weights=use_weights, use_guard=use_guard,
@@ -231,15 +250,16 @@ def test_a_digraph_or_an_overlay_answers_as_its_csr_freeze(graph, seed, embedded
                 assert given.reduction.spend() == expected.reduction.spend()
 
 
+@pytest.mark.parametrize("backend", ["digraph", "csr"])
 @pytest.mark.parametrize("guard_kind", sorted(GUARDS))
-def test_hub_personalized_match_on_youtube(guard_kind):
+def test_hub_personalized_match_on_youtube(backend, guard_kind):
     """A hub ``vp``: reciprocal edges put neighbours on both of its sides, and
     its adjacency is far past the first-64 cap of ``p(v, u)``."""
     content = load_dataset("youtube")
     hub = max(content.nodes(), key=content.degree)
     assert set(content.successors(hub)) & set(content.predecessors(hub))
     assert content.out_degree(hub) + content.in_degree(hub) > 64
-    graph = CSRGraph.from_digraph(content)
+    graph = content if backend == "digraph" else CSRGraph.from_digraph(content)
     pattern, vp = embedded_pattern(content, 4, 8, seed=7, personalized_node=hub)
     result, expected = reduce_both(graph, pattern, vp, guard_kind, 0.02, 64, visit_cap="paper")
     assert fingerprint(result) == fingerprint(expected)
@@ -306,14 +326,15 @@ LAYERED_PATTERNS = [
     graph=layered_graphs(),
     seed=st.integers(min_value=0, max_value=10_000),
     shape=st.sampled_from(range(len(LAYERED_PATTERNS))),
+    substrate=st.sampled_from(["digraph", "csr", "overlay"]),
     guard_kind=st.sampled_from(sorted(GUARDS)),
     alpha=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
     visit_cap=st.sampled_from(["tight", "paper", "loose"]),
 )
-def test_a_reclaiming_search_equals_the_frozen_oracle(graph, seed, shape, guard_kind, alpha, visit_cap):
+def test_a_reclaiming_search_equals_the_frozen_oracle(graph, seed, shape, substrate, guard_kind, alpha, visit_cap):
     """Every draw is compared; the 150 that count are those whose unweighted
     pass met a limit, so the weighted search restarted and could reclaim."""
-    host = CSRGraph.from_digraph(graph)
+    host, _ = substrate_of(substrate, graph, seed)
     result, expected = reduce_both(
         host, LAYERED_PATTERNS[shape], "vp", guard_kind, alpha, 64, visit_cap=visit_cap
     )
@@ -383,12 +404,14 @@ def members_around(graph, node, in_gq) -> int:
     return sum(n in in_gq for n in chain(graph.successors(node), graph.predecessors(node)))
 
 
+@pytest.mark.parametrize("substrate", ["digraph", "csr", "overlay"])
 @pytest.mark.parametrize("guard_kind", sorted(GUARDS))
 @pytest.mark.parametrize("max_scan", [1, 3, 64])
 @pytest.mark.parametrize("alpha", [0.25, 0.9])
-def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(guard_kind, max_scan, alpha):
-    content = hub_graph()
-    host = CSRGraph.from_digraph(content)
+def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(
+    substrate, guard_kind, max_scan, alpha
+):
+    host, content = substrate_of(substrate, hub_graph(), seed=11)
     pattern = make_pattern(
         {"p": "P", "a": "A", "b": "B"}, [("p", "a"), ("a", "b"), ("b", "a")],
         personalized="p", output="b",
@@ -411,7 +434,8 @@ def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(guard_kind,
     ranked = set(state._usable)
     crowded = [node for node, _ in ranked if members_around(content, node, state.in_gq) > max_scan]
     assert crowded or alpha < 0.9
-    guard = checked(GUARDS[guard_kind])(pattern, host, "vp", NeighborhoodIndex(host))
+    index = NeighborhoodIndex(host)
+    guard = checked(GUARDS[guard_kind])(pattern, index.graph, "vp", index)
     oracle = OracleWeightEstimator(pattern, host, guard, max_scan)
     for node, query_node in ranked:
         assert state.cost(node, query_node) == oracle.cost(node, query_node, state.in_gq)
@@ -425,16 +449,21 @@ def test_hub_candidate_with_more_members_around_it_than_the_scan_cap(guard_kind,
 @given(
     graph=labeled_graphs(self_loops=True),
     seed=st.integers(min_value=0, max_value=10_000),
+    substrate=st.sampled_from(["digraph", "csr", "overlay"]),
     guard_kind=st.sampled_from(sorted(GUARDS)),
     max_scan=st.sampled_from([1, 2, 3, 64]),
 )
-def test_costs_and_potentials_track_the_oracle_after_every_insertion(graph, seed, guard_kind, max_scan):
-    host = CSRGraph.from_digraph(graph)
-    pattern, vp = draw_query(graph, seed, embedded=False)
+def test_costs_and_potentials_track_the_oracle_after_every_insertion(
+    graph, seed, substrate, guard_kind, max_scan
+):
+    """The search state reads the freeze; the oracle walks the substrate."""
+    host, content = substrate_of(substrate, graph, seed)
+    pattern, vp = draw_query(content, seed, embedded=False)
     index = NeighborhoodIndex(host)
-    state = WeightEstimator(pattern, host, vp, GUARDS[guard_kind](pattern, host, vp, index), max_scan)
-    oracle = OracleWeightEstimator(pattern, host, checked(GUARDS[guard_kind])(pattern, host, vp, index), max_scan)
-    nodes = list(graph.nodes())
+    frozen = index.graph
+    state = WeightEstimator(pattern, frozen, vp, GUARDS[guard_kind](pattern, frozen, vp, index), max_scan)
+    oracle = OracleWeightEstimator(pattern, host, checked(GUARDS[guard_kind])(pattern, frozen, vp, index), max_scan)
+    nodes = list(content.nodes())
     rng = random.Random(seed)
     rng.shuffle(nodes)
     in_gq = set()
@@ -451,7 +480,8 @@ def test_costs_and_potentials_track_the_oracle_after_every_insertion(graph, seed
     assert state.in_gq == in_gq
 
 
-def test_a_member_on_both_sides_counts_twice_towards_the_cap():
+@pytest.mark.parametrize("substrate", ["digraph", "csr", "overlay"])
+def test_a_member_on_both_sides_counts_twice_towards_the_cap(substrate):
     """The row of ``v`` reads ``x | x, y, vp``; with ``x`` and ``y`` in ``G_Q``
     and ``max_scan = 2`` the cap keeps ``x, x`` and never sees what ``y`` plays."""
     graph = DiGraph()
@@ -459,20 +489,25 @@ def test_a_member_on_both_sides_counts_twice_towards_the_cap():
         graph.add_node(node, label)
     for edge in [("v", "x"), ("x", "v"), ("y", "v"), ("vp", "v")]:
         graph.add_edge(*edge)
-    host = CSRGraph.from_digraph(graph)
+    host = {
+        "digraph": graph,
+        "csr": CSRGraph.from_digraph(graph),
+        "overlay": MutableOverlay(CSRGraph.from_digraph(graph)),
+    }[substrate]
     pattern = make_pattern(
         {"p": "P", "b": "B", "a": "A", "c": "C"},
         [("p", "b"), ("b", "a"), ("a", "b"), ("c", "b")],
         personalized="p", output="a",
     )
-    guard = checked(SimulationGuard)(pattern, host, "vp", NeighborhoodIndex(host))
+    index = NeighborhoodIndex(host)
+    guard = checked(SimulationGuard)(pattern, index.graph, "vp", index)
     oracle = OracleWeightEstimator(pattern, host, guard, max_scan=2)
-    state = WeightEstimator(pattern, host, "vp", guard, max_scan=2)
+    state = WeightEstimator(pattern, index.graph, "vp", guard, max_scan=2)
     assert state.cost("v", "b") == oracle.cost("v", "b", set()) == 3
     state.admit("x")
     state.admit("y")
     assert state.cost("v", "b") == oracle.cost("v", "b", {"x", "y"}) == 2  # p and c
-    uncapped = WeightEstimator(pattern, host, "vp", guard, max_scan=3)
+    uncapped = WeightEstimator(pattern, index.graph, "vp", guard, max_scan=3)
     uncapped.admit("x")
     uncapped.admit("y")
     assert uncapped.cost("v", "b") == 1  # only p is missing once y is seen
@@ -499,11 +534,16 @@ def counting(guard_class, evaluations: Counter, row_calls: Counter, owner: list)
     return Counting
 
 
+@pytest.mark.parametrize("backend", ["digraph", "csr"])
 @pytest.mark.parametrize("guard_kind", sorted(GUARDS))
 @pytest.mark.parametrize("alpha", [0.05, 0.02])
-def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(guard_kind, alpha, monkeypatch):
+def test_one_search_repeats_no_guard_evaluation_and_no_adjacency_scan(
+    backend, guard_kind, alpha, monkeypatch
+):
+    """The gates hold on the freeze a ``DiGraph`` handed in gets, as on a
+    ``CSRGraph`` handed in as it is."""
     content = load_dataset("youtube-small")
-    graph = CSRGraph.from_digraph(content)
+    graph = content if backend == "digraph" else CSRGraph.from_digraph(content)
     hub = max(content.nodes(), key=content.degree)
     pattern, vp = embedded_pattern(content, 4, 8, seed=3, personalized_node=hub)
 

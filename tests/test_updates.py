@@ -24,7 +24,7 @@ from guard_reference import has_child_label, has_parent_label
 from repro.engine import PatternQuery, ReachQuery
 from repro.engine.prepared import PreparedGraph
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, WorkloadError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import preferential_attachment_graph
 from repro.graph.protocol import GraphLike
@@ -236,6 +236,30 @@ class TestMutableOverlay:
         overlay.apply(delta)
         delta.apply_to(graph)
         assert_same_arrays(overlay.freeze(), CSRGraph.from_digraph(graph))
+
+    def test_the_graph_freeze_sends_an_overlay_to_its_array_freeze(self, monkeypatch):
+        """``repro.graph.csr.freeze`` (what the matchers and the ``Sl`` index
+        call on entry) reads an overlay's arrays, not its per-node views."""
+        graph = preferential_attachment_graph(num_nodes=60, edges_per_node=2, seed=5)
+        overlay = MutableOverlay(CSRGraph.from_digraph(graph))
+        overlay.apply(_random_delta(random.Random(5), graph, ops=25, allow_removals=True))
+        expected = CSRGraph.from_digraph(overlay)
+        for name in ("label", "successors", "predecessors", "neighbors", "nodes"):
+            monkeypatch.setattr(MutableOverlay, name, None)
+        assert_same_arrays(freeze(overlay), expected)
+
+    def test_the_graph_freeze_of_a_csr_graph_is_the_graph_itself(self):
+        frozen = CSRGraph.from_digraph(preferential_attachment_graph(num_nodes=20, edges_per_node=2, seed=1))
+        assert freeze(frozen) is frozen
+
+    def test_the_graph_freeze_of_a_digraph_keeps_its_order(self):
+        graph = DiGraph.from_edges(
+            [(3, 1), (1, 2), (2, 3), (3, 0), (0, 1)], labels={3: "A", 1: "B", 2: "A", 0: "C"}
+        )
+        frozen = freeze(graph)
+        assert list(frozen.nodes()) == [3, 1, 2, 0]
+        assert list(frozen.successors(3)) == [1, 0]
+        assert_same_arrays(frozen, CSRGraph.from_digraph(graph))
 
 
 def assert_same_arrays(actual: CSRGraph, expected: CSRGraph) -> None:

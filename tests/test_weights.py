@@ -71,6 +71,20 @@ class TestSimulationGuard:
         guard = guard_on(SimulationGuard, pattern, example1_graph, "Michael")
         assert guard.check("cc1", "c")
 
+    def test_results_are_memoised(self, sim_guard, monkeypatch):
+        # The oracle's ``check`` asks ``check_asked`` once per (node, query node).
+        asked = []
+        check_asked = SimulationGuard.check_asked
+
+        def tallied(guard, node, query_node, row=None):
+            asked.append((node, query_node))
+            return check_asked(guard, node, query_node, row)
+
+        monkeypatch.setattr(SimulationGuard, "check_asked", tallied)
+        assert sim_guard.check("cc1", "CC")
+        assert sim_guard.check("cc1", "CC")  # second call hits the memo
+        assert asked == [("cc1", "CC")]
+
 
 class TestIsomorphismGuard:
     def test_degree_requirement(self, iso_guard):
@@ -151,7 +165,7 @@ def guarded_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(guarded_cases())
 @pytest.mark.parametrize("guard_class", [IsomorphismGuard, SimulationGuard])
-def test_check_rows_and_check_asked_equal_the_node_by_node_reference(guard_class, case):
+def test_check_rows_and_check_asked_equal_evaluate_node_by_node(guard_class, case):
     """``check_rows`` over every row of a CSR graph (the isomorphism guard's
     threshold counts included), and ``check_asked`` with and without the
     row the search state loaded, equal ``C(v, u)`` written out node by node

@@ -12,7 +12,7 @@ Runs, in order:
    ``CSRGraph is None`` branch; ``Search`` reads one substrate, the
    ``CSRGraph`` the matchers and the ``Sl`` index freeze on entry, so no
    file under ``src/repro/core/`` and no ``graph/neighborhood.py`` may hold
-   a ``csr is (not) None`` branch or a ``hasattr(…, "neighbor_indices")`` /
+   a ``csr``/``_csr is (not) None`` branch or a ``hasattr(…, "neighbor_indices")`` /
    ``hasattr(…, "label_presence")`` probe (a second, node-by-node arm
    beside the row-space one); and numpy is the *only* dependency, so
    ``src/repro`` may import nothing outside the standard library, numpy
@@ -60,7 +60,7 @@ RUNTIME_IMPORTS = {"numpy", "repro"}
 FALLBACK = re.compile(r"except\s+\(?\s*ImportError|\b(?:np|numpy|_?CSRGraph)\s+is\s+(?:not\s+)?None\b")
 #: A second substrate where ``Search`` reads: a branch for a graph that is no ``CSRGraph``.
 SECOND_SUBSTRATE = re.compile(
-    r"\bcsr\s+is\s+(?:not\s+)?None\b|hasattr\([^)]*[\"'](?:neighbor_indices|label_presence)[\"']"
+    r"\b_?csr\s+is\s+(?:not\s+)?None\b|hasattr\([^)]*[\"'](?:neighbor_indices|label_presence)[\"']"
 )
 
 
