@@ -227,5 +227,14 @@ def rbsim(
     alpha: float,
     config: Optional[RBSimConfig] = None,
 ) -> PatternAnswer:
-    """One-shot convenience wrapper around :class:`RBSim`."""
+    """One-shot convenience wrapper around :class:`RBSim`.
+
+    Each call builds a matcher, so each call freezes ``graph`` to a
+    ``CSRGraph`` and scans its degrees before it searches.  On the
+    ``youtube`` ``DiGraph`` (20 000 nodes, 42 434 edges) that costs
+    13.5–23 ms per query of a (4, 8) log, against 0.5–1.1 ms through one
+    reused ``RBSim(graph, alpha)`` (2-core Xeon host, ranges over runs).
+    A caller with more than one query should build the matcher once and
+    call :meth:`RBSim.answer`.
+    """
     return RBSim(graph, alpha, config=config).answer(pattern, personalized_match)

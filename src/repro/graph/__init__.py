@@ -70,11 +70,7 @@ from repro.graph.subgraph import (
     induced_subgraph,
     is_subgraph,
 )
-from repro.graph.topology import (
-    TopologicalRankIndex,
-    csr_topological_ranks,
-    verify_rank_invariant,
-)
+from repro.graph.topology import TopologicalRankIndex, csr_topological_ranks
 from repro.graph.traversal import (
     ancestors,
     bfs_levels,
@@ -148,7 +144,6 @@ __all__ = [
     "is_subgraph",
     "TopologicalRankIndex",
     "csr_topological_ranks",
-    "verify_rank_invariant",
     "ancestors",
     "bfs_levels",
     "bfs_order",

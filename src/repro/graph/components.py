@@ -20,8 +20,10 @@ peel changes the order in which components are found, and nothing depends
 on that order: a component's canonical id is its smallest member index.
 The rest is assembled from whole-array passes, and
 ``tests/test_prepare_differential.py`` pins it to the frozen
-element-by-element prepare.  :func:`strongly_connected_components` keeps
-the node-keyed body for any ``GraphLike``.
+element-by-element prepare.  :func:`strongly_connected_components` runs
+the same Tarjan over every row of the freeze, without the peel, so its list
+keeps Tarjan's emission order.  :class:`Condensation` is those columns
+alone; its ``DiGraph`` DAG and member containers are views built on demand.
 """
 
 from __future__ import annotations
@@ -34,66 +36,6 @@ from repro.exceptions import NodeNotFoundError
 from repro.graph.csr import CSRGraph, _unique, freeze
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.protocol import GraphLike
-
-
-def strongly_connected_components(graph: GraphLike) -> List[Set[NodeId]]:
-    """Return the strongly connected components of ``graph``.
-
-    Uses an iterative Tarjan algorithm; components are returned in reverse
-    topological order of the condensation (i.e. a component appears after all
-    components it can reach), which is a convenient order for DP over DAGs.
-    """
-    index_counter = 0
-    indices: Dict[NodeId, int] = {}
-    lowlinks: Dict[NodeId, int] = {}
-    on_stack: Set[NodeId] = set()
-    stack: List[NodeId] = []
-    components: List[Set[NodeId]] = []
-
-    def successors_of(node: NodeId) -> List[NodeId]:
-        return list(graph.successors(node))
-
-    for root in graph.nodes():
-        if root in indices:
-            continue
-        # Each work item is (node, iterator over successors).
-        work: List[Tuple[NodeId, List[NodeId], int]] = [(root, successors_of(root), 0)]
-        indices[root] = lowlinks[root] = index_counter
-        index_counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, children, child_pos = work.pop()
-            advanced = False
-            while child_pos < len(children):
-                child = children[child_pos]
-                child_pos += 1
-                if child not in indices:
-                    indices[child] = lowlinks[child] = index_counter
-                    index_counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((node, children, child_pos))
-                    work.append((child, successors_of(child), 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlinks[node] = min(lowlinks[node], indices[child])
-            if advanced:
-                continue
-            if lowlinks[node] == indices[node]:
-                component: Set[NodeId] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-    return components
 
 
 def _cyclic_core(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,12 +100,13 @@ def _csr_components(graph: CSRGraph) -> Tuple[np.ndarray, int]:
 def _tarjan(indptr: List[int], indices: memoryview) -> Tuple[List[int], int]:
     """Tarjan over one CSR in index space: a component number per row, and the count.
 
-    :func:`strongly_connected_components` over ``indptr.tolist()`` and a
-    ``memoryview`` of the indices, with list state instead of node-keyed
-    dicts.  A discovered node with no component yet is exactly a node on
-    Tarjan's stack, so ``emitted`` doubles as the on-stack test.  (The
-    indices are not copied into a list: as fast to read, and a rebuild
-    under load would pay an edge-length list of ints at its peak.)
+    Iterative, to cope with deep graphs: roots in row order, children in
+    stored order, components numbered in emission order, over
+    ``indptr.tolist()`` and a ``memoryview`` of the indices with list state.
+    A discovered node with no component yet is exactly a node on Tarjan's
+    stack, so ``emitted`` doubles as the on-stack test.  (The indices are
+    not copied into a list: as fast to read, and a rebuild under load would
+    pay an edge-length list of ints at its peak.)
     """
     n = len(indptr) - 1
     discovered = [-1] * n
@@ -235,6 +178,19 @@ def _group_nodes(graph: CSRGraph, order: np.ndarray, offsets: np.ndarray) -> Lis
     return [set(grouped[low:high]) for low, high in zip(bounds, bounds[1:])]
 
 
+def strongly_connected_components(graph: GraphLike) -> List[Set[NodeId]]:
+    """Return the strongly connected components of ``graph``.
+
+    :func:`_tarjan` over every row of the freeze, so components are returned
+    in Tarjan's emission order: reverse topological order of the
+    condensation (a component appears after all components it can reach),
+    which is a convenient order for DP over DAGs.
+    """
+    frozen = freeze(graph)
+    emitted, count = _tarjan(frozen._succ_indptr.tolist(), memoryview(frozen._succ_indices))
+    return _group_nodes(frozen, *_group_order(np.asarray(emitted, dtype=np.int64), count))
+
+
 def is_dag(graph: GraphLike) -> bool:
     """Whether ``graph`` contains no directed cycle (self-loops count as cycles)."""
     for source, target in graph.edges():
@@ -244,18 +200,7 @@ def is_dag(graph: GraphLike) -> bool:
 
 
 class Condensation:
-    """The reachability-preserving DAG condensation of a graph.
-
-    Attributes
-    ----------
-    dag:
-        The condensed graph.  Each node is an integer component id; its label
-        is the label of the component's canonical representative (labels play
-        no role in reachability).
-    membership:
-        Maps every original node to its component id.
-    members:
-        Maps every component id to the set of original nodes it contains.
+    """The reachability-preserving DAG condensation of a :class:`CSRGraph`.
 
     Component ids are *canonical*: the id of a component is the position (in
     the graph's node iteration order) of its earliest member, and the DAG's
@@ -264,59 +209,40 @@ class Condensation:
     discovered the partition — which is what lets an update compare the
     condensations before and after component by component.
 
-    :func:`condensation` builds it *array-backed* (:meth:`from_arrays`): it
-    keeps the columns :func:`condensation_with_mirror` computed — ``compact`` (node
-    index → component row), the member order grouped by component with its
-    offsets, and the CSR mirror of the DAG, whose ids are the component ids
-    in row order — and answers :meth:`component_of` and :meth:`size_of` from
-    them through flat ``memoryview``s.  A component id is the node index of
-    its representative, so ``compact[id]`` is its row: the mirror resolves
-    its ids through ``compact`` and keeps them as a column, and no id → row
-    dict or id list exists.  ``dag``, ``membership`` and ``members`` are then views
-    materialised on first access (the DAG through
-    :meth:`DiGraph.from_adjacency` off the mirror, whose adjacency order is
-    the DAG's); a read-only service never asks for them, and they are neither
-    pickled nor published.  The constructor takes such containers directly
-    (the element-by-element reference in the tests builds one that way).
+    The state is the columns :func:`condensation_with_mirror` computed:
+    ``compact`` (node index → component row), the member order grouped by
+    component with its offsets, and the CSR mirror of the DAG, whose ids are
+    the component ids in row order.  :meth:`component_of` and
+    :meth:`size_of` read them through flat ``memoryview``s.  A component id
+    is the node index of its representative, so ``compact[id]`` is its row:
+    the mirror resolves its ids through ``compact`` and keeps them as a
+    column, and no id → row dict or id list exists.
 
-    Iteration order of ``membership``/``members`` is not part of the
-    contract: they fill in node order and component-id order.  Readers look
-    entries up or sort the keys.
+    ``dag`` (labelled by each component's representative; labels play no
+    role in reachability), ``membership`` (node → component id) and
+    ``members`` (component id → node set) are views materialised on first
+    access (the DAG through :meth:`DiGraph.from_adjacency` off the mirror,
+    whose adjacency order is the DAG's); a read-only service never asks for
+    them, and they are neither pickled nor published.  Their iteration
+    order is not part of the contract: they fill in node order and
+    component-id order.  Readers look entries up or sort the keys.
     """
 
     def __init__(
         self,
-        dag: DiGraph,
-        membership: Mapping[NodeId, int],
-        members: Mapping[int, Set[NodeId]],
-    ) -> None:
-        self._dag: Optional[DiGraph] = dag
-        self._membership: Optional[Mapping[NodeId, int]] = membership
-        self._members: Optional[Mapping[int, Set[NodeId]]] = members
-        self._graph = self._mirror = None
-        self._compact = self._member_order = self._member_offsets = None
-
-    @classmethod
-    def from_arrays(
-        cls,
         graph,
         mirror,
         compact: np.ndarray,
         member_order: np.ndarray,
         member_offsets: np.ndarray,
-    ) -> "Condensation":
-        """The array-backed condensation of the :class:`CSRGraph` ``graph``.
+    ) -> None:
+        """The condensation of the :class:`CSRGraph` ``graph``.
 
         ``mirror`` is the DAG as a ``CSRGraph`` (ids: the component ids,
         ascending); ``compact[i]`` is the mirror row of node ``i``'s
         component; ``member_order[member_offsets[k]:member_offsets[k + 1]]``
         are the node indices of row ``k``'s members.
         """
-        self = cls(None, None, None)
-        self._bind(graph, mirror, compact, member_order, member_offsets)
-        return self
-
-    def _bind(self, graph, mirror, compact, member_order, member_offsets) -> None:
         self._graph, self._mirror = graph, mirror
         self._compact, self._member_order, self._member_offsets = compact, member_order, member_offsets
         self._rows: Mapping[NodeId, int] = graph._index
@@ -324,6 +250,15 @@ class Condensation:
         self._id_objects: Optional[List[int]] = None
         self._compact_view = memoryview(compact)
         self._offsets_view = memoryview(member_offsets)
+        self._dag: Optional[DiGraph] = None
+        self._membership: Optional[Mapping[NodeId, int]] = None
+        self._members: Optional[Mapping[int, Set[NodeId]]] = None
+
+    def __reduce__(self):
+        # A condensation travels as its columns: the word views are rebuilt
+        # on load and the containers re-materialise on demand.
+        columns = (self._compact, self._member_order, self._member_offsets)
+        return Condensation, (self._graph, self._mirror, *columns)
 
     def _own_ids(self) -> List[int]:
         """The component ids by row, one int object each, shared by every container."""
@@ -331,31 +266,8 @@ class Condensation:
             self._id_objects = list(self._component_ids)
         return self._id_objects
 
-    def __getstate__(self):
-        # An array-backed condensation travels as its columns: the word views
-        # are rebuilt on load and the containers re-materialise on demand.
-        if self._compact is None:
-            return (self._dag, self._membership, self._members)
-        columns = (self._compact, self._member_order, self._member_offsets)
-        return (None, None, None, self._graph, self._mirror, *columns)
-
-    def __setstate__(self, state) -> None:
-        self.__init__(*state[:3])
-        if state[3:]:
-            self._bind(*state[3:])
-
-    @property
-    def array_backed(self) -> bool:
-        """Whether the columns (not the containers) are this condensation's state."""
-        return self._compact is not None
-
     def columns(self) -> Dict[str, np.ndarray]:
-        """The backing columns by name (empty unless array-backed).
-
-        What publication copies into the DAG mirror's shared segment.
-        """
-        if self._compact is None:
-            return {}
+        """The backing columns by name: what publication copies into the DAG mirror's shared segment."""
         return {
             "compact": self._compact,
             "member_order": self._member_order,
@@ -399,32 +311,28 @@ class Condensation:
         return self._members
 
     def member_rows(self, row: int) -> np.ndarray:
-        """Graph rows of the members of node row ``row``'s component, ascending (array-backed only)."""
+        """Graph rows of the members of node row ``row``'s component, ascending."""
         component = self._compact_view[row]
         return self._member_order[self._offsets_view[component] : self._offsets_view[component + 1]]
 
     def component_ids(self) -> np.ndarray:
-        """The component ids by mirror row, ascending (array-backed only)."""
+        """The component ids by mirror row, ascending."""
         return np.asarray(self._component_ids, dtype=np.int64)
 
     def component_of(self, node: NodeId) -> int:
         """Component id of an original node."""
         try:
-            if self._compact is None:
-                return self._membership[node]
             return self._component_ids[self._compact_view[self._rows[node]]]
         except KeyError:
             raise NodeNotFoundError(node) from None
 
     def row_of(self, node: NodeId) -> Optional[int]:
-        """Mirror row of ``node``'s component, ``None`` if ``G`` lacks it (array-backed only)."""
+        """Mirror row of ``node``'s component, ``None`` if ``G`` lacks it."""
         row = self._rows.get(node)
         return None if row is None else self._compact_view[row]
 
     def size_of(self, component: int) -> int:
         """How many original nodes ``component`` contains."""
-        if self._compact is None:
-            return len(self._members[component])
         row = self._compact_view[component]
         return self._offsets_view[row + 1] - self._offsets_view[row]
 
@@ -433,8 +341,7 @@ class Condensation:
         original_size = original.size()
         if original_size == 0:
             return 1.0
-        dag = self._mirror if self._compact is not None else self._dag
-        return dag.size() / original_size
+        return self._mirror.size() / original_size
 
 
 def condensation(graph: GraphLike) -> Condensation:
@@ -458,9 +365,8 @@ def condensation_with_mirror(graph: CSRGraph) -> Tuple[Condensation, CSRGraph]:
     ``csr._unique``) and the mirror from those edge arrays
     (:meth:`CSRGraph.from_index_arrays`: each slice sorted, which on a DAG is
     what sorted ``add_edge`` gives, so the mirror's adjacency order *is* the
-    DAG's), labelled like the DAG.  The condensation is array-backed
-    (:meth:`Condensation.from_arrays`): no ``DiGraph``, membership dict or
-    member set is built here.
+    DAG's), labelled like the DAG.  The condensation keeps those columns:
+    no ``DiGraph``, membership dict or member set is built here.
     """
     n = graph.num_nodes()
     emitted, count = _csr_components(graph)
@@ -490,5 +396,5 @@ def condensation_with_mirror(graph: CSRGraph) -> Tuple[Condensation, CSRGraph]:
         component_ids, label_table, label_ids, sources, targets, _index=compact
     )
 
-    condensed = Condensation.from_arrays(graph, mirror, compact, *_group_order(compact, count))
+    condensed = Condensation(graph, mirror, compact, *_group_order(compact, count))
     return condensed, mirror

@@ -1010,52 +1010,6 @@ class CSRGraph:
             components.append(set(self.ids_of(np.array(members, dtype=np.int64))))
         return components
 
-    def reach_stats(
-        self, start_index: int, forward: bool, probe_mask: np.ndarray
-    ) -> Tuple[int, List[int]]:
-        """Reachable-node count plus reached probe indices, in one sweep.
-
-        Returns ``(count, probes)`` where ``count`` is the number of nodes
-        reachable from ``start_index`` (itself excluded) and ``probes`` the
-        indices among them with ``probe_mask`` set.  Equivalent to
-        ``reach_mask`` plus post-processing, but tallies during the BFS so no
-        O(n) scan is paid per call — this is the cover-statistics kernel.
-        """
-        indptr, indices = (
-            (self._succ_indptr, self._succ_indices)
-            if forward
-            else (self._pred_indptr, self._pred_indices)
-        )
-        seen = np.zeros(self.num_nodes(), dtype=bool)
-        seen[start_index] = True
-        count = 0
-        probes: List[int] = []
-        frontier_list: List[int] = [start_index]
-        while frontier_list and len(frontier_list) < 32:
-            next_list: List[int] = []
-            for i in frontier_list:
-                for j in indices[int(indptr[i]) : int(indptr[i + 1])].tolist():
-                    if not seen[j]:
-                        seen[j] = True
-                        count += 1
-                        if probe_mask[j]:
-                            probes.append(j)
-                        next_list.append(j)
-            frontier_list = next_list
-        frontier = np.array(frontier_list, dtype=np.int64)
-        while frontier.size:
-            candidates = self._expand(frontier, indptr, indices)
-            candidates = candidates[~seen[candidates]]
-            if candidates.size == 0:
-                break
-            frontier = _unique(candidates)
-            seen[frontier] = True
-            count += int(frontier.size)
-            hits = frontier[probe_mask[frontier]]
-            if hits.size:
-                probes.extend(hits.tolist())
-        return count, probes
-
     def fast_connected_component(self, source: NodeId) -> Set[NodeId]:
         """Weakly connected component containing ``source`` (itself included)."""
         mask = self.reach_mask_both(self.index_of(source))

@@ -6,17 +6,22 @@ rank among its children.  Ranks drive both the greedy landmark selection
 (``(deg * rank) / (L * D)``) and the rank window of ``RBReach`` (a
 landmark whose rank lies outside ``[vo.r, vp.r]`` cannot be on a path
 between the query endpoints and is pruned, Lemma 5(2)).
+
+Ranks are computed on the CSR mirror of the condensed DAG by a level peel
+from the sinks (:func:`csr_topological_ranks`) and kept as one column by
+mirror row (:class:`TopologicalRankIndex`); the recurrence written out node
+by node is the test oracle's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.csr import _unique
-from repro.graph.digraph import DiGraph, NodeId
+from repro.graph.digraph import NodeId
 
 
 def csr_topological_ranks(graph) -> np.ndarray:
@@ -61,34 +66,19 @@ class TopologicalRankIndex:
     maximum degree in the graph.  This index bundles the three quantities so
     callers cannot accidentally mix ranks computed on different graphs.
 
-    Built :meth:`from_mirror` (every fresh prepare) the ranks are one
-    column aligned with the rows of a CSR mirror of the DAG, read through a
-    flat ``memoryview``; the dict behind :meth:`ranks` is then made per
-    call, and the column is what pickles and what publication places in
-    shared memory.  Built :meth:`from_parts` (the element-by-element
-    reference in the tests) they are a node-keyed dict.
+    The ranks are one column aligned with the rows of a CSR mirror of the
+    DAG, read through a flat ``memoryview``; the dict behind :meth:`ranks`
+    is made per call, and the column is what pickles and what publication
+    places in shared memory.
     """
 
-    @classmethod
-    def from_parts(
-        cls,
-        graph: DiGraph,
-        ranks: Optional[Dict[NodeId, int]],
-        max_rank: int,
-        max_degree: int,
-    ) -> "TopologicalRankIndex":
-        """Assemble an index from already-known ranks, without recomputing.
-
-        The caller vouches that ``ranks`` satisfies the defining recurrence
-        on ``graph`` (checked by :func:`verify_rank_invariant` in tests).
-        """
-        index = cls.__new__(cls)
-        index._graph = graph
-        index._ranks = ranks
-        index._column = None
-        index._max_rank = max_rank
-        index._max_degree = max_degree
-        return index
+    def __init__(self, mirror, column: np.ndarray, max_rank: int, max_degree: int) -> None:
+        self._graph = mirror
+        self._column = column
+        self._max_rank = max_rank
+        self._max_degree = max_degree
+        self._rows: Dict[NodeId, int] = mirror._index
+        self._column_view = memoryview(column)
 
     @classmethod
     def from_mirror(cls, mirror) -> "TopologicalRankIndex":
@@ -99,32 +89,18 @@ class TopologicalRankIndex:
         """
         column = csr_topological_ranks(mirror)
         max_rank = int(column.max()) if column.shape[0] else 0
-        index = cls.from_parts(mirror, None, max_rank, mirror.max_degree())
-        index._bind(column)
-        return index
+        return cls(mirror, column, max_rank, mirror.max_degree())
 
-    def _bind(self, column) -> None:
-        """Serve ranks from ``column``, aligned with the rows of the mirror ``_graph``."""
-        self._column = column
-        self._rows: Dict[NodeId, int] = self._graph._index
-        self._column_view = memoryview(column)
-
-    def __getstate__(self):
-        return (self._graph, self._ranks, self._max_rank, self._max_degree, self._column)
-
-    def __setstate__(self, state) -> None:
-        self._graph, self._ranks, self._max_rank, self._max_degree, column = state
-        self._column = None
-        if column is not None:
-            self._bind(column)
+    def __reduce__(self):
+        return TopologicalRankIndex, (self._graph, self._column, self._max_rank, self._max_degree)
 
     def columns(self) -> Dict[str, np.ndarray]:
-        """The rank column by name (empty unless built :meth:`from_mirror`)."""
-        return {} if self._column is None else {"ranks": self._column}
+        """The rank column by name."""
+        return {"ranks": self._column}
 
     @property
     def graph(self):
-        """The DAG this index was built for (its CSR mirror, :meth:`from_mirror`)."""
+        """The DAG this index was built for: its CSR mirror."""
         return self._graph
 
     @property
@@ -139,14 +115,10 @@ class TopologicalRankIndex:
 
     def rank(self, node: NodeId) -> int:
         """``v.r`` of a node."""
-        if self._column is None:
-            return self._ranks[node]
         return self._column_view[self._rows[node]]
 
     def ranks(self) -> Dict[NodeId, int]:
         """A copy of the full node → rank map."""
-        if self._column is None:
-            return dict(self._ranks)
         return dict(zip(self._graph.nodes(), self._column.tolist()))
 
     def selection_score(self, node: NodeId) -> float:
@@ -162,13 +134,3 @@ class TopologicalRankIndex:
         if denominator == 0:
             return float(degree * rank)
         return (degree * rank) / denominator
-
-
-def verify_rank_invariant(graph: DiGraph, ranks: Dict[NodeId, int]) -> bool:
-    """Check that ranks satisfy the defining recurrence (used by tests)."""
-    for node in graph.nodes():
-        children = graph.successors(node)
-        expected = 0 if not children else 1 + max(ranks[child] for child in children)
-        if ranks[node] != expected:
-            return False
-    return True

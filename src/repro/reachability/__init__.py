@@ -17,11 +17,7 @@ from repro.reachability.hierarchy import (
     LandmarkInfo,
     build_index,
 )
-from repro.reachability.landmarks import (
-    first_landmarks_hit,
-    greedy_landmarks,
-    selection_scores,
-)
+from repro.reachability.landmarks import first_landmarks_hit, greedy_landmarks
 from repro.reachability.rbreach import RBReach, ReachabilityAnswer, rbreach
 
 __all__ = [
@@ -38,7 +34,6 @@ __all__ = [
     "build_index",
     "first_landmarks_hit",
     "greedy_landmarks",
-    "selection_scores",
     "RBReach",
     "ReachabilityAnswer",
     "rbreach",

@@ -29,14 +29,10 @@ class CompressedGraph:
     """A data graph together with its reachability-preserving DAG view.
 
     ``dag_csr`` is a compressed-sparse-row mirror of the condensed DAG; the
-    index builder and the exact oracle run their sweeps on it.
-    Fresh from :func:`compress` the mirror and the columns beside it are all
-    there is (an array-backed :class:`~repro.graph.components.Condensation`):
-    ``dag`` is then a ``DiGraph`` materialised on first access, which
-    prepare and query answering never ask for — they read :attr:`dag_view`.
-    A container-backed condensation (the element-by-element reference in
-    the tests builds one) has a canonical ``dag`` of its own.  Answers are
-    identical either way.
+    index builder, the exact oracle and query answering read it, and the
+    condensation and the ranks beside it are columns over its rows.  ``dag``
+    is a ``DiGraph`` of the same DAG, materialised on first access, which
+    prepare and query answering never ask for.
     """
 
     original: GraphLike
@@ -46,17 +42,8 @@ class CompressedGraph:
 
     @property
     def dag(self) -> DiGraph:
-        """The condensed DAG as a mutable ``DiGraph`` (built on first access when array-backed)."""
+        """The condensed DAG as a mutable ``DiGraph`` (built on first access)."""
         return self.condensation.dag
-
-    @property
-    def dag_view(self) -> GraphLike:
-        """The condensed DAG, read-only, neighbour order exact.
-
-        The mirror of an array-backed condensation (built from the same
-        sorted edge arrays the ``DiGraph`` would be), else ``dag``.
-        """
-        return self.dag_csr if self.condensation.array_backed else self.condensation.dag
 
     def columns(self) -> Dict[str, np.ndarray]:
         """Every backing column by name, for publication beside ``dag_csr``."""
@@ -69,30 +56,18 @@ class CompressedGraph:
     def locate(self, node: NodeId) -> Optional[Tuple[int, int]]:
         """``(component, rank)`` of an original node, ``None`` when ``G`` lacks it.
 
-        RBReach's one lookup per endpoint: array-backed, both sit at the
-        node's mirror row (the rank column is built on the mirror's rows).
+        RBReach's one lookup per endpoint: both sit at the node's mirror row
+        (the rank column is built on the mirror's rows).
         """
         condensed = self.condensation
-        if condensed.array_backed:
-            row = condensed.row_of(node)
-            if row is None:
-                return None
-            return condensed._component_ids[row], self.ranks._column_view[row]
-        if node not in self.original:
+        row = condensed.row_of(node)
+        if row is None:
             return None
-        component = condensed.component_of(node)
-        return component, self.ranks.rank(component)
+        return condensed._component_ids[row], self.ranks._column_view[row]
 
     def rank_rows(self) -> Sequence[int]:
-        """``v.r`` by row of ``dag_csr``.
-
-        Array-backed, this is the rank column itself (built on the mirror's
-        rows, as :meth:`locate` reads it); container-backed, the ranks are
-        a dict, read once per mirror row.
-        """
-        if self.condensation.array_backed:
-            return self.ranks._column_view
-        return list(map(self.ranks.rank, self.dag_csr.nodes()))
+        """``v.r`` by row of ``dag_csr``: the rank column itself, as :meth:`locate` reads it."""
+        return self.ranks._column_view
 
     def rank_of(self, node: NodeId) -> int:
         """Topological rank of the component hosting ``node``."""
@@ -121,10 +96,10 @@ def compress(graph: GraphLike) -> CompressedGraph:
     One path for every input: a graph that is not a :class:`CSRGraph` (a
     ``DiGraph``, an overlay) is frozen first — order-exact, so the canonical
     component ids are those of the graph as given — then condensed and
-    mirrored by whole-array passes.  The condensation is array-backed and
+    mirrored by whole-array passes.  The condensation is its columns and
     the ranks are a level peel over the mirror, kept as one column.  The
-    paper-figure drivers, the serving engine and the rebuild after a
-    re-prepare after every update all take this path; ``tests/prepare_oracle.py``
+    paper-figure drivers, the serving engine and the re-prepare after
+    every update all take this path; ``tests/prepare_oracle.py``
     holds it to the element-by-element definition.
     """
     condensed, dag_csr = condensation_with_mirror(freeze(graph))

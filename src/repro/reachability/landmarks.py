@@ -24,12 +24,6 @@ import numpy as np
 from repro.graph.digraph import NodeId
 from repro.graph import kernels
 from repro.graph.protocol import GraphLike
-from repro.graph.topology import TopologicalRankIndex
-
-
-def selection_scores(dag: GraphLike, ranks: TopologicalRankIndex) -> Dict[NodeId, float]:
-    """The greedy score of every node: ``(degree * rank) / (L * D)``."""
-    return {node: ranks.selection_score(node) for node in dag.nodes()}
 
 
 def selection_sort_key(node: NodeId, degree: int, rank: int, weight: float = 1.0):
@@ -218,33 +212,32 @@ class LabelTable(Mapping):
 
 
 def out_of_index_labels(
-    dag: GraphLike,
+    mirror,
     landmarks: Set[NodeId],
     max_labels: Optional[int],
-    csr_dag: GraphLike,
     row_of: Optional[Mapping[NodeId, int]] = None,
 ) -> Tuple[LabelTable, LabelTable]:
-    """The out-of-index labels ``v.E`` of every non-landmark node.
+    """The out-of-index labels ``v.E`` of every non-landmark node of the CSR DAG ``mirror``.
 
     Returns ``(forward, backward)`` mappings from each node with a
     non-empty label set to its labels: ``forward[v]`` holds the landmarks
     reachable from ``v`` by a landmark-free path, ``backward[v]`` the
     landmarks that reach ``v`` by one.
 
-    Landmark-major over ``csr_dag`` (a CSR mirror of ``dag``): instead of one
-    BFS per *node*, one absorbing BFS per *landmark* sweeps the region the
-    landmark is the first hit for — ``O(k · region)`` work instead of
-    ``O(n · region)``, and each sweep is vectorised.  The sweep computes the
-    exact full label sets; nodes whose set exceeds ``max_labels`` take
-    :func:`first_landmarks_hit` over ``dag`` instead, which is what the
-    truncation is defined by.  The ids are ints (component ids); ``row_of``
-    maps them to ``csr_dag`` rows when the caller did so already.
+    Landmark-major: instead of one BFS per *node*, one absorbing BFS per
+    *landmark* sweeps the region the landmark is the first hit for —
+    ``O(k · region)`` work instead of ``O(n · region)``, and each sweep is
+    vectorised.  The sweep computes the exact full label sets; nodes whose
+    set exceeds ``max_labels`` take :func:`first_landmarks_hit` over
+    ``mirror`` instead, which is what the truncation is defined by.  The
+    ids are ints (component ids); ``row_of`` maps them to ``mirror`` rows
+    when the caller did so already.
     """
-    n = csr_dag.num_nodes()
+    n = mirror.num_nodes()
     stop_mask = np.zeros(n, dtype=bool)
     landmark_list = list(landmarks)
     landmark_ids = np.array(landmark_list, dtype=np.int64)
-    marks = landmark_rows(csr_dag, landmark_list, row_of)
+    marks = landmark_rows(mirror, landmark_list, row_of)
     stop_mask[marks] = True
 
     # v has `landmark` as a forward label iff v reaches it landmark-free:
@@ -258,7 +251,7 @@ def out_of_index_labels(
     tables = []
     for is_forward in (True, False):
         batch = kernels.reach_batch(
-            csr_dag, landmark_list, forward=not is_forward, stop=stop_mask, rows=marks
+            mirror, landmark_list, forward=not is_forward, stop=stop_mask, rows=marks
         )
         rows, sources = batch.pairs()
         kept = ~stop_mask[rows]  # landmarks themselves carry no labels
@@ -266,11 +259,11 @@ def out_of_index_labels(
         spill: Dict[int, Tuple[NodeId, ...]] = {}
         if max_labels is not None and n and counts.max() > max_labels:
             truncated = np.flatnonzero(counts > max_labels)
-            for row, node in zip(truncated.tolist(), csr_dag.ids_of(truncated)):
-                spill[row] = tuple(_first_hits(dag, node, landmarks, is_forward, max_labels))
+            for row, node in zip(truncated.tolist(), mirror.ids_of(truncated)):
+                spill[row] = tuple(_first_hits(mirror, node, landmarks, is_forward, max_labels))
             kept &= counts[rows] <= max_labels
             counts[truncated] = 0
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        tables.append(LabelTable(csr_dag, offsets, landmark_ids[sources[kept]], spill))
+        tables.append(LabelTable(mirror, offsets, landmark_ids[sources[kept]], spill))
     return tables[0], tables[1]

@@ -310,10 +310,9 @@ class RBReach:
     @staticmethod
     def _meeting_point(forward_active: Set[NodeId], backward_active: Set[NodeId]) -> Optional[NodeId]:
         # Deterministic choice: a set's iteration order depends on its
-        # insertion history, and the seed sets come from label columns, from
-        # the reference build's label dicts, or from a pickled matcher's copy
-        # of the index; ``next(iter(...))`` would name a
-        # different landmark for the same query on each.  The repr key makes
+        # insertion history, and the seed sets come from label columns or
+        # from a pickled matcher's copy of the index; ``next(iter(...))``
+        # could name a different landmark for the same query on each.  The repr key makes
         # ``met_at`` a function of the sets' contents (what the oracle parity
         # holds) and matches the frontier heap's tie-break.
         common = forward_active & backward_active

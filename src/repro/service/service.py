@@ -258,7 +258,7 @@ class GraphService:
         self._anchors: Dict[CacheKey, Tuple[Any, ...]] = {}
         # Warm daemon pool (created by the first daemon batch) and the update
         # epoch that, with the prepared-state signature, versions the state
-        # the daemons hold so republish happens exactly when needed.
+        # the daemons were forked from, so they are re-forked exactly when needed.
         self._daemon_pool: Optional[DaemonPool] = None
         self._state_epoch = 0
         self._sharded: Optional[ShardedEngine] = None
@@ -813,7 +813,7 @@ class GraphService:
         """Re-prepare the state on the updated graph, then decide retention.
 
         Every effective update bumps the state epoch, so the next daemon
-        batch republishes before dispatch.  One
+        batch re-forks the workers from the updated state before dispatch.  One
         :func:`~repro.engine.invalidation.partition_entries` call decides
         for the cached answers and the standing queries together: entries
         whose query touches the mutated region (delta endpoints, changed

@@ -98,9 +98,8 @@ def build_contribution(
     boundary_comps = set(contribution.comp_of.values())
     contribution.boundary_comps = frozenset(boundary_comps)
 
-    # The read-only view (a fresh prepare's mirror): no container is built, and the
-    # label tables come back as columns over the mirror's rows.
-    dag = compressed.dag_view
+    # The DAG mirror: no container is built, and the label tables come back
+    # as columns over the mirror's rows.
     ordered_comps = sorted(boundary_comps, key=repr)
     _, reached = sweep_landmarks(compressed.dag_csr, ordered_comps, forward=True)
     for comp in ordered_comps:
@@ -108,7 +107,7 @@ def build_contribution(
             contribution.intra_edges.append((comp, other))
 
     contribution.forward_labels, contribution.backward_labels = out_of_index_labels(
-        dag, boundary_comps, max_labels=label_cap, csr_dag=compressed.dag_csr
+        compressed.dag_csr, boundary_comps, max_labels=label_cap
     )
 
     for node in boundary_nodes:

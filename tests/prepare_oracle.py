@@ -10,7 +10,16 @@ per-landmark ``probe_rows``/``row_lists`` extraction loops of
 only so ``tests/test_prepare_differential.py`` can demand the same objects
 from the array passes; nothing in ``src/`` imports them.  The one addition
 is :func:`oracle_build_index`, which strings the frozen stages together the
-way ``compress`` + ``build_index`` did.
+way ``compress`` + ``build_index`` did.  The stages hand back the containers
+``src/`` once accepted beside its columns: :class:`OracleCondensation` (the
+DAG, membership and member dicts), :class:`OracleRankIndex` (a node → rank
+dict), :class:`OracleCompressedGraph` over the two, and
+:class:`OracleLandmarkIndex` with label dicts, each reading its containers
+the way the removed container arms of ``Condensation``,
+``TopologicalRankIndex``, ``CompressedGraph`` and
+``HierarchicalLandmarkIndex`` did.  :func:`verify_rank_invariant` and
+:func:`selection_scores` are the recurrence and the greedy score written out
+node by node.
 
 The shard build is frozen the same way, from before it moved to row arrays:
 ``greedy_partition`` rescanning every candidate's neighbours for its pull
@@ -24,21 +33,117 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import ShardError
-from repro.graph.components import Condensation
 from repro.graph.csr import CSRGraph, _union_degrees
 from repro.graph.digraph import DiGraph, Label, NodeId
 from repro.graph.kernels import reach_batch
 from repro.graph.protocol import GraphLike
-from repro.graph.topology import TopologicalRankIndex
-from repro.reachability.compression import CompressedGraph
 from repro.reachability.hierarchy import HierarchicalLandmarkIndex, assemble_index
 from repro.reachability.landmarks import first_landmarks_hit
 from repro.shard.partition import BALANCE_SLACK, GREEDY, REFINEMENT_PASSES, Partition
+
+
+# --------------------------------------------------------------------------- #
+# The prepared objects as containers
+# --------------------------------------------------------------------------- #
+@dataclass
+class OracleCondensation:
+    """The condensation as three containers: the DAG, node → component id, component id → members."""
+
+    dag: DiGraph
+    membership: Dict[NodeId, int]
+    members: Dict[int, Set[NodeId]]
+
+
+class OracleRankIndex:
+    """Topological ranks as a node → rank dict, with ``L`` and ``D``."""
+
+    def __init__(self, graph: DiGraph, ranks: Dict[NodeId, int], max_rank: int, max_degree: int) -> None:
+        self.graph = graph
+        self._ranks = ranks
+        self.max_rank = max_rank
+        self.max_degree = max_degree
+
+    def rank(self, node: NodeId) -> int:
+        return self._ranks[node]
+
+    def ranks(self) -> Dict[NodeId, int]:
+        return dict(self._ranks)
+
+    def selection_score(self, node: NodeId) -> float:
+        degree = self.graph.degree(node)
+        rank = self.rank(node)
+        denominator = self.max_rank * self.max_degree
+        if denominator == 0:
+            return float(degree * rank)
+        return (degree * rank) / denominator
+
+
+@dataclass
+class OracleCompressedGraph:
+    """``CompressedGraph`` over the container condensation and the rank dict."""
+
+    original: GraphLike
+    condensation: OracleCondensation
+    ranks: OracleRankIndex
+    dag_csr: Optional[CSRGraph]
+
+    @property
+    def dag(self) -> DiGraph:
+        return self.condensation.dag
+
+    def component_of(self, node: NodeId) -> int:
+        return self.condensation.membership[node]
+
+    def locate(self, node: NodeId) -> Optional[Tuple[int, int]]:
+        if node not in self.original:
+            return None
+        component = self.component_of(node)
+        return component, self.ranks.rank(component)
+
+    def rank_rows(self) -> List[int]:
+        return list(map(self.ranks.rank, self.dag_csr.nodes()))
+
+    def rank_of(self, node: NodeId) -> int:
+        return self.ranks.rank(self.component_of(node))
+
+    def compression_ratio(self) -> float:
+        original_size = self.original.size()
+        if original_size == 0:
+            return 1.0
+        return self.dag.size() / original_size
+
+
+@dataclass
+class OracleLandmarkIndex(HierarchicalLandmarkIndex):
+    """The landmark index with plain-dict labels, handed out as copies (``RBReach`` adds to its seeds)."""
+
+    forward_labels: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
+    backward_labels: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
+
+    def labels_of(self, dag_node: NodeId, forward: bool) -> Set[NodeId]:
+        table = self.forward_labels if forward else self.backward_labels
+        return set(table.get(dag_node, ()))
+
+
+def verify_rank_invariant(graph: DiGraph, ranks: Dict[NodeId, int]) -> bool:
+    """Check that ranks satisfy the defining recurrence."""
+    for node in graph.nodes():
+        children = graph.successors(node)
+        expected = 0 if not children else 1 + max(ranks[child] for child in children)
+        if ranks[node] != expected:
+            return False
+    return True
+
+
+def selection_scores(dag: GraphLike, ranks) -> Dict[NodeId, float]:
+    """The greedy score of every node: ``(degree * rank) / (L * D)``."""
+    return {node: ranks.selection_score(node) for node in dag.nodes()}
 
 
 # --------------------------------------------------------------------------- #
@@ -177,7 +282,7 @@ def oracle_strongly_connected_components(graph: GraphLike) -> List[Set[NodeId]]:
     return components
 
 
-def oracle_condensation(graph: GraphLike) -> Condensation:
+def oracle_condensation(graph: GraphLike) -> OracleCondensation:
     components = oracle_strongly_connected_components(graph)
     position = {node: index for index, node in enumerate(graph.nodes())}
     membership: Dict[NodeId, int] = {}
@@ -201,7 +306,7 @@ def oracle_condensation(graph: GraphLike) -> Condensation:
             dag_edges.add((source_id, target_id))
     for source_id, target_id in sorted(dag_edges):
         dag.add_edge(source_id, target_id)
-    return Condensation(dag=dag, membership=membership, members=members)
+    return OracleCondensation(dag=dag, membership=membership, members=members)
 
 
 # --------------------------------------------------------------------------- #
@@ -234,28 +339,28 @@ def oracle_topological_ranks(graph: DiGraph) -> Dict[NodeId, int]:
     return ranks
 
 
-def oracle_rank_index(dag: DiGraph) -> TopologicalRankIndex:
+def oracle_rank_index(dag: DiGraph) -> OracleRankIndex:
     ranks = oracle_topological_ranks(dag)
-    return TopologicalRankIndex.from_parts(
+    return OracleRankIndex(
         dag, ranks, max(ranks.values()) if ranks else 0, dag.max_degree()
     )
 
 
-def oracle_compress(graph: GraphLike) -> CompressedGraph:
+def oracle_compress(graph: GraphLike) -> OracleCompressedGraph:
     """``compress`` as it stood: condense, Kahn ranks, re-freeze the DAG."""
     condensed = oracle_condensation(graph)
     ranks = oracle_rank_index(condensed.dag)
     dag_csr = None
     if isinstance(graph, CSRGraph):
         dag_csr = oracle_from_digraph(condensed.dag, preserve_order=False)
-    return CompressedGraph(original=graph, condensation=condensed, ranks=ranks, dag_csr=dag_csr)
+    return OracleCompressedGraph(original=graph, condensation=condensed, ranks=ranks, dag_csr=dag_csr)
 
 
 # --------------------------------------------------------------------------- #
 # Order and select
 # --------------------------------------------------------------------------- #
 def oracle_selection_order(
-    dag: DiGraph, ranks: TopologicalRankIndex, weights: Optional[Dict[NodeId, float]] = None
+    dag: DiGraph, ranks: OracleRankIndex, weights: Optional[Dict[NodeId, float]] = None
 ) -> List[NodeId]:
     """The candidate sort at the head of ``greedy_landmarks``."""
 
@@ -267,7 +372,7 @@ def oracle_selection_order(
     return sorted(dag.nodes(), key=sort_key)
 
 
-def oracle_select_leaves(compressed: CompressedGraph, alpha: float, size_budget: int) -> List[NodeId]:
+def oracle_select_leaves(compressed: OracleCompressedGraph, alpha: float, size_budget: int) -> List[NodeId]:
     dag = compressed.dag
     exclusion_radius = max(1, math.floor(2 / alpha)) if alpha < 1 else 1
     num_leaves = max(1, min(size_budget // 2, dag.num_nodes()))
@@ -364,14 +469,14 @@ def oracle_build_index(
     graph: GraphLike,
     alpha: float,
     reference_size: Optional[int] = None,
-) -> HierarchicalLandmarkIndex:
+) -> OracleLandmarkIndex:
     """``build_index(compress(graph), alpha)`` out of the frozen stages."""
     compressed = oracle_compress(graph)
     dag = compressed.dag
     if reference_size is None:
         reference_size = graph.size()
     size_budget = max(2, math.floor(alpha * reference_size))
-    index = HierarchicalLandmarkIndex(compressed=compressed, alpha=alpha, size_budget=size_budget)
+    index = OracleLandmarkIndex(compressed=compressed, alpha=alpha, size_budget=size_budget)
     if dag.num_nodes() == 0:
         return index
     leaves = oracle_select_leaves(compressed, alpha, size_budget)
@@ -619,6 +724,10 @@ def oracle_induced_order_preserving(source: GraphLike, ordered_nodes: Sequence[N
 
 
 __all__ = [
+    "OracleCompressedGraph",
+    "OracleCondensation",
+    "OracleLandmarkIndex",
+    "OracleRankIndex",
     "oracle_build_index",
     "oracle_collect_halo",
     "oracle_core_list",
@@ -634,4 +743,6 @@ __all__ = [
     "oracle_selection_order",
     "oracle_strongly_connected_components",
     "oracle_topological_ranks",
+    "selection_scores",
+    "verify_rank_invariant",
 ]

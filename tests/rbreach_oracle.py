@@ -6,7 +6,7 @@ range, and every ``_weight`` builds a fresh ``forward ∪ backward``
 index-neighbour set and counts the active landmarks in it.  When both index
 frontiers run dry below the budget, ``_dag_search`` is the second stage in
 the same style: a bidirectional search over the condensed DAG's ids
-(``compressed.dag_view``), one ``ranks.rank`` call per scanned neighbour.
+(``compressed.dag_csr``), one ``ranks.rank`` call per scanned neighbour.
 The index no longer stores the subtree ranges, so
 :func:`subtree_ranges` recomputes them with the bottom-up loop that
 ``assemble_index`` ran, and :func:`range_may_cover` is the removed
@@ -135,7 +135,7 @@ class OracleRBReach:
         visited: int,
         limit: int,
     ) -> ReachabilityAnswer:
-        dag = self._compressed.dag_view
+        dag = self._compressed.dag_csr
         ranks = self._compressed.ranks
         forward_seen, backward_seen = {source}, {target}
         forward_queue, backward_queue = deque([source]), deque([target])

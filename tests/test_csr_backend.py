@@ -6,12 +6,14 @@ backend agrees with the dict-of-sets backend on
 * every structural observation of the :class:`GraphLike` protocol (labels,
   degrees, successor/predecessor sets *and iteration order*, membership);
 * every order-insensitive traversal result (distance maps, reachability,
-  components); and
-* the *answers* of the resource-bounded algorithms — RBSim, RBSub and
-  RBReach return bit-identical results on both backends, which is the
-  guarantee that makes the CSR backend a drop-in substitution.  (RBReach
-  freezes a ``DiGraph`` input to a ``CSRGraph`` first, so both inputs must
-  build the same index.)
+  components).
+
+The resource-bounded algorithms freeze a ``DiGraph`` to a ``CSRGraph`` on
+entry, so their answers on both backends are one path:
+``tests/test_reduction_differential.py`` holds ``RBSim``/``RBSub`` on a
+``DiGraph`` or an overlay to their freeze, and
+``tests/test_prepare_differential.py`` holds ``compress``/``build_index`` on
+both to the frozen oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from prepare_oracle import oracle_from_digraph
 
-from repro.core.rbsim import RBSim
-from repro.core.rbsub import RBSub
 from repro.exceptions import GraphError, NodeNotFoundError, WorkloadError
 from repro.graph import traversal as tr
 from repro.graph.csr import CSRGraph, _unique
@@ -40,13 +40,8 @@ from repro.graph.generators import (
 )
 from repro.graph.io import read_edge_list, read_json, write_edge_list, write_json
 from repro.graph.protocol import GraphLike
-from repro.reachability.rbreach import RBReach
 from repro.updates.overlay import MutableOverlay
 from repro.workloads.datasets import load_dataset
-from repro.workloads.queries import (
-    generate_pattern_workload,
-    generate_reachability_workload,
-)
 
 
 def _sample_graphs():
@@ -268,52 +263,6 @@ class TestTraversalParity:
         answer_csr = tr.is_reachable(csr, nodes[0], nodes[-1], counter_csr)
         assert answer_digraph == answer_csr
         assert counter_digraph == counter_csr  # visit accounting uses the generic path
-
-
-class TestAlgorithmParity:
-    def test_rbsim_and_rbsub_identical_answers(self):
-        graph = load_dataset("youtube-small", seed=7)
-        csr = CSRGraph.from_digraph(graph)
-        workload = generate_pattern_workload(graph, shape=(4, 8), count=3, seed=2)
-        for alpha in (0.02, 0.08):
-            for query in workload:
-                sim_digraph = RBSim(graph, alpha).answer(query.pattern, query.personalized_match)
-                sim_csr = RBSim(csr, alpha).answer(query.pattern, query.personalized_match)
-                assert sim_digraph.answer == sim_csr.answer
-                assert sim_digraph.subgraph == sim_csr.subgraph
-                sub_digraph = RBSub(graph, alpha).answer(query.pattern, query.personalized_match)
-                sub_csr = RBSub(csr, alpha).answer(query.pattern, query.personalized_match)
-                assert sub_digraph.answer == sub_csr.answer
-
-    def test_rbreach_identical_index_and_answers(self):
-        graph = load_dataset("youtube-small", seed=7)
-        csr = CSRGraph.from_digraph(graph)
-        workload = generate_reachability_workload(graph, count=80, seed=5)
-        for alpha in (0.02, 0.05):
-            matcher_digraph = RBReach.from_graph(graph, alpha)
-            matcher_csr = RBReach.from_graph(csr, alpha)
-            index_digraph, index_csr = matcher_digraph.index, matcher_csr.index
-            assert index_digraph.num_landmarks() == index_csr.num_landmarks()
-            assert set(index_digraph.landmarks) == set(index_csr.landmarks)
-            assert index_digraph.forward_labels == index_csr.forward_labels
-            assert index_digraph.backward_labels == index_csr.backward_labels
-            assert {k: v.cover_size for k, v in index_digraph.landmarks.items()} == {
-                k: v.cover_size for k, v in index_csr.landmarks.items()
-            }
-            for pair in workload.pairs:
-                assert (
-                    matcher_digraph.query(*pair).reachable
-                    == matcher_csr.query(*pair).reachable
-                )
-
-    def test_rbreach_answers_on_cyclic_graph(self):
-        graph = random_graph(num_nodes=600, num_edges=1400, seed=13)
-        csr = CSRGraph.from_digraph(graph)
-        workload = generate_reachability_workload(graph, count=60, seed=3)
-        matcher_digraph = RBReach.from_graph(graph, 0.05)
-        matcher_csr = RBReach.from_graph(csr, 0.05)
-        for pair in workload.pairs:
-            assert matcher_digraph.query(*pair).reachable == matcher_csr.query(*pair).reachable
 
 
 class TestLoading:

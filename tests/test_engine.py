@@ -89,7 +89,7 @@ class TestConstruction:
         prepared = GraphService(served_graph).prepared
         compressed = prepared.compressed()
         assert compressed.original is prepared.graph
-        assert compressed.condensation.array_backed
+        assert compressed.condensation._mirror is compressed.dag_csr
         assert prepared.compressed() is compressed
         assert prepared.reachability_index(ALPHA).compressed is compressed
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from prepare_oracle import oracle_selection_order
+from prepare_oracle import oracle_selection_order, selection_scores
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import layered_dag, path_graph
@@ -16,7 +16,6 @@ from repro.reachability.landmarks import (
     first_landmarks_hit,
     greedy_landmarks,
     selection_rows,
-    selection_scores,
     selection_sort_key,
 )
 

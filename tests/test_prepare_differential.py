@@ -44,6 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prepare_oracle import (
+    OracleCondensation,
     oracle_build_index,
     oracle_collect_halo,
     oracle_compress,
@@ -197,9 +198,9 @@ def assert_same_dag(actual: DiGraph, expected: DiGraph) -> None:
     actual.validate()
 
 
-def assert_same_condensation(actual: Condensation, expected: Condensation) -> None:
-    """Array-backed accessors first, then the containers they materialise."""
-    assert actual.array_backed and not expected.array_backed
+def assert_same_condensation(actual: Condensation, expected: OracleCondensation) -> None:
+    """The column accessors first, then the containers they materialise."""
+    assert type(actual) is Condensation and type(expected) is OracleCondensation
     assert (actual._dag, actual._membership, actual._members) == (None, None, None)
     for node, component in expected.membership.items():
         assert actual.component_of(node) == component
@@ -218,7 +219,7 @@ def assert_same_condensation(actual: Condensation, expected: Condensation) -> No
 
 
 def assert_same_compression(actual, expected) -> None:
-    assert actual.dag_view is actual.dag_csr and actual.ranks.graph is actual.dag_csr
+    assert actual.ranks.graph is actual.dag_csr and actual.condensation._mirror is actual.dag_csr
     expected_ranks = expected.ranks.ranks()
     for component, rank in expected_ranks.items():
         assert actual.ranks.rank(component) == rank
@@ -270,6 +271,9 @@ def check_prepare(graph: DiGraph, alphas, reference_size=None, pair_count=40, se
     """The whole prepare, stage by stage, array passes against the oracle."""
     frozen, frozen_oracle = CSRGraph.from_digraph(graph), oracle_from_digraph(graph)
     assert_same_csr(frozen, frozen_oracle)
+    # ``compress`` freezes a ``DiGraph`` on entry: handed the graph itself, it
+    # gives what it gives on the freeze, so one substrate covers both.
+    assert_same_compression(compress(graph), oracle_compress(frozen_oracle))
     check_prepared_csr(frozen, frozen_oracle, alphas, reference_size, pair_count, seed)
 
 
@@ -302,9 +306,7 @@ def check_prepared_csr(frozen, frozen_oracle, alphas, reference_size=None, pair_
         assert_same_label_order(index, index_oracle)
         # A cap small enough that the ``first_landmarks_hit`` fallback runs.
         for cap in (1, 2):
-            tables = out_of_index_labels(
-                compressed.dag_view, set(leaves), max_labels=cap, csr_dag=compressed.dag_csr
-            )
+            tables = out_of_index_labels(compressed.dag_csr, set(leaves), max_labels=cap)
             oracle_tables = oracle_out_of_index_labels_by_sweep(
                 compressed_oracle.dag, compressed_oracle.dag_csr, set(leaves), cap
             )
@@ -389,7 +391,7 @@ def test_overlay_substrate_gets_the_mirror_ranks_and_order():
     graph.remove_node(5)
     on_overlay, on_digraph = compress(overlay), compress(graph)
     for compressed in (on_overlay, on_digraph):
-        assert compressed.condensation.array_backed and compressed.dag_view is compressed.dag_csr
+        assert compressed.condensation._mirror is compressed.dag_csr
         assert compressed.ranks.graph is compressed.dag_csr  # a rank column
     assert_same_compression(on_digraph, oracle_compress(oracle_from_digraph(graph)))
     assert on_overlay.condensation.membership == on_digraph.condensation.membership
@@ -430,7 +432,6 @@ def test_an_update_re_prepares_every_index_like_a_fresh_prepare():
     prepared = PreparedGraph(make_graph(300, "random", "identity", seed=5))
     prepared.prepare("reach", 0.05)
     assert prepared.apply_delta(delta).mode == "patched"
-    assert prepared.compressed().condensation.array_backed
     assert type(prepared._indexes[0.05].forward_labels) is LabelTable
     mutated = make_graph(300, "random", "identity", seed=5)
     for source, target in ((3, 200), (200, 3), (40, 41)):
@@ -734,7 +735,6 @@ def work_counts(monkeypatch):
         counted(DiGraph, name)
     for name in ("probe_rows", "row_lists", "rows", "mask"):
         counted(ReachBatch, name)
-    counted(CSRGraph, "reach_stats")
     # A build maps its landmarks to mirror rows once, for every sweep.
     counted(CSRGraph, "index_of")
     counted(kernels, "reach_batch")
@@ -751,7 +751,7 @@ def work_counts(monkeypatch):
     return counts
 
 
-GATED_TO_ZERO = ("add_edge", "degree", "reach_stats", "probe_rows", "row_lists", "rows", "mask")
+GATED_TO_ZERO = ("add_edge", "degree", "probe_rows", "row_lists", "rows", "mask")
 
 
 def assert_no_per_component_order(work_counts, landmarks_built: int) -> None:
@@ -794,7 +794,7 @@ def test_work_gate_per_pass(work_counts):
     work_counts.clear()
     _cover_statistics(compressed.dag_csr, leaves)
     assert work_counts["reach_batch"] == 2
-    out_of_index_labels(compressed.dag_view, set(leaves), max_labels=30, csr_dag=compressed.dag_csr)
+    out_of_index_labels(compressed.dag_csr, set(leaves), max_labels=30)
     assert work_counts["reach_batch"] == 4
     assert {name: work_counts[name] for name in GATED_TO_ZERO} == dict.fromkeys(GATED_TO_ZERO, 0)
 

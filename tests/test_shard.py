@@ -443,10 +443,10 @@ class TestBoundaryPrepare:
         from repro.reachability.landmarks import LabelTable
         from repro.shard.boundary import DEFAULT_LABEL_CAP
 
-        asked = []  # containers read off a shard's columns (the quotient's own are plain)
+        asked = []  # containers read off any condensation's columns
 
         def counted(getter, name):
-            return property(lambda self: (self.array_backed and asked.append(name)) or getter(self))
+            return property(lambda self: asked.append(name) or getter(self))
 
         for name in ("dag", "membership", "members"):
             monkeypatch.setattr(Condensation, name, counted(getattr(Condensation, name).fget, name))

@@ -299,7 +299,7 @@ class TestSharedPreparedGraph:
         prepared = PreparedGraph(graph)
         prepared.prepare(REACH, 0.2)
         compressed = prepared.compressed()
-        assert compressed.condensation.array_backed
+        assert compressed.condensation._mirror is compressed.dag_csr
         with publish_state(prepared) as handle:
             for container in (b"DiGraph", b"digraph", b"membership", b"members"):
                 assert container not in handle._payload
@@ -307,7 +307,7 @@ class TestSharedPreparedGraph:
             pages = np.frombuffer(mirror_segment.buf, dtype=np.uint8)
             attached = handle.attach().compressed()
             condensed = attached.condensation
-            assert condensed.array_backed and attached.dag_view is attached.dag_csr
+            assert condensed._mirror is attached.dag_csr
             assert (condensed._dag, condensed._membership, condensed._members) == (None, None, None)
             columns = attached.columns()
             assert sorted(columns) == ["compact", "member_offsets", "member_order", "ranks"]
@@ -338,7 +338,7 @@ class TestSharedPreparedGraph:
         payload = pickle.dumps(compressed)
         assert b"DiGraph" not in payload
         clone = pickle.loads(payload)
-        assert clone.condensation.array_backed and clone.condensation._dag is None
+        assert clone.condensation._mirror is clone.dag_csr and clone.condensation._dag is None
         for node in graph.nodes():
             assert clone.component_of(node) == compressed.component_of(node)
             assert clone.rank_of(node) == compressed.rank_of(node)

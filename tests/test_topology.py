@@ -1,13 +1,13 @@
 """Tests for topological ranks (the level peel over a CSR mirror) and the rank index."""
 
 import pytest
-from prepare_oracle import oracle_topological_ranks
+from prepare_oracle import oracle_topological_ranks, verify_rank_invariant
 
 from repro.exceptions import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import cycle_graph, layered_dag, path_graph
-from repro.graph.topology import TopologicalRankIndex, csr_topological_ranks, verify_rank_invariant
+from repro.graph.topology import TopologicalRankIndex, csr_topological_ranks
 
 
 def rank_index(dag: DiGraph) -> TopologicalRankIndex:

@@ -418,7 +418,7 @@ class TestRebuildEquivalence:
         prepared = service.prepared
         assert isinstance(prepared.graph, CSRGraph)
         compressed = prepared.compressed()
-        assert compressed.condensation.array_backed
+        assert compressed.condensation._mirror is compressed.dag_csr
         frozen_oracle = oracle_from_digraph(mutable)
         for alpha in (ALPHA, 0.2):
             assert_same_index(prepared.reachability_index(alpha), oracle_build_index(frozen_oracle, alpha))

@@ -14,7 +14,11 @@ Runs, in order:
    file under ``src/repro/core/`` and no ``graph/neighborhood.py`` may hold
    a ``csr``/``_csr is (not) None`` branch or a ``hasattr(…, "neighbor_indices")`` /
    ``hasattr(…, "label_presence")`` probe (a second, node-by-node arm
-   beside the row-space one); and numpy is the *only* dependency, so
+   beside the row-space one); the reach prepare reads columns only, so no
+   file under ``src/repro/reachability/`` and no ``graph/components.py`` or
+   ``graph/topology.py`` may hold a container arm beside them (an
+   ``array_backed`` test, a ``_compact``/``_column is (not) None`` branch or
+   a ``type(…) is LabelTable`` test); and numpy is the *only* dependency, so
    ``src/repro`` may import nothing outside the standard library, numpy
    and itself, not even inside a function (offending lines are printed).
    The measured reason: importing ``scipy.sparse.csgraph`` for its SCC
@@ -62,6 +66,10 @@ FALLBACK = re.compile(r"except\s+\(?\s*ImportError|\b(?:np|numpy|_?CSRGraph)\s+i
 SECOND_SUBSTRATE = re.compile(
     r"\b_?csr\s+is\s+(?:not\s+)?None\b|hasattr\([^)]*[\"'](?:neighbor_indices|label_presence)[\"']"
 )
+#: A container arm in the reach prepare: a mode beside the columns of the condensation, ranks or labels.
+CONTAINER_ARM = re.compile(
+    r"\barray_backed\b|\b_(?:compact|column)\s+is\s+(?:not\s+)?None\b|\btype\([^)]*\)\s+is\s+(?:not\s+)?LabelTable\b"
+)
 
 
 def _run(label: str, command: list) -> bool:
@@ -79,14 +87,26 @@ def _reads_one_substrate(path: Path, root: Path) -> bool:
     return relative.parts[0] == "core" or relative == Path("graph", "neighborhood.py")
 
 
+def _reads_columns(path: Path, root: Path) -> bool:
+    """Whether ``path`` is the reach prepare: ``reachability/``, ``graph/components.py`` or ``graph/topology.py``."""
+    relative = path.relative_to(root)
+    return relative.parts[0] == "reachability" or relative in (
+        Path("graph", "components.py"),
+        Path("graph", "topology.py"),
+    )
+
+
 def fallback_lines(root: Path = ROOT / "src" / "repro") -> list:
-    """``path:line: text`` of every no-numpy fallback left under ``root``, and
-    of every second-substrate branch where ``Search`` reads."""
+    """``path:line: text`` of every no-numpy fallback left under ``root``, of
+    every second-substrate branch where ``Search`` reads, and of every
+    container arm in the reach prepare."""
     return [
         f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
         for path in sorted(root.rglob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if FALLBACK.search(line) or (SECOND_SUBSTRATE.search(line) and _reads_one_substrate(path, root))
+        if FALLBACK.search(line)
+        or (SECOND_SUBSTRATE.search(line) and _reads_one_substrate(path, root))
+        or (CONTAINER_ARM.search(line) and _reads_columns(path, root))
     ]
 
 
@@ -193,8 +213,10 @@ def main() -> int:
     for label, rule, offending in (
         (
             "no-fallback",
-            "src/repro must not guard against a missing numpy, and core/ and graph/neighborhood.py "
-            "read a CSRGraph only (no csr-is-None branch, no neighbor_indices/label_presence probe)",
+            "src/repro must not guard against a missing numpy, core/ and graph/neighborhood.py "
+            "read a CSRGraph only (no csr-is-None branch, no neighbor_indices/label_presence probe), "
+            "and reachability/, graph/components.py and graph/topology.py read columns only "
+            "(no array_backed, _compact/_column-is-None or type-is-LabelTable arm)",
             fallback_lines(),
         ),
         (
